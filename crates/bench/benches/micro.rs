@@ -26,13 +26,19 @@ use ncs_sim::{Dur, Sim, SimRng};
 fn bench_crc(c: &mut Criterion) {
     let mut g = c.benchmark_group("atm-crc");
     let data4 = [0x12u8, 0x34, 0x56, 0x78];
+    g.throughput(Throughput::Bytes(4));
     g.bench_function("hec", |b| b.iter(|| crc::hec(black_box(&data4))));
-    let payload = vec![0xA5u8; 4096];
-    g.throughput(Throughput::Bytes(4096));
-    g.bench_function("crc32-aal5-4k", |b| {
-        b.iter(|| crc::crc32_aal5(black_box(&payload)))
-    });
-    g.bench_function("crc10-4k", |b| b.iter(|| crc::crc10(black_box(&payload))));
+    // 4 KiB is the ring workloads' message, 16 KiB one I/O buffer.
+    for (label, len) in [("4k", 4096usize), ("16k", 16 * 1024)] {
+        let payload = vec![0xA5u8; len];
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(format!("crc32-aal5-{label}"), |b| {
+            b.iter(|| crc::crc32_aal5(black_box(&payload)))
+        });
+        g.bench_function(format!("crc10-{label}"), |b| {
+            b.iter(|| crc::crc10(black_box(&payload)))
+        });
+    }
     g.finish();
 }
 

@@ -16,6 +16,12 @@
 //! 3. **Applications** — matmul, JPEG and FFT run with buffers small
 //!    enough that their real traffic is chunked, with the protocol
 //!    invariants armed; results must stay bit-exact.
+//! 4. **Byte path** — host nanoseconds per byte of the CRC-32 kernel and
+//!    of one error-control wrap + unwrap, at 512 B, 4 KiB and 16 KiB,
+//!    against the bit-serial CRC and staging-buffer framing they replaced
+//!    (the acceptance bar is ≥5× on the kernel at every size and on the
+//!    frame from 4 KiB up). These are wall-clock numbers, so `worker_cpus`
+//!    is recorded beside them.
 //!
 //! Writes `results/BENCH_pipeline.json`.
 //!
@@ -28,12 +34,16 @@ use ncs_apps::fft::{fft_ncs_with, FftConfig};
 use ncs_apps::jpeg::EntropyKind;
 use ncs_apps::jpeg_dist::{setup_jpeg_ncs_with, JpegConfig};
 use ncs_apps::matmul::{setup_matmul_ncs_with, MatmulConfig};
+use ncs_core::env::{unwrap_checked, wrap_checked};
 use ncs_core::{ErrorControl, FlowControl, NcsConfig, NcsWorld, ThreadAddr};
 use ncs_net::atm::{AtmLanFabric, AtmLanParams};
+use ncs_net::crc::crc32_aal5;
 use ncs_net::stack::BlockingWait;
 use ncs_net::{AtmApiNet, AtmApiParams, CellEventMode, HostParams, Network, NodeId};
 use ncs_sim::{AnalysisConfig, Dur, Sim};
+use std::hint::black_box;
 use std::sync::Arc;
+use std::time::{Duration, Instant}; // ncs-lint: allow(wall-clock)
 
 /// A FORE-LAN High Speed Mode stack (the Approach-2 transport) with the
 /// chosen receive-side event granularity.
@@ -212,6 +222,116 @@ fn run_apps() -> Vec<AppPoint> {
     points
 }
 
+/// The checked byte path as it stood before the table-driven CRC: the
+/// bit-serial CRC-32 and the framing that staged `seq ‖ data` in a scratch
+/// buffer to checksum it. This is the "before" side of the `byte_path`
+/// rows — a measuring stick, cross-checked against the live code on every
+/// run — not a second implementation anything else may call.
+mod seed_byte_path {
+    use bytes::Bytes;
+
+    pub fn crc32(data: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &byte in data {
+            crc ^= u32::from(byte) << 24;
+            for _ in 0..8 {
+                crc = if crc & 0x8000_0000 != 0 {
+                    (crc << 1) ^ 0x04C1_1DB7
+                } else {
+                    crc << 1
+                };
+            }
+        }
+        !crc
+    }
+
+    pub fn wrap(seq: u32, data: &[u8]) -> Bytes {
+        let mut v = Vec::with_capacity(8 + data.len());
+        v.extend_from_slice(&seq.to_le_bytes());
+        let mut staged = Vec::with_capacity(4 + data.len());
+        staged.extend_from_slice(&seq.to_le_bytes());
+        staged.extend_from_slice(data);
+        v.extend_from_slice(&crc32(&staged).to_le_bytes());
+        v.extend_from_slice(data);
+        Bytes::from(v)
+    }
+
+    pub fn unwrap(b: &Bytes) -> Option<(u32, Bytes)> {
+        let seq = u32::from_le_bytes(b[..4].try_into().ok()?);
+        let crc = u32::from_le_bytes(b[4..8].try_into().ok()?);
+        let mut staged = Vec::with_capacity(b.len() - 4);
+        staged.extend_from_slice(&b[..4]);
+        staged.extend_from_slice(&b[8..]);
+        (crc32(&staged) == crc).then(|| (seq, b.slice(8..)))
+    }
+}
+
+/// Host nanoseconds per byte of `op` over a `bytes`-byte input: the best of
+/// three timed batches of at least `budget` each.
+fn ns_per_byte(bytes: usize, budget: Duration, mut op: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let start = Instant::now(); // ncs-lint: allow(wall-clock)
+        let mut calls = 0u64;
+        while start.elapsed() < budget {
+            for _ in 0..16 {
+                op();
+            }
+            calls += 16;
+        }
+        let ns = start.elapsed().as_nanos() as f64;
+        best = best.min(ns / (calls as f64 * bytes as f64));
+    }
+    best
+}
+
+/// One `byte_path` row: ns/byte before and after, for the CRC-32 kernel
+/// alone and for one wrap + unwrap of an error-control frame.
+struct BytePathPoint {
+    bytes: usize,
+    crc_before: f64,
+    crc_after: f64,
+    frame_before: f64,
+    frame_after: f64,
+}
+
+impl BytePathPoint {
+    fn crc_speedup(&self) -> f64 {
+        self.crc_before / self.crc_after
+    }
+
+    fn frame_speedup(&self) -> f64 {
+        self.frame_before / self.frame_after
+    }
+}
+
+fn byte_path(bytes: usize, budget: Duration) -> BytePathPoint {
+    let data: Vec<u8> = (0..bytes).map(|i| (i * 131 + 17) as u8).collect();
+    // The two sides must agree bit for bit before their speeds are compared.
+    assert_eq!(seed_byte_path::crc32(&data), crc32_aal5(&data));
+    let frame = wrap_checked(9, &[], &data);
+    assert_eq!(frame, seed_byte_path::wrap(9, &data));
+    assert_eq!(seed_byte_path::unwrap(&frame), unwrap_checked(&frame).ok());
+
+    BytePathPoint {
+        bytes,
+        crc_before: ns_per_byte(bytes, budget, || {
+            black_box(seed_byte_path::crc32(black_box(&data)));
+        }),
+        crc_after: ns_per_byte(bytes, budget, || {
+            black_box(crc32_aal5(black_box(&data)));
+        }),
+        frame_before: ns_per_byte(bytes, budget, || {
+            let f = seed_byte_path::wrap(9, black_box(&data));
+            black_box(seed_byte_path::unwrap(&f));
+        }),
+        frame_after: ns_per_byte(bytes, budget, || {
+            let f = wrap_checked(9, &[], black_box(&data));
+            black_box(unwrap_checked(&f).ok());
+        }),
+    }
+}
+
 fn per_mb(events: u64, bytes: usize) -> f64 {
     events as f64 / (bytes as f64 / (1024.0 * 1024.0))
 }
@@ -303,6 +423,33 @@ fn main() {
         assert!(p.verified, "{} must stay bit-exact when chunked", p.app);
     }
 
+    // Part 4: the byte path, before and after.
+    let worker_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let budget = Duration::from_millis(if smoke { 10 } else { 100 });
+    println!("\n## byte path, host ns/byte (worker_cpus = {worker_cpus})");
+    let mut bytes_rows = Vec::new();
+    for bytes in [512, 4 * 1024, 16 * 1024] {
+        let p = byte_path(bytes, budget);
+        println!(
+            "  {:5} B | CRC-32 {:6.3} -> {:5.3} ({:4.1}x) | wrap+unwrap {:6.3} -> {:5.3} ({:4.1}x)",
+            p.bytes,
+            p.crc_before,
+            p.crc_after,
+            p.crc_speedup(),
+            p.frame_before,
+            p.frame_after,
+            p.frame_speedup(),
+        );
+        // At 512 B the frame's one allocation is a visible share of its
+        // cost, so that row is reported but only the kernel is held to 5x.
+        assert!(
+            p.crc_speedup() >= 5.0 && (bytes < 4 * 1024 || p.frame_speedup() >= 5.0),
+            "{bytes}-byte byte path: table-driven CRC and single-pass framing must each be \
+             at least 5x the bit-serial, staged forms"
+        );
+        bytes_rows.push(p);
+    }
+
     // Hand-rolled JSON (no serde in the workspace).
     let mut json = String::from("{\n  \"experiment\": \"xp_pipeline\",\n");
     json.push_str(&format!("  \"smoke\": {smoke},\n  \"event_economy\": [\n"));
@@ -339,7 +486,26 @@ fn main() {
             if i + 1 < apps.len() { "," } else { "" },
         ));
     }
-    json.push_str("  ]\n}\n");
+    json.push_str(&format!(
+        "  ],\n  \"byte_path\": {{\n    \"worker_cpus\": {worker_cpus},\n    \"rows\": [\n"
+    ));
+    for (i, p) in bytes_rows.iter().enumerate() {
+        json.push_str(&format!(
+            "      {{\"bytes\": {}, \"crc32_ns_per_byte_before\": {:.3}, \
+             \"crc32_ns_per_byte_after\": {:.3}, \"crc32_speedup\": {:.2}, \
+             \"wrap_unwrap_ns_per_byte_before\": {:.3}, \
+             \"wrap_unwrap_ns_per_byte_after\": {:.3}, \"wrap_unwrap_speedup\": {:.2}}}{}\n",
+            p.bytes,
+            p.crc_before,
+            p.crc_after,
+            p.crc_speedup(),
+            p.frame_before,
+            p.frame_after,
+            p.frame_speedup(),
+            if i + 1 < bytes_rows.len() { "," } else { "" },
+        ));
+    }
+    json.push_str("    ]\n  }\n}\n");
     std::fs::create_dir_all("results").expect("create results dir");
     std::fs::write("results/BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");
     println!("\nwrote results/BENCH_pipeline.json");

@@ -25,6 +25,7 @@
 
 use bytes::Bytes;
 use ncs_mts::{Mts, MtsConfig, MtsCtx, MtsTid};
+use ncs_net::crc::Crc32;
 use ncs_net::stack::WaitPolicy;
 use ncs_net::{Delivery, HostParams, Network, NodeId};
 use ncs_sim::{
@@ -369,6 +370,9 @@ struct MpsState {
     /// Statistics: duplicate frames re-ACKed but not delivered (the
     /// retransmitted-frame-whose-ACK-was-lost case).
     dup_suppressed: u64,
+    /// Statistics: checked frames too short to carry the error-control
+    /// header, dropped without a NACK.
+    malformed_frames: u64,
     /// Statistics: data messages that went out chunked through the
     /// I/O-buffer pool.
     fragmented_msgs: u64,
@@ -581,6 +585,10 @@ pub struct ErrorStats {
     /// Duplicate frames re-ACKed but not delivered (retransmissions whose
     /// original already arrived — i.e. the ACK, not the data, was lost).
     pub duplicates_suppressed: u64,
+    /// Checked frames shorter than the error-control header: dropped
+    /// without a NACK (there is no sequence number to name), left to the
+    /// sender's RTO.
+    pub malformed_frames: u64,
     /// Acknowledgments that arrived for frames already retransmitted
     /// (each marks a possibly-unnecessary retransmission; the
     /// `retx.spurious` counter).
@@ -842,6 +850,7 @@ impl NcsProc {
                 rtt_samples: 0,
                 delivery_failures: 0,
                 dup_suppressed: 0,
+                malformed_frames: 0,
                 fragmented_msgs: 0,
                 fragments_sent: 0,
                 reassembled_msgs: 0,
@@ -1066,6 +1075,7 @@ impl NcsProc {
             rtt_samples: st.rtt_samples,
             delivery_failures: st.delivery_failures,
             duplicates_suppressed: st.dup_suppressed,
+            malformed_frames: st.malformed_frames,
             spurious_retransmits: st.spurious_retx,
             partition_failfasts: st.partition_failfasts,
             retx_deferred: st.retx_deferred,
@@ -2094,35 +2104,59 @@ fn finish_send_waiter(inner: &Arc<ProcInner>, m: &MtsCtx, slot: u32) {
     }
 }
 
+/// Bytes of the error-control header a checked frame carries:
+/// `[seq u32 LE][crc u32 LE]`.
+const CHECKED_HEADER_BYTES: usize = 8;
+
 /// Wraps a payload with the error-control header: `[seq u32][crc u32]data`
-/// where the CRC covers the sequence number and the data.
-fn wrap_checked(seq: u32, data: &[u8]) -> Bytes {
-    let mut v = Vec::with_capacity(8 + data.len());
+/// where the CRC covers the sequence number and the data. The payload is
+/// given as `head ‖ body` so a chunk header and the slice of the user
+/// message it describes go into the frame in one copy; the CRC is streamed
+/// over the finished frame in place.
+pub fn wrap_checked(seq: u32, head: &[u8], body: &[u8]) -> Bytes {
+    let mut v = Vec::with_capacity(CHECKED_HEADER_BYTES + head.len() + body.len());
     v.extend_from_slice(&seq.to_le_bytes());
-    let mut crc_input = Vec::with_capacity(4 + data.len());
-    crc_input.extend_from_slice(&seq.to_le_bytes());
-    crc_input.extend_from_slice(data);
-    v.extend_from_slice(&ncs_net::crc::crc32_aal5(&crc_input).to_le_bytes());
-    v.extend_from_slice(data);
+    v.extend_from_slice(&[0; 4]);
+    v.extend_from_slice(head);
+    v.extend_from_slice(body);
+    let crc = Crc32::new()
+        .update(&v[..4])
+        .update(&v[CHECKED_HEADER_BYTES..])
+        .finish();
+    v[4..CHECKED_HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
     Bytes::from(v)
 }
 
-/// Parses and verifies a checked payload. Returns `(seq, Ok(data))` on a
-/// clean frame, `(seq, Err(()))` on corruption.
-#[allow(clippy::result_unit_err)]
-fn unwrap_checked(b: &Bytes) -> (u32, Result<Bytes, ()>) {
-    if b.len() < 8 {
-        return (0, Err(()));
+/// Why a checked frame was refused.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum FrameError {
+    /// Shorter than the error-control header: there is no sequence number
+    /// to name in a NACK.
+    Runt,
+    /// The CRC does not cover the frame; `seq` is what the (possibly
+    /// damaged) header claims.
+    BadCrc {
+        /// The sequence number read from the frame.
+        seq: u32,
+    },
+}
+
+/// Parses and verifies a checked payload, returning its sequence number and
+/// a zero-copy view of the data.
+pub fn unwrap_checked(b: &Bytes) -> Result<(u32, Bytes), FrameError> {
+    if b.len() < CHECKED_HEADER_BYTES {
+        return Err(FrameError::Runt);
     }
-    let seq = u32::from_le_bytes(b[..4].try_into().unwrap());
-    let crc = u32::from_le_bytes(b[4..8].try_into().unwrap());
-    let mut crc_input = Vec::with_capacity(b.len() - 4);
-    crc_input.extend_from_slice(&b[..4]);
-    crc_input.extend_from_slice(&b[8..]);
-    if ncs_net::crc::crc32_aal5(&crc_input) == crc {
-        (seq, Ok(b.slice(8..)))
+    let seq = u32::from_le_bytes(b[..4].try_into().expect("4 bytes"));
+    let crc = u32::from_le_bytes(b[4..8].try_into().expect("4 bytes"));
+    let calc = Crc32::new()
+        .update(&b[..4])
+        .update(&b[CHECKED_HEADER_BYTES..])
+        .finish();
+    if calc == crc {
+        Ok((seq, b.slice(CHECKED_HEADER_BYTES..)))
     } else {
-        (seq, Err(()))
+        Err(FrameError::BadCrc { seq })
     }
 }
 
@@ -2360,11 +2394,27 @@ fn retx_fire(inner: &Arc<ProcInner>, sim: &Sim, dst: usize, epoch: u64) {
 /// `[xfer_id u32 LE][chunk index u32 LE][chunk count u32 LE]`.
 const FRAG_HEADER_BYTES: usize = 12;
 
+/// The chunk header of chunk `idx` of `total` in transfer `xfer`.
+fn frag_header(xfer: u32, idx: u32, total: u32) -> [u8; FRAG_HEADER_BYTES] {
+    let mut h = [0; FRAG_HEADER_BYTES];
+    h[0..4].copy_from_slice(&xfer.to_le_bytes());
+    h[4..8].copy_from_slice(&idx.to_le_bytes());
+    h[8..12].copy_from_slice(&total.to_le_bytes());
+    h
+}
+
 /// Allocates a sequence number toward `req.to` (wrapping at u32) and
-/// registers the wrapped form of `req.data` for retransmission. Returns
-/// `(seq, wrapped payload)`. Must only be called with checksum/retransmit
-/// error control active.
-fn register_unacked(inner: &Arc<ProcInner>, st: &mut MpsState, req: &SendReq) -> (u32, Bytes) {
+/// registers the wrapped form of the payload `head ‖ body` for
+/// retransmission (`req.data` is not read: a chunk's payload exists only
+/// inside its wire frame). Returns `(seq, wrapped payload)`. Must only be
+/// called with checksum/retransmit error control active.
+fn register_unacked(
+    inner: &Arc<ProcInner>,
+    st: &mut MpsState,
+    req: &SendReq,
+    head: &[u8],
+    body: &[u8],
+) -> (u32, Bytes) {
     let dst = req.to;
     let seq = {
         let c = st.next_seq.entry(dst.proc).or_insert(0);
@@ -2388,7 +2438,7 @@ fn register_unacked(inner: &Arc<ProcInner>, st: &mut MpsState, req: &SendReq) ->
             ),
         );
     }
-    let wrapped = wrap_checked(seq, &req.data);
+    let wrapped = wrap_checked(seq, head, body);
     st.unacked.insert(
         (dst.proc, seq),
         UnackedMsg {
@@ -2715,29 +2765,30 @@ fn send_fragmented(inner: &Arc<ProcInner>, m: &MtsCtx, req: SendReq) {
             }
             let lo = idx as usize * chunk_bytes;
             let hi = (lo + chunk_bytes).min(req.data.len());
-            let mut v = Vec::with_capacity(FRAG_HEADER_BYTES + (hi - lo));
-            v.extend_from_slice(&xfer.to_le_bytes());
-            v.extend_from_slice(&idx.to_le_bytes());
-            v.extend_from_slice(&total.to_le_bytes());
-            v.extend_from_slice(&req.data[lo..hi]);
+            let header = frag_header(xfer, idx, total);
+            let body = &req.data[lo..hi];
             let mut chunk = SendReq {
                 from_thread: req.from_thread,
                 to: req.to,
                 class: MsgClass::Frag,
                 user_tag: req.user_tag,
-                data: Bytes::from(v),
+                data: Bytes::new(),
                 tier: req.tier,
                 waiter: None,
                 prewrapped: false,
                 seq: None,
                 causal: req.causal,
             };
+            // Either way the chunk's bytes are copied exactly once, straight
+            // into the frame that goes on the wire.
             if checked {
                 let mut st = inner.state.lock();
-                let (seq, wrapped) = register_unacked(inner, &mut st, &chunk);
+                let (seq, wrapped) = register_unacked(inner, &mut st, &chunk, &header, body);
                 chunk.seq = Some(seq);
                 chunk.data = wrapped;
                 any_registered = true;
+            } else {
+                chunk.data = Bytes::from([&header[..], body].concat());
             }
             transmit_one(inner, m, chunk);
         }
@@ -2875,7 +2926,7 @@ fn send_thread_body(inner: &Arc<ProcInner>, m: &MtsCtx) {
             && !req.prewrapped
         {
             let mut st = inner.state.lock();
-            let (seq, wrapped) = register_unacked(inner, &mut st, &req);
+            let (seq, wrapped) = register_unacked(inner, &mut st, &req, &[], &req.data);
             drop(st);
             req.seq = Some(seq);
             req.data = wrapped;
@@ -3103,6 +3154,17 @@ fn ingest_fragment(
         malformed(format!("chunk {idx} outside its declared count {total}"));
         return;
     }
+    // `total` sizes the reassembly table below, and it comes off the wire
+    // (unchecked when error control is off). The smallest transfer that
+    // needs `total` chunks fills `total - 1` I/O buffers; refuse one that
+    // would not fit the u32 length space before allocating for it.
+    let chunk_bytes = inner.cfg.io_buffer_bytes.max(1) as u64;
+    if u64::from(total - 1).saturating_mul(chunk_bytes) >= u64::from(u32::MAX) {
+        malformed(format!(
+            "declared count {total} x {chunk_bytes}-byte chunks exceeds the u32 transfer size"
+        ));
+        return;
+    }
     let key = (from.proc, xfer);
     let mut mismatch = None;
     let arm_reaper;
@@ -3258,9 +3320,8 @@ fn ingest(inner: &Arc<ProcInner>, m: &MtsCtx, tier: usize, d: Delivery) {
     if inner.cfg.error == ErrorControl::ChecksumRetransmit
         && matches!(class, MsgClass::Data | MsgClass::Frag)
     {
-        let (seq, parsed) = unwrap_checked(&payload);
-        let (reply_class, duplicate) = match parsed {
-            Ok(clean) => {
+        let (seq, reply_class, duplicate) = match unwrap_checked(&payload) {
+            Ok((seq, clean)) => {
                 payload = clean;
                 let dup = inner
                     .state
@@ -3269,9 +3330,28 @@ fn ingest(inner: &Arc<ProcInner>, m: &MtsCtx, tier: usize, d: Delivery) {
                     .entry(from.proc)
                     .or_default()
                     .observe(seq);
-                (MsgClass::Ack, dup)
+                (seq, MsgClass::Ack, dup)
             }
-            Err(()) => (MsgClass::Nack, false),
+            Err(FrameError::BadCrc { seq }) => (seq, MsgClass::Nack, false),
+            Err(FrameError::Runt) => {
+                // No sequence number to name: a NACK would have to invent
+                // one, and could trigger the retransmission of an unrelated
+                // frame in flight. Drop it; the sender's RTO recovers.
+                inner.state.lock().malformed_frames += 1;
+                if inner.cfg.analysis.active() {
+                    inner.cfg.analysis.report(
+                        "malformed-frame",
+                        format!("proc{}", inner.id),
+                        format!(
+                            "{}-byte frame from proc{} is shorter than the \
+                             {CHECKED_HEADER_BYTES}-byte error-control header",
+                            payload.len(),
+                            from.proc
+                        ),
+                    );
+                }
+                return;
+            }
         };
         {
             let mut st = inner.state.lock();
@@ -3582,5 +3662,86 @@ mod rto_tests {
         assert_eq!(r.initial, Dur::from_millis(320));
         assert_eq!(r.min, Dur::from_millis(5));
         assert_eq!(r.max, Dur::from_millis(320));
+    }
+}
+
+#[cfg(test)]
+mod framing_tests {
+    use super::*;
+
+    fn payload(n: usize) -> Vec<u8> {
+        (0..n).map(|i| (i * 13 + 5) as u8).collect()
+    }
+
+    #[test]
+    fn wire_format_is_pinned() {
+        // [seq LE][crc LE]data, CRC-32/BZIP2 over seq ‖ data. The frame was
+        // computed independently of this crate; it must never drift.
+        let frame = wrap_checked(0x0102_0304, &[], b"NCS/ATM");
+        let pinned: [u8; 15] = [
+            0x04, 0x03, 0x02, 0x01, // seq
+            0xbc, 0x73, 0x16, 0x68, // crc 0x681673bc
+            0x4e, 0x43, 0x53, 0x2f, 0x41, 0x54, 0x4d, // "NCS/ATM"
+        ];
+        assert_eq!(&frame[..], &pinned[..]);
+    }
+
+    #[test]
+    fn wrap_unwrap_roundtrip() {
+        for n in [0, 1, 7, 8, 9, 64, 4096, 16 * 1024] {
+            let data = payload(n);
+            let seq = 0xFFFF_FF00u32.wrapping_add(n as u32);
+            let frame = wrap_checked(seq, &[], &data);
+            assert_eq!(frame.len(), CHECKED_HEADER_BYTES + n);
+            let (got_seq, got) = unwrap_checked(&frame).expect("clean frame");
+            assert_eq!(got_seq, seq);
+            assert_eq!(&got[..], &data[..], "payload of {n} bytes");
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_rejected() {
+        let frame = wrap_checked(42, &[], &payload(64 - CHECKED_HEADER_BYTES));
+        assert_eq!(frame.len(), 64);
+        for bit in 0..frame.len() * 8 {
+            let mut bad = frame.to_vec();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                matches!(
+                    unwrap_checked(&Bytes::from(bad)),
+                    Err(FrameError::BadCrc { .. })
+                ),
+                "flip of bit {bit} accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn runt_frame_has_no_sequence_number() {
+        let frame = wrap_checked(7, &[], &[]);
+        assert!(unwrap_checked(&frame).is_ok(), "header-only frame is legal");
+        for n in 0..CHECKED_HEADER_BYTES {
+            assert_eq!(unwrap_checked(&frame.slice(..n)), Err(FrameError::Runt));
+        }
+    }
+
+    #[test]
+    fn fragment_frame_equals_wrapped_header_and_chunk() {
+        // The send path builds [seq][crc][xfer][idx][total][chunk] in one
+        // allocation from two parts; the bytes must be those of wrapping the
+        // concatenated payload.
+        let chunk = payload(1000);
+        let header = frag_header(0xA1B2_C3D4, 3, 9);
+        assert_eq!(
+            header,
+            [0xD4, 0xC3, 0xB2, 0xA1, 3, 0, 0, 0, 9, 0, 0, 0],
+            "chunk header layout"
+        );
+        let joined = [&header[..], &chunk[..]].concat();
+        let frame = wrap_checked(77, &header, &chunk);
+        assert_eq!(frame, wrap_checked(77, &[], &joined));
+        let (seq, data) = unwrap_checked(&frame).expect("clean frame");
+        assert_eq!(seq, 77);
+        assert_eq!(&data[..], &joined[..]);
     }
 }

@@ -1147,3 +1147,129 @@ fn chunked_delivery_is_byte_identical_to_monolithic() {
         }
     }
 }
+
+/// Drops a hand-built frame "from proc 0" straight into proc 1's transport
+/// inbox at `at` — the wire's view of a damaged or hostile sender.
+fn inject_frame(sim: &Sim, net: &Arc<dyn Network>, at: SimTime, tag: u64, payload: Vec<u8>) {
+    use ncs_net::{Delivery, NodeId};
+    let inbox = net.inbox(NodeId(1));
+    sim.schedule_at(at, move |sim| {
+        let d = Delivery {
+            src: NodeId(0),
+            dst: NodeId(1),
+            tag,
+            payload: Bytes::from(payload),
+            sent_at: sim.now(),
+            arrived_at: sim.now(),
+        };
+        assert!(inbox.offer(sim, d).is_ok(), "inbox closed before injection");
+    });
+}
+
+#[test]
+fn hostile_fragment_count_is_rejected_before_allocating() {
+    // Regression: reassembly sized its table straight from the wire's
+    // chunk count. With error control off nothing vouches for that field,
+    // and a header declaring u32::MAX chunks asked for a ~128 GiB table.
+    // It must be refused through the malformed-fragment path, and an honest
+    // chunked transfer on the same pair must still go through.
+    use ncs_core::addr::encode_tag;
+    use ncs_core::MsgClass;
+    use ncs_sim::AnalysisConfig;
+    let (analysis, sink) = AnalysisConfig::recording();
+    let sim = Sim::new();
+    let net = fast_net(2, Dur::from_micros(10));
+    let cfg = NcsConfig {
+        error: ErrorControl::None,
+        analysis,
+        ..quick_cfg()
+    };
+    let chunk = cfg.io_buffer_bytes as u64;
+    for (xfer, total) in [
+        (900u32, u32::MAX),
+        (901, (u64::from(u32::MAX) / chunk) as u32 + 2),
+    ] {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&xfer.to_le_bytes());
+        frame.extend_from_slice(&0u32.to_le_bytes());
+        frame.extend_from_slice(&total.to_le_bytes());
+        frame.extend_from_slice(b"chunk zero of far too many");
+        let tag = encode_tag(MsgClass::Frag, 0, 0, 9);
+        inject_frame(&sim, &net, SimTime::ZERO + Dur::from_micros(1), tag, frame);
+    }
+    let payload: Vec<u8> = (0..40_000u32).map(|i| (i * 17 + 1) as u8).collect();
+    let sent = Bytes::from(payload.clone());
+    let world = NcsWorld::launch(&sim, vec![Arc::clone(&net)], 2, cfg, move |id, proc_| {
+        let sent = sent.clone();
+        let expect = payload.clone();
+        proc_.t_create("w", 5, move |ncs| {
+            if id == 0 {
+                ncs.send(ThreadAddr::new(1, 0), 9, sent.clone());
+            } else {
+                let m = ncs.recv(Some(0), None, Some(9));
+                assert_eq!(&m.data[..], &expect[..], "honest transfer mangled");
+            }
+        });
+    });
+    sim.run().assert_clean();
+    assert_eq!(
+        world.procs()[1].reassembly_backlog(),
+        0,
+        "hostile header was given a slot"
+    );
+    let violations = sink.take();
+    assert_eq!(violations.len(), 2, "{violations:?}");
+    for v in &violations {
+        assert_eq!(v.check, "malformed-fragment", "{v}");
+        assert!(v.detail.contains("exceeds the u32 transfer size"), "{v}");
+    }
+}
+
+#[test]
+fn runt_checked_frame_is_dropped_without_a_nack() {
+    // Regression: a checked frame too short to hold [seq][crc] was answered
+    // with a NACK for sequence 0 — a number the receiver made up. Here that
+    // NACK would reach proc 0 while its real frame 0 is still awaiting its
+    // ACK and trigger a retransmission of a frame that was never damaged.
+    use ncs_core::addr::encode_tag;
+    use ncs_core::MsgClass;
+    use ncs_sim::AnalysisConfig;
+    let (analysis, sink) = AnalysisConfig::recording();
+    let sim = Sim::new();
+    let net = fast_net(2, Dur::from_micros(50));
+    let cfg = NcsConfig {
+        error: ErrorControl::ChecksumRetransmit,
+        analysis,
+        ..quick_cfg()
+    };
+    let tag = encode_tag(MsgClass::Data, 0, 0, 3);
+    inject_frame(
+        &sim,
+        &net,
+        SimTime::ZERO + Dur::from_micros(1),
+        tag,
+        vec![0xEE; 5],
+    );
+    let world = NcsWorld::launch(&sim, vec![Arc::clone(&net)], 2, cfg, |id, proc_| {
+        proc_.t_create("w", 5, move |ncs| {
+            if id == 0 {
+                ncs.send(ThreadAddr::new(1, 0), 3, Bytes::from_static(b"frame zero"));
+            } else {
+                let m = ncs.recv(Some(0), None, Some(3));
+                assert_eq!(&m.data[..], b"frame zero");
+            }
+        });
+    });
+    sim.run().assert_clean();
+    let sender = world.procs()[0].error_stats();
+    let receiver = world.procs()[1].error_stats();
+    assert_eq!(
+        sender.retransmits, 0,
+        "a fabricated NACK retransmitted frame 0"
+    );
+    assert_eq!(receiver.duplicates_suppressed, 0);
+    assert_eq!(receiver.malformed_frames, 1);
+    let violations = sink.take();
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert_eq!(violations[0].check, "malformed-frame", "{}", violations[0]);
+}

@@ -12,7 +12,7 @@
 //! the `ncs-bench` overhead comparison quantifies exactly that.
 
 use crate::cell::{AtmCell, CellHeader, CELL_PAYLOAD};
-use crate::crc::crc32_aal5;
+use crate::crc::Crc32;
 use bytes::Bytes;
 
 /// Trailer length in bytes.
@@ -25,10 +25,12 @@ pub const MAX_PDU: usize = 65_535;
 ///
 /// Zero-copy: the padded CS-PDU (payload + pad + trailer) is materialized
 /// exactly once, and every cell holds a [`Bytes`] slice into it — no
-/// per-cell payload copy. Returns [`Aal5Error::PduTooLarge`] when `payload`
-/// exceeds [`MAX_PDU`] (the NCS I/O-buffer layer chunks larger transfers,
-/// so it never hands AAL5 more than one buffer at once, but direct users
-/// get a typed error rather than an abort).
+/// per-cell payload copy. The trailer CRC is streamed over the payload as it
+/// is appended, then over the pad and trailer head. Returns
+/// [`Aal5Error::PduTooLarge`] when `payload` exceeds [`MAX_PDU`] (the NCS
+/// I/O-buffer layer chunks larger transfers, so it never hands AAL5 more
+/// than one buffer at once, but direct users get a typed error rather than
+/// an abort).
 pub fn segment(payload: &[u8], vpi: u8, vci: u16) -> Result<Vec<AtmCell>, Aal5Error> {
     if payload.len() > MAX_PDU {
         return Err(Aal5Error::PduTooLarge {
@@ -39,11 +41,12 @@ pub fn segment(payload: &[u8], vpi: u8, vci: u16) -> Result<Vec<AtmCell>, Aal5Er
     let total = (payload.len() + TRAILER_BYTES).div_ceil(CELL_PAYLOAD) * CELL_PAYLOAD;
     let mut pdu = Vec::with_capacity(total);
     pdu.extend_from_slice(payload);
+    let crc = Crc32::new().update(payload);
     pdu.resize(total - TRAILER_BYTES, 0);
     pdu.push(0); // CPCS-UU
     pdu.push(0); // CPI
     pdu.extend_from_slice(&(payload.len() as u16).to_be_bytes());
-    let crc = crc32_aal5(&pdu);
+    let crc = crc.update(&pdu[payload.len()..]).finish();
     pdu.extend_from_slice(&crc.to_be_bytes());
     debug_assert_eq!(pdu.len() % CELL_PAYLOAD, 0);
 
@@ -121,12 +124,20 @@ pub fn reassemble(cells: &[AtmCell]) -> Result<Vec<u8>, Aal5Error> {
             return Err(Aal5Error::Framing);
         }
     }
+    // The CRC rides along with the copy: each cell payload is checksummed
+    // as it is appended, the last one up to the trailer's CRC field.
+    let (last, body) = cells.split_last().expect("checked non-empty");
     let mut pdu = Vec::with_capacity(cells.len() * CELL_PAYLOAD);
-    for c in cells {
+    let mut crc = Crc32::new();
+    for c in body {
         pdu.extend_from_slice(&c.payload);
+        crc = crc.update(&c.payload);
     }
-    let crc_given = u32::from_be_bytes(pdu[pdu.len() - 4..].try_into().unwrap());
-    let crc_calc = crc32_aal5(&pdu[..pdu.len() - 4]);
+    let last_at = pdu.len();
+    pdu.extend_from_slice(&last.payload);
+    let crc_at = pdu.len() - 4;
+    let crc_given = u32::from_be_bytes(pdu[crc_at..].try_into().unwrap());
+    let crc_calc = crc.update(&pdu[last_at..crc_at]).finish();
     if crc_given != crc_calc {
         return Err(Aal5Error::BadCrc);
     }

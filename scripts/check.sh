@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full verification pipeline. The first five stages mirror CI
+# Full verification pipeline. The stages marked "as CI" mirror CI
 # (.github/workflows/ci.yml) exactly; the rest are local extras:
 # benches (smoke), docs, and every experiment regenerator.
 set -euo pipefail
@@ -34,6 +34,9 @@ cargo run --release -p ncs-bench --bin xp_chaos -- --smoke
 
 echo "== async-API overlap smoke: nonblocking matmul beats blocking (as CI) =="
 cargo run --release -p ncs-bench --bin xp_overlap -- --smoke
+
+echo "== benchmark smoke: five workloads at 1/16 size, verified + deterministic (as CI) =="
+bash benchmark/run.sh --smoke
 
 echo "== benches (smoke) =="
 cargo bench -p ncs-bench -- --test
