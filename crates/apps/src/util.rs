@@ -9,7 +9,7 @@ pub fn charge_compute(ctx: &Ctx, host: &HostParams, actor: &str, label: &'static
     let t0 = ctx.now();
     host.compute(ctx, cycles);
     let t1 = ctx.now();
-    ctx.sim().with_tracer(|tr| {
+    ctx.sim().with_spans(|tr| {
         tr.span(actor, SpanKind::Compute, label, t0, t1);
     });
 }
@@ -19,7 +19,7 @@ pub fn comm_span<R>(sim: &Sim, actor: &str, label: &'static str, f: impl FnOnce(
     let t0 = sim.now();
     let r = f();
     let t1 = sim.now();
-    sim.with_tracer(|tr| {
+    sim.with_spans(|tr| {
         tr.span(actor, SpanKind::Comm, label, t0, t1);
     });
     r

@@ -9,6 +9,15 @@ use ncs_sim::{
     live_coroutine_stacks, Dur, EngineKind, ShardedSim, Sim, DEFAULT_STACK_BYTES, MIN_STACK_BYTES,
 };
 
+/// Every test here compares process-wide quantities (the live-stack count,
+/// RSS, address space) before and after its own population, and `cargo
+/// test` runs tests on parallel threads: they take turns.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 const HOSTS: usize = 1_000;
 const THREADS_PER_HOST: usize = 10;
 const SHARDS: usize = 4;
@@ -63,6 +72,7 @@ fn run_thread_population(engine: EngineKind) -> Option<u64> {
 
 #[test]
 fn ten_thousand_coroutine_stacks_commit_lazily_and_are_reclaimed() {
+    let _turn = serial();
     let baseline = live_coroutine_stacks();
     let delta = run_thread_population(EngineKind::Coroutine);
     // Reclaim: every one of the 10k stacks is unmapped again. (Relative to
@@ -115,6 +125,7 @@ fn reservation_for(threads: usize, stack_bytes: usize) -> Option<u64> {
 
 #[test]
 fn configured_stack_size_shrinks_the_reservation() {
+    let _turn = serial();
     // Normalization: sub-minimum requests clamp, odd sizes round to pages.
     let tiny = Sim::with_engine_and_stack(EngineKind::Coroutine, 1);
     assert_eq!(tiny.green_stack_bytes(), MIN_STACK_BYTES);
@@ -126,9 +137,10 @@ fn configured_stack_size_shrinks_the_reservation() {
     // 2 000 threads at 64 KiB reserve ~136 MiB of address space (stack +
     // guard page each) against ~4 GiB at the 2 MiB default — the footprint
     // knob for 100k-host sharded runs. Guard page and canary stay live at
-    // the small size: the population runs to completion with the canary
-    // checked on every switch, and reclaim is exact (asserted inside
-    // `reservation_for`).
+    // the small size: the population runs to completion with the saved
+    // stack pointer checked against the canary on every switch and the
+    // canary bytes verified as each thread is reaped, and reclaim is exact
+    // (asserted inside `reservation_for`).
     const THREADS: usize = 2_000;
     const SMALL: usize = 64 * 1024;
     if let Some(delta_kib) = reservation_for(THREADS, SMALL) {
@@ -152,6 +164,7 @@ fn configured_stack_size_shrinks_the_reservation() {
 
 #[test]
 fn os_engine_population_is_reclaimed_too() {
+    let _turn = serial();
     // The fallback engine backs green threads with parked OS threads; a
     // 10k-thread population would be 10k real threads, so the differential
     // check runs a 1k population instead. The contract under test is the

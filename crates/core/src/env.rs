@@ -1229,7 +1229,7 @@ impl NcsCtx<'_> {
         let t0 = self.ctx().now();
         self.proc.host().compute(self.ctx(), cycles);
         let t1 = self.ctx().now();
-        self.proc.inner.sim.with_tracer(|tr| {
+        self.proc.inner.sim.with_spans(|tr| {
             tr.span_on(self.actor, SpanKind::Compute, label, t0, t1);
         });
     }
@@ -1260,7 +1260,7 @@ impl NcsCtx<'_> {
         let h = self.post_send(class, to, tag, data, tier, causal, 0);
         let _ = self.wait_inner(h);
         let t1 = self.ctx().now();
-        self.proc.inner.sim.with_tracer(|tr| {
+        self.proc.inner.sim.with_spans(|tr| {
             tr.span_full(self.actor, SpanKind::Comm, "send", t0, t1, None, causal);
         });
     }
@@ -1324,8 +1324,13 @@ impl NcsCtx<'_> {
                 class,
                 causal: 0,
             });
-            self.immediate_request(ReqKind::Send, req_causal, None)
-        } else if self.proc.inner.state.lock().dead_peers.contains(&to.proc) {
+            return self.immediate_request(ReqKind::Send, req_causal, None);
+        }
+        // One visit to the process state: the dead-peer check and, when the
+        // peer is alive, the request slot plus its place in the send queue.
+        let mut st = self.proc.inner.state.lock();
+        if st.dead_peers.contains(&to.proc) {
+            drop(st);
             // Error control exhausted its retries on this destination:
             // fail fast with the delivery-failure exception instead of
             // queueing a transfer that can never complete.
@@ -1337,35 +1342,31 @@ impl NcsCtx<'_> {
                     detail: Bytes::from(tag.to_le_bytes().to_vec()),
                 },
             );
-            self.immediate_request(ReqKind::Send, req_causal, None)
-        } else {
-            let (h, send_tid) = {
-                let mut st = self.proc.inner.state.lock();
-                let h = alloc_request(&mut st, ReqKind::Send, self.thread, req_causal);
-                st.send_q.push_back(SendReq {
-                    from_thread: self.thread,
-                    to,
-                    class,
-                    user_tag: tag,
-                    data,
-                    tier,
-                    waiter: Some(h.slot),
-                    prewrapped: false,
-                    seq: None,
-                    causal,
-                });
-                let tid = self
-                    .proc
-                    .inner
-                    .sys
-                    .lock()
-                    .send
-                    .expect("send thread missing");
-                (h, tid)
-            };
-            self.mctx.unblock(send_tid);
-            h
+            return self.immediate_request(ReqKind::Send, req_causal, None);
         }
+        let h = alloc_request(&mut st, ReqKind::Send, self.thread, req_causal);
+        st.send_q.push_back(SendReq {
+            from_thread: self.thread,
+            to,
+            class,
+            user_tag: tag,
+            data,
+            tier,
+            waiter: Some(h.slot),
+            prewrapped: false,
+            seq: None,
+            causal,
+        });
+        drop(st);
+        let send_tid = self
+            .proc
+            .inner
+            .sys
+            .lock()
+            .send
+            .expect("send thread missing");
+        self.mctx.unblock(send_tid);
+        h
     }
 
     /// Posts a receive without waiting: a stash hit completes the handle on
@@ -1561,7 +1562,7 @@ impl NcsCtx<'_> {
             .wait_inner(h)
             .expect("recv completed without a message");
         let t1 = self.ctx().now();
-        self.proc.inner.sim.with_tracer(|tr| {
+        self.proc.inner.sim.with_spans(|tr| {
             tr.span_full(self.actor, SpanKind::Comm, "recv", t0, t1, None, msg.causal);
         });
         msg
@@ -1595,7 +1596,7 @@ impl NcsCtx<'_> {
         let req_causal = self.request_causal(t0);
         let h = self.post_send(class, to, tag, data, tier, causal, req_causal);
         let t1 = self.ctx().now();
-        self.proc.inner.sim.with_tracer(|tr| {
+        self.proc.inner.sim.with_spans(|tr| {
             tr.span_full(self.actor, SpanKind::Comm, "isend", t0, t1, None, causal);
         });
         h
@@ -1614,7 +1615,7 @@ impl NcsCtx<'_> {
         let t0 = self.ctx().now();
         let req_causal = self.request_causal(t0);
         let h = self.post_recv(MsgClass::Data, from_proc, from_thread, tag, req_causal);
-        self.proc.inner.sim.with_tracer(|tr| {
+        self.proc.inner.sim.with_spans(|tr| {
             tr.span_full(self.actor, SpanKind::Comm, "irecv", t0, t0, None, 0);
         });
         h
@@ -1629,7 +1630,7 @@ impl NcsCtx<'_> {
         let t0 = self.ctx().now();
         let msg = self.wait_inner(h);
         let t1 = self.ctx().now();
-        self.proc.inner.sim.with_tracer(|tr| {
+        self.proc.inner.sim.with_spans(|tr| {
             let causal = msg.as_ref().map_or(0, |m| m.causal);
             tr.span_full(self.actor, SpanKind::Comm, "wait", t0, t1, None, causal);
         });
@@ -1989,17 +1990,7 @@ fn alloc_request(st: &mut MpsState, kind: ReqKind, owner: u32, req_causal: u64) 
 fn observe_request(inner: &ProcInner, causal: u64, now: SimTime) {
     inner.sim.with_metrics(|mm| {
         mm.mark(causal, "completed", now);
-        let Some(tl) = mm.timeline(causal).cloned() else {
-            return;
-        };
-        for w in tl.windows(2) {
-            let (_, t0) = w[0];
-            let (stage, t1) = w[1];
-            mm.observe(causal_component(stage), t1.saturating_since(t0));
-        }
-        if let (Some(&(_, first)), Some(&(_, last))) = (tl.first(), tl.last()) {
-            mm.observe("obs.req_e2e", last.saturating_since(first));
-        }
+        mm.observe_stages(causal, causal_component, "obs.req_e2e");
     });
 }
 
@@ -2519,17 +2510,7 @@ fn observe_delivery(inner: &Arc<ProcInner>, causal: u64, now: SimTime) {
     }
     inner.sim.with_metrics(|mm| {
         mm.mark(causal, "delivered", now);
-        let Some(tl) = mm.timeline(causal).cloned() else {
-            return;
-        };
-        for w in tl.windows(2) {
-            let (_, t0) = w[0];
-            let (stage, t1) = w[1];
-            mm.observe(causal_component(stage), t1.saturating_since(t0));
-        }
-        if let (Some(&(_, first)), Some(&(_, last))) = (tl.first(), tl.last()) {
-            mm.observe("obs.e2e", last.saturating_since(first));
-        }
+        mm.observe_stages(causal, causal_component, "obs.e2e");
     });
 }
 
@@ -2552,6 +2533,15 @@ fn note_app_delivery(inner: &Arc<ProcInner>, msg: &NcsMsg) {
     }
 }
 
+/// The registry key under which a sender binds a message's causal id and its
+/// receiver claims it: the (source, destination) pair packed into one word,
+/// the wire tag, and the departure instant. The source is part of the key
+/// because two senders can put the same tag on the wire toward one
+/// destination at the same instant (the first round of a gather does).
+fn wire_key(src: usize, dst: usize, tag: u64, depart: SimTime) -> (u64, u64, u64) {
+    (((src as u64) << 32) | dst as u64, tag, depart.as_ps())
+}
+
 /// Puts one request on the wire and runs its post-send bookkeeping: RTT
 /// stamp + retransmission timer for checked frames, the sent counter, and
 /// the blocked sender's wakeup.
@@ -2564,11 +2554,12 @@ fn transmit_one(inner: &Arc<ProcInner>, m: &MtsCtx, req: SendReq) {
         // The wire tag is fully packed, so the causal id cannot ride it.
         // Correlate across processes through the shared registry instead:
         // the transport stamps `sent_at = now()` at its entry, which is
-        // exactly this instant, so (dst, tag, sent_at) keys the delivery.
+        // exactly this instant, so (src → dst, tag, sent_at) keys the
+        // delivery.
         let t = m.ctx().now();
         inner.sim.with_metrics(|mm| {
             mm.mark(req.causal, "wire_start", t);
-            mm.bind_wire((dst.proc as u64, tag, t.as_ps()), req.causal);
+            mm.bind_wire(wire_key(inner.id, dst.proc, tag, t), req.causal);
         });
     }
     net.send(
@@ -2823,10 +2814,29 @@ fn send_fragmented(inner: &Arc<ProcInner>, m: &MtsCtx, req: SendReq) {
 /// Body of the send system thread.
 fn send_thread_body(inner: &Arc<ProcInner>, m: &MtsCtx) {
     loop {
-        let req = {
+        // One visit to the process state per request: the pop, the
+        // `progressed` stamp, and the two fail-fast peer sets.
+        let popped = {
             let mut st = inner.state.lock();
             match st.send_q.pop_front() {
-                Some(r) => Some(r),
+                Some(req) => {
+                    if req.causal != 0 {
+                        let t = m.ctx().now();
+                        inner
+                            .sim
+                            .with_metrics(|mm| mm.mark(req.causal, "sq_popped", t));
+                    }
+                    // The progress engine has the request in hand: stamp
+                    // `progressed` on the async request's own timeline
+                    // (first pickup only).
+                    if let Some(slot) = req.waiter {
+                        mark_request_progressed(inner, &mut st, slot, m.now());
+                    }
+                    let gated = matches!(req.class, MsgClass::Data | MsgClass::Frag);
+                    let dead = gated && st.dead_peers.contains(&req.to.proc);
+                    let partitioned = gated && st.partitioned_peers.contains(&req.to.proc);
+                    Some((req, dead, partitioned))
+                }
                 None => {
                     if may_teardown(inner, &st) {
                         break;
@@ -2835,27 +2845,15 @@ fn send_thread_body(inner: &Arc<ProcInner>, m: &MtsCtx) {
                 }
             }
         };
-        let Some(mut req) = req else {
+        let Some((mut req, dead, partitioned)) = popped else {
             m.block(); // woken by NCS_send (or shutdown / final ack)
             continue;
         };
-        if req.causal != 0 {
-            let t = m.ctx().now();
-            inner.sim.with_metrics(|mm| mm.mark(req.causal, "sq_popped", t));
-        }
-        // The progress engine has the request in hand: stamp `progressed`
-        // on the async request's own timeline (first pickup only).
-        if let Some(slot) = req.waiter {
-            let mut st = inner.state.lock();
-            mark_request_progressed(inner, &mut st, slot, m.now());
-        }
         // Queued frames toward a peer already declared dead fail here
         // rather than burning a fresh retry budget each. A prewrapped frame
         // is a retransmission whose give-up purge already raised the
         // exception, so it is dropped silently.
-        if matches!(req.class, MsgClass::Data | MsgClass::Frag)
-            && inner.state.lock().dead_peers.contains(&req.to.proc)
-        {
+        if dead {
             if !req.prewrapped {
                 raise_local_exception(
                     inner,
@@ -2878,9 +2876,7 @@ fn send_thread_body(inner: &Arc<ProcInner>, m: &MtsCtx) {
         // frames that spent credits were purged and the peer can never
         // grant them back. Otherwise fail fast with the same typed
         // exception the partition purge used.
-        if matches!(req.class, MsgClass::Data | MsgClass::Frag)
-            && inner.state.lock().partitioned_peers.contains(&req.to.proc)
-        {
+        if partitioned {
             let reachable = !inner.nets[req.tier].peer_unreachable(
                 NodeId(inner.id as u32),
                 NodeId(req.to.proc as u32),
@@ -3309,7 +3305,7 @@ fn ingest(inner: &Arc<ProcInner>, m: &MtsCtx, tier: usize, d: Delivery) {
     // frames never disorder a timeline.
     let causal = inner
         .sim
-        .with_metrics(|mm| mm.resolve_wire((inner.id as u64, d.tag, d.sent_at.as_ps())))
+        .with_metrics(|mm| mm.resolve_wire(wire_key(d.src.idx(), inner.id, d.tag, d.sent_at)))
         .unwrap_or(0);
     let t_arrived = d.arrived_at;
     let t_picked = m.ctx().now();

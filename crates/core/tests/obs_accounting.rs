@@ -161,3 +161,52 @@ fn component_histograms_are_fed() {
         assert_eq!(comp_total, e2e);
     });
 }
+
+#[test]
+fn same_instant_senders_keep_their_own_timelines() {
+    // Two processes put the same tag on the wire toward one destination at
+    // the same instant — the first round of every gather. The sender-side
+    // binding the receiver claims on pickup must tell them apart, or one
+    // message's timeline stops at `wire_start` and the other is credited
+    // with the wrong sender's stamps.
+    let sim = Sim::new();
+    NcsWorld::launch(
+        &sim,
+        vec![net(3)],
+        3,
+        NcsConfig::default(),
+        move |id, proc_| {
+            proc_.t_create("w", 5, move |ncs| {
+                if id == 0 {
+                    for src in [1, 2] {
+                        let m = ncs.recv(Some(src), None, Some(7));
+                        assert_eq!(m.data[0] as usize, src);
+                        assert_ne!(m.causal(), 0, "remote data must be tracked");
+                    }
+                } else {
+                    ncs.send(ThreadAddr::new(0, 0), 7, Bytes::from(vec![id as u8; 256]));
+                }
+            });
+        },
+    );
+    sim.run().assert_clean();
+    let (delivered, _) = check_books(&sim, "same-instant senders");
+    assert_eq!(delivered, 2, "both messages must reach `delivered`");
+    sim.with_metrics(|m| {
+        let wire_starts: Vec<SimTime> = m
+            .timelines()
+            .map(|(_, tl)| {
+                tl.iter()
+                    .find(|&&(s, _)| s == "wire_start")
+                    .expect("wire_start stamped")
+                    .1
+            })
+            .collect();
+        assert_eq!(wire_starts.len(), 2);
+        assert_eq!(
+            wire_starts[0], wire_starts[1],
+            "the senders must collide in time for this case to mean anything"
+        );
+        assert_eq!(m.stat("obs.e2e").expect("e2e").summary().count(), 2);
+    });
+}

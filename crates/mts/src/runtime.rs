@@ -345,7 +345,7 @@ impl Mts {
             if inner.live == 0 {
                 return;
             }
-            self.dispatch_next(&mut inner, ctx.now());
+            self.dispatch_next(&mut inner, ctx.now(), None);
         }
         loop {
             {
@@ -427,29 +427,24 @@ impl Mts {
                 }
             }
         };
-        self.sim.with_tracer(|tr| {
+        self.sim.with_spans(|tr| {
             tr.span_on(actor, SpanKind::Idle, "blocked", since, now);
         });
     }
 
-    /// Closes the current run slice of `tid` (a scheduler timeline span at
-    /// detail level, plus the always-on run-slice histogram). Call at every
-    /// Running → (Runnable|Blocked|External|Exited) transition.
-    fn note_run_end(&self, inner: &mut Inner, tid: MtsTid, now: SimTime) {
-        let (actor, since) = {
-            let tcb = &mut inner.tcbs[tid.0 as usize];
-            match tcb.run_since.take() {
-                None => return,
-                Some(since) => (tcb.actor, since),
-            }
-        };
-        self.sim
-            .with_metrics(|m| m.observe("mts.run_slice", now.saturating_since(since)));
-        self.sim.with_tracer(|tr| {
-            if tr.detail_enabled() {
-                tr.span_on(actor, SpanKind::Compute, "run", since, now);
-            }
-        });
+    /// Takes `tid` off the CPU at `now` and hands the CPU to the next
+    /// runnable thread: closes the run slice (a scheduler timeline span at
+    /// detail level, plus the always-on run-slice histogram), then
+    /// dispatches. Every Running → (Runnable|Blocked|External|Exited)
+    /// transition ends here, after the caller has requeued `tid`, so the
+    /// slice that ends and the dispatch that follows share one registry
+    /// visit.
+    fn switch_away(&self, inner: &mut Inner, tid: MtsTid, now: SimTime) {
+        debug_assert_eq!(inner.running, Some(tid));
+        inner.running = None;
+        let tcb = &mut inner.tcbs[tid.0 as usize];
+        let ended = tcb.run_since.take().map(|since| (tcb.actor, since));
+        self.dispatch_next(inner, now, ended);
     }
 
     /// Puts an unblocked thread on the CPU if it is idle, else queues it.
@@ -462,57 +457,62 @@ impl Mts {
         }
         inner.push_runnable(tid.0);
         if inner.started && inner.running.is_none() {
-            self.dispatch_next_at(inner, sim.now());
+            self.dispatch_next(inner, sim.now(), None);
         }
     }
 
     /// Picks the next thread (highest priority, round robin) and hands it
-    /// the CPU. `inner.running` must be `None`.
-    fn dispatch_next(&self, inner: &mut Inner, now: SimTime) {
-        self.dispatch_next_at(inner, now);
-    }
-
-    fn dispatch_next_at(&self, inner: &mut Inner, now: SimTime) {
+    /// the CPU. `inner.running` must be `None`. `ended` is the run slice
+    /// `(actor, since)` that just closed at `now`, if this dispatch follows
+    /// one (see [`Mts::switch_away`]).
+    fn dispatch_next(&self, inner: &mut Inner, now: SimTime, ended: Option<(ActorId, SimTime)>) {
         debug_assert!(inner.running.is_none());
-        match inner.pop_runnable_via(&self.sim) {
-            Some(slot) => {
-                let tid = MtsTid(slot);
+        let cs_cost = inner.cs_cost;
+        let run_at = now + cs_cost;
+        let next = inner.pop_runnable_via(&self.sim).map(|slot| {
+            let tcb = &mut inner.tcbs[slot as usize];
+            tcb.state = TState::Running;
+            tcb.run_at = run_at;
+            tcb.run_since = Some(run_at);
+            tcb.dispatches += 1;
+            (slot, tcb.actor, tcb.runnable_since.take())
+        });
+        self.sim.with_metrics(|m| {
+            if let Some((_, since)) = ended {
+                m.observe("mts.run_slice", now.saturating_since(since));
+            }
+            if let Some((_, _, queued_since)) = next {
+                m.inc("mts.dispatches", 1);
+                if let Some(since) = queued_since {
+                    m.observe("mts.runnable_wait", now.saturating_since(since));
+                }
+            }
+        });
+        self.sim.with_spans(|tr| {
+            if let (Some((actor, since)), true) = (ended, tr.detail_enabled()) {
+                tr.span_on(actor, SpanKind::Compute, "run", since, now);
+            }
+            if let Some((_, actor, queued_since)) = next {
+                if let (Some(since), true) = (queued_since, tr.detail_enabled()) {
+                    tr.span_on(actor, SpanKind::Runnable, "runnable", since, now);
+                }
+                if !cs_cost.is_zero() {
+                    tr.span_on(actor, SpanKind::Overhead, "ctx-switch", now, run_at);
+                }
+            }
+        });
+        match next {
+            Some((slot, ..)) => {
                 if let Some(since) = inner.idle_since.take() {
                     inner.total_idle += now.saturating_since(since);
                 }
                 inner.switches += 1;
-                let run_at = now + inner.cs_cost;
-                let (actor, queued_since) = {
-                    let tcb = &mut inner.tcbs[slot as usize];
-                    tcb.state = TState::Running;
-                    tcb.run_at = run_at;
-                    tcb.run_since = Some(run_at);
-                    tcb.dispatches += 1;
-                    (tcb.actor, tcb.runnable_since.take())
-                };
-                inner.running = Some(tid);
-                self.sim.with_metrics(|m| {
-                    m.inc("mts.dispatches", 1);
-                    if let Some(since) = queued_since {
-                        m.observe("mts.runnable_wait", now.saturating_since(since));
-                    }
-                });
-                self.sim.with_tracer(|tr| {
-                    if tr.detail_enabled() {
-                        if let Some(since) = queued_since {
-                            tr.span_on(actor, SpanKind::Runnable, "runnable", since, now);
-                        }
-                    }
-                    if !inner.cs_cost.is_zero() {
-                        tr.span_on(actor, SpanKind::Overhead, "ctx-switch", now, run_at);
-                    }
-                });
+                inner.running = Some(MtsTid(slot));
                 if let Some(green) = inner.tcbs[slot as usize].green {
                     self.sim.wake(green);
                 }
             }
             None => {
-                inner.running = None;
                 if inner.idle_since.is_none() {
                     inner.idle_since = Some(now);
                     // The process just went idle: every thread is blocked or
@@ -628,13 +628,10 @@ impl Mts {
         let joiners;
         {
             let mut inner = self.inner.lock();
-            debug_assert_eq!(inner.running, Some(tid));
-            self.note_run_end(&mut inner, tid, ctx.now());
             inner.tcbs[tid.0 as usize].state = TState::Exited;
             joiners = std::mem::take(&mut inner.tcbs[tid.0 as usize].exit_waiters);
-            inner.running = None;
             inner.live -= 1;
-            self.dispatch_next(&mut inner, ctx.now());
+            self.switch_away(&mut inner, tid, ctx.now());
             if inner.live == 0 {
                 for w in inner.all_done_waiters.drain(..) {
                     self.sim.wake(w);
@@ -768,15 +765,13 @@ impl MtsCtx<'_> {
                 return;
             }
             let now = self.ctx.now();
-            self.mts.note_run_end(&mut inner, self.tid, now);
             {
                 let tcb = &mut inner.tcbs[self.tid.0 as usize];
                 tcb.state = TState::Runnable;
                 tcb.runnable_since = Some(now);
             }
             inner.push_runnable(self.tid.0);
-            inner.running = None;
-            self.mts.dispatch_next(&mut inner, now);
+            self.mts.switch_away(&mut inner, self.tid, now);
         }
         self.wait_for_dispatch();
     }
@@ -804,7 +799,6 @@ impl MtsCtx<'_> {
                 return;
             }
             let now = self.ctx.now();
-            self.mts.note_run_end(&mut inner, self.tid, now);
             {
                 let tcb = &mut inner.tcbs[self.tid.0 as usize];
                 tcb.state = TState::Blocked;
@@ -813,8 +807,7 @@ impl MtsCtx<'_> {
                 tcb.wait_on = wait_on;
             }
             inner.push_blocked(self.tid.0);
-            inner.running = None;
-            self.mts.dispatch_next(&mut inner, now);
+            self.mts.switch_away(&mut inner, self.tid, now);
         }
         self.wait_for_dispatch();
     }
@@ -831,7 +824,6 @@ impl MtsCtx<'_> {
             let mut inner = self.mts.inner.lock();
             debug_assert_eq!(inner.running, Some(self.tid));
             let now = self.ctx.now();
-            self.mts.note_run_end(&mut inner, self.tid, now);
             {
                 let tcb = &mut inner.tcbs[self.tid.0 as usize];
                 tcb.state = TState::Blocked;
@@ -840,8 +832,7 @@ impl MtsCtx<'_> {
                 gen = tcb.sleep_gen;
             }
             inner.push_blocked(self.tid.0);
-            inner.running = None;
-            self.mts.dispatch_next(&mut inner, now);
+            self.mts.switch_away(&mut inner, self.tid, now);
         }
         let mts = self.mts.clone();
         let tid = self.tid;
@@ -889,31 +880,26 @@ impl MtsCtx<'_> {
         {
             let mut inner = self.mts.inner.lock();
             debug_assert_eq!(inner.running, Some(self.tid));
-            self.mts.note_run_end(&mut inner, self.tid, t_ext);
             inner.tcbs[self.tid.0 as usize].state = TState::External;
-            inner.running = None;
-            self.mts.dispatch_next(&mut inner, t_ext);
+            self.mts.switch_away(&mut inner, self.tid, t_ext);
         }
         let r = f();
-        let (ext_actor, t_back) = {
-            let inner = self.mts.inner.lock();
-            (inner.tcbs[self.tid.0 as usize].actor, self.ctx.now())
-        };
-        self.ctx.sim().with_tracer(|tr| {
-            if tr.detail_enabled() {
-                tr.span_on(ext_actor, SpanKind::Idle, "kernel-wait", t_ext, t_back);
-            }
-        });
-        // Re-acquire the CPU.
-        let direct = {
+        // Re-acquire the CPU, in one visit to the scheduler state.
+        let now = self.ctx.now();
+        let direct_run_at = {
             let mut inner = self.mts.inner.lock();
+            let ext_actor = inner.tcbs[self.tid.0 as usize].actor;
+            self.ctx.sim().with_spans(|tr| {
+                if tr.detail_enabled() {
+                    tr.span_on(ext_actor, SpanKind::Idle, "kernel-wait", t_ext, now);
+                }
+            });
             if inner.running.is_none() {
                 if let Some(since) = inner.idle_since.take() {
-                    let now = self.ctx.now();
                     inner.total_idle += now.saturating_since(since);
                 }
                 inner.switches += 1;
-                let run_at = self.ctx.now() + inner.cs_cost;
+                let run_at = now + inner.cs_cost;
                 {
                     let tcb = &mut inner.tcbs[self.tid.0 as usize];
                     tcb.state = TState::Running;
@@ -923,27 +909,22 @@ impl MtsCtx<'_> {
                 }
                 inner.running = Some(self.tid);
                 self.ctx.sim().with_metrics(|m| m.inc("mts.dispatches", 1));
-                true
+                Some(run_at)
             } else {
                 // CPU busy: queue like any runnable thread and wait.
                 {
                     let tcb = &mut inner.tcbs[self.tid.0 as usize];
                     tcb.state = TState::Runnable;
-                    tcb.runnable_since = Some(self.ctx.now());
+                    tcb.runnable_since = Some(now);
                 }
                 inner.push_runnable(self.tid.0);
-                false
+                None
             }
         };
-        if direct {
+        match direct_run_at {
             // Charge the context switch for the direct re-acquisition.
-            let run_at = self.mts.inner.lock().tcbs[self.tid.0 as usize].run_at;
-            let wait = run_at.saturating_since(self.ctx.now());
-            if !wait.is_zero() {
-                self.ctx.sleep(wait);
-            }
-        } else {
-            self.wait_for_dispatch();
+            Some(run_at) => self.charge_switch(run_at),
+            None => self.wait_for_dispatch(),
         }
         r
     }
@@ -951,17 +932,21 @@ impl MtsCtx<'_> {
     /// Waits until this thread has been dispatched, then charges the
     /// remaining context-switch cost.
     fn wait_for_dispatch(&self) {
-        loop {
-            let running = {
+        let run_at = loop {
+            {
                 let inner = self.mts.inner.lock();
-                inner.tcbs[self.tid.0 as usize].state == TState::Running
-            };
-            if running {
-                break;
+                let tcb = &inner.tcbs[self.tid.0 as usize];
+                if tcb.state == TState::Running {
+                    break tcb.run_at;
+                }
             }
             self.ctx.park();
-        }
-        let run_at = self.mts.inner.lock().tcbs[self.tid.0 as usize].run_at;
+        };
+        self.charge_switch(run_at);
+    }
+
+    /// Holds the CPU until `run_at`, the end of the modelled context switch.
+    fn charge_switch(&self, run_at: SimTime) {
         let wait = run_at.saturating_since(self.ctx.now());
         if !wait.is_zero() {
             self.ctx.sleep(wait);

@@ -90,7 +90,7 @@ impl P4Proc {
             data,
         );
         let t1 = ctx.now();
-        ctx.sim().with_tracer(|tr| {
+        ctx.sim().with_spans(|tr| {
             tr.span(&self.actor, ncs_sim::SpanKind::Comm, "send", t0, t1);
         });
     }
@@ -103,7 +103,7 @@ impl P4Proc {
         loop {
             if let Some(m) = self.take_matching(msg_type, from) {
                 let t1 = ctx.now();
-                ctx.sim().with_tracer(|tr| {
+                ctx.sim().with_spans(|tr| {
                     tr.span(&self.actor, ncs_sim::SpanKind::Comm, "recv", t0, t1);
                 });
                 return m;

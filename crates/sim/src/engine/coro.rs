@@ -18,8 +18,16 @@
 //! lowest page is `mprotect`ed `PROT_NONE`: running off the end of the
 //! stack faults loudly on the guard page instead of silently corrupting a
 //! neighbouring mapping. A 64-byte `0xA5` canary sits just above the guard
-//! and is verified after every switch back to the kernel, catching
-//! near-misses (deep recursion that stopped short of the guard) early.
+//! to catch near-misses (deep recursion that stopped short of the guard).
+//! The canary shares the stack's lowest usable page, which a healthy thread
+//! never touches, so reading it costs a cache and TLB miss; the check is
+//! therefore split in two. After *every* switch back to the kernel the
+//! coroutine's saved stack pointer — already in [`CoroShared`], no memory
+//! touched — is compared against the canary's upper edge, which catches a
+//! thread suspended that deep. The canary *bytes* are verified once, when
+//! the coroutine finishes (normally, by panic, or by cancellation): every
+//! green thread passes through that point before its stack is unmapped, so
+//! a clobbered canary is always reported, at exit or at `Sim::finish`.
 //!
 //! # Safety invariants
 //!
@@ -175,13 +183,18 @@ impl Stack {
         self.base as usize + self.len
     }
 
-    fn check_canary(&self) {
+    /// Whether a suspended coroutine's saved stack pointer lies above the
+    /// canary. The switch pushes its save area below the live frames, so
+    /// the saved `rsp` is the lowest address the thread has in use.
+    fn sp_clear_of_canary(&self, sp: usize) -> bool {
+        sp >= self.base as usize + PAGE + CANARY_BYTES
+    }
+
+    fn canary_intact(&self) -> bool {
+        // SAFETY: `base + PAGE .. + CANARY_BYTES` lies inside the mapping
+        // this `Stack` owns, above the guard page, and is readable.
         let canary = unsafe { std::slice::from_raw_parts(self.base.add(PAGE), CANARY_BYTES) };
-        assert!(
-            canary.iter().all(|&b| b == CANARY_BYTE),
-            "coroutine stack canary clobbered: a green thread came within \
-             {CANARY_BYTES} bytes of its guard page"
-        );
+        canary.iter().all(|&b| b == CANARY_BYTE)
     }
 }
 
@@ -206,10 +219,14 @@ pub(crate) struct CoroShared {
     /// can then be reclaimed.
     finished: bool,
     /// The green thread's body; `Some` until first entry. Called with
-    /// `started = false` when cancelled before ever running.
-    entry: Option<Box<dyn FnOnce(bool) + Send>>,
+    /// `started = false` when cancelled before ever running, and with the
+    /// coroutine's own token, which it keeps for its yields.
+    entry: Option<CoroEntry>,
     stack: Stack,
 }
+
+/// A green thread's body as the coroutine engine runs it.
+pub(crate) type CoroEntry = Box<dyn FnOnce(bool, ResumeToken) + Send>;
 
 /// Owning handle to one coroutine, stored in the kernel's thread table.
 pub(crate) struct Coroutine {
@@ -238,7 +255,7 @@ extern "C" fn trampoline() -> ! {
         let sh = &mut *shared;
         let entry = sh.entry.take().expect("coroutine entered twice");
         let started = !sh.cancel;
-        entry(started);
+        entry(started, ResumeToken(shared));
         sh.finished = true;
         ncs_coro_switch(&mut sh.coro_sp, sh.kernel_sp);
     }
@@ -250,7 +267,7 @@ impl Coroutine {
     /// Allocates a stack of `stack_bytes` usable bytes and crafts the
     /// initial frame; the entry closure does not run until the first
     /// [`ResumeToken::resume`].
-    pub(crate) fn new(entry: Box<dyn FnOnce(bool) + Send>, stack_bytes: usize) -> Coroutine {
+    pub(crate) fn new(entry: CoroEntry, stack_bytes: usize) -> Coroutine {
         let stack = Stack::new(stack_bytes);
         let top = stack.top();
         unsafe {
@@ -286,6 +303,16 @@ impl Coroutine {
 #[derive(Clone, Copy)]
 pub(crate) struct ResumeToken(*mut CoroShared);
 
+// SAFETY: a green thread keeps its own token in its `Ctx`, and `&Ctx` must
+// stay `Send + Sync` for the code that runs on green threads. Moving or
+// sharing a token gives no new way to reach the pointee: `resume` is called
+// only by the kernel loop, on tokens it takes from the thread table while
+// the slot is `Running`, and `yield_back` dereferences nothing unless the
+// token is the coroutine running on the calling OS thread (the `CURRENT`
+// check), so a token that strayed to another thread panics there instead.
+unsafe impl Send for ResumeToken {}
+unsafe impl Sync for ResumeToken {}
+
 impl ResumeToken {
     /// Kernel side: runs the coroutine until it yields or finishes. Returns
     /// `true` when it finished (the owning [`Coroutine`] may be dropped to
@@ -301,7 +328,14 @@ impl ResumeToken {
             let prev = CURRENT.with(|c| c.replace(self.0));
             ncs_coro_switch(&mut sh.kernel_sp, sh.coro_sp);
             CURRENT.with(|c| c.set(prev));
-            sh.stack.check_canary();
+            // See the module docs: the stack-pointer compare runs after
+            // every switch, the canary bytes are read once, at the end.
+            assert!(
+                sh.stack.sp_clear_of_canary(sh.coro_sp)
+                    && (!sh.finished || sh.stack.canary_intact()),
+                "coroutine stack canary clobbered: a green thread came within \
+                 {CANARY_BYTES} bytes of its guard page"
+            );
             sh.finished
         }
     }
@@ -320,5 +354,106 @@ impl ResumeToken {
             ncs_coro_switch(&mut sh.coro_sp, sh.kernel_sp);
             !(*self.0).cancel
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{EngineKind, MIN_STACK_BYTES};
+    use crate::kernel::panic_message;
+    use crate::{Dur, Sim};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{Arc, Mutex};
+
+    /// Overwrites one canary byte of the coroutine running on this thread:
+    /// what a frame that reached into the stack's last 64 bytes leaves.
+    fn scribble_on_own_canary() {
+        let cur = CURRENT.with(|c| c.get());
+        assert!(!cur.is_null(), "not on a coroutine");
+        // SAFETY: `cur` is the running coroutine's live `CoroShared`; the
+        // canary lies inside its mapped stack, above the guard page.
+        unsafe { (*cur).stack.base.add(PAGE).write(0) };
+    }
+
+    #[test]
+    fn saved_stack_pointer_is_checked_against_the_canary_edge() {
+        let stack = Stack::new(MIN_STACK_BYTES);
+        let edge = stack.base as usize + PAGE + CANARY_BYTES;
+        assert!(stack.sp_clear_of_canary(stack.top() - 72));
+        assert!(stack.sp_clear_of_canary(edge));
+        assert!(!stack.sp_clear_of_canary(edge - 8));
+        assert!(stack.canary_intact());
+    }
+
+    #[test]
+    #[should_panic(expected = "green-thread yield from outside the thread itself")]
+    fn yield_with_a_token_from_outside_any_coroutine_is_refused() {
+        let co = Coroutine::new(Box::new(|_, _| {}), MIN_STACK_BYTES);
+        co.token().yield_back();
+    }
+
+    #[test]
+    fn yield_with_another_coroutines_token_is_refused() {
+        // `a` runs and tries to yield through `b`'s token: the `CURRENT`
+        // check must refuse before `b`'s state is touched.
+        let b = Coroutine::new(Box::new(|_, _| {}), MIN_STACK_BYTES);
+        let foreign = b.token();
+        let refusal = Arc::new(Mutex::new(String::new()));
+        let seen = Arc::clone(&refusal);
+        let a = Coroutine::new(
+            Box::new(move |_, own| {
+                let err = catch_unwind(AssertUnwindSafe(|| foreign.yield_back()))
+                    .expect_err("a foreign token must not yield");
+                *seen.lock().unwrap() = panic_message(err.as_ref());
+                // Its own token still works.
+                assert!(own.yield_back());
+            }),
+            MIN_STACK_BYTES,
+        );
+        assert!(!a.token().resume(false), "suspended at its own yield");
+        assert!(refusal
+            .lock()
+            .unwrap()
+            .contains("green-thread yield from outside the thread itself"));
+        assert!(a.token().resume(false), "finished");
+        assert!(
+            b.token().resume(true),
+            "never-started coroutine is cancelled cleanly"
+        );
+    }
+
+    #[test]
+    fn clobbered_canary_is_reported_when_the_thread_exits() {
+        // The switches in between compare only the saved stack pointer; the
+        // bytes are read when the coroutine finishes and is reaped.
+        let sim = Sim::with_engine(EngineKind::Coroutine);
+        let resumed = Arc::new(AtomicBool::new(false));
+        let r = Arc::clone(&resumed);
+        sim.spawn("deep", move |ctx| {
+            scribble_on_own_canary();
+            ctx.sleep(Dur::from_micros(1));
+            r.store(true, Ordering::SeqCst);
+        });
+        let err = catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("must be reported");
+        assert!(panic_message(err.as_ref()).contains("coroutine stack canary clobbered"));
+        assert!(
+            resumed.load(Ordering::SeqCst),
+            "reported at exit, not at the switch after the damage"
+        );
+    }
+
+    #[test]
+    fn clobbered_canary_of_a_parked_thread_is_reported_at_finish() {
+        let sim = Sim::with_engine(EngineKind::Coroutine);
+        sim.spawn("parked", |ctx| {
+            scribble_on_own_canary();
+            ctx.park(); // never woken: reaped by cancellation
+        });
+        let out = sim.run();
+        assert_eq!(out.blocked, vec!["parked".to_string()]);
+        let err = catch_unwind(AssertUnwindSafe(|| sim.finish())).expect_err("must be reported");
+        assert!(panic_message(err.as_ref()).contains("coroutine stack canary clobbered"));
     }
 }

@@ -32,11 +32,12 @@ pub(crate) mod coro {
     pub(crate) struct Coroutine;
     #[derive(Clone, Copy)]
     pub(crate) struct ResumeToken;
+    pub(crate) type CoroEntry = Box<dyn FnOnce(bool, ResumeToken) + Send>;
     pub(crate) fn live_stacks() -> usize {
         0
     }
     impl Coroutine {
-        pub(crate) fn new(_entry: Box<dyn FnOnce(bool) + Send>, _stack_bytes: usize) -> Coroutine {
+        pub(crate) fn new(_entry: CoroEntry, _stack_bytes: usize) -> Coroutine {
             panic!("the coroutine engine is only ported to x86_64 Linux; use EngineKind::OsThread")
         }
         pub(crate) fn token(&self) -> ResumeToken {

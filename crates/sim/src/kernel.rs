@@ -148,16 +148,66 @@ enum EventKind {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TimerHandle(Token);
 
+/// The kernel's scheduling state: the event queue, the thread table and the
+/// tie-break counter. They live behind ONE mutex because every kernel
+/// operation touches at least two of them — the run loop pops an event and
+/// claims the thread slot it resumes, a wake marks a slot and queues its
+/// `Resume`, a push takes a sequence number and inserts — and the system is
+/// single-runnable by construction, so the lock is never contended: it costs
+/// what it costs per acquisition, and each operation should pay that once.
+struct Core {
+    queue: TimerWheel<EventKind>,
+    threads: Vec<ThreadSlot>,
+    /// Next program-order sequence number: the `(time, seq)` tie-break that
+    /// makes every run a pure function of its inputs (and the golden trace
+    /// byte-stable).
+    seq: u64,
+}
+
+impl Core {
+    fn push(&mut self, at_ps: u64, kind: EventKind) -> Token {
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.push(at_ps, seq, kind)
+    }
+
+    /// Parked → Scheduled, with the `Resume` queued at `now_ps`; see
+    /// [`Sim::wake`] for the return value.
+    fn wake(&mut self, tid: ThreadId, now_ps: u64) -> bool {
+        let slot = &mut self.threads[tid.0 as usize];
+        match slot.state {
+            ThreadState::Parked => {
+                slot.state = ThreadState::Scheduled;
+                self.push(now_ps, EventKind::Resume(tid));
+                true
+            }
+            ThreadState::Scheduled | ThreadState::Exited => false,
+            ThreadState::Running => panic!("wake() on the running thread {tid}"),
+        }
+    }
+}
+
 struct Inner {
     engine: EngineKind,
     /// Usable bytes per green-thread stack (page-aligned; both engines).
     stack_bytes: usize,
+    /// The clock and the trace digest are written only by the kernel loop
+    /// and read by it, by the callbacks it calls and by the green threads it
+    /// resumes. Every such hand-off already orders memory: a coroutine
+    /// resume or yield is a function call on one OS thread, the OS-thread
+    /// engine passes control through the `Baton` / `KernelGate` mutexes
+    /// (release on grant, acquire on wake-up), and the workers of a sharded
+    /// run meet at the window barrier before anything reads another shard.
+    /// So both are `Relaxed`: they need atomicity, not a fence per event.
     now_ps: AtomicU64,
-    seq: AtomicU64,
-    queue: Mutex<TimerWheel<EventKind>>,
-    threads: Mutex<Vec<ThreadSlot>>,
+    core: Mutex<Core>,
     gate: KernelGate,
     tracer: Mutex<Tracer>,
+    /// Mirrors `tracer.is_enabled()` (refreshed by every [`Sim::with_tracer`]
+    /// call, the only way to reach the tracer) so span-recording sites can
+    /// skip the tracer lock while spans are off. `Relaxed`: the flag
+    /// publishes nothing — a site that reads `true` takes the lock next.
+    spans_enabled: AtomicBool,
     metrics: Mutex<MetricsRegistry>,
     panics: Mutex<Vec<String>>,
     running: AtomicBool,
@@ -213,6 +263,15 @@ impl Drop for SimGuard {
 /// Unwind payload used to cancel a green thread at shutdown.
 struct CancelToken;
 
+/// The text of a caught panic payload.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into())
+}
+
 fn install_quiet_cancel_hook() {
     use std::sync::Once;
     static ONCE: Once = Once::new();
@@ -259,11 +318,14 @@ impl Sim {
             engine,
             stack_bytes: crate::engine::normalize_stack_bytes(stack_bytes),
             now_ps: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
-            queue: Mutex::new(TimerWheel::new()),
-            threads: Mutex::new(Vec::new()),
+            core: Mutex::new(Core {
+                queue: TimerWheel::new(),
+                threads: Vec::new(),
+                seq: 0,
+            }),
             gate: KernelGate::new(),
             tracer: Mutex::new(Tracer::new()),
+            spans_enabled: AtomicBool::new(false),
             metrics: Mutex::new(MetricsRegistry::new()),
             panics: Mutex::new(Vec::new()),
             running: AtomicBool::new(false),
@@ -304,13 +366,13 @@ impl Sim {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        SimTime::from_ps(self.inner.now_ps.load(Ordering::SeqCst))
+        SimTime::from_ps(self.inner.now_ps.load(Ordering::Relaxed))
     }
 
     /// Digest of the event sequence executed so far. Two runs of the same
     /// program with the same seed produce the same hash.
     pub fn trace_hash(&self) -> u64 {
-        self.inner.trace_hash.load(Ordering::SeqCst)
+        self.inner.trace_hash.load(Ordering::Relaxed)
     }
 
     /// Installs the runtime-analysis configuration for this simulation.
@@ -362,14 +424,14 @@ impl Sim {
 
     /// Number of events still waiting in the queue.
     pub fn pending_events(&self) -> usize {
-        self.inner.queue.lock().len()
+        self.inner.core.lock().queue.len()
     }
 
     /// High-water mark of the event queue's depth over the simulation's
     /// lifetime. Tracked inside the timer wheel at zero per-event cost; the
     /// scaling benches sample it as the `kernel.queue_depth` gauge.
     pub fn peak_queue_depth(&self) -> usize {
-        self.inner.queue.lock().peak_len()
+        self.inner.core.lock().queue.peak_len()
     }
 
     /// Instantaneous queue depth *including the event currently being
@@ -380,12 +442,27 @@ impl Sim {
     /// exactly one (the historical 65-vs-64 off-by-one in `xp_scale`).
     /// Outside a run this equals `pending_events()`.
     pub fn queue_depth(&self) -> usize {
-        self.inner.queue.lock().len() + usize::from(self.inner.running.load(Ordering::SeqCst))
+        self.pending_events() + usize::from(self.inner.running.load(Ordering::SeqCst))
     }
 
     /// Access to the span/event tracer (used by the timeline figures).
     pub fn with_tracer<R>(&self, f: impl FnOnce(&mut Tracer) -> R) -> R {
-        f(&mut self.inner.tracer.lock())
+        let mut tracer = self.inner.tracer.lock();
+        let r = f(&mut tracer);
+        self.inner
+            .spans_enabled
+            .store(tracer.is_enabled(), Ordering::Relaxed);
+        r
+    }
+
+    /// [`Sim::with_tracer`] for sites that only *record spans*: `f` runs
+    /// only while span recording is enabled, and a disabled tracer costs one
+    /// flag load instead of a lock round trip per site. Anything that must
+    /// happen regardless (counters, interning) goes through `with_tracer`.
+    pub fn with_spans(&self, f: impl FnOnce(&mut Tracer)) {
+        if self.inner.spans_enabled.load(Ordering::Relaxed) {
+            self.with_tracer(f);
+        }
     }
 
     /// Access to the metrics registry (counters, gauges, latency stats,
@@ -395,21 +472,13 @@ impl Sim {
         f(&mut self.inner.metrics.lock())
     }
 
-    fn next_seq(&self) -> u64 {
-        self.inner.seq.fetch_add(1, Ordering::SeqCst)
-    }
-
     fn push_event(&self, at: SimTime, kind: EventKind) -> Token {
         debug_assert!(
             at >= self.now(),
             "scheduling into the past: {at} < {}",
             self.now()
         );
-        // The sequence number is taken *before* the queue lock, in program
-        // order — the tie-break that makes every run a pure function of its
-        // inputs (and the golden trace byte-stable).
-        let seq = self.next_seq();
-        self.inner.queue.lock().push(at.as_ps(), seq, kind)
+        self.inner.core.lock().push(at.as_ps(), kind)
     }
 
     /// Schedules `f` to run at virtual instant `at`.
@@ -442,7 +511,7 @@ impl Sim {
             "scheduling into the past: {at} < {}",
             self.now()
         );
-        self.inner.queue.lock().push(
+        self.inner.core.lock().queue.push(
             at.as_ps(),
             Self::KEYED_SEQ_BIT | key,
             EventKind::Call(Box::new(f)),
@@ -459,8 +528,9 @@ impl Sim {
     /// start to the minimum across shards instead of stepping empty windows.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.inner
-            .queue
+            .core
             .lock()
+            .queue
             .peek()
             .map(|(t, _)| SimTime::from_ps(t))
     }
@@ -481,7 +551,7 @@ impl Sim {
     /// Returns `true` if the event was still pending (its closure is dropped
     /// without running); `false` if it already fired or was cancelled.
     pub fn cancel_scheduled(&self, handle: TimerHandle) -> bool {
-        self.inner.queue.lock().cancel(handle.0).is_some()
+        self.inner.core.lock().queue.cancel(handle.0).is_some()
     }
 
     /// Schedules an increment of tracer counter `name` by `n` at `at`,
@@ -537,36 +607,26 @@ impl Sim {
         daemon: bool,
         f: impl FnOnce(&Ctx) + Send + 'static,
     ) -> ThreadId {
-        let tid;
-        {
-            let mut table = self.inner.threads.lock();
-            tid = ThreadId(table.len() as u32);
-            table.push(ThreadSlot {
-                name: name.clone(),
-                state: ThreadState::Scheduled,
-                green: GreenThread::Done, // replaced below, before the resume
-                exit_waiters: Vec::new(),
-                daemon,
-            });
-        }
+        // One acquisition for the whole spawn: the id is the slot's index,
+        // and the slot goes in together with its first `Resume`.
+        let mut core = self.inner.core.lock();
+        let tid = ThreadId(core.threads.len() as u32);
         // The engine-independent green-thread body. `started` is false when
         // the thread is cancelled before its first dispatch; the exit
-        // bookkeeping still runs so joiners are woken either way.
+        // bookkeeping still runs so joiners are woken either way. `own` is
+        // the thread's handle on itself, kept in its `Ctx` for its yields.
         let sim = self.unguarded_clone();
-        let run = move |started: bool| {
+        let run = move |started: bool, own: ResumeHandle| {
             if started {
                 let ctx = Ctx {
                     sim: sim.clone(),
                     tid,
+                    own,
                 };
                 let result = panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)));
                 if let Err(payload) = result {
                     if payload.downcast_ref::<CancelToken>().is_none() {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".into());
+                        let msg = panic_message(payload.as_ref());
                         sim.inner
                             .panics
                             .lock()
@@ -577,40 +637,44 @@ impl Sim {
             sim.mark_exited(tid);
         };
         let green = match self.inner.engine {
-            EngineKind::Coroutine => {
-                GreenThread::Coro(Coroutine::new(Box::new(run), self.inner.stack_bytes))
-            }
+            EngineKind::Coroutine => GreenThread::Coro(Coroutine::new(
+                Box::new(move |started, token| run(started, ResumeHandle::Coro(token))),
+                self.inner.stack_bytes,
+            )),
             EngineKind::OsThread => {
                 let baton = Baton::new();
                 let thread_baton = Arc::clone(&baton);
                 let gate_sim = self.unguarded_clone();
                 GreenThread::Os(OsThread::spawn(&name, baton, self.inner.stack_bytes, move || {
                     let started = thread_baton.wait();
-                    run(started);
+                    run(started, ResumeHandle::Os(thread_baton));
                     gate_sim.inner.gate.signal();
                 }))
             }
         };
-        self.inner.threads.lock()[tid.0 as usize].green = green;
-        self.push_event(self.now(), EventKind::Resume(tid));
+        core.threads.push(ThreadSlot {
+            name,
+            state: ThreadState::Scheduled,
+            green,
+            exit_waiters: Vec::new(),
+            daemon,
+        });
+        core.push(self.now().as_ps(), EventKind::Resume(tid));
         tid
     }
 
     /// Name a thread was spawned with.
     pub fn thread_name(&self, tid: ThreadId) -> String {
-        self.inner.threads.lock()[tid.0 as usize].name.clone()
+        self.inner.core.lock().threads[tid.0 as usize].name.clone()
     }
 
     fn mark_exited(&self, tid: ThreadId) {
-        let waiters;
-        {
-            let mut table = self.inner.threads.lock();
-            let slot = &mut table[tid.0 as usize];
-            slot.state = ThreadState::Exited;
-            waiters = std::mem::take(&mut slot.exit_waiters);
-        }
-        for w in waiters {
-            self.wake(w);
+        let now_ps = self.now().as_ps();
+        let mut core = self.inner.core.lock();
+        let slot = &mut core.threads[tid.0 as usize];
+        slot.state = ThreadState::Exited;
+        for w in std::mem::take(&mut slot.exit_waiters) {
+            core.wake(w, now_ps);
         }
     }
 
@@ -620,41 +684,30 @@ impl Sim {
     /// if it was already scheduled or has exited (both benign no-ops).
     /// Panics if called on the currently running thread.
     pub fn wake(&self, tid: ThreadId) -> bool {
-        let mut table = self.inner.threads.lock();
-        let slot = &mut table[tid.0 as usize];
-        match slot.state {
-            ThreadState::Parked => {
-                slot.state = ThreadState::Scheduled;
-                drop(table);
-                self.push_event(self.now(), EventKind::Resume(tid));
-                true
-            }
-            ThreadState::Scheduled | ThreadState::Exited => false,
-            ThreadState::Running => panic!("wake() on the running thread {tid}"),
-        }
+        let now_ps = self.now().as_ps();
+        self.inner.core.lock().wake(tid, now_ps)
     }
 
     /// Schedules a parked thread to resume at a future instant (a timed wake,
     /// used for sleeps). Internal building block for [`Ctx::sleep`].
     fn wake_at(&self, tid: ThreadId, at: SimTime) {
-        let mut table = self.inner.threads.lock();
-        let slot = &mut table[tid.0 as usize];
+        let mut core = self.inner.core.lock();
+        let slot = &mut core.threads[tid.0 as usize];
         debug_assert_eq!(slot.state, ThreadState::Running);
         slot.state = ThreadState::Scheduled;
-        drop(table);
-        self.push_event(at, EventKind::Resume(tid));
+        core.push(at.as_ps(), EventKind::Resume(tid));
     }
 
     fn mix_hash(&self, a: u64, b: u64, c: u64) {
         // FNV-1a over the event tuple words.
-        let mut h = self.inner.trace_hash.load(Ordering::SeqCst);
+        let mut h = self.inner.trace_hash.load(Ordering::Relaxed);
         for w in [a, b, c] {
             for byte in w.to_le_bytes() {
                 h ^= u64::from(byte);
                 h = h.wrapping_mul(0x0000_0100_0000_01B3);
             }
         }
-        self.inner.trace_hash.store(h, Ordering::SeqCst);
+        self.inner.trace_hash.store(h, Ordering::Relaxed);
     }
 
     /// Runs until the event queue drains (no horizon).
@@ -675,9 +728,11 @@ impl Sim {
         );
         let mut events: u64 = 0;
         let reason = loop {
-            let (time, seq, kind) = {
-                let mut q = self.inner.queue.lock();
-                match q.peek() {
+            // One acquisition per event: pop it and, when it is a `Resume`,
+            // claim the thread slot it names.
+            let (time, seq, kind, claimed) = {
+                let mut core = self.inner.core.lock();
+                match core.queue.peek() {
                     None => break StopReason::Completed,
                     Some((t, _)) => {
                         if let Some(limit) = until {
@@ -694,19 +749,32 @@ impl Sim {
                         }
                     }
                 }
-                if self.inner.policy_installed.load(Ordering::Relaxed) {
+                let (time, seq, kind) = if self.inner.policy_installed.load(Ordering::Relaxed) {
                     // Exploration: let the policy pick among same-timestamp
                     // events. The group scan + mid-heap extraction cost is
                     // paid only on this branch.
-                    let group = q.head_seqs();
+                    let group = core.queue.head_seqs();
                     let pick = self.schedule_choice(ChoicePoint::EventTieBreak, group.len());
-                    q.pop_seq(group[pick]).expect("head member vanished")
+                    core.queue
+                        .pop_seq(group[pick])
+                        .expect("head member vanished")
                 } else {
-                    q.pop().expect("peeked event vanished")
-                }
+                    core.queue.pop().expect("peeked event vanished")
+                };
+                let claimed = match kind {
+                    EventKind::Resume(tid) => {
+                        let slot = &mut core.threads[tid.0 as usize];
+                        (slot.state == ThreadState::Scheduled).then(|| {
+                            slot.state = ThreadState::Running;
+                            slot.green.resume_handle()
+                        })
+                    }
+                    _ => None,
+                };
+                (time, seq, kind, claimed)
             };
             events += 1;
-            self.inner.now_ps.store(time, Ordering::SeqCst);
+            self.inner.now_ps.store(time, Ordering::Relaxed);
             match kind {
                 EventKind::Call(f) => {
                     self.mix_hash(time, seq, 1);
@@ -736,27 +804,21 @@ impl Sim {
                 }
                 EventKind::Resume(tid) => {
                     self.mix_hash(time, seq, 2 | (u64::from(tid.0) << 8));
-                    let handle = {
-                        let mut table = self.inner.threads.lock();
-                        let slot = &mut table[tid.0 as usize];
-                        if slot.state != ThreadState::Scheduled {
-                            // Stale resume (thread exited in the meantime).
-                            continue;
-                        }
-                        slot.state = ThreadState::Running;
-                        slot.green.resume_handle()
-                    };
-                    self.drive(tid, handle, false);
+                    // Unclaimed: a stale resume, its thread exited in the
+                    // meantime. It still counts as an event.
+                    if let Some(handle) = claimed {
+                        self.drive(tid, handle, false);
+                    }
                 }
             }
         };
         if let (StopReason::TimeLimit, Some(limit)) = (reason, until) {
-            self.inner.now_ps.store(limit.as_ps(), Ordering::SeqCst);
+            self.inner.now_ps.store(limit.as_ps(), Ordering::Relaxed);
         }
         self.inner.running.store(false, Ordering::SeqCst);
         let blocked: Vec<String> = {
-            let table = self.inner.threads.lock();
-            table
+            let core = self.inner.core.lock();
+            core.threads
                 .iter()
                 .filter(|s| {
                     !s.daemon && matches!(s.state, ThreadState::Parked | ThreadState::Scheduled)
@@ -796,7 +858,7 @@ impl Sim {
         match handle {
             ResumeHandle::Coro(tok) => {
                 if tok.resume(cancel) {
-                    self.inner.threads.lock()[tid.0 as usize].green = GreenThread::Done;
+                    self.inner.core.lock().threads[tid.0 as usize].green = GreenThread::Done;
                 }
             }
             ResumeHandle::Os(baton) => {
@@ -816,8 +878,8 @@ impl Sim {
         }
         loop {
             let (tid, handle) = {
-                let mut table = self.inner.threads.lock();
-                let slot = table.iter_mut().enumerate().find(|(_, s)| {
+                let mut core = self.inner.core.lock();
+                let slot = core.threads.iter_mut().enumerate().find(|(_, s)| {
                     matches!(s.state, ThreadState::Parked | ThreadState::Scheduled)
                 });
                 match slot {
@@ -831,8 +893,8 @@ impl Sim {
             self.drive(tid, handle, true);
         }
         let handles: Vec<_> = {
-            let mut table = self.inner.threads.lock();
-            table
+            let mut core = self.inner.core.lock();
+            core.threads
                 .iter_mut()
                 .filter_map(|s| match &mut s.green {
                     GreenThread::Os(os) => os.take_join_handle(),
@@ -854,6 +916,9 @@ impl Sim {
 pub struct Ctx {
     sim: Sim,
     tid: ThreadId,
+    /// This thread's handle on its own suspend mechanism, so a yield needs
+    /// no thread-table lookup.
+    own: ResumeHandle,
 }
 
 impl Ctx {
@@ -893,8 +958,8 @@ impl Ctx {
     /// simulated activity runs at a time, there is no lost-wakeup window.
     pub fn park(&self) {
         {
-            let mut table = self.sim.inner.threads.lock();
-            let slot = &mut table[self.tid.0 as usize];
+            let mut core = self.sim.inner.core.lock();
+            let slot = &mut core.threads[self.tid.0 as usize];
             debug_assert_eq!(slot.state, ThreadState::Running);
             slot.state = ThreadState::Parked;
         }
@@ -929,11 +994,12 @@ impl Ctx {
     pub fn join(&self, tid: ThreadId) {
         loop {
             {
-                let mut table = self.sim.inner.threads.lock();
-                if table[tid.0 as usize].state == ThreadState::Exited {
+                let mut core = self.sim.inner.core.lock();
+                let target = &mut core.threads[tid.0 as usize];
+                if target.state == ThreadState::Exited {
                     return;
                 }
-                table[tid.0 as usize].exit_waiters.push(self.tid);
+                target.exit_waiters.push(self.tid);
             }
             self.park();
         }
@@ -943,11 +1009,9 @@ impl Ctx {
     /// and blocks until the kernel dispatches this thread again. Unwinds
     /// with the cancellation payload when the wake-up is a cancellation.
     fn yield_to_kernel(&self) {
-        let handle = {
-            let table = self.sim.inner.threads.lock();
-            table[self.tid.0 as usize].green.resume_handle()
-        };
-        let granted = match handle {
+        let granted = match &self.own {
+            // `yield_back` asserts the token is the running coroutine's: a
+            // `Ctx` used from any thread but its own is caught there.
             ResumeHandle::Coro(tok) => tok.yield_back(),
             ResumeHandle::Os(baton) => {
                 self.sim.inner.gate.signal();
@@ -1127,6 +1191,37 @@ mod tests {
         second.assert_clean();
         assert_eq!(second.events, 2);
         assert_eq!(*log.lock(), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn stale_resume_after_exit_is_skipped() {
+        // Stop with the sleeper's `Resume` still queued, then cancel it:
+        // the queued event now names an exited thread. Popping it and
+        // finding the slot unclaimable happen under one lock; the event is
+        // counted and hashed, and nothing is driven.
+        let sim = Sim::new();
+        let woke = Arc::new(AtomicUsize::new(0));
+        let w = Arc::clone(&woke);
+        sim.spawn("sleeper", move |ctx| {
+            ctx.sleep(Dur::from_micros(5));
+            w.fetch_add(1, Ordering::SeqCst);
+        });
+        let first = sim.run_until(SimTime::ZERO + Dur::from_micros(1));
+        assert_eq!(first.reason, StopReason::TimeLimit);
+        assert_eq!(first.blocked, vec!["sleeper".to_string()]);
+        assert_eq!(sim.pending_events(), 1, "the timed resume stays queued");
+        sim.finish();
+        let hash_before = sim.trace_hash();
+        let out = sim.run();
+        out.assert_clean();
+        assert_eq!(out.events, 1, "a stale resume still counts as an event");
+        assert_ne!(sim.trace_hash(), hash_before, "and is still hashed");
+        assert_eq!(out.end_time, SimTime::ZERO + Dur::from_micros(5));
+        assert_eq!(
+            woke.load(Ordering::SeqCst),
+            0,
+            "an exited thread never runs"
+        );
     }
 
     #[test]
@@ -1411,6 +1506,54 @@ mod tests {
         let (h_os, log_os) = run_trace_on(EngineKind::OsThread);
         assert_eq!(log_coro, log_os, "engines must interleave identically");
         assert_eq!(h_coro, h_os, "engines must hash identically");
+    }
+
+    #[test]
+    fn nested_simulation_routes_yields_to_its_own_kernel() {
+        // A simulation built and run inside a green thread of another: each
+        // green thread yields through the handle in its own `Ctx`, so the
+        // guest's sleeps return to the guest's kernel loop (which runs on
+        // the host thread's stack) and the host's to the host's.
+        for kind in [EngineKind::Coroutine, EngineKind::OsThread] {
+            let outer = Sim::with_engine(kind);
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let host_log = Arc::clone(&log);
+            outer.spawn("host", move |ctx| {
+                ctx.sleep(Dur::from_micros(1));
+                let inner = Sim::with_engine(kind);
+                let guest_log = Arc::clone(&host_log);
+                inner.spawn("guest", move |g| {
+                    g.sleep(Dur::from_micros(3));
+                    g.yield_now();
+                    guest_log.lock().push(("guest", g.now()));
+                });
+                let out = inner.run();
+                out.assert_clean();
+                assert_eq!(out.events, 3, "{kind:?}: first resume + sleep + yield");
+                assert_eq!(
+                    ctx.now(),
+                    SimTime::ZERO + Dur::from_micros(1),
+                    "{kind:?}: the guest's run must not move the host's clock"
+                );
+                ctx.sleep(Dur::from_micros(2));
+                host_log.lock().push(("host", ctx.now()));
+            });
+            outer.spawn("sibling", |ctx| ctx.sleep(Dur::from_micros(2)));
+            let out = outer.run();
+            out.assert_clean();
+            assert_eq!(
+                out.events, 5,
+                "{kind:?}: the guest's events are not the host's"
+            );
+            assert_eq!(
+                *log.lock(),
+                vec![
+                    ("guest", SimTime::ZERO + Dur::from_micros(3)),
+                    ("host", SimTime::ZERO + Dur::from_micros(3)),
+                ],
+                "{kind:?}"
+            );
+        }
     }
 
     #[cfg(target_os = "linux")]

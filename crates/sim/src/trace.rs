@@ -263,7 +263,14 @@ impl Tracer {
 
     /// Adds to a named counter (always recorded).
     pub fn count(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
+        // Look up by `&str` first: only a counter's first increment owns
+        // (allocates) its name.
+        match self.counters.get_mut(name) {
+            Some(v) => *v += n,
+            None => {
+                self.counters.insert(name.to_owned(), n);
+            }
+        }
     }
 
     /// Reads a named counter (0 if never written).
@@ -381,6 +388,57 @@ mod tests {
         tr.count("cells", 4);
         assert_eq!(tr.counter("cells"), 7);
         assert_eq!(tr.counter("missing"), 0);
+    }
+
+    #[test]
+    fn count_inserts_a_name_once_and_keeps_name_order() {
+        let mut tr = Tracer::new();
+        tr.count("net.b", 1);
+        tr.count("net.a", 5);
+        tr.count("net.b", 2);
+        tr.count("net.c", 0);
+        tr.count("net.a", 1);
+        let all: Vec<(&str, u64)> = tr.counters().collect();
+        assert_eq!(all, vec![("net.a", 6), ("net.b", 3), ("net.c", 0)]);
+    }
+
+    #[test]
+    fn span_gate_follows_the_tracer_switch_mid_run() {
+        // `Sim::with_spans` reads a mirror of the tracer's switch. The
+        // mirror is refreshed by the very `with_tracer` call that flips the
+        // switch, so the gate cannot lag it: before — closure not even run;
+        // inside the enabling call — recorded; right after — gate open.
+        use crate::Sim;
+        let sim = Sim::new();
+        let seen = sim.clone();
+        sim.spawn("t", move |ctx| {
+            let a = seen.with_tracer(|tr| tr.intern("n0/t"));
+            ctx.sleep(Dur::from_micros(1));
+            let mut gate_ran = false;
+            seen.with_spans(|tr| {
+                gate_ran = true;
+                tr.span_on(a, SpanKind::Compute, "off", t(0), t(1));
+            });
+            assert!(!gate_ran, "spans off: the gate skips the tracer lock");
+            seen.with_tracer(|tr| {
+                tr.enable();
+                tr.span_on(a, SpanKind::Compute, "enabling", t(0), t(1));
+            });
+            seen.with_spans(|tr| {
+                assert!(!tr.detail_enabled());
+                tr.span_on(a, SpanKind::Compute, "on", t(1), t(2));
+            });
+            ctx.sleep(Dur::from_micros(1));
+            seen.with_tracer(|tr| tr.enable_detail());
+            seen.with_spans(|tr| {
+                if tr.detail_enabled() {
+                    tr.span_on(a, SpanKind::Runnable, "detail", t(2), t(3));
+                }
+            });
+        });
+        sim.run().assert_clean();
+        let labels: Vec<&str> = sim.with_tracer(|tr| tr.spans().iter().map(|s| s.label).collect());
+        assert_eq!(labels, vec!["enabling", "on", "detail"]);
     }
 
     #[test]

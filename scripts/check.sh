@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 echo "== build (release, as CI) =="
 cargo build --release --workspace
 
+echo "== kernel + metrics unit tests first: fast fail (as CI) =="
+cargo test -q -p ncs-sim --lib
+
 echo "== tests (as CI) =="
 cargo test -q --workspace
 
