@@ -11,7 +11,7 @@
 //!
 //! * the in-run invariant checks (wait-for-graph deadlock detection,
 //!   credit/buffer conservation, queue validation) wired through
-//!   [`AnalysisConfig`](ncs_sim::AnalysisConfig);
+//!   [`AnalysisConfig`];
 //! * clean termination — no blocked threads, no panics, no horizon hit;
 //! * workload-level result verification (bit-exact payloads);
 //! * *observational equivalence* — the delivered-payload digest sequence
@@ -22,7 +22,7 @@
 //! ([`Mode::Walk`]) and a bounded exhaustive DFS over decision prefixes
 //! ([`Mode::Dfs`]). Every run's decisions are recorded; a failing
 //! schedule is greedily minimized and serialized with
-//! [`format_trace`](ncs_sim::format_trace) so `explore --replay <trace>`
+//! [`format_trace`] so `explore --replay <trace>`
 //! reproduces it deterministically.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};

@@ -13,7 +13,7 @@
 //! * [`runtime`] — post-run classification of a [`ncs_sim::RunOutcome`]
 //!   into deadlocks (threads on a wait cycle) and lost wakeups (threads
 //!   parked forever with no cycle to blame).
-//! * [`explore`] — schedule-space exploration: a random-walk fuzzer and a
+//! * [`mod@explore`] — schedule-space exploration: a random-walk fuzzer and a
 //!   bounded exhaustive checker over the kernel's legal scheduling choice
 //!   points, asserting every runtime oracle (deadlock/lost-wakeup
 //!   detection, conservation checks, bit-exact payloads) plus

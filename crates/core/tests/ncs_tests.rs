@@ -1050,8 +1050,10 @@ fn seq_wraparound_with_full_window() {
         });
     });
     // Start the counter 4 frames shy of the wrap: messages 0..=3 use
-    // u32::MAX-3..=u32::MAX, messages 4..=7 use 0..=3.
+    // u32::MAX-3..=u32::MAX, messages 4..=7 use 0..=3. The receiver's
+    // cumulative floor starts where the sender's allocator does.
     world.procs()[0].debug_seed_next_seq(1, u32::MAX - 3);
+    world.procs()[1].debug_seed_expected_seq(0, u32::MAX - 3);
     sim.run().assert_clean();
     let stats = world.procs()[0].error_stats();
     assert_eq!(stats.delivery_failures, 0);

@@ -7,10 +7,10 @@
 //!
 //! * [`EngineKind::Coroutine`] (default on x86_64 Linux) — in-process
 //!   stackful coroutines: a ~20-instruction userspace context switch onto a
-//!   dedicated 2 MiB guarded stack ([`coro`]). Handing control to a green
+//!   dedicated 2 MiB guarded stack (`coro`). Handing control to a green
 //!   thread costs nanoseconds and never enters the OS scheduler.
 //! * [`EngineKind::OsThread`] — the original engine: one parked OS thread
-//!   per green thread, woken through a Condvar baton ([`os_thread`]). Kept
+//!   per green thread, woken through a Condvar baton (`os_thread`). Kept
 //!   as a fallback for platforms without a context-switch layer and for
 //!   differential testing against the coroutine engine.
 //!

@@ -301,7 +301,7 @@ impl ShardedSim {
     /// Partition-independent digest of the merged workload event stream
     /// executed so far (FNV-1a over `(time, stamp)` pairs in global
     /// `(time, stamp)` order). Equal across shard counts for the same
-    /// seeded workload; [`FNV_OFFSET`]-valued when nothing was posted.
+    /// seeded workload; `FNV_OFFSET`-valued when nothing was posted.
     pub fn merged_trace_hash(&self) -> u64 {
         self.shared.merged_hash.load(Ordering::SeqCst)
     }

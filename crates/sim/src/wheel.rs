@@ -348,7 +348,7 @@ impl<T> TimerWheel<T> {
     /// which must belong to the current head group (see
     /// [`TimerWheel::head_seqs`]). Unlike [`TimerWheel::pop`] the record
     /// is tombstoned rather than released — the drain heap still holds
-    /// its entry, which [`TimerWheel::settle`] reclaims later — so
+    /// its entry, which `TimerWheel::settle` reclaims later — so
     /// outstanding [`Token`]s for *other* events stay valid.
     pub fn pop_seq(&mut self, seq: u64) -> Option<(u64, u64, T)> {
         if !self.settle() {
@@ -428,14 +428,12 @@ mod tests {
     #[test]
     fn cursor_wraps_many_epochs() {
         let mut w = TimerWheel::with_tick_shift(0); // 1 unit per tick
-        let mut seq = 0u64;
         let mut expect = Vec::new();
         // Spread events over many full wheel rotations, pushed shuffled.
-        for k in [7u64, 3, 11, 1, 9, 5] {
+        for (seq, k) in (0u64..).zip([7u64, 3, 11, 1, 9, 5]) {
             let t = k * (SLOTS as u64) * 3 + k;
             w.push(t, seq, t);
             expect.push((t, seq));
-            seq += 1;
         }
         expect.sort_unstable();
         let got: Vec<(u64, u64)> = std::iter::from_fn(|| w.pop().map(|(t, s, _)| (t, s))).collect();

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full verification pipeline. The stages marked "as CI" mirror CI
 # (.github/workflows/ci.yml) exactly; the rest are local extras:
-# benches (smoke), docs, and every experiment regenerator.
+# benches (smoke) and every experiment regenerator.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,7 +44,7 @@ bash benchmark/run.sh --smoke
 echo "== benches (smoke) =="
 cargo bench -p ncs-bench -- --test
 
-echo "== docs =="
+echo "== docs (as CI) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "== experiments =="
