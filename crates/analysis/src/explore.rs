@@ -467,7 +467,7 @@ mod tests {
     impl Workload for TieLeakWorkload {
         fn run(&self, policy: Box<dyn SchedulePolicy>) -> Observation {
             let sim = Sim::new();
-            let order: Arc<parking_lot::Mutex<Vec<u64>>> = Arc::new(parking_lot::Mutex::new(vec![]));
+            let order: Arc<ncs_sim::sync::Mutex<Vec<u64>>> = Arc::new(ncs_sim::sync::Mutex::new(vec![]));
             for i in 0..3u64 {
                 let order = Arc::clone(&order);
                 sim.schedule_at(SimTime::ZERO + Dur::from_micros(5), move |_| {

@@ -395,7 +395,7 @@ pub fn lint_file(rel_path: &str, source: &str) -> Vec<LintViolation> {
                 skip_below = Some(depth);
                 pending_cfg_test = false;
             } else if code.contains(';') {
-                // e.g. `#[cfg(test)] use proptest::prelude::*;`
+                // e.g. `#[cfg(test)] use ncs_sim::prop;`
                 pending_cfg_test = false;
             }
         }

@@ -18,8 +18,8 @@ use std::sync::Arc;
 
 use ncs_analysis::{explore, run_scripted, Mode, Observation, RingWorkload};
 use ncs_mts::{Mts, MtsConfig};
+use ncs_sim::sync::Mutex;
 use ncs_sim::{set_default_engine, Decision, Dur, EngineKind, Sim};
-use parking_lot::Mutex;
 
 /// The conformance suite's yield-loop workload: `(priority, rounds)` pairs,
 /// each thread logging `(priority, index)` once per round then yielding.

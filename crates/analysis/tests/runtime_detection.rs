@@ -5,8 +5,8 @@
 
 use ncs_analysis::check_outcome;
 use ncs_mts::{Mts, MtsConfig, MtsTid};
+use ncs_sim::sync::Mutex;
 use ncs_sim::{AnalysisConfig, Sim, StopReason};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 #[test]

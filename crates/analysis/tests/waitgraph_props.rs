@@ -2,59 +2,56 @@
 //! positives on DAGs, and exactly the planted cycles on constructed
 //! graphs.
 
+use ncs_sim::prop::{self, Gen};
 use ncs_sim::WaitGraph;
-use proptest::prelude::*;
 
-/// (n, candidate edges, node relabeling).
-fn dag_input() -> impl Strategy<Value = (usize, Vec<(usize, usize)>, Vec<usize>)> {
-    (2usize..40).prop_flat_map(|n| {
-        (
-            Just(n),
-            proptest::collection::vec((0..n, 0..n), 0..3 * n),
-            Just((0..n).collect::<Vec<usize>>()).prop_shuffle(),
-        )
+/// `0..n` in a random order: an arbitrary relabeling of the nodes.
+fn relabeling(g: &mut Gen, n: usize) -> Vec<usize> {
+    let mut perm: Vec<usize> = (0..n).collect();
+    g.rng().shuffle(&mut perm);
+    perm
+}
+
+/// Up to `max` candidate edges over `n` nodes.
+fn edges(g: &mut Gen, n: usize, max: usize) -> Vec<(usize, usize)> {
+    let n = n as u64;
+    g.vec(0..max as u64, |g| {
+        (g.range(0..n) as usize, g.range(0..n) as usize)
     })
 }
 
-/// (relabeled nodes, chunk cut points, self-loop flags, cross-edge
-/// candidates) — the chunks become planted cycles.
-fn planted_input(
-) -> impl Strategy<Value = (Vec<usize>, Vec<bool>, Vec<bool>, Vec<(usize, usize)>)> {
-    (2usize..30).prop_flat_map(|n| {
-        (
-            Just((0..n).collect::<Vec<usize>>()).prop_shuffle(),
-            proptest::collection::vec(any::<bool>(), n),
-            proptest::collection::vec(any::<bool>(), n),
-            proptest::collection::vec((0..n, 0..n), 0..2 * n),
-        )
-    })
-}
-
-proptest! {
-    /// Edges only ever point from a lower to a higher rank (under an
-    /// arbitrary relabeling), so the graph is acyclic by construction and
-    /// the detector must stay silent.
-    #[test]
-    fn dag_has_no_false_positives((n, edges, perm) in dag_input()) {
-        let mut g = WaitGraph::new(n);
+/// Edges only ever point from a lower to a higher rank (under an
+/// arbitrary relabeling), so the graph is acyclic by construction and
+/// the detector must stay silent.
+#[test]
+fn dag_has_no_false_positives() {
+    prop::check("dag_has_no_false_positives", 256, |g| {
+        let n = g.range(2..40) as usize;
+        let edges = edges(g, n, 3 * n);
+        let perm = relabeling(g, n);
+        let mut graph = WaitGraph::new(n);
         for (a, b) in edges {
             if a < b {
-                g.add_edge(perm[a], perm[b]);
+                graph.add_edge(perm[a], perm[b]);
             }
         }
-        prop_assert!(g.cycles().is_empty());
-    }
+        assert!(graph.cycles().is_empty());
+    });
+}
 
-    /// Splits a random permutation into chunks; chunks of two or more
-    /// nodes become rings, singletons optionally get a self-loop, and
-    /// extra "tail" edges only ever point from later chunks into earlier
-    /// ones (so they cannot create or merge cycles). The detector must
-    /// return exactly the planted cycles.
-    #[test]
-    fn planted_cycles_are_found_exactly(
-        (perm, cuts, self_loops, cross) in planted_input()
-    ) {
-        let n = perm.len();
+/// Splits a random permutation into chunks; chunks of two or more
+/// nodes become rings, singletons optionally get a self-loop, and
+/// extra "tail" edges only ever point from later chunks into earlier
+/// ones (so they cannot create or merge cycles). The detector must
+/// return exactly the planted cycles.
+#[test]
+fn planted_cycles_are_found_exactly() {
+    prop::check("planted_cycles_are_found_exactly", 256, |g| {
+        let n = g.range(2..30) as usize;
+        let perm = relabeling(g, n);
+        let cuts: Vec<bool> = (0..n).map(|_| g.bool()).collect();
+        let self_loops: Vec<bool> = (0..n).map(|_| g.bool()).collect();
+        let cross = edges(g, n, 2 * n);
         // Chunk the permutation: a true cut flag starts a new chunk.
         let mut chunks: Vec<Vec<usize>> = vec![Vec::new()];
         for (i, &node) in perm.iter().enumerate() {
@@ -64,7 +61,7 @@ proptest! {
             chunks.last_mut().expect("chunk present").push(node);
         }
 
-        let mut g = WaitGraph::new(n);
+        let mut graph = WaitGraph::new(n);
         let mut chunk_of = vec![0usize; n];
         let mut expected: Vec<Vec<usize>> = Vec::new();
         for (ci, chunk) in chunks.iter().enumerate() {
@@ -73,13 +70,13 @@ proptest! {
             }
             if chunk.len() >= 2 {
                 for w in 0..chunk.len() {
-                    g.add_edge(chunk[w], chunk[(w + 1) % chunk.len()]);
+                    graph.add_edge(chunk[w], chunk[(w + 1) % chunk.len()]);
                 }
                 let mut c = chunk.clone();
                 c.sort_unstable();
                 expected.push(c);
             } else if self_loops[chunk[0]] {
-                g.add_edge(chunk[0], chunk[0]);
+                graph.add_edge(chunk[0], chunk[0]);
                 expected.push(chunk.clone());
             }
         }
@@ -87,10 +84,10 @@ proptest! {
         // every cross-chunk path decreases the chunk index — no new SCCs.
         for (a, b) in cross {
             if chunk_of[a] > chunk_of[b] {
-                g.add_edge(a, b);
+                graph.add_edge(a, b);
             }
         }
         expected.sort();
-        prop_assert_eq!(g.cycles(), expected);
-    }
+        assert_eq!(graph.cycles(), expected);
+    });
 }

@@ -206,28 +206,25 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use ncs_sim::prop;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-        /// Separable and direct transforms agree on arbitrary blocks, and
-        /// the roundtrip is the identity.
-        #[test]
-        fn fast_equals_direct_and_roundtrips(
-            raw in proptest::collection::vec(-128.0f64..128.0, 64)
-        ) {
-            let block: [f64; 64] = raw.try_into().unwrap();
+    /// Separable and direct transforms agree on arbitrary blocks, and
+    /// the roundtrip is the identity.
+    #[test]
+    fn fast_equals_direct_and_roundtrips() {
+        prop::check("fast_equals_direct_and_roundtrips", 64, |g| {
+            let block: [f64; 64] = std::array::from_fn(|_| g.rng().gen_f64_range(-128.0, 128.0));
             let direct = forward(&block);
             let fast = forward_fast(&block);
             for (a, b) in direct.iter().zip(&fast) {
-                prop_assert!((a - b).abs() < 1e-9);
+                assert!((a - b).abs() < 1e-9);
             }
             let back = inverse_fast(&fast);
             for (a, b) in block.iter().zip(&back) {
-                prop_assert!((a - b).abs() < 1e-9);
+                assert!((a - b).abs() < 1e-9);
             }
-        }
+        });
     }
 }

@@ -205,23 +205,17 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use ncs_sim::prop;
 
-    proptest! {
-        /// Any sequence of blocks roundtrips losslessly through the coder.
-        #[test]
-        fn any_blocks_roundtrip(
-            raw in proptest::collection::vec(
-                proptest::collection::vec(-1000i16..1000, 64),
-                1..6,
-            )
-        ) {
-            let blocks: Vec<[i16; 64]> = raw
-                .into_iter()
-                .map(|v| <[i16; 64]>::try_from(v).unwrap())
-                .collect();
+    /// Any sequence of blocks roundtrips losslessly through the coder.
+    #[test]
+    fn any_blocks_roundtrip() {
+        prop::check("entropy::any_blocks_roundtrip", 256, |g| {
+            let blocks: Vec<[i16; 64]> = g.vec(1..6, |g| {
+                std::array::from_fn(|_| g.range(0..2000) as i16 - 1000)
+            });
             let mut out = Vec::new();
             let mut dc = 0i16;
             for b in &blocks {
@@ -231,9 +225,9 @@ mod proptests {
             let mut dc = 0i16;
             for b in &blocks {
                 let back = decode_block(&out, &mut pos, &mut dc).unwrap();
-                prop_assert_eq!(&back, b);
+                assert_eq!(&back, b);
             }
-            prop_assert_eq!(pos, out.len());
-        }
+            assert_eq!(pos, out.len());
+        });
     }
 }

@@ -468,27 +468,20 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use ncs_sim::prop;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-        /// Arbitrary coefficient blocks roundtrip losslessly.
-        #[test]
-        fn any_blocks_roundtrip(
-            raw in proptest::collection::vec(
-                proptest::collection::vec(-2000i16..2000, 64),
-                1..5,
-            )
-        ) {
-            let blocks: Vec<[i16; 64]> = raw
-                .into_iter()
-                .map(|v| <[i16; 64]>::try_from(v).unwrap())
-                .collect();
+    /// Arbitrary coefficient blocks roundtrip losslessly.
+    #[test]
+    fn any_blocks_roundtrip() {
+        prop::check("huffman::any_blocks_roundtrip", 64, |g| {
+            let blocks: Vec<[i16; 64]> = g.vec(1..5, |g| {
+                std::array::from_fn(|_| g.range(0..4000) as i16 - 2000)
+            });
             let enc = encode_blocks(&blocks);
             let dec = decode_blocks(&enc, blocks.len()).unwrap();
-            prop_assert_eq!(dec, blocks);
-        }
+            assert_eq!(dec, blocks);
+        });
     }
 }

@@ -20,8 +20,8 @@ use bytes::Bytes;
 use ncs_core::{NcsConfig, NcsWorld, ThreadAddr};
 use ncs_net::{Network, NodeId};
 use ncs_p4::create_procgroup;
+use ncs_sim::sync::Mutex;
 use ncs_sim::{Dur, Sim, SimRng};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 use crate::costs::AppCosts;

@@ -28,8 +28,8 @@ use ncs_core::codec::{bytes_to_f64s, f64s_to_bytes};
 use ncs_core::{NcsConfig, NcsWorld, ThreadAddr};
 use ncs_net::{Network, NodeId};
 use ncs_p4::create_procgroup;
+use ncs_sim::sync::Mutex;
 use ncs_sim::{Dur, Sim, SimRng};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 use crate::costs::AppCosts;

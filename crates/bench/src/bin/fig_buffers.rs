@@ -12,8 +12,8 @@ use bytes::Bytes;
 use ncs_net::atm::{AtmLanFabric, AtmLanParams};
 use ncs_net::stack::BlockingWait;
 use ncs_net::{AtmApiNet, AtmApiParams, HostParams, Network, NodeId};
+use ncs_sim::sync::Mutex;
 use ncs_sim::{Dur, Sim};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 fn one_way(num_buffers: usize, bytes: usize) -> Dur {

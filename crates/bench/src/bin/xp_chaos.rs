@@ -54,8 +54,8 @@ use ncs_net::{
     spawn_vbr, ChaosNet, ChaosParams, ChaosTopology, Fabric, FaultStatsSnapshot, HostParams,
     Network, NodeId, TcpNet, TcpParams, VbrConfig,
 };
+use ncs_sim::sync::Mutex;
 use ncs_sim::{Dur, ShardedSim, Sim, SimTime};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// One rung of the damage ladder.

@@ -13,8 +13,8 @@
 use bytes::Bytes;
 use ncs_net::stack::BlockingWait;
 use ncs_net::{Network, NodeId, Testbed};
+use ncs_sim::sync::Mutex;
 use ncs_sim::{Dur, DurHistogram, Sim};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Round-trip time for one `bytes`-sized ping-pong.

@@ -34,6 +34,7 @@ use ncs_apps::fft::{fft_ncs_with, FftConfig};
 use ncs_apps::jpeg::EntropyKind;
 use ncs_apps::jpeg_dist::{setup_jpeg_ncs_with, JpegConfig};
 use ncs_apps::matmul::{setup_matmul_ncs_with, MatmulConfig};
+use ncs_bench::min_ns_per_call;
 use ncs_core::env::{unwrap_checked, wrap_checked};
 use ncs_core::{ErrorControl, FlowControl, NcsConfig, NcsWorld, ThreadAddr};
 use ncs_net::atm::{AtmLanFabric, AtmLanParams};
@@ -43,7 +44,7 @@ use ncs_net::{AtmApiNet, AtmApiParams, CellEventMode, HostParams, Network, NodeI
 use ncs_sim::{AnalysisConfig, Dur, Sim};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant}; // ncs-lint: allow(wall-clock)
+use std::time::Duration;
 
 /// A FORE-LAN High Speed Mode stack (the Approach-2 transport) with the
 /// chosen receive-side event granularity.
@@ -93,8 +94,8 @@ struct SweepPoint {
 /// run's `end_time` would instead measure the last chunk's trailing
 /// retransmission timer).
 fn ncs_transfer(bytes: usize, io_buffers: u32) -> SweepPoint {
+    use ncs_sim::sync::Mutex;
     use ncs_sim::SimTime;
-    use parking_lot::Mutex;
     let (analysis, sink) = AnalysisConfig::recording();
     let sim = Sim::new();
     let net = hsm_stack(2, CellEventMode::Train);
@@ -266,23 +267,22 @@ mod seed_byte_path {
     }
 }
 
-/// Host nanoseconds per byte of `op` over a `bytes`-byte input: the best of
-/// three timed batches of at least `budget` each.
-fn ns_per_byte(bytes: usize, budget: Duration, mut op: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now(); // ncs-lint: allow(wall-clock)
-        let mut calls = 0u64;
-        while start.elapsed() < budget {
-            for _ in 0..16 {
-                op();
-            }
-            calls += 16;
-        }
-        let ns = start.elapsed().as_nanos() as f64;
-        best = best.min(ns / (calls as f64 * bytes as f64));
+/// Host nanoseconds per byte of `before` and of `after` over a
+/// `bytes`-byte input: each side's minimum over seven timed batches of at
+/// least `budget`, the two sides taking turns so that a slow stretch of the
+/// machine falls on both and neither minimum comes from one sample.
+fn ns_per_byte_pair(
+    bytes: usize,
+    budget: Duration,
+    mut before: impl FnMut(),
+    mut after: impl FnMut(),
+) -> (f64, f64) {
+    let mut best = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..7 {
+        best.0 = best.0.min(min_ns_per_call(1, budget, &mut before));
+        best.1 = best.1.min(min_ns_per_call(1, budget, &mut after));
     }
-    best
+    (best.0 / bytes as f64, best.1 / bytes as f64)
 }
 
 /// One `byte_path` row: ns/byte before and after, for the CRC-32 kernel
@@ -313,22 +313,34 @@ fn byte_path(bytes: usize, budget: Duration) -> BytePathPoint {
     assert_eq!(frame, seed_byte_path::wrap(9, &data));
     assert_eq!(seed_byte_path::unwrap(&frame), unwrap_checked(&frame).ok());
 
-    BytePathPoint {
+    let (crc_before, crc_after) = ns_per_byte_pair(
         bytes,
-        crc_before: ns_per_byte(bytes, budget, || {
+        budget,
+        || {
             black_box(seed_byte_path::crc32(black_box(&data)));
-        }),
-        crc_after: ns_per_byte(bytes, budget, || {
+        },
+        || {
             black_box(crc32_aal5(black_box(&data)));
-        }),
-        frame_before: ns_per_byte(bytes, budget, || {
+        },
+    );
+    let (frame_before, frame_after) = ns_per_byte_pair(
+        bytes,
+        budget,
+        || {
             let f = seed_byte_path::wrap(9, black_box(&data));
             black_box(seed_byte_path::unwrap(&f));
-        }),
-        frame_after: ns_per_byte(bytes, budget, || {
+        },
+        || {
             let f = wrap_checked(9, &[], black_box(&data));
             black_box(unwrap_checked(&f).ok());
-        }),
+        },
+    );
+    BytePathPoint {
+        bytes,
+        crc_before,
+        crc_after,
+        frame_before,
+        frame_after,
     }
 }
 

@@ -10,8 +10,8 @@
 use bytes::Bytes;
 use ncs_net::stack::BlockingWait;
 use ncs_net::{Network, NodeId, Testbed};
+use ncs_sim::sync::Mutex;
 use ncs_sim::{Dur, Sim, SimTime};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// One-way delivery time (send entry to picked-up) for one message.

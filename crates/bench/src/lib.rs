@@ -3,10 +3,33 @@
 //! One binary per table/figure of the paper (see `DESIGN.md`'s experiment
 //! index). This library holds the shared report formatting: each regenerated
 //! table prints measured values side by side with the paper's, plus the
-//! derived "% improvement" columns the paper reports.
+//! derived "% improvement" columns the paper reports — and the one
+//! wall-clock timing loop the host-time experiments share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use std::time::{Duration, Instant}; // ncs-lint: allow(wall-clock)
+
+/// Host nanoseconds per call of `op`: the minimum over `batches` timed
+/// batches of at least `budget` each. The minimum, because everything a
+/// shared machine adds to a batch (preemption, a cold cache, a frequency
+/// step) only ever makes it slower.
+pub fn min_ns_per_call(batches: u32, budget: Duration, mut op: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..batches {
+        let start = Instant::now(); // ncs-lint: allow(wall-clock)
+        let mut calls = 0u64;
+        while start.elapsed() < budget {
+            for _ in 0..16 {
+                op();
+            }
+            calls += 16;
+        }
+        best = best.min(start.elapsed().as_nanos() as f64 / calls as f64);
+    }
+    best
+}
 
 /// One row of a p4-vs-NCS comparison table.
 #[derive(Clone, Copy, Debug)]

@@ -5,6 +5,7 @@
 //! 1.5 GiB — and every stack must be reclaimed once the simulation is
 //! finished, on both engines.
 
+use ncs_sim::sync::Mutex;
 use ncs_sim::{
     live_coroutine_stacks, Dur, EngineKind, ShardedSim, Sim, DEFAULT_STACK_BYTES, MIN_STACK_BYTES,
 };
@@ -12,11 +13,7 @@ use ncs_sim::{
 /// Every test here compares process-wide quantities (the live-stack count,
 /// RSS, address space) before and after its own population, and `cargo
 /// test` runs tests on parallel threads: they take turns.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
+static SERIAL: Mutex<()> = Mutex::new(());
 
 const HOSTS: usize = 1_000;
 const THREADS_PER_HOST: usize = 10;
@@ -72,7 +69,7 @@ fn run_thread_population(engine: EngineKind) -> Option<u64> {
 
 #[test]
 fn ten_thousand_coroutine_stacks_commit_lazily_and_are_reclaimed() {
-    let _turn = serial();
+    let _turn = SERIAL.lock();
     let baseline = live_coroutine_stacks();
     let delta = run_thread_population(EngineKind::Coroutine);
     // Reclaim: every one of the 10k stacks is unmapped again. (Relative to
@@ -125,7 +122,7 @@ fn reservation_for(threads: usize, stack_bytes: usize) -> Option<u64> {
 
 #[test]
 fn configured_stack_size_shrinks_the_reservation() {
-    let _turn = serial();
+    let _turn = SERIAL.lock();
     // Normalization: sub-minimum requests clamp, odd sizes round to pages.
     let tiny = Sim::with_engine_and_stack(EngineKind::Coroutine, 1);
     assert_eq!(tiny.green_stack_bytes(), MIN_STACK_BYTES);
@@ -164,7 +161,7 @@ fn configured_stack_size_shrinks_the_reservation() {
 
 #[test]
 fn os_engine_population_is_reclaimed_too() {
-    let _turn = serial();
+    let _turn = SERIAL.lock();
     // The fallback engine backs green threads with parked OS threads; a
     // 10k-thread population would be 10k real threads, so the differential
     // check runs a 1k population instead. The contract under test is the

@@ -24,12 +24,12 @@ use ncs_net::{
     AtmApiNet, AtmApiParams, ChaosNet, ChaosParams, ChaosTopology, GossipConfig, GossipMesh,
     HostParams, Network, ShardNetParams, ShardPlan,
 };
+use ncs_sim::sync::Mutex;
 use ncs_sim::{
     chrome_trace_json, AnalysisConfig, DecisionLog, Dur, RandomWalkPolicy, ScriptedPolicy,
     ShardedSim, SimTime,
 };
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 const GOLDEN: &str = include_str!("golden/trace_matmul.json");

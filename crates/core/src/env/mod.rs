@@ -67,8 +67,8 @@ pub(crate) use term::TermBarrier;
 use bytes::Bytes;
 use ncs_mts::{Mts, MtsTid};
 use ncs_net::{Delivery, Network};
+use ncs_sim::sync::Mutex;
 use ncs_sim::{Sim, SimChannel, SimTime};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 

@@ -3,8 +3,8 @@
 
 use ncs_mts::{Mts, MtsTid};
 use ncs_net::{HostParams, Network, NodeId};
+use ncs_sim::sync::Mutex;
 use ncs_sim::{Ctx, Sim, SimChannel};
-use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
 
 use super::recv::{match_requests, recv_thread_body};

@@ -1,6 +1,6 @@
 //! Collective termination: when a process may tear its system threads down.
 
-use parking_lot::Mutex;
+use ncs_sim::sync::Mutex;
 use std::sync::{Arc, Weak};
 
 use super::{MpsState, ProcInner};

@@ -10,8 +10,8 @@
 use bytes::Bytes;
 use ncs_net::stack::WaitPolicy;
 use ncs_net::{Delivery, HostParams, Network, NodeId};
+use ncs_sim::sync::Mutex;
 use ncs_sim::{Ctx, Dur, SimChannel, SimRng};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

@@ -24,7 +24,7 @@
 //! assert_eq!(reply.tag, 8);
 //! ```
 
-use parking_lot::{Condvar, Mutex};
+use ncs_sim::sync::{self, Condvar, Mutex};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -328,7 +328,7 @@ impl RealNcs {
             if st.dead_peers == st.n_peers {
                 return Err(RealError::AllPeersDisconnected);
             }
-            self.shared.cv.wait(&mut st);
+            st = sync::wait(&self.shared.cv, st);
         }
     }
 

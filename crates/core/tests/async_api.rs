@@ -1,15 +1,15 @@
 //! The completion-based async MPS API (`NCS_isend`/`NCS_irecv`/`NCS_wait`
 //! /`NCS_test`/`NCS_waitany`): handle lifecycle, overlap semantics, the
 //! observational-equivalence contract with the blocking calls (a fixed-size
-//! slice of the property the `async_equivalence` proptest sweeps), the
+//! slice of the property the `async_equivalence` property test sweeps), the
 //! misuse/leak invariant checks, and the `recv_timeout` timer-retraction
 //! guarantee the wait paths share.
 
 use bytes::Bytes;
 use ncs_core::{ErrorControl, FlowControl, NcsConfig, NcsWorld, ThreadAddr};
 use ncs_net::{HostParams, IdealFabric, Network, TcpNet, TcpParams};
+use ncs_sim::sync::Mutex;
 use ncs_sim::{AnalysisConfig, Dur, EngineKind, Sim, SimTime};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 fn fast_net(n: usize, latency: Dur) -> Arc<dyn Network> {

@@ -8,9 +8,9 @@
 use bytes::Bytes;
 use ncs_core::{ErrorControl, FlowControl, NcsConfig, NcsWorld, ThreadAddr};
 use ncs_net::{HostParams, IdealFabric, Network, TcpNet, TcpParams};
+use ncs_sim::prop;
+use ncs_sim::sync::Mutex;
 use ncs_sim::{Dur, EngineKind, Sim, SimRng};
-use parking_lot::Mutex;
-use proptest::prelude::*;
 use std::sync::Arc;
 
 /// Sends `payload` from proc 0 to proc 1 (blocking or post+wait form) and
@@ -64,36 +64,36 @@ fn transfer(
     (sim.trace_hash(), received)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn post_plus_wait_matches_blocking(
-        len in 0usize..=200_000,
-        seed in 0u64..1000,
-        buffers in 1u32..=8,
-        chunked in proptest::bool::ANY,
-    ) {
+#[test]
+fn post_plus_wait_matches_blocking() {
+    prop::check("post_plus_wait_matches_blocking", 8, |g| {
+        let len = g.range(0..=200_000);
+        let seed = g.range(0..1000);
+        let buffers = g.range(1..=8) as u32;
+        // Monolithic or chunked data path.
+        let io_buffer_bytes = *g.pick(&[usize::MAX, 16 * 1024]);
         let mut rng = SimRng::new(seed);
         let payload: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-        let io_buffer_bytes = if chunked { 16 * 1024 } else { usize::MAX };
         for engine in [EngineKind::Coroutine, EngineKind::OsThread] {
-            let (h_block, d_block) =
-                transfer(engine, &payload, buffers, io_buffer_bytes, false);
-            let (h_async, d_async) =
-                transfer(engine, &payload, buffers, io_buffer_bytes, true);
-            prop_assert_eq!(
-                &d_block[..], &payload[..],
-                "{:?}: blocking transfer mangled bytes", engine
+            let (h_block, d_block) = transfer(engine, &payload, buffers, io_buffer_bytes, false);
+            let (h_async, d_async) = transfer(engine, &payload, buffers, io_buffer_bytes, true);
+            assert_eq!(
+                &d_block[..],
+                &payload[..],
+                "{:?}: blocking transfer mangled bytes",
+                engine
             );
-            prop_assert_eq!(
-                &d_async[..], &d_block[..],
-                "{:?}: async payload diverged", engine
+            assert_eq!(
+                &d_async[..],
+                &d_block[..],
+                "{:?}: async payload diverged",
+                engine
             );
-            prop_assert_eq!(
+            assert_eq!(
                 h_async, h_block,
-                "{:?}: isend/irecv+wait trace diverged from blocking", engine
+                "{:?}: isend/irecv+wait trace diverged from blocking",
+                engine
             );
         }
-    }
+    });
 }

@@ -13,8 +13,8 @@ use ncs_net::{
     AtmApiNet, AtmApiParams, ChaosNet, ChaosParams, ChaosTopology, HostParams, IdealFabric,
     Network, NodeId, SwitchedFabric, TcpNet, TcpParams,
 };
+use ncs_sim::sync::Mutex;
 use ncs_sim::{Dur, Sim, SimTime};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 fn fast_net(n: usize, latency: Dur) -> Arc<dyn Network> {

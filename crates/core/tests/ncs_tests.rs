@@ -8,8 +8,8 @@ use ncs_core::filters::{MpiFilter, P4Filter, PvmFilter};
 use ncs_core::group::{all_to_all, gather, reduce_f64, scatter, ReduceOp};
 use ncs_core::{ErrorControl, FlowControl, NcsConfig, NcsWorld, ThreadAddr};
 use ncs_net::{HostParams, IdealFabric, Network, TcpNet, TcpParams, Testbed};
+use ncs_sim::sync::Mutex;
 use ncs_sim::{Dur, Sim, SimTime};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 

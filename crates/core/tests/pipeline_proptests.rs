@@ -6,9 +6,9 @@
 use bytes::Bytes;
 use ncs_core::{ErrorControl, FlowControl, NcsConfig, NcsWorld, ThreadAddr};
 use ncs_net::{HostParams, IdealFabric, Network, TcpNet, TcpParams};
+use ncs_sim::prop;
+use ncs_sim::sync::Mutex;
 use ncs_sim::{Dur, Sim, SimRng};
-use parking_lot::Mutex;
-use proptest::prelude::*;
 use std::sync::Arc;
 
 /// Sends `payload` from proc 0 to proc 1 with the given I/O-buffer
@@ -46,20 +46,17 @@ fn transfer(payload: &[u8], io_buffers: u32, io_buffer_bytes: usize) -> Vec<u8> 
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn chunked_matches_monolithic(
-        len in 0usize..=200_000,
-        seed in 0u64..1000,
-        buffers in 1u32..=8,
-    ) {
+#[test]
+fn chunked_matches_monolithic() {
+    prop::check("chunked_matches_monolithic", 12, |g| {
+        let len = g.range(0..=200_000);
+        let seed = g.range(0..1000);
+        let buffers = g.range(1..=8) as u32;
         let mut rng = SimRng::new(seed);
         let payload: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
         let chunked = transfer(&payload, buffers, 16 * 1024);
-        prop_assert_eq!(&chunked[..], &payload[..], "chunked transfer mangled bytes");
+        assert_eq!(&chunked[..], &payload[..], "chunked transfer mangled bytes");
         let monolithic = transfer(&payload, buffers, usize::MAX);
-        prop_assert_eq!(&monolithic[..], &chunked[..], "paths disagree");
-    }
+        assert_eq!(&monolithic[..], &chunked[..], "paths disagree");
+    });
 }

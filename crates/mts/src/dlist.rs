@@ -357,9 +357,9 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use ncs_sim::prop;
     use std::collections::VecDeque;
 
     #[derive(Clone, Debug)]
@@ -369,21 +369,24 @@ mod proptests {
         Unlink(u8),
     }
 
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        prop_oneof![
-            (0u8..16).prop_map(Op::PushBack),
-            Just(Op::PopFront),
-            (0u8..16).prop_map(Op::Unlink),
-        ]
+    fn op(g: &mut prop::Gen) -> Op {
+        match g.range(0..3) {
+            0 => Op::PushBack(g.range(0..16) as u8),
+            1 => Op::PopFront,
+            _ => Op::Unlink(g.range(0..16) as u8),
+        }
     }
 
-    proptest! {
-        /// The intrusive list behaves exactly like a VecDeque model under
-        /// arbitrary push/pop/unlink sequences.
-        #[test]
-        fn matches_vecdeque_model(ops in proptest::collection::vec(op_strategy(), 0..200)) {
+    /// The intrusive list behaves exactly like a VecDeque model under
+    /// arbitrary push/pop/unlink sequences.
+    #[test]
+    fn matches_vecdeque_model() {
+        prop::check("matches_vecdeque_model", 256, |g| {
+            let ops = g.vec(0..200, op);
             let mut arena = LinkArena::new();
-            for _ in 0..16 { arena.add_slot(); }
+            for _ in 0..16 {
+                arena.add_slot();
+            }
             let mut list = ListHead::new();
             let mut model: VecDeque<Slot> = VecDeque::new();
             for op in ops {
@@ -396,7 +399,7 @@ mod proptests {
                         }
                     }
                     Op::PopFront => {
-                        prop_assert_eq!(list.pop_front(&mut arena), model.pop_front());
+                        assert_eq!(list.pop_front(&mut arena), model.pop_front());
                     }
                     Op::Unlink(s) => {
                         let s = Slot::from(s);
@@ -406,11 +409,11 @@ mod proptests {
                         }
                     }
                 }
-                prop_assert_eq!(list.len(), model.len());
+                assert_eq!(list.len(), model.len());
                 let got: Vec<Slot> = list.iter(&arena).collect();
                 let want: Vec<Slot> = model.iter().copied().collect();
-                prop_assert_eq!(got, want);
+                assert_eq!(got, want);
             }
-        }
+        });
     }
 }

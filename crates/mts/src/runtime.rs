@@ -21,11 +21,11 @@
 //! unless done through [`MtsCtx::external_block`], which is how NCS's
 //! receive thread waits for the network while sibling threads keep running.
 
+use ncs_sim::sync::Mutex;
 use ncs_sim::{
     ActorId, AnalysisConfig, ChoicePoint, Ctx, Dur, ShardedSim, Sim, SimTime, SpanKind, ThreadId,
     WaitGraph,
 };
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 use crate::dlist::{LinkArena, ListHead};

@@ -9,8 +9,8 @@
 //! synchronization (the `NCS_barrier` of the paper's API) lives in
 //! ncs-core, built on messages.
 
+use ncs_sim::sync::Mutex;
 use ncs_sim::Sim;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 

@@ -13,8 +13,8 @@
 //!    exactly once (bounded wait of `k - 1` slices).
 
 use ncs_mts::{Mts, MtsConfig, MtsTid, PRIORITY_LEVELS};
+use ncs_sim::sync::Mutex;
 use ncs_sim::{Dur, Sim, SimRng};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 fn zero_cs() -> MtsConfig {

@@ -10,8 +10,8 @@
 //! [`crate::stack::AtmApiNet`]).
 
 use bytes::Bytes;
+use ncs_sim::sync::Mutex;
 use ncs_sim::{Ctx, SimChannel};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::Arc;

@@ -8,8 +8,8 @@
 //! contending stations still serialize, which matches the throughput (if
 //! not the tail latency) of a moderately loaded segment.
 
+use ncs_sim::sync::Mutex;
 use ncs_sim::{Dur, SimRng, SimTime};
-use parking_lot::Mutex;
 
 use crate::fabric::{Fabric, NodeId, TransferTiming};
 use crate::link::{LinkSpec, LinkState};

@@ -26,8 +26,8 @@
 //! the payload-integrity faults that depend on message contents.
 
 use bytes::Bytes;
+use ncs_sim::sync::Mutex;
 use ncs_sim::{ChoicePoint, Ctx, Dur, Sim, SimChannel, SimRng, SimTime};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -12,8 +12,8 @@
 //! `Dur::for_bytes(wire_bytes, rate)` is the real serialization time of that
 //! many link-layer bytes.
 
+use ncs_sim::sync::Mutex;
 use ncs_sim::{Dur, SimTime};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Static description of a link type.

@@ -36,8 +36,8 @@
 use std::sync::Arc;
 
 use ncs_sim::shard::ShardedRunOutcome;
+use ncs_sim::sync::Mutex;
 use ncs_sim::{fnv1a, Dur, EngineKind, ShardedSim, Sim, SimTime};
-use parking_lot::Mutex;
 
 use crate::link::LinkSpec;
 

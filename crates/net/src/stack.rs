@@ -17,8 +17,8 @@
 //! is always charged to the calling thread — no runtime can overlap it.
 
 use bytes::Bytes;
+use ncs_sim::sync::Mutex;
 use ncs_sim::{Ctx, Dur, SimChannel, SimTime};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 

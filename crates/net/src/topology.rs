@@ -159,8 +159,8 @@ mod tests {
     use crate::fabric::NodeId;
     use crate::stack::BlockingWait;
     use bytes::Bytes;
+    use ncs_sim::sync::Mutex;
     use ncs_sim::{Dur, Sim};
-    use parking_lot::Mutex;
 
     fn one_way_latency(testbed: Testbed, bytes: usize) -> Dur {
         let net = testbed.build(4);

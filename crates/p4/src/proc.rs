@@ -11,8 +11,8 @@
 use bytes::Bytes;
 use ncs_net::stack::BlockingWait;
 use ncs_net::{Delivery, Network, NodeId};
+use ncs_sim::sync::Mutex;
 use ncs_sim::{Ctx, SimChannel};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 

@@ -13,7 +13,7 @@
 //! core, and the kernel itself report violations without any dependency
 //! cycles: everything already depends on `ncs-sim`.
 
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;

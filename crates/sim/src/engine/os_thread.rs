@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use crate::sync::{self, Condvar, Mutex};
 
 /// One-slot baton used to hand control to a green thread.
 pub(crate) struct Baton {
@@ -45,7 +45,7 @@ impl Baton {
     pub(crate) fn wait(&self) -> bool {
         let mut st = self.state.lock();
         while *st == BatonMsg::Wait {
-            self.cv.wait(&mut st);
+            st = sync::wait(&self.cv, st);
         }
         let go = *st == BatonMsg::Go;
         *st = BatonMsg::Wait;
@@ -76,7 +76,7 @@ impl KernelGate {
     pub(crate) fn wait(&self) {
         let mut f = self.flag.lock();
         while !*f {
-            self.cv.wait(&mut f);
+            f = sync::wait(&self.cv, f);
         }
         *f = false;
     }

@@ -26,6 +26,9 @@
 //!   latency histograms, and per-message causal timelines;
 //! * [`chrome`] — Perfetto-loadable `trace_event` JSON export;
 //! * [`SimRng`] — seeded, splittable randomness;
+//! * [`sync`] — the one lock seam (`Mutex`, `Condvar` + `wait`) every
+//!   crate in the workspace takes its locks from;
+//! * [`prop`] — seeded property-test harness on [`SimRng`];
 //! * [`analysis`] — runtime-analysis primitives (violation sink,
 //!   wait-for-graph cycle detection) shared by the layers above;
 //! * [`sched`] — the pluggable [`SchedulePolicy`] seam: named legal
@@ -61,11 +64,13 @@ pub mod chrome;
 pub mod engine;
 mod kernel;
 mod metrics;
+pub mod prop;
 mod resource;
 mod rng;
 pub mod sched;
 pub mod shard;
 mod stats;
+pub mod sync;
 mod time;
 mod trace;
 pub mod wheel;

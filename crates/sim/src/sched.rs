@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 
 use crate::rng::SimRng;
 

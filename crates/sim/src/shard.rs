@@ -48,7 +48,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 
 use crate::engine::EngineKind;
 use crate::kernel::{RunOutcome, Sim};

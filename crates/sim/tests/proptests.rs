@@ -3,10 +3,10 @@
 //! timer-wheel/binary-heap pop-order equivalence, and the cross-shard
 //! merge/single-wheel equivalence behind sharded runs.
 
+use ncs_sim::prop;
+use ncs_sim::sync::Mutex;
 use ncs_sim::wheel::TimerWheel;
 use ncs_sim::{merge_streams, Dur, FifoResource, Sim, SimChannel, SimRng, SimTime};
-use parking_lot::Mutex;
-use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -43,21 +43,26 @@ fn run_random_program(seed: u64, n_threads: usize, n_ops: usize) -> (SimTime, u6
     (out.end_time, sim.trace_hash())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Any program replays bit-identically: same seed, same end time, same
-    /// event digest.
-    #[test]
-    fn deterministic_replay(seed in 0u64..10_000, threads in 1usize..8, ops in 1usize..40) {
+/// Any program replays bit-identically: same seed, same end time, same
+/// event digest.
+#[test]
+fn deterministic_replay() {
+    prop::check("deterministic_replay", 24, |g| {
+        let seed = g.range(0..10_000);
+        let threads = g.range(1..8) as usize;
+        let ops = g.range(1..40) as usize;
         let a = run_random_program(seed, threads, ops);
         let b = run_random_program(seed, threads, ops);
-        prop_assert_eq!(a, b);
-    }
+        assert_eq!(a, b);
+    });
+}
 
-    /// Observed virtual time never decreases within a thread.
-    #[test]
-    fn time_monotone_per_thread(seed in 0u64..10_000, ops in 1usize..50) {
+/// Observed virtual time never decreases within a thread.
+#[test]
+fn time_monotone_per_thread() {
+    prop::check("time_monotone_per_thread", 24, |g| {
+        let seed = g.range(0..10_000);
+        let ops = g.range(1..50) as usize;
         let sim = Sim::new();
         let violations = Arc::new(Mutex::new(0usize));
         for t in 0..3 {
@@ -76,17 +81,18 @@ proptest! {
             });
         }
         sim.run().assert_clean();
-        prop_assert_eq!(*violations.lock(), 0);
-    }
+        assert_eq!(*violations.lock(), 0);
+    });
+}
 
-    /// A FIFO resource never admits more holders than its capacity, under
-    /// arbitrary acquire/hold patterns.
-    #[test]
-    fn resource_capacity_invariant(
-        seed in 0u64..10_000,
-        capacity in 1usize..5,
-        users in 1usize..12,
-    ) {
+/// A FIFO resource never admits more holders than its capacity, under
+/// arbitrary acquire/hold patterns.
+#[test]
+fn resource_capacity_invariant() {
+    prop::check("resource_capacity_invariant", 24, |g| {
+        let seed = g.range(0..10_000);
+        let capacity = g.range(1..5) as usize;
+        let users = g.range(1..12) as usize;
         let sim = Sim::new();
         let res = FifoResource::new("r", capacity);
         let active = Arc::new(Mutex::new((0usize, 0usize))); // (current, peak)
@@ -111,12 +117,16 @@ proptest! {
         }
         sim.run().assert_clean();
         let (_, peak) = *active.lock();
-        prop_assert!(peak <= capacity, "peak {peak} > capacity {capacity}");
-    }
+        assert!(peak <= capacity, "peak {peak} > capacity {capacity}");
+    });
+}
 
-    /// Channel deliveries preserve per-sender FIFO order.
-    #[test]
-    fn channel_fifo_per_sender(seed in 0u64..10_000, msgs in 1usize..30) {
+/// Channel deliveries preserve per-sender FIFO order.
+#[test]
+fn channel_fifo_per_sender() {
+    prop::check("channel_fifo_per_sender", 24, |g| {
+        let seed = g.range(0..10_000);
+        let msgs = g.range(1..30) as usize;
         let sim = Sim::new();
         let ch: SimChannel<(usize, usize)> = SimChannel::unbounded("c");
         for s in 0..3usize {
@@ -141,20 +151,21 @@ proptest! {
             }
         });
         sim.run().assert_clean();
-        prop_assert!(seen.lock().iter().all(|&c| c == msgs));
-    }
+        assert!(seen.lock().iter().all(|&c| c == msgs));
+    });
+}
 
-    /// The timer wheel pops in exactly the `(time, seq)` order a reference
-    /// `BinaryHeap` model produces, under random interleavings of
-    /// schedule / cancel / pop with heavy same-timestamp collisions and
-    /// horizons spanning many wheel epochs (the 1024-slot ring wraps
-    /// dozens of times).
-    #[test]
-    fn wheel_pop_order_matches_heap_model(
-        seed in 0u64..10_000,
-        tick_shift in 0u32..12,
-        ops in 2_000usize..12_000,
-    ) {
+/// The timer wheel pops in exactly the `(time, seq)` order a reference
+/// `BinaryHeap` model produces, under random interleavings of
+/// schedule / cancel / pop with heavy same-timestamp collisions and
+/// horizons spanning many wheel epochs (the 1024-slot ring wraps
+/// dozens of times).
+#[test]
+fn wheel_pop_order_matches_heap_model() {
+    prop::check("wheel_pop_order_matches_heap_model", 24, |g| {
+        let seed = g.range(0..10_000);
+        let tick_shift = g.range(0..12) as u32;
+        let ops = g.range(2_000..12_000) as usize;
         let mut rng = SimRng::new(seed);
         let mut wheel: TimerWheel<u64> = TimerWheel::with_tick_shift(tick_shift);
         let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
@@ -184,7 +195,7 @@ proptest! {
                 6 | 7 => {
                     let got = wheel.pop().map(|(t, s, _)| (t, s));
                     let want = model.pop().map(|Reverse(p)| p);
-                    prop_assert_eq!(got, want);
+                    assert_eq!(got, want);
                     if let Some((t, s)) = want {
                         now = now.max(t);
                         live.retain(|&(k, _)| k != (t, s));
@@ -195,35 +206,36 @@ proptest! {
                     if !live.is_empty() {
                         let i = rng.gen_index(live.len());
                         let ((t, s), tok) = live.swap_remove(i);
-                        prop_assert_eq!(wheel.cancel(tok), Some(s));
+                        assert_eq!(wheel.cancel(tok), Some(s));
                         let kept: Vec<_> =
                             model.drain().filter(|&Reverse(p)| p != (t, s)).collect();
                         model.extend(kept);
                     }
                 }
             }
-            prop_assert_eq!(wheel.len(), model.len());
+            assert_eq!(wheel.len(), model.len());
         }
         // Drain both completely: every remaining event agrees.
         while let Some(Reverse(want)) = model.pop() {
-            prop_assert_eq!(wheel.pop().map(|(t, s, _)| (t, s)), Some(want));
+            assert_eq!(wheel.pop().map(|(t, s, _)| (t, s)), Some(want));
         }
-        prop_assert!(wheel.pop().is_none());
-        prop_assert!(wheel.is_empty());
-    }
+        assert!(wheel.pop().is_none());
+        assert!(wheel.is_empty());
+    });
+}
 
-    /// The sharded-run merge invariant: dealing an arbitrary event set onto
-    /// `k` per-shard streams and k-way-merging them back
-    /// ([`merge_streams`]) reproduces the exact pop order of one global
-    /// timer wheel holding all the events — including heavy same-timestamp
-    /// tie groups and events sitting exactly on window boundaries.
-    #[test]
-    fn shard_merge_equals_single_wheel_pop_order(
-        seed in 0u64..10_000,
-        shards in 1usize..9,
-        events in 1usize..3_000,
-        window in 1u64..5_000,
-    ) {
+/// The sharded-run merge invariant: dealing an arbitrary event set onto
+/// `k` per-shard streams and k-way-merging them back
+/// ([`merge_streams`]) reproduces the exact pop order of one global
+/// timer wheel holding all the events — including heavy same-timestamp
+/// tie groups and events sitting exactly on window boundaries.
+#[test]
+fn shard_merge_equals_single_wheel_pop_order() {
+    prop::check("shard_merge_equals_single_wheel_pop_order", 24, |g| {
+        let seed = g.range(0..10_000);
+        let shards = g.range(1..9) as usize;
+        let events = g.range(1..3_000) as usize;
+        let window = g.range(1..5_000);
         let mut rng = SimRng::new(seed);
         // Unique, partition-independent tie-break keys in random order
         // (like the keyed stamps of a sharded workload): permute 0..events.
@@ -259,11 +271,11 @@ proptest! {
             wheel.push(t, key, key);
         }
         let merged = merge_streams(streams);
-        prop_assert_eq!(merged.len(), events);
+        assert_eq!(merged.len(), events);
         for &(t, key) in &merged {
             let popped = wheel.pop().map(|(pt, ps, _)| (pt, ps));
-            prop_assert_eq!(popped, Some((t, key)));
+            assert_eq!(popped, Some((t, key)));
         }
-        prop_assert!(wheel.is_empty());
-    }
+        assert!(wheel.is_empty());
+    });
 }

@@ -13,7 +13,7 @@ use ncs::core::filters::{MpiFilter, P4Filter};
 use ncs::core::{NcsConfig, NcsWorld, ThreadAddr};
 use ncs::net::Testbed;
 use ncs::sim::{Dur, Sim, SimTime};
-use parking_lot::Mutex;
+use ncs_sim::sync::Mutex;
 use std::sync::Arc;
 
 const HSM: usize = 0;

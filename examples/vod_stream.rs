@@ -12,7 +12,7 @@ use bytes::Bytes;
 use ncs::core::{FlowControl, NcsConfig, NcsWorld, ThreadAddr};
 use ncs::net::Testbed;
 use ncs::sim::{Dur, Sim, SimTime};
-use parking_lot::Mutex;
+use ncs_sim::sync::Mutex;
 use std::sync::Arc;
 
 const FRAMES: u32 = 48;

@@ -1,21 +1,18 @@
 #!/usr/bin/env bash
 # Full verification pipeline. The stages marked "as CI" mirror CI
-# (.github/workflows/ci.yml) exactly; the rest are local extras:
-# benches (smoke) and every experiment regenerator.
+# (.github/workflows/ci.yml) exactly; the last one, the experiment
+# regenerator, is a local extra.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== build (release, as CI) =="
-cargo build --release --workspace
+echo "== tier-1 as a clean checkout runs it: no registry, lock file as committed (as CI) =="
+cargo build --release --offline --locked && cargo test -q --offline --locked
 
-echo "== kernel + metrics unit tests first: fast fail (as CI) =="
-cargo test -q -p ncs-sim --lib
-
-echo "== tests (as CI) =="
-cargo test -q --workspace
+echo "== no-registry guard: removed crate names, lock file sources (as CI) =="
+bash scripts/guard_no_registry.sh
 
 echo "== clippy (as CI) =="
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== analysis: determinism lint + invariant smoke (as CI) =="
 cargo run --release -p ncs-analysis -- all
@@ -41,11 +38,11 @@ cargo run --release -p ncs-bench --bin xp_overlap -- --smoke
 echo "== benchmark smoke: five workloads at 1/16 size, verified + deterministic (as CI) =="
 bash benchmark/run.sh --smoke
 
-echo "== benches (smoke) =="
-cargo bench -p ncs-bench -- --test
+echo "== host-time microbenchmarks smoke (as CI) =="
+cargo run --release -p ncs-bench --bin xp_micro -- --smoke
 
 echo "== docs (as CI) =="
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "== experiments =="
 cargo run --release -p ncs-bench --bin report

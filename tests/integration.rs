@@ -178,7 +178,7 @@ fn hsm_tier_delivers_faster_than_nsm_tier() {
     use ncs::net::stack::BlockingWait;
     use ncs::net::NodeId;
     use ncs::sim::{Dur, SimTime};
-    use parking_lot::Mutex;
+    use ncs_sim::sync::Mutex;
 
     let measure = |testbed: Testbed| {
         let sim = Sim::new();
