@@ -564,7 +564,7 @@ pub fn setup_matmul_ncs_async_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncs_net::atm::{AtmLanFabric, AtmLanParams};
+    use ncs_net::atm::{AtmFabric, AtmLanParams};
     use ncs_net::{AtmApiNet, AtmApiParams, HostParams, IdealFabric, TcpNet, TcpParams};
 
     fn fast_net(n: usize) -> Arc<dyn Network> {
@@ -576,7 +576,7 @@ mod tests {
     /// The FORE-LAN ATM stack with hosts fast enough that the wire — not
     /// the host CPU — is what overlap has to hide.
     fn hsm_fast_net(n: usize) -> Arc<dyn Network> {
-        let fabric = Arc::new(AtmLanFabric::new(AtmLanParams::fore_lan(n)));
+        let fabric = Arc::new(AtmFabric::new(AtmLanParams::fore_lan(n)));
         let hosts = vec![HostParams::test_fast(); n];
         Arc::new(AtmApiNet::new(fabric, hosts, AtmApiParams::default()))
     }

@@ -9,7 +9,7 @@
 //! ```
 
 use bytes::Bytes;
-use ncs_net::atm::{AtmLanFabric, AtmLanParams};
+use ncs_net::atm::{AtmFabric, AtmLanParams};
 use ncs_net::stack::BlockingWait;
 use ncs_net::{AtmApiNet, AtmApiParams, HostParams, Network, NodeId};
 use ncs_sim::sync::Mutex;
@@ -17,7 +17,7 @@ use ncs_sim::{Dur, Sim};
 use std::sync::Arc;
 
 fn one_way(num_buffers: usize, bytes: usize) -> Dur {
-    let fabric = Arc::new(AtmLanFabric::new(AtmLanParams::fore_lan(2)));
+    let fabric = Arc::new(AtmFabric::new(AtmLanParams::fore_lan(2)));
     let hosts = vec![HostParams::sparc_ipx(); 2];
     let params = AtmApiParams {
         num_buffers,

@@ -49,7 +49,7 @@ use ncs_apps::matmul::{setup_matmul_ncs_with, MatmulConfig};
 use ncs_core::{
     ErrorControl, ErrorStats, NcsConfig, NcsWorld, RtoConfig, ThreadAddr, EXC_DELIVERY_FAILED,
 };
-use ncs_net::atm::{AtmLanFabric, AtmLanParams};
+use ncs_net::atm::{AtmFabric, AtmLanParams};
 use ncs_net::{
     spawn_vbr, ChaosNet, ChaosParams, ChaosTopology, Fabric, FaultStatsSnapshot, HostParams,
     Network, NodeId, TcpNet, TcpParams, VbrConfig,
@@ -133,12 +133,12 @@ fn chaos_stack(
     nodes: usize,
     level: &Level,
     seed: u64,
-) -> (Arc<AtmLanFabric>, Arc<ChaosNet>, Arc<dyn Network>) {
+) -> (Arc<AtmFabric>, Arc<ChaosNet>, Arc<dyn Network>) {
     let mut params = AtmLanParams::fore_lan(nodes);
     if let Some(cells) = level.output_buffer {
         params = params.with_output_buffer(cells);
     }
-    let fabric = Arc::new(AtmLanFabric::new(params));
+    let fabric = Arc::new(AtmFabric::new(params));
     if level.flap {
         // One crash of the host's uplink: data (and the B/image/sample
         // fan-out) dies mid-flight; retransmission must carry it across.
@@ -196,8 +196,8 @@ fn run_matmul(level: &Level, seed: u64) -> AppOutcome {
         elapsed: out.end_time.since(SimTime::ZERO),
         verified: handle.verify(),
         damage: chaos.stats().snapshot(),
-        overflow_drops: fabric.overflow_drops(),
-        flap_losses: fabric.flap_losses(),
+        overflow_drops: fabric.overflow_drop_count(),
+        flap_losses: fabric.flap_loss_count(),
     }
 }
 
@@ -220,8 +220,8 @@ fn run_jpeg(level: &Level, seed: u64) -> AppOutcome {
         elapsed: out.end_time.since(SimTime::ZERO),
         verified: handle.verify(),
         damage: chaos.stats().snapshot(),
-        overflow_drops: fabric.overflow_drops(),
-        flap_losses: fabric.flap_losses(),
+        overflow_drops: fabric.overflow_drop_count(),
+        flap_losses: fabric.flap_loss_count(),
     }
 }
 
@@ -239,8 +239,8 @@ fn run_fft(level: &Level, seed: u64) -> AppOutcome {
         elapsed: run.elapsed,
         verified: run.verified,
         damage: chaos.stats().snapshot(),
-        overflow_drops: fabric.overflow_drops(),
-        flap_losses: fabric.flap_losses(),
+        overflow_drops: fabric.overflow_drop_count(),
+        flap_losses: fabric.flap_loss_count(),
     }
 }
 
@@ -283,7 +283,7 @@ fn run_microscope(level: &Level, seed: u64) -> (ErrorStats, FaultStatsSnapshot, 
     let out = sim.run();
     out.assert_clean();
     let stats = world.procs()[0].error_stats();
-    (stats, chaos.stats().snapshot(), fabric.flap_losses())
+    (stats, chaos.stats().snapshot(), fabric.flap_loss_count())
 }
 
 fn print_microscope(stats: &ErrorStats) {
@@ -498,10 +498,10 @@ fn run_mesh(
         // multi-switch arms lose whole route bundles, the LAN only the
         // per-host edges.
         fabric
-            .uplink_of(NodeId(1))
+            .uplink(NodeId(1))
             .schedule_flap(SWEEP_FLAPS[0].0, SWEEP_FLAPS[0].1);
         fabric
-            .downlink_of(NodeId(2))
+            .downlink(NodeId(2))
             .schedule_flap(SWEEP_FLAPS[1].0, SWEEP_FLAPS[1].1);
         if let Some(trunk) = fabric.trunk_links().first() {
             trunk.schedule_flap(SWEEP_FLAPS[2].0, SWEEP_FLAPS[2].1);

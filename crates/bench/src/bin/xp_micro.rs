@@ -26,7 +26,7 @@ use ncs_apps::jpeg::huffman;
 use ncs_bench::min_ns_per_call;
 use ncs_core::{NcsConfig, NcsWorld, ThreadAddr};
 use ncs_mts::{Mts, MtsConfig};
-use ncs_net::atm::{AtmLanFabric, AtmLanParams, NynetFabric, NynetParams};
+use ncs_net::atm::{AtmFabric, AtmLanParams, NynetParams};
 use ncs_net::ethernet::{EthernetFabric, EthernetParams};
 use ncs_net::fabric::{Fabric, NodeId};
 use ncs_net::{HostParams, IdealFabric, Network, TcpNet, TcpParams};
@@ -168,13 +168,13 @@ fn main() {
         "fabric-booking/atm-lan-transfer",
         "transfer",
         1.0,
-        &mut booking(AtmLanFabric::new(AtmLanParams::fore_lan(8)), 0, 5, 9140),
+        &mut booking(AtmFabric::new(AtmLanParams::fore_lan(8)), 0, 5, 9140),
     );
     row(
         "fabric-booking/nynet-cross-site-transfer",
         "transfer",
         1.0,
-        &mut booking(NynetFabric::new(NynetParams::nynet(8)), 0, 7, 9140),
+        &mut booking(AtmFabric::new(NynetParams::nynet(8)), 0, 7, 9140),
     );
 
     row(

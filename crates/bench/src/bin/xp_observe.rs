@@ -35,7 +35,7 @@ use ncs_apps::jpeg::EntropyKind;
 use ncs_apps::jpeg_dist::{setup_jpeg_ncs_with, JpegConfig};
 use ncs_apps::matmul::{setup_matmul_ncs_with, MatmulConfig};
 use ncs_core::{causal_component, ErrorControl, FlowControl, NcsConfig, ALL_STAGES};
-use ncs_net::atm::{AtmLanFabric, AtmLanParams};
+use ncs_net::atm::{AtmFabric, AtmLanParams};
 use ncs_net::{AtmApiNet, AtmApiParams, HostParams, Network};
 use ncs_sim::{chrome_trace_json, AnalysisConfig, Dur, Sim};
 use std::sync::Arc;
@@ -51,7 +51,7 @@ const COMPONENTS: [&str; 6] = [
 ];
 
 fn hsm_stack(nodes: usize) -> Arc<dyn Network> {
-    let fabric = Arc::new(AtmLanFabric::new(AtmLanParams::fore_lan(nodes)));
+    let fabric = Arc::new(AtmFabric::new(AtmLanParams::fore_lan(nodes)));
     let hosts = vec![HostParams::sparc_ipx(); nodes];
     Arc::new(AtmApiNet::new(fabric, hosts, AtmApiParams::default()))
 }

@@ -40,13 +40,13 @@
 
 use ncs_apps::matmul::{setup_matmul_ncs_async_with, setup_matmul_ncs_with, MatmulConfig};
 use ncs_core::NcsConfig;
-use ncs_net::atm::{AtmLanFabric, AtmLanParams};
+use ncs_net::atm::{AtmFabric, AtmLanParams};
 use ncs_net::{AtmApiNet, AtmApiParams, HostParams, Network};
 use ncs_sim::{Dur, Sim, SpanKind};
 use std::sync::Arc;
 
 fn hsm_stack(nodes: usize, host: fn() -> HostParams) -> Arc<dyn Network> {
-    let fabric = Arc::new(AtmLanFabric::new(AtmLanParams::fore_lan(nodes)));
+    let fabric = Arc::new(AtmFabric::new(AtmLanParams::fore_lan(nodes)));
     let hosts = vec![host(); nodes];
     Arc::new(AtmApiNet::new(fabric, hosts, AtmApiParams::default()))
 }

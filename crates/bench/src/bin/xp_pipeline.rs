@@ -37,7 +37,7 @@ use ncs_apps::matmul::{setup_matmul_ncs_with, MatmulConfig};
 use ncs_bench::min_ns_per_call;
 use ncs_core::env::{unwrap_checked, wrap_checked};
 use ncs_core::{ErrorControl, FlowControl, NcsConfig, NcsWorld, ThreadAddr};
-use ncs_net::atm::{AtmLanFabric, AtmLanParams};
+use ncs_net::atm::{AtmFabric, AtmLanParams};
 use ncs_net::crc::crc32_aal5;
 use ncs_net::stack::BlockingWait;
 use ncs_net::{AtmApiNet, AtmApiParams, CellEventMode, HostParams, Network, NodeId};
@@ -49,7 +49,7 @@ use std::time::Duration;
 /// A FORE-LAN High Speed Mode stack (the Approach-2 transport) with the
 /// chosen receive-side event granularity.
 fn hsm_stack(nodes: usize, cell_events: CellEventMode) -> Arc<dyn Network> {
-    let fabric = Arc::new(AtmLanFabric::new(AtmLanParams::fore_lan(nodes)));
+    let fabric = Arc::new(AtmFabric::new(AtmLanParams::fore_lan(nodes)));
     let hosts = vec![HostParams::sparc_ipx(); nodes];
     let params = AtmApiParams {
         cell_events,

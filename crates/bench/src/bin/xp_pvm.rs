@@ -10,12 +10,12 @@
 //! ```
 
 use ncs_apps::matmul::{matmul_ncs, matmul_p4, MatmulConfig};
-use ncs_net::atm::{NynetFabric, NynetParams};
+use ncs_net::atm::{AtmFabric, NynetParams};
 use ncs_net::{HostParams, Network, TcpNet, TcpParams};
 use std::sync::Arc;
 
 fn nynet(nodes: usize, params: TcpParams) -> Arc<dyn Network> {
-    let fabric = Arc::new(NynetFabric::new(NynetParams::nynet(nodes)));
+    let fabric = Arc::new(AtmFabric::new(NynetParams::nynet(nodes)));
     let hosts = vec![HostParams::sparc_ipx(); nodes];
     Arc::new(TcpNet::new(fabric, hosts, params))
 }

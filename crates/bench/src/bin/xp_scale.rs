@@ -47,7 +47,7 @@
 
 use bytes::Bytes;
 use ncs_core::{NcsConfig, NcsWorld, ThreadAddr};
-use ncs_net::atm::{AtmLanFabric, AtmLanParams};
+use ncs_net::atm::{AtmFabric, AtmLanParams};
 use ncs_net::{
     AtmApiNet, AtmApiParams, GossipConfig, GossipMesh, HostParams, Network, ShardNetParams,
 };
@@ -72,7 +72,7 @@ const MICRO_EVENTS: usize = 200_000;
 const MICRO_DEPTH: usize = 8_192;
 
 fn hsm_stack(nodes: usize) -> Arc<dyn Network> {
-    let fabric = Arc::new(AtmLanFabric::new(AtmLanParams::fore_lan(nodes)));
+    let fabric = Arc::new(AtmFabric::new(AtmLanParams::fore_lan(nodes)));
     let hosts = vec![HostParams::sparc_ipx(); nodes];
     Arc::new(AtmApiNet::new(fabric, hosts, AtmApiParams::default()))
 }

@@ -38,7 +38,7 @@ fn run_harsh(seed: u64) -> (Vec<ErrorStats>, String) {
     let net: Arc<dyn Network> = Arc::clone(&chaos) as Arc<dyn Network>;
     // One access-link flap and one trunk flap inside the run window.
     fabric
-        .downlink_of(NodeId(1))
+        .downlink(NodeId(1))
         .schedule_flap(SimTime::from_ps(1_000_000_000), SimTime::from_ps(5_000_000_000));
     if let Some(trunk) = fabric.trunk_links().first() {
         trunk.schedule_flap(SimTime::from_ps(3_000_000_000), SimTime::from_ps(7_000_000_000));

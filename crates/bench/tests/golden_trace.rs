@@ -15,7 +15,7 @@
 
 use ncs_apps::matmul::{setup_matmul_ncs_with, MatmulConfig};
 use ncs_core::{ErrorControl, FlowControl, NcsConfig};
-use ncs_net::atm::{AtmLanFabric, AtmLanParams};
+use ncs_net::atm::{AtmFabric, AtmLanParams};
 use ncs_net::{AtmApiNet, AtmApiParams, HostParams, Network};
 use ncs_sim::{chrome_trace_json, AnalysisConfig, Sim};
 use std::sync::Arc;
@@ -28,7 +28,7 @@ fn run_golden_workload() -> String {
     let (analysis, sink) = AnalysisConfig::recording();
     let sim = Sim::new();
     sim.with_tracer(|tr| tr.enable_detail());
-    let fabric = Arc::new(AtmLanFabric::new(AtmLanParams::fore_lan(5)));
+    let fabric = Arc::new(AtmFabric::new(AtmLanParams::fore_lan(5)));
     let hosts = vec![HostParams::sparc_ipx(); 5];
     let net: Arc<dyn Network> = Arc::new(AtmApiNet::new(fabric, hosts, AtmApiParams::default()));
     let cfg = NcsConfig {

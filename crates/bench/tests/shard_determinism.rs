@@ -19,7 +19,7 @@
 use ncs_apps::matmul::{setup_matmul_ncs_with, MatmulConfig};
 use ncs_core::{ErrorControl, ErrorStats, FlowControl, NcsConfig, NcsWorld, RtoConfig, ThreadAddr};
 use ncs_mts::{Mts, MtsConfig};
-use ncs_net::atm::{AtmLanFabric, AtmLanParams};
+use ncs_net::atm::{AtmFabric, AtmLanParams};
 use ncs_net::{
     AtmApiNet, AtmApiParams, ChaosNet, ChaosParams, ChaosTopology, GossipConfig, GossipMesh,
     HostParams, Network, ShardNetParams, ShardPlan,
@@ -152,7 +152,7 @@ fn run_golden_workload_on_shard_harness() -> String {
     let sharded = ShardedSim::single();
     let sim = sharded.shard(0);
     sim.with_tracer(|tr| tr.enable_detail());
-    let fabric = Arc::new(AtmLanFabric::new(AtmLanParams::fore_lan(5)));
+    let fabric = Arc::new(AtmFabric::new(AtmLanParams::fore_lan(5)));
     let hosts = vec![HostParams::sparc_ipx(); 5];
     let net: Arc<dyn Network> = Arc::new(AtmApiNet::new(fabric, hosts, AtmApiParams::default()));
     let cfg = NcsConfig {
@@ -201,7 +201,7 @@ fn run_chaos_on_shard_harness(seed: u64) -> (Vec<ErrorStats>, String) {
     let chaos = ChaosNet::new(base, ChaosParams::new(5e-4, 5e-3, seed));
     let net: Arc<dyn Network> = Arc::clone(&chaos) as Arc<dyn Network>;
     fabric
-        .downlink_of(ncs_net::NodeId(1))
+        .downlink(ncs_net::NodeId(1))
         .schedule_flap(SimTime::from_ps(1_000_000_000), SimTime::from_ps(5_000_000_000));
     let cfg = NcsConfig {
         error: ErrorControl::ChecksumRetransmit,

@@ -28,12 +28,12 @@ pub enum ErrorControl {
     /// NCS-level checksum with retransmit-on-NACK, for transports modeled
     /// as corrupting.
     ///
-    /// [`crate::faulty::FaultyNet`] stays beside `ncs_net`'s `ChaosNet`
-    /// because it is the only injector that *delivers* a damaged payload:
-    /// `ChaosNet` models the AAL5 CRC and drops a damaged message whole, so
-    /// the receiver only ever sees loss and recovery is RTO-driven. The
-    /// checksum-fails → NACK → immediate-retransmit path is driven end to
-    /// end by `FaultyNet` alone.
+    /// `ncs_net::ChaosNet`'s cell-level faults sit under a modelled AAL5
+    /// CRC, which drops a damaged message whole: the receiver sees only
+    /// loss and recovery is RTO-driven. The checksum-fails → NACK →
+    /// immediate-retransmit path is driven end to end by its message-level
+    /// faults (`ChaosParams::message_level`), which flip one payload byte
+    /// and *deliver* the message.
     ChecksumRetransmit,
 }
 

@@ -13,8 +13,6 @@
 //!   MPI-style interfaces mapped onto NCS primitives;
 //! * [`group`] — group communication (1-to-many, many-to-1, many-to-many)
 //!   built on the point-to-point core;
-//! * [`faulty`] — a corrupting transport wrapper plus NCS checksum /
-//!   retransmit error control;
 //! * [`codec`] — payload marshalling for the benchmark applications.
 //!
 //! Both of the paper's NCS_MPS implementations are available by choosing
@@ -29,7 +27,6 @@
 pub mod addr;
 pub mod codec;
 pub mod env;
-pub mod faulty;
 pub mod filters;
 pub mod group;
 pub mod real;

@@ -8,10 +8,10 @@ use bytes::Bytes;
 use ncs_core::{
     ErrorControl, NcsConfig, NcsWorld, RtoConfig, ThreadAddr, EXC_DELIVERY_FAILED,
 };
-use ncs_net::atm::{AtmLanFabric, AtmLanParams};
+use ncs_net::atm::{AtmFabric, AtmLanParams};
 use ncs_net::{
     AtmApiNet, AtmApiParams, ChaosNet, ChaosParams, ChaosTopology, HostParams, IdealFabric,
-    Network, NodeId, SwitchedFabric, TcpNet, TcpParams,
+    Network, NodeId, TcpNet, TcpParams,
 };
 use ncs_sim::sync::Mutex;
 use ncs_sim::{Dur, Sim, SimTime};
@@ -93,7 +93,7 @@ fn partition_failfast_then_recovery_after_flap() {
     let (fabric, net) = ChaosTopology::Lan.build_chaos(2, 0, None);
     // Host 1 loses its access link from 5 ms to 300 ms.
     fabric
-        .downlink_of(NodeId(1))
+        .downlink(NodeId(1))
         .schedule_flap(SimTime::from_ps(5_000_000_000), SimTime::from_ps(300_000_000_000));
     let cfg = NcsConfig {
         error: ErrorControl::ChecksumRetransmit,
@@ -163,10 +163,10 @@ fn link_flap_during_train_recovers_bit_exact() {
     // chunks after the link returns and the application must see the full
     // payload bit-exact — with zero delivery failures and no dead peer.
     let sim = Sim::new();
-    let fabric = Arc::new(AtmLanFabric::new(AtmLanParams::fore_lan(2)));
+    let fabric = Arc::new(AtmFabric::new(AtmLanParams::fore_lan(2)));
     // Cut host 1's receive path for 10 ms in the middle of the train.
     fabric
-        .downlink_of(NodeId(1))
+        .downlink(NodeId(1))
         .schedule_flap(SimTime::from_ps(5_000_000_000), SimTime::from_ps(15_000_000_000));
     let hosts = vec![HostParams::sparc_ipx(); 2];
     let net: Arc<dyn Network> = Arc::new(AtmApiNet::new(
@@ -212,7 +212,7 @@ fn link_flap_during_train_recovers_bit_exact() {
     assert_eq!(stats.delivery_failures, 0, "{stats:?}");
     assert!(stats.dead_peers.is_empty(), "{stats:?}");
     assert!(
-        fabric.flap_losses() > 0,
+        fabric.flap_loss_count() > 0,
         "the flap window never ate a cell train"
     );
 }

@@ -3,11 +3,12 @@
 //! thread, so computation overlaps communication.
 
 use bytes::Bytes;
-use ncs_core::faulty::FaultyNet;
 use ncs_core::filters::{MpiFilter, P4Filter, PvmFilter};
 use ncs_core::group::{all_to_all, gather, reduce_f64, scatter, ReduceOp};
 use ncs_core::{ErrorControl, FlowControl, NcsConfig, NcsWorld, ThreadAddr};
-use ncs_net::{HostParams, IdealFabric, Network, TcpNet, TcpParams, Testbed};
+use ncs_net::{
+    ChaosNet, ChaosParams, HostParams, IdealFabric, Network, TcpNet, TcpParams, Testbed,
+};
 use ncs_sim::sync::Mutex;
 use ncs_sim::{Dur, Sim, SimTime};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -270,7 +271,7 @@ fn credit_flow_control_paces_sender() {
 fn error_control_recovers_from_corruption() {
     let sim = Sim::new();
     let base = fast_net(2, Dur::from_micros(10));
-    let faulty: Arc<FaultyNet> = Arc::new(FaultyNet::new(base, 0.3, 42));
+    let faulty = ChaosNet::new(base, ChaosParams::message_level(0.3, 0.0, 42));
     let faulty_dyn: Arc<dyn Network> = Arc::clone(&faulty) as Arc<dyn Network>;
     let cfg = NcsConfig {
         error: ErrorControl::ChecksumRetransmit,
@@ -296,9 +297,12 @@ fn error_control_recovers_from_corruption() {
     });
     let out = sim.run();
     out.assert_clean();
-    assert!(faulty.corrupted_count() > 0, "fault injection never fired");
     assert!(
-        world.procs()[0].retransmits() >= faulty.corrupted_count(),
+        faulty.stats().snapshot().messages_corrupted > 0,
+        "fault injection never fired"
+    );
+    assert!(
+        world.procs()[0].retransmits() >= faulty.stats().snapshot().messages_corrupted,
         "every corruption must trigger a retransmit"
     );
 }
@@ -569,7 +573,7 @@ fn flow_and_error_control_compose() {
     // repairs the stream.
     let sim = Sim::new();
     let base = fast_net(2, Dur::from_micros(10));
-    let faulty: Arc<FaultyNet> = Arc::new(FaultyNet::new(base, 0.2, 0xC0));
+    let faulty = ChaosNet::new(base, ChaosParams::message_level(0.2, 0.0, 0xC0));
     let faulty_dyn: Arc<dyn Network> = Arc::clone(&faulty) as Arc<dyn Network>;
     let cfg = NcsConfig {
         flow: FlowControl::Credit { window: 4 },
@@ -592,7 +596,7 @@ fn flow_and_error_control_compose() {
         });
     });
     sim.run().assert_clean();
-    assert!(faulty.corrupted_count() > 0);
+    assert!(faulty.stats().snapshot().messages_corrupted > 0);
     assert!(world.procs()[0].retransmits() > 0);
     assert!(
         world.procs()[1].peak_buffered() <= 8,
@@ -678,7 +682,7 @@ fn error_control_recovers_from_message_loss() {
     // exactly once, in tag order.
     let sim = Sim::new();
     let base = fast_net(2, Dur::from_micros(10));
-    let faulty: Arc<FaultyNet> = Arc::new(FaultyNet::with_loss(base, 0.0, 0.25, 77));
+    let faulty = ChaosNet::new(base, ChaosParams::message_level(0.0, 0.25, 77));
     let faulty_dyn: Arc<dyn Network> = Arc::clone(&faulty) as Arc<dyn Network>;
     let cfg = NcsConfig {
         error: ErrorControl::ChecksumRetransmit,
@@ -705,7 +709,10 @@ fn error_control_recovers_from_message_loss() {
     });
     let out = sim.run();
     out.assert_clean();
-    assert!(faulty.dropped_count() > 0, "loss injection never fired");
+    assert!(
+        faulty.stats().snapshot().messages_dropped > 0,
+        "loss injection never fired"
+    );
     assert!(
         world.procs()[0].retransmits() > 0,
         "no retransmits happened"
@@ -721,7 +728,7 @@ fn error_control_gives_up_and_raises_exception() {
     use ncs_core::EXC_DELIVERY_FAILED;
     let sim = Sim::new();
     let base = fast_net(2, Dur::from_micros(10));
-    let faulty: Arc<FaultyNet> = Arc::new(FaultyNet::with_loss(base, 0.0, 1.0, 5));
+    let faulty = ChaosNet::new(base, ChaosParams::message_level(0.0, 1.0, 5));
     let faulty_dyn: Arc<dyn Network> = Arc::clone(&faulty) as Arc<dyn Network>;
     let cfg = NcsConfig {
         error: ErrorControl::ChecksumRetransmit,
@@ -810,7 +817,7 @@ fn lost_acks_never_cause_duplicate_delivery() {
     for seed in [3u64, 17, 41, 99, 1234, 777777] {
         let sim = Sim::new();
         let base = fast_net(2, Dur::from_micros(10));
-        let faulty: Arc<FaultyNet> = Arc::new(FaultyNet::with_loss(base, 0.0, 0.25, seed));
+        let faulty = ChaosNet::new(base, ChaosParams::message_level(0.0, 0.25, seed));
         let faulty_dyn: Arc<dyn Network> = Arc::clone(&faulty) as Arc<dyn Network>;
         let cfg = NcsConfig {
             error: ErrorControl::ChecksumRetransmit,
@@ -865,7 +872,7 @@ fn dead_peer_sends_fail_fast() {
     use ncs_core::EXC_DELIVERY_FAILED;
     let sim = Sim::new();
     let base = fast_net(2, Dur::from_micros(10));
-    let dead: Arc<dyn Network> = Arc::new(FaultyNet::with_loss(base, 0.0, 1.0, 11));
+    let dead: Arc<dyn Network> = ChaosNet::new(base, ChaosParams::message_level(0.0, 1.0, 11));
     let cfg = NcsConfig {
         error: ErrorControl::ChecksumRetransmit,
         rto: ncs_core::RtoConfig::from_base(Dur::from_millis(10)),
@@ -1075,7 +1082,7 @@ fn peer_death_while_parked_on_credits_raises_not_hangs() {
     let (analysis, sink) = AnalysisConfig::recording();
     let sim = Sim::new();
     let base = fast_net(2, Dur::from_micros(10));
-    let dead: Arc<dyn Network> = Arc::new(FaultyNet::with_loss(base, 0.0, 1.0, 23));
+    let dead: Arc<dyn Network> = ChaosNet::new(base, ChaosParams::message_level(0.0, 1.0, 23));
     let cfg = NcsConfig {
         flow: FlowControl::Credit { window: 1 },
         error: ErrorControl::ChecksumRetransmit,

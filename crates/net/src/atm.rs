@@ -1,4 +1,6 @@
-//! ATM fabrics: the FORE-switch LAN and the NYNET wide-area testbed.
+//! The switched ATM fabric: one hop loop under four topologies — the FORE
+//! single-switch LAN, the NYNET wide-area testbed, a campus fat-tree and a
+//! wide-area ring.
 //!
 //! Chunks are carried as AAL5 PDUs: the fabric converts payload bytes to a
 //! cell count (48 payload bytes per 53-byte cell plus the 8-byte trailer)
@@ -10,6 +12,12 @@
 //! cut through per cell, so multi-hop latency for large chunks is slightly
 //! overestimated; transports keep chunks at MTU/buffer size (≤ 16 KB), which
 //! bounds the error to well under a millisecond per hop.
+//!
+//! [`AtmFabric`] owns every link in three flat banks (uplinks, downlinks,
+//! trunks) and the one booking loop; a [`Topology`] only says *which
+//! trunks, in order* join two hosts' switches. Routes are a pure function
+//! of the endpoint pair, so [`Fabric::path_down`] answers partition queries
+//! over exactly the links a chunk would traverse.
 
 use ncs_sim::{Dur, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,8 +25,9 @@ use std::sync::Arc;
 
 use crate::aal5;
 use crate::cell::CELL_BYTES;
-use crate::fabric::{Fabric, NodeId, SwitchedFabric, TrainTiming, TransferTiming};
-use crate::link::{LinkSpec, LinkState};
+use crate::fabric::{Fabric, NodeId, TrainTiming, TransferTiming};
+use crate::link::{LinkSpec, LinkState, TxSlot};
+use crate::wan::{FatTreeParams, WanRingParams};
 
 /// Wire bytes for an AAL5-framed chunk of `payload` bytes.
 pub fn atm_wire_bytes(payload: usize) -> usize {
@@ -39,6 +48,12 @@ fn output_buffer_full(link: &LinkState, at: SimTime, cap: Option<usize>) -> bool
         Some(cells) => link.backlog_bytes(at) as usize / CELL_BYTES >= cells,
         None => false,
     }
+}
+
+/// Which switch of `count` a host hangs off when hosts are dealt out in
+/// blocks of `per` (the last switch takes the remainder).
+pub(crate) fn block_of(node: NodeId, per: usize, count: usize) -> usize {
+    (node.idx() / per).min(count - 1)
 }
 
 /// Parameters of a single-switch ATM LAN.
@@ -74,183 +89,6 @@ impl AtmLanParams {
     }
 }
 
-/// A single-switch ATM LAN: every host has a dedicated full-duplex access
-/// link to one output-buffered switch.
-pub struct AtmLanFabric {
-    params: AtmLanParams,
-    /// Host → switch direction, per host.
-    uplinks: Vec<Arc<LinkState>>,
-    /// Switch → host direction, per host.
-    downlinks: Vec<Arc<LinkState>>,
-    overflow_drops: AtomicU64,
-}
-
-impl AtmLanFabric {
-    /// Builds the LAN.
-    pub fn new(params: AtmLanParams) -> AtmLanFabric {
-        assert!(params.nodes >= 2, "a LAN needs at least two hosts");
-        AtmLanFabric {
-            uplinks: (0..params.nodes)
-                .map(|_| LinkState::new(params.access.clone()))
-                .collect(),
-            downlinks: (0..params.nodes)
-                .map(|_| LinkState::new(params.access.clone()))
-                .collect(),
-            overflow_drops: AtomicU64::new(0),
-            params,
-        }
-    }
-
-    /// Cells carried toward host `dst` (output-port counter).
-    pub fn cells_to(&self, dst: NodeId) -> u64 {
-        self.downlinks[dst.idx()].bytes_carried() / CELL_BYTES as u64
-    }
-
-    /// The host→switch link of `node`, for flap scheduling and inspection.
-    pub fn uplink(&self, node: NodeId) -> &Arc<LinkState> {
-        &self.uplinks[node.idx()]
-    }
-
-    /// The switch→host link of `node`.
-    pub fn downlink(&self, node: NodeId) -> &Arc<LinkState> {
-        &self.downlinks[node.idx()]
-    }
-
-    /// Chunks dropped to switch output-buffer overflow.
-    pub fn overflow_drops(&self) -> u64 {
-        self.overflow_drops.load(Ordering::Relaxed)
-    }
-
-    /// Chunks lost to scheduled link outages, across all links.
-    pub fn flap_losses(&self) -> u64 {
-        self.uplinks
-            .iter()
-            .chain(self.downlinks.iter())
-            .map(|l| l.flap_losses())
-            .sum()
-    }
-}
-
-impl Fabric for AtmLanFabric {
-    fn nodes(&self) -> usize {
-        self.params.nodes
-    }
-
-    fn transfer(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        payload_bytes: usize,
-        depart: SimTime,
-    ) -> TransferTiming {
-        assert!(src.idx() < self.params.nodes && dst.idx() < self.params.nodes);
-        assert_ne!(src, dst, "loopback does not touch the fabric");
-        let wire = atm_wire_bytes(payload_bytes);
-        let up = self.uplinks[src.idx()].enqueue(depart, wire, Dur::ZERO);
-        let at_switch = up.arrival + self.params.switch_latency;
-        let port = &self.downlinks[dst.idx()];
-        if output_buffer_full(port, at_switch, self.params.output_buffer_cells) {
-            self.overflow_drops.fetch_add(1, Ordering::Relaxed);
-            return TransferTiming {
-                first_hop_done: up.end,
-                arrival: at_switch,
-                dropped: true,
-            };
-        }
-        let down = port.enqueue(at_switch, wire, Dur::ZERO);
-        TransferTiming {
-            first_hop_done: up.end,
-            arrival: down.arrival,
-            dropped: up.lost || down.lost,
-        }
-    }
-
-    /// Books the train with exactly one FIFO booking per hop
-    /// ([`LinkState::enqueue_train`]) and reports the receiver-observed
-    /// inter-cell spacing: the downlink's per-cell serialization time.
-    fn transfer_train(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        payload_bytes: usize,
-        cells: usize,
-        cell_wire_bytes: usize,
-        depart: SimTime,
-    ) -> TrainTiming {
-        assert!(src.idx() < self.params.nodes && dst.idx() < self.params.nodes);
-        assert_ne!(src, dst, "loopback does not touch the fabric");
-        let _ = payload_bytes; // the train geometry carries the wire size
-        let up = self.uplinks[src.idx()].enqueue_train(depart, cells, cell_wire_bytes, Dur::ZERO);
-        let at_switch = up.slot.arrival + self.params.switch_latency;
-        let port = &self.downlinks[dst.idx()];
-        if output_buffer_full(port, at_switch, self.params.output_buffer_cells) {
-            self.overflow_drops.fetch_add(1, Ordering::Relaxed);
-            return TrainTiming {
-                whole: TransferTiming {
-                    first_hop_done: up.slot.end,
-                    arrival: at_switch,
-                    dropped: true,
-                },
-                cells,
-                cell_gap: Dur::ZERO,
-            };
-        }
-        let down = port.enqueue_train(at_switch, cells, cell_wire_bytes, Dur::ZERO);
-        TrainTiming {
-            whole: TransferTiming {
-                first_hop_done: up.slot.end,
-                arrival: down.slot.arrival,
-                dropped: up.slot.lost || down.slot.lost,
-            },
-            cells,
-            cell_gap: down.cell_time,
-        }
-    }
-
-    fn access_rate(&self, _src: NodeId) -> u64 {
-        self.params.access.rate_bps
-    }
-
-    fn output_backlog(&self, node: NodeId, now: SimTime) -> Option<u64> {
-        Some(self.downlink(node).backlog_bytes(now))
-    }
-
-    fn path_down(&self, src: NodeId, dst: NodeId, at: SimTime) -> bool {
-        // The route is unique (up, switch, down); the switch itself never
-        // fails, so the path is severed iff either access link is out.
-        self.uplinks[src.idx()].is_down(at) || self.downlinks[dst.idx()].is_down(at)
-    }
-
-    fn description(&self) -> String {
-        format!(
-            "ATM LAN: {} hosts, {} access, 1 switch ({} latency)",
-            self.params.nodes, self.params.access.name, self.params.switch_latency
-        )
-    }
-}
-
-impl SwitchedFabric for AtmLanFabric {
-    fn uplink_of(&self, node: NodeId) -> &Arc<LinkState> {
-        self.uplink(node)
-    }
-
-    fn downlink_of(&self, node: NodeId) -> &Arc<LinkState> {
-        self.downlink(node)
-    }
-
-    fn trunk_links(&self) -> Vec<Arc<LinkState>> {
-        Vec::new() // single switch: no switch-to-switch links
-    }
-
-    fn overflow_drop_count(&self) -> u64 {
-        self.overflow_drops()
-    }
-
-    fn flap_loss_count(&self) -> u64 {
-        self.flap_losses()
-    }
-}
-
 /// Parameters of the NYNET-style wide-area testbed: two (or more) ATM LAN
 /// sites joined by trunk links over a shared backbone.
 #[derive(Clone, Debug)]
@@ -265,12 +103,16 @@ pub struct NynetParams {
     pub access: LinkSpec,
     /// Site-to-backbone trunk.
     pub trunk: LinkSpec,
-    /// Shared backbone link (one per direction).
+    /// Shared backbone link. There is exactly **one**: traffic in both
+    /// directions, between every site pair, contends on the same FIFO.
+    /// (A real SONET span is full duplex; the single queue is what Tables
+    /// 1–3 were calibrated against, so it stays.)
     pub backbone: LinkSpec,
     /// Per-chunk switch latency (applied at each switch: site switches and
     /// the backbone hop).
     pub switch_latency: Dur,
-    /// Extra one-way wide-area propagation between sites.
+    /// Extra one-way wide-area propagation between sites, paid once per
+    /// crossing on the backbone hop.
     pub wan_propagation: Dur,
     /// Output-port buffer capacity in cells at every switch output (site
     /// switches and the backbone hop). `None` = infinite (default).
@@ -310,51 +152,288 @@ impl NynetParams {
 
     /// Which site a node lives at.
     pub fn site_of(&self, node: NodeId) -> usize {
-        let per = self.nodes.div_ceil(self.sites);
-        (node.idx() / per).min(self.sites - 1)
+        block_of(node, self.nodes.div_ceil(self.sites), self.sites)
     }
 }
 
-/// The wide-area fabric.
-pub struct NynetFabric {
-    params: NynetParams,
-    uplinks: Vec<Arc<LinkState>>,
-    downlinks: Vec<Arc<LinkState>>,
-    /// Per site: trunk toward the backbone.
-    trunks_up: Vec<Arc<LinkState>>,
-    /// Per site: trunk from the backbone.
-    trunks_down: Vec<Arc<LinkState>>,
-    /// Shared backbone, one direction per entry index (site-pair agnostic).
-    backbone: Arc<LinkState>,
-    overflow_drops: AtomicU64,
+/// The shape of a switched fabric: where the trunks are and which of them,
+/// in order, a chunk crosses between its source's switch and its
+/// destination's. Each variant wraps the public description it is built
+/// from and fixes the layout of [`AtmFabric::trunk_links`].
+#[derive(Clone, Debug)]
+pub enum Topology {
+    /// One switch, no trunks.
+    Star(AtmLanParams),
+    /// Sites on a shared backbone. Trunks: site→backbone per site, then
+    /// backbone→site per site, then the backbone.
+    Nynet(NynetParams),
+    /// Edge switches under core switches. Trunks: edge→core (edge-major),
+    /// then core→edge (edge-major).
+    FatTree(FatTreeParams),
+    /// Sites on a ring, shortest direction, clockwise on ties. Trunks: the
+    /// clockwise segment leaving each site, then the counter-clockwise
+    /// segment entering each site.
+    Ring(WanRingParams),
 }
 
-impl NynetFabric {
-    /// Builds the testbed.
-    pub fn new(params: NynetParams) -> NynetFabric {
-        assert!(params.nodes >= 2 && params.sites >= 2);
-        NynetFabric {
-            uplinks: (0..params.nodes)
-                .map(|_| LinkState::new(params.access.clone()))
-                .collect(),
-            downlinks: (0..params.nodes)
-                .map(|_| LinkState::new(params.access.clone()))
-                .collect(),
-            trunks_up: (0..params.sites)
-                .map(|_| LinkState::new(params.trunk.clone()))
-                .collect(),
-            trunks_down: (0..params.sites)
-                .map(|_| LinkState::new(params.trunk.clone()))
-                .collect(),
-            backbone: LinkState::new(params.backbone.clone()),
-            overflow_drops: AtomicU64::new(0),
-            params,
+impl From<AtmLanParams> for Topology {
+    fn from(p: AtmLanParams) -> Topology {
+        Topology::Star(p)
+    }
+}
+
+impl From<NynetParams> for Topology {
+    fn from(p: NynetParams) -> Topology {
+        Topology::Nynet(p)
+    }
+}
+
+impl From<FatTreeParams> for Topology {
+    fn from(p: FatTreeParams) -> Topology {
+        Topology::FatTree(p)
+    }
+}
+
+impl From<WanRingParams> for Topology {
+    fn from(p: WanRingParams) -> Topology {
+        Topology::Ring(p)
+    }
+}
+
+/// The trunks of one route as indices into the fabric's trunk bank, in hop
+/// order. A by-value iterator: booking a transfer allocates nothing.
+enum Route {
+    /// Up to three trunks named outright: `hops[next..len]` are still ahead.
+    Hops {
+        hops: [usize; 3],
+        next: usize,
+        len: usize,
+    },
+    /// `left` consecutive ring segments in the bank half starting at
+    /// `base`, from `site` stepping `step` sites (mod `sites`) per hop.
+    Ring {
+        base: usize,
+        site: usize,
+        step: usize,
+        sites: usize,
+        left: usize,
+    },
+}
+
+impl Route {
+    /// Same-switch route: no trunk at all.
+    const DIRECT: Route = Route::Hops {
+        hops: [0; 3],
+        next: 0,
+        len: 0,
+    };
+}
+
+impl Iterator for Route {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            Route::Hops { hops, next, len } => (*next < *len).then(|| {
+                *next += 1;
+                hops[*next - 1]
+            }),
+            Route::Ring {
+                base,
+                site,
+                step,
+                sites,
+                left,
+            } => (*left > 0).then(|| {
+                let trunk = *base + *site;
+                *site = (*site + *step) % *sites;
+                *left -= 1;
+                trunk
+            }),
+        }
+    }
+}
+
+impl Topology {
+    /// Hosts, access link, per-switch latency, output-buffer cap.
+    fn common(&self) -> (usize, &LinkSpec, Dur, Option<usize>) {
+        match self {
+            Topology::Star(p) => (p.nodes, &p.access, p.switch_latency, p.output_buffer_cells),
+            Topology::Nynet(p) => (p.nodes, &p.access, p.switch_latency, p.output_buffer_cells),
+            Topology::FatTree(p) => (p.nodes, &p.access, p.switch_latency, p.output_buffer_cells),
+            Topology::Ring(p) => (p.nodes, &p.access, p.switch_latency, p.output_buffer_cells),
         }
     }
 
-    /// The parameter set in use.
-    pub fn params(&self) -> &NynetParams {
-        &self.params
+    /// One spec per trunk, in the layout the variant documents and
+    /// [`Topology::route`] indexes.
+    fn trunk_specs(&self) -> Vec<LinkSpec> {
+        match self {
+            Topology::Star(_) => Vec::new(),
+            Topology::Nynet(p) => {
+                assert!(p.sites >= 2, "a WAN needs at least two sites");
+                // The wide-area propagation is the backbone hop's own
+                // latency: fold it into that link's propagation delay.
+                let mut backbone = p.backbone.clone();
+                backbone.propagation += p.wan_propagation;
+                let mut specs = vec![p.trunk.clone(); 2 * p.sites];
+                specs.push(backbone);
+                specs
+            }
+            Topology::FatTree(p) => {
+                assert!(p.hosts_per_edge >= 1 && p.cores >= 1);
+                vec![p.trunk.clone(); 2 * p.edges() * p.cores]
+            }
+            Topology::Ring(p) => {
+                assert!(p.sites >= 2, "a ring needs at least two sites");
+                assert_eq!(
+                    p.segments.len(),
+                    p.sites,
+                    "one long-haul segment per ring position"
+                );
+                [p.segments.as_slice(), p.segments.as_slice()].concat()
+            }
+        }
+    }
+
+    /// The trunks a chunk from `src` to `dst` crosses, in hop order — a
+    /// pure function of the endpoint pair, so repeated chunks of one
+    /// conversation share a path (no reordering). Inlined into the hop loop:
+    /// as a call it costs the single-switch booking about a nanosecond in
+    /// fifty (`xp_micro fabric-booking/atm-lan-transfer`).
+    #[inline(always)]
+    fn route(&self, src: NodeId, dst: NodeId) -> Route {
+        match self {
+            Topology::Star(_) => Route::DIRECT,
+            Topology::Nynet(p) => match (p.site_of(src), p.site_of(dst)) {
+                (a, b) if a == b => Route::DIRECT,
+                (a, b) => Route::Hops {
+                    hops: [a, 2 * p.sites, p.sites + b],
+                    next: 0,
+                    len: 3,
+                },
+            },
+            Topology::FatTree(p) => match (p.edge_of(src), p.edge_of(dst)) {
+                (a, b) if a == b => Route::DIRECT,
+                (a, b) => {
+                    let core = p.core_for(src, dst);
+                    let down = (p.edges() + b) * p.cores + core;
+                    Route::Hops {
+                        hops: [a * p.cores + core, down, 0],
+                        next: 0,
+                        len: 2,
+                    }
+                }
+            },
+            Topology::Ring(p) => {
+                let (a, b, sites) = (p.site_of(src), p.site_of(dst), p.sites);
+                let cw = (b + sites - a) % sites;
+                let ccw = (a + sites - b) % sites;
+                if cw <= ccw {
+                    Route::Ring {
+                        base: 0,
+                        site: a,
+                        step: 1,
+                        sites,
+                        left: cw,
+                    }
+                } else {
+                    // Entering site `a - 1` first, then one site back per hop.
+                    Route::Ring {
+                        base: sites,
+                        site: (a + sites - 1) % sites,
+                        step: sites - 1,
+                        sites,
+                        left: ccw,
+                    }
+                }
+            }
+        }
+    }
+
+    fn describe(&self) -> String {
+        match self {
+            Topology::Star(p) => format!(
+                "ATM LAN: {} hosts, {} access, 1 switch ({} latency)",
+                p.nodes, p.access.name, p.switch_latency
+            ),
+            Topology::Nynet(p) => format!(
+                "NYNET WAN: {} hosts over {} sites, {} access, {} trunks, {} backbone, {} WAN propagation",
+                p.nodes, p.sites, p.access.name, p.trunk.name, p.backbone.name, p.wan_propagation
+            ),
+            Topology::FatTree(p) => format!(
+                "fat-tree: {} hosts, {} edges x {} cores, {} access, {} trunks",
+                p.nodes,
+                p.edges(),
+                p.cores,
+                p.access.name,
+                p.trunk.name
+            ),
+            Topology::Ring(p) => {
+                let grades: Vec<&str> = p.segments.iter().map(|s| s.name).collect();
+                format!(
+                    "WAN ring: {} hosts over {} sites, {} access, segments [{}]",
+                    p.nodes,
+                    p.sites,
+                    p.access.name,
+                    grades.join(", ")
+                )
+            }
+        }
+    }
+}
+
+/// A switched ATM fabric: every host has a dedicated full-duplex access
+/// link to an output-buffered switch, and the switches are joined by the
+/// trunks its [`Topology`] lays out. Built from any of the `*Params`
+/// descriptions: `AtmFabric::new(AtmLanParams::fore_lan(8))`,
+/// `AtmFabric::new(WanRingParams::mixed_ring(64, 4))`, …
+///
+/// This is the one place a chunk is booked onto wires, and so the seam at
+/// which delivery between hosts on different shards will be routed
+/// (ROADMAP item 3).
+pub struct AtmFabric {
+    topology: Topology,
+    nodes: usize,
+    access_rate: u64,
+    switch_latency: Dur,
+    output_buffer_cells: Option<usize>,
+    /// Host → switch direction, per host.
+    uplinks: Vec<Arc<LinkState>>,
+    /// Switch → host direction, per host.
+    downlinks: Vec<Arc<LinkState>>,
+    /// Switch-to-switch links, in the topology's layout.
+    trunks: Vec<Arc<LinkState>>,
+    overflow_drops: AtomicU64,
+}
+
+/// The name the single-switch LAN was built under before the four fabrics
+/// became one; `benchmark/` (frozen) still spells it this way.
+pub type AtmLanFabric = AtmFabric;
+
+impl AtmFabric {
+    /// Builds the fabric a `*Params` description (or a [`Topology`]) names.
+    pub fn new(topology: impl Into<Topology>) -> AtmFabric {
+        let topology = topology.into();
+        let (nodes, access, switch_latency, output_buffer_cells) = topology.common();
+        assert!(nodes >= 2, "a fabric needs at least two hosts");
+        let access_links = || (0..nodes).map(|_| LinkState::new(access.clone())).collect();
+        AtmFabric {
+            nodes,
+            access_rate: access.rate_bps,
+            switch_latency,
+            output_buffer_cells,
+            uplinks: access_links(),
+            downlinks: access_links(),
+            trunks: topology
+                .trunk_specs()
+                .into_iter()
+                .map(LinkState::new)
+                .collect(),
+            overflow_drops: AtomicU64::new(0),
+            topology,
+        }
     }
 
     /// The host→switch link of `node`, for flap scheduling and inspection.
@@ -367,42 +446,78 @@ impl NynetFabric {
         &self.downlinks[node.idx()]
     }
 
-    /// Site `site`'s trunk toward the backbone.
-    pub fn trunk_up(&self, site: usize) -> &Arc<LinkState> {
-        &self.trunks_up[site]
+    /// Switch-to-switch links (trunks, backbone, ring long-hauls) in the
+    /// stable order the [`Topology`] variant documents; empty for a single
+    /// switch.
+    pub fn trunk_links(&self) -> &[Arc<LinkState>] {
+        &self.trunks
     }
 
-    /// Site `site`'s trunk from the backbone.
-    pub fn trunk_down(&self, site: usize) -> &Arc<LinkState> {
-        &self.trunks_down[site]
-    }
-
-    /// The shared wide-area backbone link.
-    pub fn backbone(&self) -> &Arc<LinkState> {
-        &self.backbone
-    }
-
-    /// Chunks dropped to switch output-buffer overflow.
-    pub fn overflow_drops(&self) -> u64 {
+    /// Chunks dropped to finite switch output buffers so far.
+    pub fn overflow_drop_count(&self) -> u64 {
         self.overflow_drops.load(Ordering::Relaxed)
     }
 
-    /// Chunks lost to scheduled link outages, across all links.
-    pub fn flap_losses(&self) -> u64 {
+    /// Chunks lost to scheduled link outages so far, across all links.
+    pub fn flap_loss_count(&self) -> u64 {
         self.uplinks
             .iter()
-            .chain(self.downlinks.iter())
-            .chain(self.trunks_up.iter())
-            .chain(self.trunks_down.iter())
-            .chain(std::iter::once(&self.backbone))
+            .chain(&self.downlinks)
+            .chain(&self.trunks)
             .map(|l| l.flap_losses())
             .sum()
     }
+
+    /// The hop loop: books the uplink, then the route's trunks in order,
+    /// then `dst`'s downlink, each through `enqueue`. Every hop after the
+    /// uplink is fed by a switch and can overflow that switch's output
+    /// buffer, which drops the chunk whole there.
+    fn book(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        depart: SimTime,
+        enqueue: impl Fn(&LinkState, SimTime) -> TxSlot,
+    ) -> TransferTiming {
+        assert!(src.idx() < self.nodes && dst.idx() < self.nodes);
+        assert_ne!(src, dst, "loopback does not touch the fabric");
+        let lat = self.switch_latency;
+        let up = enqueue(&self.uplinks[src.idx()], depart);
+        let mut lost = up.lost;
+        let mut at = up.arrival + lat;
+        let mut route = self.topology.route(src, dst);
+        loop {
+            let trunk = route.next();
+            let link = match trunk {
+                Some(trunk) => &self.trunks[trunk],
+                None => &self.downlinks[dst.idx()],
+            };
+            if output_buffer_full(link, at, self.output_buffer_cells) {
+                self.overflow_drops.fetch_add(1, Ordering::Relaxed);
+                return TransferTiming {
+                    first_hop_done: up.end,
+                    arrival: at,
+                    dropped: true,
+                };
+            }
+            let slot = enqueue(link, at);
+            lost |= slot.lost;
+            if trunk.is_none() {
+                // The downlink ends at the host, not another switch.
+                return TransferTiming {
+                    first_hop_done: up.end,
+                    arrival: slot.arrival,
+                    dropped: lost,
+                };
+            }
+            at = slot.arrival + lat;
+        }
+    }
 }
 
-impl Fabric for NynetFabric {
+impl Fabric for AtmFabric {
     fn nodes(&self) -> usize {
-        self.params.nodes
+        self.nodes
     }
 
     fn transfer(
@@ -412,54 +527,50 @@ impl Fabric for NynetFabric {
         payload_bytes: usize,
         depart: SimTime,
     ) -> TransferTiming {
-        assert!(src.idx() < self.params.nodes && dst.idx() < self.params.nodes);
-        assert_ne!(src, dst, "loopback does not touch the fabric");
         let wire = atm_wire_bytes(payload_bytes);
-        let lat = self.params.switch_latency;
-        let cap = self.params.output_buffer_cells;
-        let s_src = self.params.site_of(src);
-        let s_dst = self.params.site_of(dst);
+        self.book(src, dst, depart, |link, at| {
+            link.enqueue(at, wire, Dur::ZERO)
+        })
+    }
 
-        let up = self.uplinks[src.idx()].enqueue(depart, wire, Dur::ZERO);
-        let mut lost = up.lost;
-        let mut at = up.arrival + lat;
-        // Each switch-fed hop can overflow its output buffer; an overflow
-        // drops the chunk whole at that switch.
-        let mut hops: Vec<&Arc<LinkState>> = Vec::with_capacity(4);
-        if s_src != s_dst {
-            hops.push(&self.trunks_up[s_src]);
-            hops.push(&self.backbone);
-            hops.push(&self.trunks_down[s_dst]);
+    /// On a single switch, books the train with exactly one FIFO booking
+    /// per hop ([`LinkState::enqueue_train`]) and reports the
+    /// receiver-observed inter-cell spacing: the downlink's per-cell
+    /// serialization time (meaningless, and never read, for a dropped
+    /// train).
+    ///
+    /// A fabric with trunks keeps the arithmetic [`TrainTiming::paced`]
+    /// over [`Fabric::transfer`] instead. The two disagree by picoseconds
+    /// (`cells × tx_time(53)` against `tx_time(cells × 53)`, each rounded
+    /// up), and every checked-in LAN and NYNET HSM number was produced with
+    /// this split — single-switch fabrics per hop, multi-switch fabrics
+    /// arithmetic, same-site pairs included — so it is kept as found.
+    fn transfer_train(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        payload_bytes: usize,
+        cells: usize,
+        cell_wire_bytes: usize,
+        depart: SimTime,
+    ) -> TrainTiming {
+        if !self.trunks.is_empty() {
+            let whole = self.transfer(src, dst, payload_bytes, depart);
+            return TrainTiming::paced(whole, cells, cell_wire_bytes, self.access_rate, depart);
         }
-        hops.push(&self.downlinks[dst.idx()]);
-        for link in hops {
-            if output_buffer_full(link, at, cap) {
-                self.overflow_drops.fetch_add(1, Ordering::Relaxed);
-                return TransferTiming {
-                    first_hop_done: up.end,
-                    arrival: at,
-                    dropped: true,
-                };
-            }
-            let slot = link.enqueue(at, wire, Dur::ZERO);
-            lost |= slot.lost;
-            at = slot.arrival + lat;
-            if Arc::ptr_eq(link, &self.backbone) {
-                at += self.params.wan_propagation;
-            }
-        }
-        // The final hop ends at the host, not another switch: undo the
-        // trailing switch latency added in the loop.
-        let arrival = at - lat;
-        TransferTiming {
-            first_hop_done: up.end,
-            arrival,
-            dropped: lost,
+        let whole = self.book(src, dst, depart, |link, at| {
+            link.enqueue_train(at, cells, cell_wire_bytes, Dur::ZERO)
+                .slot
+        });
+        TrainTiming {
+            whole,
+            cells,
+            cell_gap: self.downlinks[dst.idx()].spec.tx_time(cell_wire_bytes),
         }
     }
 
     fn access_rate(&self, _src: NodeId) -> u64 {
-        self.params.access.rate_bps
+        self.access_rate
     }
 
     fn output_backlog(&self, node: NodeId, now: SimTime) -> Option<u64> {
@@ -467,55 +578,18 @@ impl Fabric for NynetFabric {
     }
 
     fn path_down(&self, src: NodeId, dst: NodeId, at: SimTime) -> bool {
-        // The route is unique: access links, plus (cross-site) the source
-        // trunk, the backbone, and the destination trunk.
-        if self.uplinks[src.idx()].is_down(at) || self.downlinks[dst.idx()].is_down(at) {
-            return true;
-        }
-        let s_src = self.params.site_of(src);
-        let s_dst = self.params.site_of(dst);
-        s_src != s_dst
-            && (self.trunks_up[s_src].is_down(at)
-                || self.backbone.is_down(at)
-                || self.trunks_down[s_dst].is_down(at))
+        // The route is unique and switches never fail, so the path is
+        // severed iff some link on it is out.
+        self.uplinks[src.idx()].is_down(at)
+            || self.downlinks[dst.idx()].is_down(at)
+            || self
+                .topology
+                .route(src, dst)
+                .any(|trunk| self.trunks[trunk].is_down(at))
     }
 
     fn description(&self) -> String {
-        format!(
-            "NYNET WAN: {} hosts over {} sites, {} access, {} trunks, {} backbone, {} WAN propagation",
-            self.params.nodes,
-            self.params.sites,
-            self.params.access.name,
-            self.params.trunk.name,
-            self.params.backbone.name,
-            self.params.wan_propagation
-        )
-    }
-}
-
-impl SwitchedFabric for NynetFabric {
-    fn uplink_of(&self, node: NodeId) -> &Arc<LinkState> {
-        self.uplink(node)
-    }
-
-    fn downlink_of(&self, node: NodeId) -> &Arc<LinkState> {
-        self.downlink(node)
-    }
-
-    fn trunk_links(&self) -> Vec<Arc<LinkState>> {
-        let mut v: Vec<Arc<LinkState>> = Vec::new();
-        v.extend(self.trunks_up.iter().cloned());
-        v.extend(self.trunks_down.iter().cloned());
-        v.push(Arc::clone(&self.backbone));
-        v
-    }
-
-    fn overflow_drop_count(&self) -> u64 {
-        self.overflow_drops()
-    }
-
-    fn flap_loss_count(&self) -> u64 {
-        self.flap_losses()
+        self.topology.describe()
     }
 }
 
@@ -539,7 +613,7 @@ mod tests {
 
     #[test]
     fn lan_two_hop_timing() {
-        let f = AtmLanFabric::new(AtmLanParams::fore_lan(4));
+        let f = AtmFabric::new(AtmLanParams::fore_lan(4));
         let tt = f.transfer(NodeId(0), NodeId(1), 40, t(0));
         // One cell: 53 B at 140 Mb/s = 3.028 us per hop.
         let hop = LinkSpec::taxi_140().tx_time(53);
@@ -555,7 +629,7 @@ mod tests {
 
     #[test]
     fn lan_train_books_one_slot_per_hop() {
-        let f = AtmLanFabric::new(AtmLanParams::fore_lan(4));
+        let f = AtmFabric::new(AtmLanParams::fore_lan(4));
         let train = f.transfer_train(NodeId(0), NodeId(1), 480, 11, CELL_BYTES, t(0));
         assert_eq!(train.cells, 11);
         // One FIFO booking on the uplink and one on the downlink.
@@ -579,7 +653,7 @@ mod tests {
 
     #[test]
     fn lan_output_port_contention() {
-        let f = AtmLanFabric::new(AtmLanParams::fore_lan(4));
+        let f = AtmFabric::new(AtmLanParams::fore_lan(4));
         // Two senders target the same destination: downlink serializes.
         let big = 14_000; // ~292 cells
         let a = f.transfer(NodeId(0), NodeId(3), big, t(0));
@@ -591,7 +665,7 @@ mod tests {
 
     #[test]
     fn lan_distinct_destinations_parallel() {
-        let f = AtmLanFabric::new(AtmLanParams::fore_lan(4));
+        let f = AtmFabric::new(AtmLanParams::fore_lan(4));
         let a = f.transfer(NodeId(0), NodeId(2), 14_000, t(0));
         let b = f.transfer(NodeId(1), NodeId(3), 14_000, t(0));
         assert_eq!(a.arrival, b.arrival, "disjoint paths do not interfere");
@@ -600,7 +674,7 @@ mod tests {
     #[test]
     fn wan_crossing_pays_propagation() {
         let p = NynetParams::nynet(4); // nodes 0,1 at site 0; 2,3 at site 1
-        let f = NynetFabric::new(p);
+        let f = AtmFabric::new(p);
         let local = f.transfer(NodeId(0), NodeId(1), 1000, t(0));
         let remote = f.transfer(NodeId(0), NodeId(2), 1000, t(0));
         assert!(remote.arrival.since(local.arrival) >= Dur::from_millis(1));
@@ -618,8 +692,8 @@ mod tests {
     #[test]
     fn ds3_slower_than_oc48_backbone() {
         let big = 16_000;
-        let f1 = NynetFabric::new(NynetParams::nynet(4));
-        let f2 = NynetFabric::new(NynetParams::nynet_ds3(4));
+        let f1 = AtmFabric::new(NynetParams::nynet(4));
+        let f2 = AtmFabric::new(NynetParams::nynet_ds3(4));
         let a = f1.transfer(NodeId(0), NodeId(2), big, t(0));
         let b = f2.transfer(NodeId(0), NodeId(2), big, t(0));
         assert!(b.arrival > a.arrival);
@@ -639,9 +713,9 @@ mod contention_tests {
         // Nodes 0,1 at site 0; 2,3 at site 1. Two simultaneous cross-site
         // bulk transfers from different sources serialize on the shared
         // site-0 uplink trunk; a DS-3 backbone makes it worse.
-        let f = NynetFabric::new(NynetParams::nynet_ds3(4));
+        let f = AtmFabric::new(NynetParams::nynet_ds3(4));
         let solo = {
-            let f2 = NynetFabric::new(NynetParams::nynet_ds3(4));
+            let f2 = AtmFabric::new(NynetParams::nynet_ds3(4));
             f2.transfer(NodeId(0), NodeId(2), 100_000, t(0)).arrival
         };
         let a = f.transfer(NodeId(0), NodeId(2), 100_000, t(0)).arrival;
@@ -655,7 +729,7 @@ mod contention_tests {
 
     #[test]
     fn intra_site_flows_avoid_the_backbone() {
-        let f = NynetFabric::new(NynetParams::nynet_ds3(4));
+        let f = AtmFabric::new(NynetParams::nynet_ds3(4));
         // Saturate the backbone with cross-site traffic…
         for _ in 0..4 {
             f.transfer(NodeId(0), NodeId(2), 100_000, t(0));
@@ -664,7 +738,7 @@ mod contention_tests {
         // (2 -> 3: neither endpoint's links carry the cross-site flows).
         let local = f.transfer(NodeId(2), NodeId(3), 1_000, t(0));
         let fresh =
-            NynetFabric::new(NynetParams::nynet_ds3(4)).transfer(NodeId(2), NodeId(3), 1_000, t(0));
+            AtmFabric::new(NynetParams::nynet_ds3(4)).transfer(NodeId(2), NodeId(3), 1_000, t(0));
         assert_eq!(local.arrival, fresh.arrival);
     }
 
@@ -672,32 +746,32 @@ mod contention_tests {
     fn finite_output_buffer_drops_under_fanin() {
         // Two senders blast one destination through a 64-cell output port:
         // the second chunk finds the port full and is dropped whole.
-        let f = AtmLanFabric::new(AtmLanParams::fore_lan(4).with_output_buffer(64));
+        let f = AtmFabric::new(AtmLanParams::fore_lan(4).with_output_buffer(64));
         let big = 14_000; // ~292 cells, far beyond the port buffer
         let a = f.transfer(NodeId(0), NodeId(3), big, t(0));
         let b = f.transfer(NodeId(1), NodeId(3), big, t(0));
         assert!(!a.dropped, "first chunk finds an empty buffer");
         assert!(b.dropped, "second chunk must overflow the port");
-        assert_eq!(f.overflow_drops(), 1);
+        assert_eq!(f.overflow_drop_count(), 1);
     }
 
     #[test]
     fn infinite_buffer_never_overflows() {
-        let f = AtmLanFabric::new(AtmLanParams::fore_lan(4));
+        let f = AtmFabric::new(AtmLanParams::fore_lan(4));
         for _ in 0..20 {
             let tt = f.transfer(NodeId(0), NodeId(3), 14_000, t(0));
             assert!(!tt.dropped);
         }
-        assert_eq!(f.overflow_drops(), 0);
+        assert_eq!(f.overflow_drop_count(), 0);
     }
 
     #[test]
     fn lan_flap_on_uplink_drops_chunk() {
-        let f = AtmLanFabric::new(AtmLanParams::fore_lan(4));
+        let f = AtmFabric::new(AtmLanParams::fore_lan(4));
         f.uplink(NodeId(0)).schedule_flap(t(0), t(10));
         let tt = f.transfer(NodeId(0), NodeId(1), 40, t(0));
         assert!(tt.dropped);
-        assert_eq!(f.flap_losses(), 1);
+        assert_eq!(f.flap_loss_count(), 1);
         // Traffic from an unaffected host is clean.
         let ok = f.transfer(NodeId(2), NodeId(1), 40, t(0));
         assert!(!ok.dropped);
@@ -705,18 +779,18 @@ mod contention_tests {
 
     #[test]
     fn wan_backbone_flap_only_hits_cross_site_traffic() {
-        let f = NynetFabric::new(NynetParams::nynet(4));
-        f.backbone().schedule_flap(t(0), t(100_000));
+        let f = AtmFabric::new(NynetParams::nynet(4));
+        f.trunk_links()[4].schedule_flap(t(0), t(100_000));
         let local = f.transfer(NodeId(0), NodeId(1), 1000, t(0));
         let remote = f.transfer(NodeId(0), NodeId(2), 1000, t(0));
         assert!(!local.dropped, "intra-site traffic avoids the backbone");
         assert!(remote.dropped, "cross-site traffic crosses the dead trunk");
-        assert_eq!(f.flap_losses(), 1);
+        assert_eq!(f.flap_loss_count(), 1);
     }
 
     #[test]
     fn wan_overflow_counts_and_drops() {
-        let f = NynetFabric::new(NynetParams::nynet_ds3(4).with_output_buffer(32));
+        let f = AtmFabric::new(NynetParams::nynet_ds3(4).with_output_buffer(32));
         // Saturate the slow DS-3 backbone with cross-site bulk transfers.
         let mut dropped = 0;
         for _ in 0..8 {
@@ -725,7 +799,7 @@ mod contention_tests {
             }
         }
         assert!(dropped > 0, "backbone queue must overflow");
-        assert_eq!(f.overflow_drops(), dropped);
+        assert_eq!(f.overflow_drop_count(), dropped);
     }
 
     #[test]
@@ -735,7 +809,7 @@ mod contention_tests {
         assert_eq!(p.site_of(NodeId(0)), 0);
         assert_eq!(p.site_of(NodeId(3)), 1);
         assert_eq!(p.site_of(NodeId(8)), 2);
-        let f = NynetFabric::new(p);
+        let f = AtmFabric::new(p);
         // Cross-site pairs in disjoint sites do not interfere.
         let a = f.transfer(NodeId(0), NodeId(3), 50_000, t(0));
         let b = f.transfer(NodeId(6), NodeId(4), 50_000, t(0));

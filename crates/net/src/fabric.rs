@@ -6,8 +6,9 @@
 //! which keeps multi-megabyte experiments fast while preserving
 //! serialization, contention, and propagation behaviour.
 //!
-//! Implementations: [`IdealFabric`] (tests), plus the Ethernet and ATM
-//! fabrics in their own modules.
+//! Implementations: [`IdealFabric`] (tests), the shared-segment
+//! [`crate::ethernet::EthernetFabric`], and the one switched ATM fabric,
+//! [`crate::atm::AtmFabric`].
 
 use ncs_sim::{Dur, SimTime};
 
@@ -58,6 +59,36 @@ pub struct TrainTiming {
 }
 
 impl TrainTiming {
+    /// Train geometry derived arithmetically from a whole-chunk booking:
+    /// cells spaced at the serialization time of `cell_wire_bytes` at
+    /// `rate` b/s (exact where the last hop runs at that rate; an upper
+    /// bound on bunching for multi-hop WANs), clamped so the first cell
+    /// never appears to arrive before `depart`.
+    pub fn paced(
+        whole: TransferTiming,
+        cells: usize,
+        cell_wire_bytes: usize,
+        rate: u64,
+        depart: SimTime,
+    ) -> TrainTiming {
+        assert!(cells > 0, "a cell train needs at least one cell");
+        let mut cell_gap = if cells == 1 || rate == u64::MAX {
+            Dur::ZERO
+        } else {
+            Dur::for_bytes(cell_wire_bytes, rate)
+        };
+        let span = cell_gap * (cells - 1) as u64;
+        let avail = whole.arrival.saturating_since(depart);
+        if span > avail {
+            cell_gap = avail / (cells - 1) as u64;
+        }
+        TrainTiming {
+            whole,
+            cells,
+            cell_gap,
+        }
+    }
+
     /// Arrival instant of cell `i` (0-based): the last cell lands at
     /// `whole.arrival`, earlier cells one `cell_gap` apart before it.
     pub fn cell_arrival(&self, i: usize) -> SimTime {
@@ -92,11 +123,8 @@ pub trait Fabric: Send + Sync + 'static {
 
     /// Books `payload_bytes` as a train of `cells` cells of
     /// `cell_wire_bytes` wire bytes each, and reports per-cell arrival
-    /// geometry. The default books via [`Fabric::transfer`] and derives
-    /// the spacing from the access-link rate (exact for single-switch
-    /// LANs, where the last hop runs at the access rate; an upper bound on
-    /// bunching for multi-hop WANs). The spacing is clamped so the first
-    /// cell never appears to arrive before `depart`.
+    /// geometry. The default books via [`Fabric::transfer`] and paces the
+    /// cells at the access-link rate ([`TrainTiming::paced`]).
     fn transfer_train(
         &self,
         src: NodeId,
@@ -106,24 +134,8 @@ pub trait Fabric: Send + Sync + 'static {
         cell_wire_bytes: usize,
         depart: SimTime,
     ) -> TrainTiming {
-        assert!(cells > 0, "a cell train needs at least one cell");
         let whole = self.transfer(src, dst, payload_bytes, depart);
-        let rate = self.access_rate(src);
-        let mut cell_gap = if cells == 1 || rate == u64::MAX {
-            Dur::ZERO
-        } else {
-            Dur::for_bytes(cell_wire_bytes, rate)
-        };
-        let span = cell_gap * (cells - 1) as u64;
-        let avail = whole.arrival.saturating_since(depart);
-        if span > avail {
-            cell_gap = avail / (cells - 1) as u64;
-        }
-        TrainTiming {
-            whole,
-            cells,
-            cell_gap,
-        }
+        TrainTiming::paced(whole, cells, cell_wire_bytes, self.access_rate(src), depart)
     }
 
     /// Payload-effective rate (b/s) of `src`'s first hop, used by transport
@@ -153,29 +165,6 @@ pub trait Fabric: Send + Sync + 'static {
 
     /// Human-readable summary for experiment reports.
     fn description(&self) -> String;
-}
-
-/// A fabric built from switches and point-to-point [`crate::link::LinkState`]s, exposing
-/// the handles chaos experiments need: per-host access links (to schedule
-/// outage/flap windows on), the switch-to-switch long-haul links, and the
-/// fabric-wide loss counters. Every multi-host ATM fabric in this crate
-/// implements it, so a fault harness can sweep topologies generically.
-pub trait SwitchedFabric: Fabric {
-    /// The host→switch access link of `node`.
-    fn uplink_of(&self, node: NodeId) -> &std::sync::Arc<crate::link::LinkState>;
-
-    /// The switch→host access link of `node`.
-    fn downlink_of(&self, node: NodeId) -> &std::sync::Arc<crate::link::LinkState>;
-
-    /// Switch-to-switch links (trunks, backbone segments, ring long-hauls)
-    /// in a stable order; empty for a single-switch fabric.
-    fn trunk_links(&self) -> Vec<std::sync::Arc<crate::link::LinkState>>;
-
-    /// Chunks dropped to finite switch output buffers so far.
-    fn overflow_drop_count(&self) -> u64;
-
-    /// Chunks lost to link outage windows so far.
-    fn flap_loss_count(&self) -> u64;
 }
 
 /// An infinitely fast fabric with a fixed one-way latency. For unit tests

@@ -20,9 +20,16 @@
 //! by timeout and retransmission. Every retransmission re-rolls its faults.
 //! All damage is tallied in [`FaultStats`].
 //!
+//! Two **message-level** faults model a transport with no adaptation-layer
+//! CRC under it ([`ChaosParams::message_level`]): the message vanishes
+//! whole, or one payload byte is flipped and the message is *delivered* —
+//! the only way a damaged frame reaches the NCS checksum and draws its
+//! NACK. They roll on their own [`SimRng`] split and draw nothing at
+//! probability zero, so they never move the cell-level stream.
+//!
 //! Deterministic link up/down flap windows and switch output-buffer
 //! overflow live *below* the transport, on [`crate::link::LinkState`] and
-//! the ATM fabrics, because they depend on wire timing; this module handles
+//! the ATM fabric, because they depend on wire timing; this module handles
 //! the payload-integrity faults that depend on message contents.
 
 use bytes::Bytes;
@@ -49,6 +56,11 @@ pub struct ChaosParams {
     /// one byte) instead of a single bit — bursts in the header defeat
     /// HEC's single-bit correction.
     pub p_burst: f64,
+    /// Per-message probability that one payload byte is flipped and the
+    /// message delivered anyway (empty payloads pass untouched).
+    pub p_msg_corrupt: f64,
+    /// Per-message probability the whole message vanishes.
+    pub p_msg_drop: f64,
     /// CS-PDU chunking applied to large messages before cell accounting
     /// (the transports hand AAL5 one I/O buffer at a time).
     pub pdu_bytes: usize,
@@ -64,6 +76,8 @@ impl ChaosParams {
             p_cell_corrupt: 0.0,
             p_cell_loss: 0.0,
             p_burst: 0.1,
+            p_msg_corrupt: 0.0,
+            p_msg_drop: 0.0,
             pdu_bytes: 9180,
             seed,
         }
@@ -74,6 +88,16 @@ impl ChaosParams {
         ChaosParams {
             p_cell_corrupt,
             p_cell_loss,
+            ..ChaosParams::clean(seed)
+        }
+    }
+
+    /// Message-level faults only: corrupt-and-deliver and whole-message
+    /// drop at the given per-message rates, every cell intact.
+    pub fn message_level(p_msg_corrupt: f64, p_msg_drop: f64, seed: u64) -> ChaosParams {
+        ChaosParams {
+            p_msg_corrupt,
+            p_msg_drop,
             ..ChaosParams::clean(seed)
         }
     }
@@ -94,8 +118,11 @@ pub struct FaultStats {
     pub cells_discarded: AtomicU64,
     /// CS-PDUs rejected by the AAL5 CRC-32 or framing checks.
     pub pdus_rejected: AtomicU64,
-    /// Messages dropped whole (any of their PDUs died).
+    /// Messages dropped whole (one of their PDUs died, or the
+    /// message-level drop fired).
     pub messages_dropped: AtomicU64,
+    /// Messages delivered with one payload byte flipped.
+    pub messages_corrupted: AtomicU64,
     /// Messages discarded because an endpoint had crashed.
     pub crash_drops: AtomicU64,
 }
@@ -117,6 +144,8 @@ pub struct FaultStatsSnapshot {
     pub pdus_rejected: u64,
     /// Messages dropped whole.
     pub messages_dropped: u64,
+    /// Messages delivered with one payload byte flipped.
+    pub messages_corrupted: u64,
     /// Messages discarded because an endpoint had crashed.
     pub crash_drops: u64,
 }
@@ -132,6 +161,7 @@ impl FaultStats {
             cells_discarded: self.cells_discarded.load(Ordering::Relaxed),
             pdus_rejected: self.pdus_rejected.load(Ordering::Relaxed),
             messages_dropped: self.messages_dropped.load(Ordering::Relaxed),
+            messages_corrupted: self.messages_corrupted.load(Ordering::Relaxed),
             crash_drops: self.crash_drops.load(Ordering::Relaxed),
         }
     }
@@ -142,6 +172,8 @@ pub struct ChaosNet {
     inner: Arc<dyn Network>,
     params: ChaosParams,
     rng: Mutex<SimRng>,
+    /// The message-level faults' own stream, split off the seed.
+    msg_rng: Mutex<SimRng>,
     stats: Arc<FaultStats>,
     /// Crash-stop schedule: node → instant after which it is dead.
     crashes: Mutex<BTreeMap<usize, SimTime>>,
@@ -153,10 +185,14 @@ impl ChaosNet {
         assert!((0.0..=1.0).contains(&params.p_cell_corrupt));
         assert!((0.0..=1.0).contains(&params.p_cell_loss));
         assert!((0.0..=1.0).contains(&params.p_burst));
+        assert!((0.0..=1.0).contains(&params.p_msg_corrupt));
+        assert!((0.0..=1.0).contains(&params.p_msg_drop));
         assert!(params.pdu_bytes > 0 && params.pdu_bytes <= aal5::MAX_PDU);
+        let rng = SimRng::new(params.seed);
         Arc::new(ChaosNet {
             inner,
-            rng: Mutex::new(SimRng::new(params.seed)),
+            msg_rng: Mutex::new(rng.split_str("message-level")),
+            rng: Mutex::new(rng),
             stats: Arc::new(FaultStats::default()),
             crashes: Mutex::new(BTreeMap::new()),
             params,
@@ -280,6 +316,33 @@ impl ChaosNet {
         }
     }
 
+    /// Rolls the message-level faults. `None`: the message vanished whole;
+    /// otherwise the payload to carry on with, one byte flipped if the
+    /// corruption fired. Rolled per *transmission*: a retransmission of the
+    /// same frame draws fresh luck, which is what lets timeout-driven
+    /// recovery converge under partial loss.
+    fn message_faults(&self, payload: Bytes) -> Option<Bytes> {
+        let (p_corrupt, p_drop) = (self.params.p_msg_corrupt, self.params.p_msg_drop);
+        if p_corrupt == 0.0 && p_drop == 0.0 {
+            return Some(payload);
+        }
+        let mut rng = self.msg_rng.lock();
+        if rng.gen_bool(p_drop) {
+            self.stats.messages_dropped.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        if payload.is_empty() || !rng.gen_bool(p_corrupt) {
+            return Some(payload);
+        }
+        let mut damaged = payload.to_vec();
+        let at = rng.gen_index(damaged.len());
+        damaged[at] ^= 0x40;
+        self.stats
+            .messages_corrupted
+            .fetch_add(1, Ordering::Relaxed);
+        Some(Bytes::from(damaged))
+    }
+
     /// Whether a whole message survives: every CS-PDU must.
     fn message_survives(&self, sim: &Sim, payload: &[u8]) -> bool {
         let mut rng = self.rng.lock();
@@ -320,6 +383,12 @@ impl Network for ChaosNet {
             self.stats.crash_drops.fetch_add(1, Ordering::Relaxed);
             return;
         }
+        // Sender-side costs are skipped with a dropped message — loss is
+        // rare enough that the timing error is negligible, and the
+        // protocol-level consequences (timeout, retransmit) are the point.
+        let Some(payload) = self.message_faults(payload) else {
+            return;
+        };
         if !self.message_survives(ctx.sim(), &payload) {
             self.stats.messages_dropped.fetch_add(1, Ordering::Relaxed);
             return;
@@ -369,34 +438,32 @@ mod tests {
         Arc::new(TcpNet::new(fabric, hosts, TcpParams::ip_over_atm()))
     }
 
-    /// Sends `n` messages of `bytes` through `net`; returns how many arrive.
-    fn deliveries(net: Arc<ChaosNet>, n: usize, bytes: usize) -> usize {
+    /// Sends each payload 0 → 1 through `net`; returns what arrives.
+    fn carried(net: &Arc<ChaosNet>, payloads: Vec<Bytes>) -> Vec<Bytes> {
         let sim = Sim::new();
-        let sender = Arc::clone(&net);
+        let tx = Arc::clone(net);
         sim.spawn("sender", move |ctx| {
-            for i in 0..n {
-                sender.send(
-                    ctx,
-                    &BlockingWait,
-                    NodeId(0),
-                    NodeId(1),
-                    i as u64,
-                    Bytes::from(vec![0xA5u8; bytes]),
-                );
+            for (i, p) in payloads.into_iter().enumerate() {
+                tx.send(ctx, &BlockingWait, NodeId(0), NodeId(1), i as u64, p);
             }
         });
-        let got = Arc::new(Mutex::new(0usize));
-        let got2 = Arc::clone(&got);
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let (got2, rx) = (Arc::clone(&got), Arc::clone(net));
         sim.spawn("receiver", move |ctx| {
-            let inbox = net.inbox(NodeId(1));
-            while inbox.recv(ctx).is_ok() {
-                *got2.lock() += 1;
+            let inbox = rx.inbox(NodeId(1));
+            while let Ok(d) = inbox.recv(ctx) {
+                got2.lock().push(d.payload);
             }
         });
         let outcome = sim.run();
         assert!(outcome.panics.is_empty(), "{:?}", outcome.panics);
-        let n = *got.lock();
-        n
+        let got = got.lock().clone();
+        got
+    }
+
+    /// Sends `n` messages of `bytes` through `net`; returns how many arrive.
+    fn deliveries(net: Arc<ChaosNet>, n: usize, bytes: usize) -> usize {
+        carried(&net, vec![Bytes::from(vec![0xA5u8; bytes]); n]).len()
     }
 
     #[test]
@@ -589,5 +656,87 @@ mod tests {
             "cells_lost {} outside [{lo}, {hi}] for n={n} p={p_loss}",
             a.cells_lost
         );
+    }
+
+    #[test]
+    fn message_corruption_delivers_a_damaged_copy() {
+        let net = ChaosNet::new(base_net(), ChaosParams::message_level(1.0, 0.0, 2));
+        let got = carried(&net, vec![Bytes::from_static(b"abcd")]);
+        assert_eq!(got.len(), 1, "corrupted, not dropped");
+        assert_ne!(&got[0][..], b"abcd", "must be corrupted");
+        assert_eq!(got[0].len(), 4, "corruption preserves length");
+        let s = net.stats().snapshot();
+        assert_eq!((s.messages_corrupted, s.messages_dropped), (1, 0));
+    }
+
+    #[test]
+    fn message_faults_rerolled_per_transmission() {
+        // The same frame sent repeatedly (as a retransmitting sender would)
+        // draws fresh luck each time: under p_msg_drop = 0.5 some copies die
+        // and some survive, rather than every copy sharing one verdict.
+        const COPIES: usize = 64;
+        let net = ChaosNet::new(base_net(), ChaosParams::message_level(0.0, 0.5, 42));
+        let got = carried(&net, vec![Bytes::from_static(b"same frame"); COPIES]);
+        let dropped = net.stats().snapshot().messages_dropped as usize;
+        assert!(dropped > 0, "no copy was ever dropped");
+        assert!(dropped < COPIES, "every copy was dropped");
+        assert_eq!(got.len() + dropped, COPIES);
+    }
+
+    #[test]
+    fn empty_payloads_pass_message_corruption_untouched() {
+        let net = ChaosNet::new(base_net(), ChaosParams::message_level(1.0, 0.0, 3));
+        let got = carried(&net, vec![Bytes::new()]);
+        assert_eq!(got, vec![Bytes::new()]);
+        assert_eq!(net.stats().snapshot().messages_corrupted, 0);
+    }
+
+    #[test]
+    fn message_faults_deterministic_under_seed() {
+        let run = |seed: u64| {
+            let net = ChaosNet::new(base_net(), ChaosParams::message_level(0.5, 0.1, seed));
+            let sent = (0..100u8).map(|i| Bytes::from(vec![i; 16])).collect();
+            (carried(&net, sent), net.stats().snapshot())
+        };
+        assert_eq!(run(7), run(7));
+        assert_ne!(run(7).1, run(1234567).1, "different seeds should differ");
+    }
+
+    #[test]
+    fn message_level_draws_leave_the_cell_stream_alone() {
+        // Same seed, same traffic, message-level corruption on or off: the
+        // cell-level faults land on exactly the same cells.
+        let run = |p_msg_corrupt: f64| {
+            let net = ChaosNet::new(
+                base_net(),
+                ChaosParams {
+                    p_msg_corrupt,
+                    ..ChaosParams::new(0.02, 0.01, 11)
+                },
+            );
+            deliveries(Arc::clone(&net), 30, 1500);
+            net.stats().snapshot()
+        };
+        let (off, on) = (run(0.0), run(0.5));
+        assert!(on.messages_corrupted > 0);
+        assert_eq!(
+            (on.cells_total, on.cells_lost, on.cells_corrupted),
+            (off.cells_total, off.cells_lost, off.cells_corrupted)
+        );
+    }
+
+    #[test]
+    fn reaction_cost_delegates_to_inner() {
+        // The trait default is zero, which would silently erase the wrapped
+        // transport's blocking-receiver latency.
+        let inner = base_net();
+        let wrapped = ChaosNet::new(Arc::clone(&inner), ChaosParams::clean(9));
+        for bytes in [0usize, 1 << 10, 1 << 20] {
+            assert_eq!(
+                wrapped.recv_reaction_cost(NodeId(1), bytes),
+                inner.recv_reaction_cost(NodeId(1), bytes),
+                "reaction cost must pass through for {bytes} bytes"
+            );
+        }
     }
 }

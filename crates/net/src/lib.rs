@@ -4,10 +4,12 @@
 //!
 //! * **ATM data plane**: [`cell`] (53-byte cells with HEC), [`aal5`] and
 //!   [`aal34`] adaptation layers, [`crc`] algorithms;
-//! * **fabrics**: [`ethernet`] (shared 10 Mb/s segment), [`atm`] (FORE-style
-//!   single-switch LAN and the NYNET WAN testbed), [`wan`] (multi-switch
-//!   fat-tree and DS-3/OC-48 wide-area ring with VBR cross-traffic), over
-//!   FIFO-queued [`link`]s with payload-effective SONET/DS-3/TAXI rates;
+//! * **fabrics**: [`ethernet`] (shared 10 Mb/s segment) and [`atm`] — the
+//!   one switched ATM fabric ([`AtmFabric`]: one hop loop, with the
+//!   FORE-style single-switch LAN, the NYNET WAN testbed and [`wan`]'s
+//!   fat-tree and DS-3/OC-48 ring as [`Topology`] route tables over it;
+//!   [`wan`] also holds the VBR cross-traffic generator), over FIFO-queued
+//!   [`link`]s with payload-effective SONET/DS-3/TAXI rates;
 //! * **host cost models**: [`host`] — CPU clocks, syscall/trap/interrupt
 //!   costs, and the Figure-3 datapath (5 memory accesses per word on the
 //!   socket path vs 3 on NCS's mapped-buffer path);
@@ -20,10 +22,11 @@
 //!   sharded parallel runs (cross-shard link classification, the
 //!   conservative-lookahead bound derived from trunk propagation) and the
 //!   [`GossipMesh`] large-population workload driver;
-//! * **fault injection**: [`faults`] — seeded cell-level bit flips and
-//!   loss (exercising real HEC correction and AAL5 CRC rejection) plus
-//!   crash-stop nodes, as a [`Network`] decorator; deterministic link
-//!   flap windows and switch-buffer overflow live on [`link`] and [`atm`].
+//! * **fault injection**: [`faults`] — the one injector, a [`Network`]
+//!   decorator: seeded cell-level bit flips and loss (exercising real HEC
+//!   correction and AAL5 CRC rejection), message-level corrupt-and-deliver
+//!   and drop, and crash-stop nodes; deterministic link flap windows and
+//!   switch-buffer overflow live on [`link`] and [`atm`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,10 +49,9 @@ pub mod wan;
 
 pub use api::{AtmApi, TrafficClass, Vc, VcTable};
 pub use faults::{ChaosNet, ChaosParams, FaultStats, FaultStatsSnapshot};
-pub use fabric::{Fabric, IdealFabric, NodeId, SwitchedFabric, TransferTiming};
-pub use wan::{
-    spawn_vbr, FatTreeFabric, FatTreeParams, VbrConfig, VbrHandle, WanRingFabric, WanRingParams,
-};
+pub use atm::{AtmFabric, Topology};
+pub use fabric::{Fabric, IdealFabric, NodeId, TransferTiming};
+pub use wan::{spawn_vbr, FatTreeParams, VbrConfig, VbrHandle, WanRingParams};
 pub use host::{DatapathKind, HostParams};
 pub use link::{LinkSpec, LinkState};
 pub use shardnet::{GossipConfig, GossipMesh, ShardCut, ShardNetParams, ShardPlan};

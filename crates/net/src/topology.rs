@@ -4,12 +4,11 @@
 
 use std::sync::Arc;
 
-use crate::atm::{AtmLanFabric, AtmLanParams, NynetFabric, NynetParams};
+use crate::atm::{AtmFabric, AtmLanParams, NynetParams, Topology};
 use crate::ethernet::{EthernetFabric, EthernetParams};
-use crate::fabric::SwitchedFabric;
 use crate::host::HostParams;
 use crate::stack::{AtmApiNet, AtmApiParams, Network, TcpNet, TcpParams};
-use crate::wan::{FatTreeFabric, FatTreeParams, WanRingFabric, WanRingParams};
+use crate::wan::{FatTreeParams, WanRingParams};
 
 /// The three hardware configurations of the paper plus the two HSM
 /// variants enabled by NCS's second MPS implementation.
@@ -39,34 +38,25 @@ impl Testbed {
         }
     }
 
-    /// Builds the testbed's network stack for `nodes` hosts.
+    /// Builds the testbed's network stack for `nodes` hosts: the wire
+    /// first, then the transport the testbed runs over it.
     pub fn build(self, nodes: usize) -> Arc<dyn Network> {
-        match self {
+        let topology: Topology = match self {
             Testbed::SunEthernet => {
                 let fabric = Arc::new(EthernetFabric::new(EthernetParams::new(nodes)));
                 let hosts = vec![HostParams::sparc_elc(); nodes];
-                Arc::new(TcpNet::new(fabric, hosts, TcpParams::ethernet()))
+                return Arc::new(TcpNet::new(fabric, hosts, TcpParams::ethernet()));
             }
-            Testbed::SunAtmLanTcp => {
-                let fabric = Arc::new(AtmLanFabric::new(AtmLanParams::fore_lan(nodes)));
-                let hosts = vec![HostParams::sparc_ipx(); nodes];
-                Arc::new(TcpNet::new(fabric, hosts, TcpParams::ip_over_atm()))
-            }
-            Testbed::NynetTcp => {
-                let fabric = Arc::new(NynetFabric::new(NynetParams::nynet(nodes)));
-                let hosts = vec![HostParams::sparc_ipx(); nodes];
-                Arc::new(TcpNet::new(fabric, hosts, TcpParams::ip_over_atm()))
-            }
-            Testbed::SunAtmLanApi => {
-                let fabric = Arc::new(AtmLanFabric::new(AtmLanParams::fore_lan(nodes)));
-                let hosts = vec![HostParams::sparc_ipx(); nodes];
+            Testbed::SunAtmLanTcp | Testbed::SunAtmLanApi => AtmLanParams::fore_lan(nodes).into(),
+            Testbed::NynetTcp | Testbed::NynetApi => NynetParams::nynet(nodes).into(),
+        };
+        let fabric = Arc::new(AtmFabric::new(topology));
+        let hosts = vec![HostParams::sparc_ipx(); nodes];
+        match self {
+            Testbed::SunAtmLanApi | Testbed::NynetApi => {
                 Arc::new(AtmApiNet::new(fabric, hosts, AtmApiParams::default()))
             }
-            Testbed::NynetApi => {
-                let fabric = Arc::new(NynetFabric::new(NynetParams::nynet(nodes)));
-                let hosts = vec![HostParams::sparc_ipx(); nodes];
-                Arc::new(AtmApiNet::new(fabric, hosts, AtmApiParams::default()))
-            }
+            _ => Arc::new(TcpNet::new(fabric, hosts, TcpParams::ip_over_atm())),
         }
     }
 }
@@ -108,48 +98,39 @@ impl ChaosTopology {
     /// Builds a chaos testbed: a fabric over `nodes + extra_nodes` hosts
     /// (the extras carry cross-traffic, not application processes) with an
     /// optional finite per-switch output buffer, and the TCP/IP-over-ATM
-    /// stack on top. Returns the fabric twice — as the [`SwitchedFabric`]
-    /// handle the fault harness flaps links through, and erased inside the
-    /// [`Network`] — so the harness can keep scheduling faults after the
-    /// stack takes ownership.
+    /// stack on top. Returns the fabric twice — as the handle the fault
+    /// harness flaps links through, and erased inside the [`Network`] — so
+    /// the harness can keep scheduling faults after the stack takes
+    /// ownership.
     pub fn build_chaos(
         self,
         nodes: usize,
         extra_nodes: usize,
         output_buffer_cells: Option<usize>,
-    ) -> (Arc<dyn SwitchedFabric>, Arc<dyn Network>) {
+    ) -> (Arc<AtmFabric>, Arc<dyn Network>) {
         let total = nodes + extra_nodes;
+        let topology = match self {
+            ChaosTopology::Lan => Topology::Star(AtmLanParams {
+                output_buffer_cells,
+                ..AtmLanParams::fore_lan(total)
+            }),
+            ChaosTopology::FatTree => Topology::FatTree(FatTreeParams {
+                output_buffer_cells,
+                ..FatTreeParams::campus(total)
+            }),
+            ChaosTopology::WanRing => Topology::Ring(WanRingParams {
+                output_buffer_cells,
+                ..WanRingParams::mixed_ring(total, 4)
+            }),
+        };
+        let fabric = Arc::new(AtmFabric::new(topology));
         let hosts = vec![HostParams::sparc_ipx(); total];
-        let tcp = TcpParams::ip_over_atm();
-        match self {
-            ChaosTopology::Lan => {
-                let mut p = AtmLanParams::fore_lan(total);
-                if let Some(cells) = output_buffer_cells {
-                    p = p.with_output_buffer(cells);
-                }
-                let fabric = Arc::new(AtmLanFabric::new(p));
-                let net = Arc::new(TcpNet::new(Arc::clone(&fabric), hosts, tcp));
-                (fabric, net)
-            }
-            ChaosTopology::FatTree => {
-                let mut p = FatTreeParams::campus(total);
-                if let Some(cells) = output_buffer_cells {
-                    p = p.with_output_buffer(cells);
-                }
-                let fabric = Arc::new(FatTreeFabric::new(p));
-                let net = Arc::new(TcpNet::new(Arc::clone(&fabric), hosts, tcp));
-                (fabric, net)
-            }
-            ChaosTopology::WanRing => {
-                let mut p = WanRingParams::mixed_ring(total, 4);
-                if let Some(cells) = output_buffer_cells {
-                    p = p.with_output_buffer(cells);
-                }
-                let fabric = Arc::new(WanRingFabric::new(p));
-                let net = Arc::new(TcpNet::new(Arc::clone(&fabric), hosts, tcp));
-                (fabric, net)
-            }
-        }
+        let net = Arc::new(TcpNet::new(
+            Arc::clone(&fabric),
+            hosts,
+            TcpParams::ip_over_atm(),
+        ));
+        (fabric, net)
     }
 }
 
@@ -266,7 +247,7 @@ mod id_tests {
 
     #[test]
     fn chaos_topologies_build_with_extras_and_buffers() {
-        use crate::fabric::NodeId;
+        use crate::fabric::{Fabric, NodeId};
         for topo in ChaosTopology::all() {
             let (fabric, net) = topo.build_chaos(16, 4, Some(256));
             assert_eq!(net.nodes(), 20, "{}", topo.id());
@@ -274,8 +255,8 @@ mod id_tests {
             // The handles the fault harness needs are live: access links
             // exist for every host, and the multi-switch arms expose
             // trunks to flap.
-            let _ = fabric.uplink_of(NodeId(0));
-            let _ = fabric.downlink_of(NodeId(19));
+            let _ = fabric.uplink(NodeId(0));
+            let _ = fabric.downlink(NodeId(19));
             match topo {
                 ChaosTopology::Lan => assert!(fabric.trunk_links().is_empty()),
                 _ => assert!(!fabric.trunk_links().is_empty(), "{}", topo.id()),

@@ -1,33 +1,22 @@
-//! Multi-switch WAN-scale fabrics: a campus fat-tree and a wide-area ring
-//! with DS-3/OC-48 long-haul segments — plus deterministic VBR cross-traffic
-//! generators that contend with application traffic on the same links.
+//! Multi-switch WAN-scale topologies — a campus fat-tree and a wide-area
+//! ring with DS-3/OC-48 long-haul segments — plus deterministic VBR
+//! cross-traffic generators that contend with application traffic on the
+//! same links.
 //!
-//! Both fabrics follow the conventions of [`crate::atm`]: chunks ride as
-//! AAL5 cell streams ([`crate::atm::atm_wire_bytes`]), every hop is a
-//! FIFO-queued [`LinkState`] with payload-effective rates and per-link
-//! propagation, switching is output-buffered with a fixed per-chunk switch
-//! latency, and finite output buffers drop whole chunks on overflow. Routes
-//! are deterministic (a pure function of the endpoint pair), so
-//! [`Fabric::path_down`] can answer partition queries over exactly the
-//! links a chunk would traverse.
+//! The two `*Params` here describe shapes of the one switched fabric,
+//! [`crate::atm::AtmFabric`], and follow its conventions: chunks ride as
+//! AAL5 cell streams, every hop is a FIFO-queued [`crate::link::LinkState`]
+//! with payload-effective rates and per-link propagation, switching is
+//! output-buffered with a fixed per-chunk switch latency, and finite output
+//! buffers drop whole chunks on overflow.
 
 use ncs_sim::{Dur, Sim, SimRng, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::atm::atm_wire_bytes;
-use crate::cell::CELL_BYTES;
-use crate::fabric::{Fabric, NodeId, SwitchedFabric, TransferTiming};
-use crate::link::{LinkSpec, LinkState};
-
-/// Does a chunk arriving at `link`'s output port at `at` find the buffer
-/// already full? Same cut-through semantics as the [`crate::atm`] fabrics.
-fn output_buffer_full(link: &LinkState, at: SimTime, cap: Option<usize>) -> bool {
-    match cap {
-        Some(cells) => link.backlog_bytes(at) as usize / CELL_BYTES >= cells,
-        None => false,
-    }
-}
+use crate::atm::block_of;
+use crate::fabric::{Fabric, NodeId};
+use crate::link::LinkSpec;
 
 /// Parameters of a two-level fat-tree (edge switches × core switches).
 #[derive(Clone, Debug)]
@@ -87,190 +76,6 @@ impl FatTreeParams {
     /// route.
     pub fn core_for(&self, src: NodeId, dst: NodeId) -> usize {
         (src.idx() + dst.idx()) % self.cores
-    }
-}
-
-/// The two-level fat-tree fabric.
-pub struct FatTreeFabric {
-    params: FatTreeParams,
-    uplinks: Vec<Arc<LinkState>>,
-    downlinks: Vec<Arc<LinkState>>,
-    /// `edge_up[e][c]`: edge `e` → core `c`.
-    edge_up: Vec<Vec<Arc<LinkState>>>,
-    /// `edge_down[e][c]`: core `c` → edge `e`.
-    edge_down: Vec<Vec<Arc<LinkState>>>,
-    overflow_drops: AtomicU64,
-}
-
-impl FatTreeFabric {
-    /// Builds the fat-tree.
-    pub fn new(params: FatTreeParams) -> FatTreeFabric {
-        assert!(params.nodes >= 2, "a fabric needs at least two hosts");
-        assert!(params.hosts_per_edge >= 1 && params.cores >= 1);
-        let edges = params.edges();
-        FatTreeFabric {
-            uplinks: (0..params.nodes)
-                .map(|_| LinkState::new(params.access.clone()))
-                .collect(),
-            downlinks: (0..params.nodes)
-                .map(|_| LinkState::new(params.access.clone()))
-                .collect(),
-            edge_up: (0..edges)
-                .map(|_| {
-                    (0..params.cores)
-                        .map(|_| LinkState::new(params.trunk.clone()))
-                        .collect()
-                })
-                .collect(),
-            edge_down: (0..edges)
-                .map(|_| {
-                    (0..params.cores)
-                        .map(|_| LinkState::new(params.trunk.clone()))
-                        .collect()
-                })
-                .collect(),
-            overflow_drops: AtomicU64::new(0),
-            params,
-        }
-    }
-
-    /// The parameter set in use.
-    pub fn params(&self) -> &FatTreeParams {
-        &self.params
-    }
-
-    /// The host→edge-switch link of `node`.
-    pub fn uplink(&self, node: NodeId) -> &Arc<LinkState> {
-        &self.uplinks[node.idx()]
-    }
-
-    /// The edge-switch→host link of `node`.
-    pub fn downlink(&self, node: NodeId) -> &Arc<LinkState> {
-        &self.downlinks[node.idx()]
-    }
-
-    /// Chunks dropped to switch output-buffer overflow.
-    pub fn overflow_drops(&self) -> u64 {
-        self.overflow_drops.load(Ordering::Relaxed)
-    }
-
-    /// Chunks lost to scheduled link outages, across all links.
-    pub fn flap_losses(&self) -> u64 {
-        self.uplinks
-            .iter()
-            .chain(self.downlinks.iter())
-            .chain(self.edge_up.iter().flatten())
-            .chain(self.edge_down.iter().flatten())
-            .map(|l| l.flap_losses())
-            .sum()
-    }
-
-    /// The links (beyond the access pair) a chunk from `src` to `dst`
-    /// traverses, in hop order.
-    fn route(&self, src: NodeId, dst: NodeId) -> Vec<&Arc<LinkState>> {
-        let e_src = self.params.edge_of(src);
-        let e_dst = self.params.edge_of(dst);
-        let mut hops = Vec::with_capacity(3);
-        if e_src != e_dst {
-            let c = self.params.core_for(src, dst);
-            hops.push(&self.edge_up[e_src][c]);
-            hops.push(&self.edge_down[e_dst][c]);
-        }
-        hops.push(&self.downlinks[dst.idx()]);
-        hops
-    }
-}
-
-impl Fabric for FatTreeFabric {
-    fn nodes(&self) -> usize {
-        self.params.nodes
-    }
-
-    fn transfer(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        payload_bytes: usize,
-        depart: SimTime,
-    ) -> TransferTiming {
-        assert!(src.idx() < self.params.nodes && dst.idx() < self.params.nodes);
-        assert_ne!(src, dst, "loopback does not touch the fabric");
-        let wire = atm_wire_bytes(payload_bytes);
-        let lat = self.params.switch_latency;
-        let cap = self.params.output_buffer_cells;
-        let up = self.uplinks[src.idx()].enqueue(depart, wire, Dur::ZERO);
-        let mut lost = up.lost;
-        let mut at = up.arrival + lat;
-        for link in self.route(src, dst) {
-            if output_buffer_full(link, at, cap) {
-                self.overflow_drops.fetch_add(1, Ordering::Relaxed);
-                return TransferTiming {
-                    first_hop_done: up.end,
-                    arrival: at,
-                    dropped: true,
-                };
-            }
-            let slot = link.enqueue(at, wire, Dur::ZERO);
-            lost |= slot.lost;
-            at = slot.arrival + lat;
-        }
-        // The final hop ends at the host, not another switch.
-        TransferTiming {
-            first_hop_done: up.end,
-            arrival: at - lat,
-            dropped: lost,
-        }
-    }
-
-    fn access_rate(&self, _src: NodeId) -> u64 {
-        self.params.access.rate_bps
-    }
-
-    fn output_backlog(&self, node: NodeId, now: SimTime) -> Option<u64> {
-        Some(self.downlink(node).backlog_bytes(now))
-    }
-
-    fn path_down(&self, src: NodeId, dst: NodeId, at: SimTime) -> bool {
-        if self.uplinks[src.idx()].is_down(at) {
-            return true;
-        }
-        self.route(src, dst).iter().any(|l| l.is_down(at))
-    }
-
-    fn description(&self) -> String {
-        format!(
-            "fat-tree: {} hosts, {} edges x {} cores, {} access, {} trunks",
-            self.params.nodes,
-            self.params.edges(),
-            self.params.cores,
-            self.params.access.name,
-            self.params.trunk.name
-        )
-    }
-}
-
-impl SwitchedFabric for FatTreeFabric {
-    fn uplink_of(&self, node: NodeId) -> &Arc<LinkState> {
-        self.uplink(node)
-    }
-
-    fn downlink_of(&self, node: NodeId) -> &Arc<LinkState> {
-        self.downlink(node)
-    }
-
-    fn trunk_links(&self) -> Vec<Arc<LinkState>> {
-        let mut v: Vec<Arc<LinkState>> = Vec::new();
-        v.extend(self.edge_up.iter().flatten().cloned());
-        v.extend(self.edge_down.iter().flatten().cloned());
-        v
-    }
-
-    fn overflow_drop_count(&self) -> u64 {
-        self.overflow_drops()
-    }
-
-    fn flap_loss_count(&self) -> u64 {
-        self.flap_losses()
     }
 }
 
@@ -335,207 +140,7 @@ impl WanRingParams {
 
     /// Which site a node lives at.
     pub fn site_of(&self, node: NodeId) -> usize {
-        let per = self.nodes.div_ceil(self.sites);
-        (node.idx() / per).min(self.sites - 1)
-    }
-}
-
-/// The wide-area ring fabric.
-pub struct WanRingFabric {
-    params: WanRingParams,
-    uplinks: Vec<Arc<LinkState>>,
-    downlinks: Vec<Arc<LinkState>>,
-    /// `cw[i]`: site `i` → site `(i + 1) % sites` (clockwise).
-    cw: Vec<Arc<LinkState>>,
-    /// `ccw[i]`: site `(i + 1) % sites` → site `i` (counter-clockwise).
-    ccw: Vec<Arc<LinkState>>,
-    overflow_drops: AtomicU64,
-}
-
-impl WanRingFabric {
-    /// Builds the ring.
-    pub fn new(params: WanRingParams) -> WanRingFabric {
-        assert!(params.nodes >= 2 && params.sites >= 2);
-        assert_eq!(
-            params.segments.len(),
-            params.sites,
-            "one long-haul segment per ring position"
-        );
-        WanRingFabric {
-            uplinks: (0..params.nodes)
-                .map(|_| LinkState::new(params.access.clone()))
-                .collect(),
-            downlinks: (0..params.nodes)
-                .map(|_| LinkState::new(params.access.clone()))
-                .collect(),
-            cw: params
-                .segments
-                .iter()
-                .map(|s| LinkState::new(s.clone()))
-                .collect(),
-            ccw: params
-                .segments
-                .iter()
-                .map(|s| LinkState::new(s.clone()))
-                .collect(),
-            overflow_drops: AtomicU64::new(0),
-            params,
-        }
-    }
-
-    /// The parameter set in use.
-    pub fn params(&self) -> &WanRingParams {
-        &self.params
-    }
-
-    /// The host→site-switch link of `node`.
-    pub fn uplink(&self, node: NodeId) -> &Arc<LinkState> {
-        &self.uplinks[node.idx()]
-    }
-
-    /// The site-switch→host link of `node`.
-    pub fn downlink(&self, node: NodeId) -> &Arc<LinkState> {
-        &self.downlinks[node.idx()]
-    }
-
-    /// The clockwise segment leaving site `i` (toward site `i + 1`).
-    pub fn segment_cw(&self, i: usize) -> &Arc<LinkState> {
-        &self.cw[i]
-    }
-
-    /// The counter-clockwise segment entering site `i` (from site `i + 1`).
-    pub fn segment_ccw(&self, i: usize) -> &Arc<LinkState> {
-        &self.ccw[i]
-    }
-
-    /// Chunks dropped to switch output-buffer overflow.
-    pub fn overflow_drops(&self) -> u64 {
-        self.overflow_drops.load(Ordering::Relaxed)
-    }
-
-    /// Chunks lost to scheduled link outages, across all links.
-    pub fn flap_losses(&self) -> u64 {
-        self.uplinks
-            .iter()
-            .chain(self.downlinks.iter())
-            .chain(self.cw.iter())
-            .chain(self.ccw.iter())
-            .map(|l| l.flap_losses())
-            .sum()
-    }
-
-    /// Ring hops (beyond the access pair) for `src` → `dst`, shortest
-    /// direction, clockwise on ties — a pure function of the site pair.
-    fn route(&self, src: NodeId, dst: NodeId) -> Vec<&Arc<LinkState>> {
-        let s = self.params.sites;
-        let s_src = self.params.site_of(src);
-        let s_dst = self.params.site_of(dst);
-        let d_cw = (s_dst + s - s_src) % s;
-        let d_ccw = (s_src + s - s_dst) % s;
-        let mut hops = Vec::with_capacity(d_cw.min(d_ccw) + 1);
-        if d_cw <= d_ccw {
-            for k in 0..d_cw {
-                hops.push(&self.cw[(s_src + k) % s]);
-            }
-        } else {
-            for k in 0..d_ccw {
-                hops.push(&self.ccw[(s_src + s - 1 - k) % s]);
-            }
-        }
-        hops.push(&self.downlinks[dst.idx()]);
-        hops
-    }
-}
-
-impl Fabric for WanRingFabric {
-    fn nodes(&self) -> usize {
-        self.params.nodes
-    }
-
-    fn transfer(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        payload_bytes: usize,
-        depart: SimTime,
-    ) -> TransferTiming {
-        assert!(src.idx() < self.params.nodes && dst.idx() < self.params.nodes);
-        assert_ne!(src, dst, "loopback does not touch the fabric");
-        let wire = atm_wire_bytes(payload_bytes);
-        let lat = self.params.switch_latency;
-        let cap = self.params.output_buffer_cells;
-        let up = self.uplinks[src.idx()].enqueue(depart, wire, Dur::ZERO);
-        let mut lost = up.lost;
-        let mut at = up.arrival + lat;
-        for link in self.route(src, dst) {
-            if output_buffer_full(link, at, cap) {
-                self.overflow_drops.fetch_add(1, Ordering::Relaxed);
-                return TransferTiming {
-                    first_hop_done: up.end,
-                    arrival: at,
-                    dropped: true,
-                };
-            }
-            let slot = link.enqueue(at, wire, Dur::ZERO);
-            lost |= slot.lost;
-            at = slot.arrival + lat;
-        }
-        TransferTiming {
-            first_hop_done: up.end,
-            arrival: at - lat,
-            dropped: lost,
-        }
-    }
-
-    fn access_rate(&self, _src: NodeId) -> u64 {
-        self.params.access.rate_bps
-    }
-
-    fn output_backlog(&self, node: NodeId, now: SimTime) -> Option<u64> {
-        Some(self.downlink(node).backlog_bytes(now))
-    }
-
-    fn path_down(&self, src: NodeId, dst: NodeId, at: SimTime) -> bool {
-        if self.uplinks[src.idx()].is_down(at) {
-            return true;
-        }
-        self.route(src, dst).iter().any(|l| l.is_down(at))
-    }
-
-    fn description(&self) -> String {
-        let grades: Vec<&str> = self.params.segments.iter().map(|s| s.name).collect();
-        format!(
-            "WAN ring: {} hosts over {} sites, {} access, segments [{}]",
-            self.params.nodes,
-            self.params.sites,
-            self.params.access.name,
-            grades.join(", ")
-        )
-    }
-}
-
-impl SwitchedFabric for WanRingFabric {
-    fn uplink_of(&self, node: NodeId) -> &Arc<LinkState> {
-        self.uplink(node)
-    }
-
-    fn downlink_of(&self, node: NodeId) -> &Arc<LinkState> {
-        self.downlink(node)
-    }
-
-    fn trunk_links(&self) -> Vec<Arc<LinkState>> {
-        let mut v: Vec<Arc<LinkState>> = Vec::new();
-        v.extend(self.cw.iter().cloned());
-        v.extend(self.ccw.iter().cloned());
-        v
-    }
-
-    fn overflow_drop_count(&self) -> u64 {
-        self.overflow_drops()
-    }
-
-    fn flap_loss_count(&self) -> u64 {
-        self.flap_losses()
+        block_of(node, self.nodes.div_ceil(self.sites), self.sites)
     }
 }
 
@@ -636,6 +241,7 @@ pub fn spawn_vbr(sim: &Sim, fabric: Arc<dyn Fabric>, cfg: VbrConfig) -> VbrHandl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atm::{atm_wire_bytes, AtmFabric};
 
     fn t(us: u64) -> SimTime {
         SimTime::ZERO + Dur::from_micros(us)
@@ -643,7 +249,7 @@ mod tests {
 
     #[test]
     fn fat_tree_same_edge_skips_the_core() {
-        let f = FatTreeFabric::new(FatTreeParams::campus(16));
+        let f = AtmFabric::new(FatTreeParams::campus(16));
         // Hosts 0 and 1 share edge 0: two access hops plus one switch.
         let local = f.transfer(NodeId(0), NodeId(1), 1000, t(0));
         // Hosts 0 and 9 cross edges: two extra trunk hops and switches.
@@ -662,16 +268,17 @@ mod tests {
 
     #[test]
     fn fat_tree_path_down_follows_the_chosen_core() {
-        let f = FatTreeFabric::new(FatTreeParams::campus(32));
+        let p = FatTreeParams::campus(32);
+        let f = AtmFabric::new(p.clone());
         let (src, dst) = (NodeId(0), NodeId(9));
-        let c = f.params().core_for(src, dst);
-        let e_src = f.params().edge_of(src);
-        f.edge_up[e_src][c].schedule_flap(t(0), t(1_000_000));
+        let c = p.core_for(src, dst);
+        // Edge→core trunks come first, edge-major.
+        f.trunk_links()[p.edge_of(src) * p.cores + c].schedule_flap(t(0), t(1_000_000));
         assert!(f.path_down(src, dst, t(500)));
         // The other core's links are untouched: a pair routed through it
         // is unaffected.
         let other = NodeId(10); // 0 + 10 picks the other core than 0 + 9
-        assert_ne!(f.params().core_for(src, other), c);
+        assert_ne!(p.core_for(src, other), c);
         assert!(!f.path_down(src, other, t(500)));
         // Same-edge traffic never touches the cores.
         assert!(!f.path_down(NodeId(0), NodeId(1), t(500)));
@@ -682,7 +289,7 @@ mod tests {
         // 4 sites, 2 hosts each. Site 0 → site 1 is one clockwise hop;
         // site 0 → site 3 is one counter-clockwise hop; both beat the
         // 3-hop detour.
-        let f = WanRingFabric::new(WanRingParams::oc48_ring(8, 4));
+        let f = AtmFabric::new(WanRingParams::oc48_ring(8, 4));
         let one_hop = f.transfer(NodeId(0), NodeId(2), 1000, t(0)); // site 0 → 1
         let back_hop = f.transfer(NodeId(0), NodeId(6), 1000, t(0)); // site 0 → 3
         let two_hop = f.transfer(NodeId(0), NodeId(4), 1000, t(0)); // site 0 → 2
@@ -695,11 +302,11 @@ mod tests {
 
     #[test]
     fn ring_path_down_tracks_the_route() {
-        let f = WanRingFabric::new(WanRingParams::mixed_ring(8, 4));
+        let f = AtmFabric::new(WanRingParams::mixed_ring(8, 4));
         // Sever the clockwise segment out of site 0: site 0 → site 1
         // traffic is partitioned, site 0 → site 3 (counter-clockwise)
         // is not.
-        f.segment_cw(0).schedule_flap(t(0), t(10_000_000));
+        f.trunk_links()[0].schedule_flap(t(0), t(10_000_000));
         assert!(f.path_down(NodeId(0), NodeId(2), t(100)));
         assert!(!f.path_down(NodeId(0), NodeId(6), t(100)));
         // Intra-site traffic never rides the ring.
@@ -710,7 +317,7 @@ mod tests {
     fn finite_ring_buffers_drop_on_overflow() {
         // A DS-3 segment fed from a TAXI access link at full blast with a
         // tiny output buffer must shed chunks.
-        let f = WanRingFabric::new(WanRingParams::ds3_ring(8, 4).with_output_buffer(32));
+        let f = AtmFabric::new(WanRingParams::ds3_ring(8, 4).with_output_buffer(32));
         let mut dropped = 0;
         for i in 0..200 {
             let tt = f.transfer(NodeId(0), NodeId(2), 9180, t(i * 10));
@@ -719,17 +326,17 @@ mod tests {
             }
         }
         assert!(dropped > 0, "no overflow under sustained overload");
-        assert_eq!(f.overflow_drops(), dropped);
+        assert_eq!(f.overflow_drop_count(), dropped);
     }
 
     #[test]
     fn vbr_flow_is_deterministic_and_contends() {
         let run = || {
             let sim = Sim::new();
-            let fabric = Arc::new(FatTreeFabric::new(FatTreeParams::campus(16)));
+            let fabric = Arc::new(AtmFabric::new(FatTreeParams::campus(16)));
             let vbr = spawn_vbr(
                 &sim,
-                Arc::<FatTreeFabric>::clone(&fabric) as Arc<dyn Fabric>,
+                Arc::<AtmFabric>::clone(&fabric) as Arc<dyn Fabric>,
                 VbrConfig {
                     src: NodeId(14),
                     dst: NodeId(15),

@@ -4,7 +4,7 @@
 //! produce bit-identical traces.
 
 use bytes::Bytes;
-use ncs_net::atm::{AtmLanFabric, AtmLanParams};
+use ncs_net::atm::{AtmFabric, AtmLanParams};
 use ncs_net::fabric::NodeId;
 use ncs_net::faults::{ChaosNet, ChaosParams};
 use ncs_net::stack::{BlockingWait, Network, TcpNet, TcpParams};
@@ -18,7 +18,7 @@ use std::sync::Arc;
 fn chaotic_run() -> u64 {
     let sim = Sim::new();
     let nodes = 3;
-    let fabric = Arc::new(AtmLanFabric::new(AtmLanParams::fore_lan(nodes)));
+    let fabric = Arc::new(AtmFabric::new(AtmLanParams::fore_lan(nodes)));
     let tcp: Arc<dyn Network> = Arc::new(TcpNet::new(
         fabric,
         vec![HostParams::sparc_ipx(); nodes],
@@ -102,7 +102,7 @@ fn atm_api_roundtrip_is_replayable() {
     let run = || {
         let sim = Sim::new();
         let nodes = 2;
-        let fabric = Arc::new(AtmLanFabric::new(AtmLanParams::fore_lan(nodes)));
+        let fabric = Arc::new(AtmFabric::new(AtmLanParams::fore_lan(nodes)));
         let tcp: Arc<dyn Network> = Arc::new(TcpNet::new(
             fabric,
             vec![HostParams::sparc_ipx(); nodes],

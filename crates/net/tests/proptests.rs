@@ -3,7 +3,7 @@
 //! timing sanity, and end-to-end payload integrity through each stack.
 
 use bytes::Bytes;
-use ncs_net::atm::{AtmLanFabric, AtmLanParams};
+use ncs_net::atm::{AtmFabric, AtmLanParams};
 use ncs_net::ethernet::{EthernetFabric, EthernetParams};
 use ncs_net::fabric::{Fabric, NodeId};
 use ncs_net::link::{LinkSpec, LinkState};
@@ -93,7 +93,7 @@ fn fabric_timing_sanity() {
             let b = bytes.min(1460);
             f.transfer(NodeId(0), NodeId(1), b, depart)
         } else {
-            let f = AtmLanFabric::new(AtmLanParams::fore_lan(3));
+            let f = AtmFabric::new(AtmLanParams::fore_lan(3));
             f.transfer(NodeId(0), NodeId(2), bytes, depart)
         };
         assert!(timing.first_hop_done > depart);
@@ -109,7 +109,7 @@ fn stacks_deliver_arbitrary_payloads() {
         let seed = g.range(0..1000);
         let len = g.range(0..60_000);
         let hsm = g.bool();
-        let fabric = Arc::new(AtmLanFabric::new(AtmLanParams::fore_lan(2)));
+        let fabric = Arc::new(AtmFabric::new(AtmLanParams::fore_lan(2)));
         let hosts = vec![HostParams::test_fast(); 2];
         let net: Arc<dyn Network> = if hsm {
             Arc::new(AtmApiNet::new(fabric, hosts, AtmApiParams::default()))

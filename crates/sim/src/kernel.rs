@@ -128,12 +128,11 @@ struct ThreadSlot {
 enum EventKind {
     Resume(ThreadId),
     Call(Box<dyn FnOnce(&Sim) + Send>),
-    /// Increment a tracer counter. Unlike `Call`, carries no closure, so
-    /// scheduling one is allocation-free (the record is pooled).
-    Count { name: &'static str, n: u64 },
     /// A self-rearming counter train: fires `remaining` times, `gap_ps`
-    /// apart, incrementing `name` by one each firing. Models per-cell
-    /// arrival events with ONE pooled record for the whole cell train.
+    /// apart, incrementing tracer counter `name` by one each firing. Models
+    /// per-cell arrival events with ONE pooled record for the whole cell
+    /// train; unlike `Call` it carries no closure, so scheduling one is
+    /// allocation-free.
     CountTrain {
         name: &'static str,
         remaining: u32,
@@ -554,12 +553,6 @@ impl Sim {
         self.inner.core.lock().queue.cancel(handle.0).is_some()
     }
 
-    /// Schedules an increment of tracer counter `name` by `n` at `at`,
-    /// without allocating a closure (the event record is pooled).
-    pub fn schedule_count(&self, at: SimTime, name: &'static str, n: u64) {
-        self.push_event(at, EventKind::Count { name, n });
-    }
-
     /// Schedules `cells` unit increments of tracer counter `name`, the first
     /// at `first` and each subsequent one `gap` later — a cell train. Costs
     /// one pooled, self-rearming event record for the whole train instead of
@@ -779,10 +772,6 @@ impl Sim {
                 EventKind::Call(f) => {
                     self.mix_hash(time, seq, 1);
                     f(self);
-                }
-                EventKind::Count { name, n } => {
-                    self.mix_hash(time, seq, 3 | (n << 8));
-                    self.with_tracer(|tr| tr.count(name, n));
                 }
                 EventKind::CountTrain {
                     name,
@@ -1236,17 +1225,6 @@ mod tests {
         let out = sim.run_bounded(None, 4);
         assert_eq!(out.reason, StopReason::Completed);
         assert_eq!(out.events, 4);
-    }
-
-    #[test]
-    fn count_events_accumulate_without_closures() {
-        let sim = Sim::new();
-        sim.schedule_count(SimTime::from_ps(10), "k.cells", 3);
-        sim.schedule_count(SimTime::from_ps(20), "k.cells", 4);
-        let out = sim.run();
-        out.assert_clean();
-        assert_eq!(out.events, 2);
-        assert_eq!(sim.with_tracer(|tr| tr.counter("k.cells")), 7);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //!   selectable via `NCS_GREEN_ENGINE=os`);
 //! * [`wheel`] — the kernel's event queue: a hierarchical timer wheel with
 //!   pooled event records (O(1) schedule, allocation-free steady state);
-//! * [`FifoResource`] — counted FIFO resources (buses, links, buffer pools);
 //! * [`SimChannel`] — blocking queues between simulated activities;
 //! * [`Tracer`] — span recording (interned actors, parent links, causal
 //!   ids) for the paper's timeline figures and Chrome-trace export;
@@ -65,7 +64,6 @@ pub mod engine;
 mod kernel;
 mod metrics;
 pub mod prop;
-mod resource;
 mod rng;
 pub mod sched;
 pub mod shard;
@@ -84,7 +82,6 @@ pub use engine::{
 };
 pub use kernel::{Ctx, RunOutcome, Sim, StopReason, ThreadId, TimerHandle};
 pub use metrics::{DurStat, GaugeSeries, MetricsRegistry, Timeline};
-pub use resource::FifoResource;
 pub use rng::SimRng;
 pub use sched::{
     format_trace, parse_trace, ChoicePoint, Decision, DecisionLog, RandomWalkPolicy,

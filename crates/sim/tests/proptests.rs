@@ -1,12 +1,12 @@
 //! Property tests of the simulation kernel's core guarantees:
-//! determinism, time monotonicity, resource capacity, channel FIFO order,
+//! determinism, time monotonicity, channel FIFO order,
 //! timer-wheel/binary-heap pop-order equivalence, and the cross-shard
 //! merge/single-wheel equivalence behind sharded runs.
 
 use ncs_sim::prop;
 use ncs_sim::sync::Mutex;
 use ncs_sim::wheel::TimerWheel;
-use ncs_sim::{merge_streams, Dur, FifoResource, Sim, SimChannel, SimRng, SimTime};
+use ncs_sim::{merge_streams, Dur, Sim, SimChannel, SimRng, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -82,42 +82,6 @@ fn time_monotone_per_thread() {
         }
         sim.run().assert_clean();
         assert_eq!(*violations.lock(), 0);
-    });
-}
-
-/// A FIFO resource never admits more holders than its capacity, under
-/// arbitrary acquire/hold patterns.
-#[test]
-fn resource_capacity_invariant() {
-    prop::check("resource_capacity_invariant", 24, |g| {
-        let seed = g.range(0..10_000);
-        let capacity = g.range(1..5) as usize;
-        let users = g.range(1..12) as usize;
-        let sim = Sim::new();
-        let res = FifoResource::new("r", capacity);
-        let active = Arc::new(Mutex::new((0usize, 0usize))); // (current, peak)
-        for u in 0..users {
-            let res = res.clone();
-            let active = Arc::clone(&active);
-            let mut rng = SimRng::new(seed).split(u as u64);
-            sim.spawn(format!("u{u}"), move |ctx| {
-                for _ in 0..3 {
-                    ctx.sleep(Dur::from_nanos(rng.gen_range(500)));
-                    res.acquire(ctx);
-                    {
-                        let mut a = active.lock();
-                        a.0 += 1;
-                        a.1 = a.1.max(a.0);
-                    }
-                    ctx.sleep(Dur::from_nanos(rng.gen_range(500) + 1));
-                    active.lock().0 -= 1;
-                    res.release(ctx.sim());
-                }
-            });
-        }
-        sim.run().assert_clean();
-        let (_, peak) = *active.lock();
-        assert!(peak <= capacity, "peak {peak} > capacity {capacity}");
     });
 }
 

@@ -7,14 +7,14 @@
 //! ```
 
 use bytes::Bytes;
-use ncs::net::atm::{AtmLanFabric, AtmLanParams};
+use ncs::net::atm::{AtmFabric, AtmLanParams};
 use ncs::net::{AtmApi, AtmApiNet, AtmApiParams, HostParams, Network, NodeId, TrafficClass};
 use ncs::sim::{Dur, Sim, SimTime};
 use std::sync::Arc;
 
 fn main() {
     let sim = Sim::new();
-    let fabric = Arc::new(AtmLanFabric::new(AtmLanParams::fore_lan(2)));
+    let fabric = Arc::new(AtmFabric::new(AtmLanParams::fore_lan(2)));
     let hosts = vec![HostParams::sparc_ipx(); 2];
     let net: Arc<dyn Network> = Arc::new(AtmApiNet::new(fabric, hosts, AtmApiParams::default()));
     println!("stack: {}\n", net.description());

@@ -8,9 +8,8 @@
 //! ```
 
 use bytes::Bytes;
-use ncs::core::faulty::FaultyNet;
 use ncs::core::{ErrorControl, NcsConfig, NcsWorld, RtoConfig, ThreadAddr, EXC_DELIVERY_FAILED};
-use ncs::net::{Network, Testbed};
+use ncs::net::{ChaosNet, ChaosParams, Network, Testbed};
 use ncs::sim::{Dur, Sim};
 use std::sync::Arc;
 
@@ -18,7 +17,7 @@ fn main() {
     // Part 1: a rough wire — 15% corruption, 15% loss — fully repaired.
     let sim = Sim::new();
     let base = Testbed::SunAtmLanTcp.build(2);
-    let faulty: Arc<FaultyNet> = Arc::new(FaultyNet::with_loss(base, 0.15, 0.15, 0xF001));
+    let faulty = ChaosNet::new(base, ChaosParams::message_level(0.15, 0.15, 0xF001));
     let faulty_dyn: Arc<dyn Network> = Arc::clone(&faulty) as Arc<dyn Network>;
     let cfg = NcsConfig {
         error: ErrorControl::ChecksumRetransmit,
@@ -48,8 +47,8 @@ fn main() {
     );
     println!(
         "  injected: {} corrupted, {} dropped; repaired with {} retransmissions",
-        faulty.corrupted_count(),
-        faulty.dropped_count(),
+        faulty.stats().snapshot().messages_corrupted,
+        faulty.stats().snapshot().messages_dropped,
         world.procs()[0].retransmits(),
     );
 
@@ -57,7 +56,7 @@ fn main() {
     // its retry budget and raises a local exception instead of hanging.
     let sim = Sim::new();
     let base = Testbed::SunAtmLanTcp.build(2);
-    let dead: Arc<dyn Network> = Arc::new(FaultyNet::with_loss(base, 0.0, 1.0, 0xF002));
+    let dead: Arc<dyn Network> = ChaosNet::new(base, ChaosParams::message_level(0.0, 1.0, 0xF002));
     let cfg = NcsConfig {
         error: ErrorControl::ChecksumRetransmit,
         rto: RtoConfig::from_base(Dur::from_millis(100)),

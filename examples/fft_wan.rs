@@ -7,7 +7,7 @@
 //! ```
 
 use ncs::apps::fft::{fft_ncs, fft_p4, FftConfig};
-use ncs::net::atm::{NynetFabric, NynetParams};
+use ncs::net::atm::{AtmFabric, NynetParams};
 use ncs::net::HostParams;
 use ncs::net::{Network, TcpNet, TcpParams};
 use std::sync::Arc;
@@ -18,7 +18,7 @@ fn nynet(nodes: usize, ds3: bool) -> Arc<dyn Network> {
     } else {
         NynetParams::nynet(nodes)
     };
-    let fabric = Arc::new(NynetFabric::new(params));
+    let fabric = Arc::new(AtmFabric::new(params));
     let hosts = vec![HostParams::sparc_ipx(); nodes];
     Arc::new(TcpNet::new(fabric, hosts, TcpParams::ip_over_atm()))
 }

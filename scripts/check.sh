@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Full verification pipeline. The stages marked "as CI" mirror CI
-# (.github/workflows/ci.yml) exactly; the last one, the experiment
-# regenerator, is a local extra.
+# (.github/workflows/ci.yml) exactly.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,7 +43,8 @@ cargo run --release -p ncs-bench --bin xp_micro -- --smoke
 echo "== docs (as CI) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
-echo "== experiments =="
+echo "== results are current: regenerate, then no diff under results/*.txt (as CI) =="
 cargo run --release -p ncs-bench --bin report
+git diff --exit-code -- 'results/*.txt'
 
 echo "ALL CHECKS PASSED"

@@ -6,9 +6,8 @@ use bytes::Bytes;
 use ncs::apps::fft::{fft_ncs, fft_p4, FftConfig};
 use ncs::apps::jpeg_dist::{jpeg_ncs, jpeg_p4, JpegConfig};
 use ncs::apps::matmul::{matmul_ncs, matmul_p4, MatmulConfig};
-use ncs::core::faulty::FaultyNet;
 use ncs::core::{ErrorControl, NcsConfig, NcsWorld, ThreadAddr};
-use ncs::net::{Network, Testbed};
+use ncs::net::{ChaosNet, ChaosParams, Network, Testbed};
 use ncs::sim::Sim;
 use std::sync::Arc;
 
@@ -126,11 +125,11 @@ fn deterministic_replay_across_full_stack() {
 
 #[test]
 fn error_control_survives_a_lossy_atm_lan() {
-    // FaultyNet over the ATM LAN + NCS checksum/retransmit: application
-    // traffic arrives intact despite injected corruption.
+    // Corrupt-and-deliver faults over the ATM LAN + NCS checksum/retransmit:
+    // application traffic arrives intact despite injected corruption.
     let sim = Sim::new();
     let base = Testbed::SunAtmLanTcp.build(2);
-    let faulty = Arc::new(FaultyNet::new(base, 0.25, 0xBAD));
+    let faulty = ChaosNet::new(base, ChaosParams::message_level(0.25, 0.0, 0xBAD));
     let faulty_dyn: Arc<dyn Network> = Arc::clone(&faulty) as Arc<dyn Network>;
     let cfg = NcsConfig {
         error: ErrorControl::ChecksumRetransmit,
@@ -151,7 +150,10 @@ fn error_control_survives_a_lossy_atm_lan() {
         });
     });
     sim.run().assert_clean();
-    assert!(faulty.corrupted_count() > 0, "injection must fire");
+    assert!(
+        faulty.stats().snapshot().messages_corrupted > 0,
+        "injection must fire"
+    );
     assert!(
         world.procs()[0].retransmits() > 0,
         "retransmits must happen"
