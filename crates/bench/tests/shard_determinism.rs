@@ -314,7 +314,11 @@ fn per_shard_mts_instances_do_not_perturb_the_workload() {
         let mesh = GossipMesh::new(ShardNetParams::metro_campus(64), 2, cfg);
         let switch_log: Arc<Mutex<[u64; 2]>> = Arc::new(Mutex::new([0; 2]));
         for shard in 0..2usize {
-            let mts = Mts::new_sharded(mesh.sharded(), shard, "bg", MtsConfig::default());
+            let mts = Mts::new(
+                mesh.sharded().shard(shard),
+                format!("s{shard}:bg"),
+                MtsConfig::default(),
+            );
             for t in 0..3u64 {
                 mts.spawn(format!("tick{t}"), 4, move |m| {
                     for step in 0..4 {

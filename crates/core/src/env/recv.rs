@@ -29,7 +29,7 @@ pub(super) fn recv_thread_body(inner: &Arc<ProcInner>, m: &MtsCtx) {
             m.ctx().sleep(inner.cfg.poll_cost);
         }
         let mut progress = false;
-        while let Some((tier, d)) = inner.merged.try_recv(&inner.sim) {
+        while let Some((tier, d)) = inner.merged.try_recv() {
             ingest(inner, m, tier, d);
             progress = true;
         }

@@ -19,7 +19,6 @@ pub mod runtime;
 pub mod sync;
 
 pub use runtime::{
-    Mts, MtsConfig, MtsCtx, MtsStats, MtsThreadReport, MtsThreadState, MtsTid, SchedPolicy,
-    PRIORITY_LEVELS,
+    Mts, MtsConfig, MtsCtx, MtsStats, MtsThreadReport, MtsThreadState, MtsTid, PRIORITY_LEVELS,
 };
 pub use sync::{MtsBarrier, MtsEvent, MtsSemaphore};

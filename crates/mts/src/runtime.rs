@@ -23,8 +23,7 @@
 
 use ncs_sim::sync::Mutex;
 use ncs_sim::{
-    ActorId, AnalysisConfig, ChoicePoint, Ctx, Dur, ShardedSim, Sim, SimTime, SpanKind, ThreadId,
-    WaitGraph,
+    ActorId, AnalysisConfig, ChoicePoint, Ctx, Dur, Sim, SimTime, SpanKind, ThreadId, WaitGraph,
 };
 use std::sync::Arc;
 
@@ -90,7 +89,6 @@ struct Tcb {
 struct Inner {
     proc_name: String,
     cs_cost: Dur,
-    policy: SchedPolicy,
     started: bool,
     arena: LinkArena,
     runnable: [ListHead; PRIORITY_LEVELS],
@@ -109,13 +107,9 @@ struct Inner {
 }
 
 impl Inner {
-    /// Queues `slot` at the tail of its runnable list: its priority level
-    /// under multilevel round robin, the single level-0 queue under FIFO.
+    /// Queues `slot` at the tail of its priority level's runnable list.
     fn push_runnable(&mut self, slot: u32) {
-        let prio = match self.policy {
-            SchedPolicy::MultilevelRoundRobin => self.tcbs[slot as usize].priority,
-            SchedPolicy::GlobalFifo => 0,
-        };
+        let prio = self.tcbs[slot as usize].priority;
         let Inner {
             runnable, arena, ..
         } = self;
@@ -162,35 +156,20 @@ impl Inner {
     /// no-op — re-dispatching the yielder itself would wake the green
     /// thread that is still running, which the kernel (correctly) rejects.
     fn any_runnable_at_or_above(&self, priority: usize) -> bool {
-        let cut = match self.policy {
-            SchedPolicy::MultilevelRoundRobin => priority,
-            SchedPolicy::GlobalFifo => 0,
-        };
-        self.runnable[..=cut].iter().any(|l| !l.is_empty())
+        self.runnable[..=priority].iter().any(|l| !l.is_empty())
     }
 }
 
-/// Scheduling discipline (the paper: "NCS_MTS can support several
-/// scheduling and synchronization techniques"; the default is its current
-/// implementation — N = 16 priority levels with round robin).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SchedPolicy {
-    /// Multilevel priority queue, round robin within a level (Figure 9).
-    #[default]
-    MultilevelRoundRobin,
-    /// Single global FIFO: creation/readiness order, priorities ignored.
-    GlobalFifo,
-}
-
-/// Configuration of one MTS instance.
+/// Configuration of one MTS instance. The scheduling discipline is not
+/// configurable: it is the paper's implementation, a multilevel priority
+/// queue ([`PRIORITY_LEVELS`] levels) with round robin within a level
+/// (Figure 9).
 #[derive(Clone, Debug)]
 pub struct MtsConfig {
     /// User-level context-switch cost charged at each dispatch. QuickThreads
     /// switches in a few microseconds on a 1990s SPARC; the default includes
     /// queue management.
     pub context_switch: Dur,
-    /// Scheduling discipline.
-    pub policy: SchedPolicy,
     /// Runtime analysis pass (deadlock detection, queue-invariant
     /// validation). Off by default; see [`AnalysisConfig::recording`].
     pub analysis: AnalysisConfig,
@@ -200,7 +179,6 @@ impl Default for MtsConfig {
     fn default() -> MtsConfig {
         MtsConfig {
             context_switch: Dur::from_micros(15),
-            policy: SchedPolicy::default(),
             analysis: AnalysisConfig::off(),
         }
     }
@@ -236,7 +214,6 @@ impl Mts {
             inner: Arc::new(Mutex::new(Inner {
                 proc_name: proc_name.into(),
                 cs_cost: config.context_switch,
-                policy: config.policy,
                 started: false,
                 arena: LinkArena::new(),
                 runnable: [ListHead::new(); PRIORITY_LEVELS],
@@ -252,26 +229,6 @@ impl Mts {
                 reported_cycles: Vec::new(),
             })),
         }
-    }
-
-    /// Creates the runtime for a process hosted on shard `shard` of a
-    /// sharded simulation: identical semantics to [`Mts::new`] against
-    /// [`ShardedSim::shard`], with the process name prefixed by its shard
-    /// (`s<shard>:<proc_name>`) so actors from different shards stay
-    /// distinguishable in traces. Each shard runs its own MTS scheduler
-    /// instances on its own kernel — MTS never spans shards; cross-shard
-    /// traffic goes through the message layers and [`ShardedSim::post`].
-    pub fn new_sharded(
-        sharded: &ShardedSim,
-        shard: usize,
-        proc_name: impl Into<String>,
-        config: MtsConfig,
-    ) -> Mts {
-        Mts::new(
-            sharded.shard(shard),
-            format!("s{shard}:{}", proc_name.into()),
-            config,
-        )
     }
 
     /// Creates an MTS thread (`NCS_t_create`). Threads do not run until
@@ -1268,34 +1225,6 @@ mod tests {
 #[cfg(test)]
 mod policy_tests {
     use super::*;
-
-    #[test]
-    fn global_fifo_ignores_priorities() {
-        let sim = Sim::new();
-        let log: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-        let log_outer = Arc::clone(&log);
-        sim.spawn("main", move |ctx| {
-            let mts = Mts::new(
-                ctx.sim(),
-                "p0",
-                MtsConfig {
-                    context_switch: Dur::ZERO,
-                    policy: SchedPolicy::GlobalFifo,
-                    analysis: AnalysisConfig::default(),
-                },
-            );
-            // Created in descending priority: FIFO must run creation order.
-            for (i, prio) in [9usize, 0, 5].into_iter().enumerate() {
-                let log = Arc::clone(&log);
-                mts.spawn(format!("t{i}"), prio, move |_| {
-                    log.lock().push(i);
-                });
-            }
-            mts.start(ctx);
-        });
-        sim.run().assert_clean();
-        assert_eq!(*log_outer.lock(), vec![0, 1, 2]);
-    }
 
     #[test]
     fn multilevel_default_still_honors_priorities() {

@@ -25,8 +25,8 @@ use std::sync::Arc;
 
 use crate::aal5;
 use crate::cell::CELL_BYTES;
-use crate::fabric::{Fabric, NodeId, TrainTiming, TransferTiming};
-use crate::link::{LinkSpec, LinkState, TxSlot};
+use crate::fabric::{Fabric, NodeId, TransferTiming};
+use crate::link::{LinkSpec, LinkState};
 use crate::wan::{FatTreeParams, WanRingParams};
 
 /// Wire bytes for an AAL5-framed chunk of `payload` bytes.
@@ -468,21 +468,16 @@ impl AtmFabric {
             .sum()
     }
 
-    /// The hop loop: books the uplink, then the route's trunks in order,
-    /// then `dst`'s downlink, each through `enqueue`. Every hop after the
-    /// uplink is fed by a switch and can overflow that switch's output
-    /// buffer, which drops the chunk whole there.
-    fn book(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        depart: SimTime,
-        enqueue: impl Fn(&LinkState, SimTime) -> TxSlot,
-    ) -> TransferTiming {
+    /// The hop loop, and the only place a chunk is put on a wire: books
+    /// `wire_bytes` on the uplink, then the route's trunks in order, then
+    /// `dst`'s downlink. Every hop after the uplink is fed by a switch and
+    /// can overflow that switch's output buffer, which drops the chunk
+    /// whole there.
+    fn book(&self, src: NodeId, dst: NodeId, wire_bytes: usize, depart: SimTime) -> TransferTiming {
         assert!(src.idx() < self.nodes && dst.idx() < self.nodes);
         assert_ne!(src, dst, "loopback does not touch the fabric");
         let lat = self.switch_latency;
-        let up = enqueue(&self.uplinks[src.idx()], depart);
+        let up = self.uplinks[src.idx()].enqueue(depart, wire_bytes, Dur::ZERO);
         let mut lost = up.lost;
         let mut at = up.arrival + lat;
         let mut route = self.topology.route(src, dst);
@@ -500,7 +495,7 @@ impl AtmFabric {
                     dropped: true,
                 };
             }
-            let slot = enqueue(link, at);
+            let slot = link.enqueue(at, wire_bytes, Dur::ZERO);
             lost |= slot.lost;
             if trunk.is_none() {
                 // The downlink ends at the host, not another switch.
@@ -527,46 +522,7 @@ impl Fabric for AtmFabric {
         payload_bytes: usize,
         depart: SimTime,
     ) -> TransferTiming {
-        let wire = atm_wire_bytes(payload_bytes);
-        self.book(src, dst, depart, |link, at| {
-            link.enqueue(at, wire, Dur::ZERO)
-        })
-    }
-
-    /// On a single switch, books the train with exactly one FIFO booking
-    /// per hop ([`LinkState::enqueue_train`]) and reports the
-    /// receiver-observed inter-cell spacing: the downlink's per-cell
-    /// serialization time (meaningless, and never read, for a dropped
-    /// train).
-    ///
-    /// A fabric with trunks keeps the arithmetic [`TrainTiming::paced`]
-    /// over [`Fabric::transfer`] instead. The two disagree by picoseconds
-    /// (`cells × tx_time(53)` against `tx_time(cells × 53)`, each rounded
-    /// up), and every checked-in LAN and NYNET HSM number was produced with
-    /// this split — single-switch fabrics per hop, multi-switch fabrics
-    /// arithmetic, same-site pairs included — so it is kept as found.
-    fn transfer_train(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        payload_bytes: usize,
-        cells: usize,
-        cell_wire_bytes: usize,
-        depart: SimTime,
-    ) -> TrainTiming {
-        if !self.trunks.is_empty() {
-            let whole = self.transfer(src, dst, payload_bytes, depart);
-            return TrainTiming::paced(whole, cells, cell_wire_bytes, self.access_rate, depart);
-        }
-        let whole = self.book(src, dst, depart, |link, at| {
-            link.enqueue_train(at, cells, cell_wire_bytes, Dur::ZERO)
-                .slot
-        });
-        TrainTiming {
-            whole,
-            cells,
-            cell_gap: self.downlinks[dst.idx()].spec.tx_time(cell_wire_bytes),
-        }
+        self.book(src, dst, atm_wire_bytes(payload_bytes), depart)
     }
 
     fn access_rate(&self, _src: NodeId) -> u64 {
@@ -625,30 +581,6 @@ mod tests {
             + Dur::from_micros(5); // downlink propagation
         assert_eq!(tt.arrival, expect);
         assert_eq!(tt.first_hop_done, SimTime::ZERO + hop);
-    }
-
-    #[test]
-    fn lan_train_books_one_slot_per_hop() {
-        let f = AtmFabric::new(AtmLanParams::fore_lan(4));
-        let train = f.transfer_train(NodeId(0), NodeId(1), 480, 11, CELL_BYTES, t(0));
-        assert_eq!(train.cells, 11);
-        // One FIFO booking on the uplink and one on the downlink.
-        assert_eq!(f.uplink(NodeId(0)).chunks_carried(), 1);
-        assert_eq!(f.downlink(NodeId(1)).chunks_carried(), 1);
-        // Receiver-side spacing = downlink cell serialization time.
-        let cell = LinkSpec::taxi_140().tx_time(CELL_BYTES);
-        assert_eq!(train.cell_gap, cell);
-        assert_eq!(train.cell_arrival(10), train.whole.arrival);
-        assert_eq!(train.cell_arrival(0), train.whole.arrival - cell * 10);
-        // Whole-train timing agrees with the chunk model to within per-cell
-        // rounding (tx_time rounds each call up to the next picosecond).
-        let chunk = f.transfer(NodeId(2), NodeId(3), 480, t(0));
-        let skew = train
-            .whole
-            .arrival
-            .saturating_since(chunk.arrival)
-            .max(chunk.arrival.saturating_since(train.whole.arrival));
-        assert!(skew < Dur::from_nanos(1), "skew {skew}");
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! A [`Fabric`] answers one question: *if node `src` hands the wire a chunk
 //! of `n` payload bytes at time `t`, when does the last bit reach `dst`?*
-//! All queueing is FIFO bookkeeping on [`crate::link::LinkState`]s — no per-cell events —
-//! which keeps multi-megabyte experiments fast while preserving
-//! serialization, contention, and propagation behaviour.
+//! A chunk is the one granularity a fabric books: all queueing is FIFO
+//! bookkeeping on [`crate::link::LinkState`]s, one slot per chunk per hop and
+//! never a per-cell booking or event, which keeps multi-megabyte experiments
+//! fast while preserving serialization, contention, and propagation
+//! behaviour.
 //!
 //! Implementations: [`IdealFabric`] (tests), the shared-segment
 //! [`crate::ethernet::EthernetFabric`], and the one switched ATM fabric,
@@ -43,68 +45,6 @@ pub struct TransferTiming {
     pub dropped: bool,
 }
 
-/// Per-cell arrival geometry of a booked cell train: the whole-train
-/// [`TransferTiming`] plus an arithmetically derived inter-cell spacing, so
-/// transports that want per-cell instants (e.g. a per-cell-interrupt
-/// receiver model) never force the fabric into per-cell bookings or the
-/// kernel into per-cell bookkeeping it didn't ask for.
-#[derive(Clone, Copy, Debug)]
-pub struct TrainTiming {
-    /// The train as a whole; `whole.arrival` is the final cell's arrival.
-    pub whole: TransferTiming,
-    /// Cells in the train (≥ 1).
-    pub cells: usize,
-    /// Spacing between consecutive cell arrivals at the destination.
-    pub cell_gap: Dur,
-}
-
-impl TrainTiming {
-    /// Train geometry derived arithmetically from a whole-chunk booking:
-    /// cells spaced at the serialization time of `cell_wire_bytes` at
-    /// `rate` b/s (exact where the last hop runs at that rate; an upper
-    /// bound on bunching for multi-hop WANs), clamped so the first cell
-    /// never appears to arrive before `depart`.
-    pub fn paced(
-        whole: TransferTiming,
-        cells: usize,
-        cell_wire_bytes: usize,
-        rate: u64,
-        depart: SimTime,
-    ) -> TrainTiming {
-        assert!(cells > 0, "a cell train needs at least one cell");
-        let mut cell_gap = if cells == 1 || rate == u64::MAX {
-            Dur::ZERO
-        } else {
-            Dur::for_bytes(cell_wire_bytes, rate)
-        };
-        let span = cell_gap * (cells - 1) as u64;
-        let avail = whole.arrival.saturating_since(depart);
-        if span > avail {
-            cell_gap = avail / (cells - 1) as u64;
-        }
-        TrainTiming {
-            whole,
-            cells,
-            cell_gap,
-        }
-    }
-
-    /// Arrival instant of cell `i` (0-based): the last cell lands at
-    /// `whole.arrival`, earlier cells one `cell_gap` apart before it.
-    pub fn cell_arrival(&self, i: usize) -> SimTime {
-        assert!(i < self.cells, "cell index out of train");
-        self.whole.arrival - self.cell_gap * (self.cells - 1 - i) as u64
-    }
-
-    /// Arrival instant of the train's first cell. With
-    /// [`TrainTiming::cell_gap`], this is all a transport needs to schedule
-    /// the whole train as one self-rearming kernel event
-    /// (`Sim::schedule_count_train`) instead of per-cell closures.
-    pub fn first_arrival(&self) -> SimTime {
-        self.cell_arrival(0)
-    }
-}
-
 /// A wire-level topology with FIFO-queued links.
 pub trait Fabric: Send + Sync + 'static {
     /// Number of attached hosts.
@@ -120,23 +60,6 @@ pub trait Fabric: Send + Sync + 'static {
         payload_bytes: usize,
         depart: SimTime,
     ) -> TransferTiming;
-
-    /// Books `payload_bytes` as a train of `cells` cells of
-    /// `cell_wire_bytes` wire bytes each, and reports per-cell arrival
-    /// geometry. The default books via [`Fabric::transfer`] and paces the
-    /// cells at the access-link rate ([`TrainTiming::paced`]).
-    fn transfer_train(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        payload_bytes: usize,
-        cells: usize,
-        cell_wire_bytes: usize,
-        depart: SimTime,
-    ) -> TrainTiming {
-        let whole = self.transfer(src, dst, payload_bytes, depart);
-        TrainTiming::paced(whole, cells, cell_wire_bytes, self.access_rate(src), depart)
-    }
 
     /// Payload-effective rate (b/s) of `src`'s first hop, used by transport
     /// layers for send-buffer pacing.
@@ -228,19 +151,5 @@ mod tests {
     fn ideal_fabric_bounds_checked() {
         let f = IdealFabric::new(2, Dur::ZERO);
         f.transfer(NodeId(0), NodeId(5), 10, SimTime::ZERO);
-    }
-
-    #[test]
-    fn default_train_timing_is_arithmetic() {
-        // An ideal fabric is infinitely fast: all cells of a train land
-        // together at the whole-train arrival.
-        let f = IdealFabric::new(2, Dur::from_micros(3));
-        let t0 = SimTime::ZERO + Dur::from_millis(2);
-        let train = f.transfer_train(NodeId(0), NodeId(1), 480, 11, 53, t0);
-        assert_eq!(train.cells, 11);
-        assert_eq!(train.cell_gap, Dur::ZERO);
-        assert_eq!(train.cell_arrival(0), train.whole.arrival);
-        assert_eq!(train.cell_arrival(10), train.whole.arrival);
-        assert_eq!(train.whole.arrival, t0 + Dur::from_micros(3));
     }
 }

@@ -5,7 +5,8 @@
 //! * **ATM data plane**: [`cell`] (53-byte cells with HEC), [`aal5`] and
 //!   [`aal34`] adaptation layers, [`crc`] algorithms;
 //! * **fabrics**: [`ethernet`] (shared 10 Mb/s segment) and [`atm`] — the
-//!   one switched ATM fabric ([`AtmFabric`]: one hop loop, with the
+//!   one switched ATM fabric ([`AtmFabric`]: one hop loop booking one slot
+//!   per chunk per hop, never per cell, with the
 //!   FORE-style single-switch LAN, the NYNET WAN testbed and [`wan`]'s
 //!   fat-tree and DS-3/OC-48 ring as [`Topology`] route tables over it;
 //!   [`wan`] also holds the VBR cross-traffic generator), over FIFO-queued
@@ -15,7 +16,8 @@
 //!   socket path vs 3 on NCS's mapped-buffer path);
 //! * **transport stacks**: [`stack`] — the socket/TCP/IP path ([`TcpNet`])
 //!   and the NCS ATM API path ([`AtmApiNet`]) with Figure-2's multiple-I/O-
-//!   buffer pipeline, both behind the [`Network`] trait;
+//!   buffer pipeline (one [`Fabric::transfer`] per buffer, one delivery
+//!   event per message), both behind the [`Network`] trait;
 //! * **testbeds**: [`topology::Testbed`] presets mirroring the paper's
 //!   experimental environment;
 //! * **sharding**: [`shardnet`] — whole-site topology partitioning for
@@ -56,7 +58,6 @@ pub use host::{DatapathKind, HostParams};
 pub use link::{LinkSpec, LinkState};
 pub use shardnet::{GossipConfig, GossipMesh, ShardCut, ShardNetParams, ShardPlan};
 pub use stack::{
-    AtmApiNet, AtmApiParams, BlockingWait, CellEventMode, Delivery, Network, TcpNet, TcpParams,
-    WaitPolicy,
+    AtmApiNet, AtmApiParams, BlockingWait, Delivery, Network, TcpNet, TcpParams, WaitPolicy,
 };
 pub use topology::{ChaosTopology, Testbed};

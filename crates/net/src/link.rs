@@ -111,37 +111,6 @@ pub struct TxSlot {
     pub lost: bool,
 }
 
-/// A booked back-to-back cell train: one FIFO slot covering `n` equal
-/// cells, with per-cell instants derived arithmetically rather than by
-/// per-cell bookings or events.
-#[derive(Clone, Copy, Debug)]
-pub struct TxTrain {
-    /// The train as a whole; `slot.end`/`slot.arrival` refer to the final
-    /// cell's last bit.
-    pub slot: TxSlot,
-    /// Cells in the train.
-    pub cells: usize,
-    /// Serialization time of one cell: cell `i` (0-based) clears the
-    /// transmitter at `slot.start + (i + 1) × cell_time` and arrives
-    /// `propagation` later.
-    pub cell_time: Dur,
-}
-
-impl TxTrain {
-    /// Arrival instant of cell `i` at the far end.
-    pub fn cell_arrival(&self, i: usize) -> SimTime {
-        assert!(i < self.cells, "cell index out of train");
-        self.slot.arrival - self.cell_time * (self.cells - 1 - i) as u64
-    }
-
-    /// Arrival instant of the train's first cell; with [`TxTrain::cell_time`]
-    /// as the spacing, enough to schedule the whole train in bulk as one
-    /// self-rearming kernel event.
-    pub fn first_arrival(&self) -> SimTime {
-        self.cell_arrival(0)
-    }
-}
-
 impl LinkState {
     /// Creates an idle link.
     pub fn new(spec: LinkSpec) -> Arc<LinkState> {
@@ -179,43 +148,6 @@ impl LinkState {
             end,
             arrival: end + self.spec.propagation,
             lost,
-        }
-    }
-
-    /// Books a train of `cells` back-to-back cells of `cell_bytes` each in
-    /// **one** lock acquisition and one FIFO booking — the Approach-2
-    /// fast path. Per-cell timestamps come out of [`TxTrain`]
-    /// arithmetically; the link never sees the individual cells.
-    pub fn enqueue_train(
-        &self,
-        earliest: SimTime,
-        cells: usize,
-        cell_bytes: usize,
-        gap: Dur,
-    ) -> TxTrain {
-        assert!(cells > 0, "a cell train needs at least one cell");
-        let cell_time = self.spec.tx_time(cell_bytes);
-        let hold = cell_time * cells as u64;
-        let mut l = self.inner.lock();
-        let start = earliest.max(l.busy_until);
-        let end = start + hold;
-        l.busy_until = end + gap;
-        l.bytes_carried += (cells * cell_bytes) as u64;
-        l.chunks_carried += 1;
-        l.busy_integral_ps += u128::from(hold.as_ps());
-        let lost = l.down_windows.iter().any(|&(d, u)| start < u && end > d);
-        if lost {
-            l.flap_losses += 1;
-        }
-        TxTrain {
-            slot: TxSlot {
-                start,
-                end,
-                arrival: end + self.spec.propagation,
-                lost,
-            },
-            cells,
-            cell_time,
         }
     }
 
@@ -372,29 +304,6 @@ mod tests {
         link.schedule_flap(t(50), t(60));
         let slot = link.enqueue(t(0), 125, Dur::ZERO); // [0, 100) overlaps
         assert!(slot.lost);
-    }
-
-    #[test]
-    fn train_books_once_with_arithmetic_cell_arrivals() {
-        let link = LinkState::new(LinkSpec::taxi_140());
-        let train = link.enqueue_train(t(0), 4, 53, Dur::ZERO);
-        assert_eq!(train.cells, 4);
-        assert_eq!(train.slot.start, t(0));
-        assert_eq!(train.slot.end, t(0) + train.cell_time * 4);
-        // One booking, four cells' worth of bytes.
-        assert_eq!(link.chunks_carried(), 1);
-        assert_eq!(link.bytes_carried(), 4 * 53);
-        // Cell arrivals are evenly spaced and end at the train arrival.
-        assert_eq!(train.cell_arrival(3), train.slot.arrival);
-        for i in 0..3 {
-            assert_eq!(
-                train.cell_arrival(i + 1).since(train.cell_arrival(i)),
-                train.cell_time
-            );
-        }
-        // FIFO: the next chunk queues behind the whole train.
-        let next = link.enqueue(t(0), 53, Dur::ZERO);
-        assert_eq!(next.start, train.slot.end);
     }
 
     #[test]

@@ -37,20 +37,9 @@ use std::sync::Arc;
 
 use ncs_sim::shard::ShardedRunOutcome;
 use ncs_sim::sync::Mutex;
-use ncs_sim::{fnv1a, Dur, EngineKind, ShardedSim, Sim, SimTime};
+use ncs_sim::{fnv1a, fnv1a_fold, Dur, EngineKind, ShardedSim, Sim, SimTime, FNV_OFFSET};
 
 use crate::link::LinkSpec;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv_fold(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Physical shape of a sharded deployment: `hosts` hosts spread evenly
 /// over `groups` switch sites, local links inside a site, trunks between
@@ -323,12 +312,12 @@ impl GossipMesh {
     /// wavefront (sending the next round once both inputs are in).
     fn deliver(state: &Arc<MeshState>, dst: usize, src: usize, round: u32, k: u64, sim: &Sim) {
         let now = sim.now();
-        let payload = fnv_fold(fnv_fold(fnv_fold(state.cfg.seed, src as u64), u64::from(round)), k);
+        let payload = fnv1a_fold(fnv1a_fold(fnv1a_fold(state.cfg.seed, src as u64), u64::from(round)), k);
         let mut to_send: Option<u32> = None;
         {
             let mut st = state.hosts[dst].lock();
             st.delivered += 1;
-            st.digest = fnv_fold(fnv_fold(fnv_fold(st.digest, now.as_ps()), src as u64), payload);
+            st.digest = fnv1a_fold(fnv1a_fold(fnv1a_fold(st.digest, now.as_ps()), src as u64), payload);
             if k == 0 {
                 st.near_recvd += 1;
             } else {
@@ -344,7 +333,7 @@ impl GossipMesh {
         // Protocol-processing CPU cost: wall-clock only, outside the lock.
         let mut w = payload;
         for _ in 0..state.cfg.work {
-            w = fnv_fold(w, now.as_ps());
+            w = fnv1a_fold(w, now.as_ps());
         }
         std::hint::black_box(w);
         if let Some(r) = to_send {

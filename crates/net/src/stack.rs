@@ -393,22 +393,6 @@ impl<F: Fabric> Network for TcpNet<F> {
     }
 }
 
-/// How the receive side turns arriving cells into kernel events.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CellEventMode {
-    /// One kernel event per arriving cell — the naive Approach-1 receiver
-    /// in which every cell raises its own interrupt/event. Timestamps come
-    /// from the same arithmetic [`crate::fabric::TrainTiming`] geometry, so
-    /// the two modes agree on *when* data lands; this one just makes the
-    /// kernel pay per cell. Kept as the measurable baseline for
-    /// `xp_pipeline`.
-    PerCell,
-    /// One kernel event per cell *train* (one buffer's worth of cells):
-    /// the Approach-2 pipeline. Per-cell instants still exist arithmetically
-    /// but the event queue sees a single entry per train.
-    Train,
-}
-
 /// Parameters of the High Speed Mode (ATM API) stack.
 #[derive(Clone, Debug)]
 pub struct AtmApiParams {
@@ -420,8 +404,6 @@ pub struct AtmApiParams {
     pub sar_per_cell: Dur,
     /// DMA descriptor setup per buffer handed to the adapter.
     pub dma_setup: Dur,
-    /// Receive-side event granularity (default: one event per train).
-    pub cell_events: CellEventMode,
 }
 
 impl Default for AtmApiParams {
@@ -431,7 +413,6 @@ impl Default for AtmApiParams {
             num_buffers: 2,
             sar_per_cell: Dur::from_nanos(800),
             dma_setup: Dur::from_micros(40),
-            cell_events: CellEventMode::Train,
         }
     }
 }
@@ -553,31 +534,15 @@ impl<F: Fabric> Network for AtmApiNet<F> {
             // first hop.
             let cells = aal5::cells_for_pdu(chunk) as u64;
             ctx.sim().with_tracer(|tr| tr.count("atm.cells", cells));
-            let (timing, train, depth) = {
+            let (timing, depth) = {
                 let mut a = self.adapters[src.idx()].lock();
                 let start = ctx.now().max(a.tx_sar_free);
                 let nic_done =
                     start + self.params.dma_setup + self.params.sar_per_cell.times(cells);
                 a.tx_sar_free = nic_done;
-                let (timing, train) = match self.params.cell_events {
-                    CellEventMode::Train => {
-                        (self.fabric.transfer(src, dst, chunk, nic_done), None)
-                    }
-                    CellEventMode::PerCell => {
-                        let train = self.fabric.transfer_train(
-                            src,
-                            dst,
-                            chunk,
-                            cells as usize,
-                            crate::cell::CELL_BYTES,
-                            nic_done,
-                        );
-                        (train.whole, Some(train))
-                    }
-                };
+                let timing = self.fabric.transfer(src, dst, chunk, nic_done);
                 a.tx_busy.push_back(timing.first_hop_done);
-                let depth = a.tx_busy.len();
-                (timing, train, depth)
+                (timing, a.tx_busy.len())
             };
             // Observability: adapter pipeline occupancy (buffers in flight)
             // and switch output-port depth for this destination.
@@ -590,20 +555,6 @@ impl<F: Fabric> Network for AtmApiNet<F> {
                 });
             }
             lost |= timing.dropped;
-            if let Some(train) = train {
-                if !timing.dropped {
-                    // Approach-1 receiver: each cell raises its own kernel
-                    // event at its arithmetic arrival instant. One pooled
-                    // self-rearming record carries the whole train — same
-                    // per-cell event count, none of the per-cell closures.
-                    ctx.sim().schedule_count_train(
-                        train.first_arrival(),
-                        u32::try_from(train.cells).expect("train too long"),
-                        train.cell_gap,
-                        "atm.cell_events",
-                    );
-                }
-            }
             // Receive-side reassembly on dst's adapter.
             let rx_done = {
                 let mut a = self.adapters[dst.idx()].lock();
@@ -633,9 +584,8 @@ impl<F: Fabric> Network for AtmApiNet<F> {
             arrived_at: last_arrival,
         };
         ctx.sim().schedule_at(last_arrival, move |sim| {
-            inbox
-                .offer(sim, msg)
-                .unwrap_or_else(|_| panic!("unbounded inbox cannot be full"));
+            // Destinations that have shut down simply drop late traffic.
+            let _ = inbox.offer(sim, msg);
         });
     }
 
@@ -771,54 +721,45 @@ mod tests {
     }
 
     #[test]
-    fn per_cell_mode_pays_one_event_per_cell() {
-        // Same payload through both event modes: identical delivery, but
-        // the per-cell receiver charges the kernel one event per cell while
-        // the train receiver collapses each buffer into a single event.
-        let mut events = Vec::new();
-        for mode in [CellEventMode::Train, CellEventMode::PerCell] {
-            let sim = Sim::new();
-            let fabric = Arc::new(IdealFabric::new(2, Dur::from_micros(5)));
-            let params = AtmApiParams {
-                cell_events: mode,
-                ..AtmApiParams::default()
-            };
-            let net = Arc::new(AtmApiNet::new(fabric, fast_hosts(2), params));
-            let n2 = Arc::clone(&net);
-            sim.spawn("tx", move |ctx| {
-                n2.send(
-                    ctx,
-                    &BlockingWait,
-                    NodeId(0),
-                    NodeId(1),
-                    0,
-                    Bytes::from(vec![7u8; 24_000]),
-                );
-            });
-            sim.spawn("rx", move |ctx| {
-                let msg = net.inbox(NodeId(1)).recv(ctx).unwrap();
-                assert_eq!(msg.payload.len(), 24_000);
-                assert!(msg.payload.iter().all(|&b| b == 7));
-            });
-            let out = sim.run();
-            out.assert_clean();
-            sim.with_tracer(|tr| {
-                let cells = tr.counter("atm.cells");
-                let cell_events = tr.counter("atm.cell_events");
-                match mode {
-                    CellEventMode::Train => assert_eq!(cell_events, 0),
-                    CellEventMode::PerCell => assert_eq!(cell_events, cells),
-                }
-            });
-            events.push(out.events);
-        }
-        // 24 KB ≈ 501 cells: the train path must be far leaner than 1
-        // event per cell — the ≥2× Approach-2 bar with huge margin.
+    fn one_event_per_buffer_not_per_cell() {
+        // What `xp_pipeline` part 1 relies on: a bulk HSM transfer arrives
+        // intact, `atm.cells` counts every cell of every buffer-sized chunk,
+        // no per-cell event is ever scheduled, and the run's event count is
+        // at most half of what one extra event per cell would make it.
+        let sim = Sim::new();
+        let fabric = Arc::new(IdealFabric::new(2, Dur::from_micros(5)));
+        let params = AtmApiParams::default();
+        let buffer = params.buffer_bytes;
+        let net = Arc::new(AtmApiNet::new(fabric, fast_hosts(2), params));
+        let n2 = Arc::clone(&net);
+        sim.spawn("tx", move |ctx| {
+            n2.send(
+                ctx,
+                &BlockingWait,
+                NodeId(0),
+                NodeId(1),
+                0,
+                Bytes::from(vec![7u8; 24_000]),
+            );
+        });
+        sim.spawn("rx", move |ctx| {
+            let msg = net.inbox(NodeId(1)).recv(ctx).unwrap();
+            assert_eq!(msg.payload.len(), 24_000);
+            assert!(msg.payload.iter().all(|&b| b == 7));
+        });
+        let out = sim.run();
+        out.assert_clean();
+        let chunks = [buffer, buffer, 24_000 - 2 * buffer];
+        let expected: usize = chunks.iter().map(|&c| aal5::cells_for_pdu(c)).sum();
+        let cells = sim.with_tracer(|tr| {
+            assert_eq!(tr.counter("atm.cell_events"), 0);
+            tr.counter("atm.cells")
+        });
+        assert_eq!(cells, expected as u64);
         assert!(
-            events[0] * 2 <= events[1],
-            "train events {} !≤ half of per-cell events {}",
-            events[0],
-            events[1]
+            2 * out.events <= out.events + cells,
+            "{} events for {cells} cells",
+            out.events
         );
     }
 
@@ -828,6 +769,34 @@ mod tests {
         let net = Arc::new(TcpNet::new(fabric, fast_hosts(2), TcpParams::ethernet()));
         let (_, latency) = run_transfer(net, 0);
         assert!(latency > Dur::ZERO);
+    }
+
+    #[test]
+    fn closed_inbox_drops_late_traffic() {
+        // A destination that shut down before the message lands loses it
+        // quietly on either stack, like a closed socket.
+        fn send_to_closed<N: Network>(net: Arc<N>) {
+            let sim = Sim::new();
+            let inbox = net.inbox(NodeId(1));
+            inbox.close(&sim);
+            sim.spawn("sender", move |ctx| {
+                net.send(
+                    ctx,
+                    &BlockingWait,
+                    NodeId(0),
+                    NodeId(1),
+                    1,
+                    Bytes::from(vec![1u8; 100]),
+                );
+            });
+            sim.run().assert_clean();
+            assert_eq!(inbox.total_sent(), 0);
+        }
+        let fabric = Arc::new(IdealFabric::new(2, Dur::from_micros(1)));
+        let tcp = TcpNet::new(Arc::clone(&fabric), fast_hosts(2), TcpParams::ethernet());
+        send_to_closed(Arc::new(tcp));
+        let atm = AtmApiNet::new(fabric, fast_hosts(2), AtmApiParams::default());
+        send_to_closed(Arc::new(atm));
     }
 
     #[test]

@@ -1,28 +1,21 @@
-//! Pins the one switched fabric to the four it replaced.
+//! Pins the one switched fabric's one booking path.
 //!
 //! The hashes and counters in [`timing_is_pinned_per_preset`] were captured
-//! by running this exact script against the parent's `AtmLanFabric`,
-//! `NynetFabric`, `FatTreeFabric` and `WanRingFabric` before they were folded into
-//! [`AtmFabric`]; a route, a hop order, a buffer test or a rounding that
-//! differs anywhere moves them.
+//! by running this exact script — every booking through [`Fabric::transfer`]
+//! — at commit c22cb48, before the cell-train booking path beside
+//! `transfer` was deleted; a route, a hop order, a buffer test or a rounding
+//! that differs anywhere moves them.
 
 use ncs_net::atm::{AtmLanParams, NynetParams};
-use ncs_net::cell::CELL_BYTES;
-use ncs_net::{aal5, AtmFabric, Fabric, FatTreeParams, NodeId, Topology, WanRingParams};
-use ncs_sim::{prop, Dur, SimRng, SimTime};
+use ncs_net::{AtmFabric, Fabric, FatTreeParams, NodeId, Topology, WanRingParams};
+use ncs_sim::{fnv1a_fold, prop, Dur, SimRng, SimTime, FNV_OFFSET};
 
-fn fnv_fold(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-/// 2,000 seeded bookings (every fifth a cell train) between random host
-/// pairs, with 400-cell output buffers and one flap window on the first
-/// trunk (the host-1 uplink where there is none). `gap_ns` spaces the
-/// departures so the slowest hop runs loaded but not saturated. Returns the
-/// FNV-1a fold of every `(first_hop_done, arrival, dropped)` and the final
-/// counters, then the counters themselves.
+/// 2,000 seeded bookings between random host pairs, with 400-cell output
+/// buffers and one flap window on the first trunk (the host-1 uplink where
+/// there is none). `gap_ns` spaces the departures so the slowest hop runs
+/// loaded but not saturated. Returns the FNV-1a fold of every
+/// `(first_hop_done, arrival, dropped)` and the final counters, then the
+/// counters themselves.
 fn pin(topology: impl Into<Topology>, seed: u64, gap_ns: u64) -> (u64, u64, u64) {
     let f = AtmFabric::new(topology);
     let at = |k: u64| SimTime::ZERO + Dur::from_nanos(k * gap_ns);
@@ -32,31 +25,21 @@ fn pin(topology: impl Into<Topology>, seed: u64, gap_ns: u64) -> (u64, u64, u64)
     }
     let n = f.nodes() as u64;
     let mut rng = SimRng::new(seed);
-    let mut h = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     let mut now = SimTime::ZERO;
-    for i in 0..2_000 {
+    for _ in 0..2_000 {
         now += Dur::from_nanos(rng.gen_range(gap_ns));
         let src = rng.gen_range(n);
         let dst = (src + 1 + rng.gen_range(n - 1)) % n;
         let (src, dst) = (NodeId(src as u32), NodeId(dst as u32));
         let payload = 1 + rng.gen_range(16_000) as usize;
-        let whole = if i % 5 == 4 {
-            let cells = aal5::cells_for_pdu(payload);
-            let train = f.transfer_train(src, dst, payload, cells, CELL_BYTES, now);
-            if !train.whole.dropped {
-                fnv_fold(&mut h, train.cell_gap.as_ps());
-            }
-            train.whole
-        } else {
-            f.transfer(src, dst, payload, now)
-        };
-        fnv_fold(&mut h, whole.first_hop_done.as_ps());
-        fnv_fold(&mut h, whole.arrival.as_ps());
-        fnv_fold(&mut h, u64::from(whole.dropped));
+        let t = f.transfer(src, dst, payload, now);
+        h = fnv1a_fold(h, t.first_hop_done.as_ps());
+        h = fnv1a_fold(h, t.arrival.as_ps());
+        h = fnv1a_fold(h, u64::from(t.dropped));
     }
     let (overflow, flap) = (f.overflow_drop_count(), f.flap_loss_count());
-    fnv_fold(&mut h, overflow);
-    fnv_fold(&mut h, flap);
+    h = fnv1a_fold(fnv1a_fold(h, overflow), flap);
     (h, overflow, flap)
 }
 
@@ -68,12 +51,12 @@ fn timing_is_pinned_per_preset() {
             1,
             200_000
         ),
-        (0xd8c8_b3ca_9250_fd8c, 133, 17),
+        (0x6dff_ed8f_2072_5bdf, 133, 17),
         "fore_lan"
     );
     assert_eq!(
         pin(NynetParams::nynet(16).with_output_buffer(400), 2, 600_000),
-        (0xd9a4_1b32_0025_8bd1, 408, 49),
+        (0x7e77_2733_6475_c709, 408, 49),
         "nynet"
     );
     assert_eq!(
@@ -82,7 +65,7 @@ fn timing_is_pinned_per_preset() {
             3,
             3_000_000
         ),
-        (0xbf1b_279b_eb33_17a5, 108, 58),
+        (0x9f4d_7014_3795_f6bd, 108, 58),
         "nynet_ds3"
     );
     assert_eq!(
@@ -91,7 +74,7 @@ fn timing_is_pinned_per_preset() {
             4,
             400_000
         ),
-        (0x36a3_7fea_f65d_3cdb, 176, 22),
+        (0x9f90_1904_28c7_ea1f, 176, 22),
         "campus"
     );
     assert_eq!(
@@ -100,7 +83,7 @@ fn timing_is_pinned_per_preset() {
             5,
             3_000_000
         ),
-        (0x892c_867b_9a68_aa2e, 149, 32),
+        (0xcdae_ad1b_af6e_205a, 149, 32),
         "mixed_ring"
     );
 }

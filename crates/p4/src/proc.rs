@@ -126,7 +126,7 @@ impl P4Proc {
         msg_type: Option<i32>,
         from: Option<usize>,
     ) -> bool {
-        while let Some(d) = self.inbox.try_recv(ctx.sim()) {
+        while let Some(d) = self.inbox.try_recv() {
             self.ingest(ctx, d);
         }
         self.stash

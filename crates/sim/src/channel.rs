@@ -1,8 +1,8 @@
 //! In-simulation message channels.
 //!
-//! [`SimChannel`] is an MPSC/MPMC queue whose blocking operations park green
-//! threads on virtual time. It is the building block for NIC receive rings,
-//! mailboxes and flow-controlled streams. Unlike OS channels, sends and
+//! [`SimChannel`] is an unbounded MPSC/MPMC queue whose blocking receive
+//! parks green threads on virtual time. It is the building block for NIC
+//! receive rings and mailboxes. Unlike OS channels, sends and
 //! receives take zero virtual time by themselves — time costs are modeled
 //! explicitly by whoever uses the channel.
 
@@ -17,15 +17,16 @@ use crate::time::SimTime;
 struct ChannelInner<T> {
     name: String,
     queue: VecDeque<T>,
-    capacity: Option<usize>,
     recv_waiters: VecDeque<ThreadId>,
-    send_waiters: VecDeque<ThreadId>,
     closed: bool,
     total_sent: u64,
     peak_depth: usize,
 }
 
-/// A blocking queue between simulated activities.
+/// An unbounded queue between simulated activities: a send never waits,
+/// a receive parks its green thread until a value arrives or the channel
+/// closes. Flow control belongs to whoever uses the channel (credit
+/// windows, modelled buffers), not to the queue.
 pub struct SimChannel<T> {
     inner: Arc<Mutex<ChannelInner<T>>>,
 }
@@ -51,26 +52,13 @@ impl std::fmt::Display for Closed {
 impl std::error::Error for Closed {}
 
 impl<T> SimChannel<T> {
-    /// Creates an unbounded channel.
+    /// Creates an (empty, open) channel.
     pub fn unbounded(name: impl Into<String>) -> SimChannel<T> {
-        Self::build(name.into(), None)
-    }
-
-    /// Creates a bounded channel; [`SimChannel::send`] blocks when full.
-    /// `capacity` must be at least 1.
-    pub fn bounded(name: impl Into<String>, capacity: usize) -> SimChannel<T> {
-        assert!(capacity > 0, "bounded channel needs capacity >= 1");
-        Self::build(name.into(), Some(capacity))
-    }
-
-    fn build(name: String, capacity: Option<usize>) -> SimChannel<T> {
         SimChannel {
             inner: Arc::new(Mutex::new(ChannelInner {
-                name,
+                name: name.into(),
                 queue: VecDeque::new(),
-                capacity,
                 recv_waiters: VecDeque::new(),
-                send_waiters: VecDeque::new(),
                 closed: false,
                 total_sent: 0,
                 peak_depth: 0,
@@ -78,38 +66,18 @@ impl<T> SimChannel<T> {
         }
     }
 
-    /// Sends from a green thread, blocking while the channel is full.
+    /// Sends from a green thread. Never parks; fails only on a closed
+    /// channel.
     pub fn send(&self, ctx: &Ctx, value: T) -> Result<(), Closed> {
-        let mut value = Some(value);
-        loop {
-            {
-                let mut ch = self.inner.lock();
-                if ch.closed {
-                    return Err(Closed);
-                }
-                let full = ch.capacity.is_some_and(|c| ch.queue.len() >= c);
-                if !full {
-                    Self::push(&mut ch, value.take().unwrap());
-                    let waiter = ch.recv_waiters.pop_front();
-                    drop(ch);
-                    if let Some(w) = waiter {
-                        ctx.wake(w);
-                    }
-                    return Ok(());
-                }
-                ch.send_waiters.push_back(ctx.tid());
-            }
-            ctx.park();
-        }
+        self.offer(ctx.sim(), value).map_err(|_| Closed)
     }
 
-    /// Sends from an event callback (or any non-thread context). Never
-    /// blocks; returns `Err` if bounded and full (callers model the loss or
-    /// back-pressure explicitly) or closed.
+    /// Sends from an event callback (or any non-thread context). Hands the
+    /// value back if the channel is closed.
     pub fn offer(&self, sim: &Sim, value: T) -> Result<(), T> {
         let waiter = {
             let mut ch = self.inner.lock();
-            if ch.closed || ch.capacity.is_some_and(|c| ch.queue.len() >= c) {
+            if ch.closed {
                 return Err(value);
             }
             Self::push(&mut ch, value);
@@ -133,11 +101,6 @@ impl<T> SimChannel<T> {
             {
                 let mut ch = self.inner.lock();
                 if let Some(v) = ch.queue.pop_front() {
-                    let waiter = ch.send_waiters.pop_front();
-                    drop(ch);
-                    if let Some(w) = waiter {
-                        ctx.wake(w);
-                    }
                     return Ok(v);
                 }
                 if ch.closed {
@@ -150,27 +113,17 @@ impl<T> SimChannel<T> {
     }
 
     /// Non-blocking receive.
-    pub fn try_recv(&self, sim: &Sim) -> Option<T> {
-        let (v, waiter) = {
-            let mut ch = self.inner.lock();
-            let v = ch.queue.pop_front()?;
-            (v, ch.send_waiters.pop_front())
-        };
-        if let Some(w) = waiter {
-            sim.wake(w);
-        }
-        Some(v)
+    pub fn try_recv(&self) -> Option<T> {
+        self.inner.lock().queue.pop_front()
     }
 
     /// Closes the channel: pending items remain receivable; subsequent sends
-    /// fail; blocked peers wake with [`Closed`] once drained.
+    /// fail; blocked receivers wake with [`Closed`] once drained.
     pub fn close(&self, sim: &Sim) {
         let waiters: Vec<ThreadId> = {
             let mut ch = self.inner.lock();
             ch.closed = true;
-            let mut ws: Vec<ThreadId> = ch.recv_waiters.drain(..).collect();
-            ws.extend(ch.send_waiters.drain(..));
-            ws
+            ch.recv_waiters.drain(..).collect()
         };
         for w in waiters {
             sim.wake(w);
@@ -259,36 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_send_applies_backpressure() {
-        let sim = Sim::new();
-        let ch: SimChannel<u32> = SimChannel::bounded("c", 2);
-        let tx = ch.clone();
-        let send_times = Arc::new(Mutex::new(Vec::new()));
-        let st = Arc::clone(&send_times);
-        sim.spawn("producer", move |ctx| {
-            for i in 0..4 {
-                tx.send(ctx, i).unwrap();
-                st.lock().push(ctx.now());
-            }
-        });
-        let rx = ch.clone();
-        sim.spawn("consumer", move |ctx| {
-            for _ in 0..4 {
-                ctx.sleep(Dur::from_micros(10));
-                rx.recv(ctx).unwrap();
-            }
-        });
-        sim.run().assert_clean();
-        let t = send_times.lock();
-        // First two immediate; third waits for first recv at 10us; fourth at 20us.
-        assert_eq!(t[0], SimTime::ZERO);
-        assert_eq!(t[1], SimTime::ZERO);
-        assert_eq!(t[2], SimTime::ZERO + Dur::from_micros(10));
-        assert_eq!(t[3], SimTime::ZERO + Dur::from_micros(20));
-        assert_eq!(ch.peak_depth(), 2);
-    }
-
-    #[test]
     fn offer_from_callback_wakes_receiver() {
         let sim = Sim::new();
         let ch: SimChannel<u8> = SimChannel::unbounded("c");
@@ -305,23 +228,6 @@ mod tests {
         });
         sim.run().assert_clean();
         assert!(*done.lock());
-    }
-
-    #[test]
-    fn offer_full_bounded_fails() {
-        let sim = Sim::new();
-        let ch: SimChannel<u8> = SimChannel::bounded("c", 1);
-        let tx = ch.clone();
-        sim.schedule_in(Dur::from_micros(1), move |sim| {
-            assert!(tx.offer(sim, 1).is_ok());
-            assert_eq!(tx.offer(sim, 2), Err(2));
-        });
-        let rx = ch.clone();
-        sim.spawn("drain", move |ctx| {
-            ctx.sleep(Dur::from_micros(2));
-            assert_eq!(rx.recv(ctx).unwrap(), 1);
-        });
-        sim.run().assert_clean();
     }
 
     #[test]
@@ -367,9 +273,9 @@ mod tests {
         let ch: SimChannel<u8> = SimChannel::unbounded("c");
         let c2 = ch.clone();
         sim.schedule_at(SimTime::ZERO, move |sim| {
-            assert!(c2.try_recv(sim).is_none());
+            assert!(c2.try_recv().is_none());
             c2.offer(sim, 9).unwrap();
-            assert_eq!(c2.try_recv(sim), Some(9));
+            assert_eq!(c2.try_recv(), Some(9));
         });
         sim.run().assert_clean();
     }

@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use crate::sync::Mutex;
 
-use crate::analysis::AnalysisConfig;
+use crate::analysis::{fnv1a_fold, AnalysisConfig, FNV_OFFSET};
 use crate::engine::coro::Coroutine;
 use crate::engine::os_thread::{Baton, BatonMsg, KernelGate, OsThread};
 use crate::engine::{EngineKind, GreenThread, ResumeHandle};
@@ -128,16 +128,6 @@ struct ThreadSlot {
 enum EventKind {
     Resume(ThreadId),
     Call(Box<dyn FnOnce(&Sim) + Send>),
-    /// A self-rearming counter train: fires `remaining` times, `gap_ps`
-    /// apart, incrementing tracer counter `name` by one each firing. Models
-    /// per-cell arrival events with ONE pooled record for the whole cell
-    /// train; unlike `Call` it carries no closure, so scheduling one is
-    /// allocation-free.
-    CountTrain {
-        name: &'static str,
-        remaining: u32,
-        gap_ps: u64,
-    },
 }
 
 /// Handle to a cancellable scheduled event, returned by
@@ -329,7 +319,7 @@ impl Sim {
             panics: Mutex::new(Vec::new()),
             running: AtomicBool::new(false),
             finished: AtomicBool::new(false),
-            trace_hash: AtomicU64::new(0xcbf2_9ce4_8422_2325),
+            trace_hash: AtomicU64::new(FNV_OFFSET),
             analysis: Mutex::new(AnalysisConfig::default()),
             policy: Mutex::new(None),
             policy_installed: AtomicBool::new(false),
@@ -553,25 +543,6 @@ impl Sim {
         self.inner.core.lock().queue.cancel(handle.0).is_some()
     }
 
-    /// Schedules `cells` unit increments of tracer counter `name`, the first
-    /// at `first` and each subsequent one `gap` later — a cell train. Costs
-    /// one pooled, self-rearming event record for the whole train instead of
-    /// `cells` boxed closures, while still charging one kernel event per
-    /// cell (the per-cell fidelity `CellEventMode::PerCell` pays for).
-    pub fn schedule_count_train(&self, first: SimTime, cells: u32, gap: Dur, name: &'static str) {
-        if cells == 0 {
-            return;
-        }
-        self.push_event(
-            first,
-            EventKind::CountTrain {
-                name,
-                remaining: cells,
-                gap_ps: gap.as_ps(),
-            },
-        );
-    }
-
     /// Spawns a green thread. The closure receives a [`Ctx`] for interacting
     /// with virtual time. The thread first runs when the simulation reaches
     /// the current instant's pending events.
@@ -693,13 +664,8 @@ impl Sim {
 
     fn mix_hash(&self, a: u64, b: u64, c: u64) {
         // FNV-1a over the event tuple words.
-        let mut h = self.inner.trace_hash.load(Ordering::Relaxed);
-        for w in [a, b, c] {
-            for byte in w.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
+        let h = self.inner.trace_hash.load(Ordering::Relaxed);
+        let h = [a, b, c].into_iter().fold(h, fnv1a_fold);
         self.inner.trace_hash.store(h, Ordering::Relaxed);
     }
 
@@ -762,7 +728,7 @@ impl Sim {
                             slot.green.resume_handle()
                         })
                     }
-                    _ => None,
+                    EventKind::Call(_) => None,
                 };
                 (time, seq, kind, claimed)
             };
@@ -772,24 +738,6 @@ impl Sim {
                 EventKind::Call(f) => {
                     self.mix_hash(time, seq, 1);
                     f(self);
-                }
-                EventKind::CountTrain {
-                    name,
-                    remaining,
-                    gap_ps,
-                } => {
-                    self.mix_hash(time, seq, 4 | (u64::from(remaining) << 8));
-                    self.with_tracer(|tr| tr.count(name, 1));
-                    if remaining > 1 {
-                        self.push_event(
-                            SimTime::from_ps(time + gap_ps),
-                            EventKind::CountTrain {
-                                name,
-                                remaining: remaining - 1,
-                                gap_ps,
-                            },
-                        );
-                    }
                 }
                 EventKind::Resume(tid) => {
                     self.mix_hash(time, seq, 2 | (u64::from(tid.0) << 8));
@@ -1225,20 +1173,6 @@ mod tests {
         let out = sim.run_bounded(None, 4);
         assert_eq!(out.reason, StopReason::Completed);
         assert_eq!(out.events, 4);
-    }
-
-    #[test]
-    fn count_train_fires_once_per_cell() {
-        let sim = Sim::new();
-        sim.schedule_count_train(SimTime::from_ps(1000), 5, Dur::from_ps(30), "k.train");
-        let out = sim.run();
-        out.assert_clean();
-        assert_eq!(out.events, 5, "one kernel event per cell");
-        assert_eq!(sim.with_tracer(|tr| tr.counter("k.train")), 5);
-        assert_eq!(out.end_time, SimTime::from_ps(1000 + 4 * 30));
-        // Empty trains are a no-op, not a stuck record.
-        sim.schedule_count_train(SimTime::from_ps(2000), 0, Dur::from_ps(30), "k.train");
-        assert_eq!(sim.pending_events(), 0);
     }
 
     #[test]

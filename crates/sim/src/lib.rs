@@ -73,7 +73,9 @@ mod time;
 mod trace;
 pub mod wheel;
 
-pub use analysis::{fnv1a, AnalysisConfig, ChannelKey, InvariantSink, Violation, WaitGraph};
+pub use analysis::{
+    fnv1a, fnv1a_fold, AnalysisConfig, ChannelKey, InvariantSink, Violation, WaitGraph, FNV_OFFSET,
+};
 pub use channel::{Closed, SimChannel};
 pub use chrome::chrome_trace_json;
 pub use engine::{

@@ -36,12 +36,7 @@ impl SimRng {
 
     /// Derives a child RNG from a string label (e.g. a node name).
     pub fn split_str(&self, tag: &str) -> SimRng {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in tag.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        self.split(h)
+        self.split(crate::analysis::fnv1a(tag.as_bytes()))
     }
 
     /// Next raw 64-bit output.

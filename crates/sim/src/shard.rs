@@ -50,22 +50,10 @@ use std::sync::{Arc, Barrier};
 
 use crate::sync::Mutex;
 
+use crate::analysis::{fnv1a_fold, FNV_OFFSET};
 use crate::engine::EngineKind;
 use crate::kernel::{RunOutcome, Sim};
 use crate::time::{Dur, SimTime};
-
-/// FNV-1a offset basis — the empty-digest value of
-/// [`ShardedSim::merged_trace_hash`].
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv_fold(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// K-way merge of per-shard `(time, seq)` streams into the order a single
 /// global timer wheel would pop them: ascending `(time, seq)`, ties between
@@ -301,7 +289,7 @@ impl ShardedSim {
     /// Partition-independent digest of the merged workload event stream
     /// executed so far (FNV-1a over `(time, stamp)` pairs in global
     /// `(time, stamp)` order). Equal across shard counts for the same
-    /// seeded workload; `FNV_OFFSET`-valued when nothing was posted.
+    /// seeded workload; [`crate::FNV_OFFSET`] when nothing was posted.
     pub fn merged_trace_hash(&self) -> u64 {
         self.shared.merged_hash.load(Ordering::SeqCst)
     }
@@ -367,8 +355,8 @@ impl ShardedSim {
         }
         let mut h = self.shared.merged_hash.load(Ordering::SeqCst);
         for &(t, stamp) in &merged {
-            h = fnv_fold(h, t);
-            h = fnv_fold(h, stamp);
+            h = fnv1a_fold(h, t);
+            h = fnv1a_fold(h, stamp);
         }
         self.shared.merged_hash.store(h, Ordering::SeqCst);
         self.shared

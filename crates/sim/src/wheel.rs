@@ -28,7 +28,7 @@
 //!   performs **no allocator traffic**: records, bucket vectors, and the
 //!   drain buffer are all recycled. (A `Call` event's boxed closure is
 //!   still one allocation — unavoidable under `forbid(unsafe_code)` — but
-//!   `Resume`/`CountTrain` events, the vast majority, are allocation-free.)
+//!   `Resume` events, the vast majority, are allocation-free.)
 //!
 //! # Exact `(time, seq)` FIFO
 //!

@@ -27,7 +27,7 @@ fn run_random_program(seed: u64, n_threads: usize, n_ops: usize) -> (SimTime, u6
                         let _ = ch.send(ctx, rng.next_u64());
                     }
                     _ => {
-                        if let Some(v) = ch.try_recv(ctx.sim()) {
+                        if let Some(v) = ch.try_recv() {
                             // Mix received value into timing.
                             ctx.sleep(Dur::from_ps(v % 977 + 1));
                         } else {

@@ -10,6 +10,12 @@ cargo build --release --offline --locked && cargo test -q --offline --locked
 echo "== no-registry guard: removed crate names, lock file sources (as CI) =="
 bash scripts/guard_no_registry.sh
 
+echo "== removed names stay removed: no doc, test or example names a deleted API (as CI) =="
+if grep -rnE 'CellEventMode|transfer_train|enqueue_train|TrainTiming|TxTrain|CountTrain|schedule_count_train|SchedPolicy|GlobalFifo|new_sharded|SimChannel::bounded' crates src tests examples DESIGN.md README.md EXPERIMENTS.md; then
+    echo "removed API named above" >&2
+    exit 1
+fi
+
 echo "== clippy (as CI) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
