@@ -37,8 +37,19 @@
 //! transport — bit-exact delivery with zero retransmissions (and zero
 //! spurious ones) on a clean wire, same as the flat kernel.
 //!
+//! Every row splits its retransmissions by what drove them: **NACK-driven**
+//! (the receiver saw a damaged frame — a failed AAL5 reassembly handed up
+//! with its reception status — and asked again: recovery in one round
+//! trip), **timer-driven** (nothing came back for a full RTO: the backstop
+//! for losses that raise no indication), and the **duplicates** the
+//! receivers suppressed (retransmissions provably unnecessary). With
+//! `--guard` the sweep fails unless, on each topology's lossy row,
+//! timer-driven retransmissions are a minority and goodput holds at least
+//! 0.35× the clean row's, and unless the clean rows show no damaged PDU, no
+//! NACK-driven and no other retransmission at all.
+//!
 //! ```text
-//! cargo run --release -p ncs-bench --bin xp_chaos [-- --smoke]
+//! cargo run --release -p ncs-bench --bin xp_chaos [-- --smoke] [-- --guard]
 //! ```
 
 use bytes::Bytes;
@@ -288,8 +299,12 @@ fn run_microscope(level: &Level, seed: u64) -> (ErrorStats, FaultStatsSnapshot, 
 
 fn print_microscope(stats: &ErrorStats) {
     print!(
-        "  stream | {:3} retx {:3} backoffs {:4} rtt samples {:3} dup-suppressed |",
-        stats.retransmits, stats.backoff_events, stats.rtt_samples, stats.duplicates_suppressed,
+        "  stream | {:3} retx ({:3} nack {:3} timer) {:3} backoffs {:4} rtt samples |",
+        stats.retransmits,
+        stats.nack_retransmits,
+        stats.timer_retransmits,
+        stats.backoff_events,
+        stats.rtt_samples,
     );
     for p in &stats.peers {
         print!(
@@ -444,6 +459,13 @@ struct MeshOutcome {
     /// (conservative upper bound).
     p99: Dur,
     retransmits: u64,
+    /// Of `retransmits`: asked for by the receiver / fired by the timer.
+    nack_retx: u64,
+    timer_retx: u64,
+    /// Retransmissions the receivers proved unnecessary (a copy had
+    /// already been delivered).
+    duplicates: u64,
+    /// ACKs for frames that had been retransmitted (Karn-ambiguous).
     spurious: u64,
     backoffs: u64,
     deferred: u64,
@@ -578,6 +600,9 @@ fn run_mesh(
                 .unwrap_or(Dur::ZERO)
         }),
         retransmits: 0,
+        nack_retx: 0,
+        timer_retx: 0,
+        duplicates: 0,
         spurious: 0,
         backoffs: 0,
         deferred: 0,
@@ -593,6 +618,9 @@ fn run_mesh(
     for p in world.procs() {
         let st = p.error_stats();
         o.retransmits += st.retransmits;
+        o.nack_retx += st.nack_retransmits;
+        o.timer_retx += st.timer_retransmits;
+        o.duplicates += st.duplicates_suppressed;
         o.spurious += st.spurious_retransmits;
         o.backoffs += st.backoff_events;
         o.deferred += st.retx_deferred;
@@ -621,9 +649,20 @@ fn check_mesh_invariants(o: &MeshOutcome) {
         o.backlog, 0,
         "{at}: every reassembly buffer must drain (bounded memory)"
     );
+    assert_eq!(
+        o.retransmits,
+        o.nack_retx + o.timer_retx,
+        "{at}: every resend has a cause"
+    );
     if o.level == "clean" {
-        assert_eq!(o.retransmits, 0, "{at}: a clean wire must need no retransmissions");
-        assert_eq!(o.spurious, 0, "{at}: a clean wire must see no spurious retransmissions");
+        assert_eq!(
+            o.retransmits, 0,
+            "{at}: a clean wire must need no retransmissions"
+        );
+        assert_eq!(
+            o.spurious, 0,
+            "{at}: a clean wire must see no spurious retransmissions"
+        );
     } else {
         assert!(
             o.retransmits > 0,
@@ -646,7 +685,7 @@ fn check_mesh_invariants(o: &MeshOutcome) {
 
 fn print_mesh(o: &MeshOutcome) {
     println!(
-        "  {:9} | {:5} | {:9.4}s | {:8.2} Mb/s | p99 {:9.3}ms | {:5} retx {:3} spur {:4} back {:3} defer | {:5} lost {:4} corrupt | {:4} ovfl {:4} flap | {:6.2} MB vbr",
+        "  {:9} | {:5} | {:9.4}s | {:8.2} Mb/s | p99 {:9.3}ms | {:5} retx = {:5} nack + {:5} timer, {:4} dup {:4} acked-after-retx {:3} defer | {:5} lost {:4} corrupt | {:4} ovfl {:4} flap | {:6.2} MB vbr",
         if o.sharded {
             format!("{}~1sh", o.topo.id())
         } else {
@@ -657,8 +696,10 @@ fn print_mesh(o: &MeshOutcome) {
         o.goodput_mbps(),
         o.p99.as_secs_f64() * 1e3,
         o.retransmits,
+        o.nack_retx,
+        o.timer_retx,
+        o.duplicates,
         o.spurious,
-        o.backoffs,
         o.deferred,
         o.damage.cells_lost,
         o.damage.cells_corrupted,
@@ -673,7 +714,8 @@ fn mesh_json(o: &MeshOutcome) -> String {
         "{{\"topology\": \"{}\", \"level\": \"{}\", \"sharded_harness\": {}, \
          \"app_done_s\": {:.9}, \
          \"goodput_mbps\": {:.3}, \"p99_ms\": {:.6}, \"payload_bytes\": {}, \
-         \"retransmits\": {}, \"spurious_retransmits\": {}, \"backoffs\": {}, \
+         \"retransmits\": {}, \"nack_retransmits\": {}, \"timer_retransmits\": {}, \
+         \"duplicates_suppressed\": {}, \"spurious_retransmits\": {}, \"backoffs\": {}, \
          \"retx_deferred\": {}, \"delivery_failures\": {}, \
          \"reassembly_reclaimed\": {}, \"reassembly_backlog\": {}, \
          \"cells_lost\": {}, \"cells_corrupted\": {}, \"headers_corrected\": {}, \
@@ -687,6 +729,9 @@ fn mesh_json(o: &MeshOutcome) -> String {
         o.p99.as_secs_f64() * 1e3,
         o.payload_bytes,
         o.retransmits,
+        o.nack_retx,
+        o.timer_retx,
+        o.duplicates,
         o.spurious,
         o.backoffs,
         o.deferred,
@@ -752,6 +797,10 @@ fn run_sweep(smoke: bool) -> Vec<MeshOutcome> {
     let mut json = String::from("{\n  \"experiment\": \"xp_chaos\",\n");
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
     json.push_str(&format!(
+        "  \"worker_cpus\": {},\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    ));
+    json.push_str(&format!(
         "  \"hosts\": {hosts}, \"extra_hosts\": {extras}, \
          \"msgs_per_host\": {msgs}, \"msg_bytes\": {msg_bytes},\n"
     ));
@@ -768,8 +817,60 @@ fn run_sweep(smoke: bool) -> Vec<MeshOutcome> {
     outcomes
 }
 
+/// `--guard`: receiver-driven recovery must be doing the work. Per
+/// topology, the lossy row's retransmissions are mostly NACK-driven and
+/// its goodput holds at least 0.35× the clean row's (0.16–0.23× when every
+/// loss waited for the RTO); the clean row saw no damaged PDU, so no NACK
+/// was ever sent, and retransmitted nothing.
+fn guard_sweep(outcomes: &[MeshOutcome]) {
+    for clean in outcomes.iter().filter(|o| o.level == "clean") {
+        let at = format!(
+            "{}/clean{}",
+            clean.topo.id(),
+            if clean.sharded { "~1sh" } else { "" }
+        );
+        assert_eq!(
+            clean.damage.pdus_rejected, 0,
+            "{at}: damaged PDUs on a clean wire"
+        );
+        assert_eq!(
+            (clean.nack_retx, clean.retransmits),
+            (0, 0),
+            "{at}: NACK-driven / all retransmissions on a clean wire"
+        );
+        if clean.sharded {
+            continue;
+        }
+        let lossy = outcomes
+            .iter()
+            .find(|o| o.level == "lossy" && o.topo.id() == clean.topo.id())
+            .expect("every topology has a lossy row");
+        let at = format!("{}/lossy", lossy.topo.id());
+        assert!(
+            2 * lossy.timer_retx < lossy.retransmits,
+            "{at}: {} of {} retransmissions are timer-driven — loss recovery is waiting \
+             for the RTO again",
+            lossy.timer_retx,
+            lossy.retransmits
+        );
+        let share = lossy.goodput_mbps() / clean.goodput_mbps();
+        assert!(
+            share >= 0.35,
+            "{at}: goodput {:.2} Mb/s is {share:.2}x the clean row's {:.2} (floor 0.35x)",
+            lossy.goodput_mbps(),
+            clean.goodput_mbps()
+        );
+        println!(
+            "  guard {at}: {:.2}x clean goodput, {} of {} retransmissions timer-driven",
+            share, lossy.timer_retx, lossy.retransmits
+        );
+    }
+    println!();
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
+    let guard = std::env::args().any(|a| a == "--guard");
     println!("# X7 — chaos sweep: cell-level faults vs NCS error control");
     if smoke {
         println!("# smoke mode: reduced sweep");
@@ -839,6 +940,9 @@ fn main() {
     println!();
 
     let outcomes = run_sweep(smoke);
+    if guard {
+        guard_sweep(&outcomes);
+    }
     let harsh_total: u64 = outcomes
         .iter()
         .filter(|o| o.level == "harsh")

@@ -28,12 +28,16 @@ pub enum ErrorControl {
     /// NCS-level checksum with retransmit-on-NACK, for transports modeled
     /// as corrupting.
     ///
-    /// `ncs_net::ChaosNet`'s cell-level faults sit under a modelled AAL5
-    /// CRC, which drops a damaged message whole: the receiver sees only
-    /// loss and recovery is RTO-driven. The checksum-fails → NACK →
-    /// immediate-retransmit path is driven end to end by its message-level
-    /// faults (`ChaosParams::message_level`), which flip one payload byte
-    /// and *deliver* the message.
+    /// Two things draw the NACK and its immediate retransmission: a frame
+    /// the transport delivers marked damaged (`ncs_net::ChaosNet`'s
+    /// cell-level faults — the modelled AAL5 CRC fails and the SAR hands
+    /// the corrupted SDU up with its reception status), which is answered
+    /// by the sequence number its header claims without being parsed; and
+    /// a frame delivered unmarked whose NCS checksum fails (the
+    /// message-level faults of `ChaosParams::message_level`). Losses that
+    /// raise no indication at the receiver — the end-of-message cell,
+    /// a switch overflow, a link flap, a lost ACK — are recovered by the
+    /// sender's adaptive RTO.
     ChecksumRetransmit,
 }
 
@@ -53,7 +57,9 @@ pub struct NcsConfig {
     /// Error control: adaptive retransmission-timeout parameters.
     pub rto: RtoConfig,
     /// Error control: give up (and raise a local delivery-failure
-    /// exception, code [`EXC_DELIVERY_FAILED`]) after this many timeouts.
+    /// exception, code [`EXC_DELIVERY_FAILED`]) at the timeout that finds
+    /// a frame retransmitted this many times, timer- and NACK-driven
+    /// resends counted alike.
     /// Exhausting the budget also marks the destination **dead**: further
     /// sends to it fail fast with the same exception instead of hanging.
     pub max_retries: u32,

@@ -41,6 +41,14 @@ pub enum FrameError {
     },
 }
 
+/// The sequence number a checked frame's header claims, without verifying
+/// anything: all that is ever read of a frame the transport delivered
+/// damaged, to name it in a NACK. `None` if even those four bytes are
+/// missing.
+pub(super) fn claimed_seq(b: &[u8]) -> Option<u32> {
+    b.first_chunk().map(|w| u32::from_le_bytes(*w))
+}
+
 /// Parses and verifies a checked payload, returning its sequence number and
 /// a zero-copy view of the data.
 pub fn unwrap_checked(b: &Bytes) -> Result<(u32, Bytes), FrameError> {

@@ -68,7 +68,7 @@ use bytes::Bytes;
 use ncs_mts::{Mts, MtsTid};
 use ncs_net::{Delivery, Network};
 use ncs_sim::sync::Mutex;
-use ncs_sim::{Sim, SimChannel, SimTime};
+use ncs_sim::{Sim, SimChannel};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 
@@ -406,12 +406,15 @@ impl ProcInner {
 
 /// The causal stage sequence a tracked data message walks from `NCS_send`
 /// to `NCS_recv`. Chunked transfers visit `reassembled`; monolithic ones
-/// skip it. Consecutive present stages are contiguous, so their diffs sum
-/// exactly to the end-to-end latency.
-pub const CAUSAL_STAGES: [&str; 7] = [
+/// skip it, and visit `retransmitted` — the departure of the copy that was
+/// accepted, when that copy was not the first — if error control had to
+/// recover them. Consecutive present stages are contiguous, so their diffs
+/// sum exactly to the end-to-end latency.
+pub const CAUSAL_STAGES: [&str; 8] = [
     "enqueued",
     "sq_popped",
     "wire_start",
+    "retransmitted",
     "arrived",
     "picked",
     "reassembled",
@@ -430,12 +433,13 @@ pub const REQUEST_STAGES: [&str; 3] = ["posted", "progressed", "completed"];
 /// stages interleaved with the request lifecycle stages. Timeline
 /// validators check against this merged order so both kinds of causal id
 /// pass the same monotonicity sweep.
-pub const ALL_STAGES: [&str; 10] = [
+pub const ALL_STAGES: [&str; 11] = [
     "posted",
     "enqueued",
     "sq_popped",
     "progressed",
     "wire_start",
+    "retransmitted",
     "arrived",
     "picked",
     "reassembled",
@@ -448,7 +452,10 @@ pub fn causal_component(stage: &str) -> &'static str {
     match stage {
         "sq_popped" => "obs.queue_wait",
         "wire_start" => "obs.inject",
-        "arrived" => "obs.wire",
+        // Loss recovery is wire time too: `wire_start → retransmitted` is
+        // what the copies that died cost, `retransmitted → arrived` the
+        // flight of the one that made it.
+        "retransmitted" | "arrived" => "obs.wire",
         "picked" => "obs.pickup",
         "reassembled" => "obs.reassembly",
         "delivered" => "obs.deliver",
@@ -461,9 +468,16 @@ pub fn causal_component(stage: &str) -> &'static str {
 
 /// The registry key under which a sender binds a message's causal id and its
 /// receiver claims it: the (source, destination) pair packed into one word,
-/// the wire tag, and the departure instant. The source is part of the key
-/// because two senders can put the same tag on the wire toward one
-/// destination at the same instant (the first round of a gather does).
-fn wire_key(src: usize, dst: usize, tag: u64, depart: SimTime) -> (u64, u64, u64) {
-    (((src as u64) << 32) | dst as u64, tag, depart.as_ps())
+/// the wire tag, and one word telling transmissions under that tag apart.
+/// The source is part of the key because two senders can put the same tag on
+/// the wire toward one destination at the same instant (the first round of a
+/// gather does). The last word is the departure instant in picoseconds for
+/// an unchecked frame, which goes out once, and the error-control sequence
+/// number for a checked one: every copy of the frame then answers to the one
+/// key, so whichever copy is accepted first claims the timeline — a
+/// retransmission racing its original orphans neither — and a copy that
+/// never arrives leaves no key behind. (Only a frame never delivered at all
+/// keeps its key, beside the timeline it keeps anyway.)
+fn wire_key(src: usize, dst: usize, tag: u64, instance: u64) -> (u64, u64, u64) {
+    (((src as u64) << 32) | dst as u64, tag, instance)
 }

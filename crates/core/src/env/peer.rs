@@ -21,24 +21,43 @@ use crate::addr::ThreadAddr;
 /// RTO trajectory.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ErrorStats {
-    /// Frames retransmitted (timeout- and NACK-driven).
+    /// Frames retransmitted: `nack_retransmits + timer_retransmits`.
     pub retransmits: u64,
+    /// Retransmissions the receiver asked for: it saw a damaged frame (a
+    /// failed AAL5 reassembly handed up with its reception status, or a
+    /// failed NCS checksum) and NACKed it. Recovery within one round trip.
+    pub nack_retransmits: u64,
+    /// Retransmissions the loss-recovery timer fired: nothing came back for
+    /// a full RTO. The backstop for losses that raise no indication.
+    pub timer_retransmits: u64,
     /// Timeout events that doubled a destination's RTO.
     pub backoff_events: u64,
     /// Clean RTT samples folded into an estimator (Karn-filtered).
     pub rtt_samples: u64,
     /// Frames abandoned after exhausting the retry budget.
     pub delivery_failures: u64,
-    /// Duplicate frames re-ACKed but not delivered (retransmissions whose
-    /// original already arrived — i.e. the ACK, not the data, was lost).
+    /// Duplicate frames re-ACKed but not delivered: retransmissions the
+    /// receiver can *prove* were unnecessary, because a copy had already
+    /// arrived (the ACK was lost or late, or the timer fired behind a
+    /// NACK-driven resend).
     pub duplicates_suppressed: u64,
+    /// Deliveries marked damaged by the transport that error control could
+    /// not answer with a NACK — control frames, exceptions, any frame with
+    /// checksum/retransmit off, checked frames too short to claim a
+    /// sequence number — dropped unread, never consumed.
+    pub damaged_dropped: u64,
     /// Checked frames shorter than the error-control header: dropped
     /// without a NACK (there is no sequence number to name), left to the
     /// sender's RTO.
     pub malformed_frames: u64,
-    /// Acknowledgments that arrived for frames already retransmitted
-    /// (each marks a possibly-unnecessary retransmission; the
-    /// `retx.spurious` counter).
+    /// Acknowledgments that arrived for a frame that had been
+    /// retransmitted (the `retx.spurious` counter). Karn-ambiguous, not
+    /// proof of waste: the ACK may answer the retransmission (which was
+    /// then needed) or a late original (which made it unnecessary), and the
+    /// sender cannot tell. Under loss nearly every retransmitted frame
+    /// ends here although nearly every one was needed; the retransmissions
+    /// provably unnecessary are `duplicates_suppressed`, counted by the
+    /// receiver.
     pub spurious_retransmits: u64,
     /// Partition fail-fast events: a loss-recovery timer found every route
     /// to the peer down and failed its outstanding frames immediately
@@ -154,7 +173,8 @@ pub(super) struct Unacked {
     /// frame's original addressing and class (a retransmitted chunk must
     /// still be routed into reassembly), marked `prewrapped`.
     frame: SendReq,
-    /// Timeout-driven retransmissions so far.
+    /// Retransmissions so far, timeout- and NACK-driven alike: both spend
+    /// the one `max_retries` budget.
     retries: u32,
     /// When the frame first hit the wire (None until transmitted).
     sent_at: Option<SimTime>,
@@ -174,8 +194,8 @@ pub(super) struct RetxTimer {
 /// Outcome of an acknowledgment that retired a frame.
 #[derive(PartialEq, Eq, Debug)]
 pub(super) struct Acked {
-    /// The frame had been retransmitted: either echo is ambiguous, and the
-    /// retransmission may well have been unnecessary (`retx.spurious`).
+    /// The frame had been retransmitted, so the echo is ambiguous
+    /// (`retx.spurious`; see [`ErrorStats::spurious_retransmits`]).
     pub spurious: bool,
     /// No frame toward the peer is outstanding any more: retract the
     /// loss-recovery timer rather than restarting it.
@@ -190,6 +210,9 @@ pub(super) enum NackAction {
     /// destination's loss-recovery timer is still armed and will retry once
     /// the queue drains (`retx.backpressure`).
     Deferred,
+    /// The frame has spent its retry budget: no resend. The loss-recovery
+    /// timer is still armed, and its next expiry gives the peer up.
+    Exhausted,
     /// Queue this retransmission.
     Retransmit(SendReq),
 }
@@ -406,17 +429,40 @@ impl Peer {
     }
 
     /// A NACK for `seq` arrived; `queue_full` is whether the retransmit
-    /// queue is at [`RETX_QUEUE_CAP`](super::RETX_QUEUE_CAP).
-    pub fn on_nack(&mut self, seq: u32, queue_full: bool, errs: &mut ErrorStats) -> NackAction {
+    /// queue is at [`RETX_QUEUE_CAP`](super::RETX_QUEUE_CAP). The resend is
+    /// immediate and leaves the RTO alone (a NACK is news from a live
+    /// peer, not silence), but it spends one of the frame's `max_retries`
+    /// like a timeout does: a path that damages every copy must end in the
+    /// give-up, not in a NACK → resend loop.
+    ///
+    /// The driver leaves the destination's loss-recovery timer running at
+    /// its old deadline. When that falls inside the resend's round trip the
+    /// timer sends a second copy behind the first; the receiver suppresses
+    /// one of them as a duplicate, and the pair is what recovers a frame
+    /// whose resend is itself hit without another round trip. Restarting
+    /// the timer instead halves the duplicates and costs 3–4 % of virtual
+    /// time on the lossy ring (EXPERIMENTS.md X11, "timer policy").
+    pub fn on_nack(
+        &mut self,
+        seq: u32,
+        max_retries: u32,
+        queue_full: bool,
+        errs: &mut ErrorStats,
+    ) -> NackAction {
         let Some(u) = self.unacked.get_mut(&seq) else {
             return NackAction::Ignored;
         };
+        if u.retries >= max_retries {
+            return NackAction::Exhausted;
+        }
         if queue_full {
             errs.retx_deferred += 1;
             return NackAction::Deferred;
         }
+        u.retries += 1;
         u.retransmitted = true; // Karn: timing now ambiguous
         errs.retransmits += 1;
+        errs.nack_retransmits += 1;
         NackAction::Retransmit(u.frame.clone())
     }
 
@@ -478,6 +524,7 @@ impl Peer {
             retries: u.retries,
         };
         errs.retransmits += 1;
+        errs.timer_retransmits += 1;
         self.back_off(errs);
         action
     }
@@ -493,6 +540,9 @@ impl Peer {
         failed
     }
 }
+
+#[cfg(test)]
+mod pair_check;
 
 #[cfg(test)]
 mod tests {
@@ -681,10 +731,11 @@ mod tests {
         ));
         // A NACK at the cap is likewise left to the timer.
         assert!(matches!(
-            p.on_nack(1, true, &mut errs),
+            p.on_nack(1, 1, true, &mut errs),
             NackAction::Deferred
         ));
         assert_eq!((errs.retx_deferred, errs.retransmits), (2, 1));
+        assert_eq!(p.unacked[&1].retries, 0, "a deferred NACK spends nothing");
     }
 
     #[test]
@@ -781,17 +832,69 @@ mod tests {
         let mut errs = ErrorStats::default();
         let mut p = peer_with_frames(1);
         assert!(matches!(
-            p.on_nack(9, false, &mut errs),
+            p.on_nack(9, 8, false, &mut errs),
             NackAction::Ignored
         ));
         assert!(matches!(
-            p.on_nack(0, false, &mut errs),
+            p.on_nack(0, 8, false, &mut errs),
             NackAction::Retransmit(_)
         ));
         assert_eq!((errs.retransmits, errs.backoff_events), (1, 0));
+        assert_eq!((errs.nack_retransmits, errs.timer_retransmits), (1, 0));
         assert!(p.rto_snapshot(1, &cfg).is_none(), "no estimator yet");
         assert!(p.on_ack(0, at(5), &mut errs).expect("outstanding").spurious);
         assert_eq!(errs.rtt_samples, 0);
+    }
+
+    #[test]
+    fn nack_resends_spend_the_retry_budget() {
+        // A path that damages every copy: each NACK-driven resend counts
+        // against `max_retries` exactly like a timeout, so the frame is
+        // resent at most that often and the next timer expiry gives up.
+        const BUDGET: u32 = 3;
+        let mut errs = ErrorStats::default();
+        let mut p = peer_with_frames(1);
+        for _ in 0..BUDGET {
+            assert!(matches!(
+                p.on_nack(0, BUDGET, false, &mut errs),
+                NackAction::Retransmit(_)
+            ));
+        }
+        for _ in 0..10 {
+            assert!(matches!(
+                p.on_nack(0, BUDGET, false, &mut errs),
+                NackAction::Exhausted
+            ));
+        }
+        assert_eq!(u64::from(BUDGET), errs.retransmits);
+        assert_eq!((errs.nack_retransmits, errs.timer_retransmits), (3, 0));
+        assert_eq!(errs.backoff_events, 0, "a NACK never backs the RTO off");
+        assert!(!p.dead, "only the timer declares a peer dead");
+        match p.on_timeout(up, BUDGET, false, &mut errs) {
+            TimeoutAction::Failed { failed, dead } => {
+                assert!(dead);
+                assert_eq!(failed, vec![(ThreadAddr::new(1, 0), 100)]);
+            }
+            _ => panic!("expected the give-up"),
+        }
+        // Mixed: one timeout and one NACK fill a budget of two.
+        let mut p = peer_with_frames(1);
+        assert!(matches!(
+            p.on_timeout(up, 2, false, &mut errs),
+            TimeoutAction::Retransmit { retries: 1, .. }
+        ));
+        assert!(matches!(
+            p.on_nack(0, 2, false, &mut errs),
+            NackAction::Retransmit(_)
+        ));
+        assert!(matches!(
+            p.on_nack(0, 2, false, &mut errs),
+            NackAction::Exhausted
+        ));
+        assert!(matches!(
+            p.on_timeout(up, 2, false, &mut errs),
+            TimeoutAction::Failed { dead: true, .. }
+        ));
     }
 
     #[test]

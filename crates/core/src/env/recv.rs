@@ -9,7 +9,7 @@ use ncs_net::{Delivery, NodeId};
 use ncs_sim::Sim;
 use std::sync::Arc;
 
-use super::frame::CHECKED_HEADER_BYTES;
+use super::frame::{claimed_seq, CHECKED_HEADER_BYTES};
 use super::peer::NackAction;
 use super::reassembly::{parse_chunk, Accepted, Expiry};
 use super::request::{complete_request, mark_progressed};
@@ -222,10 +222,27 @@ fn ingest_fragment(inner: &Arc<ProcInner>, tier: usize, mut msg: NcsMsg) {
 }
 
 /// Error control on an arriving data frame: verify it, acknowledge it (or
-/// ask for it again), and filter duplicates. Returns the clean payload of
-/// a frame to deliver.
-fn accept_checked(inner: &ProcInner, tier: usize, src: usize, frame: &Bytes) -> Option<Bytes> {
-    let verdict = unwrap_checked(frame);
+/// ask for it again), and filter duplicates. Returns the sequence number
+/// and clean payload of a frame to deliver. A frame the transport marked
+/// `damaged` is never parsed as data: it is NACKed by the sequence number
+/// its header claims (a garbage one names no outstanding frame and the
+/// sender ignores it).
+fn accept_checked(
+    inner: &ProcInner,
+    tier: usize,
+    src: usize,
+    frame: &Bytes,
+    damaged: bool,
+) -> Option<(u32, Bytes)> {
+    let verdict = match (damaged, claimed_seq(frame)) {
+        (false, _) => unwrap_checked(frame),
+        (true, Some(seq)) => Err(FrameError::BadCrc { seq }),
+        (true, None) => {
+            // What is left of it does not even claim a sequence number.
+            inner.state.lock().errs.damaged_dropped += 1;
+            return None;
+        }
+    };
     let mut st = inner.state.lock();
     let (seq, reply, clean) = match verdict {
         Ok((seq, clean)) => (seq, MsgClass::Ack, Some(clean)),
@@ -254,7 +271,7 @@ fn accept_checked(inner: &ProcInner, tier: usize, src: usize, frame: &Bytes) -> 
         return None;
     }
     // A corrupted frame (`None`) is dropped; the sender retransmits.
-    clean
+    clean.map(|clean| (seq, clean))
 }
 
 /// An acknowledgment of `seq` from `src`: retire the frame, restart or
@@ -307,24 +324,34 @@ fn ingest(inner: &Arc<ProcInner>, m: &MtsCtx, tier: usize, d: Delivery) {
     let net = &inner.nets[tier];
     let cost = net.recv_pickup_cost(NodeId(inner.id as u32), d.payload.len());
     m.ctx().sleep(cost);
-    // Resolve the sender's wire-key binding back to its causal timeline
-    // (0 for control traffic and untracked frames). Stage marks are only
-    // stamped on the accepted paths below, so duplicates and corrupted
-    // frames never disorder a timeline.
-    let causal = inner
-        .sim
-        .with_metrics(|mm| mm.resolve_wire(wire_key(d.src.idx(), inner.id, d.tag, d.sent_at)))
-        .unwrap_or(0);
     let t_picked = m.now();
     let (class, from_thread, to_thread, user_tag) = decode_tag(d.tag);
     let from = ThreadAddr::new(d.src.idx(), from_thread);
     let mut payload = d.payload;
     let carries_data = matches!(class, MsgClass::Data | MsgClass::Frag);
-    if carries_data && inner.cfg.error == ErrorControl::ChecksumRetransmit {
-        match accept_checked(inner, tier, from.proc, &payload) {
-            Some(clean) => payload = clean,
-            None => return,
-        }
+    // Resolve the sender's wire-key binding back to its causal timeline
+    // (0 for control traffic and untracked frames). A checked frame is
+    // claimed by the first copy accepted, so duplicates and corrupted
+    // frames never disorder a timeline.
+    let instance = if carries_data && inner.cfg.error == ErrorControl::ChecksumRetransmit {
+        let Some((seq, clean)) = accept_checked(inner, tier, from.proc, &payload, d.damaged) else {
+            return;
+        };
+        payload = clean;
+        u64::from(seq)
+    } else {
+        d.sent_at.as_ps()
+    };
+    let causal = inner
+        .sim
+        .with_metrics(|mm| mm.resolve_wire(wire_key(d.src.idx(), inner.id, d.tag, instance)))
+        .unwrap_or(0);
+    if d.damaged {
+        // Nothing above could ask for it again — control traffic, an
+        // exception, data with error control off: the bytes are not what
+        // was sent and must never be consumed.
+        inner.state.lock().errs.damaged_dropped += 1;
+        return;
     }
     match class {
         MsgClass::Ack => ingest_ack(inner, from.proc, user_tag),
@@ -332,18 +359,21 @@ fn ingest(inner: &Arc<ProcInner>, m: &MtsCtx, tier: usize, d: Delivery) {
             let mut guard = inner.state.lock();
             let st = &mut *guard;
             let queue_full = st.retx_queue_full();
-            match st
-                .peers
-                .get(from.proc)
-                .on_nack(user_tag, queue_full, &mut st.errs)
-            {
-                NackAction::Ignored => {}
+            match st.peers.get(from.proc).on_nack(
+                user_tag,
+                inner.cfg.max_retries,
+                queue_full,
+                &mut st.errs,
+            ) {
+                NackAction::Ignored | NackAction::Exhausted => {}
                 NackAction::Deferred => {
                     inner.sim.with_metrics(|mm| mm.inc("retx.backpressure", 1));
                 }
                 NackAction::Retransmit(frame) => {
                     st.push_send(frame);
                     inner.wake_send();
+                    // The loss-recovery timer keeps its deadline (see
+                    // `Peer::on_nack`).
                 }
             }
         }
@@ -372,6 +402,18 @@ fn ingest(inner: &Arc<ProcInner>, m: &MtsCtx, tier: usize, d: Delivery) {
         _ => {
             if causal != 0 {
                 inner.sim.with_metrics(|mm| {
+                    // The accepted copy is a retransmission if it left
+                    // after the first one did; its departure splits the
+                    // wire time into what loss recovery cost and its own
+                    // flight. (Not for chunks: a chunked transfer's stages
+                    // are its last chunk's, which one chunk's recovery is
+                    // not.)
+                    let first = mm
+                        .timeline(causal)
+                        .and_then(|tl| tl.iter().find(|&&(stage, _)| stage == "wire_start"));
+                    if class == MsgClass::Data && first.is_some_and(|&(_, t0)| d.sent_at > t0) {
+                        mm.mark(causal, "retransmitted", d.sent_at);
+                    }
                     mm.mark(causal, "arrived", d.arrived_at);
                     mm.mark(causal, "picked", t_picked);
                 });

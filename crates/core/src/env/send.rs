@@ -176,14 +176,17 @@ fn transmit_one(inner: &Arc<ProcInner>, m: &MtsCtx, req: SendReq) {
     let dst = req.to.proc;
     if req.causal != 0 {
         // The wire tag is fully packed, so the causal id cannot ride it.
-        // Correlate across processes through the shared registry instead:
-        // the transport stamps `sent_at = now()` at its entry, which is
-        // exactly this instant, so (src → dst, tag, sent_at) keys the
-        // delivery.
+        // Correlate across processes through the shared registry instead
+        // (see `wire_key`): a checked frame is bound here, once, under its
+        // sequence number — its retransmissions carry no causal id and
+        // need none; an unchecked one under its departure instant — the
+        // transport stamps `sent_at = now()` at its entry, which is exactly
+        // this instant.
         let t = m.now();
+        let instance = req.seq.map_or(t.as_ps(), u64::from);
         inner.sim.with_metrics(|mm| {
             mm.mark(req.causal, "wire_start", t);
-            mm.bind_wire(wire_key(inner.id, dst, tag, t), req.causal);
+            mm.bind_wire(wire_key(inner.id, dst, tag, instance), req.causal);
         });
     }
     inner.nets[req.tier].send(

@@ -1,8 +1,9 @@
 //! Fault-recovery scenes for the WAN-scale chaos work: crash-stop in the
 //! middle of a chunked transfer, partition fail-fast with post-flap
-//! recovery, and a link flap cutting a cell train on the HSM stack. Each
-//! scene checks the *graceful* part of degradation — typed exceptions and
-//! reclaimed buffers instead of hangs, leaks, or spurious dead peers.
+//! recovery, a link flap cutting a cell train on the HSM stack, a path
+//! that damages every PDU, and damaged deliveries under no error control.
+//! Each scene checks the *graceful* part of degradation — typed exceptions
+//! and reclaimed buffers instead of hangs, leaks, or spurious dead peers.
 
 use bytes::Bytes;
 use ncs_core::{
@@ -215,4 +216,141 @@ fn link_flap_during_train_recovers_bit_exact() {
         fabric.flap_loss_count() > 0,
         "the flap window never ate a cell train"
     );
+}
+
+#[test]
+fn persistent_damage_ends_in_the_give_up() {
+    // A wire on which no data PDU ever reassembles: each copy arrives
+    // damaged and is NACKed, each resend is damaged again. NACK-driven
+    // resends spend the same retry budget as timeouts, so this must end in
+    // EXC_DELIVERY_FAILED for every frame after at most `max_retries`
+    // resends each — not ping-pong NACK → resend forever.
+    //
+    // Two wires. A flip in every cell: the one-cell NACKs mostly die too
+    // (only a header hit is repaired by HEC), recovery is mostly the
+    // timer's. A flip in every fifth cell: a 43-cell data PDU still never
+    // survives, but four NACKs in five get through — the ping-pong proper.
+    const MSGS: u32 = 48;
+    const BUDGET: u32 = 6;
+    for (p_corrupt, min_nack_resends) in [(1.0, 1), (0.2, u64::from(MSGS))] {
+        let sim = Sim::new();
+        let base = fast_net(2, Dur::from_millis(1));
+        let chaos = ChaosNet::new(base, ChaosParams::new(p_corrupt, 0.0, 9));
+        let net: Arc<dyn Network> = Arc::clone(&chaos) as Arc<dyn Network>;
+        let cfg = NcsConfig {
+            error: ErrorControl::ChecksumRetransmit,
+            rto: RtoConfig::from_base(Dur::from_millis(5)),
+            max_retries: BUDGET,
+            poll_cost: Dur::from_micros(1),
+            ..NcsConfig::default()
+        };
+        let world = NcsWorld::launch(&sim, vec![net], 2, cfg, |id, proc_| {
+            if id == 0 {
+                proc_.t_create("sender", 5, |ncs| {
+                    for i in 0..MSGS {
+                        ncs.send(ThreadAddr::new(1, 0), i, Bytes::from(vec![i as u8; 2048]));
+                    }
+                });
+            }
+            // Process 1 posts no receive: nothing may ever reach its stash.
+        });
+        let out = sim.run();
+        assert!(out.panics.is_empty(), "{:?}", out.panics);
+        let (sender, receiver) = (&world.procs()[0], &world.procs()[1]);
+        let stats = sender.error_stats();
+        assert!(sender.is_peer_dead(1), "{stats:?}");
+        let exceptions = sender.pending_exceptions();
+        assert_eq!(exceptions.len(), MSGS as usize, "one failure per message");
+        assert!(exceptions.iter().all(|e| e.code == EXC_DELIVERY_FAILED));
+        assert_eq!(stats.delivery_failures, u64::from(MSGS));
+        assert!(
+            stats.nack_retransmits >= min_nack_resends && stats.timer_retransmits > 0,
+            "p_corrupt {p_corrupt}: both recovery paths must have been tried: {stats:?}"
+        );
+        assert_eq!(
+            stats.retransmits,
+            stats.nack_retransmits + stats.timer_retransmits
+        );
+        assert!(
+            stats.retransmits <= u64::from(MSGS * BUDGET),
+            "p_corrupt {p_corrupt}: {} resends of {MSGS} frames exceed the budget of {BUDGET} each",
+            stats.retransmits
+        );
+        // Fewer resends than the queue cap were ever made, so the queue
+        // never reached it (and never had to defer).
+        assert!((stats.retransmits as usize) < ncs_core::env::RETX_QUEUE_CAP);
+        assert_eq!(stats.retx_deferred, 0);
+        assert_eq!(
+            receiver.msg_counts().1,
+            0,
+            "damaged bytes were consumed as data"
+        );
+        assert_eq!(receiver.peak_buffered(), 0);
+        sim.finish();
+    }
+}
+
+#[test]
+fn without_error_control_damaged_deliveries_are_dropped_unread() {
+    // ErrorControl::None trusts the transport — and the transport says, per
+    // delivery, when that trust is misplaced. A damaged data message (or
+    // exception) is counted and dropped; what the application does receive
+    // is byte for byte what was sent.
+    const MSGS: u32 = 80;
+    let body = |i: u32| Bytes::from((0..3000u32).map(|j| (i * 7 + j) as u8).collect::<Vec<u8>>());
+    let sim = Sim::new();
+    let chaos = ChaosNet::new(
+        fast_net(2, Dur::from_millis(1)),
+        ChaosParams::new(1e-3, 5e-3, 3),
+    );
+    let net: Arc<dyn Network> = Arc::clone(&chaos) as Arc<dyn Network>;
+    let cfg = NcsConfig {
+        poll_cost: Dur::from_micros(1),
+        ..NcsConfig::default()
+    };
+    assert_eq!(cfg.error, ErrorControl::None);
+    let got = Arc::new(Mutex::new(0u32));
+    let got_in = Arc::clone(&got);
+    let world = NcsWorld::launch(&sim, vec![net], 2, cfg, move |id, proc_| {
+        let got = Arc::clone(&got_in);
+        if id == 0 {
+            proc_.t_create("sender", 5, move |ncs| {
+                for i in 0..MSGS {
+                    ncs.send(ThreadAddr::new(1, 0), i, body(i));
+                    ncs.raise(1, i, body(i));
+                }
+            });
+        } else {
+            proc_.t_create("receiver", 5, move |ncs| {
+                while let Some(m) = ncs.recv_timeout(Some(0), None, None, Dur::from_millis(200)) {
+                    assert_eq!(m.data, body(m.tag), "tag {} altered in flight", m.tag);
+                    *got.lock() += 1;
+                }
+            });
+        }
+    });
+    sim.run().assert_clean();
+    let receiver = &world.procs()[1];
+    for e in receiver.pending_exceptions() {
+        assert_eq!(
+            e.detail,
+            body(e.code),
+            "exception {} altered in flight",
+            e.code
+        );
+    }
+    let dropped = receiver.error_stats().damaged_dropped;
+    let damage = chaos.stats().snapshot();
+    assert!(
+        dropped > 0,
+        "the wire must have damaged something: {damage:?}"
+    );
+    let landed = u64::from(*got.lock()) + receiver.pending_exceptions().len() as u64;
+    assert!(landed < u64::from(2 * MSGS));
+    assert_eq!(
+        landed + damage.messages_dropped,
+        u64::from(2 * MSGS),
+        "every message is consumed intact or counted damaged/lost"
+    );
+    assert!(dropped <= damage.messages_dropped);
 }

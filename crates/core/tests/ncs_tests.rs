@@ -1170,6 +1170,7 @@ fn inject_frame(sim: &Sim, net: &Arc<dyn Network>, at: SimTime, tag: u64, payloa
             payload: Bytes::from(payload),
             sent_at: sim.now(),
             arrived_at: sim.now(),
+            damaged: false,
         };
         assert!(inbox.offer(sim, d).is_ok(), "inbox closed before injection");
     });

@@ -2,11 +2,12 @@
 //! timeline must be well-ordered against the canonical stage walk, and its
 //! per-stage components must sum *exactly* to the observed end-to-end
 //! latency — on both the monolithic and the chunked (pipelined,
-//! multiple-I/O-buffer) data paths.
+//! multiple-I/O-buffer) data paths, on a clean wire and on one that makes
+//! error control retransmit.
 
 use bytes::Bytes;
-use ncs_core::{FlowControl, NcsConfig, NcsWorld, ThreadAddr, ALL_STAGES};
-use ncs_net::{HostParams, IdealFabric, Network, TcpNet, TcpParams};
+use ncs_core::{ErrorControl, FlowControl, NcsConfig, NcsWorld, RtoConfig, ThreadAddr, ALL_STAGES};
+use ncs_net::{ChaosNet, ChaosParams, HostParams, IdealFabric, Network, TcpNet, TcpParams};
 use ncs_sim::{Dur, Sim, SimTime};
 use std::sync::Arc;
 
@@ -19,14 +20,32 @@ fn net(nodes: usize) -> Arc<dyn Network> {
 /// Runs a ping-pong of `msgs` messages of `bytes` each and returns the sim
 /// for timeline inspection.
 fn run_transfer(bytes: usize, msgs: usize, io_buffer_bytes: usize) -> Sim {
-    let sim = Sim::new();
     let cfg = NcsConfig {
         flow: FlowControl::Credit { window: 4 },
         io_buffer_bytes,
         ..NcsConfig::default()
     };
+    run_transfer_on(net(2), cfg, bytes, msgs)
+}
+
+/// The same ping-pong over a wire that loses and corrupts cells, under
+/// checksum/retransmit.
+fn run_lossy_transfer(bytes: usize, msgs: usize, io_buffer_bytes: usize) -> Sim {
+    let cfg = NcsConfig {
+        error: ErrorControl::ChecksumRetransmit,
+        rto: RtoConfig::from_base(Dur::from_millis(10)),
+        max_retries: 64,
+        io_buffer_bytes,
+        ..NcsConfig::default()
+    };
+    let wire = ChaosNet::new(net(2), ChaosParams::new(1e-3, 1e-2, 77));
+    run_transfer_on(wire, cfg, bytes, msgs)
+}
+
+fn run_transfer_on(net: Arc<dyn Network>, cfg: NcsConfig, bytes: usize, msgs: usize) -> Sim {
+    let sim = Sim::new();
     let payload = Bytes::from(vec![0xA5u8; bytes]);
-    NcsWorld::launch(&sim, vec![net(2)], 2, cfg, move |id, proc_| {
+    NcsWorld::launch(&sim, vec![net], 2, cfg, move |id, proc_| {
         let payload = payload.clone();
         proc_.t_create("w", 5, move |ncs| {
             if id == 0 {
@@ -114,6 +133,60 @@ fn chunked_path_components_sum_to_e2e() {
     assert_eq!(reassembled, 3, "each chunked ping must visit reassembly");
 }
 
+/// The registry's own component histograms must cover `obs.e2e` exactly.
+fn assert_components_cover_e2e(sim: &Sim) {
+    sim.with_metrics(|m| {
+        let comp_total: Dur = [
+            "obs.queue_wait",
+            "obs.inject",
+            "obs.wire",
+            "obs.pickup",
+            "obs.reassembly",
+            "obs.deliver",
+        ]
+        .iter()
+        .filter_map(|n| m.stat(n))
+        .fold(Dur::ZERO, |acc, st| acc + st.summary().total());
+        let e2e = m.stat("obs.e2e").expect("e2e").summary().total();
+        assert_eq!(comp_total, e2e);
+    });
+}
+
+#[test]
+fn retransmitted_messages_finish_their_timelines() {
+    // A tenth of these 4 KiB frames is hit in flight. Whatever recovered
+    // a message — a NACK, the timer, a duplicate racing its original — its
+    // timeline must reach `delivered`, in order, summing exactly; and a
+    // message whose accepted copy was not the first says so.
+    const MSGS: usize = 40;
+    let sim = run_lossy_transfer(4096, MSGS, 16 * 1024);
+    let (delivered, _) = check_books(&sim, "lossy monolithic");
+    assert_eq!(
+        delivered,
+        2 * MSGS,
+        "every message must complete its timeline"
+    );
+    let recovered = sim.with_metrics(|m| {
+        let marked = |tl: &ncs_sim::Timeline| tl.iter().any(|&(s, _)| s == "retransmitted");
+        m.timelines().filter(|(_, tl)| marked(tl)).count()
+    });
+    assert!(recovered > 0, "the wire must have forced a retransmission");
+    assert!(recovered < MSGS, "most frames get through first time");
+    assert_components_cover_e2e(&sim);
+}
+
+#[test]
+fn retransmitted_chunks_finish_their_timelines() {
+    // 8 KiB over 1 KiB I/O buffers on the same wire: any chunk may be the
+    // one that needed recovery, including the last to arrive.
+    const MSGS: usize = 12;
+    let sim = run_lossy_transfer(8 * 1024, MSGS, 1024);
+    let (delivered, reassembled) = check_books(&sim, "lossy chunked");
+    assert_eq!(delivered, 2 * MSGS);
+    assert_eq!(reassembled, MSGS);
+    assert_components_cover_e2e(&sim);
+}
+
 #[test]
 fn local_delivery_is_untracked() {
     let sim = Sim::new();
@@ -145,21 +218,9 @@ fn component_histograms_are_fed() {
             let st = m.stat(name).unwrap_or_else(|| panic!("{name} missing"));
             assert_eq!(st.summary().count(), 8, "{name}: one sample per message");
         }
-        // Totals cross-check: components cover e2e exactly.
-        let comp_total: Dur = [
-            "obs.queue_wait",
-            "obs.inject",
-            "obs.wire",
-            "obs.pickup",
-            "obs.reassembly",
-            "obs.deliver",
-        ]
-        .iter()
-        .filter_map(|n| m.stat(n))
-        .fold(Dur::ZERO, |acc, st| acc + st.summary().total());
-        let e2e = m.stat("obs.e2e").expect("e2e").summary().total();
-        assert_eq!(comp_total, e2e);
     });
+    // Totals cross-check: components cover e2e exactly.
+    assert_components_cover_e2e(&sim);
 }
 
 #[test]

@@ -206,6 +206,10 @@ impl AtmApi {
             }
             let d = self.inbox.recv(ctx).expect("ATM inbox closed");
             ctx.sleep(self.net.recv_pickup_cost(self.node, d.payload.len()));
+            if d.damaged {
+                // `atm_recv` hands up whole PDUs or nothing.
+                continue;
+            }
             self.stash
                 .lock()
                 .push_back((d.tag as u16, d.src, d.payload));

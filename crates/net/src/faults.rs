@@ -15,17 +15,29 @@
 //! * **crash-stop nodes** — after a scheduled instant a node emits and
 //!   absorbs nothing; traffic to or from it disappears silently.
 //!
-//! A damaged CS-PDU means the *message* never completes at the receiver:
-//! ChaosNet drops it whole and the error-control layer above must recover
-//! by timeout and retransmission. Every retransmission re-rolls its faults.
-//! All damage is tallied in [`FaultStats`].
+//! A CS-PDU that fails its CRC-32 or length check is not silently eaten: a
+//! real AAL5 receiver sees the failure when the end-of-PDU cell arrives and
+//! can hand the corrupted SDU up with an error indication (I.363.5's
+//! reception status). ChaosNet does the same — the transport is given what
+//! the receiving SAR actually reassembled (lost cells' 48-byte spans
+//! missing, flipped bits flipped) through [`Network::send_damaged`], and
+//! the message lands in the inbox with [`Delivery::damaged`] set. The
+//! sender pays the CPU and wire time of the PDU it sent; the receiver must
+//! never consume the bytes, but learns *that* something died and can ask
+//! for it again one round trip after the loss instead of one timeout.
+//! What stays silent: a message whose end-of-message cell was lost or
+//! discarded (the SAR cannot delimit it), one that reassembles to nothing
+//! (an ACK or NACK, whose single cell carries no user bytes), and anything
+//! to or from a crashed node — there the sender's timeout is the only
+//! recovery. Every retransmission re-rolls its faults. All damage is
+//! tallied in [`FaultStats`].
 //!
 //! Two **message-level** faults model a transport with no adaptation-layer
 //! CRC under it ([`ChaosParams::message_level`]): the message vanishes
-//! whole, or one payload byte is flipped and the message is *delivered* —
-//! the only way a damaged frame reaches the NCS checksum and draws its
-//! NACK. They roll on their own [`SimRng`] split and draw nothing at
-//! probability zero, so they never move the cell-level stream.
+//! whole, or one payload byte is flipped and the message is delivered
+//! *unmarked* — the damage only the NCS checksum can catch. They roll on
+//! their own [`SimRng`] split and draw nothing at probability zero, so they
+//! never move the cell-level stream.
 //!
 //! Deterministic link up/down flap windows and switch output-buffer
 //! overflow live *below* the transport, on [`crate::link::LinkState`] and
@@ -40,7 +52,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::aal5;
-use crate::cell::{AtmCell, CellHeader, CELL_BYTES, CELL_HEADER};
+use crate::cell::{AtmCell, CellHeader, CELL_BYTES, CELL_HEADER, CELL_PAYLOAD};
 use crate::fabric::NodeId;
 use crate::host::HostParams;
 use crate::stack::{Delivery, Network, WaitPolicy};
@@ -118,8 +130,9 @@ pub struct FaultStats {
     pub cells_discarded: AtomicU64,
     /// CS-PDUs rejected by the AAL5 CRC-32 or framing checks.
     pub pdus_rejected: AtomicU64,
-    /// Messages dropped whole (one of their PDUs died, or the
-    /// message-level drop fired).
+    /// Messages that did not arrive as sent: one of their PDUs failed
+    /// reassembly (delivered damaged where the SAR could delimit it,
+    /// nothing otherwise), or the message-level drop fired.
     pub messages_dropped: AtomicU64,
     /// Messages delivered with one payload byte flipped.
     pub messages_corrupted: AtomicU64,
@@ -142,7 +155,7 @@ pub struct FaultStatsSnapshot {
     pub cells_discarded: u64,
     /// CS-PDUs rejected by the AAL5 CRC-32 or framing checks.
     pub pdus_rejected: u64,
-    /// Messages dropped whole.
+    /// Messages that did not arrive as sent (damaged or lost).
     pub messages_dropped: u64,
     /// Messages delivered with one payload byte flipped.
     pub messages_corrupted: u64,
@@ -218,9 +231,9 @@ impl ChaosNet {
             .is_some_and(|&at| at <= now)
     }
 
-    /// Runs one CS-PDU through the cell-level fault model. Returns whether
-    /// the receiver's AAL5 layer hands the intact payload up.
-    fn pdu_survives(&self, sim: &Sim, chunk: &[u8], rng: &mut SimRng) -> bool {
+    /// Runs one CS-PDU through the cell-level fault model: what the
+    /// receiver's AAL5 layer makes of it.
+    fn pdu_fate(&self, sim: &Sim, chunk: &[u8], rng: &mut SimRng) -> PduFate {
         let n_cells = aal5::cells_for_pdu(chunk.len());
         self.stats
             .cells_total
@@ -254,7 +267,7 @@ impl ChaosNet {
             .cells_corrupted
             .fetch_add(flips.len() as u64, Ordering::Relaxed);
         if lost.is_empty() && flips.is_empty() {
-            return true;
+            return PduFate::Intact;
         }
 
         // Exploration: *which* cell of the train a rolled fault lands on is
@@ -280,6 +293,9 @@ impl ChaosNet {
             .map(|(i, bits)| (*i, bits.as_slice()))
             .collect();
         let mut received = Vec::with_capacity(n_cells);
+        // The user bytes of the cells that reach the SAR, in order: cell
+        // `i` carries `chunk[48 i ..]`, the tail cells pad and trailer.
+        let mut bytes = Vec::with_capacity(chunk.len());
         for (i, cell) in cells.iter().enumerate() {
             if lost.binary_search(&i).is_ok() {
                 continue;
@@ -297,6 +313,11 @@ impl ChaosNet {
                     if corrected {
                         self.stats.headers_corrected.fetch_add(1, Ordering::Relaxed);
                     }
+                    let user = chunk
+                        .len()
+                        .saturating_sub(i * CELL_PAYLOAD)
+                        .min(CELL_PAYLOAD);
+                    bytes.extend_from_slice(&wire[CELL_HEADER..CELL_HEADER + user]);
                     received.push(AtmCell::new(
                         header,
                         Bytes::copy_from_slice(&wire[CELL_HEADER..]),
@@ -308,31 +329,35 @@ impl ChaosNet {
             }
         }
         match aal5::reassemble(&received) {
-            Ok(data) if data == chunk => true,
+            Ok(data) if data == chunk => PduFate::Intact,
             _ => {
                 self.stats.pdus_rejected.fetch_add(1, Ordering::Relaxed);
-                false
+                PduFate::Damaged {
+                    bytes,
+                    delimited: received.last().is_some_and(|c| c.header.end_of_pdu()),
+                }
             }
         }
     }
 
-    /// Rolls the message-level faults. `None`: the message vanished whole;
-    /// otherwise the payload to carry on with, one byte flipped if the
-    /// corruption fired. Rolled per *transmission*: a retransmission of the
-    /// same frame draws fresh luck, which is what lets timeout-driven
-    /// recovery converge under partial loss.
-    fn message_faults(&self, payload: Bytes) -> Option<Bytes> {
+    /// Rolls the message-level faults. `Err`: the message vanished whole
+    /// (handed back: its sender still pays for it); otherwise the payload to
+    /// carry on with, one byte flipped if the corruption fired. Rolled per
+    /// *transmission*: a retransmission of the same frame draws fresh luck,
+    /// which is what lets timeout-driven recovery converge under partial
+    /// loss.
+    fn message_faults(&self, payload: Bytes) -> Result<Bytes, Bytes> {
         let (p_corrupt, p_drop) = (self.params.p_msg_corrupt, self.params.p_msg_drop);
         if p_corrupt == 0.0 && p_drop == 0.0 {
-            return Some(payload);
+            return Ok(payload);
         }
         let mut rng = self.msg_rng.lock();
         if rng.gen_bool(p_drop) {
             self.stats.messages_dropped.fetch_add(1, Ordering::Relaxed);
-            return None;
+            return Err(payload);
         }
         if payload.is_empty() || !rng.gen_bool(p_corrupt) {
-            return Some(payload);
+            return Ok(payload);
         }
         let mut damaged = payload.to_vec();
         let at = rng.gen_index(damaged.len());
@@ -340,24 +365,65 @@ impl ChaosNet {
         self.stats
             .messages_corrupted
             .fetch_add(1, Ordering::Relaxed);
-        Some(Bytes::from(damaged))
+        Ok(Bytes::from(damaged))
     }
 
-    /// Whether a whole message survives: every CS-PDU must.
-    fn message_survives(&self, sim: &Sim, payload: &[u8]) -> bool {
+    /// Runs a whole message through the cell-level fault model. `None`:
+    /// every CS-PDU reassembled, the message arrives as sent. Otherwise what
+    /// the receiving SAR hands up instead — each PDU's surviving bytes in
+    /// order — or nothing at all when the end-of-message cell never came:
+    /// without it the SAR cannot delimit the message, and whatever it
+    /// gathered is discarded with the next one.
+    fn cell_faults(&self, sim: &Sim, payload: &[u8]) -> Option<Bytes> {
         let mut rng = self.rng.lock();
-        let mut ok = true;
-        if payload.is_empty() {
-            ok = self.pdu_survives(sim, &[], &mut rng);
-        } else {
-            for chunk in payload.chunks(self.params.pdu_bytes) {
-                // Keep draining the RNG for every chunk so fault positions
-                // do not depend on earlier chunks' outcomes.
-                ok &= self.pdu_survives(sim, chunk, &mut rng);
+        let pdu = self.params.pdu_bytes;
+        let mut arrived: Option<Vec<u8>> = None;
+        let mut delimited = true;
+        // An empty payload still rides one (trailer-only) PDU.
+        for lo in (0..payload.len().max(1)).step_by(pdu) {
+            let chunk = &payload[lo..payload.len().min(lo + pdu)];
+            // Keep draining the RNG for every chunk so fault positions do
+            // not depend on earlier chunks' outcomes.
+            match self.pdu_fate(sim, chunk, &mut rng) {
+                PduFate::Intact => {
+                    if let Some(a) = &mut arrived {
+                        a.extend_from_slice(chunk);
+                    }
+                    delimited = true;
+                }
+                PduFate::Damaged {
+                    bytes,
+                    delimited: d,
+                } => {
+                    arrived
+                        .get_or_insert_with(|| payload[..lo].to_vec())
+                        .extend_from_slice(&bytes);
+                    delimited = d;
+                }
             }
         }
-        ok
+        let mut arrived = arrived?;
+        self.stats.messages_dropped.fetch_add(1, Ordering::Relaxed);
+        if !delimited {
+            arrived.clear();
+        }
+        Some(Bytes::from(arrived))
     }
+}
+
+/// What the receiving SAR makes of one CS-PDU.
+enum PduFate {
+    /// Every cell arrived (header hits repaired by HEC) and the CRC and
+    /// length check out: the payload goes up as sent.
+    Intact,
+    /// The CRC-32 or the framing/length check failed.
+    Damaged {
+        /// The user bytes of the cells that reached the SAR, in order,
+        /// flipped bits flipped.
+        bytes: Vec<u8>,
+        /// The end-of-PDU cell was among them.
+        delimited: bool,
+    },
 }
 
 impl Network for ChaosNet {
@@ -383,17 +449,22 @@ impl Network for ChaosNet {
             self.stats.crash_drops.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        // Sender-side costs are skipped with a dropped message — loss is
-        // rare enough that the timing error is negligible, and the
-        // protocol-level consequences (timeout, retransmit) are the point.
-        let Some(payload) = self.message_faults(payload) else {
-            return;
+        // Whatever happens in flight, the sender has paid for the whole
+        // transmission: a broken message goes down the same send path as
+        // an intact one, only what comes out at the far end differs.
+        let (payload, arrived) = match self.message_faults(payload) {
+            Ok(payload) => {
+                let arrived = self.cell_faults(ctx.sim(), &payload);
+                (payload, arrived)
+            }
+            Err(vanished) => (vanished, Some(Bytes::new())),
         };
-        if !self.message_survives(ctx.sim(), &payload) {
-            self.stats.messages_dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+        match arrived {
+            None => self.inner.send(ctx, policy, src, dst, tag, payload),
+            Some(arrived) => self
+                .inner
+                .send_damaged(ctx, policy, src, dst, tag, payload, arrived),
         }
-        self.inner.send(ctx, policy, src, dst, tag, payload);
     }
 
     fn inbox(&self, node: NodeId) -> SimChannel<Delivery> {
@@ -438,8 +509,8 @@ mod tests {
         Arc::new(TcpNet::new(fabric, hosts, TcpParams::ip_over_atm()))
     }
 
-    /// Sends each payload 0 → 1 through `net`; returns what arrives.
-    fn carried(net: &Arc<ChaosNet>, payloads: Vec<Bytes>) -> Vec<Bytes> {
+    /// Sends each payload 0 → 1 through `net`; returns what lands.
+    fn landed(net: &Arc<ChaosNet>, payloads: Vec<Bytes>) -> Vec<Delivery> {
         let sim = Sim::new();
         let tx = Arc::clone(net);
         sim.spawn("sender", move |ctx| {
@@ -452,7 +523,7 @@ mod tests {
         sim.spawn("receiver", move |ctx| {
             let inbox = rx.inbox(NodeId(1));
             while let Ok(d) = inbox.recv(ctx) {
-                got2.lock().push(d.payload);
+                got2.lock().push(d);
             }
         });
         let outcome = sim.run();
@@ -461,9 +532,27 @@ mod tests {
         got
     }
 
-    /// Sends `n` messages of `bytes` through `net`; returns how many arrive.
+    /// Sends each payload 0 → 1 through `net`; returns what arrives intact.
+    fn carried(net: &Arc<ChaosNet>, payloads: Vec<Bytes>) -> Vec<Bytes> {
+        let intact = landed(net, payloads).into_iter().filter(|d| !d.damaged);
+        intact.map(|d| d.payload).collect()
+    }
+
+    /// Sends `n` messages of `bytes` through `net`; returns how many arrive
+    /// intact.
     fn deliveries(net: Arc<ChaosNet>, n: usize, bytes: usize) -> usize {
         carried(&net, vec![Bytes::from(vec![0xA5u8; bytes]); n]).len()
+    }
+
+    /// A payload of `spans` 48-byte spans, span `k` filled with `k`: cell
+    /// `k` of its PDU carries exactly span `k`, and one more cell carries
+    /// the trailer alone.
+    fn spans(n: usize) -> Bytes {
+        Bytes::from(
+            (0..n * CELL_PAYLOAD)
+                .map(|j| (j / CELL_PAYLOAD) as u8)
+                .collect::<Vec<u8>>(),
+        )
     }
 
     #[test]
@@ -488,6 +577,7 @@ mod tests {
         sim.spawn("receiver", move |ctx| {
             let d = rx.inbox(NodeId(1)).recv(ctx).unwrap();
             assert_eq!(&d.payload[..], b"hello cells");
+            assert!(!d.damaged);
             *ok2.lock() = true;
         });
         sim.run();
@@ -556,15 +646,171 @@ mod tests {
     fn cell_loss_breaks_reassembly() {
         let net = ChaosNet::new(base_net(), ChaosParams::new(0.0, 0.3, 5));
         let stats = net.stats();
-        let delivered = deliveries(Arc::clone(&net), 20, 2048);
+        let intact = deliveries(Arc::clone(&net), 20, 2048);
         let s = stats.snapshot();
         assert!(s.cells_lost > 0);
         assert!(s.messages_dropped > 0);
-        assert!(delivered < 20);
+        assert!(intact < 20);
         assert_eq!(
-            s.messages_dropped as usize + delivered,
+            s.messages_dropped as usize + intact,
             20,
-            "every message either arrives or is counted dropped"
+            "every message either arrives intact or is counted dropped"
+        );
+    }
+
+    #[test]
+    fn damaged_delivery_is_the_surviving_cells_in_order() {
+        // Loss only, on span-labelled payloads: what the SAR hands up of a
+        // broken PDU is the spans of the cells that reached it, in order —
+        // and it hands something up only if the end-of-PDU cell did.
+        const SPANS: usize = 20;
+        const MSGS: usize = 200;
+        let net = ChaosNet::new(base_net(), ChaosParams::new(0.0, 0.05, 17));
+        let got = landed(&net, vec![spans(SPANS); MSGS]);
+        let (mut damaged, mut missing) = (0, 0);
+        for d in &got {
+            if !d.damaged {
+                assert_eq!(d.payload, spans(SPANS));
+                continue;
+            }
+            damaged += 1;
+            assert!(
+                !d.payload.is_empty(),
+                "nothing reassembled: nothing delivered"
+            );
+            assert_eq!(d.payload.len() % CELL_PAYLOAD, 0, "whole spans only");
+            let labels: Vec<u8> = d.payload.chunks(CELL_PAYLOAD).map(|c| c[0]).collect();
+            for (c, &k) in d.payload.chunks(CELL_PAYLOAD).zip(&labels) {
+                assert!(c.iter().all(|&b| b == k), "span {k} altered");
+            }
+            assert!(
+                labels.windows(2).all(|w| w[0] < w[1]),
+                "out of order: {labels:?}"
+            );
+            // Every span present would mean only the trailer cell died, and
+            // without it the SAR cannot delimit the PDU at all.
+            assert!(labels.len() < SPANS, "PDU delivered without its last cell");
+            missing += SPANS - labels.len();
+        }
+        let s = net.stats().snapshot();
+        assert!(
+            damaged > 0 && got.len() < MSGS,
+            "both fates must occur: {s:?}"
+        );
+        assert_eq!(s.messages_dropped as usize, damaged + MSGS - got.len());
+        assert_eq!(s.pdus_rejected, s.messages_dropped, "one PDU per message");
+        assert!(missing as u64 <= s.cells_lost);
+    }
+
+    #[test]
+    fn flipped_bits_arrive_flipped() {
+        // One flipped bit in every cell, no bursts: header hits are
+        // repaired, payload hits ride up. Nothing is lost, so the damaged
+        // copy has the length of the original and differs from it by at
+        // most one bit per cell.
+        let mut p = ChaosParams::new(1.0, 0.0, 23);
+        p.p_burst = 0.0;
+        let net = ChaosNet::new(base_net(), p);
+        let sent = spans(40);
+        let got = landed(&net, vec![sent.clone(); 10]);
+        assert_eq!(got.len(), 10, "every end-of-PDU cell arrives");
+        for d in &got {
+            assert!(d.damaged, "41 cells, one flip each: some hit the payload");
+            assert_eq!(d.payload.len(), sent.len());
+            let flips: u32 = d
+                .payload
+                .iter()
+                .zip(&sent[..])
+                .map(|(a, b)| (a ^ b).count_ones())
+                .sum();
+            assert!((1..=41).contains(&flips), "{flips} bits differ");
+            for (a, b) in d
+                .payload
+                .chunks(CELL_PAYLOAD)
+                .zip(sent.chunks(CELL_PAYLOAD))
+            {
+                let in_cell: u32 = a.iter().zip(b).map(|(a, b)| (a ^ b).count_ones()).sum();
+                assert!(in_cell <= 1);
+            }
+        }
+    }
+
+    #[test]
+    fn undelimited_and_empty_pdus_are_dropped_not_delivered() {
+        // A one-cell PDU's only cell is its end-of-PDU cell: losing it
+        // leaves the SAR nothing to delimit, so a lossy wire delivers it
+        // intact or not at all — never damaged.
+        let net = ChaosNet::new(base_net(), ChaosParams::new(0.0, 0.5, 29));
+        let got = landed(&net, vec![Bytes::from_static(b"fits in one cell"); 40]);
+        assert!(got
+            .iter()
+            .all(|d| !d.damaged && &d.payload[..] == b"fits in one cell"));
+        let s = net.stats().snapshot();
+        assert!(!got.is_empty() && got.len() < 40);
+        assert_eq!(got.len() + s.messages_dropped as usize, 40);
+        // An empty payload rides one trailer-only cell (an ACK does): if a
+        // flip breaks its CRC there is nothing to hand up.
+        let mut p = ChaosParams::new(1.0, 0.0, 31);
+        p.p_burst = 0.0;
+        let net = ChaosNet::new(base_net(), p);
+        let got = landed(&net, vec![Bytes::new(); 200]);
+        assert!(got.iter().all(|d| !d.damaged && d.payload.is_empty()));
+        let s = net.stats().snapshot();
+        assert!(
+            s.headers_corrected > 0,
+            "header hits are repaired and arrive"
+        );
+        assert_eq!(got.len() as u64, s.headers_corrected);
+        assert_eq!(got.len() as u64 + s.pdus_rejected, 200);
+        // Every cell lost: the sender pays, nothing comes out.
+        let net = ChaosNet::new(base_net(), ChaosParams::new(0.0, 1.0, 37));
+        assert!(landed(&net, vec![spans(5); 4]).is_empty());
+        assert_eq!(net.stats().snapshot().messages_dropped, 4);
+    }
+
+    #[test]
+    fn multi_pdu_message_keeps_its_intact_pdus() {
+        // Three PDUs of 10 spans; whatever is hit, the message's damaged
+        // copy is each PDU's surviving spans in message order.
+        let mut p = ChaosParams::new(0.0, 0.02, 41);
+        p.pdu_bytes = 10 * CELL_PAYLOAD;
+        let net = ChaosNet::new(base_net(), p);
+        let got = landed(&net, vec![spans(30); 100]);
+        let damaged: Vec<_> = got.iter().filter(|d| d.damaged).collect();
+        assert!(!damaged.is_empty());
+        for d in damaged {
+            let labels: Vec<u8> = d.payload.chunks(CELL_PAYLOAD).map(|c| c[0]).collect();
+            assert!(labels.windows(2).all(|w| w[0] < w[1]), "{labels:?}");
+        }
+    }
+
+    #[test]
+    fn sender_pays_for_what_the_wire_breaks() {
+        // The same traffic costs its sender the same time whether the wire
+        // delivers it, damages it or loses it outright.
+        let busy = |params: ChaosParams| {
+            let net = ChaosNet::new(base_net(), params);
+            let sim = Sim::new();
+            let done = Arc::new(Mutex::new(SimTime::ZERO));
+            let done_in = Arc::clone(&done);
+            sim.spawn("sender", move |ctx| {
+                for i in 0..10 {
+                    net.send(ctx, &BlockingWait, NodeId(0), NodeId(1), i, spans(40));
+                }
+                *done_in.lock() = ctx.now();
+            });
+            sim.run();
+            let t = *done.lock();
+            t
+        };
+        let clean = busy(ChaosParams::clean(1));
+        assert!(clean > SimTime::ZERO);
+        assert_eq!(busy(ChaosParams::new(0.5, 0.0, 1)), clean, "damaged");
+        assert_eq!(busy(ChaosParams::new(0.0, 1.0, 1)), clean, "lost");
+        assert_eq!(
+            busy(ChaosParams::message_level(0.0, 1.0, 1)),
+            clean,
+            "vanished"
         );
     }
 

@@ -15,6 +15,14 @@
 //! while NCS's user-level runtime can hand the CPU to a sibling thread
 //! (ncs-mts provides that policy). CPU time (copies, protocol processing)
 //! is always charged to the calling thread — no runtime can overlap it.
+//!
+//! Both stacks have the AAL5 corrupted-SDU-delivery option on: a message a
+//! fault injector broke in flight goes down the same send body as an
+//! intact one ([`Network::send_damaged`] beside [`Network::send`] — the
+//! sender cannot tell and pays the same), and what the receiving SAR made
+//! of it lands in the inbox with [`Delivery::damaged`] set, for the layer
+//! above to ask again rather than wait out a timeout. Consumers of an
+//! inbox must check that flag before touching the payload.
 
 use bytes::Bytes;
 use ncs_sim::sync::Mutex;
@@ -56,6 +64,25 @@ pub struct Delivery {
     pub sent_at: SimTime,
     /// When the last bit (plus receive-side NIC work) arrived.
     pub arrived_at: SimTime,
+    /// Reception status (I.363.5's corrupted-SDU-delivery option): the
+    /// receiving SAR failed this message's CRC or length check and hands up
+    /// what it reassembled anyway. `payload` is then not what was sent —
+    /// lost cells' spans are missing, flipped bits are flipped — and must
+    /// never be consumed as data; it tells the receiver *that* something
+    /// from `src` under `tag` died, so it can ask for it again.
+    pub damaged: bool,
+}
+
+/// What lands in the inbox of a transfer whose wire time has been paid:
+/// the payload as sent (`damaged_as` is `None`), or — reassembly having
+/// failed at the receiving SAR — what it made of it, marked damaged;
+/// `None` when it could delimit nothing.
+fn as_received(sent: Bytes, damaged_as: Option<Bytes>) -> Option<(Bytes, bool)> {
+    match damaged_as {
+        None => Some((sent, false)),
+        Some(arrived) if arrived.is_empty() => None,
+        Some(arrived) => Some((arrived, true)),
+    }
 }
 
 /// A transport stack bound to a fabric: the interface message-passing
@@ -80,6 +107,28 @@ pub trait Network: Send + Sync + 'static {
         tag: u64,
         payload: Bytes,
     );
+
+    /// Transfers `sent` like [`Network::send`] — the sender pays the same
+    /// CPU and wire time — but the receiving SAR failed reassembly: `dst`
+    /// is handed `arrived`, what was reassembled of it, with
+    /// [`Delivery::damaged`] set. An empty `arrived` means nothing could be
+    /// delimited (the end-of-message cell never came): the wire time is
+    /// spent and nothing is delivered. Called by fault injectors, never by
+    /// message layers. Default: a transport without the corrupted-SDU
+    /// delivery option discards the PDU.
+    #[allow(clippy::too_many_arguments)]
+    fn send_damaged(
+        &self,
+        ctx: &Ctx,
+        policy: &dyn WaitPolicy,
+        src: NodeId,
+        dst: NodeId,
+        tag: u64,
+        sent: Bytes,
+        arrived: Bytes,
+    ) {
+        let _ = (ctx, policy, src, dst, tag, sent, arrived);
+    }
 
     /// The arrival queue for `node`.
     fn inbox(&self, node: NodeId) -> SimChannel<Delivery>;
@@ -266,18 +315,12 @@ impl<F: Fabric> TcpNet<F> {
     pub fn segments(&self, bytes: usize) -> usize {
         bytes.div_ceil(self.params.mss).max(1)
     }
-}
 
-impl<F: Fabric> Network for TcpNet<F> {
-    fn nodes(&self) -> usize {
-        self.hosts.len()
-    }
-
-    fn host(&self, node: NodeId) -> &HostParams {
-        &self.hosts[node.idx()]
-    }
-
-    fn send(
+    /// The one send body: `payload` goes through the socket path and onto
+    /// the wire; `damaged_as` is what the far end reassembled of it when a
+    /// fault injector broke it in flight ([`Network::send_damaged`]).
+    #[allow(clippy::too_many_arguments)]
+    fn transmit(
         &self,
         ctx: &Ctx,
         policy: &dyn WaitPolicy,
@@ -285,6 +328,7 @@ impl<F: Fabric> Network for TcpNet<F> {
         dst: NodeId,
         tag: u64,
         payload: Bytes,
+        damaged_as: Option<Bytes>,
     ) {
         let h = &self.hosts[src.idx()];
         let sent_at = ctx.now();
@@ -342,6 +386,9 @@ impl<F: Fabric> Network for TcpNet<F> {
             ctx.sim().with_tracer(|tr| tr.count("tcp.fabric_drops", 1));
             return;
         }
+        let Some((payload, damaged)) = as_received(payload, damaged_as) else {
+            return;
+        };
         let inbox = self.inboxes[dst.idx()].clone();
         let msg = Delivery {
             src,
@@ -350,12 +397,48 @@ impl<F: Fabric> Network for TcpNet<F> {
             payload,
             sent_at,
             arrived_at: last_arrival,
+            damaged,
         };
         ctx.sim().schedule_at(last_arrival, move |sim| {
             // Destinations that have shut down simply drop late traffic,
             // like a closed socket.
             let _ = inbox.offer(sim, msg);
         });
+    }
+}
+
+impl<F: Fabric> Network for TcpNet<F> {
+    fn nodes(&self) -> usize {
+        self.hosts.len()
+    }
+
+    fn host(&self, node: NodeId) -> &HostParams {
+        &self.hosts[node.idx()]
+    }
+
+    fn send(
+        &self,
+        ctx: &Ctx,
+        policy: &dyn WaitPolicy,
+        src: NodeId,
+        dst: NodeId,
+        tag: u64,
+        payload: Bytes,
+    ) {
+        self.transmit(ctx, policy, src, dst, tag, payload, None);
+    }
+
+    fn send_damaged(
+        &self,
+        ctx: &Ctx,
+        policy: &dyn WaitPolicy,
+        src: NodeId,
+        dst: NodeId,
+        tag: u64,
+        sent: Bytes,
+        arrived: Bytes,
+    ) {
+        self.transmit(ctx, policy, src, dst, tag, sent, Some(arrived));
     }
 
     fn inbox(&self, node: NodeId) -> SimChannel<Delivery> {
@@ -477,18 +560,13 @@ impl<F: Fabric> AtmApiNet<F> {
     pub fn params(&self) -> &AtmApiParams {
         &self.params
     }
-}
 
-impl<F: Fabric> Network for AtmApiNet<F> {
-    fn nodes(&self) -> usize {
-        self.hosts.len()
-    }
-
-    fn host(&self, node: NodeId) -> &HostParams {
-        &self.hosts[node.idx()]
-    }
-
-    fn send(
+    /// The one send body: `payload` goes through the mapped-buffer
+    /// pipeline and onto the wire; `damaged_as` is what the far adapter
+    /// reassembled of it when a fault injector broke it in flight
+    /// ([`Network::send_damaged`]).
+    #[allow(clippy::too_many_arguments)]
+    fn transmit(
         &self,
         ctx: &Ctx,
         policy: &dyn WaitPolicy,
@@ -496,6 +574,7 @@ impl<F: Fabric> Network for AtmApiNet<F> {
         dst: NodeId,
         tag: u64,
         payload: Bytes,
+        damaged_as: Option<Bytes>,
     ) {
         let h = &self.hosts[src.idx()];
         let sent_at = ctx.now();
@@ -574,6 +653,9 @@ impl<F: Fabric> Network for AtmApiNet<F> {
             ctx.sim().with_tracer(|tr| tr.count("atm.fabric_drops", 1));
             return;
         }
+        let Some((payload, damaged)) = as_received(payload, damaged_as) else {
+            return;
+        };
         let inbox = self.inboxes[dst.idx()].clone();
         let msg = Delivery {
             src,
@@ -582,11 +664,47 @@ impl<F: Fabric> Network for AtmApiNet<F> {
             payload,
             sent_at,
             arrived_at: last_arrival,
+            damaged,
         };
         ctx.sim().schedule_at(last_arrival, move |sim| {
             // Destinations that have shut down simply drop late traffic.
             let _ = inbox.offer(sim, msg);
         });
+    }
+}
+
+impl<F: Fabric> Network for AtmApiNet<F> {
+    fn nodes(&self) -> usize {
+        self.hosts.len()
+    }
+
+    fn host(&self, node: NodeId) -> &HostParams {
+        &self.hosts[node.idx()]
+    }
+
+    fn send(
+        &self,
+        ctx: &Ctx,
+        policy: &dyn WaitPolicy,
+        src: NodeId,
+        dst: NodeId,
+        tag: u64,
+        payload: Bytes,
+    ) {
+        self.transmit(ctx, policy, src, dst, tag, payload, None);
+    }
+
+    fn send_damaged(
+        &self,
+        ctx: &Ctx,
+        policy: &dyn WaitPolicy,
+        src: NodeId,
+        dst: NodeId,
+        tag: u64,
+        sent: Bytes,
+        arrived: Bytes,
+    ) {
+        self.transmit(ctx, policy, src, dst, tag, sent, Some(arrived));
     }
 
     fn inbox(&self, node: NodeId) -> SimChannel<Delivery> {

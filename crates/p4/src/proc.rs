@@ -172,6 +172,14 @@ impl P4Proc {
         let cost = self.net.recv_pickup_cost(me, d.payload.len())
             + self.net.recv_reaction_cost(me, d.payload.len());
         ctx.sleep(cost);
+        if d.damaged {
+            // The transport's reception status says these are not the bytes
+            // that were sent. p4 has no error control to ask for them
+            // again; what it must not do is hand them to the application.
+            ctx.sim()
+                .with_tracer(|tr| tr.count("p4.damaged_dropped", 1));
+            return;
+        }
         self.stash.lock().push_back(P4Msg {
             msg_type: d.tag as u32 as i32,
             from: d.src.idx(),
@@ -364,6 +372,43 @@ mod tests {
         assert!(times
             .iter()
             .all(|&t| t >= SimTime::ZERO + Dur::from_millis(3)));
+    }
+
+    #[test]
+    fn damaged_deliveries_never_reach_the_application() {
+        // p4 over a lossy ATM plant with corrupted-SDU delivery on: what
+        // the SAR could not reassemble comes up marked damaged, and p4 —
+        // which has no error control of its own — must drop it rather than
+        // hand the application bytes nobody sent.
+        use ncs_net::{ChaosNet, ChaosParams};
+        const MSGS: i32 = 60;
+        fn body(t: i32) -> Bytes {
+            Bytes::from((0..2000).map(|j| (t * 31 + j) as u8).collect::<Vec<u8>>())
+        }
+        let sim = Sim::new();
+        let net = ChaosNet::new(test_net(2), ChaosParams::new(2e-3, 1e-2, 61));
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let got_in = Arc::clone(&got);
+        create_procgroup(&sim, net, 2, move |ctx, p| {
+            if p.my_id() == 0 {
+                for t in 0..MSGS {
+                    p.send(ctx, t, 1, body(t));
+                }
+            } else {
+                ctx.sleep(Dur::from_millis(100)); // everything has landed
+                while p.messages_available(ctx, None, None) {
+                    got_in.lock().push(p.recv(ctx, None, None));
+                }
+            }
+        });
+        sim.run().assert_clean();
+        let got = got.lock();
+        for m in got.iter() {
+            assert_eq!(m.data, body(m.msg_type), "type {} altered", m.msg_type);
+        }
+        let dropped = sim.with_tracer(|tr| tr.counter("p4.damaged_dropped"));
+        assert!(dropped > 0, "the plant must have damaged something");
+        assert!(got.len() + dropped as usize <= MSGS as usize);
     }
 
     #[test]

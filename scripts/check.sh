@@ -34,8 +34,8 @@ cargo run --release -p ncs-bench --bin xp_observe -- --smoke
 echo "== event-kernel + sharded scaling smoke + ns/event regression guard (as CI) =="
 cargo run --release -p ncs-bench --bin xp_scale -- --smoke --guard
 
-echo "== chaos sweep smoke: faults, topologies, sharded harness rider (as CI) =="
-cargo run --release -p ncs-bench --bin xp_chaos -- --smoke
+echo "== chaos sweep smoke: faults, topologies, sharded harness rider + receiver-driven recovery guard (as CI) =="
+cargo run --release -p ncs-bench --bin xp_chaos -- --smoke --guard
 
 echo "== async-API overlap smoke: nonblocking matmul beats blocking (as CI) =="
 cargo run --release -p ncs-bench --bin xp_overlap -- --smoke
