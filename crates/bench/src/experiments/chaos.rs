@@ -17,7 +17,7 @@
 //! crash-stop scene shows sends to a dead peer failing fast with a
 //! delivery-failure exception instead of hanging.
 //!
-//! Extension experiment **X11** rides in the same binary: a WAN-scale
+//! Extension experiment **X11** rides in the same experiment: a WAN-scale
 //! sweep over three switch topologies (single FORE switch, campus
 //! fat-tree, mixed DS-3/OC-48 wide-area ring) at 64 application hosts,
 //! each at three fault levels (clean / lossy / harsh). The harsh rung
@@ -49,70 +49,74 @@
 //! NACK-driven and no other retransmission at all.
 //!
 //! ```text
-//! cargo run --release -p ncs-bench --bin xp_chaos [-- --smoke] [-- --guard]
+//! cargo run --release -p ncs-bench -- chaos [--smoke] [--guard]
 //! ```
 
+use super::{worker_cpus, JsonDoc, Opts, SmallApp};
+use crate::json::{fixed, obj, quoted};
 use bytes::Bytes;
-use ncs_apps::fft::{fft_ncs_with, FftConfig};
-use ncs_apps::jpeg::EntropyKind;
-use ncs_apps::jpeg_dist::{setup_jpeg_ncs_with, JpegConfig};
-use ncs_apps::matmul::{setup_matmul_ncs_with, MatmulConfig};
 use ncs_core::{
     ErrorControl, ErrorStats, NcsConfig, NcsWorld, RtoConfig, ThreadAddr, EXC_DELIVERY_FAILED,
 };
-use ncs_net::atm::{AtmFabric, AtmLanParams};
+use ncs_net::atm::AtmFabric;
 use ncs_net::{
-    spawn_vbr, ChaosNet, ChaosParams, ChaosTopology, Fabric, FaultStatsSnapshot, HostParams,
-    Network, NodeId, TcpNet, TcpParams, VbrConfig,
+    spawn_vbr, ChaosNet, ChaosParams, ChaosTopology, Fabric, FaultStatsSnapshot, Network, NodeId,
+    VbrConfig,
 };
 use ncs_sim::sync::Mutex;
 use ncs_sim::{Dur, ShardedSim, Sim, SimTime};
 use std::sync::Arc;
 
-/// One rung of the damage ladder.
+/// One rung of a fault ladder: the application ladder's (X7) or the
+/// WAN-scale sweep's (X11).
 struct Level {
     label: &'static str,
     /// Per-cell bit-flip probability.
     p_corrupt: f64,
     /// Per-cell loss probability.
     p_loss: f64,
-    /// Schedule one outage window on the host's uplink.
-    flap: bool,
+    /// Deterministic outage windows: the host's uplink on the ladder; two
+    /// access links and (where the topology has one) the first trunk in the
+    /// sweep.
+    flaps: bool,
+    /// Seeded VBR cross-traffic from the sweep's extra hosts.
+    vbr: bool,
     /// Cap the switch output ports (cells); `None` = lossless switch.
     output_buffer: Option<usize>,
 }
+
+const CLEAN: Level = Level {
+    label: "clean",
+    p_corrupt: 0.0,
+    p_loss: 0.0,
+    flaps: false,
+    vbr: false,
+    output_buffer: None,
+};
 
 /// The ladder. The acceptance bar for the fault model is the third rung
 /// (corruption ≥ 1e-3 with loss ≥ 1e-2); the fourth adds a link flap and a
 /// finite switch buffer on top.
 const LEVELS: &[Level] = &[
-    Level {
-        label: "clean",
-        p_corrupt: 0.0,
-        p_loss: 0.0,
-        flap: false,
-        output_buffer: None,
-    },
+    CLEAN,
     Level {
         label: "corrupt 1e-3",
         p_corrupt: 1e-3,
-        p_loss: 0.0,
-        flap: false,
-        output_buffer: None,
+        ..CLEAN
     },
     Level {
         label: "corrupt 1e-3 + loss 1e-2",
         p_corrupt: 1e-3,
         p_loss: 1e-2,
-        flap: false,
-        output_buffer: None,
+        ..CLEAN
     },
     Level {
         label: "above + flap + 256-cell switch buffer",
         p_corrupt: 2e-3,
         p_loss: 1e-2,
-        flap: true,
+        flaps: true,
         output_buffer: Some(256),
+        ..CLEAN
     },
 ];
 
@@ -122,12 +126,12 @@ const LEVELS: &[Level] = &[
 const FLAP_DOWN: SimTime = SimTime::from_ps(1_000_000_000); // 1 ms
 const FLAP_UP: SimTime = SimTime::from_ps(6_000_000_000); // 6 ms
 
-/// NCS configuration for every run: checksum/retransmit error control with
-/// an adaptive RTO seeded at 10 ms. The retry budget must cover the worst
-/// rung: an 8 KB message is ~172 cells, and at corrupt 2e-3 + loss 1e-2 a
+/// NCS configuration for every run (and for `tests/chaos_determinism.rs`):
+/// checksum/retransmit error control with an adaptive RTO seeded at 10 ms.
+/// The retry budget must cover the worst rung: an 8 KB message is ~172 cells, and at corrupt 2e-3 + loss 1e-2 a
 /// transmission survives with p ≈ 0.13, so 64 tries push the spurious
 /// give-up probability below 1e-3 per message.
-fn chaos_cfg() -> NcsConfig {
+pub fn chaos_cfg() -> NcsConfig {
     NcsConfig {
         error: ErrorControl::ChecksumRetransmit,
         rto: RtoConfig::from_base(Dur::from_millis(10)),
@@ -145,21 +149,12 @@ fn chaos_stack(
     level: &Level,
     seed: u64,
 ) -> (Arc<AtmFabric>, Arc<ChaosNet>, Arc<dyn Network>) {
-    let mut params = AtmLanParams::fore_lan(nodes);
-    if let Some(cells) = level.output_buffer {
-        params = params.with_output_buffer(cells);
-    }
-    let fabric = Arc::new(AtmFabric::new(params));
-    if level.flap {
+    let (fabric, tcp) = ChaosTopology::Lan.build_chaos(nodes, 0, level.output_buffer);
+    if level.flaps {
         // One crash of the host's uplink: data (and the B/image/sample
         // fan-out) dies mid-flight; retransmission must carry it across.
         fabric.uplink(NodeId(0)).schedule_flap(FLAP_DOWN, FLAP_UP);
     }
-    let tcp: Arc<dyn Network> = Arc::new(TcpNet::new(
-        Arc::clone(&fabric),
-        vec![HostParams::sparc_ipx(); nodes],
-        TcpParams::ip_over_atm(),
-    ));
     let chaos = ChaosNet::new(tcp, ChaosParams::new(level.p_corrupt, level.p_loss, seed));
     let net: Arc<dyn Network> = Arc::clone(&chaos) as Arc<dyn Network>;
     (fabric, chaos, net)
@@ -175,9 +170,8 @@ struct AppOutcome {
     flap_losses: u64,
 }
 
-fn print_outcome(o: &AppOutcome) {
-    println!(
-        "  {:6} | {:9.3}s | {:9} | {:5} corrupt {:5} lost | {:4} HEC-fixed {:4} PDU-rej | {:4} dropped | {:3} ovfl {:3} flap",
+fn print_outcome(out: &mut String, o: &AppOutcome) {
+    *out += &format!("  {:6} | {:9.3}s | {:9} | {:5} corrupt {:5} lost | {:4} HEC-fixed {:4} PDU-rej | {:4} dropped | {:3} ovfl {:3} flap\n",
         o.app,
         o.elapsed.as_secs_f64(),
         if o.verified { "BIT-EXACT" } else { "WRONG" },
@@ -191,64 +185,13 @@ fn print_outcome(o: &AppOutcome) {
     );
 }
 
-fn run_matmul(level: &Level, seed: u64) -> AppOutcome {
-    let sim = Sim::new();
-    let (fabric, chaos, net) = chaos_stack(3, level, seed);
-    let cfg = MatmulConfig {
-        dim: 32,
-        nodes: 2,
-        seed: 7,
-    };
-    let handle = setup_matmul_ncs_with(&sim, net, cfg, chaos_cfg());
-    let out = sim.run();
-    out.assert_clean();
+fn run_app(app: SmallApp, level: &Level, seed: u64) -> AppOutcome {
+    let (fabric, chaos, net) = chaos_stack(app.hosts(), level, seed);
+    let (elapsed, verified) = app.run(net, chaos_cfg());
     AppOutcome {
-        app: "matmul",
-        elapsed: out.end_time.since(SimTime::ZERO),
-        verified: handle.verify(),
-        damage: chaos.stats().snapshot(),
-        overflow_drops: fabric.overflow_drop_count(),
-        flap_losses: fabric.flap_loss_count(),
-    }
-}
-
-fn run_jpeg(level: &Level, seed: u64) -> AppOutcome {
-    let sim = Sim::new();
-    let (fabric, chaos, net) = chaos_stack(3, level, seed);
-    let cfg = JpegConfig {
-        width: 64,
-        height: 64,
-        quality: 75,
-        entropy: EntropyKind::RleVarint,
-        nodes: 2,
-        seed: 21,
-    };
-    let handle = setup_jpeg_ncs_with(&sim, net, cfg, chaos_cfg());
-    let out = sim.run();
-    out.assert_clean();
-    AppOutcome {
-        app: "jpeg",
-        elapsed: out.end_time.since(SimTime::ZERO),
-        verified: handle.verify(),
-        damage: chaos.stats().snapshot(),
-        overflow_drops: fabric.overflow_drop_count(),
-        flap_losses: fabric.flap_loss_count(),
-    }
-}
-
-fn run_fft(level: &Level, seed: u64) -> AppOutcome {
-    let (fabric, chaos, net) = chaos_stack(3, level, seed);
-    let cfg = FftConfig {
-        m: 64,
-        sets: 2,
-        nodes: 2,
-        seed: 5,
-    };
-    let run = fft_ncs_with(net, cfg, chaos_cfg());
-    AppOutcome {
-        app: "fft",
-        elapsed: run.elapsed,
-        verified: run.verified,
+        app: app.name(),
+        elapsed,
+        verified,
         damage: chaos.stats().snapshot(),
         overflow_drops: fabric.overflow_drop_count(),
         flap_losses: fabric.flap_loss_count(),
@@ -297,8 +240,8 @@ fn run_microscope(level: &Level, seed: u64) -> (ErrorStats, FaultStatsSnapshot, 
     (stats, chaos.stats().snapshot(), fabric.flap_loss_count())
 }
 
-fn print_microscope(stats: &ErrorStats) {
-    print!(
+fn print_microscope(out: &mut String, stats: &ErrorStats) {
+    *out += &format!(
         "  stream | {:3} retx ({:3} nack {:3} timer) {:3} backoffs {:4} rtt samples |",
         stats.retransmits,
         stats.nack_retransmits,
@@ -307,30 +250,23 @@ fn print_microscope(stats: &ErrorStats) {
         stats.rtt_samples,
     );
     for p in &stats.peers {
-        print!(
+        *out += &format!(
             " peer {}: srtt {:.2}ms rto {:.2}ms",
             p.peer,
             p.srtt.as_secs_f64() * 1e3,
             p.rto.as_secs_f64() * 1e3,
         );
     }
-    println!();
+    out.push('\n');
 }
 
 /// Crash-stop scene: peer 1 is dead from the start; the first send burns
 /// its retry budget and raises a delivery-failure exception, marking the
 /// peer dead so the second send fails fast instead of hanging.
-fn run_crash_stop() {
-    println!("## crash-stop: sends to a dead peer fail fast\n");
+fn run_crash_stop(out: &mut String) {
+    *out += "## crash-stop: sends to a dead peer fail fast\n\n";
     let sim = Sim::new();
-    let level = Level {
-        label: "crash",
-        p_corrupt: 0.0,
-        p_loss: 0.0,
-        flap: false,
-        output_buffer: None,
-    };
-    let (_fabric, chaos, net) = chaos_stack(2, &level, 0xDEAD);
+    let (_fabric, chaos, net) = chaos_stack(2, &CLEAN, 0xDEAD);
     chaos.crash_at(NodeId(1), SimTime::ZERO);
     let cfg = NcsConfig {
         max_retries: 5,
@@ -339,7 +275,11 @@ fn run_crash_stop() {
     let world = NcsWorld::launch(&sim, vec![net], 2, cfg, |id, proc_| {
         if id == 0 {
             proc_.t_create("sender", 5, |ncs| {
-                ncs.send(ThreadAddr::new(1, 0), 1, Bytes::from_static(b"into the void"));
+                ncs.send(
+                    ThreadAddr::new(1, 0),
+                    1,
+                    Bytes::from_static(b"into the void"),
+                );
                 // Sleep past the whole backed-off retry schedule
                 // (10 + 20 + 40 + 80 + 160 + 320 ms) so the budget is gone.
                 ncs.ctx().sleep(Dur::from_secs(2));
@@ -347,12 +287,15 @@ fn run_crash_stop() {
             });
         }
     });
-    let out = sim.run();
-    assert!(out.panics.is_empty(), "{:?}", out.panics);
+    let end = sim.run();
+    assert!(end.panics.is_empty(), "{:?}", end.panics);
     let proc0 = &world.procs()[0];
     let stats = proc0.error_stats();
     let exceptions = proc0.pending_exceptions();
-    assert!(proc0.is_peer_dead(1), "retry exhaustion must mark the peer dead");
+    assert!(
+        proc0.is_peer_dead(1),
+        "retry exhaustion must mark the peer dead"
+    );
     assert_eq!(
         exceptions.len(),
         2,
@@ -363,9 +306,9 @@ fn run_crash_stop() {
         chaos.stats().snapshot().crash_drops > 0,
         "the crashed endpoint must have eaten traffic"
     );
-    println!(
+    *out += &format!(
         "  peer 1 dead after {} retransmits ({} backoffs); {} delivery-failure \
-         exceptions raised (give-up + fail-fast), {} messages eaten by the crash",
+         exceptions raised (give-up + fail-fast), {} messages eaten by the crash\n",
         stats.retransmits,
         stats.backoff_events,
         exceptions.len(),
@@ -378,43 +321,18 @@ fn run_crash_stop() {
 // X11: the WAN-scale sweep — topology × fault level at 64 hosts.
 // ---------------------------------------------------------------------------
 
-/// One rung of the sweep's fault axis.
-struct SweepLevel {
-    label: &'static str,
-    /// Per-cell bit-flip probability.
-    p_corrupt: f64,
-    /// Per-cell loss probability.
-    p_loss: f64,
-    /// Deterministic outage windows on two access links and (where the
-    /// topology has one) the first trunk.
-    flaps: bool,
-    /// Seeded VBR cross-traffic from the extra hosts.
-    vbr: bool,
-    /// Finite per-switch output buffer (cells); `None` = lossless switch.
-    output_buffer: Option<usize>,
-}
-
 /// Clean / lossy / harsh. Loss rates are per *cell*; a 4 KB message is
 /// ~90 cells, so harsh (5e-3) rejects roughly one in three CS-PDUs and
 /// retransmission is constantly at work.
-const SWEEP_LEVELS: &[SweepLevel] = &[
-    SweepLevel {
-        label: "clean",
-        p_corrupt: 0.0,
-        p_loss: 0.0,
-        flaps: false,
-        vbr: false,
-        output_buffer: None,
-    },
-    SweepLevel {
+const SWEEP_LEVELS: &[Level] = &[
+    CLEAN,
+    Level {
         label: "lossy",
         p_corrupt: 1e-4,
         p_loss: 2e-3,
-        flaps: false,
-        vbr: false,
-        output_buffer: None,
+        ..CLEAN
     },
-    SweepLevel {
+    Level {
         label: "harsh",
         p_corrupt: 5e-4,
         p_loss: 5e-3,
@@ -430,9 +348,18 @@ const SWEEP_LEVELS: &[SweepLevel] = &[
 /// partitioned — the sweep tests degradation, not fail-fast (the
 /// dedicated recovery tests cover that).
 const SWEEP_FLAPS: &[(SimTime, SimTime)] = &[
-    (SimTime::from_ps(1_000_000_000), SimTime::from_ps(6_000_000_000)), // 1–6 ms
-    (SimTime::from_ps(3_000_000_000), SimTime::from_ps(8_000_000_000)), // 3–8 ms
-    (SimTime::from_ps(9_000_000_000), SimTime::from_ps(13_000_000_000)), // 9–13 ms
+    (
+        SimTime::from_ps(1_000_000_000),
+        SimTime::from_ps(6_000_000_000),
+    ), // 1–6 ms
+    (
+        SimTime::from_ps(3_000_000_000),
+        SimTime::from_ps(8_000_000_000),
+    ), // 3–8 ms
+    (
+        SimTime::from_ps(9_000_000_000),
+        SimTime::from_ps(13_000_000_000),
+    ), // 9–13 ms
 ];
 
 /// Deterministic payload byte for (sender, tag, offset): the receiver
@@ -458,19 +385,9 @@ struct MeshOutcome {
     /// p99 end-to-end message latency from the `obs.e2e` histogram
     /// (conservative upper bound).
     p99: Dur,
-    retransmits: u64,
-    /// Of `retransmits`: asked for by the receiver / fired by the timer.
-    nack_retx: u64,
-    timer_retx: u64,
-    /// Retransmissions the receivers proved unnecessary (a copy had
-    /// already been delivered).
-    duplicates: u64,
-    /// ACKs for frames that had been retransmitted (Karn-ambiguous).
-    spurious: u64,
-    backoffs: u64,
-    deferred: u64,
-    failures: u64,
-    reclaimed: u64,
+    /// Every process's error-control counters, summed (`peers` and
+    /// `dead_peers` stay empty: no peer may die in the sweep).
+    stats: ErrorStats,
     backlog: usize,
     damage: FaultStatsSnapshot,
     overflow_drops: u64,
@@ -494,7 +411,7 @@ impl MeshOutcome {
 #[allow(clippy::too_many_arguments)]
 fn run_mesh(
     topo: ChaosTopology,
-    level: &SweepLevel,
+    level: &Level,
     hosts: usize,
     extras: usize,
     msgs: u32,
@@ -599,15 +516,7 @@ fn run_mesh(
                 .and_then(|st| st.hist().quantile(0.99))
                 .unwrap_or(Dur::ZERO)
         }),
-        retransmits: 0,
-        nack_retx: 0,
-        timer_retx: 0,
-        duplicates: 0,
-        spurious: 0,
-        backoffs: 0,
-        deferred: 0,
-        failures: 0,
-        reclaimed: 0,
+        stats: ErrorStats::default(),
         backlog: 0,
         damage: chaos.stats().snapshot(),
         overflow_drops: fabric.overflow_drop_count(),
@@ -617,15 +526,15 @@ fn run_mesh(
     };
     for p in world.procs() {
         let st = p.error_stats();
-        o.retransmits += st.retransmits;
-        o.nack_retx += st.nack_retransmits;
-        o.timer_retx += st.timer_retransmits;
-        o.duplicates += st.duplicates_suppressed;
-        o.spurious += st.spurious_retransmits;
-        o.backoffs += st.backoff_events;
-        o.deferred += st.retx_deferred;
-        o.failures += st.delivery_failures;
-        o.reclaimed += st.reassembly_reclaimed;
+        o.stats.retransmits += st.retransmits;
+        o.stats.nack_retransmits += st.nack_retransmits;
+        o.stats.timer_retransmits += st.timer_retransmits;
+        o.stats.duplicates_suppressed += st.duplicates_suppressed;
+        o.stats.spurious_retransmits += st.spurious_retransmits;
+        o.stats.backoff_events += st.backoff_events;
+        o.stats.retx_deferred += st.retx_deferred;
+        o.stats.delivery_failures += st.delivery_failures;
+        o.stats.reassembly_reclaimed += st.reassembly_reclaimed;
         o.backlog += p.reassembly_backlog();
         assert!(
             st.dead_peers.is_empty(),
@@ -644,28 +553,31 @@ fn run_mesh(
 
 fn check_mesh_invariants(o: &MeshOutcome) {
     let at = format!("{}/{}", o.topo.id(), o.level);
-    assert_eq!(o.failures, 0, "{at}: degradation must stay graceful — no delivery failures");
+    assert_eq!(
+        o.stats.delivery_failures, 0,
+        "{at}: degradation must stay graceful — no delivery failures"
+    );
     assert_eq!(
         o.backlog, 0,
         "{at}: every reassembly buffer must drain (bounded memory)"
     );
     assert_eq!(
-        o.retransmits,
-        o.nack_retx + o.timer_retx,
+        o.stats.retransmits,
+        o.stats.nack_retransmits + o.stats.timer_retransmits,
         "{at}: every resend has a cause"
     );
     if o.level == "clean" {
         assert_eq!(
-            o.retransmits, 0,
+            o.stats.retransmits, 0,
             "{at}: a clean wire must need no retransmissions"
         );
         assert_eq!(
-            o.spurious, 0,
+            o.stats.spurious_retransmits, 0,
             "{at}: a clean wire must see no spurious retransmissions"
         );
     } else {
         assert!(
-            o.retransmits > 0,
+            o.stats.retransmits > 0,
             "{at}: damage ({} cells lost, {} corrupted, {} flap losses, {} overflow drops) \
              must force retransmissions",
             o.damage.cells_lost,
@@ -683,9 +595,8 @@ fn check_mesh_invariants(o: &MeshOutcome) {
     }
 }
 
-fn print_mesh(o: &MeshOutcome) {
-    println!(
-        "  {:9} | {:5} | {:9.4}s | {:8.2} Mb/s | p99 {:9.3}ms | {:5} retx = {:5} nack + {:5} timer, {:4} dup {:4} acked-after-retx {:3} defer | {:5} lost {:4} corrupt | {:4} ovfl {:4} flap | {:6.2} MB vbr",
+fn print_mesh(out: &mut String, o: &MeshOutcome) {
+    *out += &format!("  {:9} | {:5} | {:9.4}s | {:8.2} Mb/s | p99 {:9.3}ms | {:5} retx = {:5} nack + {:5} timer, {:4} dup {:4} acked-after-retx {:3} defer | {:5} lost {:4} corrupt | {:4} ovfl {:4} flap | {:6.2} MB vbr\n",
         if o.sharded {
             format!("{}~1sh", o.topo.id())
         } else {
@@ -695,12 +606,12 @@ fn print_mesh(o: &MeshOutcome) {
         o.app_done.as_secs_f64(),
         o.goodput_mbps(),
         o.p99.as_secs_f64() * 1e3,
-        o.retransmits,
-        o.nack_retx,
-        o.timer_retx,
-        o.duplicates,
-        o.spurious,
-        o.deferred,
+        o.stats.retransmits,
+        o.stats.nack_retransmits,
+        o.stats.timer_retransmits,
+        o.stats.duplicates_suppressed,
+        o.stats.spurious_retransmits,
+        o.stats.retx_deferred,
         o.damage.cells_lost,
         o.damage.cells_corrupted,
         o.overflow_drops,
@@ -710,72 +621,63 @@ fn print_mesh(o: &MeshOutcome) {
 }
 
 fn mesh_json(o: &MeshOutcome) -> String {
-    format!(
-        "{{\"topology\": \"{}\", \"level\": \"{}\", \"sharded_harness\": {}, \
-         \"app_done_s\": {:.9}, \
-         \"goodput_mbps\": {:.3}, \"p99_ms\": {:.6}, \"payload_bytes\": {}, \
-         \"retransmits\": {}, \"nack_retransmits\": {}, \"timer_retransmits\": {}, \
-         \"duplicates_suppressed\": {}, \"spurious_retransmits\": {}, \"backoffs\": {}, \
-         \"retx_deferred\": {}, \"delivery_failures\": {}, \
-         \"reassembly_reclaimed\": {}, \"reassembly_backlog\": {}, \
-         \"cells_lost\": {}, \"cells_corrupted\": {}, \"headers_corrected\": {}, \
-         \"pdus_rejected\": {}, \"overflow_drops\": {}, \"flap_losses\": {}, \
-         \"vbr_bytes\": {}, \"vbr_chunks\": {}}}",
-        o.topo.id(),
-        o.level,
-        o.sharded,
-        o.app_done.as_secs_f64(),
-        o.goodput_mbps(),
-        o.p99.as_secs_f64() * 1e3,
-        o.payload_bytes,
-        o.retransmits,
-        o.nack_retx,
-        o.timer_retx,
-        o.duplicates,
-        o.spurious,
-        o.backoffs,
-        o.deferred,
-        o.failures,
-        o.reclaimed,
-        o.backlog,
-        o.damage.cells_lost,
-        o.damage.cells_corrupted,
-        o.damage.headers_corrected,
-        o.damage.pdus_rejected,
-        o.overflow_drops,
-        o.flap_losses,
-        o.vbr_bytes,
-        o.vbr_chunks,
-    )
+    obj(&[
+        ("topology", &quoted(o.topo.id())),
+        ("level", &quoted(o.level)),
+        ("sharded_harness", &o.sharded),
+        ("app_done_s", &fixed(o.app_done.as_secs_f64(), 9)),
+        ("goodput_mbps", &fixed(o.goodput_mbps(), 3)),
+        ("p99_ms", &fixed(o.p99.as_secs_f64() * 1e3, 6)),
+        ("payload_bytes", &o.payload_bytes),
+        ("retransmits", &o.stats.retransmits),
+        ("nack_retransmits", &o.stats.nack_retransmits),
+        ("timer_retransmits", &o.stats.timer_retransmits),
+        ("duplicates_suppressed", &o.stats.duplicates_suppressed),
+        ("spurious_retransmits", &o.stats.spurious_retransmits),
+        ("backoffs", &o.stats.backoff_events),
+        ("retx_deferred", &o.stats.retx_deferred),
+        ("delivery_failures", &o.stats.delivery_failures),
+        ("reassembly_reclaimed", &o.stats.reassembly_reclaimed),
+        ("reassembly_backlog", &o.backlog),
+        ("cells_lost", &o.damage.cells_lost),
+        ("cells_corrupted", &o.damage.cells_corrupted),
+        ("headers_corrected", &o.damage.headers_corrected),
+        ("pdus_rejected", &o.damage.pdus_rejected),
+        ("overflow_drops", &o.overflow_drops),
+        ("flap_losses", &o.flap_losses),
+        ("vbr_bytes", &o.vbr_bytes),
+        ("vbr_chunks", &o.vbr_chunks),
+    ])
 }
 
-fn run_sweep(smoke: bool) -> Vec<MeshOutcome> {
+/// The X11 sweep; returns its rows and the `BENCH_chaos.json` document.
+fn run_sweep(out: &mut String, smoke: bool) -> (Vec<MeshOutcome>, JsonDoc) {
     let (hosts, extras, msgs, msg_bytes) = if smoke {
         (16, 4, 8, 4096)
     } else {
         (64, 8, 16, 4096)
     };
-    println!(
+    *out += &format!(
         "## X11 — WAN-scale sweep: {hosts} app hosts + {extras} cross-traffic, \
-         ring of {msgs} x {msg_bytes} B messages\n"
+         ring of {msgs} x {msg_bytes} B messages\n\n"
     );
     let mut outcomes = Vec::new();
     for topo in ChaosTopology::all() {
         for (li, level) in SWEEP_LEVELS.iter().enumerate() {
             let seed = 0xA7A7_0000 + li as u64 * 131 + topo.id().len() as u64;
             let o = run_mesh(topo, level, hosts, extras, msgs, msg_bytes, seed, false);
-            print_mesh(&o);
+            print_mesh(out, &o);
             check_mesh_invariants(&o);
             outcomes.push(o);
         }
-        println!();
+        out.push('\n');
     }
     // Sharded-harness rider (runs in smoke mode too): the clean ring at
     // 128 hosts on `ShardedSim::single` — the shards=1 configuration of
     // the windowed multi-worker harness. The seam must not cost a single
     // retransmission: `check_mesh_invariants` enforces the clean-level
     // zero-retransmit / zero-spurious bar, restated explicitly below.
-    println!("  (sharded harness, shards=1, 128 hosts)");
+    *out += "  (sharded harness, shards=1, 128 hosts)\n";
     let o = run_mesh(
         ChaosTopology::FatTree,
         &SWEEP_LEVELS[0],
@@ -786,35 +688,24 @@ fn run_sweep(smoke: bool) -> Vec<MeshOutcome> {
         0xA7A7_5EED,
         true,
     );
-    print_mesh(&o);
+    print_mesh(out, &o);
     check_mesh_invariants(&o);
     assert_eq!(
-        o.retransmits, 0,
+        o.stats.retransmits, 0,
         "clean wire on the sharded harness must retransmit nothing"
     );
     outcomes.push(o);
-    println!();
-    let mut json = String::from("{\n  \"experiment\": \"xp_chaos\",\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!(
-        "  \"worker_cpus\": {},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    json.push_str(&format!(
-        "  \"hosts\": {hosts}, \"extra_hosts\": {extras}, \
-         \"msgs_per_host\": {msgs}, \"msg_bytes\": {msg_bytes},\n"
-    ));
-    json.push_str("  \"sweep\": [\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        json.push_str("    ");
-        json.push_str(&mesh_json(o));
-        json.push_str(if i + 1 < outcomes.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
-    println!("wrote results/BENCH_chaos.json\n");
-    outcomes
+    out.push('\n');
+    let mut doc = JsonDoc::new("BENCH_chaos", "xp_chaos", smoke);
+    doc.line(&[("worker_cpus", &worker_cpus())]);
+    doc.line(&[
+        ("hosts", &hosts),
+        ("extra_hosts", &extras),
+        ("msgs_per_host", &msgs),
+        ("msg_bytes", &msg_bytes),
+    ]);
+    doc.rows("sweep", outcomes.iter().map(mesh_json));
+    (outcomes, doc)
 }
 
 /// `--guard`: receiver-driven recovery must be doing the work. Per
@@ -822,7 +713,7 @@ fn run_sweep(smoke: bool) -> Vec<MeshOutcome> {
 /// its goodput holds at least 0.35× the clean row's (0.16–0.23× when every
 /// loss waited for the RTO); the clean row saw no damaged PDU, so no NACK
 /// was ever sent, and retransmitted nothing.
-fn guard_sweep(outcomes: &[MeshOutcome]) {
+fn guard_sweep(out: &mut String, outcomes: &[MeshOutcome]) {
     for clean in outcomes.iter().filter(|o| o.level == "clean") {
         let at = format!(
             "{}/clean{}",
@@ -834,7 +725,7 @@ fn guard_sweep(outcomes: &[MeshOutcome]) {
             "{at}: damaged PDUs on a clean wire"
         );
         assert_eq!(
-            (clean.nack_retx, clean.retransmits),
+            (clean.stats.nack_retransmits, clean.stats.retransmits),
             (0, 0),
             "{at}: NACK-driven / all retransmissions on a clean wire"
         );
@@ -847,11 +738,11 @@ fn guard_sweep(outcomes: &[MeshOutcome]) {
             .expect("every topology has a lossy row");
         let at = format!("{}/lossy", lossy.topo.id());
         assert!(
-            2 * lossy.timer_retx < lossy.retransmits,
+            2 * lossy.stats.timer_retransmits < lossy.stats.retransmits,
             "{at}: {} of {} retransmissions are timer-driven — loss recovery is waiting \
              for the RTO again",
-            lossy.timer_retx,
-            lossy.retransmits
+            lossy.stats.timer_retransmits,
+            lossy.stats.retransmits
         );
         let share = lossy.goodput_mbps() / clean.goodput_mbps();
         assert!(
@@ -860,24 +751,23 @@ fn guard_sweep(outcomes: &[MeshOutcome]) {
             lossy.goodput_mbps(),
             clean.goodput_mbps()
         );
-        println!(
-            "  guard {at}: {:.2}x clean goodput, {} of {} retransmissions timer-driven",
-            share, lossy.timer_retx, lossy.retransmits
+        *out += &format!(
+            "  guard {at}: {:.2}x clean goodput, {} of {} retransmissions timer-driven\n",
+            share, lossy.stats.timer_retransmits, lossy.stats.retransmits
         );
     }
-    println!();
+    out.push('\n');
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let guard = std::env::args().any(|a| a == "--guard");
-    println!("# X7 — chaos sweep: cell-level faults vs NCS error control");
+pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
+    let smoke = opts.smoke;
+    *out += "# X7 — chaos sweep: cell-level faults vs NCS error control\n";
     if smoke {
-        println!("# smoke mode: reduced sweep");
+        *out += "# smoke mode: reduced sweep\n";
     }
-    println!("# FORE ATM LAN stack; matmul 32x32/2 nodes, JPEG 64x64/2 nodes, FFT 512pt-class 64pt/2 sets/2 nodes");
-    println!(
-        "# microscope: {} x {} KB producer->consumer stream\n",
+    *out += "# FORE ATM LAN stack; matmul 32x32/2 nodes, JPEG 64x64/2 nodes, FFT 512pt-class 64pt/2 sets/2 nodes\n";
+    *out += &format!(
+        "# microscope: {} x {} KB producer->consumer stream\n\n",
         SCOPE_MSGS,
         SCOPE_BYTES / 1024
     );
@@ -885,15 +775,15 @@ fn main() {
     let mut clean_elapsed = Dur::ZERO;
     let mut harsh_retx = 0u64;
     for (li, level) in LEVELS.iter().enumerate() {
-        println!("## level {li}: {}", level.label);
+        *out += &format!("## level {li}: {}\n", level.label);
         let seed = 0xC0FFEE + li as u64 * 97;
         let outcomes = [
-            run_matmul(level, seed),
-            run_jpeg(level, seed + 1),
-            run_fft(level, seed + 2),
+            run_app(SmallApp::Matmul { nodes: 2 }, level, seed),
+            run_app(SmallApp::Jpeg, level, seed + 1),
+            run_app(SmallApp::Fft { sets: 2 }, level, seed + 2),
         ];
         for o in &outcomes {
-            print_outcome(o);
+            print_outcome(out, o);
             assert!(
                 o.verified,
                 "{} must be bit-exact at fault level '{}'",
@@ -901,14 +791,14 @@ fn main() {
             );
         }
         let (stats, damage, flap) = run_microscope(level, seed + 3);
-        print_microscope(&stats);
+        print_microscope(out, &stats);
         assert!(
             stats.rtt_samples > 0,
             "the estimator must see clean samples at level '{}'",
             level.label
         );
         assert!(stats.delivery_failures == 0 && stats.dead_peers.is_empty());
-        if level.p_corrupt == 0.0 && level.p_loss == 0.0 && !level.flap {
+        if level.label == "clean" {
             clean_elapsed = outcomes[0].elapsed;
             assert_eq!(
                 stats.retransmits, 0,
@@ -926,34 +816,35 @@ fn main() {
             );
             harsh_retx += stats.retransmits;
         }
-        if level.flap {
+        if level.flaps {
             assert!(
                 flap > 0,
                 "a 5 ms outage under a continuous stream must eat chunks"
             );
         }
-        println!();
+        out.push('\n');
     }
     assert!(harsh_retx > 0);
 
-    run_crash_stop();
-    println!();
+    run_crash_stop(out);
+    out.push('\n');
 
-    let outcomes = run_sweep(smoke);
-    if guard {
-        guard_sweep(&outcomes);
+    let (outcomes, doc) = run_sweep(out, smoke);
+    if opts.guard {
+        guard_sweep(out, &outcomes);
     }
     let harsh_total: u64 = outcomes
         .iter()
         .filter(|o| o.level == "harsh")
-        .map(|o| o.retransmits)
+        .map(|o| o.stats.retransmits)
         .sum();
     assert!(harsh_total > 0);
 
-    println!(
+    *out += &format!(
         "(every app run at every fault level verified bit-exact; recovery is \
          paid for in time — matmul clean: {:.3}s — and in the retransmission \
-         counters above, with the RTO tracking each peer's observed RTT)",
+         counters above, with the RTO tracking each peer's observed RTT)\n",
         clean_elapsed.as_secs_f64()
     );
+    Some(doc)
 }

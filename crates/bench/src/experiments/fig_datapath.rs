@@ -4,22 +4,23 @@
 //! memory-limited bandwidth on the paper's hosts.
 //!
 //! ```text
-//! cargo run --release -p ncs-bench --bin fig_datapath
+//! cargo run --release -p ncs-bench -- fig_datapath
 //! ```
 
+use super::{JsonDoc, Opts};
 use ncs_net::{DatapathKind, HostParams};
 
-fn main() {
-    println!("# Figure 3 — Datapath during communication\n");
-    println!(
-        "per-word memory-bus accesses: socket/TCP = {}, NCS mapped buffers = {}\n",
+pub(super) fn run(_: &Opts, out: &mut String) -> Option<JsonDoc> {
+    *out += "# Figure 3 — Datapath during communication\n\n";
+    *out += &format!(
+        "per-word memory-bus accesses: socket/TCP = {}, NCS mapped buffers = {}\n\n",
         DatapathKind::SocketTcp.accesses_per_word(),
         DatapathKind::NcsMapped.accesses_per_word()
     );
     for host in [HostParams::sparc_ipx(), HostParams::sparc_elc()] {
-        println!("## {}", host.name);
-        println!("message size |  TCP copy time |  NCS copy time | ratio");
-        println!("-------------+----------------+----------------+------");
+        *out += &format!("## {}\n", host.name);
+        *out += "message size |  TCP copy time |  NCS copy time | ratio\n";
+        *out += "-------------+----------------+----------------+------\n";
         for size in [
             1usize << 10,
             4 << 10,
@@ -30,21 +31,22 @@ fn main() {
         ] {
             let tcp = host.copy_time(size, DatapathKind::SocketTcp);
             let ncs = host.copy_time(size, DatapathKind::NcsMapped);
-            println!(
-                "{:9} KB | {:>14} | {:>14} | {:.3}",
+            *out += &format!(
+                "{:9} KB | {:>14} | {:>14} | {:.3}\n",
                 size / 1024,
                 format!("{tcp}"),
                 format!("{ncs}"),
                 tcp.as_secs_f64() / ncs.as_secs_f64()
             );
         }
-        println!(
-            "memory-limited bandwidth: TCP {:.2} MB/s, NCS {:.2} MB/s\n",
+        *out += &format!(
+            "memory-limited bandwidth: TCP {:.2} MB/s, NCS {:.2} MB/s\n\n",
             host.datapath_bandwidth(DatapathKind::SocketTcp) / 1e6,
             host.datapath_bandwidth(DatapathKind::NcsMapped) / 1e6
         );
     }
-    println!("(the 5:3 access ratio is the paper's Figure 3 argument; the");
-    println!(" time ratio equals it exactly because both paths move the");
-    println!(" same words over the same bus)");
+    *out += "(the 5:3 access ratio is the paper's Figure 3 argument; the\n";
+    *out += " time ratio equals it exactly because both paths move the\n";
+    *out += " same words over the same bus)\n";
+    None
 }

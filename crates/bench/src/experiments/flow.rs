@@ -9,9 +9,10 @@
 //! at the window, trading throughput for bounded buffering.
 //!
 //! ```text
-//! cargo run --release -p ncs-bench --bin xp_flow
+//! cargo run --release -p ncs-bench -- flow
 //! ```
 
+use super::{JsonDoc, Opts};
 use bytes::Bytes;
 use ncs_core::{FlowControl, NcsConfig, NcsWorld, ThreadAddr};
 use ncs_net::Testbed;
@@ -25,7 +26,7 @@ struct Outcome {
     peak_inbox_depth: usize,
 }
 
-fn run(flow: FlowControl) -> Outcome {
+fn stream(flow: FlowControl) -> Outcome {
     let sim = Sim::new();
     let net = Testbed::SunAtmLanTcp.build(2);
     let cfg = NcsConfig {
@@ -60,24 +61,24 @@ fn run(flow: FlowControl) -> Outcome {
     }
 }
 
-fn main() {
-    println!("# X3 — flow-control ablation: bursty producer vs slow consumer");
-    println!(
-        "# {} messages x {} KB, consumer drains at 50 ms/message\n",
+pub(super) fn run(_: &Opts, out: &mut String) -> Option<JsonDoc> {
+    *out += "# X3 — flow-control ablation: bursty producer vs slow consumer\n";
+    *out += &format!(
+        "# {} messages x {} KB, consumer drains at 50 ms/message\n\n",
         MSGS,
         MSG_BYTES / 1024
     );
-    println!("flow control      | total time | peak receiver queue (msgs)");
-    println!("------------------+------------+---------------------------");
+    *out += "flow control      | total time | peak receiver queue (msgs)\n";
+    *out += "------------------+------------+---------------------------\n";
     let mut results = Vec::new();
     for (label, flow) in [
         ("none (transport)", FlowControl::None),
         ("credit, window 4", FlowControl::Credit { window: 4 }),
         ("credit, window 16", FlowControl::Credit { window: 16 }),
     ] {
-        let o = run(flow);
-        println!(
-            "{:17} | {:9.3}s | {}",
+        let o = stream(flow);
+        *out += &format!(
+            "{:17} | {:9.3}s | {}\n",
             label,
             o.elapsed.as_secs_f64(),
             o.peak_inbox_depth
@@ -88,6 +89,7 @@ fn main() {
         results[1].peak_inbox_depth < results[0].peak_inbox_depth,
         "credit flow control must bound receiver buffering"
     );
-    println!("\n(credit windows bound receiver-side buffering — the QOS knob a");
-    println!(" VOD-style consumer needs — at a small cost in elapsed time)");
+    *out += "\n(credit windows bound receiver-side buffering — the QOS knob a\n";
+    *out += " VOD-style consumer needs — at a small cost in elapsed time)\n";
+    None
 }

@@ -18,12 +18,13 @@
 //! batch per row, enough to show every row still runs.
 //!
 //! ```text
-//! cargo run --release -p ncs-bench --bin xp_micro [-- --smoke]
+//! cargo run --release -p ncs-bench -- micro [--smoke]
 //! ```
 
+use super::{worker_cpus, JsonDoc, Opts};
+use crate::min_ns_per_call;
 use bytes::Bytes;
 use ncs_apps::jpeg::huffman;
-use ncs_bench::min_ns_per_call;
 use ncs_core::{NcsConfig, NcsWorld, ThreadAddr};
 use ncs_mts::{Mts, MtsConfig};
 use ncs_net::atm::{AtmFabric, AtmLanParams, NynetParams};
@@ -106,20 +107,20 @@ fn booking(fabric: impl Fabric, src: u32, dst: u32, bytes: usize) -> impl FnMut(
     }
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (batches, budget) = if smoke {
+pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
+    let (batches, budget) = if opts.smoke {
         (1, Duration::from_millis(5))
     } else {
         (10, Duration::from_millis(100))
     };
-    let worker_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "# xp_micro — host ns per unit, min of {batches} batch(es) (worker_cpus = {worker_cpus})\n"
+    let worker_cpus = worker_cpus();
+    *out += &format!(
+        "# xp_micro — host ns per unit, min of {batches} batch(es) \
+         (worker_cpus = {worker_cpus})\n\n"
     );
-    let row = |name: &str, unit: &str, units_per_call: f64, op: &mut dyn FnMut()| {
+    let mut row = |name: &str, unit: &str, units_per_call: f64, op: &mut dyn FnMut()| {
         let ns = min_ns_per_call(batches, budget, op) / units_per_call;
-        println!("{name:42} {ns:12.3} ns/{unit}");
+        *out += &format!("{name:42} {ns:12.3} ns/{unit}\n");
     };
 
     row(
@@ -183,4 +184,5 @@ fn main() {
         f64::from(2 * EXCHANGES),
         &mut ping_pong,
     );
+    None
 }

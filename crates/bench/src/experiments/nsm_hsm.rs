@@ -7,9 +7,10 @@
 //! through the mapped-buffer ATM API path (HSM).
 //!
 //! ```text
-//! cargo run --release -p ncs-bench --bin xp_nsm_hsm
+//! cargo run --release -p ncs-bench -- nsm_hsm
 //! ```
 
+use super::{stream, JsonDoc, Opts};
 use bytes::Bytes;
 use ncs_net::stack::BlockingWait;
 use ncs_net::{Network, NodeId, Testbed};
@@ -49,78 +50,50 @@ fn ping_pong(net: Arc<dyn Network>, bytes: usize) -> Dur {
     d
 }
 
-/// One-way bandwidth streaming `count` messages of `bytes`, plus the
+/// One-way bandwidth (MB/s) streaming `count` messages of `bytes`, plus the
 /// per-message delivery-latency distribution.
 fn stream_bw(net: Arc<dyn Network>, bytes: usize, count: usize) -> (f64, DurHistogram) {
-    let sim = Sim::new();
-    let done = Arc::new(Mutex::new(Dur::ZERO));
-    let hist = Arc::new(Mutex::new(DurHistogram::new()));
-    let n0 = Arc::clone(&net);
-    sim.spawn("tx", move |ctx| {
-        for i in 0..count {
-            n0.send(
-                ctx,
-                &BlockingWait,
-                NodeId(0),
-                NodeId(1),
-                i as u64,
-                Bytes::from(vec![0u8; bytes]),
-            );
-        }
-    });
-    let d2 = Arc::clone(&done);
-    let h2 = Arc::clone(&hist);
-    sim.spawn("rx", move |ctx| {
-        let inbox = net.inbox(NodeId(1));
-        for _ in 0..count {
-            let m = inbox.recv(ctx).unwrap();
-            ctx.sleep(net.recv_pickup_cost(NodeId(1), m.payload.len()));
-            h2.lock().record(ctx.now().since(m.sent_at));
-        }
-        *d2.lock() = ctx.now().since(ncs_sim::SimTime::ZERO);
-    });
-    sim.run().assert_clean();
-    let total = *done.lock();
-    let h = hist.lock().clone();
-    ((bytes * count) as f64 / total.as_secs_f64() / 1e6, h)
+    let (total, hist) = stream(net, bytes, count);
+    ((bytes * count) as f64 / total.as_secs_f64() / 1e6, hist)
 }
 
-fn main() {
-    println!("# X1 — NSM (sockets/TCP/IP) vs HSM (NCS ATM API), same ATM LAN\n");
-    println!("## Ping-pong round-trip latency");
-    println!("  size   |    NSM (TCP) |  HSM (ATM API) | speedup");
-    println!("---------+--------------+----------------+--------");
+pub(super) fn run(_: &Opts, out: &mut String) -> Option<JsonDoc> {
+    *out += "# X1 — NSM (sockets/TCP/IP) vs HSM (NCS ATM API), same ATM LAN\n\n";
+    *out += "## Ping-pong round-trip latency\n";
+    *out += "  size   |    NSM (TCP) |  HSM (ATM API) | speedup\n";
+    *out += "---------+--------------+----------------+--------\n";
     for bytes in [64usize, 1 << 10, 8 << 10, 64 << 10] {
         let nsm = ping_pong(Testbed::SunAtmLanTcp.build(2), bytes);
         let hsm = ping_pong(Testbed::SunAtmLanApi.build(2), bytes);
-        println!(
-            "{:6} B | {:>12} | {:>14} | {:.2}x",
+        *out += &format!(
+            "{:6} B | {:>12} | {:>14} | {:.2}x\n",
             bytes,
             format!("{nsm}"),
             format!("{hsm}"),
             nsm.as_secs_f64() / hsm.as_secs_f64()
         );
     }
-    println!("\n## One-way streaming bandwidth (MB/s, 32 messages)");
-    println!("  size   |  NSM (TCP) | HSM (ATM API) | speedup");
-    println!("---------+------------+---------------+--------");
+    *out += "\n## One-way streaming bandwidth (MB/s, 32 messages)\n";
+    *out += "  size   |  NSM (TCP) | HSM (ATM API) | speedup\n";
+    *out += "---------+------------+---------------+--------\n";
     for bytes in [8 << 10, 64 << 10, 256 << 10] {
         let (nsm, _) = stream_bw(Testbed::SunAtmLanTcp.build(2), bytes, 32);
         let (hsm, _) = stream_bw(Testbed::SunAtmLanApi.build(2), bytes, 32);
-        println!(
-            "{:6} KB | {:10.2} | {:13.2} | {:.2}x",
+        *out += &format!(
+            "{:6} KB | {:10.2} | {:13.2} | {:.2}x\n",
             bytes / 1024,
             nsm,
             hsm,
             hsm / nsm
         );
     }
-    println!("\n## Per-message delivery latency under streaming load (8 KB x 64)");
+    *out += "\n## Per-message delivery latency under streaming load (8 KB x 64)\n";
     let (_, nsm_h) = stream_bw(Testbed::SunAtmLanTcp.build(2), 8 << 10, 64);
     let (_, hsm_h) = stream_bw(Testbed::SunAtmLanApi.build(2), 8 << 10, 64);
-    println!("  NSM: {}", nsm_h.report());
-    println!("  HSM: {}", hsm_h.report());
-    println!("\n(HSM wins on both axes: traps instead of syscalls, 3 instead of");
-    println!(" 5 bus accesses per word, no TCP per-packet work, no p4-layer");
-    println!(" marshalling, and the Figure-2 buffer pipeline)");
+    *out += &format!("  NSM: {}\n", nsm_h.report());
+    *out += &format!("  HSM: {}\n", hsm_h.report());
+    *out += "\n(HSM wins on both axes: traps instead of syscalls, 3 instead of\n";
+    *out += " 5 bus accesses per word, no TCP per-packet work, no p4-layer\n";
+    *out += " marshalling, and the Figure-2 buffer pipeline)\n";
+    None
 }

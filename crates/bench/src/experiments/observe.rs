@@ -27,20 +27,15 @@
 //! determinism gate for CI.
 //!
 //! ```text
-//! cargo run --release -p ncs-bench --bin xp_observe [-- --smoke]
+//! cargo run --release -p ncs-bench -- observe [--smoke]
 //! ```
 
-use ncs_apps::fft::{fft_ncs_setup_with, FftConfig};
-use ncs_apps::jpeg::EntropyKind;
-use ncs_apps::jpeg_dist::{setup_jpeg_ncs_with, JpegConfig};
-use ncs_apps::matmul::{setup_matmul_ncs_with, MatmulConfig};
-use ncs_core::{causal_component, ErrorControl, FlowControl, NcsConfig, ALL_STAGES};
-use ncs_net::atm::{AtmFabric, AtmLanParams};
-use ncs_net::{AtmApiNet, AtmApiParams, HostParams, Network};
+use super::{results_dir, JsonDoc, Opts, SmallApp};
+use ncs_core::{ErrorControl, FlowControl, NcsConfig, ALL_STAGES};
+use ncs_net::Testbed;
 use ncs_sim::{chrome_trace_json, AnalysisConfig, Dur, Sim};
-use std::sync::Arc;
 
-/// Latency components in walk order (fed by [`causal_component`]).
+/// Latency components in walk order (fed by [`ncs_core::causal_component`]).
 const COMPONENTS: [&str; 6] = [
     "obs.queue_wait",
     "obs.inject",
@@ -49,12 +44,6 @@ const COMPONENTS: [&str; 6] = [
     "obs.reassembly",
     "obs.deliver",
 ];
-
-fn hsm_stack(nodes: usize) -> Arc<dyn Network> {
-    let fabric = Arc::new(AtmFabric::new(AtmLanParams::fore_lan(nodes)));
-    let hosts = vec![HostParams::sparc_ipx(); nodes];
-    Arc::new(AtmApiNet::new(fabric, hosts, AtmApiParams::default()))
-}
 
 /// NCS configured like a production HSM deployment; `chunked` shrinks the
 /// I/O buffers so application traffic goes through the pipelined path.
@@ -69,67 +58,46 @@ fn ncs_cfg(analysis: AnalysisConfig, chunked: bool) -> NcsConfig {
 }
 
 /// Everything one instrumented workload run leaves behind.
-struct Observed {
+pub struct Observed {
     name: &'static str,
     elapsed: Dur,
     messages: u64,
     /// `(component, n, total, mean)` rows plus the e2e row.
     rows: Vec<(&'static str, u64, Dur, Dur)>,
     e2e_total: Dur,
-    trace_json: String,
-    summary: String,
+    /// The run's Chrome `trace_event` export.
+    pub trace_json: String,
+    /// The metrics registry's text summary.
+    pub summary: String,
 }
 
-/// Runs one named workload under full observability (detail-level tracer,
-/// causal timelines) and checks the books: timelines well-ordered, every
-/// message's components summing exactly to its end-to-end latency.
-fn run_workload(name: &'static str) -> Observed {
-    let (analysis, sink) = AnalysisConfig::recording();
+/// Runs one named workload (`matmul`: 4 worker nodes, dim 32, seed 7,
+/// monolithic buffers — the run `tests/golden_trace.rs` pins; `jpeg`, `fft`:
+/// chunked) on the FORE-LAN HSM stack under full observability
+/// (detail-level tracer, causal timelines) and checks the books: timelines
+/// well-ordered, every message's components summing exactly to its
+/// end-to-end latency.
+pub fn run_workload(name: &'static str) -> Observed {
     let sim = Sim::new();
-    sim.with_tracer(|tr| tr.enable_detail());
-    let verified = match name {
-        "matmul" => {
-            let net = hsm_stack(5);
-            let cfg = MatmulConfig {
-                dim: 32,
-                nodes: 4,
-                seed: 7,
-            };
-            let handle = setup_matmul_ncs_with(&sim, net, cfg, ncs_cfg(analysis, false));
-            let out = sim.run();
-            out.assert_clean();
-            handle.verify()
-        }
-        "jpeg" => {
-            let net = hsm_stack(3);
-            let cfg = JpegConfig {
-                width: 64,
-                height: 64,
-                quality: 75,
-                entropy: EntropyKind::RleVarint,
-                nodes: 2,
-                seed: 21,
-            };
-            let handle = setup_jpeg_ncs_with(&sim, net, cfg, ncs_cfg(analysis, true));
-            let out = sim.run();
-            out.assert_clean();
-            handle.verify()
-        }
-        "fft" => {
-            let net = hsm_stack(3);
-            let cfg = FftConfig {
-                m: 64,
-                sets: 1,
-                nodes: 2,
-                seed: 5,
-            };
-            let handle = fft_ncs_setup_with(&sim, net, cfg, ncs_cfg(analysis, true));
-            let out = sim.run();
-            out.assert_clean();
-            handle.verify()
-        }
+    run_workload_on(name, &sim, || sim.run().assert_clean())
+}
+
+/// [`run_workload`] staged on a simulator the caller built and runs with
+/// `run` (`tests/shard_determinism.rs` passes a shard of the sharded
+/// harness).
+pub fn run_workload_on(name: &'static str, sim: &Sim, run: impl FnOnce()) -> Observed {
+    let app = match name {
+        "matmul" => SmallApp::Matmul { nodes: 4 },
+        "jpeg" => SmallApp::Jpeg,
+        "fft" => SmallApp::Fft { sets: 1 },
         other => panic!("unknown workload {other}"),
     };
+    let (analysis, sink) = AnalysisConfig::recording();
+    sim.with_tracer(|tr| tr.enable_detail());
+    let net = Testbed::SunAtmLanApi.build(app.hosts());
+    let verify = app.stage(sim, net, ncs_cfg(analysis, name != "matmul"));
+    run();
+    let verified = verify();
     assert!(verified, "{name}: result must verify bit-exact");
     let violations = sink.take();
     assert!(violations.is_empty(), "{name}: {violations:?}");
@@ -168,7 +136,9 @@ fn run_workload(name: &'static str) -> Observed {
                 rows.push((comp, s.count(), s.total(), s.mean().unwrap_or(Dur::ZERO)));
             }
         }
-        let e2e_total = m.stat("obs.e2e").map_or(Dur::ZERO, |st| st.summary().total());
+        let e2e_total = m
+            .stat("obs.e2e")
+            .map_or(Dur::ZERO, |st| st.summary().total());
         (rows, e2e_total, delivered)
     });
     assert!(messages > 0, "{name}: no tracked messages delivered");
@@ -193,23 +163,23 @@ fn run_workload(name: &'static str) -> Observed {
     }
 }
 
-fn print_table(o: &Observed) {
-    println!(
-        "\n## {} — {:.6}s, {} tracked messages",
+fn print_table(out: &mut String, o: &Observed) {
+    *out += &format!(
+        "\n## {} — {:.6}s, {} tracked messages\n",
         o.name,
         o.elapsed.as_secs_f64(),
         o.messages
     );
-    println!("  component       |     n |   mean      |  total      | share");
-    println!("  ----------------+-------+-------------+-------------+------");
+    *out += "  component       |     n |   mean      |  total      | share\n";
+    *out += "  ----------------+-------+-------------+-------------+------\n";
     for &(comp, n, total, mean) in &o.rows {
         let share = if o.e2e_total.is_zero() {
             0.0
         } else {
             100.0 * total.as_ps() as f64 / o.e2e_total.as_ps() as f64
         };
-        println!(
-            "  {:15} | {:5} | {:>11} | {:>11} | {:4.1}%",
+        *out += &format!(
+            "  {:15} | {:5} | {:>11} | {:>11} | {:4.1}%\n",
             comp.trim_start_matches("obs."),
             n,
             format!("{mean}"),
@@ -217,8 +187,8 @@ fn print_table(o: &Observed) {
             share,
         );
     }
-    println!(
-        "  {:15} | {:5} | {:>11} | {:>11} | 100%",
+    *out += &format!(
+        "  {:15} | {:5} | {:>11} | {:>11} | 100%\n",
         "end-to-end",
         o.messages,
         "",
@@ -226,23 +196,27 @@ fn print_table(o: &Observed) {
     );
 }
 
-fn write_artifacts(o: &Observed) {
-    std::fs::create_dir_all("results").expect("create results dir");
-    let trace = format!("results/trace_{}.json", o.name);
-    std::fs::write(&trace, &o.trace_json).expect("write trace");
-    let metrics = format!("results/metrics_{}.txt", o.name);
-    std::fs::write(&metrics, &o.summary).expect("write metrics summary");
-    println!("  wrote {trace} ({} bytes) and {metrics}", o.trace_json.len());
+fn write_artifacts(out: &mut String, o: &Observed) {
+    let dir = results_dir();
+    std::fs::create_dir_all(&dir).expect("create results dir");
+    let (trace, metrics) = (
+        format!("trace_{}.json", o.name),
+        format!("metrics_{}.txt", o.name),
+    );
+    std::fs::write(dir.join(&trace), &o.trace_json).expect("write trace");
+    std::fs::write(dir.join(&metrics), &o.summary).expect("write metrics summary");
+    *out += &format!(
+        "  wrote results/{trace} ({} bytes) and results/{metrics}\n",
+        o.trace_json.len()
+    );
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    println!("# X9 — observability: per-layer latency decomposition + Chrome trace");
-    let _ = causal_component("delivered"); // the mapping the tables are keyed by
+pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
+    *out += "# X9 — observability: per-layer latency decomposition + Chrome trace\n";
 
     // Golden-trace determinism: the same fixed-seed 4-host matmul twice,
     // full exported trace byte-identical.
-    println!("\n## golden-trace determinism (fixed-seed 4-host matmul, two runs)");
+    *out += "\n## golden-trace determinism (fixed-seed 4-host matmul, two runs)\n";
     let a = run_workload("matmul");
     let b = run_workload("matmul");
     assert_eq!(
@@ -250,21 +224,22 @@ fn main() {
         "two fixed-seed runs must export byte-identical traces"
     );
     assert_eq!(a.summary, b.summary, "metrics summaries must match too");
-    println!(
-        "  OK: {} bytes of trace, byte-identical across runs",
+    *out += &format!(
+        "  OK: {} bytes of trace, byte-identical across runs\n",
         a.trace_json.len()
     );
-    print_table(&a);
-    write_artifacts(&a);
+    print_table(out, &a);
+    write_artifacts(out, &a);
 
-    if smoke {
-        println!("\nsmoke OK");
-        return;
+    if opts.smoke {
+        *out += "\nsmoke OK\n";
+        return None;
     }
 
     for name in ["jpeg", "fft"] {
         let o = run_workload(name);
-        print_table(&o);
-        write_artifacts(&o);
+        print_table(out, &o);
+        write_artifacts(out, &o);
     }
+    None
 }

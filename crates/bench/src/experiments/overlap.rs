@@ -30,34 +30,20 @@
 //!    (`posted -> progressed -> completed`) quantify how long posted
 //!    requests ride the progress engine concurrently with user compute.
 //!
-//! Writes `results/BENCH_overlap.json`. The acceptance bar: the
-//! overlapped form beats the blocking form at every node count, under
-//! both host models.
+//! Returns the `BENCH_overlap.json` document (`xp` writes it under
+//! `results/`). The acceptance bar: the overlapped form beats the blocking
+//! form at every node count, under both host models.
 //!
 //! ```text
-//! cargo run --release -p ncs-bench --bin xp_overlap [-- --smoke]
+//! cargo run --release -p ncs-bench -- overlap [--smoke]
 //! ```
 
+use super::{atm_lan_api, JsonDoc, Opts};
+use crate::json::{fixed, obj, pairs, quoted};
 use ncs_apps::matmul::{setup_matmul_ncs_async_with, setup_matmul_ncs_with, MatmulConfig};
 use ncs_core::NcsConfig;
-use ncs_net::atm::{AtmFabric, AtmLanParams};
-use ncs_net::{AtmApiNet, AtmApiParams, HostParams, Network};
-use ncs_sim::{Dur, Sim, SpanKind};
-use std::sync::Arc;
-
-fn hsm_stack(nodes: usize, host: fn() -> HostParams) -> Arc<dyn Network> {
-    let fabric = Arc::new(AtmFabric::new(AtmLanParams::fore_lan(nodes)));
-    let hosts = vec![host(); nodes];
-    Arc::new(AtmApiNet::new(fabric, hosts, AtmApiParams::default()))
-}
-
-/// Mean/total/count of one request-timeline component.
-#[derive(Clone, Copy, Default)]
-struct ReqStat {
-    n: u64,
-    total: Dur,
-    mean: Dur,
-}
+use ncs_net::{AtmApiParams, HostParams};
+use ncs_sim::{Dur, DurSummary, Sim, SpanKind};
 
 /// Everything one measured matmul run leaves behind. The span-kind sums
 /// are split by role: host = user threads on proc 0, node = user threads
@@ -68,20 +54,18 @@ struct RunPoint {
     host_idle: Dur,
     node_idle: Dur,
     node_compute: Dur,
-    req_wait: ReqStat,    // posted -> progressed
-    req_service: ReqStat, // progressed -> completed
-    req_e2e: ReqStat,     // posted -> completed
+    req_wait: DurSummary,    // posted -> progressed
+    req_service: DurSummary, // progressed -> completed
+    req_e2e: DurSummary,     // posted -> completed
 }
 
-fn req_stat(m: &ncs_sim::MetricsRegistry, name: &str) -> ReqStat {
-    m.stat(name).map_or(ReqStat::default(), |st| {
-        let s = st.summary();
-        ReqStat {
-            n: s.count(),
-            total: s.total(),
-            mean: s.mean().unwrap_or(Dur::ZERO),
-        }
-    })
+fn req_stat(m: &ncs_sim::MetricsRegistry, name: &str) -> DurSummary {
+    m.stat(name)
+        .map_or_else(DurSummary::new, |st| st.summary().clone())
+}
+
+fn mean_secs(s: &DurSummary) -> f64 {
+    s.mean().map_or(0.0, |d| d.as_secs_f64())
 }
 
 /// Runs one matmul variant with span tracing on and aggregates the
@@ -89,7 +73,7 @@ fn req_stat(m: &ncs_sim::MetricsRegistry, name: &str) -> ReqStat {
 fn measure(cfg: MatmulConfig, host: fn() -> HostParams, nonblocking: bool) -> RunPoint {
     let sim = Sim::new();
     sim.with_tracer(|tr| tr.enable());
-    let net = hsm_stack(cfg.nodes + 1, host);
+    let net = atm_lan_api(cfg.nodes + 1, host(), AtmApiParams::default());
     let handle = if nonblocking {
         setup_matmul_ncs_async_with(&sim, net, cfg, NcsConfig::default())
     } else {
@@ -143,11 +127,11 @@ fn secs(d: Dur) -> f64 {
     d.as_secs_f64()
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    println!("# X13 — overlap gain from the completion-based async API");
+pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
+    let smoke = opts.smoke;
+    *out += "# X13 — overlap gain from the completion-based async API\n";
     let (dim, node_counts): (usize, &[usize]) = if smoke {
-        println!("# smoke mode: reduced workload");
+        *out += "# smoke mode: reduced workload\n";
         (64, &[2])
     } else {
         (128, &[2, 4, 8])
@@ -166,36 +150,38 @@ fn main() {
     let mut rows = Vec::new();
     for &(host_name, host) in host_models {
         for &nodes in node_counts {
-            let cfg = MatmulConfig { dim, nodes, seed: 7 };
+            let cfg = MatmulConfig {
+                dim,
+                nodes,
+                seed: 7,
+            };
             let blocking = measure(cfg, host, false);
             let overlapped = measure(cfg, host, true);
             let speedup = secs(blocking.elapsed) / secs(overlapped.elapsed);
-            println!(
+            *out += &format!(
                 "\n## {dim}x{dim} matmul, {nodes} nodes, {host_name} hosts: \
-                 blocking {:.6}s -> overlapped {:.6}s ({speedup:.3}x)",
+                 blocking {:.6}s -> overlapped {:.6}s ({speedup:.3}x)\n",
                 secs(blocking.elapsed),
                 secs(overlapped.elapsed),
             );
-            println!(
-                "  layer 1  host send pipelining       : caller comm {:9.6}s -> {:9.6}s (saved {:+.6}s)",
+            *out += &format!("  layer 1  host send pipelining       : caller comm {:9.6}s -> {:9.6}s (saved {:+.6}s)\n",
                 secs(blocking.host_comm),
                 secs(overlapped.host_comm),
                 secs(blocking.host_comm) - secs(overlapped.host_comm),
             );
-            println!(
-                "  layer 2  node compute/xfer overlap  : node stall  {:9.6}s -> {:9.6}s (saved {:+.6}s)",
+            *out += &format!("  layer 2  node compute/xfer overlap  : node stall  {:9.6}s -> {:9.6}s (saved {:+.6}s)\n",
                 secs(blocking.node_idle),
                 secs(overlapped.node_idle),
                 secs(blocking.node_idle) - secs(overlapped.node_idle),
             );
-            println!(
+            *out += &format!(
                 "  layer 3  completion-order freedom   : {} requests rode the progress engine \
-                 {:.6}s total ({:.6}s mean e2e; wait {:.6}s + service {:.6}s)",
-                overlapped.req_e2e.n,
-                secs(overlapped.req_e2e.total),
-                secs(overlapped.req_e2e.mean),
-                secs(overlapped.req_wait.mean),
-                secs(overlapped.req_service.mean),
+                 {:.6}s total ({:.6}s mean e2e; wait {:.6}s + service {:.6}s)\n",
+                overlapped.req_e2e.count(),
+                secs(overlapped.req_e2e.total()),
+                mean_secs(&overlapped.req_e2e),
+                mean_secs(&overlapped.req_wait),
+                mean_secs(&overlapped.req_service),
             );
             assert!(
                 overlapped.elapsed < blocking.elapsed,
@@ -204,58 +190,52 @@ fn main() {
                 blocking.elapsed
             );
             assert!(
-                overlapped.req_e2e.n > 0,
+                overlapped.req_e2e.count() > 0,
                 "{nodes} nodes: async run must track request timelines"
             );
             rows.push((host_name, nodes, blocking, overlapped, speedup));
         }
     }
 
-    // Hand-rolled JSON (no serde in the workspace).
-    let mut json = String::from("{\n  \"experiment\": \"xp_overlap\",\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n  \"dim\": {dim},\n  \"configs\": [\n"));
-    for (i, (host_name, nodes, b, o, speedup)) in rows.iter().enumerate() {
-        let point = |p: &RunPoint| {
+    let mut doc = JsonDoc::new("BENCH_overlap", "xp_overlap", smoke);
+    doc.line(&[("dim", &dim)]);
+    let s9 = |d: Dur| fixed(secs(d), 9);
+    let point = |p: &RunPoint| {
+        obj(&[
+            ("elapsed_s", &s9(p.elapsed)),
+            ("host_comm_s", &s9(p.host_comm)),
+            ("host_idle_s", &s9(p.host_idle)),
+            ("node_idle_s", &s9(p.node_idle)),
+            ("node_compute_s", &s9(p.node_compute)),
+        ])
+    };
+    // One config is too wide for one line: its row spans several.
+    doc.rows(
+        "configs",
+        rows.iter().map(|(host_name, nodes, b, o, speedup)| {
+            let head = pairs(&[
+                ("hosts", &quoted(host_name)),
+                ("nodes", &nodes),
+                ("speedup", &fixed(*speedup, 4)),
+            ]);
+            let completion_order = obj(&[
+                ("requests", &o.req_e2e.count()),
+                ("e2e_total_s", &s9(o.req_e2e.total())),
+                ("e2e_mean_s", &fixed(mean_secs(&o.req_e2e), 9)),
+                ("wait_mean_s", &fixed(mean_secs(&o.req_wait), 9)),
+                ("service_mean_s", &fixed(mean_secs(&o.req_service), 9)),
+            ]);
             format!(
-                "{{\"elapsed_s\": {:.9}, \"host_comm_s\": {:.9}, \"host_idle_s\": {:.9}, \
-                 \"node_idle_s\": {:.9}, \"node_compute_s\": {:.9}}}",
-                secs(p.elapsed),
-                secs(p.host_comm),
-                secs(p.host_idle),
-                secs(p.node_idle),
-                secs(p.node_compute),
+                "{{{head},\n     \"blocking\": {},\n     \"overlapped\": {},\n     \"layers\": {{\n       \
+                 \"host_send_pipelining_saved_s\": {:.9},\n       \
+                 \"node_compute_transfer_overlap_saved_s\": {:.9},\n       \
+                 \"completion_order\": {completion_order}\n     }}}}",
+                point(b),
+                point(o),
+                secs(b.host_comm) - secs(o.host_comm),
+                secs(b.node_idle) - secs(o.node_idle),
             )
-        };
-        json.push_str(&format!(
-            "    {{\"hosts\": \"{host_name}\", \"nodes\": {nodes}, \"speedup\": {speedup:.4},\n"
-        ));
-        json.push_str(&format!("     \"blocking\": {},\n", point(b)));
-        json.push_str(&format!("     \"overlapped\": {},\n", point(o)));
-        json.push_str("     \"layers\": {\n");
-        json.push_str(&format!(
-            "       \"host_send_pipelining_saved_s\": {:.9},\n",
-            secs(b.host_comm) - secs(o.host_comm)
-        ));
-        json.push_str(&format!(
-            "       \"node_compute_transfer_overlap_saved_s\": {:.9},\n",
-            secs(b.node_idle) - secs(o.node_idle)
-        ));
-        json.push_str(&format!(
-            "       \"completion_order\": {{\"requests\": {}, \"e2e_total_s\": {:.9}, \
-             \"e2e_mean_s\": {:.9}, \"wait_mean_s\": {:.9}, \"service_mean_s\": {:.9}}}\n",
-            o.req_e2e.n,
-            secs(o.req_e2e.total),
-            secs(o.req_e2e.mean),
-            secs(o.req_wait.mean),
-            secs(o.req_service.mean),
-        ));
-        json.push_str(&format!(
-            "     }}}}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_overlap.json", &json).expect("write BENCH_overlap.json");
-    println!("\nwrote results/BENCH_overlap.json");
+        }),
+    );
+    Some(doc)
 }

@@ -24,35 +24,25 @@
 //!    frame from 4 KiB up). These are wall-clock numbers, so `worker_cpus`
 //!    is recorded beside them.
 //!
-//! Writes `results/BENCH_pipeline.json`.
+//! Returns the `BENCH_pipeline.json` document (`xp` writes it under `results/`).
 //!
 //! ```text
-//! cargo run --release -p ncs-bench --bin xp_pipeline [-- --smoke]
+//! cargo run --release -p ncs-bench -- pipeline [--smoke]
 //! ```
 
+use super::{worker_cpus, JsonDoc, Opts, SmallApp};
+use crate::json::{fixed, obj, quoted};
+use crate::min_ns_per_call;
 use bytes::Bytes;
-use ncs_apps::fft::{fft_ncs_with, FftConfig};
-use ncs_apps::jpeg::EntropyKind;
-use ncs_apps::jpeg_dist::{setup_jpeg_ncs_with, JpegConfig};
-use ncs_apps::matmul::{setup_matmul_ncs_with, MatmulConfig};
-use ncs_bench::min_ns_per_call;
 use ncs_core::env::{unwrap_checked, wrap_checked};
 use ncs_core::{ErrorControl, FlowControl, NcsConfig, NcsWorld, ThreadAddr};
-use ncs_net::atm::{AtmFabric, AtmLanParams};
 use ncs_net::crc::crc32_aal5;
 use ncs_net::stack::BlockingWait;
-use ncs_net::{AtmApiNet, AtmApiParams, HostParams, Network, NodeId};
+use ncs_net::{NodeId, Testbed};
 use ncs_sim::{AnalysisConfig, Dur, Sim};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// A FORE-LAN High Speed Mode stack (the Approach-2 transport).
-fn hsm_stack(nodes: usize) -> Arc<dyn Network> {
-    let fabric = Arc::new(AtmFabric::new(AtmLanParams::fore_lan(nodes)));
-    let hosts = vec![HostParams::sparc_ipx(); nodes];
-    Arc::new(AtmApiNet::new(fabric, hosts, AtmApiParams::default()))
-}
 
 /// Raw one-shot transfer at the transport layer: how many simulator events
 /// does moving `bytes` from node 0 to node 1 cost, and how many cells did
@@ -60,7 +50,7 @@ fn hsm_stack(nodes: usize) -> Arc<dyn Network> {
 /// itself.
 fn raw_transfer_events(bytes: usize) -> (u64, u64) {
     let sim = Sim::new();
-    let net = hsm_stack(2);
+    let net = Testbed::SunAtmLanApi.build(2);
     let tx = Arc::clone(&net);
     let payload = Bytes::from(vec![0x5Au8; bytes]);
     sim.spawn("tx", move |ctx| {
@@ -95,7 +85,7 @@ fn ncs_transfer(bytes: usize, io_buffers: u32) -> SweepPoint {
     use ncs_sim::SimTime;
     let (analysis, sink) = AnalysisConfig::recording();
     let sim = Sim::new();
-    let net = hsm_stack(2);
+    let net = Testbed::SunAtmLanApi.build(2);
     let cfg = NcsConfig {
         flow: FlowControl::Credit { window: 4 },
         error: ErrorControl::ChecksumRetransmit,
@@ -155,69 +145,25 @@ fn app_cfg(analysis: AnalysisConfig) -> NcsConfig {
 }
 
 fn run_apps() -> Vec<AppPoint> {
-    let mut points = Vec::new();
-    {
+    [
+        SmallApp::Matmul { nodes: 2 },
+        SmallApp::Jpeg,
+        SmallApp::Fft { sets: 1 },
+    ]
+    .into_iter()
+    .map(|app| {
         let (analysis, sink) = AnalysisConfig::recording();
-        let sim = Sim::new();
-        let net = hsm_stack(3);
-        let cfg = MatmulConfig {
-            dim: 32,
-            nodes: 2,
-            seed: 7,
-        };
-        let handle = setup_matmul_ncs_with(&sim, net, cfg, app_cfg(analysis));
-        let out = sim.run();
-        out.assert_clean();
+        let (elapsed, verified) =
+            app.run(Testbed::SunAtmLanApi.build(app.hosts()), app_cfg(analysis));
         let violations = sink.take();
-        assert!(violations.is_empty(), "matmul: {violations:?}");
-        points.push(AppPoint {
-            app: "matmul",
-            elapsed: out.end_time.since(ncs_sim::SimTime::ZERO),
-            verified: handle.verify(),
-        });
-    }
-    {
-        let (analysis, sink) = AnalysisConfig::recording();
-        let sim = Sim::new();
-        let net = hsm_stack(3);
-        let cfg = JpegConfig {
-            width: 64,
-            height: 64,
-            quality: 75,
-            entropy: EntropyKind::RleVarint,
-            nodes: 2,
-            seed: 21,
-        };
-        let handle = setup_jpeg_ncs_with(&sim, net, cfg, app_cfg(analysis));
-        let out = sim.run();
-        out.assert_clean();
-        let violations = sink.take();
-        assert!(violations.is_empty(), "jpeg: {violations:?}");
-        points.push(AppPoint {
-            app: "jpeg",
-            elapsed: out.end_time.since(ncs_sim::SimTime::ZERO),
-            verified: handle.verify(),
-        });
-    }
-    {
-        let (analysis, sink) = AnalysisConfig::recording();
-        let net = hsm_stack(3);
-        let cfg = FftConfig {
-            m: 64,
-            sets: 1,
-            nodes: 2,
-            seed: 5,
-        };
-        let run = fft_ncs_with(net, cfg, app_cfg(analysis));
-        let violations = sink.take();
-        assert!(violations.is_empty(), "fft: {violations:?}");
-        points.push(AppPoint {
-            app: "fft",
-            elapsed: run.elapsed,
-            verified: run.verified,
-        });
-    }
-    points
+        assert!(violations.is_empty(), "{}: {violations:?}", app.name());
+        AppPoint {
+            app: app.name(),
+            elapsed,
+            verified,
+        }
+    })
+    .collect()
 }
 
 /// The checked byte path as it stood before the table-driven CRC: the
@@ -345,11 +291,11 @@ fn per_mb(events: u64, bytes: usize) -> f64 {
     events as f64 / (bytes as f64 / (1024.0 * 1024.0))
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    println!("# X8 — pipelined Approach-2 data path (multiple I/O buffers, cell trains)");
+pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
+    let smoke = opts.smoke;
+    *out += "# X8 — pipelined Approach-2 data path (multiple I/O buffers, cell trains)\n";
     if smoke {
-        println!("# smoke mode: reduced sweep");
+        *out += "# smoke mode: reduced sweep\n";
     }
 
     // Part 1: event economy, one event per train vs one more per cell.
@@ -358,14 +304,14 @@ fn main() {
     } else {
         &[16 * 1024, 64 * 1024, 256 * 1024]
     };
-    println!("\n## kernel events per transfer: cell trains vs per-cell delivery");
+    *out += "\n## kernel events per transfer: cell trains vs per-cell delivery\n";
     let mut economy = Vec::new();
     for &bytes in sizes {
         let (train, cells) = raw_transfer_events(bytes);
         let percell = train + cells;
         let reduction = percell as f64 / train as f64;
-        println!(
-            "  {:4} KiB | train {:6} ev ({:9.0}/MB) | per-cell {:6} ev ({:9.0}/MB) | {:4.1}x",
+        *out += &format!(
+            "  {:4} KiB | train {:6} ev ({:9.0}/MB) | per-cell {:6} ev ({:9.0}/MB) | {:4.1}x\n",
             bytes / 1024,
             train,
             per_mb(train, bytes),
@@ -390,15 +336,15 @@ fn main() {
     } else {
         &[64 * 1024, 256 * 1024]
     };
-    println!("\n## I/O-buffer sweep (NCS over HSM, credit window 4, error control on)");
+    *out += "\n## I/O-buffer sweep (NCS over HSM, credit window 4, error control on)\n";
     let mut sweep = Vec::new();
     for &bytes in sweep_sizes {
         let mut first = None;
         let mut last = None;
         for &bufs in buffer_counts {
             let p = ncs_transfer(bytes, bufs);
-            println!(
-                "  {:4} KiB x {} buffers | {:9.6}s | {:6} ev | {:2} chunks",
+            *out += &format!(
+                "  {:4} KiB x {} buffers | {:9.6}s | {:6} ev | {:2} chunks\n",
                 p.bytes / 1024,
                 p.io_buffers,
                 p.elapsed.as_secs_f64(),
@@ -420,11 +366,11 @@ fn main() {
     }
 
     // Part 3: the applications, chunked and armed.
-    println!("\n## applications with 1 KiB I/O buffers (chunked traffic, invariants armed)");
+    *out += "\n## applications with 1 KiB I/O buffers (chunked traffic, invariants armed)\n";
     let apps = run_apps();
     for p in &apps {
-        println!(
-            "  {:6} | {:9.6}s | {}",
+        *out += &format!(
+            "  {:6} | {:9.6}s | {}\n",
             p.app,
             p.elapsed.as_secs_f64(),
             if p.verified { "BIT-EXACT" } else { "WRONG" },
@@ -433,14 +379,13 @@ fn main() {
     }
 
     // Part 4: the byte path, before and after.
-    let worker_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let worker_cpus = worker_cpus();
     let budget = Duration::from_millis(if smoke { 10 } else { 100 });
-    println!("\n## byte path, host ns/byte (worker_cpus = {worker_cpus})");
+    *out += &format!("\n## byte path, host ns/byte (worker_cpus = {worker_cpus})\n");
     let mut bytes_rows = Vec::new();
     for bytes in [512, 4 * 1024, 16 * 1024] {
         let p = byte_path(bytes, budget);
-        println!(
-            "  {:5} B | CRC-32 {:6.3} -> {:5.3} ({:4.1}x) | wrap+unwrap {:6.3} -> {:5.3} ({:4.1}x)",
+        *out += &format!("  {:5} B | CRC-32 {:6.3} -> {:5.3} ({:4.1}x) | wrap+unwrap {:6.3} -> {:5.3} ({:4.1}x)\n",
             p.bytes,
             p.crc_before,
             p.crc_after,
@@ -459,63 +404,58 @@ fn main() {
         bytes_rows.push(p);
     }
 
-    // Hand-rolled JSON (no serde in the workspace).
-    let mut json = String::from("{\n  \"experiment\": \"xp_pipeline\",\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n  \"event_economy\": [\n"));
-    for (i, (bytes, train, percell, reduction)) in economy.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"bytes\": {bytes}, \"train_events\": {train}, \"percell_events\": {percell}, \
-             \"train_events_per_mb\": {:.1}, \"percell_events_per_mb\": {:.1}, \
-             \"reduction\": {reduction:.2}}}{}\n",
-            per_mb(*train, *bytes),
-            per_mb(*percell, *bytes),
-            if i + 1 < economy.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n  \"buffer_sweep\": [\n");
-    for (i, p) in sweep.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"bytes\": {}, \"io_buffers\": {}, \"elapsed_s\": {:.9}, \
-             \"events\": {}, \"chunks\": {}}}{}\n",
-            p.bytes,
-            p.io_buffers,
-            p.elapsed.as_secs_f64(),
-            p.events,
-            p.chunks,
-            if i + 1 < sweep.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n  \"apps\": [\n");
-    for (i, p) in apps.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"app\": \"{}\", \"elapsed_s\": {:.9}, \"verified\": {}}}{}\n",
-            p.app,
-            p.elapsed.as_secs_f64(),
-            p.verified,
-            if i + 1 < apps.len() { "," } else { "" },
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"byte_path\": {{\n    \"worker_cpus\": {worker_cpus},\n    \"rows\": [\n"
-    ));
-    for (i, p) in bytes_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"bytes\": {}, \"crc32_ns_per_byte_before\": {:.3}, \
-             \"crc32_ns_per_byte_after\": {:.3}, \"crc32_speedup\": {:.2}, \
-             \"wrap_unwrap_ns_per_byte_before\": {:.3}, \
-             \"wrap_unwrap_ns_per_byte_after\": {:.3}, \"wrap_unwrap_speedup\": {:.2}}}{}\n",
-            p.bytes,
-            p.crc_before,
-            p.crc_after,
-            p.crc_speedup(),
-            p.frame_before,
-            p.frame_after,
-            p.frame_speedup(),
-            if i + 1 < bytes_rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("    ]\n  }\n}\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");
-    println!("\nwrote results/BENCH_pipeline.json");
+    let mut doc = JsonDoc::new("BENCH_pipeline", "xp_pipeline", smoke);
+    doc.rows(
+        "event_economy",
+        economy.iter().map(|&(bytes, train, percell, reduction)| {
+            obj(&[
+                ("bytes", &bytes),
+                ("train_events", &train),
+                ("percell_events", &percell),
+                ("train_events_per_mb", &fixed(per_mb(train, bytes), 1)),
+                ("percell_events_per_mb", &fixed(per_mb(percell, bytes), 1)),
+                ("reduction", &fixed(reduction, 2)),
+            ])
+        }),
+    );
+    doc.rows(
+        "buffer_sweep",
+        sweep.iter().map(|p| {
+            obj(&[
+                ("bytes", &p.bytes),
+                ("io_buffers", &p.io_buffers),
+                ("elapsed_s", &fixed(p.elapsed.as_secs_f64(), 9)),
+                ("events", &p.events),
+                ("chunks", &p.chunks),
+            ])
+        }),
+    );
+    doc.rows(
+        "apps",
+        apps.iter().map(|p| {
+            obj(&[
+                ("app", &quoted(p.app)),
+                ("elapsed_s", &fixed(p.elapsed.as_secs_f64(), 9)),
+                ("verified", &p.verified),
+            ])
+        }),
+    );
+    doc.nested("byte_path", |d| {
+        d.line(&[("worker_cpus", &worker_cpus)]);
+        d.rows(
+            "rows",
+            bytes_rows.iter().map(|p| {
+                obj(&[
+                    ("bytes", &p.bytes),
+                    ("crc32_ns_per_byte_before", &fixed(p.crc_before, 3)),
+                    ("crc32_ns_per_byte_after", &fixed(p.crc_after, 3)),
+                    ("crc32_speedup", &fixed(p.crc_speedup(), 2)),
+                    ("wrap_unwrap_ns_per_byte_before", &fixed(p.frame_before, 3)),
+                    ("wrap_unwrap_ns_per_byte_after", &fixed(p.frame_after, 3)),
+                    ("wrap_unwrap_speedup", &fixed(p.frame_speedup(), 2)),
+                ])
+            }),
+        );
+    });
+    Some(doc)
 }

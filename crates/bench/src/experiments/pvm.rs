@@ -6,9 +6,10 @@
 //! baseline and the multithreaded NCS variant.
 //!
 //! ```text
-//! cargo run --release -p ncs-bench --bin xp_pvm
+//! cargo run --release -p ncs-bench -- pvm
 //! ```
 
+use super::{JsonDoc, Opts};
 use ncs_apps::matmul::{matmul_ncs, matmul_p4, MatmulConfig};
 use ncs_net::atm::{AtmFabric, NynetParams};
 use ncs_net::{HostParams, Network, TcpNet, TcpParams};
@@ -20,11 +21,11 @@ fn nynet(nodes: usize, params: TcpParams) -> Arc<dyn Network> {
     Arc::new(TcpNet::new(fabric, hosts, params))
 }
 
-fn main() {
-    println!("# X6 — substrate swap: p4-over-TCP vs PVM-style daemon routing");
-    println!("# (128x128 matmul on the NYNET testbed)\n");
-    println!("nodes | substrate | baseline (1 thread) | NCS_MTS (2 threads) | NCS improvement");
-    println!("------+-----------+---------------------+---------------------+----------------");
+pub(super) fn run(_: &Opts, out: &mut String) -> Option<JsonDoc> {
+    *out += "# X6 — substrate swap: p4-over-TCP vs PVM-style daemon routing\n";
+    *out += "# (128x128 matmul on the NYNET testbed)\n\n";
+    *out += "nodes | substrate | baseline (1 thread) | NCS_MTS (2 threads) | NCS improvement\n";
+    *out += "------+-----------+---------------------+---------------------+----------------\n";
     for nodes in [2usize, 4] {
         let cfg = MatmulConfig::paper(nodes);
         for (label, params) in [
@@ -34,8 +35,8 @@ fn main() {
             let base = matmul_p4(nynet(nodes + 1, params.clone()), cfg);
             let ncs = matmul_ncs(nynet(nodes + 1, params), cfg);
             assert!(base.verified && ncs.verified);
-            println!(
-                "{:5} | {}       | {:18.3}s | {:18.3}s | {:13.1}%",
+            *out += &format!(
+                "{:5} | {}       | {:18.3}s | {:18.3}s | {:13.1}%\n",
                 nodes,
                 label,
                 base.elapsed.as_secs_f64(),
@@ -46,8 +47,9 @@ fn main() {
             );
         }
     }
-    println!("\n(the multithreaded gain survives the substrate swap essentially");
-    println!(" intact: PVM's daemon path costs both variants a little time and");
-    println!(" its extra CPU-side copying is the one part threads cannot hide —");
-    println!(" confirming the paper's expectation that NCS_MTS ports to PVM)");
+    *out += "\n(the multithreaded gain survives the substrate swap essentially\n";
+    *out += " intact: PVM's daemon path costs both variants a little time and\n";
+    *out += " its extra CPU-side copying is the one part threads cannot hide —\n";
+    *out += " confirming the paper's expectation that NCS_MTS ports to PVM)\n";
+    None
 }

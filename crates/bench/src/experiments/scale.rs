@@ -17,7 +17,7 @@
 //!    parked-OS-thread fallback it replaced — so the JSON carries the
 //!    before/after ns/event rows for the engine switch.
 //!
-//! Extension experiment **X12** rides in the same binary: the sharded
+//! Extension experiment **X12** rides in the same experiment: the sharded
 //! scaling sweep. A [`GossipMesh`] workload on the 8-site WAN campus
 //! topology runs at 1k / 10k / 100k hosts, partitioned onto 1 / 2 / 4 / 8
 //! shard worker threads under the conservative-lookahead window protocol,
@@ -30,10 +30,10 @@
 //! and the speedup column honestly reports ≤ 1x; the parallel win needs a
 //! multi-core host.
 //!
-//! Writes `results/BENCH_kernel.json`.
+//! Returns the `BENCH_kernel.json` document (`xp` writes it under `results/`).
 //!
 //! ```text
-//! cargo run --release -p ncs-bench --bin xp_scale [-- --smoke] [-- --guard]
+//! cargo run --release -p ncs-bench -- scale [--smoke] [--guard]
 //! ```
 //!
 //! `--guard` is the CI perf-regression gate: it compares this machine's
@@ -45,18 +45,16 @@
 //! way via the baseline's `sharded <hosts> <shards> <rounds> <ratio>`
 //! rows.
 
+use super::{worker_cpus, JsonDoc, Opts};
+use crate::json::{fixed, obj};
 use bytes::Bytes;
 use ncs_core::{NcsConfig, NcsWorld, ThreadAddr};
-use ncs_net::atm::{AtmFabric, AtmLanParams};
-use ncs_net::{
-    AtmApiNet, AtmApiParams, GossipConfig, GossipMesh, HostParams, Network, ShardNetParams,
-};
+use ncs_net::{GossipConfig, GossipMesh, ShardNetParams, Testbed};
 use ncs_sim::wheel::TimerWheel;
 use ncs_sim::{Dur, EngineKind, Sim, SimRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::hint::black_box;
-use std::sync::Arc;
 // Wall-clock reads below measure the *simulator's* real execution speed
 // (events per host second); they never touch virtual time.
 use std::time::Instant; // ncs-lint: allow(wall-clock)
@@ -70,12 +68,6 @@ const MSG_BYTES: usize = 512;
 const MICRO_EVENTS: usize = 200_000;
 /// Pending events held during the micro steady-state phase.
 const MICRO_DEPTH: usize = 8_192;
-
-fn hsm_stack(nodes: usize) -> Arc<dyn Network> {
-    let fabric = Arc::new(AtmFabric::new(AtmLanParams::fore_lan(nodes)));
-    let hosts = vec![HostParams::sparc_ipx(); nodes];
-    Arc::new(AtmApiNet::new(fabric, hosts, AtmApiParams::default()))
-}
 
 /// The operation sequence both micro candidates replay: a ramp to
 /// `MICRO_DEPTH` pending events, then a steady-state pop-one/push-one
@@ -204,7 +196,7 @@ impl ScalePoint {
 /// ATM HSM stack, on the requested green-thread engine.
 fn run_collective(hosts: usize, rounds: u32, engine: EngineKind) -> ScalePoint {
     let sim = Sim::with_engine(engine);
-    let net = hsm_stack(hosts);
+    let net = Testbed::SunAtmLanApi.build(hosts);
     let payload = Bytes::from(vec![0xC3u8; MSG_BYTES]);
     NcsWorld::launch(
         &sim,
@@ -241,10 +233,7 @@ fn run_collective(hosts: usize, rounds: u32, engine: EngineKind) -> ScalePoint {
             .filter(|((name, _), _)| *name == "kernel.queue_depth")
             .map(|(_, series)| {
                 let s = series.samples();
-                (
-                    s.len(),
-                    s.iter().map(|&(_, v)| v).max().unwrap_or(0),
-                )
+                (s.len(), s.iter().map(|&(_, v)| v).max().unwrap_or(0))
             })
             .next()
             .unwrap_or((0, 0))
@@ -288,6 +277,8 @@ struct ShardPoint {
     merged_hash: u64,
     /// Digest over every host's delivery digest and count.
     delivery_digest: u64,
+    /// Events/s over the same host count's 1-shard run (set by the sweep).
+    speedup: f64,
 }
 
 impl ShardPoint {
@@ -329,6 +320,7 @@ fn run_sharded(hosts: usize, shards: usize, rounds: u32) -> ShardPoint {
         wall_s,
         merged_hash: out.merged_trace_hash,
         delivery_digest: mesh.delivery_digest(),
+        speedup: 1.0,
     };
     mesh.sharded().finish();
     p
@@ -336,27 +328,29 @@ fn run_sharded(hosts: usize, shards: usize, rounds: u32) -> ShardPoint {
 
 /// The X12 sweep: host counts × shard counts, with the determinism wall's
 /// digest-equality guarantee re-asserted on every benchmark shape.
-fn run_shard_sweep(host_counts: &[usize], shard_counts: &[usize], rounds: u32) -> Vec<ShardPoint> {
+fn run_shard_sweep(
+    out: &mut String,
+    host_counts: &[usize],
+    shard_counts: &[usize],
+    rounds: u32,
+) -> Vec<ShardPoint> {
     let cpus = worker_cpus();
-    println!(
+    *out += &format!(
         "\n## X12 — sharded scaling: gossip on the 8-site WAN campus, \
          {MSG_BYTES}-byte messages, {rounds} round(s), {SHARD_WORK} work iters/delivery \
-         ({cpus} cpu(s) available)"
+         ({cpus} cpu(s) available)\n"
     );
     if cpus < *shard_counts.iter().max().unwrap_or(&1) {
-        println!(
-            "#  note: fewer CPUs than shards — workers time-slice, speedup \
-             honestly reports ~1x or below on this machine"
-        );
+        *out += "#  note: fewer CPUs than shards — workers time-slice, speedup \
+             honestly reports ~1x or below on this machine\n";
     }
     let mut points = Vec::new();
     for &hosts in host_counts {
         let mut base_eps = None;
         for &shards in shard_counts {
-            let p = run_sharded(hosts, shards, rounds);
-            let speedup = p.events_per_sec() / *base_eps.get_or_insert(p.events_per_sec());
-            println!(
-                "  {:6} hosts x {} shard(s) | {:9} ev | {:7} merged | {:5} windows | {:6.3}s wall | {:9.0} ev/s | {:5.1} ns/ev | {:4.2}x",
+            let mut p = run_sharded(hosts, shards, rounds);
+            p.speedup = p.events_per_sec() / *base_eps.get_or_insert(p.events_per_sec());
+            *out += &format!("  {:6} hosts x {} shard(s) | {:9} ev | {:7} merged | {:5} windows | {:6.3}s wall | {:9.0} ev/s | {:5.1} ns/ev | {:4.2}x\n",
                 p.hosts,
                 p.shards,
                 p.events,
@@ -365,7 +359,7 @@ fn run_shard_sweep(host_counts: &[usize], shard_counts: &[usize], rounds: u32) -
                 p.wall_s,
                 p.events_per_sec(),
                 p.ns_per_event(),
-                speedup,
+                p.speedup,
             );
             assert_eq!(
                 p.delivered,
@@ -391,100 +385,59 @@ fn run_shard_sweep(host_counts: &[usize], shard_counts: &[usize], rounds: u32) -
     points
 }
 
-/// CPUs available to shard workers; 1 when the runtime can't tell.
-fn worker_cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Path of the checked-in normalized-cost baseline consumed by `--guard`.
+/// The checked-in normalized-cost baseline consumed by `--guard`, and the
+/// path it is compiled in from.
 const GUARD_BASELINE: &str = "crates/bench/baselines/xp_scale_guard.txt";
+const GUARD_BASELINE_TEXT: &str = include_str!("../../baselines/xp_scale_guard.txt");
 /// Allowed regression over the baseline's normalized cost per event.
 const GUARD_HEADROOM: f64 = 1.15;
 
 /// `--guard`: machine-normalized perf-regression gate. Each measured
 /// coroutine-engine point's cost ratio (`ns_per_event / wheel_ns`) is
-/// compared against the checked-in baseline for the same `(hosts, rounds)`
+/// compared against the checked-in baseline for the same `<hosts> <rounds>`
 /// shape — and each sharded point's against the baseline's
-/// `sharded <hosts> <shards> <rounds> <ratio>` row — so raw machine speed
-/// divides out and the gate travels across CI runners. Fails (exits
-/// non-zero via panic) past 15% regression.
-fn run_guard(points: &[ScalePoint], sharded: &[ShardPoint], wheel_ns: f64) {
-    let text = std::fs::read_to_string(GUARD_BASELINE)
-        .unwrap_or_else(|e| panic!("--guard: cannot read {GUARD_BASELINE}: {e}"));
-    let mut baseline: Vec<(usize, u32, f64)> = Vec::new();
-    let mut shard_baseline: Vec<(usize, usize, u32, f64)> = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        match fields.as_slice() {
-            [h, r, ratio] => match (h.parse(), r.parse(), ratio.parse()) {
-                (Ok(h), Ok(r), Ok(ratio)) => baseline.push((h, r, ratio)),
+/// `sharded <hosts> <shards> <rounds>` row — so raw machine speed divides
+/// out and the gate travels across CI runners. Fails (exits non-zero via
+/// panic) past 15% regression.
+fn run_guard(out: &mut String, points: &[ScalePoint], sharded: &[ShardPoint], wheel_ns: f64) {
+    // Baseline rows: a shape (single-spaced), then its ratio.
+    let baseline: Vec<(String, f64)> = GUARD_BASELINE_TEXT
+        .lines()
+        .filter(|line| !line.trim().is_empty() && !line.starts_with('#'))
+        .map(|line| {
+            let mut words: Vec<&str> = line.split_whitespace().collect();
+            match words.pop().map(str::parse) {
+                Some(Ok(ratio)) if matches!(words.len(), 2 | 4) => (words.join(" "), ratio),
                 _ => panic!("--guard: malformed baseline line: {line:?}"),
-            },
-            ["sharded", h, s, r, ratio] => {
-                match (h.parse(), s.parse(), r.parse(), ratio.parse()) {
-                    (Ok(h), Ok(s), Ok(r), Ok(ratio)) => shard_baseline.push((h, s, r, ratio)),
-                    _ => panic!("--guard: malformed sharded baseline line: {line:?}"),
-                }
             }
-            _ => panic!("--guard: malformed baseline line: {line:?}"),
-        }
-    }
-    println!("\n## perf-regression guard (normalized vs {GUARD_BASELINE})");
+        })
+        .collect();
+    // Measured points: shape as the baseline spells it, label, ns/event.
+    let flat = points.iter().map(|p| {
+        let shape = format!("{} {}", p.hosts, p.rounds);
+        (shape, format!("{:3} hosts", p.hosts), p.ns_per_event())
+    });
+    let sharded = sharded.iter().map(|p| {
+        let shape = format!("sharded {} {} {}", p.hosts, p.shards, p.rounds);
+        let label = format!("{:6} hosts x {} shard(s)", p.hosts, p.shards);
+        (shape, label, p.ns_per_event())
+    });
+    *out += &format!("\n## perf-regression guard (normalized vs {GUARD_BASELINE})\n");
     let mut checked = 0;
-    for p in points {
-        let Some(&(_, _, base)) = baseline
-            .iter()
-            .find(|&&(h, r, _)| h == p.hosts && r == p.rounds)
-        else {
+    for (shape, label, ns) in flat.chain(sharded) {
+        let Some(&(_, base)) = baseline.iter().find(|(known, _)| *known == shape) else {
             continue;
         };
-        let ratio = p.ns_per_event() / wheel_ns;
-        let verdict = if ratio <= base * GUARD_HEADROOM { "ok" } else { "FAIL" };
-        println!(
-            "  {:3} hosts | ratio {:7.2} | baseline {:7.2} | limit {:7.2} | {}",
-            p.hosts,
-            ratio,
-            base,
-            base * GUARD_HEADROOM,
-            verdict,
+        let (ratio, limit) = (ns / wheel_ns, base * GUARD_HEADROOM);
+        let verdict = if ratio <= limit { "ok" } else { "FAIL" };
+        *out += &format!(
+            "  {label} | ratio {ratio:7.2} | baseline {base:7.2} | limit {limit:7.2} | {verdict}\n"
         );
         assert!(
-            ratio <= base * GUARD_HEADROOM,
-            "ns/event at {} hosts regressed: normalized cost {ratio:.2} exceeds \
-             baseline {base:.2} by more than {:.0}%",
-            p.hosts,
-            (GUARD_HEADROOM - 1.0) * 100.0
-        );
-        checked += 1;
-    }
-    for p in sharded {
-        let Some(&(_, _, _, base)) = shard_baseline
-            .iter()
-            .find(|&&(h, s, r, _)| h == p.hosts && s == p.shards && r == p.rounds)
-        else {
-            continue;
-        };
-        let ratio = p.ns_per_event() / wheel_ns;
-        let verdict = if ratio <= base * GUARD_HEADROOM { "ok" } else { "FAIL" };
-        println!(
-            "  {:6} hosts x {} shard(s) | ratio {:7.2} | baseline {:7.2} | limit {:7.2} | {}",
-            p.hosts,
-            p.shards,
-            ratio,
-            base,
-            base * GUARD_HEADROOM,
-            verdict,
-        );
-        assert!(
-            ratio <= base * GUARD_HEADROOM,
-            "sharded ns/event at {} hosts x {} shards regressed: normalized cost \
-             {ratio:.2} exceeds baseline {base:.2} by more than {:.0}%",
-            p.hosts,
-            p.shards,
+            ratio <= limit,
+            "ns/event at {} regressed: normalized cost {ratio:.2} exceeds baseline {base:.2} \
+             by more than {:.0}%",
+            label.trim(),
             (GUARD_HEADROOM - 1.0) * 100.0
         );
         checked += 1;
@@ -495,17 +448,20 @@ fn run_guard(points: &[ScalePoint], sharded: &[ShardPoint], wheel_ns: f64) {
     );
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let guard = std::env::args().any(|a| a == "--guard");
-    println!("# X10 — event-kernel scaling (timer wheel, 16..256 hosts)");
-    println!("# X12 — sharded scaling (conservative-lookahead windows, 1k..100k hosts)");
+pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
+    let smoke = opts.smoke;
+    *out += "# X10 — event-kernel scaling (timer wheel, 16..256 hosts)\n";
+    *out += "# X12 — sharded scaling (conservative-lookahead windows, 1k..100k hosts)\n";
     if smoke {
-        println!("# smoke mode: reduced sweep");
+        *out += "# smoke mode: reduced sweep\n";
     }
 
     // Part 1: schedule/pop micro comparison, min of three runs each.
-    let micro_n = if smoke { MICRO_EVENTS / 10 } else { MICRO_EVENTS };
+    let micro_n = if smoke {
+        MICRO_EVENTS / 10
+    } else {
+        MICRO_EVENTS
+    };
     let offsets = micro_schedule(micro_n);
     let wheel_ns = (0..3)
         .map(|_| micro_wheel_ns(&offsets))
@@ -513,9 +469,9 @@ fn main() {
     let heap_ns = (0..3)
         .map(|_| micro_heap_ns(&offsets))
         .fold(f64::INFINITY, f64::min);
-    println!("\n## schedule/pop round trip ({micro_n} events, depth {MICRO_DEPTH})");
-    println!("  timer wheel   | {wheel_ns:6.1} ns/event");
-    println!("  heap + boxes  | {heap_ns:6.1} ns/event");
+    *out += &format!("\n## schedule/pop round trip ({micro_n} events, depth {MICRO_DEPTH})\n");
+    *out += &format!("  timer wheel   | {wheel_ns:6.1} ns/event\n");
+    *out += &format!("  heap + boxes  | {heap_ns:6.1} ns/event\n");
     assert!(
         wheel_ns <= heap_ns,
         "the wheel ({wheel_ns:.1} ns) must not be slower than the heap \
@@ -526,22 +482,26 @@ fn main() {
     // once per green-thread engine. The coroutine engine is the product
     // configuration; the parked-OS-thread fallback supplies the "before"
     // rows for the engine switch.
-    let host_counts: &[usize] = if smoke { &[16, 64] } else { &[16, 64, 128, 256] };
+    let host_counts: &[usize] = if smoke {
+        &[16, 64]
+    } else {
+        &[16, 64, 128, 256]
+    };
     let rounds: u32 = if smoke { 1 } else { 4 };
-    let mut sweeps: Vec<(EngineKind, &str, Vec<ScalePoint>)> = Vec::new();
-    for (engine, label) in [
+    // Coroutine rows first: the product configuration.
+    let [points, os_points] = [
         (EngineKind::Coroutine, "coroutine"),
         (EngineKind::OsThread, "os-thread"),
-    ] {
-        println!(
+    ]
+    .map(|(engine, label)| {
+        *out += &format!(
             "\n## collective gather+broadcast, {MSG_BYTES}-byte messages, \
-             {rounds} round(s), {label} engine"
+             {rounds} round(s), {label} engine\n"
         );
         let mut points = Vec::new();
         for &hosts in host_counts {
             let p = run_collective(hosts, rounds, engine);
-            println!(
-                "  {:3} hosts | {:8} ev | {:9.6}s virtual | {:6.3}s wall | {:9.0} ev/s | peak q {:5} | gauge peak {:5} ({} samples)",
+            *out += &format!("  {:3} hosts | {:8} ev | {:9.6}s virtual | {:6.3}s wall | {:9.0} ev/s | peak q {:5} | gauge peak {:5} ({} samples)\n",
                 p.hosts,
                 p.events,
                 p.virtual_s,
@@ -562,15 +522,13 @@ fn main() {
             );
             points.push(p);
         }
-        sweeps.push((engine, label, points));
-    }
-    let points = &sweeps[0].2; // coroutine rows: the product configuration
-    let os_points = &sweeps[1].2;
+        points
+    });
 
-    println!("\n## engine switch: ns/event, os-thread -> coroutine");
+    *out += "\n## engine switch: ns/event, os-thread -> coroutine\n";
     for (c, o) in points.iter().zip(os_points.iter()) {
-        println!(
-            "  {:3} hosts | {:8.1} -> {:6.1} ns/event | {:4.1}x",
+        *out += &format!(
+            "  {:3} hosts | {:8.1} -> {:6.1} ns/event | {:4.1}x\n",
             c.hosts,
             o.ns_per_event(),
             c.ns_per_event(),
@@ -587,88 +545,76 @@ fn main() {
     };
     let shard_counts: &[usize] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
     let shard_rounds: u32 = if smoke { 2 } else { 4 };
-    let shard_points = run_shard_sweep(shard_hosts, shard_counts, shard_rounds);
+    let shard_points = run_shard_sweep(out, shard_hosts, shard_counts, shard_rounds);
 
-    if guard {
-        run_guard(points, &shard_points, wheel_ns);
+    if opts.guard {
+        run_guard(out, &points, &shard_points, wheel_ns);
     }
 
-    // Hand-rolled JSON (no serde in the workspace).
-    let mut json = String::from("{\n  \"experiment\": \"xp_scale\",\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!(
-        "  \"micro\": {{\"events\": {micro_n}, \"depth\": {MICRO_DEPTH}, \
-         \"wheel_ns_per_event\": {wheel_ns:.2}, \"heap_ns_per_event\": {heap_ns:.2}}},\n"
-    ));
-    for (key, pts) in [("scaling", points), ("scaling_os_thread", os_points)] {
-        json.push_str(&format!("  \"{key}\": [\n"));
-        for (i, p) in pts.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"hosts\": {}, \"rounds\": {}, \"msg_bytes\": {MSG_BYTES}, \
-                 \"events\": {}, \"virtual_s\": {:.9}, \"wall_s\": {:.6}, \
-                 \"events_per_sec\": {:.0}, \"ns_per_event\": {:.1}, \
-                 \"peak_queue_depth\": {}, \"queue_depth_gauge_peak\": {}, \
-                 \"queue_depth_samples\": {}}}{}\n",
-                p.hosts,
-                p.rounds,
-                p.events,
-                p.virtual_s,
-                p.wall_s,
-                p.events_per_sec,
-                p.ns_per_event(),
-                p.peak_queue_depth,
-                p.gauge_peak,
-                p.gauge_samples,
-                if i + 1 < pts.len() { "," } else { "" },
-            ));
-        }
-        json.push_str("  ],\n");
+    let mut doc = JsonDoc::new("BENCH_kernel", "xp_scale", smoke);
+    doc.line(&[(
+        "micro",
+        &obj(&[
+            ("events", &micro_n),
+            ("depth", &MICRO_DEPTH),
+            ("wheel_ns_per_event", &fixed(wheel_ns, 2)),
+            ("heap_ns_per_event", &fixed(heap_ns, 2)),
+        ]),
+    )]);
+    for (key, pts) in [("scaling", &points), ("scaling_os_thread", &os_points)] {
+        doc.rows(
+            key,
+            pts.iter().map(|p| {
+                obj(&[
+                    ("hosts", &p.hosts),
+                    ("rounds", &p.rounds),
+                    ("msg_bytes", &MSG_BYTES),
+                    ("events", &p.events),
+                    ("virtual_s", &fixed(p.virtual_s, 9)),
+                    ("wall_s", &fixed(p.wall_s, 6)),
+                    ("events_per_sec", &fixed(p.events_per_sec, 0)),
+                    ("ns_per_event", &fixed(p.ns_per_event(), 1)),
+                    ("peak_queue_depth", &p.peak_queue_depth),
+                    ("queue_depth_gauge_peak", &p.gauge_peak),
+                    ("queue_depth_samples", &p.gauge_samples),
+                ])
+            }),
+        );
     }
-    json.push_str("  \"engine_speedup\": [\n");
-    for (i, (c, o)) in points.iter().zip(os_points.iter()).enumerate() {
-        json.push_str(&format!(
-            "    {{\"hosts\": {}, \"os_thread_ns_per_event\": {:.1}, \
-             \"coroutine_ns_per_event\": {:.1}, \"speedup\": {:.2}}}{}\n",
-            c.hosts,
-            o.ns_per_event(),
-            c.ns_per_event(),
-            o.ns_per_event() / c.ns_per_event(),
-            if i + 1 < points.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"worker_cpus\": {},\n", worker_cpus()));
-    json.push_str("  \"sharded\": [\n");
-    for (i, p) in shard_points.iter().enumerate() {
-        let base_eps = shard_points
-            .iter()
-            .find(|b| b.hosts == p.hosts && b.shards == 1)
-            .map_or(p.events_per_sec(), ShardPoint::events_per_sec);
-        json.push_str(&format!(
-            "    {{\"hosts\": {}, \"shards\": {}, \"rounds\": {}, \"msg_bytes\": {MSG_BYTES}, \
-             \"work_iters\": {SHARD_WORK}, \"delivered\": {}, \"events\": {}, \
-             \"merged_events\": {}, \"windows\": {}, \"wall_s\": {:.6}, \
-             \"events_per_sec\": {:.0}, \"ns_per_event\": {:.1}, \
-             \"speedup_vs_1shard\": {:.3}, \"merged_trace_hash\": \"{:#018x}\", \
-             \"delivery_digest\": \"{:#018x}\"}}{}\n",
-            p.hosts,
-            p.shards,
-            p.rounds,
-            p.delivered,
-            p.events,
-            p.merged_events,
-            p.windows,
-            p.wall_s,
-            p.events_per_sec(),
-            p.ns_per_event(),
-            p.events_per_sec() / base_eps,
-            p.merged_hash,
-            p.delivery_digest,
-            if i + 1 < shard_points.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_kernel.json", &json).expect("write BENCH_kernel.json");
-    println!("\nwrote results/BENCH_kernel.json");
+    doc.rows(
+        "engine_speedup",
+        points.iter().zip(os_points.iter()).map(|(c, o)| {
+            obj(&[
+                ("hosts", &c.hosts),
+                ("os_thread_ns_per_event", &fixed(o.ns_per_event(), 1)),
+                ("coroutine_ns_per_event", &fixed(c.ns_per_event(), 1)),
+                ("speedup", &fixed(o.ns_per_event() / c.ns_per_event(), 2)),
+            ])
+        }),
+    );
+    doc.line(&[("worker_cpus", &worker_cpus())]);
+    let hex = |digest: u64| format!("\"{digest:#018x}\"");
+    doc.rows(
+        "sharded",
+        shard_points.iter().map(|p| {
+            obj(&[
+                ("hosts", &p.hosts),
+                ("shards", &p.shards),
+                ("rounds", &p.rounds),
+                ("msg_bytes", &MSG_BYTES),
+                ("work_iters", &SHARD_WORK),
+                ("delivered", &p.delivered),
+                ("events", &p.events),
+                ("merged_events", &p.merged_events),
+                ("windows", &p.windows),
+                ("wall_s", &fixed(p.wall_s, 6)),
+                ("events_per_sec", &fixed(p.events_per_sec(), 0)),
+                ("ns_per_event", &fixed(p.ns_per_event(), 1)),
+                ("speedup_vs_1shard", &fixed(p.speedup, 3)),
+                ("merged_trace_hash", &hex(p.merged_hash)),
+                ("delivery_digest", &hex(p.delivery_digest)),
+            ])
+        }),
+    );
+    Some(doc)
 }

@@ -1,15 +1,31 @@
 //! # ncs-bench — experiment harness
 //!
-//! One binary per table/figure of the paper (see `DESIGN.md`'s experiment
-//! index). This library holds the shared report formatting: each regenerated
-//! table prints measured values side by side with the paper's, plus the
-//! derived "% improvement" columns the paper reports — and the one
-//! wall-clock timing loop the host-time experiments share.
+//! Every table, figure and extension experiment of the reproduction is one
+//! entry of [`EXPERIMENTS`] — a name, a line of description and a function
+//! that writes its report into a `String` — and one binary, `xp`, runs them
+//! (`xp list` is `DESIGN.md`'s experiment index):
+//!
+//! ```text
+//! cargo run --release -p ncs-bench -- <name> [args] [--smoke] [--guard]
+//! cargo run --release -p ncs-bench -- list | report | all --smoke [--guard]
+//! ```
+//!
+//! Beside the registry this library holds what the experiments share: the
+//! report formatting (each regenerated table prints measured values side by
+//! side with the paper's, plus the derived "% improvement" columns the paper
+//! reports), the one wall-clock timing loop of the host-time experiments and
+//! the one writer of the `results/BENCH_*.json` documents.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::time::{Duration, Instant}; // ncs-lint: allow(wall-clock)
+
+pub mod experiments;
+mod json;
+
+pub use experiments::{find, list, results_dir, Experiment, Opts, EXPERIMENTS};
+pub use json::JsonDoc;
 
 /// Host nanoseconds per call of `op`: the minimum over `batches` timed
 /// batches of at least `budget` each. The minimum, because everything a
@@ -314,46 +330,5 @@ mod tests {
         assert_eq!(paper_table1("NYNET").len(), 3);
         assert_eq!(paper_table2("Ethernet").len(), 3);
         assert_eq!(paper_table3("NYNET").len(), 3);
-    }
-}
-
-/// Renders the tracer's recorded spans as CSV
-/// (`actor,kind,label,start_us,end_us`) for external plotting of the
-/// timeline figures. Takes the tracer itself to resolve interned actors.
-pub fn spans_to_csv(tr: &ncs_sim::Tracer) -> String {
-    let mut s = String::from("actor,kind,label,start_us,end_us\n");
-    for sp in tr.spans() {
-        s.push_str(&format!(
-            "{},{:?},{},{},{}\n",
-            tr.actor_name(sp.actor),
-            sp.kind,
-            sp.label,
-            sp.t0.as_ps() / 1_000_000,
-            sp.t1.as_ps() / 1_000_000,
-        ));
-    }
-    s
-}
-
-#[cfg(test)]
-mod csv_tests {
-    use super::*;
-    use ncs_sim::{Dur, SimTime, SpanKind, Tracer};
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let mut tr = Tracer::new();
-        tr.enable();
-        tr.span(
-            "p0/t0",
-            SpanKind::Compute,
-            "matmul",
-            SimTime::ZERO,
-            SimTime::ZERO + Dur::from_micros(25),
-        );
-        let csv = spans_to_csv(&tr);
-        let mut lines = csv.lines();
-        assert_eq!(lines.next().unwrap(), "actor,kind,label,start_us,end_us");
-        assert_eq!(lines.next().unwrap(), "p0/t0,Compute,matmul,0,25");
     }
 }

@@ -6,7 +6,8 @@
 //! dependence in the fault path shows up here as a diff.
 
 use bytes::Bytes;
-use ncs_core::{ErrorControl, ErrorStats, NcsConfig, NcsWorld, RtoConfig, ThreadAddr};
+use ncs_bench::experiments::chaos::chaos_cfg;
+use ncs_core::{ErrorStats, NcsWorld, ThreadAddr};
 use ncs_net::{
     spawn_vbr, ChaosNet, ChaosParams, ChaosTopology, Fabric, Network, NodeId, VbrConfig,
 };
@@ -18,17 +19,8 @@ const EXTRAS: usize = 2;
 const MSGS: u32 = 4;
 const BYTES: usize = 2048;
 
-/// The same error-control configuration the `xp_chaos` sweep runs under.
-fn chaos_cfg() -> NcsConfig {
-    NcsConfig {
-        error: ErrorControl::ChecksumRetransmit,
-        rto: RtoConfig::from_base(Dur::from_millis(10)),
-        max_retries: 64,
-        ..NcsConfig::default()
-    }
-}
-
-/// One harsh fat-tree ring run; returns the per-process error statistics
+/// One harsh fat-tree ring run under the error-control configuration of the
+/// `xp_chaos` sweep (its own `chaos_cfg`); returns the per-process error statistics
 /// and the full trace export.
 fn run_harsh(seed: u64) -> (Vec<ErrorStats>, String) {
     let sim = Sim::new();

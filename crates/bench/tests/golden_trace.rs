@@ -9,49 +9,19 @@
 //! regenerate the snapshot:
 //!
 //! ```text
-//! cargo run --release -p ncs-bench --bin xp_observe -- --smoke
+//! cargo run --release -p ncs-bench -- observe --smoke
 //! cp results/trace_matmul.json crates/bench/tests/golden/trace_matmul.json
 //! ```
 
-use ncs_apps::matmul::{setup_matmul_ncs_with, MatmulConfig};
-use ncs_core::{ErrorControl, FlowControl, NcsConfig};
-use ncs_net::atm::{AtmFabric, AtmLanParams};
-use ncs_net::{AtmApiNet, AtmApiParams, HostParams, Network};
-use ncs_sim::{chrome_trace_json, AnalysisConfig, Sim};
-use std::sync::Arc;
+use ncs_bench::experiments::observe::run_workload;
 
 const GOLDEN: &str = include_str!("golden/trace_matmul.json");
 
-/// The exact workload `xp_observe` gates on: 4 worker nodes on a 5-host
-/// FORE-LAN HSM stack, dim-32 matmul, seed 7, monolithic buffers.
+/// The exact workload `xp observe` gates on — it is that experiment's own
+/// function: 4 worker nodes on a 5-host FORE-LAN HSM stack, dim-32 matmul,
+/// seed 7, monolithic buffers, result and analysis sink checked inside.
 fn run_golden_workload() -> String {
-    let (analysis, sink) = AnalysisConfig::recording();
-    let sim = Sim::new();
-    sim.with_tracer(|tr| tr.enable_detail());
-    let fabric = Arc::new(AtmFabric::new(AtmLanParams::fore_lan(5)));
-    let hosts = vec![HostParams::sparc_ipx(); 5];
-    let net: Arc<dyn Network> = Arc::new(AtmApiNet::new(fabric, hosts, AtmApiParams::default()));
-    let cfg = NcsConfig {
-        flow: FlowControl::Credit { window: 4 },
-        error: ErrorControl::None,
-        io_buffer_bytes: 16 * 1024,
-        analysis,
-        ..NcsConfig::default()
-    };
-    let handle = setup_matmul_ncs_with(
-        &sim,
-        net,
-        MatmulConfig {
-            dim: 32,
-            nodes: 4,
-            seed: 7,
-        },
-        cfg,
-    );
-    sim.run().assert_clean();
-    assert!(handle.verify(), "matmul result must verify bit-exact");
-    assert!(sink.take().is_empty(), "analysis violations during golden run");
-    sim.with_tracer(|tr| sim.with_metrics(|mm| chrome_trace_json(tr, mm)))
+    run_workload("matmul").trace_json
 }
 
 #[test]
@@ -66,8 +36,9 @@ fn trace_matches_checked_in_golden() {
     let actual = run_golden_workload();
     if actual != GOLDEN {
         // Park the actual next to the harness output for inspection.
-        let _ = std::fs::create_dir_all("results");
-        let _ = std::fs::write("results/trace_matmul.actual.json", &actual);
+        let dir = ncs_bench::results_dir();
+        let _ = std::fs::create_dir_all(&dir);
+        let _ = std::fs::write(dir.join("trace_matmul.actual.json"), &actual);
         panic!(
             "exported trace diverged from tests/golden/trace_matmul.json \
              ({} vs {} bytes; actual written to results/trace_matmul.actual.json). \

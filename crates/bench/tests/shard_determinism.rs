@@ -16,18 +16,17 @@
 //! window-boundary events, same-instant stamp ties, schedule exploration
 //! on a sharded config, and per-shard MTS scheduler instances.
 
-use ncs_apps::matmul::{setup_matmul_ncs_with, MatmulConfig};
-use ncs_core::{ErrorControl, ErrorStats, FlowControl, NcsConfig, NcsWorld, RtoConfig, ThreadAddr};
+use ncs_bench::experiments::chaos::chaos_cfg;
+use ncs_bench::experiments::observe::run_workload_on;
+use ncs_core::{ErrorStats, NcsWorld, ThreadAddr};
 use ncs_mts::{Mts, MtsConfig};
-use ncs_net::atm::{AtmFabric, AtmLanParams};
 use ncs_net::{
-    AtmApiNet, AtmApiParams, ChaosNet, ChaosParams, ChaosTopology, GossipConfig, GossipMesh,
-    HostParams, Network, ShardNetParams, ShardPlan,
+    ChaosNet, ChaosParams, ChaosTopology, GossipConfig, GossipMesh, Network, ShardNetParams,
+    ShardPlan,
 };
 use ncs_sim::sync::Mutex;
 use ncs_sim::{
-    chrome_trace_json, AnalysisConfig, DecisionLog, Dur, RandomWalkPolicy, ScriptedPolicy,
-    ShardedSim, SimTime,
+    chrome_trace_json, DecisionLog, Dur, RandomWalkPolicy, ScriptedPolicy, ShardedSim, SimTime,
 };
 use bytes::Bytes;
 use std::sync::Arc;
@@ -145,37 +144,12 @@ fn window_boundary_events_and_stamp_ties_merge_exactly() {
     }
 }
 
-/// The exact golden workload from `golden_trace.rs`, but built on the
-/// shard harness (`ShardedSim::single`): the seam must be invisible.
+/// The exact golden workload from `golden_trace.rs` — `xp observe`'s own
+/// function — but staged on the shard harness (`ShardedSim::single`): the
+/// seam must be invisible.
 fn run_golden_workload_on_shard_harness() -> String {
-    let (analysis, sink) = AnalysisConfig::recording();
     let sharded = ShardedSim::single();
-    let sim = sharded.shard(0);
-    sim.with_tracer(|tr| tr.enable_detail());
-    let fabric = Arc::new(AtmFabric::new(AtmLanParams::fore_lan(5)));
-    let hosts = vec![HostParams::sparc_ipx(); 5];
-    let net: Arc<dyn Network> = Arc::new(AtmApiNet::new(fabric, hosts, AtmApiParams::default()));
-    let cfg = NcsConfig {
-        flow: FlowControl::Credit { window: 4 },
-        error: ErrorControl::None,
-        io_buffer_bytes: 16 * 1024,
-        analysis,
-        ..NcsConfig::default()
-    };
-    let handle = setup_matmul_ncs_with(
-        sim,
-        net,
-        MatmulConfig {
-            dim: 32,
-            nodes: 4,
-            seed: 7,
-        },
-        cfg,
-    );
-    sharded.run().assert_clean();
-    assert!(handle.verify(), "matmul result must verify bit-exact");
-    assert!(sink.take().is_empty(), "analysis violations during golden run");
-    sim.with_tracer(|tr| sim.with_metrics(|mm| chrome_trace_json(tr, mm)))
+    run_workload_on("matmul", sharded.shard(0), || sharded.run().assert_clean()).trace_json
 }
 
 #[test]
@@ -188,7 +162,8 @@ fn golden_trace_is_unchanged_on_the_shard_harness() {
 }
 
 /// The chaos-recovery scenario (corruption + loss + a link flap over a
-/// fat-tree, checksum-retransmit error control) on the shard harness:
+/// fat-tree, the `xp_chaos` sweep's error-control configuration) on the
+/// shard harness:
 /// two same-seed runs must agree exactly, and recovery must complete.
 fn run_chaos_on_shard_harness(seed: u64) -> (Vec<ErrorStats>, String) {
     const HOSTS: usize = 8;
@@ -203,13 +178,7 @@ fn run_chaos_on_shard_harness(seed: u64) -> (Vec<ErrorStats>, String) {
     fabric
         .downlink(ncs_net::NodeId(1))
         .schedule_flap(SimTime::from_ps(1_000_000_000), SimTime::from_ps(5_000_000_000));
-    let cfg = NcsConfig {
-        error: ErrorControl::ChecksumRetransmit,
-        rto: RtoConfig::from_base(Dur::from_millis(10)),
-        max_retries: 64,
-        ..NcsConfig::default()
-    };
-    let world = NcsWorld::launch(sim, vec![net], HOSTS, cfg, |id, proc_| {
+    let world = NcsWorld::launch(sim, vec![net], HOSTS, chaos_cfg(), |id, proc_| {
         proc_.t_create("ring", 5, move |ncs| {
             let next = (id + 1) % HOSTS;
             let prev = (id + HOSTS - 1) % HOSTS;
