@@ -31,7 +31,7 @@ use ncs_net::atm::{AtmFabric, AtmLanParams, NynetParams};
 use ncs_net::ethernet::{EthernetFabric, EthernetParams};
 use ncs_net::fabric::{Fabric, NodeId};
 use ncs_net::{HostParams, IdealFabric, Network, TcpNet, TcpParams};
-use ncs_sim::{Dur, Sim, SimTime};
+use ncs_sim::{Dur, RunOutcome, Sim, SimTime};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -74,7 +74,7 @@ fn block_unblock() {
 
 /// One simulation of [`EXCHANGES`] 4-byte ping-pongs between two NCS
 /// processes over TCP on an ideal fabric.
-fn ping_pong() {
+fn ping_pong() -> RunOutcome {
     let sim = Sim::new();
     let fabric = Arc::new(IdealFabric::new(2, Dur::from_micros(10)));
     let hosts = vec![HostParams::test_fast(); 2];
@@ -92,8 +92,10 @@ fn ping_pong() {
             }
         });
     });
-    sim.run().assert_clean();
+    let out = sim.run();
+    out.assert_clean();
     sim.finish();
+    out
 }
 
 /// Back-to-back bookings of `bytes` from `src` to `dst`, each departing
@@ -182,7 +184,20 @@ pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
         "sim-end-to-end/ncs-ping-pong",
         "message",
         f64::from(2 * EXCHANGES),
-        &mut ping_pong,
+        &mut || {
+            black_box(ping_pong());
+        },
+    );
+    // What a message costs the kernel, launch and teardown included: events
+    // that resumed a green thread, and the rest, which ran a callback.
+    let run = ping_pong();
+    let per_message = |n: u64| n as f64 / f64::from(2 * EXCHANGES);
+    *out += &format!(
+        "{:42} {:12.3} events/message = {:.3} resumes + {:.3} callbacks\n",
+        "sim-end-to-end/ncs-ping-pong",
+        per_message(run.events),
+        per_message(run.resumes),
+        per_message(run.events - run.resumes),
     );
     None
 }

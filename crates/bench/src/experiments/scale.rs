@@ -11,7 +11,9 @@
 //!    hosts under a collective-heavy workload (gather + broadcast
 //!    rounds of small messages, the per-message-overhead regime where
 //!    the paper's NCS wins)? Reports simulator throughput (events/sec,
-//!    ns/event of wall time) and the kernel's peak queue depth, sampled
+//!    ns/event of wall time), kernel events per message split into
+//!    green-thread resumes and callbacks ([`ncs_sim::RunOutcome::resumes`])
+//!    and the kernel's peak queue depth, sampled
 //!    into the `kernel.queue_depth` gauge. The sweep runs on **both
 //!    green-thread engines** — the coroutine default and the
 //!    parked-OS-thread fallback it replaced — so the JSON carries the
@@ -37,13 +39,16 @@
 //! ```
 //!
 //! `--guard` is the CI perf-regression gate: it compares this machine's
-//! *normalized* cost per event — the coroutine-engine sweep's ns/event
-//! divided by the same run's micro wheel ns/event, cancelling out raw
-//! machine speed — against the checked-in baseline
+//! *normalized* cost per message — the coroutine-engine sweep's wall ns
+//! per collective message divided by the same run's micro wheel ns/event,
+//! cancelling out raw machine speed — against the checked-in baseline
 //! (`crates/bench/baselines/xp_scale_guard.txt`) and fails if any point
-//! regressed by more than 15%. Sharded sweep points are guarded the same
-//! way via the baseline's `sharded <hosts> <shards> <rounds> <ratio>`
-//! rows.
+//! regressed by more than 15%. Per *message*, not per event: the events a
+//! change removes are usually the cheap ones, so ns/event rises while the
+//! run gets faster. The event count itself repeats to the digit, so the
+//! baseline's `events <hosts> <rounds> <count>` rows are held exactly, with
+//! no tolerance. Sharded sweep points (one event per delivery) are guarded
+//! per event via the `sharded <hosts> <shards> <rounds> <ratio>` rows.
 
 use super::{worker_cpus, JsonDoc, Opts};
 use crate::json::{fixed, obj};
@@ -177,6 +182,9 @@ struct ScalePoint {
     hosts: usize,
     rounds: u32,
     events: u64,
+    /// Events that resumed a green thread; the rest ran a callback (the
+    /// queue-depth sampler's one per 50 virtual µs among them).
+    resumes: u64,
     virtual_s: f64,
     wall_s: f64,
     events_per_sec: f64,
@@ -188,6 +196,24 @@ struct ScalePoint {
 impl ScalePoint {
     fn ns_per_event(&self) -> f64 {
         self.wall_s * 1e9 / self.events as f64
+    }
+    /// Messages the collective delivers: one gather and one broadcast
+    /// message per worker per round.
+    fn messages(&self) -> u64 {
+        2 * (self.hosts as u64 - 1) * u64::from(self.rounds)
+    }
+    /// What `--guard` normalises: a change that removes cheap events
+    /// raises ns/event while the run gets faster, and this falls with it.
+    fn ns_per_message(&self) -> f64 {
+        self.wall_s * 1e9 / self.messages() as f64
+    }
+    /// (thread resumes, callbacks) per message.
+    fn events_per_message(&self) -> (f64, f64) {
+        let per_message = |n: u64| n as f64 / self.messages() as f64;
+        (
+            per_message(self.resumes),
+            per_message(self.events - self.resumes),
+        )
     }
 }
 
@@ -242,6 +268,7 @@ fn run_collective(hosts: usize, rounds: u32, engine: EngineKind) -> ScalePoint {
         hosts,
         rounds,
         events: out.events,
+        resumes: out.resumes,
         virtual_s: out.end_time.as_secs_f64(),
         wall_s,
         events_per_sec: out.events as f64 / wall_s,
@@ -393,12 +420,13 @@ const GUARD_BASELINE_TEXT: &str = include_str!("../../baselines/xp_scale_guard.t
 const GUARD_HEADROOM: f64 = 1.15;
 
 /// `--guard`: machine-normalized perf-regression gate. Each measured
-/// coroutine-engine point's cost ratio (`ns_per_event / wheel_ns`) is
+/// coroutine-engine point's cost ratio (`ns_per_message / wheel_ns`) is
 /// compared against the checked-in baseline for the same `<hosts> <rounds>`
-/// shape — and each sharded point's against the baseline's
-/// `sharded <hosts> <shards> <rounds>` row — so raw machine speed divides
-/// out and the gate travels across CI runners. Fails (exits non-zero via
-/// panic) past 15% regression.
+/// shape — and each sharded point's (`ns_per_event / wheel_ns`) against the
+/// baseline's `sharded <hosts> <shards> <rounds>` row — so raw machine
+/// speed divides out and the gate travels across CI runners. Fails (exits
+/// non-zero via panic) past 15% regression, and on any difference at all
+/// from an `events <hosts> <rounds>` row: event counts are deterministic.
 fn run_guard(out: &mut String, points: &[ScalePoint], sharded: &[ShardPoint], wheel_ns: f64) {
     // Baseline rows: a shape (single-spaced), then its ratio.
     let baseline: Vec<(String, f64)> = GUARD_BASELINE_TEXT
@@ -407,15 +435,16 @@ fn run_guard(out: &mut String, points: &[ScalePoint], sharded: &[ShardPoint], wh
         .map(|line| {
             let mut words: Vec<&str> = line.split_whitespace().collect();
             match words.pop().map(str::parse) {
-                Some(Ok(ratio)) if matches!(words.len(), 2 | 4) => (words.join(" "), ratio),
+                Some(Ok(ratio)) if matches!(words.len(), 2..=4) => (words.join(" "), ratio),
                 _ => panic!("--guard: malformed baseline line: {line:?}"),
             }
         })
         .collect();
-    // Measured points: shape as the baseline spells it, label, ns/event.
+    // Measured points: shape as the baseline spells it, label, wall ns per
+    // message (flat) or per event (sharded).
     let flat = points.iter().map(|p| {
         let shape = format!("{} {}", p.hosts, p.rounds);
-        (shape, format!("{:3} hosts", p.hosts), p.ns_per_event())
+        (shape, format!("{:3} hosts", p.hosts), p.ns_per_message())
     });
     let sharded = sharded.iter().map(|p| {
         let shape = format!("sharded {} {} {}", p.hosts, p.shards, p.rounds);
@@ -435,12 +464,33 @@ fn run_guard(out: &mut String, points: &[ScalePoint], sharded: &[ShardPoint], wh
         );
         assert!(
             ratio <= limit,
-            "ns/event at {} regressed: normalized cost {ratio:.2} exceeds baseline {base:.2} \
+            "wall time at {} regressed: normalized cost {ratio:.2} exceeds baseline {base:.2} \
              by more than {:.0}%",
             label.trim(),
             (GUARD_HEADROOM - 1.0) * 100.0
         );
         checked += 1;
+    }
+    for p in points {
+        let shape = format!("events {} {}", p.hosts, p.rounds);
+        let Some(&(_, base)) = baseline.iter().find(|(known, _)| *known == shape) else {
+            continue;
+        };
+        let base = base as u64;
+        let verdict = if p.events == base { "ok" } else { "FAIL" };
+        *out += &format!(
+            "  {:3} hosts | {:7} events | baseline {base:7} | {:5.2} per message | {verdict}\n",
+            p.hosts,
+            p.events,
+            p.events as f64 / p.messages() as f64,
+        );
+        assert!(
+            p.events == base,
+            "event count at {} hosts moved: {} against the baseline's {base} — event counts \
+             repeat to the digit, so this is the code; re-baseline if it is meant",
+            p.hosts,
+            p.events
+        );
     }
     assert!(
         checked > 0,
@@ -501,9 +551,13 @@ pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
         let mut points = Vec::new();
         for &hosts in host_counts {
             let p = run_collective(hosts, rounds, engine);
-            *out += &format!("  {:3} hosts | {:8} ev | {:9.6}s virtual | {:6.3}s wall | {:9.0} ev/s | peak q {:5} | gauge peak {:5} ({} samples)\n",
+            let (resumes, callbacks) = p.events_per_message();
+            *out += &format!("  {:3} hosts | {:8} ev | {:5.2} ev/msg = {:5.2} resumes + {:4.2} callbacks | {:9.6}s virtual | {:6.3}s wall | {:9.0} ev/s | peak q {:5} | gauge peak {:5} ({} samples)\n",
                 p.hosts,
                 p.events,
+                resumes + callbacks,
+                resumes,
+                callbacks,
                 p.virtual_s,
                 p.wall_s,
                 p.events_per_sec,
@@ -565,15 +619,21 @@ pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
         doc.rows(
             key,
             pts.iter().map(|p| {
+                let (resumes_per_message, callbacks_per_message) = p.events_per_message();
                 obj(&[
                     ("hosts", &p.hosts),
                     ("rounds", &p.rounds),
                     ("msg_bytes", &MSG_BYTES),
                     ("events", &p.events),
+                    ("resumes", &p.resumes),
+                    ("messages", &p.messages()),
+                    ("resumes_per_message", &fixed(resumes_per_message, 3)),
+                    ("callbacks_per_message", &fixed(callbacks_per_message, 3)),
                     ("virtual_s", &fixed(p.virtual_s, 9)),
                     ("wall_s", &fixed(p.wall_s, 6)),
                     ("events_per_sec", &fixed(p.events_per_sec, 0)),
                     ("ns_per_event", &fixed(p.ns_per_event(), 1)),
+                    ("ns_per_message", &fixed(p.ns_per_message(), 1)),
                     ("peak_queue_depth", &p.peak_queue_depth),
                     ("queue_depth_gauge_peak", &p.gauge_peak),
                     ("queue_depth_samples", &p.gauge_samples),

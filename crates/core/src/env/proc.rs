@@ -70,7 +70,7 @@ impl NcsProc {
             mts_cfg.analysis = cfg.analysis.clone();
         }
         let mts = Mts::new(sim, format!("proc{id}"), mts_cfg);
-        let merged = SimChannel::unbounded(format!("ncs-merged-{id}"));
+        let merged = SimChannel::unbounded();
         let credit_seed = match cfg.flow {
             FlowControl::Credit { window } => window,
             FlowControl::None => 0,
@@ -99,30 +99,19 @@ impl NcsProc {
         if let Some(t) = &inner.term {
             t.register(&inner);
         }
+        // Every tier's inbox passes straight through to the one queue the
+        // receive thread waits on, inside the transport's delivery event
+        // (pure plumbing: the pickup cost is charged by the receive thread).
+        // Once `merged` closes at teardown, late traffic is dropped.
+        for (tier, net) in inner.nets.iter().enumerate() {
+            let merged = inner.merged.clone();
+            net.inbox(NodeId(id as u32)).forward(sim, move |sim, d| {
+                merged.offer(sim, (tier, d)).map_err(|(_, d)| d)
+            });
+        }
         let proc_ = NcsProc { inner };
-        proc_.spawn_forwarders();
         proc_.spawn_system_threads();
         proc_
-    }
-
-    /// Forwarder daemons merge all transport inboxes into one channel so a
-    /// single receive thread can wait on "any tier" (pure plumbing: no
-    /// virtual time cost; the real pickup cost is charged by the receive
-    /// thread).
-    fn spawn_forwarders(&self) {
-        for (tier, net) in self.inner.nets.iter().enumerate() {
-            let inbox = net.inbox(NodeId(self.inner.id as u32));
-            let merged = self.inner.merged.clone();
-            self.inner
-                .sim
-                .spawn_daemon(format!("proc{}-fwd{}", self.inner.id, tier), move |ctx| {
-                    while let Ok(d) = inbox.recv(ctx) {
-                        if merged.offer(ctx.sim(), (tier, d)).is_err() {
-                            break; // process shut down
-                        }
-                    }
-                });
-        }
     }
 
     fn spawn_system_threads(&self) {

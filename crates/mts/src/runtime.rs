@@ -465,8 +465,11 @@ impl Mts {
                 }
                 inner.switches += 1;
                 inner.running = Some(MtsTid(slot));
+                // The `Resume` lands at `run_at`: a parked thread wakes with
+                // its switch already paid. One still `Scheduled` (spawned,
+                // not yet run) is not moved and pays through `charge_switch`.
                 if let Some(green) = inner.tcbs[slot as usize].green {
-                    self.sim.wake(green);
+                    self.sim.wake_at(green, run_at);
                 }
             }
             None => {
@@ -886,8 +889,9 @@ impl MtsCtx<'_> {
         r
     }
 
-    /// Waits until this thread has been dispatched, then charges the
-    /// remaining context-switch cost.
+    /// Waits until this thread has been dispatched, then charges whatever
+    /// of the context-switch cost the wake-up instant did not already cover
+    /// (see [`Mts::dispatch_next`]).
     fn wait_for_dispatch(&self) {
         let run_at = loop {
             {
@@ -1110,6 +1114,64 @@ mod tests {
     }
 
     #[test]
+    fn one_resume_per_dispatch_at_run_at() {
+        // The switch is a cost charged to the dispatched thread, not an
+        // activity of its own: the dispatcher queues the thread's `Resume`
+        // at `run_at`, so a dispatch is ONE kernel event and the thread's
+        // first instruction runs with the switch already paid.
+        const TRIPS: u64 = 50;
+        let cs = MtsConfig::default().context_switch;
+        assert_eq!(cs, Dur::from_micros(15));
+        let sim = Sim::new();
+        let woke_at = Arc::new(Mutex::new(Vec::new()));
+        let switches = Arc::new(Mutex::new(0));
+        let (w1, w2) = (Arc::clone(&woke_at), Arc::clone(&woke_at));
+        let sw = Arc::clone(&switches);
+        sim.spawn("main", move |ctx| {
+            let mts = Mts::new(ctx.sim(), "p0", MtsConfig::default());
+            let ping = MtsTid(1);
+            // First in its level, so `start` dispatches it while its green
+            // thread is still `Scheduled` (spawned, never yet run): the one
+            // dispatch whose switch cost is paid by `charge_switch` rather
+            // than by the instant of the `Resume`.
+            let pong = mts.spawn("pong", 1, move |m| {
+                w2.lock().push(m.now());
+                for _ in 0..TRIPS {
+                    m.block();
+                    w2.lock().push(m.now());
+                    m.unblock(ping);
+                }
+            });
+            let spawned = mts.spawn("ping", 1, move |m| {
+                w1.lock().push(m.now());
+                for _ in 0..TRIPS {
+                    m.unblock(pong);
+                    m.block();
+                    w1.lock().push(m.now());
+                }
+            });
+            assert_eq!(spawned, ping);
+            mts.start(ctx);
+            *sw.lock() = mts.stats().switches;
+        });
+        let out = sim.run();
+        out.assert_clean();
+        let dispatches = *switches.lock();
+        // Nothing but switches takes time here, so the k-th dispatch hands
+        // over the CPU at exactly k switch costs — the backstop one included.
+        let woke_at = woke_at.lock();
+        assert_eq!(woke_at.len() as u64, dispatches);
+        for (k, &t) in woke_at.iter().enumerate() {
+            assert_eq!(t, SimTime::ZERO + cs.times(k as u64 + 1), "dispatch {k}");
+        }
+        // main: first run + all-done wake; each thread: its spawn resume;
+        // `pong`: the backstop sleep. Every other dispatch: one resume.
+        assert_eq!(dispatches, 2 * TRIPS + 2);
+        assert_eq!(out.resumes, 2 + 2 + 1 + (dispatches - 1));
+        assert_eq!(out.events, out.resumes, "no callbacks in this run");
+    }
+
+    #[test]
     fn external_block_frees_cpu_for_siblings() {
         let sim = Sim::new();
         let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
@@ -1117,7 +1179,7 @@ mod tests {
         let l2 = Arc::clone(&log);
         sim.spawn("main", move |ctx| {
             let mts = Mts::new(ctx.sim(), "p0", zero_cs());
-            let ch: ncs_sim::SimChannel<u8> = ncs_sim::SimChannel::unbounded("net");
+            let ch: ncs_sim::SimChannel<u8> = ncs_sim::SimChannel::unbounded();
             let ch2 = ch.clone();
             mts.spawn("receiver", 0, move |m| {
                 l1.lock().push("r-wait");
@@ -1149,7 +1211,7 @@ mod tests {
         let sim = Sim::new();
         sim.spawn("main", move |ctx| {
             let mts = Mts::new(ctx.sim(), "p0", zero_cs());
-            let ch: ncs_sim::SimChannel<u8> = ncs_sim::SimChannel::unbounded("net");
+            let ch: ncs_sim::SimChannel<u8> = ncs_sim::SimChannel::unbounded();
             let ch2 = ch.clone();
             mts.spawn("receiver", 0, move |m| {
                 m.external_block(|| ch2.recv(m.ctx()).unwrap());
@@ -1324,8 +1386,8 @@ mod external_tests {
                     ..MtsConfig::default()
                 },
             );
-            let ch_a: ncs_sim::SimChannel<u8> = ncs_sim::SimChannel::unbounded("a");
-            let ch_b: ncs_sim::SimChannel<u8> = ncs_sim::SimChannel::unbounded("b");
+            let ch_a: ncs_sim::SimChannel<u8> = ncs_sim::SimChannel::unbounded();
+            let ch_b: ncs_sim::SimChannel<u8> = ncs_sim::SimChannel::unbounded();
             let (ca, cb) = (ch_a.clone(), ch_b.clone());
             mts.spawn("waiter-a", 1, move |m| {
                 m.external_block(|| ca.recv(m.ctx()).unwrap());
@@ -1369,7 +1431,7 @@ mod external_tests {
                     ..MtsConfig::default()
                 },
             );
-            let ch: ncs_sim::SimChannel<u8> = ncs_sim::SimChannel::unbounded("c");
+            let ch: ncs_sim::SimChannel<u8> = ncs_sim::SimChannel::unbounded();
             let cr = ch.clone();
             mts.spawn("ext", 3, move |m| {
                 m.external_block(|| cr.recv(m.ctx()).unwrap());

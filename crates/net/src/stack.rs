@@ -295,9 +295,7 @@ impl<F: Fabric> TcpNet<F> {
     pub fn new(fabric: Arc<F>, hosts: Vec<HostParams>, params: TcpParams) -> TcpNet<F> {
         assert_eq!(hosts.len(), fabric.nodes(), "one host model per node");
         assert!(params.mss > 0 && params.sockbuf >= params.mss);
-        let inboxes = (0..hosts.len())
-            .map(|i| SimChannel::unbounded(format!("tcp-inbox-{i}")))
-            .collect();
+        let inboxes = hosts.iter().map(|_| SimChannel::unbounded()).collect();
         TcpNet {
             fabric,
             hosts,
@@ -332,11 +330,13 @@ impl<F: Fabric> TcpNet<F> {
     ) {
         let h = &self.hosts[src.idx()];
         let sent_at = ctx.now();
-        ctx.sleep(h.syscall);
+        // Syscall entry: CPU time adjacent to the first segment's with
+        // nothing observable between them, so they share that sleep.
+        let mut entry = h.syscall;
         let len = payload.len();
         let nseg = self.segments(len);
         let drain_budget = Dur::for_bytes(self.params.sockbuf, self.fabric.access_rate(src));
-        let mut last_arrival = ctx.now();
+        let mut last_arrival = sent_at;
         let mut lost = false;
         for i in 0..nseg {
             let lo = i * self.params.mss;
@@ -345,7 +345,8 @@ impl<F: Fabric> TcpNet<F> {
             // kernel datapath copy (incl. checksum), and fixed per-packet
             // protocol work.
             ctx.sleep(
-                h.cycles(seg as u64 * self.params.marshal_cycles_per_byte)
+                std::mem::take(&mut entry)
+                    + h.cycles(seg as u64 * self.params.marshal_cycles_per_byte)
                     + h.copy_time(seg, DatapathKind::SocketTcp)
                     + h.tcp_per_packet,
             );
@@ -539,9 +540,7 @@ impl<F: Fabric> AtmApiNet<F> {
                 })
             })
             .collect();
-        let inboxes = (0..hosts.len())
-            .map(|i| SimChannel::unbounded(format!("atm-inbox-{i}")))
-            .collect();
+        let inboxes = hosts.iter().map(|_| SimChannel::unbounded()).collect();
         AtmApiNet {
             fabric,
             hosts,
@@ -579,19 +578,22 @@ impl<F: Fabric> AtmApiNet<F> {
         let h = &self.hosts[src.idx()];
         let sent_at = ctx.now();
         // Control transfer into NCS's mapped-buffer path: a trap, not a
-        // read/write syscall.
-        ctx.sleep(h.trap);
+        // read/write syscall. Owed until the first buffer: slept with its
+        // fill unless a buffer wait (the caller's policy) comes between.
+        let mut entry = h.trap;
         let len = payload.len();
         let n_chunks = len.div_ceil(self.params.buffer_bytes).max(1);
-        let mut last_arrival = ctx.now();
+        let mut last_arrival = sent_at;
         let mut lost = false;
         for i in 0..n_chunks {
             let lo = i * self.params.buffer_bytes;
             let chunk = len.saturating_sub(lo).min(self.params.buffer_bytes);
-            // Wait for a free I/O buffer (pipeline depth = num_buffers).
+            // Wait for a free I/O buffer (pipeline depth = num_buffers), as
+            // seen once the owed entry cost is paid.
+            let ready = ctx.now() + entry;
             let buffer_free = {
                 let mut a = self.adapters[src.idx()].lock();
-                while a.tx_busy.front().is_some_and(|&t| t <= ctx.now()) {
+                while a.tx_busy.front().is_some_and(|&t| t <= ready) {
                     a.tx_busy.pop_front();
                 }
                 if a.tx_busy.len() >= self.params.num_buffers {
@@ -600,14 +602,15 @@ impl<F: Fabric> AtmApiNet<F> {
                     None
                 }
             };
-            if let Some(free_at) = buffer_free {
-                let wait = free_at.saturating_since(ctx.now());
-                if !wait.is_zero() {
-                    policy.wait(ctx, wait);
+            let wait = buffer_free.map_or(Dur::ZERO, |t| t.saturating_since(ready));
+            if !wait.is_zero() {
+                if !entry.is_zero() {
+                    ctx.sleep(std::mem::take(&mut entry));
                 }
+                policy.wait(ctx, wait);
             }
             // Host fills the mapped buffer: the 3-access datapath.
-            ctx.sleep(h.copy_time(chunk, DatapathKind::NcsMapped));
+            ctx.sleep(std::mem::take(&mut entry) + h.copy_time(chunk, DatapathKind::NcsMapped));
             // The adapter SARs and DMAs the buffer, then the cells ride the
             // fabric. The buffer is reusable once its cells cleared the
             // first hop.
@@ -879,6 +882,73 @@ mod tests {
             "{} events for {cells} cells",
             out.events
         );
+    }
+
+    /// A lone sender issues `sizes` back to back with nobody else in the
+    /// simulation, so every `Resume` beyond the first is one of its sleeps.
+    /// Returns (resumes, sender busy time, arrival instants), times in ps.
+    fn lone_sender<N: Network>(net: Arc<N>, sizes: &'static [usize]) -> (u64, u64, Vec<u64>) {
+        let sim = Sim::new();
+        let busy = Arc::new(Mutex::new(0));
+        let (b2, n2) = (Arc::clone(&busy), Arc::clone(&net));
+        sim.spawn("sender", move |ctx| {
+            for &len in sizes {
+                let payload = Bytes::from(vec![0u8; len]);
+                n2.send(ctx, &BlockingWait, NodeId(0), NodeId(1), 7, payload);
+            }
+            *b2.lock() = ctx.now().as_ps();
+        });
+        let out = sim.run();
+        out.assert_clean();
+        let inbox = net.inbox(NodeId(1));
+        let arrivals = std::iter::from_fn(|| inbox.try_recv())
+            .map(|d| d.arrived_at.as_ps())
+            .collect();
+        let busy = *busy.lock();
+        (out.resumes, busy, arrivals)
+    }
+
+    #[test]
+    fn one_buffer_hsm_send_sleeps_once() {
+        // Trap and buffer fill are adjacent CPU charges of one thread with
+        // nothing observable between them: one sleep, one kernel event. The
+        // busy time and arrival instant are the parent commit's, where the
+        // same send slept twice.
+        let hosts = vec![HostParams::sparc_ipx(); 2];
+        let fabric = Arc::new(IdealFabric::new(2, Dur::from_micros(10)));
+        let net = Arc::new(AtmApiNet::new(fabric, hosts, AtmApiParams::default()));
+        let (resumes, busy, arrivals) = lone_sender(net, &[4096]);
+        assert_eq!(resumes, 2, "first dispatch + one sleep");
+        assert_eq!(busy, 995_040_000);
+        assert_eq!(arrivals, [1_182_640_000]);
+    }
+
+    #[test]
+    fn one_segment_tcp_send_sleeps_once() {
+        let hosts = vec![HostParams::sparc_ipx(); 2];
+        let fabric = Arc::new(IdealFabric::new(2, Dur::from_micros(10)));
+        let net = Arc::new(TcpNet::new(fabric, hosts, TcpParams::raw(1460, 16 * 1024)));
+        let (resumes, busy, arrivals) = lone_sender(net, &[1000]);
+        assert_eq!(resumes, 2, "first dispatch + one sleep");
+        assert_eq!(busy, 580_000_000);
+        assert_eq!(arrivals, [590_000_000]);
+    }
+
+    #[test]
+    fn send_waiting_for_an_io_buffer_sleeps_entry_wait_and_copy_apart() {
+        // One I/O buffer: the second send finds it still draining into the
+        // adapter, so its trap, its wait (the caller's policy: a sibling
+        // may run there) and its copy stay three separate sleeps.
+        let params = AtmApiParams {
+            num_buffers: 1,
+            ..AtmApiParams::default()
+        };
+        let fabric = Arc::new(IdealFabric::new(2, Dur::from_micros(10)));
+        let net = Arc::new(AtmApiNet::new(fabric, fast_hosts(2), params));
+        let (resumes, busy, arrivals) = lone_sender(net, &[8192, 8192]);
+        assert_eq!(resumes, 1 + 1 + 3, "first dispatch, fused send, split send");
+        assert_eq!(busy, 226_152_000);
+        assert_eq!(arrivals, [348_376_000, 549_752_000]);
     }
 
     #[test]

@@ -12,15 +12,17 @@ use std::sync::Arc;
 use crate::sync::Mutex;
 
 use crate::kernel::{Ctx, Sim, ThreadId};
-use crate::time::SimTime;
+
+/// Where a forwarded channel's values go; hands back what it cannot take.
+type Sink<T> = Box<dyn Fn(&Sim, T) -> Result<(), T> + Send>;
 
 struct ChannelInner<T> {
-    name: String,
     queue: VecDeque<T>,
     recv_waiters: VecDeque<ThreadId>,
     closed: bool,
     total_sent: u64,
-    peak_depth: usize,
+    /// Set by [`SimChannel::forward`]: offers go here, not to `queue`.
+    sink: Option<Sink<T>>,
 }
 
 /// An unbounded queue between simulated activities: a send never waits,
@@ -53,17 +55,28 @@ impl std::error::Error for Closed {}
 
 impl<T> SimChannel<T> {
     /// Creates an (empty, open) channel.
-    pub fn unbounded(name: impl Into<String>) -> SimChannel<T> {
+    pub fn unbounded() -> SimChannel<T> {
         SimChannel {
             inner: Arc::new(Mutex::new(ChannelInner {
-                name: name.into(),
                 queue: VecDeque::new(),
                 recv_waiters: VecDeque::new(),
                 closed: false,
                 total_sent: 0,
-                peak_depth: 0,
+                sink: None,
             })),
         }
+    }
+
+    /// Makes this channel a pass-through: whatever is queued now, and every
+    /// later [`SimChannel::offer`], goes to `sink` inside the offering
+    /// event itself — a merge of several channels into one costs no green
+    /// thread and no event. An offer fails when the sink refuses the value.
+    pub fn forward(&self, sim: &Sim, sink: impl Fn(&Sim, T) -> Result<(), T> + Send + 'static) {
+        let mut ch = self.inner.lock();
+        for value in std::mem::take(&mut ch.queue) {
+            let _ = sink(sim, value);
+        }
+        ch.sink = Some(Box::new(sink));
     }
 
     /// Sends from a green thread. Never parks; fails only on a closed
@@ -73,26 +86,24 @@ impl<T> SimChannel<T> {
     }
 
     /// Sends from an event callback (or any non-thread context). Hands the
-    /// value back if the channel is closed.
+    /// value back if the channel is closed (or its sink refused it).
     pub fn offer(&self, sim: &Sim, value: T) -> Result<(), T> {
         let waiter = {
             let mut ch = self.inner.lock();
             if ch.closed {
                 return Err(value);
             }
-            Self::push(&mut ch, value);
+            if let Some(sink) = &ch.sink {
+                return sink(sim, value);
+            }
+            ch.queue.push_back(value);
+            ch.total_sent += 1;
             ch.recv_waiters.pop_front()
         };
         if let Some(w) = waiter {
             sim.wake(w);
         }
         Ok(())
-    }
-
-    fn push(ch: &mut ChannelInner<T>, value: T) {
-        ch.queue.push_back(value);
-        ch.total_sent += 1;
-        ch.peak_depth = ch.peak_depth.max(ch.queue.len());
     }
 
     /// Receives, blocking the calling green thread until a value or close.
@@ -144,32 +155,17 @@ impl<T> SimChannel<T> {
     pub fn total_sent(&self) -> u64 {
         self.inner.lock().total_sent
     }
-
-    /// High-water mark of queue depth.
-    pub fn peak_depth(&self) -> usize {
-        self.inner.lock().peak_depth
-    }
-
-    /// Channel name (diagnostics).
-    pub fn name(&self) -> String {
-        self.inner.lock().name.clone()
-    }
-
-    /// Current time helper for callers holding only the channel.
-    pub fn now(&self, sim: &Sim) -> SimTime {
-        sim.now()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::Dur;
+    use crate::time::{Dur, SimTime};
 
     #[test]
     fn send_recv_fifo() {
         let sim = Sim::new();
-        let ch: SimChannel<u32> = SimChannel::unbounded("c");
+        let ch: SimChannel<u32> = SimChannel::unbounded();
         let tx = ch.clone();
         sim.spawn("producer", move |ctx| {
             for i in 0..5 {
@@ -193,7 +189,7 @@ mod tests {
     #[test]
     fn recv_blocks_until_send() {
         let sim = Sim::new();
-        let ch: SimChannel<&'static str> = SimChannel::unbounded("c");
+        let ch: SimChannel<&'static str> = SimChannel::unbounded();
         let rx = ch.clone();
         let when = Arc::new(Mutex::new(None));
         let when2 = Arc::clone(&when);
@@ -214,7 +210,7 @@ mod tests {
     #[test]
     fn offer_from_callback_wakes_receiver() {
         let sim = Sim::new();
-        let ch: SimChannel<u8> = SimChannel::unbounded("c");
+        let ch: SimChannel<u8> = SimChannel::unbounded();
         let rx = ch.clone();
         let done = Arc::new(Mutex::new(false));
         let done2 = Arc::clone(&done);
@@ -233,7 +229,7 @@ mod tests {
     #[test]
     fn close_wakes_blocked_receiver() {
         let sim = Sim::new();
-        let ch: SimChannel<u8> = SimChannel::unbounded("c");
+        let ch: SimChannel<u8> = SimChannel::unbounded();
         let rx = ch.clone();
         let got_closed = Arc::new(Mutex::new(false));
         let gc = Arc::clone(&got_closed);
@@ -250,7 +246,7 @@ mod tests {
     #[test]
     fn close_drains_pending_items_first() {
         let sim = Sim::new();
-        let ch: SimChannel<u8> = SimChannel::unbounded("c");
+        let ch: SimChannel<u8> = SimChannel::unbounded();
         let tx = ch.clone();
         sim.schedule_at(SimTime::ZERO, move |sim| {
             tx.offer(sim, 1).unwrap();
@@ -268,9 +264,29 @@ mod tests {
     }
 
     #[test]
+    fn forward_passes_queued_and_later_values_through() {
+        let sim = Sim::new();
+        let (a, b): (SimChannel<u8>, SimChannel<(char, u8)>) =
+            (SimChannel::unbounded(), SimChannel::unbounded());
+        a.offer(&sim, 1).unwrap();
+        a.offer(&sim, 2).unwrap();
+        let target = b.clone();
+        a.forward(&sim, move |sim, v| {
+            target.offer(sim, ('a', v)).map_err(|(_, v)| v)
+        });
+        a.offer(&sim, 3).unwrap();
+        assert!(a.is_empty(), "a forwarded channel queues nothing itself");
+        let got: Vec<_> = std::iter::from_fn(|| b.try_recv()).collect();
+        assert_eq!(got, [('a', 1), ('a', 2), ('a', 3)]);
+        // A sink that refuses hands the value back through `offer`.
+        b.close(&sim);
+        assert_eq!(a.offer(&sim, 4), Err(4));
+    }
+
+    #[test]
     fn try_recv_nonblocking() {
         let sim = Sim::new();
-        let ch: SimChannel<u8> = SimChannel::unbounded("c");
+        let ch: SimChannel<u8> = SimChannel::unbounded();
         let c2 = ch.clone();
         sim.schedule_at(SimTime::ZERO, move |sim| {
             assert!(c2.try_recv().is_none());

@@ -70,6 +70,9 @@ pub struct RunOutcome {
     pub end_time: SimTime,
     /// Number of events processed.
     pub events: u64,
+    /// How many of them resumed a green thread; `events - resumes` ran a
+    /// callback (or found their thread gone).
+    pub resumes: u64,
     /// Why the run stopped.
     pub reason: StopReason,
     /// Names of green threads still blocked when the run stopped. A clean
@@ -160,14 +163,14 @@ impl Core {
         self.queue.push(at_ps, seq, kind)
     }
 
-    /// Parked → Scheduled, with the `Resume` queued at `now_ps`; see
+    /// Parked → Scheduled, with the `Resume` queued at `at_ps`; see
     /// [`Sim::wake`] for the return value.
-    fn wake(&mut self, tid: ThreadId, now_ps: u64) -> bool {
+    fn wake(&mut self, tid: ThreadId, at_ps: u64) -> bool {
         let slot = &mut self.threads[tid.0 as usize];
         match slot.state {
             ThreadState::Parked => {
                 slot.state = ThreadState::Scheduled;
-                self.push(now_ps, EventKind::Resume(tid));
+                self.push(at_ps, EventKind::Resume(tid));
                 true
             }
             ThreadState::Scheduled | ThreadState::Exited => false,
@@ -648,13 +651,21 @@ impl Sim {
     /// if it was already scheduled or has exited (both benign no-ops).
     /// Panics if called on the currently running thread.
     pub fn wake(&self, tid: ThreadId) -> bool {
-        let now_ps = self.now().as_ps();
-        self.inner.core.lock().wake(tid, now_ps)
+        self.wake_at(tid, self.now())
     }
 
-    /// Schedules a parked thread to resume at a future instant (a timed wake,
-    /// used for sleeps). Internal building block for [`Ctx::sleep`].
-    fn wake_at(&self, tid: ThreadId, at: SimTime) {
+    /// [`Sim::wake`] with the thread's `Resume` queued at `at` (not before
+    /// now) instead of at the current instant: the waker charges the thread
+    /// a known cost — the MTS dispatcher its context switch — in the same
+    /// event that wakes it.
+    pub fn wake_at(&self, tid: ThreadId, at: SimTime) -> bool {
+        debug_assert!(at >= self.now(), "waking into the past");
+        self.inner.core.lock().wake(tid, at.as_ps())
+    }
+
+    /// Running → Scheduled with the `Resume` queued at `at`: the timed wake
+    /// behind [`Ctx::sleep`].
+    fn sleep_until(&self, tid: ThreadId, at: SimTime) {
         let mut core = self.inner.core.lock();
         let slot = &mut core.threads[tid.0 as usize];
         debug_assert_eq!(slot.state, ThreadState::Running);
@@ -685,7 +696,7 @@ impl Sim {
             !self.inner.running.swap(true, Ordering::SeqCst),
             "Sim::run re-entered"
         );
-        let mut events: u64 = 0;
+        let (mut events, mut resumes) = (0u64, 0u64);
         let reason = loop {
             // One acquisition per event: pop it and, when it is a `Resume`,
             // claim the thread slot it names.
@@ -744,6 +755,7 @@ impl Sim {
                     // Unclaimed: a stale resume, its thread exited in the
                     // meantime. It still counts as an event.
                     if let Some(handle) = claimed {
+                        resumes += 1;
                         self.drive(tid, handle, false);
                     }
                 }
@@ -780,6 +792,7 @@ impl Sim {
         RunOutcome {
             end_time: self.now(),
             events,
+            resumes,
             reason,
             blocked,
             panics,
@@ -879,7 +892,7 @@ impl Ctx {
     /// same instant runs first.
     pub fn sleep(&self, d: Dur) {
         let at = self.sim.now() + d;
-        self.sim.wake_at(self.tid, at);
+        self.sim.sleep_until(self.tid, at);
         self.yield_to_kernel();
     }
 

@@ -15,7 +15,7 @@ use std::sync::Arc;
 /// threads from a seed, runs it, and returns (end time, trace hash).
 fn run_random_program(seed: u64, n_threads: usize, n_ops: usize) -> (SimTime, u64) {
     let sim = Sim::new();
-    let ch: SimChannel<u64> = SimChannel::unbounded("bus");
+    let ch: SimChannel<u64> = SimChannel::unbounded();
     for t in 0..n_threads {
         let mut rng = SimRng::new(seed).split(t as u64);
         let ch = ch.clone();
@@ -92,7 +92,7 @@ fn channel_fifo_per_sender() {
         let seed = g.range(0..10_000);
         let msgs = g.range(1..30) as usize;
         let sim = Sim::new();
-        let ch: SimChannel<(usize, usize)> = SimChannel::unbounded("c");
+        let ch: SimChannel<(usize, usize)> = SimChannel::unbounded();
         for s in 0..3usize {
             let ch = ch.clone();
             let mut rng = SimRng::new(seed).split(s as u64);

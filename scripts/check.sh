@@ -11,7 +11,7 @@ echo "== no-registry guard: removed crate names, lock file sources (as CI) =="
 bash scripts/guard_no_registry.sh
 
 echo "== removed names stay removed: no doc, test or example names a deleted API (as CI) =="
-if grep -rnE 'CellEventMode|transfer_train|enqueue_train|TrainTiming|TxTrain|CountTrain|schedule_count_train|SchedPolicy|GlobalFifo|new_sharded|SimChannel::bounded|spans_to_csv|--bin (table[123]|fig_|xp_|report)' crates src tests examples DESIGN.md README.md EXPERIMENTS.md \
+if grep -rnE 'CellEventMode|transfer_train|enqueue_train|TrainTiming|TxTrain|CountTrain|schedule_count_train|SchedPolicy|GlobalFifo|new_sharded|SimChannel::bounded|SimChannel::(now|name)|peak_depth|spawn_forwarders|spans_to_csv|--bin (table[123]|fig_|xp_|report)' crates src tests examples DESIGN.md README.md EXPERIMENTS.md \
     || grep -rnE -e '--bin (table[123]|fig_|xp_|report)' scripts .github .claude/skills; then
     echo "removed API or binary named above" >&2
     exit 1
@@ -29,7 +29,7 @@ cargo run --release -p ncs-analysis -- explore --smoke
 # One `xp` run covers what were six per-binary stages, in registry order
 # (the report rows run too, ~1 s): pipelined data path (X8); observability
 # with golden-trace determinism (X9); event-kernel + sharded scaling with
-# the ns/event regression guard (X10/X12); chaos sweep — faults,
+# the ns/message + exact event-count guard (X10/X12); chaos sweep — faults,
 # topologies, sharded harness rider — with the receiver-driven recovery
 # guard (X7/X11); async-API overlap, nonblocking matmul beats blocking
 # (X13); host-time microbenchmarks. --smoke JSON lands in the untracked
