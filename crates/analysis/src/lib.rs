@@ -9,7 +9,8 @@
 //!   crates. The whole point of the reproduction is bit-exact replay from a
 //!   seed; the lint rejects the constructions that silently break it
 //!   (hash-ordered maps, wall-clock reads, raw OS threads, unseeded
-//!   randomness, floating-point time arithmetic).
+//!   randomness, floating-point time arithmetic), plus `dead-surface`, the
+//!   `pub` items nothing but tests or their own re-export name.
 //! * [`runtime`] — post-run classification of a [`ncs_sim::RunOutcome`]
 //!   into deadlocks (threads on a wait cycle) and lost wakeups (threads
 //!   parked forever with no cycle to blame).
@@ -33,5 +34,5 @@ pub use explore::{
     explore, problems_vs_baseline, run_scripted, Counterexample, ExploreReport, Mode, Observation,
     RingWorkload, Workload,
 };
-pub use lint::{lint_file, lint_workspace, LintViolation, LINT_RULES};
+pub use lint::{lint_file, lint_sources, lint_workspace, LintViolation, LINT_RULES};
 pub use runtime::check_outcome;

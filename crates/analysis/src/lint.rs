@@ -43,6 +43,16 @@
 //!   while another green thread runs — the classic recipe for a
 //!   self-deadlock or a lost wakeup. Drop the guard (end its scope or
 //!   `drop(guard)`) before parking.
+//! * `dead-surface` — a `pub` fn/struct/enum/trait/type/const/static/mod
+//!   under `crates/*/src` whose name, as a whole word, occurs in no other
+//!   non-test code under `crates/*/src`, `src/`, `examples/` or the frozen
+//!   `benchmark/src`. Not references: its own definition line, the `impl`
+//!   blocks of that same type, and what a `pub use` / `pub mod` line
+//!   declares (only its path segments before a `::` count) — so an item
+//!   only tests or its own re-export name is flagged. Matching is by name,
+//!   not by resolved path, so a name shared with any live item (or a local,
+//!   a field, a `#[cfg(test)] mod x;` file read as code) counts as used:
+//!   the rule misses some dead items but never reports a live one.
 //!
 //! A line (or the line directly below the comment) is exempted with:
 //!
@@ -51,19 +61,22 @@
 //! ```
 //!
 //! Rule names in `allow` may use `-` or `_` interchangeably
-//! (`allow(guard_across_park)` works).
+//! (`allow(guard_across_park)` works). An `allow(dead-surface)` counts only
+//! with its reason after the parenthesis, on the same line.
 //!
 //! Comments and string/char literals are stripped before matching, so doc
 //! comments may freely *mention* `HashMap`; `#[cfg(test)]` items and
 //! modules are skipped entirely (tests may use whatever they like — the
 //! determinism suite catches them if they matter).
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
 
 /// Every rule identifier the lint knows, in reporting order.
+// ncs-lint: allow(dead-surface) the rule list tests/lint_rules.rs checks the fixture covers
 pub const LINT_RULES: &[&str] = &[
     "hash-collection",
     "wall-clock",
@@ -71,22 +84,13 @@ pub const LINT_RULES: &[&str] = &[
     "unseeded-rand",
     "float-time",
     "guard-across-park",
+    "dead-surface",
 ];
 
-/// The crate sources the workspace lint walks (simulation-facing code,
-/// examples, and the bench binaries — anything that runs inside the
-/// simulated world).
-const LINT_ROOTS: &[&str] = &[
-    "crates/sim/src",
-    "crates/net/src",
-    "crates/mts/src",
-    "crates/p4/src",
-    "crates/core/src",
-    "crates/apps/src",
-    "crates/bench/src",
-    "examples",
-    "src",
-];
+/// The sources the workspace lint reads: every crate (whose `tests/` then
+/// drop out, see [`lint_sources`]), the examples, the root crate, and the
+/// frozen benchmark package.
+const LINT_ROOTS: &[&str] = &["crates", "examples", "src", "benchmark/src"];
 
 /// One lint hit: a rule, a location, and the offending source line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -314,25 +318,70 @@ fn park_positions(code: &str) -> Vec<usize> {
     out
 }
 
-/// Extracts the rules named by `ncs-lint: allow(rule, ...)` in a raw line.
-fn parse_allows(raw: &str) -> Vec<&str> {
-    let Some(at) = raw.find("ncs-lint: allow(") else {
-        return Vec::new();
-    };
-    let rest = &raw[at + "ncs-lint: allow(".len()..];
-    let Some(close) = rest.find(')') else {
-        return Vec::new();
-    };
-    rest[..close]
-        .split(',')
-        .map(str::trim)
-        .filter(|r| !r.is_empty())
-        .collect()
+/// True when raw line `idx` or the one above carries `ncs-lint:
+/// allow(...)` naming `rule` (`-` and `_` interchangeable). A
+/// `dead-surface` allow counts only with its reason after the parenthesis.
+fn allowed(lines: &[&str], idx: usize, rule: &str) -> bool {
+    lines[idx.saturating_sub(1)..=idx].iter().any(|raw| {
+        let (_, rest) = raw.split_once("ncs-lint: allow(").unwrap_or_default();
+        rest.split_once(')').is_some_and(|(rules, reason)| {
+            rules.split(',').any(|r| r.trim().replace('_', "-") == rule)
+                && (rule != "dead-surface" || !reason.trim().is_empty())
+        })
+    })
+}
+
+/// The lines of `source` outside `#[cfg(test)]` items, as `(index, brace
+/// depth before the line, code)` with comments and literals stripped.
+fn code_lines(source: &str) -> Vec<(usize, i64, String)> {
+    let mut out = Vec::new();
+    let mut lex = LexState::default();
+    let mut depth: i64 = 0;
+    // `Some(d)`: inside a `#[cfg(test)]` item opened at brace depth `d`;
+    // skip until depth returns to `d`.
+    let mut skip_below: Option<i64> = None;
+    // A `#[cfg(test)]` attribute was seen and its item hasn't opened yet.
+    let mut pending_cfg_test = false;
+    for (idx, raw) in source.lines().enumerate() {
+        let (code, next_lex) = strip_line(raw, lex);
+        lex = next_lex;
+        let opens = code.matches('{').count() as i64;
+        // Attribute form only — `#[cfg(not(test))]` and `#[cfg_attr(test,
+        // …)]` items are real code and must not be exempted.
+        let compact: String = code.chars().filter(|ch| !ch.is_whitespace()).collect();
+        if compact.contains("#[cfg(test)]") || compact.contains("#![cfg(test)]") {
+            pending_cfg_test = true;
+        }
+        // The attribute through the item's `{` or `;` (a multi-line
+        // signature, a `use`) is test code too.
+        let skipping = pending_cfg_test || skip_below.is_some();
+        if pending_cfg_test && skip_below.is_none() {
+            if opens > 0 {
+                // The test item's body opens here: skip from the depth the
+                // brace was opened at.
+                skip_below = Some(depth);
+                pending_cfg_test = false;
+            } else if code.contains(';') {
+                // e.g. `#[cfg(test)] use ncs_sim::prop;`
+                pending_cfg_test = false;
+            }
+        }
+        let depth_before = depth;
+        depth += opens - code.matches('}').count() as i64;
+        if skip_below.is_some_and(|d| depth <= d) {
+            skip_below = None;
+        }
+        if !skipping {
+            out.push((idx, depth_before, code));
+        }
+    }
+    out
 }
 
 /// Lints one file. `rel_path` is the workspace-relative path with forward
 /// slashes — rule scoping (the `real.rs` exemptions, the `float-time`
-/// clock-only scope) keys off it.
+/// clock-only scope) keys off it. `dead-surface` needs every file at once
+/// and runs in [`lint_sources`].
 pub fn lint_file(rel_path: &str, source: &str) -> Vec<LintViolation> {
     let is_real_shim = rel_path.ends_with("core/src/real.rs");
     let is_sim_clock = rel_path == "crates/sim/src/time.rs";
@@ -352,72 +401,21 @@ pub fn lint_file(rel_path: &str, source: &str) -> Vec<LintViolation> {
     let is_hot_path =
         rel_path.starts_with("crates/sim/src") || rel_path.starts_with("crates/mts/src");
 
+    let raw_lines: Vec<&str> = source.lines().collect();
     let mut out = Vec::new();
-    let mut lex = LexState::default();
-    let mut depth: i64 = 0;
-    // `Some(d)`: inside a `#[cfg(test)]` item opened at brace depth `d`;
-    // skip until depth returns to `d`.
-    let mut skip_below: Option<i64> = None;
-    // A `#[cfg(test)]` attribute was seen and its item hasn't opened yet.
-    let mut pending_cfg_test = false;
-    let mut allow_prev: Vec<String> = Vec::new();
     let mut guards: Vec<LiveGuard> = Vec::new();
 
-    for (idx, raw) in source.lines().enumerate() {
-        let lineno = idx + 1;
-        let (code, next_lex) = strip_line(raw, lex);
-        lex = next_lex;
-
-        let allows_here: Vec<String> = parse_allows(raw).iter().map(|s| s.to_string()).collect();
-        let active_allows: Vec<String> = allows_here
-            .iter()
-            .chain(allow_prev.iter())
-            .cloned()
-            .collect();
-        allow_prev = allows_here;
-        // `-` and `_` are interchangeable in allow names.
-        let allowed =
-            |rule: &str| active_allows.iter().any(|a| a.replace('_', "-") == rule);
-
+    for (idx, depth_before, code) in code_lines(source) {
+        let raw = raw_lines[idx];
         let opens = code.matches('{').count() as i64;
-        let closes = code.matches('}').count() as i64;
-
-        // Attribute form only — `#[cfg(not(test))]` and `#[cfg_attr(test,
-        // …)]` items are real code and must not be exempted.
-        let compact: String = code.chars().filter(|ch| !ch.is_whitespace()).collect();
-        if compact.contains("#[cfg(test)]") || compact.contains("#![cfg(test)]") {
-            pending_cfg_test = true;
-        }
-        if pending_cfg_test && skip_below.is_none() {
-            if opens > 0 {
-                // The test item's body opens here: skip from the depth the
-                // brace was opened at.
-                skip_below = Some(depth);
-                pending_cfg_test = false;
-            } else if code.contains(';') {
-                // e.g. `#[cfg(test)] use ncs_sim::prop;`
-                pending_cfg_test = false;
-            }
-        }
-
-        let skipping = skip_below.is_some();
-        let depth_before = depth;
-        depth += opens - closes;
-        if let Some(d) = skip_below {
-            if depth <= d {
-                skip_below = None;
-            }
-        }
-        if skipping {
-            continue;
-        }
+        let depth = depth_before + opens - code.matches('}').count() as i64;
 
         let mut hit = |rule: &'static str| {
-            if !allowed(rule) {
+            if !allowed(&raw_lines, idx, rule) {
                 out.push(LintViolation {
                     rule,
                     file: rel_path.to_string(),
-                    line: lineno,
+                    line: idx + 1,
                     snippet: raw.trim().to_string(),
                 });
             }
@@ -529,21 +527,131 @@ fn rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Lints every simulation-facing crate under the workspace `root`
-/// (`crates/{sim,net,mts,p4,core,apps}/src`). Integration tests and bench
-/// binaries are out of scope — determinism there is enforced by the suite
-/// itself.
+fn is_ident_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// The whole-word identifiers in a stripped code line.
+fn idents(code: &str) -> impl Iterator<Item = &str> {
+    code.split(|c| !is_ident_char(c))
+        .filter(|w| w.starts_with(|c: char| !c.is_ascii_digit()))
+}
+
+/// The name a `pub` item defined on this (stripped, trimmed) line
+/// introduces. `pub(crate)` and its kin are not `pub`.
+fn pub_item_name(code: &str) -> Option<&str> {
+    const KINDS: &str = "fn struct enum trait type const static mod";
+    let mut words = code.strip_prefix("pub ")?.split_whitespace().peekable();
+    while let Some(w) = words.next() {
+        let fn_const = w == "const" && words.peek().is_some_and(|n| matches!(*n, "fn" | "unsafe"));
+        if fn_const || matches!(w, "unsafe" | "async" | "extern") {
+            continue;
+        }
+        let is_kind = KINDS.split(' ').any(|k| k == w);
+        return is_kind.then(|| idents(words.next()?).next()).flatten();
+    }
+    None
+}
+
+/// The self type of an `impl` header on this (stripped, trimmed) line: the
+/// last path segment after `for` (or after `impl<…>`), generics dropped.
+fn impl_self_type(code: &str) -> Option<&str> {
+    let code = code.strip_prefix("unsafe ").unwrap_or(code);
+    let mut rest = code.strip_prefix("impl")?;
+    if rest.starts_with('<') {
+        let mut depth = 0;
+        let close = rest.find(|c| {
+            depth += i32::from(c == '<') - i32::from(c == '>');
+            depth == 0
+        })?;
+        rest = &rest[close + 1..];
+    } else if !rest.starts_with(' ') {
+        return None;
+    }
+    let head = rest.split('{').next()?.split(" where").next()?;
+    let ty = head.rsplit(" for ").next()?;
+    idents(ty.split('<').next()?.rsplit("::").next()?).last()
+}
+
+/// `dead-surface`: every `pub` item defined outside `#[cfg(test)]` under
+/// `crates/*/src` whose name occurs in no other non-test code of `files`
+/// (see the module docs for what does not count as a reference).
+fn dead_surface(files: &[(&str, &str)]) -> Vec<LintViolation> {
+    let mut defs: Vec<LintViolation> = Vec::new();
+    let mut used: BTreeSet<String> = BTreeSet::new();
+    for &(path, source) in files {
+        let defining = path.starts_with("crates/") && path.contains("/src/");
+        let raw: Vec<&str> = source.lines().collect();
+        // The `impl` block we are in: (self type, header depth, body opened).
+        let mut imp: Option<(String, i64, bool)> = None;
+        let mut in_pub_use = false;
+        for (idx, depth, code) in code_lines(source) {
+            let t = code.trim();
+            if imp.is_none() {
+                imp = impl_self_type(t).map(|ty| (ty.to_string(), depth, false));
+            }
+            in_pub_use |= t.starts_with("pub use ");
+            let def = pub_item_name(t).filter(|_| defining);
+            if def.is_some() && !allowed(&raw, idx, "dead-surface") {
+                defs.push(LintViolation {
+                    rule: "dead-surface",
+                    file: path.to_string(),
+                    line: idx + 1,
+                    snippet: raw[idx].trim().to_string(),
+                });
+            }
+            let own_type = imp.as_ref().map(|i| i.0.as_str());
+            let refs: Vec<&str> = if in_pub_use || t.starts_with("pub mod ") {
+                // Only the path segments: the leaves are what is re-exported.
+                let heads = t.split("::").take(t.matches("::").count());
+                heads.filter_map(|head| idents(head).last()).collect()
+            } else {
+                let other = |w: &&str| Some(*w) != def && Some(*w) != own_type;
+                idents(t).filter(other).collect()
+            };
+            used.extend(refs.into_iter().map(str::to_string));
+            in_pub_use &= !t.contains(';');
+            if let Some((_, header, opened)) = &mut imp {
+                *opened |= t.contains('{');
+                let after = depth + t.matches('{').count() as i64 - t.matches('}').count() as i64;
+                if *opened && after <= *header {
+                    imp = None;
+                }
+            }
+        }
+    }
+    // A definition line is `pub <kind> <name>` before any comment or literal.
+    defs.retain(|v| pub_item_name(&v.snippet).is_some_and(|name| !used.contains(name)));
+    defs
+}
+
+/// Every rule over `(workspace-relative path, source)` pairs: the per-file
+/// rules on each file outside `benchmark/src`, then `dead-surface` across
+/// all of them. Files under a `tests/` directory are test code: neither
+/// linted nor read as references.
+pub fn lint_sources(files: &[(&str, &str)]) -> Vec<LintViolation> {
+    let test_file = |path: &str| path.split('/').any(|c| c == "tests");
+    let files: Vec<(&str, &str)> = files.iter().filter(|f| !test_file(f.0)).copied().collect();
+    // The benchmark times itself with the host clock: read, not policed.
+    let policed = files.iter().filter(|f| !f.0.starts_with("benchmark/"));
+    let mut out: Vec<LintViolation> = policed.flat_map(|(p, s)| lint_file(p, s)).collect();
+    out.extend(dead_surface(&files));
+    out
+}
+
+/// Lints the workspace under `root`: every crate's `src`, `examples/`,
+/// `src/` and `benchmark/src` through [`lint_sources`]. Integration tests
+/// are out of scope — determinism there is enforced by the suite itself.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<LintViolation>> {
-    let mut out = Vec::new();
+    let mut files = Vec::new();
     for sub in LINT_ROOTS {
         let dir = root.join(sub);
         if !dir.is_dir() {
             continue;
         }
-        let mut files = Vec::new();
-        rs_files(&dir, &mut files)?;
-        for f in files {
-            let source = fs::read_to_string(&f)?;
+        let mut paths = Vec::new();
+        rs_files(&dir, &mut paths)?;
+        for f in paths {
             let rel = f
                 .strip_prefix(root)
                 .unwrap_or(&f)
@@ -551,10 +659,11 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<LintViolation>> {
                 .map(|c| c.as_os_str().to_string_lossy())
                 .collect::<Vec<_>>()
                 .join("/");
-            out.extend(lint_file(&rel, &source));
+            files.push((rel, fs::read_to_string(&f)?));
         }
     }
-    Ok(out)
+    let pairs: Vec<(&str, &str)> = files.iter().map(|(p, s)| (&**p, &**s)).collect();
+    Ok(lint_sources(&pairs))
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
-//! The determinism lint against a fixture exercising every rule, plus the
-//! guarantee that the repository's own simulation-facing sources are
-//! clean.
+//! The determinism lint against a fixture exercising every rule, the
+//! cross-file `dead-surface` rule over an in-memory workspace, plus the
+//! guarantee that the repository's own sources are clean.
 
-use ncs_analysis::{lint_file, lint_workspace, LINT_RULES};
+use ncs_analysis::{lint_file, lint_sources, lint_workspace, LINT_RULES};
 use std::path::Path;
 
 const FIXTURE: &str = include_str!("fixtures/determinism_cases.rs.txt");
@@ -64,6 +64,8 @@ fn fixture_covers_every_rule() {
             .into_iter()
             .map(|v| v.rule),
     );
+    let dead = lint_sources(&[("crates/a/src/lib.rs", "pub fn f() {}\n")]);
+    fired.extend(dead.iter().map(|v| v.rule));
     for rule in LINT_RULES {
         assert!(fired.contains(rule), "rule {rule} never fired");
     }
@@ -77,4 +79,53 @@ fn repository_sources_are_clean() {
         .expect("workspace root");
     let v = lint_workspace(root).expect("workspace readable");
     assert!(v.is_empty(), "determinism lint violations:\n{v:#?}");
+}
+
+/// `crates/a` defines one item per case; the other files consume some.
+const DEFS: &str = "pub fn only_in_cfg_test() {}
+pub fn only_in_tests_dir() {}
+pub fn only_reexported() {}
+pub struct OnlyInOwnImpl;
+impl OnlyInOwnImpl {
+    pub fn new() -> OnlyInOwnImpl { OnlyInOwnImpl }
+}
+impl Default for OnlyInOwnImpl {
+    fn default() -> Self { OnlyInOwnImpl::new() }
+}
+pub fn used_by_other_crate() {}
+pub fn used_by_example() {}
+pub fn used_by_benchmark() {}
+pub fn shares_a_live_name() {}
+pub fn allowed_here() {} // ncs-lint: allow(dead-surface) kept on purpose
+// ncs-lint: allow(dead-surface) kept on purpose
+pub fn allowed_above() {}
+pub fn allowed_without_reason() {} // ncs-lint: allow(dead-surface)
+#[cfg(test)]
+mod tests {
+    fn t() { super::only_in_cfg_test(); }
+}
+";
+
+#[test]
+fn dead_surface_flags_items_only_tests_or_their_reexport_name() {
+    let v = lint_sources(&[
+        ("crates/a/src/lib.rs", "pub mod defs;\npub use defs::only_reexported;\n"),
+        ("crates/a/src/defs.rs", DEFS),
+        ("crates/a/tests/t.rs", "fn t() { a::only_in_tests_dir(); }\n"),
+        ("crates/b/src/lib.rs", "pub fn shares_a_live_name() {}\nfn f() { shares_a_live_name(); a::used_by_other_crate(); }\n"),
+        ("examples/e.rs", "fn main() { a::used_by_example(); }\n"),
+        ("benchmark/src/main.rs", "fn main() { a::used_by_benchmark(); }\n"),
+    ]);
+    assert!(v.iter().all(|x| x.rule == "dead-surface"), "{v:#?}");
+    let flagged: Vec<&str> = v.iter().map(|x| x.snippet.as_str()).collect();
+    assert_eq!(
+        flagged,
+        [
+            "pub fn only_in_cfg_test() {}",
+            "pub fn only_in_tests_dir() {}",
+            "pub fn only_reexported() {}",
+            "pub struct OnlyInOwnImpl;",
+            "pub fn allowed_without_reason() {} // ncs-lint: allow(dead-surface)",
+        ]
+    );
 }

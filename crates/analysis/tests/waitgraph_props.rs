@@ -8,7 +8,9 @@ use ncs_sim::WaitGraph;
 /// `0..n` in a random order: an arbitrary relabeling of the nodes.
 fn relabeling(g: &mut Gen, n: usize) -> Vec<usize> {
     let mut perm: Vec<usize> = (0..n).collect();
-    g.rng().shuffle(&mut perm);
+    for i in (1..n).rev() {
+        perm.swap(i, g.rng().gen_index(i + 1));
+    }
     perm
 }
 

@@ -101,6 +101,7 @@ pub fn fft(input: &[Cx]) -> Vec<Cx> {
 }
 
 /// Naive O(M²) DFT — the ground truth for tests.
+#[cfg(test)]
 pub fn naive_dft(input: &[Cx]) -> Vec<Cx> {
     let m = input.len();
     (0..m)
@@ -248,7 +249,8 @@ impl FftUnit {
 }
 
 /// Runs the whole distributed dance in-process (no simulation) — the
-/// correctness core, also used directly by tests.
+/// correctness core the tests check the simulated runs against.
+#[cfg(test)]
 pub fn distributed_fft_reference(input: &[Cx], t: usize) -> Vec<Cx> {
     let m = input.len();
     let mut units: Vec<FftUnit> = (0..t)

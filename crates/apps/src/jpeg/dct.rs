@@ -48,7 +48,8 @@ pub fn forward(block: &[f64; N * N]) -> [f64; N * N] {
     out
 }
 
-/// Inverse 8×8 DCT (type III).
+/// Inverse 8×8 DCT (type III): the tests' roundtrip oracle.
+#[cfg(test)]
 pub fn inverse(coeffs: &[f64; N * N]) -> [f64; N * N] {
     let cos = cos_table();
     let mut out = [0.0; N * N];

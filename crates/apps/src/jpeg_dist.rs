@@ -82,13 +82,14 @@ fn workload(cfg: &JpegConfig) -> GrayImage {
     GrayImage::synthetic(cfg.width, cfg.height, &mut rng)
 }
 
-/// Sequential reference: roundtrips each of `parts` horizontal bands
-/// independently and reassembles.
+/// [`reference_pipeline_with`] over the default entropy stage.
+#[cfg(test)]
 pub fn reference_pipeline(img: &GrayImage, parts: usize, quality: u8) -> GrayImage {
     reference_pipeline_with(img, parts, quality, EntropyKind::RleVarint)
 }
 
-/// [`reference_pipeline`] with an explicit entropy stage.
+/// Sequential reference: roundtrips each of `parts` horizontal bands
+/// independently through `entropy` and reassembles.
 pub fn reference_pipeline_with(
     img: &GrayImage,
     parts: usize,

@@ -16,7 +16,7 @@
 //! The kernels really run; the host verifies the assembled C against a
 //! sequential reference before reporting a timing.
 //!
-//! A third driver, [`matmul_ncs_async`], reworks the NCS variant into
+//! A third driver, [`setup_matmul_ncs_async_with`], reworks the NCS variant into
 //! fully overlapped nonblocking form on the completion-handle API: one
 //! user thread per process posts every transfer with `NCS_isend` /
 //! `NCS_irecv`, strips the A/C traffic so `NCS_waitany` can process
@@ -402,6 +402,7 @@ fn tag_c(strip: usize) -> u32 {
 }
 
 /// Runs the fully overlapped nonblocking variant and reports the timing.
+#[cfg(test)]
 pub fn matmul_ncs_async(net: Arc<dyn Network>, cfg: MatmulConfig) -> MatmulRun {
     let sim = Sim::new();
     let handle = setup_matmul_ncs_async_with(&sim, net, cfg, NcsConfig::default());

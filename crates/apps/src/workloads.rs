@@ -38,7 +38,7 @@ impl Matrix {
     }
 
     /// Mutable element access.
-    #[inline]
+    #[cfg(test)]
     pub fn at_mut(&mut self, r: usize, c: usize) -> &mut f64 {
         &mut self.data[r * self.cols + c]
     }

@@ -56,20 +56,6 @@ pub fn bytes_to_complex(b: &[u8]) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Serializes a `u32` header followed by raw bytes (length-prefixed blob).
-pub fn tagged_blob(header: u32, body: &[u8]) -> Bytes {
-    let mut v = Vec::with_capacity(4 + body.len());
-    v.extend_from_slice(&header.to_le_bytes());
-    v.extend_from_slice(body);
-    Bytes::from(v)
-}
-
-/// Splits a tagged blob back into header and body.
-pub fn split_tagged_blob(b: &[u8]) -> (u32, &[u8]) {
-    assert!(b.len() >= 4, "blob too short");
-    (u32::from_le_bytes(b[..4].try_into().unwrap()), &b[4..])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,13 +81,5 @@ mod tests {
     fn complex_roundtrip() {
         let xs = vec![(1.0, -2.0), (0.5, 0.25), (-0.0, 1e-300)];
         assert_eq!(bytes_to_complex(&complex_to_bytes(&xs)), xs);
-    }
-
-    #[test]
-    fn tagged_blob_roundtrip() {
-        let b = tagged_blob(0xCAFE_F00D, b"payload");
-        let (h, body) = split_tagged_blob(&b);
-        assert_eq!(h, 0xCAFE_F00D);
-        assert_eq!(body, b"payload");
     }
 }

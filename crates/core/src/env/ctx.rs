@@ -40,11 +40,6 @@ impl NcsCtx<'_> {
         ThreadAddr::new(self.proc.id(), self.thread)
     }
 
-    /// This thread's logical id.
-    pub fn thread_id(&self) -> u32 {
-        self.thread
-    }
-
     /// The owning process.
     pub fn proc(&self) -> &NcsProc {
         &self.proc
@@ -237,6 +232,7 @@ impl NcsCtx<'_> {
     }
 
     /// Receives any data message for this thread.
+    // ncs-lint: allow(dead-surface) NCS_recv from any source: the paper's API
     pub fn recv_any(&self) -> NcsMsg {
         self.recv(None, None, None)
     }
@@ -256,6 +252,7 @@ impl NcsCtx<'_> {
 
     /// Like [`NcsCtx::recv`] but gives up after `timeout`, returning `None`
     /// (for soft-deadline consumers such as the VOD player of Figure 5).
+    // ncs-lint: allow(dead-surface) NCS_recv with a deadline: the paper's API
     pub fn recv_timeout(
         &self,
         from_proc: Option<usize>,

@@ -404,35 +404,17 @@ impl ProcInner {
     }
 }
 
-/// The causal stage sequence a tracked data message walks from `NCS_send`
-/// to `NCS_recv`. Chunked transfers visit `reassembled`; monolithic ones
-/// skip it, and visit `retransmitted` — the departure of the copy that was
-/// accepted, when that copy was not the first — if error control had to
-/// recover them. Consecutive present stages are contiguous, so their diffs
-/// sum exactly to the end-to-end latency.
-pub const CAUSAL_STAGES: [&str; 8] = [
-    "enqueued",
-    "sq_popped",
-    "wire_start",
-    "retransmitted",
-    "arrived",
-    "picked",
-    "reassembled",
-    "delivered",
-];
-
-/// The stage sequence an *async request* (`NCS_isend`/`NCS_irecv` handle)
-/// walks on its own causal timeline, separate from the message's:
-/// `posted` when the handle is created, `progressed` when the progress
-/// engine (send/receive system thread) first picks the request up,
-/// `completed` when the operation finishes. The two diffs telescope
-/// exactly to `obs.req_e2e`.
-pub const REQUEST_STAGES: [&str; 3] = ["posted", "progressed", "completed"];
-
-/// Every causal stage any timeline may visit, in global order — message
-/// stages interleaved with the request lifecycle stages. Timeline
-/// validators check against this merged order so both kinds of causal id
-/// pass the same monotonicity sweep.
+/// Every causal stage any timeline may visit, in global order. A tracked
+/// data message walks `enqueued` … `delivered` from `NCS_send` to
+/// `NCS_recv`: chunked transfers visit `reassembled`, monolithic ones skip
+/// it, and `retransmitted` — the departure of the accepted copy, when it
+/// was not the first — appears only if error control had to recover the
+/// message. Consecutive present stages are contiguous, so their diffs sum
+/// exactly to the end-to-end latency. An async request (`NCS_isend` /
+/// `NCS_irecv` handle) walks `posted` → `progressed` (the progress engine
+/// first picks it up) → `completed` on its own timeline; those two diffs
+/// telescope exactly to `obs.req_e2e`. Timeline validators check both kinds
+/// against this one merged order.
 pub const ALL_STAGES: [&str; 11] = [
     "posted",
     "enqueued",

@@ -64,6 +64,7 @@ impl<'a, 'b> P4Filter<'a, 'b> {
 }
 
 /// PVM-style interface (`pvm_send` / `pvm_recv` with task ids and tags).
+// ncs-lint: allow(dead-surface) Figure 6 PVM filter
 pub struct PvmFilter<'a, 'b> {
     ncs: &'a NcsCtx<'b>,
 }
@@ -92,6 +93,7 @@ impl<'a, 'b> PvmFilter<'a, 'b> {
     }
 
     /// `pvm_mcast` to an explicit task list.
+    // ncs-lint: allow(dead-surface) pvm_mcast: Figure 6 PVM filter
     pub fn mcast(&self, tids: &[usize], msgtag: u32, data: Bytes) {
         for &t in tids {
             if t != self.mytid() {
@@ -108,8 +110,10 @@ pub struct MpiFilter<'a, 'b> {
 }
 
 /// MPI's `MPI_ANY_SOURCE`.
+// ncs-lint: allow(dead-surface) MPI_ANY_SOURCE: Figure 6 MPI filter
 pub const ANY_SOURCE: Option<usize> = None;
 /// MPI's `MPI_ANY_TAG`.
+// ncs-lint: allow(dead-surface) MPI_ANY_TAG: Figure 6 MPI filter
 pub const ANY_TAG: Option<u32> = None;
 
 impl<'a, 'b> MpiFilter<'a, 'b> {
@@ -167,6 +171,7 @@ impl<'a, 'b> MpiFilter<'a, 'b> {
 /// into a byte stream in call order and unpacked with matching `upk_*`
 /// calls on the receiving side. Little-endian "raw" encoding (PvmDataRaw).
 #[derive(Default, Clone, Debug)]
+// ncs-lint: allow(dead-surface) pvm_initsend/pvm_pk*: Figure 6 PVM filter
 pub struct PvmPackBuf {
     data: Vec<u8>,
 }
@@ -184,12 +189,14 @@ impl PvmPackBuf {
     }
 
     /// `pvm_pkdouble`.
+    // ncs-lint: allow(dead-surface) pvm_pkdouble: Figure 6 PVM filter
     pub fn pk_double(&mut self, v: f64) -> &mut Self {
         self.data.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// `pvm_pkdouble` over an array.
+    // ncs-lint: allow(dead-surface) pvm_pkdouble: Figure 6 PVM filter
     pub fn pk_doubles(&mut self, vs: &[f64]) -> &mut Self {
         self.pk_int(vs.len() as i32);
         for v in vs {
@@ -199,6 +206,7 @@ impl PvmPackBuf {
     }
 
     /// `pvm_pkstr`.
+    // ncs-lint: allow(dead-surface) pvm_pkstr: Figure 6 PVM filter
     pub fn pk_str(&mut self, s: &str) -> &mut Self {
         self.pk_int(s.len() as i32);
         self.data.extend_from_slice(s.as_bytes());
@@ -206,12 +214,14 @@ impl PvmPackBuf {
     }
 
     /// Finalizes the buffer into a payload.
+    // ncs-lint: allow(dead-surface) pvm_send payload: Figure 6 PVM filter
     pub fn into_bytes(self) -> Bytes {
         Bytes::from(self.data)
     }
 }
 
 /// PVM's unpack cursor over a received payload.
+// ncs-lint: allow(dead-surface) pvm_upk*: Figure 6 PVM filter
 pub struct PvmUnpackBuf {
     data: Bytes,
     pos: usize,
@@ -241,12 +251,14 @@ impl PvmUnpackBuf {
     }
 
     /// Unpacks a double array packed with [`PvmPackBuf::pk_doubles`].
+    // ncs-lint: allow(dead-surface) pvm_upkdouble: Figure 6 PVM filter
     pub fn upk_doubles(&mut self) -> Vec<f64> {
         let n = self.upk_int() as usize;
         (0..n).map(|_| self.upk_double()).collect()
     }
 
     /// `pvm_upkstr`.
+    // ncs-lint: allow(dead-surface) pvm_upkstr: Figure 6 PVM filter
     pub fn upk_str(&mut self) -> String {
         let n = self.upk_int() as usize;
         String::from_utf8(self.take(n).to_vec()).expect("packed string was UTF-8")

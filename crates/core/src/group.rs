@@ -24,6 +24,7 @@ const TAG_TREE_BCAST: u32 = GROUP_TAG_BASE + 4;
 /// party returns it after O(log n) communication rounds instead of the
 /// O(n) serialized sends of the flat [`crate::env::NcsCtx::bcast`].
 /// Collective: every listed thread calls it with the same list.
+// ncs-lint: allow(dead-surface) §3.1 group operation
 pub fn tree_bcast(ncs: &NcsCtx, parties: &[ThreadAddr], data: Option<Bytes>) -> Bytes {
     let me = ncs.my_addr();
     let idx = parties
@@ -92,6 +93,7 @@ pub fn gather(ncs: &NcsCtx, parties: &[ThreadAddr], mine: Bytes) -> Option<Vec<B
 
 /// 1-to-many: the root supplies one part per party (ordered like
 /// `parties`); every party returns its own part.
+// ncs-lint: allow(dead-surface) §3.1 group operation
 pub fn scatter(ncs: &NcsCtx, parties: &[ThreadAddr], parts: Option<Vec<Bytes>>) -> Bytes {
     let me = ncs.my_addr();
     let root = parties[0];
@@ -140,6 +142,7 @@ impl ReduceOp {
 
 /// Many-to-1 with combination: the root returns the element-wise reduction
 /// of every party's vector.
+// ncs-lint: allow(dead-surface) §3.1 group operation
 pub fn reduce_f64(
     ncs: &NcsCtx,
     parties: &[ThreadAddr],
@@ -164,6 +167,7 @@ pub fn reduce_f64(
 
 /// Many-to-many: party `i` supplies one part per party; returns the parts
 /// addressed to it, ordered by the participant list.
+// ncs-lint: allow(dead-surface) §3.1 group operation
 pub fn all_to_all(ncs: &NcsCtx, parties: &[ThreadAddr], parts: Vec<Bytes>) -> Vec<Bytes> {
     assert_eq!(parts.len(), parties.len(), "one part per party");
     let me = ncs.my_addr();

@@ -35,7 +35,6 @@ pub mod world;
 pub use addr::{MsgClass, ThreadAddr};
 pub use env::{
     causal_component, ErrorControl, ErrorStats, FlowControl, NcsConfig, NcsCtx, NcsException,
-    NcsMsg, NcsProc, NcsRequest, PeerRto, RtoConfig, ALL_STAGES, CAUSAL_STAGES, EXC_DELIVERY_FAILED,
-    REQUEST_STAGES,
+    NcsMsg, NcsProc, NcsRequest, PeerRto, RtoConfig, ALL_STAGES, EXC_DELIVERY_FAILED,
 };
 pub use world::NcsWorld;

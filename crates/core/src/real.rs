@@ -15,10 +15,11 @@
 //! ```no_run
 //! use ncs_core::real::RealNcs;
 //! use ncs_core::ThreadAddr;
+//! use std::time::Duration;
 //!
 //! // Process 0 of 2 (process 1 runs the mirror image elsewhere):
 //! let addrs = ["127.0.0.1:7401".parse().unwrap(), "127.0.0.1:7402".parse().unwrap()];
-//! let ncs = RealNcs::connect(0, &addrs).unwrap();
+//! let ncs = RealNcs::connect_timeout(0, &addrs, Duration::from_secs(30)).unwrap();
 //! ncs.send(0, ThreadAddr::new(1, 0), 7, b"hello").unwrap();
 //! let reply = ncs.recv(Some(1), None, None).unwrap();
 //! assert_eq!(reply.tag, 8);
@@ -26,7 +27,7 @@
 
 use ncs_sim::sync::{self, Condvar, Mutex};
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -48,6 +49,14 @@ pub enum RealError {
         attempts: u32,
         /// The last connect error observed.
         last: io::Error,
+    },
+    /// The higher ranks did not all dial in and announce themselves
+    /// within the mesh-formation timeout.
+    AcceptTimedOut {
+        /// Higher ranks this process waits for.
+        expected: usize,
+        /// How many of them had connected and announced by the deadline.
+        accepted: usize,
     },
     /// A peer violated the mesh handshake (bad or duplicate rank
     /// announcement).
@@ -74,6 +83,9 @@ impl std::fmt::Display for RealError {
                 f,
                 "timed out dialing rank {peer} after {attempts} attempts: {last}"
             ),
+            RealError::AcceptTimedOut { expected, accepted } => {
+                write!(f, "accept timed out: {accepted} of {expected} ranks")
+            }
             RealError::Handshake(msg) => write!(f, "mesh handshake violation: {msg}"),
             RealError::NotConnected { peer } => write!(f, "no connection to rank {peer}"),
             RealError::AllPeersDisconnected => write!(f, "all peers disconnected"),
@@ -104,6 +116,8 @@ pub type RealResult<T> = Result<T, RealError>;
 const DIAL_BACKOFF_START: Duration = Duration::from_millis(10);
 /// Ceiling for the connect-retry backoff.
 const DIAL_BACKOFF_MAX: Duration = Duration::from_millis(500);
+/// How often the non-blocking listener is polled while the mesh forms.
+const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
 /// A received message.
 #[derive(Clone, Debug)]
@@ -147,17 +161,26 @@ impl RealNcs {
     /// Establishes the full mesh for process `id` of `addrs.len()`:
     /// listens on `addrs[id]`, connects to every lower rank, accepts from
     /// every higher rank. All processes must call this with the same
-    /// address list; the call returns once the mesh is complete.
-    pub fn connect(id: usize, addrs: &[SocketAddr]) -> RealResult<RealNcs> {
-        Self::connect_timeout(id, addrs, Duration::from_secs(30))
-    }
-
-    /// [`RealNcs::connect`] with an explicit mesh-formation timeout.
+    /// address list; the call returns once the mesh is complete, or fails
+    /// once `timeout` has passed.
     ///
     /// Dial attempts toward not-yet-listening peers are retried with
     /// exponential backoff (starting at 10 ms, capped at 500 ms) until the
-    /// timeout elapses, then fail with [`RealError::DialTimedOut`].
+    /// timeout elapses, then fail with [`RealError::DialTimedOut`]; higher
+    /// ranks that have not connected and announced themselves by then fail
+    /// it with [`RealError::AcceptTimedOut`].
     pub fn connect_timeout(
+        id: usize,
+        addrs: &[SocketAddr],
+        timeout: Duration,
+    ) -> RealResult<RealNcs> {
+        Self::connect_on(TcpListener::bind(addrs[id])?, id, addrs, timeout)
+    }
+
+    /// [`RealNcs::connect_timeout`] on an already-bound `listener` for
+    /// `addrs[id]`.
+    fn connect_on(
+        listener: TcpListener,
         id: usize,
         addrs: &[SocketAddr],
         timeout: Duration,
@@ -165,7 +188,8 @@ impl RealNcs {
         let n = addrs.len();
         assert!(id < n, "rank out of range");
         let deadline = Instant::now() + timeout;
-        let listener = TcpListener::bind(addrs[id])?;
+        // Time left before the deadline; never zero, which sockets reject.
+        let left = || ACCEPT_POLL.max(deadline.saturating_duration_since(Instant::now()));
         let mut streams: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
 
         // Deterministic mesh: dial lower ranks (retrying until they are
@@ -175,7 +199,7 @@ impl RealNcs {
             let mut attempts = 0u32;
             let stream = loop {
                 attempts += 1;
-                match TcpStream::connect(addrs[peer]) {
+                match TcpStream::connect_timeout(&addrs[peer], left()) {
                     Ok(s) => break s,
                     Err(e) => {
                         if Instant::now() > deadline {
@@ -185,9 +209,7 @@ impl RealNcs {
                                 last: e,
                             });
                         }
-                        std::thread::sleep(backoff.min(deadline.saturating_duration_since(
-                            Instant::now(),
-                        )));
+                        std::thread::sleep(backoff.min(left()));
                         backoff = (backoff * 2).min(DIAL_BACKOFF_MAX);
                     }
                 }
@@ -197,11 +219,29 @@ impl RealNcs {
             s.write_all(&(id as u32).to_le_bytes())?;
             streams[peer] = Some(s);
         }
-        for _ in id + 1..n {
-            let (mut s, _) = listener.accept()?;
+        // Accept higher ranks until the deadline: the listener is polled,
+        // and each announcement read gets only the time left.
+        listener.set_nonblocking(true)?;
+        let expected = n - 1 - id;
+        for accepted in 0..expected {
+            let timed_out = RealError::AcceptTimedOut { expected, accepted };
+            let mut s = loop {
+                match listener.accept() {
+                    Ok((s, _)) => break s,
+                    Err(e) if e.kind() != ErrorKind::WouldBlock => return Err(e.into()),
+                    Err(_) if Instant::now() >= deadline => return Err(timed_out),
+                    Err(_) => std::thread::sleep(ACCEPT_POLL),
+                }
+            };
+            s.set_nonblocking(false)?;
             s.set_nodelay(true)?;
+            s.set_read_timeout(Some(left()))?;
             let mut rank_buf = [0u8; 4];
-            s.read_exact(&mut rank_buf)?;
+            if let Err(e) = s.read_exact(&mut rank_buf) {
+                let late = matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut);
+                return Err(if late { timed_out } else { e.into() });
+            }
+            s.set_read_timeout(None)?;
             let peer = u32::from_le_bytes(rank_buf) as usize;
             if peer <= id || peer >= n || streams[peer].is_some() {
                 return Err(RealError::Handshake(format!(
@@ -442,266 +482,294 @@ fn reader_loop(mut stream: TcpStream, peer: usize, shared: Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{IpAddr, Ipv4Addr};
-    use std::sync::atomic::{AtomicU16, Ordering};
+    use std::sync::mpsc::{self, RecvTimeoutError};
 
-    /// Allocates a batch of distinct loopback addresses on free ports.
-    fn free_addrs(n: usize) -> Vec<SocketAddr> {
-        static NEXT: AtomicU16 = AtomicU16::new(0);
-        let _ = NEXT.fetch_add(n as u16, Ordering::SeqCst);
-        (0..n)
-            .map(|_| {
-                // Bind to port 0 to get a free port, then release it.
-                let l = TcpListener::bind((IpAddr::V4(Ipv4Addr::LOCALHOST), 0)).unwrap();
-                l.local_addr().unwrap()
-            })
-            .collect()
+    /// `n` loopback listeners on port 0 — held, so no port is released
+    /// between bind and use — and their addresses.
+    fn listeners(n: usize) -> (Vec<TcpListener>, Vec<SocketAddr>) {
+        let bind = |_| TcpListener::bind("127.0.0.1:0").unwrap();
+        let ls: Vec<_> = (0..n).map(bind).collect();
+        let addrs = ls.iter().map(|l| l.local_addr().unwrap()).collect();
+        (ls, addrs)
     }
 
-    fn mesh(n: usize) -> Vec<RealNcs> {
-        let addrs = free_addrs(n);
-        let mut handles = Vec::new();
-        for id in 0..n {
-            let addrs = addrs.clone();
-            handles.push(std::thread::spawn(move || {
-                RealNcs::connect_timeout(id, &addrs, Duration::from_secs(10)).unwrap()
-            }));
-        }
-        let mut nodes: Vec<Option<RealNcs>> = (0..n).map(|_| None).collect();
-        for (i, h) in handles.into_iter().enumerate() {
-            nodes[i] = Some(h.join().unwrap());
-        }
-        nodes.into_iter().map(|o| o.unwrap()).collect()
-    }
-
-    #[test]
-    fn two_process_ping_pong() {
-        let mut nodes = mesh(2);
-        let n1 = nodes.pop().unwrap();
-        let n0 = nodes.pop().unwrap();
-        let t1 = std::thread::spawn(move || {
-            let m = n1.recv(Some(0), None, Some(1)).unwrap();
-            assert_eq!(&m.data, b"ping");
-            assert_eq!(m.from, ThreadAddr::new(0, 3));
-            n1.send(0, ThreadAddr::new(0, 3), 2, b"pong").unwrap();
-            n1.shutdown();
-        });
-        n0.send(3, ThreadAddr::new(1, 0), 1, b"ping").unwrap();
-        let m = n0.recv(Some(1), None, Some(2)).unwrap();
-        assert_eq!(&m.data, b"pong");
-        n0.shutdown();
-        t1.join().unwrap();
-    }
-
-    #[test]
-    fn broadcast_and_barrier_three_ways() {
-        let nodes = mesh(3);
+    /// An `n`-process mesh formed over [`listeners`].
+    pub(super) fn mesh(n: usize) -> Vec<RealNcs> {
+        let (ls, addrs) = listeners(n);
+        let timeout = Duration::from_secs(10);
         let mut joins = Vec::new();
-        for node in nodes {
-            joins.push(std::thread::spawn(move || {
-                if node.id() == 0 {
-                    node.bcast(0, 42, b"fanout").unwrap();
-                } else {
-                    let m = node.recv(Some(0), None, Some(42)).unwrap();
-                    assert_eq!(&m.data, b"fanout");
-                }
-                node.barrier().unwrap();
-                node.barrier().unwrap(); // barriers are reusable
-                node.shutdown();
-            }));
+        for (id, l) in ls.into_iter().enumerate() {
+            let addrs = addrs.clone();
+            let form = move || RealNcs::connect_on(l, id, &addrs, timeout).unwrap();
+            joins.push(std::thread::spawn(form));
         }
-        for j in joins {
-            j.join().unwrap();
+        joins.into_iter().map(|j| j.join().unwrap()).collect()
+    }
+
+    /// Runs a test body on its own thread and fails the test if it is still
+    /// running after 30 s, instead of hanging the suite.
+    pub(super) fn watchdog(body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = mpsc::channel();
+        let run = std::thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(30)) {
+            panic!("real-socket test still running after 30 s");
+        }
+        if let Err(panic) = run.join() {
+            std::panic::resume_unwind(panic);
         }
     }
 
-    #[test]
-    fn large_message_integrity() {
-        let mut nodes = mesh(2);
-        let n1 = nodes.pop().unwrap();
-        let n0 = nodes.pop().unwrap();
-        let payload: Vec<u8> = (0..1_000_000u32).map(|i| (i % 251) as u8).collect();
-        let expect = payload.clone();
-        let t = std::thread::spawn(move || {
-            let m = n1.recv(Some(0), None, None).unwrap();
-            assert_eq!(m.data.len(), expect.len());
-            assert_eq!(m.data, expect);
+    /// `#[test]`s whose bodies run under [`watchdog`].
+    macro_rules! real_tests {
+        ($(fn $name:ident() $body:block)*) => {
+            $(#[test] fn $name() { watchdog(move || $body) })*
+        };
+    }
+    pub(super) use real_tests;
+
+    /// Rank 0 of a two-rank mesh with the 200 ms deadline: `Ok` is
+    /// impossible, and the error must come within twice the deadline.
+    fn rank0_times_out_accepting(l: TcpListener, addrs: &[SocketAddr]) {
+        let started = Instant::now();
+        let err = RealNcs::connect_on(l, 0, addrs, Duration::from_millis(200)).err();
+        let elapsed = started.elapsed();
+        let Some(RealError::AcceptTimedOut { expected, accepted }) = &err else {
+            panic!("expected AcceptTimedOut, got {err:?}");
+        };
+        assert_eq!((expected, accepted), (&1, &0));
+        assert!(elapsed < Duration::from_millis(400), "{elapsed:?}");
+    }
+
+    real_tests! {
+        fn two_process_ping_pong() {
+            let mut nodes = mesh(2);
+            let n1 = nodes.pop().unwrap();
+            let n0 = nodes.pop().unwrap();
+            let t1 = std::thread::spawn(move || {
+                let m = n1.recv(Some(0), None, Some(1)).unwrap();
+                assert_eq!(&m.data, b"ping");
+                assert_eq!(m.from, ThreadAddr::new(0, 3));
+                n1.send(0, ThreadAddr::new(0, 3), 2, b"pong").unwrap();
+                n1.shutdown();
+            });
+            n0.send(3, ThreadAddr::new(1, 0), 1, b"ping").unwrap();
+            let m = n0.recv(Some(1), None, Some(2)).unwrap();
+            assert_eq!(&m.data, b"pong");
+            n0.shutdown();
+            t1.join().unwrap();
+        }
+
+        fn broadcast_and_barrier_three_ways() {
+            let nodes = mesh(3);
+            let mut joins = Vec::new();
+            for node in nodes {
+                joins.push(std::thread::spawn(move || {
+                    if node.id() == 0 {
+                        node.bcast(0, 42, b"fanout").unwrap();
+                    } else {
+                        let m = node.recv(Some(0), None, Some(42)).unwrap();
+                        assert_eq!(&m.data, b"fanout");
+                    }
+                    node.barrier().unwrap();
+                    node.barrier().unwrap(); // barriers are reusable
+                    node.shutdown();
+                }));
+            }
+            for j in joins {
+                j.join().unwrap();
+            }
+        }
+
+        fn large_message_integrity() {
+            let mut nodes = mesh(2);
+            let n1 = nodes.pop().unwrap();
+            let n0 = nodes.pop().unwrap();
+            let payload: Vec<u8> = (0..1_000_000u32).map(|i| (i % 251) as u8).collect();
+            let expect = payload.clone();
+            let t = std::thread::spawn(move || {
+                let m = n1.recv(Some(0), None, None).unwrap();
+                assert_eq!(m.data.len(), expect.len());
+                assert_eq!(m.data, expect);
+                n1.shutdown();
+            });
+            n0.send(0, ThreadAddr::new(1, 0), 9, &payload).unwrap();
+            n0.shutdown();
+            t.join().unwrap();
+        }
+
+        fn local_send_between_threads() {
+            let mut nodes = mesh(2);
+            let n1 = nodes.pop().unwrap();
+            let n0 = nodes.pop().unwrap();
+            n0.send(0, ThreadAddr::new(0, 1), 5, b"local").unwrap();
+            let m = n0.recv_to(Some(1), Some(0), Some(0), Some(5)).unwrap();
+            assert_eq!(&m.data, b"local");
+            n0.shutdown();
             n1.shutdown();
-        });
-        n0.send(0, ThreadAddr::new(1, 0), 9, &payload).unwrap();
-        n0.shutdown();
-        t.join().unwrap();
-    }
+        }
 
-    #[test]
-    fn local_send_between_threads() {
-        let mut nodes = mesh(2);
-        let n1 = nodes.pop().unwrap();
-        let n0 = nodes.pop().unwrap();
-        n0.send(0, ThreadAddr::new(0, 1), 5, b"local").unwrap();
-        let m = n0.recv_to(Some(1), Some(0), Some(0), Some(5)).unwrap();
-        assert_eq!(&m.data, b"local");
-        n0.shutdown();
-        n1.shutdown();
-    }
-
-    #[test]
-    fn overlap_compute_and_recv_with_os_threads() {
-        // The paper's headline property, for free from the OS scheduler:
-        // one thread computes while another blocks in recv.
-        let mut nodes = mesh(2);
-        let n1 = Arc::new(nodes.pop().unwrap());
-        let n0 = nodes.pop().unwrap();
-        let n1b = Arc::clone(&n1);
-        let receiver = std::thread::spawn(move || {
-            let m = n1b.recv(Some(0), None, Some(7)).unwrap();
-            assert_eq!(&m.data, b"late");
-        });
-        let computer = std::thread::spawn(move || {
-            // Busy work that must finish long before the late message.
-            let mut acc = 0u64;
-            for i in 0..200_000u64 {
-                acc = acc.wrapping_mul(31).wrapping_add(i);
+        fn overlap_compute_and_recv_with_os_threads() {
+            // The paper's headline property, for free from the OS scheduler:
+            // one thread computes while another blocks in recv.
+            let mut nodes = mesh(2);
+            let n1 = Arc::new(nodes.pop().unwrap());
+            let n0 = nodes.pop().unwrap();
+            let n1b = Arc::clone(&n1);
+            let receiver = std::thread::spawn(move || {
+                let m = n1b.recv(Some(0), None, Some(7)).unwrap();
+                assert_eq!(&m.data, b"late");
+            });
+            let computer = std::thread::spawn(move || {
+                // Busy work that must finish long before the late message.
+                let mut acc = 0u64;
+                for i in 0..200_000u64 {
+                    acc = acc.wrapping_mul(31).wrapping_add(i);
+                }
+                acc
+            });
+            let acc = computer.join().unwrap();
+            assert_ne!(acc, 0);
+            std::thread::sleep(Duration::from_millis(50));
+            n0.send(0, ThreadAddr::new(1, 0), 7, b"late").unwrap();
+            receiver.join().unwrap();
+            n0.shutdown();
+            match Arc::try_unwrap(n1) {
+                Ok(n1) => n1.shutdown(),
+                Err(_) => panic!("receiver still holds the endpoint"),
             }
-            acc
-        });
-        let acc = computer.join().unwrap();
-        assert_ne!(acc, 0);
-        std::thread::sleep(Duration::from_millis(50));
-        n0.send(0, ThreadAddr::new(1, 0), 7, b"late").unwrap();
-        receiver.join().unwrap();
-        n0.shutdown();
-        match Arc::try_unwrap(n1) {
-            Ok(n1) => n1.shutdown(),
-            Err(_) => panic!("receiver still holds the endpoint"),
         }
-    }
 
-    #[test]
-    fn dial_timeout_is_typed_and_backed_off() {
-        // Nobody listens on rank 0's address (free_addrs released it), so
-        // rank 1's dial loop retries with backoff until the deadline.
-        let addrs = free_addrs(2);
-        match RealNcs::connect_timeout(1, &addrs, Duration::from_millis(200)) {
-            Err(RealError::DialTimedOut { peer, attempts, .. }) => {
-                assert_eq!(peer, 0);
-                assert!(attempts >= 2, "expected retries, got {attempts}");
+        fn dial_timeout_is_typed_and_backed_off() {
+            // Nothing can listen on port 0, so rank 1's dial loop retries
+            // with backoff until the deadline.
+            let (mut ls, mut addrs) = listeners(2);
+            addrs[0] = "127.0.0.1:0".parse().unwrap();
+            match RealNcs::connect_on(ls.remove(1), 1, &addrs, Duration::from_millis(200)) {
+                Err(RealError::DialTimedOut { peer, attempts, .. }) => {
+                    assert_eq!(peer, 0);
+                    assert!(attempts >= 2, "expected retries, got {attempts}");
+                }
+                Err(other) => panic!("expected DialTimedOut, got {other}"),
+                Ok(_) => panic!("mesh cannot form without rank 0"),
             }
-            Err(other) => panic!("expected DialTimedOut, got {other}"),
-            Ok(_) => panic!("mesh cannot form without rank 0"),
         }
-    }
 
-    #[test]
-    fn send_to_unknown_rank_is_typed() {
-        let mut nodes = mesh(2);
-        let n1 = nodes.pop().unwrap();
-        let n0 = nodes.pop().unwrap();
-        match n0.send(0, ThreadAddr::new(5, 0), 1, b"x") {
-            Err(RealError::NotConnected { peer: 5 }) => {}
-            other => panic!("expected NotConnected, got {other:?}"),
+        fn accept_times_out_when_the_peer_never_dials() {
+            let (mut ls, addrs) = listeners(2);
+            rank0_times_out_accepting(ls.remove(0), &addrs);
         }
-        n0.shutdown();
-        n1.shutdown();
-    }
 
-    #[test]
-    fn recv_after_all_peers_gone_is_typed() {
-        let mut nodes = mesh(2);
-        let n1 = nodes.pop().unwrap();
-        let n0 = nodes.pop().unwrap();
-        n1.shutdown();
-        match n0.recv(Some(1), None, None) {
-            Err(RealError::AllPeersDisconnected) => {}
-            other => panic!("expected AllPeersDisconnected, got {other:?}"),
+        fn accept_times_out_on_a_stranger_that_never_announces() {
+            let (mut ls, addrs) = listeners(2);
+            let _stranger = TcpStream::connect(addrs[0]).unwrap();
+            rank0_times_out_accepting(ls.remove(0), &addrs);
         }
-        n0.shutdown();
-    }
 
-    #[test]
-    fn wildcard_filters() {
-        let mut nodes = mesh(2);
-        let n1 = nodes.pop().unwrap();
-        let n0 = nodes.pop().unwrap();
-        n0.send(0, ThreadAddr::new(1, 0), 10, b"a").unwrap();
-        n0.send(1, ThreadAddr::new(1, 0), 20, b"b").unwrap();
-        // Tag filter skips the earlier message.
-        let m = n1.recv(None, None, Some(20)).unwrap();
-        assert_eq!(&m.data, b"b");
-        assert_eq!(m.from.thread, 1);
-        let m = n1.recv(None, Some(0), None).unwrap();
-        assert_eq!(&m.data, b"a");
-        n0.shutdown();
-        n1.shutdown();
+        fn send_to_unknown_rank_is_typed() {
+            let mut nodes = mesh(2);
+            let n1 = nodes.pop().unwrap();
+            let n0 = nodes.pop().unwrap();
+            match n0.send(0, ThreadAddr::new(5, 0), 1, b"x") {
+                Err(RealError::NotConnected { peer: 5 }) => {}
+                other => panic!("expected NotConnected, got {other:?}"),
+            }
+            n0.shutdown();
+            n1.shutdown();
+        }
+
+        fn recv_after_all_peers_gone_is_typed() {
+            let mut nodes = mesh(2);
+            let n1 = nodes.pop().unwrap();
+            let n0 = nodes.pop().unwrap();
+            n1.shutdown();
+            match n0.recv(Some(1), None, None) {
+                Err(RealError::AllPeersDisconnected) => {}
+                other => panic!("expected AllPeersDisconnected, got {other:?}"),
+            }
+            n0.shutdown();
+        }
+
+        fn wildcard_filters() {
+            let mut nodes = mesh(2);
+            let n1 = nodes.pop().unwrap();
+            let n0 = nodes.pop().unwrap();
+            n0.send(0, ThreadAddr::new(1, 0), 10, b"a").unwrap();
+            n0.send(1, ThreadAddr::new(1, 0), 20, b"b").unwrap();
+            // Tag filter skips the earlier message.
+            let m = n1.recv(None, None, Some(20)).unwrap();
+            assert_eq!(&m.data, b"b");
+            assert_eq!(m.from.thread, 1);
+            let m = n1.recv(None, Some(0), None).unwrap();
+            assert_eq!(&m.data, b"a");
+            n0.shutdown();
+            n1.shutdown();
+        }
     }
 }
 
 #[cfg(test)]
 mod stress_tests {
+    use super::tests::{mesh, real_tests, watchdog};
     use super::*;
-    use std::time::Duration;
 
-    fn addrs(n: usize) -> Vec<SocketAddr> {
-        (0..n)
-            .map(|_| {
-                TcpListener::bind("127.0.0.1:0")
-                    .unwrap()
-                    .local_addr()
-                    .unwrap()
-            })
-            .collect()
-    }
-
-    use std::net::TcpListener;
-
-    #[test]
-    fn five_node_all_to_all_stress() {
-        const N: usize = 5;
-        const ROUNDS: u32 = 20;
-        let addrs = addrs(N);
-        let mut joins = Vec::new();
-        for id in 0..N {
-            let addrs = addrs.clone();
-            joins.push(std::thread::spawn(move || {
-                let ncs = RealNcs::connect_timeout(id, &addrs, Duration::from_secs(10)).unwrap();
-                for round in 0..ROUNDS {
-                    // Everyone sends to everyone, then collects N-1 messages
-                    // tagged with the round.
-                    for peer in 0..N {
-                        if peer != id {
-                            let body = vec![(id * 41 + round as usize) as u8; 700];
-                            ncs.send(0, ThreadAddr::new(peer, 0), round, &body).unwrap();
+    real_tests! {
+        fn five_node_all_to_all_stress() {
+            const N: usize = 5;
+            const ROUNDS: u32 = 20;
+            let mut joins = Vec::new();
+            for ncs in mesh(N) {
+                joins.push(std::thread::spawn(move || {
+                    let id = ncs.id();
+                    for round in 0..ROUNDS {
+                        // Everyone sends to everyone, then collects N-1
+                        // messages tagged with the round.
+                        for peer in 0..N {
+                            if peer != id {
+                                let body = vec![(id * 41 + round as usize) as u8; 700];
+                                ncs.send(0, ThreadAddr::new(peer, 0), round, &body).unwrap();
+                            }
                         }
+                        for _ in 0..N - 1 {
+                            let m = ncs.recv(None, None, Some(round)).unwrap();
+                            let want = (m.from.proc * 41 + round as usize) as u8;
+                            assert!(m.data.iter().all(|&b| b == want));
+                        }
+                        ncs.barrier().unwrap();
                     }
-                    for _ in 0..N - 1 {
-                        let m = ncs.recv(None, None, Some(round)).unwrap();
-                        let want = (m.from.proc * 41 + round as usize) as u8;
-                        assert!(m.data.iter().all(|&b| b == want));
-                    }
-                    ncs.barrier().unwrap();
-                }
-                ncs.shutdown();
-            }));
+                    ncs.shutdown();
+                }));
+            }
+            for j in joins {
+                j.join().unwrap();
+            }
         }
-        for j in joins {
-            j.join().unwrap();
-        }
-    }
 
-    #[test]
-    fn concurrent_senders_share_one_endpoint() {
-        let addrs = addrs(2);
-        let a0 = addrs.clone();
-        let t0 = std::thread::spawn(move || {
-            let ncs = Arc::new(RealNcs::connect_timeout(0, &a0, Duration::from_secs(10)).unwrap());
+        fn concurrent_senders_share_one_endpoint() {
+            let mut nodes = mesh(2);
+            let n1 = nodes.pop().unwrap();
+            let ncs = Arc::new(nodes.pop().unwrap());
+            let t1 = std::thread::spawn(move || {
+                // 200 messages from 4 logical threads, FIFO per thread.
+                let mut next = [0u32; 4];
+                for _ in 0..200 {
+                    let m = n1.recv(Some(0), None, None).unwrap();
+                    let t = m.from.thread as usize;
+                    assert_eq!(m.tag, m.from.thread * 1000 + next[t], "per-thread order");
+                    next[t] += 1;
+                }
+                n1.send(0, ThreadAddr::new(0, 0), 9, b"done").unwrap();
+                n1.shutdown();
+            });
             // Four OS threads blast through the same socket mesh.
             let mut senders = Vec::new();
             for t in 0..4u32 {
                 let ncs = Arc::clone(&ncs);
                 senders.push(std::thread::spawn(move || {
                     for i in 0..50u32 {
-                        ncs.send(t, ThreadAddr::new(1, 0), t * 1000 + i, &[t as u8; 64])
-                            .unwrap();
+                        ncs.send(t, ThreadAddr::new(1, 0), t * 1000 + i, &[t as u8; 64]).unwrap();
                     }
                 }));
             }
@@ -714,22 +782,7 @@ mod stress_tests {
                 Ok(n) => n.shutdown(),
                 Err(_) => panic!("endpoint still shared"),
             }
-        });
-        let a1 = addrs.clone();
-        let t1 = std::thread::spawn(move || {
-            let ncs = RealNcs::connect_timeout(1, &a1, Duration::from_secs(10)).unwrap();
-            // 200 messages from 4 logical threads, FIFO per thread.
-            let mut next = [0u32; 4];
-            for _ in 0..200 {
-                let m = ncs.recv(Some(0), None, None).unwrap();
-                let t = m.from.thread as usize;
-                assert_eq!(m.tag, m.from.thread * 1000 + next[t], "per-thread order");
-                next[t] += 1;
-            }
-            ncs.send(0, ThreadAddr::new(0, 0), 9, b"done").unwrap();
-            ncs.shutdown();
-        });
-        t0.join().unwrap();
-        t1.join().unwrap();
+            t1.join().unwrap();
+        }
     }
 }

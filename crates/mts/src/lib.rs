@@ -6,19 +6,16 @@
 //! (non-preemptive) dispatch with an explicit context-switch cost, and the
 //! blocking primitives (`block` / `unblock` / thread-level `sleep` /
 //! `external_block`) that the NCS message-passing layer builds its send,
-//! receive, and flow-control system threads on.
-//!
-//! [`sync`] adds the synchronization objects the paper lists as NCS_MTS
-//! services (semaphores, barriers, events) built purely on block/unblock.
+//! receive, and flow-control system threads on. Coordination above that is
+//! message-based: NCS_MPS's barrier and signals are messages, not MTS
+//! objects.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dlist;
 pub mod runtime;
-pub mod sync;
 
 pub use runtime::{
     Mts, MtsConfig, MtsCtx, MtsStats, MtsThreadReport, MtsThreadState, MtsTid, PRIORITY_LEVELS,
 };
-pub use sync::{MtsBarrier, MtsEvent, MtsSemaphore};

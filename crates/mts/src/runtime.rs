@@ -42,27 +42,12 @@ impl std::fmt::Display for MtsTid {
     }
 }
 
-/// Scheduling state of an MTS thread.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum TState {
-    /// In a runnable queue (including not-yet-first-run threads).
-    Runnable,
-    /// Owns the CPU.
-    Running,
-    /// In the blocked queue.
-    Blocked,
-    /// Released the CPU for a kernel-level wait ([`MtsCtx::external_block`]).
-    External,
-    /// Finished.
-    Exited,
-}
-
 struct Tcb {
     name: String,
     /// Interned `proc/thread` label, so per-event tracing never allocates.
     actor: ActorId,
     priority: usize,
-    state: TState,
+    state: MtsThreadState,
     green: Option<ThreadId>,
     /// Earliest instant the thread may run after its latest dispatch
     /// (dispatch time + context-switch cost).
@@ -260,7 +245,7 @@ impl Mts {
                 name: name.clone(),
                 actor,
                 priority,
-                state: TState::Runnable,
+                state: MtsThreadState::Runnable,
                 green: None,
                 run_at: SimTime::ZERO,
                 permit: false,
@@ -323,12 +308,12 @@ impl Mts {
     pub fn unblock(&self, sim: &Sim, tid: MtsTid) {
         let mut inner = self.inner.lock();
         match inner.tcbs[tid.0 as usize].state {
-            TState::Blocked => {
+            MtsThreadState::Blocked => {
                 inner.unlink_blocked(tid.0);
                 self.note_unblocked(&mut inner, tid, sim.now());
                 self.make_runnable_or_dispatch(&mut inner, tid, sim);
             }
-            TState::Exited => {}
+            MtsThreadState::Exited => {}
             _ => inner.tcbs[tid.0 as usize].permit = true,
         }
         self.queue_check(&inner, "unblock");
@@ -350,6 +335,7 @@ impl Mts {
     }
 
     /// Total time `tid` has spent blocked.
+    #[cfg(test)]
     pub fn blocked_time(&self, tid: MtsTid) -> Dur {
         self.inner.lock().tcbs[tid.0 as usize].total_blocked
     }
@@ -357,12 +343,6 @@ impl Mts {
     /// The process name this runtime models.
     pub fn proc_name(&self) -> String {
         self.inner.lock().proc_name.clone()
-    }
-
-    /// Actor label (`proc/thread`) for tracing.
-    pub fn actor(&self, tid: MtsTid) -> String {
-        let inner = self.inner.lock();
-        format!("{}/{}", inner.proc_name, inner.tcbs[tid.0 as usize].name)
     }
 
     /// Interned tracer actor for `tid` — the allocation-free handle for
@@ -408,7 +388,7 @@ impl Mts {
     fn make_runnable_or_dispatch(&self, inner: &mut Inner, tid: MtsTid, sim: &Sim) {
         {
             let tcb = &mut inner.tcbs[tid.0 as usize];
-            tcb.state = TState::Runnable;
+            tcb.state = MtsThreadState::Runnable;
             tcb.runnable_since = Some(sim.now());
             tcb.wait_on = None;
         }
@@ -428,7 +408,7 @@ impl Mts {
         let run_at = now + cs_cost;
         let next = inner.pop_runnable_via(&self.sim).map(|slot| {
             let tcb = &mut inner.tcbs[slot as usize];
-            tcb.state = TState::Running;
+            tcb.state = MtsThreadState::Running;
             tcb.run_at = run_at;
             tcb.run_since = Some(run_at);
             tcb.dispatches += 1;
@@ -517,11 +497,11 @@ impl Mts {
     fn wait_cycles(inner: &Inner) -> Vec<Vec<u32>> {
         let mut g = WaitGraph::new(inner.tcbs.len());
         for (i, tcb) in inner.tcbs.iter().enumerate() {
-            if tcb.state != TState::Blocked {
+            if tcb.state != MtsThreadState::Blocked {
                 continue;
             }
             if let Some(w) = tcb.wait_on {
-                if inner.tcbs[w.0 as usize].state == TState::Blocked {
+                if inner.tcbs[w.0 as usize].state == MtsThreadState::Blocked {
                     g.add_edge(i, w.0 as usize);
                 }
             }
@@ -572,7 +552,8 @@ impl Mts {
                 problems.push(format!("t{i} is on {count} lists at once"));
             }
             if let Some(tcb) = inner.tcbs.get(i) {
-                let queued = matches!(tcb.state, TState::Runnable | TState::Blocked);
+                let queued =
+                    [MtsThreadState::Runnable, MtsThreadState::Blocked].contains(&tcb.state);
                 if queued != (count == 1) && count <= 1 {
                     problems.push(format!(
                         "t{i}/{} is {:?} but on {count} scheduler lists",
@@ -588,7 +569,7 @@ impl Mts {
         let joiners;
         {
             let mut inner = self.inner.lock();
-            inner.tcbs[tid.0 as usize].state = TState::Exited;
+            inner.tcbs[tid.0 as usize].state = MtsThreadState::Exited;
             joiners = std::mem::take(&mut inner.tcbs[tid.0 as usize].exit_waiters);
             inner.live -= 1;
             self.switch_away(&mut inner, tid, ctx.now());
@@ -604,8 +585,9 @@ impl Mts {
     }
 
     /// Whether thread `tid` has exited.
+    #[cfg(test)]
     pub fn has_exited(&self, tid: MtsTid) -> bool {
-        self.inner.lock().tcbs[tid.0 as usize].state == TState::Exited
+        self.inner.lock().tcbs[tid.0 as usize].state == MtsThreadState::Exited
     }
 
     /// Snapshot of every thread's scheduling state and wait edge — what a
@@ -619,13 +601,7 @@ impl Mts {
             .map(|(i, tcb)| MtsThreadReport {
                 tid: MtsTid(i as u32),
                 name: tcb.name.clone(),
-                state: match tcb.state {
-                    TState::Runnable => MtsThreadState::Runnable,
-                    TState::Running => MtsThreadState::Running,
-                    TState::Blocked => MtsThreadState::Blocked,
-                    TState::External => MtsThreadState::External,
-                    TState::Exited => MtsThreadState::Exited,
-                },
+                state: tcb.state,
                 wait_on: tcb.wait_on,
                 blocked_since: tcb.blocked_since,
             })
@@ -646,15 +622,16 @@ impl Mts {
     /// Runs the promoted dlist queue invariants over every scheduler list
     /// right now, returning a description of each corruption found (empty
     /// when all queues are sound).
+    // ncs-lint: allow(dead-surface) queue-invariant oracle analysis/tests/runtime_detection.rs checks
     pub fn validate_queues(&self) -> Vec<String> {
         Self::validate_inner(&self.inner.lock())
     }
 }
 
-/// Externally visible scheduling state in a [`MtsThreadReport`].
+/// Scheduling state of an MTS thread (as in a [`MtsThreadReport`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MtsThreadState {
-    /// Waiting in a runnable queue.
+    /// In a runnable queue (including not-yet-first-run threads).
     Runnable,
     /// Owns the process CPU.
     Running,
@@ -727,7 +704,7 @@ impl MtsCtx<'_> {
             let now = self.ctx.now();
             {
                 let tcb = &mut inner.tcbs[self.tid.0 as usize];
-                tcb.state = TState::Runnable;
+                tcb.state = MtsThreadState::Runnable;
                 tcb.runnable_since = Some(now);
             }
             inner.push_runnable(self.tid.0);
@@ -761,7 +738,7 @@ impl MtsCtx<'_> {
             let now = self.ctx.now();
             {
                 let tcb = &mut inner.tcbs[self.tid.0 as usize];
-                tcb.state = TState::Blocked;
+                tcb.state = MtsThreadState::Blocked;
                 tcb.blocked_since = Some(now);
                 tcb.sleep_gen += 1;
                 tcb.wait_on = wait_on;
@@ -786,7 +763,7 @@ impl MtsCtx<'_> {
             let now = self.ctx.now();
             {
                 let tcb = &mut inner.tcbs[self.tid.0 as usize];
-                tcb.state = TState::Blocked;
+                tcb.state = MtsThreadState::Blocked;
                 tcb.blocked_since = Some(now);
                 tcb.sleep_gen += 1;
                 gen = tcb.sleep_gen;
@@ -800,7 +777,7 @@ impl MtsCtx<'_> {
             let fire = {
                 let inner = mts.inner.lock();
                 let tcb = &inner.tcbs[tid.0 as usize];
-                tcb.state == TState::Blocked && tcb.sleep_gen == gen
+                tcb.state == MtsThreadState::Blocked && tcb.sleep_gen == gen
             };
             if fire {
                 mts.unblock(sim, tid);
@@ -820,7 +797,7 @@ impl MtsCtx<'_> {
         loop {
             {
                 let mut inner = self.mts.inner.lock();
-                if inner.tcbs[tid.0 as usize].state == TState::Exited {
+                if inner.tcbs[tid.0 as usize].state == MtsThreadState::Exited {
                     return;
                 }
                 inner.tcbs[tid.0 as usize].exit_waiters.push(self.tid);
@@ -840,7 +817,7 @@ impl MtsCtx<'_> {
         {
             let mut inner = self.mts.inner.lock();
             debug_assert_eq!(inner.running, Some(self.tid));
-            inner.tcbs[self.tid.0 as usize].state = TState::External;
+            inner.tcbs[self.tid.0 as usize].state = MtsThreadState::External;
             self.mts.switch_away(&mut inner, self.tid, t_ext);
         }
         let r = f();
@@ -862,7 +839,7 @@ impl MtsCtx<'_> {
                 let run_at = now + inner.cs_cost;
                 {
                     let tcb = &mut inner.tcbs[self.tid.0 as usize];
-                    tcb.state = TState::Running;
+                    tcb.state = MtsThreadState::Running;
                     tcb.run_at = run_at;
                     tcb.run_since = Some(run_at);
                     tcb.dispatches += 1;
@@ -874,7 +851,7 @@ impl MtsCtx<'_> {
                 // CPU busy: queue like any runnable thread and wait.
                 {
                     let tcb = &mut inner.tcbs[self.tid.0 as usize];
-                    tcb.state = TState::Runnable;
+                    tcb.state = MtsThreadState::Runnable;
                     tcb.runnable_since = Some(now);
                 }
                 inner.push_runnable(self.tid.0);
@@ -897,7 +874,7 @@ impl MtsCtx<'_> {
             {
                 let inner = self.mts.inner.lock();
                 let tcb = &inner.tcbs[self.tid.0 as usize];
-                if tcb.state == TState::Running {
+                if tcb.state == MtsThreadState::Running {
                     break tcb.run_at;
                 }
             }

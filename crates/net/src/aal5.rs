@@ -11,7 +11,7 @@
 //! overhead, which is why AAL5 (rather than AAL3/4) became the data AAL —
 //! the `ncs-bench` overhead comparison quantifies exactly that.
 
-use crate::cell::{AtmCell, CellHeader, CELL_PAYLOAD};
+use crate::cell::{cells_for, AtmCell, CellHeader, CELL_PAYLOAD};
 use crate::crc::Crc32;
 use bytes::Bytes;
 
@@ -66,7 +66,7 @@ pub fn segment(payload: &[u8], vpi: u8, vci: u16) -> Result<Vec<AtmCell>, Aal5Er
 /// Number of cells AAL5 needs for a payload of `bytes` (used by the timing
 /// models without materializing cells).
 pub fn cells_for_pdu(bytes: usize) -> usize {
-    (bytes + TRAILER_BYTES).div_ceil(CELL_PAYLOAD)
+    cells_for(bytes + TRAILER_BYTES)
 }
 
 /// Segmentation or reassembly failure.

@@ -83,6 +83,7 @@ impl AtmLanParams {
     }
 
     /// Caps every switch output port at `cells` cells of buffering.
+    // ncs-lint: allow(dead-surface) fabric_pins.rs pins switch-buffer overflow through it
     pub fn with_output_buffer(mut self, cells: usize) -> AtmLanParams {
         self.output_buffer_cells = Some(cells);
         self
@@ -145,6 +146,7 @@ impl NynetParams {
     }
 
     /// Caps every switch output port at `cells` cells of buffering.
+    // ncs-lint: allow(dead-surface) fabric_pins.rs pins switch-buffer overflow through it
     pub fn with_output_buffer(mut self, cells: usize) -> NynetParams {
         self.output_buffer_cells = Some(cells);
         self

@@ -172,6 +172,7 @@ impl AtmCell {
     }
 
     /// Parses 53 bytes, verifying the HEC.
+    #[cfg(test)]
     pub fn from_bytes(bytes: &[u8; CELL_BYTES]) -> Result<AtmCell, HeaderError> {
         let mut hdr = [0u8; CELL_HEADER];
         hdr.copy_from_slice(&bytes[..CELL_HEADER]);

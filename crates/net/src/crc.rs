@@ -2,18 +2,16 @@
 //!
 //! * **CRC-8 HEC** — ITU-T I.432 header error control: polynomial
 //!   `x^8 + x^2 + x + 1` (0x07), with the 0x55 coset added to the remainder.
-//! * **CRC-10** — AAL3/4 per-cell payload check: polynomial
-//!   `x^10 + x^9 + x^5 + x^4 + x + 1` (0x233 in 10-bit notation).
 //! * **CRC-32** — AAL5 CS-PDU trailer check: the IEEE 802.3 polynomial in
 //!   MSB-first (non-reflected) form with init/xorout all-ones, i.e. the
 //!   "CRC-32/BZIP2" parameterization, which is what I.363.5 specifies.
 //!
-//! All three are table-driven, and all three tables come from one `const fn`
+//! Both are table-driven, and both sets of tables come from one `const fn`
 //! generator (`msb_table`) applied to the defining polynomial, so the
-//! tables are compile-time constants (21 KiB of read-only data, no set-up
-//! work, no lazy-initialisation branch). Every register is kept left-aligned
-//! in a `u32`, which lets the 8-, 10- and 32-bit CRCs share one generator
-//! and one byte-step.
+//! tables are compile-time constants (20 KiB of read-only data: 4 KiB for
+//! the HEC, 16 KiB for CRC-32; no set-up work, no lazy-initialisation
+//! branch). Every register is kept left-aligned in a `u32`, which lets the
+//! 8- and 32-bit CRCs share one generator.
 //!
 //! CRC-32 sits on the simulator's data path — NCS error control checksums
 //! every data frame at both ends, and the fault-injection path runs the AAL5
@@ -27,8 +25,6 @@
 
 /// CRC-8 HEC generator, left-aligned in 32 bits.
 const HEC_POLY: u32 = 0x07 << 24;
-/// CRC-10 generator (10-bit notation 0x233), left-aligned in 32 bits.
-const CRC10_POLY: u32 = 0x233 << 22;
 /// CRC-32 generator (IEEE 802.3, MSB-first).
 const CRC32_POLY: u32 = 0x04C1_1DB7;
 
@@ -76,7 +72,6 @@ const fn msb_slices<const N: usize>(poly: u32) -> [[u32; 256]; N] {
 }
 
 static HEC_TABLES: [[u32; 256]; 4] = msb_slices(HEC_POLY);
-static CRC10_TABLE: [u32; 256] = msb_table(CRC10_POLY);
 static CRC32_TABLES: [[u32; 256]; SLICE] = msb_slices(CRC32_POLY);
 
 /// Clocks `data` through a left-aligned MSB-first register, one byte per
@@ -102,12 +97,6 @@ pub fn hec(header4: &[u8; 4]) -> u8 {
 /// Verifies a 5-byte cell header's HEC field.
 pub fn hec_ok(header5: &[u8; 5]) -> bool {
     hec(&[header5[0], header5[1], header5[2], header5[3]]) == header5[4]
-}
-
-/// CRC-10 over `data` (AAL3/4 SAR-PDU check), MSB-first, init 0, no final
-/// XOR.
-pub fn crc10(data: &[u8]) -> u16 {
-    (msb_update(&CRC10_TABLE, 0, data) >> 22) as u16
 }
 
 /// Streaming CRC-32 as used by AAL5 (MSB-first, poly 0x04C11DB7, init
@@ -164,7 +153,7 @@ pub fn crc32_aal5(data: &[u8]) -> u32 {
     Crc32::new().update(data).finish()
 }
 
-/// Bit-serial transcriptions of the three polynomials: the reference the
+/// Bit-serial transcriptions of the two polynomials: the reference the
 /// table-driven forms are tested against.
 #[cfg(test)]
 mod oracle {
@@ -181,21 +170,6 @@ mod oracle {
             }
         }
         crc ^ 0x55
-    }
-
-    pub fn crc10(data: &[u8]) -> u16 {
-        let mut crc: u16 = 0;
-        for &byte in data {
-            crc ^= u16::from(byte) << 2; // align byte to the top of 10 bits
-            for _ in 0..8 {
-                crc = if crc & 0x200 != 0 {
-                    ((crc << 1) ^ 0x233) & 0x3FF
-                } else {
-                    (crc << 1) & 0x3FF
-                };
-            }
-        }
-        crc
     }
 
     pub fn crc32_aal5(data: &[u8]) -> u32 {
@@ -264,31 +238,6 @@ mod tests {
             let mut hdr: [u8; 4] = other.try_into().expect("4 bytes");
             hdr[i % 4] = (i / 4) as u8;
             assert_eq!(hec(&hdr), oracle::hec(&hdr), "header {hdr:02x?}");
-        }
-    }
-
-    #[test]
-    fn crc10_check_vector() {
-        // CRC-10/ATM catalogue value for "123456789".
-        assert_eq!(crc10(CHECK), 0x199);
-    }
-
-    #[test]
-    fn crc10_detects_single_bit_errors() {
-        let mut data = *b"hello atm world, 44 byte sar payload....xyz";
-        let good = crc10(&data);
-        for i in 0..data.len() {
-            data[i] ^= 0x10;
-            assert_ne!(crc10(&data), good, "flip at byte {i} undetected");
-            data[i] ^= 0x10;
-        }
-    }
-
-    #[test]
-    fn crc10_matches_bit_serial_oracle() {
-        let buf = seeded_bytes(0xC10, 4096);
-        for len in (0..=80).chain([255, 256, 1000, 4096]) {
-            assert_eq!(crc10(&buf[..len]), oracle::crc10(&buf[..len]), "len {len}");
         }
     }
 

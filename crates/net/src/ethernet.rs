@@ -53,6 +53,7 @@ impl EthernetParams {
     }
 
     /// Enables contention backoff with up to `slots` slot times of jitter.
+    #[cfg(test)]
     pub fn with_backoff(mut self, slots: u32) -> EthernetParams {
         self.max_backoff_slots = slots;
         self
@@ -91,11 +92,6 @@ impl EthernetFabric {
     /// The shared medium's utilization in `[0, now]`.
     pub fn utilization(&self, now: SimTime) -> f64 {
         self.medium.utilization(now)
-    }
-
-    /// Total frames carried.
-    pub fn frames_carried(&self) -> u64 {
-        self.medium.chunks_carried()
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Everything between a process's buffer and the far host's buffer:
 //!
-//! * **ATM data plane**: [`cell`] (53-byte cells with HEC), [`aal5`] and
-//!   [`aal34`] adaptation layers, [`crc`] algorithms;
+//! * **ATM data plane**: [`cell`] (53-byte cells with HEC), the [`aal5`]
+//!   adaptation layer, [`crc`] algorithms;
 //! * **fabrics**: [`ethernet`] (shared 10 Mb/s segment) and [`atm`] — the
 //!   one switched ATM fabric ([`AtmFabric`]: one hop loop booking one slot
 //!   per chunk per hop, never per cell, with the
@@ -33,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aal34;
 pub mod aal5;
 pub mod api;
 pub mod atm;

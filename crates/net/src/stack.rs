@@ -255,17 +255,6 @@ impl TcpParams {
         }
     }
 
-    /// PVM-style transport over Ethernet (see
-    /// [`TcpParams::pvm_ip_over_atm`]).
-    pub fn pvm_ethernet() -> TcpParams {
-        let base = TcpParams::ethernet();
-        TcpParams {
-            marshal_cycles_per_byte: base.marshal_cycles_per_byte * 2,
-            per_message_latency: base.per_message_latency.times(2),
-            ..base
-        }
-    }
-
     /// A stack with no message-layer per-byte tax (unit tests that want
     /// kernel-datapath-dominated behaviour).
     pub fn raw(mss: usize, sockbuf: usize) -> TcpParams {

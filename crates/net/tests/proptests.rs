@@ -8,7 +8,7 @@ use ncs_net::ethernet::{EthernetFabric, EthernetParams};
 use ncs_net::fabric::{Fabric, NodeId};
 use ncs_net::link::{LinkSpec, LinkState};
 use ncs_net::stack::{AtmApiNet, BlockingWait, Network, TcpNet, TcpParams};
-use ncs_net::{aal34, aal5, AtmApiParams, HostParams};
+use ncs_net::{aal5, AtmApiParams, HostParams};
 use ncs_sim::prop;
 use ncs_sim::sync::Mutex;
 use ncs_sim::{Dur, Sim, SimRng, SimTime};
@@ -23,18 +23,6 @@ fn aal5_roundtrip() {
         assert_eq!(cells.len(), aal5::cells_for_pdu(payload.len()));
         let back = aal5::reassemble(&cells).unwrap();
         assert_eq!(back, payload);
-    });
-}
-
-/// AAL3/4 likewise, and always needs at least as many cells as AAL5.
-#[test]
-fn aal34_roundtrip_and_overhead() {
-    prop::check("aal34_roundtrip_and_overhead", 48, |g| {
-        let payload = g.vec(0..2048, |g| g.range(0..256) as u8);
-        let cells = aal34::segment(&payload, 0, 5, 9);
-        let back = aal34::reassemble(&cells).unwrap();
-        assert_eq!(&back, &payload);
-        assert!(cells.len() >= aal5::cells_for_pdu(payload.len()).max(1) - 1);
     });
 }
 

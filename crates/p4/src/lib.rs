@@ -15,7 +15,5 @@
 #![warn(missing_docs)]
 
 pub mod proc;
-pub mod procgroup;
 
 pub use proc::{create_procgroup, P4Msg, P4Proc, TYPE_BARRIER_ARRIVE, TYPE_BARRIER_GO};
-pub use procgroup::{parse_procgroup, ProcgroupEntry, ProcgroupError, ProcgroupSpec};

@@ -120,6 +120,7 @@ impl P4Proc {
     /// Whether a matching message is already available without blocking
     /// (`p4_messages_available`). Pulls any landed deliveries out of the
     /// kernel first, paying their pickup cost.
+    // ncs-lint: allow(dead-surface) p4_messages_available, the p4 API's polling primitive
     pub fn messages_available(
         &self,
         ctx: &Ctx,

@@ -157,6 +157,7 @@ pub fn default_stack_bytes() -> usize {
 /// Number of coroutine stacks currently mapped, across all simulations.
 /// Diagnostic for leak regression tests: after a simulation is finished
 /// (or its creator handle dropped), its stacks must be unmapped.
+// ncs-lint: allow(dead-surface) probe bench/tests/green_footprint.rs checks stack reclamation against
 pub fn live_coroutine_stacks() -> usize {
     coro::live_stacks()
 }

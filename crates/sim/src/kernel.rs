@@ -352,6 +352,7 @@ impl Sim {
     }
 
     /// Usable bytes per green-thread stack (already normalized).
+    // ncs-lint: allow(dead-surface) oracle bench/tests/green_footprint.rs checks stack-size rounding against
     pub fn green_stack_bytes(&self) -> usize {
         self.inner.stack_bytes
     }
@@ -385,12 +386,6 @@ impl Sim {
     pub fn set_schedule_policy(&self, policy: Box<dyn SchedulePolicy>) {
         *self.inner.policy.lock() = Some(policy);
         self.inner.policy_installed.store(true, Ordering::SeqCst);
-    }
-
-    /// Removes any installed schedule policy, restoring canonical order.
-    pub fn clear_schedule_policy(&self) {
-        self.inner.policy_installed.store(false, Ordering::SeqCst);
-        *self.inner.policy.lock() = None;
     }
 
     /// True when a schedule-exploration policy is installed.

@@ -229,6 +229,7 @@ impl MetricsRegistry {
     }
 
     /// Reads one gauge series.
+    #[cfg(test)]
     pub fn gauge(&self, name: &str, idx: u32) -> Option<&GaugeSeries> {
         self.gauges
             .iter()

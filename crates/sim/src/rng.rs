@@ -48,11 +48,6 @@ impl SimRng {
         z ^ (z >> 31)
     }
 
-    /// Next 32-bit output.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, bound)`. Panics if `bound == 0`.
     ///
     /// Uses Lemire's multiply-shift rejection method, so the distribution is
@@ -87,14 +82,6 @@ impl SimRng {
     /// Bernoulli draw with probability `p` of `true`.
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.gen_f64() < p
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.gen_index(i + 1);
-            xs.swap(i, j);
-        }
     }
 }
 
@@ -172,15 +159,5 @@ mod tests {
             let x = rng.gen_f64();
             assert!((0.0..1.0).contains(&x));
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::new(9);
-        let mut xs: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 }

@@ -294,11 +294,6 @@ impl ShardedSim {
         self.shared.merged_hash.load(Ordering::SeqCst)
     }
 
-    /// Number of workload (keyed) events folded into the merged digest.
-    pub fn merged_workload_events(&self) -> u64 {
-        self.shared.merged_events.load(Ordering::SeqCst)
-    }
-
     /// Reaps every shard's green threads (see [`Sim::finish`]).
     pub fn finish(&self) {
         for sim in &self.sims {

@@ -215,6 +215,7 @@ impl Tracer {
     /// children can link to it before it closes. Close with
     /// [`Tracer::close_span`]; an unclosed span stays zero-length and is
     /// ignored by the timeline renderers.
+    #[cfg(test)]
     pub fn open_span(
         &mut self,
         actor: ActorId,
@@ -231,6 +232,7 @@ impl Tracer {
     }
 
     /// Closes a span previously opened with [`Tracer::open_span`].
+    #[cfg(test)]
     pub fn close_span(&mut self, id: SpanId, t1: SimTime) {
         let s = &mut self.spans[id.0 as usize];
         debug_assert!(t1 >= s.t0, "span closed before it opened");
