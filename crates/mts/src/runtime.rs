@@ -54,8 +54,6 @@ struct Tcb {
     run_at: SimTime,
     /// A pending unblock permit (unblock arrived before the block).
     permit: bool,
-    /// Generation counter distinguishing timed sleeps from later blocks.
-    sleep_gen: u64,
     blocked_since: Option<SimTime>,
     total_blocked: Dur,
     /// When the current run slice started (dispatch + context-switch cost).
@@ -249,7 +247,6 @@ impl Mts {
                 green: None,
                 run_at: SimTime::ZERO,
                 permit: false,
-                sleep_gen: 0,
                 blocked_since: None,
                 total_blocked: Dur::ZERO,
                 run_since: None,
@@ -302,9 +299,10 @@ impl Mts {
     }
 
     /// Unblocks a thread (`NCS_unblock`). If the target is not currently
-    /// blocked, a permit is recorded and its next [`MtsCtx::block`] returns
-    /// immediately — the race-free semantics application code expects.
-    /// Callable from any green thread or event callback of the simulation.
+    /// blocked — running, queued, or in an [`MtsCtx::sleep`] — a permit is
+    /// recorded and its next [`MtsCtx::block`] returns immediately — the
+    /// race-free semantics application code expects. Callable from any
+    /// green thread or event callback of the simulation.
     pub fn unblock(&self, sim: &Sim, tid: MtsTid) {
         let mut inner = self.inner.lock();
         match inner.tcbs[tid.0 as usize].state {
@@ -316,6 +314,16 @@ impl Mts {
             MtsThreadState::Exited => {}
             _ => inner.tcbs[tid.0 as usize].permit = true,
         }
+        self.queue_check(&inner, "unblock");
+    }
+
+    /// The timer of an [`MtsCtx::sleep`]: the only thing that ends it.
+    fn end_sleep(&self, sim: &Sim, tid: MtsTid) {
+        let mut inner = self.inner.lock();
+        debug_assert_eq!(inner.tcbs[tid.0 as usize].state, MtsThreadState::Sleeping);
+        inner.unlink_blocked(tid.0);
+        self.note_unblocked(&mut inner, tid, sim.now());
+        self.make_runnable_or_dispatch(&mut inner, tid, sim);
         self.queue_check(&inner, "unblock");
     }
 
@@ -552,8 +560,12 @@ impl Mts {
                 problems.push(format!("t{i} is on {count} lists at once"));
             }
             if let Some(tcb) = inner.tcbs.get(i) {
-                let queued =
-                    [MtsThreadState::Runnable, MtsThreadState::Blocked].contains(&tcb.state);
+                let queued = [
+                    MtsThreadState::Runnable,
+                    MtsThreadState::Blocked,
+                    MtsThreadState::Sleeping,
+                ]
+                .contains(&tcb.state);
                 if queued != (count == 1) && count <= 1 {
                     problems.push(format!(
                         "t{i}/{} is {:?} but on {count} scheduler lists",
@@ -637,6 +649,8 @@ pub enum MtsThreadState {
     Running,
     /// In the blocked queue.
     Blocked,
+    /// In a thread-level sleep ([`MtsCtx::sleep`]): only its timer ends it.
+    Sleeping,
     /// Parked in a kernel-level wait ([`MtsCtx::external_block`]).
     External,
     /// Finished.
@@ -740,7 +754,6 @@ impl MtsCtx<'_> {
                 let tcb = &mut inner.tcbs[self.tid.0 as usize];
                 tcb.state = MtsThreadState::Blocked;
                 tcb.blocked_since = Some(now);
-                tcb.sleep_gen += 1;
                 tcb.wait_on = wait_on;
             }
             inner.push_blocked(self.tid.0);
@@ -749,40 +762,34 @@ impl MtsCtx<'_> {
         self.wait_for_dispatch();
     }
 
-    /// Blocks for `d` of virtual time, letting sibling threads run — the
-    /// thread-level (as opposed to process-level) sleep.
+    /// Waits `d` of virtual time, letting sibling threads run — the
+    /// thread-level (as opposed to process-level) sleep. It models a wait
+    /// of known length (NCS's send thread spends its wire time here), so
+    /// only its timer ends it: an [`Mts::unblock`] that lands meanwhile
+    /// leaves a permit for the next [`MtsCtx::block`], as it does for a
+    /// running thread.
     pub fn sleep(&self, d: Dur) {
         if d.is_zero() {
             self.yield_now();
             return;
         }
-        let gen;
         {
             let mut inner = self.mts.inner.lock();
             debug_assert_eq!(inner.running, Some(self.tid));
             let now = self.ctx.now();
             {
                 let tcb = &mut inner.tcbs[self.tid.0 as usize];
-                tcb.state = MtsThreadState::Blocked;
+                tcb.state = MtsThreadState::Sleeping;
                 tcb.blocked_since = Some(now);
-                tcb.sleep_gen += 1;
-                gen = tcb.sleep_gen;
             }
             inner.push_blocked(self.tid.0);
             self.mts.switch_away(&mut inner, self.tid, now);
         }
         let mts = self.mts.clone();
         let tid = self.tid;
-        self.ctx.sim().schedule_in(d, move |sim| {
-            let fire = {
-                let inner = mts.inner.lock();
-                let tcb = &inner.tcbs[tid.0 as usize];
-                tcb.state == MtsThreadState::Blocked && tcb.sleep_gen == gen
-            };
-            if fire {
-                mts.unblock(sim, tid);
-            }
-        });
+        self.ctx
+            .sim()
+            .schedule_in(d, move |sim| mts.end_sleep(sim, tid));
         self.wait_for_dispatch();
     }
 
@@ -1435,7 +1442,10 @@ mod sleep_tests {
     use super::*;
 
     #[test]
-    fn sleep_can_be_cut_short_by_unblock() {
+    fn unblock_during_a_sleep_leaves_a_permit() {
+        // A sleep is a modelled wait: an unblock landing in it must not
+        // cut it short (the send thread would resume its wire send early),
+        // so it is kept as a permit for the next block instead.
         let sim = Sim::new();
         sim.spawn("main", move |ctx| {
             let mts = Mts::new(
@@ -1447,11 +1457,10 @@ mod sleep_tests {
                 },
             );
             let sleeper = mts.spawn("sleeper", 1, |m| {
-                m.sleep(Dur::from_secs(10)); // nominally very long
-                assert_eq!(m.now(), SimTime::ZERO + Dur::from_millis(3), "woken early");
-                // The stale timer at t=10s must not disturb later blocks.
-                m.sleep(Dur::from_millis(2));
-                assert_eq!(m.now(), SimTime::ZERO + Dur::from_millis(5));
+                m.sleep(Dur::from_millis(10));
+                assert_eq!(m.now(), SimTime::ZERO + Dur::from_millis(10), "woken early");
+                m.block();
+                assert_eq!(m.now(), SimTime::ZERO + Dur::from_millis(10), "permit lost");
             });
             mts.spawn("waker", 1, move |m| {
                 m.sleep(Dur::from_millis(3));
