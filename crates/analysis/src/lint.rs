@@ -38,7 +38,7 @@
 //! * `guard-across-park` — a `lock()` guard (a `let` binding, or a
 //!   `match`/`if let`/`while let` scrutinee temporary, which lives to the
 //!   end of the block) still in scope at a park/block/yield point
-//!   (`park(`, `.block()`, `.block_on(`, `yield_now(`, `external_block(`).
+//!   (`park(`, `.block()`, `.block_on(`, `yield_now(`, `kernel_wait(`).
 //!   Under the baton protocol the parked thread keeps the mutex locked
 //!   while another green thread runs — the classic recipe for a
 //!   self-deadlock or a lost wakeup. Drop the guard (end its scope or
@@ -289,7 +289,7 @@ fn park_positions(code: &str) -> Vec<usize> {
         ".block()",
         ".block_on(",
         "yield_now(",
-        "external_block(",
+        "kernel_wait(",
     ];
     let bytes = code.as_bytes();
     let mut out = Vec::new();

@@ -301,7 +301,7 @@ fn per_shard_mts_instances_do_not_perturb_the_workload() {
             mesh.sharded().shard(shard).spawn("mts-main", move |ctx| {
                 // `start` dispatches until every MTS thread has exited.
                 starter.start(ctx);
-                log.lock()[shard] = starter.stats().switches;
+                log.lock()[shard] = ctx.sim().with_metrics(|m| m.counter("mts.dispatches"));
             });
         }
         let out = mesh.run();

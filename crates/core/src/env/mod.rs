@@ -372,6 +372,12 @@ impl ProcInner {
         self.mts.unblock(&self.sim, self.sys().send);
     }
 
+    /// Ends the receive thread's kernel wait, if it is in one: it finds the
+    /// merged queue closed and exits (teardown).
+    fn end_recv_wait(&self) {
+        self.mts.end_kernel_wait(self.sys().recv);
+    }
+
     /// Reports a protocol-invariant violation under the analysis pass:
     /// `violation` (evaluated only when the pass is on) describes it, or
     /// finds nothing wrong.

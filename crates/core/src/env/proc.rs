@@ -100,18 +100,23 @@ impl NcsProc {
         if let Some(t) = &inner.term {
             t.register(&inner);
         }
-        // Every tier's inbox passes straight through to the one queue the
-        // receive thread waits on, inside the transport's delivery event
-        // (pure plumbing: the pickup cost is charged by the receive thread).
-        // Once `merged` closes at teardown, late traffic is dropped.
-        for (tier, net) in inner.nets.iter().enumerate() {
-            let merged = inner.merged.clone();
-            net.inbox(NodeId(id as u32)).forward(sim, move |sim, d| {
-                merged.offer(sim, (tier, d)).map_err(|(_, d)| d)
-            });
-        }
         let proc_ = NcsProc { inner };
         proc_.spawn_system_threads();
+        // Every tier's inbox passes straight through to the one queue the
+        // receive thread drains, inside the transport's delivery event, and
+        // ends the receive thread's kernel wait there (pure plumbing: the
+        // pickup cost is charged by the receive thread). Once `merged`
+        // closes at teardown, late traffic is dropped.
+        let inner = &proc_.inner;
+        let recv = inner.sys().recv;
+        for (tier, net) in inner.nets.iter().enumerate() {
+            let (merged, mts) = (inner.merged.clone(), inner.mts.clone());
+            net.inbox(NodeId(id as u32)).forward(sim, move |sim, d| {
+                merged.offer(sim, (tier, d)).map_err(|(_, d)| d)?;
+                mts.end_kernel_wait(recv);
+                Ok(())
+            });
+        }
         proc_
     }
 

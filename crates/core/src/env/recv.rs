@@ -54,13 +54,15 @@ pub(super) fn recv_thread_body(inner: &Arc<ProcInner>, m: &MtsCtx) {
             continue;
         }
         // Process otherwise idle: wait in the kernel for the next delivery.
-        let next = m.external_block(|| inner.merged.recv(m.ctx()));
-        match next {
-            Ok((tier, d)) => {
+        // The transport's delivery event ends the wait with the delivery
+        // queued; teardown ends it with the queue closed and drained.
+        m.kernel_wait();
+        match inner.merged.try_recv() {
+            Some((tier, d)) => {
                 ingest(inner, m, tier, d);
                 match_requests(inner, &mut inner.state.lock());
             }
-            Err(_closed) => break,
+            None => break,
         }
     }
     audit_shutdown(inner);

@@ -54,8 +54,10 @@ impl TermBarrier {
     }
 
     /// Marks process `id` locally quiescent. The last arrival closes every
-    /// process's merged channel (ending the receive threads' kernel waits)
-    /// and wakes every send thread so it can observe completion and exit.
+    /// process's merged channel, wakes its send thread so it can observe
+    /// completion and exit, and then ends its receive thread's kernel wait
+    /// — in that order, so a send thread that finds the CPU idle takes it
+    /// first.
     fn proc_ready(&self, id: usize) {
         let released = {
             let mut st = self.state.lock();
@@ -73,6 +75,7 @@ impl TermBarrier {
         for p in released.iter().filter_map(Weak::upgrade) {
             p.merged.close(&p.sim);
             p.wake_send();
+            p.end_recv_wait();
         }
     }
 }
@@ -82,7 +85,10 @@ impl TermBarrier {
 /// immediately; collective ones linger at the termination barrier.
 pub(super) fn signal_quiescent(inner: &ProcInner) {
     match &inner.term {
-        None => inner.merged.close(&inner.sim),
+        None => {
+            inner.merged.close(&inner.sim);
+            inner.end_recv_wait();
+        }
         Some(t) => t.proc_ready(inner.id),
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Event counts repeat to the digit, so each scenario asserts its exact
 //! [`RunOutcome::events`] beside the virtual end time the run had *before*
-//! the MTS dispatch, the transport entry and the inbox merge stopped
+//! the MTS dispatch, the transport entry, the inbox merge, the end of the
+//! receive thread's kernel wait and a thread's first dispatch stopped
 //! costing events of their own (DESIGN.md "Event kernel"): the events went,
 //! the model clock did not move. A change that adds an event per message
 //! (or per dispatch) fails here by name; one that moves virtual time fails
@@ -51,7 +52,7 @@ fn hsm_ping_pong_event_budget() {
     });
     let out = run_clean(&sim);
     assert_eq!(end_ps(&out), 15_397_634_304, "virtual end time moved");
-    assert_eq!((out.events, out.resumes), (375, 343), "was (579, 547)");
+    assert_eq!((out.events, out.resumes), (336, 304), "was (579, 547)");
 }
 
 #[test]
@@ -77,7 +78,7 @@ fn gather_broadcast_round_event_budget() {
     });
     let out = run_clean(&sim);
     assert_eq!(end_ps(&out), 2_836_537_144, "virtual end time moved");
-    assert_eq!((out.events, out.resumes), (220, 206), "was (346, 332)");
+    assert_eq!((out.events, out.resumes), (181, 167), "was (346, 332)");
 }
 
 #[test]
@@ -109,7 +110,7 @@ fn checked_tcp_ring_event_budget() {
     let retx: u64 = world.procs().iter().map(NcsProc::retransmits).sum();
     assert!(retx > 0, "the seed must exercise the recovery path");
     assert_eq!(end_ps(&out), 367_538_885_720, "virtual end time moved");
-    assert_eq!((out.events, out.resumes), (640, 532), "was (952, 844)");
+    assert_eq!((out.events, out.resumes), (576, 468), "was (952, 844)");
 }
 
 #[test]

@@ -2,11 +2,10 @@
 //!
 //! Faithful to Section 4.1 of the paper:
 //!
-//! * **N = 16 priority levels**, round-robin within a level, implemented as
-//!   doubly-linked queues ([`crate::dlist`]);
-//! * a doubly-linked **blocked queue**;
-//! * thread states **running / runnable / blocked** (plus bookkeeping
-//!   states for creation, kernel-level waits, and exit);
+//! * **N = 16 priority levels**, round-robin within a level (the run
+//!   queue of `run_queue.rs`);
+//! * thread states **running / runnable / blocked**, plus a timed sleep, a
+//!   kernel-level wait and exit ([`MtsThreadState`]);
 //! * **cooperative** scheduling: a thread runs until it blocks, yields, or
 //!   exits — there is no preemption, exactly like QuickThreads-based
 //!   user-level packages;
@@ -18,8 +17,15 @@
 //! scheduler calls (including [`ncs_sim::Ctx::sleep`]-modeled computation
 //! and protocol processing) happens with the CPU held. Kernel-level blocking
 //! (e.g. parking on an empty socket) therefore blocks the *whole process* —
-//! unless done through [`MtsCtx::external_block`], which is how NCS's
-//! receive thread waits for the network while sibling threads keep running.
+//! unless done through [`MtsCtx::kernel_wait`], which is how NCS's receive
+//! thread waits for the network while sibling threads keep running.
+//!
+//! One code path puts a thread on the CPU: the dispatcher picks it and
+//! queues its green thread's `Resume` at `now + context_switch`
+//! ([`ncs_sim::Sim::wake_at`]), so a dispatch is one kernel event and the
+//! thread wakes with its switch paid. Green threads are created parked
+//! ([`ncs_sim::Sim::spawn_parked`]): a thread's first run is its first
+//! dispatch.
 
 use ncs_sim::sync::Mutex;
 use ncs_sim::{
@@ -27,7 +33,7 @@ use ncs_sim::{
 };
 use std::sync::Arc;
 
-use crate::dlist::{LinkArena, ListHead};
+use crate::run_queue::RunQueue;
 
 /// Number of priority levels (the paper's current implementation: N = 16).
 pub const PRIORITY_LEVELS: usize = 16;
@@ -48,21 +54,15 @@ struct Tcb {
     actor: ActorId,
     priority: usize,
     state: MtsThreadState,
-    green: Option<ThreadId>,
-    /// Earliest instant the thread may run after its latest dispatch
-    /// (dispatch time + context-switch cost).
-    run_at: SimTime,
+    green: ThreadId,
     /// A pending unblock permit (unblock arrived before the block).
     permit: bool,
+    /// When the current wait (blocked, sleeping, kernel) began.
     blocked_since: Option<SimTime>,
-    total_blocked: Dur,
     /// When the current run slice started (dispatch + context-switch cost).
     run_since: Option<SimTime>,
-    /// When the thread last entered a runnable queue.
+    /// When the thread last entered the run queue.
     runnable_since: Option<SimTime>,
-    dispatches: u64,
-    /// MTS threads waiting in [`MtsCtx::join`] for this one to exit.
-    exit_waiters: Vec<MtsTid>,
     /// The sibling this thread is blocked on, when known — a wait-for edge
     /// for deadlock detection. `None` for timed sleeps and anonymous
     /// blocks (anything may wake those).
@@ -73,74 +73,15 @@ struct Inner {
     proc_name: String,
     cs_cost: Dur,
     started: bool,
-    arena: LinkArena,
-    runnable: [ListHead; PRIORITY_LEVELS],
-    blocked: ListHead,
+    runnable: RunQueue,
     tcbs: Vec<Tcb>,
     running: Option<MtsTid>,
     live: usize,
     all_done_waiters: Vec<ThreadId>,
-    switches: u64,
-    idle_since: Option<SimTime>,
-    total_idle: Dur,
     analysis: AnalysisConfig,
     /// Deadlock cycles already reported, so a stuck process does not spam
     /// one violation per idle transition.
     reported_cycles: Vec<Vec<u32>>,
-}
-
-impl Inner {
-    /// Queues `slot` at the tail of its priority level's runnable list.
-    fn push_runnable(&mut self, slot: u32) {
-        let prio = self.tcbs[slot as usize].priority;
-        let Inner {
-            runnable, arena, ..
-        } = self;
-        runnable[prio].push_back(arena, slot);
-    }
-
-    /// Pops the highest-priority runnable thread (round robin within
-    /// level). When a schedule-exploration policy is installed on the
-    /// kernel, the policy picks *which* thread of the top non-empty level
-    /// dispatches — the round-robin rotation within a level is a
-    /// convention, not a requirement, so any member is a legal choice.
-    /// Strict priority *between* levels is a hard rule and never offered
-    /// as a choice. With no policy installed the list head pops on the
-    /// pre-existing code path.
-    fn pop_runnable_via(&mut self, sim: &Sim) -> Option<u32> {
-        let Inner {
-            runnable, arena, ..
-        } = self;
-        let level = runnable.iter_mut().find(|l| !l.is_empty())?;
-        let n = level.len();
-        if n >= 2 && sim.has_schedule_policy() {
-            let pick = sim.schedule_choice(ChoicePoint::RunnableRotation, n);
-            let slot = level.iter(arena).nth(pick).expect("pick within level");
-            level.unlink(arena, slot);
-            Some(slot)
-        } else {
-            level.pop_front(arena)
-        }
-    }
-
-    fn push_blocked(&mut self, slot: u32) {
-        let Inner { blocked, arena, .. } = self;
-        blocked.push_back(arena, slot);
-    }
-
-    fn unlink_blocked(&mut self, slot: u32) {
-        let Inner { blocked, arena, .. } = self;
-        blocked.unlink(arena, slot);
-    }
-
-    /// Whether a runnable thread exists that a yielding thread of
-    /// `priority` would actually hand the CPU to (its own level or higher).
-    /// Strictly-lower levels never win a yield, so yielding to them is a
-    /// no-op — re-dispatching the yielder itself would wake the green
-    /// thread that is still running, which the kernel (correctly) rejects.
-    fn any_runnable_at_or_above(&self, priority: usize) -> bool {
-        self.runnable[..=priority].iter().any(|l| !l.is_empty())
-    }
 }
 
 /// Configuration of one MTS instance. The scheduling discipline is not
@@ -167,15 +108,6 @@ impl Default for MtsConfig {
     }
 }
 
-/// Scheduler statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MtsStats {
-    /// Total dispatches performed.
-    pub switches: u64,
-    /// Total time the process CPU sat idle (no runnable thread).
-    pub total_idle: Dur,
-}
-
 /// One process's user-level thread runtime (the paper's NCS_MTS).
 #[derive(Clone)]
 pub struct Mts {
@@ -198,16 +130,11 @@ impl Mts {
                 proc_name: proc_name.into(),
                 cs_cost: config.context_switch,
                 started: false,
-                arena: LinkArena::new(),
-                runnable: [ListHead::new(); PRIORITY_LEVELS],
-                blocked: ListHead::new(),
+                runnable: RunQueue::default(),
                 tcbs: Vec::new(),
                 running: None,
                 live: 0,
                 all_done_waiters: Vec::new(),
-                switches: 0,
-                idle_since: None,
-                total_idle: Dur::ZERO,
                 analysis: config.analysis,
                 reported_cycles: Vec::new(),
             })),
@@ -226,51 +153,42 @@ impl Mts {
     ) -> MtsTid {
         assert!(priority < PRIORITY_LEVELS, "priority out of range");
         let name = name.into();
-        let green_name = {
+        let (green_name, tid) = {
             let inner = self.inner.lock();
-            format!("{}/{}", inner.proc_name, name)
+            let tid = MtsTid(inner.tcbs.len() as u32);
+            (format!("{}/{}", inner.proc_name, name), tid)
         };
         // Intern the actor label once; every later trace event for this
         // thread records the small id instead of re-allocating the string.
         let actor = self.sim.with_tracer(|tr| tr.intern(&green_name));
-        let tid;
-        {
-            let mut inner = self.inner.lock();
-            let slot = inner.arena.add_slot();
-            tid = MtsTid(slot);
-            let now = self.sim.now();
-            inner.tcbs.push(Tcb {
-                name: name.clone(),
-                actor,
-                priority,
-                state: MtsThreadState::Runnable,
-                green: None,
-                run_at: SimTime::ZERO,
-                permit: false,
-                blocked_since: None,
-                total_blocked: Dur::ZERO,
-                run_since: None,
-                runnable_since: Some(now),
-                dispatches: 0,
-                exit_waiters: Vec::new(),
-                wait_on: None,
-            });
-            inner.push_runnable(slot);
-            inner.live += 1;
-            self.queue_check(&inner, "spawn");
-        }
         let mts = self.clone();
-        let green = self.sim.spawn(green_name, move |ctx| {
+        // Parked: the green thread first runs when the dispatcher wakes it,
+        // already holding the CPU.
+        let green = self.sim.spawn_parked(green_name, move |ctx| {
             let mctx = MtsCtx {
                 mts: mts.clone(),
                 ctx,
                 tid,
             };
-            mctx.wait_for_dispatch();
             body(&mctx);
             mts.thread_exited(ctx, tid);
         });
-        self.inner.lock().tcbs[tid.0 as usize].green = Some(green);
+        let mut inner = self.inner.lock();
+        inner.tcbs.push(Tcb {
+            name,
+            actor,
+            priority,
+            state: MtsThreadState::Runnable,
+            green,
+            permit: false,
+            blocked_since: None,
+            run_since: None,
+            runnable_since: Some(self.sim.now()),
+            wait_on: None,
+        });
+        inner.runnable.push(priority, tid);
+        inner.live += 1;
+        self.queue_check(&inner, "spawn");
         tid
     }
 
@@ -306,46 +224,36 @@ impl Mts {
     pub fn unblock(&self, sim: &Sim, tid: MtsTid) {
         let mut inner = self.inner.lock();
         match inner.tcbs[tid.0 as usize].state {
-            MtsThreadState::Blocked => {
-                inner.unlink_blocked(tid.0);
-                self.note_unblocked(&mut inner, tid, sim.now());
-                self.make_runnable_or_dispatch(&mut inner, tid, sim);
-            }
+            MtsThreadState::Blocked => self.end_wait(&mut inner, tid, sim.now()),
             MtsThreadState::Exited => {}
             _ => inner.tcbs[tid.0 as usize].permit = true,
         }
         self.queue_check(&inner, "unblock");
     }
 
-    /// The timer of an [`MtsCtx::sleep`]: the only thing that ends it.
-    fn end_sleep(&self, sim: &Sim, tid: MtsTid) {
+    /// Ends `tid`'s kernel-level wait ([`MtsCtx::kernel_wait`]). A thread
+    /// not in one is left alone, with no permit: it has not started
+    /// waiting yet, and it looks for what it would wait for before it does.
+    /// Callable from any green thread or event callback of the simulation.
+    pub fn end_kernel_wait(&self, tid: MtsTid) {
         let mut inner = self.inner.lock();
-        debug_assert_eq!(inner.tcbs[tid.0 as usize].state, MtsThreadState::Sleeping);
-        inner.unlink_blocked(tid.0);
-        self.note_unblocked(&mut inner, tid, sim.now());
-        self.make_runnable_or_dispatch(&mut inner, tid, sim);
-        self.queue_check(&inner, "unblock");
-    }
-
-    /// Whether any thread is waiting in a runnable queue.
-    pub fn has_runnable(&self) -> bool {
-        let inner = self.inner.lock();
-        inner.runnable.iter().any(|l| !l.is_empty())
-    }
-
-    /// Scheduler statistics so far.
-    pub fn stats(&self) -> MtsStats {
-        let inner = self.inner.lock();
-        MtsStats {
-            switches: inner.switches,
-            total_idle: inner.total_idle,
+        if inner.tcbs[tid.0 as usize].state == MtsThreadState::External {
+            self.end_wait(&mut inner, tid, self.sim.now());
+            self.queue_check(&inner, "end_kernel_wait");
         }
     }
 
-    /// Total time `tid` has spent blocked.
-    #[cfg(test)]
-    pub fn blocked_time(&self, tid: MtsTid) -> Dur {
-        self.inner.lock().tcbs[tid.0 as usize].total_blocked
+    /// The timer of an [`MtsCtx::sleep`]: the only thing that ends it.
+    fn end_sleep(&self, tid: MtsTid) {
+        let mut inner = self.inner.lock();
+        debug_assert_eq!(inner.tcbs[tid.0 as usize].state, MtsThreadState::Sleeping);
+        self.end_wait(&mut inner, tid, self.sim.now());
+        self.queue_check(&inner, "sleep");
+    }
+
+    /// Whether any thread is waiting in the run queue.
+    pub fn has_runnable(&self) -> bool {
+        !self.inner.lock().runnable.is_empty()
     }
 
     /// The process name this runtime models.
@@ -361,48 +269,54 @@ impl Mts {
 
     // -- internals ---------------------------------------------------------
 
-    fn note_unblocked(&self, inner: &mut Inner, tid: MtsTid, now: SimTime) {
-        let (actor, since) = {
-            let tcb = &mut inner.tcbs[tid.0 as usize];
-            match tcb.blocked_since.take() {
-                None => return,
-                Some(since) => {
-                    tcb.total_blocked += now.saturating_since(since);
-                    (tcb.actor, since)
-                }
-            }
-        };
-        self.sim.with_spans(|tr| {
-            tr.span_on(actor, SpanKind::Idle, "blocked", since, now);
-        });
-    }
-
-    /// Takes `tid` off the CPU at `now` and hands the CPU to the next
-    /// runnable thread: closes the run slice (a scheduler timeline span at
-    /// detail level, plus the always-on run-slice histogram), then
-    /// dispatches. Every Running → (Runnable|Blocked|External|Exited)
-    /// transition ends here, after the caller has requeued `tid`, so the
-    /// slice that ends and the dispatch that follows share one registry
-    /// visit.
-    fn switch_away(&self, inner: &mut Inner, tid: MtsTid, now: SimTime) {
+    /// Takes `tid` off the CPU at `now`, into `state`, and hands the CPU to
+    /// the next runnable thread: closes the run slice (a scheduler timeline
+    /// span at detail level, plus the always-on run-slice histogram), then
+    /// dispatches. Every Running → (Runnable|Blocked|Sleeping|External|
+    /// Exited) transition ends here, so the slice that ends and the
+    /// dispatch that follows share one registry visit.
+    fn switch_away(&self, inner: &mut Inner, tid: MtsTid, state: MtsThreadState, now: SimTime) {
         debug_assert_eq!(inner.running, Some(tid));
         inner.running = None;
         let tcb = &mut inner.tcbs[tid.0 as usize];
+        tcb.state = state;
+        match state {
+            MtsThreadState::Runnable => tcb.runnable_since = Some(now),
+            MtsThreadState::Exited => {}
+            _ => tcb.blocked_since = Some(now),
+        }
         let ended = tcb.run_since.take().map(|since| (tcb.actor, since));
+        if state == MtsThreadState::Runnable {
+            let priority = tcb.priority;
+            inner.runnable.push(priority, tid);
+        }
         self.dispatch_next(inner, now, ended);
     }
 
-    /// Puts an unblocked thread on the CPU if it is idle, else queues it.
-    fn make_runnable_or_dispatch(&self, inner: &mut Inner, tid: MtsTid, sim: &Sim) {
-        {
-            let tcb = &mut inner.tcbs[tid.0 as usize];
-            tcb.state = MtsThreadState::Runnable;
-            tcb.runnable_since = Some(sim.now());
-            tcb.wait_on = None;
+    /// Ends `tid`'s wait at `now`: records the wait's span, then puts the
+    /// thread on the CPU if it is idle, else queues it. A thread back from
+    /// a kernel wait that finds the CPU idle goes straight on: it never
+    /// waited in the run queue, so it records no runnable interval.
+    fn end_wait(&self, inner: &mut Inner, tid: MtsTid, now: SimTime) {
+        let idle = inner.started && inner.running.is_none();
+        let tcb = &mut inner.tcbs[tid.0 as usize];
+        let kernel = tcb.state == MtsThreadState::External;
+        tcb.state = MtsThreadState::Runnable;
+        tcb.wait_on = None;
+        tcb.runnable_since = (!(kernel && idle)).then_some(now);
+        let (actor, priority, since) = (tcb.actor, tcb.priority, tcb.blocked_since.take());
+        if let Some(since) = since {
+            self.sim.with_spans(|tr| {
+                if !kernel {
+                    tr.span_on(actor, SpanKind::Idle, "blocked", since, now);
+                } else if tr.detail_enabled() {
+                    tr.span_on(actor, SpanKind::Idle, "kernel-wait", since, now);
+                }
+            });
         }
-        inner.push_runnable(tid.0);
-        if inner.started && inner.running.is_none() {
-            self.dispatch_next(inner, sim.now(), None);
+        inner.runnable.push(priority, tid);
+        if idle {
+            self.dispatch_next(inner, now, None);
         }
     }
 
@@ -410,34 +324,43 @@ impl Mts {
     /// the CPU. `inner.running` must be `None`. `ended` is the run slice
     /// `(actor, since)` that just closed at `now`, if this dispatch follows
     /// one (see [`Mts::switch_away`]).
+    ///
+    /// This is the one place a thread gets the CPU: its green thread,
+    /// parked, is woken at `run_at = now + context_switch`, so it resumes
+    /// with the switch already paid, in one kernel event. When a
+    /// schedule-exploration policy is installed on the kernel, the policy
+    /// picks *which* thread of the top non-empty level dispatches (see
+    /// `RunQueue::pop`).
     fn dispatch_next(&self, inner: &mut Inner, now: SimTime, ended: Option<(ActorId, SimTime)>) {
         debug_assert!(inner.running.is_none());
         let cs_cost = inner.cs_cost;
         let run_at = now + cs_cost;
-        let next = inner.pop_runnable_via(&self.sim).map(|slot| {
-            let tcb = &mut inner.tcbs[slot as usize];
-            tcb.state = MtsThreadState::Running;
-            tcb.run_at = run_at;
-            tcb.run_since = Some(run_at);
-            tcb.dispatches += 1;
-            (slot, tcb.actor, tcb.runnable_since.take())
-        });
-        self.sim.with_metrics(|m| {
+        let sim = &self.sim;
+        let next = inner
+            .runnable
+            .pop(|n| sim.schedule_choice(ChoicePoint::RunnableRotation, n))
+            .map(|tid| {
+                let tcb = &mut inner.tcbs[tid.0 as usize];
+                tcb.state = MtsThreadState::Running;
+                tcb.run_since = Some(run_at);
+                (tid, tcb.actor, tcb.runnable_since.take(), tcb.green)
+            });
+        sim.with_metrics(|m| {
             if let Some((_, since)) = ended {
                 m.observe("mts.run_slice", now.saturating_since(since));
             }
-            if let Some((_, _, queued_since)) = next {
+            if let Some((_, _, queued_since, _)) = next {
                 m.inc("mts.dispatches", 1);
                 if let Some(since) = queued_since {
                     m.observe("mts.runnable_wait", now.saturating_since(since));
                 }
             }
         });
-        self.sim.with_spans(|tr| {
+        sim.with_spans(|tr| {
             if let (Some((actor, since)), true) = (ended, tr.detail_enabled()) {
                 tr.span_on(actor, SpanKind::Compute, "run", since, now);
             }
-            if let Some((_, actor, queued_since)) = next {
+            if let Some((_, actor, queued_since, _)) = next {
                 if let (Some(since), true) = (queued_since, tr.detail_enabled()) {
                     tr.span_on(actor, SpanKind::Runnable, "runnable", since, now);
                 }
@@ -447,29 +370,15 @@ impl Mts {
             }
         });
         match next {
-            Some((slot, ..)) => {
-                if let Some(since) = inner.idle_since.take() {
-                    inner.total_idle += now.saturating_since(since);
-                }
-                inner.switches += 1;
-                inner.running = Some(MtsTid(slot));
-                // The `Resume` lands at `run_at`: a parked thread wakes with
-                // its switch already paid. One still `Scheduled` (spawned,
-                // not yet run) is not moved and pays through `charge_switch`.
-                if let Some(green) = inner.tcbs[slot as usize].green {
-                    self.sim.wake_at(green, run_at);
-                }
+            Some((tid, .., green)) => {
+                inner.running = Some(tid);
+                let woke = sim.wake_at(green, run_at);
+                debug_assert!(woke, "dispatched {tid} is not parked");
             }
-            None => {
-                if inner.idle_since.is_none() {
-                    inner.idle_since = Some(now);
-                    // The process just went idle: every thread is blocked or
-                    // gone, the moment a wait-for cycle becomes a deadlock.
-                    if inner.analysis.active() {
-                        Self::deadlock_scan(inner);
-                    }
-                }
-            }
+            // The process just went idle: every thread is blocked or gone,
+            // the moment a wait-for cycle becomes a deadlock.
+            None if inner.analysis.active() => Self::deadlock_scan(inner),
+            None => {}
         }
         self.queue_check(inner, "dispatch");
     }
@@ -520,8 +429,8 @@ impl Mts {
             .collect()
     }
 
-    /// Runs the promoted dlist invariants over every scheduler queue when
-    /// the analysis pass is active.
+    /// Runs the run-queue membership invariants when the analysis pass is
+    /// active.
     fn queue_check(&self, inner: &Inner, op: &'static str) {
         if !inner.analysis.active() {
             return;
@@ -535,71 +444,47 @@ impl Mts {
         }
     }
 
+    /// The run queue holds exactly the `Runnable` threads, each once, at
+    /// its own priority level.
     fn validate_inner(inner: &Inner) -> Vec<String> {
         let mut problems = Vec::new();
-        let mut membership = vec![0u32; inner.arena.slots()];
-        let mut lists: Vec<(String, &ListHead)> = inner
-            .runnable
-            .iter()
-            .enumerate()
-            .map(|(p, l)| (format!("runnable[{p}]"), l))
-            .collect();
-        lists.push(("blocked".to_string(), &inner.blocked));
-        for (label, list) in lists {
-            match list.validate(&inner.arena) {
-                Ok(walk) => {
-                    for s in walk {
-                        membership[s as usize] += 1;
-                    }
-                }
-                Err(e) => problems.push(format!("{label}: {e}")),
+        let mut queued = vec![0u32; inner.tcbs.len()];
+        for (level, tid) in inner.runnable.iter() {
+            let Some(tcb) = inner.tcbs.get(tid.0 as usize) else {
+                problems.push(format!("runnable[{level}] holds {tid}, which is no thread"));
+                continue;
+            };
+            queued[tid.0 as usize] += 1;
+            if tcb.priority != level {
+                problems.push(format!(
+                    "{tid}/{} has priority {} but is queued at runnable[{level}]",
+                    tcb.name, tcb.priority
+                ));
             }
         }
-        for (i, &count) in membership.iter().enumerate() {
+        for (i, (tcb, &count)) in inner.tcbs.iter().zip(&queued).enumerate() {
+            let runnable = tcb.state == MtsThreadState::Runnable;
             if count > 1 {
-                problems.push(format!("t{i} is on {count} lists at once"));
-            }
-            if let Some(tcb) = inner.tcbs.get(i) {
-                let queued = [
-                    MtsThreadState::Runnable,
-                    MtsThreadState::Blocked,
-                    MtsThreadState::Sleeping,
-                ]
-                .contains(&tcb.state);
-                if queued != (count == 1) && count <= 1 {
-                    problems.push(format!(
-                        "t{i}/{} is {:?} but on {count} scheduler lists",
-                        tcb.name, tcb.state
-                    ));
-                }
+                problems.push(format!("t{i}/{} is queued {count} times", tcb.name));
+            } else if runnable != (count == 1) {
+                problems.push(format!(
+                    "t{i}/{} is {:?} but queued {count} times",
+                    tcb.name, tcb.state
+                ));
             }
         }
         problems
     }
 
     fn thread_exited(&self, ctx: &Ctx, tid: MtsTid) {
-        let joiners;
-        {
-            let mut inner = self.inner.lock();
-            inner.tcbs[tid.0 as usize].state = MtsThreadState::Exited;
-            joiners = std::mem::take(&mut inner.tcbs[tid.0 as usize].exit_waiters);
-            inner.live -= 1;
-            self.switch_away(&mut inner, tid, ctx.now());
-            if inner.live == 0 {
-                for w in inner.all_done_waiters.drain(..) {
-                    self.sim.wake(w);
-                }
+        let mut inner = self.inner.lock();
+        inner.live -= 1;
+        self.switch_away(&mut inner, tid, MtsThreadState::Exited, ctx.now());
+        if inner.live == 0 {
+            for w in inner.all_done_waiters.drain(..) {
+                self.sim.wake(w);
             }
         }
-        for j in joiners {
-            self.unblock(ctx.sim(), j);
-        }
-    }
-
-    /// Whether thread `tid` has exited.
-    #[cfg(test)]
-    pub fn has_exited(&self, tid: MtsTid) -> bool {
-        self.inner.lock().tcbs[tid.0 as usize].state == MtsThreadState::Exited
     }
 
     /// Snapshot of every thread's scheduling state and wait edge — what a
@@ -631,9 +516,9 @@ impl Mts {
             .collect()
     }
 
-    /// Runs the promoted dlist queue invariants over every scheduler list
-    /// right now, returning a description of each corruption found (empty
-    /// when all queues are sound).
+    /// Checks the run-queue membership invariants right now, returning a
+    /// description of each inconsistency found (empty when the queue holds
+    /// exactly the runnable threads, each once, at its own level).
     // ncs-lint: allow(dead-surface) queue-invariant oracle analysis/tests/runtime_detection.rs checks
     pub fn validate_queues(&self) -> Vec<String> {
         Self::validate_inner(&self.inner.lock())
@@ -643,15 +528,16 @@ impl Mts {
 /// Scheduling state of an MTS thread (as in a [`MtsThreadReport`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MtsThreadState {
-    /// In a runnable queue (including not-yet-first-run threads).
+    /// In the run queue (including not-yet-first-run threads).
     Runnable,
     /// Owns the process CPU.
     Running,
-    /// In the blocked queue.
+    /// Blocked until an [`Mts::unblock`].
     Blocked,
     /// In a thread-level sleep ([`MtsCtx::sleep`]): only its timer ends it.
     Sleeping,
-    /// Parked in a kernel-level wait ([`MtsCtx::external_block`]).
+    /// In a kernel-level wait ([`MtsCtx::kernel_wait`]): only
+    /// [`Mts::end_kernel_wait`] ends it.
     External,
     /// Finished.
     Exited,
@@ -668,7 +554,7 @@ pub struct MtsThreadReport {
     pub state: MtsThreadState,
     /// Recorded wait-for edge, if the thread named what it waits on.
     pub wait_on: Option<MtsTid>,
-    /// When the thread last blocked, if currently blocked.
+    /// When the thread's current wait began, if it is waiting.
     pub blocked_since: Option<SimTime>,
 }
 
@@ -706,23 +592,17 @@ impl MtsCtx<'_> {
     pub fn yield_now(&self) {
         {
             let mut inner = self.mts.inner.lock();
-            debug_assert_eq!(inner.running, Some(self.tid));
             // Fast path: nothing that could win the CPU — skip the switch
             // entirely. This includes the case where only strictly-lower
             // priority threads are runnable: round robin never hands the
-            // CPU down a level while the yielder is still runnable.
+            // CPU down a level while the yielder is still runnable (and
+            // re-dispatching the yielder itself would wake the green
+            // thread that is still running, which the kernel rejects).
             let my_prio = inner.tcbs[self.tid.0 as usize].priority;
-            if !inner.any_runnable_at_or_above(my_prio) {
+            if !inner.runnable.any_at_or_above(my_prio) {
                 return;
             }
-            let now = self.ctx.now();
-            {
-                let tcb = &mut inner.tcbs[self.tid.0 as usize];
-                tcb.state = MtsThreadState::Runnable;
-                tcb.runnable_since = Some(now);
-            }
-            inner.push_runnable(self.tid.0);
-            self.mts.switch_away(&mut inner, self.tid, now);
+            self.leave_cpu(&mut inner, MtsThreadState::Runnable);
         }
         self.wait_for_dispatch();
     }
@@ -745,19 +625,12 @@ impl MtsCtx<'_> {
     fn block_inner(&self, wait_on: Option<MtsTid>) {
         {
             let mut inner = self.mts.inner.lock();
-            debug_assert_eq!(inner.running, Some(self.tid));
-            if std::mem::take(&mut inner.tcbs[self.tid.0 as usize].permit) {
+            let tcb = &mut inner.tcbs[self.tid.0 as usize];
+            if std::mem::take(&mut tcb.permit) {
                 return;
             }
-            let now = self.ctx.now();
-            {
-                let tcb = &mut inner.tcbs[self.tid.0 as usize];
-                tcb.state = MtsThreadState::Blocked;
-                tcb.blocked_since = Some(now);
-                tcb.wait_on = wait_on;
-            }
-            inner.push_blocked(self.tid.0);
-            self.mts.switch_away(&mut inner, self.tid, now);
+            tcb.wait_on = wait_on;
+            self.leave_cpu(&mut inner, MtsThreadState::Blocked);
         }
         self.wait_for_dispatch();
     }
@@ -773,23 +646,18 @@ impl MtsCtx<'_> {
             self.yield_now();
             return;
         }
-        {
-            let mut inner = self.mts.inner.lock();
-            debug_assert_eq!(inner.running, Some(self.tid));
-            let now = self.ctx.now();
-            {
-                let tcb = &mut inner.tcbs[self.tid.0 as usize];
-                tcb.state = MtsThreadState::Sleeping;
-                tcb.blocked_since = Some(now);
-            }
-            inner.push_blocked(self.tid.0);
-            self.mts.switch_away(&mut inner, self.tid, now);
-        }
-        let mts = self.mts.clone();
-        let tid = self.tid;
-        self.ctx
-            .sim()
-            .schedule_in(d, move |sim| mts.end_sleep(sim, tid));
+        self.leave_cpu(&mut self.mts.inner.lock(), MtsThreadState::Sleeping);
+        let (mts, tid) = (self.mts.clone(), self.tid);
+        self.ctx.sim().schedule_in(d, move |_| mts.end_sleep(tid));
+        self.wait_for_dispatch();
+    }
+
+    /// Releases the CPU until [`Mts::end_kernel_wait`]: a wait for
+    /// something outside the process's threads (a delivery, a close) that
+    /// sibling threads keep running through, and that no [`Mts::unblock`]
+    /// ends. NCS's receive thread waits for the network this way.
+    pub fn kernel_wait(&self) {
+        self.leave_cpu(&mut self.mts.inner.lock(), MtsThreadState::External);
         self.wait_for_dispatch();
     }
 
@@ -798,103 +666,20 @@ impl MtsCtx<'_> {
         self.mts.unblock(self.ctx.sim(), tid);
     }
 
-    /// Blocks until sibling thread `tid` exits.
-    pub fn join(&self, tid: MtsTid) {
-        assert_ne!(tid, self.tid, "a thread cannot join itself");
-        loop {
-            {
-                let mut inner = self.mts.inner.lock();
-                if inner.tcbs[tid.0 as usize].state == MtsThreadState::Exited {
-                    return;
-                }
-                inner.tcbs[tid.0 as usize].exit_waiters.push(self.tid);
-            }
-            self.block_on(tid);
-        }
+    /// Gives up the CPU, which this thread holds, into `state`.
+    fn leave_cpu(&self, inner: &mut Inner, state: MtsThreadState) {
+        self.mts.switch_away(inner, self.tid, state, self.ctx.now());
     }
 
-    /// Releases the CPU, performs a kernel-level blocking operation `f`
-    /// (e.g. waiting on a network inbox), then re-acquires the CPU.
-    ///
-    /// This is how NCS's receive system thread waits for the wire without
-    /// stalling sibling compute threads. While inside `f`, sibling threads
-    /// are scheduled normally.
-    pub fn external_block<R>(&self, f: impl FnOnce() -> R) -> R {
-        let t_ext = self.ctx.now();
-        {
-            let mut inner = self.mts.inner.lock();
-            debug_assert_eq!(inner.running, Some(self.tid));
-            inner.tcbs[self.tid.0 as usize].state = MtsThreadState::External;
-            self.mts.switch_away(&mut inner, self.tid, t_ext);
-        }
-        let r = f();
-        // Re-acquire the CPU, in one visit to the scheduler state.
-        let now = self.ctx.now();
-        let direct_run_at = {
-            let mut inner = self.mts.inner.lock();
-            let ext_actor = inner.tcbs[self.tid.0 as usize].actor;
-            self.ctx.sim().with_spans(|tr| {
-                if tr.detail_enabled() {
-                    tr.span_on(ext_actor, SpanKind::Idle, "kernel-wait", t_ext, now);
-                }
-            });
-            if inner.running.is_none() {
-                if let Some(since) = inner.idle_since.take() {
-                    inner.total_idle += now.saturating_since(since);
-                }
-                inner.switches += 1;
-                let run_at = now + inner.cs_cost;
-                {
-                    let tcb = &mut inner.tcbs[self.tid.0 as usize];
-                    tcb.state = MtsThreadState::Running;
-                    tcb.run_at = run_at;
-                    tcb.run_since = Some(run_at);
-                    tcb.dispatches += 1;
-                }
-                inner.running = Some(self.tid);
-                self.ctx.sim().with_metrics(|m| m.inc("mts.dispatches", 1));
-                Some(run_at)
-            } else {
-                // CPU busy: queue like any runnable thread and wait.
-                {
-                    let tcb = &mut inner.tcbs[self.tid.0 as usize];
-                    tcb.state = MtsThreadState::Runnable;
-                    tcb.runnable_since = Some(now);
-                }
-                inner.push_runnable(self.tid.0);
-                None
-            }
-        };
-        match direct_run_at {
-            // Charge the context switch for the direct re-acquisition.
-            Some(run_at) => self.charge_switch(run_at),
-            None => self.wait_for_dispatch(),
-        }
-        r
-    }
-
-    /// Waits until this thread has been dispatched, then charges whatever
-    /// of the context-switch cost the wake-up instant did not already cover
-    /// (see [`Mts::dispatch_next`]).
+    /// Parks until the dispatcher hands this thread the CPU again. The
+    /// wake-up lands at the end of the context switch, so there is nothing
+    /// left to charge.
     fn wait_for_dispatch(&self) {
-        let run_at = loop {
-            {
-                let inner = self.mts.inner.lock();
-                let tcb = &inner.tcbs[self.tid.0 as usize];
-                if tcb.state == MtsThreadState::Running {
-                    break tcb.run_at;
-                }
-            }
+        loop {
             self.ctx.park();
-        };
-        self.charge_switch(run_at);
-    }
-
-    /// Holds the CPU until `run_at`, the end of the modelled context switch.
-    fn charge_switch(&self, run_at: SimTime) {
-        let wait = run_at.saturating_since(self.ctx.now());
-        if !wait.is_zero() {
-            self.ctx.sleep(wait);
+            if self.mts.inner.lock().tcbs[self.tid.0 as usize].state == MtsThreadState::Running {
+                return;
+            }
         }
     }
 }
@@ -1102,22 +887,17 @@ mod tests {
         // The switch is a cost charged to the dispatched thread, not an
         // activity of its own: the dispatcher queues the thread's `Resume`
         // at `run_at`, so a dispatch is ONE kernel event and the thread's
-        // first instruction runs with the switch already paid.
+        // first instruction runs with the switch already paid — its first
+        // dispatch too, since MTS green threads are created parked.
         const TRIPS: u64 = 50;
         let cs = MtsConfig::default().context_switch;
         assert_eq!(cs, Dur::from_micros(15));
         let sim = Sim::new();
         let woke_at = Arc::new(Mutex::new(Vec::new()));
-        let switches = Arc::new(Mutex::new(0));
         let (w1, w2) = (Arc::clone(&woke_at), Arc::clone(&woke_at));
-        let sw = Arc::clone(&switches);
         sim.spawn("main", move |ctx| {
             let mts = Mts::new(ctx.sim(), "p0", MtsConfig::default());
             let ping = MtsTid(1);
-            // First in its level, so `start` dispatches it while its green
-            // thread is still `Scheduled` (spawned, never yet run): the one
-            // dispatch whose switch cost is paid by `charge_switch` rather
-            // than by the instant of the `Resume`.
             let pong = mts.spawn("pong", 1, move |m| {
                 w2.lock().push(m.now());
                 for _ in 0..TRIPS {
@@ -1136,96 +916,136 @@ mod tests {
             });
             assert_eq!(spawned, ping);
             mts.start(ctx);
-            *sw.lock() = mts.stats().switches;
         });
         let out = sim.run();
         out.assert_clean();
-        let dispatches = *switches.lock();
+        let dispatches = sim.with_metrics(|m| m.counter("mts.dispatches"));
         // Nothing but switches takes time here, so the k-th dispatch hands
-        // over the CPU at exactly k switch costs — the backstop one included.
+        // over the CPU at exactly k switch costs.
         let woke_at = woke_at.lock();
         assert_eq!(woke_at.len() as u64, dispatches);
         for (k, &t) in woke_at.iter().enumerate() {
             assert_eq!(t, SimTime::ZERO + cs.times(k as u64 + 1), "dispatch {k}");
         }
-        // main: first run + all-done wake; each thread: its spawn resume;
-        // `pong`: the backstop sleep. Every other dispatch: one resume.
+        // main: first run + all-done wake. Every dispatch: one resume.
         assert_eq!(dispatches, 2 * TRIPS + 2);
-        assert_eq!(out.resumes, 2 + 2 + 1 + (dispatches - 1));
+        assert_eq!(out.resumes, 2 + dispatches);
         assert_eq!(out.events, out.resumes, "no callbacks in this run");
     }
 
     #[test]
-    fn external_block_frees_cpu_for_siblings() {
+    fn kernel_wait_frees_cpu_for_siblings() {
         let sim = Sim::new();
         let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
         let l1 = Arc::clone(&log);
         let l2 = Arc::clone(&log);
         sim.spawn("main", move |ctx| {
             let mts = Mts::new(ctx.sim(), "p0", zero_cs());
-            let ch: ncs_sim::SimChannel<u8> = ncs_sim::SimChannel::unbounded();
-            let ch2 = ch.clone();
-            mts.spawn("receiver", 0, move |m| {
+            let receiver = mts.spawn("receiver", 0, move |m| {
                 l1.lock().push("r-wait");
-                let v = m.external_block(|| ch2.recv(m.ctx()).unwrap());
+                m.kernel_wait();
                 l1.lock().push("r-got");
-                assert_eq!(v, 42);
             });
             mts.spawn("computer", 1, move |m| {
                 l2.lock().push("c-run");
                 m.ctx().sleep(Dur::from_millis(2));
                 l2.lock().push("c-done");
             });
-            let tx = ch.clone();
-            ctx.sim().schedule_in(Dur::from_millis(1), move |sim| {
-                tx.offer(sim, 42).unwrap();
-            });
+            let ext = mts.clone();
+            ctx.sim()
+                .schedule_in(Dur::from_millis(1), move |_| ext.end_kernel_wait(receiver));
             mts.start(ctx);
         });
         sim.run().assert_clean();
-        // Receiver waits without holding the CPU; computer runs meanwhile.
-        // The message arrives at 1 ms, but the CPU is busy until 2 ms, so
-        // the receiver re-acquires only after the computer finishes... it
-        // actually queues as runnable and runs after c-done.
+        // The receiver waits without holding the CPU, so the computer runs;
+        // its wait ends at 1 ms, while the computer holds the CPU until
+        // 2 ms, so it queues and runs after c-done.
         assert_eq!(*log.lock(), vec!["r-wait", "c-run", "c-done", "r-got"]);
     }
 
     #[test]
-    fn external_block_reacquires_idle_cpu_immediately() {
+    fn kernel_wait_end_takes_an_idle_cpu_in_one_dispatch() {
+        // The end of a kernel wait on an idle CPU is a dispatch like any
+        // other: one `Resume` at the end of the switch, a `ctx-switch`
+        // span, and no runnable interval (the thread never queued).
+        let cs = MtsConfig::default().context_switch;
         let sim = Sim::new();
+        sim.with_tracer(|tr| tr.enable_detail());
+        let ended_at = SimTime::ZERO + Dur::from_millis(3);
         sim.spawn("main", move |ctx| {
-            let mts = Mts::new(ctx.sim(), "p0", zero_cs());
-            let ch: ncs_sim::SimChannel<u8> = ncs_sim::SimChannel::unbounded();
-            let ch2 = ch.clone();
-            mts.spawn("receiver", 0, move |m| {
-                m.external_block(|| ch2.recv(m.ctx()).unwrap());
-                assert_eq!(m.now(), SimTime::ZERO + Dur::from_millis(3));
+            let mts = Mts::new(ctx.sim(), "p0", MtsConfig::default());
+            let receiver = mts.spawn("receiver", 0, move |m| {
+                m.kernel_wait();
+                assert_eq!(m.now(), ended_at + cs);
             });
-            let tx = ch.clone();
-            ctx.sim().schedule_in(Dur::from_millis(3), move |sim| {
-                tx.offer(sim, 1).unwrap();
-            });
+            let ext = mts.clone();
+            ctx.sim()
+                .schedule_at(ended_at, move |_| ext.end_kernel_wait(receiver));
             mts.start(ctx);
         });
-        sim.run().assert_clean();
+        let out = sim.run();
+        out.assert_clean();
+        // main: first run + all-done wake; the receiver: two dispatches;
+        // the callback.
+        assert_eq!((out.events, out.resumes), (5, 4));
+        assert_eq!(sim.with_metrics(|m| m.counter("mts.dispatches")), 2);
+        let spans: Vec<(&str, SimTime, SimTime)> =
+            sim.with_tracer(|tr| tr.spans().iter().map(|s| (s.label, s.t0, s.t1)).collect());
+        let start = SimTime::ZERO + cs;
+        assert_eq!(
+            spans,
+            [
+                ("ctx-switch", SimTime::ZERO, start),
+                ("run", start, start),
+                ("kernel-wait", start, ended_at),
+                ("ctx-switch", ended_at, ended_at + cs),
+                ("run", ended_at + cs, ended_at + cs),
+            ]
+            .into_iter()
+            .filter(|&(_, t0, t1)| t1 > t0)
+            .collect::<Vec<_>>()
+        );
     }
 
     #[test]
-    fn stats_count_switches_and_idle() {
-        let sim = Sim::new();
-        let stats = Arc::new(Mutex::new(MtsStats::default()));
-        let s2 = Arc::clone(&stats);
-        sim.spawn("main", move |ctx| {
-            let mts = Mts::new(ctx.sim(), "p0", zero_cs());
-            mts.spawn("a", 1, |m| m.sleep(Dur::from_millis(4)));
-            mts.start(ctx);
-            *s2.lock() = mts.stats();
-        });
-        sim.run().assert_clean();
-        let st = *stats.lock();
-        assert!(st.switches >= 2, "switches {}", st.switches);
-        // While 'a' slept there was nothing to run.
-        assert_eq!(st.total_idle, Dur::from_millis(4));
+    fn an_idle_cpu_goes_to_whichever_wait_ends_first_at_an_instant() {
+        // A kernel wait and a higher-priority sibling's block both end at
+        // 1 ms, in program order. The first to end finds the CPU idle and
+        // takes it; the second queues behind it — there is no preemption,
+        // so priority decides only among threads already queued.
+        let run = |kernel_first: bool| {
+            let sim = Sim::new();
+            let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
+            let (l1, l2) = (Arc::clone(&log), Arc::clone(&log));
+            sim.spawn("main", move |ctx| {
+                let mts = Mts::new(ctx.sim(), "p0", MtsConfig::default());
+                let receiver = mts.spawn("receiver", 15, move |m| {
+                    m.kernel_wait();
+                    l1.lock().push("receiver");
+                });
+                let sender = mts.spawn("sender", 0, move |m| {
+                    m.block();
+                    l2.lock().push("sender");
+                });
+                let (a, b) = (mts.clone(), mts.clone());
+                let at = SimTime::ZERO + Dur::from_millis(1);
+                let end_kernel = move |_: &Sim| a.end_kernel_wait(receiver);
+                let unblock = move |sim: &Sim| b.unblock(sim, sender);
+                if kernel_first {
+                    ctx.sim().schedule_at(at, end_kernel);
+                    ctx.sim().schedule_at(at, unblock);
+                } else {
+                    ctx.sim().schedule_at(at, unblock);
+                    ctx.sim().schedule_at(at, end_kernel);
+                }
+                mts.start(ctx);
+            });
+            sim.run().assert_clean();
+            let order = log.lock().clone();
+            order
+        };
+        assert_eq!(run(true), ["receiver", "sender"]);
+        assert_eq!(run(false), ["sender", "receiver"]);
     }
 
     #[test]
@@ -1251,20 +1071,32 @@ mod tests {
     }
 
     #[test]
-    fn blocked_time_accounted() {
+    fn validate_queues_reports_planted_inconsistencies() {
         let sim = Sim::new();
-        sim.spawn("main", move |ctx| {
-            let mts = Mts::new(ctx.sim(), "p0", zero_cs());
-            let mts2 = mts.clone();
-            let t = mts.spawn("b", 1, |m| m.block());
-            mts.spawn("w", 1, move |m| {
-                m.ctx().sleep(Dur::from_millis(7));
-                m.unblock(t);
-            });
-            mts.start(ctx);
-            assert_eq!(mts2.blocked_time(t), Dur::from_millis(7));
-        });
-        sim.run().assert_clean();
+        let mts = Mts::new(&sim, "p0", zero_cs());
+        let a = mts.spawn("a", 3, |_| {});
+        let b = mts.spawn("b", 7, |_| {});
+        assert!(
+            mts.validate_queues().is_empty(),
+            "{:?}",
+            mts.validate_queues()
+        );
+        // A runnable thread missing from its level.
+        assert_eq!(mts.inner.lock().runnable.pop(|_| 0), Some(a));
+        assert_eq!(
+            mts.validate_queues(),
+            ["t0/a is Runnable but queued 0 times"]
+        );
+        // A thread on two levels.
+        mts.inner.lock().runnable.push(3, a);
+        mts.inner.lock().runnable.push(3, b);
+        assert_eq!(
+            mts.validate_queues(),
+            [
+                "t1/b has priority 7 but is queued at runnable[3]",
+                "t1/b is queued 2 times",
+            ]
+        );
     }
 }
 
@@ -1293,69 +1125,13 @@ mod policy_tests {
 }
 
 #[cfg(test)]
-mod join_tests {
+mod kernel_wait_tests {
     use super::*;
 
     #[test]
-    fn join_waits_for_exit() {
-        let sim = Sim::new();
-        sim.spawn("main", move |ctx| {
-            let mts = Mts::new(
-                ctx.sim(),
-                "p0",
-                MtsConfig {
-                    context_switch: Dur::ZERO,
-                    ..MtsConfig::default()
-                },
-            );
-            let mts2 = mts.clone();
-            let worker = mts.spawn("worker", 1, |m| {
-                m.sleep(Dur::from_millis(7));
-            });
-            mts.spawn("joiner", 1, move |m| {
-                m.join(worker);
-                assert_eq!(m.now(), SimTime::ZERO + Dur::from_millis(7));
-                assert!(mts2.has_exited(worker));
-            });
-            mts.start(ctx);
-        });
-        sim.run().assert_clean();
-    }
-
-    #[test]
-    fn join_on_exited_returns_immediately() {
-        let sim = Sim::new();
-        sim.spawn("main", move |ctx| {
-            let mts = Mts::new(
-                ctx.sim(),
-                "p0",
-                MtsConfig {
-                    context_switch: Dur::ZERO,
-                    ..MtsConfig::default()
-                },
-            );
-            let quick = mts.spawn("quick", 0, |_| {});
-            mts.spawn("late-joiner", 2, move |m| {
-                m.sleep(Dur::from_millis(1));
-                let t0 = m.now();
-                m.join(quick);
-                assert_eq!(m.now(), t0);
-            });
-            mts.start(ctx);
-        });
-        sim.run().assert_clean();
-    }
-}
-
-#[cfg(test)]
-mod external_tests {
-    use super::*;
-
-    #[test]
-    fn two_threads_external_block_concurrently() {
-        // Both the send and receive system threads of a real NCS process
-        // can be in kernel-level waits at once; the CPU must flow to
-        // whoever's wait completes first, then the other.
+    fn two_threads_in_kernel_waits_concurrently() {
+        // Two threads of one process can be in kernel-level waits at once;
+        // the CPU must flow to whoever's wait ends first, then the other.
         let sim = Sim::new();
         let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
         let o1 = Arc::clone(&order);
@@ -1370,28 +1146,24 @@ mod external_tests {
                     ..MtsConfig::default()
                 },
             );
-            let ch_a: ncs_sim::SimChannel<u8> = ncs_sim::SimChannel::unbounded();
-            let ch_b: ncs_sim::SimChannel<u8> = ncs_sim::SimChannel::unbounded();
-            let (ca, cb) = (ch_a.clone(), ch_b.clone());
-            mts.spawn("waiter-a", 1, move |m| {
-                m.external_block(|| ca.recv(m.ctx()).unwrap());
+            let a = mts.spawn("waiter-a", 1, move |m| {
+                m.kernel_wait();
                 o1.lock().push("a-woke");
             });
-            mts.spawn("waiter-b", 1, move |m| {
-                m.external_block(|| cb.recv(m.ctx()).unwrap());
+            let b = mts.spawn("waiter-b", 1, move |m| {
+                m.kernel_wait();
                 o2.lock().push("b-woke");
             });
             mts.spawn("worker", 2, move |m| {
                 o3.lock().push("worker-ran");
                 m.ctx().sleep(Dur::from_millis(1));
             });
-            let (ta, tb) = (ch_a.clone(), ch_b.clone());
-            ctx.sim().schedule_in(Dur::from_millis(5), move |sim| {
-                tb.offer(sim, 1).unwrap(); // b's wait completes first
-            });
-            ctx.sim().schedule_in(Dur::from_millis(9), move |sim| {
-                ta.offer(sim, 2).unwrap();
-            });
+            let (ea, eb) = (mts.clone(), mts.clone());
+            // b's wait ends first.
+            ctx.sim()
+                .schedule_in(Dur::from_millis(5), move |_| eb.end_kernel_wait(b));
+            ctx.sim()
+                .schedule_in(Dur::from_millis(9), move |_| ea.end_kernel_wait(a));
             mts.start(ctx);
         });
         sim.run().assert_clean();
@@ -1399,9 +1171,10 @@ mod external_tests {
     }
 
     #[test]
-    fn external_wake_queues_behind_higher_priority_runnable() {
+    fn kernel_wait_end_queues_behind_a_busy_cpu() {
         // A thread returning from a kernel wait does not preempt: it queues
-        // and runs when the scheduler reaches it.
+        // and runs when the scheduler reaches it. Neither the permit of an
+        // earlier unblock nor an end that found no wait cuts the wait short.
         let sim = Sim::new();
         let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
         let l1 = Arc::clone(&log);
@@ -1415,21 +1188,23 @@ mod external_tests {
                     ..MtsConfig::default()
                 },
             );
-            let ch: ncs_sim::SimChannel<u8> = ncs_sim::SimChannel::unbounded();
-            let cr = ch.clone();
-            mts.spawn("ext", 3, move |m| {
-                m.external_block(|| cr.recv(m.ctx()).unwrap());
+            let ext = mts.spawn("ext", 0, move |m| {
+                m.kernel_wait();
                 l1.lock().push("ext-resumed");
+                assert_eq!(m.now(), SimTime::ZERO + Dur::from_millis(10));
             });
             mts.spawn("long-compute", 1, move |m| {
-                // Runs 10 ms solid; the external wake at 2 ms must wait.
+                // Runs 10 ms solid; the kernel wait's end at 2 ms must wait.
+                m.unblock(ext);
                 m.ctx().sleep(Dur::from_millis(10));
                 l2.lock().push("compute-done");
             });
-            let tx = ch.clone();
-            ctx.sim().schedule_in(Dur::from_millis(2), move |sim| {
-                tx.offer(sim, 1).unwrap();
-            });
+            let (early, end) = (mts.clone(), mts.clone());
+            // Lands before `ext` starts waiting: dropped.
+            ctx.sim()
+                .schedule_in(Dur::ZERO, move |_| early.end_kernel_wait(ext));
+            ctx.sim()
+                .schedule_in(Dur::from_millis(2), move |_| end.end_kernel_wait(ext));
             mts.start(ctx);
         });
         sim.run().assert_clean();

@@ -159,13 +159,13 @@ pub struct VbrConfig {
     /// Mean OFF-period length (same jitter law).
     pub mean_off: Dur,
     /// The generator stops at this virtual instant; without a horizon an
-    /// always-on daemon would keep feeding the event queue forever.
+    /// always-on generator would keep feeding the event queue forever.
     pub horizon: Dur,
     /// RNG seed; same seed, same burst schedule.
     pub seed: u64,
 }
 
-/// Counters for a spawned VBR flow (shared with the running daemon).
+/// Counters for a spawned VBR flow (shared with its running thread).
 pub struct VbrHandle {
     bytes: Arc<AtomicU64>,
     chunks: Arc<AtomicU64>,
@@ -189,10 +189,10 @@ fn jittered(mean: Dur, rng: &mut SimRng) -> Dur {
     Dur::from_ps((mean.as_ps() as f64 * f) as u64)
 }
 
-/// Spawns a VBR flow as a sim daemon. During ON periods it books chunks
-/// back to back, pacing on the first hop's drain time; during OFF periods
-/// it sleeps. All randomness comes from the config's seed, so runs are
-/// bit-reproducible.
+/// Spawns a VBR flow as a green thread that exits at the horizon. During
+/// ON periods it books chunks back to back, pacing on the first hop's
+/// drain time; during OFF periods it sleeps. All randomness comes from the
+/// config's seed, so runs are bit-reproducible.
 pub fn spawn_vbr(sim: &Sim, fabric: Arc<dyn Fabric>, cfg: VbrConfig) -> VbrHandle {
     assert_ne!(cfg.src, cfg.dst, "a VBR flow needs two distinct hosts");
     assert!(cfg.chunk_bytes > 0);
@@ -203,7 +203,7 @@ pub fn spawn_vbr(sim: &Sim, fabric: Arc<dyn Fabric>, cfg: VbrConfig) -> VbrHandl
         chunks: Arc::clone(&chunks),
     };
     let name = format!("vbr-{}-{}", cfg.src, cfg.dst);
-    sim.spawn_daemon(name, move |ctx| {
+    sim.spawn(name, move |ctx| {
         let mut rng = SimRng::new(cfg.seed);
         let end = SimTime::ZERO + cfg.horizon;
         loop {
@@ -345,7 +345,7 @@ mod tests {
                     seed: 7,
                 },
             );
-            // A non-daemon thread keeps the sim alive through the horizon.
+            // An application thread outliving the flow's horizon.
             sim.spawn("app", move |ctx| ctx.sleep(Dur::from_millis(25)));
             sim.run().assert_clean();
             // The flow really occupied host 14's uplink: the link carried

@@ -121,11 +121,6 @@ struct ThreadSlot {
     /// The suspend/resume mechanism backing this thread (see
     /// [`crate::engine`]): a stackful coroutine or a parked OS thread.
     green: GreenThread,
-    /// Green threads waiting in [`Ctx::join`] for this one to exit.
-    exit_waiters: Vec<ThreadId>,
-    /// Daemon threads (NIC models, switch ports) are expected to be parked
-    /// forever; they are excluded from the blocked-thread report.
-    daemon: bool,
 }
 
 enum EventKind {
@@ -549,34 +544,28 @@ impl Sim {
         name: impl Into<String>,
         f: impl FnOnce(&Ctx) + Send + 'static,
     ) -> ThreadId {
-        self.spawn_inner(name.into(), false, f)
+        let tid = self.spawn_parked(name, f);
+        self.wake(tid);
+        tid
     }
 
-    /// Spawns an infrastructure ("daemon") green thread. Daemons typically
-    /// loop forever serving a queue; a run that ends while they are parked is
-    /// still considered clean, and [`Sim::finish`] cancels them.
-    pub fn spawn_daemon(
+    /// Spawns a green thread that first runs when woken ([`Sim::wake`],
+    /// [`Sim::wake_at`]): no `Resume` is queued for it. The MTS dispatcher
+    /// creates its threads this way, so a thread's first run is its first
+    /// dispatch.
+    pub fn spawn_parked(
         &self,
         name: impl Into<String>,
         f: impl FnOnce(&Ctx) + Send + 'static,
     ) -> ThreadId {
-        self.spawn_inner(name.into(), true, f)
-    }
-
-    fn spawn_inner(
-        &self,
-        name: String,
-        daemon: bool,
-        f: impl FnOnce(&Ctx) + Send + 'static,
-    ) -> ThreadId {
-        // One acquisition for the whole spawn: the id is the slot's index,
-        // and the slot goes in together with its first `Resume`.
+        let name = name.into();
+        // One acquisition for the whole slot: the id is the slot's index.
         let mut core = self.inner.core.lock();
         let tid = ThreadId(core.threads.len() as u32);
         // The engine-independent green-thread body. `started` is false when
         // the thread is cancelled before its first dispatch; the exit
-        // bookkeeping still runs so joiners are woken either way. `own` is
-        // the thread's handle on itself, kept in its `Ctx` for its yields.
+        // bookkeeping still runs either way. `own` is the thread's handle
+        // on itself, kept in its `Ctx` for its yields.
         let sim = self.unguarded_clone();
         let run = move |started: bool, own: ResumeHandle| {
             if started {
@@ -616,12 +605,9 @@ impl Sim {
         };
         core.threads.push(ThreadSlot {
             name,
-            state: ThreadState::Scheduled,
+            state: ThreadState::Parked,
             green,
-            exit_waiters: Vec::new(),
-            daemon,
         });
-        core.push(self.now().as_ps(), EventKind::Resume(tid));
         tid
     }
 
@@ -631,13 +617,7 @@ impl Sim {
     }
 
     fn mark_exited(&self, tid: ThreadId) {
-        let now_ps = self.now().as_ps();
-        let mut core = self.inner.core.lock();
-        let slot = &mut core.threads[tid.0 as usize];
-        slot.state = ThreadState::Exited;
-        for w in std::mem::take(&mut slot.exit_waiters) {
-            core.wake(w, now_ps);
-        }
+        self.inner.core.lock().threads[tid.0 as usize].state = ThreadState::Exited;
     }
 
     /// Makes a parked green thread runnable again at the current instant.
@@ -764,9 +744,7 @@ impl Sim {
             let core = self.inner.core.lock();
             core.threads
                 .iter()
-                .filter(|s| {
-                    !s.daemon && matches!(s.state, ThreadState::Parked | ThreadState::Scheduled)
-                })
+                .filter(|s| matches!(s.state, ThreadState::Parked | ThreadState::Scheduled))
                 .map(|s| s.name.clone())
                 .collect()
         };
@@ -917,39 +895,6 @@ impl Ctx {
         self.sim.wake(tid)
     }
 
-    /// Spawns a sibling green thread.
-    pub fn spawn(
-        &self,
-        name: impl Into<String>,
-        f: impl FnOnce(&Ctx) + Send + 'static,
-    ) -> ThreadId {
-        self.sim.spawn(name, f)
-    }
-
-    /// Spawns a sibling daemon thread (see [`Sim::spawn_daemon`]).
-    pub fn spawn_daemon(
-        &self,
-        name: impl Into<String>,
-        f: impl FnOnce(&Ctx) + Send + 'static,
-    ) -> ThreadId {
-        self.sim.spawn_daemon(name, f)
-    }
-
-    /// Blocks until the given thread has exited.
-    pub fn join(&self, tid: ThreadId) {
-        loop {
-            {
-                let mut core = self.sim.inner.core.lock();
-                let target = &mut core.threads[tid.0 as usize];
-                if target.state == ThreadState::Exited {
-                    return;
-                }
-                target.exit_waiters.push(self.tid);
-            }
-            self.park();
-        }
-    }
-
     /// Hands control back to the kernel loop (engine-specific mechanism)
     /// and blocks until the kernel dispatches this thread again. Unwinds
     /// with the cancellation payload when the wake-up is a cancellation.
@@ -1053,42 +998,28 @@ mod tests {
     }
 
     #[test]
+    fn spawn_parked_queues_nothing_until_woken() {
+        let sim = Sim::new();
+        let ran = Arc::new(Mutex::new(None));
+        let r = Arc::clone(&ran);
+        let late = sim.spawn_parked("late", move |ctx| *r.lock() = Some(ctx.now()));
+        assert_eq!(sim.pending_events(), 0, "no first Resume is queued");
+        sim.schedule_at(SimTime::from_ps(40), move |sim| {
+            assert!(sim.wake_at(late, SimTime::from_ps(50)));
+        });
+        let out = sim.run();
+        out.assert_clean();
+        assert_eq!(*ran.lock(), Some(SimTime::from_ps(50)));
+        assert_eq!((out.events, out.resumes), (2, 1));
+    }
+
+    #[test]
     fn wake_on_scheduled_thread_is_noop() {
         let sim = Sim::new();
         let target = sim.spawn("t", move |ctx| ctx.sleep(Dur::from_nanos(1)));
         sim.spawn("w", move |ctx| {
             // target is Scheduled (its initial resume is queued): no-op.
             assert!(!ctx.wake(target));
-        });
-        sim.run().assert_clean();
-    }
-
-    #[test]
-    fn join_waits_for_exit() {
-        let sim = Sim::new();
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let o1 = Arc::clone(&order);
-        let worker = sim.spawn("worker", move |ctx| {
-            ctx.sleep(Dur::from_micros(10));
-            o1.lock().push("worker-done");
-        });
-        let o2 = Arc::clone(&order);
-        sim.spawn("joiner", move |ctx| {
-            ctx.join(worker);
-            o2.lock().push("joined");
-            assert_eq!(ctx.now(), SimTime::ZERO + Dur::from_micros(10));
-        });
-        sim.run().assert_clean();
-        assert_eq!(*order.lock(), vec!["worker-done", "joined"]);
-    }
-
-    #[test]
-    fn join_on_already_exited_thread_returns() {
-        let sim = Sim::new();
-        let worker = sim.spawn("worker", |_| {});
-        sim.spawn("joiner", move |ctx| {
-            ctx.sleep(Dur::from_millis(5));
-            ctx.join(worker); // already exited
         });
         sim.run().assert_clean();
     }
@@ -1244,40 +1175,6 @@ mod tests {
         assert_eq!(out.blocked, vec!["forever".to_string()]);
         sim.finish(); // must not hang, must not report a panic
         assert!(sim.inner.panics.lock().is_empty());
-    }
-
-    #[test]
-    fn spawn_from_thread_works() {
-        let sim = Sim::new();
-        let count = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&count);
-        sim.spawn("parent", move |ctx| {
-            let mut children = Vec::new();
-            for i in 0..5 {
-                let c = Arc::clone(&c);
-                children.push(ctx.spawn(format!("child{i}"), move |ctx| {
-                    ctx.sleep(Dur::from_micros(i));
-                    c.fetch_add(1, Ordering::SeqCst);
-                }));
-            }
-            for ch in children {
-                ctx.join(ch);
-            }
-        });
-        sim.run().assert_clean();
-        assert_eq!(count.load(Ordering::SeqCst), 5);
-    }
-
-    #[test]
-    fn daemons_not_reported_blocked() {
-        let sim = Sim::new();
-        sim.spawn_daemon("nic", |ctx| loop {
-            ctx.park();
-        });
-        sim.spawn("app", |ctx| ctx.sleep(Dur::from_micros(1)));
-        let out = sim.run();
-        out.assert_clean();
-        sim.finish();
     }
 
     #[test]
@@ -1492,9 +1389,10 @@ mod tests {
     #[cfg(target_os = "linux")]
     fn dropped_sims_reap_green_threads_on_both_engines() {
         // Regression for the abnormal-shutdown leak: a run abandoned with
-        // parked daemons (and a panicked worker) used to strand one parked
-        // OS thread (or, now, one mapped coroutine stack) per daemon per
-        // simulation, forever. Dropping the creator handle must reap them.
+        // threads parked forever (and a panicked worker) used to strand one
+        // parked OS thread (or, now, one mapped coroutine stack) per thread
+        // per simulation, forever. Dropping the creator handle must reap
+        // them, run or never run.
         // Other tests run concurrently, so allow slack far below the 3 *
         // ITERS the leak would add.
         const ITERS: usize = 24;
@@ -1505,10 +1403,11 @@ mod tests {
             for _ in 0..ITERS {
                 let sim = Sim::with_engine(kind);
                 for d in 0..3 {
-                    sim.spawn_daemon(format!("nic{d}"), |ctx| loop {
+                    sim.spawn(format!("nic{d}"), |ctx| loop {
                         ctx.park();
                     });
                 }
+                sim.spawn_parked("never-woken", |_| unreachable!());
                 sim.spawn("app", |_| std::panic::panic_any("boom"));
                 let out = sim.run();
                 assert_eq!(out.panics.len(), 1);
@@ -1534,13 +1433,13 @@ mod tests {
         // Clones the simulation retains internally (queued closures, green
         // threads) must not keep the drop-reap guard alive; user clones do.
         let sim = Sim::new();
-        sim.spawn_daemon("d", |ctx| loop {
+        sim.spawn("d", |ctx| loop {
             ctx.park();
         });
         let user_clone = sim.clone();
-        sim.run().assert_clean();
+        assert_eq!(sim.run().blocked, ["d"]);
         drop(sim);
-        // The daemon still lives: user_clone holds the guard.
+        // The parked thread still lives: user_clone holds the guard.
         assert!(!user_clone.inner.finished.load(Ordering::SeqCst));
         drop(user_clone);
         // Guard fired; nothing to assert on the sim itself (it is gone),
