@@ -113,6 +113,9 @@ impl Default for MtsConfig {
 pub struct Mts {
     sim: Sim,
     inner: Arc<Mutex<Inner>>,
+    /// Whether the analysis pass is on: read outside the lock on every
+    /// dispatch wake-up (see `MtsCtx::wait_for_dispatch`).
+    armed: bool,
 }
 
 impl Mts {
@@ -126,6 +129,7 @@ impl Mts {
         }
         Mts {
             sim: sim.clone(),
+            armed: config.analysis.active(),
             inner: Arc::new(Mutex::new(Inner {
                 proc_name: proc_name.into(),
                 cs_cost: config.context_switch,
@@ -487,6 +491,27 @@ impl Mts {
         }
     }
 
+    /// The armed check behind `MtsCtx::wait_for_dispatch`: whether `tid`,
+    /// just resumed, is `Running`. Reports a `queue-invariant` violation
+    /// when it is not — its green thread was woken by something other than
+    /// the dispatcher.
+    fn resumed_running(&self, tid: MtsTid) -> bool {
+        let inner = self.inner.lock();
+        let tcb = &inner.tcbs[tid.0 as usize];
+        let running = tcb.state == MtsThreadState::Running;
+        if !running {
+            inner.analysis.report(
+                "queue-invariant",
+                inner.proc_name.clone(),
+                format!(
+                    "{tid}/{} resumed while {:?}: only the dispatcher wakes an MTS thread",
+                    tcb.name, tcb.state
+                ),
+            );
+        }
+        running
+    }
+
     /// Snapshot of every thread's scheduling state and wait edge — what a
     /// post-run analysis pass uses to classify stuck threads.
     pub fn thread_report(&self) -> Vec<MtsThreadReport> {
@@ -673,11 +698,14 @@ impl MtsCtx<'_> {
 
     /// Parks until the dispatcher hands this thread the CPU again. The
     /// wake-up lands at the end of the context switch, so there is nothing
-    /// left to charge.
+    /// left to charge. [`Mts::dispatch_next`] is the only code that wakes
+    /// an MTS green thread, and it marks the thread `Running` first, so the
+    /// wake-up itself says the CPU is ours; an armed analysis pass checks
+    /// that, and parks again after reporting a wake from anywhere else.
     fn wait_for_dispatch(&self) {
         loop {
             self.ctx.park();
-            if self.mts.inner.lock().tcbs[self.tid.0 as usize].state == MtsThreadState::Running {
+            if !self.mts.armed || self.mts.resumed_running(self.tid) {
                 return;
             }
         }
@@ -1068,6 +1096,50 @@ mod tests {
         });
         sim.run().assert_clean();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_wake_behind_the_dispatchers_back_is_a_queue_invariant_violation() {
+        // The blocked thread's green thread is woken directly at 1 ms: an
+        // armed pass reports it, and the thread waits on for its dispatch.
+        let sim = Sim::new();
+        let (analysis, sink) = AnalysisConfig::recording();
+        let config = MtsConfig {
+            context_switch: Dur::ZERO,
+            analysis,
+        };
+        let resumed = Arc::new(Mutex::new(None));
+        let r = Arc::clone(&resumed);
+        sim.spawn("main", move |ctx| {
+            let mts = Mts::new(ctx.sim(), "p0", config);
+            let blocked = mts.spawn("blocked", 1, move |m| {
+                m.block();
+                *r.lock() = Some(m.now());
+            });
+            let green = mts.inner.lock().tcbs[blocked.0 as usize].green;
+            let real = mts.clone();
+            ctx.sim()
+                .schedule_in(Dur::from_millis(1), move |sim| assert!(sim.wake(green)));
+            ctx.sim()
+                .schedule_in(Dur::from_millis(2), move |sim| real.unblock(sim, blocked));
+            mts.start(ctx);
+        });
+        sim.run().assert_clean();
+        assert_eq!(*resumed.lock(), Some(SimTime::ZERO + Dur::from_millis(2)));
+        let found: Vec<_> = sink
+            .take()
+            .into_iter()
+            .map(|v| (v.check, v.actor, v.detail))
+            .collect();
+        assert_eq!(
+            found,
+            [(
+                "queue-invariant",
+                "p0".to_string(),
+                "t0/blocked resumed while Blocked: only the dispatcher wakes an MTS thread"
+                    .to_string()
+            )]
+        );
     }
 
     #[test]

@@ -49,6 +49,19 @@ pub fn fnv1a_fold(h: u64, v: u64) -> u64 {
     fnv1a_bytes(h, &v.to_le_bytes())
 }
 
+/// Folds the 64-bit word `v` into the running digest `h` — the step behind
+/// the kernel trace hash, three words per event. One multiply per word
+/// (byte-wise FNV-1a costs eight, serially dependent) carries every bit of
+/// `h ^ v` upwards; the xor-shift brings the high half back down, so later
+/// words mix with all of it. Both steps are bijections of `u64`, so for a
+/// fixed sequence of later words the final digest is a bijection of any
+/// one word: changing any bit of any folded word changes the digest.
+#[inline]
+pub(crate) fn word_fold(h: u64, v: u64) -> u64 {
+    let h = (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    h ^ (h >> 32)
+}
+
 /// One invariant violation detected by a runtime analysis pass.
 ///
 /// Violations are structured so a failing CI run names the actor (process

@@ -20,7 +20,6 @@ struct ChannelInner<T> {
     queue: VecDeque<T>,
     recv_waiters: VecDeque<ThreadId>,
     closed: bool,
-    total_sent: u64,
     /// Set by [`SimChannel::forward`]: offers go here, not to `queue`.
     sink: Option<Sink<T>>,
 }
@@ -61,7 +60,6 @@ impl<T> SimChannel<T> {
                 queue: VecDeque::new(),
                 recv_waiters: VecDeque::new(),
                 closed: false,
-                total_sent: 0,
                 sink: None,
             })),
         }
@@ -97,7 +95,6 @@ impl<T> SimChannel<T> {
                 return sink(sim, value);
             }
             ch.queue.push_back(value);
-            ch.total_sent += 1;
             ch.recv_waiters.pop_front()
         };
         if let Some(w) = waiter {
@@ -150,11 +147,6 @@ impl<T> SimChannel<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Total items ever sent.
-    pub fn total_sent(&self) -> u64 {
-        self.inner.lock().total_sent
-    }
 }
 
 #[cfg(test)]
@@ -183,7 +175,6 @@ mod tests {
         });
         sim.run().assert_clean();
         assert_eq!(*got.lock(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(ch.total_sent(), 5);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use crate::sync::Mutex;
 
-use crate::analysis::{fnv1a_fold, AnalysisConfig, FNV_OFFSET};
+use crate::analysis::{word_fold, AnalysisConfig, FNV_OFFSET};
 use crate::engine::coro::Coroutine;
 use crate::engine::os_thread::{Baton, BatonMsg, KernelGate, OsThread};
 use crate::engine::{EngineKind, GreenThread, ResumeHandle};
@@ -109,7 +109,8 @@ enum ThreadState {
     Scheduled,
     /// Waiting for its baton with no queued resume; must be woken.
     Parked,
-    /// Currently holds the baton.
+    /// Currently holds the baton — or has just handed it back with a wait
+    /// the run loop has yet to apply (see [`Inner::wait`]).
     Running,
     /// Finished (normally, by cancellation, or by panic).
     Exited,
@@ -127,6 +128,13 @@ enum EventKind {
     Resume(ThreadId),
     Call(Box<dyn FnOnce(&Sim) + Send>),
 }
+
+/// [`Inner::wait`] when no wait is pending: the thread that yielded last
+/// exited instead, or its wait was applied.
+const NO_WAIT: u64 = u64::MAX;
+/// [`Inner::wait`] for a park; any smaller value is a sleep's wake-up
+/// instant in picoseconds.
+const PARK: u64 = u64::MAX - 1;
 
 /// Handle to a cancellable scheduled event, returned by
 /// [`Sim::schedule_cancellable`] and consumed by [`Sim::cancel_scheduled`].
@@ -158,6 +166,24 @@ impl Core {
         self.queue.push(at_ps, seq, kind)
     }
 
+    /// Applies the wait `tid` handed over with its yield: Running → Parked,
+    /// or Running → Scheduled with its `Resume` queued at the sleep's
+    /// instant. A thread that exited handed over nothing.
+    fn settle(&mut self, tid: ThreadId, wait: u64) {
+        let slot = &mut self.threads[tid.0 as usize];
+        if wait == NO_WAIT {
+            debug_assert_eq!(slot.state, ThreadState::Exited);
+            return;
+        }
+        debug_assert_eq!(slot.state, ThreadState::Running);
+        if wait == PARK {
+            slot.state = ThreadState::Parked;
+        } else {
+            slot.state = ThreadState::Scheduled;
+            self.push(wait, EventKind::Resume(tid));
+        }
+    }
+
     /// Parked → Scheduled, with the `Resume` queued at `at_ps`; see
     /// [`Sim::wake`] for the return value.
     fn wake(&mut self, tid: ThreadId, at_ps: u64) -> bool {
@@ -187,6 +213,13 @@ struct Inner {
     /// run meet at the window barrier before anything reads another shard.
     /// So both are `Relaxed`: they need atomicity, not a fence per event.
     now_ps: AtomicU64,
+    /// The wait the green thread that yielded last recorded for itself
+    /// ([`PARK`] or a sleep's instant, [`NO_WAIT`] when none): the run loop
+    /// applies it first thing in its next `Core` visit, so a resume cycle
+    /// takes the lock once. Nothing runs between the yield and that visit,
+    /// so the sleep's `Resume` takes the sequence number it would have
+    /// taken at the call. `Relaxed` for the reason the clock is.
+    wait: AtomicU64,
     core: Mutex<Core>,
     gate: KernelGate,
     tracer: Mutex<Tracer>,
@@ -305,6 +338,7 @@ impl Sim {
             engine,
             stack_bytes: crate::engine::normalize_stack_bytes(stack_bytes),
             now_ps: AtomicU64::new(0),
+            wait: AtomicU64::new(NO_WAIT),
             core: Mutex::new(Core {
                 queue: TimerWheel::new(),
                 threads: Vec::new(),
@@ -638,21 +672,11 @@ impl Sim {
         self.inner.core.lock().wake(tid, at.as_ps())
     }
 
-    /// Running → Scheduled with the `Resume` queued at `at`: the timed wake
-    /// behind [`Ctx::sleep`].
-    fn sleep_until(&self, tid: ThreadId, at: SimTime) {
-        let mut core = self.inner.core.lock();
-        let slot = &mut core.threads[tid.0 as usize];
-        debug_assert_eq!(slot.state, ThreadState::Running);
-        slot.state = ThreadState::Scheduled;
-        core.push(at.as_ps(), EventKind::Resume(tid));
-    }
-
-    fn mix_hash(&self, a: u64, b: u64, c: u64) {
-        // FNV-1a over the event tuple words.
+    fn mix_hash(&self, time: u64, seq: u64, kind: u64) {
         let h = self.inner.trace_hash.load(Ordering::Relaxed);
-        let h = [a, b, c].into_iter().fold(h, fnv1a_fold);
-        self.inner.trace_hash.store(h, Ordering::Relaxed);
+        self.inner
+            .trace_hash
+            .store(fold_event(h, time, seq, kind), Ordering::Relaxed);
     }
 
     /// Runs until the event queue drains (no horizon).
@@ -672,11 +696,19 @@ impl Sim {
             "Sim::run re-entered"
         );
         let (mut events, mut resumes) = (0u64, 0u64);
+        // The thread resumed last, whose wait this loop has yet to apply.
+        let mut yielded: Option<ThreadId> = None;
         let reason = loop {
-            // One acquisition per event: pop it and, when it is a `Resume`,
-            // claim the thread slot it names.
+            // One acquisition per event: apply the wait the last thread
+            // yielded with, pop the event and, when it is a `Resume`, claim
+            // the thread slot it names.
             let (time, seq, kind, claimed) = {
                 let mut core = self.inner.core.lock();
+                if let Some(tid) = yielded.take() {
+                    let wait = self.inner.wait.load(Ordering::Relaxed);
+                    self.inner.wait.store(NO_WAIT, Ordering::Relaxed);
+                    core.settle(tid, wait);
+                }
                 match core.queue.peek() {
                     None => break StopReason::Completed,
                     Some((t, _)) => {
@@ -732,6 +764,7 @@ impl Sim {
                     if let Some(handle) = claimed {
                         resumes += 1;
                         self.drive(tid, handle, false);
+                        yielded = Some(tid);
                     }
                 }
             }
@@ -831,6 +864,13 @@ impl Sim {
     }
 }
 
+/// The trace digest `h` after one more event: its instant, its sequence
+/// number and its kind word (1 for a callback, 2 plus the thread id shifted
+/// up a byte for a resume), one [`word_fold`] each.
+fn fold_event(h: u64, time: u64, seq: u64, kind: u64) -> u64 {
+    word_fold(word_fold(word_fold(h, time), seq), kind)
+}
+
 /// Per-thread context passed to green-thread closures.
 ///
 /// All virtual-time interaction goes through this handle. A green thread
@@ -864,9 +904,9 @@ impl Ctx {
     /// `d`. A zero-duration sleep is a yield: other work scheduled at the
     /// same instant runs first.
     pub fn sleep(&self, d: Dur) {
-        let at = self.sim.now() + d;
-        self.sim.sleep_until(self.tid, at);
-        self.yield_to_kernel();
+        let at = (self.sim.now() + d).as_ps();
+        assert!(at < PARK, "sleep past the end of virtual time");
+        self.yield_to_kernel(at);
     }
 
     /// Yields to other events pending at the current instant.
@@ -880,13 +920,7 @@ impl Ctx {
     /// state another activity will use to find and wake it — since only one
     /// simulated activity runs at a time, there is no lost-wakeup window.
     pub fn park(&self) {
-        {
-            let mut core = self.sim.inner.core.lock();
-            let slot = &mut core.threads[self.tid.0 as usize];
-            debug_assert_eq!(slot.state, ThreadState::Running);
-            slot.state = ThreadState::Parked;
-        }
-        self.yield_to_kernel();
+        self.yield_to_kernel(PARK);
     }
 
     /// Wakes another parked thread (at the current instant).
@@ -895,10 +929,13 @@ impl Ctx {
         self.sim.wake(tid)
     }
 
-    /// Hands control back to the kernel loop (engine-specific mechanism)
-    /// and blocks until the kernel dispatches this thread again. Unwinds
-    /// with the cancellation payload when the wake-up is a cancellation.
-    fn yield_to_kernel(&self) {
+    /// Records `wait` ([`PARK`] or a sleep's instant) for the run loop to
+    /// apply, hands control back to it (engine-specific mechanism) and
+    /// blocks until the kernel dispatches this thread again. Unwinds with
+    /// the cancellation payload when the wake-up is a cancellation — so a
+    /// thread [`Sim::finish`] cancels records nothing more.
+    fn yield_to_kernel(&self, wait: u64) {
+        self.sim.inner.wait.store(wait, Ordering::Relaxed);
         let granted = match &self.own {
             // `yield_back` asserts the token is the running coroutine's: a
             // `Ctx` used from any thread but its own is caught there.
@@ -1175,6 +1212,130 @@ mod tests {
         assert_eq!(out.blocked, vec!["forever".to_string()]);
         sim.finish(); // must not hang, must not report a panic
         assert!(sim.inner.panics.lock().is_empty());
+    }
+
+    #[test]
+    fn a_park_recorded_as_the_run_drains_is_blocked_and_a_lost_wakeup() {
+        // The thread's last act parks it, so the run's last visit to the
+        // kernel state applies that park and then finds the queue empty.
+        let sim = Sim::new();
+        let (cfg, sink) = AnalysisConfig::recording();
+        sim.set_analysis(cfg);
+        sim.spawn("last", |ctx| {
+            ctx.sleep(Dur::from_micros(1));
+            ctx.park();
+        });
+        let out = sim.run();
+        assert_eq!((out.reason, out.events), (StopReason::Completed, 2));
+        assert_eq!(out.blocked, ["last"]);
+        let found: Vec<_> = sink
+            .take()
+            .into_iter()
+            .map(|v| (v.check, v.actor))
+            .collect();
+        assert_eq!(found, [("lost-wakeup", "last".to_string())]);
+        sim.finish();
+    }
+
+    #[test]
+    fn an_event_cap_right_after_a_recorded_sleep_resumes_identically() {
+        // Cap 1 stops every run right after a thread yielded with a sleep
+        // (zero-length ones included: same-instant ties). The sleep must be
+        // queued with the sequence number an uncapped run gives it.
+        fn run(cap: u64) -> (Vec<(u64, SimTime)>, u64, u64) {
+            let sim = Sim::new();
+            let log = Arc::new(Mutex::new(Vec::new()));
+            for i in 0..3u64 {
+                let log = Arc::clone(&log);
+                sim.spawn(format!("t{i}"), move |ctx| {
+                    for k in 0..4 {
+                        log.lock().push((i, ctx.now()));
+                        ctx.sleep(Dur::from_nanos((i + k) % 3));
+                    }
+                });
+            }
+            let mut events = 0;
+            loop {
+                let out = sim.run_bounded(None, cap);
+                events += out.events;
+                if out.reason == StopReason::Completed {
+                    out.assert_clean();
+                    break;
+                }
+                assert_eq!(out.reason, StopReason::EventLimit);
+            }
+            let order = log.lock().clone();
+            (order, sim.trace_hash(), events)
+        }
+        let whole = run(u64::MAX);
+        assert_eq!(whole.2, 15, "three first resumes and twelve sleeps");
+        for cap in 1..=3 {
+            assert_eq!(run(cap), whole, "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn finish_reaps_a_thread_whose_park_was_recorded_on_both_engines() {
+        struct Unwound(Arc<AtomicBool>);
+        impl Drop for Unwound {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        for kind in [EngineKind::Coroutine, EngineKind::OsThread] {
+            let sim = Sim::with_engine(kind);
+            let unwound = Arc::new(AtomicBool::new(false));
+            let guard = Unwound(Arc::clone(&unwound));
+            sim.spawn("parked", move |ctx| {
+                let _guard = guard;
+                ctx.park();
+                unreachable!("never woken");
+            });
+            assert_eq!(sim.run().blocked, ["parked"], "{kind:?}");
+            assert!(!unwound.load(Ordering::SeqCst));
+            sim.finish();
+            assert!(
+                unwound.load(Ordering::SeqCst),
+                "{kind:?}: cancelled at its park"
+            );
+            assert!(sim.inner.panics.lock().is_empty(), "{kind:?}");
+            let core = sim.inner.core.lock();
+            assert_eq!(core.threads[0].state, ThreadState::Exited, "{kind:?}");
+            if kind == EngineKind::Coroutine {
+                assert!(
+                    matches!(core.threads[0].green, GreenThread::Done),
+                    "stack unmapped"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_bit_of_an_event_and_the_event_order_reach_the_digest() {
+        let events = [
+            (0u64, 0u64, 2u64),
+            (5_000, 1, 1),
+            (5_000, 2, 2 | 7 << 8),
+            (9_000, 3, 1),
+        ];
+        let digest = |evs: &[(u64, u64, u64)]| {
+            evs.iter()
+                .fold(FNV_OFFSET, |h, &(t, s, k)| fold_event(h, t, s, k))
+        };
+        let base = digest(&events);
+        for word in 0..3 {
+            for bit in 0..64 {
+                let mut flipped = events;
+                let e = &mut flipped[1];
+                *[&mut e.0, &mut e.1, &mut e.2][word] ^= 1 << bit;
+                assert_ne!(digest(&flipped), base, "word {word} bit {bit}");
+            }
+        }
+        for (a, b) in [(0, 1), (1, 2), (2, 3), (0, 3)] {
+            let mut swapped = events;
+            swapped.swap(a, b);
+            assert_ne!(digest(&swapped), base, "events {a} and {b} swapped");
+        }
     }
 
     #[test]

@@ -63,6 +63,7 @@ pub mod chrome;
 pub mod engine;
 mod kernel;
 mod metrics;
+mod names;
 // ncs-lint: allow(dead-surface) the property-test harness the other crates' tests run on
 pub mod prop;
 mod rng;

@@ -6,11 +6,15 @@
 //! registry aggregates *quantities* — how many, how deep, how long. It is
 //! cheap enough to stay enabled by default, so every run can answer "where
 //! did the time go" without a special build: an update is O(1) and
-//! allocation-free. Counter and stat names are `&'static str` literals, so
-//! a name resolves to its slot by *address* — a scan of a few
-//! pointer-and-length pairs, no string compare — and only a name (or an
-//! address of it) never seen before takes the sorted-index path that the
-//! readers use. Timelines are a dense vector indexed by the sequential
+//! allocation-free. Counter, gauge and stat names are `&'static str`
+//! literals, so a name resolves to its slot by *address* — a scan of a few
+//! pointer-and-length pairs, no string compare (the table is shared with
+//! the tracer's counters; see `names.rs`) — and only a name (or an address
+//! of it) never seen before takes the sorted-index path that the readers
+//! use. A gauge name holds a dense
+//! vector of series indexed by `idx` (a node id), so a `gauge_set` is a
+//! name lookup and an index; an index never set holds an empty series that
+//! the readers skip. Timelines are a dense vector indexed by the sequential
 //! causal id, so a `mark` is an index, not a tree walk.
 //!
 //! Four families:
@@ -42,6 +46,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::names::NameTable;
 use crate::stats::{DurHistogram, DurSummary};
 use crate::time::{Dur, SimTime};
 
@@ -101,83 +106,6 @@ impl DurStat {
 /// One message's causal timeline: named stage boundaries in record order.
 pub type Timeline = Vec<(&'static str, SimTime)>;
 
-/// Values keyed by `&'static str` name: O(1) update by the name's address,
-/// sorted iteration and lookup by text for the readers.
-struct NameTable<T> {
-    /// One entry per distinct name, in first-write order.
-    slots: Vec<(&'static str, T)>,
-    /// Every distinct *address* a name was written through → its slot. The
-    /// same text can live at more than one address (one literal per crate or
-    /// codegen unit); each is remembered so it takes the slow path once.
-    by_addr: Vec<(&'static str, u32)>,
-    /// Slot indices ordered by name.
-    sorted: Vec<u32>,
-}
-
-impl<T> Default for NameTable<T> {
-    fn default() -> NameTable<T> {
-        NameTable {
-            slots: Vec::new(),
-            by_addr: Vec::new(),
-            sorted: Vec::new(),
-        }
-    }
-}
-
-impl<T: Default> NameTable<T> {
-    fn slot(&mut self, name: &'static str) -> &mut T {
-        let hit = self.by_addr.iter().find(|(n, _)| std::ptr::eq(*n, name));
-        let i = match hit {
-            Some(&(_, i)) => i,
-            None => {
-                let i = match self.position(name) {
-                    Ok(pos) => self.sorted[pos],
-                    Err(pos) => {
-                        let i = u32::try_from(self.slots.len()).expect("metric name overflow");
-                        self.slots.push((name, T::default()));
-                        self.sorted.insert(pos, i);
-                        i
-                    }
-                };
-                self.by_addr.push((name, i));
-                i
-            }
-        };
-        &mut self.slots[i as usize].1
-    }
-}
-
-impl<T> NameTable<T> {
-    /// Where `name` is (`Ok`) or belongs (`Err`) in `sorted`.
-    fn position(&self, name: &str) -> Result<usize, usize> {
-        self.sorted
-            .binary_search_by(|&i| self.slots[i as usize].0.cmp(name))
-    }
-
-    fn get(&self, name: &str) -> Option<&T> {
-        let pos = self.position(name).ok()?;
-        Some(&self.slots[self.sorted[pos] as usize].1)
-    }
-
-    /// All entries, sorted by name.
-    fn iter(&self) -> impl Iterator<Item = (&'static str, &T)> {
-        self.sorted.iter().map(|&i| {
-            let (name, v) = &self.slots[i as usize];
-            (*name, v)
-        })
-    }
-
-    fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    fn clear(&mut self) {
-        self.slots.clear();
-        self.by_addr.clear();
-        self.sorted.clear();
-    }
-}
-
 /// Where causal id `causal` lives in the dense timeline store (`None` for
 /// 0, the "untracked" id).
 fn timeline_index(causal: u64) -> Option<usize> {
@@ -188,7 +116,9 @@ fn timeline_index(causal: u64) -> Option<usize> {
 #[derive(Default)]
 pub struct MetricsRegistry {
     counters: NameTable<u64>,
-    gauges: BTreeMap<(&'static str, u32), GaugeSeries>,
+    /// Gauge `(name, idx)` at index `idx` of its name's vector; an index
+    /// never set holds an empty series.
+    gauges: NameTable<Vec<GaugeSeries>>,
     stats: NameTable<DurStat>,
     next_causal: u64,
     /// Timeline of causal id `c` at index `c - 1`; an id that was allocated
@@ -219,11 +149,16 @@ impl MetricsRegistry {
     }
 
     /// Records gauge `(name, idx)` at value `v` as of time `t`. Consecutive
-    /// identical values are coalesced, so an unchanged gauge costs one map
-    /// probe and no storage.
+    /// identical values are coalesced, so an unchanged gauge costs one name
+    /// lookup, one index and no storage.
     pub fn gauge_set(&mut self, name: &'static str, idx: u32, t: SimTime, v: i64) {
-        let series = self.gauges.entry((name, idx)).or_default();
-        if series.samples.last().map(|&(_, last)| last) != Some(v) {
+        let series = self.gauges.slot(name);
+        let idx = idx as usize;
+        if idx >= series.len() {
+            series.resize_with(idx + 1, GaugeSeries::default);
+        }
+        let series = &mut series[idx];
+        if series.last() != Some(v) {
             series.samples.push((t, v));
         }
     }
@@ -232,14 +167,20 @@ impl MetricsRegistry {
     #[cfg(test)]
     pub fn gauge(&self, name: &str, idx: u32) -> Option<&GaugeSeries> {
         self.gauges
-            .iter()
-            .find(|(&(n, i), _)| n == name && i == idx)
-            .map(|(_, g)| g)
+            .get(name)?
+            .get(idx as usize)
+            .filter(|g| !g.samples.is_empty())
     }
 
-    /// All gauge series, sorted by `(name, idx)`.
+    /// All gauge series ever set, sorted by `(name, idx)`.
     pub fn gauges(&self) -> impl Iterator<Item = ((&'static str, u32), &GaugeSeries)> {
-        self.gauges.iter().map(|(&k, v)| (k, v))
+        self.gauges.iter().flat_map(|(name, series)| {
+            series
+                .iter()
+                .enumerate()
+                .filter(|(_, g)| !g.samples.is_empty())
+                .map(move |(idx, g)| ((name, idx as u32), g))
+        })
     }
 
     /// Adds one duration observation to the named stat.
@@ -382,7 +323,7 @@ impl MetricsRegistry {
         }
         if !self.gauges.is_empty() {
             s.push_str("gauges (peak):\n");
-            for (&(name, idx), g) in &self.gauges {
+            for ((name, idx), g) in self.gauges() {
                 s.push_str(&format!(
                     "  {:<28} {}\n",
                     format!("{name}[{idx}]"),
@@ -555,6 +496,33 @@ mod tests {
         m.observe("lat.a", Dur::from_micros(250));
         m.observe("lat.b", Dur::from_micros(30));
         assert_eq!(m.summary(), SUMMARY_PINNED);
+    }
+
+    #[test]
+    fn sparse_gauges_read_in_name_and_index_order() {
+        // Index 5 before index 0, indices 1-4 never set, names out of order.
+        let mut m = MetricsRegistry::new();
+        m.gauge_set("z.port", 5, t(0), 3);
+        m.gauge_set("a.nic", 2, t(0), 1);
+        m.gauge_set("z.port", 0, t(1), 8);
+        m.gauge_set("z.port", 5, t(2), 6);
+        m.gauge_set("z.port", 5, t(3), 6);
+        let seen: Vec<_> = m.gauges().map(|(k, g)| (k, g.samples().to_vec())).collect();
+        assert_eq!(
+            seen,
+            vec![
+                (("a.nic", 2), vec![(t(0), 1)]),
+                (("z.port", 0), vec![(t(1), 8)]),
+                (("z.port", 5), vec![(t(0), 3), (t(2), 6)]),
+            ]
+        );
+        assert!(m.gauge("z.port", 3).is_none(), "never set");
+        assert!(m.gauge("z.port", 9).is_none(), "past the end");
+        assert!(m.gauge("a.nic", 0).is_none());
+        assert_eq!(
+            m.summary(),
+            "gauges (peak):\n  a.nic[2]                     1\n  z.port[0]                    8\n  z.port[5]                    6\n"
+        );
     }
 
     const SUMMARY_PINNED: &str = "\

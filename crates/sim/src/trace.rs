@@ -21,6 +21,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::names::NameTable;
 use crate::time::{Dur, SimTime};
 
 /// What an actor was doing during a span.
@@ -107,7 +108,7 @@ pub struct Span {
 #[derive(Default)]
 pub struct Tracer {
     spans: Vec<Span>,
-    counters: BTreeMap<String, u64>,
+    counters: NameTable<u64>,
     actors: Vec<String>,
     actor_ids: BTreeMap<String, u32>,
     enabled: bool,
@@ -263,16 +264,10 @@ impl Tracer {
         id
     }
 
-    /// Adds to a named counter (always recorded).
-    pub fn count(&mut self, name: &str, n: u64) {
-        // Look up by `&str` first: only a counter's first increment owns
-        // (allocates) its name.
-        match self.counters.get_mut(name) {
-            Some(v) => *v += n,
-            None => {
-                self.counters.insert(name.to_owned(), n);
-            }
-        }
+    /// Adds to a named counter (always recorded). The name is a literal,
+    /// resolved by its address like the registry's (see `names.rs`).
+    pub fn count(&mut self, name: &'static str, n: u64) {
+        *self.counters.slot(name) += n;
     }
 
     /// Reads a named counter (0 if never written).
@@ -282,7 +277,7 @@ impl Tracer {
 
     /// All counters, sorted by name.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
+        self.counters.iter().map(|(k, &v)| (k, v))
     }
 
     /// All recorded spans.
