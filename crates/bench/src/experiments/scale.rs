@@ -45,10 +45,13 @@
 //! (`crates/bench/baselines/xp_scale_guard.txt`) and fails if any point
 //! regressed by more than 15%. Per *message*, not per event: the events a
 //! change removes are usually the cheap ones, so ns/event rises while the
-//! run gets faster. The event count itself repeats to the digit, so the
-//! baseline's `events <hosts> <rounds> <count>` rows are held exactly, with
-//! no tolerance. Sharded sweep points (one event per delivery) are guarded
-//! per event via the `sharded <hosts> <shards> <rounds> <ratio>` rows.
+//! run gets faster. The event count itself repeats to the digit, and so does
+//! the number of causal-timeline stamps the run retains, so the baseline's
+//! `events <hosts> <rounds> <count>` and `stamps <hosts> <rounds> <count>`
+//! rows are held exactly, with no tolerance: a new stage fails there without
+//! any memory measurement. Sharded sweep points (one event per delivery)
+//! are guarded per event via the `sharded <hosts> <shards> <rounds> <ratio>`
+//! rows.
 
 use super::{worker_cpus, JsonDoc, Opts};
 use crate::json::{fixed, obj};
@@ -191,6 +194,8 @@ struct ScalePoint {
     peak_queue_depth: usize,
     gauge_samples: usize,
     gauge_peak: i64,
+    /// Causal-timeline stamps the registry retains after the run.
+    stamps: u64,
 }
 
 impl ScalePoint {
@@ -254,15 +259,18 @@ fn run_collective(hosts: usize, rounds: u32, engine: EngineKind) -> ScalePoint {
     let out = sim.run();
     let wall_s = t0.elapsed().as_secs_f64(); // ncs-lint: allow(wall-clock)
     out.assert_clean();
-    let (gauge_samples, gauge_peak) = sim.with_metrics(|m| {
-        m.gauges()
+    let (gauge_samples, gauge_peak, stamps) = sim.with_metrics(|m| {
+        let (samples, peak) = m
+            .gauges()
             .filter(|((name, _), _)| *name == "kernel.queue_depth")
             .map(|(_, series)| {
                 let s = series.samples();
                 (s.len(), s.iter().map(|&(_, v)| v).max().unwrap_or(0))
             })
             .next()
-            .unwrap_or((0, 0))
+            .unwrap_or((0, 0));
+        let stamps = m.timelines().map(|(_, tl)| tl.len() as u64).sum();
+        (samples, peak, stamps)
     });
     let point = ScalePoint {
         hosts,
@@ -275,6 +283,7 @@ fn run_collective(hosts: usize, rounds: u32, engine: EngineKind) -> ScalePoint {
         peak_queue_depth: sim.peak_queue_depth(),
         gauge_samples,
         gauge_peak,
+        stamps,
     };
     sim.finish();
     point
@@ -426,7 +435,8 @@ const GUARD_HEADROOM: f64 = 1.15;
 /// baseline's `sharded <hosts> <shards> <rounds>` row — so raw machine
 /// speed divides out and the gate travels across CI runners. Fails (exits
 /// non-zero via panic) past 15% regression, and on any difference at all
-/// from an `events <hosts> <rounds>` row: event counts are deterministic.
+/// from an `events <hosts> <rounds>` or `stamps <hosts> <rounds>` row: event
+/// and stamp counts are deterministic.
 fn run_guard(out: &mut String, points: &[ScalePoint], sharded: &[ShardPoint], wheel_ns: f64) {
     // Baseline rows: a shape (single-spaced), then its ratio.
     let baseline: Vec<(String, f64)> = GUARD_BASELINE_TEXT
@@ -452,6 +462,28 @@ fn run_guard(out: &mut String, points: &[ScalePoint], sharded: &[ShardPoint], wh
         (shape, label, p.ns_per_event())
     });
     *out += &format!("\n## perf-regression guard (normalized vs {GUARD_BASELINE})\n");
+    // The exact rows first: a difference there is the code, never noise.
+    for p in points {
+        for (kind, count) in [("events", p.events), ("stamps", p.stamps)] {
+            let shape = format!("{kind} {} {}", p.hosts, p.rounds);
+            let Some(&(_, base)) = baseline.iter().find(|(known, _)| *known == shape) else {
+                continue;
+            };
+            let base = base as u64;
+            let verdict = if count == base { "ok" } else { "FAIL" };
+            *out += &format!(
+                "  {:3} hosts | {count:7} {kind} | baseline {base:7} | {:5.2} per message | {verdict}\n",
+                p.hosts,
+                count as f64 / p.messages() as f64,
+            );
+            assert!(
+                count == base,
+                "{kind} count at {} hosts moved: {count} against the baseline's {base} — {kind} \
+                 counts repeat to the digit, so this is the code; re-baseline if it is meant",
+                p.hosts,
+            );
+        }
+    }
     let mut checked = 0;
     for (shape, label, ns) in flat.chain(sharded) {
         let Some(&(_, base)) = baseline.iter().find(|(known, _)| *known == shape) else {
@@ -470,27 +502,6 @@ fn run_guard(out: &mut String, points: &[ScalePoint], sharded: &[ShardPoint], wh
             (GUARD_HEADROOM - 1.0) * 100.0
         );
         checked += 1;
-    }
-    for p in points {
-        let shape = format!("events {} {}", p.hosts, p.rounds);
-        let Some(&(_, base)) = baseline.iter().find(|(known, _)| *known == shape) else {
-            continue;
-        };
-        let base = base as u64;
-        let verdict = if p.events == base { "ok" } else { "FAIL" };
-        *out += &format!(
-            "  {:3} hosts | {:7} events | baseline {base:7} | {:5.2} per message | {verdict}\n",
-            p.hosts,
-            p.events,
-            p.events as f64 / p.messages() as f64,
-        );
-        assert!(
-            p.events == base,
-            "event count at {} hosts moved: {} against the baseline's {base} — event counts \
-             repeat to the digit, so this is the code; re-baseline if it is meant",
-            p.hosts,
-            p.events
-        );
     }
     assert!(
         checked > 0,

@@ -344,10 +344,34 @@ fn ingest(inner: &Arc<ProcInner>, m: &MtsCtx, tier: usize, d: Delivery) {
     } else {
         d.sent_at.as_ps()
     };
-    let causal = inner
-        .sim
-        .with_metrics(|mm| mm.resolve_wire(wire_key(d.src.idx(), inner.id, d.tag, instance)))
-        .unwrap_or(0);
+    // One registry visit: the claim, for every class (damaged deliveries
+    // too, so no key is left behind), and the pickup stamps of undamaged
+    // data.
+    let stamped = !d.damaged
+        && !matches!(
+            class,
+            MsgClass::Ack | MsgClass::Nack | MsgClass::Exception | MsgClass::Credit
+        );
+    let causal = inner.sim.with_metrics(|mm| {
+        let key = wire_key(d.src.idx(), inner.id, d.tag, instance);
+        let causal = mm.resolve_wire(key).unwrap_or(0);
+        if stamped && causal != 0 {
+            // The accepted copy is a retransmission if it left after the
+            // first one did; its departure splits the wire time into what
+            // loss recovery cost and its own flight. (Not for chunks: a
+            // chunked transfer's stages are its last chunk's, which one
+            // chunk's recovery is not.)
+            let first = mm
+                .timeline(causal)
+                .and_then(|tl| tl.iter().find(|&&(stage, _)| stage == "wire_start"));
+            if class == MsgClass::Data && first.is_some_and(|&(_, t0)| d.sent_at > t0) {
+                mm.mark(causal, "retransmitted", d.sent_at);
+            }
+            mm.mark(causal, "arrived", d.arrived_at);
+            mm.mark(causal, "picked", t_picked);
+        }
+        causal
+    });
     if d.damaged {
         // Nothing above could ask for it again — control traffic, an
         // exception, data with error control off: the bytes are not what
@@ -402,24 +426,6 @@ fn ingest(inner: &Arc<ProcInner>, m: &MtsCtx, tier: usize, d: Delivery) {
             }
         }
         _ => {
-            if causal != 0 {
-                inner.sim.with_metrics(|mm| {
-                    // The accepted copy is a retransmission if it left
-                    // after the first one did; its departure splits the
-                    // wire time into what loss recovery cost and its own
-                    // flight. (Not for chunks: a chunked transfer's stages
-                    // are its last chunk's, which one chunk's recovery is
-                    // not.)
-                    let first = mm
-                        .timeline(causal)
-                        .and_then(|tl| tl.iter().find(|&&(stage, _)| stage == "wire_start"));
-                    if class == MsgClass::Data && first.is_some_and(|&(_, t0)| d.sent_at > t0) {
-                        mm.mark(causal, "retransmitted", d.sent_at);
-                    }
-                    mm.mark(causal, "arrived", d.arrived_at);
-                    mm.mark(causal, "picked", t_picked);
-                });
-            }
             let msg = NcsMsg {
                 from,
                 to_thread,

@@ -7,7 +7,9 @@
 //! costing events of their own (DESIGN.md "Event kernel"): the events went,
 //! the model clock did not move. A change that adds an event per message
 //! (or per dispatch) fails here by name; one that moves virtual time fails
-//! on the end time next to it.
+//! on the end time next to it. Beside the events, each run pins the causal
+//! timeline stamps it retains (16 bytes each): a change that adds a stage
+//! grows the timelines' memory, and fails here without an RSS measurement.
 
 use bytes::Bytes;
 use ncs_core::{ErrorControl, NcsConfig, NcsProc, NcsWorld, ThreadAddr};
@@ -29,6 +31,11 @@ fn run_clean(sim: &Sim) -> RunOutcome {
 
 fn end_ps(out: &RunOutcome) -> u64 {
     out.end_time.since(SimTime::ZERO).as_ps()
+}
+
+/// Causal-timeline stamps the run's registry retains.
+fn stamps(sim: &Sim) -> usize {
+    sim.with_metrics(|m| m.timelines().map(|(_, tl)| tl.len()).sum())
 }
 
 #[test]
@@ -53,6 +60,7 @@ fn hsm_ping_pong_event_budget() {
     let out = run_clean(&sim);
     assert_eq!(end_ps(&out), 15_397_634_304, "virtual end time moved");
     assert_eq!((out.events, out.resumes), (336, 304), "was (579, 547)");
+    assert_eq!(stamps(&sim), 192, "32 messages, six stages each");
 }
 
 #[test]
@@ -79,6 +87,7 @@ fn gather_broadcast_round_event_budget() {
     let out = run_clean(&sim);
     assert_eq!(end_ps(&out), 2_836_537_144, "virtual end time moved");
     assert_eq!((out.events, out.resumes), (181, 167), "was (346, 332)");
+    assert_eq!(stamps(&sim), 84, "14 messages, six stages each");
 }
 
 #[test]
@@ -111,6 +120,11 @@ fn checked_tcp_ring_event_budget() {
     assert!(retx > 0, "the seed must exercise the recovery path");
     assert_eq!(end_ps(&out), 367_538_885_720, "virtual end time moved");
     assert_eq!((out.events, out.resumes), (576, 468), "was (952, 844)");
+    assert_eq!(
+        stamps(&sim),
+        147,
+        "24 messages, six stages each, and three `retransmitted`"
+    );
 }
 
 #[test]

@@ -9,6 +9,7 @@ use bytes::Bytes;
 use ncs_core::{ErrorControl, FlowControl, NcsConfig, NcsWorld, RtoConfig, ThreadAddr, ALL_STAGES};
 use ncs_net::{ChaosNet, ChaosParams, HostParams, IdealFabric, Network, TcpNet, TcpParams};
 use ncs_sim::{Dur, Sim, SimTime};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn net(nodes: usize) -> Arc<dyn Network> {
@@ -270,4 +271,81 @@ fn same_instant_senders_keep_their_own_timelines() {
         );
         assert_eq!(m.stat("obs.e2e").expect("e2e").summary().count(), 2);
     });
+}
+
+/// Stage names of a message timeline, each paired with the per-layer stem
+/// of the gap it ends: the table the benchmark harness reads timelines by.
+const STAGES: [(&str, &str); 6] = [
+    ("sq_popped", "queue_wait"),
+    ("wire_start", "inject"),
+    ("arrived", "wire"),
+    ("picked", "pickup"),
+    ("reassembled", "reassembly"),
+    ("delivered", "deliver"),
+];
+
+/// What the benchmark harness takes from `timelines()`, read the way it
+/// reads it: (retained, opened, complete, end-to-end latencies, gaps by
+/// stem). Written against the same patterns (`Some(&(first, t0))`,
+/// `first != "enqueued"`, `*s == stage`, `w[0].1`), so a change to
+/// [`ncs_sim::Timeline`] that the harness would not compile against fails
+/// here first.
+type HarnessView = (u64, u64, u64, Vec<u64>, BTreeMap<&'static str, Vec<u64>>);
+
+fn harness_view(sim: &Sim) -> HarnessView {
+    sim.with_metrics(|m| {
+        let (mut retained, mut opened, mut complete) = (0u64, 0u64, 0u64);
+        let mut latencies_ps = Vec::new();
+        let mut stages_ps: BTreeMap<&'static str, Vec<u64>> = BTreeMap::new();
+        for (_, tl) in m.timelines() {
+            retained += 1;
+            let (Some(&(first, t0)), Some(&(last, t1))) = (tl.first(), tl.last()) else {
+                continue;
+            };
+            if first != "enqueued" {
+                continue;
+            }
+            opened += 1;
+            if last != "delivered" {
+                continue;
+            }
+            complete += 1;
+            latencies_ps.push(t1.since(t0).as_ps());
+            for w in tl.windows(2) {
+                let (stage, t) = w[1];
+                if let Some((_, stem)) = STAGES.iter().find(|(s, _)| *s == stage) {
+                    stages_ps
+                        .entry(stem)
+                        .or_default()
+                        .push(t.since(w[0].1).as_ps());
+                }
+            }
+        }
+        (retained, opened, complete, latencies_ps, stages_ps)
+    })
+}
+
+#[test]
+fn the_benchmark_harness_reads_every_timeline() {
+    for (what, sim, reassembled) in [
+        ("monolithic", run_transfer(2048, 4, 16 * 1024), 0),
+        ("chunked", run_transfer(8 * 1024, 3, 1024), 3),
+    ] {
+        let (retained, opened, complete, latencies, stages) = harness_view(&sim);
+        let messages = latencies.len() as u64;
+        assert!(messages > 0, "{what}");
+        assert_eq!(
+            (retained, opened, complete),
+            (messages, messages, messages),
+            "{what}"
+        );
+        let reassembly = stages.get("reassembly").map_or(0, Vec::len);
+        assert_eq!(reassembly, reassembled, "{what}");
+        for stem in ["queue_wait", "inject", "wire", "pickup", "deliver"] {
+            assert_eq!(stages[stem].len() as u64, messages, "{what}: {stem}");
+        }
+        // The stems partition each message's latency.
+        let gaps: u64 = stages.values().flatten().sum();
+        assert_eq!(gaps, latencies.iter().sum::<u64>(), "{what}");
+    }
 }

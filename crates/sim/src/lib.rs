@@ -72,6 +72,7 @@ pub mod shard;
 mod stats;
 pub mod sync;
 mod time;
+mod timeline;
 mod trace;
 pub mod wheel;
 
@@ -85,7 +86,7 @@ pub use engine::{
     set_default_engine, EngineKind, DEFAULT_STACK_BYTES, MIN_STACK_BYTES,
 };
 pub use kernel::{Ctx, RunOutcome, Sim, StopReason, ThreadId, TimerHandle};
-pub use metrics::{DurStat, GaugeSeries, MetricsRegistry, Timeline};
+pub use metrics::{DurStat, GaugeSeries, MetricsRegistry};
 pub use rng::SimRng;
 pub use sched::{
     format_trace, parse_trace, ChoicePoint, Decision, DecisionLog, RandomWalkPolicy,
@@ -94,4 +95,5 @@ pub use sched::{
 pub use shard::{merge_streams, ShardedRunOutcome, ShardedSim};
 pub use stats::{DurHistogram, DurSummary};
 pub use time::{Dur, SimTime};
+pub use timeline::{Stage, Timeline};
 pub use trace::{ActorId, Span, SpanId, SpanKind, Tracer};

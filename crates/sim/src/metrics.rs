@@ -14,8 +14,10 @@
 //! use. A gauge name holds a dense
 //! vector of series indexed by `idx` (a node id), so a `gauge_set` is a
 //! name lookup and an index; an index never set holds an empty series that
-//! the readers skip. Timelines are a dense vector indexed by the sequential
-//! causal id, so a `mark` is an index, not a tree walk.
+//! the readers skip. Timelines are indexed densely by the sequential causal
+//! id, so a `mark` is a name lookup and an index, not a tree walk; a stamp
+//! is 16 bytes, and a folded timeline is sealed into a chunked arena with
+//! no allocation of its own (see `timeline.rs`).
 //!
 //! Four families:
 //!
@@ -49,6 +51,7 @@ use std::collections::BTreeMap;
 use crate::names::NameTable;
 use crate::stats::{DurHistogram, DurSummary};
 use crate::time::{Dur, SimTime};
+use crate::timeline::{Stage, Timeline, TimelineStore};
 
 /// A gauge's sample history: the value is `samples.last()` until the next
 /// change; only changes are stored.
@@ -103,15 +106,6 @@ impl DurStat {
     }
 }
 
-/// One message's causal timeline: named stage boundaries in record order.
-pub type Timeline = Vec<(&'static str, SimTime)>;
-
-/// Where causal id `causal` lives in the dense timeline store (`None` for
-/// 0, the "untracked" id).
-fn timeline_index(causal: u64) -> Option<usize> {
-    usize::try_from(causal.checked_sub(1)?).ok()
-}
-
 /// The registry. One per [`crate::Sim`], reached via `Sim::with_metrics`.
 #[derive(Default)]
 pub struct MetricsRegistry {
@@ -121,9 +115,9 @@ pub struct MetricsRegistry {
     gauges: NameTable<Vec<GaugeSeries>>,
     stats: NameTable<DurStat>,
     next_causal: u64,
-    /// Timeline of causal id `c` at index `c - 1`; an id that was allocated
-    /// but never marked holds an empty (unallocated) vector.
-    timelines: Vec<Timeline>,
+    /// Stage name → its process-wide handle, resolved by address.
+    stages: NameTable<Stage>,
+    timelines: TimelineStore,
     wire_keys: BTreeMap<(u64, u64, u64), u64>,
 }
 
@@ -131,6 +125,15 @@ impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> MetricsRegistry {
         MetricsRegistry::default()
+    }
+
+    /// An empty registry whose timeline arena grows by `n`-stamp chunks.
+    #[cfg(test)]
+    fn with_chunk_stamps(n: usize) -> MetricsRegistry {
+        MetricsRegistry {
+            timelines: TimelineStore::with_chunk_stamps(n),
+            ..MetricsRegistry::default()
+        }
     }
 
     /// Adds `n` to a named counter.
@@ -208,40 +211,29 @@ impl MetricsRegistry {
     /// stage overwrites it (for chunked transfers, the last chunk's
     /// boundary is the message's). `causal == 0` is ignored.
     pub fn mark(&mut self, causal: u64, stage: &'static str, t: SimTime) {
-        let Some(idx) = timeline_index(causal) else {
+        if causal == 0 {
             return;
-        };
-        if idx >= self.timelines.len() {
-            self.timelines.resize_with(idx + 1, Timeline::new);
         }
-        let tl = &mut self.timelines[idx];
-        match tl.iter_mut().find(|(s, _)| *s == stage) {
-            Some(slot) => slot.1 = t,
-            None => tl.push((stage, t)),
-        }
+        let stage = *self.stages.slot_with(stage, || Stage::intern(stage));
+        self.timelines.mark(causal, stage, t);
     }
 
     /// Reads one message's timeline (`None` for an id never marked).
     pub fn timeline(&self, causal: u64) -> Option<&Timeline> {
-        self.timelines
-            .get(timeline_index(causal)?)
-            .filter(|tl| !tl.is_empty())
+        self.timelines.get(causal)
     }
 
     /// All marked timelines, in ascending causal-id order.
     pub fn timelines(&self) -> impl Iterator<Item = (u64, &Timeline)> {
-        self.timelines
-            .iter()
-            .enumerate()
-            .filter(|(_, tl)| !tl.is_empty())
-            .map(|(i, tl)| (i as u64 + 1, tl))
+        self.timelines.iter()
     }
 
     /// Folds message `causal`'s timeline into the duration stats: every gap
     /// between consecutive stages is observed under `component(stage)` of
     /// the stage that *ends* it, and the first-to-last span under `e2e`.
     /// The components are contiguous, so they sum to `e2e` exactly. Does
-    /// nothing for an id with no marks.
+    /// nothing for an id with no marks. Seals the timeline: it stays
+    /// readable, and a later mark reopens it.
     pub fn observe_stages(
         &mut self,
         causal: u64,
@@ -251,17 +243,20 @@ impl MetricsRegistry {
         let MetricsRegistry {
             timelines, stats, ..
         } = self;
-        let Some(tl) = timeline_index(causal).and_then(|i| timelines.get(i)) else {
+        let Some(tl) = timelines.get(causal) else {
             return;
         };
         for w in tl.windows(2) {
             let (_, t0) = w[0];
             let (stage, t1) = w[1];
-            stats.slot(component(stage)).record(t1.saturating_since(t0));
+            stats
+                .slot(component(stage.as_str()))
+                .record(t1.saturating_since(t0));
         }
         if let (Some(&(_, first)), Some(&(_, last))) = (tl.first(), tl.last()) {
             stats.slot(e2e).record(last.saturating_since(first));
         }
+        timelines.seal(causal);
     }
 
     /// Associates a wire-level key (conventionally `(source and destination
@@ -285,7 +280,7 @@ impl MetricsRegistry {
         let mut out = Vec::new();
         for (causal, tl) in self.timelines() {
             let mut cursor = 0usize;
-            let mut prev: Option<(&str, SimTime)> = None;
+            let mut prev: Option<(Stage, SimTime)> = None;
             for &(stage, t) in tl {
                 let pos = order[cursor..].iter().position(|&s| s == stage);
                 match pos {
@@ -345,6 +340,7 @@ impl MetricsRegistry {
         self.counters.clear();
         self.gauges.clear();
         self.stats.clear();
+        self.stages.clear();
         self.timelines.clear();
         self.wire_keys.clear();
         self.next_causal = 0;
@@ -357,6 +353,10 @@ mod tests {
 
     fn t(us: u64) -> SimTime {
         SimTime::ZERO + Dur::from_micros(us)
+    }
+
+    fn texts(tl: &Timeline) -> Vec<(&'static str, SimTime)> {
+        tl.iter().map(|&(s, t)| (s.as_str(), t)).collect()
     }
 
     #[test]
@@ -394,7 +394,7 @@ mod tests {
         m.mark(c, "a", t(1));
         m.mark(c, "b", t(2));
         m.mark(c, "b", t(4));
-        assert_eq!(m.timeline(c).unwrap().as_slice(), &[("a", t(1)), ("b", t(4))]);
+        assert_eq!(texts(m.timeline(c).unwrap()), [("a", t(1)), ("b", t(4))]);
         m.mark(0, "ignored", t(9));
         assert_eq!(m.timelines().count(), 1);
     }
@@ -414,7 +414,7 @@ mod tests {
         assert!(m.timeline(2).is_none(), "allocated, never marked");
         assert!(m.timeline(5).is_none(), "never allocated");
         assert!(m.timeline(u64::MAX).is_none());
-        assert_eq!(m.timeline(3).unwrap().as_slice(), &[("a", t(3))]);
+        assert_eq!(texts(m.timeline(3).unwrap()), [("a", t(3))]);
         assert!(m.validate_timelines(&["a"]).is_empty());
         m.clear();
         assert_eq!(m.timelines().count(), 0);
@@ -560,6 +560,146 @@ durations:
         m.bind_wire((1, 2, 3), 7);
         assert_eq!(m.resolve_wire((1, 2, 3)), Some(7));
         assert_eq!(m.resolve_wire((1, 2, 3)), None);
+    }
+
+    /// What the registry's timelines must read as: plain vectors of
+    /// `(text, time)`, a fold recording every gap however often it runs,
+    /// and a chunk count from the arena rule (a timeline goes whole into
+    /// the last chunk if it fits, else into a fresh chunk of
+    /// `max(chunk, len)` stamps).
+    #[derive(Default)]
+    struct Model {
+        timelines: Vec<Vec<(&'static str, SimTime)>>,
+        sealed: Vec<bool>,
+        folds: BTreeMap<&'static str, (u64, Dur)>,
+        /// (capacity, used) of every chunk.
+        chunks: Vec<(usize, usize)>,
+    }
+
+    /// Situations the model test must reach, counted over all its cases.
+    #[derive(Default, Debug)]
+    struct Reached {
+        remark_after_fold: u32,
+        second_fold: u32,
+        longer_than_remainder: u32,
+        longer_than_chunk: u32,
+    }
+
+    fn model_component(stage: &str) -> &'static str {
+        match stage {
+            "tl.a" => "fold.a",
+            "tl.b" => "fold.b",
+            "tl.c" => "fold.c",
+            "tl.d" => "fold.d",
+            _ => "fold.e",
+        }
+    }
+
+    #[test]
+    fn timelines_match_a_naive_model() {
+        const NAMES: [&str; 5] = ["tl.a", "tl.b", "tl.c", "tl.d", "tl.e"];
+        const FOLDS: [&str; 6] = ["fold.a", "fold.b", "fold.c", "fold.d", "fold.e", "fold.e2e"];
+        // Each name at two addresses.
+        let names: Vec<[&'static str; 2]> = NAMES
+            .iter()
+            .map(|&n| [n, &*Box::leak(String::from(n).into_boxed_str())])
+            .collect();
+        let reached = std::cell::RefCell::new(Reached::default());
+        crate::prop::check("timelines_match_a_naive_model", 300, |g| {
+            let chunk = g.range(1..=6) as usize;
+            let mut m = MetricsRegistry::with_chunk_stamps(chunk);
+            let mut model = Model::default();
+            let mut reached = reached.borrow_mut();
+            for _ in 0..g.range(0..80) {
+                let causal = g.range(0..=8);
+                let idx = causal.checked_sub(1).map(|c| c as usize);
+                if let Some(i) = idx {
+                    if i >= model.timelines.len() {
+                        model.timelines.resize_with(i + 1, Vec::new);
+                        model.sealed.resize(i + 1, false);
+                    }
+                }
+                match g.range(0..20) {
+                    0..=11 => {
+                        let name = g.pick(&names)[g.range(0..2) as usize];
+                        let at = t(g.range(0..100));
+                        m.mark(causal, name, at);
+                        let Some(i) = idx else { continue };
+                        if std::mem::take(&mut model.sealed[i]) {
+                            reached.remark_after_fold += 1;
+                        }
+                        let tl = &mut model.timelines[i];
+                        match tl.iter_mut().find(|(s, _)| *s == name) {
+                            Some(slot) => slot.1 = at,
+                            None => tl.push((name, at)),
+                        }
+                    }
+                    12..=18 => {
+                        m.observe_stages(causal, model_component, "fold.e2e");
+                        let Some(i) = idx else { continue };
+                        let tl = &model.timelines[i];
+                        if tl.is_empty() {
+                            continue;
+                        }
+                        for w in tl.windows(2) {
+                            let e = model.folds.entry(model_component(w[1].0)).or_default();
+                            *e = (e.0 + 1, e.1 + w[1].1.saturating_since(w[0].1));
+                        }
+                        let e = model.folds.entry("fold.e2e").or_default();
+                        let span = tl[tl.len() - 1].1.saturating_since(tl[0].1);
+                        *e = (e.0 + 1, e.1 + span);
+                        if model.sealed[i] {
+                            reached.second_fold += 1;
+                            continue;
+                        }
+                        model.sealed[i] = true;
+                        let len = tl.len();
+                        match model.chunks.last_mut() {
+                            Some((cap, used)) if *cap - *used >= len => *used += len,
+                            last => {
+                                if last.is_some() && len <= chunk {
+                                    reached.longer_than_remainder += 1;
+                                }
+                                if len > chunk {
+                                    reached.longer_than_chunk += 1;
+                                }
+                                model.chunks.push((chunk.max(len), len));
+                            }
+                        }
+                    }
+                    _ => {
+                        m.clear();
+                        model = Model::default();
+                    }
+                }
+                let want: Vec<(u64, Vec<(&str, SimTime)>)> = model
+                    .timelines
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, tl)| !tl.is_empty())
+                    .map(|(i, tl)| (i as u64 + 1, tl.clone()))
+                    .collect();
+                let got: Vec<(u64, Vec<(&str, SimTime)>)> =
+                    m.timelines().map(|(c, tl)| (c, texts(tl))).collect();
+                assert_eq!(got, want);
+                for c in 0..=9 {
+                    let want = want.iter().find(|(k, _)| *k == c).map(|(_, tl)| tl.clone());
+                    assert_eq!(m.timeline(c).map(texts), want, "causal {c}");
+                }
+                for name in FOLDS {
+                    let got = m
+                        .stat(name)
+                        .map(|s| (s.summary().count(), s.summary().total()));
+                    assert_eq!(got, model.folds.get(name).copied(), "{name}");
+                }
+                assert_eq!(m.timelines.chunks(), model.chunks.len());
+            }
+        });
+        let reached = reached.into_inner();
+        assert!(reached.remark_after_fold > 0, "{reached:?}");
+        assert!(reached.second_fold > 0, "{reached:?}");
+        assert!(reached.longer_than_remainder > 0, "{reached:?}");
+        assert!(reached.longer_than_chunk > 0, "{reached:?}");
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Values keyed by `&'static str` name, shared by the always-on counters
-//! of the [`crate::Tracer`] and the [`crate::MetricsRegistry`].
+//! of the [`crate::Tracer`] and the [`crate::MetricsRegistry`], and by the
+//! registry's map from a causal stage name to its [`crate::Stage`].
 //!
 //! Every writer passes a string literal, so a name is resolved by its
 //! *address*: a scan of the few pointer-and-length pairs seen so far, with
-//! no string compare. A table holds a handful of names (at most 9 on any
-//! benchmark workload: the registry's stats), so the scan costs about what
-//! a hash and a probe would. Only an address never seen before takes the
+//! no string compare. A table holds a handful of names (at most 11 on any
+//! benchmark workload: the causal stages), so the scan costs about what a
+//! hash and a probe would. Only an address never seen before takes the
 //! slow path: a binary search by text in the sorted index the readers
 //! iterate, so the same text reached through a second literal (one per
 //! crate or codegen unit) lands in the same slot.
@@ -36,6 +37,14 @@ impl<T> Default for NameTable<T> {
 impl<T: Default> NameTable<T> {
     /// The value for `name`, created (default) on its first write.
     pub(crate) fn slot(&mut self, name: &'static str) -> &mut T {
+        self.slot_with(name, T::default)
+    }
+}
+
+impl<T> NameTable<T> {
+    /// The value for `name`, created by `make` the first time its text is
+    /// seen.
+    pub(crate) fn slot_with(&mut self, name: &'static str, make: impl FnOnce() -> T) -> &mut T {
         let hit = self.by_addr.iter().find(|(n, _)| std::ptr::eq(*n, name));
         let i = match hit {
             Some(&(_, i)) => i,
@@ -44,7 +53,7 @@ impl<T: Default> NameTable<T> {
                     Ok(pos) => self.sorted[pos],
                     Err(pos) => {
                         let i = u32::try_from(self.slots.len()).expect("metric name overflow");
-                        self.slots.push((name, T::default()));
+                        self.slots.push((name, make()));
                         self.sorted.insert(pos, i);
                         i
                     }
@@ -55,9 +64,7 @@ impl<T: Default> NameTable<T> {
         };
         &mut self.slots[i as usize].1
     }
-}
 
-impl<T> NameTable<T> {
     /// Where `name` is (`Ok`) or belongs (`Err`) in `sorted`.
     fn position(&self, name: &str) -> Result<usize, usize> {
         self.sorted
