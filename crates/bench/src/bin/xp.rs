@@ -20,7 +20,7 @@
 //! file. An experiment that fails panics, which ends `xp` non-zero after
 //! the line naming it and before anything of it is written.
 
-use ncs_bench::{results_dir, Experiment, Opts, EXPERIMENTS};
+use ncs_bench::{results_dir, Experiment, Opts, Report, EXPERIMENTS};
 use std::io::Write;
 
 fn usage() -> ! {
@@ -31,29 +31,32 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// What an experiment has written so far, printed when it goes out of
-/// scope — on a panic too, so a failed assertion keeps its context.
-struct Transcript(String);
+/// An experiment's report, printed when it goes out of scope — on a panic
+/// too, so a failed assertion keeps what the experiment had written.
+struct Transcript(Report);
 
 impl Drop for Transcript {
     fn drop(&mut self) {
         // Not `print!`: a closed stdout must not panic inside an unwind.
-        let _ = std::io::stdout().write_all(self.0.as_bytes());
+        let _ = std::io::stdout().write_all(self.0.text().as_bytes());
     }
 }
 
 /// Runs `e`, prints its report and writes its JSON document, if it has one.
 fn run(e: &Experiment, opts: &Opts) {
-    let mut text = Transcript(String::new());
-    let doc = (e.run)(opts, &mut text.0);
-    drop(text);
-    if let Some(doc) = doc {
+    let mut report = Transcript(Report::default());
+    (e.run)(opts, &mut report.0);
+    let doc = report
+        .0
+        .bench
+        .map(|file| (file, report.0.json(e.name, opts.smoke)));
+    drop(report);
+    if let Some((file, json)) = doc {
         let sub = if opts.smoke { "smoke/" } else { "" };
         let dir = results_dir().join(sub);
         std::fs::create_dir_all(&dir).expect("create results dir");
-        std::fs::write(dir.join(doc.file).with_extension("json"), doc.render())
-            .expect("write JSON document");
-        println!("\nwrote results/{sub}{}.json", doc.file);
+        std::fs::write(dir.join(file).with_extension("json"), json).expect("write JSON document");
+        println!("\nwrote results/{sub}{file}.json");
     }
 }
 
@@ -70,9 +73,10 @@ fn report() {
                 args: args.iter().map(|a| a.to_string()).collect(),
                 ..Opts::default()
             };
-            let mut text = String::new();
-            (e.run)(&opts, &mut text);
-            std::fs::write(dir.join(&name).with_extension("txt"), text).expect("write result");
+            let mut report = Report::default();
+            (e.run)(&opts, &mut report);
+            std::fs::write(dir.join(&name).with_extension("txt"), report.text())
+                .expect("write result");
             println!("ok -> results/{name}.txt");
         }
     }

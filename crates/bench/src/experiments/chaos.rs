@@ -52,8 +52,8 @@
 //! cargo run --release -p ncs-bench -- chaos [--smoke] [--guard]
 //! ```
 
-use super::{worker_cpus, JsonDoc, Opts, SmallApp};
-use crate::json::{fixed, obj, quoted};
+use super::{Opts, SmallApp, WORKER_CPUS};
+use crate::{Col, Report};
 use bytes::Bytes;
 use ncs_core::{
     ErrorControl, ErrorStats, NcsConfig, NcsWorld, RtoConfig, ThreadAddr, EXC_DELIVERY_FAILED,
@@ -162,6 +162,7 @@ fn chaos_stack(
 
 /// Outcome of one application run at one fault level.
 struct AppOutcome {
+    level: &'static str,
     app: &'static str,
     elapsed: Dur,
     verified: bool,
@@ -170,25 +171,27 @@ struct AppOutcome {
     flap_losses: u64,
 }
 
-fn print_outcome(out: &mut String, o: &AppOutcome) {
-    *out += &format!("  {:6} | {:9.3}s | {:9} | {:5} corrupt {:5} lost | {:4} HEC-fixed {:4} PDU-rej | {:4} dropped | {:3} ovfl {:3} flap\n",
-        o.app,
-        o.elapsed.as_secs_f64(),
-        if o.verified { "BIT-EXACT" } else { "WRONG" },
-        o.damage.cells_corrupted,
-        o.damage.cells_lost,
-        o.damage.headers_corrected,
-        o.damage.pdus_rejected,
-        o.damage.messages_dropped,
-        o.overflow_drops,
-        o.flap_losses,
-    );
-}
+const APPS: &[Col<AppOutcome>] = &[
+    Col::text("level", "level", |o| o.level),
+    Col::text("app", "app", |o| o.app),
+    Col::fixed("elapsed_s", "elapsed s", 3, |o| o.elapsed.as_secs_f64()),
+    Col::flag("verified", "bit-exact", |o| o.verified),
+    Col::int("cells_corrupted", "corrupt", |o| o.damage.cells_corrupted),
+    Col::int("cells_lost", "lost", |o| o.damage.cells_lost),
+    Col::int("headers_corrected", "HEC-fixed", |o| {
+        o.damage.headers_corrected
+    }),
+    Col::int("pdus_rejected", "PDU-rej", |o| o.damage.pdus_rejected),
+    Col::int("messages_dropped", "dropped", |o| o.damage.messages_dropped),
+    Col::int("overflow_drops", "ovfl", |o| o.overflow_drops),
+    Col::int("flap_losses", "flap", |o| o.flap_losses),
+];
 
 fn run_app(app: SmallApp, level: &Level, seed: u64) -> AppOutcome {
     let (fabric, chaos, net) = chaos_stack(app.hosts(), level, seed);
     let (elapsed, verified) = app.run(net, chaos_cfg());
     AppOutcome {
+        level: level.label,
         app: app.name(),
         elapsed,
         verified,
@@ -240,31 +243,28 @@ fn run_microscope(level: &Level, seed: u64) -> (ErrorStats, FaultStatsSnapshot, 
     (stats, chaos.stats().snapshot(), fabric.flap_loss_count())
 }
 
-fn print_microscope(out: &mut String, stats: &ErrorStats) {
-    *out += &format!(
-        "  stream | {:3} retx ({:3} nack {:3} timer) {:3} backoffs {:4} rtt samples |",
-        stats.retransmits,
-        stats.nack_retransmits,
-        stats.timer_retransmits,
-        stats.backoff_events,
-        stats.rtt_samples,
-    );
-    for p in &stats.peers {
-        *out += &format!(
-            " peer {}: srtt {:.2}ms rto {:.2}ms",
-            p.peer,
-            p.srtt.as_secs_f64() * 1e3,
-            p.rto.as_secs_f64() * 1e3,
-        );
-    }
-    out.push('\n');
-}
+/// The sender's error control at one level; its one peer is process 1,
+/// estimated once a sample came back.
+const SCOPE: &[Col<(&str, ErrorStats)>] = &[
+    Col::text("level", "level", |s| s.0),
+    Col::int("retransmits", "retx", |s| s.1.retransmits),
+    Col::int("nack_retransmits", "nack", |s| s.1.nack_retransmits),
+    Col::int("timer_retransmits", "timer", |s| s.1.timer_retransmits),
+    Col::int("backoffs", "backoffs", |s| s.1.backoff_events),
+    Col::int("rtt_samples", "rtt samples", |s| s.1.rtt_samples),
+    Col::fixed("srtt_ms", "srtt ms", 2, |s| {
+        s.1.peers[0].srtt.as_secs_f64() * 1e3
+    }),
+    Col::fixed("rto_ms", "rto ms", 2, |s| {
+        s.1.peers[0].rto.as_secs_f64() * 1e3
+    }),
+];
 
 /// Crash-stop scene: peer 1 is dead from the start; the first send burns
 /// its retry budget and raises a delivery-failure exception, marking the
 /// peer dead so the second send fails fast instead of hanging.
-fn run_crash_stop(out: &mut String) {
-    *out += "## crash-stop: sends to a dead peer fail fast\n\n";
+fn run_crash_stop(out: &mut Report) {
+    out.note("## crash-stop: sends to a dead peer fail fast\n\n");
     let sim = Sim::new();
     let (_fabric, chaos, net) = chaos_stack(2, &CLEAN, 0xDEAD);
     chaos.crash_at(NodeId(1), SimTime::ZERO);
@@ -306,14 +306,14 @@ fn run_crash_stop(out: &mut String) {
         chaos.stats().snapshot().crash_drops > 0,
         "the crashed endpoint must have eaten traffic"
     );
-    *out += &format!(
+    out.note(format!(
         "  peer 1 dead after {} retransmits ({} backoffs); {} delivery-failure \
          exceptions raised (give-up + fail-fast), {} messages eaten by the crash\n",
         stats.retransmits,
         stats.backoff_events,
         exceptions.len(),
         chaos.stats().snapshot().crash_drops,
-    );
+    ));
     sim.finish();
 }
 
@@ -595,89 +595,74 @@ fn check_mesh_invariants(o: &MeshOutcome) {
     }
 }
 
-fn print_mesh(out: &mut String, o: &MeshOutcome) {
-    *out += &format!("  {:9} | {:5} | {:9.4}s | {:8.2} Mb/s | p99 {:9.3}ms | {:5} retx = {:5} nack + {:5} timer, {:4} dup {:4} acked-after-retx {:3} defer | {:5} lost {:4} corrupt | {:4} ovfl {:4} flap | {:6.2} MB vbr\n",
-        if o.sharded {
-            format!("{}~1sh", o.topo.id())
-        } else {
-            o.topo.id().to_string()
-        },
-        o.level,
-        o.app_done.as_secs_f64(),
-        o.goodput_mbps(),
-        o.p99.as_secs_f64() * 1e3,
-        o.stats.retransmits,
-        o.stats.nack_retransmits,
-        o.stats.timer_retransmits,
-        o.stats.duplicates_suppressed,
-        o.stats.spurious_retransmits,
-        o.stats.retx_deferred,
-        o.damage.cells_lost,
-        o.damage.cells_corrupted,
-        o.overflow_drops,
-        o.flap_losses,
-        o.vbr_bytes as f64 / 1e6,
-    );
-}
+/// One row of the X11 sweep (an empty header: JSON only).
+const SWEEP: &[Col<MeshOutcome>] = &[
+    Col::text("topology", "topology", |o| o.topo.id()),
+    Col::text("level", "level", |o| o.level),
+    Col::flag("sharded_harness", "sharded", |o| o.sharded),
+    Col::fixed("app_done_s", "app done s", 9, |o| o.app_done.as_secs_f64()),
+    Col::fixed("goodput_mbps", "Mb/s", 3, MeshOutcome::goodput_mbps),
+    Col::fixed("p99_ms", "p99 ms", 6, |o| o.p99.as_secs_f64() * 1e3),
+    Col::int("payload_bytes", "", |o| o.payload_bytes),
+    Col::int("retransmits", "retx", |o| o.stats.retransmits),
+    Col::int("nack_retransmits", "nack", |o| o.stats.nack_retransmits),
+    Col::int("timer_retransmits", "timer", |o| o.stats.timer_retransmits),
+    Col::int("duplicates_suppressed", "dup", |o| {
+        o.stats.duplicates_suppressed
+    }),
+    Col::int("spurious_retransmits", "acked after retx", |o| {
+        o.stats.spurious_retransmits
+    }),
+    Col::int("backoffs", "", |o| o.stats.backoff_events),
+    Col::int("retx_deferred", "defer", |o| o.stats.retx_deferred),
+    Col::int("delivery_failures", "", |o| o.stats.delivery_failures),
+    Col::int("reassembly_reclaimed", "", |o| o.stats.reassembly_reclaimed),
+    Col::int("reassembly_backlog", "", |o| o.backlog as u64),
+    Col::int("cells_lost", "lost", |o| o.damage.cells_lost),
+    Col::int("cells_corrupted", "corrupt", |o| o.damage.cells_corrupted),
+    Col::int("headers_corrected", "", |o| o.damage.headers_corrected),
+    Col::int("pdus_rejected", "", |o| o.damage.pdus_rejected),
+    Col::int("overflow_drops", "ovfl", |o| o.overflow_drops),
+    Col::int("flap_losses", "flap", |o| o.flap_losses),
+    Col::int("vbr_bytes", "vbr bytes", |o| o.vbr_bytes),
+    Col::int("vbr_chunks", "", |o| o.vbr_chunks),
+];
 
-fn mesh_json(o: &MeshOutcome) -> String {
-    obj(&[
-        ("topology", &quoted(o.topo.id())),
-        ("level", &quoted(o.level)),
-        ("sharded_harness", &o.sharded),
-        ("app_done_s", &fixed(o.app_done.as_secs_f64(), 9)),
-        ("goodput_mbps", &fixed(o.goodput_mbps(), 3)),
-        ("p99_ms", &fixed(o.p99.as_secs_f64() * 1e3, 6)),
-        ("payload_bytes", &o.payload_bytes),
-        ("retransmits", &o.stats.retransmits),
-        ("nack_retransmits", &o.stats.nack_retransmits),
-        ("timer_retransmits", &o.stats.timer_retransmits),
-        ("duplicates_suppressed", &o.stats.duplicates_suppressed),
-        ("spurious_retransmits", &o.stats.spurious_retransmits),
-        ("backoffs", &o.stats.backoff_events),
-        ("retx_deferred", &o.stats.retx_deferred),
-        ("delivery_failures", &o.stats.delivery_failures),
-        ("reassembly_reclaimed", &o.stats.reassembly_reclaimed),
-        ("reassembly_backlog", &o.backlog),
-        ("cells_lost", &o.damage.cells_lost),
-        ("cells_corrupted", &o.damage.cells_corrupted),
-        ("headers_corrected", &o.damage.headers_corrected),
-        ("pdus_rejected", &o.damage.pdus_rejected),
-        ("overflow_drops", &o.overflow_drops),
-        ("flap_losses", &o.flap_losses),
-        ("vbr_bytes", &o.vbr_bytes),
-        ("vbr_chunks", &o.vbr_chunks),
-    ])
-}
+/// The sweep's shape: hosts, cross-traffic hosts, messages and their size.
+const SHAPE: &[Col<(usize, usize, u32, usize)>] = &[
+    Col::int("hosts", "hosts", |s| s.0 as u64),
+    Col::int("extra_hosts", "extra hosts", |s| s.1 as u64),
+    Col::int("msgs_per_host", "msgs per host", |s| u64::from(s.2)),
+    Col::int("msg_bytes", "msg bytes", |s| s.3 as u64),
+];
 
-/// The X11 sweep; returns its rows and the `BENCH_chaos.json` document.
-fn run_sweep(out: &mut String, smoke: bool) -> (Vec<MeshOutcome>, JsonDoc) {
+/// The X11 sweep, which is all of `BENCH_chaos.json`; returns its rows.
+fn run_sweep(out: &mut Report, smoke: bool) -> Vec<MeshOutcome> {
     let (hosts, extras, msgs, msg_bytes) = if smoke {
         (16, 4, 8, 4096)
     } else {
         (64, 8, 16, 4096)
     };
-    *out += &format!(
-        "## X11 — WAN-scale sweep: {hosts} app hosts + {extras} cross-traffic, \
-         ring of {msgs} x {msg_bytes} B messages\n\n"
-    );
+    out.bench = Some("BENCH_chaos");
+    out.note("## X11 — WAN-scale sweep: a ring of app hosts beside cross-traffic hosts\n\n");
+    out.record(WORKER_CPUS, &());
+    out.record(SHAPE, &(hosts, extras, msgs, msg_bytes));
+    let sweep = out.table("sweep", SWEEP);
     let mut outcomes = Vec::new();
     for topo in ChaosTopology::all() {
         for (li, level) in SWEEP_LEVELS.iter().enumerate() {
             let seed = 0xA7A7_0000 + li as u64 * 131 + topo.id().len() as u64;
             let o = run_mesh(topo, level, hosts, extras, msgs, msg_bytes, seed, false);
-            print_mesh(out, &o);
+            out.row(&sweep, &o);
             check_mesh_invariants(&o);
             outcomes.push(o);
         }
-        out.push('\n');
     }
     // Sharded-harness rider (runs in smoke mode too): the clean ring at
     // 128 hosts on `ShardedSim::single` — the shards=1 configuration of
     // the windowed multi-worker harness. The seam must not cost a single
     // retransmission: `check_mesh_invariants` enforces the clean-level
     // zero-retransmit / zero-spurious bar, restated explicitly below.
-    *out += "  (sharded harness, shards=1, 128 hosts)\n";
     let o = run_mesh(
         ChaosTopology::FatTree,
         &SWEEP_LEVELS[0],
@@ -688,24 +673,15 @@ fn run_sweep(out: &mut String, smoke: bool) -> (Vec<MeshOutcome>, JsonDoc) {
         0xA7A7_5EED,
         true,
     );
-    print_mesh(out, &o);
+    out.row(&sweep, &o);
     check_mesh_invariants(&o);
     assert_eq!(
         o.stats.retransmits, 0,
         "clean wire on the sharded harness must retransmit nothing"
     );
     outcomes.push(o);
-    out.push('\n');
-    let mut doc = JsonDoc::new("BENCH_chaos", "xp_chaos", smoke);
-    doc.line(&[("worker_cpus", &worker_cpus())]);
-    doc.line(&[
-        ("hosts", &hosts),
-        ("extra_hosts", &extras),
-        ("msgs_per_host", &msgs),
-        ("msg_bytes", &msg_bytes),
-    ]);
-    doc.rows("sweep", outcomes.iter().map(mesh_json));
-    (outcomes, doc)
+    out.note("(the sharded row: the clean ring at 128 hosts on the sharded harness, shards=1)\n\n");
+    outcomes
 }
 
 /// `--guard`: receiver-driven recovery must be doing the work. Per
@@ -713,7 +689,7 @@ fn run_sweep(out: &mut String, smoke: bool) -> (Vec<MeshOutcome>, JsonDoc) {
 /// its goodput holds at least 0.35× the clean row's (0.16–0.23× when every
 /// loss waited for the RTO); the clean row saw no damaged PDU, so no NACK
 /// was ever sent, and retransmitted nothing.
-fn guard_sweep(out: &mut String, outcomes: &[MeshOutcome]) {
+fn guard_sweep(out: &mut Report, outcomes: &[MeshOutcome]) {
     for clean in outcomes.iter().filter(|o| o.level == "clean") {
         let at = format!(
             "{}/clean{}",
@@ -751,31 +727,32 @@ fn guard_sweep(out: &mut String, outcomes: &[MeshOutcome]) {
             lossy.goodput_mbps(),
             clean.goodput_mbps()
         );
-        *out += &format!(
+        out.note(format!(
             "  guard {at}: {:.2}x clean goodput, {} of {} retransmissions timer-driven\n",
             share, lossy.stats.timer_retransmits, lossy.stats.retransmits
-        );
+        ));
     }
-    out.push('\n');
+    out.note("\n");
 }
 
-pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
+pub(super) fn run(opts: &Opts, out: &mut Report) {
     let smoke = opts.smoke;
-    *out += "# X7 — chaos sweep: cell-level faults vs NCS error control\n";
+    out.note("# X7 — chaos sweep: cell-level faults vs NCS error control\n");
     if smoke {
-        *out += "# smoke mode: reduced sweep\n";
+        out.note("# smoke mode: reduced sweep\n");
     }
-    *out += "# FORE ATM LAN stack; matmul 32x32/2 nodes, JPEG 64x64/2 nodes, FFT 512pt-class 64pt/2 sets/2 nodes\n";
-    *out += &format!(
+    out.note("# FORE ATM LAN stack; matmul 32x32/2 nodes, JPEG 64x64/2 nodes, FFT 512pt-class 64pt/2 sets/2 nodes\n");
+    out.note(format!(
         "# microscope: {} x {} KB producer->consumer stream\n\n",
         SCOPE_MSGS,
         SCOPE_BYTES / 1024
-    );
+    ));
 
+    let apps = out.table("", APPS);
+    let scope = out.table("", SCOPE);
     let mut clean_elapsed = Dur::ZERO;
     let mut harsh_retx = 0u64;
     for (li, level) in LEVELS.iter().enumerate() {
-        *out += &format!("## level {li}: {}\n", level.label);
         let seed = 0xC0FFEE + li as u64 * 97;
         let outcomes = [
             run_app(SmallApp::Matmul { nodes: 2 }, level, seed),
@@ -783,7 +760,7 @@ pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
             run_app(SmallApp::Fft { sets: 2 }, level, seed + 2),
         ];
         for o in &outcomes {
-            print_outcome(out, o);
+            out.row(&apps, o);
             assert!(
                 o.verified,
                 "{} must be bit-exact at fault level '{}'",
@@ -791,12 +768,12 @@ pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
             );
         }
         let (stats, damage, flap) = run_microscope(level, seed + 3);
-        print_microscope(out, &stats);
         assert!(
             stats.rtt_samples > 0,
             "the estimator must see clean samples at level '{}'",
             level.label
         );
+        out.row(&scope, &(level.label, stats.clone()));
         assert!(stats.delivery_failures == 0 && stats.dead_peers.is_empty());
         if level.label == "clean" {
             clean_elapsed = outcomes[0].elapsed;
@@ -822,14 +799,13 @@ pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
                 "a 5 ms outage under a continuous stream must eat chunks"
             );
         }
-        out.push('\n');
     }
     assert!(harsh_retx > 0);
 
     run_crash_stop(out);
-    out.push('\n');
+    out.note("\n");
 
-    let (outcomes, doc) = run_sweep(out, smoke);
+    let outcomes = run_sweep(out, smoke);
     if opts.guard {
         guard_sweep(out, &outcomes);
     }
@@ -840,11 +816,10 @@ pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
         .sum();
     assert!(harsh_total > 0);
 
-    *out += &format!(
+    out.note(format!(
         "(every app run at every fault level verified bit-exact; recovery is \
          paid for in time — matmul clean: {:.3}s — and in the retransmission \
          counters above, with the RTO tracking each peer's observed RTT)\n",
         clean_elapsed.as_secs_f64()
-    );
-    Some(doc)
+    ));
 }

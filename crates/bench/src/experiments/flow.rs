@@ -12,7 +12,7 @@
 //! cargo run --release -p ncs-bench -- flow
 //! ```
 
-use super::{JsonDoc, Opts};
+use super::{Opts, Report};
 use bytes::Bytes;
 use ncs_core::{FlowControl, NcsConfig, NcsWorld, ThreadAddr};
 use ncs_net::Testbed;
@@ -61,15 +61,15 @@ fn stream(flow: FlowControl) -> Outcome {
     }
 }
 
-pub(super) fn run(_: &Opts, out: &mut String) -> Option<JsonDoc> {
-    *out += "# X3 — flow-control ablation: bursty producer vs slow consumer\n";
-    *out += &format!(
+pub(super) fn run(_: &Opts, out: &mut Report) {
+    out.note("# X3 — flow-control ablation: bursty producer vs slow consumer\n");
+    out.note(format!(
         "# {} messages x {} KB, consumer drains at 50 ms/message\n\n",
         MSGS,
         MSG_BYTES / 1024
-    );
-    *out += "flow control      | total time | peak receiver queue (msgs)\n";
-    *out += "------------------+------------+---------------------------\n";
+    ));
+    out.note("flow control      | total time | peak receiver queue (msgs)\n");
+    out.note("------------------+------------+---------------------------\n");
     let mut results = Vec::new();
     for (label, flow) in [
         ("none (transport)", FlowControl::None),
@@ -77,19 +77,18 @@ pub(super) fn run(_: &Opts, out: &mut String) -> Option<JsonDoc> {
         ("credit, window 16", FlowControl::Credit { window: 16 }),
     ] {
         let o = stream(flow);
-        *out += &format!(
+        out.note(format!(
             "{:17} | {:9.3}s | {}\n",
             label,
             o.elapsed.as_secs_f64(),
             o.peak_inbox_depth
-        );
+        ));
         results.push(o);
     }
     assert!(
         results[1].peak_inbox_depth < results[0].peak_inbox_depth,
         "credit flow control must bound receiver buffering"
     );
-    *out += "\n(credit windows bound receiver-side buffering — the QOS knob a\n";
-    *out += " VOD-style consumer needs — at a small cost in elapsed time)\n";
-    None
+    out.note("\n(credit windows bound receiver-side buffering — the QOS knob a\n");
+    out.note(" VOD-style consumer needs — at a small cost in elapsed time)\n");
 }

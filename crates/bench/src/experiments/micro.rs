@@ -21,7 +21,7 @@
 //! cargo run --release -p ncs-bench -- micro [--smoke]
 //! ```
 
-use super::{worker_cpus, JsonDoc, Opts};
+use super::{worker_cpus, Opts, Report};
 use crate::min_ns_per_call;
 use bytes::Bytes;
 use ncs_apps::jpeg::huffman;
@@ -109,20 +109,20 @@ fn booking(fabric: impl Fabric, src: u32, dst: u32, bytes: usize) -> impl FnMut(
     }
 }
 
-pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
+pub(super) fn run(opts: &Opts, out: &mut Report) {
     let (batches, budget) = if opts.smoke {
         (1, Duration::from_millis(5))
     } else {
         (10, Duration::from_millis(100))
     };
     let worker_cpus = worker_cpus();
-    *out += &format!(
+    out.note(format!(
         "# xp_micro — host ns per unit, min of {batches} batch(es) \
          (worker_cpus = {worker_cpus})\n\n"
-    );
+    ));
     let mut row = |name: &str, unit: &str, units_per_call: f64, op: &mut dyn FnMut()| {
         let ns = min_ns_per_call(batches, budget, op) / units_per_call;
-        *out += &format!("{name:42} {ns:12.3} ns/{unit}\n");
+        out.note(format!("{name:42} {ns:12.3} ns/{unit}\n"));
     };
 
     row(
@@ -192,12 +192,11 @@ pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
     // that resumed a green thread, and the rest, which ran a callback.
     let run = ping_pong();
     let per_message = |n: u64| n as f64 / f64::from(2 * EXCHANGES);
-    *out += &format!(
+    out.note(format!(
         "{:42} {:12.3} events/message = {:.3} resumes + {:.3} callbacks\n",
         "sim-end-to-end/ncs-ping-pong",
         per_message(run.events),
         per_message(run.resumes),
         per_message(run.events - run.resumes),
-    );
-    None
+    ));
 }

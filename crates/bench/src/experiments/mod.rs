@@ -3,7 +3,7 @@
 //! plus one entry here. The modules below hold one experiment each, beside
 //! the handful of builders and workloads several of them share.
 
-use crate::JsonDoc;
+use crate::{Col, Report};
 use bytes::Bytes;
 use ncs_apps::fft::{fft_ncs_setup_with, FftConfig};
 use ncs_apps::jpeg::EntropyKind;
@@ -56,10 +56,10 @@ pub struct Experiment {
     pub name: &'static str,
     /// One line for `xp list`.
     pub about: &'static str,
-    /// Writes the experiment's report into the string and returns its
-    /// `results/BENCH_*.json` document, if it has one. Panics when a result
-    /// breaks one of the experiment's own assertions.
-    pub run: fn(&Opts, &mut String) -> Option<JsonDoc>,
+    /// Fills in the experiment's report, naming its `results/BENCH_*.json`
+    /// document if it has one. Panics when a result breaks one of the
+    /// experiment's own assertions.
+    pub run: fn(&Opts, &mut Report),
     /// The argument lists `xp report` runs it with, one
     /// `results/<name>[_<arg>].txt` each; empty for an experiment whose
     /// output depends on the host clock or is too slow for the report.
@@ -226,6 +226,11 @@ pub fn results_dir() -> PathBuf {
 fn worker_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
+
+/// The [`worker_cpus`] record of a document with host-clock numbers.
+const WORKER_CPUS: &[Col<()>] = &[Col::int("worker_cpus", "worker cpus", |_| {
+    worker_cpus() as u64
+})];
 
 /// The FORE ATM LAN through the NCS ATM API (HSM) where the host model or
 /// the API parameters differ from `Testbed::SunAtmLanApi`'s.

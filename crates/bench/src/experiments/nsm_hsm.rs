@@ -10,7 +10,7 @@
 //! cargo run --release -p ncs-bench -- nsm_hsm
 //! ```
 
-use super::{stream, JsonDoc, Opts};
+use super::{stream, Opts, Report};
 use bytes::Bytes;
 use ncs_net::stack::BlockingWait;
 use ncs_net::{Network, NodeId, Testbed};
@@ -57,43 +57,42 @@ fn stream_bw(net: Arc<dyn Network>, bytes: usize, count: usize) -> (f64, DurHist
     ((bytes * count) as f64 / total.as_secs_f64() / 1e6, hist)
 }
 
-pub(super) fn run(_: &Opts, out: &mut String) -> Option<JsonDoc> {
-    *out += "# X1 — NSM (sockets/TCP/IP) vs HSM (NCS ATM API), same ATM LAN\n\n";
-    *out += "## Ping-pong round-trip latency\n";
-    *out += "  size   |    NSM (TCP) |  HSM (ATM API) | speedup\n";
-    *out += "---------+--------------+----------------+--------\n";
+pub(super) fn run(_: &Opts, out: &mut Report) {
+    out.note("# X1 — NSM (sockets/TCP/IP) vs HSM (NCS ATM API), same ATM LAN\n\n");
+    out.note("## Ping-pong round-trip latency\n");
+    out.note("  size   |    NSM (TCP) |  HSM (ATM API) | speedup\n");
+    out.note("---------+--------------+----------------+--------\n");
     for bytes in [64usize, 1 << 10, 8 << 10, 64 << 10] {
         let nsm = ping_pong(Testbed::SunAtmLanTcp.build(2), bytes);
         let hsm = ping_pong(Testbed::SunAtmLanApi.build(2), bytes);
-        *out += &format!(
+        out.note(format!(
             "{:6} B | {:>12} | {:>14} | {:.2}x\n",
             bytes,
             format!("{nsm}"),
             format!("{hsm}"),
             nsm.as_secs_f64() / hsm.as_secs_f64()
-        );
+        ));
     }
-    *out += "\n## One-way streaming bandwidth (MB/s, 32 messages)\n";
-    *out += "  size   |  NSM (TCP) | HSM (ATM API) | speedup\n";
-    *out += "---------+------------+---------------+--------\n";
+    out.note("\n## One-way streaming bandwidth (MB/s, 32 messages)\n");
+    out.note("  size   |  NSM (TCP) | HSM (ATM API) | speedup\n");
+    out.note("---------+------------+---------------+--------\n");
     for bytes in [8 << 10, 64 << 10, 256 << 10] {
         let (nsm, _) = stream_bw(Testbed::SunAtmLanTcp.build(2), bytes, 32);
         let (hsm, _) = stream_bw(Testbed::SunAtmLanApi.build(2), bytes, 32);
-        *out += &format!(
+        out.note(format!(
             "{:6} KB | {:10.2} | {:13.2} | {:.2}x\n",
             bytes / 1024,
             nsm,
             hsm,
             hsm / nsm
-        );
+        ));
     }
-    *out += "\n## Per-message delivery latency under streaming load (8 KB x 64)\n";
+    out.note("\n## Per-message delivery latency under streaming load (8 KB x 64)\n");
     let (_, nsm_h) = stream_bw(Testbed::SunAtmLanTcp.build(2), 8 << 10, 64);
     let (_, hsm_h) = stream_bw(Testbed::SunAtmLanApi.build(2), 8 << 10, 64);
-    *out += &format!("  NSM: {}\n", nsm_h.report());
-    *out += &format!("  HSM: {}\n", hsm_h.report());
-    *out += "\n(HSM wins on both axes: traps instead of syscalls, 3 instead of\n";
-    *out += " 5 bus accesses per word, no TCP per-packet work, no p4-layer\n";
-    *out += " marshalling, and the Figure-2 buffer pipeline)\n";
-    None
+    out.note(format!("  NSM: {}\n", nsm_h.report()));
+    out.note(format!("  HSM: {}\n", hsm_h.report()));
+    out.note("\n(HSM wins on both axes: traps instead of syscalls, 3 instead of\n");
+    out.note(" 5 bus accesses per word, no TCP per-packet work, no p4-layer\n");
+    out.note(" marshalling, and the Figure-2 buffer pipeline)\n");
 }

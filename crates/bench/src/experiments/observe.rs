@@ -30,7 +30,7 @@
 //! cargo run --release -p ncs-bench -- observe [--smoke]
 //! ```
 
-use super::{results_dir, JsonDoc, Opts, SmallApp};
+use super::{results_dir, Col, Opts, Report, SmallApp};
 use ncs_core::{ErrorControl, FlowControl, NcsConfig, ALL_STAGES};
 use ncs_net::Testbed;
 use ncs_sim::{chrome_trace_json, AnalysisConfig, Dur, Sim};
@@ -57,14 +57,27 @@ fn ncs_cfg(analysis: AnalysisConfig, chunked: bool) -> NcsConfig {
     }
 }
 
+/// A latency component: name, messages, total, and share of the end-to-end
+/// total (%).
+type Latency = (&'static str, u64, Dur, f64);
+
+const LATENCY: &[Col<Latency>] = &[
+    Col::text("component", "component", |r| r.0),
+    Col::int("n", "n", |r| r.1),
+    Col::fixed("mean_ms", "mean ms", 6, |r| {
+        r.2.as_secs_f64() * 1e3 / r.1 as f64
+    }),
+    Col::fixed("total_ms", "total ms", 6, |r| r.2.as_secs_f64() * 1e3),
+    Col::fixed("share", "share %", 1, |r| r.3),
+];
+
 /// Everything one instrumented workload run leaves behind.
 pub struct Observed {
     name: &'static str,
     elapsed: Dur,
     messages: u64,
-    /// `(component, n, total, mean)` rows plus the e2e row.
-    rows: Vec<(&'static str, u64, Dur, Dur)>,
-    e2e_total: Dur,
+    /// The component rows, then the end-to-end row.
+    rows: Vec<Latency>,
     /// The run's Chrome `trace_event` export.
     pub trace_json: String,
     /// The metrics registry's text summary.
@@ -105,7 +118,7 @@ pub fn run_workload_on(name: &'static str, sim: &Sim, run: impl FnOnce()) -> Obs
     let end = sim.now();
     // The books must balance: stage marks well-ordered per the canonical
     // walk, and component diffs summing exactly to end-to-end.
-    let (rows, e2e_total, messages) = sim.with_metrics(|m| {
+    let (mut rows, e2e_total, messages) = sim.with_metrics(|m| {
         let errs = m.validate_timelines(&ALL_STAGES);
         assert!(errs.is_empty(), "{name}: disordered timelines: {errs:?}");
         let mut delivered = 0u64;
@@ -133,7 +146,7 @@ pub fn run_workload_on(name: &'static str, sim: &Sim, run: impl FnOnce()) -> Obs
         for comp in COMPONENTS {
             if let Some(st) = m.stat(comp) {
                 let s = st.summary();
-                rows.push((comp, s.count(), s.total(), s.mean().unwrap_or(Dur::ZERO)));
+                rows.push((comp.trim_start_matches("obs."), s.count(), s.total()));
             }
         }
         let e2e_total = m
@@ -149,6 +162,11 @@ pub fn run_workload_on(name: &'static str, sim: &Sim, run: impl FnOnce()) -> Obs
         comp_total, e2e_total,
         "{name}: component totals must cover the end-to-end total"
     );
+    rows.push(("end-to-end", messages, e2e_total));
+    let share = |total: Dur| match e2e_total.as_ps() {
+        0 => 0.0,
+        e2e => 100.0 * total.as_ps() as f64 / e2e as f64,
+    };
 
     let trace_json = sim.with_tracer(|tr| sim.with_metrics(|mm| chrome_trace_json(tr, mm)));
     let summary = sim.with_metrics(|m| m.summary());
@@ -156,47 +174,29 @@ pub fn run_workload_on(name: &'static str, sim: &Sim, run: impl FnOnce()) -> Obs
         name,
         elapsed: end.since(ncs_sim::SimTime::ZERO),
         messages,
-        rows,
-        e2e_total,
+        rows: rows
+            .into_iter()
+            .map(|(c, n, total)| (c, n, total, share(total)))
+            .collect(),
         trace_json,
         summary,
     }
 }
 
-fn print_table(out: &mut String, o: &Observed) {
-    *out += &format!(
+fn print_table(out: &mut Report, o: &Observed) {
+    out.note(format!(
         "\n## {} — {:.6}s, {} tracked messages\n",
         o.name,
         o.elapsed.as_secs_f64(),
         o.messages
-    );
-    *out += "  component       |     n |   mean      |  total      | share\n";
-    *out += "  ----------------+-------+-------------+-------------+------\n";
-    for &(comp, n, total, mean) in &o.rows {
-        let share = if o.e2e_total.is_zero() {
-            0.0
-        } else {
-            100.0 * total.as_ps() as f64 / o.e2e_total.as_ps() as f64
-        };
-        *out += &format!(
-            "  {:15} | {:5} | {:>11} | {:>11} | {:4.1}%\n",
-            comp.trim_start_matches("obs."),
-            n,
-            format!("{mean}"),
-            format!("{total}"),
-            share,
-        );
+    ));
+    let table = out.table("", LATENCY);
+    for row in &o.rows {
+        out.row(&table, row);
     }
-    *out += &format!(
-        "  {:15} | {:5} | {:>11} | {:>11} | 100%\n",
-        "end-to-end",
-        o.messages,
-        "",
-        format!("{}", o.e2e_total),
-    );
 }
 
-fn write_artifacts(out: &mut String, o: &Observed) {
+fn write_artifacts(out: &mut Report, o: &Observed) {
     let dir = results_dir();
     std::fs::create_dir_all(&dir).expect("create results dir");
     let (trace, metrics) = (
@@ -205,18 +205,18 @@ fn write_artifacts(out: &mut String, o: &Observed) {
     );
     std::fs::write(dir.join(&trace), &o.trace_json).expect("write trace");
     std::fs::write(dir.join(&metrics), &o.summary).expect("write metrics summary");
-    *out += &format!(
+    out.note(format!(
         "  wrote results/{trace} ({} bytes) and results/{metrics}\n",
         o.trace_json.len()
-    );
+    ));
 }
 
-pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
-    *out += "# X9 — observability: per-layer latency decomposition + Chrome trace\n";
+pub(super) fn run(opts: &Opts, out: &mut Report) {
+    out.note("# X9 — observability: per-layer latency decomposition + Chrome trace\n");
 
     // Golden-trace determinism: the same fixed-seed 4-host matmul twice,
     // full exported trace byte-identical.
-    *out += "\n## golden-trace determinism (fixed-seed 4-host matmul, two runs)\n";
+    out.note("\n## golden-trace determinism (fixed-seed 4-host matmul, two runs)\n");
     let a = run_workload("matmul");
     let b = run_workload("matmul");
     assert_eq!(
@@ -224,16 +224,16 @@ pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
         "two fixed-seed runs must export byte-identical traces"
     );
     assert_eq!(a.summary, b.summary, "metrics summaries must match too");
-    *out += &format!(
+    out.note(format!(
         "  OK: {} bytes of trace, byte-identical across runs\n",
         a.trace_json.len()
-    );
+    ));
     print_table(out, &a);
     write_artifacts(out, &a);
 
     if opts.smoke {
-        *out += "\nsmoke OK\n";
-        return None;
+        out.note("\nsmoke OK\n");
+        return;
     }
 
     for name in ["jpeg", "fft"] {
@@ -241,5 +241,4 @@ pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
         print_table(out, &o);
         write_artifacts(out, &o);
     }
-    None
 }

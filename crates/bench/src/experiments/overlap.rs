@@ -30,7 +30,7 @@
 //!    (`posted -> progressed -> completed`) quantify how long posted
 //!    requests ride the progress engine concurrently with user compute.
 //!
-//! Returns the `BENCH_overlap.json` document (`xp` writes it under
+//! Its report is the `BENCH_overlap.json` document (`xp` writes it under
 //! `results/`). The acceptance bar: the overlapped form beats the blocking
 //! form at every node count, under both host models.
 //!
@@ -38,8 +38,8 @@
 //! cargo run --release -p ncs-bench -- overlap [--smoke]
 //! ```
 
-use super::{atm_lan_api, JsonDoc, Opts};
-use crate::json::{fixed, obj, pairs, quoted};
+use super::{atm_lan_api, Opts};
+use crate::{Col, Report};
 use ncs_apps::matmul::{setup_matmul_ncs_async_with, setup_matmul_ncs_with, MatmulConfig};
 use ncs_core::NcsConfig;
 use ncs_net::{AtmApiParams, HostParams};
@@ -127,11 +127,97 @@ fn secs(d: Dur) -> f64 {
     d.as_secs_f64()
 }
 
-pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
+/// One configuration run both ways.
+struct Config {
+    hosts: &'static str,
+    nodes: usize,
+    blocking: RunPoint,
+    overlapped: RunPoint,
+}
+
+impl Config {
+    fn speedup(&self) -> f64 {
+        secs(self.blocking.elapsed) / secs(self.overlapped.elapsed)
+    }
+}
+
+/// A configuration's row, one JSON object over several lines (an empty
+/// header: JSON only).
+const CONFIGS: &[Col<Config>] = &[
+    Col::text("hosts", "hosts", |c| c.hosts),
+    Col::int("nodes", "nodes", |c| c.nodes as u64),
+    Col::fixed("speedup", "speedup", 4, Config::speedup),
+    Col::fixed("blocking.elapsed_s", "blocking s", 9, |c| {
+        secs(c.blocking.elapsed)
+    }),
+    Col::fixed("blocking.host_comm_s", "", 9, |c| {
+        secs(c.blocking.host_comm)
+    }),
+    Col::fixed("blocking.host_idle_s", "", 9, |c| {
+        secs(c.blocking.host_idle)
+    }),
+    Col::fixed("blocking.node_idle_s", "", 9, |c| {
+        secs(c.blocking.node_idle)
+    }),
+    Col::fixed("blocking.node_compute_s", "", 9, |c| {
+        secs(c.blocking.node_compute)
+    }),
+    Col::fixed("overlapped.elapsed_s", "overlapped s", 9, |c| {
+        secs(c.overlapped.elapsed)
+    }),
+    Col::fixed("overlapped.host_comm_s", "", 9, |c| {
+        secs(c.overlapped.host_comm)
+    }),
+    Col::fixed("overlapped.host_idle_s", "", 9, |c| {
+        secs(c.overlapped.host_idle)
+    }),
+    Col::fixed("overlapped.node_idle_s", "", 9, |c| {
+        secs(c.overlapped.node_idle)
+    }),
+    Col::fixed("overlapped.node_compute_s", "", 9, |c| {
+        secs(c.overlapped.node_compute)
+    }),
+    Col::fixed(
+        "layers.host_send_pipelining_saved_s",
+        "layer 1 saved s",
+        9,
+        |c| secs(c.blocking.host_comm) - secs(c.overlapped.host_comm),
+    ),
+    Col::fixed(
+        "layers.node_compute_transfer_overlap_saved_s",
+        "layer 2 saved s",
+        9,
+        |c| secs(c.blocking.node_idle) - secs(c.overlapped.node_idle),
+    ),
+    Col::int("layers.completion_order.requests", "requests", |c| {
+        c.overlapped.req_e2e.count()
+    }),
+    Col::fixed("layers.completion_order.e2e_total_s", "request s", 9, |c| {
+        secs(c.overlapped.req_e2e.total())
+    }),
+    Col::fixed("layers.completion_order.e2e_mean_s", "mean e2e s", 9, |c| {
+        mean_secs(&c.overlapped.req_e2e)
+    }),
+    Col::fixed(
+        "layers.completion_order.wait_mean_s",
+        "mean wait s",
+        9,
+        |c| mean_secs(&c.overlapped.req_wait),
+    ),
+    Col::fixed(
+        "layers.completion_order.service_mean_s",
+        "mean service s",
+        9,
+        |c| mean_secs(&c.overlapped.req_service),
+    ),
+];
+
+pub(super) fn run(opts: &Opts, out: &mut Report) {
     let smoke = opts.smoke;
-    *out += "# X13 — overlap gain from the completion-based async API\n";
+    out.bench = Some("BENCH_overlap");
+    out.note("# X13 — overlap gain from the completion-based async API\n");
     let (dim, node_counts): (usize, &[usize]) = if smoke {
-        *out += "# smoke mode: reduced workload\n";
+        out.note("# smoke mode: reduced workload\n");
         (64, &[2])
     } else {
         (128, &[2, 4, 8])
@@ -147,95 +233,36 @@ pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
         ]
     };
 
-    let mut rows = Vec::new();
-    for &(host_name, host) in host_models {
+    out.note(
+        "\n## dim x dim matmul, blocking against overlapped: layer 1 host send \
+         pipelining, layer 2 node compute/transfer overlap, then completion order\n",
+    );
+    out.record(&[Col::int("dim", "dim", |&dim: &usize| dim as u64)], &dim);
+    let table = out.table("configs", CONFIGS);
+    for &(hosts, host) in host_models {
         for &nodes in node_counts {
             let cfg = MatmulConfig {
                 dim,
                 nodes,
                 seed: 7,
             };
-            let blocking = measure(cfg, host, false);
-            let overlapped = measure(cfg, host, true);
-            let speedup = secs(blocking.elapsed) / secs(overlapped.elapsed);
-            *out += &format!(
-                "\n## {dim}x{dim} matmul, {nodes} nodes, {host_name} hosts: \
-                 blocking {:.6}s -> overlapped {:.6}s ({speedup:.3}x)\n",
-                secs(blocking.elapsed),
-                secs(overlapped.elapsed),
-            );
-            *out += &format!("  layer 1  host send pipelining       : caller comm {:9.6}s -> {:9.6}s (saved {:+.6}s)\n",
-                secs(blocking.host_comm),
-                secs(overlapped.host_comm),
-                secs(blocking.host_comm) - secs(overlapped.host_comm),
-            );
-            *out += &format!("  layer 2  node compute/xfer overlap  : node stall  {:9.6}s -> {:9.6}s (saved {:+.6}s)\n",
-                secs(blocking.node_idle),
-                secs(overlapped.node_idle),
-                secs(blocking.node_idle) - secs(overlapped.node_idle),
-            );
-            *out += &format!(
-                "  layer 3  completion-order freedom   : {} requests rode the progress engine \
-                 {:.6}s total ({:.6}s mean e2e; wait {:.6}s + service {:.6}s)\n",
-                overlapped.req_e2e.count(),
-                secs(overlapped.req_e2e.total()),
-                mean_secs(&overlapped.req_e2e),
-                mean_secs(&overlapped.req_wait),
-                mean_secs(&overlapped.req_service),
+            let c = Config {
+                hosts,
+                nodes,
+                blocking: measure(cfg, host, false),
+                overlapped: measure(cfg, host, true),
+            };
+            out.row(&table, &c);
+            assert!(
+                c.overlapped.elapsed < c.blocking.elapsed,
+                "{nodes} nodes, {hosts} hosts: overlapped ({:?}) must beat blocking ({:?})",
+                c.overlapped.elapsed,
+                c.blocking.elapsed
             );
             assert!(
-                overlapped.elapsed < blocking.elapsed,
-                "{nodes} nodes, {host_name} hosts: overlapped ({:?}) must beat blocking ({:?})",
-                overlapped.elapsed,
-                blocking.elapsed
-            );
-            assert!(
-                overlapped.req_e2e.count() > 0,
+                c.overlapped.req_e2e.count() > 0,
                 "{nodes} nodes: async run must track request timelines"
             );
-            rows.push((host_name, nodes, blocking, overlapped, speedup));
         }
     }
-
-    let mut doc = JsonDoc::new("BENCH_overlap", "xp_overlap", smoke);
-    doc.line(&[("dim", &dim)]);
-    let s9 = |d: Dur| fixed(secs(d), 9);
-    let point = |p: &RunPoint| {
-        obj(&[
-            ("elapsed_s", &s9(p.elapsed)),
-            ("host_comm_s", &s9(p.host_comm)),
-            ("host_idle_s", &s9(p.host_idle)),
-            ("node_idle_s", &s9(p.node_idle)),
-            ("node_compute_s", &s9(p.node_compute)),
-        ])
-    };
-    // One config is too wide for one line: its row spans several.
-    doc.rows(
-        "configs",
-        rows.iter().map(|(host_name, nodes, b, o, speedup)| {
-            let head = pairs(&[
-                ("hosts", &quoted(host_name)),
-                ("nodes", &nodes),
-                ("speedup", &fixed(*speedup, 4)),
-            ]);
-            let completion_order = obj(&[
-                ("requests", &o.req_e2e.count()),
-                ("e2e_total_s", &s9(o.req_e2e.total())),
-                ("e2e_mean_s", &fixed(mean_secs(&o.req_e2e), 9)),
-                ("wait_mean_s", &fixed(mean_secs(&o.req_wait), 9)),
-                ("service_mean_s", &fixed(mean_secs(&o.req_service), 9)),
-            ]);
-            format!(
-                "{{{head},\n     \"blocking\": {},\n     \"overlapped\": {},\n     \"layers\": {{\n       \
-                 \"host_send_pipelining_saved_s\": {:.9},\n       \
-                 \"node_compute_transfer_overlap_saved_s\": {:.9},\n       \
-                 \"completion_order\": {completion_order}\n     }}}}",
-                point(b),
-                point(o),
-                secs(b.host_comm) - secs(o.host_comm),
-                secs(b.node_idle) - secs(o.node_idle),
-            )
-        }),
-    );
-    Some(doc)
 }

@@ -24,15 +24,15 @@
 //!    frame from 4 KiB up). These are wall-clock numbers, so `worker_cpus`
 //!    is recorded beside them.
 //!
-//! Returns the `BENCH_pipeline.json` document (`xp` writes it under `results/`).
+//! Its report is the `BENCH_pipeline.json` document (`xp` writes it under
+//! `results/`).
 //!
 //! ```text
 //! cargo run --release -p ncs-bench -- pipeline [--smoke]
 //! ```
 
-use super::{worker_cpus, JsonDoc, Opts, SmallApp};
-use crate::json::{fixed, obj, quoted};
-use crate::min_ns_per_call;
+use super::{Opts, SmallApp, WORKER_CPUS};
+use crate::{min_ns_per_call, Col, Report};
 use bytes::Bytes;
 use ncs_core::env::{unwrap_checked, wrap_checked};
 use ncs_core::{ErrorControl, FlowControl, NcsConfig, NcsWorld, ThreadAddr};
@@ -291,11 +291,66 @@ fn per_mb(events: u64, bytes: usize) -> f64 {
     events as f64 / (bytes as f64 / (1024.0 * 1024.0))
 }
 
-pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
+/// One row of the event economy: bytes moved, then kernel events with cell
+/// trains and with one more event per cell.
+const ECONOMY: &[Col<(usize, u64, u64)>] = &[
+    Col::int("bytes", "bytes", |e| e.0 as u64),
+    Col::int("train_events", "train ev", |e| e.1),
+    Col::int("percell_events", "per-cell ev", |e| e.2),
+    Col::fixed("train_events_per_mb", "train ev/MB", 1, |e| {
+        per_mb(e.1, e.0)
+    }),
+    Col::fixed("percell_events_per_mb", "per-cell ev/MB", 1, |e| {
+        per_mb(e.2, e.0)
+    }),
+    Col::fixed("reduction", "reduction", 2, |e| e.2 as f64 / e.1 as f64),
+];
+
+const SWEEP: &[Col<SweepPoint>] = &[
+    Col::int("bytes", "bytes", |p| p.bytes as u64),
+    Col::int("io_buffers", "I/O buffers", |p| u64::from(p.io_buffers)),
+    Col::fixed("elapsed_s", "elapsed s", 9, |p| p.elapsed.as_secs_f64()),
+    Col::int("events", "events", |p| p.events),
+    Col::int("chunks", "chunks", |p| p.chunks),
+];
+
+const APPS: &[Col<AppPoint>] = &[
+    Col::text("app", "app", |p| p.app),
+    Col::fixed("elapsed_s", "elapsed s", 9, |p| p.elapsed.as_secs_f64()),
+    Col::flag("verified", "bit-exact", |p| p.verified),
+];
+
+/// Host ns/byte before and after, and the speedup, of the kernel and the frame.
+const BYTE_PATH: &[Col<BytePathPoint>] = &[
+    Col::int("bytes", "bytes", |p| p.bytes as u64),
+    Col::fixed("crc32_ns_per_byte_before", "CRC-32 before", 3, |p| {
+        p.crc_before
+    }),
+    Col::fixed("crc32_ns_per_byte_after", "after", 3, |p| p.crc_after),
+    Col::fixed("crc32_speedup", "speedup", 2, BytePathPoint::crc_speedup),
+    Col::fixed(
+        "wrap_unwrap_ns_per_byte_before",
+        "wrap+unwrap before",
+        3,
+        |p| p.frame_before,
+    ),
+    Col::fixed("wrap_unwrap_ns_per_byte_after", "after", 3, |p| {
+        p.frame_after
+    }),
+    Col::fixed(
+        "wrap_unwrap_speedup",
+        "speedup",
+        2,
+        BytePathPoint::frame_speedup,
+    ),
+];
+
+pub(super) fn run(opts: &Opts, out: &mut Report) {
     let smoke = opts.smoke;
-    *out += "# X8 — pipelined Approach-2 data path (multiple I/O buffers, cell trains)\n";
+    out.bench = Some("BENCH_pipeline");
+    out.note("# X8 — pipelined Approach-2 data path (multiple I/O buffers, cell trains)\n");
     if smoke {
-        *out += "# smoke mode: reduced sweep\n";
+        out.note("# smoke mode: reduced sweep\n");
     }
 
     // Part 1: event economy, one event per train vs one more per cell.
@@ -304,21 +359,12 @@ pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
     } else {
         &[16 * 1024, 64 * 1024, 256 * 1024]
     };
-    *out += "\n## kernel events per transfer: cell trains vs per-cell delivery\n";
-    let mut economy = Vec::new();
+    out.note("\n## kernel events per transfer: cell trains vs per-cell delivery\n");
+    let table = out.table("event_economy", ECONOMY);
     for &bytes in sizes {
         let (train, cells) = raw_transfer_events(bytes);
         let percell = train + cells;
-        let reduction = percell as f64 / train as f64;
-        *out += &format!(
-            "  {:4} KiB | train {:6} ev ({:9.0}/MB) | per-cell {:6} ev ({:9.0}/MB) | {:4.1}x\n",
-            bytes / 1024,
-            train,
-            per_mb(train, bytes),
-            percell,
-            per_mb(percell, bytes),
-            reduction,
-        );
+        out.row(&table, &(bytes, train, percell));
         if bytes >= 64 * 1024 {
             assert!(
                 train * 2 <= percell,
@@ -326,7 +372,6 @@ pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
                  (train {train}, per-cell {percell})"
             );
         }
-        economy.push((bytes, train, percell, reduction));
     }
 
     // Part 2: I/O-buffer sweep over the full NCS path.
@@ -336,26 +381,18 @@ pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
     } else {
         &[64 * 1024, 256 * 1024]
     };
-    *out += "\n## I/O-buffer sweep (NCS over HSM, credit window 4, error control on)\n";
-    let mut sweep = Vec::new();
+    out.note("## I/O-buffer sweep (NCS over HSM, credit window 4, error control on)\n");
+    let table = out.table("buffer_sweep", SWEEP);
     for &bytes in sweep_sizes {
         let mut first = None;
         let mut last = None;
         for &bufs in buffer_counts {
             let p = ncs_transfer(bytes, bufs);
-            *out += &format!(
-                "  {:4} KiB x {} buffers | {:9.6}s | {:6} ev | {:2} chunks\n",
-                p.bytes / 1024,
-                p.io_buffers,
-                p.elapsed.as_secs_f64(),
-                p.events,
-                p.chunks,
-            );
+            out.row(&table, &p);
             if bufs == buffer_counts[0] {
                 first = Some(p.elapsed);
             }
             last = Some(p.elapsed);
-            sweep.push(p);
         }
         let (one, deep) = (first.unwrap(), last.unwrap());
         assert!(
@@ -366,96 +403,29 @@ pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
     }
 
     // Part 3: the applications, chunked and armed.
-    *out += "\n## applications with 1 KiB I/O buffers (chunked traffic, invariants armed)\n";
-    let apps = run_apps();
-    for p in &apps {
-        *out += &format!(
-            "  {:6} | {:9.6}s | {}\n",
-            p.app,
-            p.elapsed.as_secs_f64(),
-            if p.verified { "BIT-EXACT" } else { "WRONG" },
-        );
+    out.note("## applications with 1 KiB I/O buffers (chunked traffic, invariants armed)\n");
+    let table = out.table("apps", APPS);
+    for p in run_apps() {
+        out.row(&table, &p);
         assert!(p.verified, "{} must stay bit-exact when chunked", p.app);
     }
 
     // Part 4: the byte path, before and after.
-    let worker_cpus = worker_cpus();
     let budget = Duration::from_millis(if smoke { 10 } else { 100 });
-    *out += &format!("\n## byte path, host ns/byte (worker_cpus = {worker_cpus})\n");
-    let mut bytes_rows = Vec::new();
-    for bytes in [512, 4 * 1024, 16 * 1024] {
-        let p = byte_path(bytes, budget);
-        *out += &format!("  {:5} B | CRC-32 {:6.3} -> {:5.3} ({:4.1}x) | wrap+unwrap {:6.3} -> {:5.3} ({:4.1}x)\n",
-            p.bytes,
-            p.crc_before,
-            p.crc_after,
-            p.crc_speedup(),
-            p.frame_before,
-            p.frame_after,
-            p.frame_speedup(),
-        );
-        // At 512 B the frame's one allocation is a visible share of its
-        // cost, so that row is reported but only the kernel is held to 5x.
-        assert!(
-            p.crc_speedup() >= 5.0 && (bytes < 4 * 1024 || p.frame_speedup() >= 5.0),
-            "{bytes}-byte byte path: table-driven CRC and single-pass framing must each be \
-             at least 5x the bit-serial, staged forms"
-        );
-        bytes_rows.push(p);
-    }
-
-    let mut doc = JsonDoc::new("BENCH_pipeline", "xp_pipeline", smoke);
-    doc.rows(
-        "event_economy",
-        economy.iter().map(|&(bytes, train, percell, reduction)| {
-            obj(&[
-                ("bytes", &bytes),
-                ("train_events", &train),
-                ("percell_events", &percell),
-                ("train_events_per_mb", &fixed(per_mb(train, bytes), 1)),
-                ("percell_events_per_mb", &fixed(per_mb(percell, bytes), 1)),
-                ("reduction", &fixed(reduction, 2)),
-            ])
-        }),
-    );
-    doc.rows(
-        "buffer_sweep",
-        sweep.iter().map(|p| {
-            obj(&[
-                ("bytes", &p.bytes),
-                ("io_buffers", &p.io_buffers),
-                ("elapsed_s", &fixed(p.elapsed.as_secs_f64(), 9)),
-                ("events", &p.events),
-                ("chunks", &p.chunks),
-            ])
-        }),
-    );
-    doc.rows(
-        "apps",
-        apps.iter().map(|p| {
-            obj(&[
-                ("app", &quoted(p.app)),
-                ("elapsed_s", &fixed(p.elapsed.as_secs_f64(), 9)),
-                ("verified", &p.verified),
-            ])
-        }),
-    );
-    doc.nested("byte_path", |d| {
-        d.line(&[("worker_cpus", &worker_cpus)]);
-        d.rows(
-            "rows",
-            bytes_rows.iter().map(|p| {
-                obj(&[
-                    ("bytes", &p.bytes),
-                    ("crc32_ns_per_byte_before", &fixed(p.crc_before, 3)),
-                    ("crc32_ns_per_byte_after", &fixed(p.crc_after, 3)),
-                    ("crc32_speedup", &fixed(p.crc_speedup(), 2)),
-                    ("wrap_unwrap_ns_per_byte_before", &fixed(p.frame_before, 3)),
-                    ("wrap_unwrap_ns_per_byte_after", &fixed(p.frame_after, 3)),
-                    ("wrap_unwrap_speedup", &fixed(p.frame_speedup(), 2)),
-                ])
-            }),
-        );
+    out.note("## byte path, host ns/byte\n");
+    out.nested("byte_path", |out| {
+        out.record(WORKER_CPUS, &());
+        let table = out.table("rows", BYTE_PATH);
+        for bytes in [512, 4 * 1024, 16 * 1024] {
+            let p = byte_path(bytes, budget);
+            out.row(&table, &p);
+            // At 512 B the frame's one allocation is a visible share of its
+            // cost, so that row is reported but only the kernel is held to 5x.
+            assert!(
+                p.crc_speedup() >= 5.0 && (bytes < 4 * 1024 || p.frame_speedup() >= 5.0),
+                "{bytes}-byte byte path: table-driven CRC and single-pass framing must each be \
+                 at least 5x the bit-serial, staged forms"
+            );
+        }
     });
-    Some(doc)
 }

@@ -9,7 +9,7 @@
 //! cargo run --release -p ncs-bench -- pvm
 //! ```
 
-use super::{JsonDoc, Opts};
+use super::{Opts, Report};
 use ncs_apps::matmul::{matmul_ncs, matmul_p4, MatmulConfig};
 use ncs_net::atm::{AtmFabric, NynetParams};
 use ncs_net::{HostParams, Network, TcpNet, TcpParams};
@@ -21,11 +21,11 @@ fn nynet(nodes: usize, params: TcpParams) -> Arc<dyn Network> {
     Arc::new(TcpNet::new(fabric, hosts, params))
 }
 
-pub(super) fn run(_: &Opts, out: &mut String) -> Option<JsonDoc> {
-    *out += "# X6 — substrate swap: p4-over-TCP vs PVM-style daemon routing\n";
-    *out += "# (128x128 matmul on the NYNET testbed)\n\n";
-    *out += "nodes | substrate | baseline (1 thread) | NCS_MTS (2 threads) | NCS improvement\n";
-    *out += "------+-----------+---------------------+---------------------+----------------\n";
+pub(super) fn run(_: &Opts, out: &mut Report) {
+    out.note("# X6 — substrate swap: p4-over-TCP vs PVM-style daemon routing\n");
+    out.note("# (128x128 matmul on the NYNET testbed)\n\n");
+    out.note("nodes | substrate | baseline (1 thread) | NCS_MTS (2 threads) | NCS improvement\n");
+    out.note("------+-----------+---------------------+---------------------+----------------\n");
     for nodes in [2usize, 4] {
         let cfg = MatmulConfig::paper(nodes);
         for (label, params) in [
@@ -35,7 +35,7 @@ pub(super) fn run(_: &Opts, out: &mut String) -> Option<JsonDoc> {
             let base = matmul_p4(nynet(nodes + 1, params.clone()), cfg);
             let ncs = matmul_ncs(nynet(nodes + 1, params), cfg);
             assert!(base.verified && ncs.verified);
-            *out += &format!(
+            out.note(format!(
                 "{:5} | {}       | {:18.3}s | {:18.3}s | {:13.1}%\n",
                 nodes,
                 label,
@@ -44,12 +44,11 @@ pub(super) fn run(_: &Opts, out: &mut String) -> Option<JsonDoc> {
                 (base.elapsed.as_secs_f64() - ncs.elapsed.as_secs_f64())
                     / base.elapsed.as_secs_f64()
                     * 100.0,
-            );
+            ));
         }
     }
-    *out += "\n(the multithreaded gain survives the substrate swap essentially\n";
-    *out += " intact: PVM's daemon path costs both variants a little time and\n";
-    *out += " its extra CPU-side copying is the one part threads cannot hide —\n";
-    *out += " confirming the paper's expectation that NCS_MTS ports to PVM)\n";
-    None
+    out.note("\n(the multithreaded gain survives the substrate swap essentially\n");
+    out.note(" intact: PVM's daemon path costs both variants a little time and\n");
+    out.note(" its extra CPU-side copying is the one part threads cannot hide —\n");
+    out.note(" confirming the paper's expectation that NCS_MTS ports to PVM)\n");
 }

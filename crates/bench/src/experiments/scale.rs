@@ -32,7 +32,8 @@
 //! and the speedup column honestly reports ≤ 1x; the parallel win needs a
 //! multi-core host.
 //!
-//! Returns the `BENCH_kernel.json` document (`xp` writes it under `results/`).
+//! Its report is the `BENCH_kernel.json` document (`xp` writes it under
+//! `results/`).
 //!
 //! ```text
 //! cargo run --release -p ncs-bench -- scale [--smoke] [--guard]
@@ -53,8 +54,8 @@
 //! are guarded per event via the `sharded <hosts> <shards> <rounds> <ratio>`
 //! rows.
 
-use super::{worker_cpus, JsonDoc, Opts};
-use crate::json::{fixed, obj};
+use super::{worker_cpus, Opts, WORKER_CPUS};
+use crate::{Col, Report};
 use bytes::Bytes;
 use ncs_core::{NcsConfig, NcsWorld, ThreadAddr};
 use ncs_net::{GossipConfig, GossipMesh, ShardNetParams, Testbed};
@@ -160,6 +161,15 @@ fn micro_heap_ns(offsets: &[u64]) -> f64 {
     t0.elapsed().as_secs_f64() * 1e9 / offsets.len() as f64
 }
 
+/// The micro comparison: events replayed, then the wheel's and the heap's
+/// ns/event.
+const MICRO: &[Col<(usize, f64, f64)>] = &[
+    Col::int("micro.events", "events", |m| m.0 as u64),
+    Col::int("micro.depth", "depth", |_| MICRO_DEPTH as u64),
+    Col::fixed("micro.wheel_ns_per_event", "wheel ns/ev", 2, |m| m.1),
+    Col::fixed("micro.heap_ns_per_event", "heap ns/ev", 2, |m| m.2),
+];
+
 /// Self-rearming sampler feeding the `kernel.queue_depth` gauge. Records
 /// [`Sim::queue_depth`] — pending events *plus* the in-flight one — which
 /// is the quantity the kernel's `peak_queue_depth` high-water mark tracks;
@@ -221,6 +231,43 @@ impl ScalePoint {
         )
     }
 }
+
+/// One point of the collective sweep (an empty header: JSON only).
+const SCALING: &[Col<ScalePoint>] = &[
+    Col::int("hosts", "hosts", |p| p.hosts as u64),
+    Col::int("rounds", "rounds", |p| u64::from(p.rounds)),
+    Col::int("msg_bytes", "msg B", |_| MSG_BYTES as u64),
+    Col::int("events", "events", |p| p.events),
+    Col::int("resumes", "", |p| p.resumes),
+    Col::int("messages", "msgs", ScalePoint::messages),
+    Col::fixed("resumes_per_message", "resumes/msg", 3, |p| {
+        p.events_per_message().0
+    }),
+    Col::fixed("callbacks_per_message", "callbacks/msg", 3, |p| {
+        p.events_per_message().1
+    }),
+    Col::fixed("virtual_s", "virtual s", 9, |p| p.virtual_s),
+    Col::fixed("wall_s", "wall s", 6, |p| p.wall_s),
+    Col::fixed("events_per_sec", "ev/s", 0, |p| p.events_per_sec),
+    Col::fixed("ns_per_event", "ns/ev", 1, ScalePoint::ns_per_event),
+    Col::fixed("ns_per_message", "ns/msg", 1, ScalePoint::ns_per_message),
+    Col::int("peak_queue_depth", "peak q", |p| p.peak_queue_depth as u64),
+    Col::int("queue_depth_gauge_peak", "gauge peak", |p| {
+        p.gauge_peak as u64
+    }),
+    Col::int("queue_depth_samples", "gauge samples", |p| {
+        p.gauge_samples as u64
+    }),
+];
+
+/// The engine switch at one host count: hosts, then ns/event on the
+/// os-thread and on the coroutine engine.
+const ENGINE_SPEEDUP: &[Col<(usize, f64, f64)>] = &[
+    Col::int("hosts", "hosts", |e| e.0 as u64),
+    Col::fixed("os_thread_ns_per_event", "os-thread ns/ev", 1, |e| e.1),
+    Col::fixed("coroutine_ns_per_event", "coroutine ns/ev", 1, |e| e.2),
+    Col::fixed("speedup", "speedup", 2, |e| e.1 / e.2),
+];
 
 /// The collective: `rounds` iterations of gather-to-root (every worker
 /// sends to proc 0) followed by a root broadcast, all through the full
@@ -326,6 +373,25 @@ impl ShardPoint {
     }
 }
 
+/// One point of the sharded sweep (an empty header: JSON only).
+const SHARDED: &[Col<ShardPoint>] = &[
+    Col::int("hosts", "hosts", |p| p.hosts as u64),
+    Col::int("shards", "shards", |p| p.shards as u64),
+    Col::int("rounds", "rounds", |p| u64::from(p.rounds)),
+    Col::int("msg_bytes", "msg B", |_| MSG_BYTES as u64),
+    Col::int("work_iters", "work iters", |_| u64::from(SHARD_WORK)),
+    Col::int("delivered", "", |p| p.delivered),
+    Col::int("events", "events", |p| p.events),
+    Col::int("merged_events", "merged", |p| p.merged_events),
+    Col::int("windows", "windows", |p| p.windows),
+    Col::fixed("wall_s", "wall s", 6, |p| p.wall_s),
+    Col::fixed("events_per_sec", "ev/s", 0, ShardPoint::events_per_sec),
+    Col::fixed("ns_per_event", "ns/ev", 1, ShardPoint::ns_per_event),
+    Col::fixed("speedup_vs_1shard", "speedup", 3, |p| p.speedup),
+    Col::hex("merged_trace_hash", "", |p| p.merged_hash),
+    Col::hex("delivery_digest", "", |p| p.delivery_digest),
+];
+
 /// One sharded gossip run on the WAN campus topology (8 sites, DS-3
 /// trunks, 2 ms lookahead windows), wall-clock timed across the whole
 /// windowed run including barrier synchronization and inbox merging.
@@ -365,38 +431,27 @@ fn run_sharded(hosts: usize, shards: usize, rounds: u32) -> ShardPoint {
 /// The X12 sweep: host counts × shard counts, with the determinism wall's
 /// digest-equality guarantee re-asserted on every benchmark shape.
 fn run_shard_sweep(
-    out: &mut String,
+    out: &mut Report,
     host_counts: &[usize],
     shard_counts: &[usize],
     rounds: u32,
 ) -> Vec<ShardPoint> {
-    let cpus = worker_cpus();
-    *out += &format!(
-        "\n## X12 — sharded scaling: gossip on the 8-site WAN campus, \
-         {MSG_BYTES}-byte messages, {rounds} round(s), {SHARD_WORK} work iters/delivery \
-         ({cpus} cpu(s) available)\n"
-    );
-    if cpus < *shard_counts.iter().max().unwrap_or(&1) {
-        *out += "#  note: fewer CPUs than shards — workers time-slice, speedup \
-             honestly reports ~1x or below on this machine\n";
+    out.note("## X12 — sharded scaling: gossip on the 8-site WAN campus\n");
+    out.record(WORKER_CPUS, &());
+    if worker_cpus() < *shard_counts.iter().max().unwrap_or(&1) {
+        out.note(
+            "#  note: fewer CPUs than shards — workers time-slice, speedup \
+             honestly reports ~1x or below on this machine\n",
+        );
     }
+    let table = out.table("sharded", SHARDED);
     let mut points = Vec::new();
     for &hosts in host_counts {
         let mut base_eps = None;
         for &shards in shard_counts {
             let mut p = run_sharded(hosts, shards, rounds);
             p.speedup = p.events_per_sec() / *base_eps.get_or_insert(p.events_per_sec());
-            *out += &format!("  {:6} hosts x {} shard(s) | {:9} ev | {:7} merged | {:5} windows | {:6.3}s wall | {:9.0} ev/s | {:5.1} ns/ev | {:4.2}x\n",
-                p.hosts,
-                p.shards,
-                p.events,
-                p.merged_events,
-                p.windows,
-                p.wall_s,
-                p.events_per_sec(),
-                p.ns_per_event(),
-                p.speedup,
-            );
+            out.row(&table, &p);
             assert_eq!(
                 p.delivered,
                 2 * hosts as u64 * u64::from(rounds),
@@ -437,7 +492,7 @@ const GUARD_HEADROOM: f64 = 1.15;
 /// non-zero via panic) past 15% regression, and on any difference at all
 /// from an `events <hosts> <rounds>` or `stamps <hosts> <rounds>` row: event
 /// and stamp counts are deterministic.
-fn run_guard(out: &mut String, points: &[ScalePoint], sharded: &[ShardPoint], wheel_ns: f64) {
+fn run_guard(out: &mut Report, points: &[ScalePoint], sharded: &[ShardPoint], wheel_ns: f64) {
     // Baseline rows: a shape (single-spaced), then its ratio.
     let baseline: Vec<(String, f64)> = GUARD_BASELINE_TEXT
         .lines()
@@ -461,7 +516,9 @@ fn run_guard(out: &mut String, points: &[ScalePoint], sharded: &[ShardPoint], wh
         let label = format!("{:6} hosts x {} shard(s)", p.hosts, p.shards);
         (shape, label, p.ns_per_event())
     });
-    *out += &format!("\n## perf-regression guard (normalized vs {GUARD_BASELINE})\n");
+    out.note(format!(
+        "## perf-regression guard (normalized vs {GUARD_BASELINE})\n"
+    ));
     // The exact rows first: a difference there is the code, never noise.
     for p in points {
         for (kind, count) in [("events", p.events), ("stamps", p.stamps)] {
@@ -471,11 +528,11 @@ fn run_guard(out: &mut String, points: &[ScalePoint], sharded: &[ShardPoint], wh
             };
             let base = base as u64;
             let verdict = if count == base { "ok" } else { "FAIL" };
-            *out += &format!(
+            out.note(format!(
                 "  {:3} hosts | {count:7} {kind} | baseline {base:7} | {:5.2} per message | {verdict}\n",
                 p.hosts,
                 count as f64 / p.messages() as f64,
-            );
+            ));
             assert!(
                 count == base,
                 "{kind} count at {} hosts moved: {count} against the baseline's {base} — {kind} \
@@ -491,9 +548,9 @@ fn run_guard(out: &mut String, points: &[ScalePoint], sharded: &[ShardPoint], wh
         };
         let (ratio, limit) = (ns / wheel_ns, base * GUARD_HEADROOM);
         let verdict = if ratio <= limit { "ok" } else { "FAIL" };
-        *out += &format!(
+        out.note(format!(
             "  {label} | ratio {ratio:7.2} | baseline {base:7.2} | limit {limit:7.2} | {verdict}\n"
-        );
+        ));
         assert!(
             ratio <= limit,
             "wall time at {} regressed: normalized cost {ratio:.2} exceeds baseline {base:.2} \
@@ -509,12 +566,12 @@ fn run_guard(out: &mut String, points: &[ScalePoint], sharded: &[ShardPoint], wh
     );
 }
 
-pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
+pub(super) fn run(opts: &Opts, out: &mut Report) {
     let smoke = opts.smoke;
-    *out += "# X10 — event-kernel scaling (timer wheel, 16..256 hosts)\n";
-    *out += "# X12 — sharded scaling (conservative-lookahead windows, 1k..100k hosts)\n";
+    out.note("# X10 — event-kernel scaling (timer wheel, 16..256 hosts)\n");
+    out.note("# X12 — sharded scaling (conservative-lookahead windows, 1k..100k hosts)\n");
     if smoke {
-        *out += "# smoke mode: reduced sweep\n";
+        out.note("# smoke mode: reduced sweep\n");
     }
 
     // Part 1: schedule/pop micro comparison, min of three runs each.
@@ -530,9 +587,9 @@ pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
     let heap_ns = (0..3)
         .map(|_| micro_heap_ns(&offsets))
         .fold(f64::INFINITY, f64::min);
-    *out += &format!("\n## schedule/pop round trip ({micro_n} events, depth {MICRO_DEPTH})\n");
-    *out += &format!("  timer wheel   | {wheel_ns:6.1} ns/event\n");
-    *out += &format!("  heap + boxes  | {heap_ns:6.1} ns/event\n");
+    out.bench = Some("BENCH_kernel");
+    out.note("\n## schedule/pop round trip\n");
+    out.record(MICRO, &(micro_n, wheel_ns, heap_ns));
     assert!(
         wheel_ns <= heap_ns,
         "the wheel ({wheel_ns:.1} ns) must not be slower than the heap \
@@ -551,31 +608,18 @@ pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
     let rounds: u32 = if smoke { 1 } else { 4 };
     // Coroutine rows first: the product configuration.
     let [points, os_points] = [
-        (EngineKind::Coroutine, "coroutine"),
-        (EngineKind::OsThread, "os-thread"),
+        (EngineKind::Coroutine, "coroutine", "scaling"),
+        (EngineKind::OsThread, "os-thread", "scaling_os_thread"),
     ]
-    .map(|(engine, label)| {
-        *out += &format!(
-            "\n## collective gather+broadcast, {MSG_BYTES}-byte messages, \
-             {rounds} round(s), {label} engine\n"
-        );
+    .map(|(engine, label, key)| {
+        out.note(format!(
+            "## collective gather+broadcast through the HSM stack, {label} engine\n"
+        ));
+        let table = out.table(key, SCALING);
         let mut points = Vec::new();
         for &hosts in host_counts {
             let p = run_collective(hosts, rounds, engine);
-            let (resumes, callbacks) = p.events_per_message();
-            *out += &format!("  {:3} hosts | {:8} ev | {:5.2} ev/msg = {:5.2} resumes + {:4.2} callbacks | {:9.6}s virtual | {:6.3}s wall | {:9.0} ev/s | peak q {:5} | gauge peak {:5} ({} samples)\n",
-                p.hosts,
-                p.events,
-                resumes + callbacks,
-                resumes,
-                callbacks,
-                p.virtual_s,
-                p.wall_s,
-                p.events_per_sec,
-                p.peak_queue_depth,
-                p.gauge_peak,
-                p.gauge_samples,
-            );
+            out.row(&table, &p);
             assert!(
                 p.gauge_samples > 0,
                 "queue-depth sampler never fired at {hosts} hosts"
@@ -590,15 +634,10 @@ pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
         points
     });
 
-    *out += "\n## engine switch: ns/event, os-thread -> coroutine\n";
+    out.note("## engine switch: ns/event, os-thread -> coroutine\n");
+    let table = out.table("engine_speedup", ENGINE_SPEEDUP);
     for (c, o) in points.iter().zip(os_points.iter()) {
-        *out += &format!(
-            "  {:3} hosts | {:8.1} -> {:6.1} ns/event | {:4.1}x\n",
-            c.hosts,
-            o.ns_per_event(),
-            c.ns_per_event(),
-            o.ns_per_event() / c.ns_per_event(),
-        );
+        out.row(&table, &(c.hosts, o.ns_per_event(), c.ns_per_event()));
     }
 
     // Part 3: the X12 sharded sweep — host counts × shard counts on the
@@ -615,77 +654,4 @@ pub(super) fn run(opts: &Opts, out: &mut String) -> Option<JsonDoc> {
     if opts.guard {
         run_guard(out, &points, &shard_points, wheel_ns);
     }
-
-    let mut doc = JsonDoc::new("BENCH_kernel", "xp_scale", smoke);
-    doc.line(&[(
-        "micro",
-        &obj(&[
-            ("events", &micro_n),
-            ("depth", &MICRO_DEPTH),
-            ("wheel_ns_per_event", &fixed(wheel_ns, 2)),
-            ("heap_ns_per_event", &fixed(heap_ns, 2)),
-        ]),
-    )]);
-    for (key, pts) in [("scaling", &points), ("scaling_os_thread", &os_points)] {
-        doc.rows(
-            key,
-            pts.iter().map(|p| {
-                let (resumes_per_message, callbacks_per_message) = p.events_per_message();
-                obj(&[
-                    ("hosts", &p.hosts),
-                    ("rounds", &p.rounds),
-                    ("msg_bytes", &MSG_BYTES),
-                    ("events", &p.events),
-                    ("resumes", &p.resumes),
-                    ("messages", &p.messages()),
-                    ("resumes_per_message", &fixed(resumes_per_message, 3)),
-                    ("callbacks_per_message", &fixed(callbacks_per_message, 3)),
-                    ("virtual_s", &fixed(p.virtual_s, 9)),
-                    ("wall_s", &fixed(p.wall_s, 6)),
-                    ("events_per_sec", &fixed(p.events_per_sec, 0)),
-                    ("ns_per_event", &fixed(p.ns_per_event(), 1)),
-                    ("ns_per_message", &fixed(p.ns_per_message(), 1)),
-                    ("peak_queue_depth", &p.peak_queue_depth),
-                    ("queue_depth_gauge_peak", &p.gauge_peak),
-                    ("queue_depth_samples", &p.gauge_samples),
-                ])
-            }),
-        );
-    }
-    doc.rows(
-        "engine_speedup",
-        points.iter().zip(os_points.iter()).map(|(c, o)| {
-            obj(&[
-                ("hosts", &c.hosts),
-                ("os_thread_ns_per_event", &fixed(o.ns_per_event(), 1)),
-                ("coroutine_ns_per_event", &fixed(c.ns_per_event(), 1)),
-                ("speedup", &fixed(o.ns_per_event() / c.ns_per_event(), 2)),
-            ])
-        }),
-    );
-    doc.line(&[("worker_cpus", &worker_cpus())]);
-    let hex = |digest: u64| format!("\"{digest:#018x}\"");
-    doc.rows(
-        "sharded",
-        shard_points.iter().map(|p| {
-            obj(&[
-                ("hosts", &p.hosts),
-                ("shards", &p.shards),
-                ("rounds", &p.rounds),
-                ("msg_bytes", &MSG_BYTES),
-                ("work_iters", &SHARD_WORK),
-                ("delivered", &p.delivered),
-                ("events", &p.events),
-                ("merged_events", &p.merged_events),
-                ("windows", &p.windows),
-                ("wall_s", &fixed(p.wall_s, 6)),
-                ("events_per_sec", &fixed(p.events_per_sec(), 0)),
-                ("ns_per_event", &fixed(p.ns_per_event(), 1)),
-                ("speedup_vs_1shard", &fixed(p.speedup, 3)),
-                ("merged_trace_hash", &hex(p.merged_hash)),
-                ("delivery_digest", &hex(p.delivery_digest)),
-            ])
-        }),
-    );
-    Some(doc)
 }

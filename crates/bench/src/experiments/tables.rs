@@ -8,7 +8,7 @@
 //! cargo run --release -p ncs-bench -- table1
 //! ```
 
-use crate::{paper_table1, paper_table2, paper_table3, Comparison, JsonDoc, Row};
+use crate::{paper_table1, paper_table2, paper_table3, Comparison, Report, Row};
 use ncs_apps::fft::{fft_ncs, fft_p4, FftConfig};
 use ncs_apps::jpeg_dist::{jpeg_ncs, jpeg_p4, JpegConfig};
 use ncs_apps::matmul::{matmul_ncs, matmul_p4, MatmulConfig};
@@ -16,16 +16,14 @@ use ncs_net::{Network, Testbed};
 use ncs_sim::Dur;
 use std::sync::Arc;
 
-/// One of the paper's tables: what it runs, on how many nodes, and the
-/// values it is printed beside.
+/// One of the paper's tables: what it runs, and the values (and node
+/// counts) it is printed beside.
 pub(super) struct Table {
     title: &'static str,
     /// Runs one variant (`ncs` or the p4 baseline) on `nodes` nodes over
     /// `net`: `(elapsed, result verified)`.
     app: fn(net: Arc<dyn Network>, nodes: usize, ncs: bool) -> (Dur, bool),
     paper: fn(&str) -> Vec<Row>,
-    ethernet_nodes: &'static [usize],
-    nynet_nodes: &'static [usize],
 }
 
 pub(super) const TABLE1: Table = Table {
@@ -40,8 +38,6 @@ pub(super) const TABLE1: Table = Table {
         (run.elapsed, run.verified)
     },
     paper: paper_table1,
-    ethernet_nodes: &[1, 2, 4, 8],
-    nynet_nodes: &[1, 2, 4],
 };
 
 pub(super) const TABLE2: Table = Table {
@@ -56,8 +52,6 @@ pub(super) const TABLE2: Table = Table {
         (run.elapsed, run.verified)
     },
     paper: paper_table2,
-    ethernet_nodes: &[2, 4, 8],
-    nynet_nodes: &[2, 4],
 };
 
 pub(super) const TABLE3: Table = Table {
@@ -72,17 +66,16 @@ pub(super) const TABLE3: Table = Table {
         (run.elapsed, run.verified)
     },
     paper: paper_table3,
-    ethernet_nodes: &[1, 2, 4, 8],
-    nynet_nodes: &[1, 2, 4],
 };
 
-pub(super) fn run(table: &Table, out: &mut String) -> Option<JsonDoc> {
-    *out += &format!("# {} (seconds)\n\n", table.title);
-    for (label, testbed, nodes_list) in [
-        ("Ethernet", Testbed::SunEthernet, table.ethernet_nodes),
-        ("NYNET", Testbed::NynetTcp, table.nynet_nodes),
+pub(super) fn run(table: &Table, out: &mut Report) {
+    out.note(format!("# {} (seconds)\n\n", table.title));
+    for (label, testbed) in [
+        ("Ethernet", Testbed::SunEthernet),
+        ("NYNET", Testbed::NynetTcp),
     ] {
-        let measured = nodes_list.iter().map(|&nodes| {
+        let paper = (table.paper)(label);
+        let measured = paper.iter().map(|&Row { nodes, .. }| {
             let (p4, p4_ok) = (table.app)(testbed.build(nodes + 1), nodes, false);
             let (ncs, ncs_ok) = (table.app)(testbed.build(nodes + 1), nodes, true);
             assert!(p4_ok, "p4 result mismatch at {nodes} nodes");
@@ -96,12 +89,30 @@ pub(super) fn run(table: &Table, out: &mut String) -> Option<JsonDoc> {
         let cmp = Comparison {
             testbed: label,
             measured: measured.collect(),
-            paper: (table.paper)(label),
+            paper,
         };
-        *out += &format!("{}\n", cmp.render());
+        // Verbatim notes: the checked-in tables are hand-aligned (a rule one
+        // dash short, a one-node "-" of its own width), which no table
+        // rendering reproduces byte for byte.
+        out.note(format!("## {label}\n"));
+        out.note("nodes |   p4 (sim) |  NCS (sim) | impr(sim) |  p4 (paper) | NCS (paper) | impr(paper)\n");
+        out.note("------+------------+------------+-----------+-------------+-------------+-----------\n");
+        for (m, p) in cmp.measured.iter().zip(&cmp.paper) {
+            let (mi, pi) = match m.nodes {
+                1 => ("        -".to_string(), "      -".to_string()),
+                _ => (
+                    format!("{:8.1}%", m.improvement()),
+                    format!("{:10.1}%", p.improvement()),
+                ),
+            };
+            out.note(format!(
+                "{:5} | {:10.2} | {:10.2} | {mi} | {:11.2} | {:11.2} | {pi}\n",
+                m.nodes, m.p4, m.ncs, p.p4, p.ncs
+            ));
+        }
+        out.note("\n");
         for v in cmp.shape_violations() {
-            *out += &format!("SHAPE VIOLATION: {v}\n");
+            out.note(format!("SHAPE VIOLATION: {v}\n"));
         }
     }
-    None
 }

@@ -2,8 +2,8 @@
 //!
 //! Every table, figure and extension experiment of the reproduction is one
 //! entry of [`EXPERIMENTS`] — a name, a line of description and a function
-//! that writes its report into a `String` — and one binary, `xp`, runs them
-//! (`xp list` is `DESIGN.md`'s experiment index):
+//! that fills in a [`Report`] — and one binary, `xp`, runs them (`xp list`
+//! is `DESIGN.md`'s experiment index):
 //!
 //! ```text
 //! cargo run --release -p ncs-bench -- <name> [args] [--smoke] [--guard]
@@ -11,10 +11,11 @@
 //! ```
 //!
 //! Beside the registry this library holds what the experiments share: the
-//! report formatting (each regenerated table prints measured values side by
-//! side with the paper's, plus the derived "% improvement" columns the paper
-//! reports), the one wall-clock timing loop of the host-time experiments and
-//! the one writer of the `results/BENCH_*.json` documents.
+//! paper's Tables 1–3 (each regenerated table prints measured values side
+//! by side with the paper's, plus the derived "% improvement" columns the
+//! paper reports), the one wall-clock timing loop of the host-time
+//! experiments, and [`Report`]: tables whose columns are declared once and
+//! rendered both as text and as the `results/BENCH_*.json` documents.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,10 +23,10 @@
 use std::time::{Duration, Instant}; // ncs-lint: allow(wall-clock)
 
 pub mod experiments;
-mod json;
+mod report;
 
 pub use experiments::{find, list, results_dir, Experiment, Opts, EXPERIMENTS};
-pub use json::JsonDoc;
+pub use report::{Col, Report, Rows};
 
 /// Host nanoseconds per call of `op`: the minimum over `batches` timed
 /// batches of at least `budget` each. The minimum, because everything a
@@ -76,47 +77,6 @@ pub struct Comparison {
 }
 
 impl Comparison {
-    /// Renders the comparison as a fixed-width text table.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!("## {}\n", self.testbed));
-        s.push_str(
-            "nodes |   p4 (sim) |  NCS (sim) | impr(sim) |  p4 (paper) | NCS (paper) | impr(paper)\n",
-        );
-        s.push_str(
-            "------+------------+------------+-----------+-------------+-------------+-----------\n",
-        );
-        for m in &self.measured {
-            let paper = self.paper.iter().find(|p| p.nodes == m.nodes);
-            let (pp, pn, pi) = match paper {
-                Some(p) => (
-                    format!("{:11.2}", p.p4),
-                    format!("{:11.2}", p.ncs),
-                    if p.nodes == 1 {
-                        "      -".to_string()
-                    } else {
-                        format!("{:10.1}%", p.improvement())
-                    },
-                ),
-                None => (
-                    "          -".into(),
-                    "          -".into(),
-                    "         -".into(),
-                ),
-            };
-            let mi = if m.nodes == 1 {
-                "        -".to_string()
-            } else {
-                format!("{:8.1}%", m.improvement())
-            };
-            s.push_str(&format!(
-                "{:5} | {:10.2} | {:10.2} | {} | {} | {} | {}\n",
-                m.nodes, m.p4, m.ncs, mi, pp, pn, pi
-            ));
-        }
-        s
-    }
-
     /// Checks the qualitative shape against the paper: NCS wins wherever
     /// the paper says it wins, and single-node threading overhead makes NCS
     /// slightly slower. Returns a list of violations (empty = shape holds).
@@ -133,7 +93,7 @@ impl Comparison {
             } else if m.ncs >= m.p4 {
                 v.push(format!(
                     "{} nodes={}: NCS ({:.2}s) did not beat p4 ({:.2}s)",
-                    self.testbed, m.nodes, m.p4, m.ncs
+                    self.testbed, m.nodes, m.ncs, m.p4
                 ));
             }
         }
@@ -285,23 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn render_contains_both_sources() {
-        let c = Comparison {
-            testbed: "Ethernet",
-            measured: vec![Row {
-                nodes: 2,
-                p4: 10.0,
-                ncs: 8.0,
-            }],
-            paper: paper_table1("Ethernet"),
-        };
-        let s = c.render();
-        assert!(s.contains("Ethernet"));
-        assert!(s.contains("16.89"), "paper value present");
-        assert!(s.contains("10.00"), "measured value present");
-    }
-
-    #[test]
     fn shape_violations_flag_regressions() {
         let c = Comparison {
             testbed: "X",
@@ -319,9 +262,10 @@ mod tests {
             ],
             paper: Vec::new(),
         };
-        let v = c.shape_violations();
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("nodes=2"));
+        assert_eq!(
+            c.shape_violations(),
+            ["X nodes=2: NCS (11.00s) did not beat p4 (10.00s)"]
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Green-thread footprint regression (ROADMAP item 1 leftover): 10 000
-//! green threads spread over 1 000 hosts must keep resident memory bounded
-//! — each coroutine *reserves* a 2 MiB stack but commits pages lazily, so
-//! 10k threads reserve ~20 GiB of address space while touching well under
-//! 1.5 GiB — and every stack must be reclaimed once the simulation is
-//! finished, on both engines.
+//! Green-thread footprint regression: 10 000 green threads spread over
+//! 1 000 hosts must keep resident memory bounded — each coroutine
+//! *reserves* a 2 MiB stack but commits pages lazily, so 10k threads
+//! reserve ~20 GiB of address space while touching well under 1.5 GiB —
+//! and every stack must be reclaimed once the simulation is finished, on
+//! both engines.
 
 use ncs_sim::sync::Mutex;
 use ncs_sim::{

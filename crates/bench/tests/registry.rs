@@ -4,7 +4,7 @@
 //! deterministic rows still print their checked-in files byte for byte —
 //! so a stale result fails `cargo test`, not only `scripts/check.sh`.
 
-use ncs_bench::{find, list, results_dir, Opts, EXPERIMENTS};
+use ncs_bench::{find, list, results_dir, Opts, Report, EXPERIMENTS};
 use std::collections::BTreeSet;
 
 fn report_names() -> Vec<String> {
@@ -64,9 +64,10 @@ fn cheapest_rows_reprint_their_checked_in_results() {
             report_names().iter().any(|row| row == name),
             "{name} is a report row"
         );
-        let mut text = String::new();
-        let doc = (find(name).expect("registered").run)(&Opts::default(), &mut text);
-        assert!(doc.is_none(), "{name} is a text-only row");
+        let mut report = Report::default();
+        (find(name).expect("registered").run)(&Opts::default(), &mut report);
+        assert!(report.bench.is_none(), "{name} is a text-only row");
+        let text = report.text();
         let path = results_dir().join(name).with_extension("txt");
         let checked_in = std::fs::read_to_string(&path).expect("checked-in result");
         assert_eq!(

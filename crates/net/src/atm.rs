@@ -394,7 +394,7 @@ impl Topology {
 ///
 /// This is the one place a chunk is booked onto wires, and so the seam at
 /// which delivery between hosts on different shards will be routed
-/// (ROADMAP item 3).
+/// (ROADMAP item 5).
 pub struct AtmFabric {
     topology: Topology,
     nodes: usize,
