@@ -117,8 +117,13 @@ pub fn decompress(data: &[u8]) -> Result<GrayImage, CodecError> {
     if width == 0 || height == 0 || !width.is_multiple_of(8) || !height.is_multiple_of(8) {
         return Err(CodecError::BadHeader);
     }
-    let n_blocks = (width / 8) * (height / 8);
+    // Everything sized from the header is bounded by the input first: a
+    // block costs at least one bit of body under either coder.
     let body = &data[14..];
+    let n_blocks = width.checked_mul(height).ok_or(CodecError::BadHeader)? / 64;
+    if n_blocks > body.len().saturating_mul(8) {
+        return Err(CodecError::BadHeader);
+    }
     let zz_blocks: Vec<[i16; 64]> = match coder {
         EntropyKind::RleVarint => {
             let mut pos = 0;
@@ -147,8 +152,11 @@ pub fn decompress(data: &[u8]) -> Result<GrayImage, CodecError> {
             let block = dct::inverse_fast(&coeffs);
             for y in 0..8 {
                 for x in 0..8 {
+                    // Clamped to [-1, 256] first so the rounding is exact
+                    // and NaN still lands on 0.
+                    let v = (block[y * 8 + x] + 128.0).clamp(-1.0, 256.0);
                     pixels[(by + y) * width + bx + x] =
-                        (block[y * 8 + x] + 128.0).round().clamp(0.0, 255.0) as u8;
+                        quant::round_half_away(v).clamp(0, 255) as u8;
                 }
             }
         }
@@ -229,6 +237,12 @@ mod entropy_choice_tests {
     use super::*;
     use ncs_sim::SimRng;
 
+    /// (length, FNV-1a) of the compressed paper image, and FNV-1a of its
+    /// decoded pixels (both coders decode to the same image).
+    const PIN_RLE: (usize, u64) = (35_367, 0xd5cb_60b8_4770_07d1);
+    const PIN_HUFFMAN: (usize, u64) = (9_423, 0x0304_19ff_7209_c0e7);
+    const PIN_DECODED: u64 = 0xb53c_06c2_eccc_8991;
+
     #[test]
     fn huffman_stage_roundtrips() {
         let mut rng = SimRng::new(31);
@@ -260,6 +274,46 @@ mod entropy_choice_tests {
             huf.len(),
             rle.len()
         );
+    }
+
+    /// A valid magic with width = height = 2³¹ claims 2⁵⁶ blocks: the
+    /// header is refused before anything is allocated from it, under both
+    /// coders (the Huffman one only reads a body of ≥ 256 bytes).
+    #[test]
+    fn hostile_dimensions_rejected_before_allocating() {
+        for (coder, body_len) in [(EntropyKind::RleVarint, 2), (EntropyKind::Huffman, 300)] {
+            let mut data = MAGIC.to_le_bytes().to_vec();
+            data.extend_from_slice(&(1u32 << 31).to_le_bytes());
+            data.extend_from_slice(&(1u32 << 31).to_le_bytes());
+            data.push(75);
+            data.push(coder.id());
+            data.resize(14 + body_len, 0);
+            assert_eq!(decompress(&data), Err(CodecError::BadHeader), "{coder:?}");
+        }
+    }
+
+    /// The compressed paper image (`JpegConfig::paper`: 960×640, seed
+    /// 0x1A6, quality 75) under both coders, pinned by digest: the
+    /// factorized image, the two-rows-per-sweep DCT and the library-free
+    /// rounding must leave every byte where the direct forms put it.
+    #[test]
+    fn paper_image_compresses_to_pinned_bytes() {
+        let mut rng = SimRng::new(0x1A6);
+        let img = GrayImage::synthetic(960, 640, &mut rng);
+        let pins = [
+            (EntropyKind::RleVarint, PIN_RLE),
+            (EntropyKind::Huffman, PIN_HUFFMAN),
+        ];
+        for (coder, (len, digest)) in pins {
+            let data = compress_with(&img, 75, coder);
+            assert_eq!(
+                (data.len(), ncs_sim::fnv1a(&data)),
+                (len, digest),
+                "{coder:?}"
+            );
+            let back = decompress(&data).unwrap();
+            assert_eq!(ncs_sim::fnv1a(&back.pixels), PIN_DECODED, "{coder:?}");
+        }
     }
 
     #[test]

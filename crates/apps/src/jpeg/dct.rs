@@ -6,17 +6,27 @@ use std::sync::OnceLock;
 /// Block edge length.
 pub const N: usize = 8;
 
-/// Cosine basis table: `COS[x][u] = cos((2x+1)·u·π/16)`.
-fn cos_table() -> &'static [[f64; N]; N] {
-    static TABLE: OnceLock<[[f64; N]; N]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [[0.0; N]; N];
-        for (x, row) in t.iter_mut().enumerate() {
-            for (u, v) in row.iter_mut().enumerate() {
-                *v = ((2 * x + 1) as f64 * u as f64 * PI / 16.0).cos();
-            }
+/// The tables every transform reads, built once.
+struct Basis {
+    /// `cos[x][u] = cos((2x+1)·u·π/16)`.
+    cos: [[f64; N]; N],
+    /// `cos_t[u][x] = cos[x][u]`: the inverse's rows pass reads it by row.
+    cos_t: [[f64; N]; N],
+    /// `scale[u][v] = 0.25·c(u)·c(v)`, multiplied left to right.
+    scale: [[f64; N]; N],
+}
+
+fn basis() -> &'static Basis {
+    static BASIS: OnceLock<Basis> = OnceLock::new();
+    BASIS.get_or_init(|| {
+        let cos: [[f64; N]; N] = std::array::from_fn(|x| {
+            std::array::from_fn(|u| ((2 * x + 1) as f64 * u as f64 * PI / 16.0).cos())
+        });
+        Basis {
+            cos,
+            cos_t: std::array::from_fn(|u| std::array::from_fn(|x| cos[x][u])),
+            scale: std::array::from_fn(|u| std::array::from_fn(|v| 0.25 * c(u) * c(v))),
         }
-        t
     })
 }
 
@@ -32,7 +42,7 @@ fn c(u: usize) -> f64 {
 /// Forward 8×8 DCT (type II, orthonormal JPEG scaling). `block` is
 /// row-major spatial samples; returns row-major frequency coefficients.
 pub fn forward(block: &[f64; N * N]) -> [f64; N * N] {
-    let cos = cos_table();
+    let cos = &basis().cos;
     let mut out = [0.0; N * N];
     for u in 0..N {
         for v in 0..N {
@@ -51,7 +61,7 @@ pub fn forward(block: &[f64; N * N]) -> [f64; N * N] {
 /// Inverse 8×8 DCT (type III): the tests' roundtrip oracle.
 #[cfg(test)]
 pub fn inverse(coeffs: &[f64; N * N]) -> [f64; N * N] {
-    let cos = cos_table();
+    let cos = &basis().cos;
     let mut out = [0.0; N * N];
     for x in 0..N {
         for y in 0..N {
@@ -71,55 +81,89 @@ pub fn inverse(coeffs: &[f64; N * N]) -> [f64; N * N] {
 /// 8× fewer multiplies than the direct 2-D sum. Bit-for-bit this differs
 /// from [`forward`] only by float associativity (≤ 1e-12 per coefficient);
 /// the codec uses this path, tests cross-check against the direct form.
+///
+/// The loop order is pinned, not free. Each pass sweeps its input once per
+/// two output rows, and the innermost loop runs over the 8 outputs of both
+/// rows: 16 independent sums, where one output at a time is one chain of
+/// dependent adds. Each output still adds its 8 products in index order,
+/// from 0.0, and is scaled by `(0.25·c(u))·c(v)` last. Rust never
+/// contracts `a·b + c` into a fused multiply-add, so every coefficient is
+/// the same `f64` as in the one-output-at-a-time form;
+/// `properties::fast_paths_keep_their_bits` checks that against verbatim
+/// copies of that form.
 pub fn forward_fast(block: &[f64; N * N]) -> [f64; N * N] {
-    let cos = cos_table();
+    let Basis { cos, scale, .. } = basis();
     // Rows: g[x][v] = sum_y f[x][y] cos[y][v]
-    let mut g = [0.0; N * N];
-    for x in 0..N {
-        for v in 0..N {
-            let mut s = 0.0;
-            for y in 0..N {
-                s += block[x * N + y] * cos[y][v];
+    let mut g = [[0.0; N]; N];
+    for x in (0..N).step_by(2) {
+        let (mut g0, mut g1) = ([0.0; N], [0.0; N]);
+        for (y, cy) in cos.iter().enumerate() {
+            let (f0, f1) = (block[x * N + y], block[(x + 1) * N + y]);
+            for ((s0, s1), &cyv) in g0.iter_mut().zip(&mut g1).zip(cy) {
+                *s0 += f0 * cyv;
+                *s1 += f1 * cyv;
             }
-            g[x * N + v] = s;
         }
+        g[x] = g0;
+        g[x + 1] = g1;
     }
     // Columns: F[u][v] = 1/4 c(u)c(v) sum_x g[x][v] cos[x][u]
     let mut out = [0.0; N * N];
-    for u in 0..N {
-        for v in 0..N {
-            let mut s = 0.0;
-            for x in 0..N {
-                s += g[x * N + v] * cos[x][u];
+    for u in (0..N).step_by(2) {
+        let (mut f0, mut f1) = ([0.0; N], [0.0; N]);
+        for (gx, cx) in g.iter().zip(cos) {
+            let (c0, c1) = (cx[u], cx[u + 1]);
+            for ((s0, s1), &gxv) in f0.iter_mut().zip(&mut f1).zip(gx) {
+                *s0 += gxv * c0;
+                *s1 += gxv * c1;
             }
-            out[u * N + v] = 0.25 * c(u) * c(v) * s;
+        }
+        let rows = out[u * N..(u + 2) * N].iter_mut();
+        for ((o, sc), s) in rows
+            .zip(&scale.as_flattened()[u * N..])
+            .zip([f0, f1].as_flattened())
+        {
+            *o = sc * s;
         }
     }
     out
 }
 
-/// Inverse DCT via row–column separation (see [`forward_fast`]).
+/// Inverse DCT via row–column separation, its loops ordered and pinned as
+/// in [`forward_fast`].
 pub fn inverse_fast(coeffs: &[f64; N * N]) -> [f64; N * N] {
-    let cos = cos_table();
-    // Rows: g[u][y] = sum_v c(v) F[u][v] cos[y][v]
-    let mut g = [0.0; N * N];
-    for u in 0..N {
-        for y in 0..N {
-            let mut s = 0.0;
-            for v in 0..N {
-                s += c(v) * coeffs[u * N + v] * cos[y][v];
+    let Basis { cos, cos_t, .. } = basis();
+    // Rows: g[u][y] = c(u) · sum_v c(v) F[u][v] cos[y][v]; the outer c(u)
+    // is the columns pass's first factor, hoisted out of its x loop.
+    let mut g = [[0.0; N]; N];
+    for u in (0..N).step_by(2) {
+        let (mut g0, mut g1) = ([0.0; N], [0.0; N]);
+        for (v, cv) in cos_t.iter().enumerate() {
+            let (f0, f1) = (c(v) * coeffs[u * N + v], c(v) * coeffs[(u + 1) * N + v]);
+            for ((s0, s1), &cvy) in g0.iter_mut().zip(&mut g1).zip(cv) {
+                *s0 += f0 * cvy;
+                *s1 += f1 * cvy;
             }
-            g[u * N + y] = s;
         }
+        g[u] = g0.map(|s| c(u) * s);
+        g[u + 1] = g1.map(|s| c(u + 1) * s);
     }
+    // Columns: f[x][y] = 1/4 sum_u g[u][y] cos[x][u]
     let mut out = [0.0; N * N];
-    for x in 0..N {
-        for y in 0..N {
-            let mut s = 0.0;
-            for u in 0..N {
-                s += c(u) * g[u * N + y] * cos[x][u];
+    for x in (0..N).step_by(2) {
+        let (mut f0, mut f1) = ([0.0; N], [0.0; N]);
+        for (u, gu) in g.iter().enumerate() {
+            let (c0, c1) = (cos[x][u], cos[x + 1][u]);
+            for ((s0, s1), &guy) in f0.iter_mut().zip(&mut f1).zip(gu) {
+                *s0 += guy * c0;
+                *s1 += guy * c1;
             }
-            out[x * N + y] = 0.25 * s;
+        }
+        for (o, s) in out[x * N..(x + 2) * N]
+            .iter_mut()
+            .zip([f0, f1].as_flattened())
+        {
+            *o = 0.25 * s;
         }
     }
     out
@@ -185,7 +229,7 @@ mod tests {
     #[test]
     fn horizontal_cosine_hits_single_bin() {
         // f(x,y) = cos((2y+1)·3π/16) is pure frequency v=3, u=0.
-        let cos = cos_table();
+        let cos = &basis().cos;
         let mut block = [0.0; 64];
         for x in 0..8 {
             for y in 0..8 {
@@ -226,6 +270,85 @@ mod properties {
             for (a, b) in block.iter().zip(&back) {
                 assert!((a - b).abs() < 1e-9);
             }
+        });
+    }
+
+    /// [`forward_fast`] one output at a time, verbatim: the form whose
+    /// bits the two-rows-per-sweep version must keep.
+    fn forward_one_at_a_time(block: &[f64; N * N]) -> [f64; N * N] {
+        let cos = &basis().cos;
+        let mut g = [0.0; N * N];
+        for x in 0..N {
+            for v in 0..N {
+                let mut s = 0.0;
+                for y in 0..N {
+                    s += block[x * N + y] * cos[y][v];
+                }
+                g[x * N + v] = s;
+            }
+        }
+        let mut out = [0.0; N * N];
+        for u in 0..N {
+            for v in 0..N {
+                let mut s = 0.0;
+                for x in 0..N {
+                    s += g[x * N + v] * cos[x][u];
+                }
+                out[u * N + v] = 0.25 * c(u) * c(v) * s;
+            }
+        }
+        out
+    }
+
+    /// [`inverse_fast`] one output at a time, verbatim.
+    fn inverse_one_at_a_time(coeffs: &[f64; N * N]) -> [f64; N * N] {
+        let cos = &basis().cos;
+        let mut g = [0.0; N * N];
+        for u in 0..N {
+            for y in 0..N {
+                let mut s = 0.0;
+                for v in 0..N {
+                    s += c(v) * coeffs[u * N + v] * cos[y][v];
+                }
+                g[u * N + y] = s;
+            }
+        }
+        let mut out = [0.0; N * N];
+        for x in 0..N {
+            for y in 0..N {
+                let mut s = 0.0;
+                for u in 0..N {
+                    s += c(u) * g[u * N + y] * cos[x][u];
+                }
+                out[x * N + y] = 0.25 * s;
+            }
+        }
+        out
+    }
+
+    /// The two-rows-per-sweep loops produce the same `f64` bits as the
+    /// one-output-at-a-time form, on pixel-range blocks, on quantized
+    /// coefficient blocks, and on wide-range blocks with exact zeros and
+    /// negative zeros mixed in.
+    #[test]
+    fn fast_paths_keep_their_bits() {
+        prop::check("fast_paths_keep_their_bits", 1024, |g| {
+            let span = *g.pick(&[128.0, 1024.0, 1e7]);
+            let block: [f64; 64] = std::array::from_fn(|_| match g.range(0..16) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => g.rng().gen_f64_range(-span, span).round(),
+                _ => g.rng().gen_f64_range(-span, span),
+            });
+            let bits = |a: &[f64; 64]| a.map(f64::to_bits);
+            assert_eq!(
+                bits(&forward_fast(&block)),
+                bits(&forward_one_at_a_time(&block))
+            );
+            assert_eq!(
+                bits(&inverse_fast(&block)),
+                bits(&inverse_one_at_a_time(&block))
+            );
         });
     }
 }

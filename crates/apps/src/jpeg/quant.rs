@@ -23,11 +23,28 @@ pub fn table_for_quality(quality: u8) -> [u16; 64] {
     t
 }
 
-/// Quantizes DCT coefficients (round-to-nearest).
+/// Rounds to the nearest integer, ties away from zero: `f64::round`'s
+/// result for every |x| < 2³¹ − ½, without its library call (on baseline
+/// x86_64 `f64::round` is not an instruction). The truncation `t` and the
+/// remainder `x - t` are both exact there, so the comparison against ±0.5
+/// decides exactly. NaN gives 0, as `f64::round(NaN) as i32` does; callers
+/// clamp first where |x| may be larger.
+#[inline]
+pub fn round_half_away(x: f64) -> i32 {
+    let t = x as i32;
+    let f = x - f64::from(t);
+    t + i32::from(f >= 0.5) - i32::from(f <= -0.5)
+}
+
+/// Quantizes DCT coefficients (round-to-nearest, ties away from zero,
+/// saturating at the `i16` range).
 pub fn quantize(coeffs: &[f64; 64], table: &[u16; 64]) -> [i16; 64] {
     let mut out = [0i16; 64];
     for i in 0..64 {
-        out[i] = (coeffs[i] / f64::from(table[i])).round() as i16;
+        // Clamping before rounding saturates exactly as rounding first and
+        // then casting does.
+        let x = (coeffs[i] / f64::from(table[i])).clamp(-32768.0, 32767.0);
+        out[i] = round_half_away(x) as i16;
     }
     out
 }
@@ -95,5 +112,59 @@ mod tests {
             q[1..].iter().all(|&v| v == 0),
             "tiny ACs must quantize to 0"
         );
+    }
+
+    #[test]
+    fn round_half_away_is_f64_round() {
+        let mut cases = vec![
+            0.49999999999999994,
+            -0.49999999999999994,
+            0.5000000000000001,
+            -0.5000000000000001,
+            0.0,
+            -0.0,
+            f64::NAN,
+            2147483647.0,
+            -2147483648.0,
+            2147483646.5,
+            -2147483647.5,
+        ];
+        // Every tie from -1024.5 to 1024.5, and the integers between.
+        cases.extend((-2049..=2049).map(|h| f64::from(h) / 2.0));
+        let mut rng = ncs_sim::SimRng::new(75);
+        for _ in 0..100_000 {
+            let span = [1.0, 1100.0, 2147483647.0][(rng.next_u64() % 3) as usize];
+            cases.push(rng.gen_f64_range(-span, span));
+        }
+        for x in cases {
+            assert_eq!(round_half_away(x), x.round() as i32, "{x:e}");
+        }
+    }
+
+    #[test]
+    fn quantize_saturates_like_round_then_cast() {
+        let table = [1u16; 64];
+        let mut coeffs = [0.0; 64];
+        let edges = [
+            32766.5,
+            32767.0,
+            32767.49,
+            32767.5,
+            40000.0,
+            -32767.5,
+            -32768.0,
+            -32768.5,
+            -40000.0,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        coeffs[..edges.len()].copy_from_slice(&edges);
+        let q = quantize(&coeffs, &table);
+        for (i, x) in edges.iter().enumerate() {
+            assert_eq!(q[i], x.round() as i16, "{x:e}");
+        }
     }
 }

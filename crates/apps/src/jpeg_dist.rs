@@ -302,7 +302,6 @@ pub fn setup_jpeg_ncs_with(
         ncs_cfg,
         move |id, proc_| {
             let costs = AppCosts::for_host(proc_.host());
-            let host_model = proc_.host().clone();
             if id == 0 {
                 // Host (Figure 17): thread 0 reads, unblocks thread 1, both
                 // distribute their half-bands and collect outputs.
@@ -317,7 +316,6 @@ pub fn setup_jpeg_ncs_with(
                     let out_shared = Arc::clone(&out_shared);
                     let done = Arc::clone(&done);
                     let got = Arc::clone(&got2);
-                    let host_model = host_model.clone();
                     proc_.t_create(format!("host-t{t}"), 5, move |ncs| {
                         if t == 0 {
                             // Stage 1: read the whole image, then wake thread 1.
@@ -348,7 +346,6 @@ pub fn setup_jpeg_ncs_with(
                             ncs.compute((width * height) as u64 * costs.io_per_byte, "write-image");
                             *got.lock() = Some(out_shared.lock().clone());
                         }
-                        let _ = host_model;
                     });
                 }
             } else if id <= nc {

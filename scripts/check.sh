@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 echo "== tier-1 as a clean checkout runs it: no registry, lock file as committed (as CI) =="
 cargo build --release --offline --locked && cargo test -q --offline --locked
 
+echo "== apps tests under release codegen: exactness pins hold optimized (as CI) =="
+cargo test -q --offline --release -p ncs-apps
+
 echo "== no-registry guard: removed crate names, lock file sources (as CI) =="
 bash scripts/guard_no_registry.sh
 
