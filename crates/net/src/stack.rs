@@ -352,9 +352,8 @@ impl<F: Fabric> TcpNet<F> {
             // Observability: depth of the switch output port feeding dst,
             // sampled right after this segment was booked onto it.
             if let Some(b) = self.fabric.output_backlog(dst, ctx.now()) {
-                ctx.sim().with_metrics(|m| {
-                    m.gauge_set("switch.out_bytes", dst.0, ctx.now(), b as i64)
-                });
+                ctx.sim()
+                    .with_metrics(|m| m.gauge_set("switch.out_bytes", dst.0, ctx.now(), b as i64));
             }
             // Send-buffer pacing: the process may queue at most `sockbuf`
             // bytes ahead of the wire; beyond that, write() blocks.

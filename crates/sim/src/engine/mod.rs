@@ -140,9 +140,9 @@ pub fn default_stack_bytes() -> usize {
         0 => {
             let bytes = match std::env::var("NCS_GREEN_STACK_KIB").ok() {
                 Some(v) => {
-                    let kib: usize = v
-                        .parse()
-                        .unwrap_or_else(|_| panic!("NCS_GREEN_STACK_KIB must be an integer KiB count, got {v:?}"));
+                    let kib: usize = v.parse().unwrap_or_else(|_| {
+                        panic!("NCS_GREEN_STACK_KIB must be an integer KiB count, got {v:?}")
+                    });
                     normalize_stack_bytes(kib * 1024)
                 }
                 None => DEFAULT_STACK_BYTES,

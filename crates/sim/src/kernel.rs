@@ -630,11 +630,16 @@ impl Sim {
                 let baton = Baton::new();
                 let thread_baton = Arc::clone(&baton);
                 let gate_sim = self.unguarded_clone();
-                GreenThread::Os(OsThread::spawn(&name, baton, self.inner.stack_bytes, move || {
-                    let started = thread_baton.wait();
-                    run(started, ResumeHandle::Os(thread_baton));
-                    gate_sim.inner.gate.signal();
-                }))
+                GreenThread::Os(OsThread::spawn(
+                    &name,
+                    baton,
+                    self.inner.stack_bytes,
+                    move || {
+                        let started = thread_baton.wait();
+                        run(started, ResumeHandle::Os(thread_baton));
+                        gate_sim.inner.gate.signal();
+                    },
+                ))
             }
         };
         core.threads.push(ThreadSlot {
@@ -818,7 +823,11 @@ impl Sim {
                 }
             }
             ResumeHandle::Os(baton) => {
-                baton.grant(if cancel { BatonMsg::Cancel } else { BatonMsg::Go });
+                baton.grant(if cancel {
+                    BatonMsg::Cancel
+                } else {
+                    BatonMsg::Go
+                });
                 self.inner.gate.wait();
             }
         }
@@ -835,9 +844,10 @@ impl Sim {
         loop {
             let (tid, handle) = {
                 let mut core = self.inner.core.lock();
-                let slot = core.threads.iter_mut().enumerate().find(|(_, s)| {
-                    matches!(s.state, ThreadState::Parked | ThreadState::Scheduled)
-                });
+                let slot =
+                    core.threads.iter_mut().enumerate().find(|(_, s)| {
+                        matches!(s.state, ThreadState::Parked | ThreadState::Scheduled)
+                    });
                 match slot {
                     None => break,
                     Some((i, s)) => {
