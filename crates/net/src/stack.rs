@@ -1,6 +1,10 @@
 //! Transport stacks: how a process's bytes become wire traffic.
 //!
-//! Two stacks implement the same [`Network`] interface over any [`Fabric`]:
+//! Two stacks implement the same [`Network`] interface over any [`Fabric`].
+//! Both are a [`Stack`]: one endpoint table (the fabric, a host model and an
+//! inbox per node) holding the single delivery tail and every [`Network`]
+//! method the two share, plus a [`Transport`] — the send loop and costs
+//! that make each stack what it is:
 //!
 //! * [`TcpNet`] — the Normal Speed Mode / baseline path: Unix sockets and
 //!   TCP/IP. Syscall entry, per-segment protocol processing, the 5-access
@@ -71,18 +75,6 @@ pub struct Delivery {
     /// never be consumed as data; it tells the receiver *that* something
     /// from `src` under `tag` died, so it can ask for it again.
     pub damaged: bool,
-}
-
-/// What lands in the inbox of a transfer whose wire time has been paid:
-/// the payload as sent (`damaged_as` is `None`), or — reassembly having
-/// failed at the receiving SAR — what it made of it, marked damaged;
-/// `None` when it could delimit nothing.
-fn as_received(sent: Bytes, damaged_as: Option<Bytes>) -> Option<(Bytes, bool)> {
-    match damaged_as {
-        None => Some((sent, false)),
-        Some(arrived) if arrived.is_empty() => None,
-        Some(arrived) => Some((arrived, true)),
-    }
 }
 
 /// A transport stack bound to a fabric: the interface message-passing
@@ -159,6 +151,171 @@ pub trait Network: Send + Sync + 'static {
 
     /// Human-readable summary.
     fn description(&self) -> String;
+}
+
+/// The half of a transport stack that differs between NSM and HSM: how a
+/// message crosses the sender's host and adapter onto the fabric, and what
+/// receiving one costs. [`Stack`] supplies everything else.
+pub trait Transport: Send + Sync + 'static {
+    /// Carries a `len`-byte message from `src` (host model `host`) to `dst`
+    /// over `fabric`: the calling thread sleeps through its own CPU work and
+    /// spends non-CPU waits through `policy`. Returns when the message is in
+    /// `dst`'s receive path, and whether the fabric lost any of it.
+    #[allow(clippy::too_many_arguments)]
+    fn carry<F: Fabric>(
+        &self,
+        fabric: &F,
+        host: &HostParams,
+        ctx: &Ctx,
+        policy: &dyn WaitPolicy,
+        src: NodeId,
+        dst: NodeId,
+        len: usize,
+    ) -> (SimTime, bool);
+
+    /// [`Network::recv_pickup_cost`] on a host with model `host`.
+    fn pickup_cost(&self, host: &HostParams, bytes: usize) -> Dur;
+
+    /// [`Network::recv_reaction_cost`]; zero unless the stack says otherwise.
+    fn reaction_cost(&self, bytes: usize) -> Dur {
+        let _ = bytes;
+        Dur::ZERO
+    }
+
+    /// What [`Network::description`] says before "over" the fabric.
+    fn name(&self) -> String;
+}
+
+/// A transport stack bound to a fabric: the endpoint table both stacks
+/// share — the fabric, one host model and one inbox per node — and `T`,
+/// the stack's own send loop and costs ([`TcpNet`], [`AtmApiNet`]).
+pub struct Stack<F: Fabric, T> {
+    fabric: Arc<F>,
+    hosts: Vec<HostParams>,
+    inboxes: Vec<SimChannel<Delivery>>,
+    transport: T,
+}
+
+impl<F: Fabric, T: Transport> Stack<F, T> {
+    fn bind(fabric: Arc<F>, hosts: Vec<HostParams>, transport: T) -> Stack<F, T> {
+        assert_eq!(hosts.len(), fabric.nodes(), "one host model per node");
+        let inboxes = hosts.iter().map(|_| SimChannel::unbounded()).collect();
+        Stack {
+            fabric,
+            hosts,
+            inboxes,
+            transport,
+        }
+    }
+
+    /// The one send body: `payload` is carried onto the wire, then takes
+    /// the single delivery tail; `damaged_as` is what the far end
+    /// reassembled of it when a fault injector broke it in flight
+    /// ([`Network::send_damaged`]).
+    #[allow(clippy::too_many_arguments)]
+    fn transmit(
+        &self,
+        ctx: &Ctx,
+        policy: &dyn WaitPolicy,
+        src: NodeId,
+        dst: NodeId,
+        tag: u64,
+        payload: Bytes,
+        damaged_as: Option<Bytes>,
+    ) {
+        let sent_at = ctx.now();
+        let host = &self.hosts[src.idx()];
+        let (arrived_at, lost) =
+            (self.transport).carry(&*self.fabric, host, ctx, policy, src, dst, payload.len());
+        // A fabric-level loss (link flap, switch-buffer overflow) kills the
+        // message in flight: the wire time was spent but nothing arrives.
+        // Recovery is the error-control layer's job.
+        if lost {
+            return;
+        }
+        // What lands is the payload as sent, or — reassembly having failed at
+        // the receiving SAR — what it made of it, marked damaged; nothing
+        // when it could delimit nothing.
+        let (payload, damaged) = match damaged_as {
+            None => (payload, false),
+            Some(arrived) if arrived.is_empty() => return,
+            Some(arrived) => (arrived, true),
+        };
+        let inbox = self.inboxes[dst.idx()].clone();
+        let msg = Delivery {
+            src,
+            dst,
+            tag,
+            payload,
+            sent_at,
+            arrived_at,
+            damaged,
+        };
+        ctx.sim().schedule_at(arrived_at, move |sim| {
+            // Destinations that have shut down simply drop late traffic,
+            // like a closed socket.
+            let _ = inbox.offer(sim, msg);
+        });
+    }
+}
+
+impl<F: Fabric, T: Transport> Network for Stack<F, T> {
+    fn nodes(&self) -> usize {
+        self.hosts.len()
+    }
+
+    fn host(&self, node: NodeId) -> &HostParams {
+        &self.hosts[node.idx()]
+    }
+
+    fn send(
+        &self,
+        ctx: &Ctx,
+        policy: &dyn WaitPolicy,
+        src: NodeId,
+        dst: NodeId,
+        tag: u64,
+        payload: Bytes,
+    ) {
+        self.transmit(ctx, policy, src, dst, tag, payload, None);
+    }
+
+    fn send_damaged(
+        &self,
+        ctx: &Ctx,
+        policy: &dyn WaitPolicy,
+        src: NodeId,
+        dst: NodeId,
+        tag: u64,
+        sent: Bytes,
+        arrived: Bytes,
+    ) {
+        self.transmit(ctx, policy, src, dst, tag, sent, Some(arrived));
+    }
+
+    fn inbox(&self, node: NodeId) -> SimChannel<Delivery> {
+        self.inboxes[node.idx()].clone()
+    }
+
+    fn recv_pickup_cost(&self, node: NodeId, bytes: usize) -> Dur {
+        self.transport.pickup_cost(&self.hosts[node.idx()], bytes)
+    }
+
+    fn recv_reaction_cost(&self, _node: NodeId, bytes: usize) -> Dur {
+        self.transport.reaction_cost(bytes)
+    }
+
+    fn peer_unreachable(&self, src: NodeId, dst: NodeId, now: SimTime) -> bool {
+        self.fabric.path_down(src, dst, now)
+    }
+
+    fn description(&self) -> String {
+        format!(
+            "{} over {}",
+            self.transport.name(),
+            self.fabric.description()
+        )
+    }
 }
 
 /// TCP/IP header bytes per segment.
@@ -269,89 +426,66 @@ impl TcpParams {
             per_message_latency: Dur::ZERO,
         }
     }
+    /// Segments needed for `bytes` of payload.
+    pub fn segments(&self, bytes: usize) -> usize {
+        bytes.div_ceil(self.mss).max(1)
+    }
 }
 
 /// The Normal Speed Mode stack.
-pub struct TcpNet<F: Fabric> {
-    fabric: Arc<F>,
-    hosts: Vec<HostParams>,
-    params: TcpParams,
-    inboxes: Vec<SimChannel<Delivery>>,
-}
+pub type TcpNet<F> = Stack<F, TcpParams>;
 
 impl<F: Fabric> TcpNet<F> {
     /// Binds a TCP stack with per-node `hosts` onto `fabric`.
     pub fn new(fabric: Arc<F>, hosts: Vec<HostParams>, params: TcpParams) -> TcpNet<F> {
-        assert_eq!(hosts.len(), fabric.nodes(), "one host model per node");
         assert!(params.mss > 0 && params.sockbuf >= params.mss);
-        let inboxes = hosts.iter().map(|_| SimChannel::unbounded()).collect();
-        TcpNet {
-            fabric,
-            hosts,
-            params,
-            inboxes,
-        }
+        Stack::bind(fabric, hosts, params)
     }
+}
 
-    /// The underlying fabric.
-    pub fn fabric(&self) -> &F {
-        &self.fabric
-    }
-
-    /// Segments needed for `bytes` of payload.
-    pub fn segments(&self, bytes: usize) -> usize {
-        bytes.div_ceil(self.params.mss).max(1)
-    }
-
-    /// The one send body: `payload` goes through the socket path and onto
-    /// the wire; `damaged_as` is what the far end reassembled of it when a
-    /// fault injector broke it in flight ([`Network::send_damaged`]).
-    #[allow(clippy::too_many_arguments)]
-    fn transmit(
+/// The socket path: syscall entry, then per MSS segment the data-touching
+/// costs, window stalls and send-buffer pacing.
+impl Transport for TcpParams {
+    fn carry<F: Fabric>(
         &self,
+        fabric: &F,
+        h: &HostParams,
         ctx: &Ctx,
         policy: &dyn WaitPolicy,
         src: NodeId,
         dst: NodeId,
-        tag: u64,
-        payload: Bytes,
-        damaged_as: Option<Bytes>,
-    ) {
-        let h = &self.hosts[src.idx()];
-        let sent_at = ctx.now();
+        len: usize,
+    ) -> (SimTime, bool) {
         // Syscall entry: CPU time adjacent to the first segment's with
         // nothing observable between them, so they share that sleep.
         let mut entry = h.syscall;
-        let len = payload.len();
         let nseg = self.segments(len);
-        let drain_budget = Dur::for_bytes(self.params.sockbuf, self.fabric.access_rate(src));
-        let mut last_arrival = sent_at;
+        let drain_budget = Dur::for_bytes(self.sockbuf, fabric.access_rate(src));
+        let mut last_arrival = ctx.now();
         let mut lost = false;
         for i in 0..nseg {
-            let lo = i * self.params.mss;
-            let seg = len.saturating_sub(lo).min(self.params.mss);
+            let lo = i * self.mss;
+            let seg = len.saturating_sub(lo).min(self.mss);
             // Data-touching costs: message-layer marshalling, the 5-access
             // kernel datapath copy (incl. checksum), and fixed per-packet
             // protocol work.
             ctx.sleep(
                 std::mem::take(&mut entry)
-                    + h.cycles(seg as u64 * self.params.marshal_cycles_per_byte)
+                    + h.cycles(seg as u64 * self.marshal_cycles_per_byte)
                     + h.copy_time(seg, DatapathKind::SocketTcp)
                     + h.tcp_per_packet,
             );
             // Window/ack stalls: blocking wait, hideable by an MTS-aware
             // wait policy.
-            if !self.params.stall_per_byte.is_zero() {
-                policy.wait(ctx, self.params.stall_per_byte.times(seg.max(1) as u64));
+            if !self.stall_per_byte.is_zero() {
+                policy.wait(ctx, self.stall_per_byte.times(seg.max(1) as u64));
             }
-            let timing = self
-                .fabric
-                .transfer(src, dst, seg + TCP_IP_HEADERS, ctx.now());
+            let timing = fabric.transfer(src, dst, seg + TCP_IP_HEADERS, ctx.now());
             lost |= timing.dropped;
             last_arrival = last_arrival.max(timing.arrival);
             // Observability: depth of the switch output port feeding dst,
             // sampled right after this segment was booked onto it.
-            if let Some(b) = self.fabric.output_backlog(dst, ctx.now()) {
+            if let Some(b) = fabric.output_backlog(dst, ctx.now()) {
                 ctx.sim()
                     .with_metrics(|m| m.gauge_set("switch.out_bytes", dst.0, ctx.now(), b as i64));
             }
@@ -362,106 +496,33 @@ impl<F: Fabric> TcpNet<F> {
                 policy.wait(ctx, ahead - drain_budget);
             }
         }
-        let last_arrival = last_arrival + self.params.per_message_latency;
         ctx.sim().with_tracer(|tr| {
             tr.count("tcp.msgs", 1);
             tr.count("tcp.bytes", len as u64);
             tr.count("tcp.segments", nseg as u64);
+            if lost {
+                tr.count("tcp.fabric_drops", 1);
+            }
         });
-        // A fabric-level loss (link flap, switch-buffer overflow) kills the
-        // message in flight: the wire time was spent but nothing arrives.
-        // Recovery is the error-control layer's job.
-        if lost {
-            ctx.sim().with_tracer(|tr| tr.count("tcp.fabric_drops", 1));
-            return;
-        }
-        let Some((payload, damaged)) = as_received(payload, damaged_as) else {
-            return;
-        };
-        let inbox = self.inboxes[dst.idx()].clone();
-        let msg = Delivery {
-            src,
-            dst,
-            tag,
-            payload,
-            sent_at,
-            arrived_at: last_arrival,
-            damaged,
-        };
-        ctx.sim().schedule_at(last_arrival, move |sim| {
-            // Destinations that have shut down simply drop late traffic,
-            // like a closed socket.
-            let _ = inbox.offer(sim, msg);
-        });
-    }
-}
-
-impl<F: Fabric> Network for TcpNet<F> {
-    fn nodes(&self) -> usize {
-        self.hosts.len()
+        (last_arrival + self.per_message_latency, lost)
     }
 
-    fn host(&self, node: NodeId) -> &HostParams {
-        &self.hosts[node.idx()]
-    }
-
-    fn send(
-        &self,
-        ctx: &Ctx,
-        policy: &dyn WaitPolicy,
-        src: NodeId,
-        dst: NodeId,
-        tag: u64,
-        payload: Bytes,
-    ) {
-        self.transmit(ctx, policy, src, dst, tag, payload, None);
-    }
-
-    fn send_damaged(
-        &self,
-        ctx: &Ctx,
-        policy: &dyn WaitPolicy,
-        src: NodeId,
-        dst: NodeId,
-        tag: u64,
-        sent: Bytes,
-        arrived: Bytes,
-    ) {
-        self.transmit(ctx, policy, src, dst, tag, sent, Some(arrived));
-    }
-
-    fn inbox(&self, node: NodeId) -> SimChannel<Delivery> {
-        self.inboxes[node.idx()].clone()
-    }
-
-    fn recv_pickup_cost(&self, node: NodeId, bytes: usize) -> Dur {
-        let h = &self.hosts[node.idx()];
-        let nseg = self.segments(bytes) as u64;
+    fn pickup_cost(&self, h: &HostParams, bytes: usize) -> Dur {
         h.syscall
-            + h.interrupt.times(nseg)
-            + h.cycles(bytes as u64 * self.params.marshal_cycles_per_byte)
+            + h.interrupt.times(self.segments(bytes) as u64)
+            + h.cycles(bytes as u64 * self.marshal_cycles_per_byte)
             + h.copy_time(bytes, DatapathKind::SocketTcp)
     }
 
-    fn recv_reaction_cost(&self, node: NodeId, bytes: usize) -> Dur {
-        let _ = node;
+    fn reaction_cost(&self, bytes: usize) -> Dur {
         let liable = bytes
-            .saturating_sub(self.params.reaction_threshold)
-            .min(self.params.reaction_cap);
-        self.params.blocking_reaction_per_byte.times(liable as u64)
+            .saturating_sub(self.reaction_threshold)
+            .min(self.reaction_cap);
+        self.blocking_reaction_per_byte.times(liable as u64)
     }
 
-    fn peer_unreachable(&self, src: NodeId, dst: NodeId, now: SimTime) -> bool {
-        self.fabric.path_down(src, dst, now)
-    }
-
-    fn description(&self) -> String {
-        format!(
-            "TCP/IP (mss {}, sockbuf {}) over {}",
-            self.params.mss,
-            self.params.sockbuf,
-            self.fabric.description()
-        )
+    fn name(&self) -> String {
+        format!("TCP/IP (mss {}, sockbuf {})", self.mss, self.sockbuf)
     }
 }
 
@@ -492,6 +553,7 @@ impl Default for AtmApiParams {
 /// Per-node adapter state: when each I/O buffer frees up and when the SAR
 /// engine is next idle. All bookkeeping is arithmetic, so waits have known
 /// durations and can go through the caller's [`WaitPolicy`].
+#[derive(Default)]
 struct AdapterState {
     /// Completion times of buffers currently in flight (oldest first).
     tx_busy: VecDeque<SimTime>,
@@ -502,76 +564,45 @@ struct AdapterState {
 }
 
 /// The High Speed Mode stack.
-pub struct AtmApiNet<F: Fabric> {
-    fabric: Arc<F>,
-    hosts: Vec<HostParams>,
-    params: AtmApiParams,
-    adapters: Vec<Mutex<AdapterState>>,
-    inboxes: Vec<SimChannel<Delivery>>,
-}
+pub type AtmApiNet<F> = Stack<F, AtmAdapters>;
 
 impl<F: Fabric> AtmApiNet<F> {
     /// Binds the ATM API stack onto `fabric`.
     pub fn new(fabric: Arc<F>, hosts: Vec<HostParams>, params: AtmApiParams) -> AtmApiNet<F> {
-        assert_eq!(hosts.len(), fabric.nodes(), "one host model per node");
         assert!(params.buffer_bytes > 0 && params.num_buffers > 0);
         assert!(
             params.buffer_bytes + aal5::TRAILER_BYTES <= aal5::MAX_PDU,
             "I/O buffer must fit one AAL5 PDU"
         );
-        let adapters = (0..hosts.len())
-            .map(|_| {
-                Mutex::new(AdapterState {
-                    tx_busy: VecDeque::new(),
-                    tx_sar_free: SimTime::ZERO,
-                    rx_sar_free: SimTime::ZERO,
-                })
-            })
-            .collect();
-        let inboxes = hosts.iter().map(|_| SimChannel::unbounded()).collect();
-        AtmApiNet {
-            fabric,
-            hosts,
-            params,
-            adapters,
-            inboxes,
-        }
+        let nodes = hosts.iter().map(|_| Mutex::default()).collect();
+        Stack::bind(fabric, hosts, AtmAdapters { params, nodes })
     }
+}
 
-    /// The underlying fabric.
-    pub fn fabric(&self) -> &F {
-        &self.fabric
-    }
+/// The mapped-buffer path: the stack parameters and every node's SBA-200
+/// adapter state.
+pub struct AtmAdapters {
+    params: AtmApiParams,
+    nodes: Vec<Mutex<AdapterState>>,
+}
 
-    /// The stack parameters.
-    pub fn params(&self) -> &AtmApiParams {
-        &self.params
-    }
-
-    /// The one send body: `payload` goes through the mapped-buffer
-    /// pipeline and onto the wire; `damaged_as` is what the far adapter
-    /// reassembled of it when a fault injector broke it in flight
-    /// ([`Network::send_damaged`]).
-    #[allow(clippy::too_many_arguments)]
-    fn transmit(
+impl Transport for AtmAdapters {
+    fn carry<F: Fabric>(
         &self,
+        fabric: &F,
+        h: &HostParams,
         ctx: &Ctx,
         policy: &dyn WaitPolicy,
         src: NodeId,
         dst: NodeId,
-        tag: u64,
-        payload: Bytes,
-        damaged_as: Option<Bytes>,
-    ) {
-        let h = &self.hosts[src.idx()];
-        let sent_at = ctx.now();
+        len: usize,
+    ) -> (SimTime, bool) {
         // Control transfer into NCS's mapped-buffer path: a trap, not a
         // read/write syscall. Owed until the first buffer: slept with its
         // fill unless a buffer wait (the caller's policy) comes between.
         let mut entry = h.trap;
-        let len = payload.len();
         let n_chunks = len.div_ceil(self.params.buffer_bytes).max(1);
-        let mut last_arrival = sent_at;
+        let mut last_arrival = ctx.now();
         let mut lost = false;
         let mut cells_sent = 0;
         for i in 0..n_chunks {
@@ -581,7 +612,7 @@ impl<F: Fabric> AtmApiNet<F> {
             // seen once the owed entry cost is paid.
             let ready = ctx.now() + entry;
             let buffer_free = {
-                let mut a = self.adapters[src.idx()].lock();
+                let mut a = self.nodes[src.idx()].lock();
                 while a.tx_busy.front().is_some_and(|&t| t <= ready) {
                     a.tx_busy.pop_front();
                 }
@@ -606,19 +637,19 @@ impl<F: Fabric> AtmApiNet<F> {
             let cells = aal5::cells_for_pdu(chunk) as u64;
             cells_sent += cells;
             let (timing, depth) = {
-                let mut a = self.adapters[src.idx()].lock();
+                let mut a = self.nodes[src.idx()].lock();
                 let start = ctx.now().max(a.tx_sar_free);
                 let nic_done =
                     start + self.params.dma_setup + self.params.sar_per_cell.times(cells);
                 a.tx_sar_free = nic_done;
-                let timing = self.fabric.transfer(src, dst, chunk, nic_done);
+                let timing = fabric.transfer(src, dst, chunk, nic_done);
                 a.tx_busy.push_back(timing.first_hop_done);
                 (timing, a.tx_busy.len())
             };
             // Observability: adapter pipeline occupancy (buffers in flight)
             // and switch output-port depth for this destination.
             let now = ctx.now();
-            let backlog = self.fabric.output_backlog(dst, now);
+            let backlog = fabric.output_backlog(dst, now);
             ctx.sim().with_metrics(|m| {
                 m.gauge_set("hsm.tx_busy", src.0, now, depth as i64);
                 if let Some(b) = backlog {
@@ -628,7 +659,7 @@ impl<F: Fabric> AtmApiNet<F> {
             lost |= timing.dropped;
             // Receive-side reassembly on dst's adapter.
             let rx_done = {
-                let mut a = self.adapters[dst.idx()].lock();
+                let mut a = self.nodes[dst.idx()].lock();
                 let start = timing.arrival.max(a.rx_sar_free);
                 let done = start + self.params.sar_per_cell.times(cells);
                 a.rx_sar_free = done;
@@ -648,83 +679,17 @@ impl<F: Fabric> AtmApiNet<F> {
                 tr.count("atm.fabric_drops", 1);
             }
         });
-        // Fabric-level loss: the cells never reassemble at the far side.
-        if lost {
-            return;
-        }
-        let Some((payload, damaged)) = as_received(payload, damaged_as) else {
-            return;
-        };
-        let inbox = self.inboxes[dst.idx()].clone();
-        let msg = Delivery {
-            src,
-            dst,
-            tag,
-            payload,
-            sent_at,
-            arrived_at: last_arrival,
-            damaged,
-        };
-        ctx.sim().schedule_at(last_arrival, move |sim| {
-            // Destinations that have shut down simply drop late traffic.
-            let _ = inbox.offer(sim, msg);
-        });
-    }
-}
-
-impl<F: Fabric> Network for AtmApiNet<F> {
-    fn nodes(&self) -> usize {
-        self.hosts.len()
+        (last_arrival, lost)
     }
 
-    fn host(&self, node: NodeId) -> &HostParams {
-        &self.hosts[node.idx()]
-    }
-
-    fn send(
-        &self,
-        ctx: &Ctx,
-        policy: &dyn WaitPolicy,
-        src: NodeId,
-        dst: NodeId,
-        tag: u64,
-        payload: Bytes,
-    ) {
-        self.transmit(ctx, policy, src, dst, tag, payload, None);
-    }
-
-    fn send_damaged(
-        &self,
-        ctx: &Ctx,
-        policy: &dyn WaitPolicy,
-        src: NodeId,
-        dst: NodeId,
-        tag: u64,
-        sent: Bytes,
-        arrived: Bytes,
-    ) {
-        self.transmit(ctx, policy, src, dst, tag, sent, Some(arrived));
-    }
-
-    fn inbox(&self, node: NodeId) -> SimChannel<Delivery> {
-        self.inboxes[node.idx()].clone()
-    }
-
-    fn recv_pickup_cost(&self, node: NodeId, bytes: usize) -> Dur {
-        let h = &self.hosts[node.idx()];
+    fn pickup_cost(&self, h: &HostParams, bytes: usize) -> Dur {
         h.trap + h.copy_time(bytes, DatapathKind::NcsMapped)
     }
 
-    fn peer_unreachable(&self, src: NodeId, dst: NodeId, now: SimTime) -> bool {
-        self.fabric.path_down(src, dst, now)
-    }
-
-    fn description(&self) -> String {
+    fn name(&self) -> String {
         format!(
-            "NCS ATM API ({} x {} B I/O buffers) over {}",
-            self.params.num_buffers,
-            self.params.buffer_bytes,
-            self.fabric.description()
+            "NCS ATM API ({} x {} B I/O buffers)",
+            self.params.num_buffers, self.params.buffer_bytes
         )
     }
 }
@@ -784,12 +749,62 @@ mod tests {
 
     #[test]
     fn tcp_segment_count() {
-        let fabric = Arc::new(IdealFabric::new(2, Dur::ZERO));
-        let net = TcpNet::new(fabric, fast_hosts(2), TcpParams::ethernet());
-        assert_eq!(net.segments(0), 1);
-        assert_eq!(net.segments(1460), 1);
-        assert_eq!(net.segments(1461), 2);
-        assert_eq!(net.segments(14_600), 10);
+        let params = TcpParams::ethernet();
+        assert_eq!(params.segments(0), 1);
+        assert_eq!(params.segments(1460), 1);
+        assert_eq!(params.segments(1461), 2);
+        assert_eq!(params.segments(14_600), 10);
+    }
+
+    #[test]
+    fn the_delivery_tail_has_four_outcomes_on_both_stacks() {
+        // The one tail every message takes once its wire time is paid, on
+        // each stack: delivered intact, delivered marked damaged, nothing
+        // for an empty reassembly, and nothing at all on a fabric loss.
+        use crate::atm::{AtmFabric, AtmLanParams};
+        type Landed = Vec<(Vec<u8>, bool)>;
+        fn land<N: Network>(net: N, arrived: Option<&'static [u8]>) -> Landed {
+            let (sim, net) = (Sim::new(), Arc::new(net));
+            let tx = Arc::clone(&net);
+            sim.spawn("tx", move |ctx| {
+                let (src, dst, sent) = (NodeId(0), NodeId(1), Bytes::from_static(b"sent"));
+                match arrived {
+                    None => tx.send(ctx, &BlockingWait, src, dst, 3, sent),
+                    Some(a) => {
+                        let a = Bytes::from_static(a);
+                        tx.send_damaged(ctx, &BlockingWait, src, dst, 3, sent, a)
+                    }
+                }
+            });
+            sim.run().assert_clean();
+            let inbox = net.inbox(NodeId(1));
+            std::iter::from_fn(|| inbox.try_recv())
+                .map(|d| (d.payload.to_vec(), d.damaged))
+                .collect()
+        }
+        let outcomes: [(Option<&'static [u8]>, Landed); 3] = [
+            (None, vec![(b"sent".to_vec(), false)]),
+            (Some(b"se"), vec![(b"se".to_vec(), true)]),
+            (Some(b""), vec![]),
+        ];
+        for lossy in [false, true] {
+            let fabric = || {
+                let f = Arc::new(AtmFabric::new(AtmLanParams::fore_lan(2)));
+                if lossy {
+                    f.uplink(NodeId(0))
+                        .schedule_flap(SimTime::ZERO, SimTime::from_ps(1 << 60));
+                }
+                f
+            };
+            for (arrived, intact) in &outcomes {
+                let expect = if lossy { &vec![] } else { intact };
+                let tcp = TcpNet::new(fabric(), fast_hosts(2), TcpParams::raw(1460, 16 * 1024));
+                let atm = AtmApiNet::new(fabric(), fast_hosts(2), AtmApiParams::default());
+                let at = format!("lossy {lossy}, arrived {arrived:?}");
+                assert_eq!(&land(tcp, *arrived), expect, "TCP, {at}");
+                assert_eq!(&land(atm, *arrived), expect, "ATM API, {at}");
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //! scheduling decisions alone, which the engine does not influence.
 
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Arc;
+
+use os_thread::{Baton, BatonMsg, KernelGate, OsThread};
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[allow(unsafe_code)] // the one sanctioned unsafe island: the context switch
@@ -162,12 +165,103 @@ pub fn live_coroutine_stacks() -> usize {
     coro::live_stacks()
 }
 
+/// A simulation's green-thread engine: the mechanism behind its threads,
+/// their stack size and, on the OS engine, the gate its kernel loop waits on
+/// while a thread runs. The kernel holds one and never asks which engine it
+/// is: spawning, resuming with or without cancel, yielding back and reaping
+/// are methods here, and every engine `match` lives in this module.
+pub(crate) struct Engine {
+    kind: EngineKind,
+    /// Usable bytes per green-thread stack (page-aligned; both engines).
+    stack_bytes: usize,
+    gate: Arc<KernelGate>,
+}
+
+impl Engine {
+    /// An engine of `kind` whose threads get `stack_bytes` stacks
+    /// (normalized via [`normalize_stack_bytes`]).
+    pub(crate) fn new(kind: EngineKind, stack_bytes: usize) -> Engine {
+        Engine {
+            kind,
+            stack_bytes: normalize_stack_bytes(stack_bytes),
+            gate: Arc::new(KernelGate::new()),
+        }
+    }
+
+    pub(crate) fn kind(&self) -> EngineKind {
+        self.kind
+    }
+
+    pub(crate) fn stack_bytes(&self) -> usize {
+        self.stack_bytes
+    }
+
+    /// A new green thread that runs `body` when first resumed. `body` gets
+    /// `false` when that resume is a cancellation (the thread never started)
+    /// and the thread's handle on itself, for its yields.
+    pub(crate) fn spawn(
+        &self,
+        name: &str,
+        body: impl FnOnce(bool, ResumeHandle) + Send + 'static,
+    ) -> GreenThread {
+        match self.kind {
+            EngineKind::Coroutine => GreenThread::Coro(coro::Coroutine::new(
+                Box::new(move |started, token| body(started, ResumeHandle::Coro(token))),
+                self.stack_bytes,
+            )),
+            EngineKind::OsThread => {
+                let baton = Baton::new();
+                let (own, gate) = (Arc::clone(&baton), Arc::clone(&self.gate));
+                GreenThread::Os(OsThread::spawn(name, baton, self.stack_bytes, move || {
+                    let started = own.wait();
+                    body(started, ResumeHandle::Os(own));
+                    gate.signal();
+                }))
+            }
+        }
+    }
+
+    /// Kernel side: runs the thread `handle` names until it yields or
+    /// finishes; with `cancel`, its next scheduling point unwinds instead of
+    /// returning. `true` when it finished and its backing may be dropped on
+    /// the spot (a coroutine's stack); an OS thread waits for
+    /// [`GreenThread::reap`].
+    pub(crate) fn resume(&self, handle: ResumeHandle, cancel: bool) -> bool {
+        match handle {
+            ResumeHandle::Coro(tok) => tok.resume(cancel),
+            ResumeHandle::Os(baton) => {
+                baton.grant(if cancel {
+                    BatonMsg::Cancel
+                } else {
+                    BatonMsg::Go
+                });
+                self.gate.wait();
+                false
+            }
+        }
+    }
+
+    /// Thread side: hands control back to the kernel loop and blocks until
+    /// the next resume; `false` when that resume is a cancellation.
+    pub(crate) fn yield_back(&self, own: &ResumeHandle) -> bool {
+        match own {
+            // `yield_back` asserts the token is the running coroutine's: a
+            // `Ctx` used from any thread but its own is caught there.
+            ResumeHandle::Coro(tok) => tok.yield_back(),
+            ResumeHandle::Os(baton) => {
+                self.gate.signal();
+                baton.wait()
+            }
+        }
+    }
+}
+
 /// The mechanism backing one green thread.
 pub(crate) enum GreenThread {
     /// A stackful coroutine; holds its stack until reaped.
     Coro(coro::Coroutine),
-    /// A parked OS thread; holds the join handle until [`crate::Sim::finish`].
-    Os(os_thread::OsThread),
+    /// A parked OS thread; joined by [`GreenThread::reap`].
+    Os(OsThread),
     /// Reaped: the coroutine's stack was reclaimed or the OS thread joined.
     Done,
 }
@@ -176,7 +270,7 @@ pub(crate) enum GreenThread {
 /// thread-table lock across the switch.
 pub(crate) enum ResumeHandle {
     Coro(coro::ResumeToken),
-    Os(std::sync::Arc<os_thread::Baton>),
+    Os(Arc<Baton>),
 }
 
 impl GreenThread {
@@ -185,6 +279,14 @@ impl GreenThread {
             GreenThread::Coro(c) => ResumeHandle::Coro(c.token()),
             GreenThread::Os(o) => ResumeHandle::Os(o.baton()),
             GreenThread::Done => unreachable!("resume of a reaped green thread"),
+        }
+    }
+
+    /// Releases what a finished thread still holds: an OS thread is joined,
+    /// a coroutine's stack is unmapped as it drops.
+    pub(crate) fn reap(self) {
+        if let GreenThread::Os(os) = self {
+            os.join();
         }
     }
 }

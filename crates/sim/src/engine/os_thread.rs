@@ -85,7 +85,7 @@ impl KernelGate {
 /// One green thread's backing OS thread.
 pub(crate) struct OsThread {
     baton: Arc<Baton>,
-    join_handle: Option<std::thread::JoinHandle<()>>,
+    join_handle: std::thread::JoinHandle<()>,
 }
 
 impl OsThread {
@@ -109,7 +109,7 @@ impl OsThread {
             .expect("failed to spawn OS thread for green thread");
         OsThread {
             baton,
-            join_handle: Some(handle),
+            join_handle: handle,
         }
     }
 
@@ -117,7 +117,9 @@ impl OsThread {
         Arc::clone(&self.baton)
     }
 
-    pub(crate) fn take_join_handle(&mut self) -> Option<std::thread::JoinHandle<()>> {
-        self.join_handle.take()
+    /// Waits for the thread to end (it must have been cancelled or have
+    /// finished its body).
+    pub(crate) fn join(self) {
+        let _ = self.join_handle.join();
     }
 }

@@ -23,6 +23,12 @@
 //! assigned in program order, so a simulation is a pure function of its
 //! inputs. [`Sim::trace_hash`] exposes a digest of the executed event
 //! sequence that tests use to assert bit-identical replay.
+//!
+//! This module holds the [`Sim`] handle, its lifetime guard and the
+//! schedule / spawn / wake API; `run` holds the scheduling state and the
+//! run loop, `ctx` the green threads' [`Ctx`]. Which engine backs a thread
+//! is the engine's business alone: the kernel holds an opaque
+//! `engine::Engine` and calls its spawn, resume, yield and reap.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -30,16 +36,19 @@ use std::sync::Arc;
 
 use crate::sync::Mutex;
 
-use crate::analysis::{word_fold, AnalysisConfig, FNV_OFFSET};
-use crate::engine::coro::Coroutine;
-use crate::engine::os_thread::{Baton, BatonMsg, KernelGate, OsThread};
-use crate::engine::{EngineKind, GreenThread, ResumeHandle};
+use crate::analysis::{AnalysisConfig, FNV_OFFSET};
+use crate::engine::{Engine, EngineKind, ResumeHandle};
 use crate::metrics::MetricsRegistry;
 use crate::sched::{ChoicePoint, SchedulePolicy};
 use crate::time::{Dur, SimTime};
 use crate::trace::Tracer;
 use crate::wheel::{TimerWheel, Token};
 
+mod ctx;
+mod run;
+
+pub use ctx::Ctx;
+use run::{Core, EventKind, ThreadSlot, ThreadState, NO_WAIT};
 /// Identifier of a green thread within one simulation.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ThreadId(pub u32);
@@ -102,40 +111,6 @@ impl RunOutcome {
     }
 }
 
-/// Scheduling state of a green thread slot.
-#[derive(PartialEq, Eq, Clone, Copy, Debug)]
-enum ThreadState {
-    /// Waiting for its baton with a Resume event already queued.
-    Scheduled,
-    /// Waiting for its baton with no queued resume; must be woken.
-    Parked,
-    /// Currently holds the baton — or has just handed it back with a wait
-    /// the run loop has yet to apply (see [`Inner::wait`]).
-    Running,
-    /// Finished (normally, by cancellation, or by panic).
-    Exited,
-}
-
-struct ThreadSlot {
-    name: String,
-    state: ThreadState,
-    /// The suspend/resume mechanism backing this thread (see
-    /// [`crate::engine`]): a stackful coroutine or a parked OS thread.
-    green: GreenThread,
-}
-
-enum EventKind {
-    Resume(ThreadId),
-    Call(Box<dyn FnOnce(&Sim) + Send>),
-}
-
-/// [`Inner::wait`] when no wait is pending: the thread that yielded last
-/// exited instead, or its wait was applied.
-const NO_WAIT: u64 = u64::MAX;
-/// [`Inner::wait`] for a park; any smaller value is a sleep's wake-up
-/// instant in picoseconds.
-const PARK: u64 = u64::MAX - 1;
-
 /// Handle to a cancellable scheduled event, returned by
 /// [`Sim::schedule_cancellable`] and consumed by [`Sim::cancel_scheduled`].
 /// Copyable; using it after the event fired (or was already cancelled) is a
@@ -143,85 +118,26 @@ const PARK: u64 = u64::MAX - 1;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TimerHandle(Token);
 
-/// The kernel's scheduling state: the event queue, the thread table and the
-/// tie-break counter. They live behind ONE mutex because every kernel
-/// operation touches at least two of them — the run loop pops an event and
-/// claims the thread slot it resumes, a wake marks a slot and queues its
-/// `Resume`, a push takes a sequence number and inserts — and the system is
-/// single-runnable by construction, so the lock is never contended: it costs
-/// what it costs per acquisition, and each operation should pay that once.
-struct Core {
-    queue: TimerWheel<EventKind>,
-    threads: Vec<ThreadSlot>,
-    /// Next program-order sequence number: the `(time, seq)` tie-break that
-    /// makes every run a pure function of its inputs (and the golden trace
-    /// byte-stable).
-    seq: u64,
-}
-
-impl Core {
-    fn push(&mut self, at_ps: u64, kind: EventKind) -> Token {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(at_ps, seq, kind)
-    }
-
-    /// Applies the wait `tid` handed over with its yield: Running → Parked,
-    /// or Running → Scheduled with its `Resume` queued at the sleep's
-    /// instant. A thread that exited handed over nothing.
-    fn settle(&mut self, tid: ThreadId, wait: u64) {
-        let slot = &mut self.threads[tid.0 as usize];
-        if wait == NO_WAIT {
-            debug_assert_eq!(slot.state, ThreadState::Exited);
-            return;
-        }
-        debug_assert_eq!(slot.state, ThreadState::Running);
-        if wait == PARK {
-            slot.state = ThreadState::Parked;
-        } else {
-            slot.state = ThreadState::Scheduled;
-            self.push(wait, EventKind::Resume(tid));
-        }
-    }
-
-    /// Parked → Scheduled, with the `Resume` queued at `at_ps`; see
-    /// [`Sim::wake`] for the return value.
-    fn wake(&mut self, tid: ThreadId, at_ps: u64) -> bool {
-        let slot = &mut self.threads[tid.0 as usize];
-        match slot.state {
-            ThreadState::Parked => {
-                slot.state = ThreadState::Scheduled;
-                self.push(at_ps, EventKind::Resume(tid));
-                true
-            }
-            ThreadState::Scheduled | ThreadState::Exited => false,
-            ThreadState::Running => panic!("wake() on the running thread {tid}"),
-        }
-    }
-}
-
 struct Inner {
-    engine: EngineKind,
-    /// Usable bytes per green-thread stack (page-aligned; both engines).
-    stack_bytes: usize,
+    /// The mechanism behind this simulation's green threads, opaque here.
+    engine: Engine,
     /// The clock and the trace digest are written only by the kernel loop
     /// and read by it, by the callbacks it calls and by the green threads it
     /// resumes. Every such hand-off already orders memory: a coroutine
     /// resume or yield is a function call on one OS thread, the OS-thread
-    /// engine passes control through the `Baton` / `KernelGate` mutexes
-    /// (release on grant, acquire on wake-up), and the workers of a sharded
+    /// engine passes control through mutexes (release on grant, acquire on
+    /// wake-up), and the workers of a sharded
     /// run meet at the window barrier before anything reads another shard.
     /// So both are `Relaxed`: they need atomicity, not a fence per event.
     now_ps: AtomicU64,
     /// The wait the green thread that yielded last recorded for itself
-    /// ([`PARK`] or a sleep's instant, [`NO_WAIT`] when none): the run loop
+    /// (`PARK` or a sleep's instant, `NO_WAIT` when none): the run loop
     /// applies it first thing in its next `Core` visit, so a resume cycle
     /// takes the lock once. Nothing runs between the yield and that visit,
     /// so the sleep's `Resume` takes the sequence number it would have
     /// taken at the call. `Relaxed` for the reason the clock is.
     wait: AtomicU64,
     core: Mutex<Core>,
-    gate: KernelGate,
     tracer: Mutex<Tracer>,
     /// Mirrors `tracer.is_enabled()` (refreshed by every [`Sim::with_tracer`]
     /// call, the only way to reach the tracer) so span-recording sites can
@@ -335,8 +251,7 @@ impl Sim {
     pub fn with_engine_and_stack(engine: EngineKind, stack_bytes: usize) -> Sim {
         install_quiet_cancel_hook();
         let inner = Arc::new(Inner {
-            engine,
-            stack_bytes: crate::engine::normalize_stack_bytes(stack_bytes),
+            engine: Engine::new(engine, stack_bytes),
             now_ps: AtomicU64::new(0),
             wait: AtomicU64::new(NO_WAIT),
             core: Mutex::new(Core {
@@ -344,7 +259,6 @@ impl Sim {
                 threads: Vec::new(),
                 seq: 0,
             }),
-            gate: KernelGate::new(),
             tracer: Mutex::new(Tracer::new()),
             spans_enabled: AtomicBool::new(false),
             metrics: Mutex::new(MetricsRegistry::new()),
@@ -377,13 +291,13 @@ impl Sim {
 
     /// The green-thread engine backing this simulation.
     pub fn engine(&self) -> EngineKind {
-        self.inner.engine
+        self.inner.engine.kind()
     }
 
     /// Usable bytes per green-thread stack (already normalized).
     // ncs-lint: allow(dead-surface) oracle bench/tests/green_footprint.rs checks stack-size rounding against
     pub fn green_stack_bytes(&self) -> usize {
-        self.inner.stack_bytes
+        self.inner.engine.stack_bytes()
     }
 
     /// Current virtual time.
@@ -621,27 +535,7 @@ impl Sim {
             }
             sim.mark_exited(tid);
         };
-        let green = match self.inner.engine {
-            EngineKind::Coroutine => GreenThread::Coro(Coroutine::new(
-                Box::new(move |started, token| run(started, ResumeHandle::Coro(token))),
-                self.inner.stack_bytes,
-            )),
-            EngineKind::OsThread => {
-                let baton = Baton::new();
-                let thread_baton = Arc::clone(&baton);
-                let gate_sim = self.unguarded_clone();
-                GreenThread::Os(OsThread::spawn(
-                    &name,
-                    baton,
-                    self.inner.stack_bytes,
-                    move || {
-                        let started = thread_baton.wait();
-                        run(started, ResumeHandle::Os(thread_baton));
-                        gate_sim.inner.gate.signal();
-                    },
-                ))
-            }
-        };
+        let green = self.inner.engine.spawn(&name, run);
         core.threads.push(ThreadSlot {
             name,
             state: ThreadState::Parked,
@@ -676,294 +570,13 @@ impl Sim {
         debug_assert!(at >= self.now(), "waking into the past");
         self.inner.core.lock().wake(tid, at.as_ps())
     }
-
-    fn mix_hash(&self, time: u64, seq: u64, kind: u64) {
-        let h = self.inner.trace_hash.load(Ordering::Relaxed);
-        self.inner
-            .trace_hash
-            .store(fold_event(h, time, seq, kind), Ordering::Relaxed);
-    }
-
-    /// Runs until the event queue drains (no horizon).
-    pub fn run(&self) -> RunOutcome {
-        self.run_bounded(None, u64::MAX)
-    }
-
-    /// Runs until the queue drains or virtual time would exceed `until`.
-    pub fn run_until(&self, until: SimTime) -> RunOutcome {
-        self.run_bounded(Some(until), u64::MAX)
-    }
-
-    /// Runs with both a time horizon and an event-count guard.
-    pub fn run_bounded(&self, until: Option<SimTime>, max_events: u64) -> RunOutcome {
-        assert!(
-            !self.inner.running.swap(true, Ordering::SeqCst),
-            "Sim::run re-entered"
-        );
-        let (mut events, mut resumes) = (0u64, 0u64);
-        // The thread resumed last, whose wait this loop has yet to apply.
-        let mut yielded: Option<ThreadId> = None;
-        let reason = loop {
-            // One acquisition per event: apply the wait the last thread
-            // yielded with, pop the event and, when it is a `Resume`, claim
-            // the thread slot it names.
-            let (time, seq, kind, claimed) = {
-                let mut core = self.inner.core.lock();
-                if let Some(tid) = yielded.take() {
-                    let wait = self.inner.wait.load(Ordering::Relaxed);
-                    self.inner.wait.store(NO_WAIT, Ordering::Relaxed);
-                    core.settle(tid, wait);
-                }
-                match core.queue.peek() {
-                    None => break StopReason::Completed,
-                    Some((t, _)) => {
-                        if let Some(limit) = until {
-                            if t > limit.as_ps() {
-                                break StopReason::TimeLimit;
-                            }
-                        }
-                        // Check the cap BEFORE popping: breaking after the
-                        // pop would silently drop the popped event, leaving
-                        // a resumed run one event short (and, mid-timestamp,
-                        // nondeterministically so).
-                        if events >= max_events {
-                            break StopReason::EventLimit;
-                        }
-                    }
-                }
-                let (time, seq, kind) = if self.inner.policy_installed.load(Ordering::Relaxed) {
-                    // Exploration: let the policy pick among same-timestamp
-                    // events. The group scan + mid-heap extraction cost is
-                    // paid only on this branch.
-                    let group = core.queue.head_seqs();
-                    let pick = self.schedule_choice(ChoicePoint::EventTieBreak, group.len());
-                    core.queue
-                        .pop_seq(group[pick])
-                        .expect("head member vanished")
-                } else {
-                    core.queue.pop().expect("peeked event vanished")
-                };
-                let claimed = match kind {
-                    EventKind::Resume(tid) => {
-                        let slot = &mut core.threads[tid.0 as usize];
-                        (slot.state == ThreadState::Scheduled).then(|| {
-                            slot.state = ThreadState::Running;
-                            slot.green.resume_handle()
-                        })
-                    }
-                    EventKind::Call(_) => None,
-                };
-                (time, seq, kind, claimed)
-            };
-            events += 1;
-            self.inner.now_ps.store(time, Ordering::Relaxed);
-            match kind {
-                EventKind::Call(f) => {
-                    self.mix_hash(time, seq, 1);
-                    f(self);
-                }
-                EventKind::Resume(tid) => {
-                    self.mix_hash(time, seq, 2 | (u64::from(tid.0) << 8));
-                    // Unclaimed: a stale resume, its thread exited in the
-                    // meantime. It still counts as an event.
-                    if let Some(handle) = claimed {
-                        resumes += 1;
-                        self.drive(tid, handle, false);
-                        yielded = Some(tid);
-                    }
-                }
-            }
-        };
-        if let (StopReason::TimeLimit, Some(limit)) = (reason, until) {
-            self.inner.now_ps.store(limit.as_ps(), Ordering::Relaxed);
-        }
-        self.inner.running.store(false, Ordering::SeqCst);
-        let blocked: Vec<String> = {
-            let core = self.inner.core.lock();
-            core.threads
-                .iter()
-                .filter(|s| matches!(s.state, ThreadState::Parked | ThreadState::Scheduled))
-                .map(|s| s.name.clone())
-                .collect()
-        };
-        if reason == StopReason::Completed && !blocked.is_empty() {
-            let analysis = self.inner.analysis.lock().clone();
-            if analysis.active() {
-                for name in &blocked {
-                    analysis.report(
-                        "lost-wakeup",
-                        name.clone(),
-                        "still parked after the event queue drained; no pending \
-                         event, timer, or in-flight frame can unblock it",
-                    );
-                }
-            }
-        }
-        let panics = self.inner.panics.lock().clone();
-        RunOutcome {
-            end_time: self.now(),
-            events,
-            resumes,
-            reason,
-            blocked,
-            panics,
-        }
-    }
-
-    /// Transfers control to a green thread whose slot is already marked
-    /// `Running` and blocks until it hands control back. With `cancel`,
-    /// the thread's next scheduling point unwinds it instead of returning.
-    /// Finished coroutines are reaped on the spot (their 2 MiB stack is
-    /// unmapped); OS threads are joined later, in [`Sim::finish`].
-    fn drive(&self, tid: ThreadId, handle: ResumeHandle, cancel: bool) {
-        match handle {
-            ResumeHandle::Coro(tok) => {
-                if tok.resume(cancel) {
-                    self.inner.core.lock().threads[tid.0 as usize].green = GreenThread::Done;
-                }
-            }
-            ResumeHandle::Os(baton) => {
-                baton.grant(if cancel {
-                    BatonMsg::Cancel
-                } else {
-                    BatonMsg::Go
-                });
-                self.inner.gate.wait();
-            }
-        }
-    }
-
-    /// Cancels every live green thread and reclaims its backing resources —
-    /// coroutine stacks are unmapped, fallback OS threads are joined.
-    /// Runs automatically when the last guarded [`Sim`] handle drops
-    /// (see [`Sim`]); call it explicitly to reclaim resources earlier.
-    pub fn finish(&self) {
-        if self.inner.finished.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        loop {
-            let (tid, handle) = {
-                let mut core = self.inner.core.lock();
-                let slot =
-                    core.threads.iter_mut().enumerate().find(|(_, s)| {
-                        matches!(s.state, ThreadState::Parked | ThreadState::Scheduled)
-                    });
-                match slot {
-                    None => break,
-                    Some((i, s)) => {
-                        s.state = ThreadState::Running;
-                        (ThreadId(i as u32), s.green.resume_handle())
-                    }
-                }
-            };
-            self.drive(tid, handle, true);
-        }
-        let handles: Vec<_> = {
-            let mut core = self.inner.core.lock();
-            core.threads
-                .iter_mut()
-                .filter_map(|s| match &mut s.green {
-                    GreenThread::Os(os) => os.take_join_handle(),
-                    GreenThread::Coro(_) | GreenThread::Done => None,
-                })
-                .collect()
-        };
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-}
-
-/// The trace digest `h` after one more event: its instant, its sequence
-/// number and its kind word (1 for a callback, 2 plus the thread id shifted
-/// up a byte for a resume), one [`word_fold`] each.
-fn fold_event(h: u64, time: u64, seq: u64, kind: u64) -> u64 {
-    word_fold(word_fold(word_fold(h, time), seq), kind)
-}
-
-/// Per-thread context passed to green-thread closures.
-///
-/// All virtual-time interaction goes through this handle. A green thread
-/// must never block on OS primitives directly; doing so would stall the
-/// entire simulation.
-pub struct Ctx {
-    sim: Sim,
-    tid: ThreadId,
-    /// This thread's handle on its own suspend mechanism, so a yield needs
-    /// no thread-table lookup.
-    own: ResumeHandle,
-}
-
-impl Ctx {
-    /// The simulation this thread belongs to.
-    pub fn sim(&self) -> &Sim {
-        &self.sim
-    }
-
-    /// This thread's id.
-    pub fn tid(&self) -> ThreadId {
-        self.tid
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    /// Relinquishes control and resumes once virtual time has advanced by
-    /// `d`. A zero-duration sleep is a yield: other work scheduled at the
-    /// same instant runs first.
-    pub fn sleep(&self, d: Dur) {
-        let at = (self.sim.now() + d).as_ps();
-        assert!(at < PARK, "sleep past the end of virtual time");
-        self.yield_to_kernel(at);
-    }
-
-    /// Yields to other events pending at the current instant.
-    pub fn yield_now(&self) {
-        self.sleep(Dur::ZERO);
-    }
-
-    /// Parks this thread until some other activity calls [`Sim::wake`] on it.
-    ///
-    /// The caller must have published (under its own locking discipline) the
-    /// state another activity will use to find and wake it — since only one
-    /// simulated activity runs at a time, there is no lost-wakeup window.
-    pub fn park(&self) {
-        self.yield_to_kernel(PARK);
-    }
-
-    /// Wakes another parked thread (at the current instant).
-    pub fn wake(&self, tid: ThreadId) -> bool {
-        assert_ne!(tid, self.tid, "a thread cannot wake itself");
-        self.sim.wake(tid)
-    }
-
-    /// Records `wait` ([`PARK`] or a sleep's instant) for the run loop to
-    /// apply, hands control back to it (engine-specific mechanism) and
-    /// blocks until the kernel dispatches this thread again. Unwinds with
-    /// the cancellation payload when the wake-up is a cancellation — so a
-    /// thread [`Sim::finish`] cancels records nothing more.
-    fn yield_to_kernel(&self, wait: u64) {
-        self.sim.inner.wait.store(wait, Ordering::Relaxed);
-        let granted = match &self.own {
-            // `yield_back` asserts the token is the running coroutine's: a
-            // `Ctx` used from any thread but its own is caught there.
-            ResumeHandle::Coro(tok) => tok.yield_back(),
-            ResumeHandle::Os(baton) => {
-                self.sim.inner.gate.signal();
-                baton.wait()
-            }
-        };
-        if !granted {
-            panic::panic_any(CancelToken);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::run::fold_event;
     use super::*;
+    use crate::engine::GreenThread;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -1564,14 +1177,32 @@ mod tests {
         // parked OS thread (or, now, one mapped coroutine stack) per thread
         // per simulation, forever. Dropping the creator handle must reap
         // them, run or never run.
-        // Other tests run concurrently, so allow slack far below the 3 *
-        // ITERS the leak would add.
-        const ITERS: usize = 24;
-        const SLACK: usize = 12;
+        //
+        // The OS thread count and the coroutine stack count are process-wide,
+        // so the test re-runs itself alone in a child process, where nothing
+        // else spawns threads or maps stacks and both counts must return
+        // exactly to where they started.
+        const CHILD: &str = "NCS_KERNEL_REAP_TEST_CHILD";
+        const NAME: &str = "kernel::tests::dropped_sims_reap_green_threads_on_both_engines";
+        if std::env::var_os(CHILD).is_none() {
+            let exe = std::env::current_exe().expect("test binary path");
+            let out = std::process::Command::new(exe)
+                .args(["--exact", NAME, "--test-threads=1"])
+                .env(CHILD, "1")
+                .output()
+                .expect("re-run the test binary");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success() && stdout.contains("1 passed"),
+                "child run failed:\n{stdout}\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            return;
+        }
         for kind in [EngineKind::Coroutine, EngineKind::OsThread] {
             let base_threads = os_thread_count();
             let base_stacks = crate::engine::live_coroutine_stacks();
-            for _ in 0..ITERS {
+            for _ in 0..24 {
                 let sim = Sim::with_engine(kind);
                 for d in 0..3 {
                     sim.spawn(format!("nic{d}"), |ctx| loop {
@@ -1584,17 +1215,23 @@ mod tests {
                 assert_eq!(out.panics.len(), 1);
                 drop(sim); // no explicit finish()
             }
-            assert!(
-                os_thread_count() <= base_threads + SLACK,
-                "OS threads leaked on {kind:?}: {} -> {}",
-                base_threads,
-                os_thread_count()
-            );
-            assert!(
-                crate::engine::live_coroutine_stacks() <= base_stacks + SLACK,
-                "coroutine stacks leaked on {kind:?}: {} -> {}",
+            assert_eq!(
+                crate::engine::live_coroutine_stacks(),
                 base_stacks,
-                crate::engine::live_coroutine_stacks()
+                "coroutine stacks leaked on {kind:?}"
+            );
+            // A joined thread can still be counted for a moment after its
+            // join returns; a leaked one never leaves.
+            for _ in 0..1000 {
+                if os_thread_count() == base_threads {
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            assert_eq!(
+                os_thread_count(),
+                base_threads,
+                "OS threads leaked on {kind:?}"
             );
         }
     }

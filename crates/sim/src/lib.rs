@@ -11,11 +11,11 @@
 //! * [`SimTime`] / [`Dur`] — integer picosecond virtual time;
 //! * [`Sim`] / [`Ctx`] — the kernel, event scheduling, and green threads
 //!   under a strict baton-passing protocol (at most one runnable activity);
-//! * [`engine`] — the green-thread engines behind that protocol: stackful
-//!   in-process coroutines by default ([`EngineKind::Coroutine`], a ~20
-//!   instruction context switch), with the original parked-OS-thread
-//!   engine as a differential-testing fallback ([`EngineKind::OsThread`],
-//!   selectable via `NCS_GREEN_ENGINE=os`);
+//! * [`engine`] — the green-thread engines behind that protocol, and the
+//!   only module that knows which one runs a thread: stackful in-process
+//!   coroutines by default (a ~20 instruction context switch), with the
+//!   original parked-OS-thread engine as a differential-testing fallback
+//!   (selectable via `NCS_GREEN_ENGINE=os`);
 //! * [`wheel`] — the kernel's event queue: a hierarchical timer wheel with
 //!   pooled event records (O(1) schedule, allocation-free steady state);
 //! * [`SimChannel`] — blocking queues between simulated activities;
