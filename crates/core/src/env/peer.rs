@@ -51,7 +51,7 @@ pub struct ErrorStats {
     /// sender's RTO.
     pub malformed_frames: u64,
     /// Acknowledgments that arrived for a frame that had been
-    /// retransmitted (the `retx.spurious` counter). Karn-ambiguous, not
+    /// retransmitted. Karn-ambiguous, not
     /// proof of waste: the ACK may answer the retransmission (which was
     /// then needed) or a late original (which made it unnecessary), and the
     /// sender cannot tell. Under loss nearly every retransmitted frame
@@ -60,14 +60,11 @@ pub struct ErrorStats {
     /// receiver.
     pub spurious_retransmits: u64,
     /// Partition fail-fast events: a loss-recovery timer found every route
-    /// to the peer down and failed its outstanding frames immediately
-    /// (the `rto.partition_failfast` counter).
+    /// to the peer down and failed its outstanding frames immediately.
     pub partition_failfasts: u64,
-    /// Retransmissions deferred by the bounded retransmit queue
-    /// (the `retx.backpressure` counter).
+    /// Retransmissions deferred by the bounded retransmit queue.
     pub retx_deferred: u64,
-    /// Partial reassembly buffers reclaimed by timeout
-    /// (the `reasm.reclaimed` counter).
+    /// Partial reassembly buffers reclaimed by timeout.
     pub reassembly_reclaimed: u64,
     /// Destinations declared dead (retry budget exhausted).
     pub dead_peers: Vec<usize>,
@@ -194,9 +191,6 @@ pub(super) struct RetxTimer {
 /// Outcome of an acknowledgment that retired a frame.
 #[derive(PartialEq, Eq, Debug)]
 pub(super) struct Acked {
-    /// The frame had been retransmitted, so the echo is ambiguous
-    /// (`retx.spurious`; see [`ErrorStats::spurious_retransmits`]).
-    pub spurious: bool,
     /// No frame toward the peer is outstanding any more: retract the
     /// loss-recovery timer rather than restarting it.
     pub last: bool,
@@ -208,7 +202,7 @@ pub(super) enum NackAction {
     Ignored,
     /// The retransmit queue is at its cap: skip the NACK-driven resend; the
     /// destination's loss-recovery timer is still armed and will retry once
-    /// the queue drains (`retx.backpressure`).
+    /// the queue drains.
     Deferred,
     /// The frame has spent its retry budget: no resend. The loss-recovery
     /// timer is still armed, and its next expiry gives the peer up.
@@ -229,16 +223,13 @@ pub(super) enum TimeoutAction {
         retries: u32,
     },
     /// The retransmit queue is at its cap: re-arm with the doubled timeout
-    /// and let the queue drain meanwhile (`retx.backpressure`).
+    /// and let the queue drain meanwhile.
     Deferred,
     /// Every outstanding frame was abandoned; raise a delivery failure for
-    /// each `(endpoint, tag)`. `dead`: the retry budget is spent and the
-    /// peer is permanently dead; otherwise every route to it is down
-    /// (partition fail-fast, recoverable when the route heals).
-    Failed {
-        failed: Vec<(ThreadAddr, u32)>,
-        dead: bool,
-    },
+    /// each `(endpoint, tag)`. Either the retry budget is spent and the
+    /// peer is permanently dead, or every route to it is down (partition
+    /// fail-fast, recoverable when the route heals).
+    Failed(Vec<(ThreadAddr, u32)>),
 }
 
 /// Everything this process keeps about one remote process.
@@ -423,7 +414,6 @@ impl Peer {
             errs.rtt_samples += 1;
         }
         Some(Acked {
-            spurious: u.retransmitted,
             last: self.unacked.is_empty(),
         })
     }
@@ -499,17 +489,11 @@ impl Peer {
             // recover.
             self.partitioned = true;
             errs.partition_failfasts += 1;
-            return TimeoutAction::Failed {
-                failed: self.purge(errs),
-                dead: false,
-            };
+            return TimeoutAction::Failed(self.purge(errs));
         }
         if u.retries >= max_retries {
             self.dead = true;
-            return TimeoutAction::Failed {
-                failed: self.purge(errs),
-                dead: true,
-            };
+            return TimeoutAction::Failed(self.purge(errs));
         }
         if queue_full {
             errs.retx_deferred += 1;
@@ -744,10 +728,7 @@ mod tests {
         let mut p = peer_with_frames(3);
         // Even with the budget spent, a partition is judged first.
         match p.on_timeout(|tier| tier == 0, 0, false, &mut errs) {
-            TimeoutAction::Failed { failed, dead } => {
-                assert!(!dead);
-                assert_eq!(failed.len(), 3);
-            }
+            TimeoutAction::Failed(failed) => assert_eq!(failed.len(), 3),
             _ => panic!("expected a partition purge"),
         }
         assert!(p.partitioned && !p.dead && p.cut_off());
@@ -765,8 +746,7 @@ mod tests {
             TimeoutAction::Retransmit { .. }
         ));
         match p.on_timeout(up, 1, false, &mut errs) {
-            TimeoutAction::Failed { failed, dead } => {
-                assert!(dead);
+            TimeoutAction::Failed(failed) => {
                 let want: Vec<_> = (0..3).map(|i| (ThreadAddr::new(1, i), 100 + i)).collect();
                 assert_eq!(failed, want);
             }
@@ -802,25 +782,13 @@ mod tests {
         assert_eq!(p.rto(&cfg), cfg.initial.times(2));
         // Karn: the echo is ambiguous — no sample, but the backoff resets.
         let acked = p.on_ack(0, at(700), &mut errs);
-        assert_eq!(
-            acked,
-            Some(Acked {
-                spurious: true,
-                last: false
-            })
-        );
+        assert_eq!(acked, Some(Acked { last: false }));
         assert_eq!((errs.rtt_samples, errs.spurious_retransmits), (0, 1));
         assert_eq!(p.rto(&cfg), cfg.initial);
         // Frame 1 went out at 1 ms and was never retransmitted: a 40 ms
         // sample, SRTT 40, RTTVAR 20.
         let acked = p.on_ack(1, at(41), &mut errs);
-        assert_eq!(
-            acked,
-            Some(Acked {
-                spurious: false,
-                last: true
-            })
-        );
+        assert_eq!(acked, Some(Acked { last: true }));
         assert_eq!((errs.rtt_samples, errs.spurious_retransmits), (1, 1));
         assert_eq!(p.rto(&cfg), Dur::from_millis(120));
         assert_eq!(p.on_ack(1, at(50), &mut errs), None, "duplicate ACK");
@@ -842,8 +810,8 @@ mod tests {
         assert_eq!((errs.retransmits, errs.backoff_events), (1, 0));
         assert_eq!((errs.nack_retransmits, errs.timer_retransmits), (1, 0));
         assert!(p.rto_snapshot(1, &cfg).is_none(), "no estimator yet");
-        assert!(p.on_ack(0, at(5), &mut errs).expect("outstanding").spurious);
-        assert_eq!(errs.rtt_samples, 0);
+        assert!(p.on_ack(0, at(5), &mut errs).is_some(), "outstanding");
+        assert_eq!((errs.rtt_samples, errs.spurious_retransmits), (0, 1));
     }
 
     #[test]
@@ -871,8 +839,7 @@ mod tests {
         assert_eq!(errs.backoff_events, 0, "a NACK never backs the RTO off");
         assert!(!p.dead, "only the timer declares a peer dead");
         match p.on_timeout(up, BUDGET, false, &mut errs) {
-            TimeoutAction::Failed { failed, dead } => {
-                assert!(dead);
+            TimeoutAction::Failed(failed) => {
                 assert_eq!(failed, vec![(ThreadAddr::new(1, 0), 100)]);
             }
             _ => panic!("expected the give-up"),
@@ -893,8 +860,9 @@ mod tests {
         ));
         assert!(matches!(
             p.on_timeout(up, 2, false, &mut errs),
-            TimeoutAction::Failed { dead: true, .. }
+            TimeoutAction::Failed(_)
         ));
+        assert!(p.dead);
     }
 
     #[test]

@@ -215,8 +215,8 @@ impl World {
                         }
                         self.data.push(seq);
                     }
-                    TimeoutAction::Failed { failed, dead } => {
-                        if !dead {
+                    TimeoutAction::Failed(failed) => {
+                        if !self.sender.dead {
                             return Err("partition verdict on a route that is up".into());
                         }
                         self.failed.extend(failed.iter().map(|&(_, tag)| tag));

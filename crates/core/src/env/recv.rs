@@ -172,10 +172,7 @@ fn reaper_fire(inner: &Arc<ProcInner>, sim: &Sim, key: (usize, u32)) {
     match st.peers.get(key.0).reasm.expire(key.1, sim.now(), timeout) {
         Expiry::Gone => {}
         Expiry::Active => arm_reaper(inner, st, key),
-        Expiry::Reclaimed => {
-            st.errs.reassembly_reclaimed += 1;
-            sim.with_metrics(|mm| mm.inc("reasm.reclaimed", 1));
-        }
+        Expiry::Reclaimed => st.errs.reassembly_reclaimed += 1,
     }
 }
 
@@ -295,9 +292,6 @@ fn ingest_ack(inner: &Arc<ProcInner>, src: usize, seq: u32) {
     });
     if let Some(acked) = p.on_ack(seq, inner.sim.now(), &mut st.errs) {
         st.in_flight -= 1;
-        if acked.spurious {
-            inner.sim.with_metrics(|mm| mm.inc("retx.spurious", 1));
-        }
         // One loss-recovery timer per destination, timing the oldest frame
         // on the wire: a partial acknowledgment restarts it (the new
         // oldest frame gets a full RTO from now), the final one retracts
@@ -391,10 +385,7 @@ fn ingest(inner: &Arc<ProcInner>, m: &MtsCtx, tier: usize, d: Delivery) {
                 queue_full,
                 &mut st.errs,
             ) {
-                NackAction::Ignored | NackAction::Exhausted => {}
-                NackAction::Deferred => {
-                    inner.sim.with_metrics(|mm| mm.inc("retx.backpressure", 1));
-                }
+                NackAction::Ignored | NackAction::Deferred | NackAction::Exhausted => {}
                 NackAction::Retransmit(frame) => {
                     st.push_send(frame);
                     inner.wake_send();

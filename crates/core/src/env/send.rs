@@ -6,7 +6,7 @@ use bytes::Bytes;
 use ncs_mts::MtsCtx;
 use ncs_net::stack::WaitPolicy;
 use ncs_net::NodeId;
-use ncs_sim::{Ctx, Dur, Sim};
+use ncs_sim::{Ctx, Dur};
 use std::sync::Arc;
 
 use super::peer::{Peer, RetxTimer, TimeoutAction};
@@ -50,8 +50,8 @@ pub(super) fn arm_retx_timer(inner: &Arc<ProcInner>, st: &mut MpsState, dst: usi
     let handle =
         inner
             .sim
-            .schedule_cancellable(inner.sim.now() + p.rto(&inner.cfg.rto), move |sim| {
-                retx_fire(&cb, sim, dst, epoch);
+            .schedule_cancellable(inner.sim.now() + p.rto(&inner.cfg.rto), move |_| {
+                retx_fire(&cb, dst, epoch);
             });
     if let Some(old) = p.timer.replace(RetxTimer { handle, epoch }) {
         // Replaced: retract the superseded timer from the kernel queue
@@ -62,7 +62,7 @@ pub(super) fn arm_retx_timer(inner: &Arc<ProcInner>, st: &mut MpsState, dst: usi
 
 /// Expiry of the loss-recovery timer toward `dst`: asks the peer record
 /// what to do ([`Peer::on_timeout`]) and does it.
-fn retx_fire(inner: &Arc<ProcInner>, sim: &Sim, dst: usize, epoch: u64) {
+fn retx_fire(inner: &Arc<ProcInner>, dst: usize, epoch: u64) {
     let mut guard = inner.state.lock();
     let st = &mut *guard;
     let queue_full = st.retx_queue_full();
@@ -100,11 +100,8 @@ fn retx_fire(inner: &Arc<ProcInner>, sim: &Sim, dst: usize, epoch: u64) {
             inner.wake_send();
             arm_retx_timer(inner, st, dst);
         }
-        TimeoutAction::Deferred => {
-            sim.with_metrics(|mm| mm.inc("retx.backpressure", 1));
-            arm_retx_timer(inner, st, dst);
-        }
-        TimeoutAction::Failed { failed, dead } => {
+        TimeoutAction::Deferred => arm_retx_timer(inner, st, dst),
+        TimeoutAction::Failed(failed) => {
             st.in_flight -= failed.len();
             // Unwedge a send thread parked on the peer's credits or I/O
             // buffers: neither will ever come.
@@ -113,9 +110,6 @@ fn retx_fire(inner: &Arc<ProcInner>, sim: &Sim, dst: usize, epoch: u64) {
             let quiescent = st.quiescent();
             // The exception handler is user code: run it outside the lock.
             drop(guard);
-            if !dead {
-                sim.with_metrics(|mm| mm.inc("rto.partition_failfast", 1));
-            }
             for (to, tag) in failed {
                 inner.raise_delivery_failed(to, tag);
             }

@@ -213,6 +213,10 @@ fn link_flap_during_train_recovers_bit_exact() {
     assert_eq!(stats.delivery_failures, 0, "{stats:?}");
     assert!(stats.dead_peers.is_empty(), "{stats:?}");
     assert!(
+        stats.spurious_retransmits > 0,
+        "resent chunks were acknowledged: {stats:?}"
+    );
+    assert!(
         fabric.flap_loss_count() > 0,
         "the flap window never ate a cell train"
     );
@@ -353,4 +357,46 @@ fn without_error_control_damaged_deliveries_are_dropped_unread() {
         "every message is consumed intact or counted damaged/lost"
     );
     assert!(dropped <= damage.messages_dropped);
+}
+
+#[test]
+fn a_burst_of_damaged_frames_defers_resends_at_the_queue_cap() {
+    // 600 sends posted at once fill the send queue; every data PDU arrives
+    // damaged and four NACKs in five get back, so resends pile up behind
+    // the originals. Past `RETX_QUEUE_CAP` queued resends a NACK is left to
+    // the timer, and a timer that fires at the cap backs off instead —
+    // each such deferral counted once, in `ErrorStats::retx_deferred`.
+    const MSGS: u32 = 600;
+    let sim = Sim::new();
+    let chaos = ChaosNet::new(
+        fast_net(2, Dur::from_millis(1)),
+        ChaosParams::new(0.2, 0.0, 9),
+    );
+    let net: Arc<dyn Network> = Arc::clone(&chaos) as Arc<dyn Network>;
+    let cfg = NcsConfig {
+        error: ErrorControl::ChecksumRetransmit,
+        rto: RtoConfig::from_base(Dur::from_millis(50)),
+        max_retries: 8,
+        poll_cost: Dur::from_micros(1),
+        ..NcsConfig::default()
+    };
+    let world = NcsWorld::launch(&sim, vec![net], 2, cfg, |id, proc_| {
+        if id == 0 {
+            proc_.t_create("sender", 5, |ncs| {
+                let to = ThreadAddr::new(1, 0);
+                let posted: Vec<_> = (0..MSGS)
+                    .map(|i| ncs.isend(to, i, Bytes::from(vec![i as u8; 2048])))
+                    .collect();
+                for h in posted {
+                    ncs.wait(h);
+                }
+            });
+        }
+    });
+    let out = sim.run();
+    assert!(out.panics.is_empty(), "{:?}", out.panics);
+    let stats = world.procs()[0].error_stats();
+    assert!(stats.retx_deferred > 0, "{stats:?}");
+    assert_eq!(stats.delivery_failures, u64::from(MSGS), "{stats:?}");
+    sim.finish();
 }
