@@ -68,20 +68,11 @@ const SWEEP_LEVELS: &[Level] = &[
 /// RTO) that retransmission carries the losses and nobody is declared
 /// partitioned — the sweep tests degradation, not fail-fast (the
 /// dedicated recovery tests cover that).
-const SWEEP_FLAPS: &[(SimTime, SimTime)] = &[
-    (
-        SimTime::from_ps(1_000_000_000),
-        SimTime::from_ps(6_000_000_000),
-    ), // 1–6 ms
-    (
-        SimTime::from_ps(3_000_000_000),
-        SimTime::from_ps(8_000_000_000),
-    ), // 3–8 ms
-    (
-        SimTime::from_ps(9_000_000_000),
-        SimTime::from_ps(13_000_000_000),
-    ), // 9–13 ms
-];
+const SWEEP_FLAPS: [(SimTime, SimTime); 3] = [(ms(1), ms(6)), (ms(3), ms(8)), (ms(9), ms(13))];
+
+const fn ms(ms: u64) -> SimTime {
+    SimTime::from_ps(ms * 1_000_000_000)
+}
 
 /// Deterministic payload byte for (sender, tag, offset): the receiver
 /// recomputes it, so bit-exactness is checked on every delivered byte.
@@ -157,14 +148,11 @@ fn run_mesh(
         // Two access links and, where the topology has one, a trunk: the
         // multi-switch arms lose whole route bundles, the LAN only the
         // per-host edges.
-        fabric
-            .uplink(NodeId(1))
-            .schedule_flap(SWEEP_FLAPS[0].0, SWEEP_FLAPS[0].1);
-        fabric
-            .downlink(NodeId(2))
-            .schedule_flap(SWEEP_FLAPS[1].0, SWEEP_FLAPS[1].1);
+        let [(d0, u0), (d1, u1), (d2, u2)] = SWEEP_FLAPS;
+        fabric.uplink(NodeId(1)).schedule_flap(d0, u0);
+        fabric.downlink(NodeId(2)).schedule_flap(d1, u1);
         if let Some(trunk) = fabric.trunk_links().first() {
-            trunk.schedule_flap(SWEEP_FLAPS[2].0, SWEEP_FLAPS[2].1);
+            trunk.schedule_flap(d2, u2);
         }
     }
 

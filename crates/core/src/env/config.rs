@@ -163,10 +163,10 @@ pub const EXC_DELIVERY_FAILED: u32 = 0xDEAD_5E0D;
 
 /// Graceful degradation: at most this many retransmissions may sit in the
 /// send queue at once. A timer that fires while the queue is at the cap
-/// defers (backing the RTO off and counting it in `ErrorStats::retx_deferred`) instead of
-/// queueing, and a NACK at the cap is left to the timer — under sustained
-/// loss the retransmit backlog stays bounded rather than growing without
-/// limit.
+/// defers (backing the RTO off and counting it in
+/// `ErrorStats::retx_deferred`) instead of queueing, and a NACK at the cap
+/// is left to the timer — under sustained loss the retransmit backlog stays
+/// bounded rather than growing without limit.
 pub const RETX_QUEUE_CAP: usize = 256;
 
 /// MTS priority of the send system thread (highest: transfers start

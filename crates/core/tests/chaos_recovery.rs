@@ -18,6 +18,18 @@ use ncs_sim::sync::Mutex;
 use ncs_sim::{Dur, Sim, SimTime};
 use std::sync::Arc;
 
+/// Checksum/retransmit error control: an RTO seeded at `rto_ms`, a budget
+/// of `max_retries`, a 1 µs poll.
+fn checked(rto_ms: u64, max_retries: u32) -> NcsConfig {
+    NcsConfig {
+        error: ErrorControl::ChecksumRetransmit,
+        rto: RtoConfig::from_base(Dur::from_millis(rto_ms)),
+        max_retries,
+        poll_cost: Dur::from_micros(1),
+        ..NcsConfig::default()
+    }
+}
+
 fn fast_net(n: usize, latency: Dur) -> Arc<dyn Network> {
     let fabric = Arc::new(IdealFabric::new(n, latency));
     let hosts = (0..n).map(|_| HostParams::test_fast()).collect();
@@ -37,13 +49,10 @@ fn crash_stop_mid_reassembly_reclaims_and_fails_cleanly() {
     chaos.crash_at(NodeId(1), SimTime::from_ps(4_000_000_000)); // t = 4 ms
     let net: Arc<dyn Network> = Arc::clone(&chaos) as Arc<dyn Network>;
     let cfg = NcsConfig {
-        error: ErrorControl::ChecksumRetransmit,
-        rto: RtoConfig::from_base(Dur::from_millis(5)),
-        max_retries: 3,
         io_buffer_bytes: 1024,
         reassembly_timeout: Some(Dur::from_millis(50)),
         poll_cost: Dur::from_nanos(100),
-        ..NcsConfig::default()
+        ..checked(5, 3)
     };
     let world = NcsWorld::launch(&sim, vec![net], 2, cfg, |id, proc_| {
         if id == 0 {
@@ -96,13 +105,7 @@ fn partition_failfast_then_recovery_after_flap() {
     fabric
         .downlink(NodeId(1))
         .schedule_flap(SimTime::from_ps(5_000_000_000), SimTime::from_ps(300_000_000_000));
-    let cfg = NcsConfig {
-        error: ErrorControl::ChecksumRetransmit,
-        rto: RtoConfig::from_base(Dur::from_millis(2)),
-        max_retries: 8,
-        poll_cost: Dur::from_micros(1),
-        ..NcsConfig::default()
-    };
+    let cfg = checked(2, 8);
     let got = Arc::new(Mutex::new(Vec::new()));
     let g2 = Arc::clone(&got);
     let world = NcsWorld::launch(&sim, vec![net], 2, cfg, move |id, proc_| {
@@ -176,12 +179,8 @@ fn link_flap_during_train_recovers_bit_exact() {
         AtmApiParams::default(),
     ));
     let cfg = NcsConfig {
-        error: ErrorControl::ChecksumRetransmit,
-        rto: RtoConfig::from_base(Dur::from_millis(5)),
-        max_retries: 16,
         io_buffer_bytes: 4096,
-        poll_cost: Dur::from_micros(1),
-        ..NcsConfig::default()
+        ..checked(5, 16)
     };
     const BYTES: usize = 64 * 1024; // 16-chunk train over 4 KB buffers
     let ok = Arc::new(Mutex::new(false));
@@ -241,13 +240,7 @@ fn persistent_damage_ends_in_the_give_up() {
         let base = fast_net(2, Dur::from_millis(1));
         let chaos = ChaosNet::new(base, ChaosParams::new(p_corrupt, 0.0, 9));
         let net: Arc<dyn Network> = Arc::clone(&chaos) as Arc<dyn Network>;
-        let cfg = NcsConfig {
-            error: ErrorControl::ChecksumRetransmit,
-            rto: RtoConfig::from_base(Dur::from_millis(5)),
-            max_retries: BUDGET,
-            poll_cost: Dur::from_micros(1),
-            ..NcsConfig::default()
-        };
+        let cfg = checked(5, BUDGET);
         let world = NcsWorld::launch(&sim, vec![net], 2, cfg, |id, proc_| {
             if id == 0 {
                 proc_.t_create("sender", 5, |ncs| {
@@ -368,18 +361,9 @@ fn a_burst_of_damaged_frames_defers_resends_at_the_queue_cap() {
     // each such deferral counted once, in `ErrorStats::retx_deferred`.
     const MSGS: u32 = 600;
     let sim = Sim::new();
-    let chaos = ChaosNet::new(
-        fast_net(2, Dur::from_millis(1)),
-        ChaosParams::new(0.2, 0.0, 9),
-    );
-    let net: Arc<dyn Network> = Arc::clone(&chaos) as Arc<dyn Network>;
-    let cfg = NcsConfig {
-        error: ErrorControl::ChecksumRetransmit,
-        rto: RtoConfig::from_base(Dur::from_millis(50)),
-        max_retries: 8,
-        poll_cost: Dur::from_micros(1),
-        ..NcsConfig::default()
-    };
+    let wire = ChaosParams::new(0.2, 0.0, 9);
+    let net: Arc<dyn Network> = ChaosNet::new(fast_net(2, Dur::from_millis(1)), wire);
+    let cfg = checked(50, 8);
     let world = NcsWorld::launch(&sim, vec![net], 2, cfg, |id, proc_| {
         if id == 0 {
             proc_.t_create("sender", 5, |ncs| {

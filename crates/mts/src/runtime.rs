@@ -86,7 +86,7 @@ struct Inner {
     analysis: AnalysisConfig,
     /// Deadlock cycles already reported, so a stuck process does not spam
     /// one violation per idle transition.
-    reported_cycles: Vec<Vec<u32>>,
+    reported_cycles: Vec<Vec<MtsTid>>,
 }
 
 /// Configuration of one MTS instance. The scheduling discipline is not
@@ -556,7 +556,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn zero_cs() -> MtsConfig {
+    pub(super) fn zero_cs() -> MtsConfig {
         MtsConfig {
             context_switch: Dur::ZERO,
             ..MtsConfig::default()
@@ -1037,6 +1037,7 @@ mod policy_tests {
 
 #[cfg(test)]
 mod kernel_wait_tests {
+    use super::tests::zero_cs;
     use super::*;
 
     #[test]
@@ -1049,14 +1050,7 @@ mod kernel_wait_tests {
         let o2 = Arc::clone(&order);
         let o3 = Arc::clone(&order);
         sim.spawn("main", move |ctx| {
-            let mts = Mts::new(
-                ctx.sim(),
-                "p0",
-                MtsConfig {
-                    context_switch: Dur::ZERO,
-                    ..MtsConfig::default()
-                },
-            );
+            let mts = Mts::new(ctx.sim(), "p0", zero_cs());
             let a = mts.spawn("waiter-a", 1, move |m| {
                 m.kernel_wait();
                 o1.lock().push("a-woke");
@@ -1091,14 +1085,7 @@ mod kernel_wait_tests {
         let l1 = Arc::clone(&log);
         let l2 = Arc::clone(&log);
         sim.spawn("main", move |ctx| {
-            let mts = Mts::new(
-                ctx.sim(),
-                "p0",
-                MtsConfig {
-                    context_switch: Dur::ZERO,
-                    ..MtsConfig::default()
-                },
-            );
+            let mts = Mts::new(ctx.sim(), "p0", zero_cs());
             let ext = mts.spawn("ext", 0, move |m| {
                 m.kernel_wait();
                 l1.lock().push("ext-resumed");
@@ -1125,6 +1112,7 @@ mod kernel_wait_tests {
 
 #[cfg(test)]
 mod sleep_tests {
+    use super::tests::zero_cs;
     use super::*;
 
     #[test]
@@ -1134,14 +1122,7 @@ mod sleep_tests {
         // so it is kept as a permit for the next block instead.
         let sim = Sim::new();
         sim.spawn("main", move |ctx| {
-            let mts = Mts::new(
-                ctx.sim(),
-                "p0",
-                MtsConfig {
-                    context_switch: Dur::ZERO,
-                    ..MtsConfig::default()
-                },
-            );
+            let mts = Mts::new(ctx.sim(), "p0", zero_cs());
             let sleeper = mts.spawn("sleeper", 1, |m| {
                 m.sleep(Dur::from_millis(10));
                 assert_eq!(m.now(), SimTime::ZERO + Dur::from_millis(10), "woken early");
@@ -1163,14 +1144,7 @@ mod sleep_tests {
         let order = Arc::new(Mutex::new(Vec::new()));
         let order2 = Arc::clone(&order);
         sim.spawn("main", move |ctx| {
-            let mts = Mts::new(
-                ctx.sim(),
-                "p0",
-                MtsConfig {
-                    context_switch: Dur::ZERO,
-                    ..MtsConfig::default()
-                },
-            );
+            let mts = Mts::new(ctx.sim(), "p0", zero_cs());
             for i in 0..6u64 {
                 let order = Arc::clone(&order2);
                 mts.spawn(format!("s{i}"), 1, move |m| {

@@ -17,12 +17,12 @@ impl Mts {
             let edges: Vec<String> = cycle
                 .iter()
                 .map(|&t| {
-                    let tcb = &inner.tcbs[t as usize];
+                    let tcb = &inner.tcbs[t.0 as usize];
                     let target = match tcb.wait_on {
-                        Some(w) => format!("t{}/{}", w.0, inner.tcbs[w.0 as usize].name),
+                        Some(w) => format!("{w}/{}", inner.tcbs[w.0 as usize].name),
                         None => "?".to_string(),
                     };
-                    format!("t{t}/{} -> {target}", tcb.name)
+                    format!("{t}/{} -> {target}", tcb.name)
                 })
                 .collect();
             inner.analysis.report(
@@ -34,9 +34,9 @@ impl Mts {
         }
     }
 
-    /// Wait-for cycles among currently blocked threads, as sorted slot
-    /// groups (deterministic order).
-    fn wait_cycles(inner: &Inner) -> Vec<Vec<u32>> {
+    /// Wait-for cycles among currently blocked threads, each sorted by
+    /// thread id (deterministic order).
+    fn wait_cycles(inner: &Inner) -> Vec<Vec<MtsTid>> {
         let mut g = WaitGraph::new(inner.tcbs.len());
         for (i, tcb) in inner.tcbs.iter().enumerate() {
             if tcb.state != MtsThreadState::Blocked {
@@ -50,7 +50,7 @@ impl Mts {
         }
         g.cycles()
             .into_iter()
-            .map(|c| c.into_iter().map(|x| x as u32).collect())
+            .map(|c| c.into_iter().map(|x| MtsTid(x as u32)).collect())
             .collect()
     }
 
@@ -144,11 +144,7 @@ impl Mts {
     /// sorted by thread id; an empty result means no deadlock is provable
     /// from the recorded wait edges.
     pub fn deadlock_cycles(&self) -> Vec<Vec<MtsTid>> {
-        let inner = self.inner.lock();
-        Self::wait_cycles(&inner)
-            .into_iter()
-            .map(|c| c.into_iter().map(MtsTid).collect())
-            .collect()
+        Self::wait_cycles(&self.inner.lock())
     }
 
     /// Checks the run-queue membership invariants right now, returning a

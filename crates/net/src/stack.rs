@@ -177,8 +177,7 @@ pub trait Transport: Send + Sync + 'static {
     fn pickup_cost(&self, host: &HostParams, bytes: usize) -> Dur;
 
     /// [`Network::recv_reaction_cost`]; zero unless the stack says otherwise.
-    fn reaction_cost(&self, bytes: usize) -> Dur {
-        let _ = bytes;
+    fn reaction_cost(&self, _bytes: usize) -> Dur {
         Dur::ZERO
     }
 
@@ -226,7 +225,8 @@ impl<F: Fabric, T: Transport> Stack<F, T> {
         let sent_at = ctx.now();
         let host = &self.hosts[src.idx()];
         let (arrived_at, lost) =
-            (self.transport).carry(&*self.fabric, host, ctx, policy, src, dst, payload.len());
+            self.transport
+                .carry(&*self.fabric, host, ctx, policy, src, dst, payload.len());
         // A fabric-level loss (link flap, switch-buffer overflow) kills the
         // message in flight: the wire time was spent but nothing arrives.
         // Recovery is the error-control layer's job.
@@ -704,38 +704,30 @@ mod tests {
         (0..n).map(|_| HostParams::test_fast()).collect()
     }
 
+    /// Sends `payload` from node 0 to node 1 under `tag`, blocking `ctx`.
+    pub(super) fn send01<N: Network + ?Sized>(net: &N, ctx: &Ctx, tag: u64, payload: Bytes) {
+        net.send(ctx, &BlockingWait, NodeId(0), NodeId(1), tag, payload);
+    }
+
+    /// (sender busy time, end-to-end delivery latency) of one transfer.
     fn run_transfer<N: Network>(net: Arc<N>, bytes: usize) -> (Dur, Dur) {
-        // Returns (sender busy time, end-to-end delivery latency).
         let sim = Sim::new();
-        let sender_busy = Arc::new(Mutex::new(Dur::ZERO));
-        let latency = Arc::new(Mutex::new(Dur::ZERO));
-        let sb = Arc::clone(&sender_busy);
-        let n2 = Arc::clone(&net);
+        let times = Arc::new(Mutex::new((Dur::ZERO, Dur::ZERO)));
+        let (t2, n2) = (Arc::clone(&times), Arc::clone(&net));
         sim.spawn("sender", move |ctx| {
-            let t0 = ctx.now();
-            n2.send(
-                ctx,
-                &BlockingWait,
-                NodeId(0),
-                NodeId(1),
-                7,
-                Bytes::from(vec![0u8; bytes]),
-            );
-            *sb.lock() = ctx.now().since(t0);
+            send01(&*n2, ctx, 7, Bytes::from(vec![0u8; bytes]));
+            t2.lock().0 = ctx.now().since(SimTime::ZERO);
         });
-        let lt = Arc::clone(&latency);
+        let t2 = Arc::clone(&times);
         sim.spawn("receiver", move |ctx| {
-            let inbox = net.inbox(NodeId(1));
-            let msg = inbox.recv(ctx).unwrap();
-            assert_eq!(msg.payload.len(), bytes);
-            assert_eq!(msg.tag, 7);
+            let msg = net.inbox(NodeId(1)).recv(ctx).unwrap();
+            assert_eq!((msg.payload.len(), msg.tag), (bytes, 7));
             ctx.sleep(net.recv_pickup_cost(NodeId(1), bytes));
-            *lt.lock() = ctx.now().since(msg.sent_at);
+            t2.lock().1 = ctx.now().since(msg.sent_at);
         });
         sim.run().assert_clean();
-        let a = *sender_busy.lock();
-        let b = *latency.lock();
-        (a, b)
+        let times = *times.lock();
+        times
     }
 
     #[test]
@@ -743,8 +735,7 @@ mod tests {
         let fabric = Arc::new(IdealFabric::new(2, Dur::from_micros(10)));
         let net = Arc::new(TcpNet::new(fabric, fast_hosts(2), TcpParams::ethernet()));
         let (busy, latency) = run_transfer(net, 10_000);
-        assert!(busy > Dur::ZERO);
-        assert!(latency >= busy);
+        assert!(busy > Dur::ZERO && latency >= busy);
     }
 
     #[test]
@@ -865,14 +856,7 @@ mod tests {
         let net = Arc::new(AtmApiNet::new(fabric, fast_hosts(2), params));
         let n2 = Arc::clone(&net);
         sim.spawn("tx", move |ctx| {
-            n2.send(
-                ctx,
-                &BlockingWait,
-                NodeId(0),
-                NodeId(1),
-                0,
-                Bytes::from(vec![7u8; 24_000]),
-            );
+            send01(&*n2, ctx, 0, Bytes::from(vec![7u8; 24_000]));
         });
         sim.spawn("rx", move |ctx| {
             let msg = net.inbox(NodeId(1)).recv(ctx).unwrap();
@@ -905,7 +889,7 @@ mod tests {
         sim.spawn("sender", move |ctx| {
             for &len in sizes {
                 let payload = Bytes::from(vec![0u8; len]);
-                n2.send(ctx, &BlockingWait, NodeId(0), NodeId(1), 7, payload);
+                send01(&*n2, ctx, 7, payload);
             }
             *b2.lock() = ctx.now().as_ps();
         });
@@ -979,14 +963,7 @@ mod tests {
             let inbox = net.inbox(NodeId(1));
             inbox.close(&sim);
             sim.spawn("sender", move |ctx| {
-                net.send(
-                    ctx,
-                    &BlockingWait,
-                    NodeId(0),
-                    NodeId(1),
-                    1,
-                    Bytes::from(vec![1u8; 100]),
-                );
+                send01(&*net, ctx, 1, Bytes::from(vec![1u8; 100]));
             });
             sim.run().assert_clean();
             assert!(inbox.is_empty());
@@ -1001,24 +978,13 @@ mod tests {
     #[test]
     fn deliveries_keep_payload_content() {
         let fabric = Arc::new(IdealFabric::new(2, Dur::from_micros(1)));
-        let net = Arc::new(AtmApiNet::new(
-            fabric,
-            fast_hosts(2),
-            AtmApiParams::default(),
-        ));
-        let sim = Sim::new();
+        let net = AtmApiNet::new(fabric, fast_hosts(2), AtmApiParams::default());
+        let (sim, net) = (Sim::new(), Arc::new(net));
         let data: Vec<u8> = (0..20_000).map(|i| (i % 251) as u8).collect();
         let expect = data.clone();
         let n2 = Arc::clone(&net);
         sim.spawn("sender", move |ctx| {
-            n2.send(
-                ctx,
-                &BlockingWait,
-                NodeId(0),
-                NodeId(1),
-                1,
-                Bytes::from(data),
-            );
+            send01(&*n2, ctx, 1, Bytes::from(data));
         });
         sim.spawn("receiver", move |ctx| {
             let msg = net.inbox(NodeId(1)).recv(ctx).unwrap();
@@ -1030,6 +996,7 @@ mod tests {
 
 #[cfg(test)]
 mod pacing_tests {
+    use super::tests::send01;
     use super::*;
     use crate::ethernet::{EthernetFabric, EthernetParams};
     use ncs_sim::Sim;
@@ -1052,14 +1019,7 @@ mod pacing_tests {
         let sender_done = Arc::new(Mutex::new(SimTime::ZERO));
         let sd = Arc::clone(&sender_done);
         sim.spawn("tx", move |ctx| {
-            n2.send(
-                ctx,
-                &BlockingWait,
-                NodeId(0),
-                NodeId(1),
-                0,
-                Bytes::from(vec![0u8; bytes]),
-            );
+            send01(&*n2, ctx, 0, Bytes::from(vec![0u8; bytes]));
             *sd.lock() = ctx.now();
         });
         sim.spawn("rx", move |ctx| {
@@ -1104,6 +1064,7 @@ mod pacing_tests {
 
 #[cfg(test)]
 mod counter_tests {
+    use super::tests::send01;
     use super::*;
     use crate::fabric::IdealFabric;
     use ncs_sim::Sim;
@@ -1113,31 +1074,15 @@ mod counter_tests {
         let sim = Sim::new();
         let fabric = Arc::new(IdealFabric::new(2, Dur::from_micros(1)));
         let hosts = vec![HostParams::test_fast(); 2];
-        let tcp = Arc::new(TcpNet::new(
+        let tcp = TcpNet::new(
             Arc::clone(&fabric),
             hosts.clone(),
             TcpParams::raw(1460, 16 * 1024),
-        ));
-        let atm = Arc::new(AtmApiNet::new(fabric, hosts, AtmApiParams::default()));
-        let t2 = Arc::clone(&tcp);
-        let a2 = Arc::clone(&atm);
+        );
+        let atm = AtmApiNet::new(fabric, hosts, AtmApiParams::default());
         sim.spawn("tx", move |ctx| {
-            t2.send(
-                ctx,
-                &BlockingWait,
-                NodeId(0),
-                NodeId(1),
-                0,
-                Bytes::from(vec![0; 3000]),
-            );
-            a2.send(
-                ctx,
-                &BlockingWait,
-                NodeId(0),
-                NodeId(1),
-                0,
-                Bytes::from(vec![0; 100]),
-            );
+            send01(&tcp, ctx, 0, Bytes::from(vec![0; 3000]));
+            send01(&atm, ctx, 0, Bytes::from(vec![0; 100]));
         });
         sim.run().assert_clean();
         sim.with_tracer(|tr| {

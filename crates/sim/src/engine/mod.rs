@@ -1,4 +1,7 @@
-//! Green-thread execution engines behind the kernel's `GreenEngine` seam.
+//! Green-thread execution engines. The kernel holds an opaque `Engine` and
+//! never asks which one it is: spawn, resume (with or without cancel),
+//! yield back and reap are its methods, and this module alone names the
+//! engine that backs a thread.
 //!
 //! The kernel's scheduling contract — strict baton semantics, at most one
 //! runnable activity, deterministic `(time, seq)` order — is engine-agnostic.
@@ -19,9 +22,9 @@
 //! scheduling decisions alone, which the engine does not influence.
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use os_thread::{Baton, BatonMsg, KernelGate, OsThread};
+use os_thread::{Baton, KernelGate, OsThread};
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[allow(unsafe_code)] // the one sanctioned unsafe island: the context switch
@@ -119,10 +122,6 @@ pub const DEFAULT_STACK_BYTES: usize = 2 * 1024 * 1024;
 /// the crafted initial coroutine frame, and a useful amount of call depth.
 pub const MIN_STACK_BYTES: usize = 16 * 1024;
 
-/// Process-wide default for the green-thread stack size in bytes
-/// (0 = undecided, resolved on first use).
-static DEFAULT_STACK: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
 /// Rounds a requested stack size up to a whole number of pages and clamps
 /// it to [`MIN_STACK_BYTES`]. Both engines require the result: the
 /// coroutine engine because its guard page and crafted initial frame assume
@@ -139,22 +138,16 @@ pub fn normalize_stack_bytes(bytes: usize) -> usize {
 /// [`DEFAULT_STACK_BYTES`]. Per-simulation overrides go through
 /// [`crate::Sim::with_engine_and_stack`] instead.
 pub fn default_stack_bytes() -> usize {
-    match DEFAULT_STACK.load(Ordering::SeqCst) {
-        0 => {
-            let bytes = match std::env::var("NCS_GREEN_STACK_KIB").ok() {
-                Some(v) => {
-                    let kib: usize = v.parse().unwrap_or_else(|_| {
-                        panic!("NCS_GREEN_STACK_KIB must be an integer KiB count, got {v:?}")
-                    });
-                    normalize_stack_bytes(kib * 1024)
-                }
-                None => DEFAULT_STACK_BYTES,
-            };
-            DEFAULT_STACK.store(bytes, Ordering::SeqCst);
-            bytes
+    static DEFAULT_STACK: OnceLock<usize> = OnceLock::new();
+    *DEFAULT_STACK.get_or_init(|| match std::env::var("NCS_GREEN_STACK_KIB").ok() {
+        Some(v) => {
+            let kib: usize = v.parse().unwrap_or_else(|_| {
+                panic!("NCS_GREEN_STACK_KIB must be an integer KiB count, got {v:?}")
+            });
+            normalize_stack_bytes(kib * 1024)
         }
-        bytes => bytes,
-    }
+        None => DEFAULT_STACK_BYTES,
+    })
 }
 
 /// Number of coroutine stacks currently mapped, across all simulations.
@@ -171,9 +164,9 @@ pub fn live_coroutine_stacks() -> usize {
 /// is: spawning, resuming with or without cancel, yielding back and reaping
 /// are methods here, and every engine `match` lives in this module.
 pub(crate) struct Engine {
-    kind: EngineKind,
+    pub(crate) kind: EngineKind,
     /// Usable bytes per green-thread stack (page-aligned; both engines).
-    stack_bytes: usize,
+    pub(crate) stack_bytes: usize,
     gate: Arc<KernelGate>,
 }
 
@@ -186,14 +179,6 @@ impl Engine {
             stack_bytes: normalize_stack_bytes(stack_bytes),
             gate: Arc::new(KernelGate::new()),
         }
-    }
-
-    pub(crate) fn kind(&self) -> EngineKind {
-        self.kind
-    }
-
-    pub(crate) fn stack_bytes(&self) -> usize {
-        self.stack_bytes
     }
 
     /// A new green thread that runs `body` when first resumed. `body` gets
@@ -210,12 +195,12 @@ impl Engine {
                 self.stack_bytes,
             )),
             EngineKind::OsThread => {
-                let baton = Baton::new();
+                let baton = Arc::new(Baton::new());
                 let (own, gate) = (Arc::clone(&baton), Arc::clone(&self.gate));
                 GreenThread::Os(OsThread::spawn(name, baton, self.stack_bytes, move || {
-                    let started = own.wait();
+                    let started = own.take();
                     body(started, ResumeHandle::Os(own));
-                    gate.signal();
+                    gate.put(());
                 }))
             }
         }
@@ -230,12 +215,8 @@ impl Engine {
         match handle {
             ResumeHandle::Coro(tok) => tok.resume(cancel),
             ResumeHandle::Os(baton) => {
-                baton.grant(if cancel {
-                    BatonMsg::Cancel
-                } else {
-                    BatonMsg::Go
-                });
-                self.gate.wait();
+                baton.put(!cancel);
+                self.gate.take();
                 false
             }
         }
@@ -249,8 +230,8 @@ impl Engine {
             // `Ctx` used from any thread but its own is caught there.
             ResumeHandle::Coro(tok) => tok.yield_back(),
             ResumeHandle::Os(baton) => {
-                self.gate.signal();
-                baton.wait()
+                self.gate.put(());
+                baton.take()
             }
         }
     }

@@ -13,72 +13,44 @@ use std::sync::Arc;
 
 use crate::sync::{self, Condvar, Mutex};
 
-/// One-slot baton used to hand control to a green thread.
-pub(crate) struct Baton {
-    state: Mutex<BatonMsg>,
+/// A one-slot hand-off between two OS threads: [`Handoff::put`] fills the
+/// slot and wakes the taker, [`Handoff::take`] blocks until it is full and
+/// empties it. The kernel and the green threads strictly alternate, so the
+/// slot is never filled twice.
+pub(crate) struct Handoff<T> {
+    slot: Mutex<Option<T>>,
     cv: Condvar,
 }
 
-#[derive(PartialEq, Eq, Clone, Copy)]
-pub(crate) enum BatonMsg {
-    Wait,
-    Go,
-    Cancel,
-}
+/// Hands control to a green thread: `true` to run on, `false` to cancel.
+pub(crate) type Baton = Handoff<bool>;
 
-impl Baton {
-    pub(crate) fn new() -> Arc<Baton> {
-        Arc::new(Baton {
-            state: Mutex::new(BatonMsg::Wait),
-            cv: Condvar::new(),
-        })
-    }
+/// Hands control back to the kernel loop while a green thread holds it.
+pub(crate) type KernelGate = Handoff<()>;
 
-    pub(crate) fn grant(&self, msg: BatonMsg) {
-        let mut st = self.state.lock();
-        debug_assert!(*st == BatonMsg::Wait);
-        *st = msg;
-        self.cv.notify_one();
-    }
-
-    /// Blocks until granted; returns `false` if the grant was a cancellation.
-    pub(crate) fn wait(&self) -> bool {
-        let mut st = self.state.lock();
-        while *st == BatonMsg::Wait {
-            st = sync::wait(&self.cv, st);
-        }
-        let go = *st == BatonMsg::Go;
-        *st = BatonMsg::Wait;
-        go
-    }
-}
-
-/// Gate the kernel loop waits on while a green thread holds the baton.
-pub(crate) struct KernelGate {
-    flag: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl KernelGate {
-    pub(crate) fn new() -> KernelGate {
-        KernelGate {
-            flag: Mutex::new(false),
+impl<T> Handoff<T> {
+    pub(crate) fn new() -> Handoff<T> {
+        Handoff {
+            slot: Mutex::new(None),
             cv: Condvar::new(),
         }
     }
 
-    pub(crate) fn signal(&self) {
-        let mut f = self.flag.lock();
-        *f = true;
+    pub(crate) fn put(&self, value: T) {
+        let mut slot = self.slot.lock();
+        debug_assert!(slot.is_none(), "hand-off slot filled twice");
+        *slot = Some(value);
         self.cv.notify_one();
     }
 
-    pub(crate) fn wait(&self) {
-        let mut f = self.flag.lock();
-        while !*f {
-            f = sync::wait(&self.cv, f);
+    pub(crate) fn take(&self) -> T {
+        let mut slot = self.slot.lock();
+        loop {
+            if let Some(value) = slot.take() {
+                return value;
+            }
+            slot = sync::wait(&self.cv, slot);
         }
-        *f = false;
     }
 }
 

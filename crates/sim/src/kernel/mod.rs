@@ -291,13 +291,13 @@ impl Sim {
 
     /// The green-thread engine backing this simulation.
     pub fn engine(&self) -> EngineKind {
-        self.inner.engine.kind()
+        self.inner.engine.kind
     }
 
     /// Usable bytes per green-thread stack (already normalized).
     // ncs-lint: allow(dead-surface) oracle bench/tests/green_footprint.rs checks stack-size rounding against
     pub fn green_stack_bytes(&self) -> usize {
-        self.inner.engine.stack_bytes()
+        self.inner.engine.stack_bytes
     }
 
     /// Current virtual time.
@@ -533,7 +533,7 @@ impl Sim {
                     }
                 }
             }
-            sim.mark_exited(tid);
+            sim.inner.core.lock().threads[tid.0 as usize].state = ThreadState::Exited;
         };
         let green = self.inner.engine.spawn(&name, run);
         core.threads.push(ThreadSlot {
@@ -547,10 +547,6 @@ impl Sim {
     /// Name a thread was spawned with.
     pub fn thread_name(&self, tid: ThreadId) -> String {
         self.inner.core.lock().threads[tid.0 as usize].name.clone()
-    }
-
-    fn mark_exited(&self, tid: ThreadId) {
-        self.inner.core.lock().threads[tid.0 as usize].state = ThreadState::Exited;
     }
 
     /// Makes a parked green thread runnable again at the current instant.
@@ -1157,18 +1153,6 @@ mod tests {
         }
     }
 
-    #[cfg(target_os = "linux")]
-    fn os_thread_count() -> usize {
-        std::fs::read_to_string("/proc/self/status")
-            .expect("read /proc/self/status")
-            .lines()
-            .find_map(|l| l.strip_prefix("Threads:"))
-            .expect("Threads: line")
-            .trim()
-            .parse()
-            .expect("thread count")
-    }
-
     #[test]
     #[cfg(target_os = "linux")]
     fn dropped_sims_reap_green_threads_on_both_engines() {
@@ -1199,6 +1183,14 @@ mod tests {
             );
             return;
         }
+        let os_thread_count = || -> usize {
+            let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+            let line = status.lines().find_map(|l| l.strip_prefix("Threads:"));
+            line.expect("Threads: line")
+                .trim()
+                .parse()
+                .expect("thread count")
+        };
         for kind in [EngineKind::Coroutine, EngineKind::OsThread] {
             let base_threads = os_thread_count();
             let base_stacks = crate::engine::live_coroutine_stacks();

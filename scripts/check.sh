@@ -14,11 +14,7 @@ echo "== no-registry guard: removed crate names, lock file sources (as CI) =="
 bash scripts/guard_no_registry.sh
 
 echo "== removed names stay removed: no doc, test or example names a deleted API (as CI) =="
-if grep -rnE 'CellEventMode|transfer_train|enqueue_train|TrainTiming|TxTrain|CountTrain|schedule_count_train|SchedPolicy|GlobalFifo|new_sharded|SimChannel::bounded|SimChannel::(now|name)|peak_depth|spawn_forwarders|spans_to_csv|MtsSemaphore|MtsEvent|MtsBarrier|aal34|crc10|parse_procgroup|ProcgroupSpec|ProcgroupEntry|ProcgroupError|clear_schedule_policy|tagged_blob|pvm_ethernet|merged_workload_events|next_u32|\.shuffle\(|thread_id\(\)|frames_carried|ds3_ring|CAUSAL_STAGES|REQUEST_STAGES|RealNcs::connect\(|LinkArena|ListHead|ListIter|external_block|charge_switch|blocked_time|MtsStats|exit_waiters|sleep_gen|spawn_daemon|sleep_until|total_sent|JsonDoc|mesh_json|print_mesh|crate::json|--bin (table[123]|fig_|xp_|report)' crates src tests examples DESIGN.md README.md EXPERIMENTS.md \
-    || grep -rnE -e '--bin (table[123]|fig_|xp_|report)' scripts .github .claude/skills; then
-    echo "removed API or binary named above" >&2
-    exit 1
-fi
+bash scripts/guard_removed_names.sh
 
 echo "== clippy (as CI) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
