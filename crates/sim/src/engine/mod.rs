@@ -1,7 +1,5 @@
-//! Green-thread execution engines. The kernel holds an opaque `Engine` and
-//! never asks which one it is: spawn, resume (with or without cancel),
-//! yield back and reap are its methods, and this module alone names the
-//! engine that backs a thread.
+//! Green-thread execution engines, behind the opaque `Engine` the kernel
+//! holds: only this module knows which engine backs a thread.
 //!
 //! The kernel's scheduling contract — strict baton semantics, at most one
 //! runnable activity, deterministic `(time, seq)` order — is engine-agnostic.
@@ -166,7 +164,7 @@ pub fn live_coroutine_stacks() -> usize {
 pub(crate) struct Engine {
     pub(crate) kind: EngineKind,
     /// Usable bytes per green-thread stack (page-aligned; both engines).
-    pub(crate) stack_bytes: usize,
+    stack_bytes: usize,
     gate: Arc<KernelGate>,
 }
 
@@ -179,6 +177,10 @@ impl Engine {
             stack_bytes: normalize_stack_bytes(stack_bytes),
             gate: Arc::new(KernelGate::new()),
         }
+    }
+
+    pub(crate) fn stack_bytes(&self) -> usize {
+        self.stack_bytes
     }
 
     /// A new green thread that runs `body` when first resumed. `body` gets

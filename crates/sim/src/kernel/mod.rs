@@ -24,11 +24,9 @@
 //! inputs. [`Sim::trace_hash`] exposes a digest of the executed event
 //! sequence that tests use to assert bit-identical replay.
 //!
-//! This module holds the [`Sim`] handle, its lifetime guard and the
-//! schedule / spawn / wake API; `run` holds the scheduling state and the
-//! run loop, `ctx` the green threads' [`Ctx`]. Which engine backs a thread
-//! is the engine's business alone: the kernel holds an opaque
-//! `engine::Engine` and calls its spawn, resume, yield and reap.
+//! Here: the [`Sim`] handle, its lifetime guard and the schedule / spawn /
+//! wake API; in `run`, the scheduling state and the run loop; in `ctx`,
+//! [`Ctx`]. The engine behind a thread is opaque to all three.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -49,6 +47,7 @@ mod run;
 
 pub use ctx::Ctx;
 use run::{Core, EventKind, ThreadSlot, ThreadState, NO_WAIT};
+
 /// Identifier of a green thread within one simulation.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ThreadId(pub u32);
@@ -126,9 +125,9 @@ struct Inner {
     /// resumes. Every such hand-off already orders memory: a coroutine
     /// resume or yield is a function call on one OS thread, the OS-thread
     /// engine passes control through mutexes (release on grant, acquire on
-    /// wake-up), and the workers of a sharded
-    /// run meet at the window barrier before anything reads another shard.
-    /// So both are `Relaxed`: they need atomicity, not a fence per event.
+    /// wake-up), and the workers of a sharded run meet at the window
+    /// barrier before anything reads another shard. So both are `Relaxed`:
+    /// they need atomicity, not a fence per event.
     now_ps: AtomicU64,
     /// The wait the green thread that yielded last recorded for itself
     /// (`PARK` or a sleep's instant, `NO_WAIT` when none): the run loop
@@ -297,7 +296,7 @@ impl Sim {
     /// Usable bytes per green-thread stack (already normalized).
     // ncs-lint: allow(dead-surface) oracle bench/tests/green_footprint.rs checks stack-size rounding against
     pub fn green_stack_bytes(&self) -> usize {
-        self.inner.engine.stack_bytes
+        self.inner.engine.stack_bytes()
     }
 
     /// Current virtual time.
