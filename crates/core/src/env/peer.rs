@@ -51,13 +51,12 @@ pub struct ErrorStats {
     /// sender's RTO.
     pub malformed_frames: u64,
     /// Acknowledgments that arrived for a frame that had been
-    /// retransmitted. Karn-ambiguous, not
-    /// proof of waste: the ACK may answer the retransmission (which was
-    /// then needed) or a late original (which made it unnecessary), and the
-    /// sender cannot tell. Under loss nearly every retransmitted frame
-    /// ends here although nearly every one was needed; the retransmissions
-    /// provably unnecessary are `duplicates_suppressed`, counted by the
-    /// receiver.
+    /// retransmitted. Karn-ambiguous, not proof of waste: the ACK may
+    /// answer the retransmission (which was then needed) or a late original
+    /// (which made it unnecessary), and the sender cannot tell. Under loss
+    /// nearly every retransmitted frame ends here although nearly every one
+    /// was needed; the retransmissions provably unnecessary are
+    /// `duplicates_suppressed`, counted by the receiver.
     pub spurious_retransmits: u64,
     /// Partition fail-fast events: a loss-recovery timer found every route
     /// to the peer down and failed its outstanding frames immediately.
@@ -844,6 +843,7 @@ mod tests {
             }
             _ => panic!("expected the give-up"),
         }
+        assert!(p.dead, "the timer's give-up declares the peer dead");
         // Mixed: one timeout and one NACK fill a budget of two.
         let mut p = peer_with_frames(1);
         assert!(matches!(
