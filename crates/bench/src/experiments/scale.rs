@@ -47,10 +47,11 @@
 //! regressed by more than 15%. Per *message*, not per event: the events a
 //! change removes are usually the cheap ones, so ns/event rises while the
 //! run gets faster. The event count itself repeats to the digit, and so does
-//! the number of causal-timeline stamps the run retains, so the baseline's
-//! `events <hosts> <rounds> <count>` and `stamps <hosts> <rounds> <count>`
-//! rows are held exactly, with no tolerance: a new stage fails there without
-//! any memory measurement. Sharded sweep points (one event per delivery)
+//! the number of causal-timeline stamps the run retains and the bytes they
+//! hold, so the baseline's `events <hosts> <rounds> <count>`, `stamps
+//! <hosts> <rounds> <count>` and `tl_bytes <hosts> <rounds> <bytes>` rows
+//! are held exactly, with no tolerance: a new stage or a fatter timeline
+//! format fails there without any RSS measurement. Sharded sweep points (one event per delivery)
 //! are guarded per event via the `sharded <hosts> <shards> <rounds> <ratio>`
 //! rows.
 
@@ -206,6 +207,8 @@ struct ScalePoint {
     gauge_peak: i64,
     /// Causal-timeline stamps the registry retains after the run.
     stamps: u64,
+    /// Bytes the registry's timelines hold after the run, by capacity.
+    tl_bytes: u64,
 }
 
 impl ScalePoint {
@@ -306,7 +309,7 @@ fn run_collective(hosts: usize, rounds: u32, engine: EngineKind) -> ScalePoint {
     let out = sim.run();
     let wall_s = t0.elapsed().as_secs_f64(); // ncs-lint: allow(wall-clock)
     out.assert_clean();
-    let (gauge_samples, gauge_peak, stamps) = sim.with_metrics(|m| {
+    let (gauge_samples, gauge_peak, stamps, tl_bytes) = sim.with_metrics(|m| {
         let (samples, peak) = m
             .gauges()
             .filter(|((name, _), _)| *name == "kernel.queue_depth")
@@ -317,7 +320,7 @@ fn run_collective(hosts: usize, rounds: u32, engine: EngineKind) -> ScalePoint {
             .next()
             .unwrap_or((0, 0));
         let stamps = m.timelines().map(|(_, tl)| tl.len() as u64).sum();
-        (samples, peak, stamps)
+        (samples, peak, stamps, m.timeline_bytes() as u64)
     });
     let point = ScalePoint {
         hosts,
@@ -331,6 +334,7 @@ fn run_collective(hosts: usize, rounds: u32, engine: EngineKind) -> ScalePoint {
         gauge_samples,
         gauge_peak,
         stamps,
+        tl_bytes,
     };
     sim.finish();
     point
@@ -490,8 +494,9 @@ const GUARD_HEADROOM: f64 = 1.15;
 /// baseline's `sharded <hosts> <shards> <rounds>` row — so raw machine
 /// speed divides out and the gate travels across CI runners. Fails (exits
 /// non-zero via panic) past 15% regression, and on any difference at all
-/// from an `events <hosts> <rounds>` or `stamps <hosts> <rounds>` row: event
-/// and stamp counts are deterministic.
+/// from an `events <hosts> <rounds>`, `stamps <hosts> <rounds>` or
+/// `tl_bytes <hosts> <rounds>` row: event and stamp counts and the bytes
+/// the timelines hold are deterministic.
 fn run_guard(out: &mut Report, points: &[ScalePoint], sharded: &[ShardPoint], wheel_ns: f64) {
     // Baseline rows: a shape (single-spaced), then its ratio.
     let baseline: Vec<(String, f64)> = GUARD_BASELINE_TEXT
@@ -521,7 +526,12 @@ fn run_guard(out: &mut Report, points: &[ScalePoint], sharded: &[ShardPoint], wh
     ));
     // The exact rows first: a difference there is the code, never noise.
     for p in points {
-        for (kind, count) in [("events", p.events), ("stamps", p.stamps)] {
+        let exact = [
+            ("events", p.events),
+            ("stamps", p.stamps),
+            ("tl_bytes", p.tl_bytes),
+        ];
+        for (kind, count) in exact {
             let shape = format!("{kind} {} {}", p.hosts, p.rounds);
             let Some(&(_, base)) = baseline.iter().find(|(known, _)| *known == shape) else {
                 continue;

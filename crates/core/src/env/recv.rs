@@ -355,10 +355,8 @@ fn ingest(inner: &Arc<ProcInner>, m: &MtsCtx, tier: usize, d: Delivery) {
             // loss recovery cost and its own flight. (Not for chunks: a
             // chunked transfer's stages are its last chunk's, which one
             // chunk's recovery is not.)
-            let first = mm
-                .timeline(causal)
-                .and_then(|tl| tl.iter().find(|&&(stage, _)| stage == "wire_start"));
-            if class == MsgClass::Data && first.is_some_and(|&(_, t0)| d.sent_at > t0) {
+            let first = mm.stamp(causal, "wire_start");
+            if class == MsgClass::Data && first.is_some_and(|t0| d.sent_at > t0) {
                 mm.mark(causal, "retransmitted", d.sent_at);
             }
             mm.mark(causal, "arrived", d.arrived_at);

@@ -8,8 +8,11 @@
 //! the model clock did not move. A change that adds an event per message
 //! (or per dispatch) fails here by name; one that moves virtual time fails
 //! on the end time next to it. Beside the events, each run pins the causal
-//! timeline stamps it retains (16 bytes each): a change that adds a stage
-//! grows the timelines' memory, and fails here without an RSS measurement.
+//! timeline stamps it retains and the bytes they hold
+//! (`MetricsRegistry::timeline_bytes`, by capacity: at these sizes one
+//! 64 KiB arena chunk is most of it): a change that adds a stage or fattens
+//! the stored format grows the timelines' memory, and fails here without an
+//! RSS measurement.
 
 use bytes::Bytes;
 use ncs_core::{ErrorControl, NcsConfig, NcsProc, NcsWorld, ThreadAddr};
@@ -38,6 +41,11 @@ fn stamps(sim: &Sim) -> usize {
     sim.with_metrics(|m| m.timelines().map(|(_, tl)| tl.len()).sum())
 }
 
+/// Bytes the run's retained timelines hold, counted by capacity.
+fn timeline_bytes(sim: &Sim) -> usize {
+    sim.with_metrics(|m| m.timeline_bytes())
+}
+
 #[test]
 fn hsm_ping_pong_event_budget() {
     const ROUNDS: u32 = 16;
@@ -61,6 +69,11 @@ fn hsm_ping_pong_event_budget() {
     assert_eq!(end_ps(&out), 15_397_634_304, "virtual end time moved");
     assert_eq!((out.events, out.resumes), (336, 304), "was (579, 547)");
     assert_eq!(stamps(&sim), 192, "32 messages, six stages each");
+    assert_eq!(
+        timeline_bytes(&sim),
+        66_256,
+        "was 66_384 at 16 bytes a stamp"
+    );
 }
 
 #[test]
@@ -88,6 +101,11 @@ fn gather_broadcast_round_event_budget() {
     assert_eq!(end_ps(&out), 2_836_537_144, "virtual end time moved");
     assert_eq!((out.events, out.resumes), (181, 167), "was (346, 332)");
     assert_eq!(stamps(&sim), 84, "14 messages, six stages each");
+    assert_eq!(
+        timeline_bytes(&sim),
+        67_008,
+        "67_008 at 16 bytes a stamp too"
+    );
 }
 
 #[test]
@@ -124,6 +142,11 @@ fn checked_tcp_ring_event_budget() {
         stamps(&sim),
         147,
         "24 messages, six stages each, and three `retransmitted`"
+    );
+    assert_eq!(
+        timeline_bytes(&sim),
+        66_776,
+        "was 66_768 at 16 bytes a stamp"
     );
 }
 

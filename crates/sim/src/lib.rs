@@ -95,5 +95,5 @@ pub use sched::{
 pub use shard::{merge_streams, ShardedRunOutcome, ShardedSim};
 pub use stats::{DurHistogram, DurSummary};
 pub use time::{Dur, SimTime};
-pub use timeline::{Stage, Timeline};
+pub use timeline::{Stage, Timeline, TimelineBuf};
 pub use trace::{ActorId, Span, SpanId, SpanKind, Tracer};

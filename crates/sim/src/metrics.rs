@@ -15,9 +15,10 @@
 //! vector of series indexed by `idx` (a node id), so a `gauge_set` is a
 //! name lookup and an index; an index never set holds an empty series that
 //! the readers skip. Timelines are indexed densely by the sequential causal
-//! id, so a `mark` is a name lookup and an index, not a tree walk; a stamp
-//! is 16 bytes, and a folded timeline is sealed into a chunked arena with
-//! no allocation of its own (see `timeline.rs`).
+//! id, so a `mark` is a name lookup and an index, not a tree walk; a folded
+//! timeline is sealed into a chunked arena as 8 bytes an instant plus the
+//! id of its interned stage sequence, with no allocation of its own (see
+//! `timeline.rs`), and folds once per such sequence resolve its stats.
 //!
 //! Four families:
 //!
@@ -51,7 +52,7 @@ use std::collections::BTreeMap;
 use crate::names::NameTable;
 use crate::stats::{DurHistogram, DurSummary};
 use crate::time::{Dur, SimTime};
-use crate::timeline::{Stage, Timeline, TimelineStore};
+use crate::timeline::{Sealed, Stage, TimelineBuf, TimelineStore};
 
 /// A gauge's sample history: the value is `samples.last()` until the next
 /// change; only changes are stored.
@@ -106,6 +107,15 @@ impl DurStat {
     }
 }
 
+/// How one timeline shape folds under one `(component, e2e)` pair: the
+/// stat slot of every gap, in stage order, and of the first-to-last span.
+struct FoldPlan {
+    component: fn(&str) -> &'static str,
+    e2e: &'static str,
+    gaps: Box<[u32]>,
+    span: u32,
+}
+
 /// The registry. One per [`crate::Sim`], reached via `Sim::with_metrics`.
 #[derive(Default)]
 pub struct MetricsRegistry {
@@ -118,6 +128,9 @@ pub struct MetricsRegistry {
     /// Stage name → its process-wide handle, resolved by address.
     stages: NameTable<Stage>,
     timelines: TimelineStore,
+    /// Per timeline shape, how it folds under each `(component, e2e)`
+    /// pair seen so far.
+    folds: Vec<Vec<FoldPlan>>,
     wire_keys: BTreeMap<(u64, u64, u64), u64>,
 }
 
@@ -127,11 +140,11 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// An empty registry whose timeline arena grows by `n`-stamp chunks.
+    /// An empty registry whose timeline arena grows by `n`-instant chunks.
     #[cfg(test)]
-    fn with_chunk_stamps(n: usize) -> MetricsRegistry {
+    fn with_chunk_instants(n: usize) -> MetricsRegistry {
         MetricsRegistry {
-            timelines: TimelineStore::with_chunk_stamps(n),
+            timelines: TimelineStore::with_chunk_instants(n),
             ..MetricsRegistry::default()
         }
     }
@@ -219,13 +232,27 @@ impl MetricsRegistry {
     }
 
     /// Reads one message's timeline (`None` for an id never marked).
-    pub fn timeline(&self, causal: u64) -> Option<&Timeline> {
+    pub fn timeline(&self, causal: u64) -> Option<TimelineBuf> {
         self.timelines.get(causal)
     }
 
     /// All marked timelines, in ascending causal-id order.
-    pub fn timelines(&self) -> impl Iterator<Item = (u64, &Timeline)> {
+    pub fn timelines(&self) -> impl Iterator<Item = (u64, TimelineBuf)> + '_ {
         self.timelines.iter()
+    }
+
+    /// When `stage` was stamped on message `causal` (`None` if it was not),
+    /// read in place: the stage's handle is resolved by the name's address
+    /// (remembered on first use) and compared as a pointer.
+    pub fn stamp(&mut self, causal: u64, stage: &'static str) -> Option<SimTime> {
+        let stage = *self.stages.slot_with(stage, || Stage::intern(stage));
+        self.timelines.stamp(causal, stage)
+    }
+
+    /// Bytes the retained timelines hold, counted by capacity: the causal-id
+    /// index, the sealed arena, the open buffers and the shape table.
+    pub fn timeline_bytes(&self) -> usize {
+        self.timelines.bytes()
     }
 
     /// Folds message `causal`'s timeline into the duration stats: every gap
@@ -233,7 +260,8 @@ impl MetricsRegistry {
     /// the stage that *ends* it, and the first-to-last span under `e2e`.
     /// The components are contiguous, so they sum to `e2e` exactly. Does
     /// nothing for an id with no marks. Seals the timeline: it stays
-    /// readable, and a later mark reopens it.
+    /// readable, and a later mark reopens it. `component` runs once per
+    /// stage of each distinct stage sequence (and `e2e`), not per message.
     pub fn observe_stages(
         &mut self,
         causal: u64,
@@ -241,22 +269,51 @@ impl MetricsRegistry {
         e2e: &'static str,
     ) {
         let MetricsRegistry {
-            timelines, stats, ..
+            timelines,
+            stats,
+            folds,
+            ..
         } = self;
-        let Some(tl) = timelines.get(causal) else {
+        let Some(Sealed {
+            shape,
+            stages,
+            instants,
+        }) = timelines.seal(causal)
+        else {
             return;
         };
-        for w in tl.windows(2) {
-            let (_, t0) = w[0];
-            let (stage, t1) = w[1];
-            stats
-                .slot(component(stage.as_str()))
-                .record(t1.saturating_since(t0));
+        let shape = shape as usize;
+        if shape >= folds.len() {
+            folds.resize_with(shape + 1, Vec::new);
         }
-        if let (Some(&(_, first)), Some(&(_, last))) = (tl.first(), tl.last()) {
-            stats.slot(e2e).record(last.saturating_since(first));
+        let plans = &mut folds[shape];
+        let known = plans
+            .iter()
+            .position(|p| std::ptr::eq(p.e2e, e2e) && std::ptr::fn_addr_eq(p.component, component));
+        let plan = match known {
+            Some(at) => &plans[at],
+            None => {
+                let gaps = stages
+                    .iter()
+                    .skip(1)
+                    .map(|stage| stats.index_with(component(stage.as_str()), DurStat::default))
+                    .collect();
+                let span = stats.index_with(e2e, DurStat::default);
+                plans.push(FoldPlan {
+                    component,
+                    e2e,
+                    gaps,
+                    span,
+                });
+                &plans[plans.len() - 1]
+            }
+        };
+        for (w, &gap) in instants.windows(2).zip(plan.gaps.iter()) {
+            stats.at_mut(gap).record(w[1].saturating_since(w[0]));
         }
-        timelines.seal(causal);
+        if let (Some(&first), Some(&last)) = (instants.first(), instants.last()) {
+            stats.at_mut(plan.span).record(last.saturating_since(first));
+        }
     }
 
     /// Associates a wire-level key (conventionally `(source and destination
@@ -281,7 +338,7 @@ impl MetricsRegistry {
         for (causal, tl) in self.timelines() {
             let mut cursor = 0usize;
             let mut prev: Option<(Stage, SimTime)> = None;
-            for &(stage, t) in tl {
+            for &(stage, t) in tl.iter() {
                 let pos = order[cursor..].iter().position(|&s| s == stage);
                 match pos {
                     Some(p) => cursor += p + 1,
@@ -342,6 +399,7 @@ impl MetricsRegistry {
         self.stats.clear();
         self.stages.clear();
         self.timelines.clear();
+        self.folds.clear();
         self.wire_keys.clear();
         self.next_causal = 0;
     }
@@ -350,6 +408,7 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeline::Timeline;
 
     fn t(us: u64) -> SimTime {
         SimTime::ZERO + Dur::from_micros(us)
@@ -394,7 +453,7 @@ mod tests {
         m.mark(c, "a", t(1));
         m.mark(c, "b", t(2));
         m.mark(c, "b", t(4));
-        assert_eq!(texts(m.timeline(c).unwrap()), [("a", t(1)), ("b", t(4))]);
+        assert_eq!(texts(&m.timeline(c).unwrap()), [("a", t(1)), ("b", t(4))]);
         m.mark(0, "ignored", t(9));
         assert_eq!(m.timelines().count(), 1);
     }
@@ -414,7 +473,7 @@ mod tests {
         assert!(m.timeline(2).is_none(), "allocated, never marked");
         assert!(m.timeline(5).is_none(), "never allocated");
         assert!(m.timeline(u64::MAX).is_none());
-        assert_eq!(texts(m.timeline(3).unwrap()), [("a", t(3))]);
+        assert_eq!(texts(&m.timeline(3).unwrap()), [("a", t(3))]);
         assert!(m.validate_timelines(&["a"]).is_empty());
         m.clear();
         assert_eq!(m.timelines().count(), 0);
@@ -564,25 +623,40 @@ durations:
 
     /// What the registry's timelines must read as: plain vectors of
     /// `(text, time)`, a fold recording every gap however often it runs,
-    /// and a chunk count from the arena rule (a timeline goes whole into
-    /// the last chunk if it fits, else into a fresh chunk of
-    /// `max(chunk, len)` stamps).
+    /// a shape table of every distinct stage sequence sealed, and a chunk
+    /// list from the arena rule (a timeline's instants go whole into the
+    /// last chunk if they fit, else into a fresh chunk of `max(chunk, len)`
+    /// instants; a re-seal writes a fresh copy and abandons the old one).
     #[derive(Default)]
     struct Model {
         timelines: Vec<Vec<(&'static str, SimTime)>>,
-        sealed: Vec<bool>,
+        /// Per id: sealed now, and sealed at least once before.
+        sealed: Vec<(bool, bool)>,
         folds: BTreeMap<&'static str, (u64, Dur)>,
+        shapes: Vec<Vec<&'static str>>,
         /// (capacity, used) of every chunk.
         chunks: Vec<(usize, usize)>,
+        seals: u32,
+        last_shape: Option<usize>,
+        /// `timeline_bytes` at the last step: capacities only grow.
+        bytes: usize,
     }
 
     /// Situations the model test must reach, counted over all its cases.
     #[derive(Default, Debug)]
     struct Reached {
         remark_after_fold: u32,
+        reseal: u32,
         second_fold: u32,
         longer_than_remainder: u32,
         longer_than_chunk: u32,
+        /// A seal back to an older shape while three or more exist.
+        interleaved_shapes: u32,
+        /// A shape first sealed after twenty seals of the case.
+        late_shape: u32,
+        longer_than_inline: u32,
+        /// A first mark on an id below one already marked.
+        out_of_order: u32,
     }
 
     fn model_component(stage: &str) -> &'static str {
@@ -597,7 +671,9 @@ durations:
 
     #[test]
     fn timelines_match_a_naive_model() {
-        const NAMES: [&str; 5] = ["tl.a", "tl.b", "tl.c", "tl.d", "tl.e"];
+        const NAMES: [&str; 10] = [
+            "tl.a", "tl.b", "tl.c", "tl.d", "tl.e", "tl.f", "tl.g", "tl.h", "tl.i", "tl.j",
+        ];
         const FOLDS: [&str; 6] = ["fold.a", "fold.b", "fold.c", "fold.d", "fold.e", "fold.e2e"];
         // Each name at two addresses.
         let names: Vec<[&'static str; 2]> = NAMES
@@ -607,26 +683,35 @@ durations:
         let reached = std::cell::RefCell::new(Reached::default());
         crate::prop::check("timelines_match_a_naive_model", 300, |g| {
             let chunk = g.range(1..=6) as usize;
-            let mut m = MetricsRegistry::with_chunk_stamps(chunk);
+            // Few ids pile many stages onto each; many spread them thin.
+            let ids = g.range(1..=8);
+            // Few names make few shapes; many make long timelines.
+            let names = &names[..g.range(3..=10) as usize];
+            let mut m = MetricsRegistry::with_chunk_instants(chunk);
             let mut model = Model::default();
             let mut reached = reached.borrow_mut();
-            for _ in 0..g.range(0..80) {
-                let causal = g.range(0..=8);
+            for _ in 0..g.range(0..150) {
+                let causal = g.range(0..=ids);
                 let idx = causal.checked_sub(1).map(|c| c as usize);
                 if let Some(i) = idx {
                     if i >= model.timelines.len() {
                         model.timelines.resize_with(i + 1, Vec::new);
-                        model.sealed.resize(i + 1, false);
+                        model.sealed.resize(i + 1, (false, false));
                     }
                 }
-                match g.range(0..20) {
-                    0..=11 => {
-                        let name = g.pick(&names)[g.range(0..2) as usize];
+                match g.range(0..60) {
+                    0..=35 => {
+                        let name = g.pick(names)[g.range(0..2) as usize];
                         let at = t(g.range(0..100));
                         m.mark(causal, name, at);
                         let Some(i) = idx else { continue };
-                        if std::mem::take(&mut model.sealed[i]) {
+                        if std::mem::take(&mut model.sealed[i].0) {
                             reached.remark_after_fold += 1;
+                        }
+                        if model.timelines[i].is_empty()
+                            && model.timelines[i + 1..].iter().any(|tl| !tl.is_empty())
+                        {
+                            reached.out_of_order += 1;
                         }
                         let tl = &mut model.timelines[i];
                         match tl.iter_mut().find(|(s, _)| *s == name) {
@@ -634,7 +719,7 @@ durations:
                             None => tl.push((name, at)),
                         }
                     }
-                    12..=18 => {
+                    36..=58 => {
                         m.observe_stages(causal, model_component, "fold.e2e");
                         let Some(i) = idx else { continue };
                         let tl = &model.timelines[i];
@@ -648,12 +733,39 @@ durations:
                         let e = model.folds.entry("fold.e2e").or_default();
                         let span = tl[tl.len() - 1].1.saturating_since(tl[0].1);
                         *e = (e.0 + 1, e.1 + span);
-                        if model.sealed[i] {
+                        let (sealed, before) = &mut model.sealed[i];
+                        if *sealed {
                             reached.second_fold += 1;
                             continue;
                         }
-                        model.sealed[i] = true;
+                        if *before {
+                            reached.reseal += 1;
+                        }
+                        (*sealed, *before) = (true, true);
                         let len = tl.len();
+                        if len > crate::timeline::INLINE {
+                            reached.longer_than_inline += 1;
+                        }
+                        let stages: Vec<&str> = tl.iter().map(|&(s, _)| s).collect();
+                        let shape = match model.shapes.iter().position(|s| *s == stages) {
+                            Some(shape) => {
+                                if model.shapes.len() >= 3
+                                    && model.last_shape.is_some_and(|last| last > shape)
+                                {
+                                    reached.interleaved_shapes += 1;
+                                }
+                                shape
+                            }
+                            None => {
+                                if model.seals >= 20 {
+                                    reached.late_shape += 1;
+                                }
+                                model.shapes.push(stages);
+                                model.shapes.len() - 1
+                            }
+                        };
+                        model.last_shape = Some(shape);
+                        model.seals += 1;
                         match model.chunks.last_mut() {
                             Some((cap, used)) if *cap - *used >= len => *used += len,
                             last => {
@@ -680,11 +792,17 @@ durations:
                     .map(|(i, tl)| (i as u64 + 1, tl.clone()))
                     .collect();
                 let got: Vec<(u64, Vec<(&str, SimTime)>)> =
-                    m.timelines().map(|(c, tl)| (c, texts(tl))).collect();
+                    m.timelines().map(|(c, tl)| (c, texts(&tl))).collect();
                 assert_eq!(got, want);
-                for c in 0..=9 {
+                for c in 0..=ids + 1 {
                     let want = want.iter().find(|(k, _)| *k == c).map(|(_, tl)| tl.clone());
-                    assert_eq!(m.timeline(c).map(texts), want, "causal {c}");
+                    assert_eq!(m.timeline(c).map(|tl| texts(&tl)), want, "causal {c}");
+                    for name in names.iter().map(|n| n[1]) {
+                        let stamped = want
+                            .as_ref()
+                            .and_then(|tl| tl.iter().find(|&&(s, _)| s == name).map(|&(_, at)| at));
+                        assert_eq!(m.stamp(c, name), stamped, "causal {c} stage {name}");
+                    }
                 }
                 for name in FOLDS {
                     let got = m
@@ -693,13 +811,28 @@ durations:
                     assert_eq!(got, model.folds.get(name).copied(), "{name}");
                 }
                 assert_eq!(m.timelines.chunks(), model.chunks.len());
+                assert_eq!(m.timelines.shapes(), model.shapes.len());
+                // Every chunk counts, abandoned copies too, and nothing the
+                // store holds is ever given back short of `clear`.
+                let arena: usize = model.chunks.iter().map(|&(cap, _)| cap * 8).sum();
+                let shapes: usize = model.shapes.iter().map(|s| s.len() * 8).sum();
+                let bytes = m.timeline_bytes();
+                assert_eq!(m.timelines.arena_bytes(), arena);
+                assert!(bytes >= arena + shapes + 8 * model.timelines.len());
+                assert!(bytes >= model.bytes, "{bytes} < {}", model.bytes);
+                model.bytes = bytes;
             }
         });
         let reached = reached.into_inner();
         assert!(reached.remark_after_fold > 0, "{reached:?}");
+        assert!(reached.reseal > 0, "{reached:?}");
         assert!(reached.second_fold > 0, "{reached:?}");
         assert!(reached.longer_than_remainder > 0, "{reached:?}");
         assert!(reached.longer_than_chunk > 0, "{reached:?}");
+        assert!(reached.interleaved_shapes > 0, "{reached:?}");
+        assert!(reached.late_shape > 0, "{reached:?}");
+        assert!(reached.longer_than_inline > 0, "{reached:?}");
+        assert!(reached.out_of_order > 0, "{reached:?}");
     }
 
     #[test]

@@ -45,8 +45,15 @@ impl<T> NameTable<T> {
     /// The value for `name`, created by `make` the first time its text is
     /// seen.
     pub(crate) fn slot_with(&mut self, name: &'static str, make: impl FnOnce() -> T) -> &mut T {
+        let i = self.index_with(name, make);
+        &mut self.slots[i as usize].1
+    }
+
+    /// Where `name`'s value lives, for [`NameTable::at_mut`]: created by
+    /// `make` the first time its text is seen, and never moved after.
+    pub(crate) fn index_with(&mut self, name: &'static str, make: impl FnOnce() -> T) -> u32 {
         let hit = self.by_addr.iter().find(|(n, _)| std::ptr::eq(*n, name));
-        let i = match hit {
+        match hit {
             Some(&(_, i)) => i,
             None => {
                 let i = match self.position(name) {
@@ -61,7 +68,12 @@ impl<T> NameTable<T> {
                 self.by_addr.push((name, i));
                 i
             }
-        };
+        }
+    }
+
+    /// The value at `i`, an index [`NameTable::index_with`] returned since
+    /// the last [`NameTable::clear`].
+    pub(crate) fn at_mut(&mut self, i: u32) -> &mut T {
         &mut self.slots[i as usize].1
     }
 
