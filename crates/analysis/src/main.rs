@@ -22,6 +22,8 @@
 //! Exit code 1 on any violation, 2 on a usage error, with one line per
 //! finding.
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;

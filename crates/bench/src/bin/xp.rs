@@ -20,6 +20,8 @@
 //! file. An experiment that fails panics, which ends `xp` non-zero after
 //! the line naming it and before anything of it is written.
 
+#![forbid(unsafe_code)]
+
 use ncs_bench::{results_dir, Experiment, Opts, Report, EXPERIMENTS};
 use std::io::Write;
 

@@ -12,7 +12,7 @@
 //! the `ncs-bench` overhead comparison quantifies exactly that.
 
 use crate::cell::{cells_for, AtmCell, CellHeader, CELL_PAYLOAD};
-use crate::crc::Crc32;
+use crate::crc::{crc32_aal5, Crc32};
 use bytes::Bytes;
 
 /// Trailer length in bytes.
@@ -124,20 +124,16 @@ pub fn reassemble(cells: &[AtmCell]) -> Result<Vec<u8>, Aal5Error> {
             return Err(Aal5Error::Framing);
         }
     }
-    // The CRC rides along with the copy: each cell payload is checksummed
-    // as it is appended, the last one up to the trailer's CRC field.
-    let (last, body) = cells.split_last().expect("checked non-empty");
+    // The cells are copied out first and the CS-PDU checksummed in one
+    // pass up to the trailer's CRC field: one 48-byte payload at a time is
+    // too short for the folded CRC kernel.
     let mut pdu = Vec::with_capacity(cells.len() * CELL_PAYLOAD);
-    let mut crc = Crc32::new();
-    for c in body {
+    for c in cells {
         pdu.extend_from_slice(&c.payload);
-        crc = crc.update(&c.payload);
     }
-    let last_at = pdu.len();
-    pdu.extend_from_slice(&last.payload);
     let crc_at = pdu.len() - 4;
     let crc_given = u32::from_be_bytes(pdu[crc_at..].try_into().unwrap());
-    let crc_calc = crc.update(&pdu[last_at..crc_at]).finish();
+    let crc_calc = crc32_aal5(&pdu[..crc_at]);
     if crc_given != crc_calc {
         return Err(Aal5Error::BadCrc);
     }

@@ -6,22 +6,28 @@
 //!   MSB-first (non-reflected) form with init/xorout all-ones, i.e. the
 //!   "CRC-32/BZIP2" parameterization, which is what I.363.5 specifies.
 //!
-//! Both are table-driven, and both sets of tables come from one `const fn`
-//! generator (`msb_table`) applied to the defining polynomial, so the
-//! tables are compile-time constants (20 KiB of read-only data: 4 KiB for
-//! the HEC, 16 KiB for CRC-32; no set-up work, no lazy-initialisation
-//! branch). Every register is kept left-aligned in a `u32`, which lets the
-//! 8- and 32-bit CRCs share one generator.
+//! Both have tables, and both sets come from one `const fn` generator
+//! (`msb_table`) applied to the defining polynomial, so the tables are
+//! compile-time constants (20 KiB of read-only data: 4 KiB for the HEC,
+//! 16 KiB for CRC-32; no set-up work, no lazy-initialisation branch). Every
+//! register is kept left-aligned in a `u32`, which lets the 8- and 32-bit
+//! CRCs share one generator.
 //!
 //! CRC-32 sits on the simulator's data path — NCS error control checksums
 //! every data frame at both ends, and the fault-injection path runs the AAL5
-//! trailer check — so it consumes sixteen bytes per step (slicing-by-16)
-//! and has a streaming form, [`Crc32`], that lets framing code checksum a
-//! message in the pieces it already holds instead of staging a contiguous
-//! copy.
+//! trailer check — so it has two kernels behind one streaming form,
+//! [`Crc32`], that lets framing code checksum a message in the pieces it
+//! already holds instead of staging a contiguous copy. On an x86-64 CPU with
+//! PCLMULQDQ and SSSE3, an input of at least `FOLD_MIN` bytes is folded 64
+//! bytes a step with carry-less multiplies (about 0.05 ns/B against the
+//! tables' 0.5); shorter inputs, other CPUs and other targets take the
+//! slicing-by-16 tables, sixteen bytes per step. The fold's constants are
+//! `const fn` values computed from the polynomial, as the tables are, and
+//! its one `unsafe` call (into the `#[target_feature]` function, after the
+//! run-time feature check) is the crate's only one.
 //!
 //! The bit-serial forms, which transcribe the polynomials directly, are kept
-//! under `#[cfg(test)]` as the oracles the tables are checked against.
+//! under `#[cfg(test)]` as the oracles both kernels are checked against.
 
 /// CRC-8 HEC generator, left-aligned in 32 bits.
 const HEC_POLY: u32 = 0x07 << 24;
@@ -83,6 +89,166 @@ fn msb_update(table: &[u32; 256], mut crc: u32, data: &[u8]) -> u32 {
     crc
 }
 
+/// Clocks `data` through the CRC-32 register `crc`, sixteen bytes per step.
+fn table_update(mut crc: u32, data: &[u8]) -> u32 {
+    let (blocks, tail) = data.as_chunks::<SLICE>();
+    for block in blocks {
+        // The register meets only the block's first four bytes; byte `i`
+        // then has `SLICE - 1 - i` more bytes clocked in behind it.
+        let head = crc.to_be_bytes();
+        let mut next = 0;
+        for (i, &byte) in block.iter().enumerate() {
+            let byte = if i < 4 { byte ^ head[i] } else { byte };
+            next ^= CRC32_TABLES[SLICE - 1 - i][byte as usize];
+        }
+        crc = next;
+    }
+    msb_update(&CRC32_TABLES[0], crc, tail)
+}
+
+/// Inputs at least this long take the carry-less-multiply kernel on a CPU
+/// that has one; shorter inputs take the tables. Timed every 8 bytes from
+/// 16 to 256 on an AVX-512 Xeon, three runs: the two tie at 40 bytes, the
+/// fold is ahead at 48 in two runs of three (0.24 vs 0.28 ns/B) and in
+/// every run from 56 on (0.17 vs 0.30 ns/B at 64, 0.066 vs 0.45 at 256).
+const FOLD_MIN: usize = 48;
+
+#[cfg(test)]
+thread_local! {
+    /// Calls that ran the carry-less-multiply kernel, for the dispatch test.
+    static FOLDED_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Runs the carry-less-multiply kernel over `data` from register `state`,
+/// or returns `None` when this CPU has no such instruction.
+#[cfg(target_arch = "x86_64")]
+fn folded_update(state: u32, data: &[u8]) -> Option<u32> {
+    if !(std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("ssse3"))
+    {
+        return None;
+    }
+    #[cfg(test)]
+    FOLDED_CALLS.with(|n| n.set(n.get() + 1));
+    // SAFETY: `clmul::update` is safe code compiled with `pclmulqdq` and
+    // `ssse3` enabled; the detection just above shows this CPU has both.
+    #[allow(unsafe_code)]
+    let crc = unsafe { clmul::update(state, data) };
+    Some(crc)
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn folded_update(_state: u32, _data: &[u8]) -> Option<u32> {
+    None
+}
+
+/// CRC-32 by folding with PCLMULQDQ (and SSSE3's byte shuffle).
+///
+/// The register is MSB-first, so a block loaded big-endian puts the
+/// coefficient of `x^i` at bit `i` and the carry-less product needs no bit
+/// reflection. A 128-bit accumulator `A = H·x^64 + L` moves 128 bits down
+/// the message as `A·x^128 ≡ H·(x^192 mod P) + L·(x^128 mod P)`: two
+/// 64×32-bit products that fit in 128 bits. Four accumulators stride 64
+/// bytes (`x^576`, `x^512`), are combined into one, and whole blocks then
+/// fold singly. What is left, 128 bits plus a tail under 16 bytes, goes
+/// through the tables from a zero register: they compute `D·x^32 mod P`,
+/// which is the CRC's remainder, so no Barrett step is needed.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use super::{table_update, CRC32_POLY};
+    use std::arch::x86_64::{
+        __m128i, _mm_clmulepi64_si128, _mm_cvtsi128_si64, _mm_set_epi64x, _mm_set_epi8,
+        _mm_shuffle_epi8, _mm_unpackhi_epi64, _mm_xor_si128,
+    };
+
+    /// `x^n mod P` for the CRC-32 generator `P`, bit `i` the coefficient of
+    /// `x^i`.
+    const fn x_pow_mod(n: u32) -> u32 {
+        let mut r: u32 = 1;
+        let mut i = 0;
+        while i < n {
+            r = if r & 0x8000_0000 != 0 {
+                (r << 1) ^ CRC32_POLY
+            } else {
+                r << 1
+            };
+            i += 1;
+        }
+        r
+    }
+
+    /// Fold keys `(x^(128k+64) mod P, x^(128k) mod P)` for a stride of
+    /// `k` blocks.
+    const STRIDE_1: (u32, u32) = (x_pow_mod(192), x_pow_mod(128));
+    const STRIDE_4: (u32, u32) = (x_pow_mod(576), x_pow_mod(512));
+
+    /// A 16-byte block as a polynomial: the first byte's MSB is `x^127`.
+    /// Loaded as it lies in memory and byte-reversed in the vector unit
+    /// (one `pshufb`): byte-swapping the halves in general registers and
+    /// moving them across doubled the kernel's time (0.10 vs 0.05 ns/B).
+    #[target_feature(enable = "pclmulqdq,ssse3")]
+    fn load(block: &[u8; 16]) -> __m128i {
+        let v = u128::from_le_bytes(*block);
+        let v = _mm_set_epi64x((v >> 64) as i64, v as i64);
+        _mm_shuffle_epi8(
+            v,
+            _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        )
+    }
+
+    /// A stride's keys, the high half's in the upper lane.
+    #[target_feature(enable = "pclmulqdq,ssse3")]
+    fn keys((high, low): (u32, u32)) -> __m128i {
+        _mm_set_epi64x(i64::from(high), i64::from(low))
+    }
+
+    /// `acc` moved down by the stride `keys` encodes, plus `next`.
+    #[target_feature(enable = "pclmulqdq,ssse3")]
+    fn fold(acc: __m128i, keys: __m128i, next: __m128i) -> __m128i {
+        let high = _mm_clmulepi64_si128::<0x11>(acc, keys);
+        let low = _mm_clmulepi64_si128::<0x00>(acc, keys);
+        _mm_xor_si128(_mm_xor_si128(high, low), next)
+    }
+
+    /// Clocks `data` through the register `state`; equal to the table
+    /// kernel for every input.
+    #[target_feature(enable = "pclmulqdq,ssse3")]
+    pub(super) fn update(state: u32, data: &[u8]) -> u32 {
+        let (blocks, tail) = data.as_chunks::<16>();
+        // The incoming register meets the first four bytes, as in the tables.
+        let seed = _mm_set_epi64x((u64::from(state) << 32) as i64, 0);
+        let (quads, rest) = blocks.as_chunks::<4>();
+        let (mut acc, singles) = if let Some((head, quads)) = quads.split_first() {
+            let mut lanes = head.map(|block| load(&block));
+            lanes[0] = _mm_xor_si128(lanes[0], seed);
+            let stride = keys(STRIDE_4);
+            for quad in quads {
+                for (lane, block) in lanes.iter_mut().zip(quad) {
+                    *lane = fold(*lane, stride, load(block));
+                }
+            }
+            let stride = keys(STRIDE_1);
+            let mut acc = lanes[0];
+            for &lane in &lanes[1..] {
+                acc = fold(acc, stride, lane);
+            }
+            (acc, rest)
+        } else if let Some((first, singles)) = blocks.split_first() {
+            (_mm_xor_si128(load(first), seed), singles)
+        } else {
+            return table_update(state, data);
+        };
+        let stride = keys(STRIDE_1);
+        for block in singles {
+            acc = fold(acc, stride, load(block));
+        }
+        let high = _mm_cvtsi128_si64(_mm_unpackhi_epi64(acc, acc)) as u64;
+        let low = _mm_cvtsi128_si64(acc) as u64;
+        let rem = (u128::from(high) << 64 | u128::from(low)).to_be_bytes();
+        table_update(table_update(0, &rem), tail)
+    }
+}
+
 /// Computes the ATM Header Error Control byte over the first four header
 /// bytes (ITU-T I.432: CRC-8 remainder plus the 0x55 coset).
 pub fn hec(header4: &[u8; 4]) -> u8 {
@@ -118,21 +284,13 @@ impl Crc32 {
     /// Folds `data` into the checksum.
     #[must_use]
     pub fn update(self, data: &[u8]) -> Self {
-        let (blocks, tail) = data.as_chunks::<SLICE>();
-        let mut crc = self.state;
-        for block in blocks {
-            // The register meets only the block's first four bytes; byte `i`
-            // then has `SLICE - 1 - i` more bytes clocked in behind it.
-            let head = crc.to_be_bytes();
-            let mut next = 0;
-            for (i, &byte) in block.iter().enumerate() {
-                let byte = if i < 4 { byte ^ head[i] } else { byte };
-                next ^= CRC32_TABLES[SLICE - 1 - i][byte as usize];
-            }
-            crc = next;
-        }
+        let folded = if data.len() >= FOLD_MIN {
+            folded_update(self.state, data)
+        } else {
+            None
+        };
         Crc32 {
-            state: msb_update(&CRC32_TABLES[0], crc, tail),
+            state: folded.unwrap_or_else(|| table_update(self.state, data)),
         }
     }
 
@@ -173,7 +331,11 @@ mod oracle {
     }
 
     pub fn crc32_aal5(data: &[u8]) -> u32 {
-        let mut crc: u32 = 0xFFFF_FFFF;
+        !crc32_register(0xFFFF_FFFF, data)
+    }
+
+    /// The register after clocking `data` in from `crc`.
+    pub fn crc32_register(mut crc: u32, data: &[u8]) -> u32 {
         for &byte in data {
             crc ^= u32::from(byte) << 24;
             for _ in 0..8 {
@@ -184,7 +346,7 @@ mod oracle {
                 };
             }
         }
-        !crc
+        crc
     }
 }
 
@@ -261,16 +423,40 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// A CRC-32 kernel: the register after clocking the bytes in.
+    type Kernel = fn(u32, &[u8]) -> u32;
+
+    /// The dispatching `update` and each kernel this host can run, the
+    /// kernels called directly so that the tables are tested above the
+    /// fold threshold and the fold below it.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut kernels: Vec<(&'static str, Kernel)> = vec![
+            ("update", |state, data| Crc32 { state }.update(data).state),
+            ("tables", table_update),
+        ];
+        if folded_update(0, &[]).is_some() {
+            kernels.push(("folded", |state, data| {
+                folded_update(state, data).expect("detected above")
+            }));
+        }
+        kernels
+    }
+
+    const INIT: u32 = 0xFFFF_FFFF;
+
     #[test]
     fn crc32_matches_bit_serial_oracle_at_every_short_length() {
-        // 0..=80 crosses the 16-byte stride five times, with every tail length.
-        let buf = seeded_bytes(0xAA15, 80);
-        for len in 0..=80 {
-            assert_eq!(
-                crc32_aal5(&buf[..len]),
-                oracle::crc32_aal5(&buf[..len]),
-                "len {len}"
-            );
+        // 0..=300 crosses the 16-byte block and the 64-byte fold stride
+        // several times, with every tail length, on both sides of FOLD_MIN.
+        let buf = seeded_bytes(0xAA15, 300);
+        for (name, kernel) in kernels() {
+            for len in 0..=buf.len() {
+                assert_eq!(
+                    !kernel(INIT, &buf[..len]),
+                    oracle::crc32_aal5(&buf[..len]),
+                    "{name}, len {len}"
+                );
+            }
         }
     }
 
@@ -285,11 +471,34 @@ mod tests {
             (6, 64 * 1024),
         ] {
             let buf = seeded_bytes(seed, len);
-            assert_eq!(
-                crc32_aal5(&buf),
-                oracle::crc32_aal5(&buf),
-                "seed {seed}, len {len}"
-            );
+            let want = oracle::crc32_aal5(&buf);
+            assert_eq!(crc32_aal5(&buf), want, "seed {seed}, len {len}");
+            for (name, kernel) in kernels() {
+                assert_eq!(!kernel(INIT, &buf), want, "{name}, seed {seed}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_kernels_continue_from_any_register() {
+        // The incoming register meets the first four bytes; a state other
+        // than the all-ones init must fold in exactly as the oracle clocks it.
+        let states = seeded_bytes(0x57A7, 4 * 8);
+        let buf = seeded_bytes(0xC0DE, 1000);
+        for state in states
+            .chunks_exact(4)
+            .map(|b| u32::from_be_bytes(b.try_into().unwrap()))
+        {
+            for len in [0, 3, 16, 63, 64, 65, 128, 200, 1000] {
+                let want = oracle::crc32_register(state, &buf[..len]);
+                for (name, kernel) in kernels() {
+                    assert_eq!(
+                        kernel(state, &buf[..len]),
+                        want,
+                        "{name}, state {state:#x}, len {len}"
+                    );
+                }
+            }
         }
     }
 
@@ -298,13 +507,11 @@ mod tests {
         let buf = seeded_bytes(0x5717, 257);
         let whole = crc32_aal5(&buf);
         assert_eq!(whole, oracle::crc32_aal5(&buf));
-        for cut in 0..=buf.len() {
-            let (a, b) = buf.split_at(cut);
-            assert_eq!(
-                Crc32::new().update(a).update(b).finish(),
-                whole,
-                "split at {cut}"
-            );
+        for (name, kernel) in kernels() {
+            for cut in 0..=buf.len() {
+                let (a, b) = buf.split_at(cut);
+                assert_eq!(!kernel(kernel(INIT, a), b), whole, "{name}, split at {cut}");
+            }
         }
         // Three pieces, the middle one shorter than a stride.
         let three = Crc32::new()
@@ -312,5 +519,36 @@ mod tests {
             .update(&buf[100..103])
             .update(&buf[103..]);
         assert_eq!(three.finish(), whole);
+    }
+
+    #[test]
+    fn crc32_seeded_three_way_splits_equal_one_shot() {
+        let buf = seeded_bytes(0x3A7, 6 * 256);
+        let whole = oracle::crc32_aal5(&buf);
+        let cuts = seeded_bytes(0xC475, 2 * 40);
+        for (name, kernel) in kernels() {
+            for pair in cuts.chunks_exact(2) {
+                // Cuts spread over the buffer, so pieces range from empty
+                // to well above the fold threshold.
+                let (x, y) = (usize::from(pair[0]) * 6, usize::from(pair[1]) * 6);
+                let (i, j) = (x.min(y), x.max(y));
+                let crc = kernel(kernel(kernel(INIT, &buf[..i]), &buf[i..j]), &buf[j..]);
+                assert_eq!(!crc, whole, "{name}, cuts {i}, {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_dispatch_folds_from_the_threshold() {
+        if folded_update(0, &[]).is_none() {
+            return;
+        }
+        let folds = || FOLDED_CALLS.with(std::cell::Cell::get);
+        let buf = seeded_bytes(0xF01D, FOLD_MIN);
+        let before = folds();
+        let _ = Crc32::new().update(&buf[..FOLD_MIN - 1]);
+        assert_eq!(folds(), before, "below FOLD_MIN the tables run");
+        let _ = Crc32::new().update(&buf);
+        assert_eq!(folds(), before + 1, "at FOLD_MIN the fold runs");
     }
 }

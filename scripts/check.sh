@@ -16,6 +16,9 @@ bash scripts/guard_no_registry.sh
 echo "== removed names stay removed: no doc, test or example names a deleted API (as CI) =="
 bash scripts/guard_removed_names.sh
 
+echo "== unsafe stays in its islands: engine switch + CRC dispatch only (as CI) =="
+bash scripts/guard_unsafe_sites.sh
+
 echo "== clippy (as CI) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
