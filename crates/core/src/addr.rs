@@ -73,6 +73,13 @@ impl MsgClass {
             _ => return None,
         })
     }
+
+    /// Whether [`ErrorControl::ChecksumRetransmit`](crate::ErrorControl::ChecksumRetransmit)
+    /// sequences, acknowledges and retransmits this class: every class but
+    /// the acknowledgments themselves, whose loss the sender's RTO covers.
+    pub fn sequenced(self) -> bool {
+        !matches!(self, MsgClass::Ack | MsgClass::Nack)
+    }
 }
 
 /// Maximum encodable thread id (12 bits).

@@ -28,6 +28,12 @@ pub enum ErrorControl {
     /// NCS-level checksum with retransmit-on-NACK, for transports modeled
     /// as corrupting.
     ///
+    /// It covers every message class except the acknowledgments
+    /// themselves ([`MsgClass::sequenced`](crate::MsgClass::sequenced)):
+    /// data, chunks, credit grants, signals, barrier messages and
+    /// exceptions are sequenced, checksummed, acknowledged and retransmitted
+    /// alike, so none of them is lost silently.
+    ///
     /// Two things draw the NACK and its immediate retransmission: a frame
     /// the transport delivers marked damaged (`ncs_net::ChaosNet`'s
     /// cell-level faults — the modelled AAL5 CRC fails and the SAR hands

@@ -21,7 +21,8 @@
 //!   from the receive thread.
 //!
 //! Message-class plumbing (signals, barriers, credits) shares the same two
-//! system threads, which is exactly the modularity argument of Section 3.
+//! system threads, which is exactly the modularity argument of Section 3 —
+//! and, under error control, the same sequenced path as data.
 //!
 //! The module is laid out along the paper's pieces:
 //!
@@ -127,8 +128,9 @@ struct SendReq {
     /// Transport tier index ([`NcsProc`] can carry several, e.g. NSM + HSM).
     tier: usize,
     /// Request-table slot to complete once the transfer is done (None for
-    /// system-generated traffic like credits; the blocking `NCS_send`
-    /// rides the same handle machinery via its post+wait wrapper).
+    /// system-generated traffic like credits, which is what may pass a
+    /// gated send thread; the blocking `NCS_send` rides the same handle
+    /// machinery via its post+wait wrapper).
     waiter: Option<u32>,
     /// Payload already carries the error-control header (a retransmission).
     prewrapped: bool,

@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use super::reassembly::Reassembly;
 use super::{RtoConfig, SendReq};
-use crate::addr::ThreadAddr;
+use crate::addr::{MsgClass, ThreadAddr};
 
 /// Error-control statistics for one process (the FaultStats surface of the
 /// reliability layer): aggregate counters plus the current per-destination
@@ -34,7 +34,8 @@ pub struct ErrorStats {
     pub backoff_events: u64,
     /// Clean RTT samples folded into an estimator (Karn-filtered).
     pub rtt_samples: u64,
-    /// Frames abandoned after exhausting the retry budget.
+    /// Frames abandoned after exhausting the retry budget, each raised as
+    /// a delivery failure (a given-up credit grant raises none).
     pub delivery_failures: u64,
     /// Duplicate frames re-ACKed but not delivered: retransmissions the
     /// receiver can *prove* were unnecessary, because a copy had already
@@ -42,7 +43,7 @@ pub struct ErrorStats {
     /// NACK-driven resend).
     pub duplicates_suppressed: u64,
     /// Deliveries marked damaged by the transport that error control could
-    /// not answer with a NACK — control frames, exceptions, any frame with
+    /// not answer with a NACK — ACKs and NACKs, any frame with
     /// checksum/retransmit off, checked frames too short to claim a
     /// sequence number — dropped unread, never consumed.
     pub damaged_dropped: u64,
@@ -225,7 +226,7 @@ pub(super) enum TimeoutAction {
     /// and let the queue drain meanwhile.
     Deferred,
     /// Every outstanding frame was abandoned; raise a delivery failure for
-    /// each `(endpoint, tag)`. Either the retry budget is spent and the
+    /// each user frame's `(endpoint, tag)`. Either the retry budget is spent and the
     /// peer is permanently dead, or every route to it is down (partition
     /// fail-fast, recoverable when the route heals).
     Failed(Vec<(ThreadAddr, u32)>),
@@ -513,10 +514,12 @@ impl Peer {
     }
 
     /// Abandons every outstanding frame toward the peer, returning the
-    /// `(endpoint, tag)` pairs to raise a delivery failure for.
+    /// `(endpoint, tag)` pairs to raise a delivery failure for: every frame
+    /// but a credit grant, which no user thread sent.
     pub fn purge(&mut self, errs: &mut ErrorStats) -> Vec<(ThreadAddr, u32)> {
         let failed: Vec<_> = std::mem::take(&mut self.unacked)
             .into_values()
+            .filter(|u| u.frame.class != MsgClass::Credit)
             .map(|u| (u.frame.to, u.frame.user_tag))
             .collect();
         errs.delivery_failures += failed.len() as u64;
@@ -530,7 +533,6 @@ mod pair_check;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::MsgClass;
     use bytes::Bytes;
 
     const T0: SimTime = SimTime::ZERO;

@@ -1,7 +1,8 @@
 //! Exhaustive small-scope check of the reliability protocol: a sending
 //! [`Peer`], a receiving [`Peer`] and a channel that may reorder, damage or
 //! drop anything, with *every* interleaving of their moves enumerated to a
-//! fixed depth. No simulator, no clock: the moves are the protocol's own
+//! fixed depth. One of the frames is a credit grant, which rides the same
+//! sequenced path as data. No simulator, no clock: the moves are the protocol's own
 //! transitions, the glue between them is what `recv.rs` does with their
 //! answers, and the invariants are the ones the layer exists for —
 //! at-most-once delivery, nothing lost once acknowledged, nothing damaged
@@ -23,6 +24,8 @@ const DEPTH: usize = 10;
 const BUDGET: u32 = 2;
 /// What a header hit makes of a sequence number: one never allocated.
 const GARBAGE: u32 = 0x4000_0000;
+/// The frame that is a one-credit grant rather than data.
+const GRANT: u32 = 1;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Move {
@@ -86,7 +89,8 @@ struct World {
     consumed_damaged: u32,
     /// Frames whose ACK reached the sender.
     acked: BTreeSet<u32>,
-    /// Frames the sender reported as delivery failures.
+    /// Frames the sender gave up on (all but the grant reported as
+    /// delivery failures).
     failed: BTreeSet<u32>,
 }
 
@@ -142,6 +146,9 @@ impl World {
         if !duplicate {
             self.delivered[seq as usize] += 1;
             self.consumed_damaged += u32::from(!intact);
+            if seq == GRANT {
+                self.receiver.grant(1);
+            }
         }
     }
 
@@ -150,7 +157,12 @@ impl World {
             Move::Send => {
                 let seq = self.sender.alloc_seq();
                 let to = ThreadAddr::new(1, 0);
-                let mut frame = SendReq::new(0, to, MsgClass::Data, seq, Bytes::new(), 0);
+                let class = if seq == GRANT {
+                    MsgClass::Credit
+                } else {
+                    MsgClass::Data
+                };
+                let mut frame = SendReq::new(0, to, class, seq, Bytes::new(), 0);
                 frame.prewrapped = true;
                 if !self.sender.register(seq, frame) {
                     return Err(format!("seq {seq} registered twice"));
@@ -205,6 +217,7 @@ impl World {
                 }
             },
             Move::Timeout => {
+                let outstanding: Vec<u32> = self.sender.unacked.keys().copied().collect();
                 match self
                     .sender
                     .on_timeout(|_| false, BUDGET, false, &mut self.errs)
@@ -219,7 +232,12 @@ impl World {
                         if !self.sender.dead {
                             return Err("partition verdict on a route that is up".into());
                         }
-                        self.failed.extend(failed.iter().map(|&(_, tag)| tag));
+                        let raised: Vec<u32> = failed.iter().map(|&(_, tag)| tag).collect();
+                        let users = outstanding.iter().filter(|&&s| s != GRANT);
+                        if !raised.iter().eq(users) {
+                            return Err(format!("give-up of {outstanding:?} raised {raised:?}"));
+                        }
+                        self.failed.extend(outstanding);
                     }
                     TimeoutAction::Idle | TimeoutAction::Deferred => {}
                 }
@@ -237,6 +255,12 @@ impl World {
             let n = self.delivered[seq as usize];
             if n > 1 {
                 return Err(format!("seq {seq} delivered {n} times"));
+            }
+            if seq == GRANT && self.receiver.credits != n {
+                return Err(format!(
+                    "grant delivered {n} times, banked {}",
+                    self.receiver.credits
+                ));
             }
             if self.acked.contains(&seq) && n != 1 {
                 return Err(format!("seq {seq} acknowledged but never delivered"));

@@ -13,7 +13,7 @@ use super::frame::{claimed_seq, CHECKED_HEADER_BYTES};
 use super::peer::NackAction;
 use super::reassembly::{parse_chunk, Accepted, Expiry};
 use super::request::{complete_request, mark_progressed};
-use super::send::arm_retx_timer;
+use super::send::{arm_retx_timer, sequence};
 use super::term::{may_teardown, signal_quiescent};
 use super::{
     unwrap_checked, wire_key, ErrorControl, FlowControl, FrameError, Gate, MpsState, NcsException,
@@ -127,11 +127,15 @@ pub(super) fn match_requests(inner: &ProcInner, st: &mut MpsState) {
 }
 
 /// Counts one frame from `src` accepted for delivery and, once a batch is
-/// owed, queues the credit grant (see [`super::peer::Peer::consume`]).
+/// owed, queues the credit grant (see [`super::peer::Peer::consume`]). The
+/// grant is sequenced here, under the lock, not when the send thread pops
+/// it: until it is acknowledged the process is not quiescent.
 fn grant_credit(inner: &ProcInner, st: &mut MpsState, tier: usize, src: usize) {
     if let FlowControl::Credit { window } = inner.cfg.flow {
         if let Some(g) = st.peers.get(src).consume(window) {
-            st.push_send(SendReq::control(MsgClass::Credit, src, g, tier));
+            let mut grant = SendReq::control(MsgClass::Credit, src, g, tier);
+            sequence(inner, st, &mut grant);
+            st.push_send(grant);
             inner.wake_send();
         }
     }
@@ -220,7 +224,7 @@ fn ingest_fragment(inner: &Arc<ProcInner>, tier: usize, mut msg: NcsMsg) {
     }
 }
 
-/// Error control on an arriving data frame: verify it, acknowledge it (or
+/// Error control on an arriving sequenced frame: verify it, acknowledge it (or
 /// ask for it again), and filter duplicates. Returns the sequence number
 /// and clean payload of a frame to deliver. A frame the transport marked
 /// `damaged` is never parsed as data: it is NACKed by the sequence number
@@ -324,12 +328,11 @@ fn ingest(inner: &Arc<ProcInner>, m: &MtsCtx, tier: usize, d: Delivery) {
     let (class, from_thread, to_thread, user_tag) = decode_tag(d.tag);
     let from = ThreadAddr::new(d.src.idx(), from_thread);
     let mut payload = d.payload;
-    let carries_data = matches!(class, MsgClass::Data | MsgClass::Frag);
     // Resolve the sender's wire-key binding back to its causal timeline
     // (0 for control traffic and untracked frames). A checked frame is
     // claimed by the first copy accepted, so duplicates and corrupted
     // frames never disorder a timeline.
-    let instance = if carries_data && inner.cfg.error == ErrorControl::ChecksumRetransmit {
+    let instance = if class.sequenced() && inner.cfg.error == ErrorControl::ChecksumRetransmit {
         let Some((seq, clean)) = accept_checked(inner, tier, from.proc, &payload, d.damaged) else {
             return;
         };
@@ -365,9 +368,9 @@ fn ingest(inner: &Arc<ProcInner>, m: &MtsCtx, tier: usize, d: Delivery) {
         causal
     });
     if d.damaged {
-        // Nothing above could ask for it again — control traffic, an
-        // exception, data with error control off: the bytes are not what
-        // was sent and must never be consumed.
+        // Nothing above could ask for it again — an ACK or NACK, any frame
+        // with error control off: the bytes are not what was sent and must
+        // never be consumed.
         inner.state.lock().errs.damaged_dropped += 1;
         return;
     }

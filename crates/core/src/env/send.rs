@@ -73,6 +73,7 @@ fn retx_fire(inner: &Arc<ProcInner>, dst: usize, epoch: u64) {
         return;
     }
     p.timer = None;
+    let outstanding = p.unacked.len();
     let max_retries = inner.cfg.max_retries;
     let action = p.on_timeout(
         |tier| unreachable(inner, tier, dst),
@@ -102,7 +103,9 @@ fn retx_fire(inner: &Arc<ProcInner>, dst: usize, epoch: u64) {
         }
         TimeoutAction::Deferred => arm_retx_timer(inner, st, dst),
         TimeoutAction::Failed(failed) => {
-            st.in_flight -= failed.len();
+            // Every outstanding frame was purged, credit grants included,
+            // though only user frames raise a failure.
+            st.in_flight -= outstanding;
             // Unwedge a send thread parked on the peer's credits or I/O
             // buffers: neither will ever come.
             st.clear_waiting(Gate::Credit, dst);
@@ -127,7 +130,7 @@ fn retx_fire(inner: &Arc<ProcInner>, dst: usize, epoch: u64) {
 /// of the payload `head ‖ body` for retransmission (`req.data` is not read:
 /// a chunk's payload exists only inside its wire frame). Returns `(seq,
 /// wrapped payload)`. Must only be called with checksum/retransmit error
-/// control active.
+/// control active; [`sequence`] is the whole-payload form that checks.
 fn register_unacked(
     inner: &ProcInner,
     st: &mut MpsState,
@@ -160,6 +163,17 @@ fn register_unacked(
         });
     }
     (seq, wrapped)
+}
+
+/// Under checksum/retransmit error control, sequences and checksums a
+/// first transmission of a [sequenced](MsgClass::sequenced) class and keeps
+/// it for retransmission until acknowledged; otherwise leaves it as it is.
+pub(super) fn sequence(inner: &ProcInner, st: &mut MpsState, req: &mut SendReq) {
+    if inner.cfg.error == ErrorControl::ChecksumRetransmit {
+        let (seq, wrapped) = register_unacked(inner, st, req, &[], &req.data);
+        req.seq = Some(seq);
+        req.data = wrapped;
+    }
 }
 
 /// Puts one request on the wire and runs its post-send bookkeeping: RTT
@@ -228,21 +242,19 @@ fn fail_send(inner: &ProcInner, req: &SendReq, raise: bool) {
     }
 }
 
-/// Transmits queued control traffic (credit grants, ACKs, NACKs) and
-/// retransmissions while the send thread is gated on credits or I/O
-/// buffers. Without this, a gated data send head-of-line-blocks the very
-/// frames whose round trip would open the gate — two peers both parked on
-/// credits with grants queued behind them would deadlock. Returns whether
+/// Transmits queued system traffic — what no user thread posted: credit
+/// grants, ACKs, NACKs, retransmissions — while the send thread is gated
+/// on credits or I/O buffers. Without this, a gated data send
+/// head-of-line-blocks the very frames whose round trip would open the
+/// gate — two peers both parked on credits with grants queued behind them
+/// would deadlock. Returns whether
 /// anything was sent.
 fn drain_control(inner: &Arc<ProcInner>, m: &MtsCtx) -> bool {
     let mut any = false;
     loop {
         let req = {
             let mut st = inner.state.lock();
-            let ungated = |r: &SendReq| {
-                r.prewrapped || matches!(r.class, MsgClass::Credit | MsgClass::Ack | MsgClass::Nack)
-            };
-            let pos = st.send_q.iter().position(ungated);
+            let pos = st.send_q.iter().position(|r| r.waiter.is_none());
             let Some(req) = pos.and_then(|i| st.take_send(i)) else {
                 return any;
             };
@@ -401,8 +413,10 @@ pub(super) fn send_thread_body(inner: &Arc<ProcInner>, m: &MtsCtx) {
                     if let Some(slot) = req.waiter {
                         mark_progressed(inner, st, slot);
                     }
+                    // A fresh sequenced frame or a retransmission; a credit
+                    // grant, sequenced when granted, is the timer's to fail.
                     let (dead, partitioned) = match st.peers.find(req.to.proc) {
-                        Some(p) if matches!(req.class, MsgClass::Data | MsgClass::Frag) => {
+                        Some(p) if req.class.sequenced() && req.seq.is_none() => {
                             (p.dead, p.partitioned)
                         }
                         _ => (false, false),
@@ -438,13 +452,8 @@ pub(super) fn send_thread_body(inner: &Arc<ProcInner>, m: &MtsCtx) {
             send_fragmented(inner, m, req);
             continue;
         }
-        // Error control: frame data messages with a sequence number and
-        // checksum, keeping a copy for retransmission until acknowledged.
-        if fresh_data && inner.cfg.error == ErrorControl::ChecksumRetransmit {
-            let (seq, wrapped) =
-                register_unacked(inner, &mut inner.state.lock(), &req, &[], &req.data);
-            req.seq = Some(seq);
-            req.data = wrapped;
+        if req.class.sequenced() && req.seq.is_none() && !req.prewrapped {
+            sequence(inner, &mut inner.state.lock(), &mut req);
         }
         // Credit flow control gates fresh application data; retransmissions
         // ride free (the receiver grants credits only for frames it accepts

@@ -1,13 +1,14 @@
 //! Fault-recovery scenes for the WAN-scale chaos work: crash-stop in the
 //! middle of a chunked transfer, partition fail-fast with post-flap
 //! recovery, a link flap cutting a cell train on the HSM stack, a path
-//! that damages every PDU, and damaged deliveries under no error control.
+//! that damages every PDU, damaged deliveries under no error control, and
+//! control messages (a credit grant, a signal) toward a crashed peer.
 //! Each scene checks the *graceful* part of degradation — typed exceptions
 //! and reclaimed buffers instead of hangs, leaks, or spurious dead peers.
 
 use bytes::Bytes;
 use ncs_core::{
-    ErrorControl, NcsConfig, NcsWorld, RtoConfig, ThreadAddr, EXC_DELIVERY_FAILED,
+    ErrorControl, FlowControl, NcsConfig, NcsWorld, RtoConfig, ThreadAddr, EXC_DELIVERY_FAILED,
 };
 use ncs_net::atm::{AtmFabric, AtmLanParams};
 use ncs_net::{
@@ -382,5 +383,112 @@ fn a_burst_of_damaged_frames_defers_resends_at_the_queue_cap() {
     let stats = world.procs()[0].error_stats();
     assert!(stats.retx_deferred > 0, "{stats:?}");
     assert_eq!(stats.delivery_failures, u64::from(MSGS), "{stats:?}");
+    sim.finish();
+}
+
+#[test]
+fn a_grant_toward_a_crashed_sender_is_given_up_silently() {
+    // Process 0 sends one message and crash-stops while it is in flight;
+    // process 1 receives it and owes a credit grant (window 2: a grant per
+    // message), which, like any sequenced frame, is retried until its
+    // budget runs out and is then abandoned. No user thread sent the
+    // grant, so no user code hears of it; its frame leaves the
+    // unacknowledged count (else process 1 would never become quiescent
+    // and the run could not end clean).
+    let sim = Sim::new();
+    let chaos = ChaosNet::new(fast_net(2, Dur::from_millis(1)), ChaosParams::clean(7));
+    chaos.crash_at(NodeId(0), SimTime::ZERO + Dur::from_micros(500));
+    let net: Arc<dyn Network> = Arc::clone(&chaos) as Arc<dyn Network>;
+    let cfg = NcsConfig {
+        flow: FlowControl::Credit { window: 2 },
+        ..checked(5, 3)
+    };
+    let world = NcsWorld::launch(&sim, vec![net], 2, cfg, |id, proc_| {
+        proc_.t_create("w", 5, move |ncs| {
+            if id == 0 {
+                ncs.send(ThreadAddr::new(1, 0), 4, Bytes::from_static(b"last words"));
+            } else {
+                let m = ncs.recv(Some(0), None, Some(4));
+                assert_eq!(m.data, Bytes::from_static(b"last words"));
+            }
+        });
+    });
+    sim.run().assert_clean();
+    let receiver = &world.procs()[1];
+    let stats = receiver.error_stats();
+    assert!(
+        receiver.is_peer_dead(0) && stats.timer_retransmits == 3,
+        "the grant must be retried to its budget, then given up: {stats:?}"
+    );
+    assert!(
+        receiver.pending_exceptions().is_empty(),
+        "a given-up grant raises nothing in user code"
+    );
+    assert_eq!(stats.delivery_failures, 0, "{stats:?}");
+    // The crashed sender's own message was never acknowledged.
+    let sender = world.procs()[0].pending_exceptions();
+    assert_eq!(sender.len(), 1, "{sender:?}");
+    sim.finish();
+}
+
+#[test]
+fn a_signal_queued_toward_a_peer_that_dies_fails_fast() {
+    // Process 1 is crashed from the start. Under a one-credit window the
+    // second data message parks the send thread on credits, and a signal
+    // queues behind it. The first message's give-up, one RTO schedule
+    // (four 80 ms timeouts) later, declares the peer dead and fails both
+    // data messages; the queued signal must then fail fast too — not be
+    // sequenced and retried through a second schedule toward the dead
+    // peer. A raise toward the peer, now marked dead, fails on the spot.
+    let sim = Sim::new();
+    let chaos = ChaosNet::new(fast_net(2, Dur::from_millis(1)), ChaosParams::clean(8));
+    chaos.crash_at(NodeId(1), SimTime::ZERO);
+    let net: Arc<dyn Network> = Arc::clone(&chaos) as Arc<dyn Network>;
+    let cfg = NcsConfig {
+        flow: FlowControl::Credit { window: 1 },
+        ..checked(5, 3)
+    };
+    let world = NcsWorld::launch(&sim, vec![net], 2, cfg, move |id, proc_| {
+        if id != 0 {
+            return;
+        }
+        let to = ThreadAddr::new(1, 0);
+        proc_.t_create("data", 5, move |ncs| {
+            ncs.send(to, 1, Bytes::from_static(b"first"));
+            ncs.send(to, 2, Bytes::from_static(b"second"));
+        });
+        proc_.t_create("signaller", 5, move |ncs| {
+            // Well after the second message parked on credits (an MTS
+            // sleep: the data thread runs meanwhile).
+            ncs.mctx().sleep(Dur::from_millis(10));
+            ncs.signal(to);
+            let t = ncs.ctx().now();
+            ncs.raise(1, 0xDEAD, Bytes::new());
+            assert_eq!(
+                ncs.ctx().now(),
+                t,
+                "a raise toward a dead peer must not wait"
+            );
+        });
+    });
+    sim.run().assert_clean();
+    let sender = &world.procs()[0];
+    assert!(sender.is_peer_dead(1));
+    let tags: Vec<_> = sender
+        .pending_exceptions()
+        .iter()
+        .map(|e| {
+            assert_eq!(
+                (e.code, e.from),
+                (EXC_DELIVERY_FAILED, ThreadAddr::new(1, 0))
+            );
+            u32::from_le_bytes(e.detail[..].try_into().unwrap())
+        })
+        .collect();
+    // Both data messages at the give-up, then the signal (tag 0) and the
+    // raise (its code) — in that order, so the signal did not outlive it.
+    assert_eq!(tags, vec![1, 2, 0, 0xDEAD]);
+    let stats = sender.error_stats();
+    assert_eq!(stats.timer_retransmits, 3, "one retry schedule: {stats:?}");
     sim.finish();
 }

@@ -10,6 +10,9 @@ cargo build --release --offline --locked && cargo test -q --offline --locked
 echo "== apps tests under release codegen: exactness pins hold optimized (as CI) =="
 cargo test -q --offline --release -p ncs-apps
 
+echo "== every message class over a lossy wire, 64 seeds (as CI) =="
+cargo test --release --offline -p ncs-core --test lossy_control -- --ignored
+
 echo "== no-registry guard: removed crate names, lock file sources (as CI) =="
 bash scripts/guard_no_registry.sh
 
