@@ -35,7 +35,6 @@ fn mts_yield_loop(threads: &[(usize, usize)]) -> (Vec<(usize, usize)>, u64) {
             "p0",
             MtsConfig {
                 context_switch: Dur::ZERO,
-                ..MtsConfig::default()
             },
         );
         for (i, &(prio, rounds)) in threads.iter().enumerate() {

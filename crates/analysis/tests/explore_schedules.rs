@@ -24,15 +24,9 @@ impl Workload for LostWakeupWorkload {
     fn run(&self, policy: Box<dyn SchedulePolicy>) -> Observation {
         let sim = Sim::new();
         let (analysis, sink) = AnalysisConfig::recording();
+        sim.set_analysis(analysis);
         sim.spawn("main", move |ctx| {
-            let mts = Mts::new(
-                ctx.sim(),
-                "p0",
-                MtsConfig {
-                    analysis,
-                    ..MtsConfig::default()
-                },
-            );
+            let mts = Mts::new(ctx.sim(), "p0", MtsConfig::default());
             let waiting = Arc::new(AtomicBool::new(false));
             let flag = Arc::clone(&waiting);
             let waiter = mts.spawn("waiter", 1, move |m| {

@@ -13,14 +13,8 @@ use std::sync::Arc;
 fn two_thread_cyclic_wait_is_reported_as_deadlock() {
     let sim = Sim::new();
     let (analysis, sink) = AnalysisConfig::recording();
-    let mts = Mts::new(
-        &sim,
-        "proc0",
-        MtsConfig {
-            analysis,
-            ..MtsConfig::default()
-        },
-    );
+    sim.set_analysis(analysis);
+    let mts = Mts::new(&sim, "proc0", MtsConfig::default());
 
     // Tid exchange: `a` is spawned first, so `b` can capture `a`'s tid
     // directly; `a` reads `b`'s out of the cell once it runs.
@@ -65,14 +59,8 @@ fn two_thread_cyclic_wait_is_reported_as_deadlock() {
 fn forgotten_unblock_is_reported_as_lost_wakeup() {
     let sim = Sim::new();
     let (analysis, sink) = AnalysisConfig::recording();
-    let mts = Mts::new(
-        &sim,
-        "proc0",
-        MtsConfig {
-            analysis,
-            ..MtsConfig::default()
-        },
-    );
+    sim.set_analysis(analysis);
+    let mts = Mts::new(&sim, "proc0", MtsConfig::default());
     mts.spawn("loner", 5, |m| {
         m.block(); // nobody will ever unblock this
     });
@@ -109,14 +97,8 @@ fn forgotten_unblock_is_reported_as_lost_wakeup() {
 fn clean_runs_report_nothing_and_queues_validate() {
     let sim = Sim::new();
     let (analysis, sink) = AnalysisConfig::recording();
-    let mts = Mts::new(
-        &sim,
-        "proc0",
-        MtsConfig {
-            analysis,
-            ..MtsConfig::default()
-        },
-    );
+    sim.set_analysis(analysis);
+    let mts = Mts::new(&sim, "proc0", MtsConfig::default());
     // A block/unblock pair plus sleeps: plenty of queue churn, no bug.
     let pinged: Arc<Mutex<bool>> = Arc::new(Mutex::new(false));
     let pinged2 = Arc::clone(&pinged);

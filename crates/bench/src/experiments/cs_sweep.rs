@@ -33,7 +33,6 @@ pub(super) fn run(_: &Opts, out: &mut Report) {
     for cs_us in [0u64, 15, 50, 150, 500, 2000] {
         let mts = MtsConfig {
             context_switch: Dur::from_micros(cs_us),
-            ..MtsConfig::default()
         };
         let ncs_1 = matmul_ncs_configured(Testbed::SunEthernet.build(2), cfg1, mts.clone()).elapsed;
         let ncs_2 = matmul_ncs_configured(Testbed::SunEthernet.build(3), cfg2, mts).elapsed;

@@ -51,7 +51,6 @@ fn block_unblock() {
             "p",
             MtsConfig {
                 context_switch: Dur::ZERO,
-                ..Default::default()
             },
         );
         let mts2 = mts.clone();

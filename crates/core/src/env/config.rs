@@ -62,12 +62,15 @@ pub struct NcsConfig {
     pub poll_cost: Dur,
     /// Error control: adaptive retransmission-timeout parameters.
     pub rto: RtoConfig,
-    /// Error control: give up (and raise a local delivery-failure
-    /// exception, code [`EXC_DELIVERY_FAILED`]) at the timeout that finds
-    /// a frame retransmitted this many times, timer- and NACK-driven
-    /// resends counted alike.
-    /// Exhausting the budget also marks the destination **dead**: further
-    /// sends to it fail fast with the same exception instead of hanging.
+    /// Error control: give up at the timeout that finds a frame
+    /// retransmitted this many times, timer- and NACK-driven resends
+    /// counted alike, abandoning every frame outstanding toward the
+    /// destination and marking it **dead**: further sends to it fail fast
+    /// instead of hanging. Each user send that fails either way raises one
+    /// local delivery-failure exception (code [`EXC_DELIVERY_FAILED`]) and
+    /// counts one [`ErrorStats::delivery_failures`](super::ErrorStats::delivery_failures)
+    /// — once per send, a chunked transfer included; a given-up credit
+    /// grant raises nothing.
     pub max_retries: u32,
     /// Pipelined data path (the paper's Approach 2): number of I/O buffers
     /// the send thread may keep in flight per destination. A data message
@@ -93,8 +96,9 @@ pub struct NcsConfig {
     /// Runtime analysis pass: deadlock / lost-wakeup detection in the
     /// scheduler plus protocol conservation checks (credits, sequence
     /// numbers, retry budgets) in the system threads. Off by default; an
-    /// active config here is also installed into [`NcsConfig::mts`] (and
-    /// the sim kernel) unless one was set there explicitly.
+    /// active config here is installed into the simulation
+    /// ([`Sim::set_analysis`](ncs_sim::Sim::set_analysis)) at `NCS_init`,
+    /// where the scheduler and the kernel read it.
     pub analysis: AnalysisConfig,
 }
 

@@ -176,7 +176,7 @@ impl NcsCtx<'_> {
             // Error control exhausted its retries on this destination:
             // fail fast with the delivery-failure exception instead of
             // queueing a transfer that can never complete.
-            inner.raise_delivery_failed(to, tag);
+            inner.fail_sends(&[(to, tag)]);
             return self.completed_send(req_causal);
         }
         let h = st.reqs.alloc(ReqKind::Send, self.thread, req_causal);

@@ -132,12 +132,8 @@ struct SendReq {
     /// gated send thread; the blocking `NCS_send` rides the same handle
     /// machinery via its post+wait wrapper).
     waiter: Option<u32>,
-    /// Payload already carries the error-control header (a retransmission).
-    prewrapped: bool,
-    /// Error-control sequence number, set when the send thread wraps a
-    /// first transmission — after the wire send it stamps the frame's RTT
-    /// clock and arms the retransmission timer.
-    seq: Option<u32>,
+    /// Sequencing: none yet, a first transmission, or a retransmission.
+    state: FrameState,
     /// Causal timeline id (0 = untracked). Chunks of one fragmented
     /// transfer all carry the logical message's id.
     causal: u64,
@@ -162,8 +158,7 @@ impl SendReq {
             data,
             tier,
             waiter: None,
-            prewrapped: false,
-            seq: None,
+            state: FrameState::Unsequenced,
             causal: 0,
         }
     }
@@ -173,6 +168,22 @@ impl SendReq {
     fn control(class: MsgClass, to: usize, word: u32, tier: usize) -> Self {
         SendReq::new(0, ThreadAddr::new(to, 0), class, word, Bytes::new(), tier)
     }
+}
+
+/// Where a queued frame stands under error control.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum FrameState {
+    /// Carries no sequence number (yet): ACKs and NACKs, every frame
+    /// without error control, and a sequenced class's frame until the send
+    /// thread wraps it.
+    Unsequenced,
+    /// A first transmission wrapped under this sequence number: after the
+    /// wire send it stamps the frame's RTT clock and arms the
+    /// retransmission timer.
+    First(u32),
+    /// A retransmission: the payload already carries the error-control
+    /// header.
+    Retransmit,
 }
 
 /// What a receive is willing to take (`None` = the paper's `-1` wildcard).
@@ -256,8 +267,6 @@ struct MpsState {
     stash: VecDeque<NcsMsg>,
     peak_stash: usize,
     peers: Peers,
-    /// Unacknowledged frames over all peers.
-    in_flight: usize,
     /// The destination the send thread is (or last was) parked on, per
     /// [`Gate`].
     send_waiting: [Option<usize>; 2],
@@ -268,8 +277,6 @@ struct MpsState {
     recv_msgs: u64,
     /// Chunked-transfer id allocator (pipelined data path).
     next_xfer_id: u32,
-    /// Monotonic allocator for [`peer::RetxTimer::epoch`].
-    timer_epoch: u64,
     /// Error-control counters (the snapshot fills in the per-peer lists).
     errs: ErrorStats,
     /// Statistics: data messages that went out chunked through the
@@ -284,7 +291,7 @@ struct MpsState {
 
 impl MpsState {
     fn push_send(&mut self, req: SendReq) {
-        self.retx_queued += usize::from(req.prewrapped);
+        self.retx_queued += usize::from(req.state == FrameState::Retransmit);
         self.send_q.push_back(req);
     }
 
@@ -292,7 +299,7 @@ impl MpsState {
     /// caller's scan selected).
     fn take_send(&mut self, pos: usize) -> Option<SendReq> {
         let req = self.send_q.remove(pos)?;
-        self.retx_queued -= usize::from(req.prewrapped);
+        self.retx_queued -= usize::from(req.state == FrameState::Retransmit);
         Some(req)
     }
 
@@ -321,9 +328,14 @@ impl MpsState {
         was
     }
 
+    /// No frame toward any peer awaits acknowledgment.
+    fn all_acked(&self) -> bool {
+        self.peers.iter().all(|(_, p)| p.unacked.is_empty())
+    }
+
     /// Shutdown was requested and no frame awaits acknowledgment.
     fn quiescent(&self) -> bool {
-        self.shutdown && self.in_flight == 0
+        self.shutdown && self.all_acked()
     }
 }
 
@@ -356,9 +368,8 @@ struct ProcInner {
     /// polling-style consumers.
     pending_exceptions: Mutex<Vec<NcsException>>,
     /// Collective termination barrier shared by all processes of one
-    /// [`crate::NcsWorld`]; `None` for a standalone process, which tears
-    /// down at local quiescence as before.
-    term: Option<Arc<TermBarrier>>,
+    /// [`crate::NcsWorld`]: the one teardown path.
+    term: Arc<TermBarrier>,
 }
 
 impl ProcInner {
@@ -401,14 +412,23 @@ impl ProcInner {
         }
     }
 
-    /// Raises the local delivery-failure exception for a transfer to `to`
-    /// that can never complete.
-    fn raise_delivery_failed(&self, to: ThreadAddr, tag: u32) {
-        self.raise(NcsException {
-            from: to,
-            code: EXC_DELIVERY_FAILED,
-            detail: Bytes::from(tag.to_le_bytes().to_vec()),
-        });
+    /// Declares user sends failed, each given as its `(destination, tag)`:
+    /// counts them in [`ErrorStats::delivery_failures`] and raises
+    /// [`EXC_DELIVERY_FAILED`] for each — the one place either happens.
+    /// Every user send that can never complete passes here exactly once,
+    /// reported by whoever holds it: the path that has it in hand until it
+    /// is registered for retransmission, the give-up purge after that (a
+    /// chunked transfer is registered with its last chunk). Called without
+    /// the state lock: the exception handler is user code.
+    fn fail_sends(&self, sends: &[(ThreadAddr, u32)]) {
+        self.state.lock().errs.delivery_failures += sends.len() as u64;
+        for &(to, tag) in sends {
+            self.raise(NcsException {
+                from: to,
+                code: EXC_DELIVERY_FAILED,
+                detail: Bytes::from(tag.to_le_bytes().to_vec()),
+            });
+        }
     }
 }
 

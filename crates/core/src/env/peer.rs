@@ -12,7 +12,7 @@
 use ncs_sim::{Dur, SimTime, TimerHandle};
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::reassembly::Reassembly;
+use super::reassembly::{registered_xfer, Reassembly};
 use super::{RtoConfig, SendReq};
 use crate::addr::{MsgClass, ThreadAddr};
 
@@ -34,8 +34,13 @@ pub struct ErrorStats {
     pub backoff_events: u64,
     /// Clean RTT samples folded into an estimator (Karn-filtered).
     pub rtt_samples: u64,
-    /// Frames abandoned after exhausting the retry budget, each raised as
-    /// a delivery failure (a given-up credit grant raises none).
+    /// User sends that can never complete, each raised once as
+    /// [`EXC_DELIVERY_FAILED`](super::EXC_DELIVERY_FAILED): one per send
+    /// (a chunked transfer is one send), whether it failed fast toward a
+    /// peer already dead or cut off, or was abandoned in the give-up after
+    /// its retry budget ran out. A given-up credit grant, which no user
+    /// thread sent, is not one. Equal to the number of such exceptions
+    /// raised.
     pub delivery_failures: u64,
     /// Duplicate frames re-ACKed but not delivered: retransmissions the
     /// receiver can *prove* were unnecessary, because a copy had already
@@ -168,7 +173,8 @@ impl RttEstimator {
 pub(super) struct Unacked {
     /// The retransmission, ready to queue: the wrapped payload under the
     /// frame's original addressing and class (a retransmitted chunk must
-    /// still be routed into reassembly), marked `prewrapped`.
+    /// still be routed into reassembly), in the
+    /// [`Retransmit`](super::FrameState::Retransmit) state.
     frame: SendReq,
     /// Retransmissions so far, timeout- and NACK-driven alike: both spend
     /// the one `max_retries` budget.
@@ -178,14 +184,6 @@ pub(super) struct Unacked {
     /// The frame has been retransmitted at least once; Karn's rule bars
     /// its ACK from RTT sampling (the echo is ambiguous).
     retransmitted: bool,
-}
-
-/// One armed per-destination loss-recovery timer.
-pub(super) struct RetxTimer {
-    pub handle: TimerHandle,
-    /// Guards against a stale firing racing a restart: a fired callback
-    /// whose epoch no longer matches the armed timer's is ignored.
-    pub epoch: u64,
 }
 
 /// Outcome of an acknowledgment that retired a frame.
@@ -225,10 +223,10 @@ pub(super) enum TimeoutAction {
     /// The retransmit queue is at its cap: re-arm with the doubled timeout
     /// and let the queue drain meanwhile.
     Deferred,
-    /// Every outstanding frame was abandoned; raise a delivery failure for
-    /// each user frame's `(endpoint, tag)`. Either the retry budget is spent and the
-    /// peer is permanently dead, or every route to it is down (partition
-    /// fail-fast, recoverable when the route heals).
+    /// Every outstanding frame was abandoned; report the user sends
+    /// [`Peer::purge`] returned as failed. Either the retry budget is spent
+    /// and the peer is permanently dead, or every route to it is down
+    /// (partition fail-fast, recoverable when the route heals).
     Failed(Vec<(ThreadAddr, u32)>),
 }
 
@@ -257,8 +255,14 @@ pub(super) struct Peer {
     pub partitioned: bool,
     /// The loss-recovery timer, timing the *oldest* unacknowledged frame
     /// (TCP-style): restarted on partial acknowledgment, retracted when the
-    /// last frame is acked.
-    pub timer: Option<RetxTimer>,
+    /// last frame is acked. Whoever replaces or retracts the handle
+    /// cancels it (a firing takes its own), so a firing always finds its
+    /// own timer armed.
+    pub timer: Option<TimerHandle>,
+    /// The chunked transfer toward the peer whose last chunk the send loop
+    /// has yet to register: until it has, a failure of that transfer is the
+    /// loop's to report, not the purge's.
+    pub chunking: Option<u32>,
     /// Delivered sequence numbers from the peer — a retransmitted frame
     /// whose ACK was lost must not be delivered twice.
     seen: SeqWindow,
@@ -489,11 +493,11 @@ impl Peer {
             // recover.
             self.partitioned = true;
             errs.partition_failfasts += 1;
-            return TimeoutAction::Failed(self.purge(errs));
+            return TimeoutAction::Failed(self.purge());
         }
         if u.retries >= max_retries {
             self.dead = true;
-            return TimeoutAction::Failed(self.purge(errs));
+            return TimeoutAction::Failed(self.purge());
         }
         if queue_full {
             errs.retx_deferred += 1;
@@ -514,16 +518,25 @@ impl Peer {
     }
 
     /// Abandons every outstanding frame toward the peer, returning the
-    /// `(endpoint, tag)` pairs to raise a delivery failure for: every frame
-    /// but a credit grant, which no user thread sent.
-    pub fn purge(&mut self, errs: &mut ErrorStats) -> Vec<(ThreadAddr, u32)> {
-        let failed: Vec<_> = std::mem::take(&mut self.unacked)
+    /// user sends they carried as `(endpoint, tag)`, each once: none for a
+    /// credit grant, which no user thread sent, and one per chunked
+    /// transfer however many of its chunks were outstanding — none for the
+    /// transfer still [`chunking`](Peer::chunking), which its send loop
+    /// reports.
+    pub fn purge(&mut self) -> Vec<(ThreadAddr, u32)> {
+        let mut xfers = BTreeSet::new();
+        std::mem::take(&mut self.unacked)
             .into_values()
-            .filter(|u| u.frame.class != MsgClass::Credit)
+            .filter(|u| match u.frame.class {
+                MsgClass::Credit => false,
+                MsgClass::Frag => {
+                    let xfer = registered_xfer(&u.frame.data);
+                    self.chunking != Some(xfer) && xfers.insert(xfer)
+                }
+                _ => true,
+            })
             .map(|u| (u.frame.to, u.frame.user_tag))
-            .collect();
-        errs.delivery_failures += failed.len() as u64;
-        failed
+            .collect()
     }
 }
 
@@ -532,6 +545,8 @@ mod pair_check;
 
 #[cfg(test)]
 mod tests {
+    use super::super::reassembly::frag_header;
+    use super::super::{wrap_checked, FrameState};
     use super::*;
     use bytes::Bytes;
 
@@ -555,7 +570,7 @@ mod tests {
                 Bytes::new(),
                 0,
             );
-            frame.prewrapped = true;
+            frame.state = FrameState::Retransmit;
             assert!(p.register(seq, frame));
             p.stamp_sent(seq, at(u64::from(i)));
         }
@@ -680,7 +695,7 @@ mod tests {
             } => {
                 assert_eq!((seq, retries), (0, 1));
                 assert_eq!((frame.to, frame.user_tag), (ThreadAddr::new(1, 0), 100));
-                assert!(frame.prewrapped && frame.waiter.is_none());
+                assert!(frame.state == FrameState::Retransmit && frame.waiter.is_none());
             }
             _ => panic!("expected a retransmission"),
         }
@@ -734,7 +749,8 @@ mod tests {
         }
         assert!(p.partitioned && !p.dead && p.cut_off());
         assert!(p.unacked.is_empty());
-        assert_eq!((errs.partition_failfasts, errs.delivery_failures), (1, 3));
+        assert_eq!(errs.partition_failfasts, 1);
+        assert_eq!(errs.delivery_failures, 0, "counted where it is raised");
         assert_eq!(errs.backoff_events, 0);
     }
 
@@ -754,11 +770,42 @@ mod tests {
             _ => panic!("expected the give-up"),
         }
         assert!(p.dead && !p.partitioned);
-        assert_eq!(errs.delivery_failures, 3);
+        assert_eq!(errs.delivery_failures, 0, "counted where it is raised");
         assert!(matches!(
             p.on_timeout(up, 1, false, &mut errs),
             TimeoutAction::Idle
         ));
+    }
+
+    #[test]
+    fn a_purge_reports_each_chunked_transfer_once() {
+        // Transfer 7 (3 chunks) was fully registered, and its last chunk
+        // already acknowledged; transfer 8 is still being chunked. Beside
+        // them, one data frame and one credit grant.
+        let mut p = Peer::new(0);
+        let mut errs = ErrorStats::default();
+        let to = ThreadAddr::new(1, 0);
+        let mut register = |class, tag, head: &[u8]| {
+            let seq = p.alloc_seq();
+            let data = wrap_checked(seq, head, b"body");
+            let mut frame = SendReq::new(0, to, class, tag, data, 0);
+            frame.state = FrameState::Retransmit;
+            assert!(p.register(seq, frame));
+        };
+        for idx in 0..3 {
+            register(MsgClass::Frag, 70, &frag_header(7, idx, 3));
+        }
+        register(MsgClass::Data, 71, &[]);
+        register(MsgClass::Credit, 1, &[]);
+        for idx in 0..2 {
+            register(MsgClass::Frag, 80, &frag_header(8, idx, 4));
+        }
+        p.chunking = Some(8);
+        assert!(p.on_ack(2, T0, &mut errs).is_some());
+        // Transfer 7 once, the data frame; not the grant, and not transfer
+        // 8, whose send loop reports it.
+        assert_eq!(p.purge(), vec![(to, 70), (to, 71)]);
+        assert!(p.unacked.is_empty());
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! replaying its moves from the start, and a visited-set on a small digest
 //! of the pair keeps the search to the distinct states.
 
+use super::super::FrameState;
 use super::*;
 use crate::addr::MsgClass;
 use bytes::Bytes;
@@ -163,7 +164,7 @@ impl World {
                     MsgClass::Data
                 };
                 let mut frame = SendReq::new(0, to, class, seq, Bytes::new(), 0);
-                frame.prewrapped = true;
+                frame.state = FrameState::Retransmit;
                 if !self.sender.register(seq, frame) {
                     return Err(format!("seq {seq} registered twice"));
                 }

@@ -9,7 +9,6 @@ use std::sync::{Arc, OnceLock};
 
 use super::recv::{match_requests, recv_thread_body};
 use super::send::send_thread_body;
-use super::term::signal_quiescent;
 use super::{
     ErrorStats, FlowControl, MpsState, NcsConfig, NcsCtx, NcsException, NcsMsg, Peers, ProcInner,
     SysThreads, TermBarrier, UserThread, RECV_THREAD_PRIORITY, SEND_THREAD_PRIORITY,
@@ -26,23 +25,10 @@ impl NcsProc {
     /// `NCS_init`: builds the MTS runtime and system threads for process
     /// `id` of `n`, attached to one or more transport tiers (`nets[0]` is
     /// the default tier; a second entry typically carries the other of
-    /// NSM/HSM).
-    // ncs-lint: allow(dead-surface) NCS_init, the paper's process-start call
-    pub fn init(
-        sim: &Sim,
-        id: usize,
-        n: usize,
-        nets: Vec<Arc<dyn Network>>,
-        cfg: NcsConfig,
-    ) -> NcsProc {
-        Self::init_inner(sim, id, n, nets, cfg, None)
-    }
-
-    /// `NCS_init` for a process belonging to a collective computation:
-    /// identical to [`NcsProc::init`], except the process lingers at the
-    /// shared [`TermBarrier`] after local quiescence so late
+    /// NSM/HSM). The process belongs to the collective computation of
+    /// `term`: after local quiescence it lingers there, so late
     /// retransmissions from slower peers still find a live receiver.
-    pub(crate) fn init_collective(
+    pub(crate) fn init(
         sim: &Sim,
         id: usize,
         n: usize,
@@ -50,27 +36,15 @@ impl NcsProc {
         cfg: NcsConfig,
         term: &Arc<TermBarrier>,
     ) -> NcsProc {
-        Self::init_inner(sim, id, n, nets, cfg, Some(Arc::clone(term)))
-    }
-
-    fn init_inner(
-        sim: &Sim,
-        id: usize,
-        n: usize,
-        nets: Vec<Arc<dyn Network>>,
-        cfg: NcsConfig,
-        term: Option<Arc<TermBarrier>>,
-    ) -> NcsProc {
         assert!(!nets.is_empty(), "need at least one transport tier");
         for net in &nets {
             assert!(n <= net.nodes(), "more processes than testbed nodes");
         }
         assert!(id < n);
-        let mut mts_cfg = cfg.mts.clone();
-        if cfg.analysis.active() && !mts_cfg.analysis.active() {
-            mts_cfg.analysis = cfg.analysis.clone();
+        if cfg.analysis.active() {
+            sim.set_analysis(cfg.analysis.clone());
         }
-        let mts = Mts::new(sim, format!("proc{id}"), mts_cfg);
+        let mts = Mts::new(sim, format!("proc{id}"), cfg.mts.clone());
         let merged = SimChannel::unbounded();
         let credit_seed = match cfg.flow {
             FlowControl::Credit { window } => window,
@@ -95,11 +69,9 @@ impl NcsProc {
             users: Mutex::new(Vec::new()),
             exception_handler: Mutex::new(None),
             pending_exceptions: Mutex::new(Vec::new()),
-            term,
+            term: Arc::clone(term),
         });
-        if let Some(t) = &inner.term {
-            t.register(&inner);
-        }
+        term.register(&inner);
         let proc_ = NcsProc { inner };
         proc_.spawn_system_threads();
         // Every tier's inbox passes straight through to the one queue the
@@ -188,15 +160,14 @@ impl NcsProc {
             st.shutdown = true;
             st.quiescent()
         };
-        // Wake the send thread so it can drain and exit; signal quiescence
-        // so the receive thread's kernel wait can end. With error control
-        // active, the signal waits for the last acknowledgment (see the
-        // receive driver), since retransmissions may still be needed; in a
-        // collective world the process additionally lingers at the
-        // termination barrier until *every* peer is quiescent (TIME-WAIT).
+        // Wake the send thread so it can drain; signal quiescence at the
+        // termination barrier, where the process lingers until *every*
+        // peer is quiescent (TIME-WAIT). With error control active, the
+        // signal waits for the last acknowledgment (see the receive
+        // driver), since retransmissions may still be needed.
         self.inner.wake_send();
         if can_close {
-            signal_quiescent(&self.inner);
+            self.inner.term.proc_ready(self.inner.id);
         }
     }
 

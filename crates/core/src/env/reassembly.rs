@@ -9,6 +9,8 @@ use bytes::Bytes;
 use ncs_sim::{Dur, SimTime, TimerHandle};
 use std::collections::BTreeMap;
 
+use super::frame::CHECKED_HEADER_BYTES;
+
 /// Bytes of the chunk header a `Frag` payload carries:
 /// `[xfer_id u32 LE][chunk index u32 LE][chunk count u32 LE]`.
 pub(super) const FRAG_HEADER_BYTES: usize = 12;
@@ -20,6 +22,13 @@ pub(super) fn frag_header(xfer: u32, idx: u32, total: u32) -> [u8; FRAG_HEADER_B
     h[4..8].copy_from_slice(&idx.to_le_bytes());
     h[8..12].copy_from_slice(&total.to_le_bytes());
     h
+}
+
+/// The transfer a chunk belongs to, read from a frame registered for
+/// retransmission: the error-control header, then the chunk header.
+pub(super) fn registered_xfer(frame: &[u8]) -> u32 {
+    let at = CHECKED_HEADER_BYTES;
+    u32::from_le_bytes(frame[at..at + 4].try_into().expect("a chunk header"))
 }
 
 /// One parsed chunk: which transfer, which piece of how many, and a

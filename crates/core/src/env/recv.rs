@@ -14,7 +14,7 @@ use super::peer::NackAction;
 use super::reassembly::{parse_chunk, Accepted, Expiry};
 use super::request::{complete_request, mark_progressed};
 use super::send::{arm_retx_timer, sequence};
-use super::term::{may_teardown, signal_quiescent};
+use super::term::may_teardown;
 use super::{
     unwrap_checked, wire_key, ErrorControl, FlowControl, FrameError, Gate, MpsState, NcsException,
     NcsMsg, ProcInner, SendReq,
@@ -295,7 +295,6 @@ fn ingest_ack(inner: &Arc<ProcInner>, src: usize, seq: u32) {
         })
     });
     if let Some(acked) = p.on_ack(seq, inner.sim.now(), &mut st.errs) {
-        st.in_flight -= 1;
         // One loss-recovery timer per destination, timing the oldest frame
         // on the wire: a partial acknowledgment restarts it (the new
         // oldest frame gets a full RTO from now), the final one retracts
@@ -305,16 +304,19 @@ fn ingest_ack(inner: &Arc<ProcInner>, src: usize, seq: u32) {
         if !acked.last {
             arm_retx_timer(inner, st, src);
         } else if let Some(t) = st.peers.get(src).timer.take() {
-            inner.sim.cancel_scheduled(t.handle);
+            inner.sim.cancel_scheduled(t);
         }
     }
-    // A freed I/O buffer reopens the pipelined send window.
-    if st.clear_waiting(Gate::IoBuffer, src) || st.in_flight == 0 {
+    // Only with this peer's table empty can nothing be outstanding at all.
+    let all_acked = st.peers.get(src).unacked.is_empty() && st.all_acked();
+    // A freed I/O buffer reopens the pipelined send window; the last
+    // acknowledgment lets a draining send thread exit.
+    if st.clear_waiting(Gate::IoBuffer, src) || all_acked {
         inner.wake_send();
     }
-    if st.quiescent() {
+    if st.shutdown && all_acked {
         drop(guard);
-        signal_quiescent(inner);
+        inner.term.proc_ready(inner.id);
     }
 }
 
@@ -380,19 +382,15 @@ fn ingest(inner: &Arc<ProcInner>, m: &MtsCtx, tier: usize, d: Delivery) {
             let mut guard = inner.state.lock();
             let st = &mut *guard;
             let queue_full = st.retx_queue_full();
-            match st.peers.get(from.proc).on_nack(
-                user_tag,
-                inner.cfg.max_retries,
-                queue_full,
-                &mut st.errs,
-            ) {
-                NackAction::Ignored | NackAction::Deferred | NackAction::Exhausted => {}
-                NackAction::Retransmit(frame) => {
-                    st.push_send(frame);
-                    inner.wake_send();
-                    // The loss-recovery timer keeps its deadline (see
-                    // `Peer::on_nack`).
-                }
+            let max_retries = inner.cfg.max_retries;
+            let p = st.peers.get(from.proc);
+            if let NackAction::Retransmit(frame) =
+                p.on_nack(user_tag, max_retries, queue_full, &mut st.errs)
+            {
+                st.push_send(frame);
+                inner.wake_send();
+                // The loss-recovery timer keeps its deadline (see
+                // `Peer::on_nack`).
             }
         }
         MsgClass::Exception => inner.raise(NcsException {

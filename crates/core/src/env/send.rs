@@ -9,12 +9,13 @@ use ncs_net::NodeId;
 use ncs_sim::{Ctx, Dur};
 use std::sync::Arc;
 
-use super::peer::{Peer, RetxTimer, TimeoutAction};
+use super::peer::{Peer, TimeoutAction};
 use super::reassembly::frag_header;
 use super::request::{complete_request, mark_progressed};
-use super::term::{may_teardown, signal_quiescent};
+use super::term::may_teardown;
 use super::{
-    wire_key, wrap_checked, ErrorControl, FlowControl, Gate, MpsState, ProcInner, SendReq,
+    wire_key, wrap_checked, ErrorControl, FlowControl, FrameState, Gate, MpsState, ProcInner,
+    SendReq,
 };
 use crate::addr::{encode_tag, MsgClass};
 
@@ -43,37 +44,30 @@ fn unreachable(inner: &ProcInner, tier: usize, dst: usize) -> bool {
 /// behind its siblings never counts against its own timeout) and after
 /// each timer-driven retransmission (with the backed-off RTO).
 pub(super) fn arm_retx_timer(inner: &Arc<ProcInner>, st: &mut MpsState, dst: usize) {
-    st.timer_epoch += 1;
-    let epoch = st.timer_epoch;
     let p = st.peers.get(dst);
     let cb = Arc::clone(inner);
     let handle =
         inner
             .sim
             .schedule_cancellable(inner.sim.now() + p.rto(&inner.cfg.rto), move |_| {
-                retx_fire(&cb, dst, epoch);
+                retx_fire(&cb, dst);
             });
-    if let Some(old) = p.timer.replace(RetxTimer { handle, epoch }) {
-        // Replaced: retract the superseded timer from the kernel queue
-        // rather than letting it fire as a stale no-op event.
-        inner.sim.cancel_scheduled(old.handle);
+    if let Some(old) = p.timer.replace(handle) {
+        // Replaced: retract the superseded timer from the kernel queue, so
+        // it never fires.
+        inner.sim.cancel_scheduled(old);
     }
 }
 
 /// Expiry of the loss-recovery timer toward `dst`: asks the peer record
 /// what to do ([`Peer::on_timeout`]) and does it.
-fn retx_fire(inner: &Arc<ProcInner>, dst: usize, epoch: u64) {
+fn retx_fire(inner: &Arc<ProcInner>, dst: usize) {
     let mut guard = inner.state.lock();
     let st = &mut *guard;
     let queue_full = st.retx_queue_full();
     let p = st.peers.get(dst);
-    // Superseded by a restart (a partial ack landed after this firing was
-    // already dequeued): the newer timer owns loss recovery now.
-    if p.timer.as_ref().map(|t| t.epoch) != Some(epoch) {
-        return;
-    }
-    p.timer = None;
-    let outstanding = p.unacked.len();
+    let fired = p.timer.take();
+    debug_assert!(fired.is_some(), "a retracted timer toward proc{dst} fired");
     let max_retries = inner.cfg.max_retries;
     let action = p.on_timeout(
         |tier| unreachable(inner, tier, dst),
@@ -103,56 +97,49 @@ fn retx_fire(inner: &Arc<ProcInner>, dst: usize, epoch: u64) {
         }
         TimeoutAction::Deferred => arm_retx_timer(inner, st, dst),
         TimeoutAction::Failed(failed) => {
-            // Every outstanding frame was purged, credit grants included,
-            // though only user frames raise a failure.
-            st.in_flight -= outstanding;
             // Unwedge a send thread parked on the peer's credits or I/O
             // buffers: neither will ever come.
             st.clear_waiting(Gate::Credit, dst);
             st.clear_waiting(Gate::IoBuffer, dst);
             let quiescent = st.quiescent();
-            // The exception handler is user code: run it outside the lock.
             drop(guard);
-            for (to, tag) in failed {
-                inner.raise_delivery_failed(to, tag);
-            }
+            inner.fail_sends(&failed);
             // Wake the send thread unconditionally: it may be parked on
             // credits for the unreachable peer, or draining for shutdown.
             inner.wake_send();
             if quiescent {
-                signal_quiescent(inner);
+                inner.term.proc_ready(inner.id);
             }
         }
     }
 }
 
-/// Allocates a sequence number toward `req.to` and keeps the wrapped form
-/// of the payload `head ‖ body` for retransmission (`req.data` is not read:
-/// a chunk's payload exists only inside its wire frame). Returns `(seq,
-/// wrapped payload)`. Must only be called with checksum/retransmit error
-/// control active; [`sequence`] is the whole-payload form that checks.
+/// Allocates a sequence number toward `req.to`, makes `req` the first
+/// transmission of the wrapped payload `head ‖ body` (the old `req.data` is
+/// not read: a chunk's payload exists only inside its wire frame), and keeps
+/// a copy for retransmission. Must only be called with checksum/retransmit
+/// error control active; [`sequence`] is the whole-payload form that checks.
 fn register_unacked(
     inner: &ProcInner,
     st: &mut MpsState,
-    req: &SendReq,
+    req: &mut SendReq,
     head: &[u8],
     body: &[u8],
-) -> (u32, Bytes) {
+) {
     let p = st.peers.get(req.to.proc);
     let seq = p.alloc_seq();
-    let wrapped = wrap_checked(seq, head, body);
+    req.data = wrap_checked(seq, head, body);
+    req.state = FrameState::First(seq);
     let mut frame = SendReq::new(
         req.from_thread,
         req.to,
         req.class,
         req.user_tag,
-        wrapped.clone(),
+        req.data.clone(),
         req.tier,
     );
-    frame.prewrapped = true;
-    if p.register(seq, frame) {
-        st.in_flight += 1;
-    } else {
+    frame.state = FrameState::Retransmit;
+    if !p.register(seq, frame) {
         // Monotonicity: a freshly allocated sequence number must never
         // collide with a frame still awaiting acknowledgement.
         inner.audit("seq-monotonicity", || {
@@ -162,7 +149,6 @@ fn register_unacked(
             ))
         });
     }
-    (seq, wrapped)
 }
 
 /// Under checksum/retransmit error control, sequences and checksums a
@@ -170,9 +156,8 @@ fn register_unacked(
 /// it for retransmission until acknowledged; otherwise leaves it as it is.
 pub(super) fn sequence(inner: &ProcInner, st: &mut MpsState, req: &mut SendReq) {
     if inner.cfg.error == ErrorControl::ChecksumRetransmit {
-        let (seq, wrapped) = register_unacked(inner, st, req, &[], &req.data);
-        req.seq = Some(seq);
-        req.data = wrapped;
+        let body = std::mem::take(&mut req.data);
+        register_unacked(inner, st, req, &[], &body);
     }
 }
 
@@ -191,7 +176,10 @@ fn transmit_one(inner: &Arc<ProcInner>, m: &MtsCtx, req: SendReq) {
         // transport stamps `sent_at = now()` at its entry, which is exactly
         // this instant.
         let t = m.now();
-        let instance = req.seq.map_or(t.as_ps(), u64::from);
+        let instance = match req.state {
+            FrameState::First(seq) => u64::from(seq),
+            _ => t.as_ps(),
+        };
         inner.sim.with_metrics(|mm| {
             mm.mark(req.causal, "wire_start", t);
             mm.bind_wire(wire_key(inner.id, dst, tag, instance), req.causal);
@@ -211,7 +199,7 @@ fn transmit_one(inner: &Arc<ProcInner>, m: &MtsCtx, req: SendReq) {
     // sure the destination's loss-recovery timer is running — armed only if
     // none is: frame N+1 joining an already-timed pipeline must not push
     // frame N's deadline out. Retransmissions are re-armed by `retx_fire`.
-    if let Some(seq) = req.seq {
+    if let FrameState::First(seq) = req.state {
         let p = st.peers.get(dst);
         p.stamp_sent(seq, m.now());
         if p.timer.is_none() && !p.unacked.is_empty() {
@@ -226,19 +214,15 @@ fn transmit_one(inner: &Arc<ProcInner>, m: &MtsCtx, req: SendReq) {
     }
 }
 
-/// Abandons a queued transfer toward a peer that is dead or cut off:
-/// raises and counts the delivery failure — unless the give-up purge
-/// already did (`raise` false) — and completes the sender's handle.
-fn fail_send(inner: &ProcInner, req: &SendReq, raise: bool) {
-    if raise {
-        inner.raise_delivery_failed(req.to, req.user_tag);
-    }
-    let mut st = inner.state.lock();
-    if raise {
-        st.errs.delivery_failures += 1;
+/// Abandons a queued transfer toward a peer that is dead or cut off and
+/// completes the sender's handle. Reports the failure unless the frame was
+/// registered for retransmission, which makes it the give-up purge's.
+fn abandon(inner: &ProcInner, req: &SendReq) {
+    if req.state == FrameState::Unsequenced {
+        inner.fail_sends(&[(req.to, req.user_tag)]);
     }
     if let Some(w) = req.waiter {
-        complete_request(inner, &mut st, w, None);
+        complete_request(inner, &mut inner.state.lock(), w, None);
     }
 }
 
@@ -259,9 +243,9 @@ fn drain_control(inner: &Arc<ProcInner>, m: &MtsCtx) -> bool {
                 return any;
             };
             // A retransmission toward a peer declared dead (or partitioned)
-            // mid-queue is dropped silently: the purge already raised its
-            // exception.
-            if req.prewrapped && st.peers.find(req.to.proc).is_some_and(Peer::cut_off) {
+            // mid-queue is dropped silently: the purge reported its send.
+            let retx = req.state == FrameState::Retransmit;
+            if retx && st.peers.find(req.to.proc).is_some_and(Peer::cut_off) {
                 continue;
             }
             req
@@ -322,7 +306,9 @@ fn acquire_send_credit(inner: &Arc<ProcInner>, m: &MtsCtx, dst: usize) -> bool {
 /// [`NcsConfig::io_buffers`](super::NcsConfig::io_buffers) of them in
 /// flight toward the destination and refilling buffers as acknowledgments
 /// free them. One credit covers the whole logical message; the receiver
-/// grants it back on reassembly.
+/// grants it back on reassembly. Until the last chunk is registered for
+/// retransmission, a failure of the transfer is this loop's to report
+/// ([`Peer::chunking`]).
 fn send_fragmented(inner: &Arc<ProcInner>, m: &MtsCtx, req: SendReq) {
     let chunk_bytes = inner.cfg.io_buffer_bytes.max(1);
     let total = req.data.len().div_ceil(chunk_bytes) as u32;
@@ -337,7 +323,6 @@ fn send_fragmented(inner: &Arc<ProcInner>, m: &MtsCtx, req: SendReq) {
     };
     let has_buffer = |p: &mut Peer| p.unacked.len() < window;
     let mut peer_died = !acquire_send_credit(inner, m, dst);
-    let mut any_registered = false;
     if !peer_died {
         for idx in 0..total {
             // With error control on, at most `window` chunks ride
@@ -363,33 +348,25 @@ fn send_fragmented(inner: &Arc<ProcInner>, m: &MtsCtx, req: SendReq) {
             // into the frame that goes on the wire.
             if checked {
                 let mut st = inner.state.lock();
-                let (seq, wrapped) = register_unacked(inner, &mut st, &chunk, &header, body);
-                chunk.seq = Some(seq);
-                chunk.data = wrapped;
-                any_registered = true;
+                register_unacked(inner, &mut st, &mut chunk, &header, body);
+                st.peers.get(dst).chunking = (idx + 1 < total).then_some(xfer);
             } else {
                 chunk.data = Bytes::from([&header[..], body].concat());
             }
             transmit_one(inner, m, chunk);
         }
     }
-    {
-        let mut st = inner.state.lock();
-        if peer_died {
-            st.errs.delivery_failures += 1;
-        } else {
-            st.sent_msgs += 1;
-            st.fragmented_msgs += 1;
-            st.fragments_sent += u64::from(total);
-        }
+    if peer_died {
+        inner.fail_sends(&[(req.to, req.user_tag)]);
     }
-    if peer_died && !any_registered {
-        // No chunk reached the unacked table, so the give-up purge had
-        // nothing of this message to report — raise the failure here.
-        inner.raise_delivery_failed(req.to, req.user_tag);
+    let mut st = inner.state.lock();
+    if !peer_died {
+        st.sent_msgs += 1;
+        st.fragmented_msgs += 1;
+        st.fragments_sent += u64::from(total);
     }
     if let Some(w) = req.waiter {
-        complete_request(inner, &mut inner.state.lock(), w, None);
+        complete_request(inner, &mut st, w, None);
     }
 }
 
@@ -415,19 +392,17 @@ pub(super) fn send_thread_body(inner: &Arc<ProcInner>, m: &MtsCtx) {
                     }
                     // A fresh sequenced frame or a retransmission; a credit
                     // grant, sequenced when granted, is the timer's to fail.
-                    let (dead, partitioned) = match st.peers.find(req.to.proc) {
-                        Some(p) if req.class.sequenced() && req.seq.is_none() => {
-                            (p.dead, p.partitioned)
-                        }
-                        _ => (false, false),
-                    };
-                    Some((req, dead, partitioned))
+                    let fails_fast =
+                        req.class.sequenced() && !matches!(req.state, FrameState::First(_));
+                    let marks = st.peers.find(req.to.proc).filter(|_| fails_fast);
+                    let marks = marks.map_or((false, false), |p| (p.dead, p.partitioned));
+                    Some((req, marks))
                 }
                 None if may_teardown(inner, st) => return,
                 None => None,
             }
         };
-        let Some((mut req, dead, partitioned)) = popped else {
+        let Some((mut req, (dead, partitioned))) = popped else {
             m.block(); // woken by NCS_send (or shutdown / final ack)
             continue;
         };
@@ -435,35 +410,31 @@ pub(super) fn send_thread_body(inner: &Arc<ProcInner>, m: &MtsCtx) {
         // Queued frames toward a peer already declared dead fail here
         // rather than burning a fresh retry budget each; likewise toward a
         // peer behind a detected partition, unless a probe finds the outage
-        // window has ended — the recovery path. A prewrapped frame is a
-        // retransmission whose give-up purge already raised the exception,
-        // so it is dropped silently.
+        // window has ended — the recovery path.
         if dead || (partitioned && unreachable(inner, req.tier, dst)) {
-            fail_send(inner, &req, !req.prewrapped);
+            abandon(inner, &req);
             continue;
         }
         if partitioned {
             inner.state.lock().peers.heal(dst);
         }
-        let fresh_data = req.class == MsgClass::Data && !req.prewrapped;
+        let fresh = req.state == FrameState::Unsequenced;
+        let fresh_data = fresh && req.class == MsgClass::Data;
         // Approach 2: a data message wider than one I/O buffer goes out
         // chunked, with multiple buffer-sized CS-PDUs in flight.
         if fresh_data && req.data.len() > inner.cfg.io_buffer_bytes {
             send_fragmented(inner, m, req);
             continue;
         }
-        if req.class.sequenced() && req.seq.is_none() && !req.prewrapped {
+        if fresh && req.class.sequenced() {
             sequence(inner, &mut inner.state.lock(), &mut req);
         }
         // Credit flow control gates fresh application data; retransmissions
         // ride free (the receiver grants credits only for frames it accepts
-        // for delivery, so spending per retransmission would leak).
+        // for delivery, so spending per retransmission would leak). A gate
+        // that never opens means the peer died while this send waited.
         if fresh_data && !acquire_send_credit(inner, m, dst) {
-            // Peer died while we were parked on credits. Any unacked entry
-            // was purged and reported by the give-up path; a frame without
-            // one (no error control) must raise its failure here, or the
-            // send would vanish silently.
-            fail_send(inner, &req, req.seq.is_none());
+            abandon(inner, &req);
             continue;
         }
         transmit_one(inner, m, req);

@@ -24,13 +24,11 @@ pub(crate) struct TermBarrier {
 struct TermState {
     /// Which processes have signalled local quiescence (idempotence: a
     /// process re-signals when a late duplicate re-empties its tables).
+    /// All of them: the world is complete.
     ready: Vec<bool>,
-    /// Processes still running.
-    remaining: usize,
     /// Weak backrefs used to release every process once the last one
     /// arrives (weak: the barrier must not keep a dropped world alive).
     procs: Vec<Weak<ProcInner>>,
-    complete: bool,
 }
 
 impl TermBarrier {
@@ -38,9 +36,7 @@ impl TermBarrier {
         Arc::new(TermBarrier {
             state: Mutex::new(TermState {
                 ready: vec![false; n],
-                remaining: n,
                 procs: Vec::with_capacity(n),
-                complete: false,
             }),
         })
     }
@@ -50,26 +46,21 @@ impl TermBarrier {
     }
 
     fn complete(&self) -> bool {
-        self.state.lock().complete
+        !self.state.lock().ready.contains(&false)
     }
 
-    /// Marks process `id` locally quiescent. The last arrival closes every
+    /// Marks process `id` locally quiescent (shutdown requested and no
+    /// frame awaiting acknowledgment). The last arrival closes every
     /// process's merged channel, wakes its send thread so it can observe
     /// completion and exit, and then ends its receive thread's kernel wait
     /// — in that order, so a send thread that finds the CPU idle takes it
     /// first.
-    fn proc_ready(&self, id: usize) {
+    pub(super) fn proc_ready(&self, id: usize) {
         let released = {
             let mut st = self.state.lock();
-            if st.complete || st.ready[id] {
+            if std::mem::replace(&mut st.ready[id], true) || st.ready.contains(&false) {
                 return;
             }
-            st.ready[id] = true;
-            st.remaining -= 1;
-            if st.remaining > 0 {
-                return;
-            }
-            st.complete = true;
             std::mem::take(&mut st.procs)
         };
         for p in released.iter().filter_map(Weak::upgrade) {
@@ -80,21 +71,8 @@ impl TermBarrier {
     }
 }
 
-/// The process has just become locally quiescent (shutdown requested and
-/// no outstanding unacknowledged frame). Standalone processes tear down
-/// immediately; collective ones linger at the termination barrier.
-pub(super) fn signal_quiescent(inner: &ProcInner) {
-    match &inner.term {
-        None => {
-            inner.merged.close(&inner.sim);
-            inner.end_recv_wait();
-        }
-        Some(t) => t.proc_ready(inner.id),
-    }
-}
-
-/// Whether a system thread may exit: the process is locally quiescent
-/// and, when part of a collective, the whole world is too.
+/// Whether a system thread may exit: the process is locally quiescent and
+/// so is the whole world.
 pub(super) fn may_teardown(inner: &ProcInner, st: &MpsState) -> bool {
-    st.quiescent() && inner.term.as_ref().is_none_or(|t| t.complete())
+    st.quiescent() && inner.term.complete()
 }

@@ -265,7 +265,8 @@ impl PvmUnpackBuf {
     }
 
     /// Bytes not yet unpacked.
-    pub fn remaining(&self) -> usize {
+    #[cfg(test)]
+    fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
 }

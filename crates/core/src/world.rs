@@ -55,7 +55,7 @@ impl NcsWorld {
         let term = TermBarrier::new(n);
         let mut procs = Vec::with_capacity(n);
         for id in 0..n {
-            let proc_ = NcsProc::init_collective(sim, id, n, nets.clone(), config.clone(), &term);
+            let proc_ = NcsProc::init(sim, id, n, nets.clone(), config.clone(), &term);
             procs.push(proc_.clone());
             let setup = Arc::clone(&setup);
             sim.spawn(format!("proc{id}-main"), move |ctx| {

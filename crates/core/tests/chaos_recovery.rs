@@ -8,7 +8,8 @@
 
 use bytes::Bytes;
 use ncs_core::{
-    ErrorControl, FlowControl, NcsConfig, NcsWorld, RtoConfig, ThreadAddr, EXC_DELIVERY_FAILED,
+    ErrorControl, FlowControl, NcsConfig, NcsProc, NcsWorld, RtoConfig, ThreadAddr,
+    EXC_DELIVERY_FAILED,
 };
 use ncs_net::atm::{AtmFabric, AtmLanParams};
 use ncs_net::{
@@ -72,11 +73,11 @@ fn crash_stop_mid_reassembly_reclaims_and_fails_cleanly() {
         sender.is_peer_dead(1),
         "retry exhaustion against the crashed node must mark it dead"
     );
+    // One send, one failure: the chunks outstanding at the give-up are
+    // the send loop's to report, once, not the purge's one by one.
     let exceptions = sender.pending_exceptions();
-    assert!(
-        !exceptions.is_empty() && exceptions.iter().all(|e| e.code == EXC_DELIVERY_FAILED),
-        "sender must fail with typed exceptions, not hang: {exceptions:?}"
-    );
+    assert_eq!(failed_tags(sender), vec![9], "{exceptions:?}");
+    assert_eq!(sender.error_stats().delivery_failures, 1);
     let rstats = receiver.error_stats();
     assert!(
         rstats.reassembly_reclaimed >= 1,
@@ -92,6 +93,68 @@ fn crash_stop_mid_reassembly_reclaims_and_fails_cleanly() {
         "the crash must have eaten part of the train"
     );
     sim.finish();
+}
+
+/// The tags of the sender's delivery-failure exceptions, in order raised
+/// (each must be one, toward process 1's thread 0).
+fn failed_tags(sender: &NcsProc) -> Vec<u32> {
+    sender
+        .pending_exceptions()
+        .iter()
+        .map(|e| {
+            assert_eq!(
+                (e.code, e.from),
+                (EXC_DELIVERY_FAILED, ThreadAddr::new(1, 0))
+            );
+            u32::from_le_bytes(e.detail[..].try_into().unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn each_send_toward_a_dead_peer_fails_once() {
+    // The receiver is crashed from the start. The first send is given up
+    // after its retry budget; the second, posted once the peer is marked
+    // dead, fails on the spot. Either way each user send raises exactly
+    // one EXC_DELIVERY_FAILED and counts exactly one delivery failure — a
+    // chunked transfer too, however many of its chunks were outstanding:
+    // with 4 I/O buffers the give-up finds the 8-chunk transfer half sent
+    // (the chunking loop reports it), with 8 it finds it all registered
+    // (the purge reports it).
+    for (bytes, io_buffers) in [(512, 4), (8 * 1024, 4), (8 * 1024, 8)] {
+        let sim = Sim::new();
+        let chaos = ChaosNet::new(fast_net(2, Dur::from_millis(1)), ChaosParams::clean(5));
+        chaos.crash_at(NodeId(1), SimTime::ZERO);
+        let net: Arc<dyn Network> = chaos;
+        let cfg = NcsConfig {
+            io_buffers,
+            io_buffer_bytes: 1024,
+            ..checked(5, 3)
+        };
+        let world = NcsWorld::launch(&sim, vec![net], 2, cfg, move |id, proc_| {
+            if id == 0 {
+                proc_.t_create("sender", 5, move |ncs| {
+                    let to = ThreadAddr::new(1, 0);
+                    ncs.send(to, 1, Bytes::from(vec![0xA5; bytes]));
+                    while !ncs.proc().is_peer_dead(1) {
+                        ncs.mctx().sleep(Dur::from_millis(1));
+                    }
+                    ncs.send(to, 2, Bytes::from(vec![0x5A; bytes]));
+                });
+            }
+        });
+        sim.run().assert_clean();
+        let sender = &world.procs()[0];
+        let row = format!("{bytes} B over {io_buffers} I/O buffers");
+        assert_eq!(failed_tags(sender), vec![1, 2], "{row}");
+        let stats = sender.error_stats();
+        assert_eq!(
+            stats.delivery_failures,
+            sender.pending_exceptions().len() as u64,
+            "{row}: {stats:?}"
+        );
+        sim.finish();
+    }
 }
 
 #[test]
@@ -474,21 +537,11 @@ fn a_signal_queued_toward_a_peer_that_dies_fails_fast() {
     sim.run().assert_clean();
     let sender = &world.procs()[0];
     assert!(sender.is_peer_dead(1));
-    let tags: Vec<_> = sender
-        .pending_exceptions()
-        .iter()
-        .map(|e| {
-            assert_eq!(
-                (e.code, e.from),
-                (EXC_DELIVERY_FAILED, ThreadAddr::new(1, 0))
-            );
-            u32::from_le_bytes(e.detail[..].try_into().unwrap())
-        })
-        .collect();
     // Both data messages at the give-up, then the signal (tag 0) and the
     // raise (its code) — in that order, so the signal did not outlive it.
-    assert_eq!(tags, vec![1, 2, 0, 0xDEAD]);
+    assert_eq!(failed_tags(sender), vec![1, 2, 0, 0xDEAD]);
     let stats = sender.error_stats();
     assert_eq!(stats.timer_retransmits, 3, "one retry schedule: {stats:?}");
+    assert_eq!(stats.delivery_failures, 4, "one per exception: {stats:?}");
     sim.finish();
 }

@@ -99,16 +99,12 @@ pub struct MtsConfig {
     /// switches in a few microseconds on a 1990s SPARC; the default includes
     /// queue management.
     pub context_switch: Dur,
-    /// Runtime analysis pass (deadlock detection, queue-invariant
-    /// validation). Off by default; see [`AnalysisConfig::recording`].
-    pub analysis: AnalysisConfig,
 }
 
 impl Default for MtsConfig {
     fn default() -> MtsConfig {
         MtsConfig {
             context_switch: Dur::from_micros(15),
-            analysis: AnalysisConfig::off(),
         }
     }
 }
@@ -126,15 +122,14 @@ pub struct Mts {
 impl Mts {
     /// Creates the runtime for process `proc_name` (the `NCS_init` half
     /// that sets up threading; system threads are layered on top by
-    /// ncs-core).
+    /// ncs-core). The runtime analysis pass (deadlock detection,
+    /// queue-invariant validation) is armed when the simulation's is
+    /// ([`Sim::set_analysis`]): install it first.
     pub fn new(sim: &Sim, proc_name: impl Into<String>, config: MtsConfig) -> Mts {
-        if config.analysis.active() {
-            // Arm the kernel-side lost-wakeup report with the same sink.
-            sim.set_analysis(config.analysis.clone());
-        }
+        let analysis = sim.analysis();
         Mts {
             sim: sim.clone(),
-            armed: config.analysis.active(),
+            armed: analysis.active(),
             inner: Arc::new(Mutex::new(Inner {
                 proc_name: proc_name.into(),
                 cs_cost: config.context_switch,
@@ -144,7 +139,7 @@ impl Mts {
                 running: None,
                 live: 0,
                 all_done_waiters: Vec::new(),
-                analysis: config.analysis,
+                analysis,
                 reported_cycles: Vec::new(),
             })),
         }
@@ -559,7 +554,6 @@ mod tests {
     pub(super) fn zero_cs() -> MtsConfig {
         MtsConfig {
             context_switch: Dur::ZERO,
-            ..MtsConfig::default()
         }
     }
 
@@ -733,7 +727,6 @@ mod tests {
                 "p0",
                 MtsConfig {
                     context_switch: Dur::from_micros(10),
-                    ..MtsConfig::default()
                 },
             );
             mts.spawn("a", 1, move |m| {
@@ -943,9 +936,9 @@ mod tests {
         // armed pass reports it, and the thread waits on for its dispatch.
         let sim = Sim::new();
         let (analysis, sink) = AnalysisConfig::recording();
+        sim.set_analysis(analysis);
         let config = MtsConfig {
             context_switch: Dur::ZERO,
-            analysis,
         };
         let resumed = Arc::new(Mutex::new(None));
         let r = Arc::clone(&resumed);

@@ -20,7 +20,6 @@ use std::sync::Arc;
 fn zero_cs() -> MtsConfig {
     MtsConfig {
         context_switch: Dur::ZERO,
-        ..MtsConfig::default()
     }
 }
 

@@ -319,6 +319,12 @@ impl Sim {
         *self.inner.analysis.lock() = cfg;
     }
 
+    /// The runtime-analysis configuration installed with
+    /// [`Sim::set_analysis`] (off until one is).
+    pub fn analysis(&self) -> AnalysisConfig {
+        self.inner.analysis.lock().clone()
+    }
+
     /// Installs a schedule-exploration policy, consulted at every legal
     /// scheduling choice point with two or more alternatives (see
     /// [`crate::sched`]). Install it before spawning activities so even

@@ -213,7 +213,7 @@ impl Sim {
                 .collect()
         };
         if reason == StopReason::Completed && !blocked.is_empty() {
-            let analysis = self.inner.analysis.lock().clone();
+            let analysis = self.analysis();
             if analysis.active() {
                 for name in &blocked {
                     analysis.report(
