@@ -14,25 +14,20 @@
 //! * [`runtime`] — post-run classification of a [`ncs_sim::RunOutcome`]
 //!   into deadlocks (threads on a wait cycle) and lost wakeups (threads
 //!   parked forever with no cycle to blame).
-//! * [`mod@explore`] — schedule-space exploration: a random-walk fuzzer and a
-//!   bounded exhaustive checker over the kernel's legal scheduling choice
-//!   points, asserting every runtime oracle (deadlock/lost-wakeup
-//!   detection, conservation checks, bit-exact payloads) plus
-//!   cross-schedule observational equivalence on each explored schedule,
-//!   with replayable minimized counterexample traces.
-//! * a `ncs-analysis` binary driving all of it for CI:
-//!   `cargo run -p ncs-analysis -- [lint|smoke|explore|all]`.
+//!
+//! Tier-1 runs both over the repository: `tests/lint_rules.rs` lints every
+//! source file, and `tests/app_invariants.rs` runs the three paper
+//! applications with every runtime invariant armed.
+//!
+//! Schedule-space exploration, which drives workloads through alternative
+//! legal schedules with these oracles armed, is `ncs_bench::explore` and
+//! runs as `xp explore`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod explore;
 pub mod lint;
 pub mod runtime;
 
-pub use explore::{
-    explore, problems_vs_baseline, run_scripted, Counterexample, ExploreReport, Mode, Observation,
-    RingWorkload, Workload,
-};
 pub use lint::{lint_file, lint_sources, lint_workspace, LintViolation, LINT_RULES};
 pub use runtime::check_outcome;

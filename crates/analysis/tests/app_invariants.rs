@@ -1,12 +1,13 @@
 //! The three paper applications run with every runtime invariant armed:
 //! credit flow control, checksum-retransmit error control, deadlock and
 //! lost-wakeup detection, queue validation, and the protocol conservation
-//! checks. A clean stack must verify its results and report nothing.
+//! checks. A clean stack must verify its results, report nothing, and
+//! leave every tracked message's causal timeline in canonical stage order.
 
-use ncs_apps::fft::{fft_ncs_with, FftConfig};
+use ncs_apps::fft::{fft_ncs_setup_with, FftConfig};
 use ncs_apps::jpeg_dist::{setup_jpeg_ncs_with, JpegConfig};
 use ncs_apps::matmul::{setup_matmul_ncs_with, MatmulConfig};
-use ncs_core::{ErrorControl, FlowControl, NcsConfig};
+use ncs_core::{ErrorControl, FlowControl, NcsConfig, ALL_STAGES};
 use ncs_net::Testbed;
 use ncs_sim::{AnalysisConfig, InvariantSink, Sim};
 use std::sync::Arc;
@@ -22,6 +23,13 @@ fn checked_cfg() -> (NcsConfig, Arc<InvariantSink>) {
         },
         sink,
     )
+}
+
+/// Every timeline the run stamped follows the canonical
+/// `enqueued -> ... -> delivered` walk in order.
+fn assert_timelines_valid(sim: &Sim) {
+    let errs = sim.with_metrics(|m| m.validate_timelines(&ALL_STAGES));
+    assert!(errs.is_empty(), "timeline errors: {errs:#?}");
 }
 
 #[test]
@@ -41,12 +49,15 @@ fn matmul_verifies_with_invariants_armed() {
     sim.run().assert_clean();
     assert!(handle.verify());
     assert!(sink.is_empty(), "violations: {:#?}", sink.violations());
+    assert_timelines_valid(&sim);
 }
 
 #[test]
 fn fft_verifies_with_invariants_armed() {
+    let sim = Sim::new();
     let (cfg, sink) = checked_cfg();
-    let run = fft_ncs_with(
+    let handle = fft_ncs_setup_with(
+        &sim,
         Testbed::SunAtmLanTcp.build(3),
         FftConfig {
             m: 64,
@@ -56,8 +67,10 @@ fn fft_verifies_with_invariants_armed() {
         },
         cfg,
     );
-    assert!(run.verified);
+    sim.run().assert_clean();
+    assert!(handle.verify());
     assert!(sink.is_empty(), "violations: {:#?}", sink.violations());
+    assert_timelines_valid(&sim);
 }
 
 #[test]
@@ -80,4 +93,5 @@ fn jpeg_verifies_with_invariants_armed() {
     sim.run().assert_clean();
     assert!(handle.verify());
     assert!(sink.is_empty(), "violations: {:#?}", sink.violations());
+    assert_timelines_valid(&sim);
 }

@@ -14,11 +14,14 @@
 //! `results/` ("results are current"). `all` runs every experiment once,
 //! which with `--smoke --guard` is CI's experiment stage.
 //!
-//! This is the one place a result reaches disk: a full run's JSON document
-//! goes to `results/BENCH_<x>.json`, a `--smoke` run's to the untracked
+//! Results reach disk here: a full run's JSON document goes to
+//! `results/BENCH_<x>.json`, a `--smoke` run's to the untracked
 //! `results/smoke/`, so a smoke run never replaces a checked-in full-size
-//! file. An experiment that fails panics, which ends `xp` non-zero after
-//! the line naming it and before anything of it is written.
+//! file. Two experiments write a file of their own: `xp observe` its
+//! `results/trace_*.json` and `results/metrics_*.txt`, and `xp explore`,
+//! on a violation, the minimized `results/explore_counterexample.trace`.
+//! An experiment that fails panics, which ends `xp` non-zero after the
+//! line naming it and before its document is written.
 
 #![forbid(unsafe_code)]
 

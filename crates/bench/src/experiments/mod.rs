@@ -21,6 +21,7 @@ use std::sync::Arc;
 pub mod chaos;
 mod cs_sweep;
 mod entropy;
+mod explore;
 mod fig_buffers;
 mod fig_datapath;
 mod fig_fft_steps;
@@ -190,6 +191,12 @@ pub const EXPERIMENTS: &[Experiment] = &[
         name: "xp_overlap",
         about: "X13: overlap gain of the async API; writes BENCH_overlap.json",
         run: overlap::run,
+        report: NEVER,
+    },
+    Experiment {
+        name: "xp_explore",
+        about: "Schedule-space exploration of the NCS ring, every oracle armed; writes BENCH_explore.json",
+        run: explore::run,
         report: NEVER,
     },
     Experiment {

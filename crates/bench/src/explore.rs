@@ -22,8 +22,8 @@
 //! ([`Mode::Walk`]) and a bounded exhaustive DFS over decision prefixes
 //! ([`Mode::Dfs`]). Every run's decisions are recorded; a failing
 //! schedule is greedily minimized and serialized with
-//! [`format_trace`] so `explore --replay <trace>`
-//! reproduces it deterministically.
+//! [`format_trace`] so `xp explore <trace>` reproduces it
+//! deterministically.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -32,8 +32,8 @@ use std::sync::Arc;
 use ncs_core::{ErrorControl, FlowControl, NcsConfig, NcsWorld, ThreadAddr};
 use ncs_net::{ChaosNet, ChaosParams, HostParams, IdealFabric, Network, TcpNet, TcpParams};
 use ncs_sim::{
-    format_trace, AnalysisConfig, ChannelKey, Decision, DecisionLog, Dur,
-    RandomWalkPolicy, SchedulePolicy, ScriptedPolicy, Sim, SimTime, StopReason,
+    format_trace, AnalysisConfig, ChannelKey, Decision, DecisionLog, Dur, RandomWalkPolicy,
+    SchedulePolicy, ScriptedPolicy, Sim, SimTime, StopReason,
 };
 
 /// Everything the oracles need from one run of a workload under one
@@ -202,8 +202,7 @@ pub fn explore(workload: &dyn Workload, mode: Mode) -> ExploreReport {
         if !problems.is_empty() {
             report.violations += 1;
             if report.counterexample.is_none() {
-                report.counterexample =
-                    Some(minimize(workload, baseline, &obs.decisions, 32));
+                report.counterexample = Some(minimize(workload, baseline, &obs.decisions, 32));
             }
         }
     };
@@ -212,22 +211,27 @@ pub fn explore(workload: &dyn Workload, mode: Mode) -> ExploreReport {
         Mode::Walk { walks, seed } => {
             for i in 0..walks {
                 let log = DecisionLog::new();
-                let policy =
-                    Box::new(RandomWalkPolicy::new(seed.wrapping_add(i as u64), Arc::clone(&log)));
+                let policy = Box::new(RandomWalkPolicy::new(
+                    seed.wrapping_add(i as u64),
+                    Arc::clone(&log),
+                ));
                 let mut obs = workload.run(policy);
                 obs.decisions = log.snapshot();
                 report.schedules_explored += 1;
                 consider(&mut report, &obs, &baseline);
             }
         }
-        Mode::Dfs { depth, max_schedules } => {
+        Mode::Dfs {
+            depth,
+            max_schedules,
+        } => {
             // Breadth-first over deviation prefixes: a frontier entry is a
             // script that fixes every decision up to and including its
             // last (non-canonical) entry; decisions past the script follow
             // the canonical default, and each completed run spawns children
             // that deviate at one later position.
             let mut frontier: VecDeque<(Vec<u32>, usize)> = VecDeque::new();
-            expand(&baseline.decisions, 0, depth, &mut frontier);
+            expand(&baseline.decisions, 0, 0, depth, &mut frontier);
             while let Some((script, deviations)) = frontier.pop_front() {
                 if report.schedules_explored >= max_schedules {
                     report.truncated = true;
@@ -237,7 +241,7 @@ pub fn explore(workload: &dyn Workload, mode: Mode) -> ExploreReport {
                 let obs = run_scripted(workload, script);
                 report.schedules_explored += 1;
                 consider(&mut report, &obs, &baseline);
-                expand_from(&obs.decisions, fixed, deviations, depth, &mut frontier);
+                expand(&obs.decisions, fixed, deviations, depth, &mut frontier);
             }
         }
     }
@@ -249,7 +253,7 @@ pub fn explore(workload: &dyn Workload, mode: Mode) -> ExploreReport {
 /// Queues every single-deviation child of `decisions` whose deviation
 /// position is at least `fixed` (earlier positions are already pinned by
 /// the parent's script).
-fn expand_from(
+fn expand(
     decisions: &[Decision],
     fixed: usize,
     deviations: usize,
@@ -268,21 +272,11 @@ fn expand_from(
     }
 }
 
-/// [`expand_from`] for the root: the baseline has no pinned prefix.
-fn expand(
-    decisions: &[Decision],
-    deviations: usize,
-    depth: usize,
-    frontier: &mut VecDeque<(Vec<u32>, usize)>,
-) {
-    expand_from(decisions, 0, deviations, depth, frontier);
-}
-
 /// Greedily minimizes a failing schedule: try zeroing each non-canonical
 /// decision (keeping the change when the failure persists), then drop the
 /// canonical tail. Re-runs are capped at `budget`; the returned
 /// counterexample is the final minimized schedule, re-run once to confirm.
-pub fn minimize(
+fn minimize(
     workload: &dyn Workload,
     baseline: &Observation,
     failing: &[Decision],
@@ -305,12 +299,6 @@ pub fn minimize(
             let obs = run_scripted(workload, cand.clone());
             if !problems_vs_baseline(&obs, baseline).is_empty() {
                 script = cand;
-                // Zeroing may have shortened the script past `i`.
-                if i >= script.len() {
-                    break;
-                }
-                continue; // re-examine position i (values shifted? no —
-                          // positions are stable, but stay conservative)
             }
         }
         i += 1;
@@ -467,7 +455,8 @@ mod tests {
     impl Workload for TieLeakWorkload {
         fn run(&self, policy: Box<dyn SchedulePolicy>) -> Observation {
             let sim = Sim::new();
-            let order: Arc<ncs_sim::sync::Mutex<Vec<u64>>> = Arc::new(ncs_sim::sync::Mutex::new(vec![]));
+            let order: Arc<ncs_sim::sync::Mutex<Vec<u64>>> =
+                Arc::new(ncs_sim::sync::Mutex::new(vec![]));
             for i in 0..3u64 {
                 let order = Arc::clone(&order);
                 sim.schedule_at(SimTime::ZERO + Dur::from_micros(5), move |_| {
@@ -540,7 +529,11 @@ mod tests {
             chaos: false,
         };
         let obs = run_scripted(&w, Vec::new());
-        assert!(obs.problems.is_empty(), "baseline problems: {:?}", obs.problems);
+        assert!(
+            obs.problems.is_empty(),
+            "baseline problems: {:?}",
+            obs.problems
+        );
         assert!(!obs.decisions.is_empty(), "choice points must be consulted");
         // One channel per (direction, round) tag pair, each with exactly
         // one app-accepted payload: 2 hosts x 2 rounds = 4 deliveries.

@@ -14,8 +14,9 @@
 //! paper's Tables 1–3 (each regenerated table prints measured values side
 //! by side with the paper's, plus the derived "% improvement" columns the
 //! paper reports), the one wall-clock timing loop of the host-time
-//! experiments, and [`Report`]: tables whose columns are declared once and
-//! rendered both as text and as the `results/BENCH_*.json` documents.
+//! experiments, [`Report`]: tables whose columns are declared once and
+//! rendered both as text and as the `results/BENCH_*.json` documents, and
+//! [`mod@explore`], the schedule-space explorer `xp explore` runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,6 +24,7 @@
 use std::time::{Duration, Instant}; // ncs-lint: allow(wall-clock)
 
 pub mod experiments;
+pub mod explore;
 mod report;
 
 pub use experiments::{find, list, results_dir, Experiment, Opts, EXPERIMENTS};

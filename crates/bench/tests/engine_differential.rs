@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use ncs_analysis::{explore, run_scripted, Mode, Observation, RingWorkload};
+use ncs_bench::explore::{explore, run_scripted, Mode, Observation, RingWorkload};
 use ncs_mts::{Mts, MtsConfig};
 use ncs_sim::sync::Mutex;
 use ncs_sim::{set_default_engine, Decision, Dur, EngineKind, Sim};

@@ -6,7 +6,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use ncs_analysis::{explore, run_scripted, Mode, Observation, Workload};
+use ncs_bench::explore::{explore, run_scripted, Mode, Observation, Workload};
 use ncs_mts::{Mts, MtsConfig};
 use ncs_sim::{
     format_trace, parse_trace, AnalysisConfig, Dur, SchedulePolicy, Sim, SimTime, StopReason,
@@ -110,8 +110,8 @@ fn explorer_finds_minimizes_and_replays_the_lost_wakeup() {
     assert_eq!(first.trace_hash, second.trace_hash, "replay is deterministic");
     assert!(!first.problems.is_empty(), "replay reproduces the failure");
 
-    // The serialized trace round-trips through the on-disk format the CLI
-    // `--replay` flag consumes.
+    // The serialized trace round-trips through the on-disk format
+    // `xp explore <trace>` replays.
     assert_eq!(
         parse_trace(&ce.trace).expect("trace parses"),
         ce.decisions,

@@ -1,8 +1,9 @@
 //! The experiment registry and `results/` agree: names are unique, every
 //! report row has its checked-in `results/<name>.txt` and every such file
 //! has a row, `xp list` is the registry in order, and the three cheapest
-//! deterministic rows still print their checked-in files byte for byte —
-//! so a stale result fails `cargo test`, not only `scripts/check.sh`.
+//! deterministic rows and `xp explore` still print their checked-in files
+//! byte for byte — so a stale result fails `cargo test`, not only
+//! `scripts/check.sh`.
 
 use ncs_bench::{find, list, results_dir, Opts, Report, EXPERIMENTS};
 use std::collections::BTreeSet;
@@ -77,4 +78,20 @@ fn cheapest_rows_reprint_their_checked_in_results() {
             path.display()
         );
     }
+}
+
+#[test]
+fn explore_reprints_its_checked_in_document() {
+    let e = find("explore").expect("registered");
+    let mut report = Report::default();
+    (e.run)(&Opts::default(), &mut report);
+    let file = report.bench.expect("explore writes a JSON document");
+    let path = results_dir().join(file).with_extension("json");
+    let checked_in = std::fs::read_to_string(&path).expect("checked-in result");
+    assert_eq!(
+        report.json(e.name, false),
+        checked_in,
+        "{} is stale: run `xp explore`",
+        path.display()
+    );
 }

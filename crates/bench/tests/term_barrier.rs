@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use ncs_analysis::{explore, run_scripted, Mode, Observation, Workload};
+use ncs_bench::explore::{explore, run_scripted, Mode, Observation, Workload};
 use ncs_core::{ErrorControl, FlowControl, NcsConfig, NcsWorld, ThreadAddr};
 use ncs_net::{HostParams, IdealFabric, Network, TcpNet, TcpParams};
 use ncs_sim::{

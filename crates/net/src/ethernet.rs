@@ -8,8 +8,7 @@
 //! contending stations still serialize, which matches the throughput (if
 //! not the tail latency) of a moderately loaded segment.
 
-use ncs_sim::sync::Mutex;
-use ncs_sim::{Dur, SimRng, SimTime};
+use ncs_sim::{Dur, SimTime};
 
 use crate::fabric::{Fabric, NodeId, TransferTiming};
 use crate::link::{LinkSpec, LinkState};
@@ -32,42 +31,22 @@ pub struct EthernetParams {
     pub nodes: usize,
     /// One-way propagation across the segment.
     pub propagation: Dur,
-    /// CSMA/CD contention jitter: when the medium is already busy at frame
-    /// submission, add a seeded pseudo-random backoff of up to this many
-    /// slot times (51.2 µs each). Zero (the default) keeps the pure FIFO
-    /// idealization.
-    pub max_backoff_slots: u32,
-    /// Seed for the backoff draw.
-    pub jitter_seed: u64,
 }
 
 impl EthernetParams {
-    /// A segment with `nodes` hosts and default timing (no jitter).
+    /// A segment with `nodes` hosts and default timing.
     pub fn new(nodes: usize) -> EthernetParams {
         EthernetParams {
             nodes,
             propagation: Dur::from_micros(10),
-            max_backoff_slots: 0,
-            jitter_seed: 0xE7E7,
         }
     }
-
-    /// Enables contention backoff with up to `slots` slot times of jitter.
-    #[cfg(test)]
-    pub fn with_backoff(mut self, slots: u32) -> EthernetParams {
-        self.max_backoff_slots = slots;
-        self
-    }
 }
-
-/// The 10 Mb/s slot time (512 bit times).
-pub const SLOT_TIME: Dur = Dur::from_ps(51_200_000);
 
 /// The shared-medium fabric.
 pub struct EthernetFabric {
     params: EthernetParams,
     medium: Arc<LinkState>,
-    rng: Mutex<SimRng>,
 }
 
 impl EthernetFabric {
@@ -78,7 +57,6 @@ impl EthernetFabric {
         spec.propagation = params.propagation;
         EthernetFabric {
             medium: LinkState::new(spec),
-            rng: Mutex::new(SimRng::new(params.jitter_seed)),
             params,
         }
     }
@@ -109,18 +87,6 @@ impl Fabric for EthernetFabric {
     ) -> TransferTiming {
         assert!(src.idx() < self.params.nodes && dst.idx() < self.params.nodes);
         assert_ne!(src, dst, "loopback does not touch the wire");
-        // Contention backoff: a station finding the wire busy costs the
-        // segment a pseudo-random number of collision/backoff slot times
-        // (dead wire) before its frame serializes.
-        if self.params.max_backoff_slots > 0 && !self.medium.backlog(depart).is_zero() {
-            let slots = self
-                .rng
-                .lock()
-                .gen_range(u64::from(self.params.max_backoff_slots) + 1);
-            if slots > 0 {
-                self.medium.occupy(depart, SLOT_TIME.times(slots));
-            }
-        }
         let slot = self
             .medium
             .enqueue(depart, Self::wire_bytes(payload_bytes), INTERFRAME_GAP);
@@ -202,58 +168,5 @@ mod tests {
     fn loopback_rejected() {
         let f = EthernetFabric::new(EthernetParams::new(2));
         f.transfer(NodeId(1), NodeId(1), 100, t(0));
-    }
-}
-
-#[cfg(test)]
-mod backoff_tests {
-    use super::*;
-
-    fn t(us: u64) -> SimTime {
-        SimTime::ZERO + Dur::from_micros(us)
-    }
-
-    #[test]
-    fn backoff_only_fires_under_contention() {
-        let f = EthernetFabric::new(EthernetParams::new(2).with_backoff(8));
-        // Idle wire: no jitter ever.
-        let a = f.transfer(NodeId(0), NodeId(1), 100, t(0));
-        assert_eq!(a.first_hop_done, t(0) + f.medium.spec.tx_time(126));
-        // Busy wire: the second frame starts no earlier than FIFO would
-        // allow, possibly later by whole slot times of collision waste.
-        let b = f.transfer(NodeId(1), NodeId(0), 100, t(0));
-        let fifo_done = a.first_hop_done + INTERFRAME_GAP + f.medium.spec.tx_time(126);
-        assert!(b.first_hop_done >= fifo_done);
-    }
-
-    #[test]
-    fn backoff_is_deterministic_per_seed() {
-        let run = |seed: u64| {
-            let mut p = EthernetParams::new(2).with_backoff(16);
-            p.jitter_seed = seed;
-            let f = EthernetFabric::new(p);
-            let mut ends = Vec::new();
-            for i in 0..20u64 {
-                let tt = f.transfer(NodeId(0), NodeId(1), 1000, t(i));
-                ends.push(tt.arrival);
-            }
-            ends
-        };
-        assert_eq!(run(1), run(1));
-        assert_ne!(run(1), run(2));
-    }
-
-    #[test]
-    fn heavy_contention_with_backoff_slower_than_fifo() {
-        let fifo = EthernetFabric::new(EthernetParams::new(4));
-        let jitter = EthernetFabric::new(EthernetParams::new(4).with_backoff(16));
-        let mut last_fifo = SimTime::ZERO;
-        let mut last_jit = SimTime::ZERO;
-        for i in 0..30u64 {
-            let at = t(i); // everyone piles on at nearly the same instant
-            last_fifo = last_fifo.max(fifo.transfer(NodeId(0), NodeId(1), 1400, at).arrival);
-            last_jit = last_jit.max(jitter.transfer(NodeId(0), NodeId(1), 1400, at).arrival);
-        }
-        assert!(last_jit > last_fifo, "backoff must cost time under load");
     }
 }

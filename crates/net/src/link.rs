@@ -172,24 +172,6 @@ impl LinkState {
         self.inner.lock().flap_losses
     }
 
-    /// Occupies the transmitter for `hold` starting no earlier than
-    /// `earliest`, without carrying payload — dead time such as CSMA/CD
-    /// collision windows and backoff. Counted in the busy integral but not
-    /// in the byte/chunk counters.
-    pub fn occupy(&self, earliest: SimTime, hold: Dur) -> TxSlot {
-        let mut l = self.inner.lock();
-        let start = earliest.max(l.busy_until);
-        let end = start + hold;
-        l.busy_until = end;
-        l.busy_integral_ps += u128::from(hold.as_ps());
-        TxSlot {
-            start,
-            end,
-            arrival: end + self.spec.propagation,
-            lost: false,
-        }
-    }
-
     /// Wire bytes still queued ahead of `now`, at this link's rate.
     pub fn backlog_bytes(&self, now: SimTime) -> u64 {
         let ps = u128::from(self.backlog(now).as_ps());

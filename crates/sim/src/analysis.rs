@@ -7,7 +7,8 @@
 //!   [`InvariantSink`] collecting structured [`Violation`] reports, and a
 //!   [`WaitGraph`] cycle detector over blocked threads;
 //! * the `ncs-analysis` crate holds the *policy* — the source-level
-//!   determinism lint, post-run classification, and the CI driver.
+//!   determinism lint and post-run classification; `ncs-bench` holds the
+//!   schedule explorer that arms them across alternative schedules.
 //!
 //! Keeping the mechanism here lets the MTS runtime, the message-passing
 //! core, and the kernel itself report violations without any dependency

@@ -26,9 +26,9 @@
 //! - **Gauges** (`gauge_set`): sampled instantaneous values with the sim
 //!   time of each change (`("switch.out_cells", node)`), exportable as
 //!   Chrome-trace counter tracks.
-//! - **Duration stats** (`observe`): a streaming [`DurSummary`] plus a
-//!   log-bucketed [`DurHistogram`] per name, reporting
-//!   count/mean/p50/p95/p99/max.
+//! - **Duration stats** (`observe`): a log-bucketed [`DurHistogram`] per
+//!   name, keeping its streaming [`DurSummary`] beside the buckets,
+//!   reporting count/mean/p50/p95/p99/max.
 //! - **Timelines** (`next_causal` / `mark` / `timeline`): per-message causal
 //!   records. A producer allocates a causal id, then every layer the message
 //!   crosses marks a named stage with the current sim time. Consecutive
@@ -78,22 +78,21 @@ impl GaugeSeries {
     }
 }
 
-/// Streaming summary plus histogram for one named duration series.
+/// One named duration series: a histogram, which keeps the streaming
+/// summary of the same observations.
 #[derive(Clone, Debug, Default)]
 pub struct DurStat {
-    summary: DurSummary,
     hist: DurHistogram,
 }
 
 impl DurStat {
     fn record(&mut self, d: Dur) {
-        self.summary.record(d);
         self.hist.record(d);
     }
 
     /// The streaming count/min/max/mean summary.
     pub fn summary(&self) -> &DurSummary {
-        &self.summary
+        self.hist.summary()
     }
 
     /// The log-bucketed histogram (conservative p50/p95/p99 upper bounds).
