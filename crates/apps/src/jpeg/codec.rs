@@ -1,11 +1,14 @@
 //! The assembled grayscale JPEG-style codec.
 //!
 //! Pipeline per 8×8 block: level shift → DCT → quantize → zig-zag →
-//! DC-differential RLE entropy coding. Fully real: compressed sizes (and
+//! DC-differential RLE entropy coding. The forward DCT and quantizer run
+//! a cheap path first and fall back to the exact one near a rounding tie;
+//! the inverse skips zero coefficients. Neither moves a byte or a pixel
+//! (DESIGN.md "Codec exactness"). Fully real: compressed sizes (and
 //! therefore the bytes the distributed pipeline ships) come from actual
 //! encoding of the actual image.
 
-use crate::jpeg::{dct, entropy, huffman, quant, zigzag};
+use crate::jpeg::{dct, entropy, huffman, ones, quant, zigzag};
 use crate::workloads::GrayImage;
 
 /// Compressed-image header magic.
@@ -70,39 +73,60 @@ pub fn compress(img: &GrayImage, quality: u8) -> Vec<u8> {
 /// Compresses with an explicit entropy stage.
 pub fn compress_with(img: &GrayImage, quality: u8, coder: EntropyKind) -> Vec<u8> {
     assert!(img.width.is_multiple_of(8) && img.height.is_multiple_of(8));
+    // The block rows below are zipped slices of `pixels`: on a short image
+    // they would stop early and leave zeros, so refuse it here.
+    assert!(
+        img.pixels.len() >= img.width * img.height,
+        "fewer pixels than width × height"
+    );
     let table = quant::table_for_quality(quality);
+    let mult = dct::quant_multipliers(&table);
     let mut out = Vec::with_capacity(img.len() / 4 + 16);
     out.extend_from_slice(&MAGIC.to_le_bytes());
     out.extend_from_slice(&(img.width as u32).to_le_bytes());
     out.extend_from_slice(&(img.height as u32).to_le_bytes());
     out.push(quality);
     out.push(coder.id());
-    let mut zz_blocks = Vec::with_capacity(img.len() / 64);
+    // The RLE stage codes each block as it comes; the Huffman stage builds
+    // its code from every block's symbols first.
+    let mut prev_dc = 0i16;
+    let mut zz_blocks = Vec::new();
     for by in (0..img.height).step_by(8) {
         for bx in (0..img.width).step_by(8) {
             let mut block = [0.0f64; 64];
-            for y in 0..8 {
-                for x in 0..8 {
-                    block[y * 8 + x] = f64::from(img.pixels[(by + y) * img.width + bx + x]) - 128.0;
+            let rows = img.pixels[by * img.width + bx..].chunks(img.width);
+            for (b, row) in block.chunks_exact_mut(8).zip(rows) {
+                for (b, &p) in b.iter_mut().zip(&row[..8]) {
+                    *b = f64::from(p) - 128.0;
                 }
             }
-            let coeffs = dct::forward_fast(&block);
-            let q = quant::quantize(&coeffs, &table);
-            zz_blocks.push(zigzag::to_zigzag(&q));
-        }
-    }
-    match coder {
-        EntropyKind::RleVarint => {
-            let mut prev_dc = 0i16;
-            for zz in &zz_blocks {
-                entropy::encode_block(zz, &mut prev_dc, &mut out);
+            let zz = quant::quantize_clear(&dct::forward_aan(&block), &mult)
+                .unwrap_or_else(|| zigzag::to_zigzag(&quantize_exact(&block, &table)));
+            match coder {
+                EntropyKind::RleVarint => entropy::encode_block(&zz, &mut prev_dc, &mut out),
+                EntropyKind::Huffman => zz_blocks.push(zz),
             }
         }
-        EntropyKind::Huffman => {
-            out.extend_from_slice(&huffman::encode_blocks(&zz_blocks));
-        }
+    }
+    if coder == EntropyKind::Huffman {
+        out.extend_from_slice(&huffman::encode_blocks(&zz_blocks));
     }
     out
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Blocks that took the exact path, for the fallback tests.
+    static EXACT_BLOCKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The exact path, [`dct::forward_fast`] then [`quant::quantize`]: the
+/// coefficients every block must end with, taken when
+/// [`quant::quantize_clear`] cannot vouch for its rounding.
+fn quantize_exact(block: &[f64; 64], table: &[u16; 64]) -> [i16; 64] {
+    #[cfg(test)]
+    EXACT_BLOCKS.with(|n| n.set(n.get() + 1));
+    quant::quantize(&dct::forward_fast(block), table)
 }
 
 /// Decompresses a compressed image.
@@ -124,41 +148,27 @@ pub fn decompress(data: &[u8]) -> Result<GrayImage, CodecError> {
     if n_blocks > body.len().saturating_mul(8) {
         return Err(CodecError::BadHeader);
     }
-    let zz_blocks: Vec<[i16; 64]> = match coder {
-        EntropyKind::RleVarint => {
-            let mut pos = 0;
-            let mut prev_dc = 0i16;
-            let mut v = Vec::with_capacity(n_blocks);
-            for _ in 0..n_blocks {
-                v.push(
-                    entropy::decode_block(body, &mut pos, &mut prev_dc)
-                        .map_err(CodecError::Entropy)?,
-                );
-            }
-            v
-        }
+    // The RLE stage decodes each block as it is needed; the Huffman stage
+    // decodes them all at once.
+    let mut huffman_blocks = match coder {
+        EntropyKind::RleVarint => Vec::new(),
         EntropyKind::Huffman => {
             huffman::decode_blocks(body, n_blocks).map_err(CodecError::Huffman)?
         }
-    };
+    }
+    .into_iter();
+    let (mut pos, mut prev_dc) = (0, 0i16);
     let table = quant::table_for_quality(quality);
     let mut pixels = vec![0u8; width * height];
-    let mut it = zz_blocks.iter();
     for by in (0..height).step_by(8) {
         for bx in (0..width).step_by(8) {
-            let zz = it.next().expect("block count checked");
-            let q = zigzag::from_zigzag(zz);
-            let coeffs = quant::dequantize(&q, &table);
-            let block = dct::inverse_fast(&coeffs);
-            for y in 0..8 {
-                for x in 0..8 {
-                    // Clamped to [-1, 256] first so the rounding is exact
-                    // and NaN still lands on 0.
-                    let v = (block[y * 8 + x] + 128.0).clamp(-1.0, 256.0);
-                    pixels[(by + y) * width + bx + x] =
-                        quant::round_half_away(v).clamp(0, 255) as u8;
-                }
-            }
+            let zz = match coder {
+                EntropyKind::RleVarint => entropy::decode_block(body, &mut pos, &mut prev_dc)
+                    .map_err(CodecError::Entropy)?,
+                EntropyKind::Huffman => huffman_blocks.next().expect("block count checked"),
+            };
+            let rows = pixels[by * width + bx..].chunks_mut(width).take(8);
+            put_pixels(&zz, &table, rows);
         }
     }
     Ok(GrayImage {
@@ -166,6 +176,42 @@ pub fn decompress(data: &[u8]) -> Result<GrayImage, CodecError> {
         height,
         pixels,
     })
+}
+
+/// Writes one block's pixels into its 8 `rows`, rounding each distinct
+/// output of the inverse transform once: a DC-only block is one value, and
+/// [`dct::inverse_shaped`] names the blocks whose rows repeat.
+fn put_pixels<'a>(zz: &[i16; 64], table: &[u16; 64], rows: impl Iterator<Item = &'a mut [u8]>) {
+    let px = |v: f64| quant::round_pixel(v + 128.0);
+    let nonzero = zigzag::nonzero_mask(zz);
+    if nonzero & !1 == 0 {
+        let p = px(dct::inverse_dc(f64::from(zz[0]) * f64::from(table[0])));
+        rows.for_each(|row| row[..8].fill(p));
+        return;
+    }
+    // `dequantize(&from_zigzag(zz), &table)`, nonzero entries only.
+    let mut coeffs = [0.0; 64];
+    for k in ones(nonzero) {
+        let i = zigzag::ZIGZAG[k];
+        coeffs[i] = f64::from(zz[k]) * f64::from(table[i]);
+    }
+    match dct::inverse_shaped(&coeffs) {
+        dct::Shape::SameRows(same) => {
+            let same = same.map(px);
+            rows.for_each(|row| row[..8].copy_from_slice(&same));
+        }
+        dct::Shape::FlatRows(flat) => {
+            for (row, v) in rows.zip(flat) {
+                row[..8].fill(px(v));
+            }
+        }
+        dct::Shape::Full(block) => {
+            let block: [u8; 64] = std::array::from_fn(|i| px(block[i]));
+            for (row, p) in rows.zip(block.chunks_exact(8)) {
+                row[..8].copy_from_slice(p);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -219,6 +265,17 @@ mod tests {
         let img = GrayImage::synthetic(48, 24, &mut rng);
         let back = decompress(&compress(&img, 60)).unwrap();
         assert_eq!((back.width, back.height), (48, 24));
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer pixels")]
+    fn short_image_panics() {
+        let img = GrayImage {
+            width: 16,
+            height: 16,
+            pixels: vec![0; 16 * 9],
+        };
+        compress(&img, 75);
     }
 
     #[test]
@@ -323,5 +380,244 @@ mod entropy_choice_tests {
         let mut data = compress(&img, 75);
         data[13] = 9;
         assert_eq!(decompress(&data), Err(CodecError::BadHeader));
+    }
+}
+
+/// The codec one coefficient at a time, every coefficient through
+/// `forward_fast` + `quantize` and the dense inverse, in the order
+/// [`compress_with`] and [`decompress`] must reproduce. Two calls go to
+/// oracles: `entropy::reference::encode_block` and `dct`'s
+/// `inverse_one_at_a_time` (bit-equal to the dense two-rows-per-sweep
+/// inverse). Every compressed byte and decoded pixel is checked against
+/// these.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::jpeg::dct::properties::inverse_one_at_a_time;
+
+    pub fn compress_with(img: &GrayImage, quality: u8, coder: EntropyKind) -> Vec<u8> {
+        assert!(img.width.is_multiple_of(8) && img.height.is_multiple_of(8));
+        let table = quant::table_for_quality(quality);
+        let mut out = Vec::with_capacity(img.len() / 4 + 16);
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        out.extend_from_slice(&(img.width as u32).to_le_bytes());
+        out.extend_from_slice(&(img.height as u32).to_le_bytes());
+        out.push(quality);
+        out.push(coder.id());
+        let mut zz_blocks = Vec::with_capacity(img.len() / 64);
+        for by in (0..img.height).step_by(8) {
+            for bx in (0..img.width).step_by(8) {
+                let mut block = [0.0f64; 64];
+                for y in 0..8 {
+                    for x in 0..8 {
+                        block[y * 8 + x] =
+                            f64::from(img.pixels[(by + y) * img.width + bx + x]) - 128.0;
+                    }
+                }
+                let coeffs = dct::forward_fast(&block);
+                let q = quant::quantize(&coeffs, &table);
+                zz_blocks.push(zigzag::to_zigzag(&q));
+            }
+        }
+        match coder {
+            EntropyKind::RleVarint => {
+                let mut prev_dc = 0i16;
+                for zz in &zz_blocks {
+                    entropy::reference::encode_block(zz, &mut prev_dc, &mut out);
+                }
+            }
+            EntropyKind::Huffman => {
+                out.extend_from_slice(&huffman::encode_blocks(&zz_blocks));
+            }
+        }
+        out
+    }
+    pub fn decompress(data: &[u8]) -> Result<GrayImage, CodecError> {
+        if data.len() < 14 || data[..4] != MAGIC.to_le_bytes() {
+            return Err(CodecError::BadHeader);
+        }
+        let width = u32::from_le_bytes(data[4..8].try_into().unwrap()) as usize;
+        let height = u32::from_le_bytes(data[8..12].try_into().unwrap()) as usize;
+        let quality = data[12];
+        let coder = EntropyKind::from_id(data[13]).ok_or(CodecError::BadHeader)?;
+        if width == 0 || height == 0 || !width.is_multiple_of(8) || !height.is_multiple_of(8) {
+            return Err(CodecError::BadHeader);
+        }
+        // Everything sized from the header is bounded by the input first: a
+        // block costs at least one bit of body under either coder.
+        let body = &data[14..];
+        let n_blocks = width.checked_mul(height).ok_or(CodecError::BadHeader)? / 64;
+        if n_blocks > body.len().saturating_mul(8) {
+            return Err(CodecError::BadHeader);
+        }
+        let zz_blocks: Vec<[i16; 64]> = match coder {
+            EntropyKind::RleVarint => {
+                let mut pos = 0;
+                let mut prev_dc = 0i16;
+                let mut v = Vec::with_capacity(n_blocks);
+                for _ in 0..n_blocks {
+                    v.push(
+                        entropy::decode_block(body, &mut pos, &mut prev_dc)
+                            .map_err(CodecError::Entropy)?,
+                    );
+                }
+                v
+            }
+            EntropyKind::Huffman => {
+                huffman::decode_blocks(body, n_blocks).map_err(CodecError::Huffman)?
+            }
+        };
+        let table = quant::table_for_quality(quality);
+        let mut pixels = vec![0u8; width * height];
+        let mut it = zz_blocks.iter();
+        for by in (0..height).step_by(8) {
+            for bx in (0..width).step_by(8) {
+                let zz = it.next().expect("block count checked");
+                let q = zigzag::from_zigzag(zz);
+                let coeffs = quant::dequantize(&q, &table);
+                let block = inverse_one_at_a_time(&coeffs);
+                for y in 0..8 {
+                    for x in 0..8 {
+                        // Clamped to [-1, 256] first so the rounding is exact
+                        // and NaN still lands on 0.
+                        let v = (block[y * 8 + x] + 128.0).clamp(-1.0, 256.0);
+                        pixels[(by + y) * width + bx + x] =
+                            quant::round_half_away(v).clamp(0, 255) as u8;
+                    }
+                }
+            }
+        }
+        Ok(GrayImage {
+            width,
+            height,
+            pixels,
+        })
+    }
+}
+
+#[cfg(test)]
+mod equivalence {
+    use super::*;
+    use ncs_sim::prop::{self, Gen};
+    use ncs_sim::SimRng;
+
+    /// Compressed bytes and decoded pixels equal the reference codec's.
+    fn assert_matches(img: &GrayImage, quality: u8, coder: EntropyKind) {
+        let data = compress_with(img, quality, coder);
+        let what = format!("{}x{} q{quality} {coder:?}", img.width, img.height);
+        assert_eq!(
+            data,
+            reference::compress_with(img, quality, coder),
+            "bytes, {what}"
+        );
+        let back = decompress(&data).expect("decodes");
+        assert_eq!(Ok(back), reference::decompress(&data), "pixels, {what}");
+    }
+
+    fn flat(width: usize, height: usize, level: u8) -> GrayImage {
+        GrayImage {
+            width,
+            height,
+            pixels: vec![level; width * height],
+        }
+    }
+
+    /// A random image of one of four kinds: the synthetic photograph,
+    /// a flat field, uniform noise, or a gradient plus noise.
+    fn any_image(g: &mut Gen) -> GrayImage {
+        let (width, height) = (8 * g.range(1..=6) as usize, 8 * g.range(1..=6) as usize);
+        let seed = g.range(0..u64::MAX);
+        let mut rng = SimRng::new(seed);
+        let mut noisy = |amp: f64, f: &dyn Fn(usize, usize) -> f64| -> GrayImage {
+            let pixels = (0..width * height)
+                .map(|i| {
+                    let v = f(i % width, i / width) + rng.gen_f64_range(-amp, amp);
+                    v.clamp(0.0, 255.0) as u8
+                })
+                .collect();
+            GrayImage {
+                width,
+                height,
+                pixels,
+            }
+        };
+        match g.range(0..4) {
+            0 => GrayImage::synthetic(width, height, &mut SimRng::new(seed)),
+            1 => flat(width, height, (seed % 256) as u8),
+            2 => noisy(128.0, &|_, _| 127.5),
+            _ => {
+                let (dx, dy) = (
+                    g.rng().gen_f64_range(-8.0, 8.0),
+                    g.rng().gen_f64_range(-8.0, 8.0),
+                );
+                let amp = *g.pick(&[0.0, 0.5, 4.0, 32.0]);
+                noisy(amp, &|x, y| 128.0 + dx * x as f64 + dy * y as f64)
+            }
+        }
+    }
+
+    /// `cases` random image·quality·coder cases.
+    fn random_cases(name: &str, cases: u32) {
+        prop::check(name, cases, |g| {
+            let img = any_image(g);
+            let quality = g.range(1..=100) as u8;
+            let coder = *g.pick(&[EntropyKind::RleVarint, EntropyKind::Huffman]);
+            assert_matches(&img, quality, coder);
+        });
+    }
+
+    /// Flat 16×8 images at `levels` × `qualities`, under both coders.
+    fn flat_cases(levels: impl Iterator<Item = u8> + Clone, qualities: &[u8]) -> usize {
+        let mut cases = 0;
+        for level in levels {
+            for &quality in qualities {
+                for coder in [EntropyKind::RleVarint, EntropyKind::Huffman] {
+                    assert_matches(&flat(16, 8, level), quality, coder);
+                }
+                cases += 1;
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn codec_matches_reference() {
+        random_cases("codec_matches_reference", 48);
+        flat_cases((0..=255).step_by(5), &[1, 50, 75, 100]);
+    }
+
+    /// Flat images at every level × qualities 1–100 (25,600 cases), 4,000
+    /// random synthetic, flat, noise and gradient ones, and the paper image
+    /// at six qualities: ≥ 20k image·quality cases. CI runs it in release
+    /// (`-- --ignored`).
+    #[test]
+    #[ignore = "29,606 image·quality cases; run in release with -- --ignored"]
+    fn corpus_matches_reference() {
+        let qualities: Vec<u8> = (1..=100).collect();
+        assert_eq!(flat_cases(0..=255, &qualities), 25_600);
+        random_cases("corpus_matches_reference", 4_000);
+        let paper = GrayImage::synthetic(960, 640, &mut SimRng::new(0x1A6));
+        for quality in [5, 25, 50, 75, 90, 100] {
+            assert_matches(&paper, quality, EntropyKind::Huffman);
+        }
+    }
+
+    /// At quality 50 the DC step is 16 and a flat block's DC is 8·(level −
+    /// 128), so odd levels put every block exactly on a rounding tie: each
+    /// takes the exact path, and still matches. Even levels take none.
+    #[test]
+    fn half_integer_dc_takes_the_exact_path() {
+        let exact_blocks = || EXACT_BLOCKS.with(|n| n.get());
+        for level in 0..=255u8 {
+            let before = exact_blocks();
+            let img = flat(16, 16, level);
+            let data = compress(&img, 50);
+            let taken = exact_blocks() - before;
+            assert_eq!(taken, if level % 2 == 1 { 4 } else { 0 }, "level {level}");
+            assert_eq!(
+                data,
+                reference::compress_with(&img, 50, EntropyKind::RleVarint)
+            );
+        }
     }
 }

@@ -49,7 +49,57 @@ pub fn quantize(coeffs: &[f64; 64], table: &[u16; 64]) -> [i16; 64] {
     out
 }
 
-/// Dequantizes back to coefficient space.
+/// Adding and then subtracting 1.5·2⁵² rounds any |x| < 2⁵¹ to the
+/// nearest integer, ties to even: the sum lies in [2⁵², 2⁵³), where doubles
+/// are exactly the integers. That integer also sits in the low bits of the
+/// sum's representation, in two's complement.
+const ROUNDER: f64 = 6_755_399_441_055_744.0;
+
+/// How far apart, in quantization steps, the coefficient
+/// [`quantize_clear`] rounds and the one [`quantize`] rounds can lie for a
+/// block of level-shifted 8-bit samples: 2⁻³². DESIGN.md "Codec
+/// exactness" derives it; `error_stays_inside_the_derived_bound` checks it.
+pub(crate) const FAST_ERROR_BOUND: f64 = f64::EPSILON * 1_048_576.0;
+
+/// [`quantize_clear`] gives up on a block when a coefficient lies closer
+/// than this to a rounding tie: 2⁻²⁰, 2¹² times [`FAST_ERROR_BOUND`].
+pub(crate) const TIE_MARGIN: f64 = 1.0 / 1_048_576.0;
+
+const _: () = assert!(TIE_MARGIN >= 4096.0 * FAST_ERROR_BOUND);
+
+/// [`quantize`]'s result for a block of level-shifted 8-bit samples,
+/// computed from `dct::forward_aan`'s outputs and
+/// `dct::quant_multipliers`' factors, or `None` when some coefficient lies
+/// within [`TIE_MARGIN`] of a rounding tie. Everywhere else the exact
+/// coefficient is within [`FAST_ERROR_BOUND`] of this one, so both round
+/// to the same integer.
+pub(crate) fn quantize_clear(sums: &[f64; 64], mult: &[f64; 64]) -> Option<[i16; 64]> {
+    let mut out = [0i16; 64];
+    let mut clear = true;
+    for ((o, &s), &m) in out.iter_mut().zip(sums).zip(mult) {
+        let x = s * m;
+        let y = x + ROUNDER;
+        clear &= (x - (y - ROUNDER)).abs() < 0.5 - TIE_MARGIN;
+        *o = y.to_bits() as i16;
+    }
+    clear.then_some(out)
+}
+
+/// The decoder's pixel, `round_half_away(x.clamp(-1.0, 256.0)).clamp(0,
+/// 255)`, without the saturating float→int cast. Rounding commutes with
+/// clamping to [0, 255], whose ends are integers, and NaN fails `x > 0.0`,
+/// so it lands on 0, as the cast puts it. Rounding ties to even falls short
+/// of ties away from zero exactly when the remainder is +½.
+#[inline]
+pub(crate) fn round_pixel(x: f64) -> u8 {
+    let x = if x > 0.0 { x.min(255.0) } else { 0.0 };
+    let y = x + ROUNDER;
+    y.to_bits() as u8 + u8::from(x - (y - ROUNDER) == 0.5)
+}
+
+/// Dequantizes back to coefficient space: the reference codec's step (the
+/// decoder dequantizes nonzero entries only).
+#[cfg(test)]
 pub fn dequantize(q: &[i16; 64], table: &[u16; 64]) -> [f64; 64] {
     let mut out = [0.0; 64];
     for i in 0..64 {
@@ -61,6 +111,8 @@ pub fn dequantize(q: &[i16; 64], table: &[u16; 64]) -> [f64; 64] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jpeg::dct;
+    use crate::jpeg::zigzag::ZIGZAG;
 
     #[test]
     fn quality_50_is_base_table() {
@@ -139,6 +191,93 @@ mod tests {
         for x in cases {
             assert_eq!(round_half_away(x), x.round() as i32, "{x:e}");
         }
+    }
+
+    /// Every tie and every integer from −2 to 258, one ulp either side,
+    /// the extremes and NaN: [`round_pixel`] is the clamped
+    /// [`round_half_away`] of the reference decoder.
+    #[test]
+    fn round_pixel_is_clamped_round_half_away() {
+        let oracle = |x: f64| round_half_away(x.clamp(-1.0, 256.0)).clamp(0, 255) as u8;
+        let mut cases = vec![
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            254.49999999999997,
+        ];
+        for h in -4..=516 {
+            let x = f64::from(h) / 2.0;
+            cases.extend([x.next_down(), x, x.next_up()]);
+        }
+        let mut rng = ncs_sim::SimRng::new(40);
+        cases.extend((0..10_000).map(|_| rng.gen_f64_range(-300.0, 600.0)));
+        for x in cases {
+            assert_eq!(round_pixel(x), oracle(x), "{x:e}");
+        }
+    }
+
+    /// For every multiplier of qualities 1–100: at a tie `n + ½` and one
+    /// ulp either side [`quantize_clear`] falls back; clear of the tie it
+    /// rounds as [`round_half_away`] does, negative steps included.
+    #[test]
+    fn clear_quantizer_falls_back_at_ties() {
+        for quality in 1..=100 {
+            let mult = dct::quant_multipliers(&table_for_quality(quality));
+            for (k, &m) in mult.iter().enumerate() {
+                for n in [-1025, -64, -3, -2, -1, 0, 1, 2, 63, 1024] {
+                    let tie = f64::from(n) + 0.5;
+                    let at = [tie.next_down(), tie, tie.next_up()];
+                    let clear = [tie - 4.0 * TIE_MARGIN, tie + 4.0 * TIE_MARGIN, tie - 0.25];
+                    for (x, falls_back) in at
+                        .map(|x| (x, true))
+                        .into_iter()
+                        .chain(clear.map(|x| (x, false)))
+                    {
+                        let mut sums = [0.0; 64];
+                        sums[k] = x / m;
+                        let seen = sums[k] * m;
+                        let got = quantize_clear(&sums, &mult);
+                        let what = format!("q{quality} k{k} {x:e}");
+                        if falls_back {
+                            assert_eq!(got, None, "{what}");
+                        } else {
+                            let q = got.unwrap_or_else(|| panic!("fell back: {what}"));
+                            assert_eq!(i32::from(q[k]), round_half_away(seen), "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// On random 8-bit blocks, extremes and checkerboards included, every
+    /// coefficient of the fast path lies within [`FAST_ERROR_BOUND`] of
+    /// the exact path's, at every quality.
+    #[test]
+    fn error_stays_inside_the_derived_bound() {
+        ncs_sim::prop::check("error_stays_inside_the_derived_bound", 256, |g| {
+            let block: [f64; 64] = match g.range(0..3) {
+                0 => std::array::from_fn(|i| if (i / 8 + i) % 2 == 0 { -128.0 } else { 127.0 }),
+                1 => std::array::from_fn(|_| *g.pick(&[-128.0, 127.0])),
+                _ => std::array::from_fn(|_| g.range(0..256) as f64 - 128.0),
+            };
+            let quality = g.range(1..=100) as u8;
+            let table = table_for_quality(quality);
+            let (fast, exact) = (dct::forward_aan(&block), dct::forward_fast(&block));
+            let mult = dct::quant_multipliers(&table);
+            for (k, &i) in ZIGZAG.iter().enumerate() {
+                let err = (fast[k] * mult[k] - exact[i] / f64::from(table[i])).abs();
+                assert!(
+                    err <= FAST_ERROR_BOUND,
+                    "q{quality} coefficient {i}: {err:e}"
+                );
+            }
+        });
     }
 
     #[test]

@@ -4,15 +4,19 @@
 //!   MTS block/unblock round trip (the simulator's own overhead, beside
 //!   the modelled 15 µs virtual context switch);
 //! * `huffman` — the JPEG entropy coder, encode and decode;
+//! * `jpeg` — the whole codec, compress and decompress, on the paper's
+//!   960×640 Table 2 image at quality 75 (`JpegConfig::paper`), in ns per
+//!   pixel;
 //! * `fabric-booking` — one `Fabric::transfer` booking on Ethernet, the
 //!   FORE ATM LAN and cross-site NYNET;
 //! * `sim-end-to-end` — a whole simulated 2-process NCS ping-pong, launch
 //!   to `finish`.
 //!
-//! The CRC/AAL5 kernels, the timer wheel against the heap, the metrics and
-//! tracer hot paths and the application kernels are timed elsewhere: by
-//! `BENCHMARK.json`'s `per_layer` probes (`benchmark/run.sh --layers`) and
-//! by `xp_scale`.
+//! The CRC/AAL5 kernels, the timer wheel against the heap and the metrics
+//! and tracer hot paths are timed elsewhere: by `BENCHMARK.json`'s
+//! `per_layer` probes (`benchmark/run.sh --layers`) and by `xp_scale`. The
+//! matmul and FFT kernels have no row of their own; `apps.kernel_share`
+//! reports what the three application kernels cost together.
 //!
 //! Each row is the minimum over ten 100 ms batches; `--smoke` runs one short
 //! batch per row, enough to show every row still runs.
@@ -24,14 +28,16 @@
 use super::{worker_cpus, Opts, Report};
 use crate::min_ns_per_call;
 use bytes::Bytes;
-use ncs_apps::jpeg::huffman;
+use ncs_apps::jpeg::{compress, decompress, huffman};
+use ncs_apps::jpeg_dist::JpegConfig;
+use ncs_apps::GrayImage;
 use ncs_core::{NcsConfig, NcsWorld, ThreadAddr};
 use ncs_mts::{Mts, MtsConfig};
 use ncs_net::atm::{AtmFabric, AtmLanParams, NynetParams};
 use ncs_net::ethernet::{EthernetFabric, EthernetParams};
 use ncs_net::fabric::{Fabric, NodeId};
 use ncs_net::{HostParams, IdealFabric, Network, TcpNet, TcpParams};
-use ncs_sim::{Dur, RunOutcome, Sim, SimTime};
+use ncs_sim::{Dur, RunOutcome, Sim, SimRng, SimTime};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -159,6 +165,18 @@ pub(super) fn run(opts: &Opts, out: &mut Report) {
             black_box(huffman::decode_blocks(black_box(&encoded), blocks.len()).unwrap());
         },
     );
+
+    // The Table 2 image, as `jpeg_dist` synthesizes it.
+    let paper = JpegConfig::paper(2);
+    let img = GrayImage::synthetic(paper.width, paper.height, &mut SimRng::new(paper.seed));
+    let compressed = compress(&img, paper.quality);
+    let pixels = img.len() as f64;
+    row("jpeg/compress", "pixel", pixels, &mut || {
+        black_box(compress(black_box(&img), paper.quality));
+    });
+    row("jpeg/decompress", "pixel", pixels, &mut || {
+        black_box(decompress(black_box(&compressed)).unwrap());
+    });
 
     row(
         "fabric-booking/ethernet-transfer",

@@ -201,7 +201,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "xp_micro",
-        about: "X2 + host-time microbenchmarks (MTS, Huffman, fabric booking, ping-pong)",
+        about: "X2 + host-time microbenchmarks (MTS, Huffman, JPEG codec, fabric booking, ping-pong)",
         run: micro::run,
         report: NEVER,
     },

@@ -13,6 +13,9 @@ cargo test -q --offline --release -p ncs-apps
 echo "== every message class over a lossy wire, 64 seeds (as CI) =="
 cargo test --release --offline -p ncs-core --test lossy_control -- --ignored
 
+echo "== codec against its one-coefficient-at-a-time reference, 29,606 image·quality cases (as CI) =="
+cargo test --release --offline -p ncs-apps -- --ignored
+
 echo "== no-registry guard: removed crate names, lock file sources (as CI) =="
 bash scripts/guard_no_registry.sh
 
