@@ -168,9 +168,6 @@ fn run_mesh(
                     VbrConfig {
                         src: NodeId((hosts + i) as u32),
                         dst: NodeId(((i * 11 + 3) % hosts) as u32),
-                        chunk_bytes: 4096,
-                        mean_on: Dur::from_millis(1),
-                        mean_off: Dur::from_millis(3),
                         horizon: Dur::from_millis(250),
                         seed: seed.wrapping_mul(31).wrapping_add(i as u64),
                     },

@@ -21,10 +21,7 @@ pub(super) fn run(_: &Opts, out: &mut Report) {
         let lats: Vec<Dur> = [1, 2, 4, 8]
             .iter()
             .map(|&num_buffers| {
-                let params = AtmApiParams {
-                    num_buffers,
-                    ..AtmApiParams::default()
-                };
+                let params = AtmApiParams { num_buffers };
                 one_way(atm_lan_api(2, HostParams::sparc_ipx(), params), bytes)
             })
             .collect();

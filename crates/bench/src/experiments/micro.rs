@@ -34,7 +34,7 @@ use ncs_apps::GrayImage;
 use ncs_core::{NcsConfig, NcsWorld, ThreadAddr};
 use ncs_mts::{Mts, MtsConfig};
 use ncs_net::atm::{AtmFabric, AtmLanParams, NynetParams};
-use ncs_net::ethernet::{EthernetFabric, EthernetParams};
+use ncs_net::ethernet::EthernetFabric;
 use ncs_net::fabric::{Fabric, NodeId};
 use ncs_net::{HostParams, IdealFabric, Network, TcpNet, TcpParams};
 use ncs_sim::{Dur, RunOutcome, Sim, SimRng, SimTime};
@@ -182,7 +182,7 @@ pub(super) fn run(opts: &Opts, out: &mut Report) {
         "fabric-booking/ethernet-transfer",
         "transfer",
         1.0,
-        &mut booking(EthernetFabric::new(EthernetParams::new(8)), 0, 1, 1460),
+        &mut booking(EthernetFabric::new(8), 0, 1, 1460),
     );
     row(
         "fabric-booking/atm-lan-transfer",

@@ -40,13 +40,15 @@
 //! ```
 //!
 //! `--guard` is the CI perf-regression gate: it compares this machine's
-//! *normalized* cost per message — the coroutine-engine sweep's wall ns
-//! per collective message divided by the same run's micro wheel ns/event,
-//! cancelling out raw machine speed — against the checked-in baseline
-//! (`crates/bench/baselines/xp_scale_guard.txt`) and fails if any point
-//! regressed by more than 15%. Per *message*, not per event: the events a
-//! change removes are usually the cheap ones, so ns/event rises while the
-//! run gets faster. The event count itself repeats to the digit, and so does
+//! *normalized* cost per message — a coroutine-engine shape's wall ns per
+//! collective message divided by a wheel micro's ns/event taken right
+//! before it, cancelling out raw machine speed — against the checked-in
+//! baseline (`crates/bench/baselines/xp_scale_guard.txt`) and fails if any
+//! point regressed by more than 15%. Each point is the median of five such
+//! ratios, the guarded shapes taking turns, so a single noisy sample on
+//! either side of the ratio cannot fail it. Per *message*, not per event:
+//! the events a change removes are usually the cheap ones, so ns/event
+//! rises while the run gets faster. The event count itself repeats to the digit, and so does
 //! the number of causal-timeline stamps the run retains and the bytes they
 //! hold, so the baseline's `events <hosts> <rounds> <count>`, `stamps
 //! <hosts> <rounds> <count>` and `tl_bytes <hosts> <rounds> <bytes>` rows
@@ -486,18 +488,33 @@ const GUARD_BASELINE: &str = "crates/bench/baselines/xp_scale_guard.txt";
 const GUARD_BASELINE_TEXT: &str = include_str!("../../baselines/xp_scale_guard.txt");
 /// Allowed regression over the baseline's normalized cost per event.
 const GUARD_HEADROOM: f64 = 1.15;
+/// Interleaved (wheel micro, shape) samples behind each wall row; the row
+/// gates their median, so one noisy sample on either side cannot fail it.
+const GUARD_SAMPLES: usize = 5;
 
-/// `--guard`: machine-normalized perf-regression gate. Each measured
-/// coroutine-engine point's cost ratio (`ns_per_message / wheel_ns`) is
-/// compared against the checked-in baseline for the same `<hosts> <rounds>`
-/// shape — and each sharded point's (`ns_per_event / wheel_ns`) against the
-/// baseline's `sharded <hosts> <shards> <rounds>` row — so raw machine
-/// speed divides out and the gate travels across CI runners. Fails (exits
-/// non-zero via panic) past 15% regression, and on any difference at all
-/// from an `events <hosts> <rounds>`, `stamps <hosts> <rounds>` or
-/// `tl_bytes <hosts> <rounds>` row: event and stamp counts and the bytes
-/// the timelines hold are deterministic.
-fn run_guard(out: &mut Report, points: &[ScalePoint], sharded: &[ShardPoint], wheel_ns: f64) {
+/// One wall row of `--guard`: a label, its baseline ratio, and how to take
+/// one wall-time sample of its shape (ns per message flat, per event
+/// sharded).
+struct WallRow {
+    label: String,
+    base: f64,
+    sample: Box<dyn Fn() -> f64>,
+}
+
+/// `--guard`: machine-normalized perf-regression gate. Each guarded shape
+/// — a coroutine-engine collective point (`ns_per_message`) or a sharded
+/// point (`ns_per_event`) with a baseline row — is sampled
+/// [`GUARD_SAMPLES`] times, each sample a fresh wheel micro (`offsets`)
+/// right before a fresh run of the shape, the shapes taking turns; the
+/// median of the sample ratios is compared against the checked-in baseline
+/// for the same `<hosts> <rounds>` or `sharded <hosts> <shards> <rounds>`
+/// row, so raw machine speed divides out and the gate travels across CI
+/// runners. Fails (exits non-zero via panic) past 15% regression, and on
+/// any difference at all from an `events <hosts> <rounds>`, `stamps <hosts>
+/// <rounds>` or `tl_bytes <hosts> <rounds>` row: event and stamp counts and
+/// the bytes the timelines hold are deterministic, so the sweep's own
+/// `points` answer them.
+fn run_guard(out: &mut Report, points: &[ScalePoint], sharded: &[ShardPoint], offsets: &[u64]) {
     // Baseline rows: a shape (single-spaced), then its ratio.
     let baseline: Vec<(String, f64)> = GUARD_BASELINE_TEXT
         .lines()
@@ -510,17 +527,12 @@ fn run_guard(out: &mut Report, points: &[ScalePoint], sharded: &[ShardPoint], wh
             }
         })
         .collect();
-    // Measured points: shape as the baseline spells it, label, wall ns per
-    // message (flat) or per event (sharded).
-    let flat = points.iter().map(|p| {
-        let shape = format!("{} {}", p.hosts, p.rounds);
-        (shape, format!("{:3} hosts", p.hosts), p.ns_per_message())
-    });
-    let sharded = sharded.iter().map(|p| {
-        let shape = format!("sharded {} {} {}", p.hosts, p.shards, p.rounds);
-        let label = format!("{:6} hosts x {} shard(s)", p.hosts, p.shards);
-        (shape, label, p.ns_per_event())
-    });
+    let base_of = |shape: &str| {
+        baseline
+            .iter()
+            .find(|(known, _)| known == shape)
+            .map(|&(_, base)| base)
+    };
     out.note(format!(
         "## perf-regression guard (normalized vs {GUARD_BASELINE})\n"
     ));
@@ -532,8 +544,7 @@ fn run_guard(out: &mut Report, points: &[ScalePoint], sharded: &[ShardPoint], wh
             ("tl_bytes", p.tl_bytes),
         ];
         for (kind, count) in exact {
-            let shape = format!("{kind} {} {}", p.hosts, p.rounds);
-            let Some(&(_, base)) = baseline.iter().find(|(known, _)| *known == shape) else {
+            let Some(base) = base_of(&format!("{kind} {} {}", p.hosts, p.rounds)) else {
                 continue;
             };
             let base = base as u64;
@@ -551,28 +562,60 @@ fn run_guard(out: &mut Report, points: &[ScalePoint], sharded: &[ShardPoint], wh
             );
         }
     }
-    let mut checked = 0;
-    for (shape, label, ns) in flat.chain(sharded) {
-        let Some(&(_, base)) = baseline.iter().find(|(known, _)| *known == shape) else {
-            continue;
-        };
-        let (ratio, limit) = (ns / wheel_ns, base * GUARD_HEADROOM);
+    // The wall rows: every measured shape the baseline has a ratio for.
+    let flat = points.iter().filter_map(|p| {
+        let (hosts, rounds) = (p.hosts, p.rounds);
+        Some(WallRow {
+            label: format!("{hosts:3} hosts"),
+            base: base_of(&format!("{hosts} {rounds}"))?,
+            sample: Box::new(move || {
+                run_collective(hosts, rounds, EngineKind::Coroutine).ns_per_message()
+            }),
+        })
+    });
+    let sharded = sharded.iter().filter_map(|p| {
+        let (hosts, shards, rounds) = (p.hosts, p.shards, p.rounds);
+        Some(WallRow {
+            label: format!("{hosts:6} hosts x {shards} shard(s)"),
+            base: base_of(&format!("sharded {hosts} {shards} {rounds}"))?,
+            sample: Box::new(move || run_sharded(hosts, shards, rounds).ns_per_event()),
+        })
+    });
+    let rows: Vec<WallRow> = flat.chain(sharded).collect();
+    assert!(
+        !rows.is_empty(),
+        "--guard: no baseline entry matched the measured sweep shape"
+    );
+    let mut ratios = vec![Vec::with_capacity(GUARD_SAMPLES); rows.len()];
+    for _ in 0..GUARD_SAMPLES {
+        for (row, samples) in rows.iter().zip(&mut ratios) {
+            let wheel_ns = micro_wheel_ns(offsets);
+            samples.push((row.sample)() / wheel_ns);
+        }
+    }
+    // Every row is printed before any fails, so one run shows them all.
+    let mut regressed = Vec::new();
+    for (row, mut samples) in rows.iter().zip(ratios) {
+        samples.sort_by(f64::total_cmp);
+        let (ratio, limit) = (samples[GUARD_SAMPLES / 2], row.base * GUARD_HEADROOM);
         let verdict = if ratio <= limit { "ok" } else { "FAIL" };
         out.note(format!(
-            "  {label} | ratio {ratio:7.2} | baseline {base:7.2} | limit {limit:7.2} | {verdict}\n"
+            "  {} | median ratio {ratio:7.2} ({:.2}..{:.2}) | baseline {:7.2} | limit {limit:7.2} | {verdict}\n",
+            row.label,
+            samples[0],
+            samples[GUARD_SAMPLES - 1],
+            row.base,
         ));
-        assert!(
-            ratio <= limit,
-            "wall time at {} regressed: normalized cost {ratio:.2} exceeds baseline {base:.2} \
-             by more than {:.0}%",
-            label.trim(),
-            (GUARD_HEADROOM - 1.0) * 100.0
-        );
-        checked += 1;
+        if ratio > limit {
+            regressed.push(format!("{} ({ratio:.2} > {limit:.2})", row.label.trim()));
+        }
     }
     assert!(
-        checked > 0,
-        "--guard: no baseline entry matched the measured sweep shape"
+        regressed.is_empty(),
+        "wall time regressed: the median normalized cost of {GUARD_SAMPLES} samples exceeds \
+         the baseline by more than {:.0}% at {}",
+        (GUARD_HEADROOM - 1.0) * 100.0,
+        regressed.join(", ")
     );
 }
 
@@ -584,19 +627,19 @@ pub(super) fn run(opts: &Opts, out: &mut Report) {
         out.note("# smoke mode: reduced sweep\n");
     }
 
-    // Part 1: schedule/pop micro comparison, min of three runs each.
+    // Part 1: schedule/pop micro comparison, min of three runs each, the
+    // two taking turns so a noisy stretch of the machine hits both.
     let micro_n = if smoke {
         MICRO_EVENTS / 10
     } else {
         MICRO_EVENTS
     };
     let offsets = micro_schedule(micro_n);
-    let wheel_ns = (0..3)
-        .map(|_| micro_wheel_ns(&offsets))
-        .fold(f64::INFINITY, f64::min);
-    let heap_ns = (0..3)
-        .map(|_| micro_heap_ns(&offsets))
-        .fold(f64::INFINITY, f64::min);
+    let (mut wheel_ns, mut heap_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        wheel_ns = wheel_ns.min(micro_wheel_ns(&offsets));
+        heap_ns = heap_ns.min(micro_heap_ns(&offsets));
+    }
     out.bench = Some("BENCH_kernel");
     out.note("\n## schedule/pop round trip\n");
     out.record(MICRO, &(micro_n, wheel_ns, heap_ns));
@@ -662,6 +705,6 @@ pub(super) fn run(opts: &Opts, out: &mut Report) {
     let shard_points = run_shard_sweep(out, shard_hosts, shard_counts, shard_rounds);
 
     if opts.guard {
-        run_guard(out, &points, &shard_points, wheel_ns);
+        run_guard(out, &points, &shard_points, &offsets);
     }
 }

@@ -42,9 +42,6 @@ fn run_harsh(seed: u64) -> (Vec<ErrorStats>, String) {
             VbrConfig {
                 src: NodeId((HOSTS + i) as u32),
                 dst: NodeId((i * 3 + 1) as u32 % HOSTS as u32),
-                chunk_bytes: 4096,
-                mean_on: Dur::from_millis(1),
-                mean_off: Dur::from_millis(3),
                 horizon: Dur::from_millis(100),
                 seed: seed.wrapping_add(i as u64),
             },

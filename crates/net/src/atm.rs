@@ -27,7 +27,7 @@ use crate::aal5;
 use crate::cell::CELL_BYTES;
 use crate::fabric::{Fabric, NodeId, TransferTiming};
 use crate::link::{LinkSpec, LinkState};
-use crate::wan::{FatTreeParams, WanRingParams};
+use crate::wan::{FatTreeParams, WanRingParams, CAMPUS_TRUNK};
 
 /// Wire bytes for an AAL5-framed chunk of `payload` bytes.
 pub fn atm_wire_bytes(payload: usize) -> usize {
@@ -56,42 +56,38 @@ pub(crate) fn block_of(node: NodeId, per: usize, count: usize) -> usize {
     (node.idx() / per).min(count - 1)
 }
 
+/// Every host's access link on every topology, both directions: FORE's
+/// TAXI-140 host interface.
+pub(crate) const ACCESS: LinkSpec = LinkSpec::taxi_140();
+
+/// Fixed per-chunk latency through every FORE switch: the LAN switch,
+/// NYNET's site switches and backbone hop, fat-tree edges and cores, ring
+/// sites, and the sharded model's site switches.
+pub(crate) const SWITCH_LATENCY: Dur = Dur::from_micros(20);
+
+/// NYNET's site-to-backbone trunk: OC-3c with 50 µs of propagation.
+const NYNET_TRUNK: LinkSpec = LinkSpec::oc3(Dur::from_micros(50));
+
+/// One-way upstate–downstate propagation, paid once per crossing on the
+/// NYNET backbone hop.
+const BACKBONE_PROPAGATION: Dur = Dur::from_millis(1);
+
 /// Parameters of a single-switch ATM LAN.
 #[derive(Clone, Debug)]
 pub struct AtmLanParams {
     /// Number of attached hosts.
     pub nodes: usize,
-    /// Host-to-switch access link (both directions).
-    pub access: LinkSpec,
-    /// Fixed per-chunk latency through the switch.
-    pub switch_latency: Dur,
-    /// Output-port buffer capacity in cells; a chunk arriving at a port
-    /// whose queue already holds this many cells is dropped whole. `None` =
-    /// infinite buffer (the default, preserving lossless behaviour).
-    pub output_buffer_cells: Option<usize>,
 }
 
 impl AtmLanParams {
     /// The paper's configuration: TAXI-140 access into one FORE switch.
     pub fn fore_lan(nodes: usize) -> AtmLanParams {
-        AtmLanParams {
-            nodes,
-            access: LinkSpec::taxi_140(),
-            switch_latency: Dur::from_micros(20),
-            output_buffer_cells: None,
-        }
-    }
-
-    /// Caps every switch output port at `cells` cells of buffering.
-    // ncs-lint: allow(dead-surface) fabric_pins.rs pins switch-buffer overflow through it
-    pub fn with_output_buffer(mut self, cells: usize) -> AtmLanParams {
-        self.output_buffer_cells = Some(cells);
-        self
+        AtmLanParams { nodes }
     }
 }
 
 /// Parameters of the NYNET-style wide-area testbed: two (or more) ATM LAN
-/// sites joined by trunk links over a shared backbone.
+/// sites joined by OC-3c trunks over a shared backbone.
 #[derive(Clone, Debug)]
 pub struct NynetParams {
     /// Total hosts; they are split evenly across sites (first half at site
@@ -100,24 +96,12 @@ pub struct NynetParams {
     pub nodes: usize,
     /// Number of sites.
     pub sites: usize,
-    /// Host access link within a site.
-    pub access: LinkSpec,
-    /// Site-to-backbone trunk.
-    pub trunk: LinkSpec,
-    /// Shared backbone link. There is exactly **one**: traffic in both
-    /// directions, between every site pair, contends on the same FIFO.
-    /// (A real SONET span is full duplex; the single queue is what Tables
-    /// 1–3 were calibrated against, so it stays.)
+    /// Shared backbone link; its propagation is the wide-area crossing.
+    /// There is exactly **one**: traffic in both directions, between every
+    /// site pair, contends on the same FIFO. (A real SONET span is full
+    /// duplex; the single queue is what Tables 1–3 were calibrated against,
+    /// so it stays.)
     pub backbone: LinkSpec,
-    /// Per-chunk switch latency (applied at each switch: site switches and
-    /// the backbone hop).
-    pub switch_latency: Dur,
-    /// Extra one-way wide-area propagation between sites, paid once per
-    /// crossing on the backbone hop.
-    pub wan_propagation: Dur,
-    /// Output-port buffer capacity in cells at every switch output (site
-    /// switches and the backbone hop). `None` = infinite (default).
-    pub output_buffer_cells: Option<usize>,
 }
 
 impl NynetParams {
@@ -128,28 +112,16 @@ impl NynetParams {
         NynetParams {
             nodes,
             sites: 2,
-            access: LinkSpec::taxi_140(),
-            trunk: LinkSpec::oc3(Dur::from_micros(50)),
-            backbone: LinkSpec::oc48(Dur::ZERO),
-            switch_latency: Dur::from_micros(20),
-            wan_propagation: Dur::from_millis(1),
-            output_buffer_cells: None,
+            backbone: LinkSpec::oc48(BACKBONE_PROPAGATION),
         }
     }
 
     /// Variant routed over the DS-3 upstate–downstate link.
     pub fn nynet_ds3(nodes: usize) -> NynetParams {
         NynetParams {
-            backbone: LinkSpec::ds3(Dur::ZERO),
+            backbone: LinkSpec::ds3(BACKBONE_PROPAGATION),
             ..NynetParams::nynet(nodes)
         }
-    }
-
-    /// Caps every switch output port at `cells` cells of buffering.
-    // ncs-lint: allow(dead-surface) fabric_pins.rs pins switch-buffer overflow through it
-    pub fn with_output_buffer(mut self, cells: usize) -> NynetParams {
-        self.output_buffer_cells = Some(cells);
-        self
     }
 
     /// Which site a node lives at.
@@ -258,13 +230,12 @@ impl Iterator for Route {
 }
 
 impl Topology {
-    /// Hosts, access link, per-switch latency, output-buffer cap.
-    fn common(&self) -> (usize, &LinkSpec, Dur, Option<usize>) {
+    fn nodes(&self) -> usize {
         match self {
-            Topology::Star(p) => (p.nodes, &p.access, p.switch_latency, p.output_buffer_cells),
-            Topology::Nynet(p) => (p.nodes, &p.access, p.switch_latency, p.output_buffer_cells),
-            Topology::FatTree(p) => (p.nodes, &p.access, p.switch_latency, p.output_buffer_cells),
-            Topology::Ring(p) => (p.nodes, &p.access, p.switch_latency, p.output_buffer_cells),
+            Topology::Star(p) => p.nodes,
+            Topology::Nynet(p) => p.nodes,
+            Topology::FatTree(p) => p.nodes,
+            Topology::Ring(p) => p.nodes,
         }
     }
 
@@ -275,17 +246,13 @@ impl Topology {
             Topology::Star(_) => Vec::new(),
             Topology::Nynet(p) => {
                 assert!(p.sites >= 2, "a WAN needs at least two sites");
-                // The wide-area propagation is the backbone hop's own
-                // latency: fold it into that link's propagation delay.
-                let mut backbone = p.backbone.clone();
-                backbone.propagation += p.wan_propagation;
-                let mut specs = vec![p.trunk.clone(); 2 * p.sites];
-                specs.push(backbone);
+                let mut specs = vec![NYNET_TRUNK; 2 * p.sites];
+                specs.push(p.backbone.clone());
                 specs
             }
             Topology::FatTree(p) => {
                 assert!(p.hosts_per_edge >= 1 && p.cores >= 1);
-                vec![p.trunk.clone(); 2 * p.edges() * p.cores]
+                vec![CAMPUS_TRUNK; 2 * p.edges() * p.cores]
             }
             Topology::Ring(p) => {
                 assert!(p.sites >= 2, "a ring needs at least two sites");
@@ -355,30 +322,29 @@ impl Topology {
     }
 
     fn describe(&self) -> String {
+        let access = ACCESS.name;
         match self {
             Topology::Star(p) => format!(
-                "ATM LAN: {} hosts, {} access, 1 switch ({} latency)",
-                p.nodes, p.access.name, p.switch_latency
+                "ATM LAN: {} hosts, {access} access, 1 switch ({SWITCH_LATENCY} latency)",
+                p.nodes
             ),
             Topology::Nynet(p) => format!(
-                "NYNET WAN: {} hosts over {} sites, {} access, {} trunks, {} backbone, {} WAN propagation",
-                p.nodes, p.sites, p.access.name, p.trunk.name, p.backbone.name, p.wan_propagation
+                "NYNET WAN: {} hosts over {} sites, {access} access, {} trunks, {} backbone, {} WAN propagation",
+                p.nodes, p.sites, NYNET_TRUNK.name, p.backbone.name, p.backbone.propagation
             ),
             Topology::FatTree(p) => format!(
-                "fat-tree: {} hosts, {} edges x {} cores, {} access, {} trunks",
+                "fat-tree: {} hosts, {} edges x {} cores, {access} access, {} trunks",
                 p.nodes,
                 p.edges(),
                 p.cores,
-                p.access.name,
-                p.trunk.name
+                CAMPUS_TRUNK.name
             ),
             Topology::Ring(p) => {
                 let grades: Vec<&str> = p.segments.iter().map(|s| s.name).collect();
                 format!(
-                    "WAN ring: {} hosts over {} sites, {} access, segments [{}]",
+                    "WAN ring: {} hosts over {} sites, {access} access, segments [{}]",
                     p.nodes,
                     p.sites,
-                    p.access.name,
                     grades.join(", ")
                 )
             }
@@ -398,8 +364,8 @@ impl Topology {
 pub struct AtmFabric {
     topology: Topology,
     nodes: usize,
-    access_rate: u64,
-    switch_latency: Dur,
+    /// Output-port buffer capacity in cells at every switch output;
+    /// `None` = infinite.
     output_buffer_cells: Option<usize>,
     /// Host → switch direction, per host.
     uplinks: Vec<Arc<LinkState>>,
@@ -418,14 +384,12 @@ impl AtmFabric {
     /// Builds the fabric a `*Params` description (or a [`Topology`]) names.
     pub fn new(topology: impl Into<Topology>) -> AtmFabric {
         let topology = topology.into();
-        let (nodes, access, switch_latency, output_buffer_cells) = topology.common();
+        let nodes = topology.nodes();
         assert!(nodes >= 2, "a fabric needs at least two hosts");
-        let access_links = || (0..nodes).map(|_| LinkState::new(access.clone())).collect();
+        let access_links = || (0..nodes).map(|_| LinkState::new(ACCESS)).collect();
         AtmFabric {
             nodes,
-            access_rate: access.rate_bps,
-            switch_latency,
-            output_buffer_cells,
+            output_buffer_cells: None,
             uplinks: access_links(),
             downlinks: access_links(),
             trunks: topology
@@ -436,6 +400,15 @@ impl AtmFabric {
             overflow_drops: AtomicU64::new(0),
             topology,
         }
+    }
+
+    /// Caps every switch output port at `cells` cells of buffering: a chunk
+    /// arriving at a port whose queue already holds that many cells is
+    /// dropped whole. `None`, what [`AtmFabric::new`] builds, is an
+    /// infinite buffer.
+    pub fn with_output_buffer(mut self, cells: Option<usize>) -> AtmFabric {
+        self.output_buffer_cells = cells;
+        self
     }
 
     /// The host→switch link of `node`, for flap scheduling and inspection.
@@ -478,7 +451,7 @@ impl AtmFabric {
     fn book(&self, src: NodeId, dst: NodeId, wire_bytes: usize, depart: SimTime) -> TransferTiming {
         assert!(src.idx() < self.nodes && dst.idx() < self.nodes);
         assert_ne!(src, dst, "loopback does not touch the fabric");
-        let lat = self.switch_latency;
+        let lat = SWITCH_LATENCY;
         let up = self.uplinks[src.idx()].enqueue(depart, wire_bytes, Dur::ZERO);
         let mut lost = up.lost;
         let mut at = up.arrival + lat;
@@ -528,7 +501,7 @@ impl Fabric for AtmFabric {
     }
 
     fn access_rate(&self, _src: NodeId) -> u64 {
-        self.access_rate
+        ACCESS.rate_bps
     }
 
     fn output_backlog(&self, node: NodeId, now: SimTime) -> Option<u64> {
@@ -680,7 +653,7 @@ mod contention_tests {
     fn finite_output_buffer_drops_under_fanin() {
         // Two senders blast one destination through a 64-cell output port:
         // the second chunk finds the port full and is dropped whole.
-        let f = AtmFabric::new(AtmLanParams::fore_lan(4).with_output_buffer(64));
+        let f = AtmFabric::new(AtmLanParams::fore_lan(4)).with_output_buffer(Some(64));
         let big = 14_000; // ~292 cells, far beyond the port buffer
         let a = f.transfer(NodeId(0), NodeId(3), big, t(0));
         let b = f.transfer(NodeId(1), NodeId(3), big, t(0));
@@ -724,7 +697,7 @@ mod contention_tests {
 
     #[test]
     fn wan_overflow_counts_and_drops() {
-        let f = AtmFabric::new(NynetParams::nynet_ds3(4).with_output_buffer(32));
+        let f = AtmFabric::new(NynetParams::nynet_ds3(4)).with_output_buffer(Some(32));
         // Saturate the slow DS-3 backbone with cross-site bulk transfers.
         let mut dropped = 0;
         for _ in 0..8 {

@@ -24,40 +24,19 @@ pub const MAX_PAYLOAD: usize = 1500;
 /// Inter-frame gap at 10 Mb/s.
 pub const INTERFRAME_GAP: Dur = Dur::from_micros(10); // 9.6 µs, rounded
 
-/// Parameters for an Ethernet segment.
-#[derive(Clone, Debug)]
-pub struct EthernetParams {
-    /// Number of attached hosts.
-    pub nodes: usize,
-    /// One-way propagation across the segment.
-    pub propagation: Dur,
-}
-
-impl EthernetParams {
-    /// A segment with `nodes` hosts and default timing.
-    pub fn new(nodes: usize) -> EthernetParams {
-        EthernetParams {
-            nodes,
-            propagation: Dur::from_micros(10),
-        }
-    }
-}
-
 /// The shared-medium fabric.
 pub struct EthernetFabric {
-    params: EthernetParams,
+    nodes: usize,
     medium: Arc<LinkState>,
 }
 
 impl EthernetFabric {
-    /// Builds the segment.
-    pub fn new(params: EthernetParams) -> EthernetFabric {
-        assert!(params.nodes >= 2, "a segment needs at least two hosts");
-        let mut spec = LinkSpec::ethernet10();
-        spec.propagation = params.propagation;
+    /// Builds a segment with `nodes` hosts on [`LinkSpec::ethernet10`].
+    pub fn new(nodes: usize) -> EthernetFabric {
+        assert!(nodes >= 2, "a segment needs at least two hosts");
         EthernetFabric {
-            medium: LinkState::new(spec),
-            params,
+            nodes,
+            medium: LinkState::new(LinkSpec::ethernet10()),
         }
     }
 
@@ -75,7 +54,7 @@ impl EthernetFabric {
 
 impl Fabric for EthernetFabric {
     fn nodes(&self) -> usize {
-        self.params.nodes
+        self.nodes
     }
 
     fn transfer(
@@ -85,7 +64,7 @@ impl Fabric for EthernetFabric {
         payload_bytes: usize,
         depart: SimTime,
     ) -> TransferTiming {
-        assert!(src.idx() < self.params.nodes && dst.idx() < self.params.nodes);
+        assert!(src.idx() < self.nodes && dst.idx() < self.nodes);
         assert_ne!(src, dst, "loopback does not touch the wire");
         let slot = self
             .medium
@@ -102,7 +81,7 @@ impl Fabric for EthernetFabric {
     }
 
     fn description(&self) -> String {
-        format!("shared 10 Mb/s Ethernet, {} hosts", self.params.nodes)
+        format!("shared 10 Mb/s Ethernet, {} hosts", self.nodes)
     }
 }
 
@@ -129,7 +108,7 @@ mod tests {
 
     #[test]
     fn single_frame_timing() {
-        let f = EthernetFabric::new(EthernetParams::new(4));
+        let f = EthernetFabric::new(4);
         // 1474-byte packet -> 1500 wire bytes = 1.2 ms at 10 Mb/s.
         let tt = f.transfer(NodeId(0), NodeId(1), 1474, t(0));
         assert_eq!(tt.first_hop_done, t(1200));
@@ -138,7 +117,7 @@ mod tests {
 
     #[test]
     fn contending_hosts_serialize() {
-        let f = EthernetFabric::new(EthernetParams::new(4));
+        let f = EthernetFabric::new(4);
         let a = f.transfer(NodeId(0), NodeId(1), 1474, t(0));
         let b = f.transfer(NodeId(2), NodeId(3), 1474, t(0));
         // Second frame waits for the first plus the inter-frame gap.
@@ -152,7 +131,7 @@ mod tests {
     fn effective_throughput_below_line_rate() {
         // Back-to-back MSS frames: 1486 wire bytes per 1460 useful bytes
         // plus the gap — about 9.7 Mb/s of goodput on a 10 Mb/s wire.
-        let f = EthernetFabric::new(EthernetParams::new(2));
+        let f = EthernetFabric::new(2);
         let mut last = SimTime::ZERO;
         let n = 100;
         for _ in 0..n {
@@ -166,7 +145,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "loopback")]
     fn loopback_rejected() {
-        let f = EthernetFabric::new(EthernetParams::new(2));
+        let f = EthernetFabric::new(2);
         f.transfer(NodeId(1), NodeId(1), 100, t(0));
     }
 }

@@ -29,7 +29,7 @@ pub struct LinkSpec {
 
 impl LinkSpec {
     /// FORE TAXI host–switch interface: 140 Mb/s, LAN-scale propagation.
-    pub fn taxi_140() -> LinkSpec {
+    pub const fn taxi_140() -> LinkSpec {
         LinkSpec {
             name: "TAXI-140",
             rate_bps: 140_000_000,
@@ -38,7 +38,7 @@ impl LinkSpec {
     }
 
     /// SONET OC-3c: 155.52 Mb/s line rate, 149.76 Mb/s SPE payload.
-    pub fn oc3(propagation: Dur) -> LinkSpec {
+    pub const fn oc3(propagation: Dur) -> LinkSpec {
         LinkSpec {
             name: "OC-3c",
             rate_bps: 149_760_000,
@@ -47,7 +47,7 @@ impl LinkSpec {
     }
 
     /// SONET OC-48c: 2.48832 Gb/s line rate, 2.39616 Gb/s payload.
-    pub fn oc48(propagation: Dur) -> LinkSpec {
+    pub const fn oc48(propagation: Dur) -> LinkSpec {
         LinkSpec {
             name: "OC-48c",
             rate_bps: 2_396_160_000,
@@ -56,7 +56,7 @@ impl LinkSpec {
     }
 
     /// DS-3 with PLCP framing: 44.736 Mb/s line, 40.704 Mb/s cell payload.
-    pub fn ds3(propagation: Dur) -> LinkSpec {
+    pub const fn ds3(propagation: Dur) -> LinkSpec {
         LinkSpec {
             name: "DS-3",
             rate_bps: 40_704_000,

@@ -4,10 +4,10 @@
 //! # Partitioning rule
 //!
 //! A sharded NCS deployment models `hosts` hosts spread over a **fixed**
-//! number of sites (`groups`), each site hanging off a local switch, sites
+//! number of sites (eight), each site hanging off a local switch, sites
 //! joined by wide-area trunks — the same shape as the [`crate::wan`]
 //! fat-tree and WAN-ring fabrics. The partition assigns *whole sites* to
-//! shards (`groups` must be divisible by the shard count), which yields
+//! shards (the shard count must divide the eight), which yields
 //! the property everything else rests on:
 //!
 //! > a message between hosts on different shards necessarily crosses a
@@ -27,7 +27,7 @@
 //! [`GossipMesh`] is the shard-scale driver used by `xp_scale`'s
 //! 1k/10k/100k-host sweeps and the `shard_determinism` suite: every host
 //! gossips each round with a same-site neighbour (`h+1`) and a far host one
-//! site over (`h + hosts/groups`), advancing its round when both inbound
+//! site over (`h + hosts/8`), advancing its round when both inbound
 //! messages arrive, folding every delivery into a per-host FNV digest.
 //! Rounds therefore spread in a data-dependent wavefront — hosts near site
 //! boundaries see trunk latencies and lag their neighbours — so the event
@@ -39,60 +39,52 @@ use ncs_sim::shard::ShardedRunOutcome;
 use ncs_sim::sync::Mutex;
 use ncs_sim::{fnv1a, fnv1a_fold, Dur, EngineKind, ShardedSim, Sim, SimTime, FNV_OFFSET};
 
+use crate::atm::{ACCESS, SWITCH_LATENCY};
 use crate::link::LinkSpec;
+use crate::wan::CAMPUS_TRUNK;
+
+/// Switch sites in every sharded deployment. Fixed per topology —
+/// partitioning assigns sites to shards, it never moves hosts between
+/// sites.
+const GROUPS: usize = 8;
+
+/// Per-endpoint software cost (send-side trap + receive-side delivery),
+/// charged once on each side of a transfer.
+const HOST_OVERHEAD: Dur = Dur::from_micros(10);
 
 /// Physical shape of a sharded deployment: `hosts` hosts spread evenly
-/// over `groups` switch sites, local links inside a site, trunks between
-/// sites. Latencies derive from [`LinkSpec`]s exactly as in the
-/// [`crate::wan`] fabrics.
+/// over 8 switch sites, FORE TAXI-140 links into each site's switch,
+/// trunks between sites. Latencies derive from [`LinkSpec`]s exactly as
+/// in the [`crate::wan`] fabrics.
 #[derive(Clone, Debug)]
 pub struct ShardNetParams {
-    /// Total host count; must be a multiple of `groups`.
+    /// Total host count; must be a multiple of the 8 sites.
     pub hosts: usize,
-    /// Number of switch sites. Fixed per topology — partitioning assigns
-    /// sites to shards, it never moves hosts between sites.
-    pub groups: usize,
-    /// Host ↔ local-switch link (both directions).
-    pub local: LinkSpec,
     /// Site ↔ site trunk. Its propagation delay is the lookahead bound.
     pub trunk: LinkSpec,
-    /// Per-switch forwarding latency.
-    pub switch_latency: Dur,
-    /// Per-endpoint software cost (send-side trap + receive-side delivery),
-    /// charged once on each side of a transfer.
-    pub host_overhead: Dur,
 }
 
 impl ShardNetParams {
-    /// WAN-scale preset: FORE TAXI host links inside each of 8 sites,
-    /// DS-3 trunks with 2 ms propagation between sites (the NYNET
-    /// wide-area numbers of [`crate::wan::WanRingParams::mixed_ring`]'s
-    /// DS-3 segments).
+    /// WAN-scale preset: DS-3 trunks with 2 ms propagation between sites
+    /// (the NYNET wide-area numbers of
+    /// [`crate::wan::WanRingParams::mixed_ring`]'s DS-3 segments).
     /// Lookahead = 2 ms: wide windows, cheap synchronization.
     pub fn wan_campus(hosts: usize) -> ShardNetParams {
         ShardNetParams {
             hosts,
-            groups: 8,
-            local: LinkSpec::taxi_140(),
             trunk: LinkSpec::ds3(Dur::from_millis(2)),
-            switch_latency: Dur::from_micros(20),
-            host_overhead: Dur::from_micros(10),
         }
     }
 
-    /// Metro/campus preset: OC-3c trunks at 20 µs propagation (the
-    /// [`crate::wan::FatTreeParams::campus`] numbers). Lookahead = 20 µs:
-    /// tight windows, many barriers — the adversarial setting for the
+    /// Metro/campus preset: the [`crate::wan::FatTreeParams::campus`]
+    /// trunks, OC-3c at 20 µs propagation. Lookahead = 20 µs: tight
+    /// windows, many barriers — the adversarial setting for the
     /// determinism suite.
     // ncs-lint: allow(dead-surface) preset bench/tests/shard_determinism.rs pins digests on
     pub fn metro_campus(hosts: usize) -> ShardNetParams {
         ShardNetParams {
             hosts,
-            groups: 8,
-            local: LinkSpec::taxi_140(),
-            trunk: LinkSpec::oc3(Dur::from_micros(20)),
-            switch_latency: Dur::from_micros(20),
-            host_overhead: Dur::from_micros(10),
+            trunk: CAMPUS_TRUNK,
         }
     }
 }
@@ -123,19 +115,19 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Builds the partition. `hosts` must divide evenly into `groups`, and
-    /// `shards` must divide `groups` (whole-site assignment is what makes
-    /// cross-shard traffic always cross a trunk).
+    /// Builds the partition. `hosts` must divide evenly into the sites,
+    /// and `shards` must divide the site count (whole-site assignment is
+    /// what makes cross-shard traffic always cross a trunk).
     pub fn new(params: ShardNetParams, shards: usize) -> ShardPlan {
-        assert!(params.hosts >= params.groups && params.hosts.is_multiple_of(params.groups));
-        assert!(shards >= 1 && params.groups.is_multiple_of(shards),
-            "shard count {shards} must divide the site count {}", params.groups);
+        assert!(params.hosts >= GROUPS && params.hosts.is_multiple_of(GROUPS));
+        assert!(shards >= 1 && GROUPS.is_multiple_of(shards),
+            "shard count {shards} must divide the site count {GROUPS}");
         ShardPlan { params, shards }
     }
 
     /// Hosts per site.
     pub fn group_size(&self) -> usize {
-        self.params.hosts / self.params.groups
+        self.params.hosts / GROUPS
     }
 
     /// The site `host` hangs off.
@@ -145,7 +137,7 @@ impl ShardPlan {
 
     /// The shard owning `host` (= the shard owning its site).
     pub fn shard_of(&self, host: usize) -> usize {
-        self.group_of(host) / (self.params.groups / self.shards)
+        self.group_of(host) / (GROUPS / self.shards)
     }
 
     /// One-way transfer latency `src → dst` for a `bytes`-byte message:
@@ -155,12 +147,12 @@ impl ShardPlan {
     /// the trunk and through the far switch.
     pub fn one_way(&self, src: usize, dst: usize, bytes: usize) -> Dur {
         let p = &self.params;
-        let base = p.host_overhead + p.local.tx_time(bytes) + p.local.propagation
-            + p.switch_latency + p.local.propagation + p.host_overhead;
+        let base = HOST_OVERHEAD + ACCESS.tx_time(bytes) + ACCESS.propagation
+            + SWITCH_LATENCY + ACCESS.propagation + HOST_OVERHEAD;
         if self.group_of(src) == self.group_of(dst) {
             base
         } else {
-            base + p.trunk.tx_time(bytes) + p.trunk.propagation + p.switch_latency
+            base + p.trunk.tx_time(bytes) + p.trunk.propagation + SWITCH_LATENCY
         }
     }
 
@@ -177,13 +169,12 @@ impl ShardPlan {
     /// [`ShardPlan::lookahead`] by the determinism suite.
     // ncs-lint: allow(dead-surface) oracle bench/tests/shard_determinism.rs checks the cut against
     pub fn classify(&self) -> ShardCut {
-        let g = self.params.groups;
         let gs = self.group_size();
         let mut intra = 0;
         let mut cross = 0;
         let mut min_cross: Option<Dur> = None;
-        for a in 0..g {
-            for b in 0..g {
+        for a in 0..GROUPS {
+            for b in 0..GROUPS {
                 if a == b {
                     continue;
                 }

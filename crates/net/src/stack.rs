@@ -321,6 +321,15 @@ impl<F: Fabric, T: Transport> Network for Stack<F, T> {
 /// TCP/IP header bytes per segment.
 pub const TCP_IP_HEADERS: usize = 40;
 
+/// p4's big-message fragment: messages at or below this size travel in one
+/// fragment and pay no blocking-receiver reaction.
+const P4_FRAGMENT_BYTES: usize = 8 * 1024;
+
+/// p4's protocol window: at most this many bytes of a message are liable
+/// for reaction latency; once the window opens, bulk data streams without
+/// further blocking round trips.
+const P4_WINDOW_BYTES: usize = 64 * 1024;
+
 /// Parameters of the socket/TCP/IP stack.
 #[derive(Clone, Debug)]
 pub struct TcpParams {
@@ -347,17 +356,10 @@ pub struct TcpParams {
     pub stall_per_byte: Dur,
     /// Per-byte receiver reaction latency charged to blocking receivers
     /// (see [`Network::recv_reaction_cost`]): p4's fragment-at-a-time
-    /// big-message protocol multiplied by select()-wakeup latency. Fitted
-    /// per testbed.
+    /// big-message protocol multiplied by select()-wakeup latency, on the
+    /// bytes past the first 8 KiB fragment and within the 64 KiB window.
+    /// Fitted per testbed.
     pub blocking_reaction_per_byte: Dur,
-    /// Messages at or below this size travel in one fragment and pay no
-    /// blocking-receiver reaction (p4's big-message protocol only engages
-    /// beyond its internal fragment size).
-    pub reaction_threshold: usize,
-    /// At most this many bytes are liable for reaction latency per message:
-    /// once the protocol window opens, bulk data streams without further
-    /// blocking round trips.
-    pub reaction_cap: usize,
     /// Fixed end-to-end delivery latency added to every message's arrival
     /// (select / queue traversal / time-shared scheduling on a 1990s
     /// workstation). Both runtimes experience it; it is hidden only where
@@ -376,8 +378,6 @@ impl TcpParams {
             marshal_cycles_per_byte: 20,
             stall_per_byte: Dur::from_nanos(1200),
             blocking_reaction_per_byte: Dur::from_nanos(15000),
-            reaction_threshold: 8 * 1024,
-            reaction_cap: 64 * 1024,
             per_message_latency: Dur::from_millis(55),
         }
     }
@@ -391,8 +391,6 @@ impl TcpParams {
             marshal_cycles_per_byte: 10,
             stall_per_byte: Dur::from_nanos(400),
             blocking_reaction_per_byte: Dur::from_nanos(11000),
-            reaction_threshold: 8 * 1024,
-            reaction_cap: 64 * 1024,
             per_message_latency: Dur::from_millis(30),
         }
     }
@@ -421,8 +419,6 @@ impl TcpParams {
             marshal_cycles_per_byte: 0,
             stall_per_byte: Dur::ZERO,
             blocking_reaction_per_byte: Dur::ZERO,
-            reaction_threshold: usize::MAX,
-            reaction_cap: 0,
             per_message_latency: Dur::ZERO,
         }
     }
@@ -515,9 +511,7 @@ impl Transport for TcpParams {
     }
 
     fn reaction_cost(&self, bytes: usize) -> Dur {
-        let liable = bytes
-            .saturating_sub(self.reaction_threshold)
-            .min(self.reaction_cap);
+        let liable = bytes.saturating_sub(P4_FRAGMENT_BYTES).min(P4_WINDOW_BYTES);
         self.blocking_reaction_per_byte.times(liable as u64)
     }
 
@@ -526,27 +520,26 @@ impl Transport for TcpParams {
     }
 }
 
+/// Size of each mapped kernel I/O buffer (one AAL5 PDU's worth).
+const IO_BUFFER_BYTES: usize = 8 * 1024;
+
+/// SBA-200 (25 MHz i960) segmentation/reassembly work per cell.
+const SAR_PER_CELL: Dur = Dur::from_nanos(800);
+
+/// DMA descriptor setup per buffer handed to the SBA-200.
+const DMA_SETUP: Dur = Dur::from_micros(40);
+
 /// Parameters of the High Speed Mode (ATM API) stack.
 #[derive(Clone, Debug)]
 pub struct AtmApiParams {
-    /// Size of each mapped kernel I/O buffer.
-    pub buffer_bytes: usize,
-    /// Number of I/O buffers per direction (Figure 2's pipeline depth).
+    /// Number of 8 KiB I/O buffers per direction (Figure 2's pipeline
+    /// depth).
     pub num_buffers: usize,
-    /// SBA-200 (25 MHz i960) segmentation/reassembly work per cell.
-    pub sar_per_cell: Dur,
-    /// DMA descriptor setup per buffer handed to the adapter.
-    pub dma_setup: Dur,
 }
 
 impl Default for AtmApiParams {
     fn default() -> AtmApiParams {
-        AtmApiParams {
-            buffer_bytes: 8 * 1024,
-            num_buffers: 2,
-            sar_per_cell: Dur::from_nanos(800),
-            dma_setup: Dur::from_micros(40),
-        }
+        AtmApiParams { num_buffers: 2 }
     }
 }
 
@@ -569,11 +562,7 @@ pub type AtmApiNet<F> = Stack<F, AtmAdapters>;
 impl<F: Fabric> AtmApiNet<F> {
     /// Binds the ATM API stack onto `fabric`.
     pub fn new(fabric: Arc<F>, hosts: Vec<HostParams>, params: AtmApiParams) -> AtmApiNet<F> {
-        assert!(params.buffer_bytes > 0 && params.num_buffers > 0);
-        assert!(
-            params.buffer_bytes + aal5::TRAILER_BYTES <= aal5::MAX_PDU,
-            "I/O buffer must fit one AAL5 PDU"
-        );
+        assert!(params.num_buffers > 0);
         let nodes = hosts.iter().map(|_| Mutex::default()).collect();
         Stack::bind(fabric, hosts, AtmAdapters { params, nodes })
     }
@@ -601,13 +590,13 @@ impl Transport for AtmAdapters {
         // read/write syscall. Owed until the first buffer: slept with its
         // fill unless a buffer wait (the caller's policy) comes between.
         let mut entry = h.trap;
-        let n_chunks = len.div_ceil(self.params.buffer_bytes).max(1);
+        let n_chunks = len.div_ceil(IO_BUFFER_BYTES).max(1);
         let mut last_arrival = ctx.now();
         let mut lost = false;
         let mut cells_sent = 0;
         for i in 0..n_chunks {
-            let lo = i * self.params.buffer_bytes;
-            let chunk = len.saturating_sub(lo).min(self.params.buffer_bytes);
+            let lo = i * IO_BUFFER_BYTES;
+            let chunk = len.saturating_sub(lo).min(IO_BUFFER_BYTES);
             // Wait for a free I/O buffer (pipeline depth = num_buffers), as
             // seen once the owed entry cost is paid.
             let ready = ctx.now() + entry;
@@ -639,8 +628,7 @@ impl Transport for AtmAdapters {
             let (timing, depth) = {
                 let mut a = self.nodes[src.idx()].lock();
                 let start = ctx.now().max(a.tx_sar_free);
-                let nic_done =
-                    start + self.params.dma_setup + self.params.sar_per_cell.times(cells);
+                let nic_done = start + DMA_SETUP + SAR_PER_CELL.times(cells);
                 a.tx_sar_free = nic_done;
                 let timing = fabric.transfer(src, dst, chunk, nic_done);
                 a.tx_busy.push_back(timing.first_hop_done);
@@ -661,7 +649,7 @@ impl Transport for AtmAdapters {
             let rx_done = {
                 let mut a = self.nodes[dst.idx()].lock();
                 let start = timing.arrival.max(a.rx_sar_free);
-                let done = start + self.params.sar_per_cell.times(cells);
+                let done = start + SAR_PER_CELL.times(cells);
                 a.rx_sar_free = done;
                 done
             };
@@ -689,7 +677,7 @@ impl Transport for AtmAdapters {
     fn name(&self) -> String {
         format!(
             "NCS ATM API ({} x {} B I/O buffers)",
-            self.params.num_buffers, self.params.buffer_bytes
+            self.params.num_buffers, IO_BUFFER_BYTES
         )
     }
 }
@@ -826,10 +814,7 @@ mod tests {
         let fabric = Arc::new(IdealFabric::new(2, Dur::from_micros(5)));
         let mut latencies = Vec::new();
         for num_buffers in [1, 2, 4] {
-            let params = AtmApiParams {
-                num_buffers,
-                ..AtmApiParams::default()
-            };
+            let params = AtmApiParams { num_buffers };
             let net = Arc::new(AtmApiNet::new(Arc::clone(&fabric), hosts.clone(), params));
             let (_, lat) = run_transfer(net, 128 * 1024);
             latencies.push(lat);
@@ -851,9 +836,11 @@ mod tests {
         // at most half of what one extra event per cell would make it.
         let sim = Sim::new();
         let fabric = Arc::new(IdealFabric::new(2, Dur::from_micros(5)));
-        let params = AtmApiParams::default();
-        let buffer = params.buffer_bytes;
-        let net = Arc::new(AtmApiNet::new(fabric, fast_hosts(2), params));
+        let net = Arc::new(AtmApiNet::new(
+            fabric,
+            fast_hosts(2),
+            AtmApiParams::default(),
+        ));
         let n2 = Arc::clone(&net);
         sim.spawn("tx", move |ctx| {
             send01(&*n2, ctx, 0, Bytes::from(vec![7u8; 24_000]));
@@ -865,7 +852,11 @@ mod tests {
         });
         let out = sim.run();
         out.assert_clean();
-        let chunks = [buffer, buffer, 24_000 - 2 * buffer];
+        let chunks = [
+            IO_BUFFER_BYTES,
+            IO_BUFFER_BYTES,
+            24_000 - 2 * IO_BUFFER_BYTES,
+        ];
         let expected: usize = chunks.iter().map(|&c| aal5::cells_for_pdu(c)).sum();
         let cells = sim.with_tracer(|tr| {
             assert_eq!(tr.counter("atm.cell_events"), 0);
@@ -934,10 +925,7 @@ mod tests {
         // One I/O buffer: the second send finds it still draining into the
         // adapter, so its trap, its wait (the caller's policy: a sibling
         // may run there) and its copy stay three separate sleeps.
-        let params = AtmApiParams {
-            num_buffers: 1,
-            ..AtmApiParams::default()
-        };
+        let params = AtmApiParams { num_buffers: 1 };
         let fabric = Arc::new(IdealFabric::new(2, Dur::from_micros(10)));
         let net = Arc::new(AtmApiNet::new(fabric, fast_hosts(2), params));
         let (resumes, busy, arrivals) = lone_sender(net, &[8192, 8192]);
@@ -998,7 +986,7 @@ mod tests {
 mod pacing_tests {
     use super::tests::send01;
     use super::*;
-    use crate::ethernet::{EthernetFabric, EthernetParams};
+    use crate::ethernet::EthernetFabric;
     use ncs_sim::Sim;
 
     #[test]
@@ -1006,7 +994,7 @@ mod pacing_tests {
         // A fast CPU writing a large message onto slow Ethernet must block
         // in the transport: by completion, the sender can be at most
         // sockbuf ahead of the wire.
-        let fabric = Arc::new(EthernetFabric::new(EthernetParams::new(2)));
+        let fabric = Arc::new(EthernetFabric::new(2));
         let hosts = vec![HostParams::test_fast(); 2];
         let params = TcpParams {
             sockbuf: 8 * 1024,
@@ -1042,7 +1030,21 @@ mod pacing_tests {
         assert_eq!(p.marshal_cycles_per_byte, 0);
         assert!(p.stall_per_byte.is_zero());
         assert!(p.per_message_latency.is_zero());
-        assert_eq!(p.reaction_cap, 0);
+        // No blocking-receiver reaction at any size: inside p4's first
+        // fragment, one byte past it, and far past its window. The fitted
+        // profiles pay theirs at the same sizes.
+        let sizes = [1, 8 * 1024 + 1, 1 << 20];
+        let cost = |p: TcpParams| sizes.map(|bytes| p.reaction_cost(bytes));
+        assert_eq!(cost(p), [Dur::ZERO; 3]);
+        let us = Dur::from_micros;
+        assert_eq!(
+            cost(TcpParams::ethernet()),
+            [Dur::ZERO, us(15), us(983_040)]
+        );
+        assert_eq!(
+            cost(TcpParams::ip_over_atm()),
+            [Dur::ZERO, us(11), us(720_896)]
+        );
     }
 
     #[test]
@@ -1056,7 +1058,7 @@ mod pacing_tests {
         let large = net.recv_reaction_cost(NodeId(0), 10 << 20);
         assert!(!medium.is_zero());
         assert!(large > medium);
-        // Cap: liable bytes never exceed reaction_cap.
+        // Cap: liable bytes never exceed p4's 64 KiB window.
         let capped = Dur::from_nanos(15_000).times(64 * 1024);
         assert_eq!(large, capped);
     }

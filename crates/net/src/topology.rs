@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use crate::atm::{AtmFabric, AtmLanParams, NynetParams, Topology};
-use crate::ethernet::{EthernetFabric, EthernetParams};
+use crate::ethernet::EthernetFabric;
 use crate::host::HostParams;
 use crate::stack::{AtmApiNet, AtmApiParams, Network, TcpNet, TcpParams};
 use crate::wan::{FatTreeParams, WanRingParams};
@@ -43,7 +43,7 @@ impl Testbed {
     pub fn build(self, nodes: usize) -> Arc<dyn Network> {
         let topology: Topology = match self {
             Testbed::SunEthernet => {
-                let fabric = Arc::new(EthernetFabric::new(EthernetParams::new(nodes)));
+                let fabric = Arc::new(EthernetFabric::new(nodes));
                 let hosts = vec![HostParams::sparc_elc(); nodes];
                 return Arc::new(TcpNet::new(fabric, hosts, TcpParams::ethernet()));
             }
@@ -109,21 +109,12 @@ impl ChaosTopology {
         output_buffer_cells: Option<usize>,
     ) -> (Arc<AtmFabric>, Arc<dyn Network>) {
         let total = nodes + extra_nodes;
-        let topology = match self {
-            ChaosTopology::Lan => Topology::Star(AtmLanParams {
-                output_buffer_cells,
-                ..AtmLanParams::fore_lan(total)
-            }),
-            ChaosTopology::FatTree => Topology::FatTree(FatTreeParams {
-                output_buffer_cells,
-                ..FatTreeParams::campus(total)
-            }),
-            ChaosTopology::WanRing => Topology::Ring(WanRingParams {
-                output_buffer_cells,
-                ..WanRingParams::mixed_ring(total, 4)
-            }),
+        let topology: Topology = match self {
+            ChaosTopology::Lan => AtmLanParams::fore_lan(total).into(),
+            ChaosTopology::FatTree => FatTreeParams::campus(total).into(),
+            ChaosTopology::WanRing => WanRingParams::mixed_ring(total, 4).into(),
         };
-        let fabric = Arc::new(AtmFabric::new(topology));
+        let fabric = Arc::new(AtmFabric::new(topology).with_output_buffer(output_buffer_cells));
         let hosts = vec![HostParams::sparc_ipx(); total];
         let net = Arc::new(TcpNet::new(
             Arc::clone(&fabric),

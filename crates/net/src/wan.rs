@@ -18,6 +18,16 @@ use crate::atm::block_of;
 use crate::fabric::{Fabric, NodeId};
 use crate::link::LinkSpec;
 
+/// The fat-tree's edge↔core trunk: OC-3c with 20 µs of propagation.
+pub(crate) const CAMPUS_TRUNK: LinkSpec = LinkSpec::oc3(Dur::from_micros(20));
+
+/// Bytes per VBR chunk (one CS-PDU's worth).
+const VBR_CHUNK_BYTES: usize = 4096;
+/// Mean VBR ON-period length (actual periods jitter 0.5×–1.5×, seeded).
+const VBR_MEAN_ON: Dur = Dur::from_millis(1);
+/// Mean VBR OFF-period length (same jitter law).
+const VBR_MEAN_OFF: Dur = Dur::from_millis(3);
+
 /// Parameters of a two-level fat-tree (edge switches × core switches).
 #[derive(Clone, Debug)]
 pub struct FatTreeParams {
@@ -28,15 +38,6 @@ pub struct FatTreeParams {
     /// Number of core switches (each edge has an up/down link pair to every
     /// core).
     pub cores: usize,
-    /// Host access link (both directions).
-    pub access: LinkSpec,
-    /// Edge↔core trunk link.
-    pub trunk: LinkSpec,
-    /// Fixed per-chunk latency through each switch.
-    pub switch_latency: Dur,
-    /// Output-port buffer capacity in cells at every switch output;
-    /// `None` = infinite.
-    pub output_buffer_cells: Option<usize>,
 }
 
 impl FatTreeParams {
@@ -47,18 +48,7 @@ impl FatTreeParams {
             nodes,
             hosts_per_edge: 8,
             cores: 2,
-            access: LinkSpec::taxi_140(),
-            trunk: LinkSpec::oc3(Dur::from_micros(20)),
-            switch_latency: Dur::from_micros(20),
-            output_buffer_cells: None,
         }
-    }
-
-    /// Caps every switch output port at `cells` cells of buffering.
-    // ncs-lint: allow(dead-surface) fabric_pins.rs pins switch-buffer overflow through it
-    pub fn with_output_buffer(mut self, cells: usize) -> FatTreeParams {
-        self.output_buffer_cells = Some(cells);
-        self
     }
 
     /// Which edge switch a host hangs off.
@@ -88,15 +78,9 @@ pub struct WanRingParams {
     pub nodes: usize,
     /// Ring sites.
     pub sites: usize,
-    /// Host access link within a site.
-    pub access: LinkSpec,
     /// Long-haul segment specs, one per ring position: `segments[i]` is the
     /// pair of links between site `i` and site `(i + 1) % sites`.
     pub segments: Vec<LinkSpec>,
-    /// Per-chunk switch latency at every site switch.
-    pub switch_latency: Dur,
-    /// Output-port buffer capacity in cells; `None` = infinite.
-    pub output_buffer_cells: Option<usize>,
 }
 
 impl WanRingParams {
@@ -104,10 +88,7 @@ impl WanRingParams {
         WanRingParams {
             nodes,
             sites,
-            access: LinkSpec::taxi_140(),
             segments: vec![segment; sites],
-            switch_latency: Dur::from_micros(20),
-            output_buffer_cells: None,
         }
     }
 
@@ -128,36 +109,24 @@ impl WanRingParams {
         p
     }
 
-    /// Caps every switch output port at `cells` cells of buffering.
-    // ncs-lint: allow(dead-surface) fabric_pins.rs pins switch-buffer overflow through it
-    pub fn with_output_buffer(mut self, cells: usize) -> WanRingParams {
-        self.output_buffer_cells = Some(cells);
-        self
-    }
-
     /// Which site a node lives at.
     pub fn site_of(&self, node: NodeId) -> usize {
         block_of(node, self.nodes.div_ceil(self.sites), self.sites)
     }
 }
 
-/// One deterministic VBR cross-traffic flow: seeded on/off bursts of AAL5
-/// chunks booked straight onto the fabric between two (typically extra,
-/// non-application) hosts. The generator contends for the same FIFO links
-/// as application traffic without producing deliveries, modeling the
-/// background video/bulk load the paper's WAN shares its trunks with.
+/// One deterministic VBR cross-traffic flow: seeded on/off bursts of
+/// 4 KiB AAL5 chunks (ON 1 ms, OFF 3 ms on average) booked straight onto
+/// the fabric between two (typically extra, non-application) hosts. The
+/// generator contends for the same FIFO links as application traffic
+/// without producing deliveries, modeling the background video/bulk load
+/// the paper's WAN shares its trunks with.
 #[derive(Clone, Debug)]
 pub struct VbrConfig {
     /// Source host of the flow.
     pub src: NodeId,
     /// Destination host of the flow.
     pub dst: NodeId,
-    /// Bytes per booked chunk (one CS-PDU's worth).
-    pub chunk_bytes: usize,
-    /// Mean ON-period length (actual periods jitter 0.5×–1.5×, seeded).
-    pub mean_on: Dur,
-    /// Mean OFF-period length (same jitter law).
-    pub mean_off: Dur,
     /// The generator stops at this virtual instant; without a horizon an
     /// always-on generator would keep feeding the event queue forever.
     pub horizon: Dur,
@@ -195,7 +164,6 @@ fn jittered(mean: Dur, rng: &mut SimRng) -> Dur {
 /// config's seed, so runs are bit-reproducible.
 pub fn spawn_vbr(sim: &Sim, fabric: Arc<dyn Fabric>, cfg: VbrConfig) -> VbrHandle {
     assert_ne!(cfg.src, cfg.dst, "a VBR flow needs two distinct hosts");
-    assert!(cfg.chunk_bytes > 0);
     let bytes = Arc::new(AtomicU64::new(0));
     let chunks = Arc::new(AtomicU64::new(0));
     let handle = VbrHandle {
@@ -210,14 +178,14 @@ pub fn spawn_vbr(sim: &Sim, fabric: Arc<dyn Fabric>, cfg: VbrConfig) -> VbrHandl
             if ctx.now() >= end {
                 return;
             }
-            let on_until = (ctx.now() + jittered(cfg.mean_on, &mut rng)).min(end);
+            let on_until = (ctx.now() + jittered(VBR_MEAN_ON, &mut rng)).min(end);
             while ctx.now() < on_until {
-                let t = fabric.transfer(cfg.src, cfg.dst, cfg.chunk_bytes, ctx.now());
-                bytes.fetch_add(cfg.chunk_bytes as u64, Ordering::Relaxed);
+                let t = fabric.transfer(cfg.src, cfg.dst, VBR_CHUNK_BYTES, ctx.now());
+                bytes.fetch_add(VBR_CHUNK_BYTES as u64, Ordering::Relaxed);
                 chunks.fetch_add(1, Ordering::Relaxed);
                 ctx.sim().with_tracer(|tr| {
                     tr.count("vbr.chunks", 1);
-                    tr.count("vbr.bytes", cfg.chunk_bytes as u64);
+                    tr.count("vbr.bytes", VBR_CHUNK_BYTES as u64);
                 });
                 let pace = t.first_hop_done.saturating_since(ctx.now());
                 ctx.sleep(if pace.is_zero() {
@@ -229,7 +197,7 @@ pub fn spawn_vbr(sim: &Sim, fabric: Arc<dyn Fabric>, cfg: VbrConfig) -> VbrHandl
             if ctx.now() >= end {
                 return;
             }
-            ctx.sleep(jittered(cfg.mean_off, &mut rng));
+            ctx.sleep(jittered(VBR_MEAN_OFF, &mut rng));
         }
     });
     handle
@@ -315,7 +283,7 @@ mod tests {
         // A DS-3 segment fed from a TAXI access link at full blast with a
         // tiny output buffer must shed chunks.
         let ds3 = LinkSpec::ds3(Dur::from_millis(2));
-        let f = AtmFabric::new(WanRingParams::ring(8, 4, ds3).with_output_buffer(32));
+        let f = AtmFabric::new(WanRingParams::ring(8, 4, ds3)).with_output_buffer(Some(32));
         let mut dropped = 0;
         for i in 0..200 {
             let tt = f.transfer(NodeId(0), NodeId(2), 9180, t(i * 10));
@@ -338,9 +306,6 @@ mod tests {
                 VbrConfig {
                     src: NodeId(14),
                     dst: NodeId(15),
-                    chunk_bytes: 4096,
-                    mean_on: Dur::from_millis(2),
-                    mean_off: Dur::from_millis(1),
                     horizon: Dur::from_millis(20),
                     seed: 7,
                 },
@@ -352,7 +317,7 @@ mod tests {
             // at least the AAL5 wire size of every chunk offered.
             let carried = fabric.uplink(NodeId(14)).bytes_carried();
             assert!(
-                carried >= vbr.chunks_offered() * atm_wire_bytes(4096) as u64,
+                carried >= vbr.chunks_offered() * atm_wire_bytes(VBR_CHUNK_BYTES) as u64,
                 "uplink carried {carried} B for {} chunks",
                 vbr.chunks_offered()
             );
@@ -362,6 +327,6 @@ mod tests {
         let b = run();
         assert_eq!(a, b, "same seed, same burst schedule");
         assert!(a.0 > 0, "the flow must actually offer traffic");
-        assert_eq!(a.1, a.0 * 4096);
+        assert_eq!(a.1, a.0 * VBR_CHUNK_BYTES as u64);
     }
 }

@@ -17,7 +17,7 @@ use ncs_sim::{fnv1a_fold, prop, Dur, SimRng, SimTime, FNV_OFFSET};
 /// `(first_hop_done, arrival, dropped)` and the final counters, then the
 /// counters themselves.
 fn pin(topology: impl Into<Topology>, seed: u64, gap_ns: u64) -> (u64, u64, u64) {
-    let f = AtmFabric::new(topology);
+    let f = AtmFabric::new(topology).with_output_buffer(Some(400));
     let at = |k: u64| SimTime::ZERO + Dur::from_nanos(k * gap_ns);
     match f.trunk_links().first() {
         Some(trunk) => trunk.schedule_flap(at(100), at(200)),
@@ -46,43 +46,27 @@ fn pin(topology: impl Into<Topology>, seed: u64, gap_ns: u64) -> (u64, u64, u64)
 #[test]
 fn timing_is_pinned_per_preset() {
     assert_eq!(
-        pin(
-            AtmLanParams::fore_lan(16).with_output_buffer(400),
-            1,
-            200_000
-        ),
+        pin(AtmLanParams::fore_lan(16), 1, 200_000),
         (0x6dff_ed8f_2072_5bdf, 133, 17),
         "fore_lan"
     );
     assert_eq!(
-        pin(NynetParams::nynet(16).with_output_buffer(400), 2, 600_000),
+        pin(NynetParams::nynet(16), 2, 600_000),
         (0x7e77_2733_6475_c709, 408, 49),
         "nynet"
     );
     assert_eq!(
-        pin(
-            NynetParams::nynet_ds3(16).with_output_buffer(400),
-            3,
-            3_000_000
-        ),
+        pin(NynetParams::nynet_ds3(16), 3, 3_000_000),
         (0x9f4d_7014_3795_f6bd, 108, 58),
         "nynet_ds3"
     );
     assert_eq!(
-        pin(
-            FatTreeParams::campus(24).with_output_buffer(400),
-            4,
-            400_000
-        ),
+        pin(FatTreeParams::campus(24), 4, 400_000),
         (0x9f90_1904_28c7_ea1f, 176, 22),
         "campus"
     );
     assert_eq!(
-        pin(
-            WanRingParams::mixed_ring(16, 4).with_output_buffer(400),
-            5,
-            3_000_000
-        ),
+        pin(WanRingParams::mixed_ring(16, 4), 5, 3_000_000),
         (0xcdae_ad1b_af6e_205a, 149, 32),
         "mixed_ring"
     );

@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use ncs_net::atm::{AtmFabric, AtmLanParams};
-use ncs_net::ethernet::{EthernetFabric, EthernetParams};
+use ncs_net::ethernet::EthernetFabric;
 use ncs_net::fabric::{Fabric, NodeId};
 use ncs_net::link::{LinkSpec, LinkState};
 use ncs_net::stack::{AtmApiNet, BlockingWait, Network, TcpNet, TcpParams};
@@ -77,7 +77,7 @@ fn fabric_timing_sanity() {
         let bytes = g.range(1..20_000) as usize;
         let depart = SimTime::ZERO + Dur::from_nanos(g.range(0..1_000_000));
         let timing = if g.bool() {
-            let f = EthernetFabric::new(EthernetParams::new(3));
+            let f = EthernetFabric::new(3);
             let b = bytes.min(1460);
             f.transfer(NodeId(0), NodeId(1), b, depart)
         } else {

@@ -148,12 +148,12 @@ impl InvariantSink {
 
 /// Switch for the runtime analysis pass.
 ///
-/// The default is *off*: a disabled config is a `bool` test on every hook,
-/// so production runs pay nothing. [`AnalysisConfig::recording`] returns an
-/// enabled config plus the shared sink violations land in.
+/// The default is *off*: a disabled config is one `Option` test on every
+/// hook, so production runs pay nothing. [`AnalysisConfig::recording`]
+/// returns an enabled config plus the shared sink violations land in; a
+/// config is enabled exactly when it has a sink.
 #[derive(Clone, Debug, Default)]
 pub struct AnalysisConfig {
-    enabled: bool,
     sink: Option<Arc<InvariantSink>>,
 }
 
@@ -168,7 +168,6 @@ impl AnalysisConfig {
         let sink = Arc::new(InvariantSink::new());
         (
             AnalysisConfig {
-                enabled: true,
                 sink: Some(Arc::clone(&sink)),
             },
             sink,
@@ -177,7 +176,7 @@ impl AnalysisConfig {
 
     /// True when the analysis pass should run its checks.
     pub fn active(&self) -> bool {
-        self.enabled
+        self.sink.is_some()
     }
 
     /// The shared sink, if this config is recording.

@@ -1,7 +1,7 @@
 //! Stackful coroutines: the in-process green-thread engine.
 //!
 //! One green thread = one [`Coroutine`] = one guarded `mmap`ed stack (2 MiB
-//! by default, configurable — see [`crate::engine::default_stack_bytes`]) plus
+//! by default, per simulation — see [`crate::Sim::with_engine_and_stack`]) plus
 //! a saved stack pointer. Transferring control either way is
 //! [`ncs_coro_switch`]: push the six SysV callee-saved registers and the
 //! FPU control words, swap `rsp`, pop, `ret` — roughly twenty instructions
@@ -13,8 +13,8 @@
 //! Each stack is an anonymous private mapping of the configured size + one
 //! page, created lazily by the kernel (untouched pages cost no RSS — 256
 //! green threads at the 2 MiB default reserve 512 MiB of address space but
-//! commit only what they use; 100k-host sharded runs shrink the reservation
-//! with `NCS_GREEN_STACK_KIB`). The
+//! commit only what they use; 100k-host sharded runs can shrink the
+//! reservation with an explicit stack size). The
 //! lowest page is `mprotect`ed `PROT_NONE`: running off the end of the
 //! stack faults loudly on the guard page instead of silently corrupting a
 //! neighbouring mapping. A 64-byte `0xA5` canary sits just above the guard

@@ -20,7 +20,7 @@
 //! scheduling decisions alone, which the engine does not influence.
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use os_thread::{Baton, KernelGate, OsThread};
 
@@ -80,25 +80,13 @@ fn platform_default() -> EngineKind {
     }
 }
 
-/// The engine [`crate::Sim::new`] uses. Decided on first call: the
-/// `NCS_GREEN_ENGINE` environment variable (`coro` / `os`) wins, otherwise
-/// the platform default (coroutines on x86_64 Linux).
+/// The engine [`crate::Sim::new`] uses: the last [`set_default_engine`],
+/// otherwise the platform default (coroutines on x86_64 Linux).
 pub fn default_engine() -> EngineKind {
     match DEFAULT_ENGINE.load(Ordering::SeqCst) {
         1 => EngineKind::Coroutine,
         2 => EngineKind::OsThread,
-        _ => {
-            let kind = match std::env::var("NCS_GREEN_ENGINE").ok().as_deref() {
-                Some("coro") | Some("coroutine") => EngineKind::Coroutine,
-                Some("os") | Some("os-thread") | Some("os_thread") => EngineKind::OsThread,
-                Some(other) => {
-                    panic!("NCS_GREEN_ENGINE must be 'coro' or 'os', got {other:?}")
-                }
-                None => platform_default(),
-            };
-            set_default_engine(kind);
-            kind
-        }
+        _ => platform_default(),
     }
 }
 
@@ -112,8 +100,8 @@ pub fn set_default_engine(kind: EngineKind) {
     DEFAULT_ENGINE.store(v, Ordering::SeqCst);
 }
 
-/// Green-thread stack size used when a simulation does not pick one
-/// explicitly: 2 MiB (the historical hardcoded value), unless overridden.
+/// Green-thread stack size of every simulation not built through
+/// [`crate::Sim::with_engine_and_stack`]: 2 MiB.
 pub const DEFAULT_STACK_BYTES: usize = 2 * 1024 * 1024;
 
 /// Smallest stack the engines accept: room for the guard-adjacent canary,
@@ -128,24 +116,6 @@ pub const MIN_STACK_BYTES: usize = 16 * 1024;
 pub fn normalize_stack_bytes(bytes: usize) -> usize {
     const PAGE: usize = 4096;
     bytes.max(MIN_STACK_BYTES).div_ceil(PAGE) * PAGE
-}
-
-/// The green-thread stack size [`crate::Sim::new`] uses, in bytes. Decided
-/// on first call: the `NCS_GREEN_STACK_KIB` environment variable wins
-/// (KiB, normalized via [`normalize_stack_bytes`]), otherwise
-/// [`DEFAULT_STACK_BYTES`]. Per-simulation overrides go through
-/// [`crate::Sim::with_engine_and_stack`] instead.
-pub fn default_stack_bytes() -> usize {
-    static DEFAULT_STACK: OnceLock<usize> = OnceLock::new();
-    *DEFAULT_STACK.get_or_init(|| match std::env::var("NCS_GREEN_STACK_KIB").ok() {
-        Some(v) => {
-            let kib: usize = v.parse().unwrap_or_else(|_| {
-                panic!("NCS_GREEN_STACK_KIB must be an integer KiB count, got {v:?}")
-            });
-            normalize_stack_bytes(kib * 1024)
-        }
-        None => DEFAULT_STACK_BYTES,
-    })
 }
 
 /// Number of coroutine stacks currently mapped, across all simulations.

@@ -6,8 +6,8 @@
 //! shared [`KernelGate`] until control comes back. Every dispatch is two
 //! Condvar round trips through the OS scheduler (~10 µs), which is why the
 //! coroutine engine exists — but the OS-thread engine needs no `unsafe` and
-//! works on every platform, so it remains selectable (`EngineKind::OsThread`
-//! / `NCS_GREEN_ENGINE=os`) and anchors the engine-differential tests.
+//! works on every platform, so it remains selectable (`EngineKind::OsThread`)
+//! and anchors the engine-differential tests.
 
 use std::sync::Arc;
 

@@ -235,11 +235,10 @@ impl Sim {
 
     /// Creates an empty simulation backed by a specific green-thread
     /// engine. Semantics are identical across engines (same event order,
-    /// same trace hash); only dispatch cost differs. The green-thread
-    /// stack size comes from [`crate::engine::default_stack_bytes`]
-    /// (`NCS_GREEN_STACK_KIB` or the 2 MiB default).
+    /// same trace hash); only dispatch cost differs. Green threads get
+    /// [`crate::DEFAULT_STACK_BYTES`] of stack.
     pub fn with_engine(engine: EngineKind) -> Sim {
-        Sim::with_engine_and_stack(engine, crate::engine::default_stack_bytes())
+        Sim::with_engine_and_stack(engine, crate::DEFAULT_STACK_BYTES)
     }
 
     /// [`Sim::with_engine`] with an explicit per-green-thread stack size in

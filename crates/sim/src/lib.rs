@@ -15,7 +15,7 @@
 //!   only module that knows which one runs a thread: stackful in-process
 //!   coroutines by default (a ~20 instruction context switch), with the
 //!   original parked-OS-thread engine as a differential-testing fallback
-//!   (selectable via `NCS_GREEN_ENGINE=os`);
+//!   (selectable via `set_default_engine` or `Sim::with_engine`);
 //! * [`wheel`] — the kernel's event queue: a hierarchical timer wheel with
 //!   pooled event records (O(1) schedule, allocation-free steady state);
 //! * [`SimChannel`] — blocking queues between simulated activities;
@@ -82,8 +82,8 @@ pub use analysis::{
 pub use channel::{Closed, SimChannel};
 pub use chrome::chrome_trace_json;
 pub use engine::{
-    default_engine, default_stack_bytes, live_coroutine_stacks, normalize_stack_bytes,
-    set_default_engine, EngineKind, DEFAULT_STACK_BYTES, MIN_STACK_BYTES,
+    default_engine, live_coroutine_stacks, normalize_stack_bytes, set_default_engine, EngineKind,
+    DEFAULT_STACK_BYTES, MIN_STACK_BYTES,
 };
 pub use kernel::{Ctx, RunOutcome, Sim, StopReason, ThreadId, TimerHandle};
 pub use metrics::{DurStat, GaugeSeries, MetricsRegistry};

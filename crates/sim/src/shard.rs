@@ -177,12 +177,7 @@ impl ShardedSim {
     /// Like [`ShardedSim::new`] with an explicit green-thread engine for
     /// every shard.
     pub fn with_engine(shards: usize, lookahead: Dur, engine: EngineKind) -> ShardedSim {
-        ShardedSim::with_engine_and_stack(
-            shards,
-            lookahead,
-            engine,
-            crate::engine::default_stack_bytes(),
-        )
+        ShardedSim::with_engine_and_stack(shards, lookahead, engine, crate::DEFAULT_STACK_BYTES)
     }
 
     /// Like [`ShardedSim::with_engine`] with an explicit green-thread stack
