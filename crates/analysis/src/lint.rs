@@ -23,10 +23,8 @@
 //!   to in-process coroutines, nothing there may touch OS threads; even a
 //!   "harmless" `thread::yield_now` would smuggle OS scheduling into the
 //!   deterministic dispatch path. File-scoped exemptions: the OS-thread
-//!   fallback engine (`sim/src/engine/os_thread.rs`), the sharded-run
-//!   coordinator (`sim/src/shard.rs`, one worker thread per shard behind
-//!   the conservative-lookahead barrier protocol), and the real-time shim
-//!   (`core/src/real.rs`).
+//!   fallback engine (`sim/src/engine/os_thread.rs`) and the real-time
+//!   shim (`core/src/real.rs`).
 //! * `unseeded-rand` — entropy-seeded randomness (`thread_rng`,
 //!   `from_entropy`, `rand::random`, `from_os_rng`, `OsRng`). Use
 //!   [`ncs_sim::SimRng`] with an explicit seed.
@@ -390,13 +388,6 @@ pub fn lint_file(rel_path: &str, source: &str) -> Vec<LintViolation> {
     // coroutine engine); its scoped exemption lives here, not in escape
     // comments, so a stray `std::thread` elsewhere cannot copy it.
     let is_engine_fallback = rel_path.ends_with("sim/src/engine/os_thread.rs");
-    // The sharded-simulation coordinator is the other sanctioned OS-thread
-    // site: it pins one worker thread per shard and synchronizes them with
-    // barriers at time-window boundaries. Determinism there comes from the
-    // conservative-lookahead protocol (cross-shard events merge in
-    // `(time, stamp)` order, pinned by the shard_determinism suite), not
-    // from thread-freedom of the dispatch path.
-    let is_shard_coordinator = rel_path.ends_with("sim/src/shard.rs");
     // Kernel/scheduler hot paths: any OS-thread API is banned outright.
     let is_hot_path =
         rel_path.starts_with("crates/sim/src") || rel_path.starts_with("crates/mts/src");
@@ -427,7 +418,7 @@ pub fn lint_file(rel_path: &str, source: &str) -> Vec<LintViolation> {
         if !is_real_shim && (code.contains("Instant::now") || code.contains("SystemTime")) {
             hit("wall-clock");
         }
-        if !is_real_shim && !is_engine_fallback && !is_shard_coordinator {
+        if !is_real_shim && !is_engine_fallback {
             let spawns = code.contains("thread::spawn") || code.contains("thread::Builder");
             let any_os_thread_api = is_hot_path && code.contains("std::thread");
             if spawns || any_os_thread_api {
@@ -755,15 +746,14 @@ mod tests {
     }
 
     #[test]
-    fn shard_coordinator_file_is_exempt_from_thread_spawn() {
-        // The sharded-run coordinator spawns one worker per shard and may
-        // use the full std::thread API (scoped spawn, Builder, Barrier
-        // waits) — its determinism comes from the lookahead protocol.
+    fn former_shard_coordinator_file_is_flagged_for_thread_spawn() {
+        // The simulator runs on one OS thread: a worker spawned where the
+        // sharded-run coordinator used to live is a violation like anywhere
+        // else in the kernel. Only the fallback engine and the real-time
+        // shim keep a thread-spawn exemption.
         let src = "std::thread::Builder::new().spawn_scoped(scope, body);\nstd::thread::scope(|s| run(s));\n";
-        assert!(lint_file("crates/sim/src/shard.rs", src).is_empty());
-        // The same code in any sibling kernel file is still a violation.
-        let v = lint_file("crates/sim/src/kernel.rs", src);
-        assert!(!v.is_empty());
+        let v = lint_file("crates/sim/src/shard.rs", src);
+        assert_eq!(v.len(), 2);
         assert!(v.iter().all(|x| x.rule == "thread-spawn"));
     }
 

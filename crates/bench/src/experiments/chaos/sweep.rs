@@ -11,12 +11,10 @@
 //! drain to zero) and the whole sweep lands in
 //! `results/BENCH_chaos.json`.
 //!
-//! The sweep (smoke mode included) additionally runs a **sharded-harness
-//! rider**: the clean-level ring at 128 hosts rebuilt on
-//! [`ncs_sim::ShardedSim::single`], the shards=1 configuration of the X12
-//! windowed multi-worker harness. The shard seam must be invisible to the
-//! transport — bit-exact delivery with zero retransmissions (and zero
-//! spurious ones) on a clean wire, same as the flat kernel.
+//! The sweep (smoke mode included) additionally runs a **128-host rider**:
+//! the clean-level fat-tree ring at twice the sweep's largest host count,
+//! with four messages per host — bit-exact delivery with zero
+//! retransmissions (and zero spurious ones) on a clean wire.
 //!
 //! Every row splits its retransmissions by what drove them: **NACK-driven**
 //! (the receiver saw a damaged frame — a failed AAL5 reassembly handed up
@@ -39,7 +37,7 @@ use ncs_net::{
     VbrConfig,
 };
 use ncs_sim::sync::Mutex;
-use ncs_sim::{Dur, ShardedSim, Sim, SimTime};
+use ncs_sim::{Dur, Sim, SimTime};
 use std::sync::Arc;
 
 /// Clean / lossy / harsh. Loss rates are per *cell*; a 4 KB message is
@@ -87,8 +85,6 @@ fn fill_byte(src: usize, tag: u32, j: usize) -> u8 {
 struct MeshOutcome {
     topo: ChaosTopology,
     level: &'static str,
-    /// Ran on the `ShardedSim::single` harness instead of a flat `Sim`.
-    sharded: bool,
     /// Virtual instant the last application thread finished (the VBR
     /// horizon may keep the simulator itself running longer).
     app_done: Dur,
@@ -117,10 +113,7 @@ impl MeshOutcome {
 /// One sweep cell: `hosts` application processes in a ring (each sends
 /// `msgs` tagged messages to its right neighbour and receives, verifying
 /// every byte, from its left), over `topo` built with `extras` additional
-/// cross-traffic hosts, damaged per `level`. With `sharded` the whole
-/// cell runs on the shards=1 configuration of the windowed multi-worker
-/// harness instead of a flat kernel — behaviour must be identical.
-#[allow(clippy::too_many_arguments)]
+/// cross-traffic hosts, damaged per `level`.
 fn run_mesh(
     topo: ChaosTopology,
     level: &Level,
@@ -129,17 +122,8 @@ fn run_mesh(
     msgs: u32,
     msg_bytes: usize,
     seed: u64,
-    sharded: bool,
 ) -> MeshOutcome {
-    let sharded_sim = sharded.then(ShardedSim::single);
-    let flat_sim;
-    let sim: &Sim = match &sharded_sim {
-        Some(s) => s.shard(0),
-        None => {
-            flat_sim = Sim::new();
-            &flat_sim
-        }
-    };
+    let sim = Sim::new();
     let (fabric, raw) = topo.build_chaos(hosts, extras, level.output_buffer);
     let chaos = ChaosNet::new(raw, ChaosParams::new(level.p_corrupt, level.p_loss, seed));
     let net: Arc<dyn Network> = Arc::clone(&chaos) as Arc<dyn Network>;
@@ -163,7 +147,7 @@ fn run_mesh(
                 // the flows cross the trunks and contend with the ring
                 // traffic on shared switch ports.
                 spawn_vbr(
-                    sim,
+                    &sim,
                     Arc::clone(&fabric) as Arc<dyn Fabric>,
                     VbrConfig {
                         src: NodeId((hosts + i) as u32),
@@ -180,7 +164,7 @@ fn run_mesh(
 
     let app_done = Arc::new(Mutex::new(SimTime::ZERO));
     let done_in = Arc::clone(&app_done);
-    let world = NcsWorld::launch(sim, vec![net], hosts, chaos_cfg(), move |id, proc_| {
+    let world = NcsWorld::launch(&sim, vec![net], hosts, chaos_cfg(), move |id, proc_| {
         let done = Arc::clone(&done_in);
         proc_.t_create("ring", 5, move |ncs| {
             let right = (id + 1) % hosts;
@@ -206,15 +190,11 @@ fn run_mesh(
         });
     });
 
-    match &sharded_sim {
-        Some(s) => s.run().assert_clean(),
-        None => sim.run().assert_clean(),
-    }
+    sim.run().assert_clean();
 
     let mut o = MeshOutcome {
         topo,
         level: level.label,
-        sharded,
         app_done: app_done.lock().since(SimTime::ZERO),
         payload_bytes: hosts as u64 * msgs as u64 * msg_bytes as u64,
         p99: sim.with_metrics(|m| {
@@ -250,10 +230,7 @@ fn run_mesh(
             st.dead_peers
         );
     }
-    match &sharded_sim {
-        Some(s) => s.finish(),
-        None => sim.finish(),
-    }
+    sim.finish();
     o
 }
 
@@ -305,7 +282,6 @@ fn check_mesh_invariants(o: &MeshOutcome) {
 const SWEEP: &[Col<MeshOutcome>] = &[
     Col::text("topology", "topology", |o| o.topo.id()),
     Col::text("level", "level", |o| o.level),
-    Col::flag("sharded_harness", "sharded", |o| o.sharded),
     Col::fixed("app_done_s", "app done s", 9, |o| o.app_done.as_secs_f64()),
     Col::fixed("goodput_mbps", "Mb/s", 3, MeshOutcome::goodput_mbps),
     Col::fixed("p99_ms", "p99 ms", 6, |o| o.p99.as_secs_f64() * 1e3),
@@ -342,8 +318,9 @@ const SHAPE: &[Col<(usize, usize, u32, usize)>] = &[
     Col::int("msg_bytes", "msg bytes", |s| s.3 as u64),
 ];
 
-/// The X11 sweep, which is all of `BENCH_chaos.json`; returns its rows.
-fn run_sweep(out: &mut Report, smoke: bool) -> Vec<MeshOutcome> {
+/// The X11 sweep, which is all of `BENCH_chaos.json`; returns its rows and,
+/// apart, the 128-host rider's.
+fn run_sweep(out: &mut Report, smoke: bool) -> (Vec<MeshOutcome>, MeshOutcome) {
     let (hosts, extras, msgs, msg_bytes) = if smoke {
         (16, 4, 8, 4096)
     } else {
@@ -358,18 +335,17 @@ fn run_sweep(out: &mut Report, smoke: bool) -> Vec<MeshOutcome> {
     for topo in ChaosTopology::all() {
         for (li, level) in SWEEP_LEVELS.iter().enumerate() {
             let seed = 0xA7A7_0000 + li as u64 * 131 + topo.id().len() as u64;
-            let o = run_mesh(topo, level, hosts, extras, msgs, msg_bytes, seed, false);
+            let o = run_mesh(topo, level, hosts, extras, msgs, msg_bytes, seed);
             out.row(&sweep, &o);
             check_mesh_invariants(&o);
             outcomes.push(o);
         }
     }
-    // Sharded-harness rider (runs in smoke mode too): the clean ring at
-    // 128 hosts on `ShardedSim::single` — the shards=1 configuration of
-    // the windowed multi-worker harness. The seam must not cost a single
-    // retransmission: `check_mesh_invariants` enforces the clean-level
-    // zero-retransmit / zero-spurious bar, restated explicitly below.
-    let o = run_mesh(
+    // The 128-host rider (runs in smoke mode too): the clean fat-tree ring
+    // at 128 hosts must not cost a single retransmission;
+    // `check_mesh_invariants` enforces the clean-level zero-retransmit /
+    // zero-spurious bar, restated explicitly below.
+    let rider = run_mesh(
         ChaosTopology::FatTree,
         &SWEEP_LEVELS[0],
         128,
@@ -377,43 +353,25 @@ fn run_sweep(out: &mut Report, smoke: bool) -> Vec<MeshOutcome> {
         4,
         msg_bytes,
         0xA7A7_5EED,
-        true,
     );
-    out.row(&sweep, &o);
-    check_mesh_invariants(&o);
+    out.row(&sweep, &rider);
+    check_mesh_invariants(&rider);
     assert_eq!(
-        o.stats.retransmits, 0,
-        "clean wire on the sharded harness must retransmit nothing"
+        rider.stats.retransmits, 0,
+        "clean wire at 128 hosts must retransmit nothing"
     );
-    outcomes.push(o);
-    out.note("(the sharded row: the clean ring at 128 hosts on the sharded harness, shards=1)\n\n");
-    outcomes
+    out.note("(the last row: the clean fat-tree ring at 128 hosts, 4 messages per host)\n\n");
+    (outcomes, rider)
 }
 
 /// `--guard`: receiver-driven recovery must be doing the work. Per
 /// topology, the lossy row's retransmissions are mostly NACK-driven and
 /// its goodput holds at least 0.35× the clean row's (0.16–0.23× when every
 /// loss waited for the RTO); the clean row saw no damaged PDU, so no NACK
-/// was ever sent, and retransmitted nothing.
-fn guard_sweep(out: &mut Report, outcomes: &[MeshOutcome]) {
+/// was ever sent, and retransmitted nothing — the 128-host rider too.
+fn guard_sweep(out: &mut Report, outcomes: &[MeshOutcome], rider: &MeshOutcome) {
     for clean in outcomes.iter().filter(|o| o.level == "clean") {
-        let at = format!(
-            "{}/clean{}",
-            clean.topo.id(),
-            if clean.sharded { "~1sh" } else { "" }
-        );
-        assert_eq!(
-            clean.damage.pdus_rejected, 0,
-            "{at}: damaged PDUs on a clean wire"
-        );
-        assert_eq!(
-            (clean.stats.nack_retransmits, clean.stats.retransmits),
-            (0, 0),
-            "{at}: NACK-driven / all retransmissions on a clean wire"
-        );
-        if clean.sharded {
-            continue;
-        }
+        guard_clean(&format!("{}/clean", clean.topo.id()), clean);
         let lossy = outcomes
             .iter()
             .find(|o| o.level == "lossy" && o.topo.id() == clean.topo.id())
@@ -438,15 +396,29 @@ fn guard_sweep(out: &mut Report, outcomes: &[MeshOutcome]) {
             share, lossy.stats.timer_retransmits, lossy.stats.retransmits
         ));
     }
+    guard_clean(&format!("{}/clean@128", rider.topo.id()), rider);
     out.note("\n");
+}
+
+/// A clean row saw no damaged PDU and retransmitted nothing.
+fn guard_clean(at: &str, clean: &MeshOutcome) {
+    assert_eq!(
+        clean.damage.pdus_rejected, 0,
+        "{at}: damaged PDUs on a clean wire"
+    );
+    assert_eq!(
+        (clean.stats.nack_retransmits, clean.stats.retransmits),
+        (0, 0),
+        "{at}: NACK-driven / all retransmissions on a clean wire"
+    );
 }
 
 /// The X11 sweep with its `--guard`; every harsh row must have needed
 /// retransmissions.
 pub(super) fn run(out: &mut Report, smoke: bool, guard: bool) {
-    let outcomes = run_sweep(out, smoke);
+    let (outcomes, rider) = run_sweep(out, smoke);
     if guard {
-        guard_sweep(out, &outcomes);
+        guard_sweep(out, &outcomes, &rider);
     }
     let harsh_total: u64 = outcomes
         .iter()

@@ -91,25 +91,18 @@ pub struct Observed {
 /// well-ordered, every message's components summing exactly to its
 /// end-to-end latency.
 pub fn run_workload(name: &'static str) -> Observed {
-    let sim = Sim::new();
-    run_workload_on(name, &sim, || sim.run().assert_clean())
-}
-
-/// [`run_workload`] staged on a simulator the caller built and runs with
-/// `run` (`tests/shard_determinism.rs` passes a shard of the sharded
-/// harness).
-pub fn run_workload_on(name: &'static str, sim: &Sim, run: impl FnOnce()) -> Observed {
     let app = match name {
         "matmul" => SmallApp::Matmul { nodes: 4 },
         "jpeg" => SmallApp::Jpeg,
         "fft" => SmallApp::Fft { sets: 1 },
         other => panic!("unknown workload {other}"),
     };
+    let sim = Sim::new();
     let (analysis, sink) = AnalysisConfig::recording();
     sim.with_tracer(|tr| tr.enable_detail());
     let net = Testbed::SunAtmLanApi.build(app.hosts());
-    let verify = app.stage(sim, net, ncs_cfg(analysis, name != "matmul"));
-    run();
+    let verify = app.stage(&sim, net, ncs_cfg(analysis, name != "matmul"));
+    sim.run().assert_clean();
     let verified = verify();
     assert!(verified, "{name}: result must verify bit-exact");
     let violations = sink.take();

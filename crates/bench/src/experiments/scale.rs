@@ -17,20 +17,8 @@
 //!    into the `kernel.queue_depth` gauge. The sweep runs on **both
 //!    green-thread engines** — the coroutine default and the
 //!    parked-OS-thread fallback it replaced — so the JSON carries the
-//!    before/after ns/event rows for the engine switch.
-//!
-//! Extension experiment **X12** rides in the same experiment: the sharded
-//! scaling sweep. A [`GossipMesh`] workload on the 8-site WAN campus
-//! topology runs at 1k / 10k / 100k hosts, partitioned onto 1 / 2 / 4 / 8
-//! shard worker threads under the conservative-lookahead window protocol,
-//! reporting aggregate events/sec and the speedup over the 1-shard run.
-//! Every point's merged workload digest and per-host delivery digests are
-//! asserted equal across shard counts — the determinism wall's guarantee,
-//! re-checked on the benchmark shapes themselves. The JSON records
-//! `worker_cpus` (`std::thread::available_parallelism`) next to the
-//! speedups: on a single-CPU runner the shard workers time-slice one core
-//! and the speedup column honestly reports ≤ 1x; the parallel win needs a
-//! multi-core host.
+//!    before/after ns/event rows for the engine switch. The JSON records
+//!    `worker_cpus` (`std::thread::available_parallelism`) beside them.
 //!
 //! Its report is the `BENCH_kernel.json` document (`xp` writes it under
 //! `results/`).
@@ -53,15 +41,13 @@
 //! hold, so the baseline's `events <hosts> <rounds> <count>`, `stamps
 //! <hosts> <rounds> <count>` and `tl_bytes <hosts> <rounds> <bytes>` rows
 //! are held exactly, with no tolerance: a new stage or a fatter timeline
-//! format fails there without any RSS measurement. Sharded sweep points (one event per delivery)
-//! are guarded per event via the `sharded <hosts> <shards> <rounds> <ratio>`
-//! rows.
+//! format fails there without any RSS measurement.
 
-use super::{worker_cpus, Opts, WORKER_CPUS};
+use super::{Opts, WORKER_CPUS};
 use crate::{Col, Report};
 use bytes::Bytes;
 use ncs_core::{NcsConfig, NcsWorld, ThreadAddr};
-use ncs_net::{GossipConfig, GossipMesh, ShardNetParams, Testbed};
+use ncs_net::Testbed;
 use ncs_sim::wheel::TimerWheel;
 use ncs_sim::{Dur, EngineKind, Sim, SimRng};
 use std::cmp::Reverse;
@@ -342,179 +328,29 @@ fn run_collective(hosts: usize, rounds: u32, engine: EngineKind) -> ScalePoint {
     point
 }
 
-/// Per-delivery CPU work iterations in the sharded sweep: enough that a
-/// shard worker has real computation to overlap (the regime where the
-/// window protocol pays off on multi-core hosts), small enough that the
-/// kernel path still matters.
-const SHARD_WORK: u32 = 64;
-
-/// One point of the X12 sharded sweep.
-struct ShardPoint {
-    hosts: usize,
-    shards: usize,
-    rounds: u32,
-    /// Gossip messages delivered (2 per host per round).
-    delivered: u64,
-    /// Kernel events executed, summed over shards.
-    events: u64,
-    /// Workload events folded into the merged digest.
-    merged_events: u64,
-    /// Barrier windows executed (0 on the 1-shard sequential fast path).
-    windows: u64,
-    wall_s: f64,
-    /// Partition-independent merged workload digest.
-    merged_hash: u64,
-    /// Digest over every host's delivery digest and count.
-    delivery_digest: u64,
-    /// Events/s over the same host count's 1-shard run (set by the sweep).
-    speedup: f64,
-}
-
-impl ShardPoint {
-    fn ns_per_event(&self) -> f64 {
-        self.wall_s * 1e9 / self.events as f64
-    }
-    fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_s
-    }
-}
-
-/// One point of the sharded sweep (an empty header: JSON only).
-const SHARDED: &[Col<ShardPoint>] = &[
-    Col::int("hosts", "hosts", |p| p.hosts as u64),
-    Col::int("shards", "shards", |p| p.shards as u64),
-    Col::int("rounds", "rounds", |p| u64::from(p.rounds)),
-    Col::int("msg_bytes", "msg B", |_| MSG_BYTES as u64),
-    Col::int("work_iters", "work iters", |_| u64::from(SHARD_WORK)),
-    Col::int("delivered", "", |p| p.delivered),
-    Col::int("events", "events", |p| p.events),
-    Col::int("merged_events", "merged", |p| p.merged_events),
-    Col::int("windows", "windows", |p| p.windows),
-    Col::fixed("wall_s", "wall s", 6, |p| p.wall_s),
-    Col::fixed("events_per_sec", "ev/s", 0, ShardPoint::events_per_sec),
-    Col::fixed("ns_per_event", "ns/ev", 1, ShardPoint::ns_per_event),
-    Col::fixed("speedup_vs_1shard", "speedup", 3, |p| p.speedup),
-    Col::hex("merged_trace_hash", "", |p| p.merged_hash),
-    Col::hex("delivery_digest", "", |p| p.delivery_digest),
-];
-
-/// One sharded gossip run on the WAN campus topology (8 sites, DS-3
-/// trunks, 2 ms lookahead windows), wall-clock timed across the whole
-/// windowed run including barrier synchronization and inbox merging.
-fn run_sharded(hosts: usize, shards: usize, rounds: u32) -> ShardPoint {
-    let mesh = GossipMesh::new(
-        ShardNetParams::wan_campus(hosts),
-        shards,
-        GossipConfig {
-            rounds,
-            msg_bytes: MSG_BYTES,
-            work: SHARD_WORK,
-            seed: 0x5AD5,
-        },
-    );
-    let t0 = Instant::now(); // ncs-lint: allow(wall-clock)
-    let out = mesh.run();
-    let wall_s = t0.elapsed().as_secs_f64(); // ncs-lint: allow(wall-clock)
-    out.assert_clean();
-    mesh.assert_complete();
-    let p = ShardPoint {
-        hosts,
-        shards,
-        rounds,
-        delivered: mesh.delivered(),
-        events: out.events,
-        merged_events: out.merged_events,
-        windows: out.windows,
-        wall_s,
-        merged_hash: out.merged_trace_hash,
-        delivery_digest: mesh.delivery_digest(),
-        speedup: 1.0,
-    };
-    mesh.sharded().finish();
-    p
-}
-
-/// The X12 sweep: host counts × shard counts, with the determinism wall's
-/// digest-equality guarantee re-asserted on every benchmark shape.
-fn run_shard_sweep(
-    out: &mut Report,
-    host_counts: &[usize],
-    shard_counts: &[usize],
-    rounds: u32,
-) -> Vec<ShardPoint> {
-    out.note("## X12 — sharded scaling: gossip on the 8-site WAN campus\n");
-    out.record(WORKER_CPUS, &());
-    if worker_cpus() < *shard_counts.iter().max().unwrap_or(&1) {
-        out.note(
-            "#  note: fewer CPUs than shards — workers time-slice, speedup \
-             honestly reports ~1x or below on this machine\n",
-        );
-    }
-    let table = out.table("sharded", SHARDED);
-    let mut points = Vec::new();
-    for &hosts in host_counts {
-        let mut base_eps = None;
-        for &shards in shard_counts {
-            let mut p = run_sharded(hosts, shards, rounds);
-            p.speedup = p.events_per_sec() / *base_eps.get_or_insert(p.events_per_sec());
-            out.row(&table, &p);
-            assert_eq!(
-                p.delivered,
-                2 * hosts as u64 * u64::from(rounds),
-                "gossip delivery count at {hosts} hosts"
-            );
-            points.push(p);
-        }
-        // The determinism wall, re-checked on the benchmark shapes: every
-        // shard count must produce the same merged workload digest and the
-        // same per-host delivery digests.
-        let same_hosts: Vec<&ShardPoint> = points.iter().filter(|p| p.hosts == hosts).collect();
-        for p in &same_hosts[1..] {
-            assert_eq!(
-                (p.merged_hash, p.delivery_digest),
-                (same_hosts[0].merged_hash, same_hosts[0].delivery_digest),
-                "digest diverged between {} and {} shards at {hosts} hosts",
-                same_hosts[0].shards,
-                p.shards,
-            );
-        }
-    }
-    points
-}
-
 /// The checked-in normalized-cost baseline consumed by `--guard`, and the
 /// path it is compiled in from.
 const GUARD_BASELINE: &str = "crates/bench/baselines/xp_scale_guard.txt";
 const GUARD_BASELINE_TEXT: &str = include_str!("../../baselines/xp_scale_guard.txt");
-/// Allowed regression over the baseline's normalized cost per event.
+/// Allowed regression over the baseline's normalized cost per message.
 const GUARD_HEADROOM: f64 = 1.15;
 /// Interleaved (wheel micro, shape) samples behind each wall row; the row
 /// gates their median, so one noisy sample on either side cannot fail it.
 const GUARD_SAMPLES: usize = 5;
 
-/// One wall row of `--guard`: a label, its baseline ratio, and how to take
-/// one wall-time sample of its shape (ns per message flat, per event
-/// sharded).
-struct WallRow {
-    label: String,
-    base: f64,
-    sample: Box<dyn Fn() -> f64>,
-}
-
 /// `--guard`: machine-normalized perf-regression gate. Each guarded shape
-/// — a coroutine-engine collective point (`ns_per_message`) or a sharded
-/// point (`ns_per_event`) with a baseline row — is sampled
+/// — a coroutine-engine collective point with a baseline row — is sampled
 /// [`GUARD_SAMPLES`] times, each sample a fresh wheel micro (`offsets`)
-/// right before a fresh run of the shape, the shapes taking turns; the
-/// median of the sample ratios is compared against the checked-in baseline
-/// for the same `<hosts> <rounds>` or `sharded <hosts> <shards> <rounds>`
-/// row, so raw machine speed divides out and the gate travels across CI
-/// runners. Fails (exits non-zero via panic) past 15% regression, and on
-/// any difference at all from an `events <hosts> <rounds>`, `stamps <hosts>
-/// <rounds>` or `tl_bytes <hosts> <rounds>` row: event and stamp counts and
-/// the bytes the timelines hold are deterministic, so the sweep's own
-/// `points` answer them.
-fn run_guard(out: &mut Report, points: &[ScalePoint], sharded: &[ShardPoint], offsets: &[u64]) {
+/// right before a fresh run of the shape's `ns_per_message`, the shapes
+/// taking turns; the median of the sample ratios is compared against the
+/// checked-in baseline for the same `<hosts> <rounds>` row, so raw machine
+/// speed divides out and the gate travels across CI runners. Fails (exits
+/// non-zero via panic) past 15% regression, and on any difference at all
+/// from an `events <hosts> <rounds>`, `stamps <hosts> <rounds>` or
+/// `tl_bytes <hosts> <rounds>` row: event and stamp counts and the bytes
+/// the timelines hold are deterministic, so the sweep's own `points`
+/// answer them.
+fn run_guard(out: &mut Report, points: &[ScalePoint], offsets: &[u64]) {
     // Baseline rows: a shape (single-spaced), then its ratio.
     let baseline: Vec<(String, f64)> = GUARD_BASELINE_TEXT
         .lines()
@@ -522,7 +358,7 @@ fn run_guard(out: &mut Report, points: &[ScalePoint], sharded: &[ShardPoint], of
         .map(|line| {
             let mut words: Vec<&str> = line.split_whitespace().collect();
             match words.pop().map(str::parse) {
-                Some(Ok(ratio)) if matches!(words.len(), 2..=4) => (words.join(" "), ratio),
+                Some(Ok(ratio)) if matches!(words.len(), 2..=3) => (words.join(" "), ratio),
                 _ => panic!("--guard: malformed baseline line: {line:?}"),
             }
         })
@@ -563,51 +399,36 @@ fn run_guard(out: &mut Report, points: &[ScalePoint], sharded: &[ShardPoint], of
         }
     }
     // The wall rows: every measured shape the baseline has a ratio for.
-    let flat = points.iter().filter_map(|p| {
-        let (hosts, rounds) = (p.hosts, p.rounds);
-        Some(WallRow {
-            label: format!("{hosts:3} hosts"),
-            base: base_of(&format!("{hosts} {rounds}"))?,
-            sample: Box::new(move || {
-                run_collective(hosts, rounds, EngineKind::Coroutine).ns_per_message()
-            }),
-        })
-    });
-    let sharded = sharded.iter().filter_map(|p| {
-        let (hosts, shards, rounds) = (p.hosts, p.shards, p.rounds);
-        Some(WallRow {
-            label: format!("{hosts:6} hosts x {shards} shard(s)"),
-            base: base_of(&format!("sharded {hosts} {shards} {rounds}"))?,
-            sample: Box::new(move || run_sharded(hosts, shards, rounds).ns_per_event()),
-        })
-    });
-    let rows: Vec<WallRow> = flat.chain(sharded).collect();
+    let rows: Vec<(&ScalePoint, f64)> = points
+        .iter()
+        .filter_map(|p| Some((p, base_of(&format!("{} {}", p.hosts, p.rounds))?)))
+        .collect();
     assert!(
         !rows.is_empty(),
         "--guard: no baseline entry matched the measured sweep shape"
     );
     let mut ratios = vec![Vec::with_capacity(GUARD_SAMPLES); rows.len()];
     for _ in 0..GUARD_SAMPLES {
-        for (row, samples) in rows.iter().zip(&mut ratios) {
+        for ((p, _), samples) in rows.iter().zip(&mut ratios) {
             let wheel_ns = micro_wheel_ns(offsets);
-            samples.push((row.sample)() / wheel_ns);
+            let run = run_collective(p.hosts, p.rounds, EngineKind::Coroutine);
+            samples.push(run.ns_per_message() / wheel_ns);
         }
     }
     // Every row is printed before any fails, so one run shows them all.
     let mut regressed = Vec::new();
-    for (row, mut samples) in rows.iter().zip(ratios) {
+    for ((p, base), mut samples) in rows.iter().zip(ratios) {
         samples.sort_by(f64::total_cmp);
-        let (ratio, limit) = (samples[GUARD_SAMPLES / 2], row.base * GUARD_HEADROOM);
+        let (ratio, limit) = (samples[GUARD_SAMPLES / 2], base * GUARD_HEADROOM);
         let verdict = if ratio <= limit { "ok" } else { "FAIL" };
         out.note(format!(
-            "  {} | median ratio {ratio:7.2} ({:.2}..{:.2}) | baseline {:7.2} | limit {limit:7.2} | {verdict}\n",
-            row.label,
+            "  {:3} hosts | median ratio {ratio:7.2} ({:.2}..{:.2}) | baseline {base:7.2} | limit {limit:7.2} | {verdict}\n",
+            p.hosts,
             samples[0],
             samples[GUARD_SAMPLES - 1],
-            row.base,
         ));
         if ratio > limit {
-            regressed.push(format!("{} ({ratio:.2} > {limit:.2})", row.label.trim()));
+            regressed.push(format!("{} hosts ({ratio:.2} > {limit:.2})", p.hosts));
         }
     }
     assert!(
@@ -622,7 +443,6 @@ fn run_guard(out: &mut Report, points: &[ScalePoint], sharded: &[ShardPoint], of
 pub(super) fn run(opts: &Opts, out: &mut Report) {
     let smoke = opts.smoke;
     out.note("# X10 — event-kernel scaling (timer wheel, 16..256 hosts)\n");
-    out.note("# X12 — sharded scaling (conservative-lookahead windows, 1k..100k hosts)\n");
     if smoke {
         out.note("# smoke mode: reduced sweep\n");
     }
@@ -693,18 +513,9 @@ pub(super) fn run(opts: &Opts, out: &mut Report) {
         out.row(&table, &(c.hosts, o.ns_per_event(), c.ns_per_event()));
     }
 
-    // Part 3: the X12 sharded sweep — host counts × shard counts on the
-    // windowed multi-worker harness, digests asserted shard-count-invariant.
-    let shard_hosts: &[usize] = if smoke {
-        &[1_000]
-    } else {
-        &[1_000, 10_000, 100_000]
-    };
-    let shard_counts: &[usize] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-    let shard_rounds: u32 = if smoke { 2 } else { 4 };
-    let shard_points = run_shard_sweep(out, shard_hosts, shard_counts, shard_rounds);
+    out.record(WORKER_CPUS, &());
 
     if opts.guard {
-        run_guard(out, &points, &shard_points, &offsets);
+        run_guard(out, &points, &offsets);
     }
 }

@@ -6,9 +6,7 @@
 //! both engines.
 
 use ncs_sim::sync::Mutex;
-use ncs_sim::{
-    live_coroutine_stacks, Dur, EngineKind, ShardedSim, Sim, DEFAULT_STACK_BYTES, MIN_STACK_BYTES,
-};
+use ncs_sim::{live_coroutine_stacks, Dur, EngineKind, Sim, DEFAULT_STACK_BYTES, MIN_STACK_BYTES};
 
 /// Every test here compares process-wide quantities (the live-stack count,
 /// RSS, address space) before and after its own population, and `cargo
@@ -17,7 +15,6 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 const HOSTS: usize = 1_000;
 const THREADS_PER_HOST: usize = 10;
-const SHARDS: usize = 4;
 
 /// Resident set size in KiB from `/proc/self/status`, or `None` off Linux
 /// (the RSS half of the test is a Linux-only measurement; the
@@ -38,14 +35,13 @@ fn vm_size_kib() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// Spawns `HOSTS * THREADS_PER_HOST` sleeping green threads across the
-/// shards of a sharded simulation on `engine`, runs to completion, and
-/// returns the peak RSS delta (KiB) observed after the run.
+/// Spawns `HOSTS * THREADS_PER_HOST` sleeping green threads on one
+/// simulation on `engine`, runs to completion, and returns the peak RSS
+/// delta (KiB) observed after the run.
 fn run_thread_population(engine: EngineKind) -> Option<u64> {
     let before = rss_kib();
-    let sharded = ShardedSim::with_engine(SHARDS, Dur::from_micros(50), engine);
+    let sim = Sim::with_engine(engine);
     for h in 0..HOSTS {
-        let sim = sharded.shard(h % SHARDS);
         for t in 0..THREADS_PER_HOST {
             // Staggered sleeps so wakeups spread over virtual time instead
             // of forming one giant tie group.
@@ -57,10 +53,9 @@ fn run_thread_population(engine: EngineKind) -> Option<u64> {
             });
         }
     }
-    let out = sharded.run();
-    out.assert_clean();
+    sim.run().assert_clean();
     let after = rss_kib();
-    sharded.finish();
+    sim.finish();
     match (before, after) {
         (Some(b), Some(a)) => Some(a.saturating_sub(b)),
         _ => None,
@@ -98,17 +93,15 @@ fn ten_thousand_coroutine_stacks_commit_lazily_and_are_reclaimed() {
 fn reservation_for(threads: usize, stack_bytes: usize) -> Option<u64> {
     let baseline = live_coroutine_stacks();
     let before = vm_size_kib();
-    let sharded =
-        ShardedSim::with_engine_and_stack(2, Dur::from_micros(50), EngineKind::Coroutine, stack_bytes);
+    let sim = Sim::with_engine_and_stack(EngineKind::Coroutine, stack_bytes);
     for t in 0..threads {
-        let sim = sharded.shard(t % 2);
         sim.spawn(format!("t{t}"), move |ctx| {
             ctx.sleep(Dur::from_micros(3 + (t % 7) as u64));
         });
     }
     let during = vm_size_kib();
-    sharded.run().assert_clean();
-    sharded.finish();
+    sim.run().assert_clean();
+    sim.finish();
     assert_eq!(
         live_coroutine_stacks(),
         baseline,
@@ -132,12 +125,12 @@ fn configured_stack_size_shrinks_the_reservation() {
     assert_eq!(default.green_stack_bytes(), DEFAULT_STACK_BYTES);
 
     // 2 000 threads at 64 KiB reserve ~136 MiB of address space (stack +
-    // guard page each) against ~4 GiB at the 2 MiB default — the footprint
-    // knob for 100k-host sharded runs. Guard page and canary stay live at
-    // the small size: the population runs to completion with the saved
-    // stack pointer checked against the canary on every switch and the
-    // canary bytes verified as each thread is reaped, and reclaim is exact
-    // (asserted inside `reservation_for`).
+    // guard page each) against ~4 GiB at the 2 MiB default. Only tests set
+    // the stack size; this one checks that it reaches the mapping. Guard
+    // page and canary stay live at the small size: the population runs to
+    // completion with the saved stack pointer checked against the canary
+    // on every switch and the canary bytes verified as each thread is
+    // reaped, and reclaim is exact (asserted inside `reservation_for`).
     const THREADS: usize = 2_000;
     const SMALL: usize = 64 * 1024;
     if let Some(delta_kib) = reservation_for(THREADS, SMALL) {
@@ -170,17 +163,16 @@ fn os_engine_population_is_reclaimed_too() {
     // engine — it never allocates coroutine stacks).
     let baseline = live_coroutine_stacks();
     let before = rss_kib();
-    let sharded = ShardedSim::with_engine(2, Dur::from_micros(50), EngineKind::OsThread);
+    let sim = Sim::with_engine(EngineKind::OsThread);
     for h in 0..100 {
-        let sim = sharded.shard(h % 2);
         for t in 0..10 {
             sim.spawn(format!("h{h}.t{t}"), move |ctx| {
                 ctx.sleep(Dur::from_micros(3 + ((h + t) % 5) as u64));
             });
         }
     }
-    sharded.run().assert_clean();
-    sharded.finish();
+    sim.run().assert_clean();
+    sim.finish();
     assert_eq!(live_coroutine_stacks(), baseline);
     // No strict RSS bound here — 1k joined OS threads release their stacks
     // back to the OS; just make sure the probe itself works on Linux.

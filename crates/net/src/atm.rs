@@ -358,9 +358,7 @@ impl Topology {
 /// descriptions: `AtmFabric::new(AtmLanParams::fore_lan(8))`,
 /// `AtmFabric::new(WanRingParams::mixed_ring(64, 4))`, …
 ///
-/// This is the one place a chunk is booked onto wires, and so the seam at
-/// which delivery between hosts on different shards will be routed
-/// (ROADMAP item 5).
+/// This is the one place a chunk is booked onto wires.
 pub struct AtmFabric {
     topology: Topology,
     nodes: usize,

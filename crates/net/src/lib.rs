@@ -20,10 +20,6 @@
 //!   event per message), both behind the [`Network`] trait;
 //! * **testbeds**: [`topology::Testbed`] presets mirroring the paper's
 //!   experimental environment;
-//! * **sharding**: [`shardnet`] — whole-site topology partitioning for
-//!   sharded parallel runs (cross-shard link classification, the
-//!   conservative-lookahead bound derived from trunk propagation) and the
-//!   [`GossipMesh`] large-population workload driver;
 //! * **fault injection**: [`faults`] — the one injector, a [`Network`]
 //!   decorator: seeded cell-level bit flips and loss (exercising real HEC
 //!   correction and AAL5 CRC rejection), message-level corrupt-and-deliver
@@ -47,7 +43,6 @@ pub mod fabric;
 pub mod faults;
 pub mod host;
 pub mod link;
-pub mod shardnet;
 pub mod stack;
 pub mod topology;
 pub mod wan;
@@ -59,7 +54,6 @@ pub use fabric::{Fabric, IdealFabric, NodeId, TransferTiming};
 pub use wan::{spawn_vbr, FatTreeParams, VbrConfig, VbrHandle, WanRingParams};
 pub use host::{DatapathKind, HostParams};
 pub use link::{LinkSpec, LinkState};
-pub use shardnet::{GossipConfig, GossipMesh, ShardCut, ShardNetParams, ShardPlan};
 pub use stack::{
     AtmApiNet, AtmApiParams, BlockingWait, Delivery, Network, TcpNet, TcpParams, WaitPolicy,
 };

@@ -657,7 +657,7 @@ impl Transport for AtmAdapters {
         }
         // One tracer visit per message, so the `atm.*` counters cover only
         // sends that complete: one cut off while it sleeps in the loop above
-        // (a `run_until` horizon, or `Sim::finish`) counts none of the cells
+        // (a `run_bounded` horizon, or `Sim::finish`) counts none of the cells
         // it already put on the fabric.
         ctx.sim().with_tracer(|tr| {
             tr.count("atm.cells", cells_sent);

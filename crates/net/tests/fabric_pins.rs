@@ -8,14 +8,14 @@
 
 use ncs_net::atm::{AtmLanParams, NynetParams};
 use ncs_net::{AtmFabric, Fabric, FatTreeParams, NodeId, Topology, WanRingParams};
-use ncs_sim::{fnv1a_fold, prop, Dur, SimRng, SimTime, FNV_OFFSET};
+use ncs_sim::{fnv1a, prop, Dur, SimRng, SimTime};
 
 /// 2,000 seeded bookings between random host pairs, with 400-cell output
 /// buffers and one flap window on the first trunk (the host-1 uplink where
 /// there is none). `gap_ns` spaces the departures so the slowest hop runs
-/// loaded but not saturated. Returns the FNV-1a fold of every
-/// `(first_hop_done, arrival, dropped)` and the final counters, then the
-/// counters themselves.
+/// loaded but not saturated. Returns the FNV-1a digest of the
+/// little-endian words of every `(first_hop_done, arrival, dropped)` and
+/// the final counters, then the counters themselves.
 fn pin(topology: impl Into<Topology>, seed: u64, gap_ns: u64) -> (u64, u64, u64) {
     let f = AtmFabric::new(topology).with_output_buffer(Some(400));
     let at = |k: u64| SimTime::ZERO + Dur::from_nanos(k * gap_ns);
@@ -25,7 +25,7 @@ fn pin(topology: impl Into<Topology>, seed: u64, gap_ns: u64) -> (u64, u64, u64)
     }
     let n = f.nodes() as u64;
     let mut rng = SimRng::new(seed);
-    let mut h = FNV_OFFSET;
+    let mut words: Vec<u64> = Vec::new();
     let mut now = SimTime::ZERO;
     for _ in 0..2_000 {
         now += Dur::from_nanos(rng.gen_range(gap_ns));
@@ -34,13 +34,16 @@ fn pin(topology: impl Into<Topology>, seed: u64, gap_ns: u64) -> (u64, u64, u64)
         let (src, dst) = (NodeId(src as u32), NodeId(dst as u32));
         let payload = 1 + rng.gen_range(16_000) as usize;
         let t = f.transfer(src, dst, payload, now);
-        h = fnv1a_fold(h, t.first_hop_done.as_ps());
-        h = fnv1a_fold(h, t.arrival.as_ps());
-        h = fnv1a_fold(h, u64::from(t.dropped));
+        words.extend([
+            t.first_hop_done.as_ps(),
+            t.arrival.as_ps(),
+            u64::from(t.dropped),
+        ]);
     }
     let (overflow, flap) = (f.overflow_drop_count(), f.flap_loss_count());
-    h = fnv1a_fold(fnv1a_fold(h, overflow), flap);
-    (h, overflow, flap)
+    words.extend([overflow, flap]);
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    (fnv1a(&bytes), overflow, flap)
 }
 
 #[test]

@@ -24,30 +24,17 @@ use std::sync::Arc;
 /// schedule-exploration run compares across interleavings.
 pub type ChannelKey = (usize, usize, u64);
 
-/// FNV-1a offset basis: the digest of nothing, and the start value of every
-/// running digest folded with [`fnv1a_fold`].
+/// FNV-1a offset basis: the digest of nothing, and the start value of the
+/// kernel's trace digest.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-#[inline]
-fn fnv1a_bytes(h: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-}
 
 /// FNV-1a digest of a byte string — the compact payload fingerprint kept
 /// in the delivery log.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_bytes(FNV_OFFSET, bytes)
-}
-
-/// Folds the eight little-endian bytes of `v` into the running FNV-1a
-/// digest `h` — the step behind the kernel trace hash and the shard digests
-/// (per event, and called across crates: hence the hint).
-#[inline]
-pub fn fnv1a_fold(h: u64, v: u64) -> u64 {
-    fnv1a_bytes(h, &v.to_le_bytes())
+    bytes
+        .iter()
+        .fold(FNV_OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
 /// Folds the 64-bit word `v` into the running digest `h` — the step behind

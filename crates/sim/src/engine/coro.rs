@@ -13,8 +13,8 @@
 //! Each stack is an anonymous private mapping of the configured size + one
 //! page, created lazily by the kernel (untouched pages cost no RSS — 256
 //! green threads at the 2 MiB default reserve 512 MiB of address space but
-//! commit only what they use; 100k-host sharded runs can shrink the
-//! reservation with an explicit stack size). The
+//! commit only what they use; a smaller explicit stack size shrinks the
+//! reservation, which only the footprint tests ask for). The
 //! lowest page is `mprotect`ed `PROT_NONE`: running off the end of the
 //! stack faults loudly on the guard page instead of silently corrupting a
 //! neighbouring mapping. A 64-byte `0xA5` canary sits just above the guard

@@ -101,7 +101,8 @@ pub fn set_default_engine(kind: EngineKind) {
 }
 
 /// Green-thread stack size of every simulation not built through
-/// [`crate::Sim::with_engine_and_stack`]: 2 MiB.
+/// [`crate::Sim::with_engine_and_stack`]: 2 MiB. Only tests build one with
+/// any other size.
 pub const DEFAULT_STACK_BYTES: usize = 2 * 1024 * 1024;
 
 /// Smallest stack the engines accept: room for the guard-adjacent canary,

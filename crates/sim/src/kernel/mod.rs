@@ -125,9 +125,8 @@ struct Inner {
     /// resumes. Every such hand-off already orders memory: a coroutine
     /// resume or yield is a function call on one OS thread, the OS-thread
     /// engine passes control through mutexes (release on grant, acquire on
-    /// wake-up), and the workers of a sharded run meet at the window
-    /// barrier before anything reads another shard. So both are `Relaxed`:
-    /// they need atomicity, not a fence per event.
+    /// wake-up). So both are `Relaxed`: they need atomicity, not a fence
+    /// per event.
     now_ps: AtomicU64,
     /// The wait the green thread that yielded last recorded for itself
     /// (`PARK` or a sleep's instant, `NO_WAIT` when none): the run loop
@@ -243,9 +242,10 @@ impl Sim {
 
     /// [`Sim::with_engine`] with an explicit per-green-thread stack size in
     /// bytes (normalized via [`crate::engine::normalize_stack_bytes`]).
-    /// Large thread populations (the 100k-host sharded runs) shrink their
-    /// address-space reservation this way; the guard-page + canary layout
-    /// is preserved at every size.
+    /// Only tests vary it (`bench/tests/green_footprint.rs` checks that a
+    /// smaller stack shrinks the address-space reservation); everything
+    /// else passes [`crate::DEFAULT_STACK_BYTES`]. The guard-page + canary
+    /// layout is preserved at every size.
     pub fn with_engine_and_stack(engine: EngineKind, stack_bytes: usize) -> Sim {
         install_quiet_cancel_hook();
         let inner = Arc::new(Inner {
@@ -423,50 +423,6 @@ impl Sim {
     /// Schedules `f` to run `after` from now.
     pub fn schedule_in(&self, after: Dur, f: impl FnOnce(&Sim) + Send + 'static) {
         self.schedule_at(self.now() + after, f);
-    }
-
-    /// Schedules `f` at `at` with a caller-supplied tie-break key instead of
-    /// the program-order sequence number. The wheel orders events by
-    /// `(time, seq)`; a keyed event carries `seq = KEYED_SEQ_BIT | key`, so
-    /// at any given instant all keyed events sort after every program-order
-    /// event, and among themselves in `key` order — independent of the order
-    /// in which they were pushed. This is the seam sharded runs use: a
-    /// workload whose keys are a pure function of (message, round, host)
-    /// executes in the same per-host order no matter how hosts are
-    /// partitioned across shards. Keys must be unique per instant and below
-    /// [`Sim::KEYED_SEQ_BIT`].
-    pub fn schedule_keyed(&self, at: SimTime, key: u64, f: impl FnOnce(&Sim) + Send + 'static) {
-        assert!(
-            key < Self::KEYED_SEQ_BIT,
-            "keyed seq {key:#x} collides with the keyed-event tag bit"
-        );
-        debug_assert!(
-            at >= self.now(),
-            "scheduling into the past: {at} < {}",
-            self.now()
-        );
-        self.inner.core.lock().queue.push(
-            at.as_ps(),
-            Self::KEYED_SEQ_BIT | key,
-            EventKind::Call(Box::new(f)),
-        );
-    }
-
-    /// Tag bit distinguishing keyed tie-break sequence numbers
-    /// ([`Sim::schedule_keyed`]) from program-order ones. Program-order
-    /// sequence numbers count up from zero and can never reach this bit.
-    pub const KEYED_SEQ_BIT: u64 = 1 << 63;
-
-    /// Virtual time of the earliest pending event, if any. Sharded runs use
-    /// this to skip idle windows: the coordinator advances the next window
-    /// start to the minimum across shards instead of stepping empty windows.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.inner
-            .core
-            .lock()
-            .queue
-            .peek()
-            .map(|(t, _)| SimTime::from_ps(t))
     }
 
     /// Schedules `f` like [`Sim::schedule_at`], but returns a handle that
@@ -688,7 +644,7 @@ mod tests {
     fn time_limit_stops_run() {
         let sim = Sim::new();
         sim.spawn("long", |ctx| ctx.sleep(Dur::from_secs(100)));
-        let out = sim.run_until(SimTime::ZERO + Dur::from_secs(1));
+        let out = sim.run_bounded(Some(SimTime::ZERO + Dur::from_secs(1)), u64::MAX);
         assert_eq!(out.reason, StopReason::TimeLimit);
         assert_eq!(out.end_time, SimTime::ZERO + Dur::from_secs(1));
         assert_eq!(out.blocked, vec!["long".to_string()]);
@@ -742,7 +698,7 @@ mod tests {
             ctx.sleep(Dur::from_micros(5));
             w.fetch_add(1, Ordering::SeqCst);
         });
-        let first = sim.run_until(SimTime::ZERO + Dur::from_micros(1));
+        let first = sim.run_bounded(Some(SimTime::ZERO + Dur::from_micros(1)), u64::MAX);
         assert_eq!(first.reason, StopReason::TimeLimit);
         assert_eq!(first.blocked, vec!["sleeper".to_string()]);
         assert_eq!(sim.pending_events(), 1, "the timed resume stays queued");

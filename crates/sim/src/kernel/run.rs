@@ -115,11 +115,6 @@ impl Sim {
         self.run_bounded(None, u64::MAX)
     }
 
-    /// Runs until the queue drains or virtual time would exceed `until`.
-    pub fn run_until(&self, until: SimTime) -> RunOutcome {
-        self.run_bounded(Some(until), u64::MAX)
-    }
-
     /// Runs with both a time horizon and an event-count guard.
     pub fn run_bounded(&self, until: Option<SimTime>, max_events: u64) -> RunOutcome {
         assert!(

@@ -32,11 +32,7 @@
 //!   wait-for-graph cycle detection) shared by the layers above;
 //! * [`sched`] — the pluggable [`SchedulePolicy`] seam: named legal
 //!   choice points (event tie-breaks, runnable rotation, fault timing)
-//!   that schedule exploration drives through alternative interleavings;
-//! * [`shard`] — conservative-lookahead sharded parallel simulation:
-//!   one kernel + wheel + engine per shard on its own worker thread,
-//!   barrier-synchronized time windows, deterministic cross-shard merge
-//!   ([`ShardedSim`]).
+//!   that schedule exploration drives through alternative interleavings.
 //!
 //! ```
 //! use ncs_sim::{Dur, Sim};
@@ -68,7 +64,6 @@ mod names;
 pub mod prop;
 mod rng;
 pub mod sched;
-pub mod shard;
 mod stats;
 pub mod sync;
 mod time;
@@ -77,7 +72,7 @@ mod trace;
 pub mod wheel;
 
 pub use analysis::{
-    fnv1a, fnv1a_fold, AnalysisConfig, ChannelKey, InvariantSink, Violation, WaitGraph, FNV_OFFSET,
+    fnv1a, AnalysisConfig, ChannelKey, InvariantSink, Violation, WaitGraph, FNV_OFFSET,
 };
 pub use channel::{Closed, SimChannel};
 pub use chrome::chrome_trace_json;
@@ -92,7 +87,6 @@ pub use sched::{
     format_trace, parse_trace, ChoicePoint, Decision, DecisionLog, RandomWalkPolicy,
     SchedulePolicy, ScriptedPolicy,
 };
-pub use shard::{merge_streams, ShardedRunOutcome, ShardedSim};
 pub use stats::{DurHistogram, DurSummary};
 pub use time::{Dur, SimTime};
 pub use timeline::{Stage, Timeline, TimelineBuf};

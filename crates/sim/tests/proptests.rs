@@ -1,12 +1,11 @@
 //! Property tests of the simulation kernel's core guarantees:
 //! determinism, time monotonicity, channel FIFO order,
-//! timer-wheel/binary-heap pop-order equivalence, and the cross-shard
-//! merge/single-wheel equivalence behind sharded runs.
+//! and timer-wheel/binary-heap pop-order equivalence.
 
 use ncs_sim::prop;
 use ncs_sim::sync::Mutex;
 use ncs_sim::wheel::TimerWheel;
-use ncs_sim::{merge_streams, Dur, Sim, SimChannel, SimRng, SimTime};
+use ncs_sim::{Dur, Sim, SimChannel, SimRng, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -184,62 +183,6 @@ fn wheel_pop_order_matches_heap_model() {
             assert_eq!(wheel.pop().map(|(t, s, _)| (t, s)), Some(want));
         }
         assert!(wheel.pop().is_none());
-        assert!(wheel.is_empty());
-    });
-}
-
-/// The sharded-run merge invariant: dealing an arbitrary event set onto
-/// `k` per-shard streams and k-way-merging them back
-/// ([`merge_streams`]) reproduces the exact pop order of one global
-/// timer wheel holding all the events — including heavy same-timestamp
-/// tie groups and events sitting exactly on window boundaries.
-#[test]
-fn shard_merge_equals_single_wheel_pop_order() {
-    prop::check("shard_merge_equals_single_wheel_pop_order", 24, |g| {
-        let seed = g.range(0..10_000);
-        let shards = g.range(1..9) as usize;
-        let events = g.range(1..3_000) as usize;
-        let window = g.range(1..5_000);
-        let mut rng = SimRng::new(seed);
-        // Unique, partition-independent tie-break keys in random order
-        // (like the keyed stamps of a sharded workload): permute 0..events.
-        let mut keys: Vec<u64> = (0..events as u64).collect();
-        for i in (1..keys.len()).rev() {
-            keys.swap(i, rng.gen_index(i + 1));
-        }
-        let mut all: Vec<(u64, u64)> = Vec::with_capacity(events);
-        for &key in &keys {
-            // Time mix: exact window boundaries (the adversarial case for
-            // the barrier protocol), dense small times forcing ties, and
-            // spread-out values.
-            let t = match rng.gen_index(4) {
-                0 => window * rng.gen_range(6),
-                1 => rng.gen_range(8),
-                2 => rng.gen_range(window + 1),
-                _ => rng.gen_range(window * 40 + 1),
-            };
-            all.push((t, key));
-        }
-        // Deal onto shards arbitrarily; each shard pops its own wheel in
-        // (time, seq) order, so its stream is its sorted slice.
-        let mut streams: Vec<Vec<(u64, u64)>> = vec![Vec::new(); shards];
-        for &ev in &all {
-            streams[rng.gen_index(shards)].push(ev);
-        }
-        for s in &mut streams {
-            s.sort_unstable();
-        }
-        // Reference: one global wheel holding every event.
-        let mut wheel: TimerWheel<u64> = TimerWheel::new();
-        for &(t, key) in &all {
-            wheel.push(t, key, key);
-        }
-        let merged = merge_streams(streams);
-        assert_eq!(merged.len(), events);
-        for &(t, key) in &merged {
-            let popped = wheel.pop().map(|(pt, ps, _)| (pt, ps));
-            assert_eq!(popped, Some((t, key)));
-        }
         assert!(wheel.is_empty());
     });
 }

@@ -30,9 +30,9 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # One `xp` run covers what were six per-binary stages, in registry order
 # (the report rows run too, ~1 s): pipelined data path (X8); observability
-# with golden-trace determinism (X9); event-kernel + sharded scaling with
-# the ns/message + exact event-count guard (X10/X12); chaos sweep — faults,
-# topologies, sharded harness rider — with the receiver-driven recovery
+# with golden-trace determinism (X9); event-kernel scaling with the
+# ns/message + exact event-count guard (X10); chaos sweep — faults,
+# topologies, the 128-host clean ring — with the receiver-driven recovery
 # guard (X7/X11); async-API overlap, nonblocking matmul beats blocking
 # (X13); schedule-space exploration of the NCS ring, which on a violation
 # fails and leaves results/explore_counterexample.trace; host-time
