@@ -27,7 +27,7 @@
 //!   shim (`core/src/real.rs`).
 //! * `unseeded-rand` — entropy-seeded randomness (`thread_rng`,
 //!   `from_entropy`, `rand::random`, `from_os_rng`, `OsRng`). Use
-//!   [`ncs_sim::SimRng`] with an explicit seed.
+//!   `ncs_sim::SimRng` with an explicit seed.
 //! * `float-time` — `f32`/`f64` inside the simulation clock
 //!   (`crates/sim/src/time.rs`). Time is integer picoseconds; float
 //!   arithmetic there would make event ordering platform-dependent. The
@@ -44,10 +44,12 @@
 //! * `dead-surface` — a `pub` fn/struct/enum/trait/type/const/static/mod
 //!   under `crates/*/src` whose name, as a whole word, occurs in no other
 //!   non-test code under `crates/*/src`, `src/`, `examples/` or the frozen
-//!   `benchmark/src`. Not references: its own definition line, the `impl`
-//!   blocks of that same type, and what a `pub use` / `pub mod` line
-//!   declares (only its path segments before a `::` count) — so an item
-//!   only tests or its own re-export name is flagged. Matching is by name,
+//!   `benchmark/src`. Not references: a line defining an item of that
+//!   name (its own, or another of any visibility: a private `fn X`
+//!   elsewhere does not keep `pub fn X` alive), the `impl` blocks of that
+//!   same type, and what a `pub use` / `pub mod` line declares (only its
+//!   path segments before a `::` count) — so an item only tests or its
+//!   own re-export name is flagged. Matching is by name,
 //!   not by resolved path, so a name shared with any live item (or a local,
 //!   a field, a `#[cfg(test)] mod x;` file read as code) counts as used:
 //!   the rule misses some dead items but never reports a live one.
@@ -531,8 +533,19 @@ fn idents(code: &str) -> impl Iterator<Item = &str> {
 /// The name a `pub` item defined on this (stripped, trimmed) line
 /// introduces. `pub(crate)` and its kin are not `pub`.
 fn pub_item_name(code: &str) -> Option<&str> {
+    item_name(code.strip_prefix("pub ")?)
+}
+
+/// The name an item of any visibility defined on this (stripped, trimmed)
+/// line introduces.
+fn item_name(code: &str) -> Option<&str> {
     const KINDS: &str = "fn struct enum trait type const static mod";
-    let mut words = code.strip_prefix("pub ")?.split_whitespace().peekable();
+    let code = match code.strip_prefix("pub") {
+        Some(rest) if rest.starts_with(' ') => rest,
+        Some(rest) if rest.starts_with('(') => &rest[rest.find(')')? + 1..],
+        _ => code,
+    };
+    let mut words = code.split_whitespace().peekable();
     while let Some(w) = words.next() {
         let fn_const = w == "const" && words.peek().is_some_and(|n| matches!(*n, "fn" | "unsafe"));
         if fn_const || matches!(w, "unsafe" | "async" | "extern") {
@@ -582,8 +595,7 @@ fn dead_surface(files: &[(&str, &str)]) -> Vec<LintViolation> {
                 imp = impl_self_type(t).map(|ty| (ty.to_string(), depth, false));
             }
             in_pub_use |= t.starts_with("pub use ");
-            let def = pub_item_name(t).filter(|_| defining);
-            if def.is_some() && !allowed(&raw, idx, "dead-surface") {
+            if defining && pub_item_name(t).is_some() && !allowed(&raw, idx, "dead-surface") {
                 defs.push(LintViolation {
                     rule: "dead-surface",
                     file: path.to_string(),
@@ -597,7 +609,8 @@ fn dead_surface(files: &[(&str, &str)]) -> Vec<LintViolation> {
                 let heads = t.split("::").take(t.matches("::").count());
                 heads.filter_map(|head| idents(head).last()).collect()
             } else {
-                let other = |w: &&str| Some(*w) != def && Some(*w) != own_type;
+                let defined = item_name(t);
+                let other = |w: &&str| Some(*w) != defined && Some(*w) != own_type;
                 idents(t).filter(other).collect()
             };
             used.extend(refs.into_iter().map(str::to_string));

@@ -96,6 +96,7 @@ pub fn used_by_other_crate() {}
 pub fn used_by_example() {}
 pub fn used_by_benchmark() {}
 pub fn shares_a_live_name() {}
+pub fn only_privately_redefined() {}
 pub fn allowed_here() {} // ncs-lint: allow(dead-surface) kept on purpose
 // ncs-lint: allow(dead-surface) kept on purpose
 pub fn allowed_above() {}
@@ -114,7 +115,11 @@ fn dead_surface_flags_items_only_tests_or_their_reexport_name() {
         ("crates/a/tests/t.rs", "fn t() { a::only_in_tests_dir(); }\n"),
         ("crates/b/src/lib.rs", "pub fn shares_a_live_name() {}\nfn f() { shares_a_live_name(); a::used_by_other_crate(); }\n"),
         ("examples/e.rs", "fn main() { a::used_by_example(); }\n"),
-        ("benchmark/src/main.rs", "fn main() { a::used_by_benchmark(); }\n"),
+        (
+            "benchmark/src/main.rs",
+            "fn main() { a::used_by_benchmark(); }\nfn only_privately_redefined(x: u8) {}\n",
+        ),
+        ("crates/c/src/lib.rs", "pub(crate) fn only_privately_redefined() {}\n"),
     ]);
     assert!(v.iter().all(|x| x.rule == "dead-surface"), "{v:#?}");
     let flagged: Vec<&str> = v.iter().map(|x| x.snippet.as_str()).collect();
@@ -125,6 +130,7 @@ fn dead_surface_flags_items_only_tests_or_their_reexport_name() {
             "pub fn only_in_tests_dir() {}",
             "pub fn only_reexported() {}",
             "pub struct OnlyInOwnImpl;",
+            "pub fn only_privately_redefined() {}",
             "pub fn allowed_without_reason() {} // ncs-lint: allow(dead-surface)",
         ]
     );

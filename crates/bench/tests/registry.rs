@@ -95,3 +95,26 @@ fn explore_reprints_its_checked_in_document() {
         path.display()
     );
 }
+
+#[test]
+fn chaos_reprints_its_checked_in_document_but_for_the_host() {
+    let e = find("chaos").expect("registered");
+    let mut report = Report::default();
+    (e.run)(&Opts::default(), &mut report);
+    let file = report.bench.expect("chaos writes a JSON document");
+    let path = results_dir().join(file).with_extension("json");
+    let checked_in = std::fs::read_to_string(&path).expect("checked-in result");
+    // Every field is virtual time or a count but `worker_cpus`, the host's.
+    let virtual_only = |doc: &str| -> Vec<String> {
+        doc.lines()
+            .filter(|line| !line.trim_start().starts_with("\"worker_cpus\":"))
+            .map(str::to_owned)
+            .collect()
+    };
+    assert_eq!(
+        virtual_only(&report.json(e.name, false)),
+        virtual_only(&checked_in),
+        "{} is stale: run `xp chaos`",
+        path.display()
+    );
+}

@@ -15,6 +15,4 @@
 mod run_queue;
 pub mod runtime;
 
-pub use runtime::{
-    Mts, MtsConfig, MtsCtx, MtsThreadReport, MtsThreadState, MtsTid, PRIORITY_LEVELS,
-};
+pub use runtime::{Mts, MtsConfig, MtsCtx, MtsTid, PRIORITY_LEVELS};

@@ -5,7 +5,7 @@
 //! * **N = 16 priority levels**, round-robin within a level (the run
 //!   queue of `run_queue.rs`);
 //! * thread states **running / runnable / blocked**, plus a timed sleep, a
-//!   kernel-level wait and exit ([`MtsThreadState`]);
+//!   kernel-level wait and exit;
 //! * **cooperative** scheduling: a thread runs until it blocks, yields, or
 //!   exits — there is no preemption, exactly like QuickThreads-based
 //!   user-level packages;
@@ -27,8 +27,8 @@
 //! ([`ncs_sim::Sim::spawn_parked`]): a thread's first run is its first
 //! dispatch.
 //!
-//! This file is the dispatcher; its analysis half (the wait-for scan, the
-//! run-queue invariants, the thread report) lives in `runtime/analysis.rs`.
+//! This file is the dispatcher; its analysis half (the wait-for scan and
+//! the run-queue invariants) lives in `runtime/analysis.rs`.
 
 use ncs_sim::sync::Mutex;
 use ncs_sim::{ActorId, AnalysisConfig, ChoicePoint, Ctx, Dur, Sim, SimTime, SpanKind, ThreadId};
@@ -37,8 +37,6 @@ use std::sync::Arc;
 use crate::run_queue::RunQueue;
 
 mod analysis;
-
-pub use analysis::MtsThreadReport;
 
 /// Number of priority levels (the paper's current implementation: N = 16).
 pub const PRIORITY_LEVELS: usize = 16;
@@ -260,11 +258,6 @@ impl Mts {
         !self.inner.lock().runnable.is_empty()
     }
 
-    /// The process name this runtime models.
-    pub fn proc_name(&self) -> String {
-        self.inner.lock().proc_name.clone()
-    }
-
     /// Interned tracer actor for `tid` — the allocation-free handle for
     /// hot-path span recording ([`ncs_sim::Tracer::span_on`]).
     pub fn actor_id(&self, tid: MtsTid) -> ActorId {
@@ -399,9 +392,9 @@ impl Mts {
     }
 }
 
-/// Scheduling state of an MTS thread (as in a [`MtsThreadReport`]).
+/// Scheduling state of an MTS thread.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MtsThreadState {
+pub(crate) enum MtsThreadState {
     /// In the run queue (including not-yet-first-run threads).
     Runnable,
     /// Owns the process CPU.

@@ -1,9 +1,6 @@
 //! The dispatcher's analysis half: the wait-for scan that reports
-//! deadlocks, the run-queue invariants, and the per-thread report a
-//! post-run pass classifies stuck threads with. All of it reads the
-//! runtime's state; none of it decides a dispatch.
-
-use ncs_sim::{SimTime, WaitGraph};
+//! deadlocks and the run-queue invariants. All of it reads the runtime's
+//! state; none of it decides a dispatch.
 
 use super::{Inner, Mts, MtsThreadState, MtsTid};
 
@@ -35,23 +32,36 @@ impl Mts {
     }
 
     /// Wait-for cycles among currently blocked threads, each sorted by
-    /// thread id (deterministic order).
+    /// thread id, in sorted order. A blocked thread waits on at most one
+    /// sibling, so the wait-for graph is functional: one walk from each
+    /// blocked thread along `wait_on`, through blocked targets only,
+    /// visits every thread once, and a walk that meets its own trail has
+    /// closed a cycle. A thread waiting on itself is a cycle of one.
     fn wait_cycles(inner: &Inner) -> Vec<Vec<MtsTid>> {
-        let mut g = WaitGraph::new(inner.tcbs.len());
-        for (i, tcb) in inner.tcbs.iter().enumerate() {
-            if tcb.state != MtsThreadState::Blocked {
-                continue;
+        let blocked = |t: &MtsTid| inner.tcbs[t.0 as usize].state == MtsThreadState::Blocked;
+        // The walk (numbered by its start) that first reached each thread.
+        let mut walk_of = vec![usize::MAX; inner.tcbs.len()];
+        let mut cycles = Vec::new();
+        for start in 0..inner.tcbs.len() {
+            let mut trail = Vec::new();
+            let mut at = Some(MtsTid(start as u32)).filter(blocked);
+            while let Some(t) = at.filter(|t| walk_of[t.0 as usize] == usize::MAX) {
+                walk_of[t.0 as usize] = start;
+                trail.push(t);
+                at = inner.tcbs[t.0 as usize].wait_on.filter(blocked);
             }
-            if let Some(w) = tcb.wait_on {
-                if inner.tcbs[w.0 as usize].state == MtsThreadState::Blocked {
-                    g.add_edge(i, w.0 as usize);
-                }
+            if let Some(t) = at.filter(|t| walk_of[t.0 as usize] == start) {
+                let first = trail
+                    .iter()
+                    .position(|&x| x == t)
+                    .expect("t is on this trail");
+                let mut cycle = trail.split_off(first);
+                cycle.sort_unstable();
+                cycles.push(cycle);
             }
         }
-        g.cycles()
-            .into_iter()
-            .map(|c| c.into_iter().map(|x| MtsTid(x as u32)).collect())
-            .collect()
+        cycles.sort_unstable();
+        cycles
     }
 
     /// Runs the run-queue membership invariants when the analysis pass is
@@ -122,51 +132,66 @@ impl Mts {
         running
     }
 
-    /// Snapshot of every thread's scheduling state and wait edge — what a
-    /// post-run analysis pass uses to classify stuck threads.
-    pub fn thread_report(&self) -> Vec<MtsThreadReport> {
-        let inner = self.inner.lock();
-        inner
-            .tcbs
-            .iter()
-            .enumerate()
-            .map(|(i, tcb)| MtsThreadReport {
-                tid: MtsTid(i as u32),
-                name: tcb.name.clone(),
-                state: tcb.state,
-                wait_on: tcb.wait_on,
-                blocked_since: tcb.blocked_since,
-            })
-            .collect()
-    }
-
-    /// Wait-for cycles among the currently blocked threads. Each cycle is
-    /// sorted by thread id; an empty result means no deadlock is provable
-    /// from the recorded wait edges.
-    pub fn deadlock_cycles(&self) -> Vec<Vec<MtsTid>> {
-        Self::wait_cycles(&self.inner.lock())
-    }
-
     /// Checks the run-queue membership invariants right now, returning a
     /// description of each inconsistency found (empty when the queue holds
     /// exactly the runnable threads, each once, at its own level).
-    // ncs-lint: allow(dead-surface) queue-invariant oracle analysis/tests/runtime_detection.rs checks
+    // ncs-lint: allow(dead-surface) queue-invariant oracle tests/runtime_detection.rs checks
     pub fn validate_queues(&self) -> Vec<String> {
         Self::validate_inner(&self.inner.lock())
     }
 }
 
-/// One thread's scheduling snapshot (see [`Mts::thread_report`]).
-#[derive(Clone, Debug)]
-pub struct MtsThreadReport {
-    /// Thread id within the process.
-    pub tid: MtsTid,
-    /// Thread name.
-    pub name: String,
-    /// Scheduling state at snapshot time.
-    pub state: MtsThreadState,
-    /// Recorded wait-for edge, if the thread named what it waits on.
-    pub wait_on: Option<MtsTid>,
-    /// When the thread's current wait began, if it is waiting.
-    pub blocked_since: Option<SimTime>,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::MtsConfig;
+    use ncs_sim::Sim;
+
+    /// `wait_cycles` over hand-set states: `edges[i]` is thread `i`'s
+    /// wait edge when it is blocked, `None` when it is runnable.
+    fn cycles(edges: &[Option<Option<u32>>]) -> Vec<Vec<u32>> {
+        let sim = Sim::new();
+        let mts = Mts::new(&sim, "p", MtsConfig::default());
+        for i in 0..edges.len() {
+            mts.spawn(format!("w{i}"), 5, |_| {});
+        }
+        let mut inner = mts.inner.lock();
+        for (tcb, edge) in inner.tcbs.iter_mut().zip(edges) {
+            if let Some(wait_on) = edge {
+                tcb.state = MtsThreadState::Blocked;
+                tcb.wait_on = wait_on.map(MtsTid);
+            }
+        }
+        let found = Mts::wait_cycles(&inner);
+        found
+            .into_iter()
+            .map(|c| c.into_iter().map(|t| t.0).collect())
+            .collect()
+    }
+
+    #[test]
+    fn a_self_wait_is_a_ring_of_one() {
+        assert_eq!(cycles(&[Some(Some(0))]), [[0]]);
+        // A tail into it is not on it.
+        assert_eq!(cycles(&[Some(Some(1)), Some(Some(1))]), [[1]]);
+    }
+
+    #[test]
+    fn chains_and_tails_are_not_rings() {
+        let edges = [
+            Some(Some(3)), // 0 -> 3: tail into the ring {3, 5}
+            Some(Some(2)), // 1 -> 2: waits on a runnable thread, no edge
+            None,          // 2: runnable
+            Some(Some(5)), // 3 -> 5 -> 3: a ring
+            Some(Some(0)), // 4 -> 0 -> 3: a longer tail
+            Some(Some(3)),
+            Some(None), // 6: blocked anonymously
+            Some(Some(8)),
+            Some(Some(9)), // 7 -> 8 -> 9 -> 7: a ring whose walk starts at 7
+            Some(Some(7)),
+        ];
+        assert_eq!(cycles(&edges), [vec![3, 5], vec![7, 8, 9]]);
+        let chain = [Some(Some(1)), Some(Some(2)), Some(None)];
+        assert!(cycles(&chain).is_empty());
+    }
 }

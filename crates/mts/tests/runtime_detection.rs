@@ -1,13 +1,23 @@
 //! Runtime-analysis detection tests: a deliberately deadlocked pair of
-//! MTS threads is caught by the scheduler's wait-for-graph scan, a thread
-//! nobody ever wakes is flagged as a lost wakeup, and the offline
-//! classifier agrees with both.
+//! MTS threads is reported by the scheduler's wait-for scan, a thread
+//! nobody ever wakes is reported by the kernel as a lost wakeup, and a
+//! clean run reports nothing. Each report is asserted in full.
 
-use ncs_analysis::check_outcome;
 use ncs_mts::{Mts, MtsConfig, MtsTid};
 use ncs_sim::sync::Mutex;
-use ncs_sim::{AnalysisConfig, Sim, StopReason};
+use ncs_sim::{AnalysisConfig, Sim, StopReason, Violation};
 use std::sync::Arc;
+
+fn violation(check: &'static str, actor: &str, detail: &str) -> Violation {
+    Violation {
+        check,
+        actor: actor.to_string(),
+        detail: detail.to_string(),
+    }
+}
+
+const PARKED: &str = "still parked after the event queue drained; no pending event, \
+                      timer, or in-flight frame can unblock it";
 
 #[test]
 fn two_thread_cyclic_wait_is_reported_as_deadlock() {
@@ -28,31 +38,27 @@ fn two_thread_cyclic_wait_is_reported_as_deadlock() {
         m.block_on(ta); // ... which waits on a: a cycle.
     });
     *b_cell.lock() = Some(tb);
+    assert_eq!((ta, tb), (MtsTid(0), MtsTid(1)));
 
     let mts2 = mts.clone();
     sim.spawn("main", move |ctx| mts2.start(ctx));
     let out = sim.run();
 
     assert_eq!(out.reason, StopReason::Completed);
-    assert!(!out.blocked.is_empty(), "both threads must be stuck");
-
-    let vs = sink.violations();
-    let deadlocks: Vec<_> = vs.iter().filter(|v| v.check == "deadlock").collect();
-    assert!(
-        !deadlocks.is_empty(),
-        "scheduler must report the cycle; sink: {vs:#?}"
+    assert_eq!(out.blocked, ["proc0/a", "proc0/b", "main"]);
+    assert_eq!(
+        sink.violations(),
+        [
+            violation(
+                "deadlock",
+                "proc0",
+                "cyclic wait among blocked threads: t0/a -> t1/b, t1/b -> t0/a",
+            ),
+            violation("lost-wakeup", "proc0/a", PARKED),
+            violation("lost-wakeup", "proc0/b", PARKED),
+            violation("lost-wakeup", "main", PARKED),
+        ]
     );
-    assert!(
-        deadlocks[0].detail.contains("a") && deadlocks[0].detail.contains("b"),
-        "cycle detail names both threads: {}",
-        deadlocks[0].detail
-    );
-
-    // Offline classification agrees and names both threads.
-    let offline = check_outcome(&out, &[&mts]);
-    let stuck: Vec<_> = offline.iter().filter(|v| v.check == "deadlock").collect();
-    assert_eq!(stuck.len(), 2, "offline: {offline:#?}");
-    assert_eq!(mts.deadlock_cycles(), vec![vec![ta, tb]]);
 }
 
 #[test]
@@ -71,26 +77,15 @@ fn forgotten_unblock_is_reported_as_lost_wakeup() {
     sim.spawn("main", move |ctx| mts2.start(ctx));
     let out = sim.run();
 
+    // A single anonymous block is not a cycle: only the kernel reports.
     assert_eq!(out.reason, StopReason::Completed);
-    let vs = sink.violations();
-    assert!(
-        vs.iter()
-            .any(|v| v.check == "lost-wakeup" && v.actor.contains("loner")),
-        "kernel must flag the parked thread; sink: {vs:#?}"
+    assert_eq!(
+        sink.violations(),
+        [
+            violation("lost-wakeup", "proc0/loner", PARKED),
+            violation("lost-wakeup", "main", PARKED),
+        ]
     );
-    assert!(
-        vs.iter().all(|v| v.check != "deadlock"),
-        "a single anonymous block is not a cycle: {vs:#?}"
-    );
-
-    let offline = check_outcome(&out, &[&mts]);
-    assert!(
-        offline
-            .iter()
-            .any(|v| v.check == "lost-wakeup" && v.actor == "proc0/loner"),
-        "offline: {offline:#?}"
-    );
-    assert!(offline.iter().all(|v| v.check != "deadlock"));
 }
 
 #[test]
@@ -122,5 +117,4 @@ fn clean_runs_report_nothing_and_queues_validate() {
         sink.violations()
     );
     assert!(mts.validate_queues().is_empty());
-    assert!(check_outcome(&out, &[&mts]).is_empty());
 }

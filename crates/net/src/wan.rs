@@ -183,10 +183,6 @@ pub fn spawn_vbr(sim: &Sim, fabric: Arc<dyn Fabric>, cfg: VbrConfig) -> VbrHandl
                 let t = fabric.transfer(cfg.src, cfg.dst, VBR_CHUNK_BYTES, ctx.now());
                 bytes.fetch_add(VBR_CHUNK_BYTES as u64, Ordering::Relaxed);
                 chunks.fetch_add(1, Ordering::Relaxed);
-                ctx.sim().with_tracer(|tr| {
-                    tr.count("vbr.chunks", 1);
-                    tr.count("vbr.bytes", VBR_CHUNK_BYTES as u64);
-                });
                 let pace = t.first_hop_done.saturating_since(ctx.now());
                 ctx.sleep(if pace.is_zero() {
                     Dur::from_micros(1)

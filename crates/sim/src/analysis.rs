@@ -3,12 +3,15 @@
 //! The analysis pass is deliberately split in two:
 //!
 //! * this module holds the *mechanism* — a cheap on/off [`AnalysisConfig`]
-//!   flag that travels inside the existing configuration structs, a shared
-//!   [`InvariantSink`] collecting structured [`Violation`] reports, and a
-//!   [`WaitGraph`] cycle detector over blocked threads;
-//! * the `ncs-analysis` crate holds the *policy* — the source-level
-//!   determinism lint and post-run classification; `ncs-bench` holds the
-//!   schedule explorer that arms them across alternative schedules.
+//!   flag that travels inside the existing configuration structs and a
+//!   shared [`InvariantSink`] collecting structured [`Violation`] reports
+//!   and the per-channel delivery log;
+//! * each layer holds its own *checks*, next to the state they read: the
+//!   kernel flags threads still parked when the queue drains (lost
+//!   wakeups), the MTS scheduler walks its wait-for edges when a process
+//!   goes idle (deadlocks), and the message-passing core checks its
+//!   protocol conservation laws. `ncs-bench`'s schedule explorer arms them
+//!   across alternative schedules.
 //!
 //! Keeping the mechanism here lets the MTS runtime, the message-passing
 //! core, and the kernel itself report violations without any dependency
@@ -191,166 +194,9 @@ impl AnalysisConfig {
     }
 }
 
-/// A wait-for graph over dense thread ids.
-///
-/// Node `t` having an edge to `u` means "thread `t` is blocked until
-/// thread `u` acts". A cycle therefore proves a deadlock among the threads
-/// on it. Cycle enumeration is Tarjan's strongly-connected-components
-/// algorithm; an SCC is a deadlock when it has more than one node, or a
-/// single node with a self-loop.
-#[derive(Clone, Debug, Default)]
-pub struct WaitGraph {
-    edges: Vec<Vec<usize>>,
-}
-
-impl WaitGraph {
-    /// An empty graph with `n` nodes and no edges.
-    pub fn new(n: usize) -> WaitGraph {
-        WaitGraph {
-            edges: vec![Vec::new(); n],
-        }
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// True if the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
-    /// Adds the wait edge `from -> to`, growing the graph as needed.
-    pub fn add_edge(&mut self, from: usize, to: usize) {
-        let need = from.max(to) + 1;
-        if self.edges.len() < need {
-            self.edges.resize(need, Vec::new());
-        }
-        self.edges[from].push(to);
-    }
-
-    /// Every deadlocked group: SCCs of size ≥ 2, plus single nodes with a
-    /// self-loop. Each group is sorted by node id; groups are sorted by
-    /// their smallest member, so output is deterministic regardless of
-    /// insertion order.
-    pub fn cycles(&self) -> Vec<Vec<usize>> {
-        let n = self.edges.len();
-        let mut state = TarjanState {
-            edges: &self.edges,
-            index: vec![usize::MAX; n],
-            lowlink: vec![0; n],
-            on_stack: vec![false; n],
-            stack: Vec::new(),
-            next_index: 0,
-            sccs: Vec::new(),
-        };
-        for v in 0..n {
-            if state.index[v] == usize::MAX {
-                state.visit(v);
-            }
-        }
-        let mut out: Vec<Vec<usize>> = state
-            .sccs
-            .into_iter()
-            .filter(|scc| scc.len() > 1 || self.edges[scc[0]].contains(&scc[0]))
-            .map(|mut scc| {
-                scc.sort_unstable();
-                scc
-            })
-            .collect();
-        out.sort();
-        out
-    }
-}
-
-struct TarjanState<'a> {
-    edges: &'a [Vec<usize>],
-    index: Vec<usize>,
-    lowlink: Vec<usize>,
-    on_stack: Vec<bool>,
-    stack: Vec<usize>,
-    next_index: usize,
-    sccs: Vec<Vec<usize>>,
-}
-
-impl TarjanState<'_> {
-    /// Iterative Tarjan visit (explicit work stack, so deep chains in
-    /// property tests cannot overflow the call stack).
-    fn visit(&mut self, root: usize) {
-        // (node, next-neighbour-position) frames.
-        let mut frames: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(&(v, pos)) = frames.last() {
-            if pos == 0 {
-                self.index[v] = self.next_index;
-                self.lowlink[v] = self.next_index;
-                self.next_index += 1;
-                self.stack.push(v);
-                self.on_stack[v] = true;
-            }
-            if let Some(&w) = self.edges[v].get(pos) {
-                frames.last_mut().expect("frame present").1 = pos + 1;
-                if self.index[w] == usize::MAX {
-                    frames.push((w, 0));
-                } else if self.on_stack[w] {
-                    self.lowlink[v] = self.lowlink[v].min(self.index[w]);
-                }
-                continue;
-            }
-            // All neighbours done: close the frame.
-            frames.pop();
-            if let Some(&(parent, _)) = frames.last() {
-                self.lowlink[parent] = self.lowlink[parent].min(self.lowlink[v]);
-            }
-            if self.lowlink[v] == self.index[v] {
-                let mut scc = Vec::new();
-                loop {
-                    let w = self.stack.pop().expect("tarjan stack underflow");
-                    self.on_stack[w] = false;
-                    scc.push(w);
-                    if w == v {
-                        break;
-                    }
-                }
-                self.sccs.push(scc);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_and_dag_have_no_cycles() {
-        assert!(WaitGraph::new(0).cycles().is_empty());
-        let mut g = WaitGraph::new(4);
-        g.add_edge(0, 1);
-        g.add_edge(1, 2);
-        g.add_edge(0, 3);
-        g.add_edge(3, 2);
-        assert!(g.cycles().is_empty());
-    }
-
-    #[test]
-    fn self_loop_and_two_cycle_found() {
-        let mut g = WaitGraph::new(5);
-        g.add_edge(4, 4);
-        g.add_edge(1, 2);
-        g.add_edge(2, 1);
-        g.add_edge(0, 1); // tail into the cycle, not part of it
-        assert_eq!(g.cycles(), vec![vec![1, 2], vec![4]]);
-    }
-
-    #[test]
-    fn add_edge_grows_graph() {
-        let mut g = WaitGraph::new(0);
-        g.add_edge(2, 0);
-        g.add_edge(0, 2);
-        assert_eq!(g.len(), 3);
-        assert_eq!(g.cycles(), vec![vec![0, 2]]);
-    }
 
     #[test]
     fn delivery_log_orders_per_channel() {

@@ -28,8 +28,8 @@
 //! * [`sync`] — the one lock seam (`Mutex`, `Condvar` + `wait`) every
 //!   crate in the workspace takes its locks from;
 //! * [`prop`] — seeded property-test harness on [`SimRng`];
-//! * [`analysis`] — runtime-analysis primitives (violation sink,
-//!   wait-for-graph cycle detection) shared by the layers above;
+//! * [`analysis`] — runtime-analysis primitives (the on/off switch, the
+//!   violation sink, the delivery log) shared by the layers above;
 //! * [`sched`] — the pluggable [`SchedulePolicy`] seam: named legal
 //!   choice points (event tie-breaks, runnable rotation, fault timing)
 //!   that schedule exploration drives through alternative interleavings.
@@ -71,9 +71,7 @@ mod timeline;
 mod trace;
 pub mod wheel;
 
-pub use analysis::{
-    fnv1a, AnalysisConfig, ChannelKey, InvariantSink, Violation, WaitGraph, FNV_OFFSET,
-};
+pub use analysis::{fnv1a, AnalysisConfig, ChannelKey, InvariantSink, Violation, FNV_OFFSET};
 pub use channel::{Closed, SimChannel};
 pub use chrome::chrome_trace_json;
 pub use engine::{
