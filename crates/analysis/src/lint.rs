@@ -46,10 +46,11 @@
 //!   non-test code under `crates/*/src`, `src/`, `examples/` or the frozen
 //!   `benchmark/src`. Not references: a line defining an item of that
 //!   name (its own, or another of any visibility: a private `fn X`
-//!   elsewhere does not keep `pub fn X` alive), the `impl` blocks of that
-//!   same type, and what a `pub use` / `pub mod` line declares (only its
-//!   path segments before a `::` count) — so an item only tests or its
-//!   own re-export name is flagged. Matching is by name,
+//!   elsewhere does not keep `pub fn X` alive), a bare `X` (after neither
+//!   `.` nor `::`) in a file whose top level defines a non-`pub` `X`, the
+//!   `impl` blocks of that same type, and what a `pub use` / `pub mod`
+//!   line declares (only its path segments before a `::` count) — so an
+//!   item only tests or its own re-export name is flagged. Matching is by name,
 //!   not by resolved path, so a name shared with any live item (or a local,
 //!   a field, a `#[cfg(test)] mod x;` file read as code) counts as used:
 //!   the rule misses some dead items but never reports a live one.
@@ -589,7 +590,15 @@ fn dead_surface(files: &[(&str, &str)]) -> Vec<LintViolation> {
         // The `impl` block we are in: (self type, header depth, body opened).
         let mut imp: Option<(String, i64, bool)> = None;
         let mut in_pub_use = false;
-        for (idx, depth, code) in code_lines(source) {
+        let lines = code_lines(source);
+        // Non-`pub` items defined at this file's top level: a bare use of
+        // one of these names in this file is that item, not a `pub` one.
+        let local: BTreeSet<&str> = lines
+            .iter()
+            .filter(|l| l.1 == 0 && pub_item_name(l.2.trim()).is_none())
+            .filter_map(|l| item_name(l.2.trim()))
+            .collect();
+        for &(idx, depth, ref code) in &lines {
             let t = code.trim();
             if imp.is_none() {
                 imp = impl_self_type(t).map(|ty| (ty.to_string(), depth, false));
@@ -611,7 +620,12 @@ fn dead_surface(files: &[(&str, &str)]) -> Vec<LintViolation> {
             } else {
                 let defined = item_name(t);
                 let other = |w: &&str| Some(*w) != defined && Some(*w) != own_type;
-                idents(t).filter(other).collect()
+                // `w` is a slice of `t`: bare is after neither `.` nor `::`.
+                let own_local = |w: &&str| {
+                    let before = t[..w.as_ptr() as usize - t.as_ptr() as usize].trim_end();
+                    local.contains(w) && !before.ends_with('.') && !before.ends_with("::")
+                };
+                idents(t).filter(|w| other(w) && !own_local(w)).collect()
             };
             used.extend(refs.into_iter().map(str::to_string));
             in_pub_use &= !t.contains(';');

@@ -97,6 +97,9 @@ pub fn used_by_example() {}
 pub fn used_by_benchmark() {}
 pub fn shares_a_live_name() {}
 pub fn only_privately_redefined() {}
+pub fn only_privately_called() {}
+pub fn kept_by_qualified_call() {}
+pub fn kept_by_method_call() {}
 pub fn allowed_here() {} // ncs-lint: allow(dead-surface) kept on purpose
 // ncs-lint: allow(dead-surface) kept on purpose
 pub fn allowed_above() {}
@@ -117,7 +120,10 @@ fn dead_surface_flags_items_only_tests_or_their_reexport_name() {
         ("examples/e.rs", "fn main() { a::used_by_example(); }\n"),
         (
             "benchmark/src/main.rs",
-            "fn main() { a::used_by_benchmark(); }\nfn only_privately_redefined(x: u8) {}\n",
+            "fn main() { a::used_by_benchmark(); }\nfn only_privately_redefined(x: u8) {}\n\
+             fn only_privately_called() {}\nfn kept_by_qualified_call() {}\nfn kept_by_method_call() {}\n\
+             fn g() { only_privately_called(); kept_by_qualified_call(); a::kept_by_qualified_call(); }\n\
+             fn h(x: X) { kept_by_method_call(); x.kept_by_method_call(); }\n",
         ),
         ("crates/c/src/lib.rs", "pub(crate) fn only_privately_redefined() {}\n"),
     ]);
@@ -131,6 +137,7 @@ fn dead_surface_flags_items_only_tests_or_their_reexport_name() {
             "pub fn only_reexported() {}",
             "pub struct OnlyInOwnImpl;",
             "pub fn only_privately_redefined() {}",
+            "pub fn only_privately_called() {}",
             "pub fn allowed_without_reason() {} // ncs-lint: allow(dead-surface)",
         ]
     );

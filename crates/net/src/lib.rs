@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod aal5;
-pub mod api;
 pub mod atm;
 pub mod cell;
 pub mod crc;
@@ -47,7 +46,6 @@ pub mod stack;
 pub mod topology;
 pub mod wan;
 
-pub use api::{AtmApi, TrafficClass, Vc, VcTable};
 pub use faults::{ChaosNet, ChaosParams, FaultStats, FaultStatsSnapshot};
 pub use atm::{AtmFabric, Topology};
 pub use fabric::{Fabric, IdealFabric, NodeId, TransferTiming};

@@ -493,9 +493,7 @@ impl Transport for TcpParams {
             }
         }
         ctx.sim().with_tracer(|tr| {
-            tr.count("tcp.msgs", 1);
             tr.count("tcp.bytes", len as u64);
-            tr.count("tcp.segments", nseg as u64);
             if lost {
                 tr.count("tcp.fabric_drops", 1);
             }
@@ -661,7 +659,6 @@ impl Transport for AtmAdapters {
         // it already put on the fabric.
         ctx.sim().with_tracer(|tr| {
             tr.count("atm.cells", cells_sent);
-            tr.count("atm.msgs", 1);
             tr.count("atm.bytes", len as u64);
             if lost {
                 tr.count("atm.fabric_drops", 1);
@@ -858,10 +855,7 @@ mod tests {
             24_000 - 2 * IO_BUFFER_BYTES,
         ];
         let expected: usize = chunks.iter().map(|&c| aal5::cells_for_pdu(c)).sum();
-        let cells = sim.with_tracer(|tr| {
-            assert_eq!(tr.counter("atm.cell_events"), 0);
-            tr.counter("atm.cells")
-        });
+        let cells = sim.with_tracer(|tr| tr.counter("atm.cells"));
         assert_eq!(cells, expected as u64);
         assert!(
             2 * out.events <= out.events + cells,
@@ -1088,10 +1082,7 @@ mod counter_tests {
         });
         sim.run().assert_clean();
         sim.with_tracer(|tr| {
-            assert_eq!(tr.counter("tcp.msgs"), 1);
             assert_eq!(tr.counter("tcp.bytes"), 3000);
-            assert_eq!(tr.counter("tcp.segments"), 3); // ceil(3000/1460)
-            assert_eq!(tr.counter("atm.msgs"), 1);
             assert_eq!(tr.counter("atm.bytes"), 100);
             assert_eq!(tr.counter("atm.cells"), 3); // ceil((100+8)/48)
         });

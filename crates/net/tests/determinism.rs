@@ -1,14 +1,12 @@
-//! Regression tests for the nondeterministic map iteration the analysis
-//! layer's `hash-collection` lint flagged: the VC table and the fault
-//! injector now use ordered maps, so two identical seeded runs must
-//! produce bit-identical traces.
+//! Two identical seeded runs over the fault injector, whose maps are ordered
+//! since the `hash-collection` lint flagged them, replay bit-identically.
 
 use bytes::Bytes;
 use ncs_net::atm::{AtmFabric, AtmLanParams};
 use ncs_net::fabric::NodeId;
 use ncs_net::faults::{ChaosNet, ChaosParams};
 use ncs_net::stack::{BlockingWait, Network, TcpNet, TcpParams};
-use ncs_net::{api::AtmApi, api::TrafficClass, api::VcTable, HostParams};
+use ncs_net::HostParams;
 use ncs_sim::{Sim, SimTime};
 use std::sync::Arc;
 
@@ -73,57 +71,4 @@ fn identical_seeded_runs_have_identical_traces() {
         chaotic_run(),
         "seeded runs over the faulty stack must replay bit-exactly"
     );
-}
-
-#[test]
-fn vc_table_iterates_in_circuit_order() {
-    // Allocation across many peers, then release of every other circuit:
-    // the table's behaviour (and thus anything iterating it) must not
-    // depend on hash order.
-    let mk = || {
-        let mut t = VcTable::new();
-        let mut vcs = Vec::new();
-        for peer in (1..8).rev() {
-            vcs.push(
-                t.allocate(NodeId(0), NodeId(peer), TrafficClass::Ubr)
-                    .unwrap(),
-            );
-        }
-        for vc in vcs.iter().step_by(2) {
-            t.release(*vc).unwrap();
-        }
-        (t.open_count(), vcs)
-    };
-    assert_eq!(mk(), mk());
-}
-
-#[test]
-fn atm_api_roundtrip_is_replayable() {
-    let run = || {
-        let sim = Sim::new();
-        let nodes = 2;
-        let fabric = Arc::new(AtmFabric::new(AtmLanParams::fore_lan(nodes)));
-        let tcp: Arc<dyn Network> = Arc::new(TcpNet::new(
-            fabric,
-            vec![HostParams::sparc_ipx(); nodes],
-            TcpParams::ip_over_atm(),
-        ));
-        let a = Arc::new(AtmApi::bind(NodeId(0), Arc::clone(&tcp)));
-        let b = Arc::new(AtmApi::bind(NodeId(1), tcp));
-        sim.spawn("a", move |ctx| {
-            let vc = a.open(NodeId(1), TrafficClass::Ubr).unwrap();
-            a.send(ctx, vc, Bytes::from_static(b"determinism probe"))
-                .unwrap();
-            let echo = a.recv(ctx, vc).unwrap();
-            assert_eq!(&echo[..], b"determinism probe");
-        });
-        sim.spawn("b", move |ctx| {
-            let vc = b.open(NodeId(0), TrafficClass::Ubr).unwrap();
-            let pdu = b.recv(ctx, vc).unwrap();
-            b.send(ctx, vc, pdu).unwrap();
-        });
-        sim.run().assert_clean();
-        sim.trace_hash()
-    };
-    assert_eq!(run(), run());
 }

@@ -160,6 +160,7 @@ pub fn check(name: &str, cases: u32, property: impl Fn(&mut Gen)) {
 }
 
 /// Runs `property` on the single case a [`check`] failure named.
+// ncs-lint: allow(dead-surface) a failing check prints this call for the reader to paste into a test
 pub fn replay(seed: u64, property: impl Fn(&mut Gen)) {
     if let Some(f) = falsify(seed, &property) {
         report("replayed case", &f);
