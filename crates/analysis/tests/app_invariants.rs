@@ -7,8 +7,9 @@
 use ncs_apps::fft::{fft_ncs_setup_with, FftConfig};
 use ncs_apps::jpeg_dist::{setup_jpeg_ncs_with, JpegConfig};
 use ncs_apps::matmul::{setup_matmul_ncs_with, MatmulConfig};
+use ncs_apps::{run_app, Verify};
 use ncs_core::{ErrorControl, FlowControl, NcsConfig, ALL_STAGES};
-use ncs_net::Testbed;
+use ncs_net::{Network, Testbed};
 use ncs_sim::{AnalysisConfig, InvariantSink, Sim};
 use std::sync::Arc;
 
@@ -25,73 +26,50 @@ fn checked_cfg() -> (NcsConfig, Arc<InvariantSink>) {
     )
 }
 
-/// Every timeline the run stamped follows the canonical
-/// `enqueued -> ... -> delivered` walk in order.
-fn assert_timelines_valid(sim: &Sim) {
+/// Runs what `stage` schedules on a 3-host ATM LAN under `checked_cfg`:
+/// the result must verify, the sink stay empty, and every timeline the run
+/// stamped follow the canonical `enqueued -> ... -> delivered` walk in
+/// order.
+fn run_armed<H: Verify>(stage: impl FnOnce(&Sim, Arc<dyn Network>, NcsConfig) -> H) {
+    let sim = Sim::new();
+    let (cfg, sink) = checked_cfg();
+    let (run, _) = run_app(&sim, |sim| stage(sim, Testbed::SunAtmLanTcp.build(3), cfg));
+    assert!(run.verified);
+    assert!(sink.is_empty(), "violations: {:#?}", sink.violations());
     let errs = sim.with_metrics(|m| m.validate_timelines(&ALL_STAGES));
     assert!(errs.is_empty(), "timeline errors: {errs:#?}");
 }
 
 #[test]
 fn matmul_verifies_with_invariants_armed() {
-    let sim = Sim::new();
-    let (cfg, sink) = checked_cfg();
-    let handle = setup_matmul_ncs_with(
-        &sim,
-        Testbed::SunAtmLanTcp.build(3),
-        MatmulConfig {
-            dim: 32,
-            nodes: 2,
-            seed: 0x4D4D,
-        },
-        cfg,
-    );
-    sim.run().assert_clean();
-    assert!(handle.verify());
-    assert!(sink.is_empty(), "violations: {:#?}", sink.violations());
-    assert_timelines_valid(&sim);
+    let cfg = MatmulConfig {
+        dim: 32,
+        nodes: 2,
+        seed: 0x4D4D,
+    };
+    run_armed(|sim, net, ncs| setup_matmul_ncs_with(sim, net, cfg, ncs));
 }
 
 #[test]
 fn fft_verifies_with_invariants_armed() {
-    let sim = Sim::new();
-    let (cfg, sink) = checked_cfg();
-    let handle = fft_ncs_setup_with(
-        &sim,
-        Testbed::SunAtmLanTcp.build(3),
-        FftConfig {
-            m: 64,
-            sets: 1,
-            nodes: 2,
-            seed: 0xFF7,
-        },
-        cfg,
-    );
-    sim.run().assert_clean();
-    assert!(handle.verify());
-    assert!(sink.is_empty(), "violations: {:#?}", sink.violations());
-    assert_timelines_valid(&sim);
+    let cfg = FftConfig {
+        m: 64,
+        sets: 1,
+        nodes: 2,
+        seed: 0xFF7,
+    };
+    run_armed(|sim, net, ncs| fft_ncs_setup_with(sim, net, cfg, ncs));
 }
 
 #[test]
 fn jpeg_verifies_with_invariants_armed() {
-    let sim = Sim::new();
-    let (cfg, sink) = checked_cfg();
-    let handle = setup_jpeg_ncs_with(
-        &sim,
-        Testbed::SunAtmLanTcp.build(3),
-        JpegConfig {
-            width: 64,
-            height: 64,
-            quality: 60,
-            entropy: ncs_apps::jpeg::EntropyKind::Huffman,
-            nodes: 2,
-            seed: 4,
-        },
-        cfg,
-    );
-    sim.run().assert_clean();
-    assert!(handle.verify());
-    assert!(sink.is_empty(), "violations: {:#?}", sink.violations());
-    assert_timelines_valid(&sim);
+    let cfg = JpegConfig {
+        width: 64,
+        height: 64,
+        quality: 60,
+        entropy: ncs_apps::jpeg::EntropyKind::Huffman,
+        nodes: 2,
+        seed: 4,
+    };
+    run_armed(|sim, net, ncs| setup_jpeg_ncs_with(sim, net, cfg, ncs));
 }

@@ -31,13 +31,14 @@ use ncs_core::{NcsConfig, NcsWorld, ThreadAddr};
 use ncs_net::{Network, NodeId};
 use ncs_p4::create_procgroup;
 use ncs_sim::sync::Mutex;
-use ncs_sim::{Dur, Sim, SimRng};
+use ncs_sim::{Sim, SimRng};
 use std::f64::consts::PI;
 use std::sync::Arc;
 
 use crate::costs::AppCosts;
 use crate::util::charge_compute;
 use crate::workloads::test_signal;
+use crate::{run_app, AppRun, Verify};
 
 /// A complex sample.
 pub type Cx = (f64, f64);
@@ -92,12 +93,18 @@ pub fn dif_fft_in_place(x: &mut [Cx]) {
 pub fn fft(input: &[Cx]) -> Vec<Cx> {
     let mut v = input.to_vec();
     dif_fft_in_place(&mut v);
-    let bits = v.len().trailing_zeros();
     let mut out = vec![(0.0, 0.0); v.len()];
-    for (p, &val) in v.iter().enumerate() {
-        out[bit_reverse(p, bits)] = val;
-    }
+    place(&mut out, 0, v);
     out
+}
+
+/// Writes `vals`, positions `base..` of a bit-reversed-order result, into
+/// the natural-order spectrum `out`.
+fn place(out: &mut [Cx], base: usize, vals: Vec<Cx>) {
+    let bits = out.len().trailing_zeros();
+    for (q, v) in vals.into_iter().enumerate() {
+        out[bit_reverse(base + q, bits)] = v;
+    }
 }
 
 /// Naive O(M²) DFT — the ground truth for tests.
@@ -165,16 +172,11 @@ impl FftUnit {
         t.trailing_zeros() as usize
     }
 
-    /// Initial `A` chunk positions for unit `u`: `V[u·c .. (u+1)·c]`.
-    pub fn init_a_range(m: usize, t: usize, u: usize) -> (usize, usize) {
-        let c = m / (2 * t);
-        (u * c, (u + 1) * c)
-    }
-
-    /// Initial `B` chunk positions: `V[m/2 + u·c ..]`.
-    pub fn init_b_range(m: usize, t: usize, u: usize) -> (usize, usize) {
-        let c = m / (2 * t);
-        (m / 2 + u * c, m / 2 + (u + 1) * c)
+    /// Unit `u` of `t`'s initial chunks of the sample set `v`:
+    /// `A = V[u·c .. (u+1)·c]` and `B = V[m/2 + u·c .. m/2 + (u+1)·c]`.
+    pub fn init_chunks(v: &[Cx], t: usize, u: usize) -> (&[Cx], &[Cx]) {
+        let (c, half) = (v.len() / (2 * t), v.len() / 2);
+        (&v[u * c..(u + 1) * c], &v[half + u * c..half + (u + 1) * c])
     }
 
     /// Butterflies per stage (for cost charging).
@@ -255,9 +257,8 @@ pub fn distributed_fft_reference(input: &[Cx], t: usize) -> Vec<Cx> {
     let m = input.len();
     let mut units: Vec<FftUnit> = (0..t)
         .map(|u| {
-            let (a0, a1) = FftUnit::init_a_range(m, t, u);
-            let (b0, b1) = FftUnit::init_b_range(m, t, u);
-            FftUnit::new(m, t, u, input[a0..a1].to_vec(), input[b0..b1].to_vec())
+            let (a, b) = FftUnit::init_chunks(input, t, u);
+            FftUnit::new(m, t, u, a.to_vec(), b.to_vec())
         })
         .collect();
     for step in 0..FftUnit::cross_stages(t) {
@@ -280,13 +281,10 @@ pub fn distributed_fft_reference(input: &[Cx], t: usize) -> Vec<Cx> {
             units[u].install(ex.lower, incoming);
         }
     }
-    let bits = m.trailing_zeros();
     let mut out = vec![(0.0, 0.0); m];
     for unit in units {
         let (base, vals) = unit.finish_local();
-        for (q, v) in vals.into_iter().enumerate() {
-            out[bit_reverse(base + q, bits)] = v;
-        }
+        place(&mut out, base, vals);
     }
     out
 }
@@ -320,15 +318,6 @@ impl FftConfig {
     }
 }
 
-/// Outcome of one run.
-#[derive(Clone, Copy, Debug)]
-pub struct FftRun {
-    /// End-to-end execution time.
-    pub elapsed: Dur,
-    /// Result matched the sequential FFT on every sample set.
-    pub verified: bool,
-}
-
 fn workload(cfg: &FftConfig) -> (Vec<Vec<Cx>>, Vec<Vec<Cx>>) {
     let mut rng = SimRng::new(cfg.seed);
     let sets: Vec<Vec<Cx>> = (0..cfg.sets)
@@ -338,17 +327,33 @@ fn workload(cfg: &FftConfig) -> (Vec<Vec<Cx>>, Vec<Vec<Cx>>) {
     (sets, expect)
 }
 
-fn verify(expect: &[Vec<Cx>], got: &Mutex<Vec<Option<Vec<Cx>>>>) -> bool {
-    let got = got.lock();
-    expect.iter().enumerate().all(|(i, e)| match &got[i] {
-        None => false,
-        Some(g) => {
-            e.len() == g.len()
-                && e.iter()
-                    .zip(g)
-                    .all(|(a, b)| (a.0 - b.0).abs() < 1e-9 && (a.1 - b.1).abs() < 1e-9)
-        }
-    })
+/// Correctness handle for a staged FFT run.
+pub struct FftHandle {
+    expect: Vec<Vec<Cx>>,
+    got: Arc<Mutex<Vec<Option<Vec<Cx>>>>>,
+}
+
+impl FftHandle {
+    /// Whether every sample set matched the sequential FFT. Call after
+    /// `sim.run()`.
+    pub fn verify(&self) -> bool {
+        let got = self.got.lock();
+        self.expect.iter().enumerate().all(|(i, e)| match &got[i] {
+            None => false,
+            Some(g) => {
+                e.len() == g.len()
+                    && e.iter()
+                        .zip(g)
+                        .all(|(a, b)| (a.0 - b.0).abs() < 1e-9 && (a.1 - b.1).abs() < 1e-9)
+            }
+        })
+    }
+}
+
+impl Verify for FftHandle {
+    fn verify(&self) -> bool {
+        FftHandle::verify(self)
+    }
 }
 
 /// Message tags.
@@ -357,9 +362,15 @@ const TAG_CHUNK_B: u32 = 2;
 const TAG_XCHG: u32 = 16; // + step
 const TAG_RESULT: u32 = 8;
 
-/// Runs the p4 (one single-threaded process per node) variant.
-pub fn fft_p4(net: Arc<dyn Network>, cfg: FftConfig) -> FftRun {
-    let sim = Sim::new();
+/// Runs the p4 variant ([`setup_fft_p4`]) on a fresh simulator. The
+/// benchmark's `paper_apps` times this whole call.
+pub fn fft_p4(net: Arc<dyn Network>, cfg: FftConfig) -> AppRun {
+    run_app(&Sim::new(), |sim| setup_fft_p4(sim, net, cfg)).0
+}
+
+/// Schedules the p4 (one single-threaded process per node) variant onto
+/// an existing simulation.
+pub fn setup_fft_p4(sim: &Sim, net: Arc<dyn Network>, cfg: FftConfig) -> FftHandle {
     let (sets, expect) = workload(&cfg);
     let got: Arc<Mutex<Vec<Option<Vec<Cx>>>>> = Arc::new(Mutex::new(vec![None; cfg.sets]));
 
@@ -382,12 +393,7 @@ pub fn fft_p4(net: Arc<dyn Network>, cfg: FftConfig) -> FftRun {
                 got2.lock()[i] = Some(out);
             }
         });
-        let out = sim.run();
-        out.assert_clean();
-        return FftRun {
-            elapsed: out.end_time.since(ncs_sim::SimTime::ZERO),
-            verified: verify(&expect, &got),
-        };
+        return FftHandle { expect, got };
     }
 
     let t = cfg.nodes; // units = node processes; host is rank 0 of n+1
@@ -399,34 +405,20 @@ pub fn fft_p4(net: Arc<dyn Network>, cfg: FftConfig) -> FftRun {
     let n_sets = cfg.sets;
     let sets = Arc::new(sets);
     let got2 = Arc::clone(&got);
-    create_procgroup(&sim, net, t + 1, move |ctx, p| {
+    create_procgroup(sim, net, t + 1, move |ctx, p| {
         let costs = AppCosts::for_host(p.net().host(NodeId(p.my_id() as u32)));
         if p.my_id() == 0 {
             for (si, set) in sets.iter().enumerate() {
                 for u in 0..t {
-                    let (a0, a1) = FftUnit::init_a_range(m, t, u);
-                    let (b0, b1) = FftUnit::init_b_range(m, t, u);
-                    p.send(
-                        ctx,
-                        TAG_CHUNK_A as i32,
-                        u + 1,
-                        complex_to_bytes(&set[a0..a1]),
-                    );
-                    p.send(
-                        ctx,
-                        TAG_CHUNK_B as i32,
-                        u + 1,
-                        complex_to_bytes(&set[b0..b1]),
-                    );
+                    let (a, b) = FftUnit::init_chunks(set, t, u);
+                    p.send(ctx, TAG_CHUNK_A as i32, u + 1, complex_to_bytes(a));
+                    p.send(ctx, TAG_CHUNK_B as i32, u + 1, complex_to_bytes(b));
                 }
-                let bits = m.trailing_zeros();
                 let mut out = vec![(0.0, 0.0); m];
                 for _ in 0..t {
                     let msg = p.recv(ctx, Some(TAG_RESULT as i32), None);
                     let (base, vals) = decode_result(&msg.data);
-                    for (q, v) in vals.into_iter().enumerate() {
-                        out[bit_reverse(base + q, bits)] = v;
-                    }
+                    place(&mut out, base, vals);
                 }
                 got2.lock()[si] = Some(out);
             }
@@ -473,52 +465,13 @@ pub fn fft_p4(net: Arc<dyn Network>, cfg: FftConfig) -> FftRun {
             }
         }
     });
-    let out = sim.run();
-    out.assert_clean();
-    FftRun {
-        elapsed: out.end_time.since(ncs_sim::SimTime::ZERO),
-        verified: verify(&expect, &got),
-    }
+    FftHandle { expect, got }
 }
 
-/// Runs the NCS_MTS/p4 variant: two threads per node process (`T = 2N`
-/// units); the final exchange partner is the sibling thread, so that hop
-/// never touches the wire.
-pub fn fft_ncs(net: Arc<dyn Network>, cfg: FftConfig) -> FftRun {
-    fft_ncs_with(net, cfg, NcsConfig::default())
-}
-
-/// [`fft_ncs`] with an explicit NCS configuration (error control, flow
-/// control, retransmission tuning) — what the chaos harness uses to run
-/// the transpose-exchange FFT over a faulty transport.
-pub fn fft_ncs_with(net: Arc<dyn Network>, cfg: FftConfig, ncs_cfg: NcsConfig) -> FftRun {
-    let sim = Sim::new();
-    let handle = fft_ncs_setup_with(&sim, net, cfg, ncs_cfg);
-    let out = sim.run();
-    out.assert_clean();
-    FftRun {
-        elapsed: out.end_time.since(ncs_sim::SimTime::ZERO),
-        verified: handle.verify(),
-    }
-}
-
-/// Correctness handle for a staged FFT run (see [`fft_ncs_setup_with`]).
-pub struct FftHandle {
-    expect: Vec<Vec<Cx>>,
-    got: Arc<Mutex<Vec<Option<Vec<Cx>>>>>,
-}
-
-impl FftHandle {
-    /// Whether every sample set matched the sequential FFT. Call after
-    /// `sim.run()`.
-    pub fn verify(&self) -> bool {
-        verify(&self.expect, &self.got)
-    }
-}
-
-/// Stages the FFT onto an existing `sim` without running it, so harnesses
-/// that need the simulator afterwards (tracing, metrics export) can drive
-/// `sim.run()` themselves. Returns the verification handle.
+/// Schedules the NCS_MTS/p4 variant onto an existing simulation, under
+/// `ncs_cfg`: two threads per node process (`T = 2N` units); the final
+/// exchange partner is the sibling thread, so that hop never touches the
+/// wire.
 pub fn fft_ncs_setup_with(
     sim: &Sim,
     net: Arc<dyn Network>,
@@ -563,19 +516,15 @@ pub fn fft_ncs_setup_with(
                 proc_.t_create("host", 5, move |ncs| {
                     for (si, set) in sets.iter().enumerate() {
                         for u in 0..t {
-                            let (a0, a1) = FftUnit::init_a_range(m, t, u);
-                            let (b0, b1) = FftUnit::init_b_range(m, t, u);
-                            ncs.send(unit_addr(u), TAG_CHUNK_A, complex_to_bytes(&set[a0..a1]));
-                            ncs.send(unit_addr(u), TAG_CHUNK_B, complex_to_bytes(&set[b0..b1]));
+                            let (a, b) = FftUnit::init_chunks(set, t, u);
+                            ncs.send(unit_addr(u), TAG_CHUNK_A, complex_to_bytes(a));
+                            ncs.send(unit_addr(u), TAG_CHUNK_B, complex_to_bytes(b));
                         }
-                        let bits = m.trailing_zeros();
                         let mut out = vec![(0.0, 0.0); m];
                         for _ in 0..t {
                             let msg = ncs.recv(None, None, Some(TAG_RESULT));
                             let (base, vals) = decode_result(&msg.data);
-                            for (q, v) in vals.into_iter().enumerate() {
-                                out[bit_reverse(base + q, bits)] = v;
-                            }
+                            place(&mut out, base, vals);
                         }
                         got.lock()[si] = Some(out);
                     }
@@ -595,10 +544,8 @@ pub fn fft_ncs_setup_with(
                     for si in 0..n_sets {
                         let (a, b) = if host_procs == 0 {
                             // No host: read the input directly (shared memory).
-                            let set = &sets[si];
-                            let (a0, a1) = FftUnit::init_a_range(m, t, u);
-                            let (b0, b1) = FftUnit::init_b_range(m, t, u);
-                            (set[a0..a1].to_vec(), set[b0..b1].to_vec())
+                            let (a, b) = FftUnit::init_chunks(&sets[si], t, u);
+                            (a.to_vec(), b.to_vec())
                         } else {
                             let a = ncs.recv(Some(0), None, Some(TAG_CHUNK_A));
                             let b = ncs.recv(Some(0), None, Some(TAG_CHUNK_B));
@@ -626,12 +573,8 @@ pub fn fft_ncs_setup_with(
                         let (base, vals) = unit.finish_local();
                         if host_procs == 0 {
                             // Assemble in shared memory.
-                            let bits = m.trailing_zeros();
                             let mut g = got.lock();
-                            let entry = g[si].get_or_insert_with(|| vec![(0.0, 0.0); m]);
-                            for (q, v) in vals.into_iter().enumerate() {
-                                entry[bit_reverse(base + q, bits)] = v;
-                            }
+                            place(g[si].get_or_insert_with(|| vec![(0.0, 0.0); m]), base, vals);
                         } else {
                             ncs.send(
                                 ThreadAddr::new(0, 0),
@@ -663,13 +606,7 @@ fn decode_result(b: &[u8]) -> (usize, Vec<Cx>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncs_net::{HostParams, IdealFabric, TcpNet, TcpParams};
-
-    fn fast_net(n: usize) -> Arc<dyn Network> {
-        let fabric = Arc::new(IdealFabric::new(n, Dur::from_micros(20)));
-        let hosts = (0..n).map(|_| HostParams::test_fast()).collect();
-        Arc::new(TcpNet::new(fabric, hosts, TcpParams::ip_over_atm()))
-    }
+    use crate::util::fast_net;
 
     #[test]
     fn fft_matches_naive_dft() {
@@ -750,7 +687,9 @@ mod tests {
                 nodes,
                 seed: 5,
             };
-            let run = fft_ncs(fast_net(nodes + 1), cfg);
+            let (run, _) = run_app(&Sim::new(), |sim| {
+                fft_ncs_setup_with(sim, fast_net(nodes + 1), cfg, NcsConfig::default())
+            });
             assert!(run.verified, "{nodes} nodes");
         }
     }

@@ -4,10 +4,10 @@
 //! nodes, compressed bands flow to `N/2` decompressor nodes, decompressed
 //! bands return to the host, which combines and writes the output.
 //!
-//! * [`jpeg_p4`] — one thread per process: a compressor sits idle until its
+//! * [`setup_jpeg_p4`] — one thread per process: a compressor sits idle until its
 //!   whole band has arrived, and each stage of its band is serialized with
 //!   its communication (Figure 16, top).
-//! * [`jpeg_ncs`] — two threads per process (Figures 17/18): each thread
+//! * [`setup_jpeg_ncs_with`] — two threads per process (Figures 17/18): each thread
 //!   owns half its node's band, so compression of the first half overlaps
 //!   reception of the second, and the host's thread 1 is unblocked
 //!   (`NCS_unblock`) as soon as the image read finishes.
@@ -21,13 +21,14 @@ use ncs_core::{NcsConfig, NcsWorld, ThreadAddr};
 use ncs_net::{Network, NodeId};
 use ncs_p4::create_procgroup;
 use ncs_sim::sync::Mutex;
-use ncs_sim::{Dur, Sim, SimRng};
+use ncs_sim::{Sim, SimRng};
 use std::sync::Arc;
 
 use crate::costs::AppCosts;
 use crate::jpeg::{compress_with, decompress, EntropyKind};
 use crate::util::charge_compute;
 use crate::workloads::GrayImage;
+use crate::Verify;
 
 /// Workload parameters.
 #[derive(Clone, Copy, Debug)]
@@ -66,26 +67,9 @@ impl JpegConfig {
     }
 }
 
-/// Outcome of one run.
-#[derive(Clone, Copy, Debug)]
-pub struct JpegRun {
-    /// End-to-end execution time.
-    pub elapsed: Dur,
-    /// Output matched the sequential reference of the same partitioning.
-    pub verified: bool,
-    /// Total compressed bytes that crossed the wire.
-    pub compressed_bytes: usize,
-}
-
 fn workload(cfg: &JpegConfig) -> GrayImage {
     let mut rng = SimRng::new(cfg.seed);
     GrayImage::synthetic(cfg.width, cfg.height, &mut rng)
-}
-
-/// [`reference_pipeline_with`] over the default entropy stage.
-#[cfg(test)]
-pub fn reference_pipeline(img: &GrayImage, parts: usize, quality: u8) -> GrayImage {
-    reference_pipeline_with(img, parts, quality, EntropyKind::RleVarint)
 }
 
 /// Sequential reference: roundtrips each of `parts` horizontal bands
@@ -135,16 +119,9 @@ impl JpegHandle {
     }
 }
 
-/// Runs the p4 pipeline.
-pub fn jpeg_p4(net: Arc<dyn Network>, cfg: JpegConfig) -> JpegRun {
-    let sim = Sim::new();
-    let handle = setup_jpeg_p4(&sim, net, cfg);
-    let out = sim.run();
-    out.assert_clean();
-    JpegRun {
-        elapsed: out.end_time.since(ncs_sim::SimTime::ZERO),
-        verified: handle.verify(),
-        compressed_bytes: handle.compressed_bytes(),
+impl Verify for JpegHandle {
+    fn verify(&self) -> bool {
+        JpegHandle::verify(self)
     }
 }
 
@@ -243,27 +220,9 @@ pub fn setup_jpeg_p4(sim: &Sim, net: Arc<dyn Network>, cfg: JpegConfig) -> JpegH
     }
 }
 
-/// Runs the NCS_MTS/p4 pipeline (two threads per process).
-pub fn jpeg_ncs(net: Arc<dyn Network>, cfg: JpegConfig) -> JpegRun {
-    let sim = Sim::new();
-    let handle = setup_jpeg_ncs(&sim, net, cfg);
-    let out = sim.run();
-    out.assert_clean();
-    JpegRun {
-        elapsed: out.end_time.since(ncs_sim::SimTime::ZERO),
-        verified: handle.verify(),
-        compressed_bytes: handle.compressed_bytes(),
-    }
-}
-
-/// Schedules the NCS_MTS/p4 pipeline onto an existing simulation.
-pub fn setup_jpeg_ncs(sim: &Sim, net: Arc<dyn Network>, cfg: JpegConfig) -> JpegHandle {
-    setup_jpeg_ncs_with(sim, net, cfg, NcsConfig::default())
-}
-
-/// [`setup_jpeg_ncs`] with an explicit NCS configuration (error control,
-/// flow control, retransmission tuning) — what the chaos harness uses to
-/// run the pipeline over a faulty transport.
+/// Schedules the NCS_MTS/p4 pipeline (two threads per process) onto an
+/// existing simulation, under `ncs_cfg` (error control, flow control,
+/// retransmission tuning — what the chaos harness varies).
 pub fn setup_jpeg_ncs_with(
     sim: &Sim,
     net: Arc<dyn Network>,
@@ -397,13 +356,8 @@ pub fn setup_jpeg_ncs_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncs_net::{HostParams, IdealFabric, TcpNet, TcpParams};
-
-    fn fast_net(n: usize) -> Arc<dyn Network> {
-        let fabric = Arc::new(IdealFabric::new(n, Dur::from_micros(20)));
-        let hosts = (0..n).map(|_| HostParams::test_fast()).collect();
-        Arc::new(TcpNet::new(fabric, hosts, TcpParams::ip_over_atm()))
-    }
+    use crate::run_app;
+    use crate::util::fast_net;
 
     fn small(nodes: usize) -> JpegConfig {
         JpegConfig {
@@ -419,19 +373,23 @@ mod tests {
     #[test]
     fn p4_pipeline_verifies() {
         for nodes in [2usize, 4] {
-            let run = jpeg_p4(fast_net(nodes + 1), small(nodes));
+            let (run, h) = run_app(&Sim::new(), |sim| {
+                setup_jpeg_p4(sim, fast_net(nodes + 1), small(nodes))
+            });
             assert!(run.verified, "{nodes} nodes");
-            assert!(run.compressed_bytes > 0);
-            assert!(run.compressed_bytes < 64 * 64, "no compression achieved");
+            assert!(h.compressed_bytes() > 0);
+            assert!(h.compressed_bytes() < 64 * 64, "no compression achieved");
         }
     }
 
     #[test]
     fn ncs_pipeline_verifies() {
         for nodes in [2usize, 4] {
-            let run = jpeg_ncs(fast_net(nodes + 1), small(nodes));
+            let (run, h) = run_app(&Sim::new(), |sim| {
+                setup_jpeg_ncs_with(sim, fast_net(nodes + 1), small(nodes), NcsConfig::default())
+            });
             assert!(run.verified, "{nodes} nodes");
-            assert!(run.compressed_bytes > 0);
+            assert!(h.compressed_bytes() > 0);
         }
     }
 
@@ -442,7 +400,7 @@ mod tests {
             height: 32,
             pixels: vec![128; 1024],
         };
-        let out = reference_pipeline(&img, 2, 90);
+        let out = reference_pipeline_with(&img, 2, 90, EntropyKind::RleVarint);
         assert!(out.psnr(&img) > 40.0);
     }
 }

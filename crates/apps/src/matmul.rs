@@ -6,9 +6,9 @@
 //!
 //! Two drivers reproduce the paper's comparison:
 //!
-//! * [`matmul_p4`] — Figure 13: one single-threaded process per node;
+//! * [`setup_matmul_p4`] — Figure 13: one single-threaded process per node;
 //!   `p4_recv` idles the whole node until its full share has arrived.
-//! * [`matmul_ncs`] — Figure 14: two NCS threads per process. Host thread
+//! * [`setup_matmul_ncs_with`] — Figure 14: two NCS threads per process. Host thread
 //!   *t* serves node threads *t*; B is sent to each node **once** (threads
 //!   share the address space), and a node's thread 0 starts computing as
 //!   soon as its half-share lands while thread 1 is still receiving.
@@ -29,12 +29,13 @@ use ncs_core::{NcsConfig, NcsWorld, ThreadAddr};
 use ncs_net::{Network, NodeId};
 use ncs_p4::create_procgroup;
 use ncs_sim::sync::Mutex;
-use ncs_sim::{Dur, Sim, SimRng};
+use ncs_sim::{Sim, SimRng};
 use std::sync::Arc;
 
 use crate::costs::AppCosts;
 use crate::util::charge_compute;
 use crate::workloads::Matrix;
+use crate::Verify;
 
 /// Message types (p4 style).
 const TYPE_B: i32 = 1;
@@ -61,15 +62,6 @@ impl MatmulConfig {
             seed: 0x4D4D,
         }
     }
-}
-
-/// Outcome of one run.
-#[derive(Clone, Copy, Debug)]
-pub struct MatmulRun {
-    /// End-to-end execution time (host start to all-done).
-    pub elapsed: Dur,
-    /// Whether the distributed result matched the sequential reference.
-    pub verified: bool,
 }
 
 /// Sequential kernel: `c_block = a_rows · b` for `rows` rows. The
@@ -115,44 +107,6 @@ fn workload(cfg: &MatmulConfig) -> (Matrix, Matrix, Matrix) {
     (a, b, expect)
 }
 
-/// Runs the p4 (single-threaded) variant on `net` and reports the timing.
-pub fn matmul_p4(net: Arc<dyn Network>, cfg: MatmulConfig) -> MatmulRun {
-    let sim = Sim::new();
-    let handle = setup_matmul_p4(&sim, net, cfg);
-    let out = sim.run();
-    out.assert_clean();
-    MatmulRun {
-        elapsed: out.end_time.since(ncs_sim::SimTime::ZERO),
-        verified: handle.verify(),
-    }
-}
-
-/// Runs the NCS_MTS/p4 (two threads per process) variant.
-pub fn matmul_ncs(net: Arc<dyn Network>, cfg: MatmulConfig) -> MatmulRun {
-    matmul_ncs_configured(net, cfg, ncs_mts::MtsConfig::default())
-}
-
-/// [`matmul_ncs`] with an explicit MTS scheduler configuration (used by
-/// the context-switch ablation).
-pub fn matmul_ncs_configured(
-    net: Arc<dyn Network>,
-    cfg: MatmulConfig,
-    mts: ncs_mts::MtsConfig,
-) -> MatmulRun {
-    let sim = Sim::new();
-    let ncs_cfg = NcsConfig {
-        mts,
-        ..NcsConfig::default()
-    };
-    let handle = setup_matmul_ncs_with(&sim, net, cfg, ncs_cfg);
-    let out = sim.run();
-    out.assert_clean();
-    MatmulRun {
-        elapsed: out.end_time.since(ncs_sim::SimTime::ZERO),
-        verified: handle.verify(),
-    }
-}
-
 /// Deferred verification handle (the result matrix materializes when the
 /// simulation runs).
 pub struct MatmulHandle {
@@ -167,6 +121,12 @@ impl MatmulHandle {
             Some(c) => c.max_abs_diff(&self.expect) == 0.0,
             None => false,
         }
+    }
+}
+
+impl Verify for MatmulHandle {
+    fn verify(&self) -> bool {
+        MatmulHandle::verify(self)
     }
 }
 
@@ -252,12 +212,7 @@ pub fn setup_matmul_p4(sim: &Sim, net: Arc<dyn Network>, cfg: MatmulConfig) -> M
 }
 
 /// Schedules the NCS_MTS/p4 variant (Figure 14) onto an existing
-/// simulation.
-pub fn setup_matmul_ncs(sim: &Sim, net: Arc<dyn Network>, cfg: MatmulConfig) -> MatmulHandle {
-    setup_matmul_ncs_with(sim, net, cfg, NcsConfig::default())
-}
-
-/// [`setup_matmul_ncs`] with an explicit NCS configuration.
+/// simulation, under `ncs_cfg`.
 pub fn setup_matmul_ncs_with(
     sim: &Sim,
     net: Arc<dyn Network>,
@@ -399,19 +354,6 @@ fn tag_a(strip: usize) -> u32 {
 }
 fn tag_c(strip: usize) -> u32 {
     0x200 + strip as u32
-}
-
-/// Runs the fully overlapped nonblocking variant and reports the timing.
-#[cfg(test)]
-pub fn matmul_ncs_async(net: Arc<dyn Network>, cfg: MatmulConfig) -> MatmulRun {
-    let sim = Sim::new();
-    let handle = setup_matmul_ncs_async_with(&sim, net, cfg, NcsConfig::default());
-    let out = sim.run();
-    out.assert_clean();
-    MatmulRun {
-        elapsed: out.end_time.since(ncs_sim::SimTime::ZERO),
-        verified: handle.verify(),
-    }
 }
 
 /// Schedules the overlapped nonblocking variant onto an existing
@@ -565,14 +507,11 @@ pub fn setup_matmul_ncs_async_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_app;
+    use crate::util::fast_net;
     use ncs_net::atm::{AtmFabric, AtmLanParams};
-    use ncs_net::{AtmApiNet, AtmApiParams, HostParams, IdealFabric, TcpNet, TcpParams};
-
-    fn fast_net(n: usize) -> Arc<dyn Network> {
-        let fabric = Arc::new(IdealFabric::new(n, Dur::from_micros(20)));
-        let hosts = (0..n).map(|_| HostParams::test_fast()).collect();
-        Arc::new(TcpNet::new(fabric, hosts, TcpParams::ip_over_atm()))
-    }
+    use ncs_net::{AtmApiNet, AtmApiParams, HostParams};
+    use ncs_sim::Dur;
 
     /// The FORE-LAN ATM stack with hosts fast enough that the wire — not
     /// the host CPU — is what overlap has to hide.
@@ -608,7 +547,9 @@ mod tests {
                 nodes,
                 seed: 7,
             };
-            let run = matmul_p4(fast_net(nodes + 1), cfg);
+            let (run, _) = run_app(&Sim::new(), |sim| {
+                setup_matmul_p4(sim, fast_net(nodes + 1), cfg)
+            });
             assert!(run.verified, "{nodes} nodes");
             assert!(run.elapsed > Dur::ZERO);
         }
@@ -622,7 +563,9 @@ mod tests {
                 nodes,
                 seed: 7,
             };
-            let run = matmul_ncs(fast_net(nodes + 1), cfg);
+            let (run, _) = run_app(&Sim::new(), |sim| {
+                setup_matmul_ncs_with(sim, fast_net(nodes + 1), cfg, NcsConfig::default())
+            });
             assert!(run.verified, "{nodes} nodes");
             assert!(run.elapsed > Dur::ZERO);
         }
@@ -636,7 +579,9 @@ mod tests {
                 nodes,
                 seed: 7,
             };
-            let run = matmul_ncs_async(fast_net(nodes + 1), cfg);
+            let (run, _) = run_app(&Sim::new(), |sim| {
+                setup_matmul_ncs_async_with(sim, fast_net(nodes + 1), cfg, NcsConfig::default())
+            });
             assert!(run.verified, "{nodes} nodes");
             assert!(run.elapsed > Dur::ZERO);
         }
@@ -655,8 +600,12 @@ mod tests {
             nodes: 2,
             seed: 0x4D4D,
         };
-        let blocking = matmul_ncs(hsm_fast_net(3), cfg);
-        let overlapped = matmul_ncs_async(hsm_fast_net(3), cfg);
+        let (blocking, _) = run_app(&Sim::new(), |sim| {
+            setup_matmul_ncs_with(sim, hsm_fast_net(3), cfg, NcsConfig::default())
+        });
+        let (overlapped, _) = run_app(&Sim::new(), |sim| {
+            setup_matmul_ncs_async_with(sim, hsm_fast_net(3), cfg, NcsConfig::default())
+        });
         assert!(blocking.verified && overlapped.verified);
         assert!(
             overlapped.elapsed < blocking.elapsed,
@@ -673,8 +622,10 @@ mod tests {
             nodes: 2,
             seed: 9,
         };
-        let a = matmul_p4(fast_net(3), cfg);
-        let b = matmul_ncs(fast_net(3), cfg);
+        let (a, _) = run_app(&Sim::new(), |sim| setup_matmul_p4(sim, fast_net(3), cfg));
+        let (b, _) = run_app(&Sim::new(), |sim| {
+            setup_matmul_ncs_with(sim, fast_net(3), cfg, NcsConfig::default())
+        });
         assert!(a.verified && b.verified);
         assert_ne!(a.elapsed, b.elapsed);
     }

@@ -1,7 +1,7 @@
 //! Small helpers shared by the distributed application drivers.
 
 use ncs_net::HostParams;
-use ncs_sim::{Ctx, Sim, SpanKind};
+use ncs_sim::{Ctx, SpanKind};
 
 /// Charges `cycles` of computation to a plain green thread (the p4 drivers,
 /// which have no NCS context) and records a compute span.
@@ -14,13 +14,13 @@ pub fn charge_compute(ctx: &Ctx, host: &HostParams, actor: &str, label: &'static
     });
 }
 
-/// Records a communication span on `actor` covering `f`'s execution.
-pub fn comm_span<R>(sim: &Sim, actor: &str, label: &'static str, f: impl FnOnce() -> R) -> R {
-    let t0 = sim.now();
-    let r = f();
-    let t1 = sim.now();
-    sim.with_spans(|tr| {
-        tr.span(actor, SpanKind::Comm, label, t0, t1);
-    });
-    r
+/// A TCP testbed of `n` fast hosts on an ideal 20 µs fabric: the unit
+/// tests' network.
+#[cfg(test)]
+pub(crate) fn fast_net(n: usize) -> std::sync::Arc<dyn ncs_net::Network> {
+    use ncs_net::{IdealFabric, TcpNet, TcpParams};
+    use std::sync::Arc;
+    let fabric = Arc::new(IdealFabric::new(n, ncs_sim::Dur::from_micros(20)));
+    let hosts = (0..n).map(|_| HostParams::test_fast()).collect();
+    Arc::new(TcpNet::new(fabric, hosts, TcpParams::ip_over_atm()))
 }

@@ -1,10 +1,18 @@
 //! Cross-feature tests of the distributed applications: every app on every
 //! transport, overlap ordering properties, and determinism.
 
-use ncs_apps::fft::{fft_ncs, fft_p4, FftConfig};
-use ncs_apps::jpeg_dist::{jpeg_ncs, jpeg_p4, JpegConfig};
-use ncs_apps::matmul::{matmul_ncs, matmul_p4, MatmulConfig};
+use ncs_apps::fft::{fft_ncs_setup_with, fft_p4, setup_fft_p4, FftConfig};
+use ncs_apps::jpeg_dist::{setup_jpeg_ncs_with, setup_jpeg_p4, JpegConfig};
+use ncs_apps::matmul::{setup_matmul_ncs_with, setup_matmul_p4, MatmulConfig};
+use ncs_apps::{run_app, AppRun, Verify};
+use ncs_core::NcsConfig;
 use ncs_net::Testbed;
+use ncs_sim::Sim;
+
+/// Runs one staged driver on a fresh simulator.
+fn run<H: Verify>(stage: impl FnOnce(&Sim) -> H) -> AppRun {
+    run_app(&Sim::new(), stage).0
+}
 
 const TESTBEDS: [Testbed; 5] = [
     Testbed::SunEthernet,
@@ -23,8 +31,10 @@ fn fft_verifies_on_every_testbed_both_variants() {
         seed: 3,
     };
     for tb in TESTBEDS {
-        assert!(fft_p4(tb.build(3), cfg).verified, "p4 on {}", tb.id());
-        assert!(fft_ncs(tb.build(3), cfg).verified, "NCS on {}", tb.id());
+        let p4 = run(|sim| setup_fft_p4(sim, tb.build(3), cfg));
+        let ncs = run(|sim| fft_ncs_setup_with(sim, tb.build(3), cfg, NcsConfig::default()));
+        assert!(p4.verified, "p4 on {}", tb.id());
+        assert!(ncs.verified, "NCS on {}", tb.id());
     }
 }
 
@@ -39,8 +49,10 @@ fn jpeg_verifies_on_every_testbed_both_variants() {
         seed: 4,
     };
     for tb in TESTBEDS {
-        assert!(jpeg_p4(tb.build(3), cfg).verified, "p4 on {}", tb.id());
-        assert!(jpeg_ncs(tb.build(3), cfg).verified, "NCS on {}", tb.id());
+        let p4 = run(|sim| setup_jpeg_p4(sim, tb.build(3), cfg));
+        let ncs = run(|sim| setup_jpeg_ncs_with(sim, tb.build(3), cfg, NcsConfig::default()));
+        assert!(p4.verified, "p4 on {}", tb.id());
+        assert!(ncs.verified, "NCS on {}", tb.id());
     }
 }
 
@@ -52,10 +64,11 @@ fn hsm_transport_speeds_up_both_variants() {
         nodes: 2,
         seed: 8,
     };
-    let p4_nsm = matmul_p4(Testbed::SunAtmLanTcp.build(3), cfg);
-    let p4_hsm = matmul_p4(Testbed::SunAtmLanApi.build(3), cfg);
-    let ncs_nsm = matmul_ncs(Testbed::SunAtmLanTcp.build(3), cfg);
-    let ncs_hsm = matmul_ncs(Testbed::SunAtmLanApi.build(3), cfg);
+    let p4 = |tb: Testbed| run(|sim| setup_matmul_p4(sim, tb.build(3), cfg));
+    let ncs =
+        |tb: Testbed| run(|sim| setup_matmul_ncs_with(sim, tb.build(3), cfg, NcsConfig::default()));
+    let (p4_nsm, p4_hsm) = (p4(Testbed::SunAtmLanTcp), p4(Testbed::SunAtmLanApi));
+    let (ncs_nsm, ncs_hsm) = (ncs(Testbed::SunAtmLanTcp), ncs(Testbed::SunAtmLanApi));
     assert!(p4_hsm.verified && ncs_hsm.verified);
     assert!(
         p4_hsm.elapsed < p4_nsm.elapsed,
@@ -75,9 +88,9 @@ fn hsm_transport_speeds_up_both_variants() {
 fn paper_scale_matmul_shape_at_two_nodes() {
     // The Table-1 anchor at full 128x128 scale, Ethernet: p4 slower than
     // NCS by 10-25%, both within 20% of the paper's absolute numbers.
-    let cfg = MatmulConfig::paper(2);
-    let p4 = matmul_p4(Testbed::SunEthernet.build(3), cfg);
-    let ncs = matmul_ncs(Testbed::SunEthernet.build(3), cfg);
+    let (cfg, net) = (MatmulConfig::paper(2), || Testbed::SunEthernet.build(3));
+    let p4 = run(|sim| setup_matmul_p4(sim, net(), cfg));
+    let ncs = run(|sim| setup_matmul_ncs_with(sim, net(), cfg, NcsConfig::default()));
     assert!(p4.verified && ncs.verified);
     let p4_s = p4.elapsed.as_secs_f64();
     let ncs_s = ncs.elapsed.as_secs_f64();
@@ -101,9 +114,8 @@ fn runs_are_deterministic_per_testbed() {
         seed: 12,
     };
     for tb in [Testbed::SunEthernet, Testbed::SunAtmLanApi] {
-        let a = fft_ncs(tb.build(3), cfg).elapsed;
-        let b = fft_ncs(tb.build(3), cfg).elapsed;
-        assert_eq!(a, b, "{} replay mismatch", tb.id());
+        let ncs = || run(|sim| fft_ncs_setup_with(sim, tb.build(3), cfg, NcsConfig::default()));
+        assert_eq!(ncs().elapsed, ncs().elapsed, "{} replay mismatch", tb.id());
     }
 }
 
@@ -116,8 +128,34 @@ fn different_seeds_change_data_not_structure() {
         nodes: 2,
         seed,
     };
-    let a = matmul_ncs(Testbed::SunAtmLanTcp.build(3), mk(1));
-    let b = matmul_ncs(Testbed::SunAtmLanTcp.build(3), mk(2));
+    let net = || Testbed::SunAtmLanTcp.build(3);
+    let ncs = |seed| run(|sim| setup_matmul_ncs_with(sim, net(), mk(seed), NcsConfig::default()));
+    let (a, b) = (ncs(1), ncs(2));
     assert!(a.verified && b.verified);
     assert_eq!(a.elapsed, b.elapsed, "structure-equal runs must time equal");
+}
+
+#[test]
+fn staged_p4_fft_matches_its_run_form_and_replays() {
+    // Table 3's p4 rows on Ethernet: the staged driver through the runner
+    // reports what `fft_p4` reports, and a caller holding the simulator can
+    // read the run's event count and trace hash, equal on a replay.
+    for nodes in [1usize, 2] {
+        let cfg = FftConfig::paper(nodes);
+        let net = || Testbed::SunEthernet.build(nodes + 1);
+        let whole = fft_p4(net(), cfg);
+        let staged = run(|sim| setup_fft_p4(sim, net(), cfg));
+        assert_eq!(staged.elapsed, whole.elapsed, "{nodes} nodes");
+        assert!(staged.verified && whole.verified, "{nodes} nodes");
+        let trace = || {
+            let sim = Sim::new();
+            let handle = setup_fft_p4(&sim, net(), cfg);
+            let events = sim.run().events;
+            assert!(handle.verify());
+            (events, sim.trace_hash())
+        };
+        let (first, second) = (trace(), trace());
+        assert!(first.0 > 0, "{nodes} nodes: no events");
+        assert_eq!(first, second, "{nodes} nodes: replay diverged");
+    }
 }

@@ -159,12 +159,12 @@ const APPS: &[Col<AppOutcome>] = &[
 
 fn run_app(app: SmallApp, level: &Level, seed: u64) -> AppOutcome {
     let (fabric, chaos, net) = chaos_stack(app.hosts(), level, seed);
-    let (elapsed, verified) = app.run(net, chaos_cfg());
+    let (run, _) = ncs_apps::run_app(&Sim::new(), |sim| app.stage(sim, net, chaos_cfg()));
     AppOutcome {
         level: level.label,
         app: app.name(),
-        elapsed,
-        verified,
+        elapsed: run.elapsed,
+        verified: run.verified,
         damage: chaos.stats().snapshot(),
         overflow_drops: fabric.overflow_drop_count(),
         flap_losses: fabric.flap_loss_count(),

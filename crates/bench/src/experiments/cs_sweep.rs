@@ -12,17 +12,22 @@
 //! ```
 
 use super::{Opts, Report};
-use ncs_apps::matmul::{matmul_ncs_configured, matmul_p4, MatmulConfig};
+use ncs_apps::matmul::{setup_matmul_ncs_with, setup_matmul_p4, MatmulConfig};
+use ncs_apps::run_app;
+use ncs_core::NcsConfig;
 use ncs_mts::MtsConfig;
 use ncs_net::Testbed;
-use ncs_sim::Dur;
+use ncs_sim::{Dur, Sim};
 
 pub(super) fn run(_: &Opts, out: &mut Report) {
     out.note("# X2b — context-switch cost ablation (matmul, Ethernet)\n\n");
     let cfg1 = MatmulConfig::paper(1);
     let cfg2 = MatmulConfig::paper(2);
-    let p4_1 = matmul_p4(Testbed::SunEthernet.build(2), cfg1);
-    let p4_2 = matmul_p4(Testbed::SunEthernet.build(3), cfg2);
+    let p4 = |cfg: MatmulConfig| {
+        let net = Testbed::SunEthernet.build(cfg.nodes + 1);
+        run_app(&Sim::new(), |sim| setup_matmul_p4(sim, net, cfg)).0
+    };
+    let (p4_1, p4_2) = (p4(cfg1), p4(cfg2));
     out.note(format!(
         "p4 baselines: 1 node {:.3}s, 2 nodes {:.3}s\n\n",
         p4_1.elapsed.as_secs_f64(),
@@ -34,8 +39,18 @@ pub(super) fn run(_: &Opts, out: &mut Report) {
         let mts = MtsConfig {
             context_switch: Dur::from_micros(cs_us),
         };
-        let ncs_1 = matmul_ncs_configured(Testbed::SunEthernet.build(2), cfg1, mts.clone()).elapsed;
-        let ncs_2 = matmul_ncs_configured(Testbed::SunEthernet.build(3), cfg2, mts).elapsed;
+        let ncs = |cfg: MatmulConfig| {
+            let net = Testbed::SunEthernet.build(cfg.nodes + 1);
+            let ncs_cfg = NcsConfig {
+                mts: mts.clone(),
+                ..NcsConfig::default()
+            };
+            let (run, _) = run_app(&Sim::new(), |sim| {
+                setup_matmul_ncs_with(sim, net, cfg, ncs_cfg)
+            });
+            run.elapsed
+        };
+        let (ncs_1, ncs_2) = (ncs(cfg1), ncs(cfg2));
         out.note(format!(
             "{:9}us | {:9.3}s | {:+7.3}% | {:9.3}s | {:+9.1}%\n",
             cs_us,

@@ -9,10 +9,12 @@
 
 use super::{Opts, Report};
 use ncs_apps::jpeg::{compress_with, decompress, EntropyKind};
-use ncs_apps::jpeg_dist::{jpeg_ncs, JpegConfig};
+use ncs_apps::jpeg_dist::{setup_jpeg_ncs_with, JpegConfig};
+use ncs_apps::run_app;
 use ncs_apps::workloads::GrayImage;
+use ncs_core::NcsConfig;
 use ncs_net::Testbed;
-use ncs_sim::SimRng;
+use ncs_sim::{Sim, SimRng};
 
 pub(super) fn run(_: &Opts, out: &mut Report) {
     let mut rng = SimRng::new(0x1A6);
@@ -48,21 +50,20 @@ pub(super) fn run(_: &Opts, out: &mut Report) {
 
     // And in the pipeline itself: the Table-2 NCS configuration at 4 nodes
     // with each entropy stage.
-    let rle = jpeg_ncs(Testbed::SunEthernet.build(5), JpegConfig::paper(4));
-    let huf = jpeg_ncs(
-        Testbed::SunEthernet.build(5),
-        JpegConfig::paper(4).with_huffman(),
-    );
-    assert!(rle.verified && huf.verified);
     out.note("Table-2 pipeline, 4 nodes Ethernet, NCS variant:\n");
-    out.note(format!(
-        "  RLE/varint: {:6.3}s  ({} KB compressed crossed the wire)\n",
-        rle.elapsed.as_secs_f64(),
-        rle.compressed_bytes / 1024
-    ));
-    out.note(format!(
-        "  Huffman:    {:6.3}s  ({} KB compressed crossed the wire)\n",
-        huf.elapsed.as_secs_f64(),
-        huf.compressed_bytes / 1024
-    ));
+    for (label, cfg) in [
+        ("RLE/varint:", JpegConfig::paper(4)),
+        ("Huffman:   ", JpegConfig::paper(4).with_huffman()),
+    ] {
+        let net = Testbed::SunEthernet.build(5);
+        let (run, handle) = run_app(&Sim::new(), |sim| {
+            setup_jpeg_ncs_with(sim, net, cfg, NcsConfig::default())
+        });
+        assert!(run.verified);
+        out.note(format!(
+            "  {label} {:6.3}s  ({} KB compressed crossed the wire)\n",
+            run.elapsed.as_secs_f64(),
+            handle.compressed_bytes() / 1024
+        ));
+    }
 }

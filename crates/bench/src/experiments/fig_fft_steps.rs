@@ -1,16 +1,20 @@
 //! Regenerates **Figures 19/20**: the FFT mapping's communication
 //! structure — `log₂ N` remote exchange steps for p4 versus `log₂ 2N`
 //! steps for NCS of which the last is thread-local and never touches the
-//! wire. Counts actual messages by running both variants and reading the
-//! transport counters.
+//! wire. The step counts come from the mapping itself
+//! (`FftUnit::cross_stages`); both variants are then run once, on the ATM
+//! LAN, only to verify their spectra.
 //!
 //! ```text
 //! cargo run --release -p ncs-bench -- fig_fft_steps
 //! ```
 
 use super::{Opts, Report};
-use ncs_apps::fft::{fft_ncs, fft_p4, FftConfig, FftUnit};
+use ncs_apps::fft::{fft_ncs_setup_with, setup_fft_p4, FftConfig, FftUnit};
+use ncs_apps::run_app;
+use ncs_core::NcsConfig;
 use ncs_net::Testbed;
+use ncs_sim::Sim;
 
 pub(super) fn run(_: &Opts, out: &mut Report) {
     out.note("# Figures 19/20 — FFT computation/communication structure\n\n");
@@ -44,8 +48,11 @@ pub(super) fn run(_: &Opts, out: &mut Report) {
         nodes: 4,
         seed: 99,
     };
-    let p4 = fft_p4(Testbed::SunAtmLanTcp.build(5), cfg);
-    let ncs = fft_ncs(Testbed::SunAtmLanTcp.build(5), cfg);
+    let net = || Testbed::SunAtmLanTcp.build(5);
+    let (p4, _) = run_app(&Sim::new(), |sim| setup_fft_p4(sim, net(), cfg));
+    let (ncs, _) = run_app(&Sim::new(), |sim| {
+        fft_ncs_setup_with(sim, net(), cfg, NcsConfig::default())
+    });
     assert!(p4.verified && ncs.verified);
     out.note(format!(
         "verification run (4 nodes, ATM LAN): p4 {:.3}s, NCS {:.3}s, both spectra verified\n",

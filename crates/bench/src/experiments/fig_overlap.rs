@@ -9,22 +9,21 @@
 //! ```
 
 use super::{Opts, Report};
-use ncs_apps::jpeg_dist::{setup_jpeg_ncs, setup_jpeg_p4, JpegConfig};
-use ncs_apps::matmul::{setup_matmul_ncs, setup_matmul_p4, MatmulConfig};
+use ncs_apps::jpeg_dist::{setup_jpeg_ncs_with, setup_jpeg_p4, JpegConfig};
+use ncs_apps::matmul::{setup_matmul_ncs_with, setup_matmul_p4, MatmulConfig};
+use ncs_apps::{run_app, Verify};
+use ncs_core::NcsConfig;
 use ncs_net::Testbed;
 use ncs_sim::{Sim, SpanKind};
 
-/// Runs what `stage` puts on a span-traced simulator, checks the result it
-/// hands back a verifier for, and renders the timeline: an ASCII Gantt
-/// chart plus per-actor utilization.
-fn timeline<V: FnOnce() -> bool>(out: &mut Report, variant: &str, stage: impl FnOnce(&Sim) -> V) {
+/// Runs what `stage` puts on a span-traced simulator, checks its result,
+/// and renders the timeline: an ASCII Gantt chart plus per-actor
+/// utilization.
+fn timeline<H: Verify>(out: &mut Report, variant: &str, stage: impl FnOnce(&Sim) -> H) {
     let sim = Sim::new();
     sim.with_tracer(|tr| tr.enable());
-    let verify = stage(&sim);
-    let end = sim.run();
-    end.assert_clean();
-    assert!(verify());
-    out.note(format!("\n### {variant}, total {}\n", end.end_time));
+    assert!(run_app(&sim, stage).0.verified);
+    out.note(format!("\n### {variant}, total {}\n", sim.now()));
     let gantt = sim.with_tracer(|tr| tr.render_gantt(100));
     out.note(gantt);
     let util = sim.with_tracer(|tr| tr.utilization());
@@ -50,24 +49,22 @@ pub(super) fn run(opts: &Opts, out: &mut Report) {
             out.note("# Figure 4 — matmul overlap timeline (2 nodes, NYNET testbed)\n");
             let cfg = MatmulConfig::paper(2);
             timeline(out, P4, |sim| {
-                let h = setup_matmul_p4(sim, Testbed::NynetTcp.build(3), cfg);
-                move || h.verify()
+                setup_matmul_p4(sim, Testbed::NynetTcp.build(3), cfg)
             });
             timeline(out, NCS, |sim| {
-                let h = setup_matmul_ncs(sim, Testbed::NynetTcp.build(3), cfg);
-                move || h.verify()
+                let net = Testbed::NynetTcp.build(3);
+                setup_matmul_ncs_with(sim, net, cfg, NcsConfig::default())
             });
         }
         "jpeg" => {
             out.note("# Figure 16 — JPEG pipeline timeline (4 nodes, Ethernet)\n");
             let cfg = JpegConfig::paper(4);
             timeline(out, P4, |sim| {
-                let h = setup_jpeg_p4(sim, Testbed::SunEthernet.build(5), cfg);
-                move || h.verify()
+                setup_jpeg_p4(sim, Testbed::SunEthernet.build(5), cfg)
             });
             timeline(out, NCS, |sim| {
-                let h = setup_jpeg_ncs(sim, Testbed::SunEthernet.build(5), cfg);
-                move || h.verify()
+                let net = Testbed::SunEthernet.build(5);
+                setup_jpeg_ncs_with(sim, net, cfg, NcsConfig::default())
             });
         }
         other => panic!("unknown figure '{other}': use 'matmul' or 'jpeg'"),

@@ -9,6 +9,7 @@ use ncs_apps::fft::{fft_ncs_setup_with, FftConfig};
 use ncs_apps::jpeg::EntropyKind;
 use ncs_apps::jpeg_dist::{setup_jpeg_ncs_with, JpegConfig};
 use ncs_apps::matmul::{setup_matmul_ncs_with, MatmulConfig};
+use ncs_apps::Verify;
 use ncs_core::NcsConfig;
 use ncs_net::atm::{AtmFabric, AtmLanParams};
 use ncs_net::stack::BlockingWait;
@@ -310,9 +311,8 @@ impl SmallApp {
         }
     }
 
-    /// Stages the NCS variant onto `sim`; call the returned check after
-    /// `sim.run()` to learn whether the result is bit-exact.
-    fn stage(self, sim: &Sim, net: Arc<dyn Network>, ncs: NcsConfig) -> Box<dyn FnOnce() -> bool> {
+    /// Stages the NCS variant onto `sim`; [`ncs_apps::run_app`] runs it.
+    fn stage(self, sim: &Sim, net: Arc<dyn Network>, ncs: NcsConfig) -> Box<dyn Verify> {
         match self {
             SmallApp::Matmul { nodes } => {
                 let cfg = MatmulConfig {
@@ -320,8 +320,7 @@ impl SmallApp {
                     nodes,
                     seed: 7,
                 };
-                let handle = setup_matmul_ncs_with(sim, net, cfg, ncs);
-                Box::new(move || handle.verify())
+                Box::new(setup_matmul_ncs_with(sim, net, cfg, ncs))
             }
             SmallApp::Jpeg => {
                 let cfg = JpegConfig {
@@ -332,8 +331,7 @@ impl SmallApp {
                     nodes: 2,
                     seed: 21,
                 };
-                let handle = setup_jpeg_ncs_with(sim, net, cfg, ncs);
-                Box::new(move || handle.verify())
+                Box::new(setup_jpeg_ncs_with(sim, net, cfg, ncs))
             }
             SmallApp::Fft { sets } => {
                 let cfg = FftConfig {
@@ -342,18 +340,8 @@ impl SmallApp {
                     nodes: 2,
                     seed: 5,
                 };
-                let handle = fft_ncs_setup_with(sim, net, cfg, ncs);
-                Box::new(move || handle.verify())
+                Box::new(fft_ncs_setup_with(sim, net, cfg, ncs))
             }
         }
-    }
-
-    /// Runs the NCS variant on a fresh simulator: `(elapsed, bit-exact)`.
-    fn run(self, net: Arc<dyn Network>, ncs: NcsConfig) -> (Dur, bool) {
-        let sim = Sim::new();
-        let verify = self.stage(&sim, net, ncs);
-        let out = sim.run();
-        out.assert_clean();
-        (out.end_time.since(SimTime::ZERO), verify())
     }
 }

@@ -31,6 +31,7 @@
 //! ```
 
 use super::{results_dir, Col, Opts, Report, SmallApp};
+use ncs_apps::run_app;
 use ncs_core::{ErrorControl, FlowControl, NcsConfig, ALL_STAGES};
 use ncs_net::Testbed;
 use ncs_sim::{chrome_trace_json, AnalysisConfig, Dur, Sim};
@@ -101,9 +102,10 @@ pub fn run_workload(name: &'static str) -> Observed {
     let (analysis, sink) = AnalysisConfig::recording();
     sim.with_tracer(|tr| tr.enable_detail());
     let net = Testbed::SunAtmLanApi.build(app.hosts());
-    let verify = app.stage(&sim, net, ncs_cfg(analysis, name != "matmul"));
-    sim.run().assert_clean();
-    let verified = verify();
+    let (run, _) = run_app(&sim, |sim| {
+        app.stage(sim, net, ncs_cfg(analysis, name != "matmul"))
+    });
+    let verified = run.verified;
     assert!(verified, "{name}: result must verify bit-exact");
     let violations = sink.take();
     assert!(violations.is_empty(), "{name}: {violations:?}");

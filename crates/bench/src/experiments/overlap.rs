@@ -41,6 +41,7 @@
 use super::{atm_lan_api, Opts};
 use crate::{Col, Report};
 use ncs_apps::matmul::{setup_matmul_ncs_async_with, setup_matmul_ncs_with, MatmulConfig};
+use ncs_apps::run_app;
 use ncs_core::NcsConfig;
 use ncs_net::{AtmApiParams, HostParams};
 use ncs_sim::{Dur, DurSummary, Sim, SpanKind};
@@ -74,15 +75,15 @@ fn measure(cfg: MatmulConfig, host: fn() -> HostParams, nonblocking: bool) -> Ru
     let sim = Sim::new();
     sim.with_tracer(|tr| tr.enable());
     let net = atm_lan_api(cfg.nodes + 1, host(), AtmApiParams::default());
-    let handle = if nonblocking {
-        setup_matmul_ncs_async_with(&sim, net, cfg, NcsConfig::default())
-    } else {
-        setup_matmul_ncs_with(&sim, net, cfg, NcsConfig::default())
-    };
-    let out = sim.run();
-    out.assert_clean();
+    let (run, _) = run_app(&sim, |sim| {
+        if nonblocking {
+            setup_matmul_ncs_async_with(sim, net, cfg, NcsConfig::default())
+        } else {
+            setup_matmul_ncs_with(sim, net, cfg, NcsConfig::default())
+        }
+    });
     assert!(
-        handle.verify(),
+        run.verified,
         "matmul ({}) must stay bit-exact",
         if nonblocking { "async" } else { "blocking" }
     );
@@ -112,7 +113,7 @@ fn measure(cfg: MatmulConfig, host: fn() -> HostParams, nonblocking: bool) -> Ru
         )
     });
     RunPoint {
-        elapsed: out.end_time.since(ncs_sim::SimTime::ZERO),
+        elapsed: run.elapsed,
         host_comm,
         host_idle,
         node_idle,

@@ -34,6 +34,7 @@
 use super::{Opts, SmallApp, WORKER_CPUS};
 use crate::{min_ns_per_call, Col, Report};
 use bytes::Bytes;
+use ncs_apps::run_app;
 use ncs_core::env::{unwrap_checked, wrap_checked};
 use ncs_core::{ErrorControl, FlowControl, NcsConfig, NcsWorld, ThreadAddr};
 use ncs_net::crc::crc32_aal5;
@@ -153,14 +154,14 @@ fn run_apps() -> Vec<AppPoint> {
     .into_iter()
     .map(|app| {
         let (analysis, sink) = AnalysisConfig::recording();
-        let (elapsed, verified) =
-            app.run(Testbed::SunAtmLanApi.build(app.hosts()), app_cfg(analysis));
+        let net = Testbed::SunAtmLanApi.build(app.hosts());
+        let (run, _) = run_app(&Sim::new(), |sim| app.stage(sim, net, app_cfg(analysis)));
         let violations = sink.take();
         assert!(violations.is_empty(), "{}: {violations:?}", app.name());
         AppPoint {
             app: app.name(),
-            elapsed,
-            verified,
+            elapsed: run.elapsed,
+            verified: run.verified,
         }
     })
     .collect()

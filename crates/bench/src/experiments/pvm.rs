@@ -10,9 +10,12 @@
 //! ```
 
 use super::{Opts, Report};
-use ncs_apps::matmul::{matmul_ncs, matmul_p4, MatmulConfig};
+use ncs_apps::matmul::{setup_matmul_ncs_with, setup_matmul_p4, MatmulConfig};
+use ncs_apps::run_app;
+use ncs_core::NcsConfig;
 use ncs_net::atm::{AtmFabric, NynetParams};
 use ncs_net::{HostParams, Network, TcpNet, TcpParams};
+use ncs_sim::Sim;
 use std::sync::Arc;
 
 fn nynet(nodes: usize, params: TcpParams) -> Arc<dyn Network> {
@@ -32,8 +35,11 @@ pub(super) fn run(_: &Opts, out: &mut Report) {
             ("p4 ", TcpParams::ip_over_atm()),
             ("PVM", TcpParams::pvm_ip_over_atm()),
         ] {
-            let base = matmul_p4(nynet(nodes + 1, params.clone()), cfg);
-            let ncs = matmul_ncs(nynet(nodes + 1, params), cfg);
+            let net = || nynet(nodes + 1, params.clone());
+            let (base, _) = run_app(&Sim::new(), |sim| setup_matmul_p4(sim, net(), cfg));
+            let (ncs, _) = run_app(&Sim::new(), |sim| {
+                setup_matmul_ncs_with(sim, net(), cfg, NcsConfig::default())
+            });
             assert!(base.verified && ncs.verified);
             out.note(format!(
                 "{:5} | {}       | {:18.3}s | {:18.3}s | {:13.1}%\n",

@@ -9,61 +9,62 @@
 //! ```
 
 use crate::{paper_table1, paper_table2, paper_table3, Comparison, Report, Row};
-use ncs_apps::fft::{fft_ncs, fft_p4, FftConfig};
-use ncs_apps::jpeg_dist::{jpeg_ncs, jpeg_p4, JpegConfig};
-use ncs_apps::matmul::{matmul_ncs, matmul_p4, MatmulConfig};
-use ncs_net::{Network, Testbed};
-use ncs_sim::Dur;
-use std::sync::Arc;
+use ncs_apps::fft::{fft_ncs_setup_with, setup_fft_p4, FftConfig};
+use ncs_apps::jpeg_dist::{setup_jpeg_ncs_with, setup_jpeg_p4, JpegConfig};
+use ncs_apps::matmul::{setup_matmul_ncs_with, setup_matmul_p4, MatmulConfig};
+use ncs_apps::{run_app, Verify};
+use ncs_core::NcsConfig;
+use ncs_net::Testbed;
+use ncs_sim::Sim;
 
 /// One of the paper's tables: what it runs, and the values (and node
 /// counts) it is printed beside.
 pub(super) struct Table {
     title: &'static str,
-    /// Runs one variant (`ncs` or the p4 baseline) on `nodes` nodes over
-    /// `net`: `(elapsed, result verified)`.
-    app: fn(net: Arc<dyn Network>, nodes: usize, ncs: bool) -> (Dur, bool),
+    /// Stages one variant (`ncs` or the p4 baseline) on `nodes` nodes of
+    /// `testbed`.
+    app: fn(sim: &Sim, testbed: Testbed, nodes: usize, ncs: bool) -> Box<dyn Verify>,
     paper: fn(&str) -> Vec<Row>,
 }
 
 pub(super) const TABLE1: Table = Table {
     title: "Table 1 — Execution times of Matrix Multiplication",
-    app: |net, nodes, ncs| {
+    app: |sim, testbed, nodes, ncs| {
+        let net = testbed.build(nodes + 1);
         let cfg = MatmulConfig::paper(nodes);
-        let run = if ncs {
-            matmul_ncs(net, cfg)
+        if ncs {
+            Box::new(setup_matmul_ncs_with(sim, net, cfg, NcsConfig::default()))
         } else {
-            matmul_p4(net, cfg)
-        };
-        (run.elapsed, run.verified)
+            Box::new(setup_matmul_p4(sim, net, cfg))
+        }
     },
     paper: paper_table1,
 };
 
 pub(super) const TABLE2: Table = Table {
     title: "Table 2 — Total execution times of JPEG pipeline",
-    app: |net, nodes, ncs| {
+    app: |sim, testbed, nodes, ncs| {
+        let net = testbed.build(nodes + 1);
         let cfg = JpegConfig::paper(nodes);
-        let run = if ncs {
-            jpeg_ncs(net, cfg)
+        if ncs {
+            Box::new(setup_jpeg_ncs_with(sim, net, cfg, NcsConfig::default()))
         } else {
-            jpeg_p4(net, cfg)
-        };
-        (run.elapsed, run.verified)
+            Box::new(setup_jpeg_p4(sim, net, cfg))
+        }
     },
     paper: paper_table2,
 };
 
 pub(super) const TABLE3: Table = Table {
     title: "Table 3 — Execution times of FFT",
-    app: |net, nodes, ncs| {
+    app: |sim, testbed, nodes, ncs| {
+        let net = testbed.build(nodes + 1);
         let cfg = FftConfig::paper(nodes);
-        let run = if ncs {
-            fft_ncs(net, cfg)
+        if ncs {
+            Box::new(fft_ncs_setup_with(sim, net, cfg, NcsConfig::default()))
         } else {
-            fft_p4(net, cfg)
-        };
-        (run.elapsed, run.verified)
+            Box::new(setup_fft_p4(sim, net, cfg))
+        }
     },
     paper: paper_table3,
 };
@@ -76,14 +77,14 @@ pub(super) fn run(table: &Table, out: &mut Report) {
     ] {
         let paper = (table.paper)(label);
         let measured = paper.iter().map(|&Row { nodes, .. }| {
-            let (p4, p4_ok) = (table.app)(testbed.build(nodes + 1), nodes, false);
-            let (ncs, ncs_ok) = (table.app)(testbed.build(nodes + 1), nodes, true);
-            assert!(p4_ok, "p4 result mismatch at {nodes} nodes");
-            assert!(ncs_ok, "NCS result mismatch at {nodes} nodes");
+            let [p4, ncs] = [false, true]
+                .map(|ncs| run_app(&Sim::new(), |sim| (table.app)(sim, testbed, nodes, ncs)).0);
+            assert!(p4.verified, "p4 result mismatch at {nodes} nodes");
+            assert!(ncs.verified, "NCS result mismatch at {nodes} nodes");
             Row {
                 nodes,
-                p4: p4.as_secs_f64(),
-                ncs: ncs.as_secs_f64(),
+                p4: p4.elapsed.as_secs_f64(),
+                ncs: ncs.elapsed.as_secs_f64(),
             }
         });
         let cmp = Comparison {

@@ -208,11 +208,6 @@ impl NcsProc {
         (st.reqs.posted, st.reqs.consumed, st.reqs.queued())
     }
 
-    /// Error-control retransmissions performed so far.
-    pub fn retransmits(&self) -> u64 {
-        self.inner.state.lock().errs.retransmits
-    }
-
     /// Full error-control statistics: retransmit/backoff/sample counters
     /// and the per-destination SRTT/RTTVAR/RTO trajectory.
     pub fn error_stats(&self) -> ErrorStats {

@@ -15,7 +15,7 @@
 //! RSS measurement.
 
 use bytes::Bytes;
-use ncs_core::{ErrorControl, NcsConfig, NcsProc, NcsWorld, ThreadAddr};
+use ncs_core::{ErrorControl, NcsConfig, NcsWorld, ThreadAddr};
 use ncs_net::stack::BlockingWait;
 use ncs_net::{ChaosNet, ChaosParams, Network, NodeId, Testbed};
 use ncs_sim::{Dur, RunOutcome, Sim, SimTime, ThreadId};
@@ -134,7 +134,11 @@ fn checked_tcp_ring_event_budget() {
         });
     });
     let out = run_clean(&sim);
-    let retx: u64 = world.procs().iter().map(NcsProc::retransmits).sum();
+    let retx: u64 = world
+        .procs()
+        .iter()
+        .map(|p| p.error_stats().retransmits)
+        .sum();
     assert!(retx > 0, "the seed must exercise the recovery path");
     assert_eq!(end_ps(&out), 367_538_885_720, "virtual end time moved");
     assert_eq!((out.events, out.resumes), (576, 468), "was (952, 844)");

@@ -302,7 +302,7 @@ fn error_control_recovers_from_corruption() {
         "fault injection never fired"
     );
     assert!(
-        world.procs()[0].retransmits() >= faulty.stats().snapshot().messages_corrupted,
+        world.procs()[0].error_stats().retransmits >= faulty.stats().snapshot().messages_corrupted,
         "every corruption must trigger a retransmit"
     );
 }
@@ -597,7 +597,7 @@ fn flow_and_error_control_compose() {
     });
     sim.run().assert_clean();
     assert!(faulty.stats().snapshot().messages_corrupted > 0);
-    assert!(world.procs()[0].retransmits() > 0);
+    assert!(world.procs()[0].error_stats().retransmits > 0);
     assert!(
         world.procs()[1].peak_buffered() <= 8,
         "credit window must bound buffering even with retransmits: {}",
@@ -714,7 +714,7 @@ fn error_control_recovers_from_message_loss() {
         "loss injection never fired"
     );
     assert!(
-        world.procs()[0].retransmits() > 0,
+        world.procs()[0].error_stats().retransmits > 0,
         "no retransmits happened"
     );
     assert_eq!(*received.lock(), (0..25).collect::<Vec<_>>());

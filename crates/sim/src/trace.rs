@@ -275,11 +275,6 @@ impl Tracer {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// All counters, sorted by name.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k, v))
-    }
-
     /// All recorded spans.
     pub fn spans(&self) -> &[Span] {
         &self.spans
@@ -385,18 +380,6 @@ mod tests {
         tr.count("cells", 4);
         assert_eq!(tr.counter("cells"), 7);
         assert_eq!(tr.counter("missing"), 0);
-    }
-
-    #[test]
-    fn count_inserts_a_name_once_and_keeps_name_order() {
-        let mut tr = Tracer::new();
-        tr.count("net.b", 1);
-        tr.count("net.a", 5);
-        tr.count("net.b", 2);
-        tr.count("net.c", 0);
-        tr.count("net.a", 1);
-        let all: Vec<(&str, u64)> = tr.counters().collect();
-        assert_eq!(all, vec![("net.a", 6), ("net.b", 3), ("net.c", 0)]);
     }
 
     #[test]

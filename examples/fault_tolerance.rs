@@ -49,7 +49,7 @@ fn main() {
         "  injected: {} corrupted, {} dropped; repaired with {} retransmissions",
         faulty.stats().snapshot().messages_corrupted,
         faulty.stats().snapshot().messages_dropped,
-        world.procs()[0].retransmits(),
+        world.procs()[0].error_stats().retransmits,
     );
 
     // Part 2: a dead wire — every frame lost. Error control gives up after

@@ -6,10 +6,13 @@
 //! cargo run --release --example fft_wan -- [nodes]
 //! ```
 
-use ncs::apps::fft::{fft_ncs, fft_p4, FftConfig};
+use ncs::apps::fft::{fft_ncs_setup_with, setup_fft_p4, FftConfig};
+use ncs::apps::run_app;
+use ncs::core::NcsConfig;
 use ncs::net::atm::{AtmFabric, NynetParams};
 use ncs::net::HostParams;
 use ncs::net::{Network, TcpNet, TcpParams};
+use ncs::sim::Sim;
 use std::sync::Arc;
 
 fn nynet(nodes: usize, ds3: bool) -> Arc<dyn Network> {
@@ -33,8 +36,11 @@ fn main() {
         cfg.m, cfg.sets, nodes
     );
     for (label, ds3) in [("OC-48 backbone", false), ("DS-3  backbone", true)] {
-        let p4 = fft_p4(nynet(nodes + 1, ds3), cfg);
-        let ncs = fft_ncs(nynet(nodes + 1, ds3), cfg);
+        let net = || nynet(nodes + 1, ds3);
+        let (p4, _) = run_app(&Sim::new(), |sim| setup_fft_p4(sim, net(), cfg));
+        let (ncs, _) = run_app(&Sim::new(), |sim| {
+            fft_ncs_setup_with(sim, net(), cfg, NcsConfig::default())
+        });
         assert!(p4.verified && ncs.verified, "spectra must verify");
         println!(
             "  {label}: p4 {:6.3}s   NCS_MTS/p4 {:6.3}s   improvement {:4.1}%",

@@ -8,10 +8,12 @@
 //! ```
 
 use ncs::apps::jpeg::{compress, decompress};
-use ncs::apps::jpeg_dist::{jpeg_ncs, jpeg_p4, JpegConfig};
+use ncs::apps::jpeg_dist::{setup_jpeg_ncs_with, setup_jpeg_p4, JpegConfig};
+use ncs::apps::run_app;
 use ncs::apps::workloads::GrayImage;
+use ncs::core::NcsConfig;
 use ncs::net::Testbed;
-use ncs::sim::SimRng;
+use ncs::sim::{Sim, SimRng};
 
 fn main() {
     let nodes: usize = std::env::args()
@@ -43,8 +45,11 @@ fn main() {
         ("Ethernet ", Testbed::SunEthernet),
         ("NYNET WAN", Testbed::NynetTcp),
     ] {
-        let p4 = jpeg_p4(testbed.build(nodes + 1), cfg);
-        let ncs = jpeg_ncs(testbed.build(nodes + 1), cfg);
+        let net = || testbed.build(nodes + 1);
+        let (p4, _) = run_app(&Sim::new(), |sim| setup_jpeg_p4(sim, net(), cfg));
+        let (ncs, handle) = run_app(&Sim::new(), |sim| {
+            setup_jpeg_ncs_with(sim, net(), cfg, NcsConfig::default())
+        });
         assert!(p4.verified && ncs.verified);
         println!(
             "  {label}: p4 {:7.3}s   NCS_MTS/p4 {:7.3}s   improvement {:4.1}%   ({} KB crossed the wire compressed)",
@@ -52,7 +57,7 @@ fn main() {
             ncs.elapsed.as_secs_f64(),
             (p4.elapsed.as_secs_f64() - ncs.elapsed.as_secs_f64()) / p4.elapsed.as_secs_f64()
                 * 100.0,
-            ncs.compressed_bytes / 1024,
+            handle.compressed_bytes() / 1024,
         );
     }
 }

@@ -6,8 +6,11 @@
 //! cargo run --release --example matmul_cluster -- [nodes] [dim]
 //! ```
 
-use ncs::apps::matmul::{matmul_ncs, matmul_p4, MatmulConfig};
+use ncs::apps::matmul::{setup_matmul_ncs_with, setup_matmul_p4, MatmulConfig};
+use ncs::apps::run_app;
+use ncs::core::NcsConfig;
 use ncs::net::Testbed;
+use ncs::sim::Sim;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -24,8 +27,11 @@ fn main() {
         ("ATM LAN  (SPARC IPX)", Testbed::SunAtmLanTcp),
         ("NYNET WAN (SPARC IPX)", Testbed::NynetTcp),
     ] {
-        let p4 = matmul_p4(testbed.build(nodes + 1), cfg);
-        let ncs = matmul_ncs(testbed.build(nodes + 1), cfg);
+        let net = || testbed.build(nodes + 1);
+        let (p4, _) = run_app(&Sim::new(), |sim| setup_matmul_p4(sim, net(), cfg));
+        let (ncs, _) = run_app(&Sim::new(), |sim| {
+            setup_matmul_ncs_with(sim, net(), cfg, NcsConfig::default())
+        });
         assert!(p4.verified && ncs.verified, "result verification failed");
         println!(
             "{label}: p4 {:7.3}s   NCS_MTS/p4 {:7.3}s   improvement {:4.1}%   (both verified)",

@@ -3,13 +3,26 @@
 //! p4, NCS core, and the applications.
 
 use bytes::Bytes;
-use ncs::apps::fft::{fft_ncs, fft_p4, FftConfig};
-use ncs::apps::jpeg_dist::{jpeg_ncs, jpeg_p4, JpegConfig};
-use ncs::apps::matmul::{matmul_ncs, matmul_p4, MatmulConfig};
+use ncs::apps::fft::{fft_ncs_setup_with, setup_fft_p4, FftConfig};
+use ncs::apps::jpeg_dist::{setup_jpeg_ncs_with, setup_jpeg_p4, JpegConfig};
+use ncs::apps::matmul::{setup_matmul_ncs_with, setup_matmul_p4, MatmulConfig};
+use ncs::apps::{run_app, AppRun, Verify};
 use ncs::core::{ErrorControl, NcsConfig, NcsWorld, ThreadAddr};
 use ncs::net::{ChaosNet, ChaosParams, Network, Testbed};
 use ncs::sim::Sim;
 use std::sync::Arc;
+
+/// Runs one staged driver on a fresh simulator.
+fn run<H: Verify>(stage: impl FnOnce(&Sim) -> H) -> AppRun {
+    run_app(&Sim::new(), stage).0
+}
+
+/// The p4 and the NCS run of one matmul, each over a fresh `net()`.
+fn matmul_both(net: impl Fn() -> Arc<dyn Network>, cfg: MatmulConfig) -> (AppRun, AppRun) {
+    let p4 = run(|sim| setup_matmul_p4(sim, net(), cfg));
+    let ncs = run(|sim| setup_matmul_ncs_with(sim, net(), cfg, NcsConfig::default()));
+    (p4, ncs)
+}
 
 fn small_matmul(nodes: usize) -> MatmulConfig {
     MatmulConfig {
@@ -28,9 +41,7 @@ fn matmul_verified_on_every_testbed() {
         Testbed::SunAtmLanApi,
         Testbed::NynetApi,
     ] {
-        let cfg = small_matmul(2);
-        let p4 = matmul_p4(testbed.build(3), cfg);
-        let ncs = matmul_ncs(testbed.build(3), cfg);
+        let (p4, ncs) = matmul_both(|| testbed.build(3), small_matmul(2));
         assert!(p4.verified, "{}: p4 result", testbed.id());
         assert!(ncs.verified, "{}: NCS result", testbed.id());
     }
@@ -45,9 +56,7 @@ fn ncs_beats_p4_on_the_paper_testbeds() {
         Testbed::SunAtmLanTcp,
         Testbed::NynetTcp,
     ] {
-        let cfg = small_matmul(2);
-        let p4 = matmul_p4(testbed.build(3), cfg);
-        let ncs = matmul_ncs(testbed.build(3), cfg);
+        let (p4, ncs) = matmul_both(|| testbed.build(3), small_matmul(2));
         assert!(
             ncs.elapsed < p4.elapsed,
             "{}: NCS {} !< p4 {}",
@@ -70,17 +79,18 @@ fn fft_verified_and_scales() {
             nodes,
             seed: 5,
         };
-        let run = fft_ncs(Testbed::SunAtmLanTcp.build(nodes + 1), cfg);
-        assert!(run.verified, "{nodes} nodes");
+        let net = Testbed::SunAtmLanTcp.build(nodes + 1);
+        let ncs = run(|sim| fft_ncs_setup_with(sim, net, cfg, NcsConfig::default()));
+        assert!(ncs.verified, "{nodes} nodes");
         if let Some(prev) = last {
             assert!(
-                run.elapsed < prev,
+                ncs.elapsed < prev,
                 "{nodes} nodes did not speed up: {} !< {}",
-                run.elapsed,
+                ncs.elapsed,
                 prev
             );
         }
-        last = Some(run.elapsed);
+        last = Some(ncs.elapsed);
     }
 }
 
@@ -92,8 +102,7 @@ fn fft_p4_variant_verified_on_wan() {
         nodes: 4,
         seed: 6,
     };
-    let run = fft_p4(Testbed::NynetTcp.build(5), cfg);
-    assert!(run.verified);
+    assert!(run(|sim| setup_fft_p4(sim, Testbed::NynetTcp.build(5), cfg)).verified);
 }
 
 #[test]
@@ -106,21 +115,23 @@ fn jpeg_pipeline_verified_both_variants() {
         nodes: 4,
         seed: 9,
     };
-    let p4 = jpeg_p4(Testbed::SunEthernet.build(5), cfg);
-    let ncs = jpeg_ncs(Testbed::SunEthernet.build(5), cfg);
+    let net = || Testbed::SunEthernet.build(5);
+    let (p4, handle) = run_app(&Sim::new(), |sim| setup_jpeg_p4(sim, net(), cfg));
+    let ncs = run(|sim| setup_jpeg_ncs_with(sim, net(), cfg, NcsConfig::default()));
     assert!(p4.verified && ncs.verified);
     assert!(ncs.elapsed < p4.elapsed, "pipeline overlap must win");
     // Real compression happened.
-    assert!(p4.compressed_bytes > 0 && p4.compressed_bytes < 192 * 128);
+    let compressed = handle.compressed_bytes();
+    assert!(compressed > 0 && compressed < 192 * 128);
 }
 
 #[test]
 fn deterministic_replay_across_full_stack() {
-    let run = || {
-        let cfg = small_matmul(2);
-        matmul_ncs(Testbed::NynetTcp.build(3), cfg).elapsed
+    let replay = || {
+        let net = Testbed::NynetTcp.build(3);
+        run(|sim| setup_matmul_ncs_with(sim, net, small_matmul(2), NcsConfig::default())).elapsed
     };
-    assert_eq!(run(), run(), "same seed must replay bit-identically");
+    assert_eq!(replay(), replay(), "same seed must replay bit-identically");
 }
 
 #[test]
@@ -155,7 +166,7 @@ fn error_control_survives_a_lossy_atm_lan() {
         "injection must fire"
     );
     assert!(
-        world.procs()[0].retransmits() > 0,
+        world.procs()[0].error_stats().retransmits > 0,
         "retransmits must happen"
     );
 }
@@ -164,10 +175,8 @@ fn error_control_survives_a_lossy_atm_lan() {
 fn single_node_threading_overhead_is_small_but_real() {
     // Paper Table 1/3, nodes = 1: NCS carries user-level threading
     // overhead over the sequential baseline, and nothing more.
-    let cfg = small_matmul(1);
     // The fabric needs two endpoints even when only one process runs.
-    let p4 = matmul_p4(Testbed::SunEthernet.build(2), cfg);
-    let ncs = matmul_ncs(Testbed::SunEthernet.build(2), cfg);
+    let (p4, ncs) = matmul_both(|| Testbed::SunEthernet.build(2), small_matmul(1));
     assert!(p4.verified && ncs.verified);
     assert!(ncs.elapsed >= p4.elapsed, "threads are not free");
     let overhead =
