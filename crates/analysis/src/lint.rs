@@ -47,10 +47,12 @@
 //!   `benchmark/src`. Not references: a line defining an item of that
 //!   name (its own, or another of any visibility: a private `fn X`
 //!   elsewhere does not keep `pub fn X` alive), a bare `X` (after neither
-//!   `.` nor `::`) in a file whose top level defines a non-`pub` `X`, the
-//!   `impl` blocks of that same type, and what a `pub use` / `pub mod`
-//!   line declares (only its path segments before a `::` count) — so an
-//!   item only tests or its own re-export name is flagged. Matching is by name,
+//!   `.` nor `::`) in a file whose top level defines a non-`pub` `X`, a
+//!   `self.X` in an `impl` of a type whose non-`pub` method `X` the same
+//!   file defines, the `impl` blocks of that same type, and what a
+//!   `pub use` / `pub mod` line declares (only its path segments before a
+//!   `::` count) — so an item only tests or its own re-export name is
+//!   flagged. Matching is by name,
 //!   not by resolved path, so a name shared with any live item (or a local,
 //!   a field, a `#[cfg(test)] mod x;` file read as code) counts as used:
 //!   the rule misses some dead items but never reports a live one.
@@ -598,6 +600,9 @@ fn dead_surface(files: &[(&str, &str)]) -> Vec<LintViolation> {
             .filter(|l| l.1 == 0 && pub_item_name(l.2.trim()).is_none())
             .filter_map(|l| item_name(l.2.trim()))
             .collect();
+        // `self.m` calls by `impl` type, and the non-`pub` methods this
+        // file's `impl` blocks define: a call of one of those is not a use.
+        let (mut self_calls, mut methods) = (Vec::new(), BTreeSet::new());
         for &(idx, depth, ref code) in &lines {
             let t = code.trim();
             if imp.is_none() {
@@ -613,6 +618,12 @@ fn dead_surface(files: &[(&str, &str)]) -> Vec<LintViolation> {
                 });
             }
             let own_type = imp.as_ref().map(|i| i.0.as_str());
+            if let (Some((ty, header, _)), None) = (&imp, pub_item_name(t)) {
+                let method = item_name(t).filter(|_| depth == header + 1);
+                methods.extend(method.map(|m| (ty.clone(), m.to_string())));
+            }
+            // `w` is a slice of `t`: the code before it on the line.
+            let before = |w: &str| t[..w.as_ptr() as usize - t.as_ptr() as usize].trim_end();
             let refs: Vec<&str> = if in_pub_use || t.starts_with("pub mod ") {
                 // Only the path segments: the leaves are what is re-exported.
                 let heads = t.split("::").take(t.matches("::").count());
@@ -620,14 +631,20 @@ fn dead_surface(files: &[(&str, &str)]) -> Vec<LintViolation> {
             } else {
                 let defined = item_name(t);
                 let other = |w: &&str| Some(*w) != defined && Some(*w) != own_type;
-                // `w` is a slice of `t`: bare is after neither `.` nor `::`.
+                // Bare: after neither `.` nor `::`.
                 let own_local = |w: &&str| {
-                    let before = t[..w.as_ptr() as usize - t.as_ptr() as usize].trim_end();
+                    let before = before(w);
                     local.contains(w) && !before.ends_with('.') && !before.ends_with("::")
                 };
                 idents(t).filter(|w| other(w) && !own_local(w)).collect()
             };
-            used.extend(refs.into_iter().map(str::to_string));
+            for w in refs {
+                let on_self = before(w).strip_suffix("self.");
+                match own_type.filter(|_| on_self.is_some_and(|b| !b.ends_with(is_ident_char))) {
+                    Some(ty) => self_calls.push((ty.to_string(), w.to_string())),
+                    None => _ = used.insert(w.to_string()),
+                }
+            }
             in_pub_use &= !t.contains(';');
             if let Some((_, header, opened)) = &mut imp {
                 *opened |= t.contains('{');
@@ -637,6 +654,8 @@ fn dead_surface(files: &[(&str, &str)]) -> Vec<LintViolation> {
                 }
             }
         }
+        let called = self_calls.into_iter().filter(|c| !methods.contains(c));
+        used.extend(called.map(|c| c.1));
     }
     // A definition line is `pub <kind> <name>` before any comment or literal.
     defs.retain(|v| pub_item_name(&v.snippet).is_some_and(|name| !used.contains(name)));

@@ -100,6 +100,8 @@ pub fn only_privately_redefined() {}
 pub fn only_privately_called() {}
 pub fn kept_by_qualified_call() {}
 pub fn kept_by_method_call() {}
+pub fn only_called_as_own_private_method() {}
+pub fn kept_by_other_types_self_call() {}
 pub fn allowed_here() {} // ncs-lint: allow(dead-surface) kept on purpose
 // ncs-lint: allow(dead-surface) kept on purpose
 pub fn allowed_above() {}
@@ -126,6 +128,13 @@ fn dead_surface_flags_items_only_tests_or_their_reexport_name() {
              fn h(x: X) { kept_by_method_call(); x.kept_by_method_call(); }\n",
         ),
         ("crates/c/src/lib.rs", "pub(crate) fn only_privately_redefined() {}\n"),
+        (
+            "crates/d/src/lib.rs",
+            "struct S;\nimpl S {\n    fn only_called_as_own_private_method(&self) {}\n    \
+             fn kept_by_other_types_self_call(&self) {}\n    \
+             fn go(&self) { self.only_called_as_own_private_method(); }\n}\n\
+             impl T {\n    fn go(&self) { self.kept_by_other_types_self_call(); }\n}\n",
+        ),
     ]);
     assert!(v.iter().all(|x| x.rule == "dead-surface"), "{v:#?}");
     let flagged: Vec<&str> = v.iter().map(|x| x.snippet.as_str()).collect();
@@ -138,6 +147,7 @@ fn dead_surface_flags_items_only_tests_or_their_reexport_name() {
             "pub struct OnlyInOwnImpl;",
             "pub fn only_privately_redefined() {}",
             "pub fn only_privately_called() {}",
+            "pub fn only_called_as_own_private_method() {}",
             "pub fn allowed_without_reason() {} // ncs-lint: allow(dead-surface)",
         ]
     );

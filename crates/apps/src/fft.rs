@@ -36,7 +36,7 @@ use std::f64::consts::PI;
 use std::sync::Arc;
 
 use crate::costs::AppCosts;
-use crate::util::charge_compute;
+use crate::util::{cached, charge_compute, INPUTS};
 use crate::workloads::test_signal;
 use crate::{run_app, AppRun, Verify};
 
@@ -294,7 +294,7 @@ pub fn distributed_fft_reference(input: &[Cx], t: usize) -> Vec<Cx> {
 // ---------------------------------------------------------------------------
 
 /// Workload parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct FftConfig {
     /// Points per sample set (the paper: 512).
     pub m: usize,
@@ -318,18 +318,24 @@ impl FftConfig {
     }
 }
 
-fn workload(cfg: &FftConfig) -> (Vec<Vec<Cx>>, Vec<Vec<Cx>>) {
-    let mut rng = SimRng::new(cfg.seed);
-    let sets: Vec<Vec<Cx>> = (0..cfg.sets)
-        .map(|_| test_signal(cfg.m, &mut rng))
-        .collect();
-    let expect = sets.iter().map(|s| fft(s)).collect();
-    (sets, expect)
+/// Sample sets, or their spectra, shared by every run of one input.
+type Sets = Arc<Vec<Vec<Cx>>>;
+
+/// The sample sets and their spectra, built once per distinct input.
+fn workload(cfg: &FftConfig) -> (Sets, Sets) {
+    cached(&INPUTS, FftConfig { nodes: 0, ..*cfg }, |cfg| {
+        let mut rng = SimRng::new(cfg.seed);
+        let sets: Vec<Vec<Cx>> = (0..cfg.sets)
+            .map(|_| test_signal(cfg.m, &mut rng))
+            .collect();
+        let expect = sets.iter().map(|s| fft(s)).collect();
+        (Arc::new(sets), Arc::new(expect))
+    })
 }
 
 /// Correctness handle for a staged FFT run.
 pub struct FftHandle {
-    expect: Vec<Vec<Cx>>,
+    expect: Sets,
     got: Arc<Mutex<Vec<Option<Vec<Cx>>>>>,
 }
 
@@ -403,7 +409,6 @@ pub fn setup_fft_p4(sim: &Sim, net: Arc<dyn Network>, cfg: FftConfig) -> FftHand
     );
     let m = cfg.m;
     let n_sets = cfg.sets;
-    let sets = Arc::new(sets);
     let got2 = Arc::clone(&got);
     create_procgroup(sim, net, t + 1, move |ctx, p| {
         let costs = AppCosts::for_host(p.net().host(NodeId(p.my_id() as u32)));
@@ -482,7 +487,6 @@ pub fn fft_ncs_setup_with(
     let got: Arc<Mutex<Vec<Option<Vec<Cx>>>>> = Arc::new(Mutex::new(vec![None; cfg.sets]));
     let m = cfg.m;
     let n_sets = cfg.sets;
-    let sets = Arc::new(sets);
     let got2 = Arc::clone(&got);
 
     let (n_procs, t, host_procs) = if cfg.nodes == 1 {

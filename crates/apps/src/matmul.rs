@@ -33,7 +33,7 @@ use ncs_sim::{Sim, SimRng};
 use std::sync::Arc;
 
 use crate::costs::AppCosts;
-use crate::util::charge_compute;
+use crate::util::{cached, charge_compute, INPUTS};
 use crate::workloads::Matrix;
 use crate::Verify;
 
@@ -43,7 +43,7 @@ const TYPE_A: i32 = 2;
 const TYPE_C: i32 = 3;
 
 /// Workload parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct MatmulConfig {
     /// Matrix dimension (the paper: 128).
     pub dim: usize,
@@ -99,18 +99,21 @@ fn block_macs(rows: usize, dim: usize) -> u64 {
     rows as u64 * dim as u64 * dim as u64
 }
 
-fn workload(cfg: &MatmulConfig) -> (Matrix, Matrix, Matrix) {
-    let mut rng = SimRng::new(cfg.seed);
-    let a = Matrix::random(cfg.dim, cfg.dim, &mut rng);
-    let b = Matrix::random(cfg.dim, cfg.dim, &mut rng);
-    let expect = multiply(&a, &b);
-    (a, b, expect)
+/// `A`, `B` and the reference `A·B`, built once per distinct input.
+fn workload(cfg: &MatmulConfig) -> (Arc<Matrix>, Arc<Matrix>, Arc<Matrix>) {
+    cached(&INPUTS, MatmulConfig { nodes: 0, ..*cfg }, |cfg| {
+        let mut rng = SimRng::new(cfg.seed);
+        let a = Matrix::random(cfg.dim, cfg.dim, &mut rng);
+        let b = Matrix::random(cfg.dim, cfg.dim, &mut rng);
+        let expect = multiply(&a, &b);
+        (Arc::new(a), Arc::new(b), Arc::new(expect))
+    })
 }
 
 /// Deferred verification handle (the result matrix materializes when the
 /// simulation runs).
 pub struct MatmulHandle {
-    expect: Matrix,
+    expect: Arc<Matrix>,
     got: Arc<Mutex<Option<Matrix>>>,
 }
 
@@ -162,8 +165,6 @@ pub fn setup_matmul_p4(sim: &Sim, net: Arc<dyn Network>, cfg: MatmulConfig) -> M
     }
 
     let rows_per = dim / nodes;
-    let a = Arc::new(a);
-    let b = Arc::new(b);
     let got2 = Arc::clone(&got);
     create_procgroup(sim, net, nodes + 1, move |ctx, p| {
         let costs = AppCosts::for_host(p.net().host(NodeId(p.my_id() as u32)));
@@ -230,8 +231,6 @@ pub fn setup_matmul_ncs_with(
     let rows_per = dim / nodes; // per node
     let rows_half = rows_per / 2; // per thread
 
-    let a = Arc::new(a);
-    let b = Arc::new(b);
     let got2 = Arc::clone(&got);
 
     if nodes == 1 {
@@ -390,8 +389,6 @@ pub fn setup_matmul_ncs_async_with(
     let strips = strip_count(rows_per);
     let strip_rows = rows_per / strips;
 
-    let a = Arc::new(a);
-    let b = Arc::new(b);
     let got2 = Arc::clone(&got);
 
     if nodes == 1 {

@@ -2,12 +2,15 @@
 //! transport, overlap ordering properties, and determinism.
 
 use ncs_apps::fft::{fft_ncs_setup_with, fft_p4, setup_fft_p4, FftConfig};
-use ncs_apps::jpeg_dist::{setup_jpeg_ncs_with, setup_jpeg_p4, JpegConfig};
+use ncs_apps::jpeg::EntropyKind;
+use ncs_apps::jpeg_dist::{
+    reference_pipeline_with, setup_jpeg_ncs_with, setup_jpeg_p4, JpegConfig,
+};
 use ncs_apps::matmul::{setup_matmul_ncs_with, setup_matmul_p4, MatmulConfig};
-use ncs_apps::{run_app, AppRun, Verify};
+use ncs_apps::{run_app, AppRun, GrayImage, Verify};
 use ncs_core::NcsConfig;
 use ncs_net::Testbed;
-use ncs_sim::Sim;
+use ncs_sim::{Dur, Sim, SimRng};
 
 /// Runs one staged driver on a fresh simulator.
 fn run<H: Verify>(stage: impl FnOnce(&Sim) -> H) -> AppRun {
@@ -44,7 +47,7 @@ fn jpeg_verifies_on_every_testbed_both_variants() {
         width: 64,
         height: 64,
         quality: 60,
-        entropy: ncs_apps::jpeg::EntropyKind::Huffman,
+        entropy: EntropyKind::Huffman,
         nodes: 2,
         seed: 4,
     };
@@ -157,5 +160,60 @@ fn staged_p4_fft_matches_its_run_form_and_replays() {
         let (first, second) = (trace(), trace());
         assert!(first.0 > 0, "{nodes} nodes: no events");
         assert_eq!(first, second, "{nodes} nodes: replay diverged");
+    }
+}
+
+#[test]
+fn a_run_on_inputs_rebuilt_after_eviction_replays() {
+    // The drivers share one slot of inputs: another seed and another app
+    // evict matmul's set between the two seed-1 runs, which must agree.
+    fn replay<H: Verify>(stage: impl FnOnce(&Sim) -> H) -> (Dur, u64) {
+        let sim = Sim::new();
+        let (run, _) = run_app(&sim, stage);
+        assert!(run.verified);
+        (run.elapsed, sim.trace_hash())
+    }
+    let net = || Testbed::SunEthernet.build(3);
+    let matmul = |seed| MatmulConfig {
+        dim: 32,
+        nodes: 2,
+        seed,
+    };
+    let jpeg = JpegConfig {
+        width: 64,
+        height: 64,
+        ..JpegConfig::paper(2)
+    };
+    let ncs = |seed| {
+        move |sim: &Sim| setup_matmul_ncs_with(sim, net(), matmul(seed), NcsConfig::default())
+    };
+    let first = replay(ncs(1));
+    replay(|sim| setup_jpeg_p4(sim, net(), jpeg));
+    replay(ncs(2));
+    assert_eq!(replay(ncs(1)), first);
+}
+
+/// The p4 rows (`N/2` bands) and the NCS rows (`N` half-bands) share one
+/// reference: the roundtrip must ignore the banding. Every banding is
+/// compared with the whole image: the paper image in 8-row bands, and two
+/// more seeds, on a 64-column strip to stay fast in a debug build, at 2, 4,
+/// 8 and 80 bands.
+#[test]
+fn reference_pipeline_does_not_depend_on_parts() {
+    let paper = JpegConfig::paper(2);
+    let cases = [
+        (paper.width, paper.seed, &[80][..]),
+        (64, 1, &[2, 4, 8, 80]),
+        (64, 2, &[2, 4, 8, 80]),
+    ];
+    for (width, seed, parts) in cases {
+        let img = GrayImage::synthetic(width, paper.height, &mut SimRng::new(seed));
+        for entropy in [EntropyKind::RleVarint, EntropyKind::Huffman] {
+            let whole = reference_pipeline_with(&img, 1, paper.quality, entropy);
+            for &p in parts {
+                let banded = reference_pipeline_with(&img, p, paper.quality, entropy);
+                assert!(banded == whole, "seed {seed} {entropy:?}: {p} parts differ");
+            }
+        }
     }
 }

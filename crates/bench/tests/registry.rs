@@ -41,6 +41,7 @@ fn report_rows_and_result_files_match_one_to_one() {
         .map(|entry| entry.expect("readable entry").file_name())
         .filter_map(|file| Some(file.to_str()?.strip_suffix(".txt")?.to_owned()))
         .filter(|stem| !stem.starts_with("metrics_")) // `xp observe`'s untracked artifacts
+        .filter(|stem| stem != "benchmark_smoke") // scripts/model_pins.sh's pins
         .collect();
     assert_eq!(
         rows, files,

@@ -42,8 +42,9 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== every experiment, smoke size, guards on (as CI) =="
 cargo run --release -p ncs-bench -- all --smoke --guard
 
-echo "== benchmark smoke: five workloads at 1/16 size, verified + deterministic (as CI) =="
-bash benchmark/run.sh --smoke
+echo "== benchmark smoke: five workloads at 1/16 size, verified + deterministic, model clock pinned (as CI) =="
+bash scripts/model_pins.sh
+git diff --exit-code -- results/benchmark_smoke.txt
 
 echo "== docs (as CI) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
