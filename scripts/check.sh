@@ -16,6 +16,9 @@ cargo test --release --offline -p ncs-core --test lossy_control -- --ignored
 echo "== codec against its one-coefficient-at-a-time reference, 29,606 image·quality cases (as CI) =="
 cargo test --release --offline -p ncs-apps -- --ignored
 
+echo "== BENCH_pipeline.json reprinted but for its host-clock byte path (as CI) =="
+cargo test --release --offline -p ncs-bench --test registry -- --ignored
+
 echo "== no-registry guard: removed crate names, lock file sources (as CI) =="
 bash scripts/guard_no_registry.sh
 
