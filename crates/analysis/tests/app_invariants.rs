@@ -67,7 +67,7 @@ fn jpeg_verifies_with_invariants_armed() {
         width: 64,
         height: 64,
         quality: 60,
-        entropy: ncs_apps::jpeg::EntropyKind::Huffman,
+        entropy: ncs_apps::jpeg::EntropyKind::RleVarint,
         nodes: 2,
         seed: 4,
     };

@@ -8,48 +8,30 @@
 //! therefore the bytes the distributed pipeline ships) come from actual
 //! encoding of the actual image.
 
-use crate::jpeg::{dct, entropy, huffman, ones, quant, zigzag};
+use crate::jpeg::{dct, entropy, ones, quant, zigzag};
 use crate::workloads::GrayImage;
 
 /// Compressed-image header magic.
 const MAGIC: u32 = 0x4E43_4A50; // "NCJP"
 
-/// Selectable entropy stage.
+/// The header's coder byte: the one entropy stage, [`EntropyKind::RleVarint`].
+const CODER_ID: u8 = 0;
+
+/// The entropy stage. It has one: the benchmark package under `benchmark/`
+/// still passes `JpegConfig::entropy` to `reference_pipeline_with`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EntropyKind {
-    /// Byte-aligned zero-run + varint coder (fast, simple).
+    /// Byte-aligned zero-run + varint coder ([`entropy`]).
     RleVarint,
-    /// Canonical Huffman with T.81-style (run, size) symbols and appended
-    /// magnitude bits — the standard's approach; better ratios, bit-level.
-    Huffman,
-}
-
-impl EntropyKind {
-    fn id(self) -> u8 {
-        match self {
-            EntropyKind::RleVarint => 0,
-            EntropyKind::Huffman => 1,
-        }
-    }
-
-    fn from_id(v: u8) -> Option<EntropyKind> {
-        match v {
-            0 => Some(EntropyKind::RleVarint),
-            1 => Some(EntropyKind::Huffman),
-            _ => None,
-        }
-    }
 }
 
 /// Compression failure (decode side).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CodecError {
-    /// Not a compressed image (bad magic or header).
+    /// Not a compressed image (bad magic or header, or another coder's).
     BadHeader,
-    /// Entropy stream damaged (RLE coder).
+    /// Entropy stream damaged.
     Entropy(entropy::EntropyError),
-    /// Entropy stream damaged (Huffman coder).
-    Huffman(huffman::HuffError),
 }
 
 impl std::fmt::Display for CodecError {
@@ -57,21 +39,14 @@ impl std::fmt::Display for CodecError {
         match self {
             CodecError::BadHeader => write!(f, "bad compressed-image header"),
             CodecError::Entropy(e) => write!(f, "entropy: {e}"),
-            CodecError::Huffman(e) => write!(f, "huffman: {e}"),
         }
     }
 }
 
 impl std::error::Error for CodecError {}
 
-/// Compresses a grayscale image at the given quality (1..=100) with the
-/// default (RLE/varint) entropy stage.
+/// Compresses a grayscale image at the given quality (1..=100).
 pub fn compress(img: &GrayImage, quality: u8) -> Vec<u8> {
-    compress_with(img, quality, EntropyKind::RleVarint)
-}
-
-/// Compresses with an explicit entropy stage.
-pub fn compress_with(img: &GrayImage, quality: u8, coder: EntropyKind) -> Vec<u8> {
     assert!(img.width.is_multiple_of(8) && img.height.is_multiple_of(8));
     // The block rows below are zipped slices of `pixels`: on a short image
     // they would stop early and leave zeros, so refuse it here.
@@ -86,11 +61,8 @@ pub fn compress_with(img: &GrayImage, quality: u8, coder: EntropyKind) -> Vec<u8
     out.extend_from_slice(&(img.width as u32).to_le_bytes());
     out.extend_from_slice(&(img.height as u32).to_le_bytes());
     out.push(quality);
-    out.push(coder.id());
-    // The RLE stage codes each block as it comes; the Huffman stage builds
-    // its code from every block's symbols first.
+    out.push(CODER_ID);
     let mut prev_dc = 0i16;
-    let mut zz_blocks = Vec::new();
     for by in (0..img.height).step_by(8) {
         for bx in (0..img.width).step_by(8) {
             let mut block = [0.0f64; 64];
@@ -102,14 +74,8 @@ pub fn compress_with(img: &GrayImage, quality: u8, coder: EntropyKind) -> Vec<u8
             }
             let zz = quant::quantize_clear(&dct::forward_aan(&block), &mult)
                 .unwrap_or_else(|| zigzag::to_zigzag(&quantize_exact(&block, &table)));
-            match coder {
-                EntropyKind::RleVarint => entropy::encode_block(&zz, &mut prev_dc, &mut out),
-                EntropyKind::Huffman => zz_blocks.push(zz),
-            }
+            entropy::encode_block(&zz, &mut prev_dc, &mut out);
         }
-    }
-    if coder == EntropyKind::Huffman {
-        out.extend_from_slice(&huffman::encode_blocks(&zz_blocks));
     }
     out
 }
@@ -137,36 +103,28 @@ pub fn decompress(data: &[u8]) -> Result<GrayImage, CodecError> {
     let width = u32::from_le_bytes(data[4..8].try_into().unwrap()) as usize;
     let height = u32::from_le_bytes(data[8..12].try_into().unwrap()) as usize;
     let quality = data[12];
-    let coder = EntropyKind::from_id(data[13]).ok_or(CodecError::BadHeader)?;
-    if width == 0 || height == 0 || !width.is_multiple_of(8) || !height.is_multiple_of(8) {
+    if data[13] != CODER_ID
+        || width == 0
+        || height == 0
+        || !width.is_multiple_of(8)
+        || !height.is_multiple_of(8)
+    {
         return Err(CodecError::BadHeader);
     }
     // Everything sized from the header is bounded by the input first: a
-    // block costs at least one bit of body under either coder.
+    // block costs at least one bit of body.
     let body = &data[14..];
     let n_blocks = width.checked_mul(height).ok_or(CodecError::BadHeader)? / 64;
     if n_blocks > body.len().saturating_mul(8) {
         return Err(CodecError::BadHeader);
     }
-    // The RLE stage decodes each block as it is needed; the Huffman stage
-    // decodes them all at once.
-    let mut huffman_blocks = match coder {
-        EntropyKind::RleVarint => Vec::new(),
-        EntropyKind::Huffman => {
-            huffman::decode_blocks(body, n_blocks).map_err(CodecError::Huffman)?
-        }
-    }
-    .into_iter();
     let (mut pos, mut prev_dc) = (0, 0i16);
     let table = quant::table_for_quality(quality);
     let mut pixels = vec![0u8; width * height];
     for by in (0..height).step_by(8) {
         for bx in (0..width).step_by(8) {
-            let zz = match coder {
-                EntropyKind::RleVarint => entropy::decode_block(body, &mut pos, &mut prev_dc)
-                    .map_err(CodecError::Entropy)?,
-                EntropyKind::Huffman => huffman_blocks.next().expect("block count checked"),
-            };
+            let zz = entropy::decode_block(body, &mut pos, &mut prev_dc)
+                .map_err(CodecError::Entropy)?;
             let rows = pixels[by * width + bx..].chunks_mut(width).take(8);
             put_pixels(&zz, &table, rows);
         }
@@ -289,103 +247,62 @@ mod tests {
     }
 }
 
+/// The header's coder byte and the paper image's pinned bytes.
 #[cfg(test)]
 mod entropy_choice_tests {
     use super::*;
     use ncs_sim::SimRng;
 
     /// (length, FNV-1a) of the compressed paper image, and FNV-1a of its
-    /// decoded pixels (both coders decode to the same image).
+    /// decoded pixels.
     const PIN_RLE: (usize, u64) = (35_367, 0xd5cb_60b8_4770_07d1);
-    const PIN_HUFFMAN: (usize, u64) = (9_423, 0x0304_19ff_7209_c0e7);
     const PIN_DECODED: u64 = 0xb53c_06c2_eccc_8991;
 
-    #[test]
-    fn huffman_stage_roundtrips() {
-        let mut rng = SimRng::new(31);
-        let img = GrayImage::synthetic(64, 64, &mut rng);
-        let data = compress_with(&img, 75, EntropyKind::Huffman);
-        let back = decompress(&data).unwrap();
-        assert!(back.psnr(&img) > 30.0);
-    }
-
-    #[test]
-    fn both_stages_decode_to_identical_pixels() {
-        // Same DCT/quantization, so the lossy output must match exactly.
-        let mut rng = SimRng::new(32);
-        let img = GrayImage::synthetic(48, 48, &mut rng);
-        let a = decompress(&compress_with(&img, 60, EntropyKind::RleVarint)).unwrap();
-        let b = decompress(&compress_with(&img, 60, EntropyKind::Huffman)).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn huffman_smaller_on_large_images() {
-        let mut rng = SimRng::new(33);
-        let img = GrayImage::synthetic(256, 256, &mut rng);
-        let rle = compress_with(&img, 75, EntropyKind::RleVarint);
-        let huf = compress_with(&img, 75, EntropyKind::Huffman);
-        assert!(
-            huf.len() < rle.len(),
-            "huffman {} !< rle {}",
-            huf.len(),
-            rle.len()
-        );
-    }
-
     /// A valid magic with width = height = 2³¹ claims 2⁵⁶ blocks: the
-    /// header is refused before anything is allocated from it, under both
-    /// coders (the Huffman one only reads a body of ≥ 256 bytes).
+    /// header is refused before anything is allocated from it.
     #[test]
     fn hostile_dimensions_rejected_before_allocating() {
-        for (coder, body_len) in [(EntropyKind::RleVarint, 2), (EntropyKind::Huffman, 300)] {
-            let mut data = MAGIC.to_le_bytes().to_vec();
-            data.extend_from_slice(&(1u32 << 31).to_le_bytes());
-            data.extend_from_slice(&(1u32 << 31).to_le_bytes());
-            data.push(75);
-            data.push(coder.id());
-            data.resize(14 + body_len, 0);
-            assert_eq!(decompress(&data), Err(CodecError::BadHeader), "{coder:?}");
-        }
+        let mut data = MAGIC.to_le_bytes().to_vec();
+        data.extend_from_slice(&(1u32 << 31).to_le_bytes());
+        data.extend_from_slice(&(1u32 << 31).to_le_bytes());
+        data.push(75);
+        data.push(CODER_ID);
+        data.resize(14 + 2, 0);
+        assert_eq!(decompress(&data), Err(CodecError::BadHeader));
     }
 
     /// The compressed paper image (`JpegConfig::paper`: 960×640, seed
-    /// 0x1A6, quality 75) under both coders, pinned by digest: the
-    /// factorized image, the two-rows-per-sweep DCT and the library-free
-    /// rounding must leave every byte where the direct forms put it.
+    /// 0x1A6, quality 75), pinned by digest: the factorized image, the
+    /// two-rows-per-sweep DCT and the library-free rounding must leave
+    /// every byte where the direct forms put it.
     #[test]
     fn paper_image_compresses_to_pinned_bytes() {
         let mut rng = SimRng::new(0x1A6);
         let img = GrayImage::synthetic(960, 640, &mut rng);
-        let pins = [
-            (EntropyKind::RleVarint, PIN_RLE),
-            (EntropyKind::Huffman, PIN_HUFFMAN),
-        ];
-        for (coder, (len, digest)) in pins {
-            let data = compress_with(&img, 75, coder);
-            assert_eq!(
-                (data.len(), ncs_sim::fnv1a(&data)),
-                (len, digest),
-                "{coder:?}"
-            );
-            let back = decompress(&data).unwrap();
-            assert_eq!(ncs_sim::fnv1a(&back.pixels), PIN_DECODED, "{coder:?}");
-        }
+        let data = compress(&img, 75);
+        assert_eq!((data.len(), ncs_sim::fnv1a(&data)), PIN_RLE);
+        let back = decompress(&data).unwrap();
+        assert_eq!(ncs_sim::fnv1a(&back.pixels), PIN_DECODED);
     }
 
+    /// Only coder id 0 decodes. Id 1 named a second, bit-level coder that
+    /// has since been removed: a stream it wrote is refused, not misread as
+    /// RLE.
     #[test]
     fn unknown_coder_id_rejected() {
         let mut rng = SimRng::new(34);
         let img = GrayImage::synthetic(16, 16, &mut rng);
         let mut data = compress(&img, 75);
-        data[13] = 9;
-        assert_eq!(decompress(&data), Err(CodecError::BadHeader));
+        for id in [1, 9] {
+            data[13] = id;
+            assert_eq!(decompress(&data), Err(CodecError::BadHeader), "id {id}");
+        }
     }
 }
 
 /// The codec one coefficient at a time, every coefficient through
 /// `forward_fast` + `quantize` and the dense inverse, in the order
-/// [`compress_with`] and [`decompress`] must reproduce. Two calls go to
+/// [`compress`] and [`decompress`] must reproduce. Two calls go to
 /// oracles: `entropy::reference::encode_block` and `dct`'s
 /// `inverse_one_at_a_time` (bit-equal to the dense two-rows-per-sweep
 /// inverse). Every compressed byte and decoded pixel is checked against
@@ -395,7 +312,7 @@ mod reference {
     use super::*;
     use crate::jpeg::dct::properties::inverse_one_at_a_time;
 
-    pub fn compress_with(img: &GrayImage, quality: u8, coder: EntropyKind) -> Vec<u8> {
+    pub fn compress(img: &GrayImage, quality: u8) -> Vec<u8> {
         assert!(img.width.is_multiple_of(8) && img.height.is_multiple_of(8));
         let table = quant::table_for_quality(quality);
         let mut out = Vec::with_capacity(img.len() / 4 + 16);
@@ -403,8 +320,8 @@ mod reference {
         out.extend_from_slice(&(img.width as u32).to_le_bytes());
         out.extend_from_slice(&(img.height as u32).to_le_bytes());
         out.push(quality);
-        out.push(coder.id());
-        let mut zz_blocks = Vec::with_capacity(img.len() / 64);
+        out.push(CODER_ID);
+        let mut prev_dc = 0i16;
         for by in (0..img.height).step_by(8) {
             for bx in (0..img.width).step_by(8) {
                 let mut block = [0.0f64; 64];
@@ -416,22 +333,12 @@ mod reference {
                 }
                 let coeffs = dct::forward_fast(&block);
                 let q = quant::quantize(&coeffs, &table);
-                zz_blocks.push(zigzag::to_zigzag(&q));
-            }
-        }
-        match coder {
-            EntropyKind::RleVarint => {
-                let mut prev_dc = 0i16;
-                for zz in &zz_blocks {
-                    entropy::reference::encode_block(zz, &mut prev_dc, &mut out);
-                }
-            }
-            EntropyKind::Huffman => {
-                out.extend_from_slice(&huffman::encode_blocks(&zz_blocks));
+                entropy::reference::encode_block(&zigzag::to_zigzag(&q), &mut prev_dc, &mut out);
             }
         }
         out
     }
+
     pub fn decompress(data: &[u8]) -> Result<GrayImage, CodecError> {
         if data.len() < 14 || data[..4] != MAGIC.to_le_bytes() {
             return Err(CodecError::BadHeader);
@@ -439,34 +346,26 @@ mod reference {
         let width = u32::from_le_bytes(data[4..8].try_into().unwrap()) as usize;
         let height = u32::from_le_bytes(data[8..12].try_into().unwrap()) as usize;
         let quality = data[12];
-        let coder = EntropyKind::from_id(data[13]).ok_or(CodecError::BadHeader)?;
-        if width == 0 || height == 0 || !width.is_multiple_of(8) || !height.is_multiple_of(8) {
+        if data[13] != CODER_ID
+            || width == 0
+            || height == 0
+            || !width.is_multiple_of(8)
+            || !height.is_multiple_of(8)
+        {
             return Err(CodecError::BadHeader);
         }
         // Everything sized from the header is bounded by the input first: a
-        // block costs at least one bit of body under either coder.
+        // block costs at least one bit of body.
         let body = &data[14..];
         let n_blocks = width.checked_mul(height).ok_or(CodecError::BadHeader)? / 64;
         if n_blocks > body.len().saturating_mul(8) {
             return Err(CodecError::BadHeader);
         }
-        let zz_blocks: Vec<[i16; 64]> = match coder {
-            EntropyKind::RleVarint => {
-                let mut pos = 0;
-                let mut prev_dc = 0i16;
-                let mut v = Vec::with_capacity(n_blocks);
-                for _ in 0..n_blocks {
-                    v.push(
-                        entropy::decode_block(body, &mut pos, &mut prev_dc)
-                            .map_err(CodecError::Entropy)?,
-                    );
-                }
-                v
-            }
-            EntropyKind::Huffman => {
-                huffman::decode_blocks(body, n_blocks).map_err(CodecError::Huffman)?
-            }
-        };
+        let (mut pos, mut prev_dc) = (0, 0i16);
+        let zz_blocks: Vec<[i16; 64]> = (0..n_blocks)
+            .map(|_| entropy::decode_block(body, &mut pos, &mut prev_dc))
+            .collect::<Result<_, _>>()
+            .map_err(CodecError::Entropy)?;
         let table = quant::table_for_quality(quality);
         let mut pixels = vec![0u8; width * height];
         let mut it = zz_blocks.iter();
@@ -502,14 +401,10 @@ mod equivalence {
     use ncs_sim::SimRng;
 
     /// Compressed bytes and decoded pixels equal the reference codec's.
-    fn assert_matches(img: &GrayImage, quality: u8, coder: EntropyKind) {
-        let data = compress_with(img, quality, coder);
-        let what = format!("{}x{} q{quality} {coder:?}", img.width, img.height);
-        assert_eq!(
-            data,
-            reference::compress_with(img, quality, coder),
-            "bytes, {what}"
-        );
+    fn assert_matches(img: &GrayImage, quality: u8) {
+        let data = compress(img, quality);
+        let what = format!("{}x{} q{quality}", img.width, img.height);
+        assert_eq!(data, reference::compress(img, quality), "bytes, {what}");
         let back = decompress(&data).expect("decodes");
         assert_eq!(Ok(back), reference::decompress(&data), "pixels, {what}");
     }
@@ -556,24 +451,21 @@ mod equivalence {
         }
     }
 
-    /// `cases` random image·quality·coder cases.
+    /// `cases` random image·quality cases.
     fn random_cases(name: &str, cases: u32) {
         prop::check(name, cases, |g| {
             let img = any_image(g);
             let quality = g.range(1..=100) as u8;
-            let coder = *g.pick(&[EntropyKind::RleVarint, EntropyKind::Huffman]);
-            assert_matches(&img, quality, coder);
+            assert_matches(&img, quality);
         });
     }
 
-    /// Flat 16×8 images at `levels` × `qualities`, under both coders.
+    /// Flat 16×8 images at `levels` × `qualities`.
     fn flat_cases(levels: impl Iterator<Item = u8> + Clone, qualities: &[u8]) -> usize {
         let mut cases = 0;
         for level in levels {
             for &quality in qualities {
-                for coder in [EntropyKind::RleVarint, EntropyKind::Huffman] {
-                    assert_matches(&flat(16, 8, level), quality, coder);
-                }
+                assert_matches(&flat(16, 8, level), quality);
                 cases += 1;
             }
         }
@@ -598,7 +490,7 @@ mod equivalence {
         random_cases("corpus_matches_reference", 4_000);
         let paper = GrayImage::synthetic(960, 640, &mut SimRng::new(0x1A6));
         for quality in [5, 25, 50, 75, 90, 100] {
-            assert_matches(&paper, quality, EntropyKind::Huffman);
+            assert_matches(&paper, quality);
         }
     }
 
@@ -614,10 +506,7 @@ mod equivalence {
             let data = compress(&img, 50);
             let taken = exact_blocks() - before;
             assert_eq!(taken, if level % 2 == 1 { 4 } else { 0 }, "level {level}");
-            assert_eq!(
-                data,
-                reference::compress_with(&img, 50, EntropyKind::RleVarint)
-            );
+            assert_eq!(data, reference::compress(&img, 50));
         }
     }
 }

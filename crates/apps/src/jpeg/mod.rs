@@ -8,11 +8,10 @@
 pub mod codec;
 pub mod dct;
 pub mod entropy;
-pub mod huffman;
 pub mod quant;
 pub mod zigzag;
 
-pub use codec::{compress, compress_with, decompress, CodecError, EntropyKind};
+pub use codec::{compress, decompress, CodecError, EntropyKind};
 
 /// The set bits of `mask`, lowest first: the coefficients a nonzero mask
 /// names.

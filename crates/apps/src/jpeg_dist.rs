@@ -25,7 +25,7 @@ use ncs_sim::{Sim, SimRng};
 use std::sync::Arc;
 
 use crate::costs::AppCosts;
-use crate::jpeg::{compress_with, decompress, EntropyKind};
+use crate::jpeg::{compress, decompress, EntropyKind};
 use crate::util::{cached, charge_compute, INPUTS};
 use crate::workloads::GrayImage;
 use crate::Verify;
@@ -39,7 +39,7 @@ pub struct JpegConfig {
     pub height: usize,
     /// Codec quality.
     pub quality: u8,
-    /// Entropy stage (the X5 ablation knob).
+    /// Entropy stage; [`EntropyKind`] has one.
     pub entropy: EntropyKind,
     /// Total compute nodes (even: half compress, half decompress).
     pub nodes: usize,
@@ -59,12 +59,6 @@ impl JpegConfig {
             seed: 0x1A6,
         }
     }
-
-    /// The same pipeline with the canonical-Huffman entropy stage.
-    pub fn with_huffman(mut self) -> JpegConfig {
-        self.entropy = EntropyKind::Huffman;
-        self
-    }
 }
 
 /// The image and its whole-image reference, built once per distinct input.
@@ -77,7 +71,7 @@ fn workload(cfg: &JpegConfig) -> (Arc<GrayImage>, Arc<GrayImage>) {
 }
 
 /// Sequential reference: roundtrips each of `parts` horizontal bands
-/// independently through `entropy` and reassembles. The result does not
+/// independently through the codec and reassembles. The result does not
 /// depend on `parts`: blocks are quantized alone, entropy coding is lossless.
 pub fn reference_pipeline_with(
     img: &GrayImage,
@@ -85,6 +79,7 @@ pub fn reference_pipeline_with(
     quality: u8,
     entropy: EntropyKind,
 ) -> GrayImage {
+    let EntropyKind::RleVarint = entropy;
     assert!(img.height.is_multiple_of(parts));
     let band_rows = img.height / parts;
     let mut out = GrayImage {
@@ -94,7 +89,7 @@ pub fn reference_pipeline_with(
     };
     for p in 0..parts {
         let band = img.band(p * band_rows, (p + 1) * band_rows);
-        let back = decompress(&compress_with(&band, quality, entropy)).expect("reference codec");
+        let back = decompress(&compress(&band, quality)).expect("reference codec");
         out.pixels[p * band_rows * img.width..(p + 1) * band_rows * img.width]
             .copy_from_slice(&back.pixels);
     }
@@ -192,7 +187,7 @@ pub fn setup_jpeg_p4(sim: &Sim, net: Arc<dyn Network>, cfg: JpegConfig) -> JpegH
                 height: band_rows,
                 pixels: m.data.to_vec(),
             };
-            let compressed = compress_with(&band, cfg.quality, cfg.entropy);
+            let compressed = compress(&band, cfg.quality);
             charge_compute(
                 ctx,
                 &host_model,
@@ -252,7 +247,6 @@ pub fn setup_jpeg_ncs_with(
     let width = cfg.width;
     let height = cfg.height;
     let quality = cfg.quality;
-    let entropy = cfg.entropy;
 
     NcsWorld::launch(
         sim,
@@ -318,7 +312,7 @@ pub fn setup_jpeg_ncs_with(
                             height: half_rows,
                             pixels: m.data.to_vec(),
                         };
-                        let compressed = compress_with(&band, quality, entropy);
+                        let compressed = compress(&band, quality);
                         ncs.compute(band.len() as u64 * costs.jpeg_compress_per_byte, "compress");
                         *cb.lock() += compressed.len();
                         let me = ncs.proc().id();

@@ -47,7 +47,7 @@ fn jpeg_verifies_on_every_testbed_both_variants() {
         width: 64,
         height: 64,
         quality: 60,
-        entropy: EntropyKind::Huffman,
+        entropy: EntropyKind::RleVarint,
         nodes: 2,
         seed: 4,
     };
@@ -208,12 +208,11 @@ fn reference_pipeline_does_not_depend_on_parts() {
     ];
     for (width, seed, parts) in cases {
         let img = GrayImage::synthetic(width, paper.height, &mut SimRng::new(seed));
-        for entropy in [EntropyKind::RleVarint, EntropyKind::Huffman] {
-            let whole = reference_pipeline_with(&img, 1, paper.quality, entropy);
-            for &p in parts {
-                let banded = reference_pipeline_with(&img, p, paper.quality, entropy);
-                assert!(banded == whole, "seed {seed} {entropy:?}: {p} parts differ");
-            }
+        let entropy = EntropyKind::RleVarint;
+        let whole = reference_pipeline_with(&img, 1, paper.quality, entropy);
+        for &p in parts {
+            let banded = reference_pipeline_with(&img, p, paper.quality, entropy);
+            assert!(banded == whole, "seed {seed}: {p} parts differ");
         }
     }
 }

@@ -3,7 +3,6 @@
 //! * `mts-sched` — extension experiment **X2**: the wall-clock cost of an
 //!   MTS block/unblock round trip (the simulator's own overhead, beside
 //!   the modelled 15 µs virtual context switch);
-//! * `huffman` — the JPEG entropy coder, encode and decode;
 //! * `jpeg` — the whole codec, compress and decompress, on the paper's
 //!   960×640 Table 2 image at quality 75 (`JpegConfig::paper`), in ns per
 //!   pixel;
@@ -28,7 +27,7 @@
 use super::{worker_cpus, Opts, Report};
 use crate::min_ns_per_call;
 use bytes::Bytes;
-use ncs_apps::jpeg::{compress, decompress, huffman};
+use ncs_apps::jpeg::{compress, decompress};
 use ncs_apps::jpeg_dist::JpegConfig;
 use ncs_apps::GrayImage;
 use ncs_core::{NcsConfig, NcsWorld, ThreadAddr};
@@ -135,35 +134,6 @@ pub(super) fn run(opts: &Opts, out: &mut Report) {
         "round trip",
         f64::from(ROUND_TRIPS),
         &mut block_unblock,
-    );
-
-    // Realistic quantized blocks: sparse with small values.
-    let blocks: Vec<[i16; 64]> = (0..64)
-        .map(|i| {
-            let mut b = [0i16; 64];
-            b[0] = 40 + (i % 11) as i16;
-            b[1] = ((i % 5) as i16) - 2;
-            b[8] = 1;
-            b
-        })
-        .collect();
-    let coefficient_bytes = (blocks.len() * 128) as f64;
-    let encoded = huffman::encode_blocks(&blocks);
-    row(
-        "huffman/encode-64-blocks",
-        "byte",
-        coefficient_bytes,
-        &mut || {
-            black_box(huffman::encode_blocks(black_box(&blocks)));
-        },
-    );
-    row(
-        "huffman/decode-64-blocks",
-        "byte",
-        coefficient_bytes,
-        &mut || {
-            black_box(huffman::decode_blocks(black_box(&encoded), blocks.len()).unwrap());
-        },
     );
 
     // The Table 2 image, as `jpeg_dist` synthesizes it.

@@ -21,7 +21,6 @@ use std::sync::Arc;
 
 pub mod chaos;
 mod cs_sweep;
-mod entropy;
 mod explore;
 mod fig_buffers;
 mod fig_datapath;
@@ -149,12 +148,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         report: ONCE,
     },
     Experiment {
-        name: "xp_entropy",
-        about: "X5: JPEG entropy coder ablation, RLE/varint vs Huffman",
-        run: entropy::run,
-        report: ONCE,
-    },
-    Experiment {
         name: "xp_pvm",
         about: "X6: substrate swap, p4-over-TCP vs PVM-style daemon routing",
         run: pvm::run,
@@ -204,7 +197,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "xp_micro",
-        about: "X2 + host-time microbenchmarks (MTS, Huffman, JPEG codec, fabric booking, ping-pong)",
+        about: "X2 + host-time microbenchmarks (MTS, JPEG codec, fabric booking, ping-pong)",
         run: micro::run,
         report: NEVER,
     },
