@@ -123,8 +123,8 @@ pub fn decompress(data: &[u8]) -> Result<GrayImage, CodecError> {
     let mut pixels = vec![0u8; width * height];
     for by in (0..height).step_by(8) {
         for bx in (0..width).step_by(8) {
-            let zz = entropy::decode_block(body, &mut pos, &mut prev_dc)
-                .map_err(CodecError::Entropy)?;
+            let zz =
+                entropy::decode_block(body, &mut pos, &mut prev_dc).map_err(CodecError::Entropy)?;
             let rows = pixels[by * width + bx..].chunks_mut(width).take(8);
             put_pixels(&zz, &table, rows);
         }

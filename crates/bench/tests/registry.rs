@@ -154,7 +154,10 @@ fn assert_reprints_its_document(name: &str) {
 fn masking_reads_a_scalar_and_a_nested_value_as_one_blank() {
     let doc = "{\"a\": 1.5, \"b\": {\"c\": [1, 2],\n \"d\": 3}, \"e\": 4}\n";
     assert_eq!(mask(doc, &["a", "b"]), "{\"a\": _, \"b\": _, \"e\": 4}\n");
-    assert_eq!(mask(doc, &["d", "e"]), "{\"a\": 1.5, \"b\": {\"c\": [1, 2],\n \"d\": _}, \"e\": _}\n");
+    assert_eq!(
+        mask(doc, &["d", "e"]),
+        "{\"a\": 1.5, \"b\": {\"c\": [1, 2],\n \"d\": _}, \"e\": _}\n"
+    );
 }
 
 #[test]
