@@ -59,7 +59,7 @@ impl NcsCtx<'_> {
     fn comm_span(&self, label: &'static str, t0: SimTime, causal: u64) {
         let t1 = self.ctx().now();
         self.inner().sim.with_spans(|tr| {
-            tr.span_full(self.actor, SpanKind::Comm, label, t0, t1, None, causal);
+            tr.span_full(self.actor, SpanKind::Comm, label, t0, t1, causal);
         });
     }
 

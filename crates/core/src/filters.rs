@@ -17,8 +17,17 @@ use bytes::Bytes;
 use crate::addr::ThreadAddr;
 use crate::env::{NcsCtx, NcsMsg};
 
+/// The user tag of `MPI_Bcast`'s transfers.
+const MPI_BCAST_TAG: u32 = 0xFFFF_FF10;
+
 fn rank0(proc: usize) -> ThreadAddr {
     ThreadAddr::new(proc, 0)
+}
+
+/// Thread 0 of each listed process but `me`, in list order: the receivers
+/// of a filter's broadcast, which never sends to its caller.
+fn others(procs: impl IntoIterator<Item = usize>, me: usize) -> Vec<ThreadAddr> {
+    procs.into_iter().filter(|&p| p != me).map(rank0).collect()
 }
 
 /// p4-style interface (`p4_send` / `p4_recv` / `p4_broadcast`).
@@ -53,13 +62,11 @@ impl<'a, 'b> P4Filter<'a, 'b> {
         (m.tag as i32, m.from.proc, m.data)
     }
 
-    /// `p4_broadcast` to every other rank.
+    /// `p4_broadcast` to every other rank, lowest rank first.
+    // ncs-lint: allow(dead-surface) p4_broadcast: Figure 6 p4 filter
     pub fn broadcast(&self, msg_type: i32, data: Bytes) {
-        for p in 0..self.num_procs() {
-            if p != self.my_id() {
-                self.ncs.send(rank0(p), msg_type as u32, data.clone());
-            }
-        }
+        let to = others(0..self.num_procs(), self.my_id());
+        self.ncs.bcast(&to, msg_type as u32, data);
     }
 }
 
@@ -95,11 +102,8 @@ impl<'a, 'b> PvmFilter<'a, 'b> {
     /// `pvm_mcast` to an explicit task list.
     // ncs-lint: allow(dead-surface) pvm_mcast: Figure 6 PVM filter
     pub fn mcast(&self, tids: &[usize], msgtag: u32, data: Bytes) {
-        for &t in tids {
-            if t != self.mytid() {
-                self.ncs.send(rank0(t), msgtag, data.clone());
-            }
-        }
+        let to = others(tids.iter().copied(), self.mytid());
+        self.ncs.bcast(&to, msgtag, data);
     }
 }
 
@@ -146,17 +150,13 @@ impl<'a, 'b> MpiFilter<'a, 'b> {
     /// `MPI_Bcast`: collective — every rank calls it; the root's buffer is
     /// returned at every rank.
     pub fn bcast(&self, root: usize, data: Option<Bytes>) -> Bytes {
-        const BCAST_TAG: u32 = crate::group::GROUP_TAG_BASE + 16;
         if self.rank() == root {
             let data = data.expect("root must supply the bcast buffer");
-            for p in 0..self.size() {
-                if p != root {
-                    self.ncs.send(rank0(p), BCAST_TAG, data.clone());
-                }
-            }
+            let to = others(0..self.size(), root);
+            self.ncs.bcast(&to, MPI_BCAST_TAG, data.clone());
             data
         } else {
-            self.ncs.recv(Some(root), None, Some(BCAST_TAG)).data
+            self.ncs.recv(Some(root), None, Some(MPI_BCAST_TAG)).data
         }
     }
 

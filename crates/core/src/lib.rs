@@ -5,14 +5,13 @@
 //! user-level thread, letting computation and communication overlap.
 //!
 //! * [`mod@env`] — `NCS_init` / `NCS_t_create` / `NCS_start`, the send and
-//!   receive system threads, credit flow control, signals and barriers
-//!   (paper Sections 3–4, Figures 8 and 10);
+//!   receive system threads, credit flow control, signals, `NCS_bcast` and
+//!   barriers (paper Sections 3–4, Figures 8 and 10) — §3.1's group service
+//!   is reproduced as those two collectives only;
 //! * [`world`] — whole-computation launcher;
 //! * [`addr`] — `(thread, process)` addressing and wire tags;
 //! * [`filters`] — the message-passing filters of Figure 6: p4-, PVM- and
 //!   MPI-style interfaces mapped onto NCS primitives;
-//! * [`group`] — group communication (1-to-many, many-to-1, many-to-many)
-//!   built on the point-to-point core;
 //! * [`codec`] — payload marshalling for the benchmark applications.
 //!
 //! Both of the paper's NCS_MPS implementations are available by choosing
@@ -28,7 +27,6 @@ pub mod addr;
 pub mod codec;
 pub mod env;
 pub mod filters;
-pub mod group;
 pub mod real;
 pub mod world;
 

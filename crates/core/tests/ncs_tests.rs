@@ -4,7 +4,6 @@
 
 use bytes::Bytes;
 use ncs_core::filters::{MpiFilter, P4Filter, PvmFilter};
-use ncs_core::group::{all_to_all, gather, reduce_f64, scatter, ReduceOp};
 use ncs_core::{ErrorControl, FlowControl, NcsConfig, NcsWorld, ThreadAddr};
 use ncs_net::{
     ChaosNet, ChaosParams, HostParams, IdealFabric, Network, TcpNet, TcpParams, Testbed,
@@ -329,51 +328,6 @@ fn two_tier_nsm_hsm_selection() {
 }
 
 #[test]
-fn group_gather_scatter_reduce_alltoall() {
-    let sim = Sim::new();
-    let net = fast_net(4, Dur::from_micros(10));
-    NcsWorld::launch(&sim, vec![net], 4, quick_cfg(), |id, proc_| {
-        proc_.t_create("w", 5, move |ncs| {
-            let parties: Vec<ThreadAddr> = (0..4).map(|p| ThreadAddr::new(p, 0)).collect();
-            // gather
-            let mine = Bytes::from(vec![id as u8; 3]);
-            let g = gather(ncs, &parties, mine);
-            if id == 0 {
-                let g = g.unwrap();
-                for (p, b) in g.iter().enumerate() {
-                    assert_eq!(&b[..], &[p as u8; 3]);
-                }
-            } else {
-                assert!(g.is_none());
-            }
-            // scatter
-            let parts = if id == 0 {
-                Some((0..4).map(|p| Bytes::from(vec![p as u8 + 10; 2])).collect())
-            } else {
-                None
-            };
-            let part = scatter(ncs, &parties, parts);
-            assert_eq!(&part[..], &[id as u8 + 10; 2]);
-            // reduce
-            let v = vec![id as f64, 1.0];
-            let r = reduce_f64(ncs, &parties, &v, ReduceOp::Sum);
-            if id == 0 {
-                assert_eq!(r.unwrap(), vec![6.0, 4.0]);
-            }
-            // all-to-all: party i sends value 10*i+j to party j
-            let parts: Vec<Bytes> = (0..4)
-                .map(|j| Bytes::from(vec![(10 * id + j) as u8]))
-                .collect();
-            let got = all_to_all(ncs, &parties, parts);
-            for (i, b) in got.iter().enumerate() {
-                assert_eq!(b[0], (10 * i + id) as u8);
-            }
-        });
-    });
-    sim.run().assert_clean();
-}
-
-#[test]
 fn p4_filter_ports_p4_style_code() {
     let sim = Sim::new();
     let net = fast_net(2, Dur::from_micros(10));
@@ -423,6 +377,46 @@ fn pvm_and_mpi_filters() {
         });
     });
     sim.run().assert_clean();
+}
+
+#[test]
+fn filter_broadcasts_reach_each_receiver_once() {
+    // Over four processes: p4 rank 2 broadcasts to every other rank, PVM
+    // task 0 multicasts to a list that names itself, MPI rank 1 is root.
+    // Each receiver gets each payload once under its tag; no caller gets
+    // its own, so every process's data sends and receives are exact and
+    // nothing is left over.
+    const P4_TYPE: i32 = 41;
+    const PVM_TAG: u32 = 42;
+    let sim = Sim::new();
+    let net = fast_net(4, Dur::from_micros(10));
+    let world = NcsWorld::launch(&sim, vec![net], 4, quick_cfg(), |id, proc_| {
+        proc_.t_create("main", 5, move |ncs| {
+            let p4 = P4Filter::new(ncs);
+            let pvm = PvmFilter::new(ncs);
+            let mpi = MpiFilter::new(ncs);
+            match id {
+                2 => p4.broadcast(P4_TYPE, Bytes::from_static(b"p4 all")),
+                0 => pvm.mcast(&[3, 0, 1], PVM_TAG, Bytes::from_static(b"pvm some")),
+                _ => {}
+            }
+            let data = (id == 1).then(|| Bytes::from_static(b"mpi root"));
+            assert_eq!(&mpi.bcast(1, data)[..], b"mpi root");
+            if id != 2 {
+                let got = p4.recv(Some(P4_TYPE), Some(2));
+                assert_eq!(got, (P4_TYPE, 2, Bytes::from_static(b"p4 all")));
+            }
+            if id == 1 || id == 3 {
+                let got = pvm.recv(Some(0), Some(PVM_TAG));
+                assert_eq!(got, (0, PVM_TAG, Bytes::from_static(b"pvm some")));
+            }
+            ncs.ctx().sleep(Dur::from_millis(20)); // a duplicate would have landed
+            assert!(!ncs.probe(None, None, None), "proc {id}: stray message");
+        });
+    });
+    sim.run().assert_clean();
+    let counts: Vec<(u64, u64)> = world.procs().iter().map(|p| p.msg_counts()).collect();
+    assert_eq!(counts, vec![(2, 2), (3, 2), (3, 1), (0, 3)]);
 }
 
 #[test]
@@ -904,75 +898,6 @@ fn dead_peer_sends_fail_fast() {
     assert_eq!(stats.retransmits, 3);
     assert!(stats.backoff_events >= 3);
     sim.finish();
-}
-
-#[test]
-fn tree_bcast_reaches_everyone() {
-    use ncs_core::group::tree_bcast;
-    for n in [2usize, 3, 5, 8] {
-        let sim = Sim::new();
-        let net = fast_net(n, Dur::from_micros(10));
-        let got = Arc::new(AtomicUsize::new(0));
-        let g2 = Arc::clone(&got);
-        NcsWorld::launch(&sim, vec![net], n, quick_cfg(), move |id, proc_| {
-            let g = Arc::clone(&g2);
-            proc_.t_create("w", 5, move |ncs| {
-                let parties: Vec<ThreadAddr> = (0..ncs.proc().num_procs())
-                    .map(|p| ThreadAddr::new(p, 0))
-                    .collect();
-                let data = if id == 0 {
-                    Some(Bytes::from_static(b"fanned out"))
-                } else {
-                    None
-                };
-                let out = tree_bcast(ncs, &parties, data);
-                assert_eq!(&out[..], b"fanned out");
-                g.fetch_add(1, Ordering::SeqCst);
-            });
-        });
-        sim.run().assert_clean();
-        assert_eq!(got.load(Ordering::SeqCst), n, "n={n}");
-    }
-}
-
-#[test]
-fn tree_bcast_beats_flat_bcast_at_scale() {
-    use ncs_core::group::tree_bcast;
-    // 8 parties on the calibrated NYNET stack: O(log n) rounds must finish
-    // well before the root's 7 serialized sends.
-    let run = |tree: bool| {
-        let sim = Sim::new();
-        let net = Testbed::NynetTcp.build(8);
-        NcsWorld::launch(
-            &sim,
-            vec![net],
-            8,
-            NcsConfig::default(),
-            move |id, proc_| {
-                proc_.t_create("w", 5, move |ncs| {
-                    let parties: Vec<ThreadAddr> = (0..8).map(|p| ThreadAddr::new(p, 0)).collect();
-                    let payload = Bytes::from(vec![7u8; 32 * 1024]);
-                    if tree {
-                        let data = (id == 0).then(|| payload.clone());
-                        tree_bcast(ncs, &parties, data);
-                    } else if id == 0 {
-                        ncs.bcast(&parties[1..], 1, payload);
-                    } else {
-                        ncs.recv(Some(0), None, Some(1));
-                    }
-                });
-            },
-        );
-        let out = sim.run();
-        out.assert_clean();
-        out.end_time
-    };
-    let flat = run(false);
-    let tree = run(true);
-    assert!(
-        tree < flat,
-        "tree bcast {tree} should beat flat bcast {flat}"
-    );
 }
 
 #[test]

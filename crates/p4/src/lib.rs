@@ -2,9 +2,9 @@
 //!
 //! A reimplementation of the Argonne p4 primitives the paper measures
 //! against and layers NCS_MPS Approach 1 on: procgroups of single-threaded
-//! processes, typed sends, wildcard-matched blocking receives,
-//! `messages_available` polling, broadcast, and a global barrier — all over
-//! the simulated socket/TCP/IP stack of `ncs-net`.
+//! processes, typed sends, wildcard-matched blocking receives and
+//! `messages_available` polling, all over the simulated socket/TCP/IP stack
+//! of `ncs-net`.
 //!
 //! The crucial baseline semantics: a p4 process has exactly one thread, so
 //! `recv` idles the whole CPU until a matching message arrives. Every
@@ -16,4 +16,4 @@
 
 pub mod proc;
 
-pub use proc::{create_procgroup, P4Msg, P4Proc, TYPE_BARRIER_ARRIVE, TYPE_BARRIER_GO};
+pub use proc::{create_procgroup, P4Msg, P4Proc};

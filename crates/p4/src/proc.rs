@@ -1,12 +1,12 @@
 //! The p4 process API: typed, wildcard-matched message passing.
 //!
 //! Models the Argonne p4 primitives the paper builds on (Butler & Lusk):
-//! `p4_send`, `p4_recv` with type/source wildcards, `p4_messages_available`,
-//! `p4_broadcast`, and a global barrier. The defining baseline behaviour is
-//! that **`recv` blocks the whole process** — p4 processes are
-//! single-threaded Unix processes, so a blocking receive leaves the CPU
-//! idle. NCS_MTS/p4 (ncs-core) wraps these same primitives but blocks only
-//! the calling user-level thread.
+//! `p4_send`, `p4_recv` with type/source wildcards and
+//! `p4_messages_available`. The defining baseline behaviour is that
+//! **`recv` blocks the whole process** — p4 processes are single-threaded
+//! Unix processes, so a blocking receive leaves the CPU idle. NCS_MTS/p4
+//! (ncs-core) wraps these same primitives but blocks only the calling
+//! user-level thread.
 
 use bytes::Bytes;
 use ncs_net::stack::BlockingWait;
@@ -15,11 +15,6 @@ use ncs_sim::sync::Mutex;
 use ncs_sim::{Ctx, SimChannel};
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// Message type used internally for barrier arrivals.
-pub const TYPE_BARRIER_ARRIVE: i32 = i32::MIN;
-/// Message type used internally for barrier releases.
-pub const TYPE_BARRIER_GO: i32 = i32::MIN + 1;
 
 /// A received p4 message.
 #[derive(Clone, Debug)]
@@ -136,32 +131,6 @@ impl P4Proc {
             .any(|m| Self::matches(m, msg_type, from))
     }
 
-    /// Sends `data` to every other rank (`p4_broadcast`), lowest rank first.
-    pub fn broadcast(&self, ctx: &Ctx, msg_type: i32, data: Bytes) {
-        for to in 0..self.n {
-            if to != self.id {
-                self.send(ctx, msg_type, to, data.clone());
-            }
-        }
-    }
-
-    /// Global barrier over the procgroup (`p4_global_barrier`): everyone
-    /// reports to rank 0, which releases everyone.
-    pub fn barrier(&self, ctx: &Ctx) {
-        if self.n == 1 {
-            return;
-        }
-        if self.id == 0 {
-            for _ in 1..self.n {
-                self.recv(ctx, Some(TYPE_BARRIER_ARRIVE), None);
-            }
-            self.broadcast(ctx, TYPE_BARRIER_GO, Bytes::new());
-        } else {
-            self.send(ctx, TYPE_BARRIER_ARRIVE, 0, Bytes::new());
-            self.recv(ctx, Some(TYPE_BARRIER_GO), Some(0));
-        }
-    }
-
     /// Moves a kernel delivery into the user-level stash, charging the
     /// receive-side protocol cost (interrupts, checksums, the copy to user
     /// space) plus the blocking-receiver reaction latency: a p4 process
@@ -226,7 +195,7 @@ pub fn create_procgroup(
 mod tests {
     use super::*;
     use ncs_net::{HostParams, IdealFabric, TcpNet, TcpParams};
-    use ncs_sim::{Dur, Sim, SimTime};
+    use ncs_sim::{Dur, Sim};
 
     fn test_net(n: usize) -> Arc<dyn Network> {
         let fabric = Arc::new(IdealFabric::new(n, Dur::from_micros(50)));
@@ -331,49 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_reaches_everyone() {
-        let sim = Sim::new();
-        let net = test_net(4);
-        create_procgroup(&sim, net, 4, |ctx, p| {
-            if p.my_id() == 0 {
-                p.broadcast(ctx, 3, Bytes::from_static(b"all"));
-            } else {
-                let m = p.recv(ctx, Some(3), Some(0));
-                assert_eq!(&m.data[..], b"all");
-            }
-        });
-        sim.run().assert_clean();
-    }
-
-    #[test]
-    fn barrier_aligns_processes() {
-        let sim = Sim::new();
-        let net = test_net(4);
-        let times = Arc::new(Mutex::new(Vec::new()));
-        let t2 = Arc::clone(&times);
-        create_procgroup(&sim, net, 4, move |ctx, p| {
-            ctx.sleep(Dur::from_millis(p.my_id() as u64)); // skewed arrivals
-            p.barrier(ctx);
-            t2.lock().push(ctx.now());
-        });
-        sim.run().assert_clean();
-        let times = times.lock();
-        assert_eq!(times.len(), 4);
-        let first = times[0];
-        // All exit at (nearly) the same time: within the release fan-out.
-        for &t in times.iter() {
-            assert!(
-                t.saturating_since(first) < Dur::from_millis(2)
-                    && first.saturating_since(t) < Dur::from_millis(2),
-                "barrier skew too large"
-            );
-        }
-        assert!(times
-            .iter()
-            .all(|&t| t >= SimTime::ZERO + Dur::from_millis(3)));
-    }
-
-    #[test]
     fn damaged_deliveries_never_reach_the_application() {
         // p4 over a lossy ATM plant with corrupted-SDU delivery on: what
         // the SAR could not reassemble comes up marked damaged, and p4 —
@@ -409,17 +335,5 @@ mod tests {
         let dropped = chaos.stats().snapshot().messages_dropped;
         assert!(dropped > 0, "the plant must have damaged something");
         assert_eq!(got.len() + dropped as usize, MSGS as usize);
-    }
-
-    #[test]
-    fn single_proc_barrier_is_noop() {
-        let sim = Sim::new();
-        let net = test_net(1);
-        create_procgroup(&sim, net, 1, |ctx, p| {
-            let t0 = ctx.now();
-            p.barrier(ctx);
-            assert_eq!(ctx.now(), t0);
-        });
-        sim.run().assert_clean();
     }
 }

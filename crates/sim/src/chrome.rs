@@ -3,9 +3,9 @@
 //! Serializes a [`Tracer`]'s spans and a [`MetricsRegistry`]'s gauge series
 //! into the [Trace Event Format]: every actor becomes a named thread track
 //! of complete (`"ph":"X"`) events, every gauge becomes a counter
-//! (`"ph":"C"`) track. Span parent links and causal ids ride in `args`, so
-//! one message's journey can be followed across thread tracks by its
-//! `causal` value.
+//! (`"ph":"C"`) track. Each span's causal id rides in `args`, so one
+//! message's journey can be followed across thread tracks by its `causal`
+//! value.
 //!
 //! The encoder is hand-rolled (the workspace deliberately has no serde) and
 //! fully deterministic: timestamps are emitted as exact decimal microseconds
@@ -56,8 +56,7 @@ fn ts(t: SimTime) -> String {
 ///
 /// Load the result in [Perfetto](https://ui.perfetto.dev) (drag-and-drop) or
 /// `chrome://tracing`. Thread tracks carry the actor names; counter tracks
-/// carry gauge series; span `args` carry `causal` (message id) and `parent`
-/// (enclosing span index) when set.
+/// carry gauge series; span `args` carry `causal` (message id) when set.
 pub fn chrome_trace_json(tr: &Tracer, metrics: &MetricsRegistry) -> String {
     let mut ev: Vec<String> = Vec::new();
     // Process + thread naming metadata. One pid (the sim); one tid per actor.
@@ -77,23 +76,11 @@ pub fn chrome_trace_json(tr: &Tracer, metrics: &MetricsRegistry) -> String {
              \"args\":{{\"sort_index\":{i}}}}}"
         ));
     }
-    // Spans as complete events. Zero-length (never-closed) spans are skipped.
+    // Spans as complete events.
     for (idx, s) in tr.spans().iter().enumerate() {
-        if s.t1 <= s.t0 {
-            continue;
-        }
         let mut args = String::new();
         if s.causal != 0 {
-            args.push_str(&format!("\"causal\":{}", s.causal));
-        }
-        if let Some(p) = s.parent {
-            if !args.is_empty() {
-                args.push(',');
-            }
-            args.push_str(&format!("\"parent\":{}", p.index()));
-        }
-        if !args.is_empty() {
-            args.push(',');
+            args.push_str(&format!("\"causal\":{},", s.causal));
         }
         args.push_str(&format!("\"span\":{idx}"));
         ev.push(format!(
@@ -153,16 +140,14 @@ mod tests {
         let mut tr = Tracer::new();
         tr.enable();
         let a = tr.intern("n0/t0");
-        let root = tr.open_span(a, SpanKind::Comm, "send", t(0), 5).unwrap();
-        tr.span_full(a, SpanKind::Comm, "wire", t(1), t(2), Some(root), 5);
-        tr.close_span(root, t(3));
+        tr.span_full(a, SpanKind::Comm, "send", t(0), t(3), 5);
+        tr.span_full(a, SpanKind::Comm, "wire", t(1), t(2), 5);
         let mut m = MetricsRegistry::new();
         m.gauge_set("depth", 2, t(1), 4);
         let json = chrome_trace_json(&tr, &m);
         assert!(json.contains("\"thread_name\""));
         assert!(json.contains("\"name\":\"send\""));
         assert!(json.contains("\"causal\":5"));
-        assert!(json.contains("\"parent\":0"));
         assert!(json.contains("\"ph\":\"C\""));
         assert!(json.contains("depth[2]"));
         // Balanced top-level document.
@@ -409,9 +394,8 @@ mod tests {
         let mut tr = Tracer::new();
         tr.enable();
         let a = tr.intern("n0/t0");
-        let root = tr.open_span(a, SpanKind::Comm, "send", t(0), 5).unwrap();
-        tr.span_full(a, SpanKind::Comm, "wire", t(1), t(2), Some(root), 5);
-        tr.close_span(root, t(3));
+        tr.span_full(a, SpanKind::Comm, "send", t(0), t(3), 5);
+        tr.span_full(a, SpanKind::Comm, "wire", t(1), t(2), 5);
         let mut m = MetricsRegistry::new();
         m.gauge_set("depth", 2, t(1), 4);
         parse_json(&chrome_trace_json(&tr, &m));

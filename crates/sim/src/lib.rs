@@ -88,4 +88,4 @@ pub use sched::{
 pub use stats::{DurHistogram, DurSummary};
 pub use time::{Dur, SimTime};
 pub use timeline::{Stage, Timeline, TimelineBuf};
-pub use trace::{ActorId, Span, SpanId, SpanKind, Tracer};
+pub use trace::{ActorId, Span, SpanKind, Tracer};

@@ -50,7 +50,8 @@ impl Dur {
 
     /// Creates a duration from fractional seconds, rounding to the nearest
     /// picosecond. Panics on negative or non-finite input.
-    pub fn from_secs_f64(s: f64) -> Dur { // ncs-lint: allow(float-time)
+    // ncs-lint: allow(float-time)
+    pub fn from_secs_f64(s: f64) -> Dur {
         assert!(s.is_finite() && s >= 0.0, "invalid duration: {s}");
         Dur((s * 1e12).round() as u64)
     }
@@ -96,7 +97,8 @@ impl Dur {
 
     /// This duration in fractional seconds.
     #[inline]
-    pub fn as_secs_f64(self) -> f64 { // ncs-lint: allow(float-time)
+    // ncs-lint: allow(float-time)
+    pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e12 // ncs-lint: allow(float-time)
     }
 
@@ -224,7 +226,8 @@ impl SimTime {
 
     /// Seconds since the epoch, as a float (for reporting only).
     #[inline]
-    pub fn as_secs_f64(self) -> f64 { // ncs-lint: allow(float-time)
+    // ncs-lint: allow(float-time)
+    pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e12 // ncs-lint: allow(float-time)
     }
 

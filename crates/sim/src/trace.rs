@@ -9,9 +9,8 @@
 //! Recording is allocation-free on the hot path: actor names are interned
 //! once into small [`ActorId`]s (components intern at construction and
 //! record with [`Tracer::span_on`]), and labels are `&'static str`. Spans
-//! optionally carry a parent link ([`SpanId`]) and a per-message causal id,
-//! so one `NCS_send` decomposes into its queue-wait / segmentation / wire /
-//! reassembly / wakeup children across threads and processes.
+//! recorded with [`Tracer::span_full`] carry a per-message causal id, so
+//! one message's spans can be followed across threads and processes.
 //!
 //! Two recording levels: [`Tracer::enable`] turns on application-level spans
 //! (compute, send, recv — the timeline figures); [`Tracer::enable_detail`]
@@ -74,17 +73,6 @@ impl ActorId {
     }
 }
 
-/// Identifies a recorded span (index into [`Tracer::spans`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct SpanId(u32);
-
-impl SpanId {
-    /// Dense index of this span in [`Tracer::spans`] order.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 /// A closed interval of activity by one actor.
 #[derive(Clone, Debug)]
 pub struct Span {
@@ -98,8 +86,6 @@ pub struct Span {
     pub t0: SimTime,
     /// End instant.
     pub t1: SimTime,
-    /// Enclosing span, when recorded as a child.
-    pub parent: Option<SpanId>,
     /// Per-message causal id linking spans across threads (0 = none).
     pub causal: u64,
 }
@@ -173,7 +159,7 @@ impl Tracer {
     pub fn span(&mut self, actor: &str, kind: SpanKind, label: &'static str, t0: SimTime, t1: SimTime) {
         if self.enabled && t1 > t0 {
             let actor = self.intern(actor);
-            self.push(actor, kind, label, t0, t1, None, 0);
+            self.span_full(actor, kind, label, t0, t1, 0);
         }
     }
 
@@ -185,16 +171,12 @@ impl Tracer {
         label: &'static str,
         t0: SimTime,
         t1: SimTime,
-    ) -> Option<SpanId> {
-        if self.enabled && t1 > t0 {
-            Some(self.push(actor, kind, label, t0, t1, None, 0))
-        } else {
-            None
-        }
+    ) {
+        self.span_full(actor, kind, label, t0, t1, 0);
     }
 
-    /// Records a span with an explicit parent link and causal id.
-    #[allow(clippy::too_many_arguments)]
+    /// Records a span on a pre-interned actor with a per-message causal id
+    /// (0 = none) if recording is enabled and the span is non-empty.
     pub fn span_full(
         &mut self,
         actor: ActorId,
@@ -202,66 +184,18 @@ impl Tracer {
         label: &'static str,
         t0: SimTime,
         t1: SimTime,
-        parent: Option<SpanId>,
         causal: u64,
-    ) -> Option<SpanId> {
+    ) {
         if self.enabled && t1 > t0 {
-            Some(self.push(actor, kind, label, t0, t1, parent, causal))
-        } else {
-            None
+            self.spans.push(Span {
+                actor,
+                kind,
+                label,
+                t0,
+                t1,
+                causal,
+            });
         }
-    }
-
-    /// Opens a span at `t0` whose end is not yet known, returning its id so
-    /// children can link to it before it closes. Close with
-    /// [`Tracer::close_span`]; an unclosed span stays zero-length and is
-    /// ignored by the timeline renderers.
-    #[cfg(test)]
-    pub fn open_span(
-        &mut self,
-        actor: ActorId,
-        kind: SpanKind,
-        label: &'static str,
-        t0: SimTime,
-        causal: u64,
-    ) -> Option<SpanId> {
-        if self.enabled {
-            Some(self.push(actor, kind, label, t0, t0, None, causal))
-        } else {
-            None
-        }
-    }
-
-    /// Closes a span previously opened with [`Tracer::open_span`].
-    #[cfg(test)]
-    pub fn close_span(&mut self, id: SpanId, t1: SimTime) {
-        let s = &mut self.spans[id.0 as usize];
-        debug_assert!(t1 >= s.t0, "span closed before it opened");
-        s.t1 = t1;
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push(
-        &mut self,
-        actor: ActorId,
-        kind: SpanKind,
-        label: &'static str,
-        t0: SimTime,
-        t1: SimTime,
-        parent: Option<SpanId>,
-        causal: u64,
-    ) -> SpanId {
-        let id = SpanId(u32::try_from(self.spans.len()).expect("span count overflow"));
-        self.spans.push(Span {
-            actor,
-            kind,
-            label,
-            t0,
-            t1,
-            parent,
-            causal,
-        });
-        id
     }
 
     /// Adds to a named counter (always recorded). The name is a literal,
@@ -283,7 +217,7 @@ impl Tracer {
     /// Total time each actor spent in each kind, over `[t_begin, t_end]`.
     pub fn utilization(&self) -> BTreeMap<String, BTreeMap<SpanKind, Dur>> {
         let mut out: BTreeMap<String, BTreeMap<SpanKind, Dur>> = BTreeMap::new();
-        for s in self.spans.iter().filter(|s| s.t1 > s.t0) {
+        for s in &self.spans {
             let e = out
                 .entry(self.actor_name(s.actor).to_string())
                 .or_default()
@@ -299,7 +233,7 @@ impl Tracer {
     /// spaces.
     pub fn render_gantt(&self, width: usize) -> String {
         assert!(width >= 10, "gantt width too small");
-        let drawn: Vec<&Span> = self.spans.iter().filter(|s| s.t1 > s.t0).collect();
+        let drawn = &self.spans;
         if drawn.is_empty() {
             return String::from("(no spans recorded)\n");
         }
@@ -437,30 +371,11 @@ mod tests {
         let mut tr = Tracer::new();
         tr.enable();
         let a = tr.intern("n0/t0");
-        let id = tr.span_on(a, SpanKind::Comm, "send", t(1), t(4)).unwrap();
+        tr.span_on(a, SpanKind::Comm, "send", t(1), t(4));
         assert_eq!(tr.spans()[0].actor, a);
-        let child = tr
-            .span_full(a, SpanKind::Comm, "wire", t(2), t(3), Some(id), 42)
-            .unwrap();
-        assert_eq!(tr.spans()[child.0 as usize].parent, Some(id));
-        assert_eq!(tr.spans()[child.0 as usize].causal, 42);
-    }
-
-    #[test]
-    fn open_close_span_brackets_children() {
-        let mut tr = Tracer::new();
-        tr.enable();
-        let a = tr.intern("n0/send");
-        let root = tr.open_span(a, SpanKind::Comm, "send", t(0), 7).unwrap();
-        tr.span_full(a, SpanKind::Comm, "queue-wait", t(0), t(2), Some(root), 7);
-        tr.close_span(root, t(5));
-        let spans = tr.spans();
-        assert_eq!(spans[0].t1, t(5));
-        assert_eq!(spans[1].parent, Some(root));
-        // Disabled tracer: open_span returns None, close is never reached.
-        let mut off = Tracer::new();
-        let a = off.intern("x");
-        assert!(off.open_span(a, SpanKind::Comm, "send", t(0), 0).is_none());
+        assert_eq!(tr.spans()[0].causal, 0);
+        tr.span_full(a, SpanKind::Comm, "wire", t(2), t(3), 42);
+        assert_eq!(tr.spans()[1].causal, 42);
     }
 
     #[test]

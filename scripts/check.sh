@@ -19,6 +19,9 @@ cargo test --release --offline -p ncs-apps -- --ignored
 echo "== BENCH_pipeline.json reprinted but for its host-clock byte path (as CI) =="
 cargo test --release --offline -p ncs-bench --test registry -- --ignored
 
+echo "== every example runs to exit 0 in release, 60 s each (as CI) =="
+bash scripts/run_examples.sh
+
 echo "== no-registry guard: removed crate names, lock file sources (as CI) =="
 bash scripts/guard_no_registry.sh
 
