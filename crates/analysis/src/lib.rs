@@ -22,4 +22,6 @@
 
 pub mod lint;
 
-pub use lint::{lint_file, lint_sources, lint_workspace, LintViolation, LINT_RULES};
+pub use lint::{
+    census_candidates, lint_file, lint_sources, lint_workspace, LintViolation, PubFn, LINT_RULES,
+};

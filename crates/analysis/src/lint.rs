@@ -55,7 +55,10 @@
 //!   flagged. Matching is by name,
 //!   not by resolved path, so a name shared with any live item (or a local,
 //!   a field, a `#[cfg(test)] mod x;` file read as code) counts as used:
-//!   the rule misses some dead items but never reports a live one.
+//!   the rule misses some dead items but never reports a live one. It
+//!   settles types, consts and statics; the compiler settles functions:
+//!   the ignored census in `tests/census.rs` fails on every `pub fn`
+//!   ([`census_candidates`]) without which everything still compiles.
 //!
 //! A line (or the line directly below the comment) is exempted with:
 //!
@@ -65,7 +68,9 @@
 //!
 //! Rule names in `allow` may use `-` or `_` interchangeably
 //! (`allow(guard_across_park)` works). An `allow(dead-surface)` counts only
-//! with its reason after the parenthesis, on the same line.
+//! with its reason after the parenthesis, on the same line. It keeps the
+//! item (on a `pub mod`, every fn inside) out of the census too, and names
+//! a paper artefact, a gate the item is the oracle or hook of, or a harness.
 //!
 //! Comments and string/char literals are stripped before matching, so doc
 //! comments may freely *mention* `HashMap`; `#[cfg(test)]` items and
@@ -76,6 +81,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::io;
+use std::ops::Range;
 use std::path::Path;
 
 /// Every rule identifier the lint knows, in reporting order.
@@ -660,6 +666,117 @@ fn dead_surface(files: &[(&str, &str)]) -> Vec<LintViolation> {
     // A definition line is `pub <kind> <name>` before any comment or literal.
     defs.retain(|v| pub_item_name(&v.snippet).is_some_and(|name| !used.contains(name)));
     defs
+}
+
+/// One `pub fn` the census (`tests/census.rs`) deletes to see whether the
+/// workspace still compiles without it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PubFn {
+    /// Workspace-relative path, forward slashes.
+    pub file: String,
+    /// The function's name.
+    pub name: String,
+    /// 0-based line of its `pub fn`.
+    pub line: usize,
+    /// Defined outside any `impl` block, so a `pub use` may name it.
+    pub free: bool,
+    /// 0-based lines to cut: its doc comments and attributes through its
+    /// closing brace.
+    pub span: Range<usize>,
+}
+
+/// The census's candidates among `(workspace-relative path, source)` pairs:
+/// every `pub fn` under `crates/*/src` outside `#[cfg(test)]`, but not one
+/// with a reasoned `allow(dead-surface)` escape or in a `pub mod m;` with
+/// one, and not an `is_empty` whose `impl` has a `pub fn len` (clippy's
+/// `len_without_is_empty` wants the pair). Trait-impl methods are never
+/// `pub`, so never candidates.
+// ncs-lint: allow(dead-surface) harness: the census gate in tests/census.rs deletes what this finds
+pub fn census_candidates(files: &[(&str, &str)]) -> Vec<PubFn> {
+    let defining = |path: &&str| path.starts_with("crates/") && path.contains("/src/");
+    // An escaped `pub mod m;` in `dir/lib.rs` (or `main.rs`, `mod.rs`) is
+    // `dir/m.rs` or `dir/m/`; in `dir/x.rs` it is `dir/x/m.rs` or `dir/x/m/`.
+    let mut escaped = Vec::new();
+    for (path, source) in files.iter().filter(|f| defining(&f.0)) {
+        let raw: Vec<&str> = source.lines().collect();
+        let dir = match path.rsplit_once('/') {
+            Some((dir, "lib.rs" | "main.rs" | "mod.rs")) => dir,
+            _ => path.trim_end_matches(".rs"),
+        };
+        for (idx, _, code) in code_lines(source) {
+            let decl = code
+                .trim()
+                .strip_prefix("pub mod ")
+                .and_then(|m| m.strip_suffix(';'));
+            if let Some(m) = decl.filter(|_| allowed(&raw, idx, "dead-surface")) {
+                escaped.push(format!("{dir}/{}", m.trim()));
+            }
+        }
+    }
+    let in_escaped = |path: &str| {
+        escaped
+            .iter()
+            .any(|m| path == format!("{m}.rs") || path.starts_with(&format!("{m}/")))
+    };
+    let mut out = Vec::new();
+    for &(path, source) in files.iter().filter(|f| defining(&f.0) && !in_escaped(f.0)) {
+        let raw: Vec<&str> = source.lines().collect();
+        // Candidates with their `impl` block, and the blocks that define a
+        // `pub fn len`.
+        let (mut found, mut with_len) = (Vec::new(), BTreeSet::new());
+        // The `impl` block and the candidate's body we are in: (header line
+        // or index into `found`, its depth, body opened).
+        let (mut imp, mut body) = (None::<(usize, i64, bool)>, None::<(usize, i64, bool)>);
+        for (idx, depth, code) in code_lines(source) {
+            let t = code.trim();
+            if imp.is_none() && impl_self_type(t).is_some() {
+                imp = Some((idx, depth, false));
+            }
+            // `fn` before the name: not `pub type F = fn()`.
+            if let Some(name) = pub_item_name(t).filter(|n| t.contains(&format!("fn {n}"))) {
+                let block = imp.filter(|i| depth == i.1 + 1).map(|i| i.0);
+                if name == "len" {
+                    with_len.extend(block);
+                }
+                if !allowed(&raw, idx, "dead-surface") {
+                    let doc = raw[..idx].iter().rev().take_while(|l| {
+                        let l = l.trim_start();
+                        l.starts_with("//") || l.starts_with("#[")
+                    });
+                    let (file, name, span) =
+                        (path.to_string(), name.to_string(), idx - doc.count()..idx);
+                    let free = block.is_none();
+                    found.push((
+                        block,
+                        PubFn {
+                            file,
+                            name,
+                            line: idx,
+                            free,
+                            span,
+                        },
+                    ));
+                    body = Some((found.len() - 1, depth, false));
+                }
+            }
+            let after = depth + t.matches('{').count() as i64 - t.matches('}').count() as i64;
+            let closes = |s: &mut (usize, i64, bool)| {
+                s.2 |= t.contains('{');
+                s.2 && after <= s.1
+            };
+            if imp.as_mut().is_some_and(closes) {
+                imp = None;
+            }
+            if body.as_mut().is_some_and(closes) {
+                found[body.take().expect("just checked").0].1.span.end = idx + 1;
+            }
+        }
+        let pair = |(block, f): &(Option<usize>, PubFn)| {
+            f.name == "is_empty" && block.is_some_and(|b| with_len.contains(&b))
+        };
+        out.extend(found.iter().filter(|f| !pair(f)).map(|f| f.1.clone()));
+    }
+    out
 }
 
 /// Every rule over `(workspace-relative path, source)` pairs: the per-file

@@ -35,7 +35,8 @@ fn run_armed<H: Verify>(stage: impl FnOnce(&Sim, Arc<dyn Network>, NcsConfig) ->
     let (cfg, sink) = checked_cfg();
     let (run, _) = run_app(&sim, |sim| stage(sim, Testbed::SunAtmLanTcp.build(3), cfg));
     assert!(run.verified);
-    assert!(sink.is_empty(), "violations: {:#?}", sink.violations());
+    let violations = sink.take();
+    assert!(violations.is_empty(), "violations: {violations:#?}");
     let errs = sim.with_metrics(|m| m.validate_timelines(&ALL_STAGES));
     assert!(errs.is_empty(), "timeline errors: {errs:#?}");
 }

@@ -41,8 +41,10 @@ fn c(u: usize) -> f64 {
     }
 }
 
-/// Forward 8×8 DCT (type II, orthonormal JPEG scaling). `block` is
-/// row-major spatial samples; returns row-major frequency coefficients.
+/// Forward 8×8 DCT (type II, orthonormal JPEG scaling): the reference
+/// the fast forward transforms are checked against. `block` is row-major
+/// spatial samples; returns row-major frequency coefficients.
+#[cfg(test)]
 pub fn forward(block: &[f64; N * N]) -> [f64; N * N] {
     let cos = &basis().cos;
     let mut out = [0.0; N * N];
@@ -81,8 +83,8 @@ pub fn inverse(coeffs: &[f64; N * N]) -> [f64; N * N] {
 
 /// Forward DCT via row–column separation: two passes of 1-D transforms,
 /// 8× fewer multiplies than the direct 2-D sum. Bit-for-bit this differs
-/// from [`forward`] only by float associativity (≤ 1e-12 per coefficient);
-/// the codec uses this path, tests cross-check against the direct form.
+/// from the test-only reference `forward` only by float associativity
+/// (≤ 1e-12 per coefficient); the codec uses this path.
 ///
 /// The loop order is pinned, not free. Each pass sweeps its input once per
 /// two output rows, and the innermost loop runs over the 8 outputs of both

@@ -32,7 +32,7 @@ impl Matrix {
     }
 
     /// Element access.
-    #[inline]
+    #[cfg(test)]
     pub fn at(&self, r: usize, c: usize) -> f64 {
         self.data[r * self.cols + c]
     }

@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use ncs_mts::MtsCtx;
-use ncs_sim::{ActorId, Ctx, Dur, SimTime, SpanKind};
+use ncs_sim::{ActorId, Ctx, SimTime, SpanKind};
 use std::sync::Arc;
 
 use super::request::{complete_request, consume_request, ReqKind, Status};
@@ -231,60 +231,6 @@ impl NcsCtx<'_> {
         self.recv_class(MsgClass::Data, from_proc, from_thread, tag)
     }
 
-    /// Receives any data message for this thread.
-    // ncs-lint: allow(dead-surface) NCS_recv from any source: the paper's API
-    pub fn recv_any(&self) -> NcsMsg {
-        self.recv(None, None, None)
-    }
-
-    /// Non-blocking check whether a matching data message is already
-    /// buffered for this thread (the NCS-level `messages_available`).
-    pub fn probe(
-        &self,
-        from_proc: Option<usize>,
-        from_thread: Option<u32>,
-        tag: Option<u32>,
-    ) -> bool {
-        let want = self.want(MsgClass::Data, from_proc, from_thread, tag);
-        let st = self.inner().state.lock();
-        st.stash.iter().any(|m| want.accepts(m))
-    }
-
-    /// Like [`NcsCtx::recv`] but gives up after `timeout`, returning `None`
-    /// (for soft-deadline consumers such as the VOD player of Figure 5).
-    // ncs-lint: allow(dead-surface) NCS_recv with a deadline: the paper's API
-    pub fn recv_timeout(
-        &self,
-        from_proc: Option<usize>,
-        from_thread: Option<u32>,
-        tag: Option<u32>,
-        timeout: Dur,
-    ) -> Option<NcsMsg> {
-        let h = self.post_recv(self.want(MsgClass::Data, from_proc, from_thread, tag), 0);
-        // Arm the expiry unless the stash already had the message: if the
-        // request is still queued when the timer fires, withdraw it and
-        // complete the handle empty-handed.
-        let timer = (!self.test(h)).then(|| {
-            let inner = Arc::clone(self.inner());
-            let sim = self.ctx().sim();
-            sim.schedule_cancellable(sim.now() + timeout, move |_| {
-                let mut st = inner.state.lock();
-                let queued = st.recv_reqs.iter().position(|r| r.slot == h.slot);
-                if let (Some(pos), Status::Pending) = (queued, st.reqs.status(h)) {
-                    st.recv_reqs.remove(pos);
-                    complete_request(&inner, &mut st, h.slot, None);
-                }
-            })
-        });
-        let msg = self.waitany(&[h]).1;
-        if let (Some(timer), Some(_)) = (timer, &msg) {
-            // Satisfied before expiry: retract the timer from the kernel
-            // queue.
-            self.ctx().sim().cancel_scheduled(timer);
-        }
-        msg
-    }
-
     fn recv_class(
         &self,
         class: MsgClass,
@@ -306,8 +252,7 @@ impl NcsCtx<'_> {
     /// `NCS_isend`: posts an asynchronous send of `data` to `to` and
     /// returns a completion handle immediately. The send system thread
     /// performs the transfer while this thread keeps computing; redeem the
-    /// handle with [`NcsCtx::wait`], [`NcsCtx::test`], or
-    /// [`NcsCtx::waitany`]. Local sends still charge the caller the memory
+    /// handle with [`NcsCtx::wait`] or [`NcsCtx::waitany`]. Local sends still charge the caller the memory
     /// copy (there is no wire to overlap) and return a completed handle.
     pub fn isend(&self, to: ThreadAddr, tag: u32, data: Bytes) -> NcsRequest {
         self.isend_via(0, to, tag, data)
@@ -351,13 +296,6 @@ impl NcsCtx<'_> {
         let msg = self.waitany(&[h]).1;
         self.comm_span("wait", t0, msg.as_ref().map_or(0, |m| m.causal));
         msg
-    }
-
-    /// `NCS_test`: non-blocking completion probe. Returns `true` once the
-    /// request has completed (or the handle is stale — i.e. already
-    /// consumed); the handle stays live until redeemed by a wait.
-    pub fn test(&self, h: NcsRequest) -> bool {
-        self.inner().state.lock().reqs.status(h) != Status::Pending
     }
 
     /// `NCS_waitany`: blocks until at least one of `hs` completes, consumes
@@ -494,6 +432,7 @@ impl NcsCtx<'_> {
     /// Raises an exception at process `to_proc` (the paper's exception
     /// handling service): delivered asynchronously to the remote process's
     /// handler rather than to a receiving thread.
+    // ncs-lint: allow(dead-surface) hook core/tests/lossy_control.rs (64 seeds in CI) sends the Exception class with
     pub fn raise(&self, to_proc: usize, code: u32, detail: Bytes) {
         self.send_class(
             MsgClass::Exception,
@@ -545,10 +484,5 @@ impl NcsCtx<'_> {
     pub fn unblock(&self, t: u32) {
         let tid = self.proc.user_mts_tid(t);
         self.mctx.unblock(tid);
-    }
-
-    /// Yields the CPU to sibling threads.
-    pub fn yield_now(&self) {
-        self.mctx.yield_now();
     }
 }

@@ -94,14 +94,6 @@ pub struct NcsMsg {
     causal: u64,
 }
 
-impl NcsMsg {
-    /// Causal timeline id assigned at `NCS_send` (0 = untracked). Look the
-    /// per-layer stage marks up with [`ncs_sim::MetricsRegistry::timeline`].
-    pub fn causal(&self) -> u64 {
-        self.causal
-    }
-}
-
 /// A cross-process exception notification (the paper's exception-handling
 /// service class).
 #[derive(Clone, Debug)]
@@ -345,11 +337,6 @@ struct SysThreads {
     recv: MtsTid,
 }
 
-struct UserThread {
-    mts_tid: MtsTid,
-    name: String,
-}
-
 struct ProcInner {
     id: usize,
     n: usize,
@@ -360,7 +347,8 @@ struct ProcInner {
     merged: SimChannel<(usize, Delivery)>,
     state: Mutex<MpsState>,
     sys: OnceLock<SysThreads>,
-    users: Mutex<Vec<UserThread>>,
+    /// The MTS tid of each logical user thread, in `t_create` order.
+    users: Mutex<Vec<MtsTid>>,
     /// Exception handler invoked (on the receive system thread) for
     /// incoming Exception-class messages.
     exception_handler: Mutex<Option<ExceptionHandler>>,

@@ -11,7 +11,7 @@ use super::recv::{match_requests, recv_thread_body};
 use super::send::send_thread_body;
 use super::{
     ErrorStats, FlowControl, MpsState, NcsConfig, NcsCtx, NcsException, NcsMsg, Peers, ProcInner,
-    SysThreads, TermBarrier, UserThread, RECV_THREAD_PRIORITY, SEND_THREAD_PRIORITY,
+    SysThreads, TermBarrier, RECV_THREAD_PRIORITY, SEND_THREAD_PRIORITY,
 };
 use crate::addr::MsgClass;
 
@@ -119,15 +119,14 @@ impl NcsProc {
             priority > SEND_THREAD_PRIORITY && priority < RECV_THREAD_PRIORITY,
             "user priorities must lie strictly between the system threads'"
         );
-        let name = name.into();
         let logical = self.inner.users.lock().len() as u32;
         self.inner.state.lock().user_live += 1;
         let proc_ = self.clone();
-        let mts_tid = self.inner.mts.spawn(name.clone(), priority, move |m| {
+        let mts_tid = self.inner.mts.spawn(name, priority, move |m| {
             body(&NcsCtx::new(proc_.clone(), m, logical));
             proc_.user_thread_done();
         });
-        self.inner.users.lock().push(UserThread { mts_tid, name });
+        self.inner.users.lock().push(mts_tid);
         logical
     }
 
@@ -184,11 +183,6 @@ impl NcsProc {
     /// The host model this process runs on (tier 0).
     pub fn host(&self) -> &HostParams {
         self.inner.nets[0].host(NodeId(self.inner.id as u32))
-    }
-
-    /// The MTS runtime (for stats and advanced use).
-    pub fn mts(&self) -> &Mts {
-        &self.inner.mts
     }
 
     /// Data messages sent and received so far.
@@ -299,12 +293,7 @@ impl NcsProc {
 
     /// Looks up the MTS tid of logical user thread `t`.
     pub(super) fn user_mts_tid(&self, t: u32) -> MtsTid {
-        self.inner.users.lock()[t as usize].mts_tid
-    }
-
-    /// Name of logical user thread `t`.
-    pub fn thread_name(&self, t: u32) -> String {
-        self.inner.users.lock()[t as usize].name.clone()
+        self.inner.users.lock()[t as usize]
     }
 
     /// Installs the exception handler (the paper's exception-handling

@@ -78,6 +78,7 @@ pub struct PvmFilter<'a, 'b> {
 
 impl<'a, 'b> PvmFilter<'a, 'b> {
     /// Wraps an NCS thread context.
+    // ncs-lint: allow(dead-surface) the PVM filter's handle: PAPER.md piece 3
     pub fn new(ncs: &'a NcsCtx<'b>) -> Self {
         PvmFilter { ncs }
     }
@@ -89,11 +90,13 @@ impl<'a, 'b> PvmFilter<'a, 'b> {
 
     /// `pvm_send(tid, msgtag)` with the payload pre-packed (the pack/unpack
     /// buffer layer collapses to a byte payload here).
+    // ncs-lint: allow(dead-surface) pvm_send: PAPER.md piece 3, the PVM filter
     pub fn send(&self, tid: usize, msgtag: u32, data: Bytes) {
         self.ncs.send(rank0(tid), msgtag, data);
     }
 
     /// `pvm_recv(tid, msgtag)` — `None` is PVM's `-1` wildcard.
+    // ncs-lint: allow(dead-surface) pvm_recv: PAPER.md piece 3, the PVM filter
     pub fn recv(&self, tid: Option<usize>, msgtag: Option<u32>) -> (usize, u32, Bytes) {
         let m = self.ncs.recv(tid, None, msgtag);
         (m.from.proc, m.tag, m.data)
@@ -137,11 +140,13 @@ impl<'a, 'b> MpiFilter<'a, 'b> {
     }
 
     /// `MPI_Send(buf, dest, tag, MPI_COMM_WORLD)`.
+    // ncs-lint: allow(dead-surface) MPI_Send: PAPER.md piece 3, the MPI filter
     pub fn send(&self, dest: usize, tag: u32, data: Bytes) {
         self.ncs.send(rank0(dest), tag, data);
     }
 
     /// `MPI_Recv` returning `(source, tag, data)`.
+    // ncs-lint: allow(dead-surface) MPI_Recv: PAPER.md piece 3, the MPI filter
     pub fn recv(&self, source: Option<usize>, tag: Option<u32>) -> (usize, u32, Bytes) {
         let m: NcsMsg = self.ncs.recv(source, None, tag);
         (m.from.proc, m.tag, m.data)
@@ -178,6 +183,7 @@ pub struct PvmPackBuf {
 
 impl PvmPackBuf {
     /// `pvm_initsend(PvmDataRaw)`.
+    // ncs-lint: allow(dead-surface) pvm_initsend: PAPER.md piece 3, the PVM filter
     pub fn new() -> PvmPackBuf {
         PvmPackBuf::default()
     }
@@ -229,6 +235,7 @@ pub struct PvmUnpackBuf {
 
 impl PvmUnpackBuf {
     /// Wraps a received payload.
+    // ncs-lint: allow(dead-surface) the pvm_upk* cursor: PAPER.md piece 3, the PVM filter
     pub fn new(data: Bytes) -> PvmUnpackBuf {
         PvmUnpackBuf { data, pos: 0 }
     }

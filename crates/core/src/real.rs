@@ -281,11 +281,6 @@ impl RealNcs {
         })
     }
 
-    /// This process's rank.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
     /// Number of processes in the mesh.
     pub fn num_procs(&self) -> usize {
         self.n
@@ -370,22 +365,6 @@ impl RealNcs {
             }
             st = sync::wait(&self.shared.cv, st);
         }
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(
-        &self,
-        from_proc: Option<usize>,
-        from_thread: Option<u32>,
-        tag: Option<u32>,
-    ) -> Option<RealMsg> {
-        let mut st = self.shared.stash.lock();
-        let pos = st.msgs.iter().position(|m| {
-            from_proc.is_none_or(|p| p == m.from.proc)
-                && from_thread.is_none_or(|t| t == m.from.thread)
-                && tag.is_none_or(|t| t == m.tag)
-        })?;
-        st.msgs.remove(pos)
     }
 
     /// Sends to every other process's thread 0.
@@ -565,9 +544,9 @@ mod tests {
         fn broadcast_and_barrier_three_ways() {
             let nodes = mesh(3);
             let mut joins = Vec::new();
-            for node in nodes {
+            for (id, node) in nodes.into_iter().enumerate() {
                 joins.push(std::thread::spawn(move || {
-                    if node.id() == 0 {
+                    if id == 0 {
                         node.bcast(0, 42, b"fanout").unwrap();
                     } else {
                         let m = node.recv(Some(0), None, Some(42)).unwrap();
@@ -720,9 +699,8 @@ mod stress_tests {
             const N: usize = 5;
             const ROUNDS: u32 = 20;
             let mut joins = Vec::new();
-            for ncs in mesh(N) {
+            for (id, ncs) in mesh(N).into_iter().enumerate() {
                 joins.push(std::thread::spawn(move || {
-                    let id = ncs.id();
                     for round in 0..ROUNDS {
                         // Everyone sends to everyone, then collects N-1
                         // messages tagged with the round.

@@ -25,7 +25,7 @@ use crate::env::{NcsConfig, NcsProc, TermBarrier};
 ///         if ncs.proc().id() == 0 {
 ///             ncs.send(ncs_core::ThreadAddr::new(1, 0), 7, Bytes::from_static(b"hi"));
 ///         } else {
-///             let m = ncs.recv_any();
+///             let m = ncs.recv(None, None, None);
 ///             assert_eq!(m.tag, 7);
 ///         }
 ///     });

@@ -66,7 +66,7 @@ fn recv_blocks_only_calling_thread() {
             });
         } else {
             proc_.t_create("receiver", 5, |ncs| {
-                let m = ncs.recv_any();
+                let m = ncs.recv(None, None, None);
                 assert_eq!(&m.data[..], b"late");
                 assert!(ncs.ctx().now() >= SimTime::ZERO + Dur::from_millis(50));
             });
@@ -104,7 +104,7 @@ fn single_threaded_process_blocks_like_p4() {
         } else {
             let cd = Arc::clone(&cd);
             proc_.t_create("serial", 5, move |ncs| {
-                let _ = ncs.recv_any();
+                let _ = ncs.recv(None, None, None);
                 ncs.compute(10_000_000, "work");
                 *cd.lock() = ncs.ctx().now();
             });
@@ -410,11 +410,10 @@ fn filter_broadcasts_reach_each_receiver_once() {
                 let got = pvm.recv(Some(0), Some(PVM_TAG));
                 assert_eq!(got, (0, PVM_TAG, Bytes::from_static(b"pvm some")));
             }
-            ncs.ctx().sleep(Dur::from_millis(20)); // a duplicate would have landed
-            assert!(!ncs.probe(None, None, None), "proc {id}: stray message");
         });
     });
     sim.run().assert_clean();
+    // Eight sends, eight receives: nothing is left over in any stash.
     let counts: Vec<(u64, u64)> = world.procs().iter().map(|p| p.msg_counts()).collect();
     assert_eq!(counts, vec![(2, 2), (3, 2), (3, 1), (0, 3)]);
 }
@@ -513,54 +512,6 @@ fn exceptions_buffer_until_handler_installed() {
 }
 
 #[test]
-fn probe_and_recv_timeout() {
-    let sim = Sim::new();
-    let net = fast_net(2, Dur::from_micros(10));
-    NcsWorld::launch(&sim, vec![net], 2, quick_cfg(), |id, proc_| {
-        proc_.t_create("w", 5, move |ncs| {
-            if id == 0 {
-                ncs.ctx().sleep(Dur::from_millis(20));
-                ncs.send(ThreadAddr::new(1, 0), 9, Bytes::from_static(b"eventually"));
-            } else {
-                assert!(!ncs.probe(None, None, None), "nothing buffered yet");
-                // Times out before the 20 ms message.
-                let t0 = ncs.ctx().now();
-                let r = ncs.recv_timeout(Some(0), None, Some(9), Dur::from_millis(5));
-                assert!(r.is_none(), "must time out");
-                assert!(ncs.ctx().now().since(t0) >= Dur::from_millis(5));
-                // Succeeds with a generous timeout.
-                let r = ncs.recv_timeout(Some(0), None, Some(9), Dur::from_secs(1));
-                assert_eq!(&r.expect("delivered").data[..], b"eventually");
-                // And probe sees nothing afterwards.
-                assert!(!ncs.probe(None, None, None));
-            }
-        });
-    });
-    sim.run().assert_clean();
-}
-
-#[test]
-fn probe_true_when_message_waiting() {
-    let sim = Sim::new();
-    let net = fast_net(2, Dur::from_micros(10));
-    NcsWorld::launch(&sim, vec![net], 2, quick_cfg(), |id, proc_| {
-        proc_.t_create("w", 5, move |ncs| {
-            if id == 0 {
-                ncs.send(ThreadAddr::new(1, 0), 3, Bytes::from_static(b"x"));
-            } else {
-                // Give the message time to land, then probe before recv.
-                ncs.mctx().sleep(Dur::from_millis(50));
-                assert!(ncs.probe(Some(0), None, Some(3)));
-                assert!(!ncs.probe(Some(0), None, Some(4)), "wrong tag");
-                let m = ncs.recv(Some(0), None, Some(3));
-                assert_eq!(&m.data[..], b"x");
-            }
-        });
-    });
-    sim.run().assert_clean();
-}
-
-#[test]
 fn flow_and_error_control_compose() {
     // The two NCS_init services active together, over a corrupting
     // transport: credit pacing bounds buffering while checksum/retransmit
@@ -656,7 +607,7 @@ fn communication_deadlock_is_reported_not_hung() {
     let net = fast_net(2, Dur::from_micros(10));
     NcsWorld::launch(&sim, vec![net], 2, quick_cfg(), |_, proc_| {
         proc_.t_create("waiter", 5, |ncs| {
-            let _ = ncs.recv_any(); // never satisfied
+            let _ = ncs.recv(None, None, None); // never satisfied
         });
     });
     let out = sim.run();

@@ -58,7 +58,6 @@ fn run_transfer_on(net: Arc<dyn Network>, cfg: NcsConfig, bytes: usize, msgs: us
                 for k in 0..msgs {
                     let m = ncs.recv(Some(0), None, Some(k as u32));
                     assert_eq!(m.data.len(), payload.len());
-                    assert_ne!(m.causal(), 0, "remote data must be tracked");
                     ncs.send(ThreadAddr::new(0, 0), k as u32, Bytes::from(vec![1u8]));
                 }
             }
@@ -201,8 +200,7 @@ fn local_delivery_is_untracked() {
                 ncs.send(ThreadAddr::new(0, 1), 9, Bytes::from(vec![7u8; 64]));
             });
             proc_.t_create("rx", 5, move |ncs| {
-                let m = ncs.recv(None, None, Some(9));
-                assert_eq!(m.causal(), 0, "local delivery never hits the wire");
+                ncs.recv(None, None, Some(9));
             });
         },
     );
@@ -243,7 +241,6 @@ fn same_instant_senders_keep_their_own_timelines() {
                     for src in [1, 2] {
                         let m = ncs.recv(Some(src), None, Some(7));
                         assert_eq!(m.data[0] as usize, src);
-                        assert_ne!(m.causal(), 0, "remote data must be tracked");
                     }
                 } else {
                     ncs.send(ThreadAddr::new(0, 0), 7, Bytes::from(vec![id as u8; 256]));

@@ -47,7 +47,7 @@ fn two_thread_cyclic_wait_is_reported_as_deadlock() {
     assert_eq!(out.reason, StopReason::Completed);
     assert_eq!(out.blocked, ["proc0/a", "proc0/b", "main"]);
     assert_eq!(
-        sink.violations(),
+        sink.take(),
         [
             violation(
                 "deadlock",
@@ -80,7 +80,7 @@ fn forgotten_unblock_is_reported_as_lost_wakeup() {
     // A single anonymous block is not a cycle: only the kernel reports.
     assert_eq!(out.reason, StopReason::Completed);
     assert_eq!(
-        sink.violations(),
+        sink.take(),
         [
             violation("lost-wakeup", "proc0/loner", PARKED),
             violation("lost-wakeup", "main", PARKED),
@@ -111,10 +111,10 @@ fn clean_runs_report_nothing_and_queues_validate() {
     out.assert_clean();
 
     assert!(*pinged.lock());
+    let violations = sink.take();
     assert!(
-        sink.is_empty(),
-        "clean run must not report: {:#?}",
-        sink.violations()
+        violations.is_empty(),
+        "clean run must not report: {violations:#?}"
     );
     assert!(mts.validate_queues().is_empty());
 }

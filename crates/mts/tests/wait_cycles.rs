@@ -35,7 +35,7 @@ fn deadlock_details(acts: &[Act]) -> Vec<String> {
     let mts2 = mts.clone();
     sim.spawn("main", move |ctx| mts2.start(ctx));
     assert_eq!(sim.run().reason, StopReason::Completed);
-    let violations = sink.violations();
+    let violations = sink.take();
     assert!(violations
         .iter()
         .all(|v| v.check == "deadlock" || v.check == "lost-wakeup"));

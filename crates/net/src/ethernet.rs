@@ -45,11 +45,6 @@ impl EthernetFabric {
         assert!(bytes <= MAX_PAYLOAD, "packet exceeds Ethernet MTU: {bytes}");
         bytes.max(MIN_PAYLOAD) + FRAME_OVERHEAD
     }
-
-    /// The shared medium's utilization in `[0, now]`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        self.medium.utilization(now)
-    }
 }
 
 impl Fabric for EthernetFabric {

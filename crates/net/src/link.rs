@@ -82,8 +82,6 @@ impl LinkSpec {
 struct LinkInner {
     busy_until: SimTime,
     bytes_carried: u64,
-    chunks_carried: u64,
-    busy_integral_ps: u128,
     /// Scheduled outage windows `[down, up)`: any transmission overlapping
     /// one is lost on the wire (the transmitter still clocks the bits out).
     down_windows: Vec<(SimTime, SimTime)>,
@@ -119,8 +117,6 @@ impl LinkState {
             inner: Mutex::new(LinkInner {
                 busy_until: SimTime::ZERO,
                 bytes_carried: 0,
-                chunks_carried: 0,
-                busy_integral_ps: 0,
                 down_windows: Vec::new(),
                 flap_losses: 0,
             }),
@@ -137,8 +133,6 @@ impl LinkState {
         let end = start + self.spec.tx_time(wire_bytes);
         l.busy_until = end + gap;
         l.bytes_carried += wire_bytes as u64;
-        l.chunks_carried += 1;
-        l.busy_integral_ps += u128::from(end.since(start).as_ps());
         let lost = l.down_windows.iter().any(|&(d, u)| start < u && end > d);
         if lost {
             l.flap_losses += 1;
@@ -184,21 +178,9 @@ impl LinkState {
     }
 
     /// Total payload bytes carried.
+    // ncs-lint: allow(dead-surface) oracle wan.rs's VBR test checks a flow's uplink occupancy against
     pub fn bytes_carried(&self) -> u64 {
         self.inner.lock().bytes_carried
-    }
-
-    /// Total chunks carried.
-    pub fn chunks_carried(&self) -> u64 {
-        self.inner.lock().chunks_carried
-    }
-
-    /// Fraction of `[0, now]` the transmitter spent sending.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO {
-            return 0.0;
-        }
-        self.inner.lock().busy_integral_ps as f64 / now.as_ps() as f64
     }
 }
 
@@ -242,7 +224,6 @@ mod tests {
         let _ = link.enqueue(t(0), 125, Dur::ZERO); // 100 us
         let b = link.enqueue(t(500), 125, Dur::ZERO);
         assert_eq!(b.start, t(500));
-        assert!((link.utilization(t(600)) - 200.0 / 600.0).abs() < 1e-9);
     }
 
     #[test]
@@ -261,7 +242,6 @@ mod tests {
         link.enqueue(t(0), 53, Dur::ZERO);
         link.enqueue(t(0), 53, Dur::ZERO);
         assert_eq!(link.bytes_carried(), 106);
-        assert_eq!(link.chunks_carried(), 2);
     }
 
     #[test]

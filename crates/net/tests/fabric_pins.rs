@@ -84,17 +84,19 @@ fn all_links(f: &AtmFabric) -> Vec<&ncs_net::LinkState> {
         .collect()
 }
 
-/// Indices (into `links`) of the links one `src → dst` booking rides.
+/// Indices (into `links`) of the links one `src → dst` booking rides: a
+/// booking always pushes its link's busy horizon, so its backlog seen
+/// from time zero grows, and no other link's does.
 fn booked(f: &AtmFabric, links: &[&ncs_net::LinkState], src: NodeId, dst: NodeId) -> Vec<usize> {
-    let before: Vec<u64> = links.iter().map(|l| l.chunks_carried()).collect();
+    let before: Vec<Dur> = links.iter().map(|l| l.backlog(SimTime::ZERO)).collect();
     f.transfer(src, dst, 1000, SimTime::ZERO);
     (0..links.len())
-        .filter(|&i| links[i].chunks_carried() > before[i])
+        .filter(|&i| links[i].backlog(SimTime::ZERO) > before[i])
         .collect()
 }
 
-/// `path_down(s, d, t)` is true iff some link whose `chunks_carried` grows
-/// when `transfer(s, d, ..)` is booked is down at `t` — on every topology.
+/// `path_down(s, d, t)` is true iff some link that a `transfer(s, d, ..)`
+/// booking rides is down at `t` — on every topology.
 #[test]
 fn path_down_iff_a_booked_link_is_down() {
     prop::check("path_down_iff_a_booked_link_is_down", 256, |g| {

@@ -60,11 +60,6 @@ impl P4Proc {
         self.id
     }
 
-    /// Number of processes in the procgroup.
-    pub fn num_procs(&self) -> usize {
-        self.n
-    }
-
     /// The network this procgroup runs on.
     pub fn net(&self) -> &Arc<dyn Network> {
         &self.net

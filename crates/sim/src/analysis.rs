@@ -98,24 +98,9 @@ impl InvariantSink {
         self.violations.lock().push(v);
     }
 
-    /// Clones out everything recorded so far.
-    pub fn violations(&self) -> Vec<Violation> {
-        self.violations.lock().clone()
-    }
-
     /// Drains the sink, returning everything recorded so far.
     pub fn take(&self) -> Vec<Violation> {
         std::mem::take(&mut *self.violations.lock())
-    }
-
-    /// Number of violations recorded so far.
-    pub fn len(&self) -> usize {
-        self.violations.lock().len()
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.violations.lock().is_empty()
     }
 
     /// Appends one delivered payload digest to channel `(src, dst, tag)`.
@@ -169,11 +154,6 @@ impl AnalysisConfig {
         self.sink.is_some()
     }
 
-    /// The shared sink, if this config is recording.
-    pub fn sink(&self) -> Option<&Arc<InvariantSink>> {
-        self.sink.as_ref()
-    }
-
     /// Records a violation (no-op when disabled).
     pub fn report(&self, check: &'static str, actor: impl Into<String>, detail: impl Into<String>) {
         if let Some(sink) = &self.sink {
@@ -217,10 +197,10 @@ mod tests {
         let (cfg, sink) = AnalysisConfig::recording();
         assert!(cfg.active());
         cfg.report("deadlock", "p0", "t1 -> t2 -> t1");
-        assert_eq!(sink.len(), 1);
         let v = sink.take();
+        assert_eq!(v.len(), 1);
         assert_eq!(v[0].check, "deadlock");
-        assert!(sink.is_empty());
+        assert!(sink.take().is_empty(), "take drains the sink");
         assert!(!AnalysisConfig::off().active());
     }
 }

@@ -77,14 +77,8 @@ impl<T> SimChannel<T> {
         ch.sink = Some(Box::new(sink));
     }
 
-    /// Sends from a green thread. Never parks; fails only on a closed
-    /// channel.
-    pub fn send(&self, ctx: &Ctx, value: T) -> Result<(), Closed> {
-        self.offer(ctx.sim(), value).map_err(|_| Closed)
-    }
-
-    /// Sends from an event callback (or any non-thread context). Hands the
-    /// value back if the channel is closed (or its sink refused it).
+    /// Sends from any context (a green thread passes `ctx.sim()`), never
+    /// parking. Hands the value back if the channel is closed or its sink refused it.
     pub fn offer(&self, sim: &Sim, value: T) -> Result<(), T> {
         let waiter = {
             let mut ch = self.inner.lock();
@@ -161,7 +155,7 @@ mod tests {
         let tx = ch.clone();
         sim.spawn("producer", move |ctx| {
             for i in 0..5 {
-                tx.send(ctx, i).unwrap();
+                tx.offer(ctx.sim(), i).unwrap();
                 ctx.sleep(Dur::from_micros(1));
             }
         });
@@ -192,7 +186,7 @@ mod tests {
         let tx = ch.clone();
         sim.spawn("producer", move |ctx| {
             ctx.sleep(Dur::from_millis(2));
-            tx.send(ctx, "hello").unwrap();
+            tx.offer(ctx.sim(), "hello").unwrap();
         });
         sim.run().assert_clean();
         assert_eq!(when.lock().unwrap(), SimTime::ZERO + Dur::from_millis(2));

@@ -60,12 +60,6 @@ impl Ctx {
         self.yield_to_kernel(PARK);
     }
 
-    /// Wakes another parked thread (at the current instant).
-    pub fn wake(&self, tid: ThreadId) -> bool {
-        assert_ne!(tid, self.tid, "a thread cannot wake itself");
-        self.sim.wake(tid)
-    }
-
     /// Records `wait` ([`PARK`] or a sleep's instant) for the run loop to
     /// apply, hands control back to it through the engine and
     /// blocks until the kernel dispatches this thread again. Unwinds with

@@ -287,11 +287,6 @@ impl Sim {
         }
     }
 
-    /// The green-thread engine backing this simulation.
-    pub fn engine(&self) -> EngineKind {
-        self.inner.engine.kind
-    }
-
     /// Usable bytes per green-thread stack (already normalized).
     // ncs-lint: allow(dead-surface) oracle bench/tests/green_footprint.rs checks stack-size rounding against
     pub fn green_stack_bytes(&self) -> usize {
@@ -607,7 +602,7 @@ mod tests {
         });
         sim.spawn("waker", move |ctx| {
             ctx.sleep(Dur::from_millis(1));
-            assert!(ctx.wake(sleeper));
+            assert!(ctx.sim().wake(sleeper));
         });
         sim.run().assert_clean();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
@@ -635,7 +630,7 @@ mod tests {
         let target = sim.spawn("t", move |ctx| ctx.sleep(Dur::from_nanos(1)));
         sim.spawn("w", move |ctx| {
             // target is Scheduled (its initial resume is queued): no-op.
-            assert!(!ctx.wake(target));
+            assert!(!ctx.sim().wake(target));
         });
         sim.run().assert_clean();
     }

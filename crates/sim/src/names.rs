@@ -100,11 +100,4 @@ impl<T> NameTable<T> {
     pub(crate) fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
-
-    /// Forgets every name, every remembered address and every value.
-    pub(crate) fn clear(&mut self) {
-        self.slots.clear();
-        self.by_addr.clear();
-        self.sorted.clear();
-    }
 }

@@ -3,12 +3,11 @@
 
 use crate::time::Dur;
 
-/// Streaming summary (count / min / max / mean) over durations.
+/// Streaming summary (count / max / mean) over durations.
 #[derive(Clone, Debug, Default)]
 pub struct DurSummary {
     count: u64,
     total_ps: u128,
-    min: Option<Dur>,
     max: Option<Dur>,
 }
 
@@ -22,18 +21,12 @@ impl DurSummary {
     pub fn record(&mut self, d: Dur) {
         self.count += 1;
         self.total_ps += u128::from(d.as_ps());
-        self.min = Some(self.min.map_or(d, |m| m.min(d)));
         self.max = Some(self.max.map_or(d, |m| m.max(d)));
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Smallest observation.
-    pub fn min(&self) -> Option<Dur> {
-        self.min
     }
 
     /// Largest observation.
@@ -159,14 +152,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_tracks_min_max_mean() {
+    fn summary_tracks_max_mean_total() {
         let mut s = DurSummary::new();
         assert!(s.mean().is_none());
         for us in [10u64, 20, 30] {
             s.record(Dur::from_micros(us));
         }
         assert_eq!(s.count(), 3);
-        assert_eq!(s.min(), Some(Dur::from_micros(10)));
         assert_eq!(s.max(), Some(Dur::from_micros(30)));
         assert_eq!(s.mean(), Some(Dur::from_micros(20)));
         assert_eq!(s.total(), Dur::from_micros(60));

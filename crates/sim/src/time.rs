@@ -48,14 +48,6 @@ impl Dur {
         Dur(s * 1_000_000_000_000)
     }
 
-    /// Creates a duration from fractional seconds, rounding to the nearest
-    /// picosecond. Panics on negative or non-finite input.
-    // ncs-lint: allow(float-time)
-    pub fn from_secs_f64(s: f64) -> Dur {
-        assert!(s.is_finite() && s >= 0.0, "invalid duration: {s}");
-        Dur((s * 1e12).round() as u64)
-    }
-
     /// The time it takes to serialize `bytes` bytes onto a link running at
     /// `bits_per_sec`, rounded up to the next picosecond so that modeled
     /// transmission never takes zero time. Zero-byte frames (pure-header
@@ -83,12 +75,6 @@ impl Dur {
         self.0
     }
 
-    /// This duration in (truncated) nanoseconds.
-    #[inline]
-    pub const fn as_nanos(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// This duration in (truncated) microseconds.
     #[inline]
     pub const fn as_micros(self) -> u64 {
@@ -100,18 +86,6 @@ impl Dur {
     // ncs-lint: allow(float-time)
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e12 // ncs-lint: allow(float-time)
-    }
-
-    /// Saturating subtraction.
-    #[inline]
-    pub fn saturating_sub(self, rhs: Dur) -> Dur {
-        Dur(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Checked addition.
-    #[inline]
-    pub fn checked_add(self, rhs: Dur) -> Option<Dur> {
-        self.0.checked_add(rhs.0).map(Dur)
     }
 
     /// Returns `true` if this is the zero duration.
@@ -242,12 +216,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> Dur {
         Dur(self.0.saturating_sub(earlier.0))
     }
-
-    /// The later of two instants.
-    #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
-    }
 }
 
 impl Add<Dur> for SimTime {
@@ -295,13 +263,6 @@ mod tests {
         assert_eq!(Dur::from_micros(1), Dur::from_nanos(1_000));
         assert_eq!(Dur::from_millis(1), Dur::from_micros(1_000));
         assert_eq!(Dur::from_secs(1), Dur::from_millis(1_000));
-    }
-
-    #[test]
-    fn secs_f64_roundtrip() {
-        let d = Dur::from_secs_f64(1.5);
-        assert_eq!(d.as_ps(), 1_500_000_000_000);
-        assert!((d.as_secs_f64() - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -401,6 +401,7 @@ impl TimelineStore {
     }
 
     /// One message's timeline (`None` for an id never marked).
+    #[cfg(test)]
     pub(crate) fn get(&self, causal: u64) -> Option<TimelineBuf> {
         Some(self.read(causal, self.place(causal))?.1)
     }
@@ -554,12 +555,6 @@ impl TimelineStore {
     pub(crate) fn shapes(&self) -> usize {
         self.shapes.len()
     }
-
-    /// Forgets every timeline and releases the arena, the buffers and the
-    /// shape table.
-    pub(crate) fn clear(&mut self) {
-        *self = TimelineStore::with_chunk_instants(self.chunk_instants);
-    }
 }
 
 #[cfg(test)]
@@ -641,10 +636,6 @@ mod tests {
         assert_eq!(store.stamp(3, a), None);
         let ids: Vec<u64> = store.iter().map(|(c, _)| c).collect();
         assert_eq!(ids, vec![1, 2]);
-        store.clear();
-        assert!(store.get(1).is_none());
-        assert_eq!(store.iter().count(), 0);
-        assert_eq!(store.bytes(), 0);
     }
 
     #[test]

@@ -273,12 +273,6 @@ impl Tracer {
         out.push_str("legend: # compute   ~ comm   . idle   o overhead   + runnable\n");
         out
     }
-
-    /// Clears spans and counters (interned actors stay valid).
-    pub fn clear(&mut self) {
-        self.spans.clear();
-        self.counters.clear();
-    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ fn run_random_program(seed: u64, n_threads: usize, n_ops: usize) -> (SimTime, u6
                 match rng.gen_index(3) {
                     0 => ctx.sleep(Dur::from_nanos(rng.gen_range(1_000) + 1)),
                     1 => {
-                        let _ = ch.send(ctx, rng.next_u64());
+                        let _ = ch.offer(ctx.sim(), rng.next_u64());
                     }
                     _ => {
                         if let Some(v) = ch.try_recv() {
@@ -98,7 +98,7 @@ fn channel_fifo_per_sender() {
             sim.spawn(format!("s{s}"), move |ctx| {
                 for i in 0..msgs {
                     ctx.sleep(Dur::from_nanos(rng.gen_range(200)));
-                    ch.send(ctx, (s, i)).unwrap();
+                    ch.offer(ctx.sim(), (s, i)).unwrap();
                 }
             });
         }

@@ -31,6 +31,9 @@ bash scripts/guard_removed_names.sh
 echo "== unsafe stays in its islands: engine switch + CRC dispatch only (as CI) =="
 bash scripts/guard_unsafe_sites.sh
 
+echo "== every pub fn has a caller: the compiler-checked census, ~5 min (as CI) =="
+cargo test --release --offline --package ncs-analysis --test census -- --ignored
+
 echo "== clippy (as CI) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

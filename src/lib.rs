@@ -17,7 +17,7 @@
 //!         if id == 0 {
 //!             ncs.send(ThreadAddr::new(1, 0), 7, Bytes::from_static(b"hi"));
 //!         } else {
-//!             assert_eq!(ncs.recv_any().tag, 7);
+//!             assert_eq!(ncs.recv(None, None, None).tag, 7);
 //!         }
 //!     });
 //! });
