@@ -41,24 +41,6 @@
 //!   while another green thread runs — the classic recipe for a
 //!   self-deadlock or a lost wakeup. Drop the guard (end its scope or
 //!   `drop(guard)`) before parking.
-//! * `dead-surface` — a `pub` fn/struct/enum/trait/type/const/static/mod
-//!   under `crates/*/src` whose name, as a whole word, occurs in no other
-//!   non-test code under `crates/*/src`, `src/`, `examples/` or the frozen
-//!   `benchmark/src`. Not references: a line defining an item of that
-//!   name (its own, or another of any visibility: a private `fn X`
-//!   elsewhere does not keep `pub fn X` alive), a bare `X` (after neither
-//!   `.` nor `::`) in a file whose top level defines a non-`pub` `X`, a
-//!   `self.X` in an `impl` of a type whose non-`pub` method `X` the same
-//!   file defines, the `impl` blocks of that same type, and what a
-//!   `pub use` / `pub mod` line declares (only its path segments before a
-//!   `::` count) — so an item only tests or its own re-export name is
-//!   flagged. Matching is by name,
-//!   not by resolved path, so a name shared with any live item (or a local,
-//!   a field, a `#[cfg(test)] mod x;` file read as code) counts as used:
-//!   the rule misses some dead items but never reports a live one. It
-//!   settles types, consts and statics; the compiler settles functions:
-//!   the ignored census in `tests/census.rs` fails on every `pub fn`
-//!   ([`census_candidates`]) without which everything still compiles.
 //!
 //! A line (or the line directly below the comment) is exempted with:
 //!
@@ -67,10 +49,11 @@
 //! ```
 //!
 //! Rule names in `allow` may use `-` or `_` interchangeably
-//! (`allow(guard_across_park)` works). An `allow(dead-surface)` counts only
-//! with its reason after the parenthesis, on the same line. It keeps the
-//! item (on a `pub mod`, every fn inside) out of the census too, and names
-//! a paper artefact, a gate the item is the oracle or hook of, or a harness.
+//! (`allow(guard_across_park)` works).
+//!
+//! Dead code is the compiler's: rustc's `dead_code` for crate-private
+//! items, and the census in `tests/census.rs` for `pub` ones
+//! ([`census_candidates`]), whose escape is `allow(dead-surface) <reason>`.
 //!
 //! Comments and string/char literals are stripped before matching, so doc
 //! comments may freely *mention* `HashMap`; `#[cfg(test)]` items and
@@ -81,11 +64,9 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::io;
-use std::ops::Range;
 use std::path::Path;
 
 /// Every rule identifier the lint knows, in reporting order.
-// ncs-lint: allow(dead-surface) the rule list tests/lint_rules.rs checks the fixture covers
 pub const LINT_RULES: &[&str] = &[
     "hash-collection",
     "wall-clock",
@@ -93,13 +74,10 @@ pub const LINT_RULES: &[&str] = &[
     "unseeded-rand",
     "float-time",
     "guard-across-park",
-    "dead-surface",
 ];
 
-/// The sources the workspace lint reads: every crate (whose `tests/` then
-/// drop out, see [`lint_sources`]), the examples, the root crate, and the
-/// frozen benchmark package.
-const LINT_ROOTS: &[&str] = &["crates", "examples", "src", "benchmark/src"];
+/// The sources the workspace lint reads, but for each crate's `tests/`.
+const LINT_ROOTS: &[&str] = &["crates", "examples", "src"];
 
 /// One lint hit: a rule, a location, and the offending source line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -107,7 +85,7 @@ pub struct LintViolation {
     /// Which rule fired (one of [`LINT_RULES`]).
     pub rule: &'static str,
     /// Workspace-relative path, forward slashes.
-    pub file: String,
+    pub(crate) file: String,
     /// 1-based line number.
     pub line: usize,
     /// The raw source line, trimmed.
@@ -327,17 +305,20 @@ fn park_positions(code: &str) -> Vec<usize> {
     out
 }
 
-/// True when raw line `idx` or the one above carries `ncs-lint:
-/// allow(...)` naming `rule` (`-` and `_` interchangeable). A
-/// `dead-surface` allow counts only with its reason after the parenthesis.
-fn allowed(lines: &[&str], idx: usize, rule: &str) -> bool {
-    lines[idx.saturating_sub(1)..=idx].iter().any(|raw| {
-        let (_, rest) = raw.split_once("ncs-lint: allow(").unwrap_or_default();
-        rest.split_once(')').is_some_and(|(rules, reason)| {
-            rules.split(',').any(|r| r.trim().replace('_', "-") == rule)
-                && (rule != "dead-surface" || !reason.trim().is_empty())
-        })
+/// What follows the parenthesis when raw line `idx` or the one above
+/// carries `ncs-lint: allow(...)` naming `rule` (`-` and `_`
+/// interchangeable): a reason, or nothing.
+fn allowed<'a>(lines: &[&'a str], idx: usize, rule: &str) -> Option<&'a str> {
+    lines[idx.saturating_sub(1)..=idx].iter().find_map(|raw| {
+        let (_, rest) = raw.split_once("ncs-lint: allow(")?;
+        let (rules, reason) = rest.split_once(')')?;
+        rules.split(',').any(|r| r.trim().replace('_', "-") == rule).then_some(reason)
     })
+}
+
+/// The census's escape: `allow(dead-surface)` with a reason.
+fn escaped(lines: &[&str], idx: usize) -> bool {
+    allowed(lines, idx, "dead-surface").is_some_and(|reason| !reason.trim().is_empty())
 }
 
 /// The lines of `source` outside `#[cfg(test)]` items, as `(index, brace
@@ -389,8 +370,7 @@ fn code_lines(source: &str) -> Vec<(usize, i64, String)> {
 
 /// Lints one file. `rel_path` is the workspace-relative path with forward
 /// slashes — rule scoping (the `real.rs` exemptions, the `float-time`
-/// clock-only scope) keys off it. `dead-surface` needs every file at once
-/// and runs in [`lint_sources`].
+/// clock-only scope) keys off it.
 pub fn lint_file(rel_path: &str, source: &str) -> Vec<LintViolation> {
     let is_real_shim = rel_path.ends_with("core/src/real.rs");
     let is_sim_clock = rel_path == "crates/sim/src/time.rs";
@@ -413,7 +393,7 @@ pub fn lint_file(rel_path: &str, source: &str) -> Vec<LintViolation> {
         let depth = depth_before + opens - code.matches('}').count() as i64;
 
         let mut hit = |rule: &'static str| {
-            if !allowed(&raw_lines, idx, rule) {
+            if allowed(&raw_lines, idx, rule).is_none() {
                 out.push(LintViolation {
                     rule,
                     file: rel_path.to_string(),
@@ -529,32 +509,18 @@ fn rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-fn is_ident_char(c: char) -> bool {
-    c.is_alphanumeric() || c == '_'
-}
-
 /// The whole-word identifiers in a stripped code line.
 fn idents(code: &str) -> impl Iterator<Item = &str> {
-    code.split(|c| !is_ident_char(c))
+    code.split(|c: char| !(c.is_alphanumeric() || c == '_'))
         .filter(|w| w.starts_with(|c: char| !c.is_ascii_digit()))
 }
 
-/// The name a `pub` item defined on this (stripped, trimmed) line
-/// introduces. `pub(crate)` and its kin are not `pub`.
+/// The name a `pub` fn, struct, enum, trait, type, const or static defined
+/// on this (stripped, trimmed) line introduces: not a field, a `use` or a
+/// `mod`. `pub(crate)` and its kin are not `pub`.
 fn pub_item_name(code: &str) -> Option<&str> {
-    item_name(code.strip_prefix("pub ")?)
-}
-
-/// The name an item of any visibility defined on this (stripped, trimmed)
-/// line introduces.
-fn item_name(code: &str) -> Option<&str> {
-    const KINDS: &str = "fn struct enum trait type const static mod";
-    let code = match code.strip_prefix("pub") {
-        Some(rest) if rest.starts_with(' ') => rest,
-        Some(rest) if rest.starts_with('(') => &rest[rest.find(')')? + 1..],
-        _ => code,
-    };
-    let mut words = code.split_whitespace().peekable();
+    const KINDS: &str = "fn struct enum trait type const static";
+    let mut words = code.strip_prefix("pub ")?.split_whitespace().peekable();
     while let Some(w) = words.next() {
         let fn_const = w == "const" && words.peek().is_some_and(|n| matches!(*n, "fn" | "unsafe"));
         if fn_const || matches!(w, "unsafe" | "async" | "extern") {
@@ -566,246 +532,83 @@ fn item_name(code: &str) -> Option<&str> {
     None
 }
 
-/// The self type of an `impl` header on this (stripped, trimmed) line: the
-/// last path segment after `for` (or after `impl<…>`), generics dropped.
-fn impl_self_type(code: &str) -> Option<&str> {
-    let code = code.strip_prefix("unsafe ").unwrap_or(code);
-    let mut rest = code.strip_prefix("impl")?;
-    if rest.starts_with('<') {
-        let mut depth = 0;
-        let close = rest.find(|c| {
-            depth += i32::from(c == '<') - i32::from(c == '>');
-            depth == 0
-        })?;
-        rest = &rest[close + 1..];
-    } else if !rest.starts_with(' ') {
-        return None;
-    }
-    let head = rest.split('{').next()?.split(" where").next()?;
-    let ty = head.rsplit(" for ").next()?;
-    idents(ty.split('<').next()?.rsplit("::").next()?).last()
-}
-
-/// `dead-surface`: every `pub` item defined outside `#[cfg(test)]` under
-/// `crates/*/src` whose name occurs in no other non-test code of `files`
-/// (see the module docs for what does not count as a reference).
-fn dead_surface(files: &[(&str, &str)]) -> Vec<LintViolation> {
-    let mut defs: Vec<LintViolation> = Vec::new();
-    let mut used: BTreeSet<String> = BTreeSet::new();
-    for &(path, source) in files {
-        let defining = path.starts_with("crates/") && path.contains("/src/");
-        let raw: Vec<&str> = source.lines().collect();
-        // The `impl` block we are in: (self type, header depth, body opened).
-        let mut imp: Option<(String, i64, bool)> = None;
-        let mut in_pub_use = false;
-        let lines = code_lines(source);
-        // Non-`pub` items defined at this file's top level: a bare use of
-        // one of these names in this file is that item, not a `pub` one.
-        let local: BTreeSet<&str> = lines
-            .iter()
-            .filter(|l| l.1 == 0 && pub_item_name(l.2.trim()).is_none())
-            .filter_map(|l| item_name(l.2.trim()))
-            .collect();
-        // `self.m` calls by `impl` type, and the non-`pub` methods this
-        // file's `impl` blocks define: a call of one of those is not a use.
-        let (mut self_calls, mut methods) = (Vec::new(), BTreeSet::new());
-        for &(idx, depth, ref code) in &lines {
-            let t = code.trim();
-            if imp.is_none() {
-                imp = impl_self_type(t).map(|ty| (ty.to_string(), depth, false));
-            }
-            in_pub_use |= t.starts_with("pub use ");
-            if defining && pub_item_name(t).is_some() && !allowed(&raw, idx, "dead-surface") {
-                defs.push(LintViolation {
-                    rule: "dead-surface",
-                    file: path.to_string(),
-                    line: idx + 1,
-                    snippet: raw[idx].trim().to_string(),
-                });
-            }
-            let own_type = imp.as_ref().map(|i| i.0.as_str());
-            if let (Some((ty, header, _)), None) = (&imp, pub_item_name(t)) {
-                let method = item_name(t).filter(|_| depth == header + 1);
-                methods.extend(method.map(|m| (ty.clone(), m.to_string())));
-            }
-            // `w` is a slice of `t`: the code before it on the line.
-            let before = |w: &str| t[..w.as_ptr() as usize - t.as_ptr() as usize].trim_end();
-            let refs: Vec<&str> = if in_pub_use || t.starts_with("pub mod ") {
-                // Only the path segments: the leaves are what is re-exported.
-                let heads = t.split("::").take(t.matches("::").count());
-                heads.filter_map(|head| idents(head).last()).collect()
-            } else {
-                let defined = item_name(t);
-                let other = |w: &&str| Some(*w) != defined && Some(*w) != own_type;
-                // Bare: after neither `.` nor `::`.
-                let own_local = |w: &&str| {
-                    let before = before(w);
-                    local.contains(w) && !before.ends_with('.') && !before.ends_with("::")
-                };
-                idents(t).filter(|w| other(w) && !own_local(w)).collect()
-            };
-            for w in refs {
-                let on_self = before(w).strip_suffix("self.");
-                match own_type.filter(|_| on_self.is_some_and(|b| !b.ends_with(is_ident_char))) {
-                    Some(ty) => self_calls.push((ty.to_string(), w.to_string())),
-                    None => _ = used.insert(w.to_string()),
-                }
-            }
-            in_pub_use &= !t.contains(';');
-            if let Some((_, header, opened)) = &mut imp {
-                *opened |= t.contains('{');
-                let after = depth + t.matches('{').count() as i64 - t.matches('}').count() as i64;
-                if *opened && after <= *header {
-                    imp = None;
-                }
-            }
-        }
-        let called = self_calls.into_iter().filter(|c| !methods.contains(c));
-        used.extend(called.map(|c| c.1));
-    }
-    // A definition line is `pub <kind> <name>` before any comment or literal.
-    defs.retain(|v| pub_item_name(&v.snippet).is_some_and(|name| !used.contains(name)));
-    defs
-}
-
-/// One `pub fn` the census (`tests/census.rs`) deletes to see whether the
-/// workspace still compiles without it.
+/// One `pub` item the census (`tests/census.rs`) narrows to `pub(crate)`
+/// to see whether every target still compiles.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PubFn {
+pub struct PubItem {
     /// Workspace-relative path, forward slashes.
     pub file: String,
-    /// The function's name.
+    /// The item's name.
     pub name: String,
-    /// 0-based line of its `pub fn`.
+    /// 0-based line of its `pub`.
     pub line: usize,
-    /// Defined outside any `impl` block, so a `pub use` may name it.
-    pub free: bool,
-    /// 0-based lines to cut: its doc comments and attributes through its
-    /// closing brace.
-    pub span: Range<usize>,
 }
 
 /// The census's candidates among `(workspace-relative path, source)` pairs:
-/// every `pub fn` under `crates/*/src` outside `#[cfg(test)]`, but not one
-/// with a reasoned `allow(dead-surface)` escape or in a `pub mod m;` with
-/// one, and not an `is_empty` whose `impl` has a `pub fn len` (clippy's
-/// `len_without_is_empty` wants the pair). Trait-impl methods are never
-/// `pub`, so never candidates.
-// ncs-lint: allow(dead-surface) harness: the census gate in tests/census.rs deletes what this finds
-pub fn census_candidates(files: &[(&str, &str)]) -> Vec<PubFn> {
+/// every `pub` fn, struct, enum, trait, type, const and static under
+/// `crates/*/src` outside `#[cfg(test)]`, but not one escaped (on its line,
+/// the one above or its `pub mod m;`), nor an `is_empty` beside a `pub fn
+/// len` (clippy's `len_without_is_empty` wants the pair).
+pub fn census_candidates(files: &[(&str, &str)]) -> Vec<PubItem> {
     let defining = |path: &&str| path.starts_with("crates/") && path.contains("/src/");
     // An escaped `pub mod m;` in `dir/lib.rs` (or `main.rs`, `mod.rs`) is
     // `dir/m.rs` or `dir/m/`; in `dir/x.rs` it is `dir/x/m.rs` or `dir/x/m/`.
-    let mut escaped = Vec::new();
+    let mut escaped_mods = Vec::new();
     for (path, source) in files.iter().filter(|f| defining(&f.0)) {
-        let raw: Vec<&str> = source.lines().collect();
         let dir = match path.rsplit_once('/') {
             Some((dir, "lib.rs" | "main.rs" | "mod.rs")) => dir,
             _ => path.trim_end_matches(".rs"),
         };
-        for (idx, _, code) in code_lines(source) {
-            let decl = code
-                .trim()
-                .strip_prefix("pub mod ")
-                .and_then(|m| m.strip_suffix(';'));
-            if let Some(m) = decl.filter(|_| allowed(&raw, idx, "dead-surface")) {
-                escaped.push(format!("{dir}/{}", m.trim()));
-            }
+        let raw: Vec<&str> = source.lines().collect();
+        for (_, line) in raw.iter().enumerate().filter(|l| escaped(&raw, l.0)) {
+            let m = line.trim().strip_prefix("pub mod ").and_then(|m| m.split(';').next());
+            escaped_mods.extend(m.map(|m| format!("{dir}/{m}")));
         }
     }
     let in_escaped = |path: &str| {
-        escaped
+        escaped_mods
             .iter()
             .any(|m| path == format!("{m}.rs") || path.starts_with(&format!("{m}/")))
     };
     let mut out = Vec::new();
     for &(path, source) in files.iter().filter(|f| defining(&f.0) && !in_escaped(f.0)) {
         let raw: Vec<&str> = source.lines().collect();
-        // Candidates with their `impl` block, and the blocks that define a
-        // `pub fn len`.
+        // Candidates with their block (the line that opened it), and the
+        // blocks that define a `pub fn len`.
         let (mut found, mut with_len) = (Vec::new(), BTreeSet::new());
-        // The `impl` block and the candidate's body we are in: (header line
-        // or index into `found`, its depth, body opened).
-        let (mut imp, mut body) = (None::<(usize, i64, bool)>, None::<(usize, i64, bool)>);
+        // Per brace depth, the last line that started at it.
+        let mut last = Vec::new();
         for (idx, depth, code) in code_lines(source) {
-            let t = code.trim();
-            if imp.is_none() && impl_self_type(t).is_some() {
-                imp = Some((idx, depth, false));
-            }
-            // `fn` before the name: not `pub type F = fn()`.
-            if let Some(name) = pub_item_name(t).filter(|n| t.contains(&format!("fn {n}"))) {
-                let block = imp.filter(|i| depth == i.1 + 1).map(|i| i.0);
-                if name == "len" {
-                    with_len.extend(block);
-                }
-                if !allowed(&raw, idx, "dead-surface") {
-                    let doc = raw[..idx].iter().rev().take_while(|l| {
-                        let l = l.trim_start();
-                        l.starts_with("//") || l.starts_with("#[")
-                    });
-                    let (file, name, span) =
-                        (path.to_string(), name.to_string(), idx - doc.count()..idx);
-                    let free = block.is_none();
-                    found.push((
-                        block,
-                        PubFn {
-                            file,
-                            name,
-                            line: idx,
-                            free,
-                            span,
-                        },
-                    ));
-                    body = Some((found.len() - 1, depth, false));
-                }
-            }
-            let after = depth + t.matches('{').count() as i64 - t.matches('}').count() as i64;
-            let closes = |s: &mut (usize, i64, bool)| {
-                s.2 |= t.contains('{');
-                s.2 && after <= s.1
+            let depth = depth.max(0) as usize;
+            last.resize(depth + 1, idx);
+            last[depth] = idx;
+            let Some(name) = pub_item_name(code.trim()) else {
+                continue;
             };
-            if imp.as_mut().is_some_and(closes) {
-                imp = None;
+            let block = depth.checked_sub(1).map(|d| last[d]);
+            if name == "len" {
+                with_len.extend(block);
             }
-            if body.as_mut().is_some_and(closes) {
-                found[body.take().expect("just checked").0].1.span.end = idx + 1;
+            if !escaped(&raw, idx) {
+                let (file, name) = (path.to_string(), name.to_string());
+                found.push((block, PubItem { file, name, line: idx }));
             }
         }
-        let pair = |(block, f): &(Option<usize>, PubFn)| {
-            f.name == "is_empty" && block.is_some_and(|b| with_len.contains(&b))
+        let pair = |(block, c): &(Option<usize>, PubItem)| {
+            c.name == "is_empty" && block.is_some_and(|b| with_len.contains(&b))
         };
-        out.extend(found.iter().filter(|f| !pair(f)).map(|f| f.1.clone()));
+        out.extend(found.into_iter().filter(|f| !pair(f)).map(|f| f.1));
     }
     out
 }
 
-/// Every rule over `(workspace-relative path, source)` pairs: the per-file
-/// rules on each file outside `benchmark/src`, then `dead-surface` across
-/// all of them. Files under a `tests/` directory are test code: neither
-/// linted nor read as references.
-pub fn lint_sources(files: &[(&str, &str)]) -> Vec<LintViolation> {
-    let test_file = |path: &str| path.split('/').any(|c| c == "tests");
-    let files: Vec<(&str, &str)> = files.iter().filter(|f| !test_file(f.0)).copied().collect();
-    // The benchmark times itself with the host clock: read, not policed.
-    let policed = files.iter().filter(|f| !f.0.starts_with("benchmark/"));
-    let mut out: Vec<LintViolation> = policed.flat_map(|(p, s)| lint_file(p, s)).collect();
-    out.extend(dead_surface(&files));
-    out
-}
-
-/// Lints the workspace under `root`: every crate's `src`, `examples/`,
-/// `src/` and `benchmark/src` through [`lint_sources`]. Integration tests
-/// are out of scope — determinism there is enforced by the suite itself.
-// ncs-lint: allow(dead-surface) the whole-repository lint tests/lint_rules.rs runs in tier-1
+/// Lints every file under `root`'s `LINT_ROOTS` but test code (a `tests/`
+/// directory), where the suite itself enforces determinism.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<LintViolation>> {
-    let mut files = Vec::new();
+    let mut out = Vec::new();
     for sub in LINT_ROOTS {
-        let dir = root.join(sub);
-        if !dir.is_dir() {
-            continue;
-        }
         let mut paths = Vec::new();
-        rs_files(&dir, &mut paths)?;
+        rs_files(&root.join(sub), &mut paths)?;
         for f in paths {
             let rel = f
                 .strip_prefix(root)
@@ -814,11 +617,12 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<LintViolation>> {
                 .map(|c| c.as_os_str().to_string_lossy())
                 .collect::<Vec<_>>()
                 .join("/");
-            files.push((rel, fs::read_to_string(&f)?));
+            if !rel.split('/').any(|c| c == "tests") {
+                out.extend(lint_file(&rel, &fs::read_to_string(&f)?));
+            }
         }
     }
-    let pairs: Vec<(&str, &str)> = files.iter().map(|(p, s)| (&**p, &**s)).collect();
-    Ok(lint_sources(&pairs))
+    Ok(out)
 }
 
 #[cfg(test)]

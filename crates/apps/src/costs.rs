@@ -20,24 +20,24 @@ use ncs_net::HostParams;
 
 /// Per-application cycle budgets for one platform.
 #[derive(Clone, Copy, Debug)]
-pub struct AppCosts {
+pub(crate) struct AppCosts {
     /// Cycles per multiply-accumulate in the matmul inner loop.
-    pub mac_cycles: u64,
+    pub(crate) mac_cycles: u64,
     /// Cycles per FFT butterfly (complex add, subtract, twiddle multiply,
     /// trig evaluation, indexing).
-    pub butterfly_cycles: u64,
+    pub(crate) butterfly_cycles: u64,
     /// JPEG compression cycles per input byte (DCT + quantization + RLE).
-    pub jpeg_compress_per_byte: u64,
+    pub(crate) jpeg_compress_per_byte: u64,
     /// JPEG decompression cycles per output byte.
-    pub jpeg_decompress_per_byte: u64,
+    pub(crate) jpeg_decompress_per_byte: u64,
     /// Image file read/write cycles per byte (the paper's JPEG pipeline
     /// includes reading and writing the image on the host).
-    pub io_per_byte: u64,
+    pub(crate) io_per_byte: u64,
 }
 
 impl AppCosts {
     /// Costs for the SPARCstation ELC (Ethernet testbed).
-    pub fn sparc_elc() -> AppCosts {
+    pub(crate) fn sparc_elc() -> AppCosts {
         AppCosts {
             mac_cycles: 405,
             butterfly_cycles: 10_300,
@@ -48,7 +48,7 @@ impl AppCosts {
     }
 
     /// Costs for the SPARCstation IPX (ATM LAN / NYNET testbed).
-    pub fn sparc_ipx() -> AppCosts {
+    pub(crate) fn sparc_ipx() -> AppCosts {
         AppCosts {
             mac_cycles: 475,
             butterfly_cycles: 11_400,
@@ -59,7 +59,7 @@ impl AppCosts {
     }
 
     /// Tiny costs for fast unit tests (compute no longer dominates).
-    pub fn test_tiny() -> AppCosts {
+    pub(crate) fn test_tiny() -> AppCosts {
         AppCosts {
             mac_cycles: 1,
             butterfly_cycles: 4,
@@ -70,7 +70,7 @@ impl AppCosts {
     }
 
     /// Picks the calibrated set matching a host model.
-    pub fn for_host(host: &HostParams) -> AppCosts {
+    pub(crate) fn for_host(host: &HostParams) -> AppCosts {
         if host.name.contains("IPX") {
             AppCosts::sparc_ipx()
         } else if host.name.contains("ELC") {

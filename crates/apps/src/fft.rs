@@ -41,7 +41,7 @@ use crate::workloads::test_signal;
 use crate::{run_app, AppRun, Verify};
 
 /// A complex sample.
-pub type Cx = (f64, f64);
+pub(crate) type Cx = (f64, f64);
 
 #[inline]
 fn cadd(a: Cx, b: Cx) -> Cx {
@@ -60,18 +60,18 @@ fn cmul(a: Cx, b: Cx) -> Cx {
 
 /// Twiddle factor `W_m^k = exp(-2πik/m)`.
 #[inline]
-pub fn twiddle(k: usize, m: usize) -> Cx {
+pub(crate) fn twiddle(k: usize, m: usize) -> Cx {
     let ang = -2.0 * PI * k as f64 / m as f64;
     (ang.cos(), ang.sin())
 }
 
 /// Bit-reverses `i` within `bits` bits.
-pub fn bit_reverse(i: usize, bits: u32) -> usize {
+pub(crate) fn bit_reverse(i: usize, bits: u32) -> usize {
     i.reverse_bits() >> (usize::BITS - bits)
 }
 
 /// In-place sequential DIF FFT; output is left in bit-reversed order.
-pub fn dif_fft_in_place(x: &mut [Cx]) {
+pub(crate) fn dif_fft_in_place(x: &mut [Cx]) {
     let m = x.len();
     assert!(m.is_power_of_two(), "FFT length must be a power of two");
     let mut size = m;
@@ -109,7 +109,7 @@ fn place(out: &mut [Cx], base: usize, vals: Vec<Cx>) {
 
 /// Naive O(M²) DFT — the ground truth for tests.
 #[cfg(test)]
-pub fn naive_dft(input: &[Cx]) -> Vec<Cx> {
+pub(crate) fn naive_dft(input: &[Cx]) -> Vec<Cx> {
     let m = input.len();
     (0..m)
         .map(|k| {
@@ -138,19 +138,19 @@ pub struct FftUnit {
 }
 
 /// What a unit must do after computing a cross stage.
-pub struct Exchange {
+pub(crate) struct Exchange {
     /// Partner unit index.
-    pub partner: usize,
+    pub(crate) partner: usize,
     /// Values to send to the partner.
-    pub outgoing: Vec<Cx>,
+    pub(crate) outgoing: Vec<Cx>,
     /// Whether this unit is the lower member (keeps the top sub-problem).
-    pub lower: bool,
+    pub(crate) lower: bool,
 }
 
 impl FftUnit {
     /// Creates unit `u` of `t` holding its initial `A`/`B` chunks of an
     /// `m`-point problem.
-    pub fn new(m: usize, t: usize, u: usize, a: Vec<Cx>, b: Vec<Cx>) -> FftUnit {
+    pub(crate) fn new(m: usize, t: usize, u: usize, a: Vec<Cx>, b: Vec<Cx>) -> FftUnit {
         assert!(m.is_power_of_two() && t.is_power_of_two() && t >= 1);
         let c = m / (2 * t);
         assert!(c >= 1, "more units than butterfly rows");
@@ -174,18 +174,18 @@ impl FftUnit {
 
     /// Unit `u` of `t`'s initial chunks of the sample set `v`:
     /// `A = V[u·c .. (u+1)·c]` and `B = V[m/2 + u·c .. m/2 + (u+1)·c]`.
-    pub fn init_chunks(v: &[Cx], t: usize, u: usize) -> (&[Cx], &[Cx]) {
+    pub(crate) fn init_chunks(v: &[Cx], t: usize, u: usize) -> (&[Cx], &[Cx]) {
         let (c, half) = (v.len() / (2 * t), v.len() / 2);
         (&v[u * c..(u + 1) * c], &v[half + u * c..half + (u + 1) * c])
     }
 
     /// Butterflies per stage (for cost charging).
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.c
     }
 
     /// Computes cross-stage `step` and prepares the exchange.
-    pub fn cross_compute(&mut self, step: usize) -> Exchange {
+    pub(crate) fn cross_compute(&mut self, step: usize) -> Exchange {
         assert!(step < Self::cross_stages(self.t));
         let size = self.m >> step; // current sub-problem size
         let half = size / 2;
@@ -223,7 +223,7 @@ impl FftUnit {
     }
 
     /// Installs the partner's chunk after the exchange for `step`.
-    pub fn install(&mut self, ex_lower: bool, incoming: Vec<Cx>) {
+    pub(crate) fn install(&mut self, ex_lower: bool, incoming: Vec<Cx>) {
         assert_eq!(incoming.len(), self.c);
         if ex_lower {
             self.b = incoming;
@@ -234,7 +234,7 @@ impl FftUnit {
 
     /// Runs the remaining local stages; returns `(first position, values)` —
     /// a contiguous slice of the bit-reversed-order result vector.
-    pub fn finish_local(mut self) -> (usize, Vec<Cx>) {
+    pub(crate) fn finish_local(mut self) -> (usize, Vec<Cx>) {
         let mut local: Vec<Cx> = Vec::with_capacity(2 * self.c);
         local.append(&mut self.a);
         local.append(&mut self.b);
@@ -245,7 +245,7 @@ impl FftUnit {
 
     /// Local butterfly stage count (for cost charging): `log2(2c)` stages
     /// of `c` butterflies each.
-    pub fn local_stages(&self) -> usize {
+    pub(crate) fn local_stages(&self) -> usize {
         (2 * self.c).trailing_zeros() as usize
     }
 }
@@ -253,7 +253,7 @@ impl FftUnit {
 /// Runs the whole distributed dance in-process (no simulation) — the
 /// correctness core the tests check the simulated runs against.
 #[cfg(test)]
-pub fn distributed_fft_reference(input: &[Cx], t: usize) -> Vec<Cx> {
+pub(crate) fn distributed_fft_reference(input: &[Cx], t: usize) -> Vec<Cx> {
     let m = input.len();
     let mut units: Vec<FftUnit> = (0..t)
         .map(|u| {

@@ -312,7 +312,7 @@ mod reference {
     use super::*;
     use crate::jpeg::dct::properties::inverse_one_at_a_time;
 
-    pub fn compress(img: &GrayImage, quality: u8) -> Vec<u8> {
+    pub(crate) fn compress(img: &GrayImage, quality: u8) -> Vec<u8> {
         assert!(img.width.is_multiple_of(8) && img.height.is_multiple_of(8));
         let table = quant::table_for_quality(quality);
         let mut out = Vec::with_capacity(img.len() / 4 + 16);
@@ -339,7 +339,7 @@ mod reference {
         out
     }
 
-    pub fn decompress(data: &[u8]) -> Result<GrayImage, CodecError> {
+    pub(crate) fn decompress(data: &[u8]) -> Result<GrayImage, CodecError> {
         if data.len() < 14 || data[..4] != MAGIC.to_le_bytes() {
             return Err(CodecError::BadHeader);
         }

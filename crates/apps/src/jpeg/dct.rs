@@ -6,7 +6,7 @@ use std::f64::consts::PI;
 use std::sync::OnceLock;
 
 /// Block edge length.
-pub const N: usize = 8;
+pub(crate) const N: usize = 8;
 
 /// The tables every transform reads, built once.
 struct Basis {
@@ -45,7 +45,7 @@ fn c(u: usize) -> f64 {
 /// the fast forward transforms are checked against. `block` is row-major
 /// spatial samples; returns row-major frequency coefficients.
 #[cfg(test)]
-pub fn forward(block: &[f64; N * N]) -> [f64; N * N] {
+pub(crate) fn forward(block: &[f64; N * N]) -> [f64; N * N] {
     let cos = &basis().cos;
     let mut out = [0.0; N * N];
     for u in 0..N {
@@ -64,7 +64,7 @@ pub fn forward(block: &[f64; N * N]) -> [f64; N * N] {
 
 /// Inverse 8×8 DCT (type III): the tests' roundtrip oracle.
 #[cfg(test)]
-pub fn inverse(coeffs: &[f64; N * N]) -> [f64; N * N] {
+pub(crate) fn inverse(coeffs: &[f64; N * N]) -> [f64; N * N] {
     let cos = &basis().cos;
     let mut out = [0.0; N * N];
     for x in 0..N {
@@ -95,7 +95,7 @@ pub fn inverse(coeffs: &[f64; N * N]) -> [f64; N * N] {
 /// the same `f64` as in the one-output-at-a-time form;
 /// `properties::fast_paths_keep_their_bits` checks that against verbatim
 /// copies of that form.
-pub fn forward_fast(block: &[f64; N * N]) -> [f64; N * N] {
+pub(crate) fn forward_fast(block: &[f64; N * N]) -> [f64; N * N] {
     let Basis { cos, scale, .. } = basis();
     // Rows: g[x][v] = sum_y f[x][y] cos[y][v]
     let mut g = [[0.0; N]; N];
@@ -268,7 +268,7 @@ pub(crate) enum Shape {
 /// [`inverse_shaped`]'s result written out in full: the form the tests
 /// compare bit for bit.
 #[cfg(test)]
-pub fn inverse_fast(coeffs: &[f64; N * N]) -> [f64; N * N] {
+pub(crate) fn inverse_fast(coeffs: &[f64; N * N]) -> [f64; N * N] {
     match inverse_shaped(coeffs) {
         Shape::SameRows(row) => std::array::from_fn(|i| row[i % N]),
         Shape::FlatRows(col) => std::array::from_fn(|i| col[i / N]),

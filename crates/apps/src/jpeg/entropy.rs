@@ -79,7 +79,7 @@ impl std::error::Error for EntropyError {}
 
 /// Appends one zig-zag-ordered block to `out`. `prev_dc` carries the DC
 /// predictor across blocks.
-pub fn encode_block(zz: &[i16; 64], prev_dc: &mut i16, out: &mut Vec<u8>) {
+pub(crate) fn encode_block(zz: &[i16; 64], prev_dc: &mut i16, out: &mut Vec<u8>) {
     put_varint(out, i32::from(zz[0]) - i32::from(*prev_dc));
     *prev_dc = zz[0];
     // Each nonzero AC coefficient, with the zeros since the last one.
@@ -93,7 +93,7 @@ pub fn encode_block(zz: &[i16; 64], prev_dc: &mut i16, out: &mut Vec<u8>) {
 }
 
 /// Decodes one block starting at `pos` (which advances).
-pub fn decode_block(
+pub(crate) fn decode_block(
     data: &[u8],
     pos: &mut usize,
     prev_dc: &mut i16,
@@ -126,7 +126,7 @@ pub fn decode_block(
 pub(crate) mod reference {
     use super::*;
 
-    pub fn encode_block(zz: &[i16; 64], prev_dc: &mut i16, out: &mut Vec<u8>) {
+    pub(crate) fn encode_block(zz: &[i16; 64], prev_dc: &mut i16, out: &mut Vec<u8>) {
         put_varint(out, i32::from(zz[0]) - i32::from(*prev_dc));
         *prev_dc = zz[0];
         let mut run: u8 = 0;

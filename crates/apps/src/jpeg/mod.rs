@@ -11,7 +11,7 @@ pub mod entropy;
 pub mod quant;
 pub mod zigzag;
 
-pub use codec::{compress, decompress, CodecError, EntropyKind};
+pub use codec::{compress, decompress, EntropyKind};
 
 /// The set bits of `mask`, lowest first: the coefficients a nonzero mask
 /// names.

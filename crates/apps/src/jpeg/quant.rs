@@ -1,7 +1,7 @@
 //! Quantization — where JPEG throws information away.
 
 /// The ITU-T T.81 Annex K luminance quantization table (quality 50).
-pub const BASE_LUMA: [u16; 64] = [
+pub(crate) const BASE_LUMA: [u16; 64] = [
     16, 11, 10, 16, 24, 40, 51, 61, //
     12, 12, 14, 19, 26, 58, 60, 55, //
     14, 13, 16, 24, 40, 57, 69, 56, //
@@ -13,7 +13,7 @@ pub const BASE_LUMA: [u16; 64] = [
 ];
 
 /// Scales the base table for a quality factor 1..=100 (libjpeg's rule).
-pub fn table_for_quality(quality: u8) -> [u16; 64] {
+pub(crate) fn table_for_quality(quality: u8) -> [u16; 64] {
     let q = quality.clamp(1, 100) as u32;
     let scale = if q < 50 { 5000 / q } else { 200 - 2 * q };
     let mut t = [0u16; 64];
@@ -30,7 +30,7 @@ pub fn table_for_quality(quality: u8) -> [u16; 64] {
 /// decides exactly. NaN gives 0, as `f64::round(NaN) as i32` does; callers
 /// clamp first where |x| may be larger.
 #[inline]
-pub fn round_half_away(x: f64) -> i32 {
+pub(crate) fn round_half_away(x: f64) -> i32 {
     let t = x as i32;
     let f = x - f64::from(t);
     t + i32::from(f >= 0.5) - i32::from(f <= -0.5)
@@ -38,7 +38,7 @@ pub fn round_half_away(x: f64) -> i32 {
 
 /// Quantizes DCT coefficients (round-to-nearest, ties away from zero,
 /// saturating at the `i16` range).
-pub fn quantize(coeffs: &[f64; 64], table: &[u16; 64]) -> [i16; 64] {
+pub(crate) fn quantize(coeffs: &[f64; 64], table: &[u16; 64]) -> [i16; 64] {
     let mut out = [0i16; 64];
     for i in 0..64 {
         // Clamping before rounding saturates exactly as rounding first and
@@ -100,7 +100,7 @@ pub(crate) fn round_pixel(x: f64) -> u8 {
 /// Dequantizes back to coefficient space: the reference codec's step (the
 /// decoder dequantizes nonzero entries only).
 #[cfg(test)]
-pub fn dequantize(q: &[i16; 64], table: &[u16; 64]) -> [f64; 64] {
+pub(crate) fn dequantize(q: &[i16; 64], table: &[u16; 64]) -> [f64; 64] {
     let mut out = [0.0; 64];
     for i in 0..64 {
         out[i] = f64::from(q[i]) * f64::from(table[i]);

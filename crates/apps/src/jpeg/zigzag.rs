@@ -4,7 +4,7 @@
 use super::mask8;
 
 /// Row-major index of the k-th coefficient in zig-zag order.
-pub const ZIGZAG: [usize; 64] = [
+pub(crate) const ZIGZAG: [usize; 64] = [
     0, 1, 8, 16, 9, 2, 3, 10, //
     17, 24, 32, 25, 18, 11, 4, 5, //
     12, 19, 26, 33, 40, 48, 41, 34, //
@@ -34,7 +34,7 @@ pub(crate) fn nonzero_mask(zz: &[i16; 64]) -> u64 {
 }
 
 /// Reorders a row-major block into zig-zag order.
-pub fn to_zigzag(block: &[i16; 64]) -> [i16; 64] {
+pub(crate) fn to_zigzag(block: &[i16; 64]) -> [i16; 64] {
     let mut out = [0i16; 64];
     for (k, &idx) in ZIGZAG.iter().enumerate() {
         out[k] = block[idx];
@@ -45,7 +45,7 @@ pub fn to_zigzag(block: &[i16; 64]) -> [i16; 64] {
 /// Restores row-major order from zig-zag order: the reference codec's step
 /// (the decoder scatters nonzero entries only).
 #[cfg(test)]
-pub fn from_zigzag(zz: &[i16; 64]) -> [i16; 64] {
+pub(crate) fn from_zigzag(zz: &[i16; 64]) -> [i16; 64] {
     let mut out = [0i16; 64];
     for (k, &idx) in ZIGZAG.iter().enumerate() {
         out[idx] = zz[k];

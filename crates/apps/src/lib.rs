@@ -23,6 +23,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod costs;
 pub mod fft;
@@ -32,8 +33,7 @@ pub mod matmul;
 pub mod util;
 pub mod workloads;
 
-pub use costs::AppCosts;
-pub use workloads::{GrayImage, Matrix};
+pub use workloads::GrayImage;
 
 use ncs_sim::{Dur, Sim, SimTime};
 

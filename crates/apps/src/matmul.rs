@@ -67,7 +67,7 @@ impl MatmulConfig {
 /// Sequential kernel: `c_block = a_rows · b` for `rows` rows. The
 /// canonical i-k-j loop; every driver uses this same kernel so distributed
 /// results are bitwise equal to the reference.
-pub fn multiply_block(a_rows: &[f64], b: &Matrix, rows: usize) -> Vec<f64> {
+pub(crate) fn multiply_block(a_rows: &[f64], b: &Matrix, rows: usize) -> Vec<f64> {
     let n = b.cols;
     assert_eq!(a_rows.len(), rows * b.rows);
     let mut c = vec![0.0; rows * n];

@@ -7,7 +7,13 @@ use std::any::Any;
 
 /// Charges `cycles` of computation to a plain green thread (the p4 drivers,
 /// which have no NCS context) and records a compute span.
-pub fn charge_compute(ctx: &Ctx, host: &HostParams, actor: &str, label: &'static str, cycles: u64) {
+pub(crate) fn charge_compute(
+    ctx: &Ctx,
+    host: &HostParams,
+    actor: &str,
+    label: &'static str,
+    cycles: u64,
+) {
     let t0 = ctx.now();
     host.compute(ctx, cycles);
     let t1 = ctx.now();

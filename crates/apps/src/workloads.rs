@@ -6,16 +6,16 @@ use ncs_sim::SimRng;
 #[derive(Clone, PartialEq, Debug)]
 pub struct Matrix {
     /// Rows.
-    pub rows: usize,
+    pub(crate) rows: usize,
     /// Columns.
-    pub cols: usize,
+    pub(crate) cols: usize,
     /// Row-major data (`rows * cols`).
-    pub data: Vec<f64>,
+    pub(crate) data: Vec<f64>,
 }
 
 impl Matrix {
     /// All-zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Matrix {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Matrix {
         Matrix {
             rows,
             cols,
@@ -33,23 +33,23 @@ impl Matrix {
 
     /// Element access.
     #[cfg(test)]
-    pub fn at(&self, r: usize, c: usize) -> f64 {
+    pub(crate) fn at(&self, r: usize, c: usize) -> f64 {
         self.data[r * self.cols + c]
     }
 
     /// Mutable element access.
     #[cfg(test)]
-    pub fn at_mut(&mut self, r: usize, c: usize) -> &mut f64 {
+    pub(crate) fn at_mut(&mut self, r: usize, c: usize) -> &mut f64 {
         &mut self.data[r * self.cols + c]
     }
 
     /// A contiguous block of rows `[lo, hi)`.
-    pub fn row_block(&self, lo: usize, hi: usize) -> &[f64] {
+    pub(crate) fn row_block(&self, lo: usize, hi: usize) -> &[f64] {
         &self.data[lo * self.cols..hi * self.cols]
     }
 
     /// Maximum absolute element difference against another matrix.
-    pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
+    pub(crate) fn max_abs_diff(&self, other: &Matrix) -> f64 {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         self.data
             .iter()
@@ -84,7 +84,7 @@ pub struct GrayImage {
     /// Height in pixels (multiple of 8).
     pub height: usize,
     /// Row-major pixels.
-    pub pixels: Vec<u8>,
+    pub(crate) pixels: Vec<u8>,
 }
 
 impl GrayImage {
@@ -189,7 +189,7 @@ impl GrayImage {
     }
 
     /// Horizontal band of rows `[lo, hi)` as a sub-image.
-    pub fn band(&self, lo: usize, hi: usize) -> GrayImage {
+    pub(crate) fn band(&self, lo: usize, hi: usize) -> GrayImage {
         GrayImage {
             width: self.width,
             height: hi - lo,

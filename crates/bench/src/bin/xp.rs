@@ -24,6 +24,7 @@
 //! line naming it and before its document is written.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use ncs_bench::{results_dir, Experiment, Opts, Report, EXPERIMENTS};
 use std::io::Write;

@@ -56,7 +56,7 @@ pub struct Experiment {
     /// stem of the files it leaves under `results/`.
     pub name: &'static str,
     /// One line for `xp list`.
-    pub about: &'static str,
+    pub(crate) about: &'static str,
     /// Fills in the experiment's report, naming its `results/BENCH_*.json`
     /// document if it has one. Panics when a result breaks one of the
     /// experiment's own assertions.
@@ -64,7 +64,7 @@ pub struct Experiment {
     /// The argument lists `xp report` runs it with, one
     /// `results/<name>[_<arg>].txt` each; empty for an experiment whose
     /// output depends on the host clock or is too slow for the report.
-    pub report: &'static [&'static [&'static str]],
+    pub(crate) report: &'static [&'static [&'static str]],
 }
 
 impl Experiment {

@@ -82,7 +82,7 @@ pub struct Observed {
     /// The run's Chrome `trace_event` export.
     pub trace_json: String,
     /// The metrics registry's text summary.
-    pub summary: String,
+    pub(crate) summary: String,
 }
 
 /// Runs one named workload (`matmul`: 4 worker nodes, dim 32, seed 7,

@@ -175,7 +175,7 @@ fn run_apps() -> Vec<AppPoint> {
 mod seed_byte_path {
     use bytes::Bytes;
 
-    pub fn crc32(data: &[u8]) -> u32 {
+    pub(crate) fn crc32(data: &[u8]) -> u32 {
         let mut crc: u32 = 0xFFFF_FFFF;
         for &byte in data {
             crc ^= u32::from(byte) << 24;
@@ -190,7 +190,7 @@ mod seed_byte_path {
         !crc
     }
 
-    pub fn wrap(seq: u32, data: &[u8]) -> Bytes {
+    pub(crate) fn wrap(seq: u32, data: &[u8]) -> Bytes {
         let mut v = Vec::with_capacity(8 + data.len());
         v.extend_from_slice(&seq.to_le_bytes());
         let mut staged = Vec::with_capacity(4 + data.len());
@@ -201,7 +201,7 @@ mod seed_byte_path {
         Bytes::from(v)
     }
 
-    pub fn unwrap(b: &Bytes) -> Option<(u32, Bytes)> {
+    pub(crate) fn unwrap(b: &Bytes) -> Option<(u32, Bytes)> {
         let seq = u32::from_le_bytes(b[..4].try_into().ok()?);
         let crc = u32::from_le_bytes(b[4..8].try_into().ok()?);
         let mut staged = Vec::with_capacity(b.len() - 4);

@@ -111,7 +111,7 @@ pub struct ExploreReport {
     pub violations: usize,
     /// True when [`Mode::Dfs`] stopped at its schedule cap with frontier
     /// left unexplored.
-    pub truncated: bool,
+    pub(crate) truncated: bool,
     /// Trace hash of the canonical (all-defaults) schedule.
     pub baseline_trace_hash: u64,
     /// The first failing schedule found, minimized. `None` when every
@@ -133,7 +133,7 @@ pub fn run_scripted(workload: &dyn Workload, script: Vec<u32>) -> Observation {
 /// Oracle failures of `obs` relative to the canonical `baseline`: the
 /// run's own problems plus the cross-schedule observational-equivalence
 /// check (delivered payload sequence per channel must match).
-pub fn problems_vs_baseline(obs: &Observation, baseline: &Observation) -> Vec<String> {
+pub(crate) fn problems_vs_baseline(obs: &Observation, baseline: &Observation) -> Vec<String> {
     let mut out = obs.problems.clone();
     if obs.deliveries != baseline.deliveries {
         out.push(divergence_detail(&baseline.deliveries, &obs.deliveries));

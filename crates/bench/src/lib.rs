@@ -20,6 +20,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::time::{Duration, Instant}; // ncs-lint: allow(wall-clock)
 
@@ -28,13 +29,14 @@ pub mod explore;
 mod report;
 
 pub use experiments::{find, list, results_dir, Experiment, Opts, EXPERIMENTS};
-pub use report::{Col, Report, Rows};
+pub(crate) use report::Col;
+pub use report::Report;
 
 /// Host nanoseconds per call of `op`: the minimum over `batches` timed
 /// batches of at least `budget` each. The minimum, because everything a
 /// shared machine adds to a batch (preemption, a cold cache, a frequency
 /// step) only ever makes it slower.
-pub fn min_ns_per_call(batches: u32, budget: Duration, mut op: impl FnMut()) -> f64 {
+pub(crate) fn min_ns_per_call(batches: u32, budget: Duration, mut op: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..batches {
         let start = Instant::now(); // ncs-lint: allow(wall-clock)

@@ -13,16 +13,16 @@ enum Fmt<T> {
 }
 
 /// One column over rows of type `T`: JSON key, text header, format.
-pub struct Col<T>(&'static str, &'static str, Fmt<T>);
+pub(crate) struct Col<T>(&'static str, &'static str, Fmt<T>);
 
 impl<T> Col<T> {
     /// An integer.
-    pub const fn int(key: &'static str, head: &'static str, get: fn(&T) -> u64) -> Self {
+    pub(crate) const fn int(key: &'static str, head: &'static str, get: fn(&T) -> u64) -> Self {
         Col(key, head, Fmt::Int(get))
     }
 
     /// A number with `places` decimals.
-    pub const fn fixed(
+    pub(crate) const fn fixed(
         key: &'static str,
         head: &'static str,
         places: usize,
@@ -32,17 +32,17 @@ impl<T> Col<T> {
     }
 
     /// A label: a JSON string (the harness's labels need no escaping).
-    pub const fn text(key: &'static str, head: &'static str, get: fn(&T) -> &str) -> Self {
+    pub(crate) const fn text(key: &'static str, head: &'static str, get: fn(&T) -> &str) -> Self {
         Col(key, head, Fmt::Text(get))
     }
 
     /// `true` or `false`.
-    pub const fn flag(key: &'static str, head: &'static str, get: fn(&T) -> bool) -> Self {
+    pub(crate) const fn flag(key: &'static str, head: &'static str, get: fn(&T) -> bool) -> Self {
         Col(key, head, Fmt::Flag(get))
     }
 
     /// A 64-bit digest, `0x` and sixteen hex digits: a JSON string.
-    pub const fn hex(key: &'static str, head: &'static str, get: fn(&T) -> u64) -> Self {
+    pub(crate) const fn hex(key: &'static str, head: &'static str, get: fn(&T) -> u64) -> Self {
         Col(key, head, Fmt::Hex(get))
     }
 
@@ -129,7 +129,7 @@ enum Entry {
 }
 
 /// A table [`Report::table`] opened, for [`Report::row`] to fill.
-pub struct Rows<'c, T> {
+pub(crate) struct Rows<'c, T> {
     entry: usize,
     cols: &'c [Col<T>],
 }
@@ -138,7 +138,7 @@ pub struct Rows<'c, T> {
 /// added them, rendered as the text `xp` prints (and `xp report` writes to
 /// `results/<name>.txt`) and as the `results/BENCH_*.json` document.
 ///
-/// A table's columns are declared once, as [`Col`]s: a JSON key, a text
+/// A table's columns are declared once, as `Col`s: a JSON key, a text
 /// header and a format. The text renderer prints a table as `a | b` columns
 /// under a `--+--` rule and over a blank line, labels left-aligned and
 /// numbers right-aligned; an empty header keeps a column out of the text.
@@ -159,7 +159,7 @@ pub struct Report {
 
 impl Report {
     /// Text printed verbatim, newlines included.
-    pub fn note(&mut self, text: impl AsRef<str>) {
+    pub(crate) fn note(&mut self, text: impl AsRef<str>) {
         match self.entries.last_mut() {
             Some(Entry::Note(note)) => note.push_str(text.as_ref()),
             _ => self.entries.push(Entry::Note(text.as_ref().to_owned())),
@@ -169,14 +169,14 @@ impl Report {
     /// Opens a table, `"key": [ … ]` in the JSON document (text only when
     /// `key` is empty). Its rows come one [`row`](Self::row) at a time, so a
     /// run that fails halfway still prints the rows before the failure.
-    pub fn table<'c, T>(&mut self, key: &'static str, cols: &'c [Col<T>]) -> Rows<'c, T> {
+    pub(crate) fn table<'c, T>(&mut self, key: &'static str, cols: &'c [Col<T>]) -> Rows<'c, T> {
         self.entries.push(Entry::Table(key, Table::new(cols)));
         let entry = self.entries.len() - 1;
         Rows { entry, cols }
     }
 
     /// Appends `row` to a table this report opened.
-    pub fn row<T>(&mut self, rows: &Rows<T>, row: &T) {
+    pub(crate) fn row<T>(&mut self, rows: &Rows<T>, row: &T) {
         if let Entry::Table(_, table) = &mut self.entries[rows.entry] {
             table
                 .rows
@@ -185,14 +185,14 @@ impl Report {
     }
 
     /// A one-row table whose fields the JSON document holds directly.
-    pub fn record<T>(&mut self, cols: &[Col<T>], row: &T) {
+    pub(crate) fn record<T>(&mut self, cols: &[Col<T>], row: &T) {
         let mut table = Table::new(cols);
         table.rows.push(cols.iter().map(|c| c.cell(row)).collect());
         self.entries.push(Entry::Record(table));
     }
 
     /// Puts what `fill` adds to the JSON document under `"key": { … }`.
-    pub fn nested(&mut self, key: &'static str, fill: impl FnOnce(&mut Report)) {
+    pub(crate) fn nested(&mut self, key: &'static str, fill: impl FnOnce(&mut Report)) {
         self.entries.push(Entry::Open(key));
         fill(self);
         self.entries.push(Entry::Close);

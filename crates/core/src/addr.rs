@@ -59,7 +59,7 @@ pub enum MsgClass {
 
 impl MsgClass {
     /// Decodes a class byte.
-    pub fn from_u8(v: u8) -> Option<MsgClass> {
+    pub(crate) fn from_u8(v: u8) -> Option<MsgClass> {
         Some(match v {
             0 => MsgClass::Data,
             1 => MsgClass::Signal,
@@ -77,13 +77,13 @@ impl MsgClass {
     /// Whether [`ErrorControl::ChecksumRetransmit`](crate::ErrorControl::ChecksumRetransmit)
     /// sequences, acknowledges and retransmits this class: every class but
     /// the acknowledgments themselves, whose loss the sender's RTO covers.
-    pub fn sequenced(self) -> bool {
+    pub(crate) fn sequenced(self) -> bool {
         !matches!(self, MsgClass::Ack | MsgClass::Nack)
     }
 }
 
 /// Maximum encodable thread id (12 bits).
-pub const MAX_THREAD_ID: u32 = 0xFFF;
+pub(crate) const MAX_THREAD_ID: u32 = 0xFFF;
 
 /// Packs class, thread ids and user tag into a transport tag.
 pub fn encode_tag(class: MsgClass, from_thread: u32, to_thread: u32, user: u32) -> u64 {
@@ -96,7 +96,7 @@ pub fn encode_tag(class: MsgClass, from_thread: u32, to_thread: u32, user: u32) 
 }
 
 /// Unpacks a transport tag.
-pub fn decode_tag(tag: u64) -> (MsgClass, u32, u32, u32) {
+pub(crate) fn decode_tag(tag: u64) -> (MsgClass, u32, u32, u32) {
     let class = MsgClass::from_u8((tag >> 56) as u8).expect("unknown message class");
     let from_thread = ((tag >> 44) & 0xFFF) as u32;
     let to_thread = ((tag >> 32) & 0xFFF) as u32;

@@ -29,7 +29,7 @@ pub enum ErrorControl {
     /// as corrupting.
     ///
     /// It covers every message class except the acknowledgments
-    /// themselves ([`MsgClass::sequenced`](crate::MsgClass::sequenced)):
+    /// themselves (`MsgClass::sequenced`):
     /// data, chunks, credit grants, signals, barrier messages and
     /// exceptions are sequenced, checksummed, acknowledged and retransmitted
     /// alike, so none of them is lost silently.
@@ -181,10 +181,10 @@ pub const RETX_QUEUE_CAP: usize = 256;
 
 /// MTS priority of the send system thread (highest: transfers start
 /// promptly once the CPU is free).
-pub const SEND_THREAD_PRIORITY: usize = 0;
+pub(crate) const SEND_THREAD_PRIORITY: usize = 0;
 /// MTS priority of the receive system thread (lowest: it polls only when
 /// no user thread can run).
-pub const RECV_THREAD_PRIORITY: usize = ncs_mts::PRIORITY_LEVELS - 1;
+pub(crate) const RECV_THREAD_PRIORITY: usize = ncs_mts::PRIORITY_LEVELS - 1;
 
 #[cfg(test)]
 mod tests {

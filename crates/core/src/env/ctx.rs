@@ -36,7 +36,7 @@ impl NcsCtx<'_> {
     }
 
     /// This thread's address.
-    pub fn my_addr(&self) -> ThreadAddr {
+    pub(crate) fn my_addr(&self) -> ThreadAddr {
         ThreadAddr::new(self.proc.id(), self.thread)
     }
 
@@ -259,7 +259,13 @@ impl NcsCtx<'_> {
     }
 
     /// `NCS_isend` on an explicit transport tier (NSM vs HSM selection).
-    pub fn isend_via(&self, tier: usize, to: ThreadAddr, tag: u32, data: Bytes) -> NcsRequest {
+    pub(crate) fn isend_via(
+        &self,
+        tier: usize,
+        to: ThreadAddr,
+        tag: u32,
+        data: Bytes,
+    ) -> NcsRequest {
         let t0 = self.ctx().now();
         let causal = self.message_causal(MsgClass::Data, to, t0);
         let req_causal = self.open_timeline("posted", t0);
@@ -432,7 +438,6 @@ impl NcsCtx<'_> {
     /// Raises an exception at process `to_proc` (the paper's exception
     /// handling service): delivered asynchronously to the remote process's
     /// handler rather than to a receiving thread.
-    // ncs-lint: allow(dead-surface) hook core/tests/lossy_control.rs (64 seeds in CI) sends the Exception class with
     pub fn raise(&self, to_proc: usize, code: u32, detail: Bytes) {
         self.send_class(
             MsgClass::Exception,

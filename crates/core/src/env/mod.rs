@@ -55,14 +55,15 @@ mod send;
 mod term;
 
 pub use config::{
-    ErrorControl, FlowControl, NcsConfig, RtoConfig, EXC_DELIVERY_FAILED, RECV_THREAD_PRIORITY,
-    RETX_QUEUE_CAP, SEND_THREAD_PRIORITY,
+    ErrorControl, FlowControl, NcsConfig, RtoConfig, EXC_DELIVERY_FAILED, RETX_QUEUE_CAP,
 };
+pub(crate) use config::{RECV_THREAD_PRIORITY, SEND_THREAD_PRIORITY};
 pub use ctx::NcsCtx;
-pub use frame::{unwrap_checked, wrap_checked, FrameError};
-pub use peer::{ErrorStats, PeerRto};
+pub(crate) use frame::FrameError;
+pub use frame::{unwrap_checked, wrap_checked};
+pub use peer::ErrorStats;
 pub use proc::NcsProc;
-pub use request::NcsRequest;
+pub(crate) use request::NcsRequest;
 pub(crate) use term::TermBarrier;
 
 use bytes::Bytes;
@@ -83,7 +84,7 @@ pub struct NcsMsg {
     /// Sending endpoint.
     pub from: ThreadAddr,
     /// Receiving thread (within this process).
-    pub to_thread: u32,
+    pub(crate) to_thread: u32,
     /// User tag.
     pub tag: u32,
     /// Payload.
@@ -107,7 +108,7 @@ pub struct NcsException {
 }
 
 /// Callback invoked for incoming exceptions.
-pub type ExceptionHandler = Box<dyn Fn(&NcsException) + Send + 'static>;
+pub(crate) type ExceptionHandler = Box<dyn Fn(&NcsException) + Send + 'static>;
 
 /// One entry of the send queue.
 #[derive(Clone)]
@@ -446,7 +447,7 @@ pub const ALL_STAGES: [&str; 11] = [
 ];
 
 /// Latency-component histogram fed by the stage *ending* at this mark.
-pub fn causal_component(stage: &str) -> &'static str {
+pub(crate) fn causal_component(stage: &str) -> &'static str {
     match stage {
         "sq_popped" => "obs.queue_wait",
         "wire_start" => "obs.inject",

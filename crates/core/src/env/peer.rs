@@ -85,7 +85,7 @@ pub struct PeerRto {
     /// Smoothed round-trip time (zero before the first sample).
     pub srtt: Dur,
     /// Round-trip time variance estimate.
-    pub rttvar: Dur,
+    pub(crate) rttvar: Dur,
     /// The timeout the next transmission to this peer would get.
     pub rto: Dur,
 }
@@ -191,7 +191,7 @@ pub(super) struct Unacked {
 pub(super) struct Acked {
     /// No frame toward the peer is outstanding any more: retract the
     /// loss-recovery timer rather than restarting it.
-    pub last: bool,
+    pub(crate) last: bool,
 }
 
 /// What a NACK asks of the driver.
@@ -241,37 +241,37 @@ pub(super) struct Peer {
     next_seq: u32,
     /// Sequence numbers ever allocated toward the peer — `next_seq` alone
     /// is ambiguous once it wraps.
-    pub seqs_allocated: u64,
+    pub(crate) seqs_allocated: u64,
     /// Sent-but-unacknowledged frames, by sequence number.
-    pub unacked: BTreeMap<u32, Unacked>,
+    pub(crate) unacked: BTreeMap<u32, Unacked>,
     /// RTT estimator, created by the first sample or backoff.
     rtt: Option<RttEstimator>,
     /// The retry budget toward the peer was exhausted: sends fail fast with
     /// [`EXC_DELIVERY_FAILED`](super::EXC_DELIVERY_FAILED).
-    pub dead: bool,
+    pub(crate) dead: bool,
     /// Every link on the route was found down: sends fail fast like `dead`,
     /// but the mark is dropped — and the credit window re-seeded — the
     /// moment a fresh send finds the route up again.
-    pub partitioned: bool,
+    pub(crate) partitioned: bool,
     /// The loss-recovery timer, timing the *oldest* unacknowledged frame
     /// (TCP-style): restarted on partial acknowledgment, retracted when the
     /// last frame is acked. Whoever replaces or retracts the handle
     /// cancels it (a firing takes its own), so a firing always finds its
     /// own timer armed.
-    pub timer: Option<TimerHandle>,
+    pub(crate) timer: Option<TimerHandle>,
     /// The chunked transfer toward the peer whose last chunk the send loop
     /// has yet to register: until it has, a failure of that transfer is the
     /// loop's to report, not the purge's.
-    pub chunking: Option<u32>,
+    pub(crate) chunking: Option<u32>,
     /// Delivered sequence numbers from the peer — a retransmitted frame
     /// whose ACK was lost must not be delivered twice.
     seen: SeqWindow,
     /// Partially reassembled chunked transfers from the peer.
-    pub reasm: Reassembly,
+    pub(crate) reasm: Reassembly,
 }
 
 impl Peer {
-    pub fn new(credits: u32) -> Peer {
+    pub(crate) fn new(credits: u32) -> Peer {
         Peer {
             credits,
             ..Peer::default()
@@ -279,14 +279,14 @@ impl Peer {
     }
 
     /// Sends toward the peer fail fast (dead or behind a partition).
-    pub fn cut_off(&self) -> bool {
+    pub(crate) fn cut_off(&self) -> bool {
         self.dead || self.partitioned
     }
 
     // ---- flow control ----
 
     /// Spends one send credit if one is held.
-    pub fn spend_credit(&mut self) -> bool {
+    pub(crate) fn spend_credit(&mut self) -> bool {
         let held = self.credits > 0;
         if held {
             self.credits -= 1;
@@ -295,7 +295,7 @@ impl Peer {
     }
 
     /// Banks `n` credits granted by the peer; returns the balance.
-    pub fn grant(&mut self, n: u32) -> u32 {
+    pub(crate) fn grant(&mut self, n: u32) -> u32 {
         self.credits += n;
         self.credits
     }
@@ -303,7 +303,7 @@ impl Peer {
     /// The route is up again: drops the partition mark and re-seeds the
     /// credit window, since the frames that spent credits were purged and
     /// the peer can never grant them back.
-    pub fn heal(&mut self, window: u32) {
+    pub(crate) fn heal(&mut self, window: u32) {
         self.partitioned = false;
         self.credits = window;
     }
@@ -313,7 +313,7 @@ impl Peer {
     /// frames count: the sender spends a credit per fresh logical message
     /// (retransmissions ride free), so granting per raw arrival would push
     /// its balance above the window.
-    pub fn consume(&mut self, window: u32) -> Option<u32> {
+    pub(crate) fn consume(&mut self, window: u32) -> Option<u32> {
         self.consumed += 1;
         (self.consumed >= (window / 2).max(1)).then(|| std::mem::take(&mut self.consumed))
     }
@@ -321,24 +321,24 @@ impl Peer {
     // ---- error control, receive side ----
 
     /// Records `seq` from the peer as delivered; `true` if it already was.
-    pub fn observe_seq(&mut self, seq: u32) -> bool {
+    pub(crate) fn observe_seq(&mut self, seq: u32) -> bool {
         self.seen.observe(seq)
     }
 
     /// Test hook: the next sequence number expected from the peer.
-    pub fn seed_expected_seq(&mut self, seq: u32) {
+    pub(crate) fn seed_expected_seq(&mut self, seq: u32) {
         self.seen.floor = seq;
     }
 
     // ---- error control, send side ----
 
     /// The timeout the next (re)transmission to the peer should get.
-    pub fn rto(&self, cfg: &RtoConfig) -> Dur {
+    pub(crate) fn rto(&self, cfg: &RtoConfig) -> Dur {
         self.rtt.unwrap_or_default().rto(cfg)
     }
 
     /// The estimator snapshot, once a sample or backoff created one.
-    pub fn rto_snapshot(&self, peer: usize, cfg: &RtoConfig) -> Option<PeerRto> {
+    pub(crate) fn rto_snapshot(&self, peer: usize, cfg: &RtoConfig) -> Option<PeerRto> {
         self.rtt.map(|e| PeerRto {
             peer,
             srtt: Dur::from_ps(e.srtt_ps),
@@ -357,7 +357,7 @@ impl Peer {
     /// Allocates the next sequence number toward the peer. Wraps rather
     /// than overflows: sequence numbers are serial numbers, and the
     /// receiver's duplicate window compares them as such.
-    pub fn alloc_seq(&mut self) -> u32 {
+    pub(crate) fn alloc_seq(&mut self) -> u32 {
         let seq = self.next_seq;
         self.next_seq = seq.wrapping_add(1);
         self.seqs_allocated += 1;
@@ -365,14 +365,14 @@ impl Peer {
     }
 
     /// Test hook: where the sequence allocator stands.
-    pub fn seed_next_seq(&mut self, seq: u32) {
+    pub(crate) fn seed_next_seq(&mut self, seq: u32) {
         self.next_seq = seq;
     }
 
     /// Whether `seq` is among the numbers ever allocated toward the peer:
     /// the `seqs_allocated` values on the u32 circle ending just before
     /// `next_seq`.
-    pub fn allocated(&self, seq: u32) -> bool {
+    pub(crate) fn allocated(&self, seq: u32) -> bool {
         let back = self.next_seq.wrapping_sub(1).wrapping_sub(seq);
         self.seqs_allocated > 0
             && (self.seqs_allocated >= (1u64 << 32) || u64::from(back) < self.seqs_allocated)
@@ -381,7 +381,7 @@ impl Peer {
     /// Keeps `frame` (the wrapped payload as a ready retransmission) until
     /// `seq` is acknowledged. Returns `false` if `seq` was still awaiting
     /// acknowledgement — u32 wrap-around with a full window reused it.
-    pub fn register(&mut self, seq: u32, frame: SendReq) -> bool {
+    pub(crate) fn register(&mut self, seq: u32, frame: SendReq) -> bool {
         let u = Unacked {
             frame,
             retries: 0,
@@ -393,7 +393,7 @@ impl Peer {
 
     /// Starts the RTT clock of `seq` — at the instant the frame actually
     /// hits the wire, never at queue time. First transmission only.
-    pub fn stamp_sent(&mut self, seq: u32, now: SimTime) {
+    pub(crate) fn stamp_sent(&mut self, seq: u32, now: SimTime) {
         if let Some(u) = self.unacked.get_mut(&seq) {
             u.sent_at.get_or_insert(now);
         }
@@ -401,7 +401,12 @@ impl Peer {
 
     /// An acknowledgment of `seq` arrived at `now`. `None` if it names no
     /// outstanding frame (a duplicate acknowledgment).
-    pub fn on_ack(&mut self, seq: u32, now: SimTime, errs: &mut ErrorStats) -> Option<Acked> {
+    pub(crate) fn on_ack(
+        &mut self,
+        seq: u32,
+        now: SimTime,
+        errs: &mut ErrorStats,
+    ) -> Option<Acked> {
         let u = self.unacked.remove(&seq)?;
         if u.retransmitted {
             // Stop backing off: the peer is alive.
@@ -436,7 +441,7 @@ impl Peer {
     /// whose resend is itself hit without another round trip. Restarting
     /// the timer instead halves the duplicates and costs 3–4 % of virtual
     /// time on the lossy ring (EXPERIMENTS.md X11, "timer policy").
-    pub fn on_nack(
+    pub(crate) fn on_nack(
         &mut self,
         seq: u32,
         max_retries: u32,
@@ -469,7 +474,7 @@ impl Peer {
     /// to a crashed node must not hang the scheduler), or the retransmit
     /// queue is full (defer, so memory stays bounded under sustained
     /// faults).
-    pub fn on_timeout(
+    pub(crate) fn on_timeout(
         &mut self,
         unreachable: impl FnOnce(usize) -> bool,
         max_retries: u32,
@@ -523,7 +528,7 @@ impl Peer {
     /// transfer however many of its chunks were outstanding — none for the
     /// transfer still [`chunking`](Peer::chunking), which its send loop
     /// reports.
-    pub fn purge(&mut self) -> Vec<(ThreadAddr, u32)> {
+    pub(crate) fn purge(&mut self) -> Vec<(ThreadAddr, u32)> {
         let mut xfers = BTreeSet::new();
         std::mem::take(&mut self.unacked)
             .into_values()

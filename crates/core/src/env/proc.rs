@@ -133,7 +133,7 @@ impl NcsProc {
     /// `NCS_start`: runs threads to completion. Blocks the calling green
     /// thread (the process "main") until all user threads exit and the
     /// system threads wind down.
-    pub fn start(&self, ctx: &Ctx) {
+    pub(crate) fn start(&self, ctx: &Ctx) {
         // A process with no user threads shuts down immediately.
         let idle = self.inner.state.lock().user_live == 0;
         if idle {
@@ -176,7 +176,7 @@ impl NcsProc {
     }
 
     /// Number of processes in the computation.
-    pub fn num_procs(&self) -> usize {
+    pub(crate) fn num_procs(&self) -> usize {
         self.inner.n
     }
 
@@ -186,7 +186,6 @@ impl NcsProc {
     }
 
     /// Data messages sent and received so far.
-    // ncs-lint: allow(dead-surface) oracle core/tests check message conservation against
     pub fn msg_counts(&self) -> (u64, u64) {
         let st = self.inner.state.lock();
         (st.sent_msgs, st.recv_msgs)
@@ -196,7 +195,6 @@ impl NcsProc {
     /// (the blocking wrappers post too, so these move even without any
     /// `NCS_isend`/`NCS_irecv`), plus how many completions currently sit
     /// unredeemed in the completion queue.
-    // ncs-lint: allow(dead-surface) oracle core/tests/async_api.rs checks handle accounting against
     pub fn request_counts(&self) -> (u64, u64, usize) {
         let st = self.inner.state.lock();
         (st.reqs.posted, st.reqs.consumed, st.reqs.queued())
@@ -236,7 +234,6 @@ impl NcsProc {
     /// Whether error control currently holds `peer` behind a detected
     /// partition (fail-fast, but recoverable: the mark drops as soon as a
     /// fresh send finds the route up again).
-    // ncs-lint: allow(dead-surface) oracle core/tests/chaos_recovery.rs checks partition healing against
     pub fn is_peer_partitioned(&self, peer: usize) -> bool {
         let st = self.inner.state.lock();
         st.peers.find(peer).is_some_and(|p| p.partitioned)
@@ -272,7 +269,6 @@ impl NcsProc {
     /// the receiving end to match with
     /// [`NcsProc::debug_seed_expected_seq`].
     #[doc(hidden)]
-    // ncs-lint: allow(dead-surface) hook core/tests/ncs_tests.rs drives sequence wrap-around with
     pub fn debug_seed_next_seq(&self, dst: usize, seq: u32) {
         self.inner.state.lock().peers.get(dst).seed_next_seq(seq);
     }
@@ -281,7 +277,6 @@ impl NcsProc {
     /// [`NcsProc::debug_seed_next_seq`] — the next sequence number this
     /// process expects from `src`.
     #[doc(hidden)]
-    // ncs-lint: allow(dead-surface) hook core/tests/ncs_tests.rs drives sequence wrap-around with
     pub fn debug_seed_expected_seq(&self, src: usize, seq: u32) {
         self.inner
             .state

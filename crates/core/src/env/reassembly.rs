@@ -34,10 +34,10 @@ pub(super) fn registered_xfer(frame: &[u8]) -> u32 {
 /// One parsed chunk: which transfer, which piece of how many, and a
 /// zero-copy view of its bytes.
 pub(super) struct Chunk {
-    pub xfer: u32,
-    pub idx: u32,
-    pub total: u32,
-    pub data: Bytes,
+    pub(crate) xfer: u32,
+    pub(crate) idx: u32,
+    pub(crate) total: u32,
+    pub(crate) data: Bytes,
 }
 
 /// Parses a `Frag` payload, refusing (with the reason) a header that is
@@ -75,15 +75,15 @@ pub(super) fn parse_chunk(payload: &Bytes, io_buffer_bytes: usize) -> Result<Chu
 
 /// One partial transfer.
 pub(super) struct FragAsm {
-    pub total: u32,
+    pub(crate) total: u32,
     parts: Vec<Option<Bytes>>,
-    pub have: u32,
+    pub(crate) have: u32,
     /// When the last chunk was accepted (drives timeout reclamation).
-    pub last_progress: SimTime,
+    pub(crate) last_progress: SimTime,
     /// The armed reclamation timer, if
     /// [`NcsConfig::reassembly_timeout`](super::NcsConfig::reassembly_timeout)
     /// is set; retracted when the transfer completes.
-    pub reaper: Option<TimerHandle>,
+    pub(crate) reaper: Option<TimerHandle>,
 }
 
 /// What became of one chunk.
@@ -124,7 +124,7 @@ pub(super) struct Reassembly {
 }
 
 impl Reassembly {
-    pub fn accept(&mut self, c: Chunk, now: SimTime) -> Accepted {
+    pub(crate) fn accept(&mut self, c: Chunk, now: SimTime) -> Accepted {
         let mut first = false;
         let asm = self.bufs.entry(c.xfer).or_insert_with(|| {
             first = true;
@@ -160,7 +160,7 @@ impl Reassembly {
         }
     }
 
-    pub fn expire(&mut self, xfer: u32, now: SimTime, timeout: Dur) -> Expiry {
+    pub(crate) fn expire(&mut self, xfer: u32, now: SimTime, timeout: Dur) -> Expiry {
         match self.bufs.get(&xfer) {
             None => Expiry::Gone,
             Some(asm) if now.saturating_since(asm.last_progress) >= timeout => {
@@ -171,12 +171,12 @@ impl Reassembly {
         }
     }
 
-    pub fn get_mut(&mut self, xfer: u32) -> Option<&mut FragAsm> {
+    pub(crate) fn get_mut(&mut self, xfer: u32) -> Option<&mut FragAsm> {
         self.bufs.get_mut(&xfer)
     }
 
     /// The partial transfers, by transfer id.
-    pub fn partial(&self) -> impl Iterator<Item = (&u32, &FragAsm)> {
+    pub(crate) fn partial(&self) -> impl Iterator<Item = (&u32, &FragAsm)> {
         self.bufs.iter()
     }
 }

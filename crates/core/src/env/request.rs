@@ -83,13 +83,13 @@ pub(super) struct RequestTable {
     /// consumed exactly once) is checked at shutdown.
     completions: VecDeque<(u32, u32)>,
     /// Statistics: requests posted / consumed by `wait`/`waitany`.
-    pub posted: u64,
-    pub consumed: u64,
+    pub(crate) posted: u64,
+    pub(crate) consumed: u64,
 }
 
 impl RequestTable {
     /// Allocates a slot in the `Pending` state.
-    pub fn alloc(&mut self, kind: ReqKind, owner: u32, req_causal: u64) -> NcsRequest {
+    pub(crate) fn alloc(&mut self, kind: ReqKind, owner: u32, req_causal: u64) -> NcsRequest {
         self.posted += 1;
         let fresh = ReqSlot {
             gen: 0,
@@ -120,7 +120,7 @@ impl RequestTable {
         }
     }
 
-    pub fn status(&self, h: NcsRequest) -> Status {
+    pub(crate) fn status(&self, h: NcsRequest) -> Status {
         let s = &self.slots[h.slot as usize];
         match s.state {
             _ if s.gen != h.gen => Status::Stale(s.gen),
@@ -132,7 +132,7 @@ impl RequestTable {
     /// The progress engine (a system thread) has the request in hand.
     /// Returns the request timeline to stamp `progressed` on: first pickup
     /// of a traced request only.
-    pub fn progress(&mut self, slot: u32) -> Option<u64> {
+    pub(crate) fn progress(&mut self, slot: u32) -> Option<u64> {
         let s = &mut self.slots[slot as usize];
         let first = s.req_causal != 0 && !s.progressed;
         s.progressed = true;
@@ -140,7 +140,7 @@ impl RequestTable {
     }
 
     /// Stores the result and queues the completion.
-    pub fn complete(&mut self, slot: u32, msg: Option<NcsMsg>) -> Completed {
+    pub(crate) fn complete(&mut self, slot: u32, msg: Option<NcsMsg>) -> Completed {
         let first_progress = self.progress(slot).is_some();
         let s = &mut self.slots[slot as usize];
         debug_assert!(
@@ -158,7 +158,7 @@ impl RequestTable {
 
     /// Parks `tid` on the live handle `h`; `Err` if another thread already
     /// waits on it.
-    pub fn park(&mut self, h: NcsRequest, tid: MtsTid) -> Result<ReqKind, ()> {
+    pub(crate) fn park(&mut self, h: NcsRequest, tid: MtsTid) -> Result<ReqKind, ()> {
         let s = &mut self.slots[h.slot as usize];
         if s.parked.is_some_and(|other| other != tid) {
             return Err(());
@@ -169,7 +169,7 @@ impl RequestTable {
 
     /// `tid` no longer waits on `h`: a later completion must not wake a
     /// thread that has moved on.
-    pub fn unpark(&mut self, h: NcsRequest, tid: MtsTid) {
+    pub(crate) fn unpark(&mut self, h: NcsRequest, tid: MtsTid) {
         let s = &mut self.slots[h.slot as usize];
         if s.gen == h.gen && s.parked == Some(tid) {
             s.parked = None;
@@ -180,7 +180,7 @@ impl RequestTable {
     /// so the handle goes stale. Returns the result, and whether the
     /// completion queue held the matching entry (its absence breaks
     /// conservation).
-    pub fn consume(&mut self, h: NcsRequest) -> (Option<NcsMsg>, bool) {
+    pub(crate) fn consume(&mut self, h: NcsRequest) -> (Option<NcsMsg>, bool) {
         let entry = self.completions.iter().position(|&e| e == (h.slot, h.gen));
         if let Some(p) = entry {
             self.completions.remove(p);
@@ -202,7 +202,7 @@ impl RequestTable {
     }
 
     /// Completions not yet redeemed.
-    pub fn queued(&self) -> usize {
+    pub(crate) fn queued(&self) -> usize {
         self.completions.len()
     }
 
@@ -213,7 +213,7 @@ impl RequestTable {
     /// leaked handle, plus the accounting breach if the completion queue
     /// does not hold exactly the completed-unconsumed slots or the
     /// posted/consumed counters do not balance against the live remainder.
-    pub fn leaks(&self) -> (Vec<String>, Option<String>) {
+    pub(crate) fn leaks(&self) -> (Vec<String>, Option<String>) {
         let mut leaked = Vec::new();
         let mut completed = 0;
         for (slot, s) in self.slots.iter().enumerate() {

@@ -47,7 +47,7 @@ impl<'a, 'b> P4Filter<'a, 'b> {
     }
 
     /// `p4_num_total_slaves` + 1.
-    pub fn num_procs(&self) -> usize {
+    pub(crate) fn num_procs(&self) -> usize {
         self.ncs.proc().num_procs()
     }
 
@@ -63,7 +63,6 @@ impl<'a, 'b> P4Filter<'a, 'b> {
     }
 
     /// `p4_broadcast` to every other rank, lowest rank first.
-    // ncs-lint: allow(dead-surface) p4_broadcast: Figure 6 p4 filter
     pub fn broadcast(&self, msg_type: i32, data: Bytes) {
         let to = others(0..self.num_procs(), self.my_id());
         self.ncs.bcast(&to, msg_type as u32, data);
@@ -71,14 +70,12 @@ impl<'a, 'b> P4Filter<'a, 'b> {
 }
 
 /// PVM-style interface (`pvm_send` / `pvm_recv` with task ids and tags).
-// ncs-lint: allow(dead-surface) Figure 6 PVM filter
 pub struct PvmFilter<'a, 'b> {
     ncs: &'a NcsCtx<'b>,
 }
 
 impl<'a, 'b> PvmFilter<'a, 'b> {
     /// Wraps an NCS thread context.
-    // ncs-lint: allow(dead-surface) the PVM filter's handle: PAPER.md piece 3
     pub fn new(ncs: &'a NcsCtx<'b>) -> Self {
         PvmFilter { ncs }
     }
@@ -90,20 +87,17 @@ impl<'a, 'b> PvmFilter<'a, 'b> {
 
     /// `pvm_send(tid, msgtag)` with the payload pre-packed (the pack/unpack
     /// buffer layer collapses to a byte payload here).
-    // ncs-lint: allow(dead-surface) pvm_send: PAPER.md piece 3, the PVM filter
     pub fn send(&self, tid: usize, msgtag: u32, data: Bytes) {
         self.ncs.send(rank0(tid), msgtag, data);
     }
 
     /// `pvm_recv(tid, msgtag)` — `None` is PVM's `-1` wildcard.
-    // ncs-lint: allow(dead-surface) pvm_recv: PAPER.md piece 3, the PVM filter
     pub fn recv(&self, tid: Option<usize>, msgtag: Option<u32>) -> (usize, u32, Bytes) {
         let m = self.ncs.recv(tid, None, msgtag);
         (m.from.proc, m.tag, m.data)
     }
 
     /// `pvm_mcast` to an explicit task list.
-    // ncs-lint: allow(dead-surface) pvm_mcast: Figure 6 PVM filter
     pub fn mcast(&self, tids: &[usize], msgtag: u32, data: Bytes) {
         let to = others(tids.iter().copied(), self.mytid());
         self.ncs.bcast(&to, msgtag, data);
@@ -117,10 +111,8 @@ pub struct MpiFilter<'a, 'b> {
 }
 
 /// MPI's `MPI_ANY_SOURCE`.
-// ncs-lint: allow(dead-surface) MPI_ANY_SOURCE: Figure 6 MPI filter
 pub const ANY_SOURCE: Option<usize> = None;
 /// MPI's `MPI_ANY_TAG`.
-// ncs-lint: allow(dead-surface) MPI_ANY_TAG: Figure 6 MPI filter
 pub const ANY_TAG: Option<u32> = None;
 
 impl<'a, 'b> MpiFilter<'a, 'b> {
@@ -135,18 +127,16 @@ impl<'a, 'b> MpiFilter<'a, 'b> {
     }
 
     /// `MPI_Comm_size(MPI_COMM_WORLD, ..)`.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.ncs.proc().num_procs()
     }
 
     /// `MPI_Send(buf, dest, tag, MPI_COMM_WORLD)`.
-    // ncs-lint: allow(dead-surface) MPI_Send: PAPER.md piece 3, the MPI filter
     pub fn send(&self, dest: usize, tag: u32, data: Bytes) {
         self.ncs.send(rank0(dest), tag, data);
     }
 
     /// `MPI_Recv` returning `(source, tag, data)`.
-    // ncs-lint: allow(dead-surface) MPI_Recv: PAPER.md piece 3, the MPI filter
     pub fn recv(&self, source: Option<usize>, tag: Option<u32>) -> (usize, u32, Bytes) {
         let m: NcsMsg = self.ncs.recv(source, None, tag);
         (m.from.proc, m.tag, m.data)
@@ -176,14 +166,12 @@ impl<'a, 'b> MpiFilter<'a, 'b> {
 /// into a byte stream in call order and unpacked with matching `upk_*`
 /// calls on the receiving side. Little-endian "raw" encoding (PvmDataRaw).
 #[derive(Default, Clone, Debug)]
-// ncs-lint: allow(dead-surface) pvm_initsend/pvm_pk*: Figure 6 PVM filter
 pub struct PvmPackBuf {
     data: Vec<u8>,
 }
 
 impl PvmPackBuf {
     /// `pvm_initsend(PvmDataRaw)`.
-    // ncs-lint: allow(dead-surface) pvm_initsend: PAPER.md piece 3, the PVM filter
     pub fn new() -> PvmPackBuf {
         PvmPackBuf::default()
     }
@@ -195,14 +183,12 @@ impl PvmPackBuf {
     }
 
     /// `pvm_pkdouble`.
-    // ncs-lint: allow(dead-surface) pvm_pkdouble: Figure 6 PVM filter
     pub fn pk_double(&mut self, v: f64) -> &mut Self {
         self.data.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// `pvm_pkdouble` over an array.
-    // ncs-lint: allow(dead-surface) pvm_pkdouble: Figure 6 PVM filter
     pub fn pk_doubles(&mut self, vs: &[f64]) -> &mut Self {
         self.pk_int(vs.len() as i32);
         for v in vs {
@@ -212,7 +198,6 @@ impl PvmPackBuf {
     }
 
     /// `pvm_pkstr`.
-    // ncs-lint: allow(dead-surface) pvm_pkstr: Figure 6 PVM filter
     pub fn pk_str(&mut self, s: &str) -> &mut Self {
         self.pk_int(s.len() as i32);
         self.data.extend_from_slice(s.as_bytes());
@@ -220,14 +205,12 @@ impl PvmPackBuf {
     }
 
     /// Finalizes the buffer into a payload.
-    // ncs-lint: allow(dead-surface) pvm_send payload: Figure 6 PVM filter
     pub fn into_bytes(self) -> Bytes {
         Bytes::from(self.data)
     }
 }
 
 /// PVM's unpack cursor over a received payload.
-// ncs-lint: allow(dead-surface) pvm_upk*: Figure 6 PVM filter
 pub struct PvmUnpackBuf {
     data: Bytes,
     pos: usize,
@@ -235,7 +218,6 @@ pub struct PvmUnpackBuf {
 
 impl PvmUnpackBuf {
     /// Wraps a received payload.
-    // ncs-lint: allow(dead-surface) the pvm_upk* cursor: PAPER.md piece 3, the PVM filter
     pub fn new(data: Bytes) -> PvmUnpackBuf {
         PvmUnpackBuf { data, pos: 0 }
     }
@@ -258,14 +240,12 @@ impl PvmUnpackBuf {
     }
 
     /// Unpacks a double array packed with [`PvmPackBuf::pk_doubles`].
-    // ncs-lint: allow(dead-surface) pvm_upkdouble: Figure 6 PVM filter
     pub fn upk_doubles(&mut self) -> Vec<f64> {
         let n = self.upk_int() as usize;
         (0..n).map(|_| self.upk_double()).collect()
     }
 
     /// `pvm_upkstr`.
-    // ncs-lint: allow(dead-surface) pvm_upkstr: Figure 6 PVM filter
     pub fn upk_str(&mut self) -> String {
         let n = self.upk_int() as usize;
         String::from_utf8(self.take(n).to_vec()).expect("packed string was UTF-8")

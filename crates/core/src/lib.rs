@@ -22,6 +22,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod addr;
 pub mod codec;
@@ -32,7 +33,7 @@ pub mod world;
 
 pub use addr::{MsgClass, ThreadAddr};
 pub use env::{
-    causal_component, ErrorControl, ErrorStats, FlowControl, NcsConfig, NcsCtx, NcsException,
-    NcsMsg, NcsProc, NcsRequest, PeerRto, RtoConfig, ALL_STAGES, EXC_DELIVERY_FAILED,
+    ErrorControl, ErrorStats, FlowControl, NcsConfig, NcsProc, RtoConfig, ALL_STAGES,
+    EXC_DELIVERY_FAILED,
 };
 pub use world::NcsWorld;

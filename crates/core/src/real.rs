@@ -109,7 +109,7 @@ impl From<io::Error> for RealError {
 }
 
 /// Result type of the real-TCP backend.
-pub type RealResult<T> = Result<T, RealError>;
+pub(crate) type RealResult<T> = Result<T, RealError>;
 
 /// First delay between connect attempts while the mesh forms; doubles per
 /// failure up to [`DIAL_BACKOFF_MAX`].
@@ -123,9 +123,9 @@ const ACCEPT_POLL: Duration = Duration::from_millis(2);
 #[derive(Clone, Debug)]
 pub struct RealMsg {
     /// Sending endpoint.
-    pub from: ThreadAddr,
+    pub(crate) from: ThreadAddr,
     /// Destination thread id the sender addressed.
-    pub to_thread: u32,
+    pub(crate) to_thread: u32,
     /// User tag.
     pub tag: u32,
     /// Payload.
@@ -155,7 +155,7 @@ pub struct RealNcs {
 
 const FRAME_MAGIC: u32 = 0x4E43_5331; // "NCS1"
 /// Refuse frames beyond this size (corrupt stream guard).
-pub const MAX_FRAME: usize = 256 * 1024 * 1024;
+pub(crate) const MAX_FRAME: usize = 256 * 1024 * 1024;
 
 impl RealNcs {
     /// Establishes the full mesh for process `id` of `addrs.len()`:
@@ -342,7 +342,7 @@ impl RealNcs {
 
     /// Like [`RealNcs::recv`] but also filtering on the addressed local
     /// thread id (`to_thread`), for multithreaded receivers.
-    pub fn recv_to(
+    pub(crate) fn recv_to(
         &self,
         to_thread: Option<u32>,
         from_proc: Option<usize>,
@@ -368,7 +368,7 @@ impl RealNcs {
     }
 
     /// Sends to every other process's thread 0.
-    pub fn bcast(&self, from_thread: u32, tag: u32, data: &[u8]) -> RealResult<()> {
+    pub(crate) fn bcast(&self, from_thread: u32, tag: u32, data: &[u8]) -> RealResult<()> {
         for p in 0..self.n {
             if p != self.id {
                 self.send(from_thread, ThreadAddr::new(p, 0), tag, data)?;

@@ -11,6 +11,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod run_queue;
 pub mod runtime;

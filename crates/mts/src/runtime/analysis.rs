@@ -135,7 +135,6 @@ impl Mts {
     /// Checks the run-queue membership invariants right now, returning a
     /// description of each inconsistency found (empty when the queue holds
     /// exactly the runnable threads, each once, at its own level).
-    // ncs-lint: allow(dead-surface) queue-invariant oracle tests/runtime_detection.rs checks
     pub fn validate_queues(&self) -> Vec<String> {
         Self::validate_inner(&self.inner.lock())
     }

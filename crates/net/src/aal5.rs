@@ -16,10 +16,10 @@ use crate::crc::{crc32_aal5, Crc32};
 use bytes::Bytes;
 
 /// Trailer length in bytes.
-pub const TRAILER_BYTES: usize = 8;
+pub(crate) const TRAILER_BYTES: usize = 8;
 
 /// Maximum CS-PDU payload (16-bit length field).
-pub const MAX_PDU: usize = 65_535;
+pub(crate) const MAX_PDU: usize = 65_535;
 
 /// Segments `payload` into AAL5 cells on circuit (`vpi`, `vci`).
 ///
@@ -27,7 +27,7 @@ pub const MAX_PDU: usize = 65_535;
 /// exactly once, and every cell holds a [`Bytes`] slice into it — no
 /// per-cell payload copy. The trailer CRC is streamed over the payload as it
 /// is appended, then over the pad and trailer head. Returns
-/// [`Aal5Error::PduTooLarge`] when `payload` exceeds [`MAX_PDU`] (the NCS
+/// [`Aal5Error::PduTooLarge`] when `payload` exceeds `MAX_PDU` (the NCS
 /// I/O-buffer layer chunks larger transfers, so it never hands AAL5 more
 /// than one buffer at once, but direct users get a typed error rather than
 /// an abort).
@@ -76,7 +76,7 @@ pub enum Aal5Error {
     PduTooLarge {
         /// Offending payload length.
         len: usize,
-        /// The [`MAX_PDU`] limit.
+        /// The `MAX_PDU` limit.
         max: usize,
     },
     /// No cells supplied.

@@ -30,7 +30,7 @@ use crate::link::{LinkSpec, LinkState};
 use crate::wan::{FatTreeParams, WanRingParams, CAMPUS_TRUNK};
 
 /// Wire bytes for an AAL5-framed chunk of `payload` bytes.
-pub fn atm_wire_bytes(payload: usize) -> usize {
+pub(crate) fn atm_wire_bytes(payload: usize) -> usize {
     aal5::cells_for_pdu(payload) * CELL_BYTES
 }
 
@@ -76,7 +76,7 @@ const BACKBONE_PROPAGATION: Dur = Dur::from_millis(1);
 #[derive(Clone, Debug)]
 pub struct AtmLanParams {
     /// Number of attached hosts.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
 }
 
 impl AtmLanParams {
@@ -125,7 +125,7 @@ impl NynetParams {
     }
 
     /// Which site a node lives at.
-    pub fn site_of(&self, node: NodeId) -> usize {
+    pub(crate) fn site_of(&self, node: NodeId) -> usize {
         block_of(node, self.nodes.div_ceil(self.sites), self.sites)
     }
 }

@@ -19,36 +19,36 @@ use crate::crc;
 use bytes::Bytes;
 
 /// Bytes in a full ATM cell.
-pub const CELL_BYTES: usize = 53;
+pub(crate) const CELL_BYTES: usize = 53;
 /// Bytes of payload per cell.
-pub const CELL_PAYLOAD: usize = 48;
+pub(crate) const CELL_PAYLOAD: usize = 48;
 /// Header bytes.
-pub const CELL_HEADER: usize = 5;
+pub(crate) const CELL_HEADER: usize = 5;
 
 /// Number of cells needed to carry `bytes` of raw payload (no AAL framing).
-pub fn cells_for(bytes: usize) -> usize {
+pub(crate) fn cells_for(bytes: usize) -> usize {
     bytes.div_ceil(CELL_PAYLOAD)
 }
 
 /// Decoded cell header fields.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CellHeader {
+pub(crate) struct CellHeader {
     /// Generic flow control (UNI only), 4 bits.
-    pub gfc: u8,
+    pub(crate) gfc: u8,
     /// Virtual path identifier, 8 bits at the UNI.
-    pub vpi: u8,
+    pub(crate) vpi: u8,
     /// Virtual channel identifier, 16 bits.
-    pub vci: u16,
+    pub(crate) vci: u16,
     /// Payload type, 3 bits. Bit 0 is the AAU/AUU bit used by AAL5 to mark
     /// the last cell of a PDU.
-    pub pt: u8,
+    pub(crate) pt: u8,
     /// Cell loss priority, 1 bit (1 = discard-eligible).
-    pub clp: bool,
+    pub(crate) clp: bool,
 }
 
 impl CellHeader {
     /// A data-cell header for the given circuit.
-    pub fn data(vpi: u8, vci: u16) -> CellHeader {
+    pub(crate) fn data(vpi: u8, vci: u16) -> CellHeader {
         CellHeader {
             gfc: 0,
             vpi,
@@ -59,7 +59,7 @@ impl CellHeader {
     }
 
     /// Marks this as the final cell of an AAL5 CS-PDU.
-    pub fn with_end_of_pdu(mut self, end: bool) -> CellHeader {
+    pub(crate) fn with_end_of_pdu(mut self, end: bool) -> CellHeader {
         if end {
             self.pt |= 0b001;
         } else {
@@ -69,12 +69,12 @@ impl CellHeader {
     }
 
     /// Whether the AAL5 end-of-PDU bit is set.
-    pub fn end_of_pdu(&self) -> bool {
+    pub(crate) fn end_of_pdu(&self) -> bool {
         self.pt & 0b001 != 0
     }
 
     /// Packs the header into 5 bytes including the computed HEC.
-    pub fn pack(&self) -> [u8; CELL_HEADER] {
+    pub(crate) fn pack(&self) -> [u8; CELL_HEADER] {
         assert!(self.gfc < 16, "GFC is 4 bits");
         assert!(self.pt < 8, "PT is 3 bits");
         let b0 = (self.gfc << 4) | (self.vpi >> 4);
@@ -86,7 +86,7 @@ impl CellHeader {
     }
 
     /// Unpacks and HEC-verifies a 5-byte header.
-    pub fn unpack(bytes: &[u8; CELL_HEADER]) -> Result<CellHeader, HeaderError> {
+    pub(crate) fn unpack(bytes: &[u8; CELL_HEADER]) -> Result<CellHeader, HeaderError> {
         if !crc::hec_ok(bytes) {
             return Err(HeaderError::BadHec);
         }
@@ -105,7 +105,7 @@ impl CellHeader {
     /// clean header decodes directly; a single-bit error anywhere in the 40
     /// header bits is corrected; anything worse is discarded. Returns the
     /// header and whether a correction was applied.
-    pub fn unpack_correcting(
+    pub(crate) fn unpack_correcting(
         bytes: &[u8; CELL_HEADER],
     ) -> Result<(CellHeader, bool), HeaderError> {
         if let Ok(h) = CellHeader::unpack(bytes) {
@@ -124,7 +124,7 @@ impl CellHeader {
 
 /// Header decode failure.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum HeaderError {
+pub(crate) enum HeaderError {
     /// Header error control checksum mismatch.
     BadHec,
 }
@@ -147,14 +147,14 @@ impl std::error::Error for HeaderError {}
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct AtmCell {
     /// Decoded header.
-    pub header: CellHeader,
+    pub(crate) header: CellHeader,
     /// 48-byte payload slice (invariant: `len() == CELL_PAYLOAD`).
     pub payload: Bytes,
 }
 
 impl AtmCell {
     /// Builds a cell from header fields and exactly 48 payload bytes.
-    pub fn new(header: CellHeader, payload: Bytes) -> AtmCell {
+    pub(crate) fn new(header: CellHeader, payload: Bytes) -> AtmCell {
         assert_eq!(
             payload.len(),
             CELL_PAYLOAD,
@@ -164,7 +164,7 @@ impl AtmCell {
     }
 
     /// Serializes to 53 bytes.
-    pub fn to_bytes(&self) -> [u8; CELL_BYTES] {
+    pub(crate) fn to_bytes(&self) -> [u8; CELL_BYTES] {
         let mut out = [0u8; CELL_BYTES];
         out[..CELL_HEADER].copy_from_slice(&self.header.pack());
         out[CELL_HEADER..].copy_from_slice(&self.payload);
@@ -173,7 +173,7 @@ impl AtmCell {
 
     /// Parses 53 bytes, verifying the HEC.
     #[cfg(test)]
-    pub fn from_bytes(bytes: &[u8; CELL_BYTES]) -> Result<AtmCell, HeaderError> {
+    pub(crate) fn from_bytes(bytes: &[u8; CELL_BYTES]) -> Result<AtmCell, HeaderError> {
         let mut hdr = [0u8; CELL_HEADER];
         hdr.copy_from_slice(&bytes[..CELL_HEADER]);
         let header = CellHeader::unpack(&hdr)?;

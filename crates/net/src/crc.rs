@@ -261,7 +261,7 @@ pub fn hec(header4: &[u8; 4]) -> u8 {
 }
 
 /// Verifies a 5-byte cell header's HEC field.
-pub fn hec_ok(header5: &[u8; 5]) -> bool {
+pub(crate) fn hec_ok(header5: &[u8; 5]) -> bool {
     hec(&[header5[0], header5[1], header5[2], header5[3]]) == header5[4]
 }
 
@@ -315,7 +315,7 @@ pub fn crc32_aal5(data: &[u8]) -> u32 {
 /// table-driven forms are tested against.
 #[cfg(test)]
 mod oracle {
-    pub fn hec(header4: &[u8; 4]) -> u8 {
+    pub(crate) fn hec(header4: &[u8; 4]) -> u8 {
         let mut crc: u8 = 0;
         for &byte in header4 {
             crc ^= byte;
@@ -330,12 +330,12 @@ mod oracle {
         crc ^ 0x55
     }
 
-    pub fn crc32_aal5(data: &[u8]) -> u32 {
+    pub(crate) fn crc32_aal5(data: &[u8]) -> u32 {
         !crc32_register(0xFFFF_FFFF, data)
     }
 
     /// The register after clocking `data` in from `crc`.
-    pub fn crc32_register(mut crc: u32, data: &[u8]) -> u32 {
+    pub(crate) fn crc32_register(mut crc: u32, data: &[u8]) -> u32 {
         for &byte in data {
             crc ^= u32::from(byte) << 24;
             for _ in 0..8 {

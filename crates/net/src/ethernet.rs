@@ -16,13 +16,13 @@ use std::sync::Arc;
 
 /// Frame overhead bytes added to every packet: preamble+SFD (8) + MAC
 /// header (14) + FCS (4).
-pub const FRAME_OVERHEAD: usize = 26;
+pub(crate) const FRAME_OVERHEAD: usize = 26;
 /// Minimum MAC payload (packets smaller than this are padded).
-pub const MIN_PAYLOAD: usize = 46;
+pub(crate) const MIN_PAYLOAD: usize = 46;
 /// Maximum MAC payload.
-pub const MAX_PAYLOAD: usize = 1500;
+pub(crate) const MAX_PAYLOAD: usize = 1500;
 /// Inter-frame gap at 10 Mb/s.
-pub const INTERFRAME_GAP: Dur = Dur::from_micros(10); // 9.6 µs, rounded
+pub(crate) const INTERFRAME_GAP: Dur = Dur::from_micros(10); // 9.6 µs, rounded
 
 /// The shared-medium fabric.
 pub struct EthernetFabric {
@@ -41,7 +41,7 @@ impl EthernetFabric {
     }
 
     /// Wire bytes for a protocol payload of `bytes` (≤ [`MAX_PAYLOAD`]).
-    pub fn wire_bytes(bytes: usize) -> usize {
+    pub(crate) fn wire_bytes(bytes: usize) -> usize {
         assert!(bytes <= MAX_PAYLOAD, "packet exceeds Ethernet MTU: {bytes}");
         bytes.max(MIN_PAYLOAD) + FRAME_OVERHEAD
     }

@@ -7,7 +7,7 @@
 //!
 //! * **bit flips** — one random bit of the 53-byte cell (or a multi-bit
 //!   burst). Header hits go through real HEC correction-mode decoding
-//!   ([`CellHeader::unpack_correcting`]): single-bit errors are repaired,
+//!   (`CellHeader::unpack_correcting`): single-bit errors are repaired,
 //!   worse ones discard the cell. Payload hits ride to the receiver where
 //!   the AAL5 CRC-32 rejects the CS-PDU ([`aal5::reassemble`]).
 //! * **cell loss** — the cell vanishes (switch congestion elsewhere), so
@@ -61,24 +61,24 @@ use crate::stack::{Delivery, Network, WaitPolicy};
 #[derive(Clone, Debug)]
 pub struct ChaosParams {
     /// Per-cell probability of a bit-flip event.
-    pub p_cell_corrupt: f64,
+    pub(crate) p_cell_corrupt: f64,
     /// Per-cell probability the cell is lost outright.
-    pub p_cell_loss: f64,
+    pub(crate) p_cell_loss: f64,
     /// Probability a bit-flip event is a multi-bit burst (three flips in
     /// one byte) instead of a single bit — bursts in the header defeat
     /// HEC's single-bit correction.
-    pub p_burst: f64,
+    pub(crate) p_burst: f64,
     /// Per-message probability that one payload byte is flipped and the
     /// message delivered anyway (empty payloads pass untouched).
-    pub p_msg_corrupt: f64,
+    pub(crate) p_msg_corrupt: f64,
     /// Per-message probability the whole message vanishes.
-    pub p_msg_drop: f64,
+    pub(crate) p_msg_drop: f64,
     /// CS-PDU chunking applied to large messages before cell accounting
     /// (the transports hand AAL5 one I/O buffer at a time).
-    pub pdu_bytes: usize,
+    pub(crate) pdu_bytes: usize,
     /// RNG seed; the same seed over the same traffic damages the same
     /// cells.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl ChaosParams {
@@ -119,25 +119,25 @@ impl ChaosParams {
 #[derive(Default)]
 pub struct FaultStats {
     /// Cells that entered the fault model.
-    pub cells_total: AtomicU64,
+    pub(crate) cells_total: AtomicU64,
     /// Cells hit by a bit-flip event.
-    pub cells_corrupted: AtomicU64,
+    pub(crate) cells_corrupted: AtomicU64,
     /// Cells lost outright.
-    pub cells_lost: AtomicU64,
+    pub(crate) cells_lost: AtomicU64,
     /// Headers repaired by HEC single-bit correction.
-    pub headers_corrected: AtomicU64,
+    pub(crate) headers_corrected: AtomicU64,
     /// Cells discarded for uncorrectable headers.
-    pub cells_discarded: AtomicU64,
+    pub(crate) cells_discarded: AtomicU64,
     /// CS-PDUs rejected by the AAL5 CRC-32 or framing checks.
-    pub pdus_rejected: AtomicU64,
+    pub(crate) pdus_rejected: AtomicU64,
     /// Messages that did not arrive as sent: one of their PDUs failed
     /// reassembly (delivered damaged where the SAR could delimit it,
     /// nothing otherwise), or the message-level drop fired.
-    pub messages_dropped: AtomicU64,
+    pub(crate) messages_dropped: AtomicU64,
     /// Messages delivered with one payload byte flipped.
-    pub messages_corrupted: AtomicU64,
+    pub(crate) messages_corrupted: AtomicU64,
     /// Messages discarded because an endpoint had crashed.
-    pub crash_drops: AtomicU64,
+    pub(crate) crash_drops: AtomicU64,
 }
 
 /// A plain-value copy of [`FaultStats`] at one instant.
@@ -152,7 +152,7 @@ pub struct FaultStatsSnapshot {
     /// Headers repaired by HEC single-bit correction.
     pub headers_corrected: u64,
     /// Cells discarded for uncorrectable headers.
-    pub cells_discarded: u64,
+    pub(crate) cells_discarded: u64,
     /// CS-PDUs rejected by the AAL5 CRC-32 or framing checks.
     pub pdus_rejected: u64,
     /// Messages that did not arrive as sent (damaged or lost).
@@ -224,7 +224,7 @@ impl ChaosNet {
     }
 
     /// Whether `node` has crashed as of `now`.
-    pub fn is_crashed(&self, node: NodeId, now: SimTime) -> bool {
+    pub(crate) fn is_crashed(&self, node: NodeId, now: SimTime) -> bool {
         self.crashes
             .lock()
             .get(&node.idx())

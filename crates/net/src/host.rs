@@ -39,21 +39,19 @@ pub struct HostParams {
     /// Human-readable platform name.
     pub name: &'static str,
     /// CPU clock rate in Hz.
-    pub clock_hz: u64,
+    pub(crate) clock_hz: u64,
     /// Effective memory-bus time per 32-bit word access during protocol
     /// copies (includes cache-miss amortization).
     pub bus_access: Dur,
     /// Cost of entering/leaving the kernel through a system call.
-    pub syscall: Dur,
+    pub(crate) syscall: Dur,
     /// Cost of the lightweight trap NCS uses instead of read/write syscalls.
-    pub trap: Dur,
+    pub(crate) trap: Dur,
     /// Per-packet interrupt handling cost on receive.
-    pub interrupt: Dur,
-    /// Heavyweight (process-level) context switch.
-    pub process_switch: Dur,
+    pub(crate) interrupt: Dur,
     /// TCP/IP protocol processing per packet, excluding data-touching costs
     /// (those are covered by [`HostParams::copy_time`]).
-    pub tcp_per_packet: Dur,
+    pub(crate) tcp_per_packet: Dur,
 }
 
 impl HostParams {
@@ -66,7 +64,6 @@ impl HostParams {
             syscall: Dur::from_micros(60),
             trap: Dur::from_micros(12),
             interrupt: Dur::from_micros(60),
-            process_switch: Dur::from_micros(150),
             tcp_per_packet: Dur::from_micros(120),
         }
     }
@@ -80,7 +77,6 @@ impl HostParams {
             syscall: Dur::from_micros(75),
             trap: Dur::from_micros(15),
             interrupt: Dur::from_micros(75),
-            process_switch: Dur::from_micros(180),
             tcp_per_packet: Dur::from_micros(150),
         }
     }
@@ -95,7 +91,6 @@ impl HostParams {
             syscall: Dur::from_micros(1),
             trap: Dur::from_nanos(200),
             interrupt: Dur::from_micros(1),
-            process_switch: Dur::from_micros(2),
             tcp_per_packet: Dur::from_micros(2),
         }
     }
@@ -106,7 +101,7 @@ impl HostParams {
     }
 
     /// Virtual time for `cycles` of computation.
-    pub fn cycles(&self, cycles: u64) -> Dur {
+    pub(crate) fn cycles(&self, cycles: u64) -> Dur {
         Dur::for_cycles(cycles, self.clock_hz)
     }
 

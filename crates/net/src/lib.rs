@@ -32,6 +32,7 @@
 // the crate still refuses `unsafe` at compile time.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod aal5;
 pub mod atm;
@@ -46,13 +47,11 @@ pub mod stack;
 pub mod topology;
 pub mod wan;
 
-pub use faults::{ChaosNet, ChaosParams, FaultStats, FaultStatsSnapshot};
+pub use faults::{ChaosNet, ChaosParams, FaultStatsSnapshot};
 pub use atm::{AtmFabric, Topology};
-pub use fabric::{Fabric, IdealFabric, NodeId, TransferTiming};
-pub use wan::{spawn_vbr, FatTreeParams, VbrConfig, VbrHandle, WanRingParams};
+pub use fabric::{Fabric, IdealFabric, NodeId};
+pub use wan::{spawn_vbr, FatTreeParams, VbrConfig, WanRingParams};
 pub use host::{DatapathKind, HostParams};
-pub use link::{LinkSpec, LinkState};
-pub use stack::{
-    AtmApiNet, AtmApiParams, BlockingWait, Delivery, Network, TcpNet, TcpParams, WaitPolicy,
-};
+pub use link::LinkState;
+pub use stack::{AtmApiNet, AtmApiParams, BlockingWait, Delivery, Network, TcpNet, TcpParams};
 pub use topology::{ChaosTopology, Testbed};

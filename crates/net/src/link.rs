@@ -22,14 +22,14 @@ pub struct LinkSpec {
     /// Link-type name for reports.
     pub name: &'static str,
     /// Payload-effective data rate, bits per second.
-    pub rate_bps: u64,
+    pub(crate) rate_bps: u64,
     /// One-way propagation delay.
     pub propagation: Dur,
 }
 
 impl LinkSpec {
     /// FORE TAXI host–switch interface: 140 Mb/s, LAN-scale propagation.
-    pub const fn taxi_140() -> LinkSpec {
+    pub(crate) const fn taxi_140() -> LinkSpec {
         LinkSpec {
             name: "TAXI-140",
             rate_bps: 140_000_000,
@@ -38,7 +38,7 @@ impl LinkSpec {
     }
 
     /// SONET OC-3c: 155.52 Mb/s line rate, 149.76 Mb/s SPE payload.
-    pub const fn oc3(propagation: Dur) -> LinkSpec {
+    pub(crate) const fn oc3(propagation: Dur) -> LinkSpec {
         LinkSpec {
             name: "OC-3c",
             rate_bps: 149_760_000,
@@ -47,7 +47,7 @@ impl LinkSpec {
     }
 
     /// SONET OC-48c: 2.48832 Gb/s line rate, 2.39616 Gb/s payload.
-    pub const fn oc48(propagation: Dur) -> LinkSpec {
+    pub(crate) const fn oc48(propagation: Dur) -> LinkSpec {
         LinkSpec {
             name: "OC-48c",
             rate_bps: 2_396_160_000,
@@ -56,7 +56,7 @@ impl LinkSpec {
     }
 
     /// DS-3 with PLCP framing: 44.736 Mb/s line, 40.704 Mb/s cell payload.
-    pub const fn ds3(propagation: Dur) -> LinkSpec {
+    pub(crate) const fn ds3(propagation: Dur) -> LinkSpec {
         LinkSpec {
             name: "DS-3",
             rate_bps: 40_704_000,
@@ -74,14 +74,13 @@ impl LinkSpec {
     }
 
     /// Serialization time for `bytes` on this link.
-    pub fn tx_time(&self, bytes: usize) -> Dur {
+    pub(crate) fn tx_time(&self, bytes: usize) -> Dur {
         Dur::for_bytes(bytes, self.rate_bps)
     }
 }
 
 struct LinkInner {
     busy_until: SimTime,
-    bytes_carried: u64,
     /// Scheduled outage windows `[down, up)`: any transmission overlapping
     /// one is lost on the wire (the transmitter still clocks the bits out).
     down_windows: Vec<(SimTime, SimTime)>,
@@ -106,7 +105,7 @@ pub struct TxSlot {
     pub arrival: SimTime,
     /// The transmission overlapped a scheduled outage window: the bits were
     /// clocked out but never reached the far end.
-    pub lost: bool,
+    pub(crate) lost: bool,
 }
 
 impl LinkState {
@@ -116,7 +115,6 @@ impl LinkState {
             spec,
             inner: Mutex::new(LinkInner {
                 busy_until: SimTime::ZERO,
-                bytes_carried: 0,
                 down_windows: Vec::new(),
                 flap_losses: 0,
             }),
@@ -132,7 +130,6 @@ impl LinkState {
         let start = earliest.max(l.busy_until);
         let end = start + self.spec.tx_time(wire_bytes);
         l.busy_until = end + gap;
-        l.bytes_carried += wire_bytes as u64;
         let lost = l.down_windows.iter().any(|&(d, u)| start < u && end > d);
         if lost {
             l.flap_losses += 1;
@@ -153,7 +150,7 @@ impl LinkState {
     }
 
     /// Whether a scheduled outage covers instant `at`.
-    pub fn is_down(&self, at: SimTime) -> bool {
+    pub(crate) fn is_down(&self, at: SimTime) -> bool {
         self.inner
             .lock()
             .down_windows
@@ -162,12 +159,12 @@ impl LinkState {
     }
 
     /// Transmissions lost to scheduled outages so far.
-    pub fn flap_losses(&self) -> u64 {
+    pub(crate) fn flap_losses(&self) -> u64 {
         self.inner.lock().flap_losses
     }
 
     /// Wire bytes still queued ahead of `now`, at this link's rate.
-    pub fn backlog_bytes(&self, now: SimTime) -> u64 {
+    pub(crate) fn backlog_bytes(&self, now: SimTime) -> u64 {
         let ps = u128::from(self.backlog(now).as_ps());
         (ps * u128::from(self.spec.rate_bps) / 8 / 1_000_000_000_000) as u64
     }
@@ -175,12 +172,6 @@ impl LinkState {
     /// How far beyond `now` this link's transmitter is already booked.
     pub fn backlog(&self, now: SimTime) -> Dur {
         self.inner.lock().busy_until.saturating_since(now)
-    }
-
-    /// Total payload bytes carried.
-    // ncs-lint: allow(dead-surface) oracle wan.rs's VBR test checks a flow's uplink occupancy against
-    pub fn bytes_carried(&self) -> u64 {
-        self.inner.lock().bytes_carried
     }
 }
 
@@ -239,9 +230,10 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let link = LinkState::new(LinkSpec::taxi_140());
-        link.enqueue(t(0), 53, Dur::ZERO);
-        link.enqueue(t(0), 53, Dur::ZERO);
-        assert_eq!(link.bytes_carried(), 106);
+        let a = link.enqueue(t(0), 53, Dur::ZERO);
+        let b = link.enqueue(t(0), 53, Dur::ZERO);
+        assert_eq!(b.start, a.end);
+        assert_eq!(link.backlog(t(0)), link.spec.tx_time(53) * 2);
     }
 
     #[test]

@@ -319,7 +319,7 @@ impl<F: Fabric, T: Transport> Network for Stack<F, T> {
 }
 
 /// TCP/IP header bytes per segment.
-pub const TCP_IP_HEADERS: usize = 40;
+pub(crate) const TCP_IP_HEADERS: usize = 40;
 
 /// p4's big-message fragment: messages at or below this size travel in one
 /// fragment and pay no blocking-receiver reaction.
@@ -334,10 +334,10 @@ const P4_WINDOW_BYTES: usize = 64 * 1024;
 #[derive(Clone, Debug)]
 pub struct TcpParams {
     /// Maximum segment size (application bytes per packet).
-    pub mss: usize,
+    pub(crate) mss: usize,
     /// Send socket buffer: how far the CPU may run ahead of the first-hop
     /// wire before `write` blocks.
-    pub sockbuf: usize,
+    pub(crate) sockbuf: usize,
     /// Message-passing-layer CPU cost per byte, in cycles, charged on both
     /// sides in addition to the kernel datapath copies. This models the p4
     /// layer's per-byte work — XDR data conversion, user-level buffering
@@ -345,7 +345,7 @@ pub struct TcpParams {
     /// against the paper's measured p4 columns (see `EXPERIMENTS.md`
     /// §Calibration); the HSM stack has no analogue, which is precisely
     /// the paper's motivation for NCS's second MPS implementation.
-    pub marshal_cycles_per_byte: u64,
+    pub(crate) marshal_cycles_per_byte: u64,
     /// Sender-side *blocking wait* per byte: TCP window/ack stalls and
     /// shared-medium congestion, during which the sending process sits in
     /// the kernel rather than burning CPU. A single-threaded p4 process
@@ -353,25 +353,25 @@ pub struct TcpParams {
     /// policy, so sibling threads compute through it — this is the
     /// mechanically hideable share of the paper's communication overhead.
     /// Fitted per testbed (see `EXPERIMENTS.md` §Calibration).
-    pub stall_per_byte: Dur,
+    pub(crate) stall_per_byte: Dur,
     /// Per-byte receiver reaction latency charged to blocking receivers
     /// (see [`Network::recv_reaction_cost`]): p4's fragment-at-a-time
     /// big-message protocol multiplied by select()-wakeup latency, on the
     /// bytes past the first 8 KiB fragment and within the 64 KiB window.
     /// Fitted per testbed.
-    pub blocking_reaction_per_byte: Dur,
+    pub(crate) blocking_reaction_per_byte: Dur,
     /// Fixed end-to-end delivery latency added to every message's arrival
     /// (select / queue traversal / time-shared scheduling on a 1990s
     /// workstation). Both runtimes experience it; it is hidden only where
     /// the application has independent work. Fitted against the
     /// small-message workload (Table 3).
-    pub per_message_latency: Dur,
+    pub(crate) per_message_latency: Dur,
 }
 
 impl TcpParams {
     /// Classic Ethernet: 1460-byte MSS, 16 KB send buffer (SunOS-era), p4
     /// overheads fitted to Table 1's Ethernet column.
-    pub fn ethernet() -> TcpParams {
+    pub(crate) fn ethernet() -> TcpParams {
         TcpParams {
             mss: 1460,
             sockbuf: 16 * 1024,
@@ -423,7 +423,7 @@ impl TcpParams {
         }
     }
     /// Segments needed for `bytes` of payload.
-    pub fn segments(&self, bytes: usize) -> usize {
+    pub(crate) fn segments(&self, bytes: usize) -> usize {
         bytes.div_ceil(self.mss).max(1)
     }
 }

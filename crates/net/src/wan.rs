@@ -52,12 +52,12 @@ impl FatTreeParams {
     }
 
     /// Which edge switch a host hangs off.
-    pub fn edge_of(&self, node: NodeId) -> usize {
+    pub(crate) fn edge_of(&self, node: NodeId) -> usize {
         node.idx() / self.hosts_per_edge
     }
 
     /// Number of edge switches.
-    pub fn edges(&self) -> usize {
+    pub(crate) fn edges(&self) -> usize {
         self.nodes.div_ceil(self.hosts_per_edge)
     }
 
@@ -65,7 +65,7 @@ impl FatTreeParams {
     /// endpoints, so repeated chunks of one conversation share a path (no
     /// reordering) and [`Fabric::path_down`] can reason about the exact
     /// route.
-    pub fn core_for(&self, src: NodeId, dst: NodeId) -> usize {
+    pub(crate) fn core_for(&self, src: NodeId, dst: NodeId) -> usize {
         (src.idx() + dst.idx()) % self.cores
     }
 }
@@ -75,12 +75,12 @@ impl FatTreeParams {
 #[derive(Clone, Debug)]
 pub struct WanRingParams {
     /// Total hosts, split evenly across sites (first chunk at site 0, …).
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Ring sites.
-    pub sites: usize,
+    pub(crate) sites: usize,
     /// Long-haul segment specs, one per ring position: `segments[i]` is the
     /// pair of links between site `i` and site `(i + 1) % sites`.
-    pub segments: Vec<LinkSpec>,
+    pub(crate) segments: Vec<LinkSpec>,
 }
 
 impl WanRingParams {
@@ -110,7 +110,7 @@ impl WanRingParams {
     }
 
     /// Which site a node lives at.
-    pub fn site_of(&self, node: NodeId) -> usize {
+    pub(crate) fn site_of(&self, node: NodeId) -> usize {
         block_of(node, self.nodes.div_ceil(self.sites), self.sites)
     }
 }
@@ -309,14 +309,13 @@ mod tests {
             // An application thread outliving the flow's horizon.
             sim.spawn("app", move |ctx| ctx.sleep(Dur::from_millis(25)));
             sim.run().assert_clean();
-            // The flow really occupied host 14's uplink: the link carried
-            // at least the AAL5 wire size of every chunk offered.
-            let carried = fabric.uplink(NodeId(14)).bytes_carried();
-            assert!(
-                carried >= vbr.chunks_offered() * atm_wire_bytes(VBR_CHUNK_BYTES) as u64,
-                "uplink carried {carried} B for {} chunks",
-                vbr.chunks_offered()
-            );
+            // The flow really occupied host 14's uplink: bookings never
+            // overlap, so the link stays booked at least the wire time of
+            // every chunk offered.
+            let uplink = fabric.uplink(NodeId(14));
+            let booked = uplink.backlog(SimTime::ZERO);
+            let wire = uplink.spec.tx_time(atm_wire_bytes(VBR_CHUNK_BYTES)) * vbr.chunks_offered();
+            assert!(booked >= wire, "uplink booked {booked} for {wire} of chunks");
             (vbr.chunks_offered(), vbr.bytes_offered())
         };
         let a = run();

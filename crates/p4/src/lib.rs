@@ -13,7 +13,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod proc;
 
-pub use proc::{create_procgroup, P4Msg, P4Proc};
+pub use proc::create_procgroup;

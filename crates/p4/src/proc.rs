@@ -20,7 +20,7 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 pub struct P4Msg {
     /// Application message type.
-    pub msg_type: i32,
+    pub(crate) msg_type: i32,
     /// Sender rank.
     pub from: usize,
     /// Payload.
@@ -43,7 +43,7 @@ pub struct P4Proc {
 
 impl P4Proc {
     /// Creates the endpoint for rank `id` of `n` on `net`.
-    pub fn new(id: usize, n: usize, net: Arc<dyn Network>) -> P4Proc {
+    pub(crate) fn new(id: usize, n: usize, net: Arc<dyn Network>) -> P4Proc {
         assert!(id < n && n <= net.nodes());
         P4Proc {
             id,
@@ -110,8 +110,14 @@ impl P4Proc {
     /// Whether a matching message is already available without blocking
     /// (`p4_messages_available`). Pulls any landed deliveries out of the
     /// kernel first, paying their pickup cost.
-    // ncs-lint: allow(dead-surface) p4_messages_available, the p4 API's polling primitive
-    pub fn messages_available(
+    #[cfg_attr(
+        not(test),
+        expect(
+            dead_code,
+            reason = "p4_messages_available, the p4 API's polling primitive"
+        )
+    )]
+    pub(crate) fn messages_available(
         &self,
         ctx: &Ctx,
         msg_type: Option<i32>,

@@ -29,7 +29,7 @@ pub type ChannelKey = (usize, usize, u64);
 
 /// FNV-1a offset basis: the digest of nothing, and the start value of the
 /// kernel's trace digest.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// FNV-1a digest of a byte string — the compact payload fingerprint kept
@@ -89,12 +89,12 @@ pub struct InvariantSink {
 
 impl InvariantSink {
     /// Creates an empty sink.
-    pub fn new() -> InvariantSink {
+    pub(crate) fn new() -> InvariantSink {
         InvariantSink::default()
     }
 
     /// Records one violation.
-    pub fn push(&self, v: Violation) {
+    pub(crate) fn push(&self, v: Violation) {
         self.violations.lock().push(v);
     }
 
@@ -107,7 +107,7 @@ impl InvariantSink {
     /// Called from the message-passing core at the moment a message is
     /// accepted for the application (never on duplicates or retransmits),
     /// so the per-channel sequence is exactly what the application saw.
-    pub fn note_delivery(&self, src: usize, dst: usize, tag: u64, payload_hash: u64) {
+    pub(crate) fn note_delivery(&self, src: usize, dst: usize, tag: u64, payload_hash: u64) {
         self.deliveries
             .lock()
             .entry((src, dst, tag))

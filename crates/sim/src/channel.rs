@@ -120,7 +120,7 @@ impl<T> SimChannel<T> {
     }
 
     /// Closes the channel: pending items remain receivable; subsequent sends
-    /// fail; blocked receivers wake with [`Closed`] once drained.
+    /// fail; blocked receivers wake with `Closed` once drained.
     pub fn close(&self, sim: &Sim) {
         let waiters: Vec<ThreadId> = {
             let mut ch = self.inner.lock();
@@ -133,7 +133,7 @@ impl<T> SimChannel<T> {
     }
 
     /// Items currently queued.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().queue.len()
     }
 

@@ -1,6 +1,6 @@
 //! Chrome `trace_event` JSON export (Perfetto / `chrome://tracing`).
 //!
-//! Serializes a [`Tracer`]'s spans and a [`MetricsRegistry`]'s gauge series
+//! Serializes a `Tracer`'s spans and a [`MetricsRegistry`]'s gauge series
 //! into the [Trace Event Format]: every actor becomes a named thread track
 //! of complete (`"ph":"X"`) events, every gauge becomes a counter
 //! (`"ph":"C"`) track. Each span's causal id rides in `args`, so one

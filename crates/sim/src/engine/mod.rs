@@ -82,7 +82,7 @@ fn platform_default() -> EngineKind {
 
 /// The engine [`crate::Sim::new`] uses: the last [`set_default_engine`],
 /// otherwise the platform default (coroutines on x86_64 Linux).
-pub fn default_engine() -> EngineKind {
+pub(crate) fn default_engine() -> EngineKind {
     match DEFAULT_ENGINE.load(Ordering::SeqCst) {
         1 => EngineKind::Coroutine,
         2 => EngineKind::OsThread,
@@ -114,7 +114,7 @@ pub const MIN_STACK_BYTES: usize = 16 * 1024;
 /// coroutine engine because its guard page and crafted initial frame assume
 /// page alignment, the OS engine because `pthread` stacks are page-granular
 /// anyway.
-pub fn normalize_stack_bytes(bytes: usize) -> usize {
+pub(crate) fn normalize_stack_bytes(bytes: usize) -> usize {
     const PAGE: usize = 4096;
     bytes.max(MIN_STACK_BYTES).div_ceil(PAGE) * PAGE
 }
@@ -122,7 +122,6 @@ pub fn normalize_stack_bytes(bytes: usize) -> usize {
 /// Number of coroutine stacks currently mapped, across all simulations.
 /// Diagnostic for leak regression tests: after a simulation is finished
 /// (or its creator handle dropped), its stacks must be unmapped.
-// ncs-lint: allow(dead-surface) probe bench/tests/green_footprint.rs checks stack reclamation against
 pub fn live_coroutine_stacks() -> usize {
     coro::live_stacks()
 }

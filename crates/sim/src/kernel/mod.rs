@@ -227,7 +227,7 @@ impl Default for Sim {
 
 impl Sim {
     /// Creates an empty simulation at virtual time zero, on the process
-    /// default green-thread engine (see [`crate::engine::default_engine`]).
+    /// default green-thread engine (see `engine::default_engine`).
     pub fn new() -> Sim {
         Sim::with_engine(crate::engine::default_engine())
     }
@@ -241,7 +241,7 @@ impl Sim {
     }
 
     /// [`Sim::with_engine`] with an explicit per-green-thread stack size in
-    /// bytes (normalized via [`crate::engine::normalize_stack_bytes`]).
+    /// bytes (normalized via `engine::normalize_stack_bytes`).
     /// Only tests vary it (`bench/tests/green_footprint.rs` checks that a
     /// smaller stack shrinks the address-space reservation); everything
     /// else passes [`crate::DEFAULT_STACK_BYTES`]. The guard-page + canary
@@ -288,7 +288,6 @@ impl Sim {
     }
 
     /// Usable bytes per green-thread stack (already normalized).
-    // ncs-lint: allow(dead-surface) oracle bench/tests/green_footprint.rs checks stack-size rounding against
     pub fn green_stack_bytes(&self) -> usize {
         self.inner.engine.stack_bytes()
     }

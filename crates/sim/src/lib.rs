@@ -52,6 +52,7 @@
 // else in the crate still refuses `unsafe` at compile time.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod analysis;
 mod channel;
@@ -60,7 +61,6 @@ pub mod engine;
 mod kernel;
 mod metrics;
 mod names;
-// ncs-lint: allow(dead-surface) the property-test harness the other crates' tests run on
 pub mod prop;
 mod rng;
 pub mod sched;
@@ -71,15 +71,14 @@ mod timeline;
 mod trace;
 pub mod wheel;
 
-pub use analysis::{fnv1a, AnalysisConfig, ChannelKey, InvariantSink, Violation, FNV_OFFSET};
-pub use channel::{Closed, SimChannel};
+pub use analysis::{fnv1a, AnalysisConfig, ChannelKey, InvariantSink, Violation};
+pub use channel::SimChannel;
 pub use chrome::chrome_trace_json;
 pub use engine::{
-    default_engine, live_coroutine_stacks, normalize_stack_bytes, set_default_engine, EngineKind,
-    DEFAULT_STACK_BYTES, MIN_STACK_BYTES,
+    live_coroutine_stacks, set_default_engine, EngineKind, DEFAULT_STACK_BYTES, MIN_STACK_BYTES,
 };
 pub use kernel::{Ctx, RunOutcome, Sim, StopReason, ThreadId, TimerHandle};
-pub use metrics::{DurStat, GaugeSeries, MetricsRegistry};
+pub use metrics::MetricsRegistry;
 pub use rng::SimRng;
 pub use sched::{
     format_trace, parse_trace, ChoicePoint, Decision, DecisionLog, RandomWalkPolicy,
@@ -87,5 +86,5 @@ pub use sched::{
 };
 pub use stats::{DurHistogram, DurSummary};
 pub use time::{Dur, SimTime};
-pub use timeline::{Stage, Timeline, TimelineBuf};
-pub use trace::{ActorId, Span, SpanKind, Tracer};
+pub use timeline::Timeline;
+pub use trace::{ActorId, SpanKind, Tracer};

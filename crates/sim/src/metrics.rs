@@ -68,7 +68,7 @@ impl GaugeSeries {
     }
 
     /// The most recent value (None if never set).
-    pub fn last(&self) -> Option<i64> {
+    pub(crate) fn last(&self) -> Option<i64> {
         self.samples.last().map(|&(_, v)| v)
     }
 
@@ -101,7 +101,7 @@ impl DurStat {
     }
 
     /// One-line report: `n=.. mean=.. p50<=.. p95<=.. p99<=.. max=..`.
-    pub fn report(&self) -> String {
+    pub(crate) fn report(&self) -> String {
         self.hist.report()
     }
 }
@@ -180,7 +180,7 @@ impl MetricsRegistry {
 
     /// Reads one gauge series.
     #[cfg(test)]
-    pub fn gauge(&self, name: &str, idx: u32) -> Option<&GaugeSeries> {
+    pub(crate) fn gauge(&self, name: &str, idx: u32) -> Option<&GaugeSeries> {
         self.gauges
             .get(name)?
             .get(idx as usize)

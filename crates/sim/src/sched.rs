@@ -42,7 +42,7 @@ pub enum ChoicePoint {
 
 impl ChoicePoint {
     /// One-letter code used by the trace format.
-    pub fn code(self) -> char {
+    pub(crate) fn code(self) -> char {
         match self {
             ChoicePoint::EventTieBreak => 'e',
             ChoicePoint::RunnableRotation => 'r',
@@ -51,7 +51,7 @@ impl ChoicePoint {
     }
 
     /// Inverse of [`ChoicePoint::code`].
-    pub fn from_code(c: char) -> Option<ChoicePoint> {
+    pub(crate) fn from_code(c: char) -> Option<ChoicePoint> {
         match c {
             'e' => Some(ChoicePoint::EventTieBreak),
             'r' => Some(ChoicePoint::RunnableRotation),
@@ -66,7 +66,7 @@ impl ChoicePoint {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Decision {
     /// Which class of choice this was.
-    pub point: ChoicePoint,
+    pub(crate) point: ChoicePoint,
     /// How many legal alternatives existed (always >= 2; unary "choices"
     /// are not consulted or recorded).
     pub arity: u32,
@@ -99,18 +99,8 @@ impl DecisionLog {
     }
 
     /// Appends one decision.
-    pub fn record(&self, d: Decision) {
+    pub(crate) fn record(&self, d: Decision) {
         self.decisions.lock().push(d);
-    }
-
-    /// Number of decisions recorded so far.
-    pub fn len(&self) -> usize {
-        self.decisions.lock().len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// A copy of the decisions recorded so far.

@@ -18,7 +18,7 @@ impl DurSummary {
     }
 
     /// Adds one observation.
-    pub fn record(&mut self, d: Dur) {
+    pub(crate) fn record(&mut self, d: Dur) {
         self.count += 1;
         self.total_ps += u128::from(d.as_ps());
         self.max = Some(self.max.map_or(d, |m| m.max(d)));
@@ -30,7 +30,7 @@ impl DurSummary {
     }
 
     /// Largest observation.
-    pub fn max(&self) -> Option<Dur> {
+    pub(crate) fn max(&self) -> Option<Dur> {
         self.max
     }
 
@@ -100,7 +100,7 @@ impl DurHistogram {
     }
 
     /// The streaming summary over the same observations.
-    pub fn summary(&self) -> &DurSummary {
+    pub(crate) fn summary(&self) -> &DurSummary {
         &self.summary
     }
 

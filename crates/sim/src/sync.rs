@@ -9,7 +9,8 @@
 
 use std::sync::PoisonError;
 
-pub use std::sync::{Condvar, MutexGuard};
+pub use std::sync::Condvar;
+pub(crate) use std::sync::MutexGuard;
 
 /// A mutual-exclusion lock whose `lock()` cannot fail.
 #[derive(Debug, Default)]

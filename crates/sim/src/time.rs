@@ -77,7 +77,7 @@ impl Dur {
 
     /// This duration in (truncated) microseconds.
     #[inline]
-    pub const fn as_micros(self) -> u64 {
+    pub(crate) const fn as_micros(self) -> u64 {
         self.0 / 1_000_000
     }
 

@@ -64,7 +64,7 @@ impl Stage {
     }
 
     /// The stage's name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         self.0
     }
 }

@@ -40,7 +40,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// One-character glyph used in rendered timelines.
-    pub fn glyph(self) -> char {
+    pub(crate) fn glyph(self) -> char {
         match self {
             SpanKind::Compute => '#',
             SpanKind::Comm => '~',
@@ -51,7 +51,7 @@ impl SpanKind {
     }
 
     /// Short category name (Chrome-trace `cat` field).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             SpanKind::Compute => "compute",
             SpanKind::Comm => "comm",
@@ -68,7 +68,7 @@ pub struct ActorId(u32);
 
 impl ActorId {
     /// Dense index of this actor in [`Tracer::actors`] order.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -77,9 +77,9 @@ impl ActorId {
 #[derive(Clone, Debug)]
 pub struct Span {
     /// Who (interned; resolve via [`Tracer::actor_name`]).
-    pub actor: ActorId,
+    pub(crate) actor: ActorId,
     /// Activity class.
-    pub kind: SpanKind,
+    pub(crate) kind: SpanKind,
     /// Static label (phase name, component name).
     pub label: &'static str,
     /// Start instant.
@@ -87,7 +87,7 @@ pub struct Span {
     /// End instant.
     pub t1: SimTime,
     /// Per-message causal id linking spans across threads (0 = none).
-    pub causal: u64,
+    pub(crate) causal: u64,
 }
 
 /// Collected spans plus named counters.
@@ -104,7 +104,7 @@ pub struct Tracer {
 impl Tracer {
     /// Creates a tracer. Span recording starts disabled (counters always
     /// work); call [`Tracer::enable`] when reconstructing timelines.
-    pub fn new() -> Tracer {
+    pub(crate) fn new() -> Tracer {
         Tracer::default()
     }
 
@@ -122,7 +122,7 @@ impl Tracer {
     }
 
     /// Whether span recording is on.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
     }
 
@@ -144,12 +144,12 @@ impl Tracer {
     }
 
     /// Resolves an interned actor id back to its name.
-    pub fn actor_name(&self, id: ActorId) -> &str {
+    pub(crate) fn actor_name(&self, id: ActorId) -> &str {
         &self.actors[id.index()]
     }
 
     /// All interned actor names, in id order.
-    pub fn actors(&self) -> &[String] {
+    pub(crate) fn actors(&self) -> &[String] {
         &self.actors
     }
 

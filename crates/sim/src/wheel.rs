@@ -16,7 +16,7 @@
 //! queues):
 //!
 //! * **near-future calendar buckets** — a power-of-two ring of
-//!   [`SLOTS`] buckets, each covering one *tick* of `2^tick_shift`
+//!   `SLOTS` buckets, each covering one *tick* of `2^tick_shift`
 //!   picoseconds. An event lands in its bucket with one freelist pop and
 //!   one `Vec` push: `O(1)`, no ordering work at insert time.
 //! * **overflow tree** — events beyond the wheel's horizon go into a
@@ -54,7 +54,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 /// Log2 of the ring size.
 const SLOT_BITS: u32 = 10;
 /// Number of near-future buckets in the ring.
-pub const SLOTS: usize = 1 << SLOT_BITS;
+pub(crate) const SLOTS: usize = 1 << SLOT_BITS;
 const SLOT_MASK: u64 = (SLOTS as u64) - 1;
 /// Freelist terminator.
 const NIL: u32 = u32::MAX;
@@ -153,7 +153,7 @@ impl<T> TimerWheel<T> {
     }
 
     /// High-water mark of [`TimerWheel::len`] over the wheel's lifetime.
-    pub fn peak_len(&self) -> usize {
+    pub(crate) fn peak_len(&self) -> usize {
         self.peak_len
     }
 
@@ -309,7 +309,7 @@ impl<T> TimerWheel<T> {
     }
 
     /// `(time, seq)` of the earliest live event, without removing it.
-    pub fn peek(&mut self) -> Option<(u64, u64)> {
+    pub(crate) fn peek(&mut self) -> Option<(u64, u64)> {
         if !self.settle() {
             return None;
         }
@@ -326,7 +326,7 @@ impl<T> TimerWheel<T> {
     /// parked in future buckets or the overflow tree have strictly later
     /// timestamps — so the scan is `O(current bucket)`, a cost paid only
     /// by exploration runs, never by the default scheduler.
-    pub fn head_seqs(&mut self) -> Vec<u64> {
+    pub(crate) fn head_seqs(&mut self) -> Vec<u64> {
         if !self.settle() {
             return Vec::new();
         }
@@ -350,7 +350,7 @@ impl<T> TimerWheel<T> {
     /// is tombstoned rather than released — the drain heap still holds
     /// its entry, which `TimerWheel::settle` reclaims later — so
     /// outstanding [`Token`]s for *other* events stay valid.
-    pub fn pop_seq(&mut self, seq: u64) -> Option<(u64, u64, T)> {
+    pub(crate) fn pop_seq(&mut self, seq: u64) -> Option<(u64, u64, T)> {
         if !self.settle() {
             return None;
         }

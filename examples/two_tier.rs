@@ -1,15 +1,17 @@
 //! The two-tier NSM/HSM architecture (paper Figure 6) plus the
 //! message-passing filters: one process carries both a TCP/IP tier
 //! (interoperable Normal Speed Mode) and an ATM-API tier (High Speed
-//! Mode) over the same ATM LAN, picks per message, and ports p4- and
-//! MPI-style code through the filters unchanged.
+//! Mode) over the same ATM LAN, picks per message, and ports p4-, PVM-
+//! and MPI-style code through the filters unchanged.
 //!
 //! ```text
 //! cargo run --release --example two_tier
 //! ```
 
 use bytes::Bytes;
-use ncs::core::filters::{MpiFilter, P4Filter};
+use ncs::core::filters::{
+    MpiFilter, P4Filter, PvmFilter, PvmPackBuf, PvmUnpackBuf, ANY_SOURCE, ANY_TAG,
+};
 use ncs::core::{NcsConfig, NcsWorld, ThreadAddr};
 use ncs::net::Testbed;
 use ncs::sim::{Dur, Sim, SimTime};
@@ -50,6 +52,20 @@ fn main() {
                     let sum = mpi.bcast(0, Some(Bytes::from_static(b"mpi bcast")));
                     assert_eq!(&sum[..], b"mpi bcast");
                     mpi.barrier();
+                    p4.broadcast(101, Bytes::from_static(b"p4 broadcast"));
+                    // PVM-style: typed values packed into one payload, then a
+                    // multicast to a task list (the caller is left out).
+                    let pvm = PvmFilter::new(ncs);
+                    let mut buf = PvmPackBuf::new();
+                    buf.pk_int(-7)
+                        .pk_double(2.5)
+                        .pk_doubles(&[1.0, -2.0, 3.5])
+                        .pk_str("ported pvm code");
+                    pvm.send(1, 200, buf.into_bytes());
+                    pvm.mcast(&[0, 1], 201, Bytes::from_static(b"pvm mcast"));
+                    // MPI point to point, received with both wildcards: the
+                    // last message, so nothing else can match.
+                    mpi.send(1, 300, Bytes::from_static(b"mpi send"));
                 } else {
                     let t0 = SimTime::ZERO;
                     let a = ncs.recv(Some(0), None, Some(1));
@@ -68,6 +84,20 @@ fn main() {
                     let got = mpi.bcast(0, None);
                     assert_eq!(&got[..], b"mpi bcast");
                     mpi.barrier();
+                    let (t, from, d) = p4.recv(Some(101), Some(0));
+                    assert_eq!((t, from, &d[..]), (101, 0, &b"p4 broadcast"[..]));
+                    let pvm = PvmFilter::new(ncs);
+                    let (tid, tag, packed) = pvm.recv(Some(0), Some(200));
+                    assert_eq!((tid, tag), (0, 200));
+                    let mut u = PvmUnpackBuf::new(packed);
+                    assert_eq!(u.upk_int(), -7);
+                    assert_eq!(u.upk_double(), 2.5);
+                    assert_eq!(u.upk_doubles(), [1.0, -2.0, 3.5]);
+                    assert_eq!(u.upk_str(), "ported pvm code");
+                    let (tid, tag, d) = pvm.recv(Some(0), Some(201));
+                    assert_eq!((tid, tag, &d[..]), (0, 201, &b"pvm mcast"[..]));
+                    let (src, tag, d) = mpi.recv(ANY_SOURCE, ANY_TAG);
+                    assert_eq!((src, tag, &d[..]), (0, 300, &b"mpi send"[..]));
                 }
             });
         },
@@ -78,6 +108,7 @@ fn main() {
     for (label, at) in latencies.lock().iter() {
         println!("  {label}: delivered by t = {at}");
     }
-    println!("\nfilters exercised: P4Filter (p4-style), MpiFilter (MPI-style),");
-    println!("both running over the NCS system threads unchanged");
+    println!("\nfilters exercised: P4Filter (p4-style), PvmFilter with its pack");
+    println!("buffers (PVM-style), MpiFilter (MPI-style), all running over the");
+    println!("NCS system threads unchanged");
 }

@@ -31,7 +31,7 @@ bash scripts/guard_removed_names.sh
 echo "== unsafe stays in its islands: engine switch + CRC dispatch only (as CI) =="
 bash scripts/guard_unsafe_sites.sh
 
-echo "== every pub fn has a caller: the compiler-checked census, ~5 min (as CI) =="
+echo "== every pub item is used outside its crate: the compiler-checked census, ~2.5 min (as CI) =="
 cargo test --release --offline --package ncs-analysis --test census -- --ignored
 
 echo "== clippy (as CI) =="

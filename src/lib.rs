@@ -25,6 +25,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub use ncs_apps as apps;
 pub use ncs_core as core;
