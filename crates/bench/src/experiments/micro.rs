@@ -11,7 +11,7 @@
 //! * `sim-end-to-end` — a whole simulated 2-process NCS ping-pong, launch
 //!   to `finish`.
 //!
-//! The CRC/AAL5 kernels, the timer wheel against the heap and the metrics
+//! The CRC/AAL5 kernels, the event queue and the metrics
 //! and tracer hot paths are timed elsewhere: by `BENCHMARK.json`'s
 //! `per_layer` probes (`benchmark/run.sh --layers`) and by `xp_scale`. The
 //! matmul and FFT kernels have no row of their own; `apps.kernel_share`

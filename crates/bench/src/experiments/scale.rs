@@ -1,12 +1,10 @@
 //! Extension experiment **X10**: event-kernel scaling.
 //!
-//! Two questions about the timer-wheel kernel rewrite:
+//! Two questions about the event kernel:
 //!
 //! 1. **Micro** — what does one schedule/pop round trip cost on the
-//!    timer wheel (pooled records, O(1) bucket insert) versus the old
-//!    `BinaryHeap` + boxed-closure design it replaced? Measured here
-//!    in-process over the same operation sequence; the wheel must be at
-//!    or better than the heap baseline recorded in the same file.
+//!    kernel's event queue (a pooled binary heap) held at a fixed depth?
+//!    It is also `--guard`'s normaliser.
 //! 2. **Macro** — how does the full ATM stack scale from 16 to 256
 //!    hosts under a collective-heavy workload (gather + broadcast
 //!    rounds of small messages, the per-message-overhead regime where
@@ -29,7 +27,7 @@
 //!
 //! `--guard` is the CI perf-regression gate: it compares this machine's
 //! *normalized* cost per message — a coroutine-engine shape's wall ns per
-//! collective message divided by a wheel micro's ns/event taken right
+//! collective message divided by a queue micro's ns/event taken right
 //! before it, cancelling out raw machine speed — against the checked-in
 //! baseline (`crates/bench/baselines/xp_scale_guard.txt`) and fails if any
 //! point regressed by more than 15%. Each point is the median of five such
@@ -50,8 +48,6 @@ use ncs_core::{NcsConfig, NcsWorld, ThreadAddr};
 use ncs_net::Testbed;
 use ncs_sim::wheel::TimerWheel;
 use ncs_sim::{Dur, EngineKind, Sim, SimRng};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::hint::black_box;
 // Wall-clock reads below measure the *simulator's* real execution speed
 // (events per host second); they never touch virtual time.
@@ -62,15 +58,15 @@ use std::time::Instant; // ncs-lint: allow(wall-clock)
 /// targets.
 const MSG_BYTES: usize = 512;
 
-/// Events in the micro schedule/pop comparison.
+/// Events in the micro schedule/pop round trip.
 const MICRO_EVENTS: usize = 200_000;
 /// Pending events held during the micro steady-state phase.
 const MICRO_DEPTH: usize = 8_192;
 
-/// The operation sequence both micro candidates replay: a ramp to
+/// The operation sequence the micro replays: a ramp to
 /// `MICRO_DEPTH` pending events, then a steady-state pop-one/push-one
 /// phase (the kernel's actual regime), then a full drain. Times are
-/// pseudo-random offsets spanning many wheel epochs.
+/// pseudo-random offsets, from the same instant to 2^26 units ahead.
 fn micro_schedule(n: usize) -> Vec<u64> {
     let mut rng = SimRng::new(42);
     (0..n)
@@ -83,80 +79,32 @@ fn micro_schedule(n: usize) -> Vec<u64> {
         .collect()
 }
 
-/// ns/event on the timer wheel (pooled records, no per-event allocation).
-fn micro_wheel_ns(offsets: &[u64]) -> f64 {
+/// ns/event on the event queue (pooled records, no per-event allocation).
+fn micro_queue_ns(offsets: &[u64]) -> f64 {
     let t0 = Instant::now(); // ncs-lint: allow(wall-clock)
-    let mut wheel: TimerWheel<u64> = TimerWheel::new();
+    let mut queue: TimerWheel<u64> = TimerWheel::new();
     let mut now = 0u64;
     let mut sum = 0u64;
     for (seq, &dt) in offsets.iter().enumerate() {
-        if wheel.len() >= MICRO_DEPTH {
-            let (t, _, v) = wheel.pop().expect("non-empty");
+        if queue.len() >= MICRO_DEPTH {
+            let (t, _, v) = queue.pop().expect("non-empty");
             now = now.max(t);
             sum = sum.wrapping_add(v);
         }
-        wheel.push(now + dt, seq as u64, dt);
+        queue.push(now + dt, seq as u64, dt);
     }
-    while let Some((_, _, v)) = wheel.pop() {
+    while let Some((_, _, v)) = queue.pop() {
         sum = sum.wrapping_add(v);
     }
     black_box(sum);
     t0.elapsed().as_secs_f64() * 1e9 / offsets.len() as f64
 }
 
-/// ns/event on the design the wheel replaced: a `BinaryHeap` ordered by
-/// `(time, seq)` whose every entry carries a boxed closure — the old
-/// kernel's `HeapEntry { time, seq, Box<dyn FnOnce> }` shape.
-fn micro_heap_ns(offsets: &[u64]) -> f64 {
-    struct Ent {
-        key: Reverse<(u64, u64)>,
-        f: Box<dyn FnOnce() -> u64 + Send>,
-    }
-    impl PartialEq for Ent {
-        fn eq(&self, other: &Self) -> bool {
-            self.key == other.key
-        }
-    }
-    impl Eq for Ent {}
-    impl PartialOrd for Ent {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Ent {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.key.cmp(&other.key)
-        }
-    }
-    let t0 = Instant::now(); // ncs-lint: allow(wall-clock)
-    let mut heap: BinaryHeap<Ent> = BinaryHeap::new();
-    let mut now = 0u64;
-    let mut sum = 0u64;
-    for (seq, &dt) in offsets.iter().enumerate() {
-        if heap.len() >= MICRO_DEPTH {
-            let e = heap.pop().expect("non-empty");
-            now = now.max(e.key.0 .0);
-            sum = sum.wrapping_add((e.f)());
-        }
-        heap.push(Ent {
-            key: Reverse((now + dt, seq as u64)),
-            f: Box::new(move || dt),
-        });
-    }
-    while let Some(e) = heap.pop() {
-        sum = sum.wrapping_add((e.f)());
-    }
-    black_box(sum);
-    t0.elapsed().as_secs_f64() * 1e9 / offsets.len() as f64
-}
-
-/// The micro comparison: events replayed, then the wheel's and the heap's
-/// ns/event.
-const MICRO: &[Col<(usize, f64, f64)>] = &[
+/// The micro: events replayed, then the queue's ns/event.
+const MICRO: &[Col<(usize, f64)>] = &[
     Col::int("micro.events", "events", |m| m.0 as u64),
     Col::int("micro.depth", "depth", |_| MICRO_DEPTH as u64),
-    Col::fixed("micro.wheel_ns_per_event", "wheel ns/ev", 2, |m| m.1),
-    Col::fixed("micro.heap_ns_per_event", "heap ns/ev", 2, |m| m.2),
+    Col::fixed("micro.wheel_ns_per_event", "queue ns/ev", 2, |m| m.1),
 ];
 
 /// Self-rearming sampler feeding the `kernel.queue_depth` gauge. Records
@@ -167,7 +115,7 @@ const MICRO: &[Col<(usize, f64, f64)>] = &[
 /// uncounted). At arm time (called synchronously before `run()`) nothing
 /// is in flight yet and the about-to-be-pushed first sampler event plays
 /// that role instead — add it back so both call positions count the
-/// footprint exactly once, same as the wheel's peak counter sees it.
+/// footprint exactly once, same as the queue's peak counter sees it.
 /// Stops rearming when the queue is otherwise empty (with every other
 /// activity parked and nothing pending, the run is over).
 fn sample_queue_depth(sim: &Sim, every: Dur) {
@@ -334,13 +282,13 @@ const GUARD_BASELINE: &str = "crates/bench/baselines/xp_scale_guard.txt";
 const GUARD_BASELINE_TEXT: &str = include_str!("../../baselines/xp_scale_guard.txt");
 /// Allowed regression over the baseline's normalized cost per message.
 const GUARD_HEADROOM: f64 = 1.15;
-/// Interleaved (wheel micro, shape) samples behind each wall row; the row
+/// Interleaved (queue micro, shape) samples behind each wall row; the row
 /// gates their median, so one noisy sample on either side cannot fail it.
 const GUARD_SAMPLES: usize = 5;
 
 /// `--guard`: machine-normalized perf-regression gate. Each guarded shape
 /// — a coroutine-engine collective point with a baseline row — is sampled
-/// [`GUARD_SAMPLES`] times, each sample a fresh wheel micro (`offsets`)
+/// [`GUARD_SAMPLES`] times, each sample a fresh queue micro (`offsets`)
 /// right before a fresh run of the shape's `ns_per_message`, the shapes
 /// taking turns; the median of the sample ratios is compared against the
 /// checked-in baseline for the same `<hosts> <rounds>` row, so raw machine
@@ -410,9 +358,9 @@ fn run_guard(out: &mut Report, points: &[ScalePoint], offsets: &[u64]) {
     let mut ratios = vec![Vec::with_capacity(GUARD_SAMPLES); rows.len()];
     for _ in 0..GUARD_SAMPLES {
         for ((p, _), samples) in rows.iter().zip(&mut ratios) {
-            let wheel_ns = micro_wheel_ns(offsets);
+            let queue_ns = micro_queue_ns(offsets);
             let run = run_collective(p.hosts, p.rounds, EngineKind::Coroutine);
-            samples.push(run.ns_per_message() / wheel_ns);
+            samples.push(run.ns_per_message() / queue_ns);
         }
     }
     // Every row is printed before any fails, so one run shows them all.
@@ -442,32 +390,24 @@ fn run_guard(out: &mut Report, points: &[ScalePoint], offsets: &[u64]) {
 
 pub(super) fn run(opts: &Opts, out: &mut Report) {
     let smoke = opts.smoke;
-    out.note("# X10 — event-kernel scaling (timer wheel, 16..256 hosts)\n");
+    out.note("# X10 — event-kernel scaling (16..256 hosts)\n");
     if smoke {
         out.note("# smoke mode: reduced sweep\n");
     }
 
-    // Part 1: schedule/pop micro comparison, min of three runs each, the
-    // two taking turns so a noisy stretch of the machine hits both.
+    // Part 1: the queue's schedule/pop round trip, min of three runs.
     let micro_n = if smoke {
         MICRO_EVENTS / 10
     } else {
         MICRO_EVENTS
     };
     let offsets = micro_schedule(micro_n);
-    let (mut wheel_ns, mut heap_ns) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..3 {
-        wheel_ns = wheel_ns.min(micro_wheel_ns(&offsets));
-        heap_ns = heap_ns.min(micro_heap_ns(&offsets));
-    }
+    let queue_ns = (0..3)
+        .map(|_| micro_queue_ns(&offsets))
+        .fold(f64::INFINITY, f64::min);
     out.bench = Some("BENCH_kernel");
     out.note("\n## schedule/pop round trip\n");
-    out.record(MICRO, &(micro_n, wheel_ns, heap_ns));
-    assert!(
-        wheel_ns <= heap_ns,
-        "the wheel ({wheel_ns:.1} ns) must not be slower than the heap \
-         baseline it replaced ({heap_ns:.1} ns)"
-    );
+    out.record(MICRO, &(micro_n, queue_ns));
 
     // Part 2: collective-heavy scaling sweep through the full ATM stack,
     // once per green-thread engine. The coroutine engine is the product

@@ -627,6 +627,18 @@ mod tests {
         assert_eq!(e.rto(&cfg), Dur::from_millis(350));
         e.backoff_exp = 63; // shift capped internally, no overflow
         assert_eq!(e.rto(&cfg), Dur::from_millis(350));
+        // A ceiling far above the doubling: each step doubles until it.
+        let wide = RtoConfig {
+            initial: Dur::from_millis(10),
+            min: Dur::from_millis(1),
+            max: Dur::from_secs(60),
+        };
+        for (exp, ms) in [(3, 80), (4, 160), (5, 320), (6, 640)] {
+            e.backoff_exp = exp;
+            assert_eq!(e.rto(&wide), Dur::from_millis(ms), "exponent {exp}");
+        }
+        e.backoff_exp = 63;
+        assert_eq!(e.rto(&wide), Dur::from_secs(60));
     }
 
     #[test]

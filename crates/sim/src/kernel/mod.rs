@@ -356,7 +356,7 @@ impl Sim {
     }
 
     /// High-water mark of the event queue's depth over the simulation's
-    /// lifetime. Tracked inside the timer wheel at zero per-event cost; the
+    /// lifetime. Tracked inside the event queue at zero per-event cost; the
     /// scaling benches sample it as the `kernel.queue_depth` gauge.
     pub fn peak_queue_depth(&self) -> usize {
         self.inner.core.lock().queue.peak_len()

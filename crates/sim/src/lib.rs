@@ -16,8 +16,8 @@
 //!   coroutines by default (a ~20 instruction context switch), with the
 //!   original parked-OS-thread engine as a differential-testing fallback
 //!   (selectable via `set_default_engine` or `Sim::with_engine`);
-//! * [`wheel`] — the kernel's event queue: a hierarchical timer wheel with
-//!   pooled event records (O(1) schedule, allocation-free steady state);
+//! * [`wheel`] — the kernel's event queue: a binary heap over pooled event
+//!   records (allocation-free steady state, cancellation by token);
 //! * [`SimChannel`] — blocking queues between simulated activities;
 //! * [`Tracer`] — span recording (interned actors, parent links, causal
 //!   ids) for the paper's timeline figures and Chrome-trace export;

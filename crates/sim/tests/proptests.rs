@@ -1,6 +1,6 @@
 //! Property tests of the simulation kernel's core guarantees:
 //! determinism, time monotonicity, channel FIFO order,
-//! and timer-wheel/binary-heap pop-order equivalence.
+//! and the event queue's pop order against a reference binary-heap model.
 
 use ncs_sim::prop;
 use ncs_sim::sync::Mutex;
@@ -118,33 +118,30 @@ fn channel_fifo_per_sender() {
     });
 }
 
-/// The timer wheel pops in exactly the `(time, seq)` order a reference
+/// The event queue pops in exactly the `(time, seq)` order a reference
 /// `BinaryHeap` model produces, under random interleavings of
-/// schedule / cancel / pop with heavy same-timestamp collisions and
-/// horizons spanning many wheel epochs (the 1024-slot ring wraps
-/// dozens of times).
+/// schedule / cancel / pop with heavy same-timestamp collisions, near and
+/// far-future times, and cancelled events left in the heap.
 #[test]
 fn wheel_pop_order_matches_heap_model() {
     prop::check("wheel_pop_order_matches_heap_model", 24, |g| {
         let seed = g.range(0..10_000);
-        let tick_shift = g.range(0..12) as u32;
         let ops = g.range(2_000..12_000) as usize;
         let mut rng = SimRng::new(seed);
-        let mut wheel: TimerWheel<u64> = TimerWheel::with_tick_shift(tick_shift);
+        let mut wheel: TimerWheel<u64> = TimerWheel::new();
         let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         // Live events by (time, seq) -> token, for random cancellation.
         let mut live = Vec::new();
         let mut now = 0u64;
         let mut seq = 0u64;
-        // Span ~40 epochs of the wheel's window regardless of tick size.
-        let window = 1u64 << (tick_shift + 10);
+        let window = 1u64 << 20;
         for _ in 0..ops {
             match rng.gen_index(10) {
-                // 60% schedule: same-instant, same-tick, in-window, far.
+                // 60% schedule: same-instant, near, in-window, far.
                 0..=5 => {
                     let dt = match rng.gen_index(4) {
                         0 => 0,
-                        1 => rng.gen_range(1u64 << tick_shift) + 1,
+                        1 => rng.gen_range(16) + 1,
                         2 => rng.gen_range(window),
                         _ => rng.gen_range(window * 40),
                     };
