@@ -476,13 +476,15 @@ pub fn setup_fft_p4(sim: &Sim, net: Arc<dyn Network>, cfg: FftConfig) -> FftHand
 /// Schedules the NCS_MTS/p4 variant onto an existing simulation, under
 /// `ncs_cfg`: two threads per node process (`T = 2N` units); the final
 /// exchange partner is the sibling thread, so that hop never touches the
-/// wire.
+/// wire. Keeps the run's causal timelines
+/// (`MetricsRegistry::keep_timelines`), which the benchmark reads.
 pub fn fft_ncs_setup_with(
     sim: &Sim,
     net: Arc<dyn Network>,
     cfg: FftConfig,
     ncs_cfg: NcsConfig,
 ) -> FftHandle {
+    crate::util::keep_timelines(sim);
     let (sets, expect) = workload(&cfg);
     let got: Arc<Mutex<Vec<Option<Vec<Cx>>>>> = Arc::new(Mutex::new(vec![None; cfg.sets]));
     let m = cfg.m;

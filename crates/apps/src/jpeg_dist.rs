@@ -220,13 +220,16 @@ pub fn setup_jpeg_p4(sim: &Sim, net: Arc<dyn Network>, cfg: JpegConfig) -> JpegH
 
 /// Schedules the NCS_MTS/p4 pipeline (two threads per process) onto an
 /// existing simulation, under `ncs_cfg` (error control, flow control,
-/// retransmission tuning — what the chaos harness varies).
+/// retransmission tuning — what the chaos harness varies). Keeps the run's
+/// causal timelines (`MetricsRegistry::keep_timelines`), which the
+/// benchmark reads.
 pub fn setup_jpeg_ncs_with(
     sim: &Sim,
     net: Arc<dyn Network>,
     cfg: JpegConfig,
     ncs_cfg: NcsConfig,
 ) -> JpegHandle {
+    crate::util::keep_timelines(sim);
     assert!(
         cfg.nodes >= 2 && cfg.nodes.is_multiple_of(2),
         "need pairs of nodes"

@@ -213,13 +213,15 @@ pub fn setup_matmul_p4(sim: &Sim, net: Arc<dyn Network>, cfg: MatmulConfig) -> M
 }
 
 /// Schedules the NCS_MTS/p4 variant (Figure 14) onto an existing
-/// simulation, under `ncs_cfg`.
+/// simulation, under `ncs_cfg`. Keeps the run's causal timelines
+/// (`MetricsRegistry::keep_timelines`), which the benchmark reads.
 pub fn setup_matmul_ncs_with(
     sim: &Sim,
     net: Arc<dyn Network>,
     cfg: MatmulConfig,
     ncs_cfg: NcsConfig,
 ) -> MatmulHandle {
+    crate::util::keep_timelines(sim);
     let (a, b, expect) = workload(&cfg);
     let got: Arc<Mutex<Option<Matrix>>> = Arc::new(Mutex::new(None));
     let dim = cfg.dim;

@@ -2,7 +2,7 @@
 
 use ncs_net::HostParams;
 use ncs_sim::sync::Mutex;
-use ncs_sim::{Ctx, SpanKind};
+use ncs_sim::{Ctx, Sim, SpanKind};
 use std::any::Any;
 
 /// Charges `cycles` of computation to a plain green thread (the p4 drivers,
@@ -45,6 +45,14 @@ where
     let v = make(&key);
     *slot = Some(Box::new((key, v.clone())));
     v
+}
+
+/// Keeps every causal timeline the run folds
+/// (`MetricsRegistry::keep_timelines`). The paper-grid NCS drivers arm it:
+/// the benchmark's `paper_apps` workload reads its message latencies off
+/// their whole-run timelines.
+pub(crate) fn keep_timelines(sim: &Sim) {
+    sim.with_metrics(|m| m.keep_timelines());
 }
 
 /// A TCP testbed of `n` fast hosts on an ideal 20 µs fabric: the unit

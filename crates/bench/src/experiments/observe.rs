@@ -99,6 +99,8 @@ pub fn run_workload(name: &'static str) -> Observed {
         other => panic!("unknown workload {other}"),
     };
     let sim = Sim::new();
+    // The books below read every delivered message's timeline.
+    sim.with_metrics(|m| m.keep_timelines());
     let (analysis, sink) = AnalysisConfig::recording();
     sim.with_tracer(|tr| tr.enable_detail());
     let net = Testbed::SunAtmLanApi.build(app.hosts());

@@ -8,15 +8,20 @@
 //! 2. **Macro** — how does the full ATM stack scale from 16 to 256
 //!    hosts under a collective-heavy workload (gather + broadcast
 //!    rounds of small messages, the per-message-overhead regime where
-//!    the paper's NCS wins)? Reports simulator throughput (events/sec,
-//!    ns/event of wall time), kernel events per message split into
+//!    the paper's NCS wins)? Reports kernel events per message split into
 //!    green-thread resumes and callbacks ([`ncs_sim::RunOutcome::resumes`])
 //!    and the kernel's peak queue depth, sampled
-//!    into the `kernel.queue_depth` gauge. The sweep runs on **both
-//!    green-thread engines** — the coroutine default and the
+//!    into the `kernel.queue_depth` gauge: counts, which repeat to the
+//!    digit. A sweep row times nothing, since one run of a shape lasts
+//!    2–22 ms and one sample of it is no measurement; `--guard`'s
+//!    interleaved medians are the wall-time evidence. The sweep runs on
+//!    **both green-thread engines** — the coroutine default and the
 //!    parked-OS-thread fallback it replaced — so the JSON carries the
 //!    before/after ns/event rows for the engine switch. The JSON records
 //!    `worker_cpus` (`std::thread::available_parallelism`) beside them.
+//!    Every sweep run keeps its causal timelines
+//!    (`MetricsRegistry::keep_timelines`), so the guard's stamp and byte
+//!    rows count a whole run.
 //!
 //! Its report is the `BENCH_kernel.json` document (`xp` writes it under
 //! `results/`).
@@ -35,11 +40,15 @@
 //! either side of the ratio cannot fail it. Per *message*, not per event:
 //! the events a change removes are usually the cheap ones, so ns/event
 //! rises while the run gets faster. The event count itself repeats to the digit, and so does
-//! the number of causal-timeline stamps the run retains and the bytes they
-//! hold, so the baseline's `events <hosts> <rounds> <count>`, `stamps
-//! <hosts> <rounds> <count>` and `tl_bytes <hosts> <rounds> <bytes>` rows
-//! are held exactly, with no tolerance: a new stage or a fatter timeline
-//! format fails there without any RSS measurement.
+//! the number of causal-timeline stamps a run that keeps them retains and
+//! the bytes they hold, so the baseline's `events <hosts> <rounds>
+//! <count>`, `stamps <hosts> <rounds> <count>` and `tl_bytes <hosts>
+//! <rounds> <bytes>` rows are held exactly, with no tolerance: a new stage
+//! or a fatter timeline format fails there without any RSS measurement.
+//! So is `tl_open <hosts> <rounds> <bytes>`, the timeline bytes of the
+//! same shape run as the default registry runs it, freeing each timeline
+//! at delivery: set by the messages in flight at once, the same at one
+//! round as at four.
 
 use super::{Opts, WORKER_CPUS};
 use crate::{Col, Report};
@@ -137,11 +146,11 @@ struct ScalePoint {
     resumes: u64,
     virtual_s: f64,
     wall_s: f64,
-    events_per_sec: f64,
     peak_queue_depth: usize,
     gauge_samples: usize,
     gauge_peak: i64,
-    /// Causal-timeline stamps the registry retains after the run.
+    /// Causal-timeline stamps the registry retains after the run (none
+    /// unless it keeps them).
     stamps: u64,
     /// Bytes the registry's timelines hold after the run, by capacity.
     tl_bytes: u64,
@@ -186,10 +195,6 @@ const SCALING: &[Col<ScalePoint>] = &[
         p.events_per_message().1
     }),
     Col::fixed("virtual_s", "virtual s", 9, |p| p.virtual_s),
-    Col::fixed("wall_s", "wall s", 6, |p| p.wall_s),
-    Col::fixed("events_per_sec", "ev/s", 0, |p| p.events_per_sec),
-    Col::fixed("ns_per_event", "ns/ev", 1, ScalePoint::ns_per_event),
-    Col::fixed("ns_per_message", "ns/msg", 1, ScalePoint::ns_per_message),
     Col::int("peak_queue_depth", "peak q", |p| p.peak_queue_depth as u64),
     Col::int("queue_depth_gauge_peak", "gauge peak", |p| {
         p.gauge_peak as u64
@@ -210,9 +215,13 @@ const ENGINE_SPEEDUP: &[Col<(usize, f64, f64)>] = &[
 
 /// The collective: `rounds` iterations of gather-to-root (every worker
 /// sends to proc 0) followed by a root broadcast, all through the full
-/// ATM HSM stack, on the requested green-thread engine.
-fn run_collective(hosts: usize, rounds: u32, engine: EngineKind) -> ScalePoint {
+/// ATM HSM stack, on the requested green-thread engine, its registry
+/// keeping its timelines if `keep`.
+fn run_collective(hosts: usize, rounds: u32, engine: EngineKind, keep: bool) -> ScalePoint {
     let sim = Sim::with_engine(engine);
+    if keep {
+        sim.with_metrics(|m| m.keep_timelines());
+    }
     let net = Testbed::SunAtmLanApi.build(hosts);
     let payload = Bytes::from(vec![0xC3u8; MSG_BYTES]);
     NcsWorld::launch(
@@ -265,7 +274,6 @@ fn run_collective(hosts: usize, rounds: u32, engine: EngineKind) -> ScalePoint {
         resumes: out.resumes,
         virtual_s: out.end_time.as_secs_f64(),
         wall_s,
-        events_per_sec: out.events as f64 / wall_s,
         peak_queue_depth: sim.peak_queue_depth(),
         gauge_samples,
         gauge_peak,
@@ -294,10 +302,11 @@ const GUARD_SAMPLES: usize = 5;
 /// checked-in baseline for the same `<hosts> <rounds>` row, so raw machine
 /// speed divides out and the gate travels across CI runners. Fails (exits
 /// non-zero via panic) past 15% regression, and on any difference at all
-/// from an `events <hosts> <rounds>`, `stamps <hosts> <rounds>` or
-/// `tl_bytes <hosts> <rounds>` row: event and stamp counts and the bytes
-/// the timelines hold are deterministic, so the sweep's own `points`
-/// answer them.
+/// from an `events <hosts> <rounds>`, `stamps <hosts> <rounds>`,
+/// `tl_bytes <hosts> <rounds>` or `tl_open <hosts> <rounds>` row: event
+/// and stamp counts and the bytes the timelines hold are deterministic, so
+/// the sweep's own `points` answer the first three, and one run of the
+/// shape that frees its timelines answers the last.
 fn run_guard(out: &mut Report, points: &[ScalePoint], offsets: &[u64]) {
     // Baseline rows: a shape (single-spaced), then its ratio.
     let baseline: Vec<(String, f64)> = GUARD_BASELINE_TEXT
@@ -322,10 +331,12 @@ fn run_guard(out: &mut Report, points: &[ScalePoint], offsets: &[u64]) {
     ));
     // The exact rows first: a difference there is the code, never noise.
     for p in points {
+        let open = run_collective(p.hosts, p.rounds, EngineKind::Coroutine, false);
         let exact = [
             ("events", p.events),
             ("stamps", p.stamps),
             ("tl_bytes", p.tl_bytes),
+            ("tl_open", open.tl_bytes),
         ];
         for (kind, count) in exact {
             let Some(base) = base_of(&format!("{kind} {} {}", p.hosts, p.rounds)) else {
@@ -359,7 +370,7 @@ fn run_guard(out: &mut Report, points: &[ScalePoint], offsets: &[u64]) {
     for _ in 0..GUARD_SAMPLES {
         for ((p, _), samples) in rows.iter().zip(&mut ratios) {
             let queue_ns = micro_queue_ns(offsets);
-            let run = run_collective(p.hosts, p.rounds, EngineKind::Coroutine);
+            let run = run_collective(p.hosts, p.rounds, EngineKind::Coroutine, true);
             samples.push(run.ns_per_message() / queue_ns);
         }
     }
@@ -431,7 +442,7 @@ pub(super) fn run(opts: &Opts, out: &mut Report) {
         let table = out.table(key, SCALING);
         let mut points = Vec::new();
         for &hosts in host_counts {
-            let p = run_collective(hosts, rounds, engine);
+            let p = run_collective(hosts, rounds, engine, true);
             out.row(&table, &p);
             assert!(
                 p.gauge_samples > 0,

@@ -91,6 +91,7 @@ const HOST_CLOCK_FIELDS: &[(&str, &[&str])] = &[
     ("chaos", &["worker_cpus"]),
     ("overlap", &[]),
     ("pipeline", &["byte_path"]),
+    ("scale", &["micro", "worker_cpus", "engine_speedup"]),
 ];
 
 /// The length of the JSON value `s` starts with: a scalar up to its `,`,
@@ -173,6 +174,11 @@ fn chaos_reprints_its_checked_in_document_but_for_the_host() {
 #[test]
 fn overlap_reprints_its_checked_in_document() {
     assert_reprints_its_document("overlap");
+}
+
+#[test]
+fn scale_reprints_its_checked_in_document_but_for_the_host() {
+    assert_reprints_its_document("scale");
 }
 
 /// The full X8 times its byte path for several seconds: CI and

@@ -10,9 +10,10 @@
 //! on the end time next to it. Beside the events, each run pins the causal
 //! timeline stamps it retains and the bytes they hold
 //! (`MetricsRegistry::timeline_bytes`, by capacity: at these sizes one
-//! 64 KiB arena chunk is most of it): a change that adds a stage or fattens
-//! the stored format grows the timelines' memory, and fails here without an
-//! RSS measurement.
+//! 64 KiB arena chunk is most of it) with the registry keeping every
+//! timeline it folds (`MetricsRegistry::keep_timelines`): a change that
+//! adds a stage or fattens the stored format grows the timelines' memory,
+//! and fails here without an RSS measurement.
 
 use bytes::Bytes;
 use ncs_core::{ErrorControl, NcsConfig, NcsWorld, ThreadAddr};
@@ -36,6 +37,14 @@ fn end_ps(out: &RunOutcome) -> u64 {
     out.end_time.since(SimTime::ZERO).as_ps()
 }
 
+/// A simulation whose registry keeps every timeline it folds, so that the
+/// stamps and bytes below count a whole run.
+fn armed_sim() -> Sim {
+    let sim = Sim::new();
+    sim.with_metrics(|m| m.keep_timelines());
+    sim
+}
+
 /// Causal-timeline stamps the run's registry retains.
 fn stamps(sim: &Sim) -> usize {
     sim.with_metrics(|m| m.timelines().map(|(_, tl)| tl.len()).sum())
@@ -49,7 +58,7 @@ fn timeline_bytes(sim: &Sim) -> usize {
 #[test]
 fn hsm_ping_pong_event_budget() {
     const ROUNDS: u32 = 16;
-    let sim = Sim::new();
+    let sim = armed_sim();
     let net = Testbed::SunAtmLanApi.build(2);
     NcsWorld::launch(&sim, vec![net], 2, NcsConfig::default(), |id, proc_| {
         proc_.t_create("w", 5, move |ncs| {
@@ -79,7 +88,7 @@ fn hsm_ping_pong_event_budget() {
 #[test]
 fn gather_broadcast_round_event_budget() {
     const HOSTS: usize = 8;
-    let sim = Sim::new();
+    let sim = armed_sim();
     let net = Testbed::SunAtmLanApi.build(HOSTS);
     NcsWorld::launch(&sim, vec![net], HOSTS, NcsConfig::default(), |id, proc_| {
         proc_.t_create("w", 5, move |ncs| {
@@ -115,7 +124,7 @@ fn checked_tcp_ring_event_budget() {
     // entry, and every one of them used to pay a zero-length sleep there.
     const HOSTS: usize = 4;
     const LAPS: u32 = 6;
-    let sim = Sim::new();
+    let sim = armed_sim();
     let base = Testbed::SunAtmLanTcp.build(HOSTS);
     let net: Arc<dyn Network> = ChaosNet::new(base, ChaosParams::message_level(0.1, 0.0, 1995));
     let cfg = NcsConfig {

@@ -43,8 +43,16 @@ fn run_lossy_transfer(bytes: usize, msgs: usize, io_buffer_bytes: usize) -> Sim 
     run_transfer_on(wire, cfg, bytes, msgs)
 }
 
-fn run_transfer_on(net: Arc<dyn Network>, cfg: NcsConfig, bytes: usize, msgs: usize) -> Sim {
+/// A simulation whose registry keeps every timeline it folds, for the
+/// books to read after the run.
+fn armed_sim() -> Sim {
     let sim = Sim::new();
+    sim.with_metrics(|m| m.keep_timelines());
+    sim
+}
+
+fn run_transfer_on(net: Arc<dyn Network>, cfg: NcsConfig, bytes: usize, msgs: usize) -> Sim {
+    let sim = armed_sim();
     let payload = Bytes::from(vec![0xA5u8; bytes]);
     NcsWorld::launch(&sim, vec![net], 2, cfg, move |id, proc_| {
         let payload = payload.clone();
@@ -189,7 +197,7 @@ fn retransmitted_chunks_finish_their_timelines() {
 
 #[test]
 fn local_delivery_is_untracked() {
-    let sim = Sim::new();
+    let sim = armed_sim();
     NcsWorld::launch(
         &sim,
         vec![net(2)],
@@ -229,7 +237,7 @@ fn same_instant_senders_keep_their_own_timelines() {
     // binding the receiver claims on pickup must tell them apart, or one
     // message's timeline stops at `wire_start` and the other is credited
     // with the wrong sender's stamps.
-    let sim = Sim::new();
+    let sim = armed_sim();
     NcsWorld::launch(
         &sim,
         vec![net(3)],

@@ -22,7 +22,8 @@
 //! * [`Tracer`] — span recording (interned actors, parent links, causal
 //!   ids) for the paper's timeline figures and Chrome-trace export;
 //! * [`MetricsRegistry`] — always-on counters, gauges, log-bucketed
-//!   latency histograms, and per-message causal timelines;
+//!   latency histograms, and per-message causal timelines, folded into
+//!   the histograms at delivery (and kept only if a caller asks);
 //! * [`chrome`] — Perfetto-loadable `trace_event` JSON export;
 //! * [`SimRng`] — seeded, splittable randomness;
 //! * [`sync`] — the one lock seam (`Mutex`, `Condvar` + `wait`) every

@@ -15,10 +15,15 @@
 //! vector of series indexed by `idx` (a node id), so a `gauge_set` is a
 //! name lookup and an index; an index never set holds an empty series that
 //! the readers skip. Timelines are indexed densely by the sequential causal
-//! id, so a `mark` is a name lookup and an index, not a tree walk; a folded
-//! timeline is sealed into a chunked arena as 8 bytes an instant plus the
-//! id of its interned stage sequence, with no allocation of its own (see
-//! `timeline.rs`), and folds once per such sequence resolve its stats.
+//! id, in a window that starts at the oldest open one, so a `mark` is a
+//! name lookup and an index, not a tree walk. A folded timeline is freed:
+//! its stats hold what the run reads of it, so the registry's timeline
+//! memory follows the messages in flight, not the messages sent. A caller
+//! that reads whole-run timelines arms [`MetricsRegistry::keep_timelines`]
+//! first; then a folded timeline is sealed into a chunked arena as 8 bytes
+//! an instant plus the id of its interned stage sequence, with no
+//! allocation of its own (see `timeline.rs`). Either way, folds resolve
+//! their stats once per such sequence.
 //!
 //! Four families:
 //!
@@ -29,11 +34,12 @@
 //! - **Duration stats** (`observe`): a log-bucketed [`DurHistogram`] per
 //!   name, keeping its streaming [`DurSummary`] beside the buckets,
 //!   reporting count/mean/p50/p95/p99/max.
-//! - **Timelines** (`next_causal` / `mark` / `timeline`): per-message causal
-//!   records. A producer allocates a causal id, then every layer the message
-//!   crosses marks a named stage with the current sim time. Consecutive
-//!   stages decompose end-to-end latency into contiguous, non-overlapping
-//!   components (the paper's send/recv overhead breakdown).
+//! - **Timelines** (`next_causal` / `mark` / `observe_stages`): per-message
+//!   causal records. A producer allocates a causal id, then every layer the
+//!   message crosses marks a named stage with the current sim time.
+//!   Consecutive stages decompose end-to-end latency into contiguous,
+//!   non-overlapping components (the paper's send/recv overhead breakdown),
+//!   which `observe_stages` folds into duration stats at delivery.
 //!
 //! Cross-process correlation: a message's causal id is known to the sending
 //! process but does not ride on the wire (the transport tag is fully
@@ -139,7 +145,8 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// An empty registry whose timeline arena grows by `n`-instant chunks.
+    /// An empty registry that keeps its timelines, in an arena grown by
+    /// `n`-instant chunks.
     #[cfg(test)]
     fn with_chunk_instants(n: usize) -> MetricsRegistry {
         MetricsRegistry {
@@ -221,7 +228,9 @@ impl MetricsRegistry {
 
     /// Marks stage `stage` of message `causal` at time `t`. Re-marking a
     /// stage overwrites it (for chunked transfers, the last chunk's
-    /// boundary is the message's). `causal == 0` is ignored.
+    /// boundary is the message's). `causal == 0` is ignored, and so is a
+    /// mark on a timeline already folded and freed: it is neither reopened
+    /// nor folded again.
     pub fn mark(&mut self, causal: u64, stage: &'static str, t: SimTime) {
         if causal == 0 {
             return;
@@ -230,21 +239,32 @@ impl MetricsRegistry {
         self.timelines.mark(causal, stage, t);
     }
 
-    /// All marked timelines, in ascending causal-id order.
+    /// Seals every timeline folded from now on, keeping it readable by
+    /// [`MetricsRegistry::timelines`] and [`MetricsRegistry::stamp`] and
+    /// counted by [`MetricsRegistry::timeline_bytes`], instead of freeing
+    /// it. Arm it before the run's first mark to keep the whole run; what
+    /// the run records does not change, only what it keeps. Reached
+    /// through `Sim::with_metrics`.
+    pub fn keep_timelines(&mut self) {
+        self.timelines.keep();
+    }
+
+    /// The readable timelines, in ascending causal-id order: every marked
+    /// one if the registry keeps them, else the open ones (not folded yet).
     pub fn timelines(&self) -> impl Iterator<Item = (u64, TimelineBuf)> + '_ {
         self.timelines.iter()
     }
 
-    /// When `stage` was stamped on message `causal` (`None` if it was not),
-    /// read in place: the stage's handle is resolved by the name's address
+    /// When `stage` was stamped on message `causal` (`None` if it was not,
+    /// or if its timeline was folded and freed), read in place: the stage's handle is resolved by the name's address
     /// (remembered on first use) and compared as a pointer.
     pub fn stamp(&mut self, causal: u64, stage: &'static str) -> Option<SimTime> {
         let stage = *self.stages.slot_with(stage, || Stage::intern(stage));
         self.timelines.stamp(causal, stage)
     }
 
-    /// Bytes the retained timelines hold, counted by capacity: the causal-id
-    /// index, the sealed arena, the open buffers and the shape table.
+    /// Bytes the timelines hold, counted by capacity: the causal-id index,
+    /// the sealed arena, the open buffers and the shape table.
     pub fn timeline_bytes(&self) -> usize {
         self.timelines.bytes()
     }
@@ -253,9 +273,11 @@ impl MetricsRegistry {
     /// between consecutive stages is observed under `component(stage)` of
     /// the stage that *ends* it, and the first-to-last span under `e2e`.
     /// The components are contiguous, so they sum to `e2e` exactly. Does
-    /// nothing for an id with no marks. Seals the timeline: it stays
-    /// readable, and a later mark reopens it. `component` runs once per
-    /// stage of each distinct stage sequence (and `e2e`), not per message.
+    /// nothing for an id with no marks. Frees the timeline, so a second
+    /// fold of it does nothing; if the registry keeps timelines, seals it
+    /// instead: it stays readable, a later mark reopens it and a second
+    /// fold records it twice. `component` runs once per stage of each
+    /// distinct stage sequence (and `e2e`), not per message.
     pub fn observe_stages(
         &mut self,
         causal: u64,
@@ -272,7 +294,7 @@ impl MetricsRegistry {
             shape,
             stages,
             instants,
-        }) = timelines.seal(causal)
+        }) = timelines.close(causal)
         else {
             return;
         };
@@ -518,6 +540,28 @@ mod tests {
         assert_eq!(total("c.e2e"), Dur::from_micros(8));
         assert_eq!(m.stat("c.e2e").unwrap().summary().count(), 1);
         assert!(m.stat("c.other").is_none());
+    }
+
+    #[test]
+    fn a_folded_timeline_is_freed_unless_kept() {
+        fn component(_: &str) -> &'static str {
+            "k.gap"
+        }
+        let fold_twice = |m: &mut MetricsRegistry| {
+            let c = m.next_causal();
+            m.mark(c, "a", t(1));
+            m.mark(c, "b", t(3));
+            m.observe_stages(c, component, "k.e2e");
+            m.mark(c, "b", t(7));
+            m.observe_stages(c, component, "k.e2e");
+            let count = m.stat("k.e2e").unwrap().summary().count();
+            (count, m.stamp(c, "b"), m.timelines().count())
+        };
+        let mut free = MetricsRegistry::new();
+        assert_eq!(fold_twice(&mut free), (1, None, 0), "neither reopened nor refolded");
+        let mut kept = MetricsRegistry::new();
+        kept.keep_timelines();
+        assert_eq!(fold_twice(&mut kept), (2, Some(t(7)), 1), "reopened and refolded");
     }
 
     #[test]
