@@ -9,11 +9,12 @@
 //! (or per dispatch) fails here by name; one that moves virtual time fails
 //! on the end time next to it. Beside the events, each run pins the causal
 //! timeline stamps it retains and the bytes they hold
-//! (`MetricsRegistry::timeline_bytes`, by capacity: at these sizes one
-//! 64 KiB arena chunk is most of it) with the registry keeping every
-//! timeline it folds (`MetricsRegistry::keep_timelines`): a change that
-//! adds a stage or fattens the stored format grows the timelines' memory,
-//! and fails here without an RSS measurement.
+//! (`MetricsRegistry::timeline_bytes`, by capacity: each kept timeline's
+//! buffer and its place in the causal-id index are most of it) with the
+//! registry keeping every timeline it folds
+//! (`MetricsRegistry::keep_timelines`): a change that adds a stage or
+//! fattens the stored format grows the timelines' memory, and fails here
+//! without an RSS measurement.
 
 use bytes::Bytes;
 use ncs_core::{ErrorControl, NcsConfig, NcsWorld, ThreadAddr};
@@ -80,8 +81,8 @@ fn hsm_ping_pong_event_budget() {
     assert_eq!(stamps(&sim), 192, "32 messages, six stages each");
     assert_eq!(
         timeline_bytes(&sim),
-        66_256,
-        "was 66_384 at 16 bytes a stamp"
+        5_184,
+        "was 66_256 in a 64 KiB arena chunk"
     );
 }
 
@@ -112,8 +113,8 @@ fn gather_broadcast_round_event_budget() {
     assert_eq!(stamps(&sim), 84, "14 messages, six stages each");
     assert_eq!(
         timeline_bytes(&sim),
-        67_008,
-        "67_008 at 16 bytes a stamp too"
+        2_368,
+        "was 67_008 in a 64 KiB arena chunk"
     );
 }
 
@@ -158,8 +159,8 @@ fn checked_tcp_ring_event_budget() {
     );
     assert_eq!(
         timeline_bytes(&sim),
-        66_776,
-        "was 66_768 at 16 bytes a stamp"
+        4_232,
+        "was 66_776 in a 64 KiB arena chunk"
     );
 }
 

@@ -1,8 +1,8 @@
 //! Keeping timelines changes what the registry keeps, never what it records.
 //!
 //! By default the registry folds each message's timeline into its `obs.*`
-//! stats at delivery and frees it; `MetricsRegistry::keep_timelines` seals
-//! it into an arena instead, readable for the rest of the run. Each
+//! stats at delivery and frees it; `MetricsRegistry::keep_timelines` leaves
+//! it in its buffer instead, readable for the rest of the run. Each
 //! workload here runs both ways and must leave the same trace hash, the
 //! same event count and the same `summary()` text: every counter, every
 //! gauge peak and every stat. Unarmed, the registry may hold only the

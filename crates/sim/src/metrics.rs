@@ -16,14 +16,14 @@
 //! name lookup and an index; an index never set holds an empty series that
 //! the readers skip. Timelines are indexed densely by the sequential causal
 //! id, in a window that starts at the oldest open one, so a `mark` is a
-//! name lookup and an index, not a tree walk. A folded timeline is freed:
-//! its stats hold what the run reads of it, so the registry's timeline
-//! memory follows the messages in flight, not the messages sent. A caller
-//! that reads whole-run timelines arms [`MetricsRegistry::keep_timelines`]
-//! first; then a folded timeline is sealed into a chunked arena as 8 bytes
-//! an instant plus the id of its interned stage sequence, with no
-//! allocation of its own (see `timeline.rs`). Either way, folds resolve
-//! their stats once per such sequence.
+//! name lookup and an index, not a tree walk. Each timeline lives in one
+//! `(Stage, SimTime)` buffer from its first mark on, and its fold reads it
+//! there. A folded timeline is then freed: its stats hold what the run
+//! reads of it, so the registry's timeline memory follows the messages in
+//! flight, not the messages sent. A caller that reads whole-run timelines
+//! arms [`MetricsRegistry::keep_timelines`] first; then a folded timeline
+//! stays in its buffer (see `timeline.rs`). Either way, folds resolve their
+//! stats once per distinct stage sequence.
 //!
 //! Four families:
 //!
@@ -44,21 +44,24 @@
 //! Cross-process correlation: a message's causal id is known to the sending
 //! process but does not ride on the wire (the transport tag is fully
 //! packed). Because all processes share one [`crate::Sim`] — and hence one
-//! registry — the sender [`MetricsRegistry::bind_wire`]s the id under the
-//! `(src→dst, tag, depart-time)` triple its transport stamps on the
+//! registry — the sender [`MetricsRegistry::bind_wire`]s the id under a
+//! `(src→dst, tag, instance)` triple that the receiver can rebuild from the
 //! delivery, and the receiver [`MetricsRegistry::resolve_wire`]s the same
-//! triple on pickup. The source belongs in the key: two senders can put
-//! one tag on the wire toward one destination at one instant, and a
-//! second `bind_wire` of a key replaces the first. This is observer
-//! bookkeeping, not simulated shared memory: it never influences protocol
-//! behaviour.
+//! triple on pickup. The instance is the departure instant for a frame
+//! sent once, without error control; a checked frame is keyed by its
+//! error-control sequence number, so whichever copy of a retransmitted
+//! frame is accepted claims the id. The source belongs in the key: two
+//! senders can put one tag on the wire toward one destination at one
+//! instant, and a second `bind_wire` of a key replaces the first. This is
+//! observer bookkeeping, not simulated shared memory: it never influences
+//! protocol behaviour.
 
 use std::collections::BTreeMap;
 
 use crate::names::NameTable;
 use crate::stats::{DurHistogram, DurSummary};
 use crate::time::{Dur, SimTime};
-use crate::timeline::{Sealed, Stage, TimelineBuf, TimelineStore};
+use crate::timeline::{Stage, Timeline, TimelineStore};
 
 /// A gauge's sample history: the value is `samples.last()` until the next
 /// change; only changes are stored.
@@ -145,16 +148,6 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// An empty registry that keeps its timelines, in an arena grown by
-    /// `n`-instant chunks.
-    #[cfg(test)]
-    fn with_chunk_instants(n: usize) -> MetricsRegistry {
-        MetricsRegistry {
-            timelines: TimelineStore::with_chunk_instants(n),
-            ..MetricsRegistry::default()
-        }
-    }
-
     /// Adds `n` to a named counter.
     pub fn inc(&mut self, name: &'static str, n: u64) {
         *self.counters.slot(name) += n;
@@ -239,7 +232,7 @@ impl MetricsRegistry {
         self.timelines.mark(causal, stage, t);
     }
 
-    /// Seals every timeline folded from now on, keeping it readable by
+    /// Keeps every timeline folded from now on in its buffer, readable by
     /// [`MetricsRegistry::timelines`] and [`MetricsRegistry::stamp`] and
     /// counted by [`MetricsRegistry::timeline_bytes`], instead of freeing
     /// it. Arm it before the run's first mark to keep the whole run; what
@@ -251,20 +244,21 @@ impl MetricsRegistry {
 
     /// The readable timelines, in ascending causal-id order: every marked
     /// one if the registry keeps them, else the open ones (not folded yet).
-    pub fn timelines(&self) -> impl Iterator<Item = (u64, TimelineBuf)> + '_ {
+    pub fn timelines(&self) -> impl Iterator<Item = (u64, &Timeline)> + '_ {
         self.timelines.iter()
     }
 
     /// When `stage` was stamped on message `causal` (`None` if it was not,
-    /// or if its timeline was folded and freed), read in place: the stage's handle is resolved by the name's address
-    /// (remembered on first use) and compared as a pointer.
+    /// or if its timeline was folded and freed), read in place. The stage's
+    /// handle is resolved by the name's address (remembered on first use)
+    /// and compared as a pointer.
     pub fn stamp(&mut self, causal: u64, stage: &'static str) -> Option<SimTime> {
         let stage = *self.stages.slot_with(stage, || Stage::intern(stage));
         self.timelines.stamp(causal, stage)
     }
 
     /// Bytes the timelines hold, counted by capacity: the causal-id index,
-    /// the sealed arena, the open buffers and the shape table.
+    /// the timelines' buffers and the shape table.
     pub fn timeline_bytes(&self) -> usize {
         self.timelines.bytes()
     }
@@ -274,10 +268,10 @@ impl MetricsRegistry {
     /// the stage that *ends* it, and the first-to-last span under `e2e`.
     /// The components are contiguous, so they sum to `e2e` exactly. Does
     /// nothing for an id with no marks. Frees the timeline, so a second
-    /// fold of it does nothing; if the registry keeps timelines, seals it
-    /// instead: it stays readable, a later mark reopens it and a second
-    /// fold records it twice. `component` runs once per stage of each
-    /// distinct stage sequence (and `e2e`), not per message.
+    /// fold of it does nothing; if the registry keeps timelines, leaves it
+    /// in its buffer instead: it stays readable, a later mark lands in it
+    /// and a second fold records it twice. `component` runs once per stage
+    /// of each distinct stage sequence (and `e2e`), not per message.
     pub fn observe_stages(
         &mut self,
         causal: u64,
@@ -290,12 +284,7 @@ impl MetricsRegistry {
             folds,
             ..
         } = self;
-        let Some(Sealed {
-            shape,
-            stages,
-            instants,
-        }) = timelines.close(causal)
-        else {
+        let Some((shape, tl)) = timelines.close(causal) else {
             return;
         };
         let shape = shape as usize;
@@ -309,10 +298,12 @@ impl MetricsRegistry {
         let plan = match known {
             Some(at) => &plans[at],
             None => {
-                let gaps = stages
+                let gaps = tl
                     .iter()
                     .skip(1)
-                    .map(|stage| stats.index_with(component(stage.as_str()), DurStat::default))
+                    .map(|&(stage, _)| {
+                        stats.index_with(component(stage.as_str()), DurStat::default)
+                    })
                     .collect();
                 let span = stats.index_with(e2e, DurStat::default);
                 plans.push(FoldPlan {
@@ -324,17 +315,19 @@ impl MetricsRegistry {
                 &plans[plans.len() - 1]
             }
         };
-        for (w, &gap) in instants.windows(2).zip(plan.gaps.iter()) {
-            stats.at_mut(gap).record(w[1].saturating_since(w[0]));
+        for (w, &gap) in tl.windows(2).zip(plan.gaps.iter()) {
+            stats.at_mut(gap).record(w[1].1.saturating_since(w[0].1));
         }
-        if let (Some(&first), Some(&last)) = (instants.first(), instants.last()) {
+        if let (Some(&(_, first)), Some(&(_, last))) = (tl.first(), tl.last()) {
             stats.at_mut(plan.span).record(last.saturating_since(first));
         }
     }
 
     /// Associates a wire-level key (conventionally `(source and destination
-    /// node in one word, transport tag, depart-time ps)`) with a causal id,
-    /// for the receiving process to claim on pickup. Binding a key that is
+    /// node in one word, transport tag, instance)`, the instance being the
+    /// departure instant in ps for an unchecked frame and the error-control
+    /// sequence number for a checked one) with a causal id, for the
+    /// receiving process to claim on pickup. Binding a key that is
     /// already bound replaces the earlier id.
     pub fn bind_wire(&mut self, key: (u64, u64, u64), causal: u64) {
         self.wire_keys.insert(key, causal);
@@ -457,7 +450,10 @@ mod tests {
         m.mark(c, "a", t(1));
         m.mark(c, "b", t(2));
         m.mark(c, "b", t(4));
-        assert_eq!(texts(&m.timelines.get(c).unwrap()), [("a", t(1)), ("b", t(4))]);
+        assert_eq!(
+            texts(m.timelines.get(c).unwrap()),
+            [("a", t(1)), ("b", t(4))]
+        );
         m.mark(0, "ignored", t(9));
         assert_eq!(m.timelines().count(), 1);
     }
@@ -477,7 +473,7 @@ mod tests {
         assert!(m.timelines.get(2).is_none(), "allocated, never marked");
         assert!(m.timelines.get(5).is_none(), "never allocated");
         assert!(m.timelines.get(u64::MAX).is_none());
-        assert_eq!(texts(&m.timelines.get(3).unwrap()), [("a", t(3))]);
+        assert_eq!(texts(m.timelines.get(3).unwrap()), [("a", t(3))]);
         assert!(m.validate_timelines(&["a"]).is_empty());
     }
 
@@ -561,7 +557,11 @@ mod tests {
         assert_eq!(fold_twice(&mut free), (1, None, 0), "neither reopened nor refolded");
         let mut kept = MetricsRegistry::new();
         kept.keep_timelines();
-        assert_eq!(fold_twice(&mut kept), (2, Some(t(7)), 1), "reopened and refolded");
+        assert_eq!(
+            fold_twice(&mut kept),
+            (2, Some(t(7)), 1),
+            "marked in place and refolded"
+        );
     }
 
     #[test]
@@ -621,8 +621,8 @@ durations:
     #[test]
     fn wire_keys_keep_same_instant_senders_apart() {
         // What ncs-core binds: (source and destination in one word, tag,
-        // departure instant). Two sources with one tag, one destination and
-        // one instant are two keys; a re-bind of one key replaces it.
+        // instance). Two sources with one tag, one destination and one
+        // instance are two keys; a re-bind of one key replaces it.
         let mut m = MetricsRegistry::new();
         let key = |src: u64| (src << 32 | 9, 0xBEEF, 1_000);
         m.bind_wire(key(1), 11);
@@ -643,22 +643,17 @@ durations:
         assert_eq!(m.resolve_wire((1, 2, 3)), None);
     }
 
-    /// What the registry's timelines must read as: plain vectors of
+    /// What a keeping registry's timelines must read as: plain vectors of
     /// `(text, time)`, a fold recording every gap however often it runs,
-    /// a shape table of every distinct stage sequence sealed, and a chunk
-    /// list from the arena rule (a timeline's instants go whole into the
-    /// last chunk if they fit, else into a fresh chunk of `max(chunk, len)`
-    /// instants; a re-seal writes a fresh copy and abandons the old one).
+    /// and a shape table of every distinct stage sequence folded.
     #[derive(Default)]
     struct Model {
         timelines: Vec<Vec<(&'static str, SimTime)>>,
-        /// Per id: sealed now, and sealed at least once before.
-        sealed: Vec<(bool, bool)>,
+        /// Per id: folded since its last mark, and folded at least once.
+        folded: Vec<(bool, bool)>,
         folds: BTreeMap<&'static str, (u64, Dur)>,
         shapes: Vec<Vec<&'static str>>,
-        /// (capacity, used) of every chunk.
-        chunks: Vec<(usize, usize)>,
-        seals: u32,
+        fold_count: u32,
         last_shape: Option<usize>,
         /// `timeline_bytes` at the last step: capacities only grow.
         bytes: usize,
@@ -668,15 +663,12 @@ durations:
     #[derive(Default, Debug)]
     struct Reached {
         remark_after_fold: u32,
-        reseal: u32,
+        refold_after_remark: u32,
         second_fold: u32,
-        longer_than_remainder: u32,
-        longer_than_chunk: u32,
-        /// A seal back to an older shape while three or more exist.
+        /// A fold back to an older shape while three or more exist.
         interleaved_shapes: u32,
-        /// A shape first sealed after twenty seals of the case.
+        /// A shape first folded after twenty folds of the case.
         late_shape: u32,
-        longer_than_inline: u32,
         /// A first mark on an id below one already marked.
         out_of_order: u32,
     }
@@ -704,12 +696,12 @@ durations:
             .collect();
         let reached = std::cell::RefCell::new(Reached::default());
         crate::prop::check("timelines_match_a_naive_model", 300, |g| {
-            let chunk = g.range(1..=6) as usize;
             // Few ids pile many stages onto each; many spread them thin.
             let ids = g.range(1..=8);
             // Few names make few shapes; many make long timelines.
             let names = &names[..g.range(3..=10) as usize];
-            let mut m = MetricsRegistry::with_chunk_instants(chunk);
+            let mut m = MetricsRegistry::new();
+            m.keep_timelines();
             let mut model = Model::default();
             let mut reached = reached.borrow_mut();
             for _ in 0..g.range(0..150) {
@@ -718,7 +710,7 @@ durations:
                 if let Some(i) = idx {
                     if i >= model.timelines.len() {
                         model.timelines.resize_with(i + 1, Vec::new);
-                        model.sealed.resize(i + 1, (false, false));
+                        model.folded.resize(i + 1, (false, false));
                     }
                 }
                 match g.range(0..59) {
@@ -727,7 +719,7 @@ durations:
                         let at = t(g.range(0..100));
                         m.mark(causal, name, at);
                         let Some(i) = idx else { continue };
-                        if std::mem::take(&mut model.sealed[i].0) {
+                        if std::mem::take(&mut model.folded[i].0) {
                             reached.remark_after_fold += 1;
                         }
                         if model.timelines[i].is_empty()
@@ -755,19 +747,15 @@ durations:
                         let e = model.folds.entry("fold.e2e").or_default();
                         let span = tl[tl.len() - 1].1.saturating_since(tl[0].1);
                         *e = (e.0 + 1, e.1 + span);
-                        let (sealed, before) = &mut model.sealed[i];
-                        if *sealed {
+                        let (folded, before) = &mut model.folded[i];
+                        if *folded {
                             reached.second_fold += 1;
                             continue;
                         }
                         if *before {
-                            reached.reseal += 1;
+                            reached.refold_after_remark += 1;
                         }
-                        (*sealed, *before) = (true, true);
-                        let len = tl.len();
-                        if len > crate::timeline::INLINE {
-                            reached.longer_than_inline += 1;
-                        }
+                        (*folded, *before) = (true, true);
                         let stages: Vec<&str> = tl.iter().map(|&(s, _)| s).collect();
                         let shape = match model.shapes.iter().position(|s| *s == stages) {
                             Some(shape) => {
@@ -779,7 +767,7 @@ durations:
                                 shape
                             }
                             None => {
-                                if model.seals >= 20 {
+                                if model.fold_count >= 20 {
                                     reached.late_shape += 1;
                                 }
                                 model.shapes.push(stages);
@@ -787,19 +775,7 @@ durations:
                             }
                         };
                         model.last_shape = Some(shape);
-                        model.seals += 1;
-                        match model.chunks.last_mut() {
-                            Some((cap, used)) if *cap - *used >= len => *used += len,
-                            last => {
-                                if last.is_some() && len <= chunk {
-                                    reached.longer_than_remainder += 1;
-                                }
-                                if len > chunk {
-                                    reached.longer_than_chunk += 1;
-                                }
-                                model.chunks.push((chunk.max(len), len));
-                            }
-                        }
+                        model.fold_count += 1;
                     }
                 }
                 let want: Vec<(u64, Vec<(&str, SimTime)>)> = model
@@ -810,11 +786,11 @@ durations:
                     .map(|(i, tl)| (i as u64 + 1, tl.clone()))
                     .collect();
                 let got: Vec<(u64, Vec<(&str, SimTime)>)> =
-                    m.timelines().map(|(c, tl)| (c, texts(&tl))).collect();
+                    m.timelines().map(|(c, tl)| (c, texts(tl))).collect();
                 assert_eq!(got, want);
                 for c in 0..=ids + 1 {
                     let want = want.iter().find(|(k, _)| *k == c).map(|(_, tl)| tl.clone());
-                    assert_eq!(m.timelines.get(c).map(|tl| texts(&tl)), want, "causal {c}");
+                    assert_eq!(m.timelines.get(c).map(texts), want, "causal {c}");
                     for name in names.iter().map(|n| n[1]) {
                         let stamped = want
                             .as_ref()
@@ -828,28 +804,23 @@ durations:
                         .map(|s| (s.summary().count(), s.summary().total()));
                     assert_eq!(got, model.folds.get(name).copied(), "{name}");
                 }
-                assert_eq!(m.timelines.chunks(), model.chunks.len());
                 assert_eq!(m.timelines.shapes(), model.shapes.len());
-                // Every chunk counts, abandoned copies too, and nothing the
-                // store holds is ever given back.
-                let arena: usize = model.chunks.iter().map(|&(cap, _)| cap * 8).sum();
+                // Every stamp and shape stage counts, and nothing the store
+                // keeps is ever given back.
+                let stamps: usize = model.timelines.iter().map(|tl| tl.len() * 16).sum();
                 let shapes: usize = model.shapes.iter().map(|s| s.len() * 8).sum();
                 let bytes = m.timeline_bytes();
-                assert_eq!(m.timelines.arena_bytes(), arena);
-                assert!(bytes >= arena + shapes + 8 * model.timelines.len());
+                assert!(bytes >= stamps + shapes + 8 * model.timelines.len());
                 assert!(bytes >= model.bytes, "{bytes} < {}", model.bytes);
                 model.bytes = bytes;
             }
         });
         let reached = reached.into_inner();
         assert!(reached.remark_after_fold > 0, "{reached:?}");
-        assert!(reached.reseal > 0, "{reached:?}");
+        assert!(reached.refold_after_remark > 0, "{reached:?}");
         assert!(reached.second_fold > 0, "{reached:?}");
-        assert!(reached.longer_than_remainder > 0, "{reached:?}");
-        assert!(reached.longer_than_chunk > 0, "{reached:?}");
         assert!(reached.interleaved_shapes > 0, "{reached:?}");
         assert!(reached.late_shape > 0, "{reached:?}");
-        assert!(reached.longer_than_inline > 0, "{reached:?}");
         assert!(reached.out_of_order > 0, "{reached:?}");
     }
 

@@ -74,7 +74,10 @@
 # switch cost, the link's write-only byte count and the decision log's
 # length pair; the timer wheel's tick-shift constructor, overflow
 # migration, bucket load and bitmap scan (the event queue is one binary
-# heap) and `xp scale`'s boxed-heap micro baseline.
+# heap) and `xp scale`'s boxed-heap micro baseline; and the second
+# representation of a closed causal timeline (a kept one stays in the
+# buffer it was marked in): the decoded timeline copy, the arena's
+# chunk-size constructor and its byte count (each a whole word).
 # CI and scripts/check.sh both run this one copy.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -83,7 +86,7 @@ cd "$(dirname "$0")/.."
 # written so that it does not match its own text here.
 cli='--bin (table[123]|fig_|xp_|report)|--example atm_ap[i]|-p ncs-analysis[ ]--|ncs-analysis (lint|smoke|explore|all)|--repla[y]|--walk[s]|--max-schedule[s]|-- entrop[y]\b'
 
-if grep -rnE 'CellEventMode|transfer_train|enqueue_train|TrainTiming|TxTrain|CountTrain|schedule_count_train|SchedPolicy|GlobalFifo|new_sharded|SimChannel::bounded|SimChannel::(now|name)|peak_depth|spawn_forwarders|spans_to_csv|MtsSemaphore|MtsEvent|MtsBarrier|aal34|crc10|parse_procgroup|ProcgroupSpec|ProcgroupEntry|ProcgroupError|clear_schedule_policy|tagged_blob|pvm_ethernet|merged_workload_events|next_u32|\.shuffle\(|thread_id\(\)|frames_carried|ds3_ring|CAUSAL_STAGES|REQUEST_STAGES|RealNcs::connect\(|LinkArena|ListHead|ListIter|external_block|charge_switch|blocked_time|MtsStats|exit_waiters|sleep_gen|spawn_daemon|sleep_until|total_sent|JsonDoc|mesh_json|print_mesh|crate::json|TcpNet::(segments|fabric)|AtmApiNet::(fabric|params)|retx\.spurious|retx\.backpressure|rto\.partition_failfast|reasm\.reclaimed|RetxTimer|timer_epoch|prewrapped|init_collective|init_inner|raise_delivery_failed|signal_quiescent|fail_send\(|MtsConfig\.analysis|with_backoff|max_backoff_slots|jitter_seed|SLOT_TIME|\.occupy\(|\baccess:|\bswitch_latency:|wan_propagation|host_overhead|EthernetParams|reaction_threshold|reaction_cap|sar_per_cell|dma_setup|default_stack_bytes|NCS_GREEN_STACK_KIB|NCS_GREEN_ENGINE|ShardedSim|ShardedRunOutcome|merge_streams|schedule_keyed|KEYED_SEQ_BIT|next_event_time|run_until\(|GossipMesh|GossipConfig|ShardPlan|ShardCut|ShardNetParams|run_workload_on|sharded_harness|fnv1a_fold|WaitGraph|TarjanState|MtsThreadReport|thread_report|deadlock_cycles|ncs_analysis::check_outcome|VcTable|TrafficClass|AtmApiError|FIRST_USER_VCI|\bAtmApi\b|"(tcp\.msgs|tcp\.segments|atm\.msgs)"|\bmatmul_p4\b|\bmatmul_ncs\b|matmul_ncs_configured|\bmatmul_ncs_async\b|\bsetup_matmul_ncs\b|\bjpeg_p4\b|\bjpeg_ncs\b|\bsetup_jpeg_ncs\b|\bfft_ncs\b|fft_ncs_with|MatmulRun|JpegRun|FftRun|"p4\.damaged_dropped"|tr\.counters\(\)|\.retransmits\(\)|NcsProc::retransmits|huffman::|HuffError|EntropyKind::Huffman|with_huffman|\bcompress_with\b|xp_entropy|tree_bcast|reduce_f64|\ball_to_all\b|ReduceOp|GROUP_TAG_BASE|ncs_core::group|crate::group|TYPE_BARRIER_(ARRIVE|GO)|broadcast\(ctx|SpanId|open_span|close_span|busy_integral_ps|from_secs_f64|\brecv_any\b|UserThread|(Tracer|MetricsRegistry)::clear|MetricsRegistry::timeline\b|Dur::(as_nanos|saturating_sub|checked_add)|SimTime::max|Sim::engine\b|\bCtx::wake\b|RealNcs::(id\b|try_recv)|NcsProc::(mts\b|thread_name)|P4Proc::num_procs|InvariantSink::(violations|len|is_empty)|AnalysisConfig::sink|DurSummary::min|SimChannel::send|(EthernetFabric|LinkState)::utilization|NcsCtx::(probe|yield_now|recv_timeout|test\b)|ncs\.(recv_timeout|test)\(|NCS_test|chunks_carried|\.causal\(\)|dead_surface\(|\bitem_name\(|\blint_sources\b|\bPubFn\b|every_pub_fn_has_a_caller|process_switch|bytes_carried|DecisionLog::(len|is_empty)|with_tick_shift|migrate_window|load_bucket|next_occupied|micro_heap_ns' crates src tests examples DESIGN.md README.md EXPERIMENTS.md \
+if grep -rnE 'CellEventMode|transfer_train|enqueue_train|TrainTiming|TxTrain|CountTrain|schedule_count_train|SchedPolicy|GlobalFifo|new_sharded|SimChannel::bounded|SimChannel::(now|name)|peak_depth|spawn_forwarders|spans_to_csv|MtsSemaphore|MtsEvent|MtsBarrier|aal34|crc10|parse_procgroup|ProcgroupSpec|ProcgroupEntry|ProcgroupError|clear_schedule_policy|tagged_blob|pvm_ethernet|merged_workload_events|next_u32|\.shuffle\(|thread_id\(\)|frames_carried|ds3_ring|CAUSAL_STAGES|REQUEST_STAGES|RealNcs::connect\(|LinkArena|ListHead|ListIter|external_block|charge_switch|blocked_time|MtsStats|exit_waiters|sleep_gen|spawn_daemon|sleep_until|total_sent|JsonDoc|mesh_json|print_mesh|crate::json|TcpNet::(segments|fabric)|AtmApiNet::(fabric|params)|retx\.spurious|retx\.backpressure|rto\.partition_failfast|reasm\.reclaimed|RetxTimer|timer_epoch|prewrapped|init_collective|init_inner|raise_delivery_failed|signal_quiescent|fail_send\(|MtsConfig\.analysis|with_backoff|max_backoff_slots|jitter_seed|SLOT_TIME|\.occupy\(|\baccess:|\bswitch_latency:|wan_propagation|host_overhead|EthernetParams|reaction_threshold|reaction_cap|sar_per_cell|dma_setup|default_stack_bytes|NCS_GREEN_STACK_KIB|NCS_GREEN_ENGINE|ShardedSim|ShardedRunOutcome|merge_streams|schedule_keyed|KEYED_SEQ_BIT|next_event_time|run_until\(|GossipMesh|GossipConfig|ShardPlan|ShardCut|ShardNetParams|run_workload_on|sharded_harness|fnv1a_fold|WaitGraph|TarjanState|MtsThreadReport|thread_report|deadlock_cycles|ncs_analysis::check_outcome|VcTable|TrafficClass|AtmApiError|FIRST_USER_VCI|\bAtmApi\b|"(tcp\.msgs|tcp\.segments|atm\.msgs)"|\bmatmul_p4\b|\bmatmul_ncs\b|matmul_ncs_configured|\bmatmul_ncs_async\b|\bsetup_matmul_ncs\b|\bjpeg_p4\b|\bjpeg_ncs\b|\bsetup_jpeg_ncs\b|\bfft_ncs\b|fft_ncs_with|MatmulRun|JpegRun|FftRun|"p4\.damaged_dropped"|tr\.counters\(\)|\.retransmits\(\)|NcsProc::retransmits|huffman::|HuffError|EntropyKind::Huffman|with_huffman|\bcompress_with\b|xp_entropy|tree_bcast|reduce_f64|\ball_to_all\b|ReduceOp|GROUP_TAG_BASE|ncs_core::group|crate::group|TYPE_BARRIER_(ARRIVE|GO)|broadcast\(ctx|SpanId|open_span|close_span|busy_integral_ps|from_secs_f64|\brecv_any\b|UserThread|(Tracer|MetricsRegistry)::clear|MetricsRegistry::timeline\b|Dur::(as_nanos|saturating_sub|checked_add)|SimTime::max|Sim::engine\b|\bCtx::wake\b|RealNcs::(id\b|try_recv)|NcsProc::(mts\b|thread_name)|P4Proc::num_procs|InvariantSink::(violations|len|is_empty)|AnalysisConfig::sink|DurSummary::min|SimChannel::send|(EthernetFabric|LinkState)::utilization|NcsCtx::(probe|yield_now|recv_timeout|test\b)|ncs\.(recv_timeout|test)\(|NCS_test|chunks_carried|\.causal\(\)|dead_surface\(|\bitem_name\(|\blint_sources\b|\bPubFn\b|every_pub_fn_has_a_caller|process_switch|bytes_carried|DecisionLog::(len|is_empty)|with_tick_shift|migrate_window|load_bucket|next_occupied|micro_heap_ns|\bTimelineBuf\b|\bwith_chunk_instants\b|\barena_bytes\b' crates src tests examples DESIGN.md README.md EXPERIMENTS.md \
     || grep -rnE -e "$cli" crates src tests examples DESIGN.md README.md EXPERIMENTS.md scripts .github .claude/skills; then
     echo "removed API or binary named above" >&2
     exit 1
